@@ -11,8 +11,8 @@ Contract, pinned by the parity tests below (these run before — and fail the
 CI smoke job independently of — the speedup gate):
 
 * **cross-engine**: the parity matrix iterates the *engine registry*
-  (:func:`repro.core.engine.engine_names` — so ``columnar-pull`` and any
-  future registration join automatically) against the legacy oracle:
+  (:func:`repro.core.engine.engine_names` — so any future registration
+  joins automatically) against the legacy oracle:
   identical triangle counts, reducer outputs, communicated bytes, wire
   messages and simulated seconds, on the push path and the push-pull path
   (including real pulls);
@@ -21,11 +21,14 @@ CI smoke job independently of — the speedup gate):
   of metadata reducers — batch reducers apply increments in scalar
   invocation order, so cache evictions land on the same triangle.
 
-Two gates: columnar host time must beat the scalar-callback batched engine
+Three gates: columnar host time must beat the scalar-callback batched engine
 by at least 3x on the R-MAT weak-scaling stand-in (both a bare counting
-reducer and a metadata reducer), and the ISSUE 5 engine-layer refactor must
-not add more than 5% host time over driving the columnar internals directly
-(``test_engine_layer_no_regression``, recorded via ``emit_json``).
+reducer and a metadata reducer); the ISSUE 5 engine-layer refactor must not
+add more than 5% host time over driving the columnar internals directly
+(``test_engine_layer_no_regression``, recorded via ``emit_json``); and — the
+one production-vs-production ratio — a ``columnar`` Push-Pull count must cost
+at most 1.5x a ``columnar`` Push-Only count on rmat-14 / 8 ranks
+(``test_pushpull_over_push``, ROADMAP target 1.3).
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from repro.core.intersection import ROW_KERNELS
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.core.survey import triangle_survey_push
 from repro.graph.dodgr import DODGraph
+from repro.graph.generators import rmat
 from repro.runtime.world import World
 
 NODES = 16
@@ -57,6 +61,11 @@ SPEEDUP_GATE = 3.0
 #: more than this fraction of host time over driving the columnar internals
 #: directly — the "before the refactor" equivalent.
 REFACTOR_REGRESSION_GATE = 0.05
+#: ``columnar`` Push-Pull host time over ``columnar`` Push-Only on the same
+#: graph.  Both sides are the production engine, so — unlike the gates
+#: against ``legacy``/``batched`` — it cannot stay green while the path users
+#: run regresses.  Measured 1.19 when the dry run went columnar.
+PUSHPULL_OVER_PUSH_GATE = 1.5
 
 
 def make_counter(world):
@@ -349,4 +358,68 @@ def test_engine_layer_no_regression(benchmark):
     assert overhead <= REFACTOR_REGRESSION_GATE, (
         f"engine layer adds {overhead * 100:.2f}% host time over the direct "
         f"columnar drive (gate: {REFACTOR_REGRESSION_GATE * 100:.0f}%)"
+    )
+
+
+# ---------------------------------------------------------------------------
+# ISSUE 14: Push-Pull must cost about what Push-Only costs, on the same engine
+# ---------------------------------------------------------------------------
+
+
+def test_pushpull_over_push(benchmark):
+    """rmat-14 / 8 ranks, ``columnar`` both sides: Push-Pull <= 1.5x Push-Only.
+
+    One DODGr, one untimed survey per algorithm to build the CSR caches, then
+    interleaved best-of-3 host seconds per side; triangle counts must agree.
+    The input is pinned (not ``REPRO_BENCH_SCALE``-scaled) so the ratio means
+    the same thing in every run.
+    """
+    rounds = 3
+    world = World(8)
+    dodgr = DODGraph.build(
+        rmat(14, edge_factor=8, seed=0).to_distributed(world), mode="bulk"
+    )
+    surveys = {"push": triangle_survey_push, "push_pull": triangle_survey_push_pull}
+
+    def run_all():
+        for survey in surveys.values():
+            survey(dodgr, engine="columnar")
+        reports = {name: [] for name in surveys}
+        for _ in range(rounds):
+            for name, survey in surveys.items():
+                reports[name].append(survey(dodgr, engine="columnar"))
+        return reports
+
+    reports = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    assert reports["push"][0].triangles == reports["push_pull"][0].triangles
+
+    best = {name: min(r.host_seconds for r in runs) for name, runs in reports.items()}
+    ratio = best["push_pull"] / best["push"]
+    emit_json(
+        "bench_pushpull_over_push",
+        {
+            "graph": "rmat-14 (edge_factor=8, seed=0)",
+            "nodes": world.nranks,
+            "rounds": rounds,
+            "push_host_seconds": best["push"],
+            "push_pull_host_seconds": best["push_pull"],
+            "ratio": ratio,
+            "gate": PUSHPULL_OVER_PUSH_GATE,
+            "triangles": reports["push"][0].triangles,
+        },
+    )
+    emit(
+        format_table(
+            [
+                {"algorithm": name, "host seconds": round(seconds, 4)}
+                for name, seconds in best.items()
+            ]
+            + [{"algorithm": f"push_pull / push = {ratio:.2f}"}],
+            title="Columnar engine — Push-Pull over Push-Only (rmat-14, 8 ranks)",
+        )
+    )
+    benchmark.extra_info.update({"ratio": ratio})
+    assert ratio <= PUSHPULL_OVER_PUSH_GATE, (
+        f"columnar Push-Pull is {ratio:.2f}x columnar Push-Only host time, "
+        f"above the {PUSHPULL_OVER_PUSH_GATE}x gate"
     )

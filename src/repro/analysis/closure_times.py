@@ -99,7 +99,7 @@ def run_closure_time_survey(
         ``"push"`` or ``"push_pull"``.
     engine:
         Engine selector: any registered engine name (``"legacy"``,
-        ``"batched"``, ``"columnar"``, ``"columnar-pull"``) or an
+        ``"batched"``, ``"columnar"``) or an
         :class:`~repro.core.engine.EngineConfig`; the columnar default
         buckets closure times through
         :meth:`ClosureTimeSurvey.callback_batch`.

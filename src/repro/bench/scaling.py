@@ -102,8 +102,8 @@ def run_survey_at_scale(
     """Distribute ``dataset`` over ``nodes`` ranks and run one survey.
 
     ``engine`` selects the survey execution engine: any registered engine
-    name (``legacy`` — the default, ``batched``, ``columnar``,
-    ``columnar-pull``) or an :class:`~repro.core.engine.EngineConfig`;
+    name (``legacy`` — the default, ``batched``, ``columnar``) or an
+    :class:`~repro.core.engine.EngineConfig`;
     every engine produces identical reports, so the paper figures can be
     regenerated on any of them.  ``backend`` picks the execution backend
     the same way (``simulated`` — the default, or ``process`` with

@@ -13,7 +13,7 @@ The primary entry points are:
 
 Survey execution is owned by the engine layer in :mod:`repro.core.engine`:
 engines are registered :class:`~repro.core.engine.EngineSpec` compositions
-resolved by name (``engine="legacy"/"batched"/"columnar"/"columnar-pull"``)
+resolved by name (``engine="legacy"/"batched"/"columnar"``)
 or through an :class:`~repro.core.engine.EngineConfig`, the one selector
 threaded through ``analysis/*``, ``bench/*`` and the benchmark CLIs.
 """

@@ -33,16 +33,18 @@ Register a new composition — no new driver loop::
 
     register_engine(EngineSpec(
         name="my-engine",
-        description="batched pushes, columnar pull",
-        push_style="batched", pull_style="columnar",
+        description="columnar pushes, batched dry run and pull",
+        push_style="columnar", pull_style="batched",
         proposal_style="batched", requires_numpy=True, fallback="batched",
     ))
 
-The ``columnar-pull`` engine shipped here is exactly such a registration;
-``tools/check_engines.py`` smoke-checks that every registered engine stays
-on the equivalence contract (identical reducer panels, byte-identical wire
-totals), and the cross-engine property suite
-(``tests/properties/test_property_engines.py``) pins it on random graphs.
+``push_style``, ``pull_style`` and ``proposal_style`` each range over
+``{legacy, batched, columnar}``; :mod:`~repro.core.engine.registry` rejects
+the one illegal region at registration.  ``tools/check_engines.py``
+smoke-checks that every registered engine stays on the equivalence contract
+(identical reducer panels, byte-identical wire totals), and the cross-engine
+property suite (``tests/properties/test_property_engines.py``) pins it on
+random graphs.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from .driver import (
     row_adjacency,
 )
 from .request import TriangleCallback
-from .segments import ragged_gather
+from .segments import positions_of_ids, ragged_gather
 
 try:
     import numpy as _np
@@ -194,40 +194,6 @@ def _sort_wedge_groups(qpos, cand):
     return wedge_qpos, counts, cand_sorted
 
 
-def _delta_inverted_index(csr):
-    """The rank's target-position index: edge positions sorted by target id.
-
-    ``(sorted target ids, their edge positions, row of every edge)`` — the
-    in-adjacency view the old-old-new join probes to find every local pivot
-    row holding a given target.  Built once per CSR snapshot and cached on
-    the snapshot's ``row_adj_cache``-style slot (the CSR is immutable).
-    """
-    cached = csr._delta_inv_index
-    if cached is None:
-        cols = csr.columns()
-        lengths = cols.indptr[1:] - cols.indptr[:-1]
-        row_of_edge = _np.repeat(_np.arange(csr.num_rows, dtype=_np.int64), lengths)
-        inv_order = _np.argsort(csr.tgt_ids, kind="stable")
-        cached = (csr.tgt_ids[inv_order], inv_order, row_of_edge)
-        csr._delta_inv_index = cached
-    return cached
-
-
-def _positions_of_ids(inv_ids, inv_pos, ids):
-    """Ragged lookup: for every id, the edge positions whose target is the id.
-
-    Returns ``(owner, positions)`` where ``positions`` concatenates each
-    id's edge positions and ``owner[i]`` is the index into ``ids`` that
-    produced ``positions[i]``.
-    """
-    lo = _np.searchsorted(inv_ids, ids, side="left")
-    hi = _np.searchsorted(inv_ids, ids, side="right")
-    counts = hi - lo
-    gather, _offsets = ragged_gather(lo, counts)
-    owner = _np.repeat(_np.arange(ids.size, dtype=_np.int64), counts)
-    return owner, inv_pos[gather]
-
-
 def drive_columnar_delta(
     ctx,
     dodgr: DODGraph,
@@ -263,7 +229,7 @@ def drive_columnar_delta(
     indptr = cols.indptr
     mask = delta.edge_mask(ctx.rank)
     new_pos = _np.flatnonzero(mask)
-    inv_ids, inv_pos, row_of_edge = _delta_inverted_index(csr)
+    inv_ids, inv_pos, row_of_edge = csr.inverted_target_index()
 
     # --- Full-check stream, part 1: q-new wedges carry their whole suffix.
     rows_a = row_of_edge[new_pos]
@@ -292,8 +258,8 @@ def drive_columnar_delta(
     # found by joining both endpoints against the inverted target index.
     stride = _np.int64(dodgr.order_count())
     new_keys = delta.directed_edge_keys()
-    pair_q, pos_q = _positions_of_ids(inv_ids, inv_pos, new_keys // stride)
-    pair_r, pos_r = _positions_of_ids(inv_ids, inv_pos, new_keys % stride)
+    pair_q, pos_q = positions_of_ids(inv_ids, inv_pos, new_keys // stride)
+    pair_r, pos_r = positions_of_ids(inv_ids, inv_pos, new_keys % stride)
     # Join on (pair, pivot row): a row holds a target at most once, so the
     # composite keys are unique per side.
     comp_q = pair_q * _np.int64(csr.num_rows) + row_of_edge[pos_q]

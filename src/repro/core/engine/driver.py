@@ -31,7 +31,12 @@ from ...graph.degree import order_key
 from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
 from ...graph.ooc import stage_send_columns
 from ...graph.metadata import TriangleBatch, TriangleMetadata
-from ...runtime.serialization import serialized_size, uvarint_size, uvarint_size_array
+from ...runtime.serialization import (
+    int_size_array,
+    serialized_size,
+    uvarint_size,
+    uvarint_size_array,
+)
 from ..intersection import (
     INTERSECTION_KERNELS,
     RowAdjacency,
@@ -39,7 +44,7 @@ from ..intersection import (
     row_kernel as select_row_kernel,
 )
 from .request import TriangleCallback
-from .segments import concat_segments
+from .segments import concat_segments, first_appearance_groups, ragged_gather
 
 try:
     import numpy as _np
@@ -53,6 +58,8 @@ __all__ = [
     "resolve_batch_callback",
     "deliver_batch",
     "columnar_push_batch",
+    "wedge_stream",
+    "send_coalesced",
     "make_legacy_intersect_handler",
     "make_batched_intersect_handler",
     "make_columnar_intersect_handler",
@@ -60,6 +67,7 @@ __all__ = [
     "drive_legacy_push",
     "drive_batched_push",
     "drive_columnar_push",
+    "drive_columnar_dry_run",
     "drive_push",
     "PUSH_STYLES",
 ]
@@ -356,11 +364,14 @@ def columnar_push_batch(
     q_rows,
     flat_src_pos,
     result,
+    local_meta_r: bool = False,
 ) -> TriangleBatch:
     """Wrap one columnar intersect result as a lazy :class:`TriangleBatch`.
 
     Only the small per-match index lists are materialised eagerly; each
     metadata column decodes from the CSR entry tuples on first read.
+    ``local_meta_r`` reads ``meta(r)`` from the candidate (``src_csr``) side:
+    the pull phase, where the shipped ``Adj^m_+(q)`` omits it.
     """
     wedge = result.seg
     src_pos = flat_src_pos[result.cand_pos]
@@ -378,6 +389,7 @@ def columnar_push_batch(
         adj_pos = list(result.adj_pos)
     src_entries = src_csr.entries
     dest_entries = dest_csr.entries
+    r_entries, r_pos = (src_entries, src_pos) if local_meta_r else (dest_entries, adj_pos)
     builders = {
         "p": lambda: [src_csr.row_vertices[row] for row in p_rows],
         "meta_p": lambda: [src_csr.row_meta[row] for row in p_rows],
@@ -387,7 +399,7 @@ def columnar_push_batch(
         "r": lambda: [src_entries[pos][0] for pos in src_pos],
         "meta_pr": lambda: [src_entries[pos][2] for pos in src_pos],
         "meta_qr": lambda: [dest_entries[pos][2] for pos in adj_pos],
-        "meta_r": lambda: [dest_entries[pos][3] for pos in adj_pos],
+        "meta_r": lambda: [r_entries[pos][3] for pos in r_pos],
     }
     return TriangleBatch(len(src_pos), builders)
 
@@ -450,42 +462,108 @@ def make_columnar_intersect_handler(
     return _columnar_intersect_handler
 
 
+def wedge_stream(csr: CSRAdjacency):
+    """One rank's wedge stream as ``(rows, qpositions)`` arrays, or ``None``.
+
+    Every entry but the last of every row, in legacy iteration order
+    (row-major): the prologue the columnar push drive and dry run share.
+    """
+    indptr = csr.columns().indptr
+    wedge_counts = _np.maximum(indptr[1:] - indptr[:-1] - 1, 0)
+    if not wedge_counts.any():
+        return None
+    rows = _np.repeat(_np.arange(csr.num_rows, dtype=_np.int64), wedge_counts)
+    return rows, ragged_gather(indptr[:-1], wedge_counts)[0]
+
+
+def send_coalesced(ctx, handler, dests, sizes, leading, columns) -> None:
+    """Account a (non-empty) legacy message stream, ship it one RPC per rank.
+
+    ``dests``/``sizes`` describe the replaced messages in legacy send order
+    and are booked in one ``account_rpc_bulk``.  Each destination rank — in
+    first-appearance order, as a scalar driver's per-destination ``dict``
+    iterates — gets one batched RPC: ``leading`` plus its slice of ``columns``.
+    """
+    ctx.account_rpc_bulk(dests, sizes)
+    order, starts, ends = first_appearance_groups(dests)
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        members = order[lo:hi]
+        ctx.async_call_batched(
+            int(dests[members[0]]),
+            handler,
+            *leading,
+            *(column[members] for column in columns),
+            virtual_rpcs=hi - lo,
+            virtual_bytes=int(sizes[members].sum()),
+        )
+
+
+def drive_columnar_dry_run(ctx, dodgr, h_propose, h_propose_columnar, push_mask) -> None:
+    """One rank's dry-run drive as array expressions over its CSR.
+
+    Local targets set their bit in ``push_mask`` (always pushed, no wire
+    cost).  Remote targets reduce to one ``(q, Σ suffix length)`` proposal
+    each, in first-appearance order (the scalar drive's ``candidate_totals``
+    dict order), sized as the ``(q, rank, total)`` message each replaces and
+    shipped as CSR positions + totals, one batched RPC per destination rank.
+    The caller flushes the proposal buffers afterwards.
+    """
+    rank = ctx.rank
+    csr = dodgr.csr(rank)
+    stream = wedge_stream(csr)
+    if stream is None:
+        return
+    rows, qpositions = stream
+    cols = csr.columns()
+    q_ids = csr.tgt_ids[qpositions]
+    remote = cols.tgt_owner[qpositions] != rank
+    push_mask[q_ids[~remote]] = True
+    if not remote.any():
+        return
+    rows, qpositions, q_ids = rows[remote], qpositions[remote], q_ids[remote]
+    order, starts, ends = first_appearance_groups(q_ids)
+    suffix_sums = _np.concatenate(
+        ([0], _np.cumsum((cols.indptr[rows + 1] - 1 - qpositions)[order]))
+    )
+    totals = suffix_sums[ends] - suffix_sums[starts]
+    first_pos = qpositions[order[starts]]
+    sizes = (
+        ctx.world.registry.call_size(h_propose, (rank,))
+        + cols.tgt_vertex_wire[first_pos]
+        + int_size_array(totals)
+    )
+    dests = cols.tgt_owner[first_pos]
+    send_coalesced(ctx, h_propose_columnar, dests, sizes, (rank, csr), (first_pos, totals))
+
+
 def drive_columnar_push(
     ctx,
     dodgr: DODGraph,
     csr: CSRAdjacency,
     handler,
     payload_overhead: int,
-    allowed_ids=None,
+    allowed_mask=None,
 ) -> None:
     """Array-native driver: account and coalesce one rank's candidate pushes.
 
-    Builds the rank's full wedge stream — (pivot row, q position) pairs in
-    legacy iteration order — as index arrays, computes every replaced
-    message's exact serialized size columnar-wise, accounts the stream
-    through :meth:`~repro.runtime.world.RankContext.account_rpc_bulk` (same
-    counters and buffer flush boundaries as the per-wedge walk), and fires
-    one batched RPC per destination rank.  ``allowed_ids`` restricts targets
-    to the given dense order-ids (the Push-Pull push phase); ``None`` pushes
-    to every target.
+    Takes the rank's full wedge stream (:func:`wedge_stream`), computes every
+    replaced message's exact serialized size columnar-wise, accounts the
+    stream through :meth:`~repro.runtime.world.RankContext.account_rpc_bulk`
+    (same counters and buffer flush boundaries as the per-wedge walk), and
+    fires one batched RPC per destination rank.  ``allowed_mask`` — a boolean
+    array over dense order-ids — restricts targets (the Push-Pull push
+    phase); ``None`` pushes to every target.
     """
+    stream = wedge_stream(csr)
+    if stream is None:
+        return
+    rows, qpositions = stream
     cols = csr.columns()
     indptr = cols.indptr
-    out_degree = indptr[1:] - indptr[:-1]
-    wedge_counts = _np.where(out_degree >= 2, out_degree - 1, 0)
-    total = int(wedge_counts.sum())
-    if total == 0:
-        return
-    rows = _np.repeat(_np.arange(csr.num_rows, dtype=_np.int64), wedge_counts)
-    qpositions = (
-        _np.arange(total, dtype=_np.int64)
-        - _np.repeat(_np.cumsum(wedge_counts) - wedge_counts, wedge_counts)
-        + _np.repeat(indptr[:-1], wedge_counts)
-    )
-    if allowed_ids is not None:
-        mask = _np.isin(csr.tgt_ids[qpositions], allowed_ids)
-        rows = rows[mask]
-        qpositions = qpositions[mask]
+    if allowed_mask is not None:
+        keep = allowed_mask[csr.tgt_ids[qpositions]]
+        rows = rows[keep]
+        qpositions = qpositions[keep]
         if rows.size == 0:
             return
     row_end = indptr[rows + 1]
@@ -589,24 +667,18 @@ def make_push_intersect_handler(
 def drive_push(style: str, ctx, dodgr: DODGraph, handler, allowed=None) -> None:
     """Run one rank's push drive at the engine's granularity.
 
-    ``allowed`` is the rank's push-target set (Push-Pull) or ``None`` for
-    everything (Push-Only); the columnar driver converts it to dense
-    order-ids itself.
+    ``allowed`` is the rank's push targets (Push-Pull) or ``None`` for
+    everything (Push-Only): a set of vertices for the scalar styles, a
+    boolean mask over dense order-ids for the columnar one.
     """
     if style == "columnar":
-        allowed_ids = None
-        if allowed is not None:
-            order_ids = dodgr.order_ids()
-            allowed_ids = _np.fromiter(
-                (order_ids[q] for q in allowed), dtype=_np.int64, count=len(allowed)
-            )
         drive_columnar_push(
             ctx,
             dodgr,
             dodgr.csr(ctx),
             handler,
             legacy_push_payload_overhead(handler.handler_id),
-            allowed_ids=allowed_ids,
+            allowed_mask=allowed,
         )
     elif style == "batched":
         drive_batched_push(

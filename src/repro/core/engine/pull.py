@@ -15,20 +15,23 @@ requester intersects it locally against every pivot of its own that wanted
   :class:`~repro.graph.metadata.TriangleBatch`; every replaced
   per-(q, requester) delivery is accounted — in legacy send order — at its
   exact serialized size, so the Table 3/Table 4 columns stay
-  byte-identical.
+  byte-identical.  The owner orders and sizes its deliveries as arrays;
+  the requester finds its waiting wedges through the CSR's inverted
+  target index.
 
-Handler factories close over the run's driver-side ``pivots_by_target``
-state (owned by the Push-Pull runner); drivers consume the owner-side
-``pull_lists``.
+The scalar handler factories close over the run's driver-side
+``pivots_by_target`` state (owned by the Push-Pull runner); drivers consume
+the owner-side ``pull_lists`` — ``{q: [requester, ...]}`` dicts, or the
+columnar dry run's ``(q_rows, requesters)`` column chunks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ...graph.dodgr import DODGraph, entry_key
-from ...graph.metadata import TriangleBatch, TriangleMetadata
-from ...runtime.serialization import uvarint_size
+from ...graph.metadata import TriangleMetadata
+from ...runtime.serialization import uvarint_size_array
 from ..intersection import (
     INTERSECTION_KERNELS,
     batch_kernel as select_batch_kernel,
@@ -36,13 +39,20 @@ from ..intersection import (
 )
 from .driver import (
     candidate_key,
+    columnar_push_batch,
     deliver_batch,
     legacy_push_payload_overhead,
     resolve_batch_callback,
     row_adjacency,
+    send_coalesced,
 )
 from .request import TriangleCallback
-from .segments import concat_segments
+from .segments import (
+    concat_segments,
+    first_appearance_groups,
+    positions_of_ids,
+    ragged_gather,
+)
 
 try:
     import numpy as _np
@@ -168,48 +178,38 @@ def _make_columnar_pull_handler(
     callback: Optional["TriangleCallback"],
     batch_callback,
     per_triangle_compute: int,
-    pivots_by_target,
 ):
     """Pull-phase delivery, columnar: one RPC per (owner, requester) pair.
 
     ``q_rows`` indexes every adjacency row this owner rank is delivering
-    to this requester, in the owner's legacy send order.  Each waiting
-    pivot's suffix becomes one segment of a single row-kernel call
-    against the owner's CSR rows, and the closing triangles are handed
-    to the reducer as one :class:`TriangleBatch`.
+    to this requester, in the owner's legacy send order.  The inverted
+    target index yields every local wedge waiting on a pulled ``q`` in the
+    scalar styles' ``pivots_by_target`` order.  Each waiting pivot's suffix
+    becomes one segment of a single row-kernel call against the owner's CSR
+    rows, and the closing triangles are handed to the reducer as one
+    :class:`TriangleBatch`.
     """
 
     def _pull_deliver_columnar_handler(ctx, owner_csr, q_rows) -> None:
         ctx.add_counter("vertices_pulled", len(q_rows))
         csr = dodgr.csr(ctx)
-        targets = pivots_by_target[ctx.rank]
-        row_of = csr.row_of
-        rows: List[int] = []
-        starts: List[int] = []
-        ends: List[int] = []
-        seg_q_rows: List[int] = []
-        wedge_checks = 0
-        for q_row in q_rows.tolist():
-            q = owner_csr.row_vertices[q_row]
-            for p, q_index in targets.get(q, ()):
-                row = row_of(p)
-                if row is None:
-                    continue
-                lo, hi = csr.row_slice(row)
-                start = lo + q_index + 1
-                wedge_checks += hi - start
-                rows.append(row)
-                starts.append(start)
-                ends.append(hi)
-                seg_q_rows.append(q_row)
-        ctx.add_counter("wedge_checks", wedge_checks)
-        if not rows:
-            return
-        candidate_ids, offsets = concat_segments(csr.tgt_ids, starts, ends)
-        adjacency = row_adjacency(owner_csr, dodgr.order_count())
-        result = row_kernel(
-            candidate_ids, offsets, _np.asarray(seg_q_rows, dtype=_np.int64), adjacency
+        inv_ids, inv_pos, row_of_edge = csr.inverted_target_index()
+        which, qpositions = positions_of_ids(
+            inv_ids, inv_pos, owner_csr.columns().row_order_ids[q_rows]
         )
+        rows = row_of_edge[qpositions]
+        ends = csr.columns().indptr[rows + 1]
+        # A q that closes its row has no candidate suffix; the scalar dry
+        # runs never record such a pivot.
+        waiting = qpositions + 1 < ends
+        rows, qpositions, ends = rows[waiting], qpositions[waiting], ends[waiting]
+        seg_q_rows = q_rows[which[waiting]]
+        flat_src_pos, offsets = ragged_gather(qpositions + 1, ends - qpositions - 1)
+        ctx.add_counter("wedge_checks", int(flat_src_pos.size))
+        if rows.size == 0:
+            return
+        adjacency = row_adjacency(owner_csr, dodgr.order_count())
+        result = row_kernel(csr.tgt_ids[flat_src_pos], offsets, seg_q_rows, adjacency)
         ctx.add_compute(int(result.comparisons))
         matches = len(result)
         if not matches:
@@ -218,34 +218,10 @@ def _make_columnar_pull_handler(
         if callback is None:
             return
         ctx.add_compute(per_triangle_compute * matches)
-        starts_arr = _np.asarray(starts, dtype=_np.int64)
-        seg = result.seg if hasattr(result.seg, "tolist") else _np.asarray(result.seg)
-        cand_pos = (
-            result.cand_pos
-            if hasattr(result.cand_pos, "tolist")
-            else _np.asarray(result.cand_pos)
+        batch = columnar_push_batch(
+            csr, owner_csr, rows, qpositions, seg_q_rows, flat_src_pos, result,
+            local_meta_r=True,
         )
-        src_pos = (starts_arr[seg] + cand_pos - offsets[seg]).tolist()
-        seg_list = seg.tolist()
-        adj_pos = (
-            result.adj_pos.tolist()
-            if hasattr(result.adj_pos, "tolist")
-            else list(result.adj_pos)
-        )
-        entries = csr.entries
-        owner_entries = owner_csr.entries
-        builders = {
-            "p": lambda: [csr.row_vertices[rows[s]] for s in seg_list],
-            "meta_p": lambda: [csr.row_meta[rows[s]] for s in seg_list],
-            "q": lambda: [owner_csr.row_vertices[seg_q_rows[s]] for s in seg_list],
-            "meta_q": lambda: [owner_csr.row_meta[seg_q_rows[s]] for s in seg_list],
-            "meta_pq": lambda: [entries[starts[s] - 1][2] for s in seg_list],
-            "r": lambda: [entries[pos][0] for pos in src_pos],
-            "meta_pr": lambda: [entries[pos][2] for pos in src_pos],
-            "meta_r": lambda: [entries[pos][3] for pos in src_pos],
-            "meta_qr": lambda: [owner_entries[pos][2] for pos in adj_pos],
-        }
-        batch = TriangleBatch(len(src_pos), builders)
         deliver_batch(ctx, batch, callback, batch_callback)
 
     return _pull_deliver_columnar_handler
@@ -263,7 +239,8 @@ def make_pull_handler(
     """Build the requester-side pull handler for an engine's ``pull_style``.
 
     ``kernel_tier`` selects the batch/row kernel implementation tier, as in
-    :func:`~repro.core.engine.driver.make_push_intersect_handler`.
+    :func:`~repro.core.engine.driver.make_push_intersect_handler`.  The
+    columnar style ignores ``pivots_by_target``.
     """
     if style == "batched":
         return _make_batched_pull_handler(
@@ -277,7 +254,6 @@ def make_pull_handler(
             callback,
             resolve_batch_callback(callback),
             per_triangle_compute,
-            pivots_by_target,
         )
     if style != "legacy":
         raise ValueError(f"unknown pull style {style!r}; known: {PULL_STYLES}")
@@ -290,49 +266,35 @@ def make_pull_handler(
 def drive_pull(style: str, ctx, dodgr: DODGraph, handler, pull_list) -> None:
     """Run one owner rank's pull deliveries at the engine's granularity.
 
-    ``pull_list`` maps each locally owned ``q`` to the source ranks that
-    should receive ``Adj^m_+(q)``.  The legacy and batched styles send one
-    sized RPC per (q, requester); the columnar style coalesces one RPC per
-    requesting rank, accounting each replaced delivery — in legacy send
-    order — at the exact serialized size of the legacy message (same wire
-    framing as the push accounting: outer pair + argument list + payload
-    list).
+    The legacy and batched styles take ``pull_list`` as a dict mapping each
+    locally owned ``q`` to the source ranks that should receive
+    ``Adj^m_+(q)`` and send one sized RPC per (q, requester).  The columnar
+    style takes ``(q_rows, requesters)`` column chunks in arrival order and
+    coalesces one RPC per requesting rank, accounting each replaced delivery
+    — in legacy send order: ``q`` by first insertion, requesters by arrival
+    — at the exact serialized size of the legacy message (same wire framing
+    as the push accounting: outer pair + argument list + payload list).
     """
     if style == "columnar":
-        rank = ctx.rank
-        csr = dodgr.csr(rank)
-        pull_overhead = legacy_push_payload_overhead(handler.handler_id)
-        groups: Dict[int, Tuple[List[int], List[int]]] = {}
-        for q, requesters in pull_list.items():
-            row = csr.row_of(q)
-            if row is None:
-                continue
-            lo, hi = csr.row_slice(row)
-            # The pulled payload omits meta(r): the requesting rank
-            # stores meta(r) locally for every r it may close with.
-            nbytes = (
-                pull_overhead
-                + csr.row_wire_sizes[row]
-                + uvarint_size(hi - lo)
-                + csr.cand_size_cumsum[hi]
-                - csr.cand_size_cumsum[lo]
-            )
-            for source_rank in requesters:
-                ctx.account_rpc(source_rank, nbytes)
-                group = groups.get(source_rank)
-                if group is None:
-                    groups[source_rank] = group = ([], [0])
-                group[0].append(row)
-                group[1][0] += nbytes
-        for source_rank, (q_row_list, (group_bytes,)) in groups.items():
-            ctx.async_call_batched(
-                source_rank,
-                handler,
-                csr,
-                _np.asarray(q_row_list, dtype=_np.int64),
-                virtual_rpcs=len(q_row_list),
-                virtual_bytes=group_bytes,
-            )
+        if not pull_list:
+            return
+        csr = dodgr.csr(ctx.rank)
+        cols = csr.columns()
+        q_rows, requesters = (_np.concatenate(column) for column in zip(*pull_list))
+        order, starts, ends = first_appearance_groups(q_rows)
+        send_order = order[ragged_gather(starts, ends - starts)[0]]
+        q_rows = q_rows[send_order]
+        lo, hi = cols.indptr[q_rows], cols.indptr[q_rows + 1]
+        # The pulled payload omits meta(r): the requesting rank stores
+        # meta(r) locally for every r it may close with.
+        sizes = (
+            legacy_push_payload_overhead(handler.handler_id)
+            + cols.row_wire[q_rows]
+            + uvarint_size_array(hi - lo)
+            + cols.cand_cumsum[hi]
+            - cols.cand_cumsum[lo]
+        )
+        send_coalesced(ctx, handler, requesters[send_order], sizes, (csr,), (q_rows,))
         return
     if style not in ("legacy", "batched"):
         raise ValueError(f"unknown pull style {style!r}; known: {PULL_STYLES}")

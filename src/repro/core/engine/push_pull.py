@@ -7,7 +7,9 @@ Section 4.4 of the paper as one program, parameterised by an
    edges it would push; owners compare against ``|Adj+(q)|`` and either
    record the source on ``q``'s pull list or advise it to push.
    ``spec.proposal_style == "batched"`` coalesces the proposals into one
-   RPC per (source, dest) rank pair, accounted at exact legacy sizes.
+   RPC per (source, dest) rank pair, accounted at exact legacy sizes;
+   ``"columnar"`` also builds, decides and answers them as int64 columns
+   over the CSR, with no Python loop over wedges, targets or pivots.
 2. **Push** — identical to Push-Only at ``spec.push_style`` granularity,
    skipping targets that will be pulled.
 3. **Pull** — owners deliver ``Adj^m_+(q)`` at ``spec.pull_style``
@@ -16,16 +18,23 @@ Section 4.4 of the paper as one program, parameterised by an
 Handler registration order is identical for every engine so that handler
 ids — and therefore the serialized size of every dry-run message and the
 accounted size of every push/pull message — match the legacy run.  The
-per-rank driver state (pivot maps, push-target sets, pull lists) is indexed
+per-rank driver state (pivot maps, push targets, pull lists) is indexed
 by rank and only ever touched from that rank's drive or handlers, which is
 what lets the process backend shard ranks across workers without locks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, Dict, List, Tuple
 
-from .driver import drive_push, make_push_intersect_handler
+import numpy as _np
+
+from .driver import (
+    drive_columnar_dry_run,
+    drive_push,
+    make_push_intersect_handler,
+    send_coalesced,
+)
 from .program import SurveyProgram, execute_program
 from .pull import drive_pull, make_pull_handler
 from .registry import EngineSpec, validate_request
@@ -51,13 +60,21 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     callback = request.callback
     per_triangle_compute = request.per_triangle_compute()
 
+    columnar_proposals = spec.proposal_style == "columnar"
+
     # Per-rank driver-side state for this run -------------------------------
     # pivots_by_target[rank][q] = list of (pivot vertex, index of q in its adj)
+    # (scalar dry runs only: the columnar pull handler needs no such map)
     pivots_by_target: List[Dict[Any, List[Tuple[Any, int]]]] = [dict() for _ in range(nranks)]
-    # push_targets[rank] = set of target vertices this rank was told to push to
-    push_targets: List[Set[Any]] = [set() for _ in range(nranks)]
-    # pull_lists[rank][q] = list of source ranks that should receive Adj^m_+(q)
-    pull_lists: List[Dict[Any, List[int]]] = [dict() for _ in range(nranks)]
+    # push_targets[rank] = targets this rank was told to push to: a vertex
+    # set, or (columnar dry run) a boolean mask over dense <+ order ids
+    push_targets: List[Any] = [
+        _np.zeros(dodgr.order_count(), dtype=bool) if columnar_proposals else set()
+        for _ in range(nranks)
+    ]
+    # pull_lists[rank][q] = list of source ranks that should receive Adj^m_+(q);
+    # (columnar dry run) a list of (q rows, requesters) column chunks as they arrive
+    pull_lists: List[Any] = [[] if columnar_proposals else {} for _ in range(nranks)]
 
     # ------------------------------------------------------------------
     # Dry-run RPC handlers (engine-independent decision logic)
@@ -86,12 +103,41 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
         for q, candidate_count in pairs:
             _propose_handler(ctx, q, source_rank, candidate_count)
 
+    def _propose_columnar_handler(ctx, source_rank: int, src_csr, qpositions, totals) -> None:
+        """One (source, dest) pair's proposals decided in one comparison:
+        pulled rows join the pull list as a chunk, the rest are advised in one
+        batched reply accounted as the scalar advise messages it replaces."""
+        indptr = dodgr.csr(ctx).columns().indptr
+        q_ids = src_csr.tgt_ids[qpositions]
+        q_rows = dodgr.rows_by_order_id()[q_ids]
+        pull = indptr[q_rows + 1] - indptr[q_rows] < totals
+        if pull.any():
+            rows = q_rows[pull]
+            pull_lists[ctx.rank].append((rows, _np.full_like(rows, source_rank)))
+        advised = ~pull
+        if advised.any():
+            sizes = (
+                world.registry.call_size(h_advise, ())
+                + src_csr.columns().tgt_vertex_wire[qpositions[advised]]
+            )
+            send_coalesced(
+                ctx, h_advise, _np.full_like(sizes, source_rank), sizes, (), (q_ids[advised],)
+            )
+
+    def _advise_columnar_handler(ctx, q_ids) -> None:
+        push_targets[ctx.rank][q_ids] = True
+
     # Handler registration order is identical in every mode so that handler
     # ids — and therefore the serialized size of every dry-run message and
     # the accounted size of every push/pull message — match the legacy run.
+    # The columnar dry run adds no slot: its advise handler takes the scalar
+    # one's (whose id sizes every reply), and the scalar propose handler
+    # keeps the first only for the id that sizes every proposal.
     batched_proposals = spec.proposal_style == "batched"
     h_propose = world.register_handler(_propose_handler)
-    _h_advise = world.register_handler(_advise_push_handler)
+    h_advise = world.register_handler(
+        _advise_columnar_handler if columnar_proposals else _advise_push_handler
+    )
     h_intersect = world.register_handler(
         make_push_intersect_handler(
             spec.push_style, dodgr, request.kernel, callback, per_triangle_compute,
@@ -111,17 +157,25 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
             kernel_tier=request.kernel_tier,
         )
     )
-    if batched_proposals:
+    if batched_proposals or columnar_proposals:
         # Registered last: its id never crosses the accounted wire, so the
         # earlier ids (and every accounted legacy message size) still match
         # the legacy run exactly.
-        h_propose_batch = world.register_handler(_propose_batch_handler)
+        h_propose_batch = world.register_handler(
+            _propose_columnar_handler if columnar_proposals else _propose_batch_handler
+        )
 
     # ------------------------------------------------------------------
     # Phase 1: Push vs Pull dry run.
     # ------------------------------------------------------------------
     def drive_dry_run(ctx) -> None:
         rank = ctx.rank
+        if columnar_proposals:
+            drive_columnar_dry_run(
+                ctx, dodgr, h_propose, h_propose_batch, push_targets[rank]
+            )
+            ctx.buffers.flush_all()  # as the batched branch below does, and why
+            return
         store = dodgr.local_store(ctx)
         candidate_totals: Dict[Any, int] = {}
         targets = pivots_by_target[rank]
@@ -162,11 +216,12 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
                     virtual_rpcs=len(pairs),
                     virtual_bytes=dest_bytes,
                 )
-            # Batched proposals execute in the barrier's first delivery
-            # sweep — before its flush pass.  Flush now, exactly where the
-            # legacy run's barrier flushes the proposal buffers, so the
-            # advise replies meet empty buffers in both paths and the
-            # flush-window split (wire_messages, envelope bytes) matches.
+            # Coalesced proposals execute in the barrier's first delivery
+            # sweep — before its flush pass.  Flush now, where the legacy
+            # run's barrier flushes the proposal buffers, so the advise
+            # replies meet empty buffers in both paths and the flush-window
+            # split (wire_messages, envelope bytes) matches — unless a
+            # proposal buffer overflowed mid-drive (the BatchedCall bound).
             ctx.buffers.flush_all()
         else:
             for q, total in candidate_totals.items():
@@ -176,9 +231,15 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     # Phase 2: Push phase (skip targets that will be pulled).
     # ------------------------------------------------------------------
     def drive_push_phase(ctx) -> None:
-        drive_push(
-            spec.push_style, ctx, dodgr, h_intersect, allowed=push_targets[ctx.rank]
-        )
+        allowed = push_targets[ctx.rank]
+        if spec.push_style == "columnar" and not columnar_proposals:
+            # A scalar dry run left a vertex set; the columnar push drive
+            # reads a mask over dense order ids.
+            order_ids = dodgr.order_ids()
+            mask = _np.zeros(len(order_ids), dtype=bool)
+            mask[[order_ids[q] for q in allowed]] = True
+            allowed = mask
+        drive_push(spec.push_style, ctx, dodgr, h_intersect, allowed=allowed)
 
     # ------------------------------------------------------------------
     # Phase 3: Pull phase (owners broadcast adjacency lists, coalesced).

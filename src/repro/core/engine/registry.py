@@ -12,16 +12,19 @@ driver core in :mod:`repro.core.engine.driver` and
   one RPC per (source rank, destination rank) over the row kernels);
 * ``pull_style`` — how the Push-Pull pull phase delivers ``Adj^m_+(q)``
   and intersects it at the requester;
-* ``proposal_style`` — whether the Push-Pull dry run coalesces its
-  proposals;
+* ``proposal_style`` — how the Push-Pull dry run sends its proposals
+  (``legacy`` one RPC each, ``batched`` one per (source, destination) rank
+  pair from a scalar walk, ``columnar`` the same built as int64 columns);
 * ``incremental_style`` — which delta-survey implementation
   (:mod:`repro.core.engine.delta`) the engine maps to, or ``None`` when
   the engine has no incremental form.
 
 Adding an engine is therefore a :func:`register_engine` call with a new
-composition — no new driver loop.  ``columnar-pull`` below is exactly
-that: the batched push/dry-run phases combined with the columnar
-row-kernel pull phase, registered as data.
+composition — no new driver loop.  One legality rule, enforced at
+registration: the columnar dry run hands the later phases arrays where the
+scalar ones hand them sets and dicts, so ``pull_style="columnar"`` requires
+``proposal_style="columnar"``, which requires ``push_style="columnar"``
+(a columnar *push* under a scalar dry run is fine: the runner converts).
 
 Every registered engine shares the equivalence contract pinned by the
 golden parity suites: identical triangles, identical reducer panels,
@@ -66,7 +69,7 @@ class EngineSpec:
     push_style: str = "legacy"
     #: Pull-phase strategy: ``"legacy"``, ``"batched"`` or ``"columnar"``.
     pull_style: str = "legacy"
-    #: Dry-run proposal strategy: ``"legacy"`` or ``"batched"``.
+    #: Dry-run proposal strategy: ``"legacy"``, ``"batched"`` or ``"columnar"``.
     proposal_style: str = "legacy"
     #: Delta-survey implementation (``"legacy"``/``"columnar"``) or ``None``
     #: when the engine has no incremental form.
@@ -98,6 +101,14 @@ def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
     """
     if not replace and spec.name in _REGISTRY:
         raise ValueError(f"engine {spec.name!r} is already registered")
+    for style, needs in (("pull_style", "proposal_style"), ("proposal_style", "push_style")):
+        if getattr(spec, style) == "columnar" and getattr(spec, needs) != "columnar":
+            raise ValueError(
+                f"engine {spec.name!r}: {style}='columnar' requires "
+                f"{needs}='columnar' (got {needs}={getattr(spec, needs)!r}); the "
+                f"columnar dry run hands the later phases arrays, the scalar "
+                f"ones sets and dicts"
+            )
     if spec.requires_numpy and spec.fallback is not None:
         if spec.fallback not in _REGISTRY and spec.fallback != spec.name:
             raise ValueError(
@@ -324,30 +335,11 @@ register_engine(
         description=(
             "PR 3 array engine: one RPC per (source rank, destination rank) "
             "pair, row-kernel intersection, TriangleBatch delivery to batch "
-            "reducers, columnar pull phase."
+            "reducers, columnar dry run and pull phase."
         ),
         push_style="columnar",
         pull_style="columnar",
-        proposal_style="batched",
-        incremental_style="columnar",
-        requires_numpy=True,
-        fallback="batched",
-        kernel_tiers=("compiled", "columnar", "scalar"),
-    )
-)
-
-register_engine(
-    EngineSpec(
-        name="columnar-pull",
-        description=(
-            "Hybrid proving the registry: batched push/dry-run phases (batch "
-            "kernels) composed with the columnar row-kernel pull phase "
-            "(TriangleBatch delivery to batch reducers).  Defined purely as "
-            "this spec — no engine-specific driver code."
-        ),
-        push_style="batched",
-        pull_style="columnar",
-        proposal_style="batched",
+        proposal_style="columnar",
         incremental_style="columnar",
         requires_numpy=True,
         fallback="batched",

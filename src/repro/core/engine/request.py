@@ -70,7 +70,7 @@ class EngineConfig:
     ----------
     engine:
         Registered engine name (``"legacy"``, ``"batched"``, ``"columnar"``,
-        ``"columnar-pull"``, or any name added through
+        or any name added through
         :func:`~repro.core.engine.register_engine`).  ``None`` keeps each
         entry point's documented default.
     kernel:

@@ -17,7 +17,7 @@ try:
 except ImportError:  # pragma: no cover - exercised via the list fallback
     _np = None
 
-__all__ = ["concat_segments", "ragged_gather"]
+__all__ = ["concat_segments", "ragged_gather", "positions_of_ids", "first_appearance_groups"]
 
 
 def concat_segments(ids, starts: Sequence[int], ends: Sequence[int]):
@@ -58,3 +58,38 @@ def ragged_gather(starts, lengths) -> Tuple["_np.ndarray", "_np.ndarray"]:
     return (
         _np.arange(total, dtype=_np.int64) + _np.repeat(starts - offsets[:-1], lengths)
     ), offsets
+
+
+def positions_of_ids(inv_ids, inv_pos, ids):
+    """Ragged lookup: for every id, the edge positions whose target is the id.
+
+    ``inv_ids``/``inv_pos`` are the first two columns of
+    :meth:`~repro.graph.dodgr.CSRAdjacency.inverted_target_index`.  Returns
+    ``(owner, positions)`` where ``positions`` concatenates each id's edge
+    positions (ascending) and ``owner[i]`` is the index into ``ids`` that
+    produced ``positions[i]``.
+    """
+    lo = _np.searchsorted(inv_ids, ids, side="left")
+    hi = _np.searchsorted(inv_ids, ids, side="right")
+    counts = hi - lo
+    gather, _offsets = ragged_gather(lo, counts)
+    owner = _np.repeat(_np.arange(ids.size, dtype=_np.int64), counts)
+    return owner, inv_pos[gather]
+
+
+def first_appearance_groups(keys):
+    """Group a non-empty int array by value, groups in first-appearance order.
+
+    Returns ``(order, starts, ends)``: group ``g``'s member indices are
+    ``order[starts[g]:ends[g]]``, ascending, and groups are sequenced by
+    where their key first occurs — the iteration order of the ``dict`` a
+    scalar driver fills with ``setdefault(key, []).append(i)``, which keeps
+    the columnar dry run and pull drive on the legacy send order.
+    """
+    order = _np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    cuts = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = _np.concatenate(([0], cuts))
+    ends = _np.concatenate((cuts, [keys.size]))
+    sequence = _np.argsort(order[starts])
+    return order, starts[sequence], ends[sequence]

@@ -47,8 +47,7 @@ engine's ``incremental_style`` picks the implementation in
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
   carrying the filtered candidate tuples, intersected per message with the
   scalar kernels.  This is the parity oracle.
-* ``columnar`` (also what ``columnar-pull`` maps to — a delta survey has no
-  pull phase) — the fast path: candidate selection as boolean array masks
+* ``columnar`` — the fast path: candidate selection as boolean array masks
   over the CSR edge positions (via
   :meth:`~repro.graph.delta.AppliedDelta.edge_mask`), one coalesced RPC per
   (source rank, destination rank, stream), intersection through

@@ -110,13 +110,13 @@ def triangle_survey_push_pull(
         :class:`~repro.core.engine.EngineConfig`).  ``"batched"`` coalesces
         the dry run into one RPC per (source, dest) rank pair, the push
         phase per (destination rank, q), and intersects each pull delivery
-        in one batch-kernel call; ``"columnar"`` additionally vectorizes
-        the push driver, delivers triangles as
+        in one batch-kernel call; ``"columnar"`` additionally runs all
+        three phases as array expressions over the CSR (columnar dry run,
+        mask-driven push, index-driven pull), delivers triangles as
         :class:`~repro.graph.metadata.TriangleBatch` columns, and coalesces
-        the pull phase into one RPC per (owner, requester) pair;
-        ``"columnar-pull"`` composes the batched push phases with the
-        columnar pull phase.  All engines keep every communication total
-        byte-identical (see the module docstring).
+        the pull phase into one RPC per (owner, requester) pair.  All
+        engines keep every communication total byte-identical (see the
+        module docstring).
 
     backend:
         Execution backend: ``"simulated"`` (default) or ``"process"``

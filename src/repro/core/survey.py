@@ -21,7 +21,7 @@ Execution engines
 This module is a thin entry point over the unified survey-execution layer
 in :mod:`repro.core.engine`: the ``engine=`` keyword selects a registered
 :class:`~repro.core.engine.EngineSpec` (``legacy``, ``batched``,
-``columnar``, ``columnar-pull``, plus anything added through
+``columnar``, plus anything added through
 :func:`~repro.core.engine.register_engine`), and
 :func:`~repro.core.engine.push.run_push_survey` executes the request on the
 shared driver core.  Every engine shares the equivalence contract: same
@@ -75,8 +75,7 @@ __all__ = [
 #: ``legacy`` sends and intersects one wedge at a time, ``batched`` (PR 1)
 #: coalesces pushes per (destination rank, target vertex), ``columnar``
 #: (PR 3) coalesces per (source rank, destination rank) pair and delivers
-#: triangles to reducers as column batches, ``columnar-pull`` composes the
-#: batched push phases with the columnar pull phase.  Snapshot taken at
+#: triangles to reducers as column batches.  Snapshot taken at
 #: import; :func:`repro.core.engine.engine_names` is the live registry view.
 SURVEY_ENGINES = engine_names()
 
@@ -145,7 +144,7 @@ def triangle_survey_push(
         ``engine="batched"`` with a ``DeprecationWarning``.  Use ``engine=``.
     engine:
         Engine selector: a registered engine name (``"legacy"`` — the
-        default, ``"batched"``, ``"columnar"``, ``"columnar-pull"``, ...),
+        default, ``"batched"``, ``"columnar"``, ...),
         an :class:`~repro.core.engine.EngineSpec`, or an
         :class:`~repro.core.engine.EngineConfig` (which also pins ``kernel``
         and ``callback_compute_units``).  Engines whose callbacks define a

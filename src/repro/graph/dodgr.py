@@ -85,7 +85,9 @@ class CSRAdjacency:
     * exact serialized sizes (``cand_size_cumsum``, ``tgt_wire_sizes``,
       ``row_wire_sizes``) of the fragments a legacy per-wedge push message
       would carry, so the batched engine can account the byte-identical
-      Table 4 communication volume without serializing each wedge.
+      Table 4 communication volume without serializing each wedge
+      (``tgt_vertex_wire``: the ``size(target)`` term of ``tgt_wire_sizes``
+      alone, which is what a dry-run proposal or advise reply carries).
 
     The snapshot assumes the store is finished mutating (post
     :meth:`DODGraph.sort_adjacency`); :class:`DODGraph` invalidates cached
@@ -105,11 +107,12 @@ class CSRAdjacency:
         "tgt_ids",
         "tgt_owner",
         "tgt_wire_sizes",
+        "tgt_vertex_wire",
         "cand_size_cumsum",
         "row_order_ids",
         "_columns",
         "row_adj_cache",
-        "_delta_inv_index",
+        "_inv_index",
         "storage",
         "segment_paths",
         "send_scratch",
@@ -155,6 +158,7 @@ class CSRAdjacency:
             sized = self._vector_entry_sizes(entries, targets, all_int_targets)
         if not sized:
             tgt_wire_sizes: List[int] = []
+            tgt_vertex_wire: List[int] = []
             cand_cumsum: List[int] = [0]
             running = 0
             for entry in entries:
@@ -166,7 +170,9 @@ class CSRAdjacency:
                 running += 2 + sz_target + sz_degree + sz_edge_meta
                 cand_cumsum.append(running)
                 tgt_wire_sizes.append(sz_target + sz_edge_meta)
+                tgt_vertex_wire.append(sz_target)
             self.tgt_wire_sizes = tgt_wire_sizes
+            self.tgt_vertex_wire = tgt_vertex_wire
             self.cand_size_cumsum = cand_cumsum
         # Owner ranks: one vectorized partition-map evaluation over the whole
         # target column when ids are integers, scalar lookups otherwise.
@@ -187,8 +193,8 @@ class CSRAdjacency:
         self._columns = None
         #: slot for the core engine's cached RowAdjacency view of this CSR
         self.row_adj_cache = None
-        #: slot for the incremental engine's cached inverted target index
-        self._delta_inv_index = None
+        #: cache slot of :meth:`inverted_target_index`
+        self._inv_index = None
         #: storage mode of the column arrays ("resident" until spilled) and
         #: the tracked memmap segment files backing them when out-of-core
         self.storage = "resident"
@@ -254,6 +260,7 @@ class CSRAdjacency:
         per_edge = 2 + sz_target + sz_degree + meta_sizes
         cumsum = _np.concatenate(([0], _np.cumsum(per_edge)))
         self.tgt_wire_sizes = (sz_target + meta_sizes).tolist()
+        self.tgt_vertex_wire = sz_target.tolist()
         self.cand_size_cumsum = cumsum.tolist()
         return True
 
@@ -264,8 +271,8 @@ class CSRAdjacency:
         The list attributes stay authoritative (and are what the per-wedge
         paths index); the columnar driver reads these int64 array twins —
         ``indptr``, ``tgt_owner``, ``row_wire``, ``tgt_wire``,
-        ``cand_cumsum``, ``row_order_ids`` — so per-wedge size/owner math
-        becomes array arithmetic.  Requires NumPy.
+        ``tgt_vertex_wire``, ``cand_cumsum``, ``row_order_ids`` — so
+        per-wedge size/owner math becomes array arithmetic.  Requires NumPy.
         """
         if self._columns is None:
             self._columns = SimpleNamespace(
@@ -273,10 +280,29 @@ class CSRAdjacency:
                 tgt_owner=_np.asarray(self.tgt_owner, dtype=_np.int64),
                 row_wire=_np.asarray(self.row_wire_sizes, dtype=_np.int64),
                 tgt_wire=_np.asarray(self.tgt_wire_sizes, dtype=_np.int64),
+                tgt_vertex_wire=_np.asarray(self.tgt_vertex_wire, dtype=_np.int64),
                 cand_cumsum=_np.asarray(self.cand_size_cumsum, dtype=_np.int64),
                 row_order_ids=_np.asarray(self.row_order_ids, dtype=_np.int64),
             )
         return self._columns
+
+    def inverted_target_index(self):
+        """The in-adjacency view: edge positions sorted by target id (cached).
+
+        ``(sorted target ids, their edge positions, row of every edge)``,
+        probed with :func:`~repro.core.engine.segments.positions_of_ids` to
+        find every local pivot row holding a target (the incremental engine's
+        old-old-new join; the columnar pull handler's waiting wedges).  The
+        sort is stable: one target's positions come back row-major.
+        """
+        if self._inv_index is None:
+            indptr = self.columns().indptr
+            row_of_edge = _np.repeat(
+                _np.arange(self.num_rows, dtype=_np.int64), indptr[1:] - indptr[:-1]
+            )
+            inv_order = _np.argsort(self.tgt_ids, kind="stable")
+            self._inv_index = (self.tgt_ids[inv_order], inv_order, row_of_edge)
+        return self._inv_index
 
     # ------------------------------------------------------------------
     def row_of(self, vertex: Hashable) -> Optional[int]:

@@ -12,7 +12,7 @@ from the configured memory budget) instead of the whole graph.
 What spills and what stays:
 
 * **spilled** — ``tgt_ids``, ``indptr``, ``tgt_owner``, ``tgt_wire_sizes``,
-  ``cand_size_cumsum`` and the precomputed
+  ``tgt_vertex_wire``, ``cand_size_cumsum`` and the precomputed
   :class:`~repro.core.intersection.RowAdjacency` composite-key array; the
   ``columns()`` namespace is rebuilt over the memmaps, so every engine
   driver reads the same (now disk-backed) arrays with no code fork.
@@ -218,7 +218,8 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     """Spill one CSR snapshot's column arrays to tracked memmap segments.
 
     Replaces the snapshot's O(|E|) columns (``tgt_ids``, ``indptr``,
-    ``tgt_owner``, ``tgt_wire_sizes``, ``cand_size_cumsum``) with disk-backed
+    ``tgt_owner``, ``tgt_wire_sizes``, ``tgt_vertex_wire``,
+    ``cand_size_cumsum``) with disk-backed
     twins, rebuilds the ``columns()`` namespace over them, and pre-computes
     the row kernels' composite-key array straight into its own segment (the
     lazy in-memory build would otherwise resurrect an O(|E|) resident
@@ -248,6 +249,7 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     indptr = spill("indptr", csr.indptr, csr.num_rows + 1)
     tgt_owner = spill("tgt_owner", csr.tgt_owner, num_edges)
     tgt_wire = spill("tgt_wire", csr.tgt_wire_sizes, num_edges)
+    tgt_vertex_wire = spill("tgt_vertex_wire", csr.tgt_vertex_wire, num_edges)
     cand_cumsum = spill("cand_cumsum", csr.cand_size_cumsum, num_edges + 1)
 
     # Composite keys (edge_row * order_count + key), built block-wise so the
@@ -274,12 +276,14 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     csr.indptr = indptr
     csr.tgt_owner = tgt_owner
     csr.tgt_wire_sizes = tgt_wire
+    csr.tgt_vertex_wire = tgt_vertex_wire
     csr.cand_size_cumsum = cand_cumsum
     csr._columns = SimpleNamespace(
         indptr=indptr,
         tgt_owner=tgt_owner,
         row_wire=_np.asarray(csr.row_wire_sizes, dtype=_np.int64),
         tgt_wire=tgt_wire,
+        tgt_vertex_wire=tgt_vertex_wire,
         cand_cumsum=cand_cumsum,
         row_order_ids=_np.asarray(csr.row_order_ids, dtype=_np.int64),
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import triangle_survey, triangle_survey_push, triangle_survey_push_pull
-from repro.core.callbacks import LocalTriangleCounter, TriangleCounter
+from repro.core.callbacks import LocalTriangleCounter
 from repro.core.engine import (
     EngineConfig,
     EngineSpec,
@@ -33,15 +33,15 @@ def build_dodgr(generated, nranks):
 
 class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
-        assert engine_names()[:4] == ("legacy", "batched", "columnar", "columnar-pull")
-        assert [spec.name for spec in registered_engines()[:4]] == list(engine_names()[:4])
+        assert engine_names()[:3] == ("legacy", "batched", "columnar")
+        assert [spec.name for spec in registered_engines()[:3]] == list(engine_names()[:3])
 
     def test_resolve_defaults(self):
         assert resolve_engine(None).name == "legacy"
         assert resolve_engine(None, batched=True).name == "batched"
         assert resolve_engine("columnar").name == "columnar"
         assert resolve_engine(resolve_engine("batched")).name == "batched"
-        assert resolve_engine(EngineConfig(engine="columnar-pull")).name == "columnar-pull"
+        assert resolve_engine(EngineConfig(engine="columnar")).name == "columnar"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown survey engine"):
@@ -90,7 +90,7 @@ class TestRegistry:
         assert "batched" not in names  # no incremental form
         with pytest.raises(ValueError, match="unknown incremental engine"):
             resolve_incremental_engine("batched")
-        assert resolve_incremental_engine("columnar-pull").incremental_style == "columnar"
+        assert resolve_incremental_engine("columnar").incremental_style == "columnar"
 
     def test_incremental_numpy_downgrade_goes_to_legacy(self, monkeypatch):
         """Without NumPy the delta survey falls back to its scalar reference,
@@ -99,17 +99,41 @@ class TestRegistry:
         monkeypatch.setattr(registry_module, "_np", None)
         assert resolve_incremental_engine(None).name == "legacy"
         assert resolve_incremental_engine("columnar").name == "legacy"
-        assert resolve_incremental_engine("columnar-pull").name == "legacy"
         # Full surveys still follow the declared fallback chain.
         assert resolve_engine("columnar").name == "batched"
 
-    def test_columnar_pull_is_pure_composition(self):
-        """The new engine is a registry entry, not a new driver."""
-        spec = resolve_engine("columnar-pull")
-        assert spec.push_style == "batched"
+    def test_production_engine_is_columnar_in_every_phase(self):
+        spec = resolve_engine("columnar")
+        assert spec.push_style == "columnar"
         assert spec.pull_style == "columnar"
-        assert spec.proposal_style == "batched"
+        assert spec.proposal_style == "columnar"
         assert spec.fallback == "batched"
+
+    @pytest.mark.parametrize(
+        "styles, named",
+        [
+            (
+                dict(push_style="batched", pull_style="columnar", proposal_style="batched"),
+                ("pull_style", "proposal_style"),
+            ),
+            (
+                dict(push_style="columnar", pull_style="columnar", proposal_style="legacy"),
+                ("pull_style", "proposal_style"),
+            ),
+            (
+                dict(push_style="batched", pull_style="batched", proposal_style="columnar"),
+                ("proposal_style", "push_style"),
+            ),
+        ],
+    )
+    def test_columnar_styles_need_the_columnar_dry_run(self, styles, named):
+        """The one legality rule of the style table: a columnar pull needs the
+        columnar dry run's array pull lists, which needs the columnar push's
+        mask — rejected at registration, naming both fields."""
+        with pytest.raises(ValueError) as excinfo:
+            register_engine(EngineSpec(name="test-illegal", description="x", **styles))
+        assert all(field in str(excinfo.value) for field in named)
+        assert "test-illegal" not in engine_names()
 
     def test_user_registered_engine_runs(self, small_er):
         """A new composition registered through the public API is selectable
@@ -301,9 +325,9 @@ class TestBatchedDeprecation:
         assert panels[("engine",)] == panels[("batched",)]
 
 
-class TestColumnarPullEngine:
+class TestColumnarPullPath:
     def test_pull_path_parity_with_real_pulls(self):
-        """columnar-pull on a pull-heavy graph: panels and wire totals match
+        """columnar on a pull-heavy graph: panels and wire totals match
         legacy exactly, and the graph actually pulls."""
         generated = community_host_graph(
             300,
@@ -314,7 +338,7 @@ class TestColumnarPullEngine:
         )
         panels = {}
         reports = {}
-        for engine in ("legacy", "columnar-pull"):
+        for engine in ("legacy", "columnar"):
             world = World(4)
             dodgr = DODGraph.build(generated.to_distributed(world), mode="bulk")
             reducer = LocalTriangleCounter(world)
@@ -324,7 +348,7 @@ class TestColumnarPullEngine:
             reducer.finalize()
             panels[engine] = reducer.snapshot()
         assert reports["legacy"].vertices_pulled > 0
-        assert panels["columnar-pull"] == panels["legacy"]
+        assert panels["columnar"] == panels["legacy"]
         for field in (
             "triangles",
             "communication_bytes",
@@ -332,14 +356,6 @@ class TestColumnarPullEngine:
             "wedge_checks",
             "vertices_pulled",
         ):
-            assert getattr(reports["columnar-pull"], field) == getattr(
+            assert getattr(reports["columnar"], field) == getattr(
                 reports["legacy"], field
             ), field
-
-    def test_selectable_from_dispatcher_and_push(self, small_er):
-        _, dodgr = build_dodgr(small_er, 4)
-        counter = TriangleCounter(dodgr.world)
-        report = triangle_survey(
-            dodgr, counter.callback, algorithm="push", engine="columnar-pull"
-        )
-        assert counter.result() == report.triangles

@@ -1,9 +1,9 @@
 """Property-based cross-engine equivalence (ISSUE 5).
 
-Every engine in the registry — including ``columnar-pull`` and anything a
-user registers later — must satisfy the equivalence contract on arbitrary
-inputs: identical reducer ``snapshot()`` panels and identical wire-byte
-totals, for both survey algorithms, at any rank count.  The legacy engine
+Every engine in the registry — including anything a user registers later —
+must satisfy the equivalence contract on arbitrary inputs: identical reducer
+``snapshot()`` panels and identical wire counters *per phase* (dry run, push,
+pull — not only in total), for both survey algorithms, at any rank count.  The legacy engine
 is the oracle; the random inputs are the generators the paper benchmarks on
 (R-MAT, Erdős–Rényi).
 """
@@ -37,19 +37,15 @@ def random_generated_graphs(draw):
 
 
 def run_engine(generated, nranks, algorithm, engine):
-    """One fresh-world survey run: (reducer panel, report)."""
+    """One fresh-world survey run: (reducer panel, report, per-phase totals)."""
     world = World(nranks)
     dodgr = DODGraph.build(generated.to_distributed(world), mode="bulk")
     reducer = LocalTriangleCounter(world)
     survey = triangle_survey_push if algorithm == "push" else triangle_survey_push_pull
     report = survey(dodgr, reducer.callback, engine=engine)
+    phases = {name: world.stats.phase_total(name) for name in world.phase_order}
     reducer.finalize()
-    return reducer.snapshot(), report
-
-
-def test_columnar_pull_is_registered():
-    """The property below must actually cover the new engine."""
-    assert "columnar-pull" in engine_names()
+    return reducer.snapshot(), report, phases
 
 
 @given(
@@ -60,12 +56,15 @@ def test_columnar_pull_is_registered():
 @settings(max_examples=25, deadline=None)
 def test_all_registered_engines_agree(generated, nranks, algorithm):
     """Panels and wire-byte totals are identical across the whole registry."""
-    oracle_panel, oracle = run_engine(generated, nranks, algorithm, "legacy")
+    oracle_panel, oracle, oracle_phases = run_engine(generated, nranks, algorithm, "legacy")
     for name in engine_names():
         if name == "legacy":
             continue
-        panel, report = run_engine(generated, nranks, algorithm, name)
+        panel, report, phases = run_engine(generated, nranks, algorithm, name)
         context = f"{name}/{algorithm}/{nranks} ranks on {generated.name}"
+        # RPC-free reducer: every counter of every phase must replay, the
+        # flush-window split (wire_messages, envelope bytes) included.
+        assert phases == oracle_phases, f"{context}: per-phase counters differ"
         assert panel == oracle_panel, f"{context}: reducer panels differ"
         assert report.triangles == oracle.triangles, context
         assert (
@@ -139,7 +138,7 @@ def test_incremental_engines_agree_with_full_recompute(graph_and_batches, nranks
     generated, batches = graph_and_batches
     if not batches:
         return  # empty graph: nothing to stream
-    full_panel, full_report = run_engine(generated, nranks, "push", "legacy")
+    full_panel, full_report, _ = run_engine(generated, nranks, "push", "legacy")
     oracle_panel, oracle_totals = replay_stream(generated, batches, nranks, "legacy")
     assert oracle_panel == full_panel, (
         f"legacy stream on {generated.name}: cumulative panel != full recompute"
