@@ -20,7 +20,7 @@ import pytest
 
 from _artifacts import emit
 from repro.bench import format_table, human_bytes, load_dataset
-from repro.core import triangle_survey_push
+from repro.core import EngineConfig, triangle_survey_push
 from repro.graph import DODGraph
 from repro.runtime import World
 
@@ -34,7 +34,7 @@ def test_ablation_intersection_kernels(benchmark):
 
     def run_all():
         return {
-            kernel: triangle_survey_push(dodgr, kernel=kernel)
+            kernel: triangle_survey_push(dodgr, engine=EngineConfig(kernel=kernel))
             for kernel in ("merge_path", "binary_search", "hash")
         }
 

@@ -35,7 +35,7 @@ from repro.runtime.world import World
 NODES = 16
 
 
-def run_once(dataset, algorithm, batched):
+def run_once(dataset, algorithm, engine):
     """Fresh world/DODGr per run so nothing is shared between engines."""
     world = World(NODES)
     dodgr = DODGraph.build(dataset.to_distributed(world), mode="bulk")
@@ -45,14 +45,14 @@ def run_once(dataset, algorithm, batched):
         invocations.append((tri.p, tri.q, tri.r))
 
     survey = triangle_survey_push if algorithm == "push" else triangle_survey_push_pull
-    report = survey(dodgr, callback, engine="batched" if batched else "legacy")
+    report = survey(dodgr, callback, engine=engine)
     invocations.sort()
     return report, invocations
 
 
 def compare_engines(dataset, algorithm):
-    legacy_report, legacy_calls = run_once(dataset, algorithm, batched=False)
-    batched_report, batched_calls = run_once(dataset, algorithm, batched=True)
+    legacy_report, legacy_calls = run_once(dataset, algorithm, "legacy")
+    batched_report, batched_calls = run_once(dataset, algorithm, "batched")
 
     assert batched_report.triangles == legacy_report.triangles
     assert batched_calls == legacy_calls, "callback invocations differ"

@@ -1,4 +1,4 @@
-"""Construction pipeline — legacy per-edge ingest/build vs vectorized path.
+"""Construction pipeline — routed per-edge ingest/build vs vectorized path.
 
 Not a figure from the paper: this benchmark gates the vectorized ingest→CSR
 construction pipeline (ISSUE 2).  PR 1 made the survey hot loop fast, which
@@ -12,18 +12,20 @@ derives the ``<+`` orientation from one ``order_positions`` argsort plus a
 single lexsort-assembled adjacency, instead of per-half-edge ``order_key``
 tuples.
 
-Contract: the vectorized builder is **bit-identical** to the legacy builder
-(``mode="bulk-legacy"`` + ``from_edges``) — same store insertion order, same
-adjacency tuples in the same order, same dense order ids, same CSR arrays,
-and therefore byte-identical survey communication accounting.
+Contract: the vectorized builder is **bit-identical** to the reference
+builder (``mode="async"`` — the paper-faithful build that routes every half
+edge through the simulated runtime — + ``from_edges``): same store insertion
+order, same adjacency tuples in the same order, same dense order ids, same
+CSR arrays, and therefore byte-identical survey communication accounting.
 
 Expected shape:
 
 * every parity column (order ids, CSR indptr/ids/owners/size prefix sums,
   survey comm bytes / wire messages / triangles) exactly equal;
-* host seconds of ``DODGraph.build`` drop by >= 3x on the R-MAT
-  weak-scaling input (typically 5-10x with NumPy), with the ingest stage
-  reported alongside.
+* host seconds of both builders and both ingest paths reported side by
+  side.  The ratio is informational: a gate against an in-repo slow path
+  stays green while the fast path regresses, so the build's absolute cost
+  is gated by the repo benchmark's ``build_s`` instead (``perf/``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ def _build_once(dataset, nranks, vectorized, repeats=1):
 
     Each stage is repeated ``repeats`` times (ingest on a fresh world per
     repeat, build as a fresh DODGr over the final graph) and the minimum is
-    reported, keeping the speedup gate out of reach of GC pauses; both
+    reported, keeping the reported ratio out of reach of GC pauses; both
     engines run the same repeat count so their worlds stay structurally
     identical for the parity survey.
     """
@@ -67,7 +69,7 @@ def _build_once(dataset, nranks, vectorized, repeats=1):
         elapsed = time.perf_counter() - start
         if ingest_seconds is None or elapsed < ingest_seconds:
             ingest_seconds = elapsed
-    mode = "bulk" if vectorized else "bulk-legacy"
+    mode = "bulk" if vectorized else "async"
     build_seconds = None
     for _ in range(repeats):
         start = time.perf_counter()
@@ -109,7 +111,7 @@ def _survey_parity(legacy, vectorized):
 
 
 def test_build_pipeline_weak_scaling(benchmark):
-    """R-MAT weak scaling: exact parity plus the >= 3x build-speedup gate."""
+    """R-MAT weak scaling: exact parity, build and ingest timings reported."""
 
     def run_all():
         # Warm both code paths (NumPy kernel dispatch, import-time caches)
@@ -155,7 +157,7 @@ def test_build_pipeline_weak_scaling(benchmark):
                 "edges": point["edges"],
                 "triangles": point["triangles"],
                 "comm bytes": point["comm_bytes"],
-                "legacy build": f"{point['legacy_build_s']:.3f}s",
+                "async build": f"{point['legacy_build_s']:.3f}s",
                 "vector build": f"{point['vectorized_build_s']:.3f}s",
                 "build speedup": f"{point['build_speedup']:.2f}x",
                 "ingest speedup": f"{point['ingest_speedup']:.2f}x",
@@ -164,24 +166,17 @@ def test_build_pipeline_weak_scaling(benchmark):
         )
     emit(
         format_table(
-            rows, title="Construction pipeline — legacy vs vectorized builder"
+            rows, title="Construction pipeline — routed (async) vs vectorized builder"
         )
     )
     emit_json("build_pipeline", {"points": points})
 
-    gate_point = points[-1]
     benchmark.extra_info.update(
         {
             "points": [(p["scale"], p["nodes"]) for p in points],
             "build_speedups": [p["build_speedup"] for p in points],
             "ingest_speedups": [p["ingest_speedup"] for p in points],
         }
-    )
-
-    # Acceptance gate (ISSUE 2): >= 3x host speedup for the vectorized
-    # DODGraph.build on the largest weak-scaling point.
-    assert gate_point["build_speedup"] >= 3.0, (
-        f"vectorized build speedup {gate_point['build_speedup']:.2f}x below 3x gate"
     )
 
 
@@ -203,7 +198,7 @@ def test_build_pipeline_adversarial_inputs(benchmark):
         graph_b = DistributedGraph.from_columns(
             world_b, us, vs, edge_metas=metas, name="adv"
         )
-        legacy = DODGraph.build(graph_a, mode="bulk-legacy")
+        legacy = DODGraph.build(graph_a, mode="async")
         vectorized = DODGraph.build(graph_b, mode="bulk")
         _assert_bit_identical(legacy, vectorized, nranks)
         return legacy.num_directed_edges()

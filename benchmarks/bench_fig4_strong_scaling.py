@@ -21,6 +21,7 @@ import pytest
 from _artifacts import emit, emit_json
 from repro.bench import format_table, human_bytes, load_dataset, strong_scaling
 from repro.bench.scaling import run_survey_at_scale
+from repro.core.engine import EngineConfig
 
 DATASET_NAMES = ["friendster-like", "twitter-like", "uk2007-like", "hostgraph-like"]
 
@@ -32,7 +33,7 @@ def test_fig4_strong_scaling_push_pull(benchmark, name, strong_scaling_nodes, su
     result = benchmark.pedantic(
         lambda: strong_scaling(
             dataset, strong_scaling_nodes, algorithm="push_pull",
-            backend=survey_backend,
+            engine=EngineConfig(backend=survey_backend),
         ),
         rounds=1,
         iterations=1,
@@ -118,8 +119,8 @@ def test_fig4_process_backend_host_speedup(survey_backend):
         for _ in range(GATE_REPEATS):
             start = time.perf_counter()
             point = run_survey_at_scale(
-                dataset, GATE_NODES, algorithm="push", engine="legacy",
-                backend=backend, workers=workers,
+                dataset, GATE_NODES, algorithm="push",
+                engine=EngineConfig(engine="legacy", backend=backend, workers=workers),
                 callback_factory=lambda world, graph: TriangleCounter(world).callback,
             )
             elapsed = time.perf_counter() - start

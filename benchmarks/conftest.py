@@ -16,18 +16,19 @@ from __future__ import annotations
 import pytest
 
 from _artifacts import reset_artifacts
-from repro.core.engine import backend_names, engine_names
+from repro.core.engine import DEFAULT_ENGINE, backend_names, engine_names
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--engine",
         action="store",
-        default="legacy",
+        default=DEFAULT_ENGINE,
         choices=engine_names(),
         help=(
             "Survey execution engine the paper-table benchmarks run on "
-            "(default: legacy); choices come from the engine registry "
+            f"(default: {DEFAULT_ENGINE}, the production engine; pass legacy "
+            "for the scalar oracle); choices come from the engine registry "
             "(repro.core.engine).  Every engine reproduces identical result "
             "columns — communicated bytes included — so the tables can be "
             "regenerated on any of them."

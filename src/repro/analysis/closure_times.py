@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.callbacks import ClosureTimeSurvey
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.incremental import StreamingSurvey
-from ..core.push_pull import triangle_survey_push_pull
+from ..core.push_pull import triangle_survey
 from ..core.results import SurveyReport
-from ..core.survey import triangle_survey_push
 from ..graph.dodgr import DODGraph
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.metadata import edge_timestamp
@@ -84,7 +83,7 @@ def run_closure_time_survey(
     algorithm: str = "push_pull",
     timestamp: Optional[Callable[[Any], float]] = None,
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> ClosureTimeResult:
     """Survey triangle closure times over a temporal graph.
 
@@ -105,20 +104,12 @@ def run_closure_time_survey(
         :meth:`ClosureTimeSurvey.callback_batch`.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
     survey = ClosureTimeSurvey(world, timestamp=timestamp or edge_timestamp)
-    if algorithm == "push":
-        report = triangle_survey_push(
-            dodgr, survey.callback, graph_name=graph_name, engine=engine
-        )
-    elif algorithm == "push_pull":
-        report = triangle_survey_push_pull(
-            dodgr, survey.callback, graph_name=graph_name, engine=engine
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    report = triangle_survey(
+        dodgr, survey.callback, algorithm, graph_name=graph_name, engine=engine
+    )
     survey.finalize()
     return ClosureTimeResult(
         report=report,

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from ..core.callbacks import EdgeSupportCounter, LocalTriangleCounter
-from ..core.engine import EngineSelector, default_engine
-from ..core.push_pull import triangle_survey_push_pull
+from ..core.engine import EngineSelector
+from ..core.push_pull import triangle_survey
 from ..core.results import SurveyReport
-from ..core.survey import triangle_survey_push
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 
@@ -60,29 +59,12 @@ class TrussResult:
         return sum(1 for value in self.support.values() if value >= k)
 
 
-def _run(
-    dodgr: DODGraph,
-    callback,
-    algorithm: str,
-    graph_name: Optional[str],
-    engine: EngineSelector = "columnar",
-) -> SurveyReport:
-    engine = default_engine(engine, "columnar")
-    if algorithm == "push":
-        return triangle_survey_push(dodgr, callback, graph_name=graph_name, engine=engine)
-    if algorithm == "push_pull":
-        return triangle_survey_push_pull(
-            dodgr, callback, graph_name=graph_name, engine=engine
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
 def run_clustering_coefficients(
     graph: DistributedGraph,
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> ClusteringResult:
     """Compute per-vertex clustering coefficients with a local-count survey.
 
@@ -95,7 +77,9 @@ def run_clustering_coefficients(
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
     counter = LocalTriangleCounter(world)
-    report = _run(dodgr, counter.callback, algorithm, graph_name, engine)
+    report = triangle_survey(
+        dodgr, counter.callback, algorithm, graph_name=graph_name, engine=engine
+    )
     counter.finalize()
     local_counts = counter.result()
 
@@ -114,13 +98,15 @@ def run_truss_support(
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> TrussResult:
     """Compute per-edge triangle support (truss decomposition input)."""
     world = graph.world
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
     counter = EdgeSupportCounter(world)
-    report = _run(dodgr, counter.callback, algorithm, graph_name, engine)
+    report = triangle_survey(
+        dodgr, counter.callback, algorithm, graph_name=graph_name, engine=engine
+    )
     counter.finalize()
     return TrussResult(report=report, support=counter.result())

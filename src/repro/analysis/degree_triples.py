@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Tuple
 
 from ..core.callbacks import DegreeTripleSurvey
-from ..core.engine import EngineSelector, default_engine
-from ..core.push_pull import triangle_survey_push_pull
+from ..core.engine import EngineSelector
+from ..core.push_pull import triangle_survey
 from ..core.results import SurveyReport
-from ..core.survey import triangle_survey_push
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 from ..graph.partition import Partitioner
@@ -64,7 +63,7 @@ def run_degree_triple_survey(
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
     already_decorated: bool = False,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> DegreeTripleResult:
     """Decorate with degrees (unless told otherwise) and run the triple survey.
 
@@ -72,20 +71,12 @@ def run_degree_triple_survey(
     :class:`~repro.core.engine.EngineConfig`.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     decorated = graph if already_decorated else decorate_with_degrees(graph)
     if dodgr is None:
         dodgr = DODGraph.build(decorated, mode="bulk")
     survey = DegreeTripleSurvey(world)
-    if algorithm == "push":
-        report = triangle_survey_push(
-            dodgr, survey.callback, graph_name=graph_name, engine=engine
-        )
-    elif algorithm == "push_pull":
-        report = triangle_survey_push_pull(
-            dodgr, survey.callback, graph_name=graph_name, engine=engine
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    report = triangle_survey(
+        dodgr, survey.callback, algorithm, graph_name=graph_name, engine=engine
+    )
     survey.finalize()
     return DegreeTripleResult(report=report, triples=survey.result())

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.callbacks import FqdnTripleSurvey
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.incremental import StreamingSurvey
-from ..core.push_pull import triangle_survey_push_pull
+from ..core.push_pull import triangle_survey
 from ..core.results import SurveyReport
-from ..core.survey import triangle_survey_push
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 from ..runtime.world import World
@@ -96,7 +95,7 @@ def run_fqdn_survey(
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> FqdnSurveyResult:
     """Run the distributed FQDN 3-tuple survey.
 
@@ -105,20 +104,12 @@ def run_fqdn_survey(
     :class:`~repro.core.engine.EngineConfig`.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
     survey = FqdnTripleSurvey(world)
-    if algorithm == "push":
-        report = triangle_survey_push(
-            dodgr, survey.callback, graph_name=graph_name, engine=engine
-        )
-    elif algorithm == "push_pull":
-        report = triangle_survey_push_pull(
-            dodgr, survey.callback, graph_name=graph_name, engine=engine
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    report = triangle_survey(
+        dodgr, survey.callback, algorithm, graph_name=graph_name, engine=engine
+    )
     survey.finalize()
     return FqdnSurveyResult(report=report, triple_counts=survey.result())
 

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.callbacks import EdgeSupportCounter
-from ..core.engine import EngineSelector, default_engine
-from ..core.push_pull import triangle_survey_push_pull
+from ..core.engine import EngineSelector
+from ..core.push_pull import triangle_survey
 from ..core.results import SurveyReport
-from ..core.survey import triangle_survey_push
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 
@@ -70,7 +69,7 @@ def truss_decomposition(
     dodgr: Optional[DODGraph] = None,
     algorithm: str = "push_pull",
     graph_name: Optional[str] = None,
-    engine: EngineSelector = "columnar",
+    engine: EngineSelector = None,
 ) -> TrussDecomposition:
     """Compute the trussness of every edge of ``graph``.
 
@@ -89,21 +88,13 @@ def truss_decomposition(
     former hot spot of the decomposition.
     """
     world = graph.world
-    engine = default_engine(engine, "columnar")
     if dodgr is None:
         dodgr = DODGraph.build(graph, mode="bulk")
 
     counter = EdgeSupportCounter(world)
-    if algorithm == "push":
-        report = triangle_survey_push(
-            dodgr, counter.callback, graph_name=graph_name, engine=engine
-        )
-    elif algorithm == "push_pull":
-        report = triangle_survey_push_pull(
-            dodgr, counter.callback, graph_name=graph_name, engine=engine
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    report = triangle_survey(
+        dodgr, counter.callback, algorithm, graph_name=graph_name, engine=engine
+    )
     counter.finalize()
     initial_support = counter.result()
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.engine import EngineSelector
-from ..core.push_pull import triangle_survey_push_pull
+from ..core.push_pull import triangle_survey
 from ..core.results import SurveyReport
-from ..core.survey import triangle_survey_push
 from ..core.wedges import work_rate
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
@@ -95,20 +94,17 @@ def run_survey_at_scale(
     algorithm: str = "push_pull",
     callback_factory: Optional[CallbackFactory] = None,
     decorate: Optional[Callable[[DistributedGraph], DistributedGraph]] = None,
-    engine: Optional[EngineSelector] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
+    engine: EngineSelector = None,
 ) -> ScalingPoint:
     """Distribute ``dataset`` over ``nodes`` ranks and run one survey.
 
-    ``engine`` selects the survey execution engine: any registered engine
-    name (``legacy`` — the default, ``batched``, ``columnar``) or an
-    :class:`~repro.core.engine.EngineConfig`;
-    every engine produces identical reports, so the paper figures can be
-    regenerated on any of them.  ``backend`` picks the execution backend
-    the same way (``simulated`` — the default, or ``process`` with
-    ``workers`` forked rank-shard workers); backends, too, produce
-    identical reports, differing only in host wall-clock.
+    ``engine`` selects the execution strategy: any registered engine name
+    (``columnar`` — the default, ``legacy``, ``batched``) or an
+    :class:`~repro.core.engine.EngineConfig`, which also picks the backend
+    (``simulated`` — the default, or ``process`` with ``workers`` forked
+    rank-shard workers).  Every engine and backend produces identical
+    reports, differing only in host wall-clock, so the paper figures can be
+    regenerated on any of them.
     """
     world = World(nodes)
     graph = dataset.to_distributed(world)
@@ -127,18 +123,9 @@ def run_survey_at_scale(
             callback = produced
 
     host_start = time.perf_counter()
-    if algorithm == "push":
-        report = triangle_survey_push(
-            dodgr, callback, graph_name=dataset.name, engine=engine,
-            backend=backend, workers=workers,
-        )
-    elif algorithm == "push_pull":
-        report = triangle_survey_push_pull(
-            dodgr, callback, graph_name=dataset.name, engine=engine,
-            backend=backend, workers=workers,
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    report = triangle_survey(
+        dodgr, callback, algorithm, graph_name=dataset.name, engine=engine
+    )
     if finalize is not None:
         finalize()
     host_seconds = time.perf_counter() - host_start
@@ -151,9 +138,7 @@ def strong_scaling(
     algorithm: str = "push_pull",
     callback_factory: Optional[CallbackFactory] = None,
     decorate: Optional[Callable[[DistributedGraph], DistributedGraph]] = None,
-    engine: Optional[EngineSelector] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
+    engine: EngineSelector = None,
 ) -> ScalingResult:
     """Fixed dataset, growing node counts (Figs. 4 and 7, Tables 3 and 4)."""
     result = ScalingResult(dataset=dataset.name, algorithm=algorithm)
@@ -166,8 +151,6 @@ def strong_scaling(
                 callback_factory=callback_factory,
                 decorate=decorate,
                 engine=engine,
-                backend=backend,
-                workers=workers,
             )
         )
     return result
@@ -181,9 +164,7 @@ def weak_scaling_rmat(
     callback_factory: Optional[CallbackFactory] = None,
     decorate: Optional[Callable[[DistributedGraph], DistributedGraph]] = None,
     seed: int = 99,
-    engine: Optional[EngineSelector] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
+    engine: EngineSelector = None,
 ) -> ScalingResult:
     """R-MAT weak scaling: one R-MAT scale step per node-count doubling (Figs. 5/9).
 
@@ -203,8 +184,6 @@ def weak_scaling_rmat(
                 callback_factory=callback_factory,
                 decorate=decorate,
                 engine=engine,
-                backend=backend,
-                workers=workers,
             )
         )
     return result

@@ -17,7 +17,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.engine import EngineSelector, default_engine
+from ..core.engine import EngineSelector
 from ..core.survey import triangle_survey_push
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
@@ -101,8 +101,7 @@ class FullRecompute:
 def full_recompute_survey(
     graph: DistributedGraph,
     reducer_factory: Callable[[Any], Any],
-    engine: EngineSelector = "columnar",
-    kernel: str = "merge_path",
+    engine: EngineSelector = None,
 ) -> FullRecompute:
     """The non-streaming baseline: rebuild the DODGr and survey everything.
 
@@ -117,8 +116,7 @@ def full_recompute_survey(
     host_start = time.perf_counter()
     dodgr = DODGraph.build(graph, mode="bulk")
     reducer = reducer_factory(world)
-    engine = default_engine(engine, "columnar")
-    report = triangle_survey_push(dodgr, reducer.callback, kernel=kernel, engine=engine)
+    report = triangle_survey_push(dodgr, reducer.callback, engine=engine)
     if hasattr(reducer, "finalize"):
         reducer.finalize()
     result = reducer.result()

@@ -13,7 +13,7 @@ The primary entry points are:
 
 Survey execution is owned by the engine layer in :mod:`repro.core.engine`:
 engines are registered :class:`~repro.core.engine.EngineSpec` compositions
-resolved by name (``engine="legacy"/"batched"/"columnar"``)
+resolved by name (``engine="columnar"``, the default; ``"legacy"``; ``"batched"``)
 or through an :class:`~repro.core.engine.EngineConfig`, the one selector
 threaded through ``analysis/*``, ``bench/*`` and the benchmark CLIs.
 """
@@ -54,7 +54,6 @@ from .engine import (
 )
 from .incremental import (
     DELTA_PUSH_PHASE,
-    INCREMENTAL_ENGINES,
     StreamingStep,
     StreamingSurvey,
     incremental_triangle_survey,
@@ -77,7 +76,6 @@ from .push_pull import (
 )
 from .results import SurveyReport
 from .survey import (
-    SURVEY_ENGINES,
     TriangleCallback,
     resolve_batch_callback,
     triangle_survey_push,
@@ -91,7 +89,6 @@ __all__ = [
     "incremental_triangle_survey",
     "StreamingSurvey",
     "StreamingStep",
-    "INCREMENTAL_ENGINES",
     "DELTA_PUSH_PHASE",
     "merge_count_dicts",
     "approximate_triangle_count",
@@ -121,7 +118,6 @@ __all__ = [
     "INTERSECTION_KERNELS",
     "BATCH_KERNELS",
     "ROW_KERNELS",
-    "SURVEY_ENGINES",
     "EngineSpec",
     "EngineConfig",
     "SurveyRequest",

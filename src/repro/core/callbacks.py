@@ -54,10 +54,7 @@ from ..graph.metadata import TriangleBatch, TriangleMetadata, edge_timestamp
 from ..runtime.reductions import all_reduce_sum
 from ..runtime.world import RankContext, World
 
-try:  # NumPy accelerates the batch reducers' key derivation when available.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallbacks
-    _np = None
+import numpy as _np
 
 __all__ = [
     "TriangleCounter",
@@ -144,7 +141,7 @@ def log2_bucket(value: float) -> int:
 
 
 def log2_bucket_array(values: Any) -> Any:
-    """Vectorized :func:`log2_bucket` over a float array (requires NumPy)."""
+    """Vectorized :func:`log2_bucket` over a float array."""
     v = _np.asarray(values, dtype=_np.float64)
     mantissa, exponent = _np.frexp(v)
     buckets = _np.where(mantissa == 0.5, exponent - 1, exponent)
@@ -396,18 +393,12 @@ class ClosureTimeSurvey(_SnapshotMerge):
             )
             opens.append(t2 - t1)
             closes.append(t3 - t1)
-        if _np is not None:
-            items = list(
-                zip(
-                    log2_bucket_array(opens).tolist(),
-                    log2_bucket_array(closes).tolist(),
-                )
+        items = list(
+            zip(
+                log2_bucket_array(opens).tolist(),
+                log2_bucket_array(closes).tolist(),
             )
-        else:
-            items = [
-                (log2_bucket(dt_open), log2_bucket(dt_close))
-                for dt_open, dt_close in zip(opens, closes)
-            ]
+        )
         self.counters.increment_run(ctx, items)
 
     def finalize(self) -> None:
@@ -468,19 +459,13 @@ class DegreeTripleSurvey(_SnapshotMerge):
         d_p = [degree_of(meta) for meta in batch.meta_p]
         d_q = [degree_of(meta) for meta in batch.meta_q]
         d_r = [degree_of(meta) for meta in batch.meta_r]
-        if _np is not None:
-            items = list(
-                zip(
-                    log2_bucket_array(d_p).tolist(),
-                    log2_bucket_array(d_q).tolist(),
-                    log2_bucket_array(d_r).tolist(),
-                )
+        items = list(
+            zip(
+                log2_bucket_array(d_p).tolist(),
+                log2_bucket_array(d_q).tolist(),
+                log2_bucket_array(d_r).tolist(),
             )
-        else:
-            items = [
-                (log2_bucket(a), log2_bucket(b), log2_bucket(c))
-                for a, b, c in zip(d_p, d_q, d_r)
-            ]
+        )
         self.counters.increment_run(ctx, items)
 
     def finalize(self) -> None:

@@ -6,11 +6,12 @@ survey execution end to end:
 
 * :mod:`~repro.core.engine.registry` — the :class:`EngineSpec` table:
   engines are declared as data (:func:`register_engine`) composing the
-  shared strategy implementations, and resolved with
-  :func:`resolve_engine`;
+  shared strategy implementations, and every ``engine=`` selector is
+  interpreted once, by :func:`resolve_execution`;
 * :mod:`~repro.core.engine.request` — the :class:`SurveyRequest` /
-  :class:`SurveyResult` pair and the caller-facing :class:`EngineConfig`
-  selector threaded through ``analysis/*``, ``bench/*`` and the CLIs;
+  :class:`SurveyResult` pair and the caller-facing :class:`EngineConfig`,
+  the only execution selector, threaded through ``analysis/*``,
+  ``bench/*`` and the CLIs;
 * :mod:`~repro.core.engine.driver` / :mod:`~repro.core.engine.pull` /
   :mod:`~repro.core.engine.delta` — the shared driver core: candidate
   stream construction over ``CSRAdjacency``/``RowAdjacency``, intersect
@@ -35,7 +36,8 @@ Register a new composition — no new driver loop::
         name="my-engine",
         description="columnar pushes, batched dry run and pull",
         push_style="columnar", pull_style="batched",
-        proposal_style="batched", requires_numpy=True, fallback="batched",
+        proposal_style="batched",
+        kernel_tiers=("compiled", "columnar", "scalar"),
     ))
 
 ``push_style``, ``pull_style`` and ``proposal_style`` each range over
@@ -49,16 +51,19 @@ random graphs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .registry import (
     BACKENDS,
+    DEFAULT_ENGINE,
     EngineSpec,
     backend_names,
     engine_names,
     incremental_engine_names,
     register_engine,
     registered_engines,
-    resolve_backend,
     resolve_engine,
+    resolve_execution,
     resolve_incremental_engine,
     validate_request,
 )
@@ -73,10 +78,6 @@ from .request import (
     SurveyRequest,
     SurveyResult,
     TriangleCallback,
-    default_engine,
-    split_backend_selector,
-    split_engine_selector,
-    split_execution_selector,
 )
 from .driver import resolve_batch_callback
 from .program import SurveyProgram, execute_program
@@ -92,19 +93,16 @@ __all__ = [
     "SurveyProgram",
     "TriangleCallback",
     "BACKENDS",
+    "DEFAULT_ENGINE",
     "register_engine",
+    "resolve_execution",
     "resolve_engine",
     "resolve_incremental_engine",
-    "resolve_backend",
     "registered_engines",
     "engine_names",
     "incremental_engine_names",
     "backend_names",
-    "split_engine_selector",
-    "split_backend_selector",
-    "split_execution_selector",
     "validate_request",
-    "default_engine",
     "resolve_batch_callback",
     "execute_program",
     "build_push_program",
@@ -125,9 +123,14 @@ def execute_survey(request: SurveyRequest, engine=None) -> SurveyResult:
 
     The request's ``algorithm`` picks the runner (``"push"`` or
     ``"push_pull"``); ``engine`` may be anything
-    :func:`resolve_engine` accepts and defaults to the legacy engine.
+    :func:`resolve_execution` accepts (default :data:`DEFAULT_ENGINE`).  A
+    name or spec picks the engine for the axes the request already carries;
+    an :class:`EngineConfig`'s set fields replace the request's.
     """
     spec = resolve_engine(engine)
+    if isinstance(engine, EngineConfig):
+        pinned = {k: v for k, v in engine.axes().items() if v is not None}
+        request = replace(request, **pinned)
     if request.algorithm == "push":
         return run_push_survey(request, spec)
     if request.algorithm == "push_pull":

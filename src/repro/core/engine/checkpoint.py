@@ -57,10 +57,8 @@ from ...graph.delta import AppliedDelta, DeltaBuffer
 from ...graph.distributed_graph import DistributedGraph
 from ...graph.dodgr import DODGraph
 from ...runtime.faults import FaultPlan, RankCrashError, fault_plan_digest
-from .request import (
-    DEFAULT_CALLBACK_COMPUTE_UNITS,
-    SurveyRequest,
-)
+from .registry import resolve_execution
+from .request import DEFAULT_CALLBACK_COMPUTE_UNITS, SurveyRequest
 
 __all__ = [
     "CheckpointPolicy",
@@ -169,7 +167,6 @@ def run_survey_with_recovery(
     reducer_factory: Callable[[Any], Any],
     engine: Any = None,
     algorithm: str = "push",
-    kernel: str = "merge_path",
     plan: Optional[FaultPlan] = None,
     policy: Optional[CheckpointPolicy] = None,
     graph: Optional[DistributedGraph] = None,
@@ -192,6 +189,7 @@ def run_survey_with_recovery(
     """
     from . import execute_survey  # runtime import: this module is part of the package
 
+    spec, config = resolve_execution(engine)
     world = dodgr.world
     policy = policy or CheckpointPolicy()
     log = RecoveryLog()
@@ -206,13 +204,13 @@ def run_survey_with_recovery(
                 dodgr=dodgr,
                 callback=reducer.callback,
                 algorithm=algorithm,
-                kernel=kernel,
                 reset_stats=False,
                 graph_name=graph_name,
                 callback_compute_units=callback_compute_units,
+                **config.axes(),
             )
             try:
-                result = execute_survey(request, engine=engine)
+                result = execute_survey(request, engine=spec)
                 if hasattr(reducer, "finalize"):
                     reducer.finalize()
                 panel = reducer.snapshot()
@@ -239,7 +237,7 @@ def run_survey_with_recovery(
                     return ResilientSurveyResult(
                         report=estimate.report,
                         panel=None,
-                        engine=str(engine or "legacy"),
+                        engine=spec.name,
                         recovery=log,
                         degraded=True,
                         estimate=estimate,
@@ -374,19 +372,19 @@ class CheckpointedStreamingSurvey:
         policy: Optional[CheckpointPolicy] = None,
         window_batches: Optional[int] = None,
         engine: Any = None,
-        kernel: str = "merge_path",
         callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
         partitioner: Any = None,
         graph_name: Optional[str] = None,
     ) -> None:
         if window_batches is not None and window_batches < 1:
             raise ValueError("window_batches must be at least 1")
+        # Fail before the first batch mutates the graph.
+        resolve_execution(engine, incremental=True)
         self.world = world
         self.reducer_factory = reducer_factory
         self.policy = policy or CheckpointPolicy()
         self.window_batches = window_batches
         self.engine = engine
-        self.kernel = kernel
         self.callback_compute_units = callback_compute_units
         self.graph = DistributedGraph(
             world, partitioner=partitioner, name=graph_name or "ckpt-streaming"
@@ -508,7 +506,6 @@ class CheckpointedStreamingSurvey:
             applied.dodgr,
             applied,
             reducer.callback,
-            kernel=self.kernel,
             engine=self.engine,
             reset_stats=False,
             callback_compute_units=self.callback_compute_units,

@@ -39,10 +39,7 @@ from .driver import (
 from .request import TriangleCallback
 from .segments import positions_of_ids, ragged_gather
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the legacy fallback
-    _np = None
+import numpy as _np
 
 __all__ = [
     "new_source_vertices",

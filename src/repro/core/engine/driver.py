@@ -46,10 +46,7 @@ from ..intersection import (
 from .request import TriangleCallback
 from .segments import concat_segments, first_appearance_groups, ragged_gather
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
+import numpy as _np
 
 __all__ = [
     "candidate_key",
@@ -119,8 +116,7 @@ def row_adjacency(csr: CSRAdjacency, order_count: int) -> RowAdjacency:
     """The CSR's cached :class:`RowAdjacency` view for the row kernels."""
     cached = csr.row_adj_cache
     if cached is None:
-        indptr = csr.columns().indptr if _np is not None else csr.indptr
-        cached = RowAdjacency(csr.tgt_ids, indptr, order_count)
+        cached = RowAdjacency(csr.tgt_ids, csr.columns().indptr, order_count)
         csr.row_adj_cache = cached
     return cached
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Tuple
 
 from ..results import SurveyReport
-from .registry import EngineSpec, resolve_backend
+from .registry import EngineSpec
 from .request import SurveyRequest, SurveyResult
 
 __all__ = [
@@ -87,8 +87,7 @@ def execute_program(program: SurveyProgram) -> SurveyResult:
     request = program.request
     dodgr = request.dodgr
     world = dodgr.world
-    backend = resolve_backend(getattr(request, "backend", None))
-    if backend == "process":
+    if request.backend == "process":
         from ...runtime.backend.process import run_program_in_processes
 
         host_seconds = run_program_in_processes(program)

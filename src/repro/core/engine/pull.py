@@ -54,10 +54,7 @@ from .segments import (
     ragged_gather,
 )
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
+import numpy as _np
 
 __all__ = ["make_pull_handler", "drive_pull", "PULL_STYLES"]
 

@@ -34,23 +34,19 @@ byte-identical Table 4 communication totals.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .request import EngineConfig
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
-
 __all__ = [
     "EngineSpec",
     "BACKENDS",
+    "DEFAULT_ENGINE",
     "register_engine",
+    "resolve_execution",
     "resolve_engine",
     "resolve_incremental_engine",
-    "resolve_backend",
     "registered_engines",
     "engine_names",
     "incremental_engine_names",
@@ -74,10 +70,6 @@ class EngineSpec:
     #: Delta-survey implementation (``"legacy"``/``"columnar"``) or ``None``
     #: when the engine has no incremental form.
     incremental_style: Optional[str] = None
-    #: The engine's drivers need NumPy arrays.
-    requires_numpy: bool = False
-    #: Engine to downgrade to when ``requires_numpy`` cannot be satisfied.
-    fallback: Optional[str] = None
     #: Kernel tiers this engine's drivers can run
     #: (:data:`repro.core.intersection.KERNEL_TIERS` order).  Engines whose
     #: intersections go through the batch/row kernel tables support every
@@ -108,11 +100,6 @@ def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
                 f"{needs}='columnar' (got {needs}={getattr(spec, needs)!r}); the "
                 f"columnar dry run hands the later phases arrays, the scalar "
                 f"ones sets and dicts"
-            )
-    if spec.requires_numpy and spec.fallback is not None:
-        if spec.fallback not in _REGISTRY and spec.fallback != spec.name:
-            raise ValueError(
-                f"engine {spec.name!r} declares unknown fallback {spec.fallback!r}"
             )
     _REGISTRY[spec.name] = spec
     return spec
@@ -148,35 +135,6 @@ def backend_names() -> Tuple[str, ...]:
     return BACKENDS
 
 
-def resolve_backend(backend: Any = None) -> str:
-    """Normalise a ``backend=`` selector to a known backend name.
-
-    ``None`` selects the simulated oracle — the default everywhere, so
-    existing callers are untouched by the backend axis.
-    """
-    if backend is None:
-        return "simulated"
-    if isinstance(backend, str) and backend in BACKENDS:
-        return backend
-    raise ValueError(
-        f"unknown execution backend {backend!r}; known: {BACKENDS}"
-        f"{suggest_name(backend, BACKENDS)}"
-    )
-
-
-def _downgrade_without_numpy(spec: EngineSpec) -> EngineSpec:
-    """Follow ``fallback`` links until a NumPy-free engine is reached."""
-    seen = set()
-    while spec.requires_numpy and _np is None:  # pragma: no cover - no-NumPy env
-        if spec.fallback is None or spec.name in seen:
-            raise ValueError(
-                f"engine {spec.name!r} requires NumPy and declares no fallback"
-            )
-        seen.add(spec.name)
-        spec = _REGISTRY[spec.fallback]
-    return spec
-
-
 def suggest_name(name: Any, known: Iterable[str]) -> str:
     """A ``; did you mean ...?`` suffix for unknown-name errors.
 
@@ -189,75 +147,108 @@ def suggest_name(name: Any, known: Iterable[str]) -> str:
     return f"; did you mean {matches[0]!r}?" if matches else ""
 
 
-def _lookup(engine: Any, batched: bool = False) -> EngineSpec:
-    """Resolve a selector to its registered spec, without NumPy downgrading."""
+def _require_known(axis: str, value: Any, known: Tuple[str, ...]) -> None:
+    if not isinstance(value, str) or value not in known:
+        raise ValueError(
+            f"unknown {axis} {value!r}; known: {known}{suggest_name(value, known)}"
+        )
+
+
+#: The engine every entry point runs when ``engine=`` is left unset — full,
+#: incremental and service surveys alike.  The ``legacy`` oracle is asked
+#: for by name.
+DEFAULT_ENGINE = "columnar"
+
+
+def resolve_execution(
+    engine: Any = None, incremental: bool = False
+) -> Tuple[EngineSpec, EngineConfig]:
+    """Interpret an ``engine=`` selector: the one place this happens.
+
+    ``engine`` may be ``None``, a registered name, a registered
+    :class:`EngineSpec` or an :class:`EngineConfig`.  Returns the spec and a
+    config with ``engine``, ``kernel`` and ``backend`` defaulted; ``workers``,
+    ``kernel_tier`` and ``storage`` stay ``None`` when unset (decided at run
+    time from the host's cores, the available tiers and the DODGr's storage
+    policy).  Unknown names and illegal combinations
+    (:func:`validate_request`) raise ``ValueError`` here, before a caller has
+    registered a handler.
+
+    ``incremental=True`` resolves for the delta survey: only engines with an
+    ``incremental_style``, and — because the delta drive runs resident on
+    the simulated backend, outside the :class:`SurveyProgram` layer the
+    process backend shards and the out-of-core staging serves — a selector
+    pinning ``backend="process"``, ``workers`` or ``storage="mmap"`` raises
+    :class:`~repro.runtime.backend.UnsupportedBackendError` instead of being
+    silently ignored.
+    """
     if isinstance(engine, EngineSpec):
-        spec = _REGISTRY.get(engine.name)
-        if spec is not engine:
+        if _REGISTRY.get(engine.name) is not engine:
             raise ValueError(
                 f"engine {engine.name!r} is not the registered spec of that "
                 f"name; register it first"
             )
-        return spec
-    if isinstance(engine, EngineConfig):
-        engine = engine.engine
-    if engine is None:
-        engine = "batched" if batched else "legacy"
-    spec = _REGISTRY.get(engine)
-    if spec is None:
-        raise ValueError(
-            f"unknown survey engine {engine!r}; known: {engine_names()}"
-            f"{suggest_name(engine, engine_names())}"
+        config = EngineConfig(engine=engine.name)
+    elif isinstance(engine, EngineConfig):
+        config = engine
+    elif engine is None or isinstance(engine, str):
+        config = EngineConfig(engine=engine)
+    else:
+        raise TypeError(
+            f"engine selector must be None, a registered engine name, an "
+            f"EngineSpec or an EngineConfig; got {engine!r}"
         )
-    return spec
+    name = DEFAULT_ENGINE if config.engine is None else config.engine
+    if incremental:
+        _require_known("incremental engine", name, incremental_engine_names())
+    else:
+        _require_known("survey engine", name, engine_names())
+    spec = _REGISTRY[name]
+    config = replace(
+        config,
+        engine=name,
+        kernel=config.kernel or "merge_path",
+        backend=config.backend or "simulated",
+    )
+    validate_request(config, spec)
+    if incremental:
+        from ...graph.ooc import resolve_storage
+        from ...runtime.backend import UnsupportedBackendError
+
+        if (
+            config.backend != "simulated"
+            or config.workers is not None
+            or resolve_storage(config.storage) != "resident"
+        ):
+            raise UnsupportedBackendError(
+                f"incremental (delta) surveys run resident on "
+                f"backend='simulated' only; got backend={config.backend!r}, "
+                f"workers={config.workers!r}, storage={config.storage!r}.  Run "
+                f"full surveys on those axes and delta batches on the defaults."
+            )
+    return spec, config
 
 
-def resolve_engine(engine: Any = None, batched: bool = False) -> EngineSpec:
-    """Normalise an ``engine``/``batched`` selector pair to an engine spec.
-
-    ``engine`` may be ``None``, a registered name, an :class:`EngineSpec`
-    or an :class:`~repro.core.engine.request.EngineConfig`.  ``engine=None``
-    preserves the PR 1 API: ``batched=True`` selects the batched engine,
-    otherwise legacy.  Engines whose drivers need NumPy downgrade along
-    their declared ``fallback`` chain when it is unavailable — results are
-    identical either way (the equivalence contract).
-    """
-    return _downgrade_without_numpy(_lookup(engine, batched))
+def resolve_engine(engine: Any = None) -> EngineSpec:
+    """The :class:`EngineSpec` an ``engine=`` selector names."""
+    return resolve_execution(engine)[0]
 
 
 def resolve_incremental_engine(engine: Any = None) -> EngineSpec:
-    """Resolve an engine selector for the incremental (delta) survey.
-
-    Defaults to the columnar engine when NumPy is available, legacy
-    otherwise.  Engines without an ``incremental_style`` are rejected.
-    Without NumPy, engines whose incremental form is columnar downgrade
-    straight to the legacy engine — the full-survey ``fallback`` chain does
-    not apply here, because a fallback like ``batched`` has no incremental
-    form at all.
-    """
-    if isinstance(engine, EngineConfig):
-        engine = engine.engine
-    if engine is None:
-        engine = "columnar" if _np is not None else "legacy"
-    spec = _lookup(engine)
-    if spec.incremental_style is None:
-        raise ValueError(
-            f"unknown incremental engine {spec.name!r}; known: "
-            f"{incremental_engine_names()}"
-            f"{suggest_name(spec.name, incremental_engine_names())}"
-        )
-    if spec.incremental_style == "columnar" and _np is None:
-        spec = _REGISTRY["legacy"]
-    return spec
+    """Like :func:`resolve_engine`, for the incremental (delta) survey."""
+    return resolve_execution(engine, incremental=True)[0]
 
 
 def validate_request(request: Any, spec: EngineSpec) -> None:
     """Reject unsupported execution-axis combinations before anything runs.
 
-    Called by every engine runner on the resolved ``(request, spec)`` pair;
-    raising here means no handlers were registered, no phases begun, no
-    segment files created.  Two axes are checked:
+    Called by :func:`resolve_execution` on the defaulted config and by every
+    engine runner on the ``(request, spec)`` pair it is handed (requests may
+    be built directly); raising here means no handlers were registered, no
+    phases begun, no segment files created.  ``request`` is anything with
+    ``backend`` / ``kernel_tier`` / ``storage`` attributes:
 
+    * ``backend`` — must name a known backend (:data:`BACKENDS`).
     * ``kernel_tier`` — must name a known tier
       (:data:`repro.core.intersection.KERNEL_TIERS`) that the engine
       *declares* (``spec.kernel_tiers``).  Declared-but-unavailable tiers
@@ -267,26 +258,24 @@ def validate_request(request: Any, spec: EngineSpec) -> None:
       :class:`~repro.graph.ooc.StorageConfig`); ``"mmap"`` is rejected on
       the process backend until segments ship by path to the workers.
     """
-    from ...graph.ooc import StorageConfig, resolve_storage
+    from ...graph.ooc import STORAGES, StorageConfig
     from ..intersection import KERNEL_TIERS
 
-    tier = getattr(request, "kernel_tier", None)
+    _require_known("execution backend", request.backend, BACKENDS)
+    tier = request.kernel_tier
     if tier is not None and tier != "auto":
-        if tier not in KERNEL_TIERS:
-            raise ValueError(
-                f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
-                f"{suggest_name(tier, KERNEL_TIERS)}"
-            )
+        _require_known("kernel tier", tier, KERNEL_TIERS)
         if tier not in spec.kernel_tiers:
             raise ValueError(
                 f"engine {spec.name!r} does not support kernel tier {tier!r}; "
                 f"declared tiers: {spec.kernel_tiers}"
             )
-    storage = getattr(request, "storage", None)
-    mode = resolve_storage(
-        storage.mode if isinstance(storage, StorageConfig) else storage
-    )
-    if mode == "mmap" and resolve_backend(getattr(request, "backend", None)) == "process":
+    storage = request.storage
+    if isinstance(storage, StorageConfig):
+        storage = storage.mode
+    if storage is not None:
+        _require_known("storage mode", storage, STORAGES)
+    if storage == "mmap" and request.backend == "process":
         raise ValueError(
             "storage='mmap' is not supported on backend='process': memmap "
             "segment files are not yet shipped by path to worker processes; "
@@ -341,8 +330,6 @@ register_engine(
         pull_style="columnar",
         proposal_style="columnar",
         incremental_style="columnar",
-        requires_numpy=True,
-        fallback="batched",
         kernel_tiers=("compiled", "columnar", "scalar"),
     )
 )

@@ -10,12 +10,9 @@ this module is now the single home for both.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
+import numpy as _np
 
 __all__ = ["concat_segments", "ragged_gather", "positions_of_ids", "first_appearance_groups"]
 
@@ -24,23 +21,14 @@ def concat_segments(ids, starts: Sequence[int], ends: Sequence[int]):
     """Concatenate ``ids[s:e]`` slices into one flat array plus offsets.
 
     The CSR/ragged layout consumed by the batch kernels: segment ``w``
-    occupies ``flat[offsets[w]:offsets[w + 1]]``.  Falls back to plain
-    lists when NumPy is unavailable (the scalar batch kernels accept
-    either).
+    occupies ``flat[offsets[w]:offsets[w + 1]]``.
     """
-    if _np is not None:
-        starts_arr = _np.asarray(starts, dtype=_np.int64)
-        lengths = _np.asarray(ends, dtype=_np.int64) - starts_arr
-        index, offsets = ragged_gather(starts_arr, lengths)
-        if index.size == 0:
-            return index, offsets
-        return _np.asarray(ids)[index], offsets
-    flat: List[int] = []
-    offsets_list = [0]
-    for start, end in zip(starts, ends):
-        flat.extend(ids[start:end])
-        offsets_list.append(len(flat))
-    return flat, offsets_list
+    starts_arr = _np.asarray(starts, dtype=_np.int64)
+    lengths = _np.asarray(ends, dtype=_np.int64) - starts_arr
+    index, offsets = ragged_gather(starts_arr, lengths)
+    if index.size == 0:
+        return index, offsets
+    return _np.asarray(ids)[index], offsets
 
 
 def ragged_gather(starts, lengths) -> Tuple["_np.ndarray", "_np.ndarray"]:

@@ -39,8 +39,8 @@ counting.
 Engines and accounting
 ----------------------
 
-The ``engine=`` selector resolves through the same registry as the full
-surveys (:func:`~repro.core.engine.resolve_incremental_engine`); an
+The ``engine=`` selector resolves through the same function as the full
+surveys (:func:`~repro.core.engine.resolve_execution`); an
 engine's ``incremental_style`` picks the implementation in
 :mod:`repro.core.engine.delta`:
 
@@ -87,13 +87,10 @@ from ..graph.dodgr import DODGraph
 from .engine import (
     DEFAULT_CALLBACK_COMPUTE_UNITS,
     DELTA_PUSH_PHASE,
-    EngineConfig,
+    EngineSelector,
     TriangleCallback,
-    incremental_engine_names,
     resolve_batch_callback,
-    resolve_incremental_engine,
-    split_backend_selector,
-    split_engine_selector,
+    resolve_execution,
 )
 from .engine.delta import (
     drive_columnar_delta,
@@ -108,28 +105,21 @@ from .results import SurveyReport
 
 __all__ = [
     "incremental_triangle_survey",
-    "INCREMENTAL_ENGINES",
     "DELTA_PUSH_PHASE",
     "StreamingSurvey",
     "StreamingStep",
 ]
-
-#: Engines with an incremental (delta-survey) form, snapshotted at import;
-#: :func:`repro.core.engine.incremental_engine_names` is the live view.
-INCREMENTAL_ENGINES = incremental_engine_names()
 
 
 def incremental_triangle_survey(
     dodgr: DODGraph,
     delta: AppliedDelta,
     callback: Optional[TriangleCallback] = None,
-    kernel: str = "merge_path",
     reset_stats: bool = True,
     graph_name: Optional[str] = None,
     phase_name: str = DELTA_PUSH_PHASE,
     callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
-    engine=None,
-    kernel_tier: Optional[str] = None,
+    engine: EngineSelector = None,
 ) -> SurveyReport:
     """Survey exactly the triangles that contain at least one edge of ``delta``.
 
@@ -144,20 +134,18 @@ def incremental_triangle_survey(
         where it is identified; reducers with a ``callback_batch``
         counterpart receive columnar :class:`TriangleBatch` deliveries under
         the columnar engine.  ``None`` counts delta triangles only.
-    kernel:
-        Intersection kernel name (``merge_path``, ``binary_search``,
-        ``hash``).
     engine:
-        Engine selector (name or :class:`~repro.core.engine.EngineConfig`)
-        resolved against the engine registry; the engine's
-        ``incremental_style`` — ``"legacy"`` (scalar reference) or
-        ``"columnar"`` (default when NumPy is available) — picks the
-        implementation.  Both produce identical triangles, reducer
-        deliveries and communication counters — see the module docstring.
-    kernel_tier:
-        Row-kernel implementation tier for the columnar style
-        (``"compiled"``/``"columnar"``/``"scalar"``; ``None``/``"auto"`` =
-        best available); the legacy style has only its scalar form.
+        The execution selector (name or
+        :class:`~repro.core.engine.EngineConfig`); the engine's
+        ``incremental_style`` — ``"columnar"`` (the default engine's) or
+        ``"legacy"`` (scalar reference) — picks the implementation.  Both
+        produce identical triangles, reducer deliveries and communication
+        counters — see the module docstring.  A config's ``kernel`` and
+        ``kernel_tier`` apply as in the full surveys; the delta drive runs
+        resident on the simulated backend only, so a config pinning
+        ``backend="process"``, ``workers`` or ``storage="mmap"`` raises
+        :class:`~repro.runtime.backend.UnsupportedBackendError` before any
+        handler is registered.
 
     Remaining parameters match :func:`~repro.core.survey.triangle_survey_push`.
     Returns a :class:`~repro.core.results.SurveyReport` whose ``triangles``/
@@ -166,22 +154,8 @@ def incremental_triangle_survey(
     if delta.dodgr is not dodgr:
         raise ValueError("delta was applied against a different DODGraph")
     world = dodgr.world
-    backend, _workers = split_backend_selector(engine, None, None)
-    if backend not in (None, "simulated"):
-        from ..runtime.backend import UnsupportedBackendError
-
-        raise UnsupportedBackendError(
-            "incremental (delta) surveys run on backend='simulated' only: "
-            "the delta drive executes outside the SurveyProgram layer the "
-            "process backend shards.  Run full surveys on backend='process' "
-            "and delta batches on the default backend."
-        )
-    if isinstance(engine, EngineConfig) and engine.kernel_tier is not None:
-        kernel_tier = engine.kernel_tier
-    engine, kernel, callback_compute_units = split_engine_selector(
-        engine, kernel, callback_compute_units
-    )
-    style = resolve_incremental_engine(engine).incremental_style
+    spec, config = resolve_execution(engine, incremental=True)
+    style, kernel, kernel_tier = spec.incremental_style, config.kernel, config.kernel_tier
     per_triangle_compute = callback_compute_units if callback is not None else 0
     if reset_stats:
         world.reset_stats()
@@ -326,7 +300,7 @@ class StreamingSurvey:
     window_batches:
         Size of the sliding window in batches; ``None`` keeps every panel
         (the window equals the cumulative result).
-    engine / kernel / callback_compute_units:
+    engine / callback_compute_units:
         Forwarded to :func:`incremental_triangle_survey`; ``engine`` may be
         a registered engine name or an
         :class:`~repro.core.engine.EngineConfig` (the one selector threaded
@@ -338,19 +312,19 @@ class StreamingSurvey:
         world,
         reducer_factory: Callable[[Any], Any],
         window_batches: Optional[int] = None,
-        engine=None,
-        kernel: str = "merge_path",
+        engine: EngineSelector = None,
         callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
         partitioner=None,
         graph_name: Optional[str] = None,
     ) -> None:
         if window_batches is not None and window_batches < 1:
             raise ValueError("window_batches must be at least 1")
+        # Fail before the first batch mutates the graph.
+        resolve_execution(engine, incremental=True)
         self.world = world
         self.reducer_factory = reducer_factory
         self.window_batches = window_batches
         self.engine = engine
-        self.kernel = kernel
         self.callback_compute_units = callback_compute_units
         self.graph = DistributedGraph(
             world, partitioner=partitioner, name=graph_name or "streaming"
@@ -388,7 +362,6 @@ class StreamingSurvey:
             applied.dodgr,
             applied,
             reducer.callback,
-            kernel=self.kernel,
             engine=self.engine,
             callback_compute_units=self.callback_compute_units,
             graph_name=f"{self.graph.name}@{applied.batch_index}",

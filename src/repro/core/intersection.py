@@ -17,7 +17,7 @@ Batched kernels
 ---------------
 
 The scalar kernels above process one wedge check per call.  The batched
-engine (``triangle_survey(..., batched=True)``) coalesces every candidate
+engine (``triangle_survey(..., engine="batched")``) coalesces every candidate
 suffix destined to one target vertex into a single call: the suffixes are
 concatenated into one flat key array with segment offsets (a ragged/CSR
 layout), and :func:`merge_path_batch` / :func:`hash_batch` intersect *all*
@@ -26,18 +26,15 @@ kernels are defined to be drop-in aggregates of the scalar kernels: per
 segment they produce exactly the matches the scalar kernel would, and their
 ``comparisons`` total is exactly the sum of the scalar kernels' counts, so
 the simulated-cost accounting of a batched survey is identical to the legacy
-per-wedge path.  A pure-Python fallback (used automatically when NumPy is
-unavailable) loops the scalar kernels per segment.
+per-wedge path.  Below a small-input cutoff they loop the scalar kernels per
+segment instead (the ``scalar`` tier does so unconditionally).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-try:  # NumPy accelerates the batch kernels but is optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via force_python paths
-    _np = None
+import numpy as _np
 
 __all__ = [
     "merge_path_intersection",
@@ -328,7 +325,7 @@ def merge_path_batch(
     elements taken from either list before one side is exhausted — a
     closed form over searchsorted ranks.
     """
-    if _np is None or len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
+    if len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
         return _batch_via_scalar(
             merge_path_intersection, candidate_keys, offsets, adjacency_keys
         )
@@ -383,7 +380,7 @@ def hash_batch(
     models the scalar kernel rebuilding its hash table once per segment:
     ``segments * len(adjacency) + len(candidate_keys)``.
     """
-    if _np is None or len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
+    if len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
         return _batch_via_scalar(
             hash_intersection, candidate_keys, offsets, adjacency_keys
         )
@@ -442,8 +439,8 @@ class RowAdjacency:
     ``keys`` is the full edge-major target order-id array (each row's slice
     sorted ascending), ``indptr`` the row offsets, ``order_count`` the number
     of dense ``<+`` order ids (the composite-key stride).  ``composite`` —
-    ``row_of_edge * order_count + key`` — is built lazily and only when NumPy
-    is available; the scalar fallback path never needs it.
+    ``row_of_edge * order_count + key`` — is built lazily; the scalar
+    small-input path never needs it.
     """
 
     __slots__ = ("keys", "indptr", "order_count", "_composite")
@@ -561,7 +558,7 @@ def merge_path_rows(
     what one :func:`merge_path_intersection` call per segment (against its
     row slice) would produce.
     """
-    if _np is None or (
+    if (
         len(candidate_keys) <= _SCALAR_BATCH_CUTOFF
         and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
     ):
@@ -632,7 +629,7 @@ def hash_rows(
     The comparison count models one table build per segment over its row:
     ``sum(row lengths) + len(candidate_keys)``.
     """
-    if _np is None or (
+    if (
         len(candidate_keys) <= _SCALAR_BATCH_CUTOFF
         and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
     ):
@@ -682,8 +679,7 @@ ROW_KERNELS = {
 #   :func:`_rows_via_scalar`) applied unconditionally; always available.
 # * ``compiled`` — numba-jitted merge loops (:mod:`.intersection_compiled`),
 #   registered only when numba imports; requesting it without numba follows
-#   the declared fallback chain ``compiled -> columnar -> scalar`` silently,
-#   the same way engines downgrade when NumPy is missing.
+#   the declared fallback chain ``compiled -> columnar -> scalar`` silently.
 #
 # Tier selection travels as ``kernel_tier`` on
 # :class:`~repro.core.engine.request.EngineConfig`/``SurveyRequest`` and is
@@ -734,9 +730,8 @@ ROW_KERNEL_TIERS = {
 def available_kernel_tiers() -> Tuple[str, ...]:
     """The tiers usable in this environment, in preference order.
 
-    ``columnar`` and ``scalar`` are always listed (the columnar kernels
-    degrade to the scalar loops internally when NumPy is missing);
-    ``compiled`` appears only when numba imported at module load.
+    ``columnar`` and ``scalar`` are always listed; ``compiled`` appears
+    only when numba imported at module load.
     """
     return tuple(tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS)
 
@@ -751,7 +746,7 @@ def resolve_kernel_tier(tier: Optional[str] = None) -> str:
     the cross-tier property suite pins the contract).
     """
     if tier is None or tier == "auto":
-        return "columnar" if _np is not None else "scalar"
+        return "columnar"
     if tier not in KERNEL_TIERS:
         raise ValueError(
             f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
@@ -774,11 +769,8 @@ def row_kernel(name: str, tier: Optional[str] = None):
 
 # Import last: intersection_compiled imports this module's result classes,
 # and registers its kernels into the tier tables only when numba is present.
-# (The compiled tier sits on top of NumPy arrays, so it is skipped entirely
-# when NumPy itself is unavailable.)
-if _np is not None:
-    from . import intersection_compiled as _compiled  # noqa: E402
+from . import intersection_compiled as _compiled  # noqa: E402
 
-    if _compiled.NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
-        BATCH_KERNEL_TIERS["compiled"] = _compiled.COMPILED_BATCH_KERNELS
-        ROW_KERNEL_TIERS["compiled"] = _compiled.COMPILED_ROW_KERNELS
+if _compiled.NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
+    BATCH_KERNEL_TIERS["compiled"] = _compiled.COMPILED_BATCH_KERNELS
+    ROW_KERNEL_TIERS["compiled"] = _compiled.COMPILED_ROW_KERNELS

@@ -24,7 +24,7 @@ Locally owned targets are always handled in the push phase — messages to
 yourself never touch the wire, so pulling them cannot help.
 
 This module is a thin entry point over :mod:`repro.core.engine`: the
-``engine=`` keyword selects a registered
+``engine=`` keyword — the only execution selector — names a registered
 :class:`~repro.core.engine.EngineSpec` whose ``proposal_style`` /
 ``push_style`` / ``pull_style`` fields pick the strategy of each phase, and
 :func:`~repro.core.engine.push_pull.run_push_pull_survey` executes the
@@ -47,17 +47,14 @@ from .engine import (
     DRY_RUN_PHASE,
     PULL_PHASE,
     PUSH_PHASE,
+    EngineSelector,
     SurveyRequest,
     TriangleCallback,
-    resolve_backend,
-    resolve_engine,
-    split_backend_selector,
-    split_engine_selector,
-    split_execution_selector,
+    resolve_execution,
 )
 from .engine.push_pull import run_push_pull_survey
 from .results import SurveyReport
-from .survey import _handle_deprecated_batched
+from .survey import triangle_survey_push
 
 __all__ = [
     "triangle_survey_push_pull",
@@ -71,16 +68,10 @@ __all__ = [
 def triangle_survey_push_pull(
     dodgr: DODGraph,
     callback: Optional[TriangleCallback] = None,
-    kernel: str = "merge_path",
     reset_stats: bool = True,
     graph_name: Optional[str] = None,
     callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
-    batched: Optional[bool] = None,
-    engine=None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    kernel_tier: Optional[str] = None,
-    storage=None,
+    engine: EngineSelector = None,
 ) -> SurveyReport:
     """Run the Push-Pull triangle survey over ``dodgr``.
 
@@ -92,9 +83,6 @@ def triangle_survey_push_pull(
         ``callback(ctx, tri)`` executed for every triangle on the rank where
         it is identified (the owner of ``q`` in the push phase, the pivot's
         rank in the pull phase).  ``None`` counts triangles only.
-    kernel:
-        Intersection kernel name (``merge_path``, ``binary_search``,
-        ``hash``); the paper's system uses merge-path.
     reset_stats:
         Clear the world's counters before running so the report reflects
         only this survey.
@@ -102,59 +90,32 @@ def triangle_survey_push_pull(
         Abstract compute units charged per identified triangle when a
         callback is supplied (see
         :data:`~repro.core.survey.DEFAULT_CALLBACK_COMPUTE_UNITS`).
-    batched:
-        Deprecated PR 1 selector; ``batched=True`` maps to
-        ``engine="batched"`` with a ``DeprecationWarning``.  Use ``engine=``.
     engine:
-        Engine selector (name, :class:`~repro.core.engine.EngineSpec` or
-        :class:`~repro.core.engine.EngineConfig`).  ``"batched"`` coalesces
-        the dry run into one RPC per (source, dest) rank pair, the push
-        phase per (destination rank, q), and intersects each pull delivery
-        in one batch-kernel call; ``"columnar"`` additionally runs all
-        three phases as array expressions over the CSR (columnar dry run,
-        mask-driven push, index-driven pull), delivers triangles as
-        :class:`~repro.graph.metadata.TriangleBatch` columns, and coalesces
-        the pull phase into one RPC per (owner, requester) pair.  All
-        engines keep every communication total byte-identical (see the
-        module docstring).
-
-    backend:
-        Execution backend: ``"simulated"`` (default) or ``"process"``
-        (rank-sharded forked workers; bit-identical panels, byte-identical
-        wire totals).  An :class:`~repro.core.engine.EngineConfig` with a
-        set ``backend`` field overrides this keyword.
-    workers:
-        Worker-process count for ``backend="process"`` (``None`` = auto).
-    kernel_tier:
-        Intersection kernel tier (``"compiled"``/``"columnar"``/``"scalar"``;
-        ``None``/``"auto"`` = best available, downgrading along
-        ``compiled -> columnar -> scalar`` when a tier is unavailable).
-    storage:
-        CSR storage mode: ``None``/``"resident"`` or ``"mmap"`` (tracked
-        memmap segments), or a :class:`~repro.graph.ooc.StorageConfig`;
-        ``"mmap"`` requires the simulated backend.
+        The execution selector (name, :class:`~repro.core.engine.EngineSpec`
+        or :class:`~repro.core.engine.EngineConfig`, which also pins kernel,
+        backend, workers, kernel tier and storage).  ``"columnar"`` — the
+        default — runs all three phases as array expressions over the CSR
+        (columnar dry run, mask-driven push, index-driven pull), delivers
+        triangles as :class:`~repro.graph.metadata.TriangleBatch` columns,
+        and coalesces the pull phase into one RPC per (owner, requester)
+        pair; ``"batched"`` coalesces the dry run into one RPC per (source,
+        dest) rank pair, the push phase per (destination rank, q), and
+        intersects each pull delivery in one batch-kernel call; ``"legacy"``
+        is the scalar oracle.  All engines keep every communication total
+        byte-identical (see the module docstring).
 
     The returned report carries the three-phase breakdown (dry run / push /
     pull) and the number of pulled adjacency lists used for Table 3.
     """
-    backend, workers = split_backend_selector(engine, backend, workers)
-    kernel_tier, storage = split_execution_selector(engine, kernel_tier, storage)
-    engine, kernel, callback_compute_units = split_engine_selector(
-        engine, kernel, callback_compute_units
-    )
-    spec = resolve_engine(engine, batched=_handle_deprecated_batched(batched))
+    spec, config = resolve_execution(engine)
     request = SurveyRequest(
         dodgr=dodgr,
         callback=callback,
         algorithm="push_pull",
-        kernel=kernel,
         reset_stats=reset_stats,
         graph_name=graph_name,
         callback_compute_units=callback_compute_units,
-        backend=resolve_backend(backend),
-        workers=workers,
-        kernel_tier=kernel_tier,
-        storage=storage,
+        **config.axes(),
     )
     return run_push_pull_survey(request, spec).report
 
@@ -169,18 +130,9 @@ def triangle_survey(
 
     Remaining keyword arguments — including the ``engine=`` selector (an
     engine name or an :class:`~repro.core.engine.EngineConfig`) — are
-    forwarded to the chosen survey function.  The deprecated ``batched=``
-    boolean is translated here (warning attributed to the caller, not to
-    this dispatcher) so the one-release back-compat notice reaches user
-    code on every entry path.
+    forwarded to the chosen survey function.
     """
-    if "batched" in kwargs:
-        batched = _handle_deprecated_batched(kwargs.pop("batched"))
-        if kwargs.get("engine") is None:
-            kwargs["engine"] = "batched" if batched else "legacy"
     if algorithm == "push":
-        from .survey import triangle_survey_push
-
         return triangle_survey_push(dodgr, callback, **kwargs)
     if algorithm == "push_pull":
         return triangle_survey_push_pull(dodgr, callback, **kwargs)

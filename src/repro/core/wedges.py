@@ -6,26 +6,21 @@ algorithm's true work measure (Section 5.5 plots ``|W+| / (N * t)``).  These
 helpers compute |W+| and per-rank wedge loads for any DODGr, and the
 equivalent quantities from raw edges for test oracles.
 
-Both drivers are vectorized when NumPy is available: degree columns come
-from one pass over the stores (or, for raw edges, one
-:func:`~repro.graph.degree.order_positions` call to orient every edge), and
-the wedge totals fall out of ``np.bincount`` over those degrees —
-``sum(count_d * C(d, 2))``.  The scalar loops remain as the no-NumPy
-fallback and the parity oracle.
+Both drivers are vectorized: degree columns come from one pass over the
+stores (or, for raw edges, one :func:`~repro.graph.degree.order_positions`
+call to orient every edge), and the wedge totals fall out of ``np.bincount``
+over those degrees — ``sum(count_d * C(d, 2))``.  The scalar parity oracle
+is :func:`~repro.graph.properties.dodgr_wedge_count`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Tuple
 
+import numpy as _np
+
 from ..graph.degree import order_positions
 from ..graph.dodgr import DODGraph
-from ..graph.properties import dodgr_wedge_count
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallbacks
-    _np = None
 
 __all__ = [
     "wedge_count",
@@ -54,19 +49,12 @@ def per_rank_wedge_counts(dodgr: DODGraph) -> List[int]:
     out: List[int] = []
     for rank in range(dodgr.world.nranks):
         store = dodgr.local_store(rank)
-        if _np is not None:
-            degrees = _np.fromiter(
-                (len(record["adj"]) for record in store.values()),
-                dtype=_np.int64,
-                count=len(store),
-            )
-            out.append(_wedges_from_degrees(degrees))
-            continue
-        total = 0
-        for record in store.values():
-            d_plus = len(record["adj"])
-            total += d_plus * (d_plus - 1) // 2
-        out.append(total)
+        degrees = _np.fromiter(
+            (len(record["adj"]) for record in store.values()),
+            dtype=_np.int64,
+            count=len(store),
+        )
+        out.append(_wedges_from_degrees(degrees))
     return out
 
 
@@ -80,11 +68,8 @@ def wedge_count_from_edges(
     oriented by one ``<+``-position comparison
     (:func:`~repro.graph.degree.order_positions` replays the exact legacy
     order, ``repr`` tie-breaks included), and |W+| is the ``bincount`` sum
-    over the resulting out-degrees.  Falls back to the per-edge
-    :func:`~repro.graph.properties.dodgr_wedge_count` walk without NumPy.
+    over the resulting out-degrees.
     """
-    if _np is None:
-        return dodgr_wedge_count(edges)
     index_of: Dict[Hashable, int] = {}
     vertices: List[Hashable] = []
     src_idx: List[int] = []
@@ -116,7 +101,6 @@ def wedge_count_from_edges(
     hi = unique_pairs % n
     degrees = _np.bincount(lo, minlength=n) + _np.bincount(hi, minlength=n)
     pos, _order = order_positions(vertices, degrees.tolist())
-    pos = _np.asarray(pos, dtype=_np.int64)
     # Each undirected edge contributes one out-edge at its <+-smaller endpoint.
     out_src = _np.where(pos[lo] < pos[hi], lo, hi)
     return _wedges_from_degrees(_np.bincount(out_src, minlength=n))

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 __all__ = ["group_slices"]
 
@@ -32,15 +29,6 @@ def group_slices(*key_columns: Any) -> List[Tuple[int, int]]:
     count = len(first)
     if count == 0:
         return []
-    if _np is None:
-        slices: List[Tuple[int, int]] = []
-        start = 0
-        for i in range(1, count):
-            if any(col[i] != col[i - 1] for col in key_columns):
-                slices.append((start, i))
-                start = i
-        slices.append((start, count))
-        return slices
     change = None
     for column in key_columns:
         delta = _np.diff(_np.asarray(column)) != 0

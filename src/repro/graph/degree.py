@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
 
-from ..runtime.world import stable_hash, stable_hash_int_array
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+from ..runtime.world import stable_hash, stable_hash_int_array
 
 __all__ = ["order_key", "precedes", "DegreeOrder", "order_positions"]
 
@@ -52,17 +49,8 @@ def order_positions(
     hash collisions between equal-degree vertices; those (vanishingly rare)
     runs are re-sorted scalar-side so the result matches the legacy key on
     adversarial inputs too.
-
-    Without NumPy the fallback is the legacy sort itself, so callers get
-    identical results either way.
     """
     n = len(vertices)
-    if _np is None:
-        order_list = sorted(range(n), key=lambda i: order_key(vertices[i], degrees[i]))
-        pos_list = [0] * n
-        for rank, i in enumerate(order_list):
-            pos_list[i] = rank
-        return pos_list, order_list
     deg = _np.asarray(degrees, dtype=_np.int64)
     hashes = None
     if n and all(type(v) is int for v in vertices):

@@ -38,10 +38,7 @@ from .distributed_graph import DistributedGraph
 from .dodgr import DODGraph
 from .edge_list import canonical_pair, validate_edge_columns
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 __all__ = ["DeltaBuffer", "AppliedDelta"]
 

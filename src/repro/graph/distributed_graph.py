@@ -27,10 +27,7 @@ from .columnar import group_slices
 from .edge_list import DistributedEdgeList, canonical_pair, validate_edge_columns
 from .partition import HashPartitioner, Partitioner
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 __all__ = ["DistributedGraph"]
 
@@ -187,14 +184,11 @@ class DistributedGraph:
             name=name,
             default_vertex_meta=default_vertex_meta,
         )
-        us_arr = None
-        vs_arr = None
-        if _np is not None:
-            try:
-                us_arr = _np.asarray(us, dtype=_np.int64)
-                vs_arr = _np.asarray(vs, dtype=_np.int64)
-            except OverflowError:  # ids beyond int64: per-edge fallback
-                us_arr = None
+        try:
+            us_arr = _np.asarray(us, dtype=_np.int64)
+            vs_arr = _np.asarray(vs, dtype=_np.int64)
+        except OverflowError:  # ids beyond int64: per-edge fallback
+            us_arr = None
         if us_arr is None:
             metas = edge_metas if edge_metas is not None else repeat(edge_meta)
             for u, v, meta in zip(us, vs, metas):

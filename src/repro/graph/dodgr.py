@@ -46,10 +46,7 @@ from .distributed_graph import DistributedGraph
 from .ooc import StorageConfig, release_csr_segments, resolve_storage, spill_csr
 from .partition import Partitioner
 
-try:  # NumPy backs the CSR arrays when available; plain lists otherwise.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
+import numpy as _np
 
 __all__ = ["DODGraph", "CSRAdjacency", "AdjEntry", "entry_key"]
 
@@ -73,7 +70,7 @@ class CSRAdjacency:
     every per-edge array.  Per-edge data is split into
 
     * ``tgt_ids`` — the target's dense rank in the global ``<+`` order
-      (int64 when NumPy is available).  Rows are sorted ascending, and id
+      (int64).  Rows are sorted ascending, and id
       equality is vertex equality, so batched kernels can intersect rows
       with integer comparisons only;
     * ``tgt_owner`` — precomputed owner rank of each target (partition map
@@ -153,10 +150,7 @@ class CSRAdjacency:
         all_int_targets = all(type(target) is int for target in targets)
         # Exact per-edge wire sizes: the whole candidate column at once when
         # the value types allow it, one serialized_size call per field else.
-        sized = False
-        if _np is not None and entries:
-            sized = self._vector_entry_sizes(entries, targets, all_int_targets)
-        if not sized:
+        if not (entries and self._vector_entry_sizes(entries, targets, all_int_targets)):
             tgt_wire_sizes: List[int] = []
             tgt_vertex_wire: List[int] = []
             cand_cumsum: List[int] = [0]
@@ -177,7 +171,7 @@ class CSRAdjacency:
         # Owner ranks: one vectorized partition-map evaluation over the whole
         # target column when ids are integers, scalar lookups otherwise.
         self.tgt_owner = None
-        if partitioner is not None and _np is not None and all_int_targets and entries:
+        if partitioner is not None and all_int_targets and entries:
             try:
                 targets_arr = _np.fromiter(targets, dtype=_np.int64, count=len(targets))
             except OverflowError:  # ids beyond int64: scalar fallback
@@ -186,10 +180,7 @@ class CSRAdjacency:
                 self.tgt_owner = partitioner.owners_array(targets_arr).tolist()
         if self.tgt_owner is None:
             self.tgt_owner = [owner_of(target) for target in targets]
-        if _np is not None:
-            self.tgt_ids = _np.asarray(tgt_ids, dtype=_np.int64)
-        else:
-            self.tgt_ids = tgt_ids
+        self.tgt_ids = _np.asarray(tgt_ids, dtype=_np.int64)
         self._columns = None
         #: slot for the core engine's cached RowAdjacency view of this CSR
         self.row_adj_cache = None
@@ -272,7 +263,7 @@ class CSRAdjacency:
         paths index); the columnar driver reads these int64 array twins —
         ``indptr``, ``tgt_owner``, ``row_wire``, ``tgt_wire``,
         ``tgt_vertex_wire``, ``cand_cumsum``, ``row_order_ids`` — so
-        per-wedge size/owner math becomes array arithmetic.  Requires NumPy.
+        per-wedge size/owner math becomes array arithmetic.
         """
         if self._columns is None:
             self._columns = SimpleNamespace(
@@ -424,17 +415,14 @@ class DODGraph:
             orientation of every half edge as one array comparison, and
             per-target adjacency assembly from one ``lexsort`` — no
             per-edge ``order_key`` tuples, hash calls, or owner lookups.
-            ``"bulk-legacy"`` runs the original per-half-edge Python loop
-            (kept as the reference the golden-parity tests and
-            ``benchmarks/bench_build_pipeline.py`` gate against; also the
-            automatic fallback when NumPy is unavailable).  Both produce
-            bit-identical graphs: same store insertion order, same adjacency
-            tuples in the same ``<+``-sorted order, same
-            :meth:`order_ids`.  ``"async"`` routes every half edge through
-            the simulated runtime exactly as the MPI implementation would,
-            charging the traffic to the construction phase.
+            ``"async"`` routes every half edge through the simulated runtime
+            exactly as the MPI implementation would, charging the traffic to
+            the construction phase; it is the reference the golden-parity
+            tests hold ``"bulk"`` to.  Both produce bit-identical graphs:
+            same store insertion order, same adjacency tuples in the same
+            ``<+``-sorted order, same :meth:`order_ids`.
         """
-        if mode not in ("bulk", "bulk-legacy", "async"):
+        if mode not in ("bulk", "async"):
             raise ValueError(f"unknown build mode {mode!r}")
         dodgr = cls(graph.world, graph.partitioner, name=name)
         world = graph.world
@@ -442,8 +430,7 @@ class DODGraph:
         # Seed local records with each vertex's metadata and full degree so
         # the <+ comparison can be evaluated locally on the owner.  The bulk
         # pipeline collects the vertex/degree/meta columns in the same pass;
-        # the other modes skip the column bookkeeping entirely.
-        vectorize = mode == "bulk" and _np is not None
+        # the async mode skips the column bookkeeping entirely.
         vertices: List[Hashable] = []
         degrees: List[int] = []
         metas: List[Any] = []
@@ -454,40 +441,27 @@ class DODGraph:
                 d_u = len(record["adj"])
                 rec = {"meta": record["meta"], "degree": d_u, "adj": []}
                 store[u] = rec
-                if vectorize:
+                if mode == "bulk":
                     vertices.append(u)
                     degrees.append(d_u)
                     metas.append(record["meta"])
                     records.append(rec)
 
-        if mode == "async":
-            world.begin_phase(phase_name or f"{dodgr.name}.build")
-            for ctx in world.ranks:
-                graph_store = graph.local_store(ctx)
-                for u, record in graph_store.items():
-                    d_u = len(record["adj"])
-                    meta_u = record["meta"]
-                    for v, edge_meta in record["adj"].items():
-                        ctx.async_call_sized(
-                            dodgr.owner(v), dodgr._h_offer_edge, v, u, d_u, meta_u, edge_meta
-                        )
-            world.barrier()
-        elif not vectorize:
-            for rank in range(world.nranks):
-                for u, record in graph.local_vertices(rank):
-                    d_u = len(record["adj"])
-                    meta_u = record["meta"]
-                    key_u = order_key(u, d_u)
-                    for v, edge_meta in record["adj"].items():
-                        owner_v = dodgr.owner(v)
-                        target_record = dodgr.local_store(owner_v)[v]
-                        d_v = target_record["degree"]
-                        if order_key(v, d_v) < key_u:
-                            target_record["adj"].append((u, d_u, edge_meta, meta_u))
-        else:
+        if mode == "bulk":
             dodgr._build_bulk_vectorized(graph, vertices, degrees, metas, records)
             return dodgr
 
+        world.begin_phase(phase_name or f"{dodgr.name}.build")
+        for ctx in world.ranks:
+            graph_store = graph.local_store(ctx)
+            for u, record in graph_store.items():
+                d_u = len(record["adj"])
+                meta_u = record["meta"]
+                for v, edge_meta in record["adj"].items():
+                    ctx.async_call_sized(
+                        dodgr.owner(v), dodgr._h_offer_edge, v, u, d_u, meta_u, edge_meta
+                    )
+        world.barrier()
         dodgr.sort_adjacency()
         return dodgr
 
@@ -506,7 +480,7 @@ class DODGraph:
         adjacency dicts is NumPy: the ``<+`` positions come from
         :func:`order_positions`, the keep-this-half-edge decision is a single
         ``pos[tgt] < pos[src]`` comparison, and each target's entries land in
-        final sorted order from one ``lexsort`` — matching the legacy loop's
+        final sorted order from one ``lexsort`` — matching the async build's
         ``sort_adjacency`` output without ever computing an ``order_key``
         per edge.
         """
@@ -526,8 +500,7 @@ class DODGraph:
         pos, order = order_positions(vertices, degrees)
         # Dense <+ ids double as the lazily-built order_ids cache: identical
         # by construction to what order_ids() would compute from the stores.
-        order_list = order.tolist() if hasattr(order, "tolist") else order
-        self._order_ids = {vertices[g]: k for k, g in enumerate(order_list)}
+        self._order_ids = {vertices[g]: k for k, g in enumerate(order.tolist())}
 
         if tgt_indices:
             src = _np.repeat(
@@ -599,8 +572,8 @@ class DODGraph:
         length :meth:`order_count` maps any target's dense ``<+`` id to its
         row inside the *owning* rank's :class:`CSRAdjacency` — the lookup the
         columnar intersect handler does per wedge without a dict probe.
-        Requires NumPy; built lazily over all ranks' CSR snapshots and
-        invalidated with them.
+        Built lazily over all ranks' CSR snapshots and invalidated with
+        them.
         """
         if self._rows_by_order_id is None:
             out = _np.zeros(self.order_count(), dtype=_np.int64)
@@ -744,22 +717,17 @@ class DODGraph:
         """|W+|: the number of wedge checks the push algorithm will generate.
 
         Each pivot p contributes C(d+(p), 2) candidate checks (Section 4.3);
-        summed as one array expression per rank when NumPy is available.
+        summed as one array expression per rank.
         """
         total = 0
         for rank in range(self.world.nranks):
             store = self.local_store(rank)
-            if _np is not None:
-                degrees = _np.fromiter(
-                    (len(record["adj"]) for record in store.values()),
-                    dtype=_np.int64,
-                    count=len(store),
-                )
-                total += int((degrees * (degrees - 1) // 2).sum())
-                continue
-            for record in store.values():
-                d_plus = len(record["adj"])
-                total += d_plus * (d_plus - 1) // 2
+            degrees = _np.fromiter(
+                (len(record["adj"]) for record in store.values()),
+                dtype=_np.int64,
+                count=len(store),
+            )
+            total += int((degrees * (degrees - 1) // 2).sum())
         return total
 
     def local_vertices(self, rank: int) -> Iterator[Tuple[Hashable, Dict[str, Any]]]:

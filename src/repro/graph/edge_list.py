@@ -29,10 +29,7 @@ from ..runtime.world import (
 )
 from .metadata import edge_timestamp
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 __all__ = [
     "DistributedEdgeList",
@@ -103,25 +100,24 @@ def validate_edge_columns(
 
 
 def _validate_id_column(name: str, column: Any) -> None:
-    if _np is not None:
-        arr = _np.asarray(column)
-        if arr.size == 0:
-            # An empty plain list coerces to float64; there are no ids to
-            # reject, so don't let the default dtype fail the column.
-            return
-        if arr.dtype != object:
-            if not _np.issubdtype(arr.dtype, _np.integer):
-                raise ValueError(
-                    f"column {name!r} has non-integer dtype {arr.dtype}; "
-                    "vertex ids must be integers (float ids would truncate "
-                    "silently)"
-                )
-            if arr.size and int(arr.min()) < 0:
-                raise ValueError(
-                    f"column {name!r} contains negative vertex ids "
-                    f"(min {int(arr.min())})"
-                )
-            return
+    arr = _np.asarray(column)
+    if arr.size == 0:
+        # An empty plain list coerces to float64; there are no ids to
+        # reject, so don't let the default dtype fail the column.
+        return
+    if arr.dtype != object:
+        if not _np.issubdtype(arr.dtype, _np.integer):
+            raise ValueError(
+                f"column {name!r} has non-integer dtype {arr.dtype}; "
+                "vertex ids must be integers (float ids would truncate "
+                "silently)"
+            )
+        if arr.size and int(arr.min()) < 0:
+            raise ValueError(
+                f"column {name!r} contains negative vertex ids "
+                f"(min {int(arr.min())})"
+            )
+        return
     for index, value in enumerate(column):
         if isinstance(value, bool) or not _is_integral(value):
             raise ValueError(
@@ -136,9 +132,7 @@ def _validate_id_column(name: str, column: Any) -> None:
 
 
 def _is_integral(value: Any) -> bool:
-    if isinstance(value, int):
-        return True
-    return _np is not None and isinstance(value, _np.integer)
+    return isinstance(value, (int, _np.integer))
 
 
 _REDUCTIONS: Dict[str, Callable[[Any, Any], Any]] = {
@@ -296,7 +290,7 @@ class DistributedEdgeList:
         # all — the surviving record per pair is simply its first occurrence
         # — so it runs as one columnar np.unique pass.  Other reductions and
         # non-integer ids take the dict path below.
-        if reduction == "first" and _np is not None:
+        if reduction == "first":
             fast = self._simplify_vectorized(drop_self_loops)
             if fast is not None:
                 return fast

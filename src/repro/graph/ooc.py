@@ -39,10 +39,7 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Any, Iterable, List, Optional, Set, Tuple
 
-try:  # NumPy is required for the mmap storage tier (resident needs nothing).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via resolve_storage errors
-    _np = None
+import numpy as _np
 
 __all__ = [
     "STORAGES",
@@ -76,14 +73,14 @@ def resolve_storage(storage: Any = None) -> str:
     """Normalise a ``storage=`` selector to a known storage mode.
 
     ``None`` selects resident storage — the default everywhere, so existing
-    callers are untouched by the storage axis.  ``"mmap"`` additionally
-    requires NumPy (the spilled columns are ``np.memmap`` arrays).
+    callers are untouched by the storage axis; a :class:`StorageConfig`
+    resolves to its mode.
     """
+    if isinstance(storage, StorageConfig):
+        storage = storage.mode
     if storage is None:
         return "resident"
     if isinstance(storage, str) and storage in STORAGES:
-        if storage == "mmap" and _np is None:
-            raise ValueError("storage='mmap' requires NumPy (np.memmap segments)")
         return storage
     raise ValueError(f"unknown storage mode {storage!r}; known: {STORAGES}")
 
@@ -227,8 +224,6 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     ``csr.segment_paths``) and returns the created paths; the owning
     :class:`~repro.graph.dodgr.DODGraph` unlinks them on every exit path.
     """
-    if _np is None:  # pragma: no cover - guarded by resolve_storage
-        raise RuntimeError("mmap storage requires NumPy")
     from ..core.intersection import RowAdjacency  # deferred: core imports graph
 
     directory = config.resolved_directory()
@@ -308,7 +303,7 @@ def stage_send_columns(csr, rows_sorted, qpos_sorted):
     slices into payloads; the in-memory originals die when the drive
     returns.  Resident snapshots pass straight through.
     """
-    if _np is None or getattr(csr, "storage", "resident") != "mmap":
+    if getattr(csr, "storage", "resident") != "mmap":
         return rows_sorted, qpos_sorted
     n = int(len(rows_sorted))
     scratch = csr.send_scratch

@@ -14,12 +14,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, Dict, Hashable, Iterable, List
 
-from ..runtime.world import stable_hash, stable_hash_int_array, stable_tuple_hash_array
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+from ..runtime.world import stable_hash, stable_hash_int_array, stable_tuple_hash_array
 
 __all__ = [
     "Partitioner",
@@ -56,8 +53,6 @@ class Partitioner(ABC):
         of the per-edge loop.  Boolean ids are out of scope (columns are
         genuine integer id spaces).
         """
-        if _np is None:
-            return [self.owner(int(v)) for v in ids]
         ids = _np.asarray(ids)
         return _np.fromiter(
             (self.owner(v) for v in ids.tolist()), dtype=_np.int64, count=len(ids)
@@ -76,8 +71,6 @@ class CyclicPartitioner(Partitioner):
         return vertex % self.nranks
 
     def owners_array(self, ids: Any) -> Any:
-        if _np is None:
-            return super().owners_array(ids)
         return _np.asarray(ids, dtype=_np.int64) % self.nranks
 
 
@@ -98,8 +91,6 @@ class HashPartitioner(Partitioner):
         return stable_hash(vertex) % self.nranks
 
     def owners_array(self, ids: Any) -> Any:
-        if _np is None:
-            return super().owners_array(ids)
         hashes = stable_hash_int_array(_np.asarray(ids, dtype=_np.int64))
         if self.seed:
             # Replay stable_hash((seed, vertex)) with the shared combiner.
@@ -130,8 +121,6 @@ class BlockPartitioner(Partitioner):
         return min(vertex // self.block, self.nranks - 1)
 
     def owners_array(self, ids: Any) -> Any:
-        if _np is None:
-            return super().owners_array(ids)
         ids = _np.asarray(ids, dtype=_np.int64)
         owners = _np.minimum(ids // self.block, self.nranks - 1)
         negative = ids < 0

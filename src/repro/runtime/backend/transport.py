@@ -37,10 +37,7 @@ from ..rpc import RpcHandle
 from ..world import BatchedCall
 from . import shm as _shm
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the ("py", ...) fallback
-    _np = None
+import numpy as _np
 
 __all__ = ["SegmentWriter", "MessageEncoder", "MessageDecoder", "sort_key"]
 
@@ -104,7 +101,6 @@ class MessageEncoder:
             return ("shared", key)
         if (
             self._writer is not None
-            and _np is not None
             and isinstance(value, _np.ndarray)
             and value.dtype == _np.int64
             and value.ndim == 1

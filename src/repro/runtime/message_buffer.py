@@ -44,6 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .stats import RankStats
 
 __all__ = [
@@ -312,8 +314,6 @@ class BufferBank:
         with ``searchsorted`` over the running cumulative size instead of a
         Python-level threshold check per message.
         """
-        import numpy as np
-
         n = int(len(nbytes))
         if n == 0:
             return

@@ -31,6 +31,8 @@ import dataclasses
 import struct
 from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
 
+import numpy as np
+
 __all__ = [
     "SerializationError",
     "dumps",
@@ -500,7 +502,7 @@ def uvarint_size(value: int) -> int:
 
 
 def int_size_array(values: Any) -> Any:
-    """Vectorized integer wire size for int64 arrays (requires NumPy).
+    """Vectorized integer wire size for int64 arrays.
 
     ``int_size_array(a)[i] == serialized_size(int(a[i]))`` for every int64
     value, negatives included: the scalar path zigzags into 70 masked bits
@@ -509,8 +511,6 @@ def int_size_array(values: Any) -> Any:
     Bulk size-accounting paths (the vectorized CSR snapshot build) use this
     to size whole id/degree columns without a Python call per element.
     """
-    import numpy as np
-
     v = np.ascontiguousarray(values, dtype=np.int64)
     zigzag = ((v << np.int64(1)) ^ (v >> np.int64(63))).view(np.uint64)
     size = np.full(v.shape, 2, dtype=np.int64)  # type tag + first varint byte
@@ -524,14 +524,12 @@ def int_size_array(values: Any) -> Any:
 
 
 def uvarint_size_array(values: Any) -> Any:
-    """Vectorized :func:`uvarint_size` over an int array (requires NumPy).
+    """Vectorized :func:`uvarint_size` over an int array.
 
     ``uvarint_size_array(a)[i] == uvarint_size(int(a[i]))`` for every
     non-negative int64 value; used by the columnar survey driver to compute
     per-wedge framing bytes without a Python call per wedge.
     """
-    import numpy as np
-
     v = np.asarray(values, dtype=np.int64)
     if v.size and int(v.min()) < 0:
         raise SerializationError("uvarint cannot encode negative values")

@@ -43,10 +43,7 @@ from .network_model import CATALYST_LIKE, CostModel, SimulatedTime, simulate_tim
 from .rpc import RpcHandle, RpcRegistry
 from .stats import WorldStats
 
-try:  # NumPy accelerates bulk hashing when available; scalar fallback otherwise.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the scalar fallback
-    _np = None
+import numpy as _np
 
 __all__ = [
     "World",
@@ -798,13 +795,10 @@ def stable_hash_int_array(values: Any) -> Any:
     ``stable_hash_int_array(a)[i] == stable_hash(int(a[i]))`` for every int64
     value, including negatives (which :func:`stable_hash` first masks to 64
     bits, exactly like the two's-complement ``uint64`` view used here).
-    Requires NumPy; int-keyed bulk paths (partition owner maps, the ``<+``
-    order, edge-list dedup routing) fall back to the scalar function per
-    element when it is unavailable.  Booleans are *not* handled — callers
+    Used by the int-keyed bulk paths (partition owner maps, the ``<+``
+    order, edge-list dedup routing).  Booleans are *not* handled — callers
     hash genuine integer id columns only.
     """
-    if _np is None:
-        return [stable_hash(int(v)) for v in values]
     x = _np.asarray(values).astype(_np.uint64)
     x = x ^ (x >> _np.uint64(30))
     x = x * _np.uint64(0xBF58476D1CE4E5B9)
@@ -824,7 +818,7 @@ def stable_tuple_hash_array(item_hashes: Sequence[Any]) -> Any:
     stable_hash((a, key_i))`` where ``sh_col[i] == stable_hash(key_i)`` —
     the replay of the scalar tuple combiner that keeps vectorized routing
     (edge-list dedup owners, seeded hash partitioners) on exactly the ranks
-    the scalar path picks.  Requires NumPy; callers gate on its absence.
+    the scalar path picks.
     """
     length = None
     for column in item_hashes:

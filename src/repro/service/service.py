@@ -51,6 +51,7 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tu
 
 from collections import deque
 
+from ..core.approximate import approximate_triangle_count, survivor_triangle_estimate
 from ..core.callbacks import (
     ClosureTimeSurvey,
     LocalTriangleCounter,
@@ -63,7 +64,6 @@ from ..core.engine import (
     SurveyRequest,
     execute_survey,
     resolve_engine,
-    resolve_incremental_engine,
 )
 from ..core.engine.registry import suggest_name
 from ..graph.delta import DeltaBuffer
@@ -349,8 +349,7 @@ class SurveyService:
         self.analyses: Dict[str, AnalysisSpec] = {
             analysis: get_analysis(analysis) for analysis in names
         }
-        #: default exact engine (resolved through the registry so NumPy
-        #: downgrades apply); queries may override per-query
+        #: default exact engine; queries may override per-query
         self.default_engine = resolve_engine(engine).name
         self.name = name
         self.plan = plan
@@ -362,7 +361,6 @@ class SurveyService:
             reducer_factory=make_composite_reducer(tuple(self.analyses.values())),
             plan=plan,
             policy=self.policy.checkpoint,
-            engine=resolve_incremental_engine(None).name,
             graph_name=f"{name}.ledger",
         )
         # The exact-query substrate: a second resident graph whose rebuilt
@@ -808,11 +806,6 @@ class SurveyService:
     def _approximate_rung(
         self, ticket: QueryTicket, path: List[str]
     ) -> SurveyAnswer:
-        from ..core.approximate import (  # deferred: pulls in NumPy
-            approximate_triangle_count,
-            survivor_triangle_estimate,
-        )
-
         query = ticket.query
         world = self.world
         lost = sorted(self._lost_ranks)

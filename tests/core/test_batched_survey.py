@@ -16,7 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.networkx_ref import triangle_count_nx
-from repro.core.push_pull import triangle_survey, triangle_survey_push_pull
+from repro.core.engine import EngineConfig
+from repro.core.push_pull import triangle_survey
 from repro.core.survey import triangle_survey_push
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import GeneratedGraph
@@ -46,12 +47,9 @@ def run_survey(dataset, nranks, algorithm, engine, kernel="merge_path"):
             )
         )
 
-    if algorithm == "push":
-        report = triangle_survey_push(dodgr, callback, kernel=kernel, engine=engine)
-    else:
-        report = triangle_survey_push_pull(
-            dodgr, callback, kernel=kernel, engine=engine
-        )
+    report = triangle_survey(
+        dodgr, callback, algorithm, engine=EngineConfig(engine=engine, kernel=kernel)
+    )
     return report, sorted(invocations), stats_snapshot(world, report.phases)
 
 
@@ -124,13 +122,10 @@ class TestBatchedAgainstOracle:
         assert report.triangles == expected
 
     def test_dispatcher_batched_matches_networkx(self, small_er):
-        # batched=True is the deprecated PR 1 selector: it must still map to
-        # the batched engine (one release of back-compat), but warn.
         expected = triangle_count_nx((u, v) for u, v, _ in small_er.edges)
         world = World(4)
         dodgr = DODGraph.build(small_er.to_distributed(world), mode="bulk")
-        with pytest.warns(DeprecationWarning, match="batched= boolean is deprecated"):
-            report = triangle_survey(dodgr, algorithm="push_pull", batched=True)
+        report = triangle_survey(dodgr, algorithm="push_pull", engine="batched")
         assert report.triangles == expected
 
     def test_batched_runs_reuse_same_dodgr(self, small_er):

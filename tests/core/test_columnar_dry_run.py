@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import ClosureTimeSurvey, triangle_survey_push_pull
 from repro.core.callbacks import TriangleCounter
-from repro.core.engine import run_survey_with_recovery
+from repro.core.engine import EngineConfig, run_survey_with_recovery
 from repro.graph import DODGraph, DistributedGraph, community_host_graph
 from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.ooc import StorageConfig, active_segment_paths
@@ -71,7 +71,9 @@ def run(edges, nranks, engine, reducer="closure_times", world_kwargs=None, **axe
     world = World(nranks, **(world_kwargs or {}))
     dodgr = DODGraph.build(DistributedGraph.from_edges(world, edges), mode="bulk")
     survey = REDUCERS[reducer](world)
-    report = triangle_survey_push_pull(dodgr, survey.callback, engine=engine, **axes)
+    report = triangle_survey_push_pull(
+        dodgr, survey.callback, engine=EngineConfig(engine=engine, **axes)
+    )
     phases = {name: world.stats.phase_total(name) for name in PHASES}
     if hasattr(survey, "finalize"):
         survey.finalize()

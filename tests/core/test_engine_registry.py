@@ -1,29 +1,29 @@
-"""Unit tests for the engine registry, EngineConfig and the batched= deprecation."""
+"""Unit tests for the engine registry, EngineConfig and the one selector resolver."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import triangle_survey, triangle_survey_push, triangle_survey_push_pull
+from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
 from repro.core.engine import (
+    DEFAULT_ENGINE,
     EngineConfig,
     EngineSpec,
     SurveyRequest,
-    default_engine,
     engine_names,
     execute_survey,
     incremental_engine_names,
     register_engine,
     registered_engines,
     resolve_engine,
+    resolve_execution,
     resolve_incremental_engine,
-    split_engine_selector,
 )
 from repro.core.engine import registry as registry_module
 from repro.graph import DODGraph, community_host_graph
-from repro.graph.generators import erdos_renyi
-from repro.runtime import World
+from repro.graph.ooc import StorageConfig
+from repro.runtime import UnsupportedBackendError, World
 
 
 def build_dodgr(generated, nranks):
@@ -37,9 +37,10 @@ class TestRegistry:
         assert [spec.name for spec in registered_engines()[:3]] == list(engine_names()[:3])
 
     def test_resolve_defaults(self):
-        assert resolve_engine(None).name == "legacy"
-        assert resolve_engine(None, batched=True).name == "batched"
-        assert resolve_engine("columnar").name == "columnar"
+        assert DEFAULT_ENGINE == "columnar"
+        assert resolve_engine(None).name == DEFAULT_ENGINE
+        assert resolve_incremental_engine(None).name == DEFAULT_ENGINE
+        assert resolve_engine("legacy").name == "legacy"
         assert resolve_engine(resolve_engine("batched")).name == "batched"
         assert resolve_engine(EngineConfig(engine="columnar")).name == "columnar"
 
@@ -92,22 +93,11 @@ class TestRegistry:
             resolve_incremental_engine("batched")
         assert resolve_incremental_engine("columnar").incremental_style == "columnar"
 
-    def test_incremental_numpy_downgrade_goes_to_legacy(self, monkeypatch):
-        """Without NumPy the delta survey falls back to its scalar reference,
-        not along the full-survey fallback chain (batched has no incremental
-        form) — the pre-refactor behaviour."""
-        monkeypatch.setattr(registry_module, "_np", None)
-        assert resolve_incremental_engine(None).name == "legacy"
-        assert resolve_incremental_engine("columnar").name == "legacy"
-        # Full surveys still follow the declared fallback chain.
-        assert resolve_engine("columnar").name == "batched"
-
     def test_production_engine_is_columnar_in_every_phase(self):
         spec = resolve_engine("columnar")
         assert spec.push_style == "columnar"
         assert spec.pull_style == "columnar"
         assert spec.proposal_style == "columnar"
-        assert spec.fallback == "batched"
 
     @pytest.mark.parametrize(
         "styles, named",
@@ -146,8 +136,6 @@ class TestRegistry:
                 push_style="columnar",
                 pull_style="legacy",
                 proposal_style="batched",
-                requires_numpy=True,
-                fallback="batched",
             )
         )
         try:
@@ -174,155 +162,164 @@ class TestSurveyRequest:
             execute_survey(SurveyRequest(dodgr=dodgr, algorithm="sideways"))
 
 
-class TestEngineConfig:
-    def test_coerce(self):
-        assert EngineConfig.coerce(None) == EngineConfig()
-        assert EngineConfig.coerce("columnar").engine == "columnar"
-        config = EngineConfig(engine="batched", kernel="hash")
-        assert EngineConfig.coerce(config) is config
-        assert EngineConfig.coerce(resolve_engine("batched")).engine == "batched"
-        with pytest.raises(TypeError):
-            EngineConfig.coerce(42)
+#: (selector, resolved (spec.name, kernel, backend, workers, kernel_tier,
+#: storage)): every selector form, and an EngineConfig with each single
+#: field set.  ``None`` for workers / kernel_tier / storage means "decided
+#: at run time" (host cores, best available tier, the DODGr's policy).
+MMAP = StorageConfig(mode="mmap")
+MERGE, SIM = "merge_path", "simulated"
+RESOLVED = [
+    (None, ("columnar", MERGE, SIM, None, None, None)),
+    ("legacy", ("legacy", MERGE, SIM, None, None, None)),
+    ("batched", ("batched", MERGE, SIM, None, None, None)),
+    (EngineConfig(), ("columnar", MERGE, SIM, None, None, None)),
+    (EngineConfig(engine="legacy"), ("legacy", MERGE, SIM, None, None, None)),
+    (EngineConfig(kernel="hash"), ("columnar", "hash", SIM, None, None, None)),
+    (EngineConfig(backend="process"), ("columnar", MERGE, "process", None, None, None)),
+    (EngineConfig(workers=3), ("columnar", MERGE, SIM, 3, None, None)),
+    (EngineConfig(kernel_tier="scalar"), ("columnar", MERGE, SIM, None, "scalar", None)),
+    (EngineConfig(kernel_tier="auto"), ("columnar", MERGE, SIM, None, "auto", None)),
+    (EngineConfig(storage="mmap"), ("columnar", MERGE, SIM, None, None, "mmap")),
+    (EngineConfig(storage=MMAP), ("columnar", MERGE, SIM, None, None, MMAP)),
+]
 
-        class Impostor:  # duck-typed .name must NOT pass as an EngineSpec
+#: (selector, error type, message fragment) — all raised by the resolver,
+#: i.e. before an entry point has registered a handler.
+REJECTED = [
+    ("colummar", ValueError, "did you mean 'columnar'?"),
+    (EngineConfig(engine="legcay"), ValueError, "did you mean 'legacy'?"),
+    (EngineConfig(backend="proces"), ValueError, "did you mean 'process'?"),
+    (EngineConfig(kernel_tier="compild"), ValueError, "did you mean 'compiled'?"),
+    (EngineConfig(storage="mmpa"), ValueError, "did you mean 'mmap'?"),
+    (EngineConfig(storage=StorageConfig(mode="mmpa")), ValueError, "did you mean 'mmap'?"),
+    (EngineConfig(engine="legacy", kernel_tier="columnar"), ValueError, "does not support"),
+    (EngineConfig(backend="process", storage="mmap"), ValueError, "not supported on backend"),
+    (42, TypeError, "engine selector must be"),
+]
+
+
+class TestResolveExecution:
+    @pytest.mark.parametrize("selector, expected", RESOLVED)
+    def test_resolves_every_selector_form(self, selector, expected):
+        spec, config = resolve_execution(selector)
+        assert spec is resolve_engine(expected[0])
+        assert (
+            config.engine,
+            config.kernel,
+            config.backend,
+            config.workers,
+            config.kernel_tier,
+            config.storage,
+        ) == expected
+
+    def test_registered_spec_is_a_selector(self):
+        spec, config = resolve_execution(resolve_engine("batched"))
+        assert spec.name == config.engine == "batched"
+
+    def test_duck_typed_spec_is_not_a_selector(self):
+        class Impostor:  # a .name attribute must NOT pass as an EngineSpec
             name = "legacy"
 
         with pytest.raises(TypeError):
-            EngineConfig.coerce(Impostor())
+            resolve_execution(Impostor())
 
-    def test_split_engine_selector_config_wins(self):
-        config = EngineConfig(engine="columnar", kernel="hash", callback_compute_units=3)
-        assert split_engine_selector(config, "merge_path", 10) == ("columnar", "hash", 3)
-        # Unset compute units keep the entry point's value.
-        config = EngineConfig(engine="columnar", kernel="binary_search")
-        assert split_engine_selector(config, "merge_path", 10) == (
-            "columnar",
-            "binary_search",
-            10,
-        )
-        # Plain strings / None pass straight through.
-        assert split_engine_selector("batched", "merge_path", 10) == (
-            "batched",
-            "merge_path",
-            10,
-        )
-        assert split_engine_selector(None, "hash", 0) == (None, "hash", 0)
-        # A config (or spec) that does NOT pin the kernel must preserve the
-        # caller's explicit kernel= argument, never reset it to merge_path.
-        assert split_engine_selector(EngineConfig(engine="columnar"), "hash", 7) == (
-            "columnar",
-            "hash",
-            7,
-        )
-        assert split_engine_selector(resolve_engine("columnar"), "hash", 7) == (
-            "columnar",
-            "hash",
-            7,
-        )
+    @pytest.mark.parametrize("selector, error, fragment", REJECTED)
+    @pytest.mark.parametrize("survey", [triangle_survey_push, triangle_survey_push_pull])
+    def test_rejected_before_any_handler_is_registered(
+        self, small_er, survey, selector, error, fragment
+    ):
+        world, dodgr = build_dodgr(small_er, 2)
+        handlers = len(world.registry)
+        with pytest.raises(error, match=fragment):
+            survey(dodgr, engine=selector)
+        assert len(world.registry) == handlers
 
-    def test_default_engine_fills_unset_name_only(self):
-        assert default_engine(None, "columnar") == "columnar"
-        filled = default_engine(EngineConfig(kernel="hash"), "columnar")
-        assert filled.engine == "columnar" and filled.kernel == "hash"
-        # Pinned selectors pass through untouched.
-        assert default_engine("legacy", "columnar") == "legacy"
-        pinned = EngineConfig(engine="batched")
-        assert default_engine(pinned, "columnar") is pinned
+    @pytest.mark.parametrize(
+        "selector",
+        [
+            EngineConfig(backend="process"),
+            EngineConfig(workers=2),
+            EngineConfig(storage="mmap"),
+            EngineConfig(storage=MMAP),
+        ],
+    )
+    def test_incremental_rejects_axes_the_delta_path_cannot_honour(self, selector):
+        with pytest.raises(UnsupportedBackendError, match="backend='simulated' only"):
+            resolve_execution(selector, incremental=True)
+        # The same selector is fine for a full survey.
+        resolve_execution(selector)
 
+    def test_incremental_accepts_kernel_and_tier(self):
+        spec, config = resolve_execution(
+            EngineConfig(kernel="hash", kernel_tier="scalar", storage="resident"),
+            incremental=True,
+        )
+        assert (spec.name, config.kernel, config.kernel_tier) == ("columnar", "hash", "scalar")
+
+
+class TestEngineConfig:
     def test_incremental_default_survives_kernel_only_config(self):
-        """EngineConfig(kernel=...) with engine unset keeps the incremental
-        layer's columnar default instead of falling through to legacy."""
-        assert resolve_incremental_engine(EngineConfig(kernel="hash")).name == "columnar"
+        """EngineConfig(kernel=...) with engine unset resolves to the same
+        default engine on the incremental path as everywhere else."""
+        assert resolve_incremental_engine(EngineConfig(kernel="hash")).name == DEFAULT_ENGINE
 
     def test_analysis_keeps_columnar_default_with_kernel_only_config(
         self, small_er, monkeypatch
     ):
-        """The analysis layer's documented columnar default survives a
-        kernel-only EngineConfig (the 'pin just the kernel' use)."""
+        """A kernel-only EngineConfig (the 'pin just the kernel' use) reaches
+        the entry point intact and resolves to the default engine."""
         import repro.core.push_pull as push_pull_module
         from repro.analysis import run_clustering_coefficients
 
         resolved = []
-        real = push_pull_module.resolve_engine
+        real = push_pull_module.resolve_execution
 
-        def recording_resolve(engine=None, batched=False):
-            spec = real(engine, batched)
-            resolved.append(spec.name)
-            return spec
+        def recording_resolve(engine=None):
+            spec, config = real(engine)
+            resolved.append((spec.name, config.kernel))
+            return spec, config
 
-        monkeypatch.setattr(push_pull_module, "resolve_engine", recording_resolve)
+        monkeypatch.setattr(push_pull_module, "resolve_execution", recording_resolve)
         world = World(4)
         graph = small_er.to_distributed(world)
         run_clustering_coefficients(graph, engine=EngineConfig(kernel="hash"))
-        assert resolved == ["columnar"]
+        assert resolved == [(DEFAULT_ENGINE, "hash")]
 
     def test_config_selects_engine_end_to_end(self, small_er):
-        """One EngineConfig drives the survey exactly like loose keywords."""
-        _, dodgr = build_dodgr(small_er, 4)
-        loose = triangle_survey_push(dodgr, kernel="hash", engine="columnar")
-        config = triangle_survey_push(
-            dodgr, engine=EngineConfig(engine="columnar", kernel="hash")
+        """The config's kernel reaches the handlers on every engine: hash
+        charges a different compute total than merge-path, identically on
+        the oracle and the production engine."""
+        reports = {}
+        for engine in ("legacy", "columnar"):
+            for kernel in ("merge_path", "hash"):
+                _, dodgr = build_dodgr(small_er, 4)
+                reports[engine, kernel] = triangle_survey_push(
+                    dodgr, engine=EngineConfig(engine=engine, kernel=kernel)
+                )
+        for kernel in ("merge_path", "hash"):
+            oracle, report = reports["legacy", kernel], reports["columnar", kernel]
+            assert report.triangles == oracle.triangles
+            assert report.communication_bytes == oracle.communication_bytes
+            assert report.wire_messages == oracle.wire_messages
+            assert report.simulated_seconds == oracle.simulated_seconds
+        assert (
+            reports["columnar", "hash"].simulated_seconds
+            != reports["columnar", "merge_path"].simulated_seconds
         )
-        assert config.triangles == loose.triangles
-        assert config.communication_bytes == loose.communication_bytes
-        assert config.wire_messages == loose.wire_messages
 
-
-class TestBatchedDeprecation:
-    @pytest.mark.parametrize("survey", [triangle_survey_push, triangle_survey_push_pull])
-    def test_batched_true_warns_and_maps(self, small_er, survey):
+    def test_execute_survey_applies_a_configs_set_fields(self, small_er):
+        """A name picks the engine for the request's own axes; an
+        EngineConfig's set fields replace them, its unset ones do not."""
         _, dodgr = build_dodgr(small_er, 4)
-        oracle = survey(dodgr, engine="batched")
-        with pytest.warns(DeprecationWarning, match="batched= boolean is deprecated"):
-            report = survey(dodgr, batched=True)
-        assert report.triangles == oracle.triangles
-        assert report.communication_bytes == oracle.communication_bytes
-        assert report.wire_messages == oracle.wire_messages
-
-    def test_dispatcher_warning_attributed_to_caller(self, small_er):
-        """The deprecation notice through triangle_survey() must point at the
-        user's call site, not at library frames (Python's default filters
-        only show DeprecationWarning attributed to the caller's module)."""
-        _, dodgr = build_dodgr(small_er, 4)
-        with pytest.warns(DeprecationWarning) as record:
-            triangle_survey(dodgr, algorithm="push", batched=True)
-        assert record[0].filename == __file__
-
-    def test_batched_false_warns_and_maps_to_legacy(self, small_er):
-        _, dodgr = build_dodgr(small_er, 4)
-        oracle = triangle_survey_push(dodgr, engine="legacy")
-        with pytest.warns(DeprecationWarning):
-            report = triangle_survey_push(dodgr, batched=False)
-        assert report.communication_bytes == oracle.communication_bytes
-
-    def test_default_emits_no_warning(self, small_er, recwarn):
-        _, dodgr = build_dodgr(small_er, 4)
-        triangle_survey_push(dodgr)
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
-
-    def test_explicit_engine_wins_over_batched(self, small_er):
-        _, dodgr = build_dodgr(small_er, 4)
-        oracle = triangle_survey_push(dodgr, engine="columnar")
-        with pytest.warns(DeprecationWarning):
-            report = triangle_survey_push(dodgr, batched=True, engine="columnar")
-        assert report.communication_bytes == oracle.communication_bytes
-
-    def test_batched_true_panel_parity(self, small_er):
-        """The shim must route through the real batched engine: the reducer
-        panel a ``batched=True`` run produces is bit-identical to an
-        explicit ``engine="batched"`` run, not just the counters."""
-        panels = {}
-        for kwargs in ({"engine": "batched"}, {"batched": True}):
-            world, dodgr = build_dodgr(small_er, 4)
-            reducer = LocalTriangleCounter(world)
-            if "batched" in kwargs:
-                with pytest.warns(DeprecationWarning):
-                    triangle_survey_push(dodgr, reducer.callback, **kwargs)
-            else:
-                triangle_survey_push(dodgr, reducer.callback, **kwargs)
-            reducer.finalize()
-            panels[tuple(kwargs)] = reducer.snapshot()
-        assert panels[("engine",)] == panels[("batched",)]
+        request = SurveyRequest(dodgr=dodgr, algorithm="push", kernel="hash")
+        by_name = execute_survey(request, engine="columnar")
+        assert by_name.request.kernel == "hash"
+        by_config = execute_survey(
+            request, engine=EngineConfig(engine="legacy", kernel_tier="scalar")
+        )
+        assert by_config.engine == "legacy"
+        assert (by_config.request.kernel, by_config.request.kernel_tier) == ("hash", "scalar")
+        assert request.kernel_tier is None  # the caller's request is not mutated
 
 
 class TestColumnarPullPath:

@@ -23,12 +23,14 @@ from repro.core.callbacks import (
     LocalTriangleCounter,
     TriangleCounter,
 )
+from repro.core.engine import EngineConfig
 from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
 from repro.core.survey import triangle_survey_push
 from repro.graph.delta import DeltaBuffer
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
+from repro.runtime import UnsupportedBackendError
 from repro.runtime.world import World
 
 NRANKS = 4
@@ -218,6 +220,63 @@ def test_mismatched_delta_rejected():
         incremental_triangle_survey(first.dodgr, second, None)
     with pytest.raises(ValueError):
         incremental_triangle_survey(second.dodgr, second, None, engine="bogus")
+
+
+#: Axis values the delta drive cannot honour (it runs resident, on the
+#: simulated backend); each used to be dropped silently except ``backend``.
+UNHONOURED = [
+    EngineConfig(engine="columnar", storage="mmap"),
+    EngineConfig(engine="legacy", workers=3),
+    EngineConfig(backend="process"),
+    EngineConfig(backend="process", workers=2),
+]
+
+
+@pytest.mark.parametrize("selector", UNHONOURED)
+def test_unhonoured_axes_rejected_before_any_handler(selector):
+    world = World(NRANKS)
+    graph = DistributedGraph(world, name="g")
+    buffer = DeltaBuffer(world)
+    buffer.stage_edges([(1, 2, 1.0), (2, 3, 2.0), (3, 1, 3.0)])
+    applied = buffer.apply(graph)
+    handlers = len(world.registry)
+    with pytest.raises(UnsupportedBackendError, match="backend='simulated' only"):
+        incremental_triangle_survey(applied.dodgr, applied, None, engine=selector)
+    assert len(world.registry) == handlers
+
+
+@pytest.mark.parametrize("selector", UNHONOURED)
+def test_streaming_survey_rejects_unhonoured_axes_at_construction(selector):
+    """Not at the first ingest, which would already have merged the batch."""
+    world = World(NRANKS)
+    handlers = len(world.registry)
+    with pytest.raises(UnsupportedBackendError):
+        StreamingSurvey(world, TriangleCounter, engine=selector)
+    assert len(world.registry) == handlers
+
+
+def test_kernel_and_tier_are_honoured_on_the_delta_path():
+    """The two axes the delta drive does run: identical panels and counters
+    for every (kernel, tier) on both incremental engines."""
+    edges = timestamped(erdos_renyi(40, 0.2, seed=6).edges)
+    batches = random_schedule(edges, 5, num_batches=3)
+    outcomes = set()
+    for selector in (
+        "legacy",
+        EngineConfig(engine="legacy", kernel="hash"),
+        EngineConfig(kernel="hash", kernel_tier="scalar"),
+        EngineConfig(kernel="binary_search", kernel_tier="columnar"),
+    ):
+        survey = StreamingSurvey(World(NRANKS), ClosureTimeSurvey, engine=selector)
+        steps = [survey.ingest(batch) for batch in batches]
+        outcomes.add(
+            tuple(
+                (repr(sorted(step.snapshot.items())), step.report.triangles,
+                 step.report.communication_bytes, step.report.wire_messages)
+                for step in steps
+            )
+        )
+    assert len(outcomes) == 1
 
 
 def test_superseded_rebuilds_are_released():

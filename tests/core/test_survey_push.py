@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
-from repro.core import TriangleCounter, triangle_survey_push
+from repro import core
+from repro.core import EngineConfig, TriangleCounter
 from repro.graph import (
     DODGraph,
     DistributedGraph,
@@ -14,6 +17,12 @@ from repro.graph import (
     serial_triangle_list,
 )
 from repro.runtime import World
+
+#: This suite was written against Algorithm 1 before any other engine
+#: existed; it stays pinned to the scalar oracle so the oracle's direct
+#: coverage does not silently move to the default (production) engine.
+ENGINE = "legacy"
+triangle_survey_push = partial(core.triangle_survey_push, engine=ENGINE)
 
 
 def run_push(generated, nranks, callback=None, **kwargs):
@@ -151,7 +160,9 @@ class TestTelemetry:
     def test_intersection_kernel_choice_does_not_change_counts(self, small_er):
         expected = serial_triangle_count(small_er.edges)
         for kernel in ("merge_path", "binary_search", "hash"):
-            _, report = run_push(small_er, 4, kernel=kernel)
+            _, report = run_push(
+                small_er, 4, engine=EngineConfig(engine=ENGINE, kernel=kernel)
+            )
             assert report.triangles == expected
 
     def test_reset_stats_false_accumulates(self, small_er):
@@ -166,4 +177,4 @@ class TestTelemetry:
         world = World(2)
         dodgr = DODGraph.build(small_er.to_distributed(world))
         with pytest.raises(KeyError):
-            triangle_survey_push(dodgr, kernel="nope")
+            triangle_survey_push(dodgr, engine=EngineConfig(engine=ENGINE, kernel="nope"))

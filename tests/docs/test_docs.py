@@ -139,6 +139,15 @@ def test_sweep_engine_axis_matches_registry():
     assert sweep_engine_axis() == engine_names()
 
 
+def test_selector_surface_stays_collapsed():
+    """Mirror of tools/check_engines.py check 6: ``engine=`` is the only
+    execution selector on the survey entry points, and full, incremental
+    and service surveys share the one default the README table states."""
+    import check_engines
+
+    assert check_engines.check_selector_surface() == []
+
+
 def test_engine_smoke_tool_passes():
     """Mirror of tools/check_engines.py checks 2+3: every engine
     parity-clean and on the sweep axis."""

@@ -1,10 +1,11 @@
-"""Golden parity: the vectorized builder is bit-identical to the legacy one.
+"""Golden parity: the vectorized builder is bit-identical to the routed one.
 
-``DODGraph.build(mode="bulk")`` (argsort orientation + lexsort assembly) and
-``DistributedGraph.from_columns`` must reproduce the legacy per-edge loops
-*exactly* — store insertion order, adjacency tuple order, dense order ids,
-CSR arrays — on representative and adversarial inputs, so that every
-downstream communication number stays byte-identical.
+``DODGraph.build(mode="bulk")`` (argsort orientation + lexsort assembly) must
+reproduce ``mode="async"`` — the paper-faithful build that routes every half
+edge through the runtime — and ``DistributedGraph.from_columns`` the per-edge
+``from_edges`` loop, *exactly*: store insertion order, adjacency tuple order,
+dense order ids, CSR arrays — on representative and adversarial inputs, so
+that every downstream communication number stays byte-identical.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def build_pair(edges, vertex_meta=None):
         world_b, edges, vertex_meta=vertex_meta, name="g"
     )
     return (
-        DODGraph.build(graph_a, mode="bulk-legacy"),
+        DODGraph.build(graph_a, mode="async"),
         DODGraph.build(graph_b, mode="bulk"),
     )
 

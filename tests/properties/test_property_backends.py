@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
-from repro.core.engine import backend_names, engine_names
+from repro.core.engine import EngineConfig, backend_names, engine_names
 from repro.graph import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
 from repro.runtime import World, active_segment_names
@@ -61,7 +61,8 @@ def run_backend(generated, nranks, algorithm, engine, backend):
     # worker exchange path is the property under test, and auto-resolution
     # would collapse to one worker on single-core CI runners.
     workers = min(2, nranks) if backend == "process" else None
-    report = survey(dodgr, reducer.callback, engine=engine, backend=backend, workers=workers)
+    config = EngineConfig(engine=engine, backend=backend, workers=workers)
+    report = survey(dodgr, reducer.callback, engine=config)
     reducer.finalize()
     return reducer.snapshot(), report
 

@@ -275,6 +275,7 @@ def test_resolve_compiled_follows_fallback_chain():
 def test_survey_accepts_compiled_tier_everywhere():
     """End-to-end: kernel_tier="compiled" runs (downgrading without numba)
     and reproduces the default-tier survey exactly."""
+    from repro.core.engine import EngineConfig
     from repro.core.survey import triangle_survey_push
     from repro.graph import DODGraph
     from repro.graph.generators import rmat
@@ -286,7 +287,7 @@ def test_survey_accepts_compiled_tier_everywhere():
             rmat(6, edge_factor=6, seed=9).to_distributed(world), mode="bulk"
         )
         report = triangle_survey_push(
-            dodgr, None, engine="columnar", kernel_tier=kernel_tier
+            dodgr, None, engine=EngineConfig(engine="columnar", kernel_tier=kernel_tier)
         )
         return (
             report.triangles,

@@ -20,6 +20,7 @@ import os
 import pytest
 
 from repro.core.callbacks import LocalTriangleCounter, TriangleCounter
+from repro.core.engine import EngineConfig
 from repro.core.survey import triangle_survey_push
 from repro.graph import DODGraph
 from repro.graph.generators import rmat
@@ -34,6 +35,9 @@ from repro.runtime.backend.process import resolve_worker_count
 
 NRANKS = 4
 WORKERS = 2
+#: The default engine on two forked workers — two, not auto, so the
+#: multi-worker exchange path runs on single-core CI hosts too.
+PROCESS = EngineConfig(backend="process", workers=WORKERS)
 
 
 def build_graph(world, scale=6, seed=13):
@@ -59,13 +63,11 @@ def assert_no_segments():
 # ---------------------------------------------------------------------------
 
 
-def run_process_survey(engine="legacy"):
+def run_process_survey():
     world = World(NRANKS)
     dodgr = build_graph(world)
     reducer = LocalTriangleCounter(world)
-    report = triangle_survey_push(
-        dodgr, reducer.callback, engine=engine, backend="process", workers=WORKERS
-    )
+    report = triangle_survey_push(dodgr, reducer.callback, engine=PROCESS)
     reducer.finalize()
     return reducer.snapshot(), report
 
@@ -118,9 +120,7 @@ def test_worker_crash_raises_and_unlinks():
     dodgr = build_graph(world)
     reducer = CrashingReducer(world)
     with pytest.raises(ProcessBackendError):
-        triangle_survey_push(
-            dodgr, reducer.callback, backend="process", workers=WORKERS
-        )
+        triangle_survey_push(dodgr, reducer.callback, engine=PROCESS)
     assert_no_segments()
 
 
@@ -132,9 +132,7 @@ def test_livelock_abort_raises_and_unlinks():
     world.max_drain_sweeps = 1
     reducer = TriangleCounter(world)
     with pytest.raises(LivelockError):
-        triangle_survey_push(
-            dodgr, reducer.callback, backend="process", workers=WORKERS
-        )
+        triangle_survey_push(dodgr, reducer.callback, engine=PROCESS)
     assert_no_segments()
 
 
@@ -148,9 +146,7 @@ def test_worker_exceptions_propagate():
 
     reducer = FailingReducer(world)
     with pytest.raises(RuntimeError, match="exploded on purpose"):
-        triangle_survey_push(
-            dodgr, reducer.callback, backend="process", workers=WORKERS
-        )
+        triangle_survey_push(dodgr, reducer.callback, engine=PROCESS)
     assert_no_segments()
 
 
@@ -169,7 +165,7 @@ def test_deadline_unsupported():
     dodgr = build_graph(world)
     world.install_deadline(_NeverExpires())
     with pytest.raises(UnsupportedBackendError, match="deadline"):
-        triangle_survey_push(dodgr, backend="process", workers=WORKERS)
+        triangle_survey_push(dodgr, engine=PROCESS)
     assert_no_segments()
 
 
@@ -177,7 +173,7 @@ def test_node_aggregation_unsupported():
     world = World(NRANKS, ranks_per_node=2)
     dodgr = build_graph(world)
     with pytest.raises(UnsupportedBackendError, match="ranks_per_node"):
-        triangle_survey_push(dodgr, backend="process", workers=WORKERS)
+        triangle_survey_push(dodgr, engine=PROCESS)
     assert_no_segments()
 
 
@@ -186,10 +182,7 @@ def test_callback_without_worker_state_protocol_unsupported():
     dodgr = build_graph(world)
     seen = []
     with pytest.raises(UnsupportedBackendError, match="worker_rank_state"):
-        triangle_survey_push(
-            dodgr, lambda ctx, tri: seen.append(tri), backend="process",
-            workers=WORKERS,
-        )
+        triangle_survey_push(dodgr, lambda ctx, tri: seen.append(tri), engine=PROCESS)
     assert seen == []  # validation happened before any callback ran
     assert_no_segments()
 
@@ -200,7 +193,7 @@ def test_no_callback_runs_fine():
     dodgr = build_graph(world)
     oracle_world = World(NRANKS)
     oracle = triangle_survey_push(build_graph(oracle_world))
-    report = triangle_survey_push(dodgr, backend="process", workers=WORKERS)
+    report = triangle_survey_push(dodgr, engine=PROCESS)
     assert report.triangles == oracle.triangles
     assert report.communication_bytes == oracle.communication_bytes
     assert_no_segments()
@@ -210,7 +203,7 @@ def test_unknown_backend_rejected():
     world = World(NRANKS)
     dodgr = build_graph(world)
     with pytest.raises(ValueError, match="unknown execution backend"):
-        triangle_survey_push(dodgr, backend="threads")
+        triangle_survey_push(dodgr, engine=EngineConfig(backend="threads"))
 
 
 # ---------------------------------------------------------------------------

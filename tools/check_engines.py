@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Five checks, exit status 1 on any failure (each printed to stderr):
+Six checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -31,6 +31,14 @@ Five checks, exit status 1 on any failure (each printed to stderr):
    engine spec's declared ``kernel_tiers`` must be drawn from the tier
    table, and a survey smoke per tier (and one under ``storage="mmap"``)
    must match the legacy oracle exactly, leaking no segment files.
+6. **One selector, one default** — the survey entry points take no loose
+   execution keyword (``kernel``, ``batched``, ``backend``, ``workers``,
+   ``kernel_tier``, ``storage``: ``engine=`` is the only selector), full,
+   incremental and service surveys all default to
+   :data:`repro.core.engine.DEFAULT_ENGINE`, which is the engine README.md's
+   table marks ``**default**``, and :class:`~repro.core.engine.EngineSpec`
+   has no NumPy-fallback field — so the selection surface cannot regrow
+   unnoticed.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -38,17 +46,19 @@ Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core import triangle_survey_push, triangle_survey_push_pull  # noqa: E402
+from repro.core import triangle_survey  # noqa: E402
 from repro.core.callbacks import LocalTriangleCounter  # noqa: E402
-from repro.core.engine import backend_names, engine_names  # noqa: E402
+from repro.core.engine import EngineConfig, backend_names, engine_names  # noqa: E402
 from repro.graph import DODGraph  # noqa: E402
 from repro.graph.generators import erdos_renyi  # noqa: E402
 from repro.runtime import World  # noqa: E402
@@ -60,9 +70,9 @@ SMOKE_RANKS = 4
 SMOKE_GRAPH = dict(num_vertices=40, edge_probability=0.25, seed=11)
 
 
-def _documented_table(readme: Path, header: str) -> Tuple[str, ...]:
-    """First-cell backticked names of the README table starting at ``header``."""
-    names: List[str] = []
+def _documented_rows(readme: Path, header: str) -> List[Tuple[str, str]]:
+    """``(first-cell backticked name, row text)`` of the README table at ``header``."""
+    rows: List[Tuple[str, str]] = []
     in_table = False
     for line in readme.read_text(encoding="utf-8").splitlines():
         if line.startswith(header):
@@ -73,13 +83,26 @@ def _documented_table(readme: Path, header: str) -> Tuple[str, ...]:
                 break
             match = _ENGINE_ROW.match(line)
             if match:
-                names.append(match.group(1))
-    return tuple(names)
+                rows.append((match.group(1), line))
+    return rows
+
+
+def _documented_table(readme: Path, header: str) -> Tuple[str, ...]:
+    """First-cell backticked names of the README table starting at ``header``."""
+    return tuple(name for name, _ in _documented_rows(readme, header))
 
 
 def documented_engines(readme: Path) -> Tuple[str, ...]:
     """Engine names listed in the README's engine-selector table, in order."""
     return _documented_table(readme, "| Engine |")
+
+
+def documented_engine_default(readme: Path) -> Optional[str]:
+    """The engine whose README table row is marked ``**default**`` (exactly one)."""
+    marked = [
+        name for name, row in _documented_rows(readme, "| Engine |") if "**default**" in row
+    ]
+    return marked[0] if len(marked) == 1 else None
 
 
 def documented_backends(readme: Path) -> Tuple[str, ...]:
@@ -97,28 +120,18 @@ def documented_storages(readme: Path) -> Tuple[str, ...]:
     return _documented_table(readme, "| Storage |")
 
 
-def run_smoke(
-    engine: str,
-    algorithm: str,
-    backend: str = "simulated",
-    kernel_tier: str = None,
-    storage: str = None,
-):
-    """One fresh-world survey: (panel, triangles, comm bytes, wire messages)."""
+def run_smoke(engine: str, algorithm: str, **axes):
+    """One fresh-world survey: (panel, triangles, comm bytes, wire messages).
+
+    ``axes`` are further :class:`~repro.core.engine.EngineConfig` fields
+    (``backend``, ``workers``, ``kernel_tier``, ``storage``).
+    """
     generated = erdos_renyi(**SMOKE_GRAPH)
     world = World(SMOKE_RANKS)
     dodgr = DODGraph.build(generated.to_distributed(world), mode="bulk")
     reducer = LocalTriangleCounter(world)
-    survey = triangle_survey_push if algorithm == "push" else triangle_survey_push_pull
-    workers = 2 if backend == "process" else None
-    report = survey(
-        dodgr,
-        reducer.callback,
-        engine=engine,
-        backend=backend,
-        workers=workers,
-        kernel_tier=kernel_tier,
-        storage=storage,
+    report = triangle_survey(
+        dodgr, reducer.callback, algorithm, engine=EngineConfig(engine=engine, **axes)
     )
     reducer.finalize()
     result = (
@@ -240,6 +253,69 @@ def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
     return errors
 
 
+#: Execution keywords the entry points used to re-declare beside ``engine=``.
+LOOSE_KEYWORDS = ("kernel", "batched", "backend", "workers", "kernel_tier", "storage")
+
+
+def check_selector_surface() -> List[str]:
+    """``engine=`` is the only selector and there is one default (check 6)."""
+    from repro.core import (
+        incremental_triangle_survey,
+        triangle_survey_push,
+        triangle_survey_push_pull,
+    )
+    from repro.core.engine import (
+        DEFAULT_ENGINE,
+        EngineSpec,
+        resolve_engine,
+        resolve_incremental_engine,
+    )
+    from repro.service import SurveyService
+
+    errors: List[str] = []
+    for entry_point in (
+        triangle_survey_push,
+        triangle_survey_push_pull,
+        triangle_survey,
+        incremental_triangle_survey,
+    ):
+        loose = [
+            name
+            for name in inspect.signature(entry_point).parameters
+            if name in LOOSE_KEYWORDS
+        ]
+        if loose:
+            errors.append(
+                f"{entry_point.__name__} re-declares execution keyword(s) "
+                f"{loose!r}; engine=<name | EngineConfig> is the only selector"
+            )
+    service = SurveyService(World(2))
+    try:
+        defaults = {
+            "resolve_engine(None)": resolve_engine(None).name,
+            "resolve_incremental_engine(None)": resolve_incremental_engine(None).name,
+            "SurveyService(world)": service.default_engine,
+            "README engine table (**default**)": documented_engine_default(
+                REPO_ROOT / "README.md"
+            ),
+        }
+    finally:
+        service.close()
+    for where, name in defaults.items():
+        if name != DEFAULT_ENGINE:
+            errors.append(
+                f"{where} defaults to {name!r}, not DEFAULT_ENGINE {DEFAULT_ENGINE!r}"
+            )
+    stale = [
+        f.name
+        for f in dataclasses.fields(EngineSpec)
+        if "numpy" in f.name or f.name == "fallback"
+    ]
+    if stale:
+        errors.append(f"EngineSpec regrew NumPy-fallback field(s) {stale!r}")
+    return errors
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -271,10 +347,12 @@ def main() -> int:
                 )
         # The backend axis replays the same contract: one process-backend
         # smoke per algorithm, bit-identical to the simulated oracle.
-        process_result = run_smoke("legacy", algorithm, backend="process")
+        process_result = run_smoke(
+            "columnar", algorithm, backend="process", workers=2
+        )
         if process_result != oracle:
             errors.append(
-                f"legacy/{algorithm}: process-backend smoke diverged "
+                f"columnar/{algorithm}: process-backend smoke diverged "
                 f"(panel/triangles/bytes/messages {process_result[1:]} vs "
                 f"simulated {oracle[1:]})"
             )
@@ -282,6 +360,7 @@ def main() -> int:
     errors.extend(check_sweep_axis(registered))
     errors.extend(check_reducer_contract())
     errors.extend(check_execution_axes(registered))
+    errors.extend(check_selector_surface())
 
     if errors:
         for error in errors:
@@ -299,7 +378,7 @@ def main() -> int:
         f"{len(reducer_names())} reducers honour the "
         "snapshot/merge/callback_batch contract; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
-        "documented and parity-clean"
+        "documented and parity-clean; engine= is the only execution selector"
     )
     return 0
 
