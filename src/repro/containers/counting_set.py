@@ -105,6 +105,28 @@ class DistributedCountingSet:
             if len(cache) >= capacity:
                 self.flush_cache(ctx)
 
+    def increment_grouped_run(
+        self, ctx: RankContext, keys: List[Any], counts: List[int], inverse: Iterable[int]
+    ) -> None:
+        """:meth:`increment_run` over a run handed over pre-aggregated.
+
+        The run is ``[keys[i] for i in inverse]``; ``keys`` are its distinct
+        items in first-appearance order and ``counts`` their multiplicities.
+        When the cache has room for every key it has not seen no eviction
+        can fire during the run, so adding each key's count once leaves the
+        cache (contents and insertion order) and the message stream exactly
+        as the item-by-item walk would; otherwise the run is replayed
+        through :meth:`increment_run`.
+        """
+        cache = self._cache(ctx)
+        unseen = sum(key not in cache for key in keys)
+        if len(cache) + unseen < self.cache_capacity:
+            get = cache.get
+            for key, count in zip(keys, counts):
+                cache[key] = get(key, 0) + count
+        else:
+            self.increment_run(ctx, [keys[i] for i in inverse])
+
     def flush_cache(self, ctx: RankContext) -> None:
         """Send this rank's cached counts to their owner ranks."""
         cache = self._cache(ctx)

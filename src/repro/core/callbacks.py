@@ -42,6 +42,13 @@ increment in the scalar invocation order through
 so reducer outputs *and* every communication counter (cache evictions
 included) are bit-identical to running the scalar callback per triangle of
 the same batches.
+
+:class:`ClosureTimeSurvey`, :class:`MaxEdgeLabelDistribution` and
+:class:`DegreeTripleSurvey` first ask the batch for typed arrays
+(``batch.edge_values`` / ``batch.vertex_values``), derive their keys as array
+expressions and hand the counting set the run pre-aggregated
+(``increment_grouped_run``: aggregated only when no eviction can fire); when
+the batch answers None they run the object loop, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from ..containers.counting_set import DistributedCountingSet
 from ..graph.metadata import TriangleBatch, TriangleMetadata, edge_timestamp
 from ..runtime.reductions import all_reduce_sum
 from ..runtime.world import RankContext, World
+from .engine.segments import first_appearance_groups, ragged_gather
 
 import numpy as _np
 
@@ -146,6 +154,42 @@ def log2_bucket_array(values: Any) -> Any:
     mantissa, exponent = _np.frexp(v)
     buckets = _np.where(mantissa == 0.5, exponent - 1, exponent)
     return _np.where(v <= 1.0, 0, buckets).astype(_np.int64)
+
+
+def _grouped_run(codes: Any) -> Tuple[Any, List[int], Any]:
+    """Aggregate a run of per-item codes (a non-empty int or float array).
+
+    Returns ``(first, counts, inverse)`` for
+    :meth:`DistributedCountingSet.increment_grouped_run`: the index of each
+    distinct code's first item, in first-appearance order, how often each
+    occurs, and every item's position in that sequence.
+    """
+    if codes.dtype.kind == "i" and 0 <= codes.min() and codes.max() < 1 << 16:
+        # NumPy's stable argsort is a radix sort on 16-bit keys: 39 µs
+        # against 343 µs for 5 000 int64 codes (the rmat-13 batch mean).
+        codes = codes.astype(_np.uint16)
+    order, starts, ends = first_appearance_groups(codes)
+    counts = ends - starts
+    inverse = _np.empty(codes.size, dtype=_np.int64)
+    inverse[order[ragged_gather(starts, counts)[0]]] = _np.repeat(
+        _np.arange(counts.size, dtype=_np.int64), counts
+    )
+    return order[starts], counts.tolist(), inverse
+
+
+def _bucket_codes(*buckets: Any) -> Any:
+    """One int code per item of parallel bucket columns: mixed-radix over each
+    column's own range, which keeps real data inside :func:`_grouped_run`'s
+    fast 16 bits."""
+    codes = buckets[0]
+    for column in buckets[1:]:
+        codes = codes * (int(column.max()) + 1) + column
+    return codes
+
+
+def _identity(meta: Any) -> Any:
+    """Default label extractor: the metadata value is the label."""
+    return meta
 
 
 class TriangleCounter:
@@ -299,8 +343,8 @@ class MaxEdgeLabelDistribution(_SnapshotMerge):
         name: Optional[str] = None,
     ) -> None:
         self.world = world
-        self.edge_label = edge_label if edge_label is not None else (lambda meta: meta)
-        self.vertex_label = vertex_label if vertex_label is not None else (lambda meta: meta)
+        self.edge_label = edge_label if edge_label is not None else _identity
+        self.vertex_label = vertex_label if vertex_label is not None else _identity
         self.counters = DistributedCountingSet(
             world, name=name, cache_capacity=cache_capacity
         )
@@ -323,6 +367,21 @@ class MaxEdgeLabelDistribution(_SnapshotMerge):
     def callback_batch(self, ctx: RankContext, batch: TriangleBatch) -> None:
         vertex_label = self.vertex_label
         edge_label = self.edge_label
+        labels = batch.vertex_values(vertex_label)
+        edges = batch.edge_values(edge_label) if labels is not None else None
+        if edges is not None:
+            lp, lq, lr = labels
+            # Python's max(): the first argument unless a later one is greater.
+            top = edges[0]
+            top = _np.where(edges[1] > top, edges[1], top)
+            top = _np.where(edges[2] > top, edges[2], top)
+            top = top[(lp != lq) & (lq != lr) & (lp != lr)]
+            if top.size:
+                first, counts, inverse = _grouped_run(top)
+                self.counters.increment_grouped_run(
+                    ctx, top[first].tolist(), counts, inverse
+                )
+            return
         items: List[Any] = []
         for mp, mq, mr, mpq, mpr, mqr in zip(
             batch.meta_p, batch.meta_q, batch.meta_r,
@@ -383,6 +442,23 @@ class ClosureTimeSurvey(_SnapshotMerge):
         # diverge from the scalar callback's exact subtraction.  Only the
         # bucketing is vectorized: log2_bucket rounds its argument to float
         # exactly like the float64 cast of the *differences* does.
+        stamps = batch.edge_values(timestamp)
+        if stamps is not None:  # float64 or int64: the stamps' own dtype
+            # t1 <= t2 <= t3 by a three-element sorting network: each result
+            # is one of the inputs, as sorted() picks, at a tenth of the
+            # cost of np.sort(axis=1) on an (n, 3) stack (21 vs 201 µs at
+            # 5 000 triangles).
+            a, b, c = stamps
+            low, high = _np.minimum(a, b), _np.maximum(a, b)
+            t1 = _np.minimum(low, c)
+            t2 = _np.maximum(low, _np.minimum(high, c))
+            t3 = _np.maximum(high, c)
+            opens = log2_bucket_array(t2 - t1)
+            closes = log2_bucket_array(t3 - t1)
+            first, counts, inverse = _grouped_run(_bucket_codes(opens, closes))
+            keys = list(zip(opens[first].tolist(), closes[first].tolist()))
+            self.counters.increment_grouped_run(ctx, keys, counts, inverse)
+            return
         opens: List[Any] = []
         closes: List[Any] = []
         for meta_pq, meta_pr, meta_qr in zip(
@@ -441,7 +517,7 @@ class DegreeTripleSurvey(_SnapshotMerge):
         name: Optional[str] = None,
     ) -> None:
         self.world = world
-        self.degree_of = degree_of if degree_of is not None else (lambda meta: int(meta))
+        self.degree_of = degree_of if degree_of is not None else int
         self.counters = DistributedCountingSet(
             world, name=name, cache_capacity=cache_capacity
         )
@@ -456,6 +532,13 @@ class DegreeTripleSurvey(_SnapshotMerge):
 
     def callback_batch(self, ctx: RankContext, batch: TriangleBatch) -> None:
         degree_of = self.degree_of
+        degrees = batch.vertex_values(degree_of)
+        if degrees is not None:
+            b_p, b_q, b_r = (log2_bucket_array(column) for column in degrees)
+            first, counts, inverse = _grouped_run(_bucket_codes(b_p, b_q, b_r))
+            keys = list(zip(b_p[first].tolist(), b_q[first].tolist(), b_r[first].tolist()))
+            self.counters.increment_grouped_run(ctx, keys, counts, inverse)
+            return
         d_p = [degree_of(meta) for meta in batch.meta_p]
         d_q = [degree_of(meta) for meta in batch.meta_q]
         d_r = [degree_of(meta) for meta in batch.meta_r]

@@ -364,40 +364,40 @@ def columnar_push_batch(
 ) -> TriangleBatch:
     """Wrap one columnar intersect result as a lazy :class:`TriangleBatch`.
 
-    Only the small per-match index lists are materialised eagerly; each
-    metadata column decodes from the CSR entry tuples on first read.
+    Only the per-match index arrays are gathered eagerly; each metadata
+    column decodes from the CSR entry tuples on first read, each typed value
+    array from the CSRs' value memos, both through those index arrays.
     ``local_meta_r`` reads ``meta(r)`` from the candidate (``src_csr``) side:
     the pull phase, where the shipped ``Adj^m_+(q)`` omits it.
     """
-    wedge = result.seg
-    src_pos = flat_src_pos[result.cand_pos]
-    if hasattr(wedge, "tolist"):
-        p_rows = rows[wedge].tolist()
-        q_pos = qpositions[wedge].tolist()
-        qrow_list = q_rows[wedge].tolist()
-        src_pos = src_pos.tolist()
-        adj_pos = result.adj_pos.tolist()
-    else:  # scalar row-kernel results carry plain lists (small-input cutoff)
-        p_rows = [rows[w] for w in wedge]
-        q_pos = [qpositions[w] for w in wedge]
-        qrow_list = [q_rows[w] for w in wedge]
-        src_pos = list(src_pos)
-        adj_pos = list(result.adj_pos)
+    # Scalar row-kernel results (small-input cutoff) carry plain lists.
+    wedge = _np.asarray(result.seg, dtype=_np.int64)
+    adj_pos = _np.asarray(result.adj_pos, dtype=_np.int64)
+    p_rows = rows[wedge]
+    q_pos = qpositions[wedge]
+    q_rows = q_rows[wedge]
+    src_pos = flat_src_pos[_np.asarray(result.cand_pos, dtype=_np.int64)]
     src_entries = src_csr.entries
     dest_entries = dest_csr.entries
-    r_entries, r_pos = (src_entries, src_pos) if local_meta_r else (dest_entries, adj_pos)
+    r_csr, r_pos = (src_csr, src_pos) if local_meta_r else (dest_csr, adj_pos)
+    r_entries = r_csr.entries
     builders = {
-        "p": lambda: [src_csr.row_vertices[row] for row in p_rows],
-        "meta_p": lambda: [src_csr.row_meta[row] for row in p_rows],
-        "q": lambda: [dest_csr.row_vertices[row] for row in qrow_list],
-        "meta_q": lambda: [dest_csr.row_meta[row] for row in qrow_list],
-        "meta_pq": lambda: [src_entries[pos][2] for pos in q_pos],
-        "r": lambda: [src_entries[pos][0] for pos in src_pos],
-        "meta_pr": lambda: [src_entries[pos][2] for pos in src_pos],
-        "meta_qr": lambda: [dest_entries[pos][2] for pos in adj_pos],
-        "meta_r": lambda: [r_entries[pos][3] for pos in r_pos],
+        "p": lambda: [src_csr.row_vertices[row] for row in p_rows.tolist()],
+        "meta_p": lambda: [src_csr.row_meta[row] for row in p_rows.tolist()],
+        "q": lambda: [dest_csr.row_vertices[row] for row in q_rows.tolist()],
+        "meta_q": lambda: [dest_csr.row_meta[row] for row in q_rows.tolist()],
+        "meta_pq": lambda: [src_entries[pos][2] for pos in q_pos.tolist()],
+        "r": lambda: [src_entries[pos][0] for pos in src_pos.tolist()],
+        "meta_pr": lambda: [src_entries[pos][2] for pos in src_pos.tolist()],
+        "meta_qr": lambda: [dest_entries[pos][2] for pos in adj_pos.tolist()],
+        "meta_r": lambda: [r_entries[pos][3] for pos in r_pos.tolist()],
     }
-    return TriangleBatch(len(src_pos), builders)
+    # Where the typed value arrays read each memo: (CSR, field, positions).
+    reads = {
+        "edge": ((src_csr, "edge", q_pos), (src_csr, "edge", src_pos), (dest_csr, "edge", adj_pos)),
+        "vertex": ((src_csr, "row", p_rows), (dest_csr, "row", q_rows), (r_csr, "target", r_pos)),
+    }
+    return TriangleBatch(len(wedge), builders, reads)
 
 
 def deliver_batch(ctx, batch, callback, batch_callback) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
-from ..runtime.serialization import int_size_array, serialized_size
+from ..runtime.serialization import int_size_array, serialized_size, uvarint_size
 from ..runtime.world import RankContext, World
 from .columnar import group_slices
 from .degree import order_key, order_positions
@@ -52,6 +52,15 @@ __all__ = ["DODGraph", "CSRAdjacency", "AdjEntry", "entry_key"]
 
 #: An Adj^m_+ entry: (target vertex, target degree, edge metadata, target vertex metadata)
 AdjEntry = Tuple[Hashable, int, Any, Any]
+
+
+#: Extractors memoised per CSR by :meth:`CSRAdjacency.extracted_values`
+#: (oldest dropped first).  Each costs 9 bytes per stored position and field
+#: it is read from (0.5 MB for the rmat-13 closure survey's 55 529 edges); the
+#: service's analyses put three on one snapshot (``edge_timestamp``, its
+#: ``_edge_label``, the default vertex label), so four keeps those plus one
+#: caller-supplied extractor, and a fresh lambda per query recycles one slot.
+VALUE_MEMO_EXTRACTORS = 4
 
 
 def entry_key(entry: AdjEntry) -> Tuple[int, int, str]:
@@ -89,6 +98,11 @@ class CSRAdjacency:
     The snapshot assumes the store is finished mutating (post
     :meth:`DODGraph.sort_adjacency`); :class:`DODGraph` invalidates cached
     snapshots if construction touches the records again.
+
+    Three derived views are cached on the snapshot and die with it: the row
+    kernels' ``row_adj_cache``, :meth:`inverted_target_index`, and the value
+    memo of :meth:`extracted_values`, which lets a metadata reducer read each
+    stored edge once per snapshot instead of once per triangle.
     """
 
     __slots__ = (
@@ -110,6 +124,7 @@ class CSRAdjacency:
         "_columns",
         "row_adj_cache",
         "_inv_index",
+        "_value_memo",
         "storage",
         "segment_paths",
         "send_scratch",
@@ -186,6 +201,8 @@ class CSRAdjacency:
         self.row_adj_cache = None
         #: cache slot of :meth:`inverted_target_index`
         self._inv_index = None
+        #: extractor -> field -> ``(values, filled)`` of :meth:`extracted_values`
+        self._value_memo: Dict[Any, Dict[str, Any]] = {}
         #: storage mode of the column arrays ("resident" until spilled) and
         #: the tracked memmap segment files backing them when out-of-core
         self.storage = "resident"
@@ -197,28 +214,40 @@ class CSRAdjacency:
     # ------------------------------------------------------------------
     @staticmethod
     def _vector_value_sizes(values: List[Any]) -> Optional[Any]:
-        """Exact serialized sizes of a homogeneous scalar column, or None.
+        """Exact serialized sizes of a homogeneously typed column, or None.
 
-        Handles the column shapes the generators emit — all-float, all-int
-        or all-None metadata — where per-value wire sizes are computable as
-        one array expression; anything mixed or structured returns None and
-        the caller sizes values one by one.
+        Handles the column shapes the generators emit — all-float, all-int,
+        all-bool or all-None metadata, and fixed-arity tuples of such
+        columns (``temporal_edge_meta(ts, label)``) — where per-value wire
+        sizes are computable as one array expression; anything mixed or
+        otherwise structured returns None and the caller sizes values one
+        by one.
         """
-        first = values[0]
-        if first.__class__ is float:
-            if all(value.__class__ is float for value in values):
-                return _np.full(len(values), 9, dtype=_np.int64)  # tag + double
+        kinds = set(map(type, values))
+        if len(kinds) != 1:
             return None
-        if first.__class__ is int:
-            if all(value.__class__ is int for value in values):
-                try:
-                    column = _np.fromiter(values, dtype=_np.int64, count=len(values))
-                except OverflowError:  # beyond int64: scalar fallback
+        kind = kinds.pop()
+        if kind is float:
+            return _np.full(len(values), 9, dtype=_np.int64)  # tag + double
+        if kind is int:
+            try:
+                column = _np.fromiter(values, dtype=_np.int64, count=len(values))
+            except OverflowError:  # beyond int64: scalar fallback
+                return None
+            return int_size_array(column)
+        if kind is bool or kind is type(None):
+            return _np.ones(len(values), dtype=_np.int64)  # the tag alone
+        if kind is tuple:
+            arity = len(values[0])
+            if set(map(len, values)) != {arity}:
+                return None
+            sizes = _np.full(len(values), 1 + uvarint_size(arity), dtype=_np.int64)
+            for field in zip(*values):
+                field_sizes = CSRAdjacency._vector_value_sizes(field)
+                if field_sizes is None:
                     return None
-                return int_size_array(column)
-            return None
-        if first is None and all(value is None for value in values):
-            return _np.ones(len(values), dtype=_np.int64)
+                sizes += field_sizes
+            return sizes
         return None
 
     def _vector_entry_sizes(
@@ -294,6 +323,74 @@ class CSRAdjacency:
             inv_order = _np.argsort(self.tgt_ids, kind="stable")
             self._inv_index = (self.tgt_ids[inv_order], inv_order, row_of_edge)
         return self._inv_index
+
+    def extracted_values(self, extract, field: str, positions):
+        """``extract(metadata)`` at ``positions`` as a typed array, or None.
+
+        ``field`` names the metadata read: ``"edge"`` (``entries[pos][2]``),
+        ``"target"`` (``entries[pos][3]``) or ``"row"`` (``row_meta[pos]``).
+        Results are memoised per stored position and filled sparsely: only
+        positions some triangle batch asked for ever reach ``extract``, once.
+        The array is float64 when every extracted value is exactly a
+        ``float``, int64 when exactly an ``int`` within ±2**62 (two stamps
+        subtract without overflow; epoch nanoseconds never pass through a
+        float).  Anything else has *no exact array form* and answers None
+        for the rest of the snapshot's life: other or mixed types (``bool``,
+        ``None``, ``str``), NaN (``sort``/``max`` have no total order to
+        agree on), an unhashable extractor (no memo key), an extractor that
+        raises (the caller's object loop then raises where it always did).
+        ``extract`` must be a pure function of the value.
+        """
+        try:
+            fields = self._value_memo.get(extract)
+        except TypeError:
+            return None
+        if fields is None:
+            if len(self._value_memo) >= VALUE_MEMO_EXTRACTORS:
+                del self._value_memo[next(iter(self._value_memo))]
+            fields = self._value_memo[extract] = {}
+        if field not in fields:
+            size = self.num_rows if field == "row" else self.num_edges
+            # [values (typed by the first fill), which positions hold one]
+            fields[field] = [None, _np.zeros(size, dtype=bool)]
+        memo = fields[field]
+        if memo is None:
+            return None
+        values, filled = memo
+        have = filled[positions]
+        if not have.all():
+            missing = _np.unique(positions[~have])
+            fresh = self._extract_column(extract, field, missing.tolist())
+            if fresh is None or (values is not None and values.dtype != fresh.dtype):
+                fields[field] = None
+                return None
+            if values is None:
+                values = memo[0] = _np.empty(filled.size, dtype=fresh.dtype)
+            values[missing] = fresh
+            filled[missing] = True
+        return values[positions]
+
+    def _extract_column(self, extract, field: str, positions: List[int]):
+        """Typed array of ``extract`` over the field at ``positions``, or None."""
+        try:
+            if field == "row":
+                column = [extract(self.row_meta[pos]) for pos in positions]
+            else:
+                entries, slot = self.entries, 2 if field == "edge" else 3
+                column = [extract(entries[pos][slot]) for pos in positions]
+        except Exception:  # noqa: BLE001 - the object path re-raises it in place
+            return None
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            out = _np.array(column, dtype=_np.float64)
+            return None if _np.isnan(out).any() else out
+        if kinds == {int}:
+            try:
+                out = _np.fromiter(column, dtype=_np.int64, count=len(column))
+            except OverflowError:
+                return None
+            return out if -(2**62) < out.min() and out.max() < 2**62 else None
+        return None
 
     # ------------------------------------------------------------------
     def row_of(self, vertex: Hashable) -> Optional[int]:

@@ -26,6 +26,7 @@ __all__ = [
     "TriangleMetadata",
     "TriangleBatch",
     "TRIANGLE_COLUMNS",
+    "ARRAY_VALUES_MIN_BATCH",
     "temporal_edge_meta",
     "labeled_vertex_meta",
     "edge_timestamp",
@@ -92,6 +93,15 @@ TRIANGLE_COLUMNS = (
 )
 
 
+#: Batches shorter than this answer None from :meth:`TriangleBatch.edge_values`
+#: / :meth:`TriangleBatch.vertex_values`.  An array-path reducer pays a fixed
+#: few dozen NumPy calls per batch, the object loop pays per triangle; for
+#: ``ClosureTimeSurvey.callback_batch`` on rmat-8..12 batches (median µs per
+#: call, array vs loop): 1-8 triangles 115 vs 31, 32-64 159 vs 82, 96-128
+#: 136 vs 138, 128-192 141 vs 195, 1024-2048 231 vs 1342.
+ARRAY_VALUES_MIN_BATCH = 128
+
+
 class TriangleBatch:
     """A columnar batch of triangles: one lazily-decoded list per column.
 
@@ -107,14 +117,21 @@ class TriangleBatch:
     which is also the order the scalar fallback invokes per-triangle
     callbacks in, so batch reducers that apply their side effects in column
     order are bit-identical to the scalar path.
+
+    :meth:`edge_values` and :meth:`vertex_values` answer *typed arrays* of an
+    extractor over the batch's edge / vertex metadata, gathered from the
+    CSRs' value memos at the ``reads`` the engine supplies — ``{"edge" |
+    "vertex": three (CSR, field, positions)}`` — or None, and the reducer
+    loops over the object columns.
     """
 
-    __slots__ = ("_size", "_builders", "_columns")
+    __slots__ = ("_size", "_builders", "_columns", "_reads")
 
-    def __init__(self, size: int, builders) -> None:
+    def __init__(self, size: int, builders, reads=None) -> None:
         self._size = size
         self._builders = builders
         self._columns: dict = {}
+        self._reads = reads
 
     def __len__(self) -> int:
         return self._size
@@ -162,6 +179,35 @@ class TriangleBatch:
     @property
     def meta_qr(self) -> list:
         return self.column("meta_qr")
+
+    def edge_values(self, extract):
+        """``extract`` over ``(meta_pq, meta_pr, meta_qr)`` as three arrays, or None.
+
+        The arrays share one dtype, float64 or int64, and hold exactly what
+        ``[extract(m) for m in batch.meta_pq]`` etc. would
+        (:meth:`~repro.graph.dodgr.CSRAdjacency.extracted_values` has the
+        contract).  None means "loop over the object columns": no exact
+        array form, a batch shorter than :data:`ARRAY_VALUES_MIN_BATCH`, or
+        one built without a CSR behind it.
+        """
+        return self._extracted("edge", extract)
+
+    def vertex_values(self, extract):
+        """``extract`` over ``(meta_p, meta_q, meta_r)``; see :meth:`edge_values`."""
+        return self._extracted("vertex", extract)
+
+    def _extracted(self, kind: str, extract):
+        if self._reads is None or self._size < ARRAY_VALUES_MIN_BATCH:
+            return None
+        columns = []
+        for csr, field, positions in self._reads[kind]:
+            column = csr.extracted_values(extract, field, positions)
+            # Two CSRs may type their memos differently; arithmetic across
+            # them would silently promote, so that is "no array form" too.
+            if column is None or (columns and column.dtype != columns[0].dtype):
+                return None
+            columns.append(column)
+        return tuple(columns)
 
     def triangles(self):
         """Row view: yield one :class:`TriangleMetadata` per triangle, in order.

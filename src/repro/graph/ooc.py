@@ -16,7 +16,9 @@ What spills and what stays:
   :class:`~repro.core.intersection.RowAdjacency` composite-key array; the
   ``columns()`` namespace is rebuilt over the memmaps, so every engine
   driver reads the same (now disk-backed) arrays with no code fork.
-* **resident** — the ``entries`` metadata tuples and the record-view store.
+* **resident** — the ``entries`` metadata tuples, the record-view store and
+  the value memo reducers derive from ``entries``
+  (:meth:`~repro.graph.dodgr.CSRAdjacency.extracted_values`).
   Metadata payloads are arbitrary Python objects and cannot be memmapped;
   counting surveys (``callback=None``) never touch them, which is what the
   beyond-RAM benchmark exercises.  This is the documented limitation of the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.containers import DistributedCountingSet
 from repro.graph import erdos_renyi, rmat
 from repro.runtime import World
 
@@ -30,3 +31,21 @@ def small_rmat():
 def small_er():
     """A small dense-ish Erdos-Renyi graph (session cached)."""
     return erdos_renyi(60, 0.15, seed=7)
+
+
+@pytest.fixture
+def grouped_runs(monkeypatch):
+    """Distinct-key count of every ``increment_grouped_run`` call, in order.
+
+    Non-empty means some batch reducer took its array path (typed
+    ``edge_values``/``vertex_values`` + a pre-aggregated counting-set run).
+    """
+    calls = []
+    original = DistributedCountingSet.increment_grouped_run
+
+    def spy(self, ctx, keys, counts, inverse):
+        calls.append(len(keys))
+        original(self, ctx, keys, counts, inverse)
+
+    monkeypatch.setattr(DistributedCountingSet, "increment_grouped_run", spy)
+    return calls

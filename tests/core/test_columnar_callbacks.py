@@ -14,15 +14,25 @@ Scalar-vs-batch runs share one engine (columnar) so everything is pinned
 exactly; a third run on the legacy engine pins reducer *outputs* across
 engines (legacy byte accounting parity is covered by
 ``test_batched_survey.py``).
+
+The three reducers with an array path (``edge_values``/``vertex_values`` +
+``increment_grouped_run``) choose it per batch from the batch length, so
+``TestBothSidesOfTheCrossover`` pins the same parity with the crossover
+constant forced to 0 (every batch on arrays) and to a huge value (every
+batch on the object loop), at cache capacities that replay, mix and
+aggregate the counting-set runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
+import repro.graph.metadata as metadata_module
 from repro.analysis.degree_triples import decorate_with_degrees
+from repro.containers.counting_set import DistributedCountingSet
 from repro.core.callbacks import (
     ClosureTimeSurvey,
     DegreeTripleSurvey,
@@ -34,11 +44,14 @@ from repro.core.callbacks import (
     log2_bucket,
     log2_bucket_array,
 )
+from repro.core.engine import EngineConfig
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.core.survey import resolve_batch_callback, triangle_survey_push
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import GeneratedGraph, chung_lu_power_law, rmat
 from repro.graph.metadata import TriangleBatch
+from repro.graph.ooc import StorageConfig, active_segment_paths
+from repro.runtime import active_segment_names
 from repro.runtime.world import World
 
 #: Small enough to force mid-survey cache evictions on every fixture.
@@ -69,47 +82,37 @@ def chung_lu_graph():
     return GeneratedGraph(name="chung_lu_meta", edges=edges, vertex_meta=vertex_meta)
 
 
+@pytest.fixture(scope="module")
+def numeric_graph(chung_lu_graph):
+    """The Chung-Lu input with *numeric* vertex labels.
+
+    Float edge stamps and int vertex labels: every extractor of the three
+    array-path reducers has an exact array form here (the string labels of
+    ``chung_lu_graph`` and the shared ``True`` of ``rmat_graph`` do not).
+    """
+    vertex_meta = {v: v % 12 for v in chung_lu_graph.vertex_meta}
+    return GeneratedGraph(
+        name="chung_lu_numeric", edges=chung_lu_graph.edges, vertex_meta=vertex_meta
+    )
+
+
 GRAPHS = ["rmat", "chung_lu"]
 
-#: reducer name -> (factory(world), needs degree decoration)
+
+def counting(cls):
+    """Factory of a counting-set reducer at a given cache capacity."""
+    return lambda world, capacity: cls(world, cache_capacity=capacity, name="reducer")
+
+
+#: reducer name -> (factory(world, cache capacity), needs degree decoration)
 REDUCERS = {
-    "triangle_counter": (lambda world: TriangleCounter(world), False),
-    "local_counter": (
-        lambda world: LocalTriangleCounter(
-            world, cache_capacity=EVICTING_CACHE, name="reducer"
-        ),
-        False,
-    ),
-    "edge_support": (
-        lambda world: EdgeSupportCounter(
-            world, cache_capacity=EVICTING_CACHE, name="reducer"
-        ),
-        False,
-    ),
-    "max_edge_label": (
-        lambda world: MaxEdgeLabelDistribution(
-            world, cache_capacity=EVICTING_CACHE, name="reducer"
-        ),
-        False,
-    ),
-    "closure_time": (
-        lambda world: ClosureTimeSurvey(
-            world, cache_capacity=EVICTING_CACHE, name="reducer"
-        ),
-        False,
-    ),
-    "degree_triple": (
-        lambda world: DegreeTripleSurvey(
-            world, cache_capacity=EVICTING_CACHE, name="reducer"
-        ),
-        True,
-    ),
-    "fqdn_triple": (
-        lambda world: FqdnTripleSurvey(
-            world, cache_capacity=EVICTING_CACHE, name="reducer"
-        ),
-        False,
-    ),
+    "triangle_counter": (lambda world, capacity: TriangleCounter(world), False),
+    "local_counter": (counting(LocalTriangleCounter), False),
+    "edge_support": (counting(EdgeSupportCounter), False),
+    "max_edge_label": (counting(MaxEdgeLabelDistribution), False),
+    "closure_time": (counting(ClosureTimeSurvey), False),
+    "degree_triple": (counting(DegreeTripleSurvey), True),
+    "fqdn_triple": (counting(FqdnTripleSurvey), False),
 }
 
 
@@ -134,14 +137,16 @@ def stats_snapshot(world, phases):
     return snapshot
 
 
-def run_survey(dataset, reducer_name, algorithm, engine, hide_batch):
+def run_survey(
+    dataset, reducer_name, algorithm, engine, hide_batch, capacity=EVICTING_CACHE
+):
     world = World(NRANKS)
     factory, decorate = REDUCERS[reducer_name]
     graph = dataset.to_distributed(world)
     if decorate:
         graph = decorate_with_degrees(graph)
     dodgr = DODGraph.build(graph, mode="bulk")
-    reducer = factory(world)
+    reducer = factory(world, capacity)
     if hide_batch:
         # Wrapping hides callback_batch from resolve_batch_callback: the
         # columnar engine takes its scalar fallback — the parity oracle.
@@ -155,7 +160,9 @@ def run_survey(dataset, reducer_name, algorithm, engine, hide_batch):
         reducer.finalize()
     else:
         world.barrier()
-    return report, reducer.result(), stats_snapshot(world, report.phases)
+    stats = stats_snapshot(world, report.phases)
+    dodgr.release()
+    return report, reducer.result(), stats
 
 
 @pytest.mark.parametrize("graph_name", GRAPHS)
@@ -182,6 +189,100 @@ class TestScalarVsBatch:
         batch = run_survey(dataset, reducer_name, algorithm, "columnar", hide_batch=False)
         assert batch[0].triangles == legacy[0].triangles
         assert batch[1] == legacy[1], "reducer outputs differ from the legacy engine"
+
+
+#: The reducers that ask the batch for typed arrays.
+ARRAY_REDUCERS = ["closure_time", "degree_triple", "max_edge_label"]
+#: Every batch on the array path / every batch on the object loop.
+ALL_ARRAYS, ALL_LOOPS = 0, 10**9
+
+
+@pytest.fixture
+def eviction_stream(monkeypatch):
+    """Every cache flush as ``(rank, [(item, amount), ...])``, in order.
+
+    The counters above see message counts and bytes; this sees *which*
+    increments a flush carried and in which order — the cache's insertion
+    order, which an aggregated run must leave as the item-by-item walk does.
+    """
+    stream = []
+    original = DistributedCountingSet.flush_cache
+
+    def spy(self, ctx):
+        stream.append((ctx.rank, list(self._cache(ctx).items())))
+        original(self, ctx)
+
+    monkeypatch.setattr(DistributedCountingSet, "flush_cache", spy)
+    return stream
+
+
+#: Capacities at which a grouped run always replays item by item, sometimes
+#: fits the cache's headroom, and always does (no eviction ever fires).
+@pytest.mark.parametrize("capacity", [EVICTING_CACHE, 24, 4096])
+@pytest.mark.parametrize("graph_name", ["chung_lu", "numeric"])
+@pytest.mark.parametrize("algorithm", ["push", "push_pull"])
+@pytest.mark.parametrize("reducer_name", ARRAY_REDUCERS)
+class TestBothSidesOfTheCrossover:
+    def test_arrays_and_loop_match_scalar_and_legacy(
+        self, reducer_name, algorithm, graph_name, capacity,
+        chung_lu_graph, numeric_graph, monkeypatch, grouped_runs, eviction_stream,
+    ):
+        dataset = chung_lu_graph if graph_name == "chung_lu" else numeric_graph
+        args = (dataset, reducer_name, algorithm)
+        legacy = run_survey(*args, "legacy", hide_batch=True, capacity=capacity)
+        del eviction_stream[:]
+        scalar = run_survey(*args, "columnar", hide_batch=True, capacity=capacity)
+        scalar_evictions = list(eviction_stream)
+        for crossover in (ALL_ARRAYS, ALL_LOOPS):
+            del grouped_runs[:], eviction_stream[:]
+            monkeypatch.setattr(metadata_module, "ARRAY_VALUES_MIN_BATCH", crossover)
+            batch = run_survey(*args, "columnar", hide_batch=False, capacity=capacity)
+            assert eviction_stream == scalar_evictions, "eviction streams differ"
+            assert batch[0].triangles == scalar[0].triangles == legacy[0].triangles
+            assert batch[1] == scalar[1] == legacy[1], "reducer outputs differ"
+            assert batch[2] == scalar[2], "per-rank per-phase accounting differs"
+            assert batch[0].communication_bytes == scalar[0].communication_bytes
+            assert batch[0].wire_messages == scalar[0].wire_messages
+            # The string vertex labels of chung_lu have no array form: its
+            # max-edge-label survey stays on the loop at any crossover.
+            arrays = crossover == ALL_ARRAYS and (
+                graph_name == "numeric" or reducer_name != "max_edge_label"
+            )
+            assert bool(grouped_runs) == arrays
+
+
+class TestArrayPathOnOtherAxes:
+    """One all-arrays run each on the process backend and mmap storage."""
+
+    @pytest.fixture(autouse=True)
+    def all_arrays(self, monkeypatch):
+        monkeypatch.setattr(metadata_module, "ARRAY_VALUES_MIN_BATCH", ALL_ARRAYS)
+
+    @staticmethod
+    def assert_matches_oracles(dataset, engine):
+        for reducer_name in ARRAY_REDUCERS:
+            args = (dataset, reducer_name, "push_pull")
+            got = run_survey(*args, engine, hide_batch=False)
+            scalar = run_survey(*args, "columnar", hide_batch=True)
+            legacy = run_survey(*args, "legacy", hide_batch=True)
+            assert got[1] == scalar[1] == legacy[1], reducer_name
+            assert got[2] == scalar[2], reducer_name
+
+    def test_process_backend_matches_and_leaks_no_shm(self, numeric_graph):
+        # Forked workers inherit the CSRs and fill their own copy-on-write
+        # memos; nothing of a memo crosses the worker boundary.
+        self.assert_matches_oracles(
+            numeric_graph, EngineConfig(backend="process", workers=2)
+        )
+        assert active_segment_names() == frozenset()
+        if os.path.isdir("/dev/shm"):
+            assert [n for n in os.listdir("/dev/shm") if n.startswith("repro-pb")] == []
+
+    def test_mmap_storage_matches_and_leaks_no_segments(self, numeric_graph, tmp_path):
+        storage = StorageConfig(mode="mmap", directory=str(tmp_path))
+        self.assert_matches_oracles(numeric_graph, EngineConfig(storage=storage))
+        assert active_segment_paths() == frozenset()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCacheEvictionPaths:
@@ -293,6 +394,13 @@ class TestTriangleBatch:
         assert batch.q == [3, 4]
         assert built == ["p", "q"]
 
+    def test_batch_without_a_csr_has_no_array_form(self, monkeypatch):
+        monkeypatch.setattr(metadata_module, "ARRAY_VALUES_MIN_BATCH", ALL_ARRAYS)
+        batch = TriangleBatch(2, {"meta_pq": lambda: [1.0, 2.0]})
+        assert batch.edge_values(float) is None
+        assert batch.vertex_values(float) is None
+        assert batch.meta_pq == [1.0, 2.0]
+
     def test_triangles_adapter_round_trips(self):
         columns = {
             "p": [0, 1],
@@ -313,6 +421,20 @@ class TestTriangleBatch:
         assert [t.meta_qr for t in tris] == [14, 15]
 
 
+def closure_panels(edges, timestamp, nranks=2):
+    """Closure-time panels of ``edges`` on the legacy and columnar engines."""
+    dataset = GeneratedGraph(name="stamped", edges=edges)
+    results = {}
+    for engine in ("legacy", "columnar"):
+        world = World(nranks)
+        dodgr = DODGraph.build(dataset.to_distributed(world), mode="bulk")
+        survey = ClosureTimeSurvey(world, timestamp=timestamp, name="s")
+        triangle_survey_push(dodgr, survey.callback, engine=engine)
+        survey.finalize()
+        results[engine] = survey.result()
+    return results
+
+
 class TestClosureTimePrecision:
     def test_integer_nanosecond_timestamps_beyond_2_53(self):
         """Batch bucketing must subtract in the stamps' own arithmetic.
@@ -323,16 +445,54 @@ class TestClosureTimePrecision:
         """
         base = 1_700_000_000_000_000_000
         edges = [(0, 1, base), (1, 2, base + 513), (0, 2, base + 1025)]
-        dataset = GeneratedGraph(name="ns_triangle", edges=edges)
-        results = {}
-        for engine in ("legacy", "columnar"):
-            world = World(2)
-            dodgr = DODGraph.build(dataset.to_distributed(world), mode="bulk")
-            survey = ClosureTimeSurvey(world, timestamp=lambda meta: meta, name="s")
-            triangle_survey_push(dodgr, survey.callback, engine=engine)
-            survey.finalize()
-            results[engine] = survey.result()
+        results = closure_panels(edges, lambda meta: meta)
         assert results["legacy"] == results["columnar"] == {(10, 11): 1}
+
+    def test_integer_nanosecond_timestamps_take_the_int64_path(
+        self, monkeypatch, grouped_runs
+    ):
+        """The same stamps through ``edge_values``: int64, never float64."""
+        monkeypatch.setattr(metadata_module, "ARRAY_VALUES_MIN_BATCH", ALL_ARRAYS)
+        base = 1_700_000_000_000_000_000
+        edges = [(0, 1, base), (1, 2, base + 513), (0, 2, base + 1025)]
+        results = closure_panels(edges, lambda meta: meta)
+        assert results["legacy"] == results["columnar"] == {(10, 11): 1}
+        assert grouped_runs == [1]
+
+
+class TestValuesWithoutAnArrayForm:
+    """Stamps the memo refuses keep the object loop — and its exact output."""
+
+    @pytest.fixture(autouse=True)
+    def all_arrays(self, monkeypatch):
+        monkeypatch.setattr(metadata_module, "ARRAY_VALUES_MIN_BATCH", ALL_ARRAYS)
+
+    @pytest.mark.parametrize(
+        "stamp_of",
+        [
+            lambda i: 2**62 + 1000 * i,
+            lambda i: 2**70 + 3 * i,
+            lambda i: float(i) if i % 2 else 7 * i,
+            lambda i: bool(i % 3),
+        ],
+        ids=["int_beyond_2_62", "int_beyond_int64", "mixed_int_float", "bool"],
+    )
+    def test_reducer_output_equals_the_scalar_path(self, stamp_of, grouped_runs):
+        edges = [
+            (u, v, stamp_of(i))
+            for i, (u, v) in enumerate((u, v) for u in range(7) for v in range(u + 1, 7))
+        ]
+        results = closure_panels(edges, lambda meta: meta)
+        assert results["legacy"] == results["columnar"]
+        assert sum(results["columnar"].values()) == 35
+        assert grouped_runs == []
+
+    def test_extractor_never_sees_an_edge_outside_every_triangle(self, grouped_runs):
+        """Sparse fill: a stamp no triangle touches is never extracted."""
+        edges = [(0, 1, 1.0), (1, 2, 5.0), (0, 2, 9.0), (2, 3, "not a stamp")]
+        results = closure_panels(edges, float, nranks=1)  # float("not a stamp") raises
+        assert results["legacy"] == results["columnar"] == {(2, 3): 1}
+        assert grouped_runs == [1]
 
 
 class TestLog2Bucket:

@@ -17,6 +17,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro.graph.metadata as metadata_module
 from repro.core.callbacks import (
     ClosureTimeSurvey,
     EdgeSupportCounter,
@@ -132,6 +133,32 @@ def test_engine_parity_counters_and_panels():
 
     legacy = replay("legacy")
     columnar = replay("columnar")
+    for k, (a, b) in enumerate(zip(legacy, columnar)):
+        assert counters_of(a.report) == counters_of(b.report), f"step {k}"
+        assert a.snapshot == b.snapshot, f"step {k}"
+        assert a.cumulative == b.cumulative, f"step {k}"
+
+
+def test_engine_parity_with_every_delta_batch_on_the_array_path(monkeypatch, grouped_runs):
+    """The delta engine builds its batches with the same constructor as the
+    full one: typed ``edge_values`` (here forced on for every batch length)
+    leave counters and panels identical to the legacy engine's."""
+    generated = rmat(8, edge_factor=6, seed=7)
+    edges = shuffled(timestamped(generated.edges), 13)
+    batches = random_schedule(edges, 17, num_batches=3)
+
+    def replay(engine):
+        world = World(NRANKS)
+        survey = StreamingSurvey(
+            world, ClosureTimeSurvey, engine=engine, graph_name="parity"
+        )
+        return [survey.ingest(batch) for batch in batches]
+
+    legacy = replay("legacy")
+    assert not grouped_runs
+    monkeypatch.setattr(metadata_module, "ARRAY_VALUES_MIN_BATCH", 0)
+    columnar = replay("columnar")
+    assert grouped_runs, "no delta batch took the array path"
     for k, (a, b) in enumerate(zip(legacy, columnar)):
         assert counters_of(a.report) == counters_of(b.report), f"step {k}"
         assert a.snapshot == b.snapshot, f"step {k}"

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-from repro.graph.dodgr import DODGraph, entry_key
-from repro.runtime.serialization import dumps
+import numpy as np
+import pytest
+
+from repro.graph.dodgr import VALUE_MEMO_EXTRACTORS, CSRAdjacency, DODGraph, entry_key
+from repro.graph.generators import GeneratedGraph
+from repro.graph.metadata import edge_timestamp, temporal_edge_meta
+from repro.runtime.serialization import dumps, serialized_size
 from repro.runtime.world import World
 
 
@@ -102,6 +107,188 @@ class TestWireSizePrecompute:
                 assert csr.tgt_wire_sizes[pos] == len(dumps(entry[0])) + len(
                     dumps(entry[2])
                 )
+
+
+#: (column, sized as one array expression?) — each recognised shape, then the
+#: mixed and structured ones that must be rejected, not mis-sized.
+SIZED_COLUMNS = {
+    "float": ([0.5, -3.25, 1e300, float("inf")], True),
+    "int": ([0, -1, 63, 64, 2**40, -(2**62), 2**63 - 1], True),
+    "int_beyond_int64": ([1, 2**63], False),
+    "none": ([None, None], True),
+    "bool": ([True, False, True], True),
+    "float_int_pair": ([temporal_edge_meta(1.5, 3), temporal_edge_meta(2e9, 2**33)], True),
+    "nested_tuple": ([((1, 2.0), None), ((300, 4.0), None)], True),
+    "empty_tuple": ([(), ()], True),
+    "mixed_scalars": ([1, 2.0], False),
+    "bool_and_int": ([True, 1], False),
+    "mixed_arity": ([(1.0, 2), (1.0,)], False),
+    "mixed_field": ([(1.0, 2), (1.0, "label")], False),
+    "tuple_and_list": ([(1.0, 2), [1.0, 2]], False),
+    "str": (["a", "bc"], False),
+    "dict": ([{"timestamp": 1.0}, {"timestamp": 2.0}], False),
+}
+
+
+class TestVectorSizing:
+    @pytest.mark.parametrize("shape", sorted(SIZED_COLUMNS))
+    def test_vector_sizes_equal_scalar_sizes(self, shape):
+        column, recognised = SIZED_COLUMNS[shape]
+        sizes = CSRAdjacency._vector_value_sizes(column)
+        assert (sizes is not None) == recognised
+        if recognised:
+            assert sizes.tolist() == [serialized_size(value) for value in column]
+            assert sizes.tolist() == [len(dumps(value)) for value in column]
+
+    @pytest.mark.parametrize("shape", sorted(SIZED_COLUMNS))
+    def test_csr_wire_columns_equal_the_scalar_loop(self, shape, monkeypatch):
+        """A CSR sized through the vector path == one sized value by value."""
+        column, _recognised = SIZED_COLUMNS[shape]
+        edges = [
+            (u, v, column[(u + v) % len(column)])
+            for u in range(9)
+            for v in range(u + 1, 9)
+        ]
+        dataset = GeneratedGraph(name=shape, edges=edges)
+        dodgr = build_dodgr(dataset, 2)
+        vector = [dodgr.csr(rank) for rank in range(2)]
+        dodgr._invalidate_derived()
+        monkeypatch.setattr(
+            CSRAdjacency, "_vector_value_sizes", staticmethod(lambda values: None)
+        )
+        for rank in range(2):
+            got, want = vector[rank], dodgr.csr(rank)
+            assert got is not want
+            assert got.tgt_wire_sizes == want.tgt_wire_sizes
+            assert got.tgt_vertex_wire == want.tgt_vertex_wire
+            assert got.cand_size_cumsum == want.cand_size_cumsum
+
+
+def temporal_clique(stamp_of, size=8):
+    """A clique whose edge (u, v) carries ``stamp_of(u, v)``; vertex meta = id."""
+    edges = [(u, v, stamp_of(u, v)) for u in range(size) for v in range(u + 1, size)]
+    return GeneratedGraph(
+        name="clique", edges=edges, vertex_meta={v: v for v in range(size)}
+    )
+
+
+def identity(meta):
+    return meta
+
+
+class TestExtractedValues:
+    """The per-position value memo behind ``TriangleBatch.edge_values``."""
+
+    @staticmethod
+    def one_rank_csr(dataset):
+        return build_dodgr(dataset, 1).csr(0)
+
+    def test_float_values_are_float64_and_exact(self):
+        csr = self.one_rank_csr(temporal_clique(lambda u, v: temporal_edge_meta(u + v / 7, u)))
+        positions = np.arange(csr.num_edges, dtype=np.int64)[::-1]
+        values = csr.extracted_values(edge_timestamp, "edge", positions)
+        assert values.dtype == np.float64
+        assert values.tolist() == [
+            edge_timestamp(csr.entries[pos][2]) for pos in positions.tolist()
+        ]
+
+    def test_int_values_are_int64_up_to_2_62(self):
+        base = 2**62 - 100
+        csr = self.one_rank_csr(temporal_clique(lambda u, v: base + 8 * u + v))
+        positions = np.arange(csr.num_edges, dtype=np.int64)
+        values = csr.extracted_values(identity, "edge", positions)
+        assert values.dtype == np.int64
+        assert values.tolist() == [entry[2] for entry in csr.entries]
+        rows = np.arange(csr.num_rows, dtype=np.int64)
+        assert csr.extracted_values(identity, "row", rows).tolist() == csr.row_meta
+        assert csr.extracted_values(identity, "target", positions).tolist() == [
+            entry[3] for entry in csr.entries
+        ]
+
+    @pytest.mark.parametrize(
+        "stamp_of",
+        [
+            lambda u, v: 2**62 + u,  # an int64 difference could overflow
+            lambda u, v: -(2**62) - 1,
+            lambda u, v: -(2**63),  # where abs() itself overflows
+            lambda u, v: 2**64,  # beyond int64 altogether
+            lambda u, v: float(u) if v % 2 else u,  # mixed int / float
+            lambda u, v: bool(u % 2),
+            lambda u, v: None,
+            lambda u, v: f"{u}-{v}",
+            lambda u, v: float("nan") if (u, v) == (2, 5) else 1.0,
+        ],
+        ids=["int_2_62", "int_minus_2_62", "int64_min", "int_2_64", "mixed", "bool", "none", "str", "nan"],
+    )
+    def test_values_without_an_exact_array_form(self, stamp_of):
+        csr = self.one_rank_csr(temporal_clique(stamp_of))
+        positions = np.arange(csr.num_edges, dtype=np.int64)
+        assert csr.extracted_values(identity, "edge", positions) is None
+        # ... and the verdict sticks for the snapshot's life.
+        assert csr.extracted_values(identity, "edge", positions[:1]) is None
+
+    def test_a_later_fill_of_another_type_retires_the_memo(self):
+        csr = self.one_rank_csr(temporal_clique(lambda u, v: 1.5 if u else 7))
+        is_float = np.array([entry[2].__class__ is float for entry in csr.entries])
+        floats, ints = np.flatnonzero(is_float), np.flatnonzero(~is_float)
+        assert csr.extracted_values(identity, "edge", floats).dtype == np.float64
+        assert csr.extracted_values(identity, "edge", ints) is None
+        assert csr.extracted_values(identity, "edge", floats) is None
+
+    def test_unhashable_or_raising_extractors_have_no_array_form(self):
+        csr = self.one_rank_csr(temporal_clique(lambda u, v: 1.0))
+        positions = np.arange(csr.num_edges, dtype=np.int64)
+
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, meta):
+                return meta
+
+        assert csr.extracted_values(Unhashable(), "edge", positions) is None
+
+        def raising(meta):
+            raise KeyError("timestamp")
+
+        assert csr.extracted_values(raising, "edge", positions) is None
+
+    def test_fill_is_sparse_and_happens_once(self):
+        csr = self.one_rank_csr(temporal_clique(lambda u, v: float(u * 8 + v)))
+        seen = []
+
+        def extract(meta):
+            seen.append(meta)
+            return meta
+
+        touched = np.array([3, 5, 3, 9], dtype=np.int64)
+        assert csr.extracted_values(extract, "edge", touched).tolist() == [
+            csr.entries[pos][2] for pos in touched.tolist()
+        ]
+        assert sorted(seen) == sorted({csr.entries[pos][2] for pos in (3, 5, 9)})
+        del seen[:]
+        csr.extracted_values(extract, "edge", np.array([5, 9, 10], dtype=np.int64))
+        assert seen == [csr.entries[10][2]]
+
+    def test_memo_keeps_a_handful_of_extractors(self):
+        csr = self.one_rank_csr(temporal_clique(lambda u, v: 1.0))
+        positions = np.arange(csr.num_edges, dtype=np.int64)
+        extractors = [
+            (lambda meta, k=k: meta + k) for k in range(VALUE_MEMO_EXTRACTORS + 2)
+        ]
+        for k, extract in enumerate(extractors):
+            assert csr.extracted_values(extract, "edge", positions).tolist() == [
+                1.0 + k
+            ] * csr.num_edges
+        assert list(csr._value_memo) == extractors[2:]
+
+    def test_memo_dies_with_the_snapshot(self, small_er):
+        dodgr = build_dodgr(small_er, 2)
+        before = dodgr.csr(0)
+        before.extracted_values(float, "edge", np.arange(before.num_edges))
+        assert float in before._value_memo
+        dodgr._invalidate_derived()
+        assert dodgr.csr(0) is not before
+        assert dodgr.csr(0)._value_memo == {}
 
 
 class TestInvalidation:
