@@ -1,26 +1,27 @@
-"""Construction pipeline — routed per-edge ingest/build vs vectorized path.
+"""Construction pipeline — routed per-edge ingest/build vs the columns-first path.
 
-Not a figure from the paper: this benchmark gates the vectorized ingest→CSR
-construction pipeline (ISSUE 2).  PR 1 made the survey hot loop fast, which
-left ``DODGraph.build`` (and the `DistributedGraph` ingest feeding it) as the
-dominant host-time cost of every figure benchmark.  The vectorized pipeline
-keeps the paper's bulk, communication-light preprocessing semantics but runs
-it array-native: columnar generator output feeds
-``DistributedGraph.from_columns`` (one vectorized partition-map evaluation
-instead of two owner hashes per edge), and ``DODGraph.build(mode="bulk")``
-derives the ``<+`` orientation from one ``order_positions`` argsort plus a
-single lexsort-assembled adjacency, instead of per-half-edge ``order_key``
-tuples.
+Not a figure from the paper: this benchmark holds the columns-first
+construction pipeline (ISSUE 2, ISSUE 19) to the routed reference.  PR 1
+made the survey hot loop fast, which left ``DODGraph.build`` (and the
+`DistributedGraph` ingest feeding it) as the dominant host-time cost of
+every figure benchmark.  The bulk path keeps the paper's bulk,
+communication-light preprocessing semantics but never leaves arrays:
+columnar generator output feeds ``DistributedGraph.from_columns`` (kept as
+one half-edge column image, no per-vertex dicts), and
+``DODGraph.build(mode="bulk")`` turns that image into every rank's
+``CSRAdjacency`` columns — one ``order_positions`` argsort for the ``<+``
+order, one comparison to orient, one sort for all adjacency lists — with
+the record store, ``entries`` and ``order_ids()`` left as lazily built views.
 
-Contract: the vectorized builder is **bit-identical** to the reference
-builder (``mode="async"`` — the paper-faithful build that routes every half
-edge through the simulated runtime — + ``from_edges``): same store insertion
-order, same adjacency tuples in the same order, same dense order ids, same
-CSR arrays, and therefore byte-identical survey communication accounting.
+Contract: the bulk builder is **bit-identical** to the reference builder
+(``mode="async"`` — the paper-faithful build that routes every half edge
+through the simulated runtime — + ``from_edges``): same CSR columns, same
+store insertion order, same adjacency tuples in the same order, same dense
+order ids, and therefore byte-identical survey communication accounting.
 
 Expected shape:
 
-* every parity column (order ids, CSR indptr/ids/owners/size prefix sums,
+* every parity column (order ids, every ``CSRAdjacency.COLUMNS`` column,
   survey comm bytes / wire messages / triangles) exactly equal;
 * host seconds of both builders and both ingest paths reported side by
   side.  The ratio is informational: a gate against an in-repo slow path
@@ -36,7 +37,7 @@ from _artifacts import emit, emit_json
 from repro.bench import format_table
 from repro.core.survey import triangle_survey_push
 from repro.graph.distributed_graph import DistributedGraph
-from repro.graph.dodgr import DODGraph
+from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.generators import rmat
 from repro.runtime.world import World
 
@@ -92,12 +93,8 @@ def _assert_bit_identical(legacy, vectorized, nranks):
             assert store_a[vertex]["degree"] == store_b[vertex]["degree"]
             assert store_a[vertex]["adj"] == store_b[vertex]["adj"]
         csr_a, csr_b = legacy.csr(rank), vectorized.csr(rank)
-        assert csr_a.indptr == csr_b.indptr
-        assert list(csr_a.tgt_ids) == list(csr_b.tgt_ids)
-        assert csr_a.tgt_owner == csr_b.tgt_owner
-        assert csr_a.tgt_wire_sizes == csr_b.tgt_wire_sizes
-        assert csr_a.cand_size_cumsum == csr_b.cand_size_cumsum
-        assert csr_a.row_wire_sizes == csr_b.row_wire_sizes
+        for name in CSRAdjacency.COLUMNS:
+            assert getattr(csr_a, name).tolist() == getattr(csr_b, name).tolist(), name
 
 
 def _survey_parity(legacy, vectorized):

@@ -88,11 +88,9 @@ def _delta_row_adjacency(delta: AppliedDelta, rank: int) -> Tuple[RowAdjacency, 
     if cached is None:
         dodgr = delta.dodgr
         csr = dodgr.csr(rank)
-        cols = csr.columns()
         mask = delta.edge_mask(rank)
         new_to_orig = _np.flatnonzero(mask)
-        lengths = cols.indptr[1:] - cols.indptr[:-1]
-        edge_rows = _np.repeat(_np.arange(csr.num_rows, dtype=_np.int64), lengths)
+        edge_rows = csr.inverted_target_index()[2]
         new_counts = _np.bincount(edge_rows[mask], minlength=csr.num_rows)
         new_indptr = _np.concatenate(
             ([0], _np.cumsum(new_counts))
@@ -222,8 +220,7 @@ def drive_columnar_delta(
     csr = dodgr.csr(ctx)
     if csr.num_edges == 0:
         return
-    cols = csr.columns()
-    indptr = cols.indptr
+    indptr = csr.indptr
     mask = delta.edge_mask(ctx.rank)
     new_pos = _np.flatnonzero(mask)
     inv_ids, inv_pos, row_of_edge = csr.inverted_target_index()
@@ -287,13 +284,13 @@ def drive_columnar_delta(
         if qpos.size == 0:
             streams.append(None)
             continue
-        cand_bytes = cols.cand_cumsum[cand + 1] - cols.cand_cumsum[cand]
+        cand_bytes = csr.cand_size_cumsum[cand + 1] - csr.cand_size_cumsum[cand]
         byte_cumsum = _np.concatenate(([0], _np.cumsum(cand_bytes)))
         offsets = _np.concatenate(([0], _np.cumsum(counts)))
         sizes = (
             overhead
-            + cols.row_wire[row_of_edge[qpos]]
-            + cols.tgt_wire[qpos]
+            + csr.row_wire_sizes[row_of_edge[qpos]]
+            + csr.tgt_wire_sizes[qpos]
             + uvarint_size_array(counts)
             + byte_cumsum[offsets[1:]]
             - byte_cumsum[offsets[:-1]]
@@ -306,7 +303,7 @@ def drive_columnar_delta(
                 "offsets": offsets,
                 "cand": cand,
                 "sizes": sizes,
-                "dests": cols.tgt_owner[qpos],
+                "dests": csr.tgt_owner[qpos],
             }
         )
 

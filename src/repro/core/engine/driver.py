@@ -116,7 +116,7 @@ def row_adjacency(csr: CSRAdjacency, order_count: int) -> RowAdjacency:
     """The CSR's cached :class:`RowAdjacency` view for the row kernels."""
     cached = csr.row_adj_cache
     if cached is None:
-        cached = RowAdjacency(csr.tgt_ids, csr.columns().indptr, order_count)
+        cached = RowAdjacency(csr.tgt_ids, csr.indptr, order_count)
         csr.row_adj_cache = cached
     return cached
 
@@ -246,7 +246,8 @@ def make_batched_intersect_handler(
         qpositions: List[int],
     ) -> None:
         starts = [pos + 1 for pos in qpositions]
-        ends = [src_csr.indptr[row + 1] for row in rows]
+        row_index = _np.asarray(rows, dtype=_np.int64)
+        ends = src_csr.indptr[row_index + 1].tolist()
         ctx.add_counter(
             "wedge_checks", sum(end - start for start, end in zip(starts, ends))
         )
@@ -267,17 +268,18 @@ def make_batched_intersect_handler(
             return
         ctx.add_compute(per_triangle_compute * len(result.matches))
         meta_q = dest_csr.row_meta[q_row]
+        pivots = src_csr.row_vertices[row_index].tolist()
+        pivot_metas = src_csr.row_meta[row_index].tolist()
         for wedge, cand_idx, adj_idx in result.matches:
             r, _d_r, meta_pr, _ = src_csr.entries[starts[wedge] + cand_idx]
             _, _, meta_qr, meta_r = dest_csr.entries[adj_lo + adj_idx]
-            row = rows[wedge]
             callback(
                 ctx,
                 TriangleMetadata(
-                    p=src_csr.row_vertices[row],
+                    p=pivots[wedge],
                     q=q,
                     r=r,
-                    meta_p=src_csr.row_meta[row],
+                    meta_p=pivot_metas[wedge],
                     meta_q=meta_q,
                     meta_r=meta_r,
                     meta_pq=src_csr.entries[qpositions[wedge]][2],
@@ -306,18 +308,20 @@ def drive_batched_push(
     that will be pulled); ``None`` pushes to every target.
     """
     groups: Dict[Tuple[int, Any], Tuple[List[int], List[int], List[int]]] = {}
-    indptr = csr.indptr
-    entries = csr.entries
-    owners = csr.tgt_owner
-    tgt_sizes = csr.tgt_wire_sizes
-    row_sizes = csr.row_wire_sizes
+    # This walk indexes one element at a time: lists, once per drive.
+    indptr = csr.indptr.tolist()
+    targets = csr.tgt_vertex.tolist()
+    owners = csr.tgt_owner.tolist()
+    tgt_sizes = csr.tgt_wire_sizes.tolist()
+    row_sizes = csr.row_wire_sizes.tolist()
+    cand_cumsum = csr.cand_size_cumsum.tolist()
     for row in range(csr.num_rows):
         lo, hi = indptr[row], indptr[row + 1]
         if hi - lo < 2:
             continue
         row_overhead = payload_overhead + row_sizes[row]
         for pos in range(lo, hi - 1):
-            q = entries[pos][0]
+            q = targets[pos]
             if allowed is not None and q not in allowed:
                 continue
             dest = owners[pos]
@@ -325,7 +329,8 @@ def drive_batched_push(
                 row_overhead
                 + tgt_sizes[pos]
                 + uvarint_size(hi - 1 - pos)
-                + csr.suffix_wire_bytes(pos, hi)
+                + cand_cumsum[hi]
+                - cand_cumsum[pos + 1]
             )
             ctx.account_rpc(dest, size)
             group = groups.get((dest, q))
@@ -365,8 +370,9 @@ def columnar_push_batch(
     """Wrap one columnar intersect result as a lazy :class:`TriangleBatch`.
 
     Only the per-match index arrays are gathered eagerly; each metadata
-    column decodes from the CSR entry tuples on first read, each typed value
-    array from the CSRs' value memos, both through those index arrays.
+    column is gathered from the CSRs' id / metadata columns on first read,
+    each typed value array from their value memos, both through those index
+    arrays.
     ``local_meta_r`` reads ``meta(r)`` from the candidate (``src_csr``) side:
     the pull phase, where the shipped ``Adj^m_+(q)`` omits it.
     """
@@ -377,20 +383,17 @@ def columnar_push_batch(
     q_pos = qpositions[wedge]
     q_rows = q_rows[wedge]
     src_pos = flat_src_pos[_np.asarray(result.cand_pos, dtype=_np.int64)]
-    src_entries = src_csr.entries
-    dest_entries = dest_csr.entries
     r_csr, r_pos = (src_csr, src_pos) if local_meta_r else (dest_csr, adj_pos)
-    r_entries = r_csr.entries
     builders = {
-        "p": lambda: [src_csr.row_vertices[row] for row in p_rows.tolist()],
-        "meta_p": lambda: [src_csr.row_meta[row] for row in p_rows.tolist()],
-        "q": lambda: [dest_csr.row_vertices[row] for row in q_rows.tolist()],
-        "meta_q": lambda: [dest_csr.row_meta[row] for row in q_rows.tolist()],
-        "meta_pq": lambda: [src_entries[pos][2] for pos in q_pos.tolist()],
-        "r": lambda: [src_entries[pos][0] for pos in src_pos.tolist()],
-        "meta_pr": lambda: [src_entries[pos][2] for pos in src_pos.tolist()],
-        "meta_qr": lambda: [dest_entries[pos][2] for pos in adj_pos.tolist()],
-        "meta_r": lambda: [r_entries[pos][3] for pos in r_pos.tolist()],
+        "p": lambda: src_csr.row_vertices[p_rows].tolist(),
+        "meta_p": lambda: src_csr.row_meta[p_rows].tolist(),
+        "q": lambda: dest_csr.row_vertices[q_rows].tolist(),
+        "meta_q": lambda: dest_csr.row_meta[q_rows].tolist(),
+        "meta_pq": lambda: src_csr.edge_meta[q_pos].tolist(),
+        "r": lambda: src_csr.tgt_vertex[src_pos].tolist(),
+        "meta_pr": lambda: src_csr.edge_meta[src_pos].tolist(),
+        "meta_qr": lambda: dest_csr.edge_meta[adj_pos].tolist(),
+        "meta_r": lambda: r_csr.tgt_meta[r_pos].tolist(),
     }
     # Where the typed value arrays read each memo: (CSR, field, positions).
     reads = {
@@ -427,9 +430,8 @@ def make_columnar_intersect_handler(
     """
 
     def _columnar_intersect_handler(ctx, src_csr: CSRAdjacency, rows, qpositions) -> None:
-        src_cols = src_csr.columns()
         starts = qpositions + 1
-        ends = src_cols.indptr[rows + 1]
+        ends = src_csr.indptr[rows + 1]
         seg_lengths = ends - starts
         total = int(seg_lengths.sum())
         ctx.add_counter("wedge_checks", total)
@@ -464,7 +466,7 @@ def wedge_stream(csr: CSRAdjacency):
     Every entry but the last of every row, in legacy iteration order
     (row-major): the prologue the columnar push drive and dry run share.
     """
-    indptr = csr.columns().indptr
+    indptr = csr.indptr
     wedge_counts = _np.maximum(indptr[1:] - indptr[:-1] - 1, 0)
     if not wedge_counts.any():
         return None
@@ -510,25 +512,24 @@ def drive_columnar_dry_run(ctx, dodgr, h_propose, h_propose_columnar, push_mask)
     if stream is None:
         return
     rows, qpositions = stream
-    cols = csr.columns()
     q_ids = csr.tgt_ids[qpositions]
-    remote = cols.tgt_owner[qpositions] != rank
+    remote = csr.tgt_owner[qpositions] != rank
     push_mask[q_ids[~remote]] = True
     if not remote.any():
         return
     rows, qpositions, q_ids = rows[remote], qpositions[remote], q_ids[remote]
     order, starts, ends = first_appearance_groups(q_ids)
     suffix_sums = _np.concatenate(
-        ([0], _np.cumsum((cols.indptr[rows + 1] - 1 - qpositions)[order]))
+        ([0], _np.cumsum((csr.indptr[rows + 1] - 1 - qpositions)[order]))
     )
     totals = suffix_sums[ends] - suffix_sums[starts]
     first_pos = qpositions[order[starts]]
     sizes = (
         ctx.world.registry.call_size(h_propose, (rank,))
-        + cols.tgt_vertex_wire[first_pos]
+        + csr.tgt_vertex_wire[first_pos]
         + int_size_array(totals)
     )
-    dests = cols.tgt_owner[first_pos]
+    dests = csr.tgt_owner[first_pos]
     send_coalesced(ctx, h_propose_columnar, dests, sizes, (rank, csr), (first_pos, totals))
 
 
@@ -554,8 +555,7 @@ def drive_columnar_push(
     if stream is None:
         return
     rows, qpositions = stream
-    cols = csr.columns()
-    indptr = cols.indptr
+    indptr = csr.indptr
     if allowed_mask is not None:
         keep = allowed_mask[csr.tgt_ids[qpositions]]
         rows = rows[keep]
@@ -563,14 +563,14 @@ def drive_columnar_push(
         if rows.size == 0:
             return
     row_end = indptr[rows + 1]
-    dests = cols.tgt_owner[qpositions]
+    dests = csr.tgt_owner[qpositions]
     sizes = (
         payload_overhead
-        + cols.row_wire[rows]
-        + cols.tgt_wire[qpositions]
+        + csr.row_wire_sizes[rows]
+        + csr.tgt_wire_sizes[qpositions]
         + uvarint_size_array(row_end - 1 - qpositions)
-        + cols.cand_cumsum[row_end]
-        - cols.cand_cumsum[qpositions + 1]
+        + csr.cand_size_cumsum[row_end]
+        - csr.cand_size_cumsum[qpositions + 1]
     )
     ctx.account_rpc_bulk(dests, sizes)
     order = _np.argsort(dests, kind="stable")

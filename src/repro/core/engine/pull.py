@@ -152,15 +152,17 @@ def _make_batched_pull_handler(
         if callback is None:
             return
         ctx.add_compute(per_triangle_compute * len(result.matches))
+        row_index = _np.asarray(rows, dtype=_np.int64)
+        pivots = csr.row_vertices[row_index].tolist()
+        pivot_metas = csr.row_meta[row_index].tolist()
         for wedge, cand_idx, adj_idx in result.matches:
             r, _d_r, meta_pr, meta_r = csr.entries[starts[wedge] + cand_idx]
             meta_qr = adjacency_q[adj_idx][2]
-            row = rows[wedge]
             callback(
                 ctx,
                 TriangleMetadata(
-                    p=csr.row_vertices[row], q=q, r=r,
-                    meta_p=csr.row_meta[row], meta_q=meta_q, meta_r=meta_r,
+                    p=pivots[wedge], q=q, r=r,
+                    meta_p=pivot_metas[wedge], meta_q=meta_q, meta_r=meta_r,
                     meta_pq=csr.entries[starts[wedge] - 1][2],
                     meta_pr=meta_pr, meta_qr=meta_qr,
                 ),
@@ -192,10 +194,10 @@ def _make_columnar_pull_handler(
         csr = dodgr.csr(ctx)
         inv_ids, inv_pos, row_of_edge = csr.inverted_target_index()
         which, qpositions = positions_of_ids(
-            inv_ids, inv_pos, owner_csr.columns().row_order_ids[q_rows]
+            inv_ids, inv_pos, owner_csr.row_order_ids[q_rows]
         )
         rows = row_of_edge[qpositions]
-        ends = csr.columns().indptr[rows + 1]
+        ends = csr.indptr[rows + 1]
         # A q that closes its row has no candidate suffix; the scalar dry
         # runs never record such a pivot.
         waiting = qpositions + 1 < ends
@@ -276,20 +278,19 @@ def drive_pull(style: str, ctx, dodgr: DODGraph, handler, pull_list) -> None:
         if not pull_list:
             return
         csr = dodgr.csr(ctx.rank)
-        cols = csr.columns()
         q_rows, requesters = (_np.concatenate(column) for column in zip(*pull_list))
         order, starts, ends = first_appearance_groups(q_rows)
         send_order = order[ragged_gather(starts, ends - starts)[0]]
         q_rows = q_rows[send_order]
-        lo, hi = cols.indptr[q_rows], cols.indptr[q_rows + 1]
+        lo, hi = csr.indptr[q_rows], csr.indptr[q_rows + 1]
         # The pulled payload omits meta(r): the requesting rank stores
         # meta(r) locally for every r it may close with.
         sizes = (
             legacy_push_payload_overhead(handler.handler_id)
-            + cols.row_wire[q_rows]
+            + csr.row_wire_sizes[q_rows]
             + uvarint_size_array(hi - lo)
-            + cols.cand_cumsum[hi]
-            - cols.cand_cumsum[lo]
+            + csr.cand_size_cumsum[hi]
+            - csr.cand_size_cumsum[lo]
         )
         send_coalesced(ctx, handler, requesters[send_order], sizes, (csr,), (q_rows,))
         return

@@ -107,7 +107,7 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
         """One (source, dest) pair's proposals decided in one comparison:
         pulled rows join the pull list as a chunk, the rest are advised in one
         batched reply accounted as the scalar advise messages it replaces."""
-        indptr = dodgr.csr(ctx).columns().indptr
+        indptr = dodgr.csr(ctx).indptr
         q_ids = src_csr.tgt_ids[qpositions]
         q_rows = dodgr.rows_by_order_id()[q_ids]
         pull = indptr[q_rows + 1] - indptr[q_rows] < totals
@@ -118,7 +118,7 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
         if advised.any():
             sizes = (
                 world.registry.call_size(h_advise, ())
-                + src_csr.columns().tgt_vertex_wire[qpositions[advised]]
+                + src_csr.tgt_vertex_wire[qpositions[advised]]
             )
             send_coalesced(
                 ctx, h_advise, _np.full_like(sizes, source_rank), sizes, (), (q_ids[advised],)

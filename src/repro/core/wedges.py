@@ -46,16 +46,10 @@ def wedge_count(dodgr: DODGraph) -> int:
 
 def per_rank_wedge_counts(dodgr: DODGraph) -> List[int]:
     """Wedge checks generated by each rank's local pivots (load-balance view)."""
-    out: List[int] = []
-    for rank in range(dodgr.world.nranks):
-        store = dodgr.local_store(rank)
-        degrees = _np.fromiter(
-            (len(record["adj"]) for record in store.values()),
-            dtype=_np.int64,
-            count=len(store),
-        )
-        out.append(_wedges_from_degrees(degrees))
-    return out
+    return [
+        _wedges_from_degrees(_np.diff(dodgr.csr(rank).indptr))
+        for rank in range(dodgr.world.nranks)
+    ]
 
 
 def wedge_count_from_edges(

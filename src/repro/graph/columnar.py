@@ -1,37 +1,71 @@
-"""Shared helpers for the columnar (array-native) construction pipeline.
+"""Shared column shapes of the columnar (array-native) construction pipeline.
 
-The vectorized builders (`DistributedGraph.from_columns`,
-`DODGraph._build_bulk_vectorized`) assemble per-vertex records from sorted
-half-edge streams.  Their grouping step — find runs of equal keys in the
-sorted columns — encodes the bit-identical insertion-order contract, so it
-lives here once instead of being hand-rolled per call site.
+``DistributedGraph.half_edge_columns`` hands a whole undirected graph to
+``DODGraph.build(mode="bulk")`` as one :class:`HalfEdgeColumns`; the helpers
+below are how both sides turn Python sequences into the two column kinds —
+int64 ids where every id is a plain in-range ``int``, object columns for
+everything else (metadata, string / tuple / beyond-int64 ids).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as _np
 
-__all__ = ["group_slices"]
+__all__ = ["HalfEdgeColumns", "id_array", "id_column", "object_column", "dense_indices"]
 
 
-def group_slices(*key_columns: Any) -> List[Tuple[int, int]]:
-    """Contiguous runs of equal keys in pre-sorted parallel columns.
+class HalfEdgeColumns(NamedTuple):
+    """An undirected decorated graph as parallel columns.
 
-    Returns ``[(start, end), ...]`` slices such that every row in a slice
-    has identical values across all ``key_columns`` (a run ends when *any*
-    column changes).  Columns must already be grouped (e.g. via
-    ``np.lexsort``); boundaries come from one vectorized ``diff`` instead of
-    per-element Python comparisons.
+    Exactly what walking the per-rank stores reads, in the order it reads
+    it: vertices rank-major, each rank's in its store's insertion order;
+    half edges (one per stored ``adj`` entry, duplicates already resolved)
+    grouped by their vertex in that same order, each group in its adjacency
+    dict's insertion order.  Vertices are referred to by dense index.
     """
-    first = key_columns[0]
-    count = len(first)
-    if count == 0:
-        return []
-    change = None
-    for column in key_columns:
-        delta = _np.diff(_np.asarray(column)) != 0
-        change = delta if change is None else (change | delta)
-    cuts = [0] + (_np.flatnonzero(change) + 1).tolist() + [count]
-    return list(zip(cuts[:-1], cuts[1:]))
+
+    #: (V,) vertex ids: int64, or object for ids that are not in-range ints
+    vertices: Any
+    #: (V,) object column of vertex metadata
+    vertex_meta: Any
+    #: (nranks + 1,) rank ``r`` stores ``vertices[rank_offsets[r]:rank_offsets[r + 1]]``
+    rank_offsets: Any
+    #: (V,) number of distinct partners, i.e. each vertex's run of half edges
+    degree: Any
+    #: (H,) dense index of every half edge's partner
+    tgt: Any
+    #: (H,) object column of edge metadata
+    edge_meta: Any
+
+
+def id_array(vertices: Sequence[Any]) -> Optional[Any]:
+    """``vertices`` as an int64 array, or None unless all are in-range plain ints."""
+    if isinstance(vertices, _np.ndarray):
+        return vertices if vertices.dtype == _np.int64 else None
+    if not all(type(v) is int for v in vertices):
+        return None
+    try:
+        return _np.fromiter(vertices, dtype=_np.int64, count=len(vertices))
+    except OverflowError:  # ids beyond int64
+        return None
+
+
+def object_column(values: Sequence[Any]) -> Any:
+    """A 1-d object array holding ``values`` as they are (tuples stay tuples)."""
+    return _np.fromiter(values, dtype=object, count=len(values))
+
+
+def id_column(vertices: Sequence[Any]) -> Any:
+    """The id column of ``vertices``: int64 when they allow it, object otherwise."""
+    ids = id_array(vertices)
+    return ids if ids is not None else object_column(vertices)
+
+
+def dense_indices(vertices: Sequence[Any], references: Sequence[Any]) -> Any:
+    """Position in ``vertices`` of every vertex named in ``references`` (int64)."""
+    index_of = dict(zip(vertices, range(len(vertices))))
+    return _np.fromiter(
+        map(index_of.__getitem__, references), dtype=_np.int64, count=len(references)
+    )

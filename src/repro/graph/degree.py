@@ -19,6 +19,7 @@ from typing import Any, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
 import numpy as _np
 
 from ..runtime.world import stable_hash, stable_hash_int_array
+from .columnar import id_array
 
 __all__ = ["order_key", "precedes", "DegreeOrder", "order_positions"]
 
@@ -43,8 +44,9 @@ def order_positions(
     (``vertices[order[k]]`` is the ``k``-th vertex in ``<+`` order) — exactly
     the ordering ``sorted(..., key=order_key)`` produces, but via one
     ``np.lexsort`` over (hash, degree) columns instead of per-vertex key
-    tuples.  Integer vertex ids hash through the vectorized mix; other id
-    types fall back to a scalar hashing pass but still sort columnar.  The
+    tuples.  ``vertices`` is a sequence or an id column (int64 / object
+    array); integer ids hash through the vectorized mix, other id types fall
+    back to a scalar hashing pass but still sort columnar.  The
     ``repr`` tie-break of :func:`order_key` only matters on exact 64-bit
     hash collisions between equal-degree vertices; those (vanishingly rare)
     runs are re-sorted scalar-side so the result matches the legacy key on
@@ -52,15 +54,10 @@ def order_positions(
     """
     n = len(vertices)
     deg = _np.asarray(degrees, dtype=_np.int64)
-    hashes = None
-    if n and all(type(v) is int for v in vertices):
-        try:
-            ids = _np.fromiter(vertices, dtype=_np.int64, count=n)
-        except OverflowError:  # ids beyond int64: scalar hashing below
-            ids = None
-        if ids is not None:
-            hashes = stable_hash_int_array(ids)
-    if hashes is None:
+    ids = id_array(vertices)
+    if ids is not None:
+        hashes = stable_hash_int_array(ids)
+    else:
         # Scalar hashing pass (non-int or huge ids); results are < 2**63 so
         # the columnar sort below still applies.
         hashes = _np.fromiter(
@@ -74,6 +71,8 @@ def order_positions(
         if ties.any():
             order_list = order.tolist()
             tie_flags = ties.tolist()
+            if isinstance(vertices, _np.ndarray):
+                vertices = vertices.tolist()  # repr() of the ids, not of NumPy scalars
             start = 0
             while start < n - 1:
                 if not tie_flags[start]:

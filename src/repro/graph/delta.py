@@ -107,9 +107,7 @@ class AppliedDelta:
         mask = self._masks.get(rank)
         if mask is None:
             csr = self.dodgr.csr(rank)
-            cols = csr.columns()
-            lengths = cols.indptr[1:] - cols.indptr[:-1]
-            src_order = _np.repeat(cols.row_order_ids, lengths)
+            src_order = _np.repeat(csr.row_order_ids, _np.diff(csr.indptr))
             composite = src_order * _np.int64(self.dodgr.order_count()) + csr.tgt_ids
             new_keys = self.directed_edge_keys()
             if new_keys.size:

@@ -6,11 +6,13 @@ undirected adjacency with per-edge metadata.  This is the structure the
 degree-ordered directed graph (:mod:`repro.graph.dodgr`) is built from, and
 it also backs the baseline algorithms that do not use degree ordering.
 
-Construction offers two paths:
+Construction offers three paths:
 
-* :meth:`DistributedGraph.from_edges` / :meth:`add_edge` — driver-side bulk
-  loading, used by generators and benchmarks where graph construction is not
-  the phase being measured;
+* :meth:`DistributedGraph.from_columns` — array-native bulk loading from
+  endpoint columns (every generator): the graph is kept as one column image
+  and its per-rank record dicts materialise only on first access;
+* :meth:`DistributedGraph.from_edges` / :meth:`add_edge` — driver-side
+  per-edge loading into the record dicts;
 * :meth:`DistributedGraph.ingest_async` — message-driven loading through the
   simulated YGM runtime, exercising the same code path a real deployment
   would use and accounted in the communication statistics.
@@ -23,8 +25,13 @@ from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Opti
 from itertools import repeat
 
 from ..runtime.world import RankContext, World
-from .columnar import group_slices
-from .edge_list import DistributedEdgeList, canonical_pair, validate_edge_columns
+from .columnar import HalfEdgeColumns, dense_indices, id_array, id_column, object_column
+from .edge_list import (
+    DistributedEdgeList,
+    canonical_pair,
+    int64_id_columns,
+    validate_edge_columns,
+)
 from .partition import HashPartitioner, Partitioner
 
 import numpy as _np
@@ -60,22 +67,89 @@ class DistributedGraph:
         self._h_set_vertex_meta = world.register_handler(
             self._handle_set_vertex_meta, f"{self.name}.set_vertex_meta"
         )
+        #: the whole graph as columns while a :meth:`from_columns` load is
+        #: still authoritative; None once the per-rank stores are
+        self._image: Optional[HalfEdgeColumns] = None
 
     # ------------------------------------------------------------------
     @property
     def _slot(self) -> str:
         return f"graph:{self.name}"
 
+    @property
+    def store_materialised(self) -> bool:
+        """False while a :meth:`from_columns` graph still lives as columns only."""
+        return self._image is None
+
     def owner(self, vertex: Hashable) -> int:
         return self.partitioner.owner(vertex)
 
     def local_store(self, rank_or_ctx: int | RankContext) -> Dict[Hashable, Dict[str, Any]]:
+        """The rank's ``{vertex: {"meta", "adj"}}`` records — the mutable view.
+
+        Every per-vertex read and every mutation goes through here.  On a
+        :meth:`from_columns` graph the first call builds all ranks' records
+        from the column image and drops the image: from then on the stores
+        are authoritative, exactly as on a :meth:`from_edges` graph.
+        """
+        if self._image is not None:
+            self._materialise_stores()
         ctx = (
             rank_or_ctx
             if isinstance(rank_or_ctx, RankContext)
             else self.world.rank(rank_or_ctx)
         )
         return ctx.local_state[self._slot]
+
+    def _materialise_stores(self) -> None:
+        """Column image -> per-rank record dicts, in ``from_edges`` insertion order."""
+        cols, self._image = self._image, None
+        partners = cols.vertices[cols.tgt].tolist()
+        edge_metas = cols.edge_meta.tolist()
+        bounds = _np.concatenate(([0], _np.cumsum(cols.degree))).tolist()
+        offsets = cols.rank_offsets.tolist()
+        vertices, metas = cols.vertices.tolist(), cols.vertex_meta.tolist()
+        for ctx in self.world.ranks:
+            store = ctx.local_state[self._slot]
+            for g in range(offsets[ctx.rank], offsets[ctx.rank + 1]):
+                lo, hi = bounds[g], bounds[g + 1]
+                store[vertices[g]] = {
+                    "meta": metas[g],
+                    "adj": dict(zip(partners[lo:hi], edge_metas[lo:hi])),
+                }
+
+    def half_edge_columns(self) -> HalfEdgeColumns:
+        """The whole graph as :class:`~repro.graph.columnar.HalfEdgeColumns`.
+
+        The bulk DODGr build's one input.  A :meth:`from_columns` graph
+        answers with its retained image; any other graph flattens its
+        per-rank stores (one pass over the vertices, no per-edge Python
+        beyond the partner -> dense index lookups).
+        """
+        if self._image is not None:
+            return self._image
+        vertices: List[Hashable] = []
+        metas: List[Any] = []
+        degrees: List[int] = []
+        partners: List[Hashable] = []
+        edge_metas: List[Any] = []
+        offsets = [0]
+        for ctx in self.world.ranks:
+            for vertex, record in ctx.local_state[self._slot].items():
+                vertices.append(vertex)
+                metas.append(record["meta"])
+                degrees.append(len(record["adj"]))
+                partners.extend(record["adj"])
+                edge_metas.extend(record["adj"].values())
+            offsets.append(len(vertices))
+        return HalfEdgeColumns(
+            vertices=id_column(vertices),
+            vertex_meta=object_column(metas),
+            rank_offsets=_np.asarray(offsets, dtype=_np.int64),
+            degree=_np.asarray(degrees, dtype=_np.int64),
+            tgt=dense_indices(vertices, partners),
+            edge_meta=object_column(edge_metas),
+        )
 
     def _vertex_record(
         self, store: Dict[Hashable, Dict[str, Any]], vertex: Hashable
@@ -167,83 +241,95 @@ class DistributedGraph:
 
         Bit-identical to ``from_edges(zip(us, vs, ...))`` — same per-rank
         store insertion order, same adjacency-dict key order, same
-        duplicate-edge overwrite semantics, same self-loop drops — but the
-        per-edge owner lookups collapse into one vectorized partition-map
-        evaluation and the per-vertex records are assembled group-at-a-time
-        from one stable sort of the half-edge stream.  ``edge_meta`` is a
-        value shared by every edge (the generator default); ``edge_metas``
-        supplies one value per input edge.
+        duplicate-edge overwrite semantics, same self-loop drops — with no
+        per-edge Python: the columns are validated, deduplicated and laid
+        out rank-major as one :class:`~repro.graph.columnar.HalfEdgeColumns`
+        image, and *that* is the graph.  ``DODGraph.build(mode="bulk")`` and
+        the size queries (:meth:`num_vertices`, :meth:`num_directed_edges`,
+        :meth:`max_degree`, :meth:`rank_vertex_counts`, ...) read the image;
+        the per-rank record dicts are built only if something asks for them
+        (:meth:`local_store` — any per-vertex read, any mutation such as
+        :meth:`add_edge` or ``DeltaBuffer.apply``), after which the image is
+        dropped and the records are authoritative (:attr:`store_materialised`).
+        ``edge_meta`` is a value shared by every edge (the generator
+        default); ``edge_metas`` supplies one value per input edge.
 
         Malformed columns — ragged lengths, non-integer dtype, negative
-        ids — raise :class:`ValueError` naming the offending column.
+        ids — raise :class:`ValueError` naming the offending column.  Ids
+        that do not fit int64 (Python ints or unsigned arrays ``>= 2**63``)
+        are loaded edge by edge through :meth:`from_edges` instead.
         """
         validate_edge_columns(us, vs, edge_metas)
+        vertex_meta = vertex_meta or {}
+        ids = int64_id_columns(us, vs)
+        meta_ids = id_array(list(vertex_meta))
+        if ids is None or meta_ids is None:
+            # Ids that are not int64 (beyond-range ints, odd vertex_meta keys).
+            metas = edge_metas if edge_metas is not None else repeat(edge_meta)
+            return cls.from_edges(
+                world,
+                ((int(u), int(v), meta) for u, v, meta in zip(us, vs, metas)),
+                vertex_meta=vertex_meta,
+                partitioner=partitioner,
+                default_vertex_meta=default_vertex_meta,
+                name=name,
+            )
         graph = cls(
             world,
             partitioner=partitioner,
             name=name,
             default_vertex_meta=default_vertex_meta,
         )
-        try:
-            us_arr = _np.asarray(us, dtype=_np.int64)
-            vs_arr = _np.asarray(vs, dtype=_np.int64)
-        except OverflowError:  # ids beyond int64: per-edge fallback
-            us_arr = None
-        if us_arr is None:
-            metas = edge_metas if edge_metas is not None else repeat(edge_meta)
-            for u, v, meta in zip(us, vs, metas):
-                graph.add_edge(int(u), int(v), meta)
+        keep = _np.flatnonzero(ids[0] != ids[1])
+        # The half-edge stream of from_edges: edge i contributes (u_i -> v_i)
+        # at position 2i and (v_i -> u_i) at 2i + 1.
+        ends = _np.empty(2 * keep.size, dtype=_np.int64)
+        ends[0::2], ends[1::2] = ids[0][keep], ids[1][keep]
+        uniq, first_seen, inverse = _np.unique(ends, return_index=True, return_inverse=True)
+        # Metadata-only vertices join their rank after every endpoint, in
+        # vertex_meta order (set_vertex_meta runs after the edge loop).
+        known = _np.isin(meta_ids, uniq)
+        meta_slot = _np.empty(meta_ids.size, dtype=_np.int64)
+        meta_slot[known] = _np.searchsorted(uniq, meta_ids[known])
+        meta_slot[~known] = uniq.size + _np.arange(meta_ids.size - int(known.sum()))
+        first_seen = _np.concatenate((first_seen, ends.size + _np.flatnonzero(~known)))
+        uniq = _np.concatenate((uniq, meta_ids[~known]))
+        owners = graph.partitioner.owners_array(uniq).astype(_np.int64)
+        # Rank-major, first appearance within a rank: the store insertion order.
+        rank_major = _np.lexsort((first_seen, owners))
+        dense = _np.empty(uniq.size, dtype=_np.int64)
+        dense[rank_major] = _np.arange(uniq.size, dtype=_np.int64)
+        vertex_metas = _np.empty(uniq.size, dtype=object)
+        vertex_metas.fill(default_vertex_meta)
+        vertex_metas[dense[meta_slot]] = object_column(list(vertex_meta.values()))
+        src = dense[inverse]
+        tgt = src.reshape(-1, 2)[:, ::-1].reshape(-1)
+        # Duplicate half edges, as the adjacency dict resolves them: one
+        # entry where the pair first appears, holding the last metadata.
+        pair_keys = src * _np.int64(uniq.size) + tgt
+        by_pair = _np.argsort(pair_keys, kind="stable")
+        pair_keys = pair_keys[by_pair]
+        head = _np.ones(by_pair.size, dtype=bool)
+        head[1:] = pair_keys[1:] != pair_keys[:-1]
+        first = by_pair[head]
+        # Each vertex's half edges in first-appearance (adjacency dict) order.
+        in_store_order = _np.argsort(src[first] * _np.int64(ends.size) + first)
+        first = first[in_store_order]
+        if edge_metas is None:
+            half_edge_metas = _np.empty(first.size, dtype=object)
+            half_edge_metas.fill(edge_meta)
         else:
-            keep = us_arr != vs_arr
-            us_arr, vs_arr = us_arr[keep], vs_arr[keep]
-            edge_index = _np.flatnonzero(keep)
-            num_edges = len(us_arr)
-            if num_edges:
-                # The half-edge stream of from_edges: edge i contributes
-                # (u_i -> v_i) at position 2i and (v_i -> u_i) at 2i + 1.
-                ends = _np.empty(2 * num_edges, dtype=_np.int64)
-                partners = _np.empty(2 * num_edges, dtype=_np.int64)
-                ends[0::2], ends[1::2] = us_arr, vs_arr
-                partners[0::2], partners[1::2] = vs_arr, us_arr
-                owners = graph.partitioner.owners_array(ends)
-                order = _np.lexsort((ends, owners))
-                own_sorted_arr = owners[order]
-                vtx_sorted_arr = ends[order]
-                own_sorted = own_sorted_arr.tolist()
-                vtx_sorted = vtx_sorted_arr.tolist()
-                part_sorted = partners[order].tolist()
-                stream_sorted = order.tolist()
-                # One group per (owner, vertex); lexsort stability keeps each
-                # group's half edges in stream order, so the group's head is
-                # the vertex's first appearance.
-                groups = [
-                    (own_sorted[start], stream_sorted[start], start, end)
-                    for start, end in group_slices(own_sorted_arr, vtx_sorted_arr)
-                ]
-                # Store records in first-appearance order per rank — the
-                # dict insertion order the per-edge loop produces.
-                groups.sort()
-                meta_by_edge = None
-                if edge_metas is not None:
-                    meta_by_edge = [edge_metas[k] for k in edge_index.tolist()]
-                for owner_rank, _first, i, j in groups:
-                    store = graph.local_store(owner_rank)
-                    if meta_by_edge is None:
-                        adj = dict(zip(part_sorted[i:j], repeat(edge_meta)))
-                    else:
-                        adj = dict(
-                            zip(
-                                part_sorted[i:j],
-                                (meta_by_edge[s >> 1] for s in stream_sorted[i:j]),
-                            )
-                        )
-                    store[vtx_sorted[i]] = {
-                        "meta": graph.default_vertex_meta,
-                        "adj": adj,
-                    }
-        if vertex_meta:
-            for vertex, meta in vertex_meta.items():
-                graph.set_vertex_meta(vertex, meta)
+            # A pair's last occurrence sits just before the next pair's head.
+            last = by_pair[_np.concatenate((head[1:], [True]))[: head.size]][in_store_order]
+            half_edge_metas = object_column(edge_metas)[keep[last >> 1]]
+        graph._image = HalfEdgeColumns(
+            vertices=uniq[rank_major],
+            vertex_meta=vertex_metas,
+            rank_offsets=_np.searchsorted(owners[rank_major], _np.arange(world.nranks + 1)),
+            degree=_np.bincount(src[first], minlength=uniq.size),
+            tgt=tgt[first],
+            edge_meta=half_edge_metas,
+        )
         return graph
 
     @classmethod
@@ -329,7 +415,7 @@ class DistributedGraph:
         return len(record["adj"]) if record is not None else 0
 
     def num_vertices(self) -> int:
-        return sum(len(self.local_store(r)) for r in range(self.world.nranks))
+        return sum(self.rank_vertex_counts())
 
     def num_undirected_edges(self) -> int:
         """Number of undirected edges (each counted once)."""
@@ -337,19 +423,12 @@ class DistributedGraph:
 
     def num_directed_edges(self) -> int:
         """Number of stored half edges — the paper's symmetrized edge count."""
-        total = 0
-        for rank in range(self.world.nranks):
-            for record in self.local_store(rank).values():
-                total += len(record["adj"])
-        return total
+        return sum(self.rank_edge_counts())
 
     def max_degree(self) -> int:
-        best = 0
-        for rank in range(self.world.nranks):
-            for record in self.local_store(rank).values():
-                if len(record["adj"]) > best:
-                    best = len(record["adj"])
-        return best
+        if self._image is not None:
+            return int(self._image.degree.max(initial=0))
+        return max(self.degrees().values(), default=0)
 
     def vertices(self) -> Iterator[Hashable]:
         for rank in range(self.world.nranks):
@@ -371,13 +450,18 @@ class DistributedGraph:
                 for u, record in self.local_store(rank).items()}
 
     def rank_vertex_counts(self) -> List[int]:
+        if self._image is not None:
+            return _np.diff(self._image.rank_offsets).tolist()
         return [len(self.local_store(r)) for r in range(self.world.nranks)]
 
     def rank_edge_counts(self) -> List[int]:
-        out = []
-        for rank in range(self.world.nranks):
-            out.append(sum(len(rec["adj"]) for rec in self.local_store(rank).values()))
-        return out
+        if self._image is not None:
+            edges_before = _np.concatenate(([0], _np.cumsum(self._image.degree)))
+            return _np.diff(edges_before[self._image.rank_offsets]).tolist()
+        return [
+            sum(len(rec["adj"]) for rec in self.local_store(rank).values())
+            for rank in range(self.world.nranks)
+        ]
 
     # ------------------------------------------------------------------
     def to_networkx(self):

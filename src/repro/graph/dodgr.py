@@ -13,37 +13,44 @@ vertex-metadata storage from O(|V|) to O(|E|) but lets a triangle Δpqr be
 surveyed without ever visiting r, the highest-degree vertex (the closing
 edge (q, r) — and meta(r) — is found in Adj^m_+(q)).
 
-Adjacency entries in this reproduction are tuples
-
-    (v, d(v), meta(u, v), meta(v))
-
+An adjacency entry in this reproduction is ``(v, d(v), meta(u, v), meta(v))``.
 The target degree ``d(v)`` is kept because the ``<+`` comparison (and hence
 the merge-path intersection order) needs it; this mirrors the "small constant
 amount of additional memory per edge" the paper mentions.
 
-Two views of the same store coexist:
+Two representations, one of them authoritative at a time:
 
-* the *record* view behind :meth:`DODGraph.local_store` — one dict per rank
-  mapping each vertex to ``{"meta", "degree", "adj"}``, mutable during
-  construction; this is what the legacy per-wedge survey walks, and
-* a *CSR* view behind :meth:`DODGraph.csr` — per-rank
-  :class:`CSRAdjacency` snapshots flattening every adjacency list into
-  contiguous arrays (neighbour order-ids, owners, serialized-size prefix
-  sums, metadata indices), built lazily once construction is finished.  The
-  batched survey engine iterates and intersects over these arrays.
+* the *columns* — one :class:`CSRAdjacency` per rank, every adjacency list
+  flattened into contiguous arrays (neighbour order-ids, owners,
+  serialized-size prefix sums, metadata columns).  ``DODGraph.build(mode=
+  "bulk")`` produces them for all ranks in one array pass straight from the
+  graph's :class:`~repro.graph.columnar.HalfEdgeColumns`; they are what the
+  production (``columnar``) engine and every size query read, and after a
+  bulk build they *are* the graph;
+* the *records* behind :meth:`DODGraph.local_store` — one dict per rank
+  mapping each vertex to ``{"meta", "degree", "adj": [entries]}``, which the
+  ``legacy`` per-wedge oracle walks.  After a bulk build they are a view,
+  materialised from the columns on first access and to be treated as
+  read-only; ``mode="async"`` — the routed reference build — fills them
+  message by message, they are authoritative, and the columns are flattened
+  from them on first :meth:`DODGraph.csr` call (as after any later mutation:
+  :meth:`DODGraph.sort_adjacency`, an offered edge).
+
+The other object-shaped views — ``CSRAdjacency.entries`` / ``vertex_rows``
+and the :meth:`DODGraph.order_ids` dict — are likewise built on first access;
+:meth:`DODGraph.materialised_views` reports which exist.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..runtime.serialization import int_size_array, serialized_size, uvarint_size
 from ..runtime.world import RankContext, World
-from .columnar import group_slices
+from .columnar import HalfEdgeColumns, dense_indices, id_column, object_column
 from .degree import order_key, order_positions
 from .distributed_graph import DistributedGraph
-from .ooc import StorageConfig, release_csr_segments, resolve_storage, spill_csr
+from .ooc import StorageConfig, release_csr_segments, resolve_storage, spill_csr, unspill_csr
 from .partition import Partitioner
 
 import numpy as _np
@@ -69,35 +76,36 @@ def entry_key(entry: AdjEntry) -> Tuple[int, int, str]:
 
 
 class CSRAdjacency:
-    """Flat CSR snapshot of one rank's Adj^m_+ store (Section 4.2 layout).
+    """One rank's Adj^m_+ store as flat columns (Section 4.2 layout).
 
-    Where the record view keeps one Python list of tuples per vertex, this
-    view concatenates every local adjacency into rank-contiguous arrays, the
-    in-memory analogue of the packed per-rank adjacency TriPoll's C++ stores
-    inside its distributed map.  Row ``i`` describes local vertex
+    The in-memory analogue of the packed per-rank adjacency TriPoll's C++
+    stores inside its distributed map.  Row ``i`` describes local vertex
     ``row_vertices[i]``; its entries occupy ``indptr[i]:indptr[i + 1]`` in
-    every per-edge array.  Per-edge data is split into
+    every per-edge column.  Constructed from columns only
+    (:attr:`COLUMNS`, all keyword arguments); each is stored once and is the
+    attribute of that name:
 
-    * ``tgt_ids`` — the target's dense rank in the global ``<+`` order
-      (int64).  Rows are sorted ascending, and id
-      equality is vertex equality, so batched kernels can intersect rows
-      with integer comparisons only;
-    * ``tgt_owner`` — precomputed owner rank of each target (partition map
-      lookups hoisted out of the per-wedge hot loop);
-    * ``entries`` — the original ``(v, d(v), meta(u, v), meta(v))`` tuples,
-      shared with the record view, indexed by the same edge offsets (the
-      "metadata-index" array: kernels match on ids, then fetch metadata by
-      edge index);
-    * exact serialized sizes (``cand_size_cumsum``, ``tgt_wire_sizes``,
-      ``row_wire_sizes``) of the fragments a legacy per-wedge push message
-      would carry, so the batched engine can account the byte-identical
-      Table 4 communication volume without serializing each wedge
-      (``tgt_vertex_wire``: the ``size(target)`` term of ``tgt_wire_sizes``
-      alone, which is what a dry-run proposal or advise reply carries).
+    * per row — ``row_vertices`` (ids: int64, or object for ids that are not
+      in-range ints), ``row_meta`` (object), ``row_degree``,
+      ``row_order_ids`` (dense rank in the global ``<+`` order),
+      ``row_wire_sizes`` (``size(vertex) + size(meta)``) and ``indptr``;
+    * per edge — ``tgt_ids``, the target's dense ``<+`` rank (rows are sorted
+      ascending and id equality is vertex equality, so kernels intersect rows
+      with integer comparisons only); ``tgt_owner``, its owner rank;
+      ``tgt_vertex`` / ``tgt_degree`` / ``edge_meta`` / ``tgt_meta``, the four
+      fields of the ``(v, d(v), meta(u, v), meta(v))`` entry (kernels match
+      on ids, then gather metadata by edge position);
+    * exact serialized sizes (``cand_size_cumsum``, ``tgt_wire_sizes``) of
+      the fragments a legacy per-wedge push message would carry, so the
+      batched engines account the byte-identical Table 4 communication
+      volume without serializing each wedge (``tgt_vertex_wire``: the
+      ``size(target)`` term of ``tgt_wire_sizes`` alone, which is what a
+      dry-run proposal or advise reply carries).
 
-    The snapshot assumes the store is finished mutating (post
-    :meth:`DODGraph.sort_adjacency`); :class:`DODGraph` invalidates cached
-    snapshots if construction touches the records again.
+    Integer columns are int64 arrays (``np.memmap`` under ``storage="mmap"``);
+    code that indexes them one element at a time should ``.tolist()`` what it
+    needs first.  :attr:`entries` (the entry tuples) and :attr:`vertex_rows`
+    are views for the scalar oracles, zipped together on first access.
 
     Three derived views are cached on the snapshot and die with it: the row
     kernels' ``row_adj_cache``, :meth:`inverted_target_index`, and the value
@@ -105,23 +113,30 @@ class CSRAdjacency:
     stored edge once per snapshot instead of once per triangle.
     """
 
-    __slots__ = (
-        "num_rows",
-        "num_edges",
-        "vertex_rows",
+    #: the constructor's keyword arguments, one column each
+    COLUMNS = (
         "row_vertices",
         "row_meta",
         "row_degree",
+        "row_order_ids",
         "row_wire_sizes",
         "indptr",
-        "entries",
+        "tgt_vertex",
+        "tgt_degree",
+        "edge_meta",
+        "tgt_meta",
         "tgt_ids",
         "tgt_owner",
         "tgt_wire_sizes",
         "tgt_vertex_wire",
         "cand_size_cumsum",
-        "row_order_ids",
-        "_columns",
+    )
+
+    __slots__ = COLUMNS + (
+        "num_rows",
+        "num_edges",
+        "_vertex_rows",
+        "_entries",
         "row_adj_cache",
         "_inv_index",
         "_value_memo",
@@ -130,73 +145,15 @@ class CSRAdjacency:
         "send_scratch",
     )
 
-    def __init__(
-        self,
-        store: Dict[Hashable, Dict[str, Any]],
-        order_ids: Dict[Hashable, int],
-        owner_of: Any,
-        partitioner: Optional[Partitioner] = None,
-    ) -> None:
-        self.num_rows = len(store)
-        self.vertex_rows: Dict[Hashable, int] = {}
-        self.row_vertices: List[Hashable] = []
-        self.row_meta: List[Any] = []
-        self.row_degree: List[int] = []
-        self.row_wire_sizes: List[int] = []
-        indptr: List[int] = [0]
-        entries: List[AdjEntry] = []
-        self.row_order_ids: List[int] = []
-        for vertex, record in store.items():
-            self.vertex_rows[vertex] = len(self.row_vertices)
-            self.row_order_ids.append(order_ids[vertex])
-            self.row_vertices.append(vertex)
-            self.row_meta.append(record["meta"])
-            self.row_degree.append(record["degree"])
-            self.row_wire_sizes.append(
-                serialized_size(vertex) + serialized_size(record["meta"])
-            )
-            entries.extend(record["adj"])
-            indptr.append(len(entries))
-        self.num_edges = len(entries)
-        self.indptr = indptr
-        self.entries = entries
-        targets = [entry[0] for entry in entries]
-        tgt_ids = [order_ids[target] for target in targets]
-        all_int_targets = all(type(target) is int for target in targets)
-        # Exact per-edge wire sizes: the whole candidate column at once when
-        # the value types allow it, one serialized_size call per field else.
-        if not (entries and self._vector_entry_sizes(entries, targets, all_int_targets)):
-            tgt_wire_sizes: List[int] = []
-            tgt_vertex_wire: List[int] = []
-            cand_cumsum: List[int] = [0]
-            running = 0
-            for entry in entries:
-                sz_target = serialized_size(entry[0])
-                sz_degree = serialized_size(entry[1])
-                sz_edge_meta = serialized_size(entry[2])
-                # One candidate tuple (r, d(r), meta(p, r)) on the legacy
-                # wire: 2 framing bytes (tuple tag + arity) plus its fields.
-                running += 2 + sz_target + sz_degree + sz_edge_meta
-                cand_cumsum.append(running)
-                tgt_wire_sizes.append(sz_target + sz_edge_meta)
-                tgt_vertex_wire.append(sz_target)
-            self.tgt_wire_sizes = tgt_wire_sizes
-            self.tgt_vertex_wire = tgt_vertex_wire
-            self.cand_size_cumsum = cand_cumsum
-        # Owner ranks: one vectorized partition-map evaluation over the whole
-        # target column when ids are integers, scalar lookups otherwise.
-        self.tgt_owner = None
-        if partitioner is not None and all_int_targets and entries:
-            try:
-                targets_arr = _np.fromiter(targets, dtype=_np.int64, count=len(targets))
-            except OverflowError:  # ids beyond int64: scalar fallback
-                targets_arr = None
-            if targets_arr is not None:
-                self.tgt_owner = partitioner.owners_array(targets_arr).tolist()
-        if self.tgt_owner is None:
-            self.tgt_owner = [owner_of(target) for target in targets]
-        self.tgt_ids = _np.asarray(tgt_ids, dtype=_np.int64)
-        self._columns = None
+    def __init__(self, **columns: Any) -> None:
+        if set(columns) != set(self.COLUMNS):
+            raise TypeError(f"CSRAdjacency takes exactly the columns {self.COLUMNS}")
+        for name, column in columns.items():
+            setattr(self, name, column)
+        self.num_rows = len(self.row_vertices)
+        self.num_edges = len(self.tgt_ids)
+        self._vertex_rows: Optional[Dict[Hashable, int]] = None
+        self._entries: Optional[List[AdjEntry]] = None
         #: slot for the core engine's cached RowAdjacency view of this CSR
         self.row_adj_cache = None
         #: cache slot of :meth:`inverted_target_index`
@@ -210,6 +167,27 @@ class CSRAdjacency:
         #: reusable disk-backed scratch for the columnar driver's staged
         #: send columns under mmap storage (see ooc.stage_send_columns)
         self.send_scratch = None
+
+    @property
+    def entries(self) -> List[AdjEntry]:
+        """The ``(v, d(v), meta(u, v), meta(v))`` tuples, by edge position (lazy)."""
+        if self._entries is None:
+            self._entries = list(
+                zip(
+                    self.tgt_vertex.tolist(),
+                    self.tgt_degree.tolist(),
+                    self.edge_meta.tolist(),
+                    self.tgt_meta.tolist(),
+                )
+            )
+        return self._entries
+
+    @property
+    def vertex_rows(self) -> Dict[Hashable, int]:
+        """Local vertex -> row index (lazy)."""
+        if self._vertex_rows is None:
+            self._vertex_rows = dict(zip(self.row_vertices.tolist(), range(self.num_rows)))
+        return self._vertex_rows
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -242,69 +220,13 @@ class CSRAdjacency:
             if set(map(len, values)) != {arity}:
                 return None
             sizes = _np.full(len(values), 1 + uvarint_size(arity), dtype=_np.int64)
-            for field in zip(*values):
-                field_sizes = CSRAdjacency._vector_value_sizes(field)
+            for k in range(arity):  # (zip(*values) unpacks one argument per value)
+                field_sizes = CSRAdjacency._vector_value_sizes([v[k] for v in values])
                 if field_sizes is None:
                     return None
                 sizes += field_sizes
             return sizes
         return None
-
-    def _vector_entry_sizes(
-        self, entries: List[AdjEntry], targets: List[Hashable], all_int_targets: bool
-    ) -> bool:
-        """Try the columnar wire-size path; True when the arrays were built.
-
-        Bit-identical to the scalar loop (``int_size_array``/constant sizes
-        replay ``serialized_size`` exactly, pinned by
-        ``tests/runtime/test_serialization.py``) but sizes the whole edge
-        column in a handful of array expressions — the dominant cost of a
-        CSR snapshot build, which streaming surveys pay once per batch.
-        """
-        if not all_int_targets:
-            return False
-        try:
-            targets_arr = _np.fromiter(targets, dtype=_np.int64, count=len(targets))
-        except OverflowError:
-            return False
-        meta_sizes = self._vector_value_sizes([entry[2] for entry in entries])
-        if meta_sizes is None:
-            return False
-        degrees = _np.fromiter(
-            (entry[1] for entry in entries), dtype=_np.int64, count=len(entries)
-        )
-        sz_target = int_size_array(targets_arr)
-        sz_degree = int_size_array(degrees)
-        # One candidate tuple (r, d(r), meta(p, r)) on the legacy wire:
-        # 2 framing bytes (tuple tag + arity) plus its fields.
-        per_edge = 2 + sz_target + sz_degree + meta_sizes
-        cumsum = _np.concatenate(([0], _np.cumsum(per_edge)))
-        self.tgt_wire_sizes = (sz_target + meta_sizes).tolist()
-        self.tgt_vertex_wire = sz_target.tolist()
-        self.cand_size_cumsum = cumsum.tolist()
-        return True
-
-    # ------------------------------------------------------------------
-    def columns(self) -> "SimpleNamespace":
-        """NumPy views of the accounting/driver columns (lazily built, cached).
-
-        The list attributes stay authoritative (and are what the per-wedge
-        paths index); the columnar driver reads these int64 array twins —
-        ``indptr``, ``tgt_owner``, ``row_wire``, ``tgt_wire``,
-        ``tgt_vertex_wire``, ``cand_cumsum``, ``row_order_ids`` — so
-        per-wedge size/owner math becomes array arithmetic.
-        """
-        if self._columns is None:
-            self._columns = SimpleNamespace(
-                indptr=_np.asarray(self.indptr, dtype=_np.int64),
-                tgt_owner=_np.asarray(self.tgt_owner, dtype=_np.int64),
-                row_wire=_np.asarray(self.row_wire_sizes, dtype=_np.int64),
-                tgt_wire=_np.asarray(self.tgt_wire_sizes, dtype=_np.int64),
-                tgt_vertex_wire=_np.asarray(self.tgt_vertex_wire, dtype=_np.int64),
-                cand_cumsum=_np.asarray(self.cand_size_cumsum, dtype=_np.int64),
-                row_order_ids=_np.asarray(self.row_order_ids, dtype=_np.int64),
-            )
-        return self._columns
 
     def inverted_target_index(self):
         """The in-adjacency view: edge positions sorted by target id (cached).
@@ -316,9 +238,8 @@ class CSRAdjacency:
         sort is stable: one target's positions come back row-major.
         """
         if self._inv_index is None:
-            indptr = self.columns().indptr
             row_of_edge = _np.repeat(
-                _np.arange(self.num_rows, dtype=_np.int64), indptr[1:] - indptr[:-1]
+                _np.arange(self.num_rows, dtype=_np.int64), _np.diff(self.indptr)
             )
             inv_order = _np.argsort(self.tgt_ids, kind="stable")
             self._inv_index = (self.tgt_ids[inv_order], inv_order, row_of_edge)
@@ -327,8 +248,8 @@ class CSRAdjacency:
     def extracted_values(self, extract, field: str, positions):
         """``extract(metadata)`` at ``positions`` as a typed array, or None.
 
-        ``field`` names the metadata read: ``"edge"`` (``entries[pos][2]``),
-        ``"target"`` (``entries[pos][3]``) or ``"row"`` (``row_meta[pos]``).
+        ``field`` names the metadata column read: ``"edge"`` (``edge_meta``),
+        ``"target"`` (``tgt_meta``) or ``"row"`` (``row_meta``).
         Results are memoised per stored position and filled sparsely: only
         positions some triangle batch asked for ever reach ``extract``, once.
         The array is float64 when every extracted value is exactly a
@@ -360,7 +281,7 @@ class CSRAdjacency:
         have = filled[positions]
         if not have.all():
             missing = _np.unique(positions[~have])
-            fresh = self._extract_column(extract, field, missing.tolist())
+            fresh = self._extract_column(extract, field, missing)
             if fresh is None or (values is not None and values.dtype != fresh.dtype):
                 fields[field] = None
                 return None
@@ -370,14 +291,11 @@ class CSRAdjacency:
             filled[missing] = True
         return values[positions]
 
-    def _extract_column(self, extract, field: str, positions: List[int]):
+    def _extract_column(self, extract, field: str, positions):
         """Typed array of ``extract`` over the field at ``positions``, or None."""
+        metas = {"row": self.row_meta, "edge": self.edge_meta, "target": self.tgt_meta}[field]
         try:
-            if field == "row":
-                column = [extract(self.row_meta[pos]) for pos in positions]
-            else:
-                entries, slot = self.entries, 2 if field == "edge" else 3
-                column = [extract(entries[pos][slot]) for pos in positions]
+            column = [extract(meta) for meta in metas[positions].tolist()]
         except Exception:  # noqa: BLE001 - the object path re-raises it in place
             return None
         kinds = set(map(type, column))
@@ -399,7 +317,7 @@ class CSRAdjacency:
 
     def row_slice(self, row: int) -> Tuple[int, int]:
         """Edge-array extent ``[lo, hi)`` of one row."""
-        return self.indptr[row], self.indptr[row + 1]
+        return int(self.indptr[row]), int(self.indptr[row + 1])
 
     def row_ids(self, row: int):
         """The row's target order-ids (sorted ascending)."""
@@ -408,7 +326,18 @@ class CSRAdjacency:
 
     def suffix_wire_bytes(self, qpos: int, hi: int) -> int:
         """Serialized bytes of the candidate tuples in edge range ``(qpos, hi)``."""
-        return self.cand_size_cumsum[hi] - self.cand_size_cumsum[qpos + 1]
+        return int(self.cand_size_cumsum[hi] - self.cand_size_cumsum[qpos + 1])
+
+
+def _value_sizes(column: Any) -> Any:
+    """Exact serialized size of every value of an id or object column (int64)."""
+    if column.dtype == _np.int64:
+        return int_size_array(column)
+    values = column.tolist()
+    sizes = CSRAdjacency._vector_value_sizes(values)
+    if sizes is None:  # untyped or mixed values: one serialized_size call each
+        sizes = _np.fromiter(map(serialized_size, values), dtype=_np.int64, count=len(values))
+    return sizes
 
 
 class DODGraph:
@@ -430,9 +359,14 @@ class DODGraph:
         self._h_offer_edge = world.register_handler(
             self._handle_offer_edge, f"{self.name}.offer_edge"
         )
-        #: lazily built derived views (cleared whenever records mutate)
+        #: every rank's columns in rank order, all built together (bulk build,
+        #: or flattened from the records on first use); emptied whenever the
+        #: records mutate
+        self._csr: List[CSRAdjacency] = []
+        #: False while a bulk build's records have not been asked for
+        self._records_live = True
+        #: lazily built derived views (cleared with the columns)
         self._order_ids: Optional[Dict[Hashable, int]] = None
-        self._csr: Dict[int, CSRAdjacency] = {}
         self._rows_by_order_id = None
         #: CSR storage policy; None means resident (today's default)
         self._storage: Optional[StorageConfig] = None
@@ -446,12 +380,52 @@ class DODGraph:
         return self.partitioner.owner(vertex)
 
     def local_store(self, rank_or_ctx: int | RankContext) -> Dict[Hashable, Dict[str, Any]]:
+        """The rank's ``{vertex: {"meta", "degree", "adj"}}`` records.
+
+        After a bulk build the first call materialises every rank's records
+        from the columns (sharing their ``entries`` tuples); treat them as
+        read-only — the columns stay authoritative until the records are
+        mutated through :meth:`sort_adjacency` or an offered edge.
+        """
+        if not self._records_live:
+            self._materialise_records()
         ctx = (
             rank_or_ctx
             if isinstance(rank_or_ctx, RankContext)
             else self.world.rank(rank_or_ctx)
         )
         return ctx.local_state[self._slot]
+
+    def _materialise_records(self) -> None:
+        """Columns -> every rank's record dict (rows in store insertion order)."""
+        self._records_live = True
+        for rank, csr in enumerate(self._csr):
+            store = self.world.rank(rank).local_state[self._slot]
+            entries, indptr = csr.entries, csr.indptr.tolist()
+            rows = zip(csr.row_vertices.tolist(), csr.row_meta.tolist(), csr.row_degree.tolist())
+            for row, (vertex, meta, degree) in enumerate(rows):
+                store[vertex] = {
+                    "meta": meta,
+                    "degree": degree,
+                    "adj": entries[indptr[row] : indptr[row + 1]],
+                }
+
+    def materialised_views(self) -> frozenset:
+        """Which object-shaped views exist right now (read-only introspection).
+
+        A subset of ``{"records", "order_ids", "entries"}``: the
+        :meth:`local_store` dicts, the :meth:`order_ids` dict, and any rank's
+        ``CSRAdjacency.entries`` tuples.  The production engine and the size
+        queries need none of them.
+        """
+        views = set()
+        if self._records_live:
+            views.add("records")
+        if self._order_ids is not None:
+            views.add("order_ids")
+        if any(csr._entries is not None for csr in self._csr):
+            views.add("entries")
+        return frozenset(views)
 
     def _vertex_record(
         self, store: Dict[Hashable, Dict[str, Any]], vertex: Hashable
@@ -506,48 +480,39 @@ class DODGraph:
         graph:
             The decorated undirected input graph.
         mode:
-            ``"bulk"`` (the default) constructs the structure directly on
-            the driver with the vectorized pipeline: dense ``<+`` positions
-            from one :func:`~repro.graph.degree.order_positions` argsort,
-            orientation of every half edge as one array comparison, and
-            per-target adjacency assembly from one ``lexsort`` — no
-            per-edge ``order_key`` tuples, hash calls, or owner lookups.
+            ``"bulk"`` (the default) builds every rank's
+            :class:`CSRAdjacency` columns on the driver in one array pass
+            over ``graph.half_edge_columns()``: dense ``<+`` positions from
+            one :func:`~repro.graph.degree.order_positions` argsort,
+            orientation of every half edge as one array comparison, all
+            adjacency lists in final order from one sort, ranks cut by
+            offset, wire sizes computed per column — no per-edge Python, and
+            :meth:`csr` afterwards is a lookup.  The columns are
+            authoritative; :meth:`local_store`, :meth:`order_ids` and
+            ``CSRAdjacency.entries`` materialise from them on first access.
             ``"async"`` routes every half edge through the simulated runtime
             exactly as the MPI implementation would, charging the traffic to
-            the construction phase; it is the reference the golden-parity
-            tests hold ``"bulk"`` to.  Both produce bit-identical graphs:
-            same store insertion order, same adjacency tuples in the same
+            the construction phase, and fills the record store, which is
+            then authoritative (columns are flattened from it on first use);
+            it is the reference the golden-parity tests hold ``"bulk"`` to.
+            Both produce bit-identical graphs: same columns, same store
+            insertion order, same adjacency tuples in the same
             ``<+``-sorted order, same :meth:`order_ids`.
         """
         if mode not in ("bulk", "async"):
             raise ValueError(f"unknown build mode {mode!r}")
         dodgr = cls(graph.world, graph.partitioner, name=name)
         world = graph.world
+        if mode == "bulk":
+            dodgr._adopt_half_edges(graph.half_edge_columns())
+            return dodgr
 
         # Seed local records with each vertex's metadata and full degree so
-        # the <+ comparison can be evaluated locally on the owner.  The bulk
-        # pipeline collects the vertex/degree/meta columns in the same pass;
-        # the async mode skips the column bookkeeping entirely.
-        vertices: List[Hashable] = []
-        degrees: List[int] = []
-        metas: List[Any] = []
-        records: List[Dict[str, Any]] = []
+        # the <+ comparison can be evaluated locally on the owner.
         for rank in range(world.nranks):
             store = dodgr.local_store(rank)
             for u, record in graph.local_vertices(rank):
-                d_u = len(record["adj"])
-                rec = {"meta": record["meta"], "degree": d_u, "adj": []}
-                store[u] = rec
-                if mode == "bulk":
-                    vertices.append(u)
-                    degrees.append(d_u)
-                    metas.append(record["meta"])
-                    records.append(rec)
-
-        if mode == "bulk":
-            dodgr._build_bulk_vectorized(graph, vertices, degrees, metas, records)
-            return dodgr
-
+                store[u] = {"meta": record["meta"], "degree": len(record["adj"]), "adj": []}
         world.begin_phase(phase_name or f"{dodgr.name}.build")
         for ctx in world.ranks:
             graph_store = graph.local_store(ctx)
@@ -562,64 +527,124 @@ class DODGraph:
         dodgr.sort_adjacency()
         return dodgr
 
-    def _build_bulk_vectorized(
-        self,
-        graph: DistributedGraph,
-        vertices: List[Hashable],
-        degrees: List[int],
-        metas: List[Any],
-        records: List[Dict[str, Any]],
-    ) -> None:
-        """Array-native orientation + adjacency assembly (mode ``"bulk"``).
+    def _adopt_half_edges(self, graph: HalfEdgeColumns) -> None:
+        """Half-edge columns -> every rank's columns (mode ``"bulk"``).
 
-        Works on dense vertex indices (position in the rank-major ``vertices``
-        column), so everything after the one pass that flattens the
-        adjacency dicts is NumPy: the ``<+`` positions come from
-        :func:`order_positions`, the keep-this-half-edge decision is a single
-        ``pos[tgt] < pos[src]`` comparison, and each target's entries land in
-        final sorted order from one ``lexsort`` — matching the async build's
-        ``sort_adjacency`` output without ever computing an ``order_key``
-        per edge.
+        The half edge stored at ``u`` for partner ``v`` becomes the entry for
+        ``u`` in row ``v`` when ``v <+ u`` — the async build's offer of
+        ``(u -> v)`` to the owner of ``v``, metadata taken from ``u``'s side.
         """
-        world = self.world
-        index_of = {v: i for i, v in enumerate(vertices)}
-        get_index = index_of.__getitem__
-        src_counts: List[int] = []
-        tgt_indices: List[int] = []
-        edge_metas: List[Any] = []
-        for rank in range(world.nranks):
-            for _u, record in graph.local_vertices(rank):
-                adj = record["adj"]
-                src_counts.append(len(adj))
-                tgt_indices.extend(map(get_index, adj.keys()))
-                edge_metas.extend(adj.values())
+        positions, _ = order_positions(graph.vertices, graph.degree)
+        src = _np.repeat(_np.arange(positions.size, dtype=_np.int64), graph.degree)
+        keep = _np.flatnonzero(positions[graph.tgt] < positions[src])
+        row, tgt = graph.tgt[keep], src[keep]
+        # Row-major, each row in the <+ order of its targets (keys are unique).
+        sorter = _np.argsort(row * _np.int64(positions.size) + positions[tgt])
+        tgt = tgt[sorter]
+        self._install_columns(
+            graph.vertices,
+            graph.vertex_meta,
+            graph.degree,
+            graph.rank_offsets,
+            positions,
+            out_degree=_np.bincount(row, minlength=positions.size),
+            tgt=tgt,
+            tgt_degree=graph.degree[tgt],
+            edge_meta=graph.edge_meta[keep[sorter]],
+            tgt_meta=graph.vertex_meta[tgt],
+        )
+        self._records_live = False
 
-        pos, order = order_positions(vertices, degrees)
-        # Dense <+ ids double as the lazily-built order_ids cache: identical
-        # by construction to what order_ids() would compute from the stores.
-        self._order_ids = {vertices[g]: k for k, g in enumerate(order.tolist())}
+    def _flatten_records(self) -> None:
+        """Record store -> every rank's columns (the store is authoritative)."""
+        vertices: List[Hashable] = []
+        metas: List[Any] = []
+        degrees: List[int] = []
+        out_degree: List[int] = []
+        entries: List[AdjEntry] = []
+        offsets = [0]
+        for ctx in self.world.ranks:
+            for vertex, record in ctx.local_state[self._slot].items():
+                vertices.append(vertex)
+                metas.append(record["meta"])
+                degrees.append(record["degree"])
+                out_degree.append(len(record["adj"]))
+                entries.extend(record["adj"])
+            offsets.append(len(vertices))
+        targets, tgt_degree, edge_meta, tgt_meta = zip(*entries) if entries else ((),) * 4
+        ids = id_column(vertices)
+        degree = _np.asarray(degrees, dtype=_np.int64)
+        self._install_columns(
+            ids,
+            object_column(metas),
+            degree,
+            _np.asarray(offsets, dtype=_np.int64),
+            order_positions(ids, degree)[0],
+            out_degree=_np.asarray(out_degree, dtype=_np.int64),
+            tgt=dense_indices(vertices, targets),
+            tgt_degree=_np.asarray(tgt_degree, dtype=_np.int64),
+            edge_meta=object_column(edge_meta),
+            tgt_meta=object_column(tgt_meta),
+        )
 
-        if tgt_indices:
-            src = _np.repeat(
-                _np.arange(len(vertices), dtype=_np.int64),
-                _np.asarray(src_counts, dtype=_np.int64),
+    def _install_columns(
+        self,
+        vertices,
+        vertex_meta,
+        degree,
+        rank_offsets,
+        positions,
+        out_degree,
+        tgt,
+        tgt_degree,
+        edge_meta,
+        tgt_meta,
+    ) -> None:
+        """Size the global row-major columns and cut them into per-rank CSRs.
+
+        The first five columns are per vertex (rank-major, as
+        :class:`~repro.graph.columnar.HalfEdgeColumns` lists them) plus
+        ``out_degree``; the rest per directed edge, rows end to end, ``tgt``
+        being the target's dense vertex index.  A rank's columns are slices
+        of the global ones, so nothing per-edge is copied.
+        """
+        vertex_size = _value_sizes(vertices)
+        size_target, size_meta = vertex_size[tgt], _value_sizes(edge_meta)
+        # One candidate tuple (r, d(r), meta(p, r)) on the legacy wire: 2
+        # framing bytes (tuple tag + arity) plus its fields.
+        candidate = 2 + size_target + int_size_array(tgt_degree) + size_meta
+        cand_cumsum = _np.concatenate(([0], _np.cumsum(candidate)))
+        indptr = _np.concatenate(([0], _np.cumsum(out_degree)))
+        nranks = self.world.nranks
+        owner = _np.repeat(_np.arange(nranks, dtype=_np.int64), _np.diff(rank_offsets))
+        per_row = {
+            "row_vertices": vertices,
+            "row_meta": vertex_meta,
+            "row_degree": degree,
+            "row_order_ids": positions,
+            "row_wire_sizes": vertex_size + _value_sizes(vertex_meta),
+        }
+        per_edge = {
+            "tgt_vertex": vertices[tgt],
+            "tgt_degree": tgt_degree,
+            "edge_meta": edge_meta,
+            "tgt_meta": tgt_meta,
+            "tgt_ids": positions[tgt],
+            "tgt_owner": owner[tgt],
+            "tgt_wire_sizes": size_target + size_meta,
+            "tgt_vertex_wire": size_target,
+        }
+        for rank in range(nranks):
+            row_lo, row_hi = int(rank_offsets[rank]), int(rank_offsets[rank + 1])
+            lo, hi = int(indptr[row_lo]), int(indptr[row_hi])
+            self._csr.append(
+                CSRAdjacency(
+                    indptr=indptr[row_lo : row_hi + 1] - lo,
+                    cand_size_cumsum=cand_cumsum[lo : hi + 1] - cand_cumsum[lo],
+                    **{name: column[row_lo:row_hi] for name, column in per_row.items()},
+                    **{name: column[lo:hi] for name, column in per_edge.items()},
+                )
             )
-            tgt = _np.asarray(tgt_indices, dtype=_np.int64)
-            keep = pos[tgt] < pos[src]
-            kept_src = src[keep]
-            kept_tgt = tgt[keep]
-            kept_meta = _np.flatnonzero(keep)
-            # Group by target, entries in the target's final <+ order.
-            sorter = _np.lexsort((pos[kept_src], kept_tgt))
-            tgt_sorted = kept_tgt[sorter]
-            src_list = kept_src[sorter].tolist()
-            tgt_list = tgt_sorted.tolist()
-            meta_list = kept_meta[sorter].tolist()
-            for start, end in group_slices(tgt_sorted):
-                records[tgt_list[start]]["adj"] = [
-                    (vertices[s], degrees[s], edge_metas[m], metas[s])
-                    for s, m in zip(src_list[start:end], meta_list[start:end])
-                ]
 
     def sort_adjacency(self) -> None:
         """Sort every Adj^m_+ list by the ``<+`` order of the target vertex."""
@@ -629,38 +654,47 @@ class DODGraph:
         self._invalidate_derived()
 
     # ------------------------------------------------------------------
-    # Derived flat views (batched engine backend)
+    # Columns and the views derived from them
     # ------------------------------------------------------------------
     def _invalidate_derived(self) -> None:
-        for snapshot in self._csr.values():
+        """The records changed: they are authoritative, the columns are stale."""
+        if not self._records_live:  # a bulk build's records must exist before its columns go
+            self._materialise_records()
+        self._drop_columns()
+
+    def _drop_columns(self) -> None:
+        for snapshot in self._csr:
             release_csr_segments(snapshot)
+        self._csr = []
         self._order_ids = None
-        self._csr.clear()
         self._rows_by_order_id = None
+
+    def _snapshots(self) -> List[CSRAdjacency]:
+        """Every rank's columns in rank order, flattened from the records if stale."""
+        if not self._csr:
+            self._flatten_records()
+        return self._csr
 
     def order_ids(self) -> Dict[Hashable, int]:
         """Dense integer ranks of every vertex in the global ``<+`` order.
 
-        Ids are assigned by sorting all stored vertices by
-        :func:`~repro.graph.degree.order_key`, so ``id(u) < id(v)`` iff
-        ``u <+ v`` and id equality implies vertex identity.  This collapses
-        the composite ``(degree, hash, repr)`` comparison into single-int
-        comparisons that the vectorized batch kernels can use directly.
-        Built lazily over the finished DODGr and cached.
+        ``id(u) < id(v)`` iff ``u <+ v`` and id equality implies vertex
+        identity, which collapses the composite ``(degree, hash, repr)``
+        comparison into single-int comparisons.  The columns carry the same
+        ids as arrays (``row_order_ids`` / ``tgt_ids``); this vertex-keyed
+        dict is a view for the scalar oracles, built on first access in
+        ascending id order and cached.
         """
         if self._order_ids is None:
-            keyed = [
-                (order_key(vertex, record["degree"]), vertex)
-                for rank in range(self.world.nranks)
-                for vertex, record in self.local_store(rank).items()
-            ]
-            keyed.sort(key=lambda kv: kv[0])
-            self._order_ids = {vertex: i for i, (_key, vertex) in enumerate(keyed)}
+            snapshots = self._snapshots()
+            vertices = [v for snapshot in snapshots for v in snapshot.row_vertices.tolist()]
+            order = _np.argsort(_np.concatenate([s.row_order_ids for s in snapshots]))
+            self._order_ids = {vertices[g]: k for k, g in enumerate(order.tolist())}
         return self._order_ids
 
     def order_count(self) -> int:
         """Number of dense ``<+`` order ids (the columnar composite-key stride)."""
-        return len(self.order_ids())
+        return self.num_vertices()
 
     def rows_by_order_id(self):
         """Order-id → owner-local CSR row index, as one global int64 array.
@@ -669,16 +703,12 @@ class DODGraph:
         length :meth:`order_count` maps any target's dense ``<+`` id to its
         row inside the *owning* rank's :class:`CSRAdjacency` — the lookup the
         columnar intersect handler does per wedge without a dict probe.
-        Built lazily over all ranks' CSR snapshots and invalidated with
-        them.
+        Built lazily from the columns and invalidated with them.
         """
         if self._rows_by_order_id is None:
-            out = _np.zeros(self.order_count(), dtype=_np.int64)
-            for rank in range(self.world.nranks):
-                snapshot = self.csr(rank)
-                if snapshot.num_rows:
-                    ids = _np.asarray(snapshot.row_order_ids, dtype=_np.int64)
-                    out[ids] = _np.arange(snapshot.num_rows, dtype=_np.int64)
+            out = _np.empty(self.order_count(), dtype=_np.int64)
+            for snapshot in self._snapshots():
+                out[snapshot.row_order_ids] = _np.arange(snapshot.num_rows, dtype=_np.int64)
             self._rows_by_order_id = out
         return self._rows_by_order_id
 
@@ -690,9 +720,9 @@ class DODGraph:
 
         ``storage`` is a mode string (``"resident"``/``"mmap"``), a
         :class:`~repro.graph.ooc.StorageConfig` (for a budget/directory), or
-        ``None`` to reset to resident.  Cached snapshots built under a
-        different mode are dropped (their segment files unlinked) so the next
-        :meth:`csr` call rebuilds them under the new policy.
+        ``None`` to reset to resident.  Snapshots spilled under ``"mmap"``
+        are read back (their segment files unlinked) when the mode returns
+        to resident; resident ones spill on their next :meth:`csr` call.
         """
         if storage is None or isinstance(storage, str):
             config = StorageConfig(mode=resolve_storage(storage))
@@ -702,12 +732,10 @@ class DODGraph:
             raise TypeError(
                 f"storage must be a mode string or StorageConfig, got {storage!r}"
             )
-        previous = self.storage_config()
         self._storage = config
-        if previous.mode != config.mode and self._csr:
-            for snapshot in self._csr.values():
-                release_csr_segments(snapshot)
-            self._csr.clear()
+        if config.mode == "resident":
+            for snapshot in self._csr:
+                unspill_csr(snapshot)
         return config
 
     def storage_config(self) -> "StorageConfig":
@@ -727,30 +755,21 @@ class DODGraph:
         return self.storage_config().resolved_chunk_candidates()
 
     def csr(self, rank_or_ctx: int | RankContext) -> CSRAdjacency:
-        """The rank's :class:`CSRAdjacency` snapshot (lazily built, cached).
+        """The rank's :class:`CSRAdjacency` columns.
 
-        Exposes the same per-rank store as :meth:`local_store` as contiguous
-        arrays for the batched engine; invalidated automatically if the
-        record view mutates (new edges offered, adjacency re-sorted).  Under
-        an ``"mmap"`` storage policy (:meth:`configure_storage`) the
-        snapshot's column arrays are spilled to tracked memmap segment files
-        immediately after construction; :meth:`release` (and any derived-view
-        invalidation) unlinks them.
+        A lookup after a bulk build; flattened from the records (all ranks
+        at once, then cached) when those are authoritative — after
+        ``mode="async"``, or once the records mutated (new edges offered,
+        adjacency re-sorted).  Under an ``"mmap"`` storage policy
+        (:meth:`configure_storage`) the snapshot's integer per-edge columns
+        are spilled to tracked memmap segment files on the first call;
+        :meth:`release` (and any invalidation) unlinks them.
         """
         rank = rank_or_ctx.rank if isinstance(rank_or_ctx, RankContext) else rank_or_ctx
-        snapshot = self._csr.get(rank)
+        snapshot = self._snapshots()[rank]
         config = self.storage_config()
-        if snapshot is not None and snapshot.storage != config.mode:
-            release_csr_segments(snapshot)
-            self._csr.pop(rank, None)
-            snapshot = None
-        if snapshot is None:
-            snapshot = CSRAdjacency(
-                self.local_store(rank), self.order_ids(), self.owner, self.partitioner
-            )
-            if config.mode == "mmap":
-                spill_csr(snapshot, self.order_count(), config)
-            self._csr[rank] = snapshot
+        if config.mode == "mmap" and snapshot.storage != "mmap":
+            spill_csr(snapshot, self.order_count(), config)
         return snapshot
 
     def release(self) -> None:
@@ -762,70 +781,65 @@ class DODGraph:
         tombstones the handler (id allocation, and therefore every accounted
         message size, is unchanged — see
         :meth:`~repro.runtime.rpc.RpcRegistry.release`) and drops the rank
-        stores and derived views.
+        stores, the columns and every derived view.
         """
         self.world.registry.release(self._h_offer_edge)
         for ctx in self.world.ranks:
             ctx.local_state.pop(self._slot, None)
-        self._invalidate_derived()
+        self._records_live = True
+        self._drop_columns()
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries (answered from the columns; none materialises a view)
     # ------------------------------------------------------------------
     def num_vertices(self) -> int:
-        return sum(len(self.local_store(r)) for r in range(self.world.nranks))
+        return sum(snapshot.num_rows for snapshot in self._snapshots())
 
     def num_directed_edges(self) -> int:
-        total = 0
-        for rank in range(self.world.nranks):
-            for record in self.local_store(rank).values():
-                total += len(record["adj"])
-        return total
+        return sum(self.rank_edge_counts())
 
-    def out_degree(self, vertex: Hashable) -> int:
-        record = self.local_store(self.owner(vertex)).get(vertex)
-        return len(record["adj"]) if record is not None else 0
+    def rank_edge_counts(self) -> List[int]:
+        return [snapshot.num_edges for snapshot in self._snapshots()]
 
-    def degree(self, vertex: Hashable) -> int:
-        record = self.local_store(self.owner(vertex)).get(vertex)
-        return record["degree"] if record is not None else 0
-
-    def vertex_meta(self, vertex: Hashable) -> Any:
-        record = self.local_store(self.owner(vertex)).get(vertex)
-        if record is None:
-            raise KeyError(f"vertex {vertex!r} not in DODGr")
-        return record["meta"]
-
-    def adjacency(self, vertex: Hashable) -> List[AdjEntry]:
-        record = self.local_store(self.owner(vertex)).get(vertex)
-        if record is None:
-            return []
-        return list(record["adj"])
+    def _out_degrees(self) -> Any:
+        """d+(v) of every vertex, rank-major."""
+        return _np.concatenate([_np.diff(snapshot.indptr) for snapshot in self._snapshots()])
 
     def max_out_degree(self) -> int:
-        best = 0
-        for rank in range(self.world.nranks):
-            for record in self.local_store(rank).values():
-                if len(record["adj"]) > best:
-                    best = len(record["adj"])
-        return best
+        return int(self._out_degrees().max(initial=0))
 
     def wedge_count(self) -> int:
         """|W+|: the number of wedge checks the push algorithm will generate.
 
-        Each pivot p contributes C(d+(p), 2) candidate checks (Section 4.3);
-        summed as one array expression per rank.
+        Each pivot p contributes C(d+(p), 2) candidate checks (Section 4.3).
         """
-        total = 0
-        for rank in range(self.world.nranks):
-            store = self.local_store(rank)
-            degrees = _np.fromiter(
-                (len(record["adj"]) for record in store.values()),
-                dtype=_np.int64,
-                count=len(store),
-            )
-            total += int((degrees * (degrees - 1) // 2).sum())
-        return total
+        degrees = self._out_degrees()
+        return int((degrees * (degrees - 1) // 2).sum())
+
+    def _row_of(self, vertex: Hashable) -> Tuple[CSRAdjacency, Optional[int]]:
+        snapshot = self._snapshots()[self.owner(vertex)]
+        return snapshot, snapshot.row_of(vertex)
+
+    def out_degree(self, vertex: Hashable) -> int:
+        snapshot, row = self._row_of(vertex)
+        return 0 if row is None else int(snapshot.indptr[row + 1] - snapshot.indptr[row])
+
+    def degree(self, vertex: Hashable) -> int:
+        snapshot, row = self._row_of(vertex)
+        return 0 if row is None else int(snapshot.row_degree[row])
+
+    def vertex_meta(self, vertex: Hashable) -> Any:
+        snapshot, row = self._row_of(vertex)
+        if row is None:
+            raise KeyError(f"vertex {vertex!r} not in DODGr")
+        return snapshot.row_meta[row]
+
+    def adjacency(self, vertex: Hashable) -> List[AdjEntry]:
+        snapshot, row = self._row_of(vertex)
+        if row is None:
+            return []
+        lo, hi = snapshot.row_slice(row)
+        return snapshot.entries[lo:hi]
 
     def local_vertices(self, rank: int) -> Iterator[Tuple[Hashable, Dict[str, Any]]]:
         yield from self.local_store(rank).items()
@@ -839,12 +853,6 @@ class DODGraph:
             for u, record in self.local_store(rank).items():
                 for entry in record["adj"]:
                     yield (u, entry[0])
-
-    def rank_edge_counts(self) -> List[int]:
-        out = []
-        for rank in range(self.world.nranks):
-            out.append(sum(len(rec["adj"]) for rec in self.local_store(rank).values()))
-        return out
 
     # ------------------------------------------------------------------
     def visit(self, ctx: RankContext, vertex: Hashable, func, *args: Any) -> None:

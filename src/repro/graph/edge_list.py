@@ -36,6 +36,7 @@ __all__ = [
     "EdgeRecord",
     "canonical_pair",
     "validate_edge_columns",
+    "int64_id_columns",
 ]
 
 #: A raw edge record: (source, target, edge metadata).
@@ -133,6 +134,30 @@ def _validate_id_column(name: str, column: Any) -> None:
 
 def _is_integral(value: Any) -> bool:
     return isinstance(value, (int, _np.integer))
+
+
+def int64_id_columns(us: Any, vs: Any) -> Optional[Tuple[Any, Any]]:
+    """Validated endpoint columns as int64 arrays, or None when an id does not fit.
+
+    A list of Python ints beyond int64 raises ``OverflowError`` on conversion,
+    but an unsigned array holding values ``>= 2**63`` would wrap without
+    raising, so it is range-checked first.  ``None`` sends the caller down
+    its object-id (per-edge) lane.
+    """
+    columns = []
+    for column in (us, vs):
+        if (
+            isinstance(column, _np.ndarray)
+            and column.dtype.kind == "u"
+            and column.size
+            and int(column.max()) > _np.iinfo(_np.int64).max
+        ):
+            return None
+        try:
+            columns.append(_np.asarray(column, dtype=_np.int64))
+        except OverflowError:  # Python ints beyond int64
+            return None
+    return columns[0], columns[1]
 
 
 _REDUCTIONS: Dict[str, Callable[[Any, Any], Any]] = {

@@ -12,12 +12,15 @@ from the configured memory budget) instead of the whole graph.
 What spills and what stays:
 
 * **spilled** — ``tgt_ids``, ``indptr``, ``tgt_owner``, ``tgt_wire_sizes``,
-  ``tgt_vertex_wire``, ``cand_size_cumsum`` and the precomputed
-  :class:`~repro.core.intersection.RowAdjacency` composite-key array; the
-  ``columns()`` namespace is rebuilt over the memmaps, so every engine
-  driver reads the same (now disk-backed) arrays with no code fork.
-* **resident** — the ``entries`` metadata tuples, the record-view store and
-  the value memo reducers derive from ``entries``
+  ``tgt_vertex_wire``, ``cand_size_cumsum`` (:data:`SPILLED_COLUMNS`) and
+  the precomputed :class:`~repro.core.intersection.RowAdjacency`
+  composite-key array; the snapshot's attributes *are* the memmaps, so
+  every engine driver reads the same (now disk-backed) arrays with no code
+  fork.
+* **resident** — the object metadata columns (``edge_meta``, ``tgt_meta``,
+  ``row_meta``), the entry fields no driver reads (``tgt_vertex``,
+  ``tgt_degree``), the per-row columns, and the value memo reducers derive
+  from the metadata
   (:meth:`~repro.graph.dodgr.CSRAdjacency.extracted_values`).
   Metadata payloads are arbitrary Python objects and cannot be memmapped;
   counting surveys (``callback=None``) never touch them, which is what the
@@ -38,7 +41,6 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Any, Iterable, List, Optional, Set, Tuple
 
 import numpy as _np
@@ -49,6 +51,7 @@ __all__ = [
     "StorageConfig",
     "resolve_storage",
     "spill_csr",
+    "unspill_csr",
     "stage_send_columns",
     "release_csr_segments",
     "unlink_paths",
@@ -206,25 +209,35 @@ def _new_memmap(directory: str, prefix: str, name: str, length: int):
 
 
 def _fill_chunked(target, source) -> None:
-    """Stream ``source`` (list or array) into ``target`` in bounded chunks."""
+    """Stream the array ``source`` into ``target`` in bounded chunks."""
     n = len(source)
     for lo in range(0, n, _COPY_CHUNK):
         hi = min(lo + _COPY_CHUNK, n)
         target[lo:hi] = _np.asarray(source[lo:hi], dtype=_np.int64)
 
 
+#: The :class:`~repro.graph.dodgr.CSRAdjacency` columns that spill — the
+#: O(|E|) integer ones the engine drivers read, plus ``indptr``.
+SPILLED_COLUMNS = (
+    "tgt_ids",
+    "indptr",
+    "tgt_owner",
+    "tgt_wire_sizes",
+    "tgt_vertex_wire",
+    "cand_size_cumsum",
+)
+
+
 def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     """Spill one CSR snapshot's column arrays to tracked memmap segments.
 
-    Replaces the snapshot's O(|E|) columns (``tgt_ids``, ``indptr``,
-    ``tgt_owner``, ``tgt_wire_sizes``, ``tgt_vertex_wire``,
-    ``cand_size_cumsum``) with disk-backed
-    twins, rebuilds the ``columns()`` namespace over them, and pre-computes
-    the row kernels' composite-key array straight into its own segment (the
-    lazy in-memory build would otherwise resurrect an O(|E|) resident
-    array mid-survey).  Tags the snapshot (``csr.storage``/
-    ``csr.segment_paths``) and returns the created paths; the owning
-    :class:`~repro.graph.dodgr.DODGraph` unlinks them on every exit path.
+    Swaps each of the snapshot's :data:`SPILLED_COLUMNS` for a disk-backed
+    copy of the array it holds, and pre-computes the row kernels'
+    composite-key array straight into its own segment (the lazy in-memory
+    build would otherwise resurrect an O(|E|) resident array mid-survey).
+    Tags the snapshot (``csr.storage``/``csr.segment_paths``) and returns
+    the created paths; the owning :class:`~repro.graph.dodgr.DODGraph`
+    unlinks them on every exit path.
     """
     from ..core.intersection import RowAdjacency  # deferred: core imports graph
 
@@ -233,25 +246,18 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     prefix = f"repro-ooc-{os.getpid()}-{_SPILL_SEQ[0]}-"
     os.makedirs(directory, exist_ok=True)
     paths: List[str] = []
-
-    def spill(name: str, source, length: int):
-        mm, path = _new_memmap(directory, prefix, name, length)
+    for name in SPILLED_COLUMNS:
+        source = getattr(csr, name)
+        mm, path = _new_memmap(directory, prefix, name, len(source))
         _fill_chunked(mm, source)
         mm.flush()
         paths.append(path)
-        return mm
-
-    num_edges = csr.num_edges
-    tgt_ids = spill("tgt_ids", csr.tgt_ids, num_edges)
-    indptr = spill("indptr", csr.indptr, csr.num_rows + 1)
-    tgt_owner = spill("tgt_owner", csr.tgt_owner, num_edges)
-    tgt_wire = spill("tgt_wire", csr.tgt_wire_sizes, num_edges)
-    tgt_vertex_wire = spill("tgt_vertex_wire", csr.tgt_vertex_wire, num_edges)
-    cand_cumsum = spill("cand_cumsum", csr.cand_size_cumsum, num_edges + 1)
+        setattr(csr, name, mm)
+    tgt_ids, indptr = csr.tgt_ids, csr.indptr
 
     # Composite keys (edge_row * order_count + key), built block-wise so the
     # transient never exceeds the copy chunk.
-    composite, comp_path = _new_memmap(directory, prefix, "composite", num_edges)
+    composite, comp_path = _new_memmap(directory, prefix, "composite", csr.num_edges)
     stride = _np.int64(order_count)
     for row_lo in range(0, csr.num_rows, _COPY_CHUNK):
         row_hi = min(row_lo + _COPY_CHUNK, csr.num_rows)
@@ -266,30 +272,23 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
     composite.flush()
     paths.append(comp_path)
 
-    # Swap the resident columns for their disk-backed twins.  The scalar
-    # drivers index these exactly as they indexed the lists; the row/batch
-    # kernels see plain int64 arrays.
-    csr.tgt_ids = tgt_ids
-    csr.indptr = indptr
-    csr.tgt_owner = tgt_owner
-    csr.tgt_wire_sizes = tgt_wire
-    csr.tgt_vertex_wire = tgt_vertex_wire
-    csr.cand_size_cumsum = cand_cumsum
-    csr._columns = SimpleNamespace(
-        indptr=indptr,
-        tgt_owner=tgt_owner,
-        row_wire=_np.asarray(csr.row_wire_sizes, dtype=_np.int64),
-        tgt_wire=tgt_wire,
-        tgt_vertex_wire=tgt_vertex_wire,
-        cand_cumsum=cand_cumsum,
-        row_order_ids=_np.asarray(csr.row_order_ids, dtype=_np.int64),
-    )
     adjacency = RowAdjacency(tgt_ids, indptr, order_count)
     adjacency._composite = composite
     csr.row_adj_cache = adjacency
     csr.storage = "mmap"
     csr.segment_paths = paths
     return paths
+
+
+def unspill_csr(csr) -> None:
+    """Read a spilled snapshot's columns back into memory and unlink its segments."""
+    if csr.storage != "mmap":
+        return
+    for name in SPILLED_COLUMNS:
+        setattr(csr, name, _np.array(getattr(csr, name)))
+    csr.row_adj_cache = None
+    release_csr_segments(csr)
+    csr.storage = "resident"
 
 
 def stage_send_columns(csr, rows_sorted, qpos_sorted):

@@ -356,14 +356,16 @@ def _fork_context():
 def _prewarm_shared(dodgr: Any, nranks: int) -> Tuple[Dict[Any, Any], Dict[int, Any]]:
     """Build every lazily-cached structure before forking.
 
-    CSR segments (and the order-id caches the columnar drivers read) must
+    CSR segments (and the order-id arrays the columnar drivers read) must
     exist pre-fork so all workers inherit the *same* objects: that makes the
     ``("shared", ("csr", rank))`` encoding resolvable everywhere and keeps
-    workers from redundantly rebuilding caches.
+    workers from redundantly rebuilding caches.  The vertex-keyed
+    ``order_ids()`` dict only the scalar oracles read is left to whichever
+    worker asks for it.
     """
     shared_objects: Dict[Any, Any] = {}
     shared_ids: Dict[int, Any] = {}
-    for warm in ("order_ids", "order_count"):
+    for warm in ("order_count", "rows_by_order_id"):
         method = getattr(dodgr, warm, None)
         if callable(method):
             try:

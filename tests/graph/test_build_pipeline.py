@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench import load_dataset
 from repro.graph.distributed_graph import DistributedGraph
-from repro.graph.dodgr import DODGraph
+from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.edge_list import DistributedEdgeList, _keep_first
 from repro.graph.generators import rmat
 from repro.runtime.world import World
@@ -46,13 +46,12 @@ def assert_same_dodgr(legacy: DODGraph, vectorized: DODGraph) -> None:
             assert store_a[vertex]["degree"] == store_b[vertex]["degree"]
             assert store_a[vertex]["adj"] == store_b[vertex]["adj"]
         csr_a, csr_b = legacy.csr(rank), vectorized.csr(rank)
-        assert csr_a.indptr == csr_b.indptr
-        assert list(csr_a.tgt_ids) == list(csr_b.tgt_ids)
-        assert csr_a.tgt_owner == csr_b.tgt_owner
-        assert csr_a.tgt_wire_sizes == csr_b.tgt_wire_sizes
-        assert csr_a.cand_size_cumsum == csr_b.cand_size_cumsum
-        assert csr_a.row_wire_sizes == csr_b.row_wire_sizes
+        for name in CSRAdjacency.COLUMNS:
+            column_a, column_b = getattr(csr_a, name), getattr(csr_b, name)
+            assert column_a.dtype == column_b.dtype, name
+            assert column_a.tolist() == column_b.tolist(), name
         assert csr_a.entries == csr_b.entries
+        assert csr_a.vertex_rows == csr_b.vertex_rows
 
 
 def build_pair(edges, vertex_meta=None):
@@ -101,6 +100,25 @@ class TestBuilderGoldenParity:
         edges = [(base + i, base + ((i * 3 + 1) % 9), i) for i in range(40)]
         legacy, vectorized = build_pair(edges)
         assert_same_dodgr(legacy, vectorized)
+
+    def test_unsigned_ids_beyond_int64_from_columns(self):
+        # The same ids as a uint64 column: from_columns must not wrap them
+        # into negative int64 ids on the way to the bulk build.
+        base = 2**63
+        edges = [(base + i, base + ((i * 3 + 1) % 9), i) for i in range(40)]
+        world_a, world_b = World(NRANKS), World(NRANKS)
+        graph_a = DistributedGraph.from_edges(world_a, edges, name="g")
+        graph_b = DistributedGraph.from_columns(
+            world_b,
+            np.array([e[0] for e in edges], dtype=np.uint64),
+            np.array([e[1] for e in edges], dtype=np.uint64),
+            edge_metas=[e[2] for e in edges],
+            name="g",
+        )
+        assert_same_graph(graph_a, graph_b)
+        assert_same_dodgr(
+            DODGraph.build(graph_a, mode="async"), DODGraph.build(graph_b, mode="bulk")
+        )
 
     def test_metadata_slots_preserved(self):
         dataset = load_dataset("reddit-like", scale=0.2)

@@ -159,9 +159,10 @@ class TestVectorSizing:
         for rank in range(2):
             got, want = vector[rank], dodgr.csr(rank)
             assert got is not want
-            assert got.tgt_wire_sizes == want.tgt_wire_sizes
-            assert got.tgt_vertex_wire == want.tgt_vertex_wire
-            assert got.cand_size_cumsum == want.cand_size_cumsum
+            assert got.tgt_wire_sizes.tolist() == want.tgt_wire_sizes.tolist()
+            assert got.tgt_vertex_wire.tolist() == want.tgt_vertex_wire.tolist()
+            assert got.cand_size_cumsum.tolist() == want.cand_size_cumsum.tolist()
+            assert got.row_wire_sizes.tolist() == want.row_wire_sizes.tolist()
 
 
 def temporal_clique(stamp_of, size=8):
@@ -200,7 +201,7 @@ class TestExtractedValues:
         assert values.dtype == np.int64
         assert values.tolist() == [entry[2] for entry in csr.entries]
         rows = np.arange(csr.num_rows, dtype=np.int64)
-        assert csr.extracted_values(identity, "row", rows).tolist() == csr.row_meta
+        assert csr.extracted_values(identity, "row", rows).tolist() == csr.row_meta.tolist()
         assert csr.extracted_values(identity, "target", positions).tolist() == [
             entry[3] for entry in csr.entries
         ]

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.graph import DODGraph, DistributedGraph, entry_key, order_key
+from repro.core.callbacks import ClosureTimeSurvey
+from repro.core.push_pull import triangle_survey_push_pull
+from repro.core.survey import triangle_survey_push
+from repro.graph import DODGraph, DistributedGraph, entry_key, order_key, rmat, temporal_edge_meta
 from repro.graph.properties import dodgr_wedge_count, max_dodgr_out_degree
 from repro.runtime import World
 
@@ -137,3 +142,100 @@ class TestQueries:
         dodgr.visit(world4.ranks[0], 3, handler, "hello")
         world4.barrier()
         assert seen == [(dodgr.owner(3), 3, "hello")]
+
+
+class TestProductionPathStaysOnTheArrays:
+    """A bulk build *is* its columns; object-shaped views exist only if read."""
+
+    NRANKS = 4
+
+    @staticmethod
+    def columns():
+        us, vs = rmat(8, edge_factor=8, seed=5).edge_columns()
+        metas = [temporal_edge_meta(float(7 * i % 1000), i % 3) for i in range(len(us))]
+        return us, vs, metas
+
+    def build(self):
+        us, vs, metas = self.columns()
+        graph = DistributedGraph.from_columns(World(self.NRANKS), us, vs, edge_metas=metas)
+        return graph, DODGraph.build(graph)
+
+    def oracle(self):
+        """The same graph loaded edge by edge, routed build, per-wedge engine."""
+        us, vs, metas = self.columns()
+        graph = DistributedGraph.from_edges(
+            World(self.NRANKS), zip(us.tolist(), vs.tolist(), metas)
+        )
+        return graph, DODGraph.build(graph, mode="async")
+
+    @staticmethod
+    def closure_histogram(dodgr, engine):
+        reducer = ClosureTimeSurvey(dodgr.world, name="closure")
+        report = triangle_survey_push(dodgr, reducer.callback, engine=engine)
+        reducer.finalize()
+        return report.triangles, reducer.result()
+
+    def test_columnar_surveys_and_size_queries_materialise_no_view(self):
+        graph, dodgr = self.build()
+        oracle_graph, oracle = self.oracle()
+        count = triangle_survey_push_pull(dodgr, None, engine="columnar")
+        assert count.triangles == triangle_survey_push_pull(oracle, None, engine="legacy").triangles
+        assert self.closure_histogram(dodgr, "columnar") == self.closure_histogram(oracle, "legacy")
+        vertex = int(self.columns()[0][0])
+        for query in (
+            "num_vertices", "num_directed_edges", "max_out_degree", "wedge_count",
+            "rank_edge_counts", "order_count",
+        ):
+            assert getattr(dodgr, query)() == getattr(oracle, query)(), query
+        for query in ("out_degree", "degree", "vertex_meta"):
+            assert getattr(dodgr, query)(vertex) == getattr(oracle, query)(vertex), query
+        assert dodgr.rows_by_order_id().tolist() == oracle.rows_by_order_id().tolist()
+        for query in (
+            "num_vertices", "num_directed_edges", "num_undirected_edges", "max_degree",
+            "rank_vertex_counts", "rank_edge_counts",
+        ):
+            assert getattr(graph, query)() == getattr(oracle_graph, query)(), query
+        assert not graph.store_materialised
+        assert dodgr.materialised_views() == frozenset()
+        assert oracle.materialised_views() == {"records"}
+
+    def test_scalar_callback_reads_the_columns(self):
+        _, dodgr = self.build()
+        _, oracle = self.oracle()
+
+        def collect(into):
+            return lambda ctx, tri: into.append(dataclasses.astuple(tri))
+
+        got, want = [], []
+        triangle_survey_push(dodgr, collect(got), engine="columnar")
+        triangle_survey_push(oracle, collect(want), engine="legacy")
+        assert sorted(got) == sorted(want) and got
+        assert all(type(field) is int for tri in got for field in tri[:3])
+        assert dodgr.materialised_views() == frozenset()
+
+    def test_oracle_engines_materialise_what_they_read(self):
+        _, oracle = self.oracle()
+        want = self.closure_histogram(oracle, "legacy")
+        _, dodgr = self.build()
+        assert self.closure_histogram(dodgr, "batched") == want
+        assert dodgr.materialised_views() == {"entries"}
+        _, dodgr = self.build()
+        assert self.closure_histogram(dodgr, "legacy") == want
+        # The records share the entry tuples, so both exist; the dict does not.
+        assert dodgr.materialised_views() == {"records", "entries"}
+        assert dodgr.order_ids() == oracle.order_ids()
+        assert dodgr.materialised_views() == {"records", "entries", "order_ids"}
+
+    def test_mutation_after_from_columns_materialises_the_store(self):
+        us, vs, metas = self.columns()
+        graph, _ = self.build()
+        oracle_graph, _ = self.oracle()
+        assert not graph.store_materialised
+        for mutated in (graph, oracle_graph):
+            mutated.add_edge(int(us[0]), 10**6, "late")
+        assert graph.store_materialised
+        for rank in range(self.NRANKS):
+            got, want = graph.local_store(rank), oracle_graph.local_store(rank)
+            assert list(got.items()) == list(want.items())
+            for vertex in got:
+                assert list(got[vertex]["adj"].items()) == list(want[vertex]["adj"].items())

@@ -15,6 +15,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.graph import validate_edge_columns
+from repro.graph.edge_list import int64_id_columns
 from repro.graph.delta import DeltaBuffer
 from repro.graph.distributed_graph import DistributedGraph
 from repro.runtime.world import World
@@ -39,6 +40,33 @@ class TestValidColumns:
 
     def test_matching_edge_metas_pass(self):
         validate_edge_columns([0, 1], [1, 2], edge_metas=["a", "b"])
+
+
+class TestInt64Lane:
+    """``int64_id_columns``: the shared step deciding int64 arrays vs object ids."""
+
+    def test_in_range_columns_become_int64(self):
+        us, vs = int64_id_columns([0, 2**63 - 1], np.array([1, 2], dtype=np.uint64))
+        assert us.dtype == vs.dtype == np.int64
+        assert us.tolist() == [0, 2**63 - 1] and vs.tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([2**63, 1], dtype=np.uint64),  # would wrap, not raise
+            np.array([2**64 - 1], dtype=np.uint64),
+            [2**70, 1],  # Python ints: OverflowError on conversion
+        ],
+        ids=["uint64_2_63", "uint64_max", "python_int_2_70"],
+    )
+    def test_ids_beyond_int64_answer_none_in_either_column(self, column):
+        small = [1] * len(column)
+        assert int64_id_columns(column, small) is None
+        assert int64_id_columns(small, column) is None
+
+    def test_empty_unsigned_column_is_int64(self):
+        us, vs = int64_id_columns(np.array([], dtype=np.uint64), [])
+        assert us.dtype == vs.dtype == np.int64 and us.size == vs.size == 0
 
 
 class TestRaggedColumns:
@@ -102,6 +130,17 @@ class TestIngestionPaths:
             DistributedGraph.from_columns(
                 world, np.array([0.5, 1.5]), np.array([1, 2]), name="g"
             )
+
+    def test_from_columns_keeps_unsigned_ids_beyond_int64_exact(self):
+        # uint64 passes validation (integer dtype, min() >= 0); a cast to
+        # int64 would wrap 2**63 + 5 to a negative id without raising.
+        big = 2**63 + 5
+        us = np.array([big, 1, 2], dtype=np.uint64)
+        vs = np.array([1, 2, big], dtype=np.uint64)
+        graph = DistributedGraph.from_columns(World(2), us, vs, name="g")
+        assert sorted(graph.vertices()) == [1, 2, big]
+        assert all(type(vertex) is int for vertex in graph.vertices())
+        assert graph.has_edge(big, 1) and graph.has_edge(2, big)
 
     def test_stage_columns_rejects_before_staging(self):
         world = World(4)

@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import os
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DODGraph, DistributedGraph
+import repro.runtime.backend.process as process_backend
+from repro.core.engine import EngineConfig
+from repro.core.push_pull import triangle_survey_push_pull
+from repro.graph import (
+    BlockPartitioner,
+    CyclicPartitioner,
+    DeltaBuffer,
+    DODGraph,
+    DistributedGraph,
+    HashPartitioner,
+    rmat,
+)
 from repro.graph.degree import order_key
-from repro.runtime import World
+from repro.graph.dodgr import CSRAdjacency
+from repro.graph.ooc import StorageConfig, active_segment_paths
+from repro.runtime import World, active_segment_names
+from repro.runtime.backend.shm import shared_memory_available
 
 
 @st.composite
@@ -69,3 +87,265 @@ def test_wedge_count_invariant_under_partitioning(edges):
         counts.add(dodgr.wedge_count())
     assert len(counts) <= 1 or (len(counts) == 1)
     assert len(counts) == 1
+
+
+# ---------------------------------------------------------------------------
+# The equivalence contract over the column seam
+# ---------------------------------------------------------------------------
+#
+# A DODGr's columns have three origins — the from_columns image, the
+# flattened from_edges stores (both through the bulk pipeline) and the
+# flattened records of a routed mode="async" build — and every object-shaped
+# view (graph stores, DODGr records, entries, order_ids) is derived from
+# them lazily.  All of it must agree, value for value and in dict order.
+
+EDGE_META_COLUMNS = {
+    "float": st.floats(allow_nan=False),
+    "int": st.integers(min_value=-(2**40), max_value=2**40),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "float_int_pair": st.tuples(st.floats(allow_nan=False), st.integers(0, 9)),
+    "mixed": st.one_of(st.integers(0, 9), st.floats(allow_nan=False), st.text(max_size=3)),
+    "untyped": st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=2),
+}
+
+PARTITIONERS = {
+    "hash": lambda nranks, n: HashPartitioner(nranks),
+    "seeded_hash": lambda nranks, n: HashPartitioner(nranks, seed=42),
+    "cyclic": lambda nranks, n: CyclicPartitioner(nranks),
+    "block": lambda nranks, n: BlockPartitioner(nranks, n),
+}
+
+
+@st.composite
+def decorated_columns(draw, max_vertices=14, max_edges=40):
+    """Endpoint columns with duplicates in both orientations and self loops,
+    shared or per-edge metadata, and vertex metadata reaching past the
+    endpoints (isolated vertices)."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    kwargs = {}
+    shape = draw(st.sampled_from(sorted(EDGE_META_COLUMNS)))
+    if draw(st.booleans()):
+        kwargs["edge_meta"] = draw(EDGE_META_COLUMNS[shape])
+    else:
+        kwargs["edge_metas"] = draw(
+            st.lists(EDGE_META_COLUMNS[shape], min_size=len(pairs), max_size=len(pairs))
+        )
+    kwargs["vertex_meta"] = draw(
+        st.dictionaries(st.integers(0, n + 3), st.one_of(st.none(), st.integers(0, 5)), max_size=6)
+    )
+    kwargs["default_vertex_meta"] = draw(st.sampled_from([None, "unlabelled"]))
+    return n, us, vs, kwargs
+
+
+def edge_records(us, vs, kwargs):
+    metas = kwargs.get("edge_metas") or [kwargs.get("edge_meta")] * len(us)
+    return list(zip(us, vs, metas))
+
+
+def load_three_ways(n, us, vs, kwargs, nranks, partitioner):
+    """(graph, dodgr) from the image, the flattened stores and the routed build."""
+
+    def load(world, from_columns):
+        placement = PARTITIONERS[partitioner](nranks, n + 4)
+        if from_columns:  # one column an array, one a list: both are accepted
+            return DistributedGraph.from_columns(
+                world, np.array(us, dtype=np.int64), vs, partitioner=placement, name="g", **kwargs
+            )
+        return DistributedGraph.from_edges(
+            world,
+            edge_records(us, vs, kwargs),
+            vertex_meta=kwargs["vertex_meta"],
+            default_vertex_meta=kwargs["default_vertex_meta"],
+            partitioner=placement,
+            name="g",
+        )
+
+    worlds = [World(nranks) for _ in range(3)]
+    image, stores, routed = (load(world, world is worlds[0]) for world in worlds)
+    assert not image.store_materialised
+    built = [
+        (image, DODGraph.build(image, mode="bulk")),
+        (stores, DODGraph.build(stores, mode="bulk")),
+        (routed, DODGraph.build(routed, mode="async")),
+    ]
+    # Two graph handlers and one DODGr handler per load, in every lane.
+    assert [len(world.registry) for world in worlds] == [3, 3, 3]
+    return built
+
+
+def assert_same_columns(csr_a, csr_b):
+    for name in CSRAdjacency.COLUMNS:
+        column_a, column_b = getattr(csr_a, name), getattr(csr_b, name)
+        assert column_a.dtype == column_b.dtype, name
+        assert column_a.tolist() == column_b.tolist(), name
+
+
+def assert_same_views(dodgr_a, dodgr_b, nranks):
+    """Records, entries, vertex_rows and order_ids, dict insertion order included."""
+    assert list(dodgr_a.order_ids().items()) == list(dodgr_b.order_ids().items())
+    for rank in range(nranks):
+        assert list(dodgr_a.local_store(rank).items()) == list(dodgr_b.local_store(rank).items())
+        csr_a, csr_b = dodgr_a.csr(rank), dodgr_b.csr(rank)
+        assert csr_a.entries == csr_b.entries
+        assert list(csr_a.vertex_rows.items()) == list(csr_b.vertex_rows.items())
+
+
+def assert_same_stores(graph_a, graph_b, nranks):
+    for rank in range(nranks):
+        store_a, store_b = graph_a.local_store(rank), graph_b.local_store(rank)
+        assert list(store_a.items()) == list(store_b.items())
+        for vertex in store_a:
+            assert list(store_a[vertex]["adj"].items()) == list(store_b[vertex]["adj"].items())
+
+
+@given(
+    decorated_columns(),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(sorted(PARTITIONERS)),
+)
+@settings(max_examples=120, deadline=None)
+def test_columns_agree_across_the_three_origins(columns, nranks, partitioner):
+    (image, from_image), (stores, from_stores), (_, routed) = load_three_ways(
+        *columns, nranks, partitioner
+    )
+    for rank in range(nranks):
+        assert_same_columns(from_image.csr(rank), from_stores.csr(rank))
+        assert_same_columns(from_image.csr(rank), routed.csr(rank))
+    # Nothing object-shaped was needed to get here.
+    assert not image.store_materialised
+    assert from_image.materialised_views() == from_stores.materialised_views() == frozenset()
+    # <+ ids against the definition, not against another build.
+    degrees = stores.degrees()
+    in_order = sorted(degrees, key=lambda v: order_key(v, degrees[v]))
+    assert list(from_image.order_ids()) == in_order
+    assert_same_views(from_image, routed, nranks)
+    assert_same_views(from_stores, routed, nranks)
+    assert_same_stores(image, stores, nranks)
+    assert image.store_materialised
+
+
+@given(decorated_columns(), st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutation_after_from_columns_matches_from_edges(columns, nranks, data):
+    n, us, vs, kwargs = columns
+    image = DistributedGraph.from_columns(World(nranks), us, vs, **kwargs)
+    stores = DistributedGraph.from_edges(
+        World(nranks),
+        edge_records(us, vs, kwargs),
+        vertex_meta=kwargs["vertex_meta"],
+        default_vertex_meta=kwargs["default_vertex_meta"],
+    )
+    vertex = st.integers(min_value=0, max_value=n + 5)
+    late = data.draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3)), max_size=6))
+    mutation = data.draw(st.sampled_from(["add_edge", "set_vertex_meta", "delta"]))
+    rebuilt = []
+    for graph in (image, stores):
+        if mutation == "add_edge":
+            for u, v, meta in late:
+                graph.add_edge(u, v, meta)
+        elif mutation == "set_vertex_meta":
+            for u, _, meta in late:
+                graph.set_vertex_meta(u, meta)
+        else:
+            delta = DeltaBuffer(graph.world)
+            delta.stage_edges(late)
+            delta.stage_vertex_meta(n + 9, "staged")
+            rebuilt.append(delta.apply(graph).dodgr)
+    assert_same_stores(image, stores, nranks)
+    rebuilt = rebuilt or [DODGraph.build(graph) for graph in (image, stores)]
+    for rank in range(nranks):
+        assert_same_columns(rebuilt[0].csr(rank), rebuilt[1].csr(rank))
+
+
+OBJECT_ID_GRAPHS = {
+    "strings": [(f"v{i}", f"v{(i * 5 + 2) % 17}", float(i)) for i in range(60)],
+    "beyond_int64": [(2**70 + i, 2**70 + (i * 3 + 1) % 9, i) for i in range(40)],
+    "tuples_and_ints": [((i % 5, "x"), (i * 7 + 1) % 11, None) for i in range(50)],
+}
+
+
+@pytest.mark.parametrize("ids", sorted(OBJECT_ID_GRAPHS))
+def test_object_id_graphs_take_the_same_pipeline(ids):
+    edges = OBJECT_ID_GRAPHS[ids]
+    nranks = 3
+    bulk = DODGraph.build(DistributedGraph.from_edges(World(nranks), edges), mode="bulk")
+    routed = DODGraph.build(DistributedGraph.from_edges(World(nranks), edges), mode="async")
+    for rank in range(nranks):
+        assert bulk.csr(rank).row_vertices.dtype == object
+        assert_same_columns(bulk.csr(rank), routed.csr(rank))
+    assert bulk.materialised_views() == frozenset()
+    assert_same_views(bulk, routed, nranks)
+    if ids == "beyond_int64":  # from_columns: the per-edge lane, same graph
+        graph = DistributedGraph.from_columns(
+            World(nranks),
+            [e[0] for e in edges],
+            [e[1] for e in edges],
+            edge_metas=[e[2] for e in edges],
+        )
+        assert graph.store_materialised
+        for rank in range(nranks):
+            assert_same_columns(DODGraph.build(graph).csr(rank), routed.csr(rank))
+
+
+def test_mmap_storage_spills_the_same_seven_segments(tmp_path):
+    dataset = rmat(8, edge_factor=8, seed=3)
+    nranks = 4
+    dodgr = DODGraph.build(dataset.to_distributed(World(nranks)))
+    resident = [dodgr.csr(rank) for rank in range(nranks)]
+    want = triangle_survey_push_pull(dodgr, None, engine="columnar")
+    before = active_segment_paths()
+    storage = StorageConfig(mode="mmap", directory=str(tmp_path))
+    got = triangle_survey_push_pull(dodgr, None, engine=EngineConfig(storage=storage))
+    assert (got.triangles, got.communication_bytes) == (want.triangles, want.communication_bytes)
+    # The prebuilt snapshots were spilled in place: the six integer per-edge
+    # columns (indptr among them) plus the composite-key array, 8 bytes each.
+    assert [dodgr.csr(rank) for rank in range(nranks)] == resident
+    segments = [
+        path
+        for path in sorted(active_segment_paths() - before)
+        if not path.endswith("send_scratch.seg")  # the drives' staging area
+    ]
+    assert len(segments) == 7 * nranks
+    # tgt_ids, tgt_owner, tgt_wire_sizes, tgt_vertex_wire and composite hold
+    # one word per edge (an empty column still gets a one-word file),
+    # cand_size_cumsum one more, indptr one per row plus one.
+    assert sum(os.path.getsize(path) for path in segments) == 8 * sum(
+        5 * max(csr.num_edges, 1) + (csr.num_edges + 1) + (csr.num_rows + 1)
+        for csr in resident
+    )
+    assert dodgr.materialised_views() == frozenset()
+    # Back to resident: same objects again, columns read back, files gone.
+    dodgr.configure_storage(None)
+    assert active_segment_paths() == before and list(tmp_path.iterdir()) == []
+    assert triangle_survey_push_pull(dodgr, None, engine="columnar").triangles == want.triangles
+    dodgr.release()
+
+
+@pytest.mark.skipif(not shared_memory_available(), reason="needs POSIX shared memory")
+def test_process_backend_shares_the_prebuilt_snapshots(monkeypatch):
+    dataset = rmat(8, edge_factor=8, seed=3)
+    nranks = 4
+    dodgr = DODGraph.build(dataset.to_distributed(World(nranks)))
+    prebuilt = [dodgr.csr(rank) for rank in range(nranks)]
+    shared = []
+    original = process_backend._prewarm_shared
+
+    def spy(dodgr, nranks):
+        objects, ids = original(dodgr, nranks)
+        shared.append(objects)
+        return objects, ids
+
+    monkeypatch.setattr(process_backend, "_prewarm_shared", spy)
+    want = triangle_survey_push_pull(dodgr, None, engine="columnar")
+    got = triangle_survey_push_pull(
+        dodgr, None, engine=EngineConfig(backend="process", workers=2)
+    )
+    assert (got.triangles, got.communication_bytes) == (want.triangles, want.communication_bytes)
+    # What the workers inherit over the fork is what the build produced.
+    assert all(shared[0][("csr", rank)] is prebuilt[rank] for rank in range(nranks))
+    assert active_segment_names() == frozenset()
+    assert dodgr.materialised_views() == frozenset()
