@@ -1,4 +1,4 @@
-"""Intersection kernel tiers — cutoff sweep and compiled-tier gate (ISSUE 10).
+"""Intersection kernel tiers — cutoff sweep and cross-tier replay parity.
 
 Not a figure from the paper: this microbenchmark pins the kernel-tier layer
 added for beyond-RAM scale.  The row/batch intersection kernels now come in
@@ -8,8 +8,9 @@ comparison counts):
 * ``scalar``   — the reference per-segment Python loops, always available;
 * ``columnar`` — NumPy array pipelines with a scalar small-input escape
   hatch governed by ``_SCALAR_BATCH_CUTOFF`` / ``_SCALAR_ROW_SEGMENT_CUTOFF``;
-* ``compiled`` — numba-jitted merge loops, registered only when numba
-  imports (``compiled -> columnar -> scalar`` downgrade otherwise).
+* ``compiled`` — the scalar row loops in C, built with the system compiler
+  at import and registered only when that worked (``compiled -> columnar ->
+  scalar`` downgrade otherwise); what ``kernel_tier=None`` selects.
 
 Two jobs here:
 
@@ -17,13 +18,13 @@ Two jobs here:
    vectorized routes across input sizes bracketing the cutoffs, time both,
    assert parity at every point, and record where the crossover actually
    sits so the cutoff constants can be audited against measurements.
-2. **Tier replay gate** — capture every row-kernel invocation of a real
+2. **Tier replay parity** — capture every row-kernel invocation of a real
    columnar survey over the ``rmat-weak`` dataset (the ``bench_survey_engine``
-   workload), replay the captured calls through every available tier,
-   assert bit-identical matches + comparison counts, and gate the compiled
-   tier at >= 2x over columnar host time.  The gate runs only where numba
-   is installed (the CI kernel-tier leg); numba-less environments record
-   the available tiers and skip the assertion, passing unchanged.
+   workload), replay the captured calls through every *registered* tier,
+   assert bit-identical matches + comparison counts, and print per-tier
+   host seconds.  The table is informational: what the compiled tier is
+   worth is measured end to end, by ``perf``'s ``count_pushpull`` workload
+   (the checked-in ``BENCH_<pr>.json`` rows), not by a ratio gate here.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 from _artifacts import emit, emit_json
 from repro.bench import format_table, load_dataset
@@ -46,18 +46,14 @@ from repro.core.engine.driver import (
 from repro.core.intersection import (
     ROW_KERNELS,
     available_kernel_tiers,
-    batch_kernel,
+    compiled_tier_status,
     resolve_kernel_tier,
     row_kernel,
 )
-from repro.core.intersection_compiled import NUMBA_AVAILABLE
 from repro.graph.dodgr import DODGraph
 from repro.runtime.world import World
 
 NODES = 16
-#: The compiled tier must at least halve columnar kernel time on the
-#: replayed survey workload before it earns its registry slot.
-COMPILED_SPEEDUP_GATE = 2.0
 #: A cutoff constant large enough to force the scalar route at every size
 #: this sweep generates (and small enough to stay an exact int64).
 FORCE_SCALAR = 1 << 40
@@ -317,20 +313,22 @@ def replay(calls, tier):
     return results
 
 
-def test_tier_replay_parity_and_compiled_gate(benchmark):
-    """Every available tier reproduces the survey's kernel calls exactly;
-    where numba is installed the compiled tier must beat columnar >= 2x."""
+def test_tier_replay_parity(benchmark):
+    """Every registered tier reproduces the survey's kernel calls exactly;
+    per-tier replay seconds are printed, not gated."""
     dataset = load_dataset("rmat-weak")
     calls, triangles = capture_row_calls(dataset)
     assert calls, "columnar survey produced no row-kernel calls"
 
     tiers = available_kernel_tiers()
     assert "columnar" in tiers and "scalar" in tiers
+    status = compiled_tier_status()
+    assert ("compiled" in tiers) == status.available
+    assert resolve_kernel_tier(None) == tiers[0]
 
     def run_all():
         out = {}
         for tier in tiers:
-            replay(calls, tier)  # warm-up (JIT compile for the compiled tier)
             seconds = best_seconds(lambda: replay(calls, tier), repeats=3, iterations=1)
             out[tier] = (seconds, replay(calls, tier))
         return out
@@ -346,9 +344,8 @@ def test_tier_replay_parity_and_compiled_gate(benchmark):
         "nodes": NODES,
         "row_kernel_calls": len(calls),
         "triangles": triangles,
-        "numba_available": NUMBA_AVAILABLE,
-        "compiled_resolves_to": resolve_kernel_tier("compiled"),
-        "gate": COMPILED_SPEEDUP_GATE,
+        "compiled_tier": {"available": status.available, "reason": status.reason},
+        "default_tier": resolve_kernel_tier(None),
         "tiers": {
             tier: {
                 "replay_seconds": seconds,
@@ -367,20 +364,13 @@ def test_tier_replay_parity_and_compiled_gate(benchmark):
                 }
                 for tier, (seconds, _results) in results.items()
             ],
-            title=f"Kernel-tier replay — {len(calls)} captured row-kernel calls",
+            title=(
+                f"Kernel-tier replay — {len(calls)} captured row-kernel calls "
+                f"(compiled tier: {status.reason})"
+            ),
         )
     )
     emit_json("bench_intersection_kernels", trajectory)
     benchmark.extra_info.update(
-        {"tiers": list(tiers), "numba_available": NUMBA_AVAILABLE}
-    )
-
-    if not NUMBA_AVAILABLE:
-        assert "compiled" not in tiers
-        assert resolve_kernel_tier("compiled") == "columnar"
-        pytest.skip("numba unavailable: compiled tier downgrades to columnar")
-    compiled_speedup = columnar_s / results["compiled"][0]
-    assert compiled_speedup >= COMPILED_SPEEDUP_GATE, (
-        f"compiled tier {compiled_speedup:.2f}x over columnar on the replayed "
-        f"survey workload, below the {COMPILED_SPEEDUP_GATE}x gate"
+        {"tiers": list(tiers), "compiled_available": status.available}
     )

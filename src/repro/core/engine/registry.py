@@ -74,7 +74,8 @@ class EngineSpec:
     #: (:data:`repro.core.intersection.KERNEL_TIERS` order).  Engines whose
     #: intersections go through the batch/row kernel tables support every
     #: tier; the legacy scalar driver only the scalar one.  Requesting a
-    #: declared-but-unavailable tier (no numba wheel) downgrades along
+    #: declared-but-unavailable tier (no C compiler; ``compiled`` batch
+    #: kernels, which do not exist) downgrades along
     #: ``compiled -> columnar -> scalar``; requesting an *undeclared* tier
     #: is a pre-run error (:func:`validate_request`).
     kernel_tiers: Tuple[str, ...] = ("scalar",)
@@ -252,7 +253,7 @@ def validate_request(request: Any, spec: EngineSpec) -> None:
     * ``kernel_tier`` — must name a known tier
       (:data:`repro.core.intersection.KERNEL_TIERS`) that the engine
       *declares* (``spec.kernel_tiers``).  Declared-but-unavailable tiers
-      (no numba wheel) are fine: they downgrade along the
+      (no C compiler) are fine: they downgrade along the
       ``compiled -> columnar -> scalar`` chain at kernel-lookup time.
     * ``storage`` — must be a known mode (or a
       :class:`~repro.graph.ooc.StorageConfig`); ``"mmap"`` is rejected on

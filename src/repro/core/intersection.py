@@ -58,6 +58,7 @@ __all__ = [
     "ROW_KERNEL_TIERS",
     "BATCH_KERNEL_TIERS",
     "available_kernel_tiers",
+    "compiled_tier_status",
     "resolve_kernel_tier",
     "row_kernel",
     "batch_kernel",
@@ -218,6 +219,18 @@ def _check_offsets(candidate_keys: Sequence[int], offsets: Sequence[int]) -> Non
             "offsets must start at 0 and end at len(candidate_keys); got "
             f"{offsets[0] if len(offsets) else None}..{offsets[-1] if len(offsets) else None} "
             f"for {len(candidate_keys)} keys"
+        )
+
+
+def _check_rows(seg_rows: Sequence[int], n_rows: int) -> None:
+    """Every tier's row kernels reject a segment row outside the adjacency —
+    NumPy indexing would wrap a negative one onto the wrong row, C would read
+    out of bounds."""
+    rows = _np.asarray(seg_rows)
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise IndexError(
+            f"segment rows must lie in [0, {n_rows}); got "
+            f"{int(rows.min())}..{int(rows.max())}"
         )
 
 
@@ -499,6 +512,7 @@ def _rows_via_scalar(
 ) -> RowBatchResult:
     """Reference row-batch implementation: one scalar call per segment."""
     _check_offsets(candidate_keys, offsets)
+    _check_rows(seg_rows, len(adjacency.indptr) - 1)
     cand_list = (
         candidate_keys.tolist()
         if hasattr(candidate_keys, "tolist")
@@ -570,6 +584,7 @@ def merge_path_rows(
     rows = _np.asarray(seg_rows, dtype=_np.int64)
     _check_offsets(cand, offs)
     indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
+    _check_rows(rows, indptr.size - 1)
     keys = _np.asarray(adjacency.keys, dtype=_np.int64)
     stride = _np.int64(adjacency.order_count)
     composite = adjacency.composite()
@@ -641,6 +656,7 @@ def hash_rows(
     rows = _np.asarray(seg_rows, dtype=_np.int64)
     _check_offsets(cand, offs)
     indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
+    _check_rows(rows, indptr.size - 1)
     seg_of_cand, pos, hits = _row_matches(cand, offs, rows, adjacency)
     adj_len = indptr[rows + 1] - indptr[rows]
     comparisons = int(adj_len.sum()) + int(cand.size)
@@ -677,9 +693,11 @@ ROW_KERNELS = {
 #
 # * ``scalar``   — the reference loops (:func:`_batch_via_scalar` /
 #   :func:`_rows_via_scalar`) applied unconditionally; always available.
-# * ``compiled`` — numba-jitted merge loops (:mod:`.intersection_compiled`),
-#   registered only when numba imports; requesting it without numba follows
-#   the declared fallback chain ``compiled -> columnar -> scalar`` silently.
+# * ``compiled`` — the scalar row loops in C (:mod:`.intersection_compiled`),
+#   built with the system compiler and loaded through ctypes at import;
+#   registered only when that succeeded, and only for the row kernels.  An
+#   unavailable tier follows the declared fallback chain
+#   ``compiled -> columnar -> scalar`` silently.
 #
 # Tier selection travels as ``kernel_tier`` on
 # :class:`~repro.core.engine.request.EngineConfig`/``SurveyRequest`` and is
@@ -713,14 +731,16 @@ def _scalar_tier_rows(name: str):
     return row_kernel_scalar
 
 
-#: Tier -> {kernel name -> batch kernel}.  The ``compiled`` entry is added at
-#: the bottom of this module when numba is importable.
+#: Tier -> {kernel name -> batch kernel}.  There is no ``compiled`` entry:
+#: only the ``batched`` oracle engine calls batch kernels, so asking it for
+#: the compiled tier downgrades to the columnar batch kernels.
 BATCH_KERNEL_TIERS = {
     "columnar": BATCH_KERNELS,
     "scalar": {name: _scalar_tier_batch(name) for name in INTERSECTION_KERNELS},
 }
 
-#: Tier -> {kernel name -> row kernel}; same shape as BATCH_KERNEL_TIERS.
+#: Tier -> {kernel name -> row kernel}.  The ``compiled`` entry is added at
+#: the bottom of this module when the C library built and loaded.
 ROW_KERNEL_TIERS = {
     "columnar": ROW_KERNELS,
     "scalar": {name: _scalar_tier_rows(name) for name in INTERSECTION_KERNELS},
@@ -731,46 +751,53 @@ def available_kernel_tiers() -> Tuple[str, ...]:
     """The tiers usable in this environment, in preference order.
 
     ``columnar`` and ``scalar`` are always listed; ``compiled`` appears
-    only when numba imported at module load.
+    only when its library loaded at import (see :func:`compiled_tier_status`).
     """
     return tuple(tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS)
+
+
+def _resolve_in(table, tier: Optional[str]) -> str:
+    if tier is None or tier == "auto":
+        return next(known for known in KERNEL_TIERS if known in table)
+    if tier not in KERNEL_TIERS:
+        raise ValueError(
+            f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
+        )
+    while tier not in table:  # "scalar" is in every table
+        tier = KERNEL_TIER_FALLBACK[tier]
+    return tier
 
 
 def resolve_kernel_tier(tier: Optional[str] = None) -> str:
     """Normalise a ``kernel_tier`` selector to an available tier name.
 
-    ``None`` (and ``"auto"``) select the columnar tier — today's default,
-    so existing callers see bit-identical behaviour.  A named tier must be
-    one of :data:`KERNEL_TIERS`; if it is not available here it downgrades
-    along :data:`KERNEL_TIER_FALLBACK` (results are identical either way —
-    the cross-tier property suite pins the contract).
+    ``None`` (and ``"auto"``) select the first available tier of
+    :data:`KERNEL_TIERS`: ``compiled`` where a C compiler built it,
+    ``columnar`` elsewhere.  A named tier must be one of
+    :data:`KERNEL_TIERS`; if it is not available here it downgrades along
+    :data:`KERNEL_TIER_FALLBACK`.  Results are identical whichever tier runs
+    — the cross-tier property suite pins the contract.
     """
-    if tier is None or tier == "auto":
-        return "columnar"
-    if tier not in KERNEL_TIERS:
-        raise ValueError(
-            f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
-        )
-    available = available_kernel_tiers()
-    while tier is not None and tier not in available:
-        tier = KERNEL_TIER_FALLBACK[tier]
-    return tier if tier is not None else "scalar"
+    return _resolve_in(ROW_KERNEL_TIERS, tier)
 
 
 def batch_kernel(name: str, tier: Optional[str] = None):
-    """The batch-shaped kernel ``name`` at (resolved) ``tier``."""
-    return BATCH_KERNEL_TIERS[resolve_kernel_tier(tier)][name]
+    """The batch-shaped kernel ``name`` at ``tier`` resolved against
+    :data:`BATCH_KERNEL_TIERS` (which has no compiled entry)."""
+    return BATCH_KERNEL_TIERS[_resolve_in(BATCH_KERNEL_TIERS, tier)][name]
 
 
 def row_kernel(name: str, tier: Optional[str] = None):
     """The row-batch kernel ``name`` at (resolved) ``tier``."""
-    return ROW_KERNEL_TIERS[resolve_kernel_tier(tier)][name]
+    return ROW_KERNEL_TIERS[_resolve_in(ROW_KERNEL_TIERS, tier)][name]
 
 
-# Import last: intersection_compiled imports this module's result classes,
-# and registers its kernels into the tier tables only when numba is present.
-from . import intersection_compiled as _compiled  # noqa: E402
+# Import last: intersection_compiled imports this module's result classes and
+# checks, and builds/loads its library as it is imported.
+from .intersection_compiled import (  # noqa: E402
+    COMPILED_ROW_KERNELS as _COMPILED_ROW_KERNELS,
+    compiled_tier_status,
+)
 
-if _compiled.NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
-    BATCH_KERNEL_TIERS["compiled"] = _compiled.COMPILED_BATCH_KERNELS
-    ROW_KERNEL_TIERS["compiled"] = _compiled.COMPILED_ROW_KERNELS
+if _COMPILED_ROW_KERNELS:
+    ROW_KERNEL_TIERS["compiled"] = _COMPILED_ROW_KERNELS

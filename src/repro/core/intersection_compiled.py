@@ -1,356 +1,260 @@
-"""Compiled kernel tier: numba-jitted batch/row intersection loops.
+"""Compiled kernel tier: the paper's merge-path row kernels in C.
 
-The columnar tier (:mod:`repro.core.intersection`) vectorizes the batch and
-row kernels as NumPy array pipelines; their comparison counts are *replayed*
-through closed forms over searchsorted ranks.  This module provides the
-third tier: the scalar reference loops themselves, written in the restricted
-nopython subset of Python and wrapped with ``numba.njit`` when numba is
-importable.  Because the compiled functions *are* the scalar merge loops,
-their matches and ``comparisons`` totals equal the scalar kernels' by
-construction — no replay formula to keep honest.
+The columnar tier (:mod:`repro.core.intersection`) finds matches with one
+composite-key ``searchsorted`` and *replays* the comparison counts through
+closed forms.  This tier walks the scalar reference loops themselves
+(:data:`C_SOURCE`: merge, binary search, hash), so its matches and
+``comparisons`` totals equal the scalar kernels' by construction.
 
-Import is always safe: without numba, :data:`NUMBA_AVAILABLE` is False and
-the loop functions stay plain Python.  :mod:`repro.core.intersection` only
-registers the ``compiled`` tier in its tier tables when numba is present, so
-a numba-less install transparently resolves ``kernel_tier="compiled"`` down
-the declared chain (``compiled -> columnar -> scalar``); the pure-Python
-loops remain directly callable either way, which is what lets the cross-tier
-property suite pin the contract even on machines without the wheel.
-
-The kernels receive and return exactly what the columnar tier does
-(:class:`~repro.core.intersection.BatchIntersectionResult` /
-:class:`~repro.core.intersection.RowBatchResult`), so the engine drivers are
-tier-agnostic.
+The source is built once, **at import**, with the system C compiler
+(``cc -O2 -shared -fPIC``) into a user-private cache directory
+(``$XDG_CACHE_HOME`` or ``~/.cache``, mode 0700; a per-process ``mkdtemp``
+when that is unusable) under a name keyed by the source, the flags and
+``cc --version``, and loaded with :mod:`ctypes`; later imports load the
+cached file.  No survey, timed region or forked worker ever compiles.
+Import never raises: any failure leaves :data:`COMPILED_ROW_KERNELS` empty,
+:mod:`repro.core.intersection` does not register the tier, and
+``kernel_tier="compiled"`` downgrades to ``columnar``;
+:func:`compiled_tier_status` says what happened.  Only the row kernels (the
+``columnar`` engine's) have a compiled form.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import atexit
+import ctypes
+import hashlib
+import os
+import shutil
+import stat
+import subprocess
+import tempfile
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as _np
 
-from .intersection import (
-    BatchIntersectionResult,
-    RowAdjacency,
-    RowBatchResult,
-    _check_offsets,
-)
+from .intersection import INTERSECTION_KERNELS, RowAdjacency, RowBatchResult
+from .intersection import _check_offsets, _check_rows
 
-try:  # The jit is optional; the loops below run unjitted without it.
-    import numba as _numba
-except ImportError:
-    _numba = None
+__all__ = ["CompiledTierStatus", "compiled_tier_status", "COMPILED_ROW_KERNELS", "C_SOURCE"]
 
-__all__ = [
-    "NUMBA_AVAILABLE",
-    "merge_path_batch_compiled",
-    "binary_search_batch_compiled",
-    "hash_batch_compiled",
-    "merge_path_rows_compiled",
-    "binary_search_rows_compiled",
-    "hash_rows_compiled",
-    "COMPILED_BATCH_KERNELS",
-    "COMPILED_ROW_KERNELS",
-]
+_CFLAGS = ("-O2", "-shared", "-fPIC")
 
-#: True when numba imported and the loops below are jitted.
-NUMBA_AVAILABLE = _numba is not None
+#: Segment ``s`` is ``cand[offs[s]:offs[s+1]]``, its row ``keys[indptr[r]:
+#: indptr[r+1]]`` for ``r = rows[s]``.  Every loop writes one ``(segment, flat
+#: candidate position, global adjacency position)`` per match into the three
+#: ``n_cand``-slot rows of ``out`` (one match per candidate at most), stores the
+#: scalar kernels' exact comparison count and returns the match count — or
+#: BAD_*, before reading out of bounds.
+C_SOURCE = r"""
+#include <stdint.h>
+typedef int64_t i64;
+enum { BAD_ROW = -1, BAD_SPAN = -2 };
 
+#define ARGS const i64 *cand, const i64 *offs, i64 n_seg, i64 n_cand,          \
+    const i64 *rows, const i64 *keys, const i64 *indptr, i64 n_rows,           \
+    i64 n_keys, i64 *out, i64 *comparisons
 
-# ---------------------------------------------------------------------------
-# nopython loop bodies (jitted when numba is available)
-# ---------------------------------------------------------------------------
-#
-# Every loop writes matches into caller-preallocated int64 output arrays
-# (at most one match per candidate, so ``len(cand)`` slots always suffice)
-# and returns ``(match_count, comparisons)``.  Comparison counting follows
-# the scalar kernels of intersection.py line for line.
+#define SEGMENT                                                                \
+    i64 i = offs[seg], hi = offs[seg + 1], row = rows[seg];                    \
+    if (row < 0 || row >= n_rows) return BAD_ROW;                              \
+    i64 j = indptr[row], jhi = indptr[row + 1];                                \
+    if (i < 0 || hi < i || hi > n_cand || j < 0 || jhi < j || jhi > n_keys)    \
+        return BAD_SPAN;
 
+#define EMIT(c, a) (out[m] = seg, out[n_cand + m] = (c), out[2 * n_cand + m] = (a), m++)
 
-def _merge_batch_loop(cand, offs, adj, out_seg, out_cand, out_adj):
-    m = 0
-    comparisons = 0
-    n_adj = adj.shape[0]
-    for seg in range(offs.shape[0] - 1):
-        i = offs[seg]
-        hi = offs[seg + 1]
-        j = 0
-        while i < hi and j < n_adj:
-            comparisons += 1
-            ck = cand[i]
-            ak = adj[j]
-            if ck == ak:
-                out_seg[m] = seg
-                out_cand[m] = i - offs[seg]
-                out_adj[m] = j
-                m += 1
-                i += 1
-                j += 1
-            elif ck < ak:
-                i += 1
-            else:
-                j += 1
-    return m, comparisons
+i64 merge_path_rows(ARGS) {
+    i64 m = 0, count = 0;
+    for (i64 seg = 0; seg < n_seg; seg++) {
+        SEGMENT
+        while (i < hi && j < jhi) {
+            i64 ck = cand[i], ak = keys[j];
+            count++;
+            if (ck == ak) { EMIT(i, j); i++; j++; }
+            else if (ck < ak) i++;
+            else j++;
+        }
+    }
+    *comparisons = count;
+    return m;
+}
 
+i64 binary_search_rows(ARGS) {
+    i64 m = 0, count = 0;
+    for (i64 seg = 0; seg < n_seg; seg++) {
+        SEGMENT
+        for (; i < hi; i++) {
+            i64 ck = cand[i], lo = j, top = jhi;
+            while (lo < top) {
+                i64 mid = lo + (top - lo) / 2;
+                count++;
+                if (keys[mid] < ck) lo = mid + 1; else top = mid;
+            }
+            if (lo < jhi) {
+                count++;
+                if (keys[lo] == ck) EMIT(i, lo);
+            }
+        }
+    }
+    *comparisons = count;
+    return m;
+}
 
-def _binary_batch_loop(cand, offs, adj, out_seg, out_cand, out_adj):
-    m = 0
-    comparisons = 0
-    n_adj = adj.shape[0]
-    for seg in range(offs.shape[0] - 1):
-        for i in range(offs[seg], offs[seg + 1]):
-            ck = cand[i]
-            lo = 0
-            hi = n_adj
-            while lo < hi:
-                comparisons += 1
-                mid = (lo + hi) // 2
-                if adj[mid] < ck:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < n_adj:
-                comparisons += 1
-                if adj[lo] == ck:
-                    out_seg[m] = seg
-                    out_cand[m] = i - offs[seg]
-                    out_adj[m] = lo
-                    m += 1
-    return m, comparisons
-
-
-def _hash_batch_loop(cand, offs, adj, out_seg, out_cand, out_adj):
-    # Matches via the merge walk (the inputs are sorted and duplicate-free,
-    # so the matched set — and its ascending order — is identical to the
-    # hash probe's); comparisons follow the scalar hash model: one table
-    # build per segment over the shared adjacency, one probe per candidate.
-    m = 0
-    n_adj = adj.shape[0]
-    n_seg = offs.shape[0] - 1
-    for seg in range(n_seg):
-        i = offs[seg]
-        hi = offs[seg + 1]
-        j = 0
-        while i < hi and j < n_adj:
-            ck = cand[i]
-            ak = adj[j]
-            if ck == ak:
-                out_seg[m] = seg
-                out_cand[m] = i - offs[seg]
-                out_adj[m] = j
-                m += 1
-                i += 1
-                j += 1
-            elif ck < ak:
-                i += 1
-            else:
-                j += 1
-    comparisons = n_seg * n_adj + cand.shape[0]
-    return m, comparisons
+/* Matches by the merge walk (inputs are sorted and duplicate-free, so the
+   matched set and its order equal the hash probe's); the count is the scalar
+   hash model: one table build per segment over its row, one probe per key. */
+i64 hash_rows(ARGS) {
+    i64 m = 0, count = 0;
+    for (i64 seg = 0; seg < n_seg; seg++) {
+        SEGMENT
+        count += (jhi - j) + (hi - i);
+        while (i < hi && j < jhi) {
+            i64 ck = cand[i], ak = keys[j];
+            if (ck == ak) { EMIT(i, j); i++; j++; }
+            else if (ck < ak) i++;
+            else j++;
+        }
+    }
+    *comparisons = count;
+    return m;
+}
+"""
 
 
-def _merge_rows_loop(cand, offs, seg_rows, keys, indptr, out_seg, out_cand, out_adj):
-    m = 0
-    comparisons = 0
-    for seg in range(offs.shape[0] - 1):
-        i = offs[seg]
-        hi = offs[seg + 1]
-        row = seg_rows[seg]
-        j = indptr[row]
-        jhi = indptr[row + 1]
-        while i < hi and j < jhi:
-            comparisons += 1
-            ck = cand[i]
-            ak = keys[j]
-            if ck == ak:
-                out_seg[m] = seg
-                out_cand[m] = i
-                out_adj[m] = j
-                m += 1
-                i += 1
-                j += 1
-            elif ck < ak:
-                i += 1
-            else:
-                j += 1
-    return m, comparisons
+@dataclass(frozen=True)
+class CompiledTierStatus:
+    """What the import-time build/load of the compiled tier did, and why."""
+
+    available: bool
+    compiler: Optional[str]
+    library: Optional[str]
+    reason: str
 
 
-def _binary_rows_loop(cand, offs, seg_rows, keys, indptr, out_seg, out_cand, out_adj):
-    m = 0
-    comparisons = 0
-    for seg in range(offs.shape[0] - 1):
-        row = seg_rows[seg]
-        adj_lo = indptr[row]
-        n_row = indptr[row + 1] - adj_lo
-        for i in range(offs[seg], offs[seg + 1]):
-            ck = cand[i]
-            lo = 0
-            hi = n_row
-            while lo < hi:
-                comparisons += 1
-                mid = (lo + hi) // 2
-                if keys[adj_lo + mid] < ck:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < n_row:
-                comparisons += 1
-                if keys[adj_lo + lo] == ck:
-                    out_seg[m] = seg
-                    out_cand[m] = i
-                    out_adj[m] = adj_lo + lo
-                    m += 1
-    return m, comparisons
+def _find_compiler() -> Optional[str]:
+    return next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
 
 
-def _hash_rows_loop(cand, offs, seg_rows, keys, indptr, out_seg, out_cand, out_adj):
-    m = 0
-    comparisons = cand.shape[0]
-    for seg in range(offs.shape[0] - 1):
-        i = offs[seg]
-        hi = offs[seg + 1]
-        row = seg_rows[seg]
-        j = indptr[row]
-        jhi = indptr[row + 1]
-        comparisons += jhi - j
-        while i < hi and j < jhi:
-            ck = cand[i]
-            ak = keys[j]
-            if ck == ak:
-                out_seg[m] = seg
-                out_cand[m] = i
-                out_adj[m] = j
-                m += 1
-                i += 1
-                j += 1
-            elif ck < ak:
-                i += 1
-            else:
-                j += 1
-    return m, comparisons
+def _private_dir(root: str) -> str:
+    """``<root>/repro-kernels`` if it is (or can be made) ours alone, else a
+    fresh ``mkdtemp`` (0700 by construction) removed at interpreter exit."""
+    path = os.path.join(root, "repro-kernels")
+    if os.path.isabs(root):  # an unexpanded "~" must not become ./~
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            info = os.stat(path)
+            mine = info.st_uid == os.getuid() and not stat.S_IMODE(info.st_mode) & 0o077
+            if mine and os.access(path, os.W_OK | os.X_OK):
+                return path
+        except OSError:
+            pass
+    path = tempfile.mkdtemp(prefix="repro-kernels-")
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
 
 
-if NUMBA_AVAILABLE:  # pragma: no cover - requires a numba install
-    _jit = _numba.njit(cache=True, nogil=True)
-    _merge_batch_loop = _jit(_merge_batch_loop)
-    _binary_batch_loop = _jit(_binary_batch_loop)
-    _hash_batch_loop = _jit(_hash_batch_loop)
-    _merge_rows_loop = _jit(_merge_rows_loop)
-    _binary_rows_loop = _jit(_binary_rows_loop)
-    _hash_rows_loop = _jit(_hash_rows_loop)
+def _build(compiler: str, library: str) -> Optional[str]:
+    """Compile :data:`C_SOURCE` to ``library``; the failure reason, or None."""
+    # Built under a temp name and renamed, so a concurrent first import can
+    # never dlopen a half-written file.
+    fd, partial = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(library))
+    os.close(fd)
+    try:
+        command = [compiler, *_CFLAGS, "-x", "c", "-", "-o", partial]
+        done = subprocess.run(command, input=C_SOURCE, capture_output=True, text=True)
+        if done.returncode != 0:
+            first = (done.stderr.strip().splitlines() or [""])[0]
+            return f"{os.path.basename(compiler)} exited {done.returncode}: {first}"
+        os.replace(partial, library)
+        return None
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
 
 
-# ---------------------------------------------------------------------------
-# Tier wrappers: columnar-tier signatures around the loops
-# ---------------------------------------------------------------------------
+def _dlopen(library: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(library)
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    for name in INTERSECTION_KERNELS:
+        loop = getattr(lib, f"{name}_rows")
+        loop.restype = i64
+        loop.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
+    return lib
+
+
+def _load() -> Tuple[Optional[ctypes.CDLL], CompiledTierStatus]:
+    """Find or build the kernel library and ``dlopen`` it.  Never raises."""
+    compiler = _find_compiler()
+    if compiler is None:
+        return None, CompiledTierStatus(False, None, None, "no C compiler on PATH")
+    stage = "cache"
+    try:
+        version = subprocess.run([compiler, "--version"], capture_output=True).stdout
+        key = hashlib.sha256("\0".join((C_SOURCE, *_CFLAGS)).encode() + version)
+        root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+        library = os.path.join(_private_dir(root), f"rows-{key.hexdigest()[:16]}.so")
+        reason = "loaded from cache"
+        try:
+            lib = _dlopen(library)
+        except OSError:  # absent, truncated or foreign file: build over it
+            stage = "build"
+            reason = _build(compiler, library) or "built"
+            if reason != "built":
+                return None, CompiledTierStatus(False, compiler, None, reason)
+            stage = "dlopen"
+            lib = _dlopen(library)
+    except (OSError, AttributeError) as exc:
+        return None, CompiledTierStatus(False, compiler, None, f"{stage} failed: {exc}")
+    return lib, CompiledTierStatus(True, compiler, library, reason)
+
+
+_LIB, _STATUS = _load()
+
+
+def compiled_tier_status() -> CompiledTierStatus:
+    """Whether the compiled tier loaded in this process, from where, and why
+    (not) — ``"built"``, ``"loaded from cache"``, ``"no C compiler on PATH"``,
+    ``"cc exited 1: ..."``, ``"dlopen failed: ..."``.  Read-only."""
+    return _STATUS
 
 
 def _as_i64(values) -> "_np.ndarray":
-    # np.asarray strips ndarray subclasses (memmap columns of an
-    # out-of-core CSR become plain views), which is what the jit wants.
-    return _np.asarray(values, dtype=_np.int64)
+    # A plain contiguous int64 *view* where the input already is one:
+    # memmapped storage="mmap" columns are read in place, never copied.
+    return _np.ascontiguousarray(values, dtype=_np.int64)
 
 
-def _run_batch(loop, candidate_keys, offsets, adjacency_keys) -> BatchIntersectionResult:
-    cand = _as_i64(candidate_keys)
-    offs = _as_i64(offsets)
-    adj = _as_i64(adjacency_keys)
-    _check_offsets(cand, offs)
-    out_seg = _np.empty(cand.size, dtype=_np.int64)
-    out_cand = _np.empty(cand.size, dtype=_np.int64)
-    out_adj = _np.empty(cand.size, dtype=_np.int64)
-    m, comparisons = loop(cand, offs, adj, out_seg, out_cand, out_adj)
-    matches = list(
-        zip(out_seg[:m].tolist(), out_cand[:m].tolist(), out_adj[:m].tolist())
-    )
-    return BatchIntersectionResult(matches, int(comparisons))
+def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
+    loop = getattr(lib, f"{name}_rows")
+
+    def kernel(candidate_keys, offsets, seg_rows, adjacency: RowAdjacency) -> RowBatchResult:
+        cand, offs, rows = _as_i64(candidate_keys), _as_i64(offsets), _as_i64(seg_rows)
+        _check_offsets(cand, offs)
+        keys, indptr = _as_i64(adjacency.keys), _as_i64(adjacency.indptr)
+        n_seg, n_rows = offs.size - 1, indptr.size - 1
+        if rows.size != n_seg:
+            raise ValueError(f"{rows.size} segment rows for {n_seg} segments")
+        out = _np.empty((3, cand.size), dtype=_np.int64)
+        comparisons = ctypes.c_int64(0)
+        m = loop(
+            cand.ctypes.data, offs.ctypes.data, n_seg, cand.size,
+            rows.ctypes.data, keys.ctypes.data, indptr.ctypes.data, n_rows, keys.size,
+            out.ctypes.data, ctypes.byref(comparisons),
+        )
+        if m < 0:
+            _check_rows(rows, n_rows)  # BAD_ROW: the IndexError every tier raises
+            raise ValueError("offsets / adjacency indptr are not monotone in-range spans")
+        return RowBatchResult(out[0, :m], out[1, :m], out[2, :m], comparisons.value)
+
+    kernel.__name__ = f"{name}_rows_compiled"
+    kernel.__doc__ = f"Compiled-tier :func:`~repro.core.intersection.{name}_rows`."
+    return kernel
 
 
-def _run_rows(
-    loop, candidate_keys, offsets, seg_rows, adjacency: RowAdjacency
-) -> RowBatchResult:
-    cand = _as_i64(candidate_keys)
-    offs = _as_i64(offsets)
-    rows = _as_i64(seg_rows)
-    _check_offsets(cand, offs)
-    keys = _as_i64(adjacency.keys)
-    indptr = _as_i64(adjacency.indptr)
-    out_seg = _np.empty(cand.size, dtype=_np.int64)
-    out_cand = _np.empty(cand.size, dtype=_np.int64)
-    out_adj = _np.empty(cand.size, dtype=_np.int64)
-    m, comparisons = loop(cand, offs, rows, keys, indptr, out_seg, out_cand, out_adj)
-    return RowBatchResult(out_seg[:m], out_cand[:m], out_adj[:m], int(comparisons))
-
-
-def merge_path_batch_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Compiled-tier :func:`~repro.core.intersection.merge_path_batch`."""
-    return _run_batch(_merge_batch_loop, candidate_keys, offsets, adjacency_keys)
-
-
-def binary_search_batch_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Compiled-tier :func:`~repro.core.intersection.binary_search_batch`."""
-    return _run_batch(_binary_batch_loop, candidate_keys, offsets, adjacency_keys)
-
-
-def hash_batch_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Compiled-tier :func:`~repro.core.intersection.hash_batch`."""
-    return _run_batch(_hash_batch_loop, candidate_keys, offsets, adjacency_keys)
-
-
-def merge_path_rows_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    seg_rows: Sequence[int],
-    adjacency: RowAdjacency,
-) -> RowBatchResult:
-    """Compiled-tier :func:`~repro.core.intersection.merge_path_rows`."""
-    return _run_rows(_merge_rows_loop, candidate_keys, offsets, seg_rows, adjacency)
-
-
-def binary_search_rows_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    seg_rows: Sequence[int],
-    adjacency: RowAdjacency,
-) -> RowBatchResult:
-    """Compiled-tier :func:`~repro.core.intersection.binary_search_rows`."""
-    return _run_rows(_binary_rows_loop, candidate_keys, offsets, seg_rows, adjacency)
-
-
-def hash_rows_compiled(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    seg_rows: Sequence[int],
-    adjacency: RowAdjacency,
-) -> RowBatchResult:
-    """Compiled-tier :func:`~repro.core.intersection.hash_rows`."""
-    return _run_rows(_hash_rows_loop, candidate_keys, offsets, seg_rows, adjacency)
-
-
-#: Compiled-tier kernels, keyed like INTERSECTION_KERNELS.  Registered into
-#: the tier tables by intersection.py only when numba is present; always
-#: importable (and contract-tested) as plain Python.
-COMPILED_BATCH_KERNELS = {
-    "merge_path": merge_path_batch_compiled,
-    "binary_search": binary_search_batch_compiled,
-    "hash": hash_batch_compiled,
-}
-
-COMPILED_ROW_KERNELS = {
-    "merge_path": merge_path_rows_compiled,
-    "binary_search": binary_search_rows_compiled,
-    "hash": hash_rows_compiled,
-}
+#: Compiled-tier row kernels keyed like INTERSECTION_KERNELS; empty when the
+#: library did not load (see :func:`compiled_tier_status`).
+COMPILED_ROW_KERNELS: Dict[str, Callable[..., RowBatchResult]] = (
+    {name: _row_kernel(_LIB, name) for name in INTERSECTION_KERNELS} if _LIB else {}
+)

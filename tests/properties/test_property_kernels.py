@@ -2,20 +2,21 @@
 
 The kernel-tier layer promises that every tier — ``scalar`` (reference
 loops), ``columnar`` (NumPy pipelines with closed-form comparison replay)
-and ``compiled`` (numba-jitted merge loops) — produces *identical* matches
-and *identical* aggregate comparison counts for every batch/row kernel, on
-arbitrary inputs.  The scalar tier is the oracle; the suite drives every
-registered tier plus the compiled loop bodies directly (they are plain
-Python when numba is absent, so the contract is pinned with or without the
-wheel) over random and adversarial inputs: empty adjacencies, empty
-segments, empty rows, single-element segments, and keys duplicated across
-segments and shared with the adjacency.
+and ``compiled`` (the scalar row loops in C, built by the system compiler) —
+produces *identical* matches and *identical* aggregate comparison counts
+for every batch/row kernel, on arbitrary inputs.  The scalar tier is the
+oracle; the suite drives every *registered* tier (so the C kernels wherever
+a compiler built them) over random and adversarial inputs: empty
+adjacencies, empty segments, empty rows, single-element segments, keys
+duplicated across segments and shared with the adjacency, one 10^5-key
+segment, and non-contiguous / int32 / memmapped input columns.
 
-A final block pins the downgrade semantics: :mod:`repro.core.intersection_compiled`
-must import cleanly without numba, the ``compiled`` tier must appear in the
-tier tables exactly when :data:`NUMBA_AVAILABLE`, and
-``resolve_kernel_tier("compiled")`` must fall back along the declared
-``compiled -> columnar -> scalar`` chain rather than erroring.
+A final block pins the downgrade semantics: the ``compiled`` tier must
+appear in the row tier table exactly when ``compiled_tier_status()`` says
+it loaded, never in the batch table, and ``resolve_kernel_tier("compiled")``
+must fall back along the declared ``compiled -> columnar -> scalar`` chain
+rather than erroring.  ``tests/core/test_kernel_loader.py`` covers the ways
+the build itself can fail.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import intersection_compiled
 from repro.core.intersection import (
     BATCH_KERNEL_TIERS,
     INTERSECTION_KERNELS,
@@ -35,14 +35,13 @@ from repro.core.intersection import (
     RowAdjacency,
     available_kernel_tiers,
     batch_kernel,
+    compiled_tier_status,
     resolve_kernel_tier,
     row_kernel,
 )
-from repro.core.intersection_compiled import (
-    COMPILED_BATCH_KERNELS,
-    COMPILED_ROW_KERNELS,
-    NUMBA_AVAILABLE,
-)
+from repro.core.intersection_compiled import COMPILED_ROW_KERNELS
+
+COMPILED_AVAILABLE = compiled_tier_status().available
 
 KERNEL_NAMES = tuple(INTERSECTION_KERNELS)
 
@@ -133,20 +132,28 @@ def row_cases(draw):
 
 
 def batch_variants(name):
-    """Every batch implementation of ``name``: registered tiers + compiled loops."""
-    variants = {
+    """Every registered batch implementation of ``name``."""
+    return {
         f"tier:{tier}": kernels[name] for tier, kernels in BATCH_KERNEL_TIERS.items()
     }
-    variants["compiled-loops"] = COMPILED_BATCH_KERNELS[name]
-    return variants
 
 
 def row_variants(name):
-    variants = {
+    """Every registered row implementation of ``name`` (the C one included
+    wherever it built)."""
+    return {
         f"tier:{tier}": kernels[name] for tier, kernels in ROW_KERNEL_TIERS.items()
     }
-    variants["compiled-loops"] = COMPILED_ROW_KERNELS[name]
-    return variants
+
+
+def assert_rows_agree(name, flat, offsets, seg_rows, adjacency):
+    """Every registered tier returns the scalar oracle's arrays and count."""
+    variants = row_variants(name)
+    oracle = canonical_rows(variants["tier:scalar"](flat, offsets, seg_rows, adjacency))
+    for label, kernel_fn in variants.items():
+        got = canonical_rows(kernel_fn(flat, offsets, seg_rows, adjacency))
+        assert got == oracle, f"{name}/{label} diverged on {flat, offsets, seg_rows}"
+    return oracle
 
 
 @settings(max_examples=120, deadline=None)
@@ -166,15 +173,8 @@ def test_batch_kernels_agree_across_tiers(case):
 @given(case=row_cases())
 def test_row_kernels_agree_across_tiers(case):
     """Same matches, same comparison totals: every tier, every row kernel."""
-    flat, offsets, seg_rows, adjacency = case
     for name in KERNEL_NAMES:
-        variants = row_variants(name)
-        oracle = canonical_rows(
-            variants["tier:scalar"](flat, offsets, seg_rows, adjacency)
-        )
-        for label, kernel_fn in variants.items():
-            got = canonical_rows(kernel_fn(flat, offsets, seg_rows, adjacency))
-            assert got == oracle, f"{name}/{label} diverged: {got} != {oracle}"
+        assert_rows_agree(name, *case)
 
 
 def _adjacency(rows, order_count=64):
@@ -201,20 +201,91 @@ ADVERSARIAL_ROW_CASES = [
     ([2, 4, 6], [0, 3], [0], [[2, 4, 6]]),
     # no overlap, candidate keys below/above the row's range
     ([0, 1, 60, 63], [0, 2, 4], [0, 0], [[10, 20, 30]]),
+    # equal keys at both ends of segment and row; a one-key tie
+    ([1, 5, 9], [0, 3], [0], [[1, 9]]),
+    ([4], [0, 1], [0], [[4]]),
+    # candidates exhaust before the row does, and after it
+    ([1, 2], [0, 2], [0], [[1, 2, 3, 4, 50]]),
+    ([1, 2, 60, 61], [0, 4], [0], [[1, 2]]),
 ]
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_row_kernels_adversarial_cases(name):
     for flat, offsets, seg_rows, rows in ADVERSARIAL_ROW_CASES:
-        adjacency = _adjacency(rows)
-        variants = row_variants(name)
-        oracle = canonical_rows(
-            variants["tier:scalar"](flat, offsets, seg_rows, adjacency)
+        assert_rows_agree(name, flat, offsets, seg_rows, _adjacency(rows))
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_row_kernels_single_large_segment(name):
+    """One 10^5-key segment against one 10^5-key row (10^3 probes for the
+    binary-search kernel, whose oracle is a Python loop per probe)."""
+    rng = np.random.default_rng(5)
+    universe = 1 << 18
+    row = np.sort(rng.choice(universe, size=100_000, replace=False)).astype(np.int64)
+    size = 1_000 if name == "binary_search" else 100_000
+    flat = np.sort(rng.choice(universe, size=size, replace=False)).astype(np.int64)
+    adjacency = RowAdjacency(row, np.array([0, row.size], dtype=np.int64), universe)
+    seg, _cand, _adj, comparisons = assert_rows_agree(
+        name, flat, np.array([0, flat.size]), np.array([0]), adjacency
+    )
+    assert len(seg) > 0 and comparisons >= flat.size
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_row_kernels_accept_any_column_form(name, tmp_path):
+    """Strided views, int32 columns and memmapped columns (``storage="mmap"``
+    hands the kernels ``np.memmap`` CSR columns) intersect like plain int64."""
+    rows = [[1, 3, 5, 7, 9], [], [2, 3, 4, 40, 41, 42], [0, 63]]
+    flat = [3, 4, 5, 9, 2, 40, 63, 0, 63]
+    offsets = [0, 4, 7, 7, 9]
+    seg_rows = [0, 2, 1, 3]
+    plain = _adjacency(rows)
+    oracle = assert_rows_agree(name, flat, offsets, seg_rows, plain)
+
+    def strided(values):
+        doubled = np.repeat(np.asarray(values, dtype=np.int64), 2)
+        view = doubled[::2]
+        assert not view.flags.c_contiguous or view.size <= 1
+        return view
+
+    def int32(values):
+        return np.asarray(values, dtype=np.int32)
+
+    def memmapped(values):
+        path = tmp_path / f"col-{len(list(tmp_path.iterdir()))}.bin"
+        column = np.memmap(path, dtype=np.int64, mode="w+", shape=(len(values),))
+        column[:] = values
+        column.flush()
+        return np.memmap(path, dtype=np.int64, mode="r", shape=(len(values),))
+
+    for form in (strided, int32, memmapped):
+        adjacency = RowAdjacency(form(plain.keys), form(plain.indptr), plain.order_count)
+        got = assert_rows_agree(
+            name, form(flat), form(offsets), form(seg_rows), adjacency
         )
-        for label, kernel_fn in variants.items():
-            got = canonical_rows(kernel_fn(flat, offsets, seg_rows, adjacency))
-            assert got == oracle, f"{name}/{label} on {flat, offsets, seg_rows}"
+        assert got == oracle, f"{name} over {form.__name__} columns"
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_row_kernels_reject_out_of_range_rows(name):
+    """Regression: a segment row outside the adjacency was an IndexError past
+    the end, a silent wrap onto the wrong row at -1 (columnar), an empty
+    result at -1 (scalar) — and would be an out-of-bounds read in C.  Every
+    tier now raises the same IndexError; no rows at all is simply empty."""
+    adjacency = _adjacency([[1, 2, 3], [2, 9]])
+    # Above and below the columnar tier's small-input detour.
+    shapes = [([2], [0, 1]), (list(range(10)) * 10, list(range(0, 101, 10)))]
+    for label, kernel_fn in row_variants(name).items():
+        for flat, offsets in shapes:
+            n_seg = len(offsets) - 1
+            messages = set()
+            for bad in (-1, 2):
+                with pytest.raises(IndexError) as caught:
+                    kernel_fn(flat, offsets, [0] * (n_seg - 1) + [bad], adjacency)
+                messages.add(str(caught.value).split(";")[0])
+            assert messages == {"segment rows must lie in [0, 2)"}, label
+        assert canonical_rows(kernel_fn([], [0], [], adjacency)) == ([], [], [], 0)
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
@@ -235,21 +306,28 @@ def test_batch_kernels_adversarial_cases(name):
 
 
 # ---------------------------------------------------------------------------
-# Downgrade semantics: with and without numba
+# Downgrade semantics: with and without a C compiler
 # ---------------------------------------------------------------------------
 
 
-def test_compiled_module_imports_without_numba():
-    """The compiled module is importable either way; its loops are callable."""
-    assert isinstance(intersection_compiled.NUMBA_AVAILABLE, bool)
-    result = COMPILED_BATCH_KERNELS["merge_path"]([1, 2], [0, 2], [2, 3])
-    assert canonical_batch(result) == ([(0, 1, 0)], 2)
+def test_compiled_module_import_never_raises():
+    """Importing the compiled module succeeded (this file imported it) and
+    left a status record consistent with the kernels it exports."""
+    status = compiled_tier_status()
+    assert status.reason
+    assert bool(COMPILED_ROW_KERNELS) == status.available
+    if status.available:
+        assert set(COMPILED_ROW_KERNELS) == set(KERNEL_NAMES)
+        assert status.compiler and status.library
+    else:
+        assert status.library is None
 
 
-def test_compiled_tier_registration_matches_numba():
-    """``compiled`` is a registered tier exactly when numba is installed."""
-    assert ("compiled" in BATCH_KERNEL_TIERS) == NUMBA_AVAILABLE
-    assert ("compiled" in ROW_KERNEL_TIERS) == NUMBA_AVAILABLE
+def test_compiled_tier_registration_matches_status():
+    """``compiled`` is a registered row tier exactly when its library loaded;
+    the batch kernels (the ``batched`` oracle engine's) have no compiled form."""
+    assert ("compiled" in ROW_KERNEL_TIERS) == COMPILED_AVAILABLE
+    assert "compiled" not in BATCH_KERNEL_TIERS
     assert available_kernel_tiers() == tuple(
         tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS
     )
@@ -258,36 +336,52 @@ def test_compiled_tier_registration_matches_numba():
 def test_resolve_compiled_follows_fallback_chain():
     """Requesting the compiled tier never errors: it downgrades as declared."""
     resolved = resolve_kernel_tier("compiled")
-    if NUMBA_AVAILABLE:
+    if COMPILED_AVAILABLE:
         assert resolved == "compiled"
     else:
         assert resolved == KERNEL_TIER_FALLBACK["compiled"] == "columnar"
-    # The accessors hand back callables for every name at every spelling.
+    # None / "auto" pick the best tier there is.
+    assert resolve_kernel_tier(None) == resolve_kernel_tier("auto") == resolved
+    assert resolve_kernel_tier("columnar") == "columnar"
+    assert resolve_kernel_tier("scalar") == "scalar"
+    # The accessors hand back callables for every name at every spelling;
+    # the batch accessor walks the chain against its own (compiled-less) table.
     for name in KERNEL_NAMES:
-        assert callable(batch_kernel(name, "compiled"))
-        assert callable(row_kernel(name, "compiled"))
-        assert callable(batch_kernel(name, None))
-        assert callable(row_kernel(name, "auto"))
+        assert batch_kernel(name, "compiled") is BATCH_KERNEL_TIERS["columnar"][name]
+        assert batch_kernel(name, None) is BATCH_KERNEL_TIERS["columnar"][name]
+        assert row_kernel(name, "compiled") is ROW_KERNEL_TIERS[resolved][name]
+        assert row_kernel(name, "auto") is ROW_KERNEL_TIERS[resolved][name]
     with pytest.raises(ValueError):
         resolve_kernel_tier("vectorized")
 
 
-def test_survey_accepts_compiled_tier_everywhere():
-    """End-to-end: kernel_tier="compiled" runs (downgrading without numba)
-    and reproduces the default-tier survey exactly."""
+def test_survey_accepts_compiled_tier_everywhere(monkeypatch):
+    """End-to-end: kernel_tier="compiled" runs (downgrading without a
+    compiler) and reproduces every other tier's survey exactly; unset, the
+    survey runs on the compiled kernels wherever they are available."""
     from repro.core.engine import EngineConfig
     from repro.core.survey import triangle_survey_push
     from repro.graph import DODGraph
     from repro.graph.generators import rmat
     from repro.runtime import World
 
-    def run(kernel_tier):
+    best = resolve_kernel_tier(None)
+    calls = {"best": 0}
+    kernel_fn = ROW_KERNEL_TIERS[best]["merge_path"]
+
+    def counting_kernel(*args):
+        calls["best"] += 1
+        return kernel_fn(*args)
+
+    monkeypatch.setitem(ROW_KERNEL_TIERS[best], "merge_path", counting_kernel)
+
+    def run(kernel_tier, engine="columnar"):
         world = World(4)
         dodgr = DODGraph.build(
             rmat(6, edge_factor=6, seed=9).to_distributed(world), mode="bulk"
         )
         report = triangle_survey_push(
-            dodgr, None, engine=EngineConfig(engine="columnar", kernel_tier=kernel_tier)
+            dodgr, None, engine=EngineConfig(engine=engine, kernel_tier=kernel_tier)
         )
         return (
             report.triangles,
@@ -296,4 +390,11 @@ def test_survey_accepts_compiled_tier_everywhere():
             report.wire_messages,
         )
 
-    assert run("compiled") == run(None) == run("scalar")
+    assert run("scalar") == run("columnar")
+    before = calls["best"]
+    default = run(None)
+    assert calls["best"] > before, f"kernel_tier=None did not run the {best} kernels"
+    assert best == ("compiled" if COMPILED_AVAILABLE else "columnar")
+    assert run("compiled") == default == run("scalar")
+    # The batched oracle engine takes the same spelling on its batch kernels.
+    assert run("compiled", engine="batched")[:2] == default[:2]

@@ -203,7 +203,7 @@ def check_reducer_contract() -> List[str]:
 def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
     """Kernel-tier/storage docs match their registries; both run clean (check 5)."""
     from repro.core.engine import resolve_engine
-    from repro.core.intersection import KERNEL_TIERS, available_kernel_tiers
+    from repro.core.intersection import KERNEL_TIERS
     from repro.graph.ooc import STORAGES, active_segment_paths
 
     errors: List[str] = []
@@ -230,10 +230,11 @@ def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
     if errors:
         return errors
 
-    # Every tier spelling (including ones that downgrade here) and the mmap
-    # storage mode reproduce the legacy oracle; no segment files survive.
+    # Every tier spelling (including ones that downgrade here, and unset)
+    # and the mmap storage mode reproduce the legacy oracle; no segment
+    # files survive.
     oracle = run_smoke("legacy", "push")
-    for tier in available_kernel_tiers() + ("compiled",):
+    for tier in KERNEL_TIERS + (None,):
         result = run_smoke("columnar", "push", kernel_tier=tier)
         if result != oracle:
             errors.append(
@@ -318,6 +319,16 @@ def check_selector_surface() -> List[str]:
 
 def main() -> int:
     errors: List[str] = []
+
+    # What actually runs below: `None` resolves to the first tier listed.
+    from repro.core.intersection import available_kernel_tiers, compiled_tier_status
+
+    status = compiled_tier_status()
+    print(
+        f"check_engines: kernel tiers available {available_kernel_tiers()}; "
+        f"compiled tier {'loaded' if status.available else 'NOT loaded'} "
+        f"({status.reason}; compiler={status.compiler}, library={status.library})"
+    )
 
     registered = engine_names()
     documented = documented_engines(REPO_ROOT / "README.md")
