@@ -10,18 +10,82 @@ triangle-identification messages.
 
 The counting set counts *hashable* items: ints, strings, tuples of such —
 e.g. the pair ``(ceil(log2 dt_open), ceil(log2 dt_close))`` of Algorithm 4.
+
+The wire is columnar.  A flush books the stream of per-key ``(item, amount)``
+increment messages it stands for — one owner and one exact serialized size
+per cached key, in cache order — with a single ``account_rpc_bulk`` and
+delivers one batched call per owner rank; no payload is ever encoded or
+decoded.  Every ``World.stats`` counter reads as if each key had travelled
+as its own RPC.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..runtime.world import RankContext, World, stable_hash
+import numpy as np
+
+from ..runtime.serialization import int_size_array, serialized_size, uvarint_size
+from ..runtime.world import (
+    RankContext,
+    World,
+    stable_hash,
+    stable_hash_int_array,
+    stable_tuple_hash_array,
+)
 
 __all__ = ["DistributedCountingSet"]
 
 #: Default number of distinct cached items per rank before a flush.
 DEFAULT_CACHE_CAPACITY = 1024
+
+
+def _int_matrix(values: Sequence[Any]) -> Optional[Any]:
+    """``values`` as an int64 array, or None when they have no exact array form.
+
+    Shape ``(n,)`` for items that are all exactly ``int``, ``(n, arity)`` for
+    same-arity tuples of exactly ``int``; ``bool`` (hashed and sized
+    differently), ints beyond int64, strings, mixed and nested items answer
+    None and are walked one by one.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        flat, shape = values, (len(values),)
+    elif kinds == {tuple} and len(set(map(len, values))) == 1:
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) != {int}:  # also the empty tuple: no elements
+            return None
+        shape = (len(values), -1)
+    else:
+        return None
+    try:
+        return np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(shape)
+    except OverflowError:  # an int beyond int64
+        return None
+
+
+def _scalar_column(function, values: Sequence[Any], dtype=np.int64) -> Any:
+    """``function`` over ``values``, one Python call each, as an array."""
+    return np.fromiter(map(function, values), dtype=dtype, count=len(values))
+
+
+def item_hashes_and_sizes(items: Sequence[Any]) -> Tuple[Any, Any]:
+    """``stable_hash(item)`` and ``serialized_size(item)`` of every item, as arrays."""
+    matrix = _int_matrix(items)
+    if matrix is None:
+        # uint64: ``stable_hash(True)`` does not fit int64.
+        return (
+            _scalar_column(stable_hash, items, np.uint64),
+            _scalar_column(serialized_size, items),
+        )
+    hashes = stable_hash_int_array(matrix)
+    sizes = int_size_array(matrix)
+    if matrix.ndim == 1:
+        return hashes, sizes
+    # A tuple is its tag, its length varint and its elements.
+    framing = 1 + uvarint_size(matrix.shape[1])
+    return stable_tuple_hash_array(list(hashes.T)), framing + sizes.sum(axis=1)
 
 
 class DistributedCountingSet:
@@ -45,8 +109,14 @@ class DistributedCountingSet:
             ctx.local_state.setdefault(self._counts_slot, {})
             ctx.local_state.setdefault(self._cache_slot, {})
         self._h_increment = world.register_handler(
-            self._handle_increment, f"{self.name}.increment"
+            self._handle_increments, f"{self.name}.increment"
         )
+        self._name_hash = stable_hash(self.name)
+        # What one ``(item, amount)`` increment message weighs beside its
+        # two arguments: the call framing and this handler's id varint.
+        self._framing_bytes = world.registry.call_size(
+            self._h_increment, (0, 0)
+        ) - 2 * serialized_size(0)
 
     # ------------------------------------------------------------------
     @property
@@ -73,9 +143,12 @@ class DistributedCountingSet:
         return stable_hash((self.name, item)) % self.world.nranks
 
     # ------------------------------------------------------------------
-    def _handle_increment(self, ctx: RankContext, item: Any, amount: int) -> None:
+    def _handle_increments(self, ctx: RankContext, items: Any, amounts: Any) -> None:
+        """Owner side of a flush: one source rank's increments, as two columns."""
         counts = self._counts(ctx)
-        counts[item] = counts.get(item, 0) + amount
+        get = counts.get
+        for item, amount in zip(items.tolist(), amounts.tolist()):
+            counts[item] = get(item, 0) + amount
 
     # ------------------------------------------------------------------
     def async_increment(self, ctx: RankContext, item: Any, amount: int = 1) -> None:
@@ -112,30 +185,91 @@ class DistributedCountingSet:
 
         The run is ``[keys[i] for i in inverse]``; ``keys`` are its distinct
         items in first-appearance order and ``counts`` their multiplicities.
-        When the cache has room for every key it has not seen no eviction
-        can fire during the run, so adding each key's count once leaves the
-        cache (contents and insertion order) and the message stream exactly
-        as the item-by-item walk would; otherwise the run is replayed
-        through :meth:`increment_run`.
+        Bit-identical to the item-by-item walk — cache contents and insertion
+        order, every flush and what it carries — at one cache update per
+        distinct key per flush window.  When the cache has room for every key
+        it has not seen, no eviction can fire and each key's count is added
+        once.  Otherwise the run is *split*: it is walked in spans; in each,
+        the items that would grow the cache are the first appearances (within
+        the span) of keys the cache does not hold, so the item at which the
+        cache reaches capacity is known without replaying the run — the span
+        is applied aggregated up to and including that item, the cache is
+        flushed there, and the walk continues behind it.
         """
         cache = self._cache(ctx)
+        get = cache.get
+        capacity = self.cache_capacity
         unseen = sum(key not in cache for key in keys)
-        if len(cache) + unseen < self.cache_capacity:
-            get = cache.get
+        if len(cache) + unseen < capacity:
             for key, count in zip(keys, counts):
                 cache[key] = get(key, 0) + count
-        else:
-            self.increment_run(ctx, [keys[i] for i in inverse])
+            return
+        inverse = np.asarray(inverse, dtype=np.int64)
+        total = inverse.size
+        # previous[i]: where item i's key last occurred before i (-1: nowhere),
+        # so "first appearance at or after s" reads ``previous[i] < s``.
+        # (uint16 keys take NumPy's radix sort, as in ``callbacks._grouped_run``.)
+        narrow = inverse.astype(np.uint16) if len(keys) <= 1 << 16 else inverse
+        order = np.argsort(narrow, kind="stable")
+        repeats = np.flatnonzero(np.diff(inverse[order]) == 0)
+        previous = np.full(total, -1, dtype=np.int64)
+        previous[order[repeats + 1]] = order[repeats]
+        slot = np.empty(len(keys), dtype=np.int64)
+        span = max(4 * capacity, 256)
+        start = 0
+        while start < total:
+            chunk = inverse[start : start + span]
+            firsts = np.flatnonzero(previous[start : start + span] < start)
+            ids = chunk[firsts]
+            if cache:
+                held = [keys[i] in cache for i in ids.tolist()]
+                growing = firsts[~np.fromiter(held, dtype=bool, count=len(held))]
+            else:
+                growing = firsts
+            # len(cache) < capacity between calls: every path in flushes at it.
+            room = capacity - len(cache)
+            fills = growing.size >= room
+            if fills:
+                stop = int(growing[room - 1]) + 1
+                chunk = chunk[:stop]
+                ids = ids[: np.searchsorted(firsts, stop)]
+            slot[ids] = np.arange(ids.size)
+            amounts = np.bincount(slot[chunk], minlength=ids.size)
+            for i, amount in zip(ids.tolist(), amounts.tolist()):
+                key = keys[i]
+                cache[key] = get(key, 0) + amount
+            if fills:
+                self.flush_cache(ctx)
+            start += chunk.size
 
     def flush_cache(self, ctx: RankContext) -> None:
-        """Send this rank's cached counts to their owner ranks."""
+        """Send this rank's cached counts to their owner ranks.
+
+        Stands for one ``(item, amount)`` increment message per cached key,
+        in cache order: each is booked at its owner and exact serialized
+        size, and each owner rank receives its keys as one batched call.
+        """
         cache = self._cache(ctx)
         if not cache:
             return
-        items = list(cache.items())
+        items = list(cache)
+        amounts = list(cache.values())
         cache.clear()
-        for item, amount in items:
-            ctx.async_call(self.owner(item), self._h_increment, item, amount)
+        hashes, item_sizes = item_hashes_and_sizes(items)
+        owners = stable_tuple_hash_array([self._name_hash, hashes]) % self.world.nranks
+        amount_column = _int_matrix(amounts)
+        if amount_column is None:  # a float or beyond-int64 amount
+            amount_sizes = _scalar_column(serialized_size, amounts)
+            amount_column = np.fromiter(amounts, dtype=object, count=len(amounts))
+        else:
+            amount_sizes = int_size_array(amount_column)
+        ctx.send_coalesced(
+            self._h_increment,
+            owners,
+            self._framing_bytes + item_sizes + amount_sizes,
+            (),
+            (np.fromiter(items, dtype=object, count=len(items)), amount_column),
+        )
 
     def flush_all_caches(self) -> None:
         """Driver-side: flush every rank's cache (call before a barrier)."""

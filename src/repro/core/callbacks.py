@@ -45,10 +45,12 @@ the same batches.
 
 :class:`ClosureTimeSurvey`, :class:`MaxEdgeLabelDistribution` and
 :class:`DegreeTripleSurvey` first ask the batch for typed arrays
-(``batch.edge_values`` / ``batch.vertex_values``), derive their keys as array
+(``batch.edge_values`` / ``batch.vertex_values``),
+:class:`LocalTriangleCounter` and :class:`EdgeSupportCounter` for the vertex
+ids themselves (``batch.vertex_ids``); they derive their keys as array
 expressions and hand the counting set the run pre-aggregated
-(``increment_grouped_run``: aggregated only when no eviction can fire); when
-the batch answers None they run the object loop, which stays the oracle.
+(``increment_grouped_run``, which splits the run wherever the cache fills).
+When the batch answers None they run the object loop, which stays the oracle.
 """
 
 from __future__ import annotations
@@ -260,6 +262,12 @@ class LocalTriangleCounter(_SnapshotMerge):
         self.counts.async_increment(ctx, tri.r)
 
     def callback_batch(self, ctx: RankContext, batch: TriangleBatch) -> None:
+        ids = batch.vertex_ids()
+        if ids is not None:
+            run = _np.stack(ids, axis=1).ravel()  # p0 q0 r0 p1 q1 r1 ...
+            first, counts, inverse = _grouped_run(run)
+            self.counts.increment_grouped_run(ctx, run[first].tolist(), counts, inverse)
+            return
         items = [
             vertex
             for triple in zip(batch.p, batch.q, batch.r)
@@ -310,6 +318,20 @@ class EdgeSupportCounter(_SnapshotMerge):
         self.counts.async_increment(ctx, self._edge_key(tri.q, tri.r))
 
     def callback_batch(self, ctx: RankContext, batch: TriangleBatch) -> None:
+        ids = batch.vertex_ids()
+        if ids is not None:
+            # Dense ranks order as the ids do, so min/max of ranks is the
+            # canonical edge and ``low * size + high`` cannot overflow.
+            vertices, ranks = _np.unique(_np.concatenate(ids), return_inverse=True)
+            p, q, r = ranks.reshape(3, -1)
+            left = _np.stack((p, p, q), axis=1).ravel()  # pq0 pr0 qr0 pq1 ...
+            right = _np.stack((q, r, r), axis=1).ravel()
+            codes = _np.minimum(left, right) * vertices.size + _np.maximum(left, right)
+            first, counts, inverse = _grouped_run(codes)
+            low, high = _np.divmod(codes[first], vertices.size)
+            keys = list(zip(vertices[low].tolist(), vertices[high].tolist()))
+            self.counts.increment_grouped_run(ctx, keys, counts, inverse)
+            return
         edge_key = self._edge_key
         items: List[Tuple[Any, Any]] = []
         append = items.append

@@ -56,7 +56,6 @@ __all__ = [
     "deliver_batch",
     "columnar_push_batch",
     "wedge_stream",
-    "send_coalesced",
     "make_legacy_intersect_handler",
     "make_batched_intersect_handler",
     "make_columnar_intersect_handler",
@@ -395,8 +394,14 @@ def columnar_push_batch(
         "meta_qr": lambda: dest_csr.edge_meta[adj_pos].tolist(),
         "meta_r": lambda: r_csr.tgt_meta[r_pos].tolist(),
     }
-    # Where the typed value arrays read each memo: (CSR, field, positions).
+    # Where the typed value arrays read each memo: (CSR, field, positions);
+    # where the id arrays read the id columns: (column, positions).
     reads = {
+        "ids": (
+            (src_csr.row_vertices, p_rows),
+            (dest_csr.row_vertices, q_rows),
+            (src_csr.tgt_vertex, src_pos),
+        ),
         "edge": ((src_csr, "edge", q_pos), (src_csr, "edge", src_pos), (dest_csr, "edge", adj_pos)),
         "vertex": ((src_csr, "row", p_rows), (dest_csr, "row", q_rows), (r_csr, "target", r_pos)),
     }
@@ -474,28 +479,6 @@ def wedge_stream(csr: CSRAdjacency):
     return rows, ragged_gather(indptr[:-1], wedge_counts)[0]
 
 
-def send_coalesced(ctx, handler, dests, sizes, leading, columns) -> None:
-    """Account a (non-empty) legacy message stream, ship it one RPC per rank.
-
-    ``dests``/``sizes`` describe the replaced messages in legacy send order
-    and are booked in one ``account_rpc_bulk``.  Each destination rank — in
-    first-appearance order, as a scalar driver's per-destination ``dict``
-    iterates — gets one batched RPC: ``leading`` plus its slice of ``columns``.
-    """
-    ctx.account_rpc_bulk(dests, sizes)
-    order, starts, ends = first_appearance_groups(dests)
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        members = order[lo:hi]
-        ctx.async_call_batched(
-            int(dests[members[0]]),
-            handler,
-            *leading,
-            *(column[members] for column in columns),
-            virtual_rpcs=hi - lo,
-            virtual_bytes=int(sizes[members].sum()),
-        )
-
-
 def drive_columnar_dry_run(ctx, dodgr, h_propose, h_propose_columnar, push_mask) -> None:
     """One rank's dry-run drive as array expressions over its CSR.
 
@@ -530,7 +513,7 @@ def drive_columnar_dry_run(ctx, dodgr, h_propose, h_propose_columnar, push_mask)
         + int_size_array(totals)
     )
     dests = csr.tgt_owner[first_pos]
-    send_coalesced(ctx, h_propose_columnar, dests, sizes, (rank, csr), (first_pos, totals))
+    ctx.send_coalesced(h_propose_columnar, dests, sizes, (rank, csr), (first_pos, totals))
 
 
 def drive_columnar_push(

@@ -44,7 +44,6 @@ from .driver import (
     legacy_push_payload_overhead,
     resolve_batch_callback,
     row_adjacency,
-    send_coalesced,
 )
 from .request import TriangleCallback
 from .segments import (
@@ -292,7 +291,7 @@ def drive_pull(style: str, ctx, dodgr: DODGraph, handler, pull_list) -> None:
             + csr.cand_size_cumsum[hi]
             - csr.cand_size_cumsum[lo]
         )
-        send_coalesced(ctx, handler, requesters[send_order], sizes, (csr,), (q_rows,))
+        ctx.send_coalesced(handler, requesters[send_order], sizes, (csr,), (q_rows,))
         return
     if style not in ("legacy", "batched"):
         raise ValueError(f"unknown pull style {style!r}; known: {PULL_STYLES}")

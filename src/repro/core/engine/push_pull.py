@@ -33,7 +33,6 @@ from .driver import (
     drive_columnar_dry_run,
     drive_push,
     make_push_intersect_handler,
-    send_coalesced,
 )
 from .program import SurveyProgram, execute_program
 from .pull import drive_pull, make_pull_handler
@@ -120,8 +119,8 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
                 world.registry.call_size(h_advise, ())
                 + src_csr.tgt_vertex_wire[qpositions[advised]]
             )
-            send_coalesced(
-                ctx, h_advise, _np.full_like(sizes, source_rank), sizes, (), (q_ids[advised],)
+            ctx.send_coalesced(
+                h_advise, _np.full_like(sizes, source_rank), sizes, (), (q_ids[advised],)
             )
 
     def _advise_columnar_handler(ctx, q_ids) -> None:

@@ -14,6 +14,8 @@ from typing import Sequence, Tuple
 
 import numpy as _np
 
+from ...runtime.world import first_appearance_groups
+
 __all__ = ["concat_segments", "ragged_gather", "positions_of_ids", "first_appearance_groups"]
 
 
@@ -63,21 +65,3 @@ def positions_of_ids(inv_ids, inv_pos, ids):
     gather, _offsets = ragged_gather(lo, counts)
     owner = _np.repeat(_np.arange(ids.size, dtype=_np.int64), counts)
     return owner, inv_pos[gather]
-
-
-def first_appearance_groups(keys):
-    """Group a non-empty int array by value, groups in first-appearance order.
-
-    Returns ``(order, starts, ends)``: group ``g``'s member indices are
-    ``order[starts[g]:ends[g]]``, ascending, and groups are sequenced by
-    where their key first occurs — the iteration order of the ``dict`` a
-    scalar driver fills with ``setdefault(key, []).append(i)``, which keeps
-    the columnar dry run and pull drive on the legacy send order.
-    """
-    order = _np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    cuts = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = _np.concatenate(([0], cuts))
-    ends = _np.concatenate((cuts, [keys.size]))
-    sequence = _np.argsort(order[starts])
-    return order, starts[sequence], ends[sequence]

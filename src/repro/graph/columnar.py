@@ -13,7 +13,14 @@ from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as _np
 
-__all__ = ["HalfEdgeColumns", "id_array", "id_column", "object_column", "dense_indices"]
+__all__ = [
+    "HalfEdgeColumns",
+    "id_array",
+    "id_column",
+    "object_column",
+    "dense_indices",
+    "unique_pair_indices",
+]
 
 
 class HalfEdgeColumns(NamedTuple):
@@ -69,3 +76,18 @@ def dense_indices(vertices: Sequence[Any], references: Sequence[Any]) -> Any:
     return _np.fromiter(
         map(index_of.__getitem__, references), dtype=_np.int64, count=len(references)
     )
+
+
+def unique_pair_indices(lo: Any, hi: Any) -> Any:
+    """Where each distinct ``(lo[i], hi[i])`` pair first occurs, pairs ascending.
+
+    The ``return_index`` of ``np.unique(np.stack([lo, hi], 1), axis=0)``
+    without its void-dtype sort: a stable lexsort keeps equal pairs in index
+    order, so each run of equal neighbours starts at its first occurrence.
+    Two plain int64 sorts, and no composite key that could overflow.
+    """
+    order = _np.lexsort((hi, lo))
+    lo_sorted, hi_sorted = lo[order], hi[order]
+    fresh = _np.ones(order.size, dtype=bool)
+    fresh[1:] = (lo_sorted[1:] != lo_sorted[:-1]) | (hi_sorted[1:] != hi_sorted[:-1])
+    return order[fresh]

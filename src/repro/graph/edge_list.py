@@ -27,6 +27,7 @@ from ..runtime.world import (
     stable_hash_int_array,
     stable_tuple_hash_array,
 )
+from .columnar import unique_pair_indices
 from .metadata import edge_timestamp
 
 import numpy as _np
@@ -399,7 +400,7 @@ class DistributedEdgeList:
                 return out
         lo = _np.minimum(us, vs)
         hi = _np.maximum(us, vs)
-        _, first = _np.unique(_np.stack([lo, hi], axis=1), axis=0, return_index=True)
+        first = unique_pair_indices(lo, hi)
         dests = self._pair_dests(lo[first], hi[first])
         # Emit rank-major, first-occurrence order within each rank — the
         # iteration order of the dict path's per-rank buckets.

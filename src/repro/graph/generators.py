@@ -36,6 +36,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..runtime.world import World
+from .columnar import unique_pair_indices
 from .distributed_graph import DistributedGraph
 from .metadata import temporal_edge_meta
 from .partition import Partitioner
@@ -137,14 +138,15 @@ class GeneratedGraph:
 
     def num_vertices(self) -> int:
         if self._columns is not None:
-            us, vs = self._columns
-            seen = set(np.unique(np.concatenate([us, vs])).tolist())
-        else:
-            seen = set()
-            for u, v, _ in self.edges:
-                seen.add(u)
-                seen.add(v)
-        seen.update(self.vertex_meta.keys())
+            endpoints = np.unique(np.concatenate(self._columns))
+            if not self.vertex_meta:
+                return endpoints.size
+            isolated = set(self.vertex_meta).difference(endpoints.tolist())
+            return endpoints.size + len(isolated)
+        seen = set(self.vertex_meta)
+        for u, v, _ in self.edges:
+            seen.add(u)
+            seen.add(v)
         return len(seen)
 
     def to_distributed(
@@ -239,10 +241,10 @@ def rmat(
     rows, cols = rows[mask], cols[mask]
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    first = unique_pair_indices(lo, hi)
     return GeneratedGraph(
         name=name or f"rmat_scale{scale}",
-        edge_columns=(np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])),
+        edge_columns=(lo[first], hi[first]),
         edge_meta=edge_meta,
         params={"scale": scale, "edge_factor": edge_factor, "a": a, "b": b, "c": c, "seed": seed},
     )
@@ -324,15 +326,15 @@ def chung_lu_power_law(
     us, vs = us[mask], vs[mask]
     lo = np.minimum(us, vs)
     hi = np.maximum(us, vs)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    first = unique_pair_indices(lo, hi)
     # Shuffle vertex labels so ids carry no degree information (the paper's
     # datasets have arbitrary ids); keeps partitioners honest.
     perm = rng.permutation(num_vertices)
     return GeneratedGraph(
         name=name or f"chung_lu_{num_vertices}",
         edge_columns=(
-            perm[pairs[:, 0]].astype(np.int64),
-            perm[pairs[:, 1]].astype(np.int64),
+            perm[lo[first]].astype(np.int64),
+            perm[hi[first]].astype(np.int64),
         ),
         edge_meta=edge_meta,
         params={

@@ -121,8 +121,10 @@ class TriangleBatch:
     :meth:`edge_values` and :meth:`vertex_values` answer *typed arrays* of an
     extractor over the batch's edge / vertex metadata, gathered from the
     CSRs' value memos at the ``reads`` the engine supplies — ``{"edge" |
-    "vertex": three (CSR, field, positions)}`` — or None, and the reducer
-    loops over the object columns.
+    "vertex": three (CSR, field, positions), "ids": three (id column,
+    positions)}`` — or None, and the reducer loops over the object columns.
+    :meth:`vertex_ids` answers the ``p``, ``q``, ``r`` columns themselves as
+    int64 arrays on the same terms.
     """
 
     __slots__ = ("_size", "_builders", "_columns", "_reads")
@@ -208,6 +210,20 @@ class TriangleBatch:
                 return None
             columns.append(column)
         return tuple(columns)
+
+    def vertex_ids(self):
+        """The ``(p, q, r)`` vertex ids as three int64 arrays, or None.
+
+        None means "loop over the ``p`` / ``q`` / ``r`` lists": ids that are
+        not int64 (strings, tuples, ints beyond it), a batch shorter than
+        :data:`ARRAY_VALUES_MIN_BATCH`, or one built by hand.
+        """
+        if self._reads is None or self._size < ARRAY_VALUES_MIN_BATCH:
+            return None
+        reads = self._reads["ids"]
+        if any(column.dtype != "int64" for column, _positions in reads):
+            return None
+        return tuple(column[positions] for column, positions in reads)
 
     def triangles(self):
         """Row view: yield one :class:`TriangleMetadata` per triangle, in order.

@@ -55,6 +55,7 @@ __all__ = [
     "stable_hash",
     "stable_hash_int_array",
     "stable_tuple_hash_array",
+    "first_appearance_groups",
 ]
 
 #: Default ceiling on delivery sweeps per barrier.  Legitimate workloads
@@ -262,6 +263,30 @@ class RankContext:
         self.world._enqueue_batched(
             BatchedCall(self.rank, dest, handle, args, virtual_rpcs, virtual_bytes)
         )
+
+    def send_coalesced(
+        self, func: Callable[..., Any] | RpcHandle, dests, sizes, leading, columns
+    ) -> None:
+        """Account a (non-empty) legacy message stream, ship it one RPC per rank.
+
+        ``dests``/``sizes`` describe the replaced messages in legacy send order
+        and are booked in one :meth:`account_rpc_bulk`.  Each destination rank
+        — in first-appearance order, as a scalar driver's per-destination
+        ``dict`` iterates — gets one :meth:`async_call_batched`: ``leading``
+        plus its slice of every array in ``columns``.
+        """
+        self.account_rpc_bulk(dests, sizes)
+        order, starts, ends = first_appearance_groups(dests)
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            members = order[lo:hi]
+            self.async_call_batched(
+                int(dests[members[0]]),
+                func,
+                *leading,
+                *(column[members] for column in columns),
+                virtual_rpcs=hi - lo,
+                virtual_bytes=int(sizes[members].sum()),
+            )
 
     # ------------------------------------------------------------------
     def add_compute(self, units: int) -> None:
@@ -836,3 +861,22 @@ def stable_tuple_hash_array(item_hashes: Sequence[Any]) -> Any:
         else:
             h = h ^ _np.asarray(column).astype(_np.uint64)
     return (h & _np.uint64(0x7FFFFFFFFFFFFFFF)).astype(_np.int64)
+
+
+def first_appearance_groups(keys: Any) -> Tuple[Any, Any, Any]:
+    """Group a non-empty int array by value, groups in first-appearance order.
+
+    Returns ``(order, starts, ends)``: group ``g``'s member indices are
+    ``order[starts[g]:ends[g]]``, ascending, and groups are sequenced by
+    where their key first occurs — the iteration order of the ``dict`` a
+    scalar driver fills with ``setdefault(key, []).append(i)``, which keeps
+    every coalesced stream (:meth:`RankContext.send_coalesced`, the columnar
+    dry run and pull drive) on the legacy send order.
+    """
+    order = _np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    cuts = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = _np.concatenate(([0], cuts))
+    ends = _np.concatenate((cuts, [keys.size]))
+    sequence = _np.argsort(order[starts])
+    return order, starts[sequence], ends[sequence]

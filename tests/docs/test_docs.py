@@ -148,6 +148,31 @@ def test_selector_surface_stays_collapsed():
     assert check_engines.check_selector_surface() == []
 
 
+def test_reducers_survey_without_a_codec_call():
+    """Mirror of tools/check_engines.py check 4: every stock reducer honours
+    the contract, and a columnar survey plus ``finalize()`` with it makes
+    zero ``encode_call`` / ``decode_call`` invocations — so a reducer that
+    regrows a per-key RPC fails tier-1 before the docs CI job."""
+    import check_engines
+    from repro.core.callbacks import LocalTriangleCounter
+
+    assert check_engines.check_reducer_contract() == []
+
+    class PerKeyRpc(LocalTriangleCounter):
+        """What the gate exists to catch: one real RPC per counted key."""
+
+        def finalize(self):
+            def sink(ctx, item, amount):
+                pass
+
+            for ctx in self.world.ranks:
+                for item, amount in self.counts._cache(ctx).items():
+                    ctx.async_call(0, sink, item, amount)
+            super().finalize()
+
+    assert check_engines.survey_codec_calls(PerKeyRpc) > 0
+
+
 def test_engine_smoke_tool_passes():
     """Mirror of tools/check_engines.py checks 2+3: every engine
     parity-clean and on the sweep axis."""

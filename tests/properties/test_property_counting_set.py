@@ -76,19 +76,62 @@ items = st.one_of(
 )
 
 
-@given(
-    prefill=st.lists(items, max_size=12),
-    run=st.lists(items, min_size=1, max_size=60),
-    cache_capacity=st.integers(min_value=1, max_value=24),
-)
-@settings(max_examples=150, deadline=None)
-def test_grouped_run_is_the_item_by_item_run(prefill, run, cache_capacity):
+@st.composite
+def grouped_run_cases(draw):
+    """(prefill, run, cache capacity), biased towards runs that must split.
+
+    Two in three cases draw the capacity below the run's distinct keys, so
+    the cache fills inside the run — with a prefilled cache one short of
+    capacity the split lands on the run's first item, with a capacity equal
+    to the distinct keys on its last new key.
+    """
+    run = draw(st.lists(items, min_size=1, max_size=60))
+    distinct = len(set(run))
+    capacity = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=24),
+            st.integers(min_value=1, max_value=distinct),
+            st.just(distinct),
+        )
+    )
+    prefill = draw(
+        st.one_of(
+            st.lists(items, max_size=12),
+            # As full as a cache gets between calls: the next new key flushes.
+            st.lists(items, min_size=capacity - 1, max_size=capacity - 1, unique=True),
+        )
+    )
+    return prefill, run, capacity
+
+
+def record_wire(ctx, sent):
+    """Record what ``ctx`` books and ships: the seam a flush goes through."""
+    book, ship = ctx.account_rpc_bulk, ctx.async_call_batched
+
+    def account_rpc_bulk(dests, sizes):
+        sent.append(("booked", dests.tolist(), sizes.tolist()))
+        book(dests, sizes)
+
+    def async_call_batched(dest, handler, *args, virtual_rpcs, virtual_bytes):
+        columns = tuple(column.tolist() for column in args)
+        sent.append(("shipped", dest, columns, virtual_rpcs, virtual_bytes))
+        ship(dest, handler, *args, virtual_rpcs=virtual_rpcs, virtual_bytes=virtual_bytes)
+
+    ctx.account_rpc_bulk = account_rpc_bulk
+    ctx.async_call_batched = async_call_batched
+
+
+@given(grouped_run_cases())
+@settings(max_examples=200, deadline=None)
+def test_grouped_run_is_the_item_by_item_run(case):
     """``increment_grouped_run`` == ``increment_run`` over the expanded run.
 
-    Same cache (contents *and* insertion order), same increment messages in
-    the same order, same final counts — whether the grouped run fits the
-    cache's headroom (applied aggregated) or not (replayed).
+    Same cache (contents *and* insertion order), same flushes — what each
+    books (owners, sizes) and ships (per-owner columns) in the same order —
+    and the same final counts, whether the grouped run fits the cache's
+    headroom (applied aggregated) or fills it (split at the filling item).
     """
+    prefill, run, cache_capacity = case
     keys = list(dict.fromkeys(run))  # distinct items, first-appearance order
     counts = [run.count(key) for key in keys]
     inverse = [keys.index(item) for item in run]
@@ -98,19 +141,20 @@ def test_grouped_run_is_the_item_by_item_run(prefill, run, cache_capacity):
         counting = DistributedCountingSet(world, name="c", cache_capacity=cache_capacity)
         ctx = world.ranks[1]
         sent = []
-        send = ctx.async_call
-        ctx.async_call = lambda dest, handler, *args: (
-            sent.append((dest, args)),
-            send(dest, handler, *args),
-        )
+        record_wire(ctx, sent)
         counting.increment_run(ctx, prefill)
+        del sent[:]  # the prefill's own flushes are not under test
         if grouped:
             counting.increment_grouped_run(ctx, keys, counts, inverse)
         else:
             counting.increment_run(ctx, run)
+        flushes_inside_the_run = len(sent)
         cache = list(counting._cache(ctx).items())
         counting.flush_all_caches()
         world.barrier()
-        return cache, sent, counting.counts(), world.stats.total()
+        return cache, sent, flushes_inside_the_run, counting.counts(), world.stats.total()
 
-    assert apply(grouped=True) == apply(grouped=False)
+    grouped, walked = apply(grouped=True), apply(grouped=False)
+    assert grouped == walked
+    if len(set(prefill)) == cache_capacity - 1 and run[0] not in prefill:
+        assert walked[2], "a full cache must flush on the run's first new key"

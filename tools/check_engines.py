@@ -23,7 +23,10 @@ Six checks, exit status 1 on any failure (each printed to stderr):
    :data:`repro.core.callbacks.REDUCER_REGISTRY` must expose the
    ``snapshot()`` / ``merge()`` / ``callback_batch`` trio (and the plain
    ``callback``), so streaming windows, checkpoint/restart recovery and the
-   columnar engines work with every registered reducer.
+   columnar engines work with every registered reducer; and a columnar
+   survey plus ``finalize()`` with it on a small decorated graph must make
+   **zero** ``RpcRegistry.encode_call`` / ``decode_call`` invocations (a
+   count, not a timing): a reducer that regrows a per-key RPC fails here.
 5. **Execution-axis parity** — the kernel-tier names in README.md's
    ``| Kernel tier |`` table must equal
    :data:`repro.core.intersection.KERNEL_TIERS`, the storage modes in the
@@ -60,7 +63,7 @@ from repro.core import triangle_survey  # noqa: E402
 from repro.core.callbacks import LocalTriangleCounter  # noqa: E402
 from repro.core.engine import EngineConfig, backend_names, engine_names  # noqa: E402
 from repro.graph import DODGraph  # noqa: E402
-from repro.graph.generators import erdos_renyi  # noqa: E402
+from repro.graph.generators import GeneratedGraph, erdos_renyi  # noqa: E402
 from repro.runtime import World  # noqa: E402
 
 #: First cell of each engine-table row: ``| `name` | ...``.
@@ -170,8 +173,38 @@ def check_sweep_axis(registered: Tuple[str, ...]) -> List[str]:
     return errors
 
 
+def survey_codec_calls(reducer_cls) -> int:
+    """``encode_call`` + ``decode_call`` invocations of one columnar survey
+    plus ``finalize()`` with ``reducer_cls`` on a small decorated graph.
+
+    The decoration suits every stock reducer: float edge stamps, small-int
+    vertex labels (a degree, a label, and distinct enough for FQDN triples).
+    """
+    edges = [(u, v, float(i + 1)) for i, (u, v, _) in enumerate(erdos_renyi(**SMOKE_GRAPH).edges)]
+    vertex_meta = {v: v % 7 + 1 for edge in edges for v in edge[:2]}
+    world = World(SMOKE_RANKS)
+    graph = GeneratedGraph(name="decorated-smoke", edges=edges, vertex_meta=vertex_meta)
+    dodgr = DODGraph.build(graph.to_distributed(world), mode="bulk")
+    reducer = reducer_cls(world)
+    calls = [0]
+    for name in ("encode_call", "decode_call"):
+
+        def counted(*args, _codec=getattr(world.registry, name)):
+            calls[0] += 1
+            return _codec(*args)
+
+        setattr(world.registry, name, counted)
+    report = triangle_survey(dodgr, reducer.callback, "push_pull", engine="columnar")
+    assert report.triangles, "the smoke graph must deliver triangles to the reducer"
+    if hasattr(reducer, "finalize"):
+        reducer.finalize()
+    dodgr.release()
+    return calls[0]
+
+
 def check_reducer_contract() -> List[str]:
-    """Every registered reducer exposes the streaming/columnar trio (check 4)."""
+    """Every registered reducer exposes the streaming/columnar trio and
+    surveys without a codec call (check 4)."""
     from repro.core.callbacks import registered_reducers
 
     errors: List[str] = []
@@ -196,6 +229,12 @@ def check_reducer_contract() -> List[str]:
             errors.append(
                 f"reducer {name!r}: merge() returned {type(merged).__name__}, "
                 f"expected {type(snap).__name__}"
+            )
+        codec_calls = survey_codec_calls(reducer_cls)
+        if codec_calls:
+            errors.append(
+                f"reducer {name!r}: a columnar survey + finalize() made "
+                f"{codec_calls} encode_call/decode_call invocations, expected 0"
             )
     return errors
 
@@ -387,7 +426,7 @@ def main() -> int:
         f"{len(backends)} backends documented and parity-clean "
         f"({', '.join(backends)}); "
         f"{len(reducer_names())} reducers honour the "
-        "snapshot/merge/callback_batch contract; "
+        "snapshot/merge/callback_batch contract with zero codec calls; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector"
     )
