@@ -99,8 +99,8 @@ def _assert_bit_identical(legacy, vectorized, nranks):
 
 def _survey_parity(legacy, vectorized):
     """Byte-identical communication when the same survey runs on each graph."""
-    report_a = triangle_survey_push(legacy, engine="batched")
-    report_b = triangle_survey_push(vectorized, engine="batched")
+    report_a = triangle_survey_push(legacy, engine="columnar")
+    report_b = triangle_survey_push(vectorized, engine="columnar")
     assert report_a.triangles == report_b.triangles
     assert report_a.communication_bytes == report_b.communication_bytes
     assert report_a.wire_messages == report_b.wire_messages

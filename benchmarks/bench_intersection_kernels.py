@@ -1,13 +1,13 @@
 """Intersection kernel tiers — cutoff sweep and cross-tier replay parity.
 
 Not a figure from the paper: this microbenchmark pins the kernel-tier layer
-added for beyond-RAM scale.  The row/batch intersection kernels now come in
-tiers sharing one contract (identical matches, identical aggregate
+added for beyond-RAM scale.  The row intersection kernels come in tiers
+sharing one contract (identical matches, identical aggregate
 comparison counts):
 
 * ``scalar``   — the reference per-segment Python loops, always available;
 * ``columnar`` — NumPy array pipelines with a scalar small-input escape
-  hatch governed by ``_SCALAR_BATCH_CUTOFF`` / ``_SCALAR_ROW_SEGMENT_CUTOFF``;
+  hatch governed by ``_SCALAR_ROW_CUTOFF`` / ``_SCALAR_ROW_SEGMENT_CUTOFF``;
 * ``compiled`` — the scalar row loops in C, built with the system compiler
   at import and registered only when that worked (``compiled -> columnar ->
   scalar`` downgrade otherwise); what ``kernel_tier=None`` selects.
@@ -75,24 +75,6 @@ def best_seconds(fn, repeats=3, iterations=5):
 # ---------------------------------------------------------------------------
 
 
-def make_batch_input(rng, total_candidates, n_segments, adj_len, order_count=1 << 16):
-    """Sorted candidate segments + one shared sorted adjacency."""
-    bounds = np.sort(rng.integers(0, total_candidates + 1, size=n_segments - 1))
-    offsets = np.concatenate(([0], bounds, [total_candidates])).astype(np.int64)
-    segments = []
-    for seg in range(n_segments):
-        length = int(offsets[seg + 1] - offsets[seg])
-        keys = rng.choice(order_count, size=length, replace=False) if length else []
-        segments.append(np.sort(np.asarray(keys, dtype=np.int64)))
-    candidates = (
-        np.concatenate(segments) if segments else np.empty(0, dtype=np.int64)
-    ).astype(np.int64)
-    adjacency = np.sort(
-        rng.choice(order_count, size=adj_len, replace=False).astype(np.int64)
-    )
-    return candidates, offsets, adjacency
-
-
 def make_row_input(rng, n_segments, seg_len, n_rows, row_len, order_count=1 << 16):
     """Sorted candidate segments + a multi-row adjacency + a row per segment."""
     total = n_segments * seg_len
@@ -117,10 +99,6 @@ def make_row_input(rng, n_segments, seg_len, n_rows, row_len, order_count=1 << 1
     return candidates, offsets, seg_rows, adjacency
 
 
-def canonical_batch(result):
-    return (sorted(tuple(m) for m in result.matches), int(result.comparisons))
-
-
 def canonical_rows(result):
     return (
         [int(v) for v in result.seg],
@@ -135,105 +113,80 @@ def canonical_rows(result):
 # ---------------------------------------------------------------------------
 
 
-def _with_cutoffs(batch_cutoff, segment_cutoff, fn):
+def _with_cutoffs(key_cutoff, segment_cutoff, fn):
     """Run ``fn`` with the module cutoffs pinned, restoring them afterwards."""
     saved = (
-        intersection_mod._SCALAR_BATCH_CUTOFF,
+        intersection_mod._SCALAR_ROW_CUTOFF,
         intersection_mod._SCALAR_ROW_SEGMENT_CUTOFF,
     )
-    intersection_mod._SCALAR_BATCH_CUTOFF = batch_cutoff
+    intersection_mod._SCALAR_ROW_CUTOFF = key_cutoff
     intersection_mod._SCALAR_ROW_SEGMENT_CUTOFF = segment_cutoff
     try:
         return fn()
     finally:
         (
-            intersection_mod._SCALAR_BATCH_CUTOFF,
+            intersection_mod._SCALAR_ROW_CUTOFF,
             intersection_mod._SCALAR_ROW_SEGMENT_CUTOFF,
         ) = saved
 
 
-def test_cutoff_sweep(benchmark):
-    """Time both routes of the columnar kernels around the scalar cutoffs.
+def _time_both_routes(shape, cand, offs, seg_rows, adjacency):
+    """One sweep point: both routes of ``merge_path_rows``, parity asserted."""
+    row_fn = ROW_KERNELS["merge_path"]
+    n_segments = len(offs) - 1
 
-    ``_SCALAR_BATCH_CUTOFF`` (96 keys) and ``_SCALAR_ROW_SEGMENT_CUTOFF``
-    (4 segments) claim the scalar loops win below them.  This sweep forces
-    each route at sizes bracketing the cutoffs, asserts the two routes agree
-    bit-for-bit, and records the measured crossover next to the defaults.
+    def call():
+        return row_fn(cand, offs, seg_rows, adjacency)
+
+    scalar_result = _with_cutoffs(FORCE_SCALAR, FORCE_SCALAR, call)
+    vector_result = _with_cutoffs(-1, -1, call)
+    assert canonical_rows(scalar_result) == canonical_rows(vector_result), (
+        f"{shape} route mismatch at {cand.size} keys / {n_segments} segments"
+    )
+    scalar_s = _with_cutoffs(FORCE_SCALAR, FORCE_SCALAR, lambda: best_seconds(call))
+    vector_s = _with_cutoffs(-1, -1, lambda: best_seconds(call))
+    return {
+        "shape": shape,
+        "total_keys": int(cand.size),
+        "segments": n_segments,
+        "scalar_us": scalar_s * 1e6,
+        "vectorized_us": vector_s * 1e6,
+        "scalar_over_vectorized": scalar_s / vector_s,
+        "default_route": "scalar"
+        if (
+            cand.size <= intersection_mod._SCALAR_ROW_CUTOFF
+            and n_segments <= intersection_mod._SCALAR_ROW_SEGMENT_CUTOFF
+        )
+        else "vectorized",
+    }
+
+
+def test_cutoff_sweep(benchmark):
+    """Time both routes of the columnar row kernels around the scalar cutoffs.
+
+    ``_SCALAR_ROW_CUTOFF`` (96 candidate keys) and
+    ``_SCALAR_ROW_SEGMENT_CUTOFF`` (4 segments) claim the scalar loops win
+    below them.  This sweep forces each route at sizes bracketing the
+    cutoffs, asserts the two routes agree bit-for-bit, and records the
+    measured crossover next to the defaults.
     """
     rng = np.random.default_rng(10)
-    kernel_fn = intersection_mod.BATCH_KERNELS["merge_path"]
-    row_fn = ROW_KERNELS["merge_path"]
 
-    batch_rows = []
-    # total keys (candidates + adjacency) sweeps through the 96-key cutoff.
-    for total_candidates, adj_len in [(8, 8), (24, 24), (48, 48), (96, 96), (192, 192), (512, 512)]:
-        cand, offs, adj = make_batch_input(rng, total_candidates, 4, adj_len)
-        scalar_result = _with_cutoffs(FORCE_SCALAR, FORCE_SCALAR, lambda: kernel_fn(cand, offs, adj))
-        vector_result = _with_cutoffs(-1, -1, lambda: kernel_fn(cand, offs, adj))
-        assert canonical_batch(scalar_result) == canonical_batch(vector_result), (
-            f"batch route mismatch at {total_candidates}+{adj_len} keys"
-        )
-        scalar_s = _with_cutoffs(
-            FORCE_SCALAR, FORCE_SCALAR, lambda: best_seconds(lambda: kernel_fn(cand, offs, adj))
-        )
-        vector_s = _with_cutoffs(
-            -1, -1, lambda: best_seconds(lambda: kernel_fn(cand, offs, adj))
-        )
-        batch_rows.append(
-            {
-                "shape": "batch",
-                "total_keys": total_candidates + adj_len,
-                "segments": 4,
-                "scalar_us": scalar_s * 1e6,
-                "vectorized_us": vector_s * 1e6,
-                "scalar_over_vectorized": scalar_s / vector_s,
-                "default_route": "scalar"
-                if total_candidates + adj_len <= intersection_mod._SCALAR_BATCH_CUTOFF
-                else "vectorized",
-            }
-        )
-
-    row_rows = []
-    # segment count sweeps through the 4-segment cutoff (short segments, so
+    # Candidate keys sweep through the 96-key cutoff: four segments against
+    # one adjacency row as long as the candidate stream.
+    key_rows = [
+        _time_both_routes("keys", *make_row_input(rng, 4, total // 4, 1, total))
+        for total in (8, 24, 48, 96, 192, 512)
+    ]
+    # Segment count sweeps through the 4-segment cutoff (short segments, so
     # the 96-key cutoff alone would keep routing small calls to scalar).
-    for n_segments in [1, 2, 4, 8, 16, 64]:
-        cand, offs, seg_rows, adjacency = make_row_input(rng, n_segments, 8, 32, 12)
-        scalar_result = _with_cutoffs(
-            FORCE_SCALAR, FORCE_SCALAR, lambda: row_fn(cand, offs, seg_rows, adjacency)
-        )
-        vector_result = _with_cutoffs(
-            -1, -1, lambda: row_fn(cand, offs, seg_rows, adjacency)
-        )
-        assert canonical_rows(scalar_result) == canonical_rows(vector_result), (
-            f"row route mismatch at {n_segments} segments"
-        )
-        scalar_s = _with_cutoffs(
-            FORCE_SCALAR,
-            FORCE_SCALAR,
-            lambda: best_seconds(lambda: row_fn(cand, offs, seg_rows, adjacency)),
-        )
-        vector_s = _with_cutoffs(
-            -1, -1, lambda: best_seconds(lambda: row_fn(cand, offs, seg_rows, adjacency))
-        )
-        row_rows.append(
-            {
-                "shape": "rows",
-                "total_keys": int(cand.size),
-                "segments": n_segments,
-                "scalar_us": scalar_s * 1e6,
-                "vectorized_us": vector_s * 1e6,
-                "scalar_over_vectorized": scalar_s / vector_s,
-                "default_route": "scalar"
-                if (
-                    cand.size <= intersection_mod._SCALAR_BATCH_CUTOFF
-                    and n_segments <= intersection_mod._SCALAR_ROW_SEGMENT_CUTOFF
-                )
-                else "vectorized",
-            }
-        )
+    segment_rows = [
+        _time_both_routes("segments", *make_row_input(rng, n_segments, 8, 32, 12))
+        for n_segments in (1, 2, 4, 8, 16, 64)
+    ]
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = batch_rows + row_rows
+    rows = key_rows + segment_rows
     emit(
         format_table(
             [
@@ -251,16 +204,16 @@ def test_cutoff_sweep(benchmark):
     emit_json(
         "bench_intersection_cutoffs",
         {
-            "batch_cutoff_default": intersection_mod._SCALAR_BATCH_CUTOFF,
+            "key_cutoff_default": intersection_mod._SCALAR_ROW_CUTOFF,
             "segment_cutoff_default": intersection_mod._SCALAR_ROW_SEGMENT_CUTOFF,
             "sweep": rows,
         },
     )
     benchmark.extra_info["points"] = len(rows)
     # The defaults must not be absurd: at the largest swept size the
-    # vectorized route has to win, at the smallest it must not lose badly.
-    assert batch_rows[-1]["scalar_over_vectorized"] > 1.0
-    assert row_rows[-1]["scalar_over_vectorized"] > 1.0
+    # vectorized route has to win.
+    assert key_rows[-1]["scalar_over_vectorized"] > 1.0
+    assert segment_rows[-1]["scalar_over_vectorized"] > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from _artifacts import emit, emit_json
-from repro.core.engine import engine_names, incremental_engine_names
+from repro.core.engine import engine_names
 from repro.sweep import (
     config_digest,
     format_sweep_table,
@@ -59,24 +59,16 @@ def test_scenario_sweep_smoke(benchmark):
         iterations=1,
     )
 
-    # Coverage: one cell per engine per config on full-survey analyses,
-    # one per incremental engine on streaming.
-    full_engines = set(engine_names())
-    incremental = set(incremental_engine_names())
+    # Coverage: one cell per engine per config on every analysis.
+    engines = set(engine_names())
     for config in configs:
-        for analysis in ("triangle", "closure", "labels"):
+        for analysis in ("triangle", "closure", "labels", "streaming"):
             seen = {
                 cell.engine
                 for cell in result.cells
                 if cell.config_id == config.config_id() and cell.analysis == analysis
             }
-            assert seen == full_engines
-        streamed = {
-            cell.engine
-            for cell in result.cells
-            if cell.config_id == config.config_id() and cell.analysis == "streaming"
-        }
-        assert streamed == incremental
+            assert seen == engines
 
     assert not result.parity_failures()
 

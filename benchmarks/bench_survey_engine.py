@@ -8,7 +8,7 @@ per-wedge Python walk, and delivers triangles to reducers as
 ``TriangleBatch`` columns consumed by ``callback_batch``.
 
 Contract, pinned by the parity tests below (these run before — and fail the
-CI smoke job independently of — the speedup gate):
+CI smoke job independently of — the timing gates):
 
 * **cross-engine**: the parity matrix iterates the *engine registry*
   (:func:`repro.core.engine.engine_names` — so any future registration
@@ -21,14 +21,14 @@ CI smoke job independently of — the speedup gate):
   of metadata reducers — batch reducers apply increments in scalar
   invocation order, so cache evictions land on the same triangle.
 
-Three gates: columnar host time must beat the scalar-callback batched engine
-by at least 3x on the R-MAT weak-scaling stand-in (both a bare counting
-reducer and a metadata reducer); the ISSUE 5 engine-layer refactor must not
-add more than 5% host time over driving the columnar internals directly
+Two gates: the engine layer's dispatch must not add more than 5% host time
+over driving the columnar internals directly
 (``test_engine_layer_no_regression``, recorded via ``emit_json``); and — the
 one production-vs-production ratio — a ``columnar`` Push-Pull count must cost
 at most 1.5x a ``columnar`` Push-Only count on rmat-14 / 8 ranks
-(``test_pushpull_over_push``, ROADMAP target 1.3).
+(``test_pushpull_over_push``, ROADMAP target 1.3).  The columnar engine's
+speed against scalar callbacks is measured by the ``closure_push`` row of
+``python -m perf``, not gated here.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import pytest
 
 from _artifacts import emit, emit_json
 from repro.analysis.degree_triples import decorate_with_degrees
-from repro.bench import format_table, human_bytes, load_dataset
+from repro.bench import format_table, load_dataset
 from repro.core.callbacks import DegreeTripleSurvey, TriangleCounter
 from repro.core.engine import DEFAULT_CALLBACK_COMPUTE_UNITS, engine_names
 from repro.core.engine.driver import (
@@ -56,15 +56,13 @@ from repro.graph.generators import rmat
 from repro.runtime.world import World
 
 NODES = 16
-SPEEDUP_GATE = 3.0
 #: Engine-layer dispatch (registry + request + style facades) must not cost
 #: more than this fraction of host time over driving the columnar internals
 #: directly — the "before the refactor" equivalent.
 REFACTOR_REGRESSION_GATE = 0.05
 #: ``columnar`` Push-Pull host time over ``columnar`` Push-Only on the same
-#: graph.  Both sides are the production engine, so — unlike the gates
-#: against ``legacy``/``batched`` — it cannot stay green while the path users
-#: run regresses.  Measured 1.19 when the dry run went columnar.
+#: graph.  Both sides are the production engine, so — unlike a gate against
+#: ``legacy`` — it cannot stay green while the path users run regresses.  Measured 1.19 when the dry run went columnar.
 PUSHPULL_OVER_PUSH_GATE = 1.5
 
 
@@ -105,7 +103,7 @@ def run_once(dataset, algorithm, engine, reducer_name, hide_batch=False):
 
 
 def assert_cross_engine_parity(scalar, columnar, context):
-    """Scalar-callback batched run vs batch-reducer columnar run."""
+    """Oracle run (legacy engine or scalar callbacks) vs batch-reducer columnar run."""
     assert columnar[0].triangles == scalar[0].triangles, context
     assert columnar[1] == scalar[1], f"{context}: reducer outputs differ"
     assert columnar[0].communication_bytes == scalar[0].communication_bytes, context
@@ -176,71 +174,6 @@ def test_parity_pull_path(benchmark):
     assert_cross_engine_parity(
         results["degree_oracle"], results["degree_columnar"], "push_pull/degree_triples"
     )
-
-
-def test_columnar_speedup_gate(benchmark):
-    """R-MAT weak-scaling input: >= 3x host time vs scalar callbacks."""
-    dataset = load_dataset("rmat-weak")
-
-    def run_all():
-        out = {}
-        for reducer_name in REDUCERS:
-            scalar = run_once(dataset, "push", "batched", reducer_name)
-            columnar = run_once(dataset, "push", "columnar", reducer_name)
-            assert_cross_engine_parity(scalar, columnar, f"gate/{reducer_name}")
-            out[reducer_name] = (scalar, columnar)
-        return out
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    rows = []
-    trajectory = {"dataset": dataset.name, "nodes": NODES, "gate": SPEEDUP_GATE}
-    speedups = {}
-    for reducer_name, (scalar, columnar) in results.items():
-        speedup = scalar[0].host_seconds / columnar[0].host_seconds
-        speedups[reducer_name] = speedup
-        trajectory[reducer_name] = {
-            "triangles": scalar[0].triangles,
-            "comm_bytes": scalar[0].communication_bytes,
-            "scalar_host_seconds": scalar[0].host_seconds,
-            "columnar_host_seconds": columnar[0].host_seconds,
-            "speedup": speedup,
-            "parity": True,
-        }
-        for engine_name, (report, _result) in (
-            ("batched+scalar", scalar),
-            ("columnar+batch", columnar),
-        ):
-            rows.append(
-                {
-                    "reducer": reducer_name,
-                    "engine": engine_name,
-                    "triangles": report.triangles,
-                    "comm volume": human_bytes(report.communication_bytes),
-                    "wire msgs": report.wire_messages,
-                    "host seconds": round(report.host_seconds, 3),
-                }
-            )
-        rows.append({"reducer": reducer_name, "engine": f"speedup {speedup:.2f}x"})
-    emit(
-        format_table(
-            rows, title="Columnar survey engine — scalar callbacks vs batch reducers"
-        )
-    )
-    emit_json("bench_survey_engine", trajectory)
-
-    benchmark.extra_info.update(
-        {
-            "dataset": dataset.name,
-            "nodes": NODES,
-            "speedups": speedups,
-        }
-    )
-    for reducer_name, speedup in speedups.items():
-        assert speedup >= SPEEDUP_GATE, (
-            f"columnar speedup {speedup:.2f}x on {reducer_name} "
-            f"below the {SPEEDUP_GATE}x gate"
-        )
 
 
 # ---------------------------------------------------------------------------

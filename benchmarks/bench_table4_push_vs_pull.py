@@ -15,7 +15,7 @@ Expected shape (paper):
   social graphs, where the dry-run overhead can make Push-Pull slower.
 
 Run with ``--engine <name>`` — any engine registered in
-:mod:`repro.core.engine` (``legacy``, ``batched``, ``columnar``, ...) — to
+:mod:`repro.core.engine` (``legacy``, ``columnar``, ...) — to
 regenerate the table on that survey engine; the communicated-bytes columns
 (and every other result column) are identical across engines by the
 equivalence contract, so the engine choice only changes how long the

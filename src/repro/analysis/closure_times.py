@@ -98,7 +98,7 @@ def run_closure_time_survey(
         ``"push"`` or ``"push_pull"``.
     engine:
         Engine selector: any registered engine name (``"legacy"``,
-        ``"batched"``, ``"columnar"``) or an
+        ``"columnar"``) or an
         :class:`~repro.core.engine.EngineConfig`; the columnar default
         buckets closure times through
         :meth:`ClosureTimeSurvey.callback_batch`.

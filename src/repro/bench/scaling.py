@@ -99,7 +99,7 @@ def run_survey_at_scale(
     """Distribute ``dataset`` over ``nodes`` ranks and run one survey.
 
     ``engine`` selects the execution strategy: any registered engine name
-    (``columnar`` — the default, ``legacy``, ``batched``) or an
+    (``columnar`` — the default, or ``legacy``) or an
     :class:`~repro.core.engine.EngineConfig`, which also picks the backend
     (``simulated`` — the default, or ``process`` with ``workers`` forked
     rank-shard workers).  Every engine and backend produces identical

@@ -12,8 +12,8 @@ The primary entry points are:
   paper's surveys (counting, closure times, FQDN tuples, degree triples...).
 
 Survey execution is owned by the engine layer in :mod:`repro.core.engine`:
-engines are registered :class:`~repro.core.engine.EngineSpec` compositions
-resolved by name (``engine="columnar"``, the default; ``"legacy"``; ``"batched"``)
+engines are registered :class:`~repro.core.engine.EngineSpec` declarations
+resolved by name (``engine="columnar"``, the default; ``"legacy"``, the oracle)
 or through an :class:`~repro.core.engine.EngineConfig`, the one selector
 threaded through ``analysis/*``, ``bench/*`` and the benchmark CLIs.
 """
@@ -59,7 +59,6 @@ from .incremental import (
     incremental_triangle_survey,
 )
 from .intersection import (
-    BATCH_KERNELS,
     INTERSECTION_KERNELS,
     ROW_KERNELS,
     IntersectionResult,
@@ -116,7 +115,6 @@ __all__ = [
     "hash_intersection",
     "IntersectionResult",
     "INTERSECTION_KERNELS",
-    "BATCH_KERNELS",
     "ROW_KERNELS",
     "EngineSpec",
     "EngineConfig",

@@ -31,7 +31,7 @@ Columnar delivery
 
 Every reducer exposes two entry points: the scalar ``callback(ctx, tri)``
 (one :class:`~repro.graph.metadata.TriangleMetadata` per triangle — the
-parity oracle, and what the legacy/batched engines invoke) and a vectorized
+parity oracle, and what the legacy engine invokes) and a vectorized
 ``callback_batch(ctx, batch)`` consuming a
 :class:`~repro.graph.metadata.TriangleBatch` of columns, which the columnar
 engine (``triangle_survey(..., engine="columnar")``) prefers.  The batch

@@ -5,9 +5,9 @@ communication strategies (push vs. pull, Table 4).  This package owns
 survey execution end to end:
 
 * :mod:`~repro.core.engine.registry` — the :class:`EngineSpec` table:
-  engines are declared as data (:func:`register_engine`) composing the
-  shared strategy implementations, and every ``engine=`` selector is
-  interpreted once, by :func:`resolve_execution`;
+  engines are declared as data (:func:`register_engine`) naming one driver
+  style, and every ``engine=`` selector is interpreted once, by
+  :func:`resolve_execution`;
 * :mod:`~repro.core.engine.request` — the :class:`SurveyRequest` /
   :class:`SurveyResult` pair and the caller-facing :class:`EngineConfig`,
   the only execution selector, threaded through ``analysis/*``,
@@ -28,21 +28,19 @@ survey execution end to end:
 Adding an engine
 ----------------
 
-Register a new composition — no new driver loop::
+Register a new name for one of the driver styles — no new driver loop::
 
     from repro.core.engine import EngineSpec, register_engine
 
     register_engine(EngineSpec(
         name="my-engine",
-        description="columnar pushes, batched dry run and pull",
-        push_style="columnar", pull_style="batched",
-        proposal_style="batched",
-        kernel_tiers=("compiled", "columnar", "scalar"),
+        description="the columnar drivers under another name",
+        style="columnar",
     ))
 
-``push_style``, ``pull_style`` and ``proposal_style`` each range over
-``{legacy, batched, columnar}``; :mod:`~repro.core.engine.registry` rejects
-the one illegal region at registration.  ``tools/check_engines.py``
+``style`` is ``"legacy"`` or ``"columnar"``
+(:data:`~repro.core.engine.registry.STYLES`); any other value is rejected
+at registration.  ``tools/check_engines.py``
 smoke-checks that every registered engine stays on the equivalence contract
 (identical reducer panels, byte-identical wire totals), and the cross-engine
 property suite (``tests/properties/test_property_engines.py``) pins it on
@@ -59,7 +57,6 @@ from .registry import (
     EngineSpec,
     backend_names,
     engine_names,
-    incremental_engine_names,
     register_engine,
     registered_engines,
     resolve_engine,
@@ -100,7 +97,6 @@ __all__ = [
     "resolve_incremental_engine",
     "registered_engines",
     "engine_names",
-    "incremental_engine_names",
     "backend_names",
     "validate_request",
     "resolve_batch_callback",

@@ -4,7 +4,7 @@
 the triangles containing at least one edge of an applied batch
 (:class:`~repro.graph.delta.AppliedDelta`), via the wedge decomposition
 documented in :mod:`repro.core.incremental`.  This module holds the two
-engine implementations the registry's ``incremental_style`` field selects:
+engine implementations the registry's ``style`` field selects:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
   carrying the filtered candidate tuples, intersected per message with the

@@ -9,12 +9,11 @@ table composes:
   triangles to the user callback (scalar) or its ``callback_batch``
   counterpart (columnar :class:`~repro.graph.metadata.TriangleBatch`);
 * **drivers** walk one rank's pivots and generate its candidate stream at
-  the engine's granularity — one RPC per wedge (legacy), per (destination
-  rank, target vertex) group (batched), or per (source rank, destination
-  rank) pair (columnar) — while accounting every *replaced* legacy message
-  at its exact serialized size (``account_rpc``/``account_rpc_bulk``
-  against the real buffer bank), which is what keeps Table 4 byte-identical
-  across engines.
+  the engine's granularity — one RPC per wedge (legacy) or per (source
+  rank, destination rank) pair (columnar) — the columnar one accounting
+  every *replaced* legacy message at its exact serialized size
+  (``account_rpc_bulk`` against the real buffer bank), which is what keeps
+  Table 4 byte-identical across engines.
 
 The style-keyed facades :func:`make_push_intersect_handler` and
 :func:`drive_push` are what the engine runners call; everything else is the
@@ -25,7 +24,7 @@ composition material.  Before the engine layer existed this code lived in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ...graph.degree import order_key
 from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
@@ -34,17 +33,11 @@ from ...graph.metadata import TriangleBatch, TriangleMetadata
 from ...runtime.serialization import (
     int_size_array,
     serialized_size,
-    uvarint_size,
     uvarint_size_array,
 )
-from ..intersection import (
-    INTERSECTION_KERNELS,
-    RowAdjacency,
-    batch_kernel as select_batch_kernel,
-    row_kernel as select_row_kernel,
-)
+from ..intersection import INTERSECTION_KERNELS, RowAdjacency, row_kernel as select_row_kernel
 from .request import TriangleCallback
-from .segments import concat_segments, first_appearance_groups, ragged_gather
+from .segments import first_appearance_groups, ragged_gather
 
 import numpy as _np
 
@@ -57,19 +50,13 @@ __all__ = [
     "columnar_push_batch",
     "wedge_stream",
     "make_legacy_intersect_handler",
-    "make_batched_intersect_handler",
     "make_columnar_intersect_handler",
     "make_push_intersect_handler",
     "drive_legacy_push",
-    "drive_batched_push",
     "drive_columnar_push",
     "drive_columnar_dry_run",
     "drive_push",
-    "PUSH_STYLES",
 ]
-
-#: The push-side strategies the engine registry can compose.
-PUSH_STYLES = ("legacy", "batched", "columnar")
 
 
 def candidate_key(candidate: tuple) -> tuple:
@@ -214,141 +201,6 @@ def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
             # Sized delivery: exact legacy wire accounting, no codec run
             # for what is (in-process) an accounting-only payload.
             ctx.async_call_sized(dodgr.owner(q), handler, q, p, meta_p, meta_pq, candidates)
-
-
-# ---------------------------------------------------------------------------
-# Batched engine internals
-# ---------------------------------------------------------------------------
-
-
-def make_batched_intersect_handler(
-    dodgr: DODGraph,
-    batch_kernel,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
-):
-    """Build the owner-side handler of one batched candidate push.
-
-    The handler receives every wedge a source rank generated for one target
-    vertex ``q``: ``rows``/``qpositions`` locate the pivots and their ``q``
-    entries inside the *source* rank's :class:`CSRAdjacency`, and each
-    pivot's candidate suffix is the edge range after ``qpositions[w]``.  All
-    suffixes are intersected against ``Adj^m_+(q)`` in one batch-kernel
-    call; matches close triangles exactly as in the legacy handler.
-    """
-
-    def _batched_intersect_handler(
-        ctx,
-        q: Any,
-        src_csr: CSRAdjacency,
-        rows: List[int],
-        qpositions: List[int],
-    ) -> None:
-        starts = [pos + 1 for pos in qpositions]
-        row_index = _np.asarray(rows, dtype=_np.int64)
-        ends = src_csr.indptr[row_index + 1].tolist()
-        ctx.add_counter(
-            "wedge_checks", sum(end - start for start, end in zip(starts, ends))
-        )
-        dest_csr = dodgr.csr(ctx)
-        q_row = dest_csr.row_of(q)
-        if q_row is None:
-            return
-        adj_lo, adj_hi = dest_csr.row_slice(q_row)
-        candidate_ids, offsets = concat_segments(src_csr.tgt_ids, starts, ends)
-        result = batch_kernel(candidate_ids, offsets, dest_csr.tgt_ids[adj_lo:adj_hi])
-        ctx.add_compute(result.comparisons)
-        if not result.matches:
-            return
-        # Counter totals are phase-aggregate, so one bulk update per batch
-        # replaces two Python calls per triangle.
-        ctx.add_counter("triangles_found", len(result.matches))
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * len(result.matches))
-        meta_q = dest_csr.row_meta[q_row]
-        pivots = src_csr.row_vertices[row_index].tolist()
-        pivot_metas = src_csr.row_meta[row_index].tolist()
-        for wedge, cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr, _ = src_csr.entries[starts[wedge] + cand_idx]
-            _, _, meta_qr, meta_r = dest_csr.entries[adj_lo + adj_idx]
-            callback(
-                ctx,
-                TriangleMetadata(
-                    p=pivots[wedge],
-                    q=q,
-                    r=r,
-                    meta_p=pivot_metas[wedge],
-                    meta_q=meta_q,
-                    meta_r=meta_r,
-                    meta_pq=src_csr.entries[qpositions[wedge]][2],
-                    meta_pr=meta_pr,
-                    meta_qr=meta_qr,
-                ),
-            )
-
-    return _batched_intersect_handler
-
-
-def drive_batched_push(
-    ctx,
-    csr: CSRAdjacency,
-    handler,
-    payload_overhead: int,
-    allowed=None,
-) -> None:
-    """Walk one rank's pivots, accounting and coalescing its candidate pushes.
-
-    Every wedge is accounted (in legacy iteration order, so buffer flush
-    boundaries replay exactly) via ``ctx.account_rpc`` with the precise
-    serialized size of the per-wedge message it replaces, then appended to
-    its ``(destination rank, q)`` group; one batched RPC per group follows.
-    ``allowed`` restricts targets (the Push-Pull push phase skips targets
-    that will be pulled); ``None`` pushes to every target.
-    """
-    groups: Dict[Tuple[int, Any], Tuple[List[int], List[int], List[int]]] = {}
-    # This walk indexes one element at a time: lists, once per drive.
-    indptr = csr.indptr.tolist()
-    targets = csr.tgt_vertex.tolist()
-    owners = csr.tgt_owner.tolist()
-    tgt_sizes = csr.tgt_wire_sizes.tolist()
-    row_sizes = csr.row_wire_sizes.tolist()
-    cand_cumsum = csr.cand_size_cumsum.tolist()
-    for row in range(csr.num_rows):
-        lo, hi = indptr[row], indptr[row + 1]
-        if hi - lo < 2:
-            continue
-        row_overhead = payload_overhead + row_sizes[row]
-        for pos in range(lo, hi - 1):
-            q = targets[pos]
-            if allowed is not None and q not in allowed:
-                continue
-            dest = owners[pos]
-            size = (
-                row_overhead
-                + tgt_sizes[pos]
-                + uvarint_size(hi - 1 - pos)
-                + cand_cumsum[hi]
-                - cand_cumsum[pos + 1]
-            )
-            ctx.account_rpc(dest, size)
-            group = groups.get((dest, q))
-            if group is None:
-                groups[(dest, q)] = group = ([], [], [0])
-            group[0].append(row)
-            group[1].append(pos)
-            group[2][0] += size
-    for (dest, q), (rows, qpositions, (group_bytes,)) in groups.items():
-        ctx.async_call_batched(
-            dest,
-            handler,
-            q,
-            csr,
-            rows,
-            qpositions,
-            virtual_rpcs=len(rows),
-            virtual_bytes=group_bytes,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -616,18 +468,14 @@ def make_push_intersect_handler(
     per_triangle_compute: int,
     kernel_tier: Optional[str] = None,
 ):
-    """Build the push-phase intersect handler for an engine's ``push_style``.
+    """Build the push-phase intersect handler for an engine's ``style``.
 
-    ``kernel_tier`` picks the batch/row kernel implementation tier
+    ``kernel_tier`` picks the row kernel implementation tier
     (``compiled``/``columnar``/``scalar``; ``None`` = best available) —
     every tier is interchangeable under the equivalence contract, so this
     only changes host speed.  The legacy style has a single (scalar)
     implementation and ignores the tier.
     """
-    if style == "batched":
-        return make_batched_intersect_handler(
-            dodgr, select_batch_kernel(kernel, kernel_tier), callback, per_triangle_compute
-        )
     if style == "columnar":
         return make_columnar_intersect_handler(
             dodgr,
@@ -636,8 +484,6 @@ def make_push_intersect_handler(
             resolve_batch_callback(callback),
             per_triangle_compute,
         )
-    if style != "legacy":
-        raise ValueError(f"unknown push style {style!r}; known: {PUSH_STYLES}")
     return make_legacy_intersect_handler(
         dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute
     )
@@ -647,7 +493,7 @@ def drive_push(style: str, ctx, dodgr: DODGraph, handler, allowed=None) -> None:
     """Run one rank's push drive at the engine's granularity.
 
     ``allowed`` is the rank's push targets (Push-Pull) or ``None`` for
-    everything (Push-Only): a set of vertices for the scalar styles, a
+    everything (Push-Only): a set of vertices for the legacy style, a
     boolean mask over dense order-ids for the columnar one.
     """
     if style == "columnar":
@@ -659,15 +505,5 @@ def drive_push(style: str, ctx, dodgr: DODGraph, handler, allowed=None) -> None:
             legacy_push_payload_overhead(handler.handler_id),
             allowed_mask=allowed,
         )
-    elif style == "batched":
-        drive_batched_push(
-            ctx,
-            dodgr.csr(ctx),
-            handler,
-            legacy_push_payload_overhead(handler.handler_id),
-            allowed=allowed,
-        )
-    elif style == "legacy":
-        drive_legacy_push(ctx, dodgr, handler, allowed=allowed)
     else:
-        raise ValueError(f"unknown push style {style!r}; known: {PUSH_STYLES}")
+        drive_legacy_push(ctx, dodgr, handler, allowed=allowed)

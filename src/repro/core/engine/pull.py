@@ -3,12 +3,10 @@
 The Push-Pull pull phase ships ``Adj^m_+(q)`` from its owner to the ranks
 on ``q``'s pull list (coalesced: at most once per requesting rank); the
 requester intersects it locally against every pivot of its own that wanted
-``q``.  The engine registry composes one of three strategies:
+``q``.  One strategy per engine style:
 
 * ``legacy`` — one sized RPC per (q, requester), one scalar merge per
   waiting pivot;
-* ``batched`` — same per-(q, requester) deliveries, but each one
-  intersects all of its waiting pivots in a single batch-kernel call;
 * ``columnar`` — one RPC per (owner rank, requesting rank) pair carrying
   every pulled adjacency row at once, row-kernel intersection, triangles
   delivered to the reducer as one
@@ -19,7 +17,7 @@ requester intersects it locally against every pivot of its own that wanted
   the requester finds its waiting wedges through the CSR's inverted
   target index.
 
-The scalar handler factories close over the run's driver-side
+The legacy handler factory closes over the run's driver-side
 ``pivots_by_target`` state (owned by the Push-Pull runner); drivers consume
 the owner-side ``pull_lists`` — ``{q: [requester, ...]}`` dicts, or the
 columnar dry run's ``(q_rows, requesters)`` column chunks.
@@ -32,11 +30,7 @@ from typing import Any, List, Optional
 from ...graph.dodgr import DODGraph, entry_key
 from ...graph.metadata import TriangleMetadata
 from ...runtime.serialization import uvarint_size_array
-from ..intersection import (
-    INTERSECTION_KERNELS,
-    batch_kernel as select_batch_kernel,
-    row_kernel as select_row_kernel,
-)
+from ..intersection import INTERSECTION_KERNELS, row_kernel as select_row_kernel
 from .driver import (
     candidate_key,
     columnar_push_batch,
@@ -46,19 +40,11 @@ from .driver import (
     row_adjacency,
 )
 from .request import TriangleCallback
-from .segments import (
-    concat_segments,
-    first_appearance_groups,
-    positions_of_ids,
-    ragged_gather,
-)
+from .segments import first_appearance_groups, positions_of_ids, ragged_gather
 
 import numpy as _np
 
-__all__ = ["make_pull_handler", "drive_pull", "PULL_STYLES"]
-
-#: The pull-side strategies the engine registry can compose.
-PULL_STYLES = ("legacy", "batched", "columnar")
+__all__ = ["make_pull_handler", "drive_pull"]
 
 
 def _make_legacy_pull_handler(
@@ -105,71 +91,6 @@ def _make_legacy_pull_handler(
     return _pull_deliver_handler
 
 
-def _make_batched_pull_handler(
-    dodgr: DODGraph,
-    batch_kernel,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
-    pivots_by_target,
-):
-    """Pull-phase delivery, batched: intersect all waiting pivots at once.
-
-    ``Adj^m_+(q)`` arrives once per requesting rank exactly as in the
-    legacy path; instead of one merge per waiting pivot, every pivot's
-    suffix becomes one segment of a single batch-kernel call against the
-    pulled list (mapped to dense ``<+`` order ids).
-    """
-
-    def _pull_deliver_batched_handler(
-        ctx, q: Any, meta_q: Any, adjacency_q: List[tuple]
-    ) -> None:
-        ctx.add_counter("vertices_pulled", 1)
-        csr = dodgr.csr(ctx)
-        order_ids = dodgr.order_ids()
-        pulled_ids = [order_ids[entry[0]] for entry in adjacency_q]
-        rows: List[int] = []
-        starts: List[int] = []
-        ends: List[int] = []
-        for p, q_index in pivots_by_target[ctx.rank].get(q, ()):
-            row = csr.row_of(p)
-            if row is None:
-                continue
-            lo, hi = csr.row_slice(row)
-            start = lo + q_index + 1
-            ctx.add_counter("wedge_checks", hi - start)
-            rows.append(row)
-            starts.append(start)
-            ends.append(hi)
-        if not rows:
-            return
-        candidate_ids, offsets = concat_segments(csr.tgt_ids, starts, ends)
-        result = batch_kernel(candidate_ids, offsets, pulled_ids)
-        ctx.add_compute(result.comparisons)
-        if not result.matches:
-            return
-        ctx.add_counter("triangles_found", len(result.matches))
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * len(result.matches))
-        row_index = _np.asarray(rows, dtype=_np.int64)
-        pivots = csr.row_vertices[row_index].tolist()
-        pivot_metas = csr.row_meta[row_index].tolist()
-        for wedge, cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr, meta_r = csr.entries[starts[wedge] + cand_idx]
-            meta_qr = adjacency_q[adj_idx][2]
-            callback(
-                ctx,
-                TriangleMetadata(
-                    p=pivots[wedge], q=q, r=r,
-                    meta_p=pivot_metas[wedge], meta_q=meta_q, meta_r=meta_r,
-                    meta_pq=csr.entries[starts[wedge] - 1][2],
-                    meta_pr=meta_pr, meta_qr=meta_qr,
-                ),
-            )
-
-    return _pull_deliver_batched_handler
-
-
 def _make_columnar_pull_handler(
     dodgr: DODGraph,
     row_kernel,
@@ -182,7 +103,7 @@ def _make_columnar_pull_handler(
     ``q_rows`` indexes every adjacency row this owner rank is delivering
     to this requester, in the owner's legacy send order.  The inverted
     target index yields every local wedge waiting on a pulled ``q`` in the
-    scalar styles' ``pivots_by_target`` order.  Each waiting pivot's suffix
+    legacy style's ``pivots_by_target`` order.  Each waiting pivot's suffix
     becomes one segment of a single row-kernel call against the owner's CSR
     rows, and the closing triangles are handed to the reducer as one
     :class:`TriangleBatch`.
@@ -234,17 +155,12 @@ def make_pull_handler(
     pivots_by_target,
     kernel_tier: Optional[str] = None,
 ):
-    """Build the requester-side pull handler for an engine's ``pull_style``.
+    """Build the requester-side pull handler for an engine's ``style``.
 
-    ``kernel_tier`` selects the batch/row kernel implementation tier, as in
+    ``kernel_tier`` selects the row kernel implementation tier, as in
     :func:`~repro.core.engine.driver.make_push_intersect_handler`.  The
     columnar style ignores ``pivots_by_target``.
     """
-    if style == "batched":
-        return _make_batched_pull_handler(
-            dodgr, select_batch_kernel(kernel, kernel_tier), callback,
-            per_triangle_compute, pivots_by_target,
-        )
     if style == "columnar":
         return _make_columnar_pull_handler(
             dodgr,
@@ -253,8 +169,6 @@ def make_pull_handler(
             resolve_batch_callback(callback),
             per_triangle_compute,
         )
-    if style != "legacy":
-        raise ValueError(f"unknown pull style {style!r}; known: {PULL_STYLES}")
     return _make_legacy_pull_handler(
         dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute,
         pivots_by_target,
@@ -264,7 +178,7 @@ def make_pull_handler(
 def drive_pull(style: str, ctx, dodgr: DODGraph, handler, pull_list) -> None:
     """Run one owner rank's pull deliveries at the engine's granularity.
 
-    The legacy and batched styles take ``pull_list`` as a dict mapping each
+    The legacy style takes ``pull_list`` as a dict mapping each
     locally owned ``q`` to the source ranks that should receive
     ``Adj^m_+(q)`` and send one sized RPC per (q, requester).  The columnar
     style takes ``(q_rows, requesters)`` column chunks in arrival order and
@@ -293,8 +207,6 @@ def drive_pull(style: str, ctx, dodgr: DODGraph, handler, pull_list) -> None:
         )
         ctx.send_coalesced(handler, requesters[send_order], sizes, (csr,), (q_rows,))
         return
-    if style not in ("legacy", "batched"):
-        raise ValueError(f"unknown pull style {style!r}; known: {PULL_STYLES}")
     store = dodgr.local_store(ctx)
     for q, requesters in pull_list.items():
         record = store.get(q)

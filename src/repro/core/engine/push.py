@@ -33,7 +33,7 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     world = dodgr.world
     handler = world.register_handler(
         make_push_intersect_handler(
-            spec.push_style,
+            spec.style,
             dodgr,
             request.kernel,
             request.callback,
@@ -43,10 +43,10 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     )
 
     # Driver phase: every rank walks its local pivots and pushes suffixes —
-    # one coalesced RPC per destination rank (columnar) or (destination, q)
-    # group (batched), one RPC per wedge otherwise.
+    # one coalesced RPC per destination rank (columnar), one RPC per wedge
+    # otherwise.
     def drive(ctx) -> None:
-        drive_push(spec.push_style, ctx, dodgr, handler)
+        drive_push(spec.style, ctx, dodgr, handler)
 
     return SurveyProgram(
         algorithm="push",

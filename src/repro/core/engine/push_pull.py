@@ -6,13 +6,13 @@ Section 4.4 of the paper as one program, parameterised by an
 1. **Dry run** — every rank counts, per target vertex ``q``, the candidate
    edges it would push; owners compare against ``|Adj+(q)|`` and either
    record the source on ``q``'s pull list or advise it to push.
-   ``spec.proposal_style == "batched"`` coalesces the proposals into one
-   RPC per (source, dest) rank pair, accounted at exact legacy sizes;
-   ``"columnar"`` also builds, decides and answers them as int64 columns
-   over the CSR, with no Python loop over wedges, targets or pivots.
-2. **Push** — identical to Push-Only at ``spec.push_style`` granularity,
+   ``spec.style == "columnar"`` coalesces the proposals into one RPC per
+   (source, dest) rank pair, accounted at exact legacy sizes, and builds,
+   decides and answers them as int64 columns over the CSR, with no Python
+   loop over wedges, targets or pivots.
+2. **Push** — identical to Push-Only at ``spec.style`` granularity,
    skipping targets that will be pulled.
-3. **Pull** — owners deliver ``Adj^m_+(q)`` at ``spec.pull_style``
+3. **Pull** — owners deliver ``Adj^m_+(q)`` at ``spec.style``
    granularity (see :mod:`repro.core.engine.pull`).
 
 Handler registration order is identical for every engine so that handler
@@ -59,21 +59,21 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     callback = request.callback
     per_triangle_compute = request.per_triangle_compute()
 
-    columnar_proposals = spec.proposal_style == "columnar"
+    columnar = spec.style == "columnar"
 
     # Per-rank driver-side state for this run -------------------------------
     # pivots_by_target[rank][q] = list of (pivot vertex, index of q in its adj)
-    # (scalar dry runs only: the columnar pull handler needs no such map)
+    # (legacy dry run only: the columnar pull handler needs no such map)
     pivots_by_target: List[Dict[Any, List[Tuple[Any, int]]]] = [dict() for _ in range(nranks)]
     # push_targets[rank] = targets this rank was told to push to: a vertex
     # set, or (columnar dry run) a boolean mask over dense <+ order ids
     push_targets: List[Any] = [
-        _np.zeros(dodgr.order_count(), dtype=bool) if columnar_proposals else set()
+        _np.zeros(dodgr.order_count(), dtype=bool) if columnar else set()
         for _ in range(nranks)
     ]
     # pull_lists[rank][q] = list of source ranks that should receive Adj^m_+(q);
     # (columnar dry run) a list of (q rows, requesters) column chunks as they arrive
-    pull_lists: List[Any] = [[] if columnar_proposals else {} for _ in range(nranks)]
+    pull_lists: List[Any] = [[] if columnar else {} for _ in range(nranks)]
 
     # ------------------------------------------------------------------
     # Dry-run RPC handlers (engine-independent decision logic)
@@ -89,18 +89,6 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
 
     def _advise_push_handler(ctx, q: Any) -> None:
         push_targets[ctx.rank].add(q)
-
-    def _propose_batch_handler(ctx, source_rank: int, pairs: List[Tuple[Any, int]]) -> None:
-        """One coalesced dry-run proposal per (source rank, dest rank).
-
-        Carries every ``(q, count)`` pair the source generated for this
-        rank's targets, in the source's legacy iteration order, and runs the
-        per-pair decision logic unchanged — so pull-list append order and
-        advise-reply order match the per-``(rank, q)`` message stream it
-        replaces.
-        """
-        for q, candidate_count in pairs:
-            _propose_handler(ctx, q, source_rank, candidate_count)
 
     def _propose_columnar_handler(ctx, source_rank: int, src_csr, qpositions, totals) -> None:
         """One (source, dest) pair's proposals decided in one comparison:
@@ -129,17 +117,16 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     # Handler registration order is identical in every mode so that handler
     # ids — and therefore the serialized size of every dry-run message and
     # the accounted size of every push/pull message — match the legacy run.
-    # The columnar dry run adds no slot: its advise handler takes the scalar
-    # one's (whose id sizes every reply), and the scalar propose handler
-    # keeps the first only for the id that sizes every proposal.
-    batched_proposals = spec.proposal_style == "batched"
+    # The columnar dry run adds one slot, last: its advise handler takes the
+    # scalar one's (whose id sizes every reply), and the scalar propose
+    # handler keeps the first only for the id that sizes every proposal.
     h_propose = world.register_handler(_propose_handler)
     h_advise = world.register_handler(
-        _advise_columnar_handler if columnar_proposals else _advise_push_handler
+        _advise_columnar_handler if columnar else _advise_push_handler
     )
     h_intersect = world.register_handler(
         make_push_intersect_handler(
-            spec.push_style, dodgr, request.kernel, callback, per_triangle_compute,
+            spec.style, dodgr, request.kernel, callback, per_triangle_compute,
             kernel_tier=request.kernel_tier,
         )
     )
@@ -147,7 +134,7 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     # accounted pull message serializes is the legacy one.
     h_pull_deliver = world.register_handler(
         make_pull_handler(
-            spec.pull_style,
+            spec.style,
             dodgr,
             request.kernel,
             callback,
@@ -156,24 +143,28 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
             kernel_tier=request.kernel_tier,
         )
     )
-    if batched_proposals or columnar_proposals:
+    if columnar:
         # Registered last: its id never crosses the accounted wire, so the
         # earlier ids (and every accounted legacy message size) still match
         # the legacy run exactly.
-        h_propose_batch = world.register_handler(
-            _propose_columnar_handler if columnar_proposals else _propose_batch_handler
-        )
+        h_propose_columnar = world.register_handler(_propose_columnar_handler)
 
     # ------------------------------------------------------------------
     # Phase 1: Push vs Pull dry run.
     # ------------------------------------------------------------------
     def drive_dry_run(ctx) -> None:
         rank = ctx.rank
-        if columnar_proposals:
+        if columnar:
             drive_columnar_dry_run(
-                ctx, dodgr, h_propose, h_propose_batch, push_targets[rank]
+                ctx, dodgr, h_propose, h_propose_columnar, push_targets[rank]
             )
-            ctx.buffers.flush_all()  # as the batched branch below does, and why
+            # Coalesced proposals execute in the barrier's first delivery
+            # sweep — before its flush pass.  Flush now, where the legacy
+            # run's barrier flushes the proposal buffers, so the advise
+            # replies meet empty buffers in both paths and the flush-window
+            # split (wire_messages, envelope bytes) matches — unless a
+            # proposal buffer overflowed mid-drive (the BatchedCall bound).
+            ctx.buffers.flush_all()
             return
         store = dodgr.local_store(ctx)
         candidate_totals: Dict[Any, int] = {}
@@ -191,60 +182,20 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
                     push_targets[rank].add(q)
                 else:
                     candidate_totals[q] = candidate_totals.get(q, 0) + suffix_len
-        if batched_proposals:
-            # Coalesce proposals: one batched RPC per (source rank, dest
-            # rank) carrying every (q, count) pair, accounted — in legacy
-            # iteration order, against the real buffer bank — as the exact
-            # per-(rank, q) messages it replaces (the BatchedCall contract).
-            per_dest: Dict[int, Tuple[List[Tuple[Any, int]], List[int]]] = {}
-            for q, total in candidate_totals.items():
-                dest = dodgr.owner(q)
-                nbytes = world.registry.call_size(h_propose, (q, rank, total))
-                ctx.account_rpc(dest, nbytes)
-                bucket = per_dest.get(dest)
-                if bucket is None:
-                    per_dest[dest] = bucket = ([], [0])
-                bucket[0].append((q, total))
-                bucket[1][0] += nbytes
-            for dest, (pairs, (dest_bytes,)) in per_dest.items():
-                ctx.async_call_batched(
-                    dest,
-                    h_propose_batch,
-                    rank,
-                    pairs,
-                    virtual_rpcs=len(pairs),
-                    virtual_bytes=dest_bytes,
-                )
-            # Coalesced proposals execute in the barrier's first delivery
-            # sweep — before its flush pass.  Flush now, where the legacy
-            # run's barrier flushes the proposal buffers, so the advise
-            # replies meet empty buffers in both paths and the flush-window
-            # split (wire_messages, envelope bytes) matches — unless a
-            # proposal buffer overflowed mid-drive (the BatchedCall bound).
-            ctx.buffers.flush_all()
-        else:
-            for q, total in candidate_totals.items():
-                ctx.async_call_sized(dodgr.owner(q), h_propose, q, rank, total)
+        for q, total in candidate_totals.items():
+            ctx.async_call_sized(dodgr.owner(q), h_propose, q, rank, total)
 
     # ------------------------------------------------------------------
     # Phase 2: Push phase (skip targets that will be pulled).
     # ------------------------------------------------------------------
     def drive_push_phase(ctx) -> None:
-        allowed = push_targets[ctx.rank]
-        if spec.push_style == "columnar" and not columnar_proposals:
-            # A scalar dry run left a vertex set; the columnar push drive
-            # reads a mask over dense order ids.
-            order_ids = dodgr.order_ids()
-            mask = _np.zeros(len(order_ids), dtype=bool)
-            mask[[order_ids[q] for q in allowed]] = True
-            allowed = mask
-        drive_push(spec.push_style, ctx, dodgr, h_intersect, allowed=allowed)
+        drive_push(spec.style, ctx, dodgr, h_intersect, allowed=push_targets[ctx.rank])
 
     # ------------------------------------------------------------------
     # Phase 3: Pull phase (owners broadcast adjacency lists, coalesced).
     # ------------------------------------------------------------------
     def drive_pull_phase(ctx) -> None:
-        drive_pull(spec.pull_style, ctx, dodgr, h_pull_deliver, pull_lists[ctx.rank])
+        drive_pull(spec.style, ctx, dodgr, h_pull_deliver, pull_lists[ctx.rank])
 
     return SurveyProgram(
         algorithm="push_pull",

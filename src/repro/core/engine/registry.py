@@ -2,29 +2,20 @@
 
 The paper's survey abstraction is one algorithm with interchangeable
 communication strategies (Table 4); an *engine* here is one such strategy,
-declared as an :class:`EngineSpec` — a pure-data composition of the shared
-driver core in :mod:`repro.core.engine.driver` and
-:mod:`repro.core.engine.pull`:
+declared as an :class:`EngineSpec` — pure data naming one ``style`` of the
+shared driver core in :mod:`repro.core.engine.driver`,
+:mod:`repro.core.engine.pull` and :mod:`repro.core.engine.delta`:
 
-* ``push_style`` — how candidate pushes are generated, coalesced and
-  intersected (``legacy`` one RPC per wedge, ``batched`` one RPC per
-  (destination rank, target vertex) over the batch kernels, ``columnar``
-  one RPC per (source rank, destination rank) over the row kernels);
-* ``pull_style`` — how the Push-Pull pull phase delivers ``Adj^m_+(q)``
-  and intersects it at the requester;
-* ``proposal_style`` — how the Push-Pull dry run sends its proposals
-  (``legacy`` one RPC each, ``batched`` one per (source, destination) rank
-  pair from a scalar walk, ``columnar`` the same built as int64 columns);
-* ``incremental_style`` — which delta-survey implementation
-  (:mod:`repro.core.engine.delta`) the engine maps to, or ``None`` when
-  the engine has no incremental form.
+* ``legacy`` — the scalar reference: one sized RPC per wedge, dry-run
+  proposal, pulled row and delta candidate; per-message scalar
+  intersection; per-triangle callback delivery;
+* ``columnar`` — one RPC per (source rank, destination rank) pair in every
+  phase, built as int64 columns over the CSR, row-kernel intersection and
+  :class:`~repro.graph.metadata.TriangleBatch` delivery.
 
-Adding an engine is therefore a :func:`register_engine` call with a new
-composition — no new driver loop.  One legality rule, enforced at
-registration: the columnar dry run hands the later phases arrays where the
-scalar ones hand them sets and dicts, so ``pull_style="columnar"`` requires
-``proposal_style="columnar"``, which requires ``push_style="columnar"``
-(a columnar *push* under a scalar dry run is fine: the runner converts).
+A style covers every phase — dry run, push, pull and the incremental
+(delta) survey — because the columnar dry run hands the later phases arrays
+where the scalar one hands them sets and dicts.
 
 Every registered engine shares the equivalence contract pinned by the
 golden parity suites: identical triangles, identical reducer panels,
@@ -35,12 +26,13 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from .request import EngineConfig
 
 __all__ = [
     "EngineSpec",
+    "STYLES",
     "BACKENDS",
     "DEFAULT_ENGINE",
     "register_engine",
@@ -49,10 +41,13 @@ __all__ = [
     "resolve_incremental_engine",
     "registered_engines",
     "engine_names",
-    "incremental_engine_names",
     "backend_names",
     "validate_request",
 ]
+
+
+#: The driver styles an engine can name, oracle first.
+STYLES: Tuple[str, ...] = ("legacy", "columnar")
 
 
 @dataclass(frozen=True)
@@ -61,24 +56,23 @@ class EngineSpec:
 
     name: str
     description: str
-    #: Candidate-push strategy: ``"legacy"``, ``"batched"`` or ``"columnar"``.
-    push_style: str = "legacy"
-    #: Pull-phase strategy: ``"legacy"``, ``"batched"`` or ``"columnar"``.
-    pull_style: str = "legacy"
-    #: Dry-run proposal strategy: ``"legacy"``, ``"batched"`` or ``"columnar"``.
-    proposal_style: str = "legacy"
-    #: Delta-survey implementation (``"legacy"``/``"columnar"``) or ``None``
-    #: when the engine has no incremental form.
-    incremental_style: Optional[str] = None
-    #: Kernel tiers this engine's drivers can run
-    #: (:data:`repro.core.intersection.KERNEL_TIERS` order).  Engines whose
-    #: intersections go through the batch/row kernel tables support every
-    #: tier; the legacy scalar driver only the scalar one.  Requesting a
-    #: declared-but-unavailable tier (no C compiler; ``compiled`` batch
-    #: kernels, which do not exist) downgrades along
-    #: ``compiled -> columnar -> scalar``; requesting an *undeclared* tier
-    #: is a pre-run error (:func:`validate_request`).
-    kernel_tiers: Tuple[str, ...] = ("scalar",)
+    #: Driver style of every phase: one of :data:`STYLES`.
+    style: str = "legacy"
+
+    @property
+    def kernel_tiers(self) -> Tuple[str, ...]:
+        """Kernel tiers this engine's drivers can run.
+
+        The columnar drivers go through the row-kernel tables and support
+        every tier of :data:`repro.core.intersection.KERNEL_TIERS`; the
+        legacy scalar drivers only the scalar one.  A declared but
+        unavailable tier (no C compiler) downgrades along ``compiled ->
+        columnar -> scalar``; an *undeclared* tier is a pre-run error
+        (:func:`validate_request`).
+        """
+        from ..intersection import KERNEL_TIERS
+
+        return KERNEL_TIERS if self.style == "columnar" else ("scalar",)
 
 
 #: Registration-ordered engine table.  Dicts preserve insertion order, which
@@ -94,14 +88,7 @@ def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
     """
     if not replace and spec.name in _REGISTRY:
         raise ValueError(f"engine {spec.name!r} is already registered")
-    for style, needs in (("pull_style", "proposal_style"), ("proposal_style", "push_style")):
-        if getattr(spec, style) == "columnar" and getattr(spec, needs) != "columnar":
-            raise ValueError(
-                f"engine {spec.name!r}: {style}='columnar' requires "
-                f"{needs}='columnar' (got {needs}={getattr(spec, needs)!r}); the "
-                f"columnar dry run hands the later phases arrays, the scalar "
-                f"ones sets and dicts"
-            )
+    _require_known("engine style", spec.style, STYLES)
     _REGISTRY[spec.name] = spec
     return spec
 
@@ -114,13 +101,6 @@ def registered_engines() -> Tuple[EngineSpec, ...]:
 def engine_names() -> Tuple[str, ...]:
     """Registered engine names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def incremental_engine_names() -> Tuple[str, ...]:
-    """Names of the engines that have an incremental (delta-survey) form."""
-    return tuple(
-        spec.name for spec in _REGISTRY.values() if spec.incremental_style is not None
-    )
 
 
 #: The execution-backend axis, orthogonal to the engine axis: every engine
@@ -175,10 +155,9 @@ def resolve_execution(
     (:func:`validate_request`) raise ``ValueError`` here, before a caller has
     registered a handler.
 
-    ``incremental=True`` resolves for the delta survey: only engines with an
-    ``incremental_style``, and — because the delta drive runs resident on
-    the simulated backend, outside the :class:`SurveyProgram` layer the
-    process backend shards and the out-of-core staging serves — a selector
+    ``incremental=True`` resolves for the delta survey, which runs resident
+    on the simulated backend, outside the :class:`SurveyProgram` layer the
+    process backend shards and the out-of-core staging serves: a selector
     pinning ``backend="process"``, ``workers`` or ``storage="mmap"`` raises
     :class:`~repro.runtime.backend.UnsupportedBackendError` instead of being
     silently ignored.
@@ -200,10 +179,7 @@ def resolve_execution(
             f"EngineSpec or an EngineConfig; got {engine!r}"
         )
     name = DEFAULT_ENGINE if config.engine is None else config.engine
-    if incremental:
-        _require_known("incremental engine", name, incremental_engine_names())
-    else:
-        _require_known("survey engine", name, engine_names())
+    _require_known("survey engine", name, engine_names())
     spec = _REGISTRY[name]
     config = replace(
         config,
@@ -247,8 +223,10 @@ def validate_request(request: Any, spec: EngineSpec) -> None:
     engine runner on the ``(request, spec)`` pair it is handed (requests may
     be built directly); raising here means no handlers were registered, no
     phases begun, no segment files created.  ``request`` is anything with
-    ``backend`` / ``kernel_tier`` / ``storage`` attributes:
+    ``kernel`` / ``backend`` / ``kernel_tier`` / ``storage`` attributes:
 
+    * ``kernel`` — must name a known intersection kernel
+      (:data:`repro.core.intersection.INTERSECTION_KERNELS`).
     * ``backend`` — must name a known backend (:data:`BACKENDS`).
     * ``kernel_tier`` — must name a known tier
       (:data:`repro.core.intersection.KERNEL_TIERS`) that the engine
@@ -260,8 +238,9 @@ def validate_request(request: Any, spec: EngineSpec) -> None:
       the process backend until segments ship by path to the workers.
     """
     from ...graph.ooc import STORAGES, StorageConfig
-    from ..intersection import KERNEL_TIERS
+    from ..intersection import INTERSECTION_KERNELS, KERNEL_TIERS
 
+    _require_known("intersection kernel", request.kernel, tuple(INTERSECTION_KERNELS))
     _require_known("execution backend", request.backend, BACKENDS)
     tier = request.kernel_tier
     if tier is not None and tier != "auto":
@@ -297,25 +276,7 @@ register_engine(
             "intersection, per-triangle callback delivery.  The parity "
             "oracle every other engine is measured against."
         ),
-        push_style="legacy",
-        pull_style="legacy",
-        proposal_style="legacy",
-        incremental_style="legacy",
-    )
-)
-
-register_engine(
-    EngineSpec(
-        name="batched",
-        description=(
-            "PR 1 coalescing: one RPC per (destination rank, target vertex) "
-            "group, vectorized batch-kernel intersection over the CSR "
-            "adjacency, coalesced dry-run proposals."
-        ),
-        push_style="batched",
-        pull_style="batched",
-        proposal_style="batched",
-        kernel_tiers=("compiled", "columnar", "scalar"),
+        style="legacy",
     )
 )
 
@@ -327,10 +288,6 @@ register_engine(
             "pair, row-kernel intersection, TriangleBatch delivery to batch "
             "reducers, columnar dry run and pull phase."
         ),
-        push_style="columnar",
-        pull_style="columnar",
-        proposal_style="columnar",
-        incremental_style="columnar",
-        kernel_tiers=("compiled", "columnar", "scalar"),
+        style="columnar",
     )
 )

@@ -72,8 +72,8 @@ class EngineConfig:
     Parameters
     ----------
     engine:
-        Registered engine name (``"legacy"``, ``"batched"``, ``"columnar"``,
-        or any name added through
+        Registered engine name (``"legacy"``, ``"columnar"``, or any name
+        added through
         :func:`~repro.core.engine.register_engine`); default
         :data:`~repro.core.engine.registry.DEFAULT_ENGINE`.
     kernel:

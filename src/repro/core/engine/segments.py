@@ -1,36 +1,19 @@
-"""Segment (ragged-array) utilities shared by every survey engine.
+"""Segment (ragged-array) utilities shared by the columnar drivers.
 
-The batched and columnar drivers all speak the same CSR/ragged dialect:
-a flat array of values plus an ``offsets`` array such that segment ``w``
-occupies ``flat[offsets[w]:offsets[w + 1]]``.  Before the engine layer
-existed these helpers were duplicated across ``core/survey.py``
-(``_concat_segments``) and ``core/incremental.py`` (``_ragged_gather``);
-this module is now the single home for both.
+The columnar drivers all speak the same CSR/ragged dialect: a flat array of
+values plus an ``offsets`` array such that segment ``w`` occupies
+``flat[offsets[w]:offsets[w + 1]]``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as _np
 
 from ...runtime.world import first_appearance_groups
 
-__all__ = ["concat_segments", "ragged_gather", "positions_of_ids", "first_appearance_groups"]
-
-
-def concat_segments(ids, starts: Sequence[int], ends: Sequence[int]):
-    """Concatenate ``ids[s:e]`` slices into one flat array plus offsets.
-
-    The CSR/ragged layout consumed by the batch kernels: segment ``w``
-    occupies ``flat[offsets[w]:offsets[w + 1]]``.
-    """
-    starts_arr = _np.asarray(starts, dtype=_np.int64)
-    lengths = _np.asarray(ends, dtype=_np.int64) - starts_arr
-    index, offsets = ragged_gather(starts_arr, lengths)
-    if index.size == 0:
-        return index, offsets
-    return _np.asarray(ids)[index], offsets
+__all__ = ["ragged_gather", "positions_of_ids", "first_appearance_groups"]
 
 
 def ragged_gather(starts, lengths) -> Tuple["_np.ndarray", "_np.ndarray"]:

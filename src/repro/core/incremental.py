@@ -41,7 +41,7 @@ Engines and accounting
 
 The ``engine=`` selector resolves through the same function as the full
 surveys (:func:`~repro.core.engine.resolve_execution`); an
-engine's ``incremental_style`` picks the implementation in
+engine's ``style`` picks the implementation in
 :mod:`repro.core.engine.delta`:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
@@ -137,7 +137,7 @@ def incremental_triangle_survey(
     engine:
         The execution selector (name or
         :class:`~repro.core.engine.EngineConfig`); the engine's
-        ``incremental_style`` — ``"columnar"`` (the default engine's) or
+        ``style`` — ``"columnar"`` (the default engine's) or
         ``"legacy"`` (scalar reference) — picks the implementation.  Both
         produce identical triangles, reducer deliveries and communication
         counters — see the module docstring.  A config's ``kernel`` and
@@ -155,7 +155,7 @@ def incremental_triangle_survey(
         raise ValueError("delta was applied against a different DODGraph")
     world = dodgr.world
     spec, config = resolve_execution(engine, incremental=True)
-    style, kernel, kernel_tier = spec.incremental_style, config.kernel, config.kernel_tier
+    style, kernel, kernel_tier = spec.style, config.kernel, config.kernel_tier
     per_triangle_compute = callback_compute_units if callback is not None else 0
     if reset_stats:
         world.reset_stats()

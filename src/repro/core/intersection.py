@@ -13,21 +13,21 @@ both inputs, because the caller needs the metadata stored alongside each
 entry, and reports the number of elementary comparisons performed so the
 simulated compute cost reflects the kernel actually used.
 
-Batched kernels
----------------
+Row kernels
+-----------
 
-The scalar kernels above process one wedge check per call.  The batched
-engine (``triangle_survey(..., engine="batched")``) coalesces every candidate
-suffix destined to one target vertex into a single call: the suffixes are
-concatenated into one flat key array with segment offsets (a ragged/CSR
-layout), and :func:`merge_path_batch` / :func:`hash_batch` intersect *all*
-segments against the shared adjacency in one vectorized pass.  The batch
-kernels are defined to be drop-in aggregates of the scalar kernels: per
-segment they produce exactly the matches the scalar kernel would, and their
-``comparisons`` total is exactly the sum of the scalar kernels' counts, so
-the simulated-cost accounting of a batched survey is identical to the legacy
-per-wedge path.  Below a small-input cutoff they loop the scalar kernels per
-segment instead (the ``scalar`` tier does so unconditionally).
+The scalar kernels process one wedge check per call.  The columnar engine
+coalesces every candidate suffix one source rank sends one destination rank
+into a single call: the suffixes are concatenated into one flat key array
+with segment offsets (a ragged/CSR layout), each segment names the adjacency
+row it is checked against, and :func:`merge_path_rows` / :func:`hash_rows`
+intersect *all* segments in one vectorized pass.  The row kernels are
+drop-in aggregates of the scalar kernels: per segment they produce exactly
+the matches the scalar kernel would, and their ``comparisons`` total is
+exactly the sum of the scalar kernels' counts, so the simulated-cost
+accounting of a columnar survey is identical to the legacy per-wedge path.
+Below a small-input cutoff they loop the scalar kernels per segment instead
+(the ``scalar`` tier does so unconditionally).
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ __all__ = [
     "hash_intersection",
     "IntersectionResult",
     "INTERSECTION_KERNELS",
-    "BatchIntersectionResult",
-    "merge_path_batch",
-    "hash_batch",
-    "binary_search_batch",
-    "BATCH_KERNELS",
     "RowAdjacency",
     "RowBatchResult",
     "merge_path_rows",
@@ -56,12 +51,10 @@ __all__ = [
     "KERNEL_TIERS",
     "KERNEL_TIER_FALLBACK",
     "ROW_KERNEL_TIERS",
-    "BATCH_KERNEL_TIERS",
     "available_kernel_tiers",
     "compiled_tier_status",
     "resolve_kernel_tier",
     "row_kernel",
-    "batch_kernel",
 ]
 
 #: One match: (index into the candidate list, index into the adjacency list).
@@ -183,34 +176,14 @@ INTERSECTION_KERNELS = {
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels
+# Row kernels (columnar engine)
 # ---------------------------------------------------------------------------
-
-#: One batched match: (segment index, index within the segment, adjacency index).
-BatchMatch = Tuple[int, int, int]
-
-
-class BatchIntersectionResult:
-    """Matches plus the aggregate comparison count of one batched call.
-
-    ``matches`` holds ``(segment, candidate_index, adjacency_index)`` triples
-    in ascending segment order (and ascending candidate index within a
-    segment) — the same per-segment order the scalar kernels produce.
-    ``comparisons`` is exactly the sum the scalar kernel would have reported
-    over one call per segment.
-    """
-
-    __slots__ = ("matches", "comparisons")
-
-    def __init__(self, matches: List[BatchMatch], comparisons: int) -> None:
-        self.matches = matches
-        self.comparisons = comparisons
-
-    def __len__(self) -> int:
-        return len(self.matches)
-
-    def __iter__(self):
-        return iter(self.matches)
+#
+# A single call intersects many candidate segments, each against its own
+# adjacency row of one CSR, in one vectorized pass using composite keys: a
+# CSR whose rows are each sorted by target order-id yields a globally sorted
+# array under ``edge_row * order_count + tgt_id``, so one ``searchsorted`` of
+# per-candidate composite keys finds every match against every row at once.
 
 
 def _check_offsets(candidate_keys: Sequence[int], offsets: Sequence[int]) -> None:
@@ -234,216 +207,21 @@ def _check_rows(seg_rows: Sequence[int], n_rows: int) -> None:
         )
 
 
-def _batch_via_scalar(
-    kernel: Callable[..., IntersectionResult],
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Reference batch implementation: one scalar kernel call per segment.
+#: At or below this many candidate keys (and at most
+#: :data:`_SCALAR_ROW_SEGMENT_CUTOFF` segments) the vectorized row kernels
+#: route through :func:`_rows_via_scalar` — the fixed overhead of a dozen
+#: NumPy calls exceeds a short Python merge.
+_SCALAR_ROW_CUTOFF = 96
 
-    Doubles as the small-input fast path of the vectorized kernels: for tiny
-    batches a plain Python merge beats the fixed per-call cost of the NumPy
-    pipeline, and being the scalar reference it is contract-exact (identical
-    matches and comparison counts) by construction.
-    """
-    _check_offsets(candidate_keys, offsets)
-    matches: List[BatchMatch] = []
-    comparisons = 0
-    cand_list = (
-        candidate_keys.tolist()
-        if hasattr(candidate_keys, "tolist")
-        else list(candidate_keys)
-    )
-    adjacency = (
-        adjacency_keys.tolist()
-        if hasattr(adjacency_keys, "tolist")
-        else list(adjacency_keys)
-    )
-    for seg in range(len(offsets) - 1):
-        lo, hi = int(offsets[seg]), int(offsets[seg + 1])
-        result = kernel(cand_list[lo:hi], adjacency, _identity, _identity)
-        comparisons += result.comparisons
-        for cand_idx, adj_idx in result.matches:
-            matches.append((seg, cand_idx, adj_idx))
-    return BatchIntersectionResult(matches, comparisons)
-
-
-#: Below this many total keys (candidates + adjacency) the vectorized batch
-#: kernels route through :func:`_batch_via_scalar` — the fixed overhead of a
-#: dozen NumPy calls exceeds a short Python merge, and small groups dominate
-#: exactly the workloads (many distinct low-degree targets) where batching
-#: wins the least.
-_SCALAR_BATCH_CUTOFF = 96
-
-#: The row kernels additionally require at most this many segments before
-#: routing small inputs to the scalar path: a scalar merge costs one Python
-#: kernel call *per segment*, so a many-segment call (the incremental
-#: engine's sparse delta streams) amortizes the vectorized pipeline's fixed
-#: overhead even when the candidate count alone would not.
+#: A scalar merge costs one Python kernel call *per segment*, so a
+#: many-segment call (the incremental engine's sparse delta streams)
+#: amortizes the vectorized pipeline's fixed overhead even when the
+#: candidate count alone would not.
 _SCALAR_ROW_SEGMENT_CUTOFF = 4
 
 
 def _identity(value: Any) -> Any:
     return value
-
-
-def _segment_sums(mask: "Any", offsets: "Any") -> "Any":
-    """Per-segment sums of a boolean/int array, robust to empty segments."""
-    csum = _np.concatenate(([0], _np.cumsum(mask)))
-    return csum[offsets[1:]] - csum[offsets[:-1]]
-
-
-def _vector_matches(cand, offsets, adj):
-    """Shared searchsorted match-finding for the vectorized batch kernels.
-
-    Returns ``(matches, valid_mask)`` where ``valid_mask`` marks, per
-    concatenated candidate position, whether it matched.  Requires the
-    adjacency keys to be sorted and duplicate-free (guaranteed by the ``<+``
-    total order) and each candidate segment to be sorted.
-    """
-    n_adj = adj.size
-    if cand.size == 0 or n_adj == 0:
-        return [], _np.zeros(cand.size, dtype=bool)
-    pos = _np.searchsorted(adj, cand)
-    clipped = _np.minimum(pos, n_adj - 1)
-    valid = (pos < n_adj) & (adj[clipped] == cand)
-    hits = _np.nonzero(valid)[0]
-    segments = _np.searchsorted(offsets, hits, side="right") - 1
-    cand_indices = hits - offsets[segments]
-    adj_indices = pos[hits]
-    matches = list(
-        zip(segments.tolist(), cand_indices.tolist(), adj_indices.tolist())
-    )
-    return matches, valid
-
-
-def merge_path_batch(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Intersect every candidate segment against one adjacency, merge-path cost.
-
-    ``candidate_keys`` is the concatenation of per-wedge candidate key
-    arrays; segment ``s`` occupies ``candidate_keys[offsets[s]:offsets[s+1]]``
-    and must be sorted.  ``adjacency_keys`` is the shared sorted adjacency.
-    Keys must be integers drawn from a total order in which equality implies
-    vertex identity (the dense ``<+`` order ids of
-    :class:`~repro.graph.dodgr.CSRAdjacency`).
-
-    The comparison count replays what :func:`merge_path_intersection` would
-    have charged per segment without walking the merge: each scalar merge
-    performs ``consumed - matches`` comparisons, where ``consumed`` counts
-    elements taken from either list before one side is exhausted — a
-    closed form over searchsorted ranks.
-    """
-    if len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
-        return _batch_via_scalar(
-            merge_path_intersection, candidate_keys, offsets, adjacency_keys
-        )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    adj = _np.asarray(adjacency_keys, dtype=_np.int64)
-    _check_offsets(cand, offs)
-    matches, valid = _vector_matches(cand, offs, adj)
-    n_adj = adj.size
-    if cand.size == 0 or n_adj == 0:
-        return BatchIntersectionResult(matches, 0)
-
-    lengths = offs[1:] - offs[:-1]
-    nonempty = lengths > 0
-    matches_per_seg = _segment_sums(valid, offs)
-
-    # Last candidate key per segment (dummy index 0 for empty segments).
-    last_key = cand[_np.where(nonempty, offs[1:] - 1, 0)]
-    adj_last = int(adj[-1])
-
-    # Candidates exhaust first (last_key < adj_last): every candidate is
-    # consumed, plus the adjacency prefix up to (and including, on a match)
-    # the last candidate key.
-    rank_of_last = _np.searchsorted(adj, last_key, side="left")
-    last_in_adj = (rank_of_last < n_adj) & (
-        adj[_np.minimum(rank_of_last, n_adj - 1)] == last_key
-    )
-    consumed_cand_side = lengths + rank_of_last + last_in_adj
-
-    # Adjacency exhausts first (last_key > adj_last): the whole adjacency is
-    # consumed, plus each segment's prefix up to the last adjacency key
-    # (candidates <= adj_last, counted with one fused segment sum).
-    consumed_adj_side = n_adj + _segment_sums(cand <= adj_last, offs)
-
-    consumed = _np.where(
-        last_key < adj_last,
-        consumed_cand_side,
-        _np.where(last_key == adj_last, lengths + n_adj, consumed_adj_side),
-    )
-    per_segment = _np.where(nonempty, consumed - matches_per_seg, 0)
-    return BatchIntersectionResult(matches, int(per_segment.sum()))
-
-
-def hash_batch(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Batched counterpart of :func:`hash_intersection`.
-
-    Same inputs/outputs as :func:`merge_path_batch`; the comparison count
-    models the scalar kernel rebuilding its hash table once per segment:
-    ``segments * len(adjacency) + len(candidate_keys)``.
-    """
-    if len(candidate_keys) + len(adjacency_keys) <= _SCALAR_BATCH_CUTOFF:
-        return _batch_via_scalar(
-            hash_intersection, candidate_keys, offsets, adjacency_keys
-        )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    adj = _np.asarray(adjacency_keys, dtype=_np.int64)
-    _check_offsets(cand, offs)
-    matches, _valid = _vector_matches(cand, offs, adj)
-    comparisons = (len(offs) - 1) * int(adj.size) + int(cand.size)
-    return BatchIntersectionResult(matches, comparisons)
-
-
-def binary_search_batch(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
-    adjacency_keys: Sequence[int],
-) -> BatchIntersectionResult:
-    """Batched binary-search intersection (scalar loop; kept for the ablation).
-
-    Binary search probes are already O(log) each, so there is little to gain
-    from vectorizing; this wrapper exists so every scalar kernel has a
-    batch-shaped counterpart with aggregate-exact comparison counts.
-    """
-    return _batch_via_scalar(
-        binary_search_intersection, candidate_keys, offsets, adjacency_keys
-    )
-
-
-#: Batch-shaped kernels keyed by the same names as :data:`INTERSECTION_KERNELS`.
-BATCH_KERNELS = {
-    "merge_path": merge_path_batch,
-    "binary_search": binary_search_batch,
-    "hash": hash_batch,
-}
-
-
-# ---------------------------------------------------------------------------
-# Row-batch kernels (columnar engine)
-# ---------------------------------------------------------------------------
-#
-# The batch kernels above intersect many segments against ONE shared
-# adjacency (all wedges targeting the same vertex q).  The columnar survey
-# engine coalesces one level higher — one RPC per (source rank, destination
-# rank) pair — so a single call must intersect segments against *different*
-# adjacency rows of one CSR.  The row kernels do that in one vectorized pass
-# using composite keys: a CSR whose rows are each sorted by target order-id
-# yields a globally sorted array under ``edge_row * order_count + tgt_id``,
-# so one ``searchsorted`` of per-candidate composite keys finds every match
-# against every row at once.  Per segment they produce exactly the matches
-# and comparison counts the scalar kernels would, like the batch kernels.
 
 
 class RowAdjacency:
@@ -567,13 +345,17 @@ def merge_path_rows(
 ) -> RowBatchResult:
     """Intersect segment ``s`` against adjacency row ``seg_rows[s]``, merge cost.
 
-    Same contract as :func:`merge_path_batch` generalised to per-segment
-    adjacency rows: matches and the aggregate comparison count are exactly
-    what one :func:`merge_path_intersection` call per segment (against its
-    row slice) would produce.
+    ``candidate_keys`` is the concatenation of per-wedge candidate key
+    arrays; segment ``s`` occupies ``candidate_keys[offsets[s]:offsets[s+1]]``
+    and must be sorted.  Keys must be integers drawn from a total order in
+    which equality implies vertex identity (the dense ``<+`` order ids of
+    :class:`~repro.graph.dodgr.CSRAdjacency`).  Matches and the aggregate
+    comparison count are exactly what one :func:`merge_path_intersection`
+    call per segment (against its row slice) would produce; the count is a
+    closed form over searchsorted ranks, not a walk of the merge.
     """
     if (
-        len(candidate_keys) <= _SCALAR_BATCH_CUTOFF
+        len(candidate_keys) <= _SCALAR_ROW_CUTOFF
         and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
     ):
         return _rows_via_scalar(
@@ -602,7 +384,13 @@ def merge_path_rows(
     seg_hits = seg_of_cand[hits]
     matches_per_seg = _np.bincount(seg_hits, minlength=n_seg)
 
-    # Comparison replay (the merge_path_batch closed form, per-row bounds).
+    # Comparison replay.  A scalar merge performs ``consumed - matches``
+    # comparisons, where ``consumed`` counts the elements taken from either
+    # list before one side runs out; which side that is depends on how the
+    # segment's last key compares with its row's last key.  Candidates run
+    # out first (last_key < adj_last): every candidate is consumed, plus the
+    # row prefix below the last candidate key (and that key itself on a
+    # match).
     nonempty = (lengths > 0) & (adj_len > 0)
     last_key = cand[_np.where(lengths > 0, offs[1:] - 1, 0)]
     adj_last = keys[_np.where(adj_len > 0, adj_lo + adj_len - 1, 0)]
@@ -613,8 +401,10 @@ def merge_path_rows(
     last_in_adj = (rank_of_last < adj_len) & (composite[rank_clipped] == last_comp)
     consumed_cand_side = lengths + rank_of_last + last_in_adj
 
-    # Candidates <= the row's last adjacency key, counted per segment via the
-    # segment-composite trick (segments are concatenated in ascending order).
+    # The row runs out first (last_key > adj_last): the whole row is
+    # consumed, plus the segment's candidates <= the row's last key, counted
+    # per segment via the segment-composite trick (segments are concatenated
+    # in ascending order).  Equal last keys consume both sides entirely.
     seg_comp = seg_of_cand * stride + cand
     below = (
         _np.searchsorted(
@@ -645,7 +435,7 @@ def hash_rows(
     ``sum(row lengths) + len(candidate_keys)``.
     """
     if (
-        len(candidate_keys) <= _SCALAR_BATCH_CUTOFF
+        len(candidate_keys) <= _SCALAR_ROW_CUTOFF
         and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
     ):
         return _rows_via_scalar(
@@ -687,17 +477,16 @@ ROW_KERNELS = {
 # Kernel tiers
 # ---------------------------------------------------------------------------
 #
-# The batch/row kernels above are the *columnar* tier: NumPy array pipelines
-# with a scalar small-input escape hatch.  Two more tiers share their exact
+# The row kernels above are the *columnar* tier: NumPy array pipelines with
+# a scalar small-input escape hatch.  Two more tiers share their exact
 # contract (identical matches, identical aggregate comparison counts):
 #
-# * ``scalar``   — the reference loops (:func:`_batch_via_scalar` /
-#   :func:`_rows_via_scalar`) applied unconditionally; always available.
+# * ``scalar``   — the reference loop (:func:`_rows_via_scalar`) applied
+#   unconditionally; always available.
 # * ``compiled`` — the scalar row loops in C (:mod:`.intersection_compiled`),
 #   built with the system compiler and loaded through ctypes at import;
-#   registered only when that succeeded, and only for the row kernels.  An
-#   unavailable tier follows the declared fallback chain
-#   ``compiled -> columnar -> scalar`` silently.
+#   registered only when that succeeded.  An unavailable tier follows the
+#   declared fallback chain ``compiled -> columnar -> scalar`` silently.
 #
 # Tier selection travels as ``kernel_tier`` on
 # :class:`~repro.core.engine.request.EngineConfig`/``SurveyRequest`` and is
@@ -711,16 +500,6 @@ KERNEL_TIERS = ("compiled", "columnar", "scalar")
 KERNEL_TIER_FALLBACK = {"compiled": "columnar", "columnar": "scalar", "scalar": None}
 
 
-def _scalar_tier_batch(name: str):
-    scalar = INTERSECTION_KERNELS[name]
-
-    def batch_kernel_scalar(candidate_keys, offsets, adjacency_keys):
-        return _batch_via_scalar(scalar, candidate_keys, offsets, adjacency_keys)
-
-    batch_kernel_scalar.__name__ = f"{name}_batch_scalar"
-    return batch_kernel_scalar
-
-
 def _scalar_tier_rows(name: str):
     scalar = INTERSECTION_KERNELS[name]
 
@@ -730,14 +509,6 @@ def _scalar_tier_rows(name: str):
     row_kernel_scalar.__name__ = f"{name}_rows_scalar"
     return row_kernel_scalar
 
-
-#: Tier -> {kernel name -> batch kernel}.  There is no ``compiled`` entry:
-#: only the ``batched`` oracle engine calls batch kernels, so asking it for
-#: the compiled tier downgrades to the columnar batch kernels.
-BATCH_KERNEL_TIERS = {
-    "columnar": BATCH_KERNELS,
-    "scalar": {name: _scalar_tier_batch(name) for name in INTERSECTION_KERNELS},
-}
 
 #: Tier -> {kernel name -> row kernel}.  The ``compiled`` entry is added at
 #: the bottom of this module when the C library built and loaded.
@@ -756,18 +527,6 @@ def available_kernel_tiers() -> Tuple[str, ...]:
     return tuple(tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS)
 
 
-def _resolve_in(table, tier: Optional[str]) -> str:
-    if tier is None or tier == "auto":
-        return next(known for known in KERNEL_TIERS if known in table)
-    if tier not in KERNEL_TIERS:
-        raise ValueError(
-            f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
-        )
-    while tier not in table:  # "scalar" is in every table
-        tier = KERNEL_TIER_FALLBACK[tier]
-    return tier
-
-
 def resolve_kernel_tier(tier: Optional[str] = None) -> str:
     """Normalise a ``kernel_tier`` selector to an available tier name.
 
@@ -778,18 +537,20 @@ def resolve_kernel_tier(tier: Optional[str] = None) -> str:
     :data:`KERNEL_TIER_FALLBACK`.  Results are identical whichever tier runs
     — the cross-tier property suite pins the contract.
     """
-    return _resolve_in(ROW_KERNEL_TIERS, tier)
-
-
-def batch_kernel(name: str, tier: Optional[str] = None):
-    """The batch-shaped kernel ``name`` at ``tier`` resolved against
-    :data:`BATCH_KERNEL_TIERS` (which has no compiled entry)."""
-    return BATCH_KERNEL_TIERS[_resolve_in(BATCH_KERNEL_TIERS, tier)][name]
+    if tier is None or tier == "auto":
+        return available_kernel_tiers()[0]
+    if tier not in KERNEL_TIERS:
+        raise ValueError(
+            f"unknown kernel tier {tier!r}; known: {KERNEL_TIERS}"
+        )
+    while tier not in ROW_KERNEL_TIERS:  # "scalar" is always there
+        tier = KERNEL_TIER_FALLBACK[tier]
+    return tier
 
 
 def row_kernel(name: str, tier: Optional[str] = None):
     """The row-batch kernel ``name`` at (resolved) ``tier``."""
-    return ROW_KERNEL_TIERS[_resolve_in(ROW_KERNEL_TIERS, tier)][name]
+    return ROW_KERNEL_TIERS[resolve_kernel_tier(tier)][name]
 
 
 # Import last: intersection_compiled imports this module's result classes and

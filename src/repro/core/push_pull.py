@@ -25,8 +25,8 @@ yourself never touch the wire, so pulling them cannot help.
 
 This module is a thin entry point over :mod:`repro.core.engine`: the
 ``engine=`` keyword — the only execution selector — names a registered
-:class:`~repro.core.engine.EngineSpec` whose ``proposal_style`` /
-``push_style`` / ``pull_style`` fields pick the strategy of each phase, and
+:class:`~repro.core.engine.EngineSpec` whose ``style`` picks the strategy
+of every phase, and
 :func:`~repro.core.engine.push_pull.run_push_pull_survey` executes the
 request on the shared driver core.  Every engine keeps the Table 3/Table 4
 columns byte-identical — each coalesced message is accounted at the exact
@@ -98,10 +98,7 @@ def triangle_survey_push_pull(
         (columnar dry run, mask-driven push, index-driven pull), delivers
         triangles as :class:`~repro.graph.metadata.TriangleBatch` columns,
         and coalesces the pull phase into one RPC per (owner, requester)
-        pair; ``"batched"`` coalesces the dry run into one RPC per (source,
-        dest) rank pair, the push phase per (destination rank, q), and
-        intersects each pull delivery in one batch-kernel call; ``"legacy"``
-        is the scalar oracle.  All engines keep every communication total
+        pair; ``"legacy"`` is the scalar oracle.  All engines keep every communication total
         byte-identical (see the module docstring).
 
     The returned report carries the three-phase breakdown (dry run / push /

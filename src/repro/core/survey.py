@@ -21,7 +21,7 @@ Execution engines
 This module is a thin entry point over the unified survey-execution layer
 in :mod:`repro.core.engine`: the ``engine=`` keyword — the only execution
 selector — names a registered :class:`~repro.core.engine.EngineSpec`
-(``columnar`` by default, the ``legacy`` oracle, ``batched``, plus anything
+(``columnar`` by default, the ``legacy`` oracle, plus anything
 added through :func:`~repro.core.engine.register_engine`), and
 :func:`~repro.core.engine.push.run_push_survey` executes the request on the
 shared driver core.  Every engine shares the equivalence contract: same
@@ -32,7 +32,7 @@ contract: if the *callback itself* sends RPCs mid-survey, all totals (RPC
 counts, payload bytes, compute) still match, but those follow-on messages
 can land in different flush windows, shifting ``wire_messages`` and the
 per-flush envelope bytes; see :class:`~repro.runtime.world.BatchedCall` for
-why, and ``tests/core/test_batched_survey.py`` for the exact invariants
+why, and ``tests/core/test_coalesced_survey.py`` for the exact invariants
 pinned in each regime.
 """
 
@@ -93,7 +93,7 @@ def triangle_survey_push(
         callback is supplied (see :data:`DEFAULT_CALLBACK_COMPUTE_UNITS`).
     engine:
         The execution selector: a registered engine name (``"columnar"`` —
-        the default, ``"legacy"`` — the oracle, ``"batched"``, ...), an
+        the default, ``"legacy"`` — the oracle, ...), an
         :class:`~repro.core.engine.EngineSpec`, or an
         :class:`~repro.core.engine.EngineConfig`, which also pins the
         intersection kernel, backend, worker count, kernel tier and CSR

@@ -97,7 +97,7 @@ class CSRAdjacency:
       on ids, then gather metadata by edge position);
     * exact serialized sizes (``cand_size_cumsum``, ``tgt_wire_sizes``) of
       the fragments a legacy per-wedge push message would carry, so the
-      batched engines account the byte-identical Table 4 communication
+      columnar engine accounts the byte-identical Table 4 communication
       volume without serializing each wedge (``tgt_vertex_wire``: the
       ``size(target)`` term of ``tgt_wire_sizes`` alone, which is what a
       dry-run proposal or advise reply carries).

@@ -20,20 +20,22 @@ This module reproduces that layer for the simulated runtime:
 The number of wire messages and wire bytes recorded here are the quantities
 reported as "Communication Volume" in Table 4 of the paper.
 
-Virtual streams (batched engine support)
-----------------------------------------
+Virtual streams (coalesced calls)
+---------------------------------
 
-The batched survey engine coalesces many logical per-wedge RPCs into one
-physical batched call, but Table 4 numbers must not move: the batch stands in
-for a specific stream of legacy messages whose exact serialized sizes are
-known.  :meth:`BufferBank.send_virtual` accounts one such legacy-equivalent
+The columnar survey engine and the distributed counting set coalesce many
+logical per-message RPCs into one physical batched call, but Table 4 numbers
+must not move: the batch stands in for a specific stream of legacy messages
+whose exact serialized sizes are known.  :meth:`BufferBank.send_virtual` accounts one such legacy-equivalent
 message — per-RPC counters, local/remote byte counters, buffer occupancy and
 therefore flush boundaries behave exactly as if the legacy payload had been
 appended — without materializing any bytes.  A buffer whose occupancy is
 purely virtual still flushes into an (empty) wire message of the accumulated
 virtual size, so ``wire_messages``/``wire_bytes`` stay byte-identical to the
-legacy run for all traffic issued by the driver loops.  The batched payload
-itself travels out of band (see
+legacy run for all traffic issued by the driver loops;
+:meth:`BufferBank.send_virtual_bulk` accounts a whole stream at once and is
+pinned against the per-message reference.  The batched payload itself
+travels out of band (see
 :meth:`repro.runtime.world.RankContext.async_call_batched`, including the
 one timing caveat that bounds the contract when handlers send further
 RPCs).
@@ -150,9 +152,9 @@ class MessageBuffer:
     def append_virtual(self, nbytes: int) -> bool:
         """Account ``nbytes`` of occupancy without queueing a deliverable message.
 
-        Used by the batched engine to replay the buffer behaviour (occupancy,
-        flush boundaries, wire sizes) of a legacy message whose payload is
-        carried by a batched call instead.  Returns True when the buffer is
+        Replays the buffer behaviour (occupancy, flush boundaries, wire
+        sizes) of a legacy message whose payload is carried by a coalesced
+        call instead.  Returns True when the buffer is
         now above threshold, exactly like :meth:`append`.
         """
         if nbytes < 0:
@@ -283,10 +285,11 @@ class BufferBank:
 
         Performs every send-side effect :meth:`send` would for a payload of
         that exact serialized size — RPC count, local/remote byte counters,
-        buffer occupancy, threshold flushes — so a batched engine that knows
-        the sizes of the per-message stream it replaces keeps Table 4
+        buffer occupancy, threshold flushes — so a sender that knows the
+        sizes of the per-message stream it replaces keeps Table 4
         communication accounting byte-identical.  The receive-side accounting
-        of the replaced messages travels with the batched call.
+        of the replaced messages travels with the coalesced call.  The
+        per-message reference :meth:`send_virtual_bulk` is tested against.
         """
         if dest < 0 or dest >= self.nranks:
             raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")

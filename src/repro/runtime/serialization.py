@@ -489,7 +489,7 @@ def serialized_size(value: Any) -> int:
 def uvarint_size(value: int) -> int:
     """Bytes an unsigned varint occupies (container length prefixes).
 
-    Lets size-accounting code (the batched survey engine) compute the exact
+    Lets size-accounting code (the columnar survey engine) compute the exact
     framing overhead of a list of known length without encoding it.
     """
     if value < 0:

@@ -112,16 +112,17 @@ class LivelockError(WorldError):
 class BatchedCall:
     """One coalesced RPC standing in for ``virtual_rpcs`` legacy messages.
 
-    The batched engine accounts the wire behaviour of the replaced messages
-    through :meth:`BufferBank.send_virtual` on the send side; this carrier
-    holds the receive-side accounting: executing it counts as
+    The coalesced-call layer the columnar engine and the distributed
+    counting set ship through: the sender accounts the wire behaviour of the
+    replaced messages with :meth:`RankContext.account_rpc_bulk`; this
+    carrier holds the receive-side accounting: executing it counts as
     ``virtual_rpcs`` executed RPCs and ``virtual_bytes`` received payload
     bytes (for remote sources).  Arguments are delivered by reference — the
-    batched driver builds them fresh per call and never mutates them
-    afterwards, so skipping the codec is safe and is precisely where the
-    host-time win over the per-wedge path comes from.
+    senders build them fresh per call and never mutate them afterwards, so
+    skipping the codec is safe and is precisely where the host-time win over
+    the per-message path comes from.
 
-    One timing caveat bounds the equivalence contract: a batched call
+    One timing caveat bounds the equivalence contract: a coalesced call
     executes in the barrier's first delivery sweep, whereas the legacy
     messages it replaces may execute across several sweeps (whenever their
     buffer happens to flush).  Handlers that send *further* RPCs therefore
@@ -217,26 +218,18 @@ class RankContext:
         self.buffers.send_sized(SizedMessage(self.rank, dest, handle, args, nbytes))
 
     # ------------------------------------------------------------------
-    # Batched engine support
+    # Coalesced calls (the columnar engine and the counting set)
     # ------------------------------------------------------------------
-    def account_rpc(self, dest: int, nbytes: int) -> None:
-        """Account one legacy-equivalent RPC of serialized size ``nbytes``.
-
-        Send-side half of the batched-engine accounting contract: counters
-        and buffer/flush behaviour are identical to ``async_call`` with a
-        payload of that exact size, but nothing is delivered.  Pair with
-        :meth:`async_call_batched`, which carries the receive-side counts.
-        """
-        self.buffers.send_virtual(dest, nbytes)
-
     def account_rpc_bulk(self, dests, nbytes) -> None:
         """Account a stream of legacy-equivalent RPCs from two parallel arrays.
 
-        Exactly equivalent to calling :meth:`account_rpc` once per
-        ``(dests[i], nbytes[i])`` entry in order — same counters, same buffer
-        occupancy, same flush boundaries — in O(flushes) NumPy work instead
-        of one Python call per replaced message.  The columnar survey driver
-        uses this to account a whole rank's wedge stream at once.
+        Send-side half of the coalesced-call accounting contract: counters
+        and buffer/flush behaviour are identical to one ``async_call`` per
+        ``(dests[i], nbytes[i])`` entry, in order, with a payload of that
+        exact size (:meth:`BufferBank.send_virtual` per entry), but nothing
+        is delivered — in O(flushes) NumPy work instead of one Python call
+        per replaced message.  Pair with :meth:`async_call_batched`, which
+        carries the receive-side counts.
         """
         self.buffers.send_virtual_bulk(dests, nbytes)
 
@@ -255,7 +248,7 @@ class RankContext:
         execution it is accounted as ``virtual_rpcs`` executed RPCs carrying
         ``virtual_bytes`` of received payload.  The caller must have already
         accounted the send side of every replaced message via
-        :meth:`account_rpc`, and must not mutate ``args`` after the call.
+        :meth:`account_rpc_bulk`, and must not mutate ``args`` after the call.
         """
         if dest < 0 or dest >= self.world.nranks:
             raise WorldError(f"destination rank {dest} out of range [0, {self.world.nranks})")

@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.engine import (
     CheckpointedStreamingSurvey,
     engine_names,
-    incremental_engine_names,
     run_survey_with_recovery,
 )
 from ..graph.distributed_graph import DistributedGraph
@@ -421,22 +420,23 @@ def run_chaos_sweep(
     """
     if not configs:
         raise ValueError("chaos sweep needs at least one sampled config")
-    full_axis = engine_names()
-    streaming_axis = incremental_engine_names()
+    axis = engine_names()
     baselines = _Baselines()
     cells: List[ChaosCell] = []
     for index, plan in enumerate(plans):
         config = configs[index % len(configs)]
         analysis = ANALYSES[index % len(ANALYSES)]
+        # The engine advances once per lap of the analyses, so every
+        # (analysis, engine) pair is drawn within len(ANALYSES) * len(axis)
+        # cells even when the two axis lengths share a factor.
+        engine = axis[(index // len(ANALYSES)) % len(axis)]
         if analysis == "streaming":
-            engine = streaming_axis[index % len(streaming_axis)]
             if progress is not None:
                 progress(f"chaos {plan.name}: {config.label()}/streaming/{engine}")
             cells.append(
                 _run_streaming_chaos_cell(config, engine, plan, baselines)
             )
         else:
-            engine = full_axis[index % len(full_axis)]
             if progress is not None:
                 progress(f"chaos {plan.name}: {config.label()}/{analysis}/{engine}")
             cells.append(

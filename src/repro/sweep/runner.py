@@ -16,8 +16,8 @@ engine on a chosen analysis set, each run on a *fresh*
   over the planted ``metadata_cardinality``-sized label alphabet;
 * ``streaming`` — the config's :class:`~repro.graph.delta.DeltaBuffer`
   batch schedule replayed through
-  :class:`~repro.core.incremental.StreamingSurvey` on every engine with an
-  ``incremental_style``, cross-checked against a full legacy recompute.
+  :class:`~repro.core.incremental.StreamingSurvey` on every engine,
+  cross-checked against a full legacy recompute.
 
 Every non-legacy cell is compared against the legacy cell of the same
 (config, analysis): reducer panel, triangle count, wire bytes, wire
@@ -43,7 +43,6 @@ from ..core.engine import (
     SurveyRequest,
     engine_names,
     execute_survey,
-    registered_engines,
 )
 from ..core.engine.registry import suggest_name
 from ..core.incremental import StreamingSurvey
@@ -388,9 +387,6 @@ def run_sweep(
             f"{suggest_name(missing[0], known)}"
         )
     run_axis = axis if ORACLE_ENGINE in axis else (ORACLE_ENGINE,) + axis
-    incremental = {
-        spec.name for spec in registered_engines() if spec.incremental_style is not None
-    }
 
     cells: List[SweepCell] = []
     for config in configs:
@@ -405,7 +401,6 @@ def run_sweep(
                 runs = [
                     (engine, _run_streaming_cell(config, engine, batches, vertex_meta))
                     for engine in run_axis
-                    if engine in incremental
                 ]
                 # Replay-parity cross-check: the legacy stream's cumulative
                 # panel must equal a full recompute over the merged graph.

@@ -1,14 +1,14 @@
 """End-to-end parity: coalesced surveys vs the legacy per-wedge path.
 
-The batched engine's contract (ISSUE 1) is *observational equivalence*: on
-the same graph and world shape it must produce identical triangle counts,
-identical callback invocations, and identical communication/compute
-accounting — per rank and per phase — while only the host wall-clock
-changes.  The columnar engine (ISSUE 3) inherits the same contract one
-aggregation level up (one RPC per rank pair, coalesced pull deliveries,
-TriangleBatch reducer delivery), so every parity case here runs against
-both engines, on both survey algorithms, all three kernels, and the
-NetworkX oracle.
+The columnar engine's contract is *observational equivalence*: on the same
+graph and world shape it must produce identical triangle counts, identical
+callback invocations, and identical communication/compute accounting — per
+rank and per phase — while only the host wall-clock changes, although it
+coalesces one RPC per rank pair, coalesces pull deliveries and hands
+reducers TriangleBatch columns.  Every parity case here runs on both survey
+algorithms, all three kernels, every kernel tier the columnar engine
+declares (``compiled`` downgrades where no C compiler built it), and against
+the NetworkX oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines.networkx_ref import triangle_count_nx
 from repro.core.engine import EngineConfig
+from repro.core.intersection import KERNEL_TIERS
 from repro.core.push_pull import triangle_survey
 from repro.core.survey import triangle_survey_push
 from repro.graph.dodgr import DODGraph
@@ -30,7 +31,9 @@ def path_graph(n: int) -> GeneratedGraph:
     return GeneratedGraph(name=f"path_{n}", edges=edges)
 
 
-def run_survey(dataset, nranks, algorithm, engine, kernel="merge_path"):
+def run_survey(
+    dataset, nranks, algorithm, engine, kernel="merge_path", kernel_tier=None
+):
     """Fresh world + DODGr + survey; returns (report, callbacks, stats)."""
     world = World(nranks)
     graph = dataset.to_distributed(world)
@@ -48,7 +51,10 @@ def run_survey(dataset, nranks, algorithm, engine, kernel="merge_path"):
         )
 
     report = triangle_survey(
-        dodgr, callback, algorithm, engine=EngineConfig(engine=engine, kernel=kernel)
+        dodgr,
+        callback,
+        algorithm,
+        engine=EngineConfig(engine=engine, kernel=kernel, kernel_tier=kernel_tier),
     )
     return report, sorted(invocations), stats_snapshot(world, report.phases)
 
@@ -75,12 +81,23 @@ def stats_snapshot(world, phases):
     return snapshot
 
 
-@pytest.mark.parametrize("engine", ["batched", "columnar"])
+@pytest.mark.parametrize("kernel_tier", KERNEL_TIERS)
 @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
 class TestCoalescedMatchesLegacy:
-    def assert_equivalent(self, dataset, nranks, algorithm, engine, kernel="merge_path"):
+    @pytest.fixture(autouse=True)
+    def _tier(self, kernel_tier):
+        self.kernel_tier = kernel_tier
+
+    def assert_equivalent(self, dataset, nranks, algorithm, kernel="merge_path"):
         legacy = run_survey(dataset, nranks, algorithm, engine="legacy", kernel=kernel)
-        coalesced = run_survey(dataset, nranks, algorithm, engine=engine, kernel=kernel)
+        coalesced = run_survey(
+            dataset,
+            nranks,
+            algorithm,
+            engine="columnar",
+            kernel=kernel,
+            kernel_tier=self.kernel_tier,
+        )
         assert coalesced[0].triangles == legacy[0].triangles
         assert coalesced[1] == legacy[1], "callback invocations differ"
         assert coalesced[2] == legacy[2], "per-rank per-phase accounting differs"
@@ -89,53 +106,62 @@ class TestCoalescedMatchesLegacy:
         assert coalesced[0].wedge_checks == legacy[0].wedge_checks
         assert coalesced[0].simulated_seconds == pytest.approx(legacy[0].simulated_seconds)
 
-    def test_rmat_fixture(self, small_rmat, algorithm, engine):
-        self.assert_equivalent(small_rmat, 4, algorithm, engine)
+    def test_rmat_fixture(self, small_rmat, algorithm):
+        self.assert_equivalent(small_rmat, 4, algorithm)
 
-    def test_erdos_renyi_fixture(self, small_er, algorithm, engine):
-        self.assert_equivalent(small_er, 4, algorithm, engine)
+    def test_erdos_renyi_fixture(self, small_er, algorithm):
+        self.assert_equivalent(small_er, 4, algorithm)
 
-    def test_single_rank_world(self, small_er, algorithm, engine):
-        self.assert_equivalent(small_er, 1, algorithm, engine)
+    def test_single_rank_world(self, small_er, algorithm):
+        self.assert_equivalent(small_er, 1, algorithm)
 
-    def test_many_ranks(self, small_rmat, algorithm, engine):
-        self.assert_equivalent(small_rmat, 13, algorithm, engine)
+    def test_many_ranks(self, small_rmat, algorithm):
+        self.assert_equivalent(small_rmat, 13, algorithm)
 
     @pytest.mark.parametrize("kernel", ["hash", "binary_search"])
-    def test_alternate_kernels(self, small_er, algorithm, engine, kernel):
-        self.assert_equivalent(small_er, 4, algorithm, engine, kernel=kernel)
+    def test_alternate_kernels(self, small_er, algorithm, kernel):
+        self.assert_equivalent(small_er, 4, algorithm, kernel=kernel)
 
-    def test_triangle_free_graph(self, algorithm, engine):
+    def test_triangle_free_graph(self, algorithm):
         path = path_graph(30)
-        self.assert_equivalent(path, 4, algorithm, engine)
-        report, invocations, _ = run_survey(path, 4, algorithm, engine=engine)
+        self.assert_equivalent(path, 4, algorithm)
+        report, invocations, _ = run_survey(
+            path, 4, algorithm, engine="columnar", kernel_tier=self.kernel_tier
+        )
         assert report.triangles == 0
         assert invocations == []
 
 
-class TestBatchedAgainstOracle:
-    @pytest.mark.parametrize("engine", ["batched", "columnar"])
+class TestColumnarAgainstOracle:
+    @pytest.mark.parametrize("kernel_tier", KERNEL_TIERS)
     @pytest.mark.parametrize("nranks", [1, 4, 8])
-    def test_push_matches_networkx(self, small_rmat, nranks, engine):
+    def test_push_matches_networkx(self, small_rmat, nranks, kernel_tier):
         expected = triangle_count_nx((u, v) for u, v, _ in small_rmat.edges)
-        report, _, _ = run_survey(small_rmat, nranks, "push", engine=engine)
+        report, _, _ = run_survey(
+            small_rmat, nranks, "push", engine="columnar", kernel_tier=kernel_tier
+        )
         assert report.triangles == expected
 
-    def test_dispatcher_batched_matches_networkx(self, small_er):
+    @pytest.mark.parametrize("kernel_tier", KERNEL_TIERS)
+    def test_dispatcher_matches_networkx(self, small_er, kernel_tier):
         expected = triangle_count_nx((u, v) for u, v, _ in small_er.edges)
         world = World(4)
         dodgr = DODGraph.build(small_er.to_distributed(world), mode="bulk")
-        report = triangle_survey(dodgr, algorithm="push_pull", engine="batched")
+        report = triangle_survey(
+            dodgr,
+            algorithm="push_pull",
+            engine=EngineConfig(engine="columnar", kernel_tier=kernel_tier),
+        )
         assert report.triangles == expected
 
-    def test_batched_runs_reuse_same_dodgr(self, small_er):
+    def test_runs_reuse_same_dodgr(self, small_er):
         # The CSR snapshot is cached on the DODGr; repeated surveys on any
         # engine (and interleaved legacy ones) over the same structure must
         # agree.
         expected = triangle_count_nx((u, v) for u, v, _ in small_er.edges)
         world = World(4)
         dodgr = DODGraph.build(small_er.to_distributed(world), mode="bulk")
-        for engine in ("batched", "legacy", "columnar", "batched", "columnar"):
+        for engine in ("columnar", "legacy", "columnar", "legacy", "columnar"):
             report = triangle_survey_push(dodgr, engine=engine)
             assert report.triangles == expected
 
@@ -153,6 +179,7 @@ class TestRpcSendingCallbacks:
     """
 
     def run_with_forwarding_callback(self, dataset, engine):
+        """``engine`` is a name or an :class:`EngineConfig`."""
         from repro.runtime.message_buffer import WIRE_ENVELOPE_BYTES
 
         world = World(4, flush_threshold_bytes=256)
@@ -183,10 +210,12 @@ class TestRpcSendingCallbacks:
         )
         return invariants
 
-    @pytest.mark.parametrize("engine", ["batched", "columnar"])
-    def test_all_totals_match_even_when_callback_sends(self, small_er, engine):
+    @pytest.mark.parametrize("kernel_tier", KERNEL_TIERS)
+    def test_all_totals_match_even_when_callback_sends(self, small_er, kernel_tier):
         legacy = self.run_with_forwarding_callback(small_er, engine="legacy")
-        coalesced = self.run_with_forwarding_callback(small_er, engine=engine)
+        coalesced = self.run_with_forwarding_callback(
+            small_er, engine=EngineConfig(engine="columnar", kernel_tier=kernel_tier)
+        )
         assert coalesced == legacy
 
 

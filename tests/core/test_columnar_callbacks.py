@@ -13,7 +13,7 @@ byte-identical.
 Scalar-vs-batch runs share one engine (columnar) so everything is pinned
 exactly; a third run on the legacy engine pins reducer *outputs* across
 engines (legacy byte accounting parity is covered by
-``test_batched_survey.py``).
+``test_coalesced_survey.py``).
 
 The three reducers with an array path (``edge_values``/``vertex_values`` +
 ``increment_grouped_run``) choose it per batch from the batch length, so

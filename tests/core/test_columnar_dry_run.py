@@ -7,8 +7,9 @@ phase must equal the scalar reference's — on fresh Worlds, over rank counts,
 on the degenerate shapes where an array driver is most likely to slip (no
 edges, ranks without wedges, uniform degrees, non-integer vertex ids) and
 with buffers so small that flush boundaries fall inside the proposal,
-advise and pull streams (where the ``batched`` engine is the second oracle:
-see ``test_flush_boundaries_inside_every_stream``).  One case each then
+advise and pull streams (where the dry run's flush-window split is pinned
+as literals: see ``test_flush_boundaries_inside_every_stream``).  One case
+each then
 crosses the other execution axes: the process backend, mmap storage and a
 sampled fault plan.
 """
@@ -28,6 +29,7 @@ from repro.graph.ooc import StorageConfig, active_segment_paths
 from repro.runtime import World, active_segment_names
 from repro.runtime.faults import sample_fault_plans
 from repro.runtime.message_buffer import WIRE_ENVELOPE_BYTES
+from repro.runtime.stats import PhaseStats
 
 PHASES = ("dry_run", "push", "pull")
 
@@ -127,25 +129,39 @@ def test_all_three_streams_carry_traffic():
     assert phases["pull"].app_counters["wedge_checks"] > 0
 
 
+#: The coalesced dry run's totals on the host graph over 4 ranks, split into
+#: flush windows at each tiny threshold: (wire_messages, wire_bytes).  A
+#: coalesced dry run filled by a scalar walk records the same split.
+TINY_BUFFER_DRY_RUN_WIRE = {1: (323, 24340), 48: (82, 8916), 200: (34, 5844)}
+
+
 @pytest.mark.parametrize("threshold", [1, 48, 200])
 def test_flush_boundaries_inside_every_stream(threshold):
     """A buffer of a few messages, so flush boundaries fall inside the
     proposal, advise, push and pull streams.
 
-    Against ``batched`` — the same coalesced wire filled by a scalar walk —
-    every counter of every phase must replay.  Against ``legacy`` the push
-    and pull phases must too; the dry run matches in every total, and in its
-    flush-window split up to the documented ``BatchedCall`` bound: once a
-    proposal buffer overflows mid-drive, legacy answers the early proposals
-    into buffers that still hold unflushed ones, which no coalesced dry run
-    (this one or the batched one) replays.
+    Against ``legacy`` the push and pull phases replay in every counter; the
+    dry run matches in every total, and in its flush-window split up to the
+    documented ``BatchedCall`` bound: once a proposal buffer overflows
+    mid-drive, legacy answers the early proposals into buffers that still
+    hold unflushed ones, which no coalesced dry run replays.  The coalesced
+    split itself is pinned as literals.
     """
     edges = GRAPHS["host"]()
     tiny = {"flush_threshold_bytes": threshold}
     got = run(edges, 4, "columnar", world_kwargs=tiny)
-    assert_same_run(got, run(edges, 4, "batched", world_kwargs=tiny))
+    wire_messages, wire_bytes = TINY_BUFFER_DRY_RUN_WIRE[threshold]
+    assert got[2]["dry_run"] == PhaseStats(
+        bytes_sent_remote=3668,
+        rpcs_sent=323,
+        rpcs_executed=323,
+        wire_messages=wire_messages,
+        wire_bytes=wire_bytes,
+        bytes_received=3668,
+    )
 
-    _, _, legacy = run(edges, 4, "legacy", world_kwargs=tiny)
+    legacy_panel, _, legacy = run(edges, 4, "legacy", world_kwargs=tiny)
+    assert got[0] == legacy_panel
     assert got[2]["push"] == legacy["push"]
     assert got[2]["pull"] == legacy["pull"]
     dry, oracle = got[2]["dry_run"], legacy["dry_run"]
@@ -177,8 +193,8 @@ def test_small_buffer_without_dry_run_overflow_matches_legacy_exactly():
 
 
 def test_handler_slots_per_survey_unchanged():
-    """Five registrations per survey, like the batched dry run it replaces:
-    a sixth would push handler ids past 63 (one byte wider) a survey sooner."""
+    """Five registrations per survey, one more than legacy's four: a sixth
+    would push handler ids past 63 (one byte wider) a survey sooner."""
     world = World(4)
     dodgr = DODGraph.build(
         DistributedGraph.from_edges(world, GRAPHS["host"]()), mode="bulk"

@@ -13,7 +13,6 @@ from repro.core.engine import (
     SurveyRequest,
     engine_names,
     execute_survey,
-    incremental_engine_names,
     register_engine,
     registered_engines,
     resolve_engine,
@@ -21,6 +20,7 @@ from repro.core.engine import (
     resolve_incremental_engine,
 )
 from repro.core.engine import registry as registry_module
+from repro.core.intersection import KERNEL_TIERS
 from repro.graph import DODGraph, community_host_graph
 from repro.graph.ooc import StorageConfig
 from repro.runtime import UnsupportedBackendError, World
@@ -33,15 +33,15 @@ def build_dodgr(generated, nranks):
 
 class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
-        assert engine_names()[:3] == ("legacy", "batched", "columnar")
-        assert [spec.name for spec in registered_engines()[:3]] == list(engine_names()[:3])
+        assert engine_names()[:2] == ("legacy", "columnar")
+        assert [spec.name for spec in registered_engines()[:2]] == list(engine_names()[:2])
 
     def test_resolve_defaults(self):
         assert DEFAULT_ENGINE == "columnar"
         assert resolve_engine(None).name == DEFAULT_ENGINE
         assert resolve_incremental_engine(None).name == DEFAULT_ENGINE
         assert resolve_engine("legacy").name == "legacy"
-        assert resolve_engine(resolve_engine("batched")).name == "batched"
+        assert resolve_engine(resolve_engine("legacy")).name == "legacy"
         assert resolve_engine(EngineConfig(engine="columnar")).name == "columnar"
 
     def test_unknown_engine_rejected(self):
@@ -67,7 +67,7 @@ class TestRegistry:
         assert "did you mean" not in str(excinfo.value)
 
     def test_suggest_name_helper(self):
-        known = ("legacy", "batched", "columnar")
+        known = ("legacy", "columnar")
         assert (
             registry_module.suggest_name("colummar", known)
             == "; did you mean 'columnar'?"
@@ -85,57 +85,38 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_engine(EngineSpec(name="legacy", description="dup"))
 
-    def test_incremental_engine_names(self):
-        names = incremental_engine_names()
-        assert "legacy" in names and "columnar" in names
-        assert "batched" not in names  # no incremental form
-        with pytest.raises(ValueError, match="unknown incremental engine"):
-            resolve_incremental_engine("batched")
-        assert resolve_incremental_engine("columnar").incremental_style == "columnar"
+    def test_every_engine_has_an_incremental_form(self):
+        for name in engine_names():
+            assert resolve_incremental_engine(name).name == name
+        with pytest.raises(ValueError, match="unknown survey engine"):
+            resolve_incremental_engine("bogus")
 
-    def test_production_engine_is_columnar_in_every_phase(self):
-        spec = resolve_engine("columnar")
-        assert spec.push_style == "columnar"
-        assert spec.pull_style == "columnar"
-        assert spec.proposal_style == "columnar"
+    def test_one_style_per_engine(self):
+        assert resolve_engine("legacy").style == "legacy"
+        assert resolve_engine("columnar").style == "columnar"
+
+    def test_kernel_tiers_follow_the_style(self):
+        assert resolve_engine("legacy").kernel_tiers == ("scalar",)
+        assert resolve_engine("columnar").kernel_tiers == KERNEL_TIERS
 
     @pytest.mark.parametrize(
-        "styles, named",
-        [
-            (
-                dict(push_style="batched", pull_style="columnar", proposal_style="batched"),
-                ("pull_style", "proposal_style"),
-            ),
-            (
-                dict(push_style="columnar", pull_style="columnar", proposal_style="legacy"),
-                ("pull_style", "proposal_style"),
-            ),
-            (
-                dict(push_style="batched", pull_style="batched", proposal_style="columnar"),
-                ("proposal_style", "push_style"),
-            ),
-        ],
+        "style, fragment",
+        [("batched", "unknown engine style 'batched'"), ("colunmar", "did you mean 'columnar'?")],
     )
-    def test_columnar_styles_need_the_columnar_dry_run(self, styles, named):
-        """The one legality rule of the style table: a columnar pull needs the
-        columnar dry run's array pull lists, which needs the columnar push's
-        mask — rejected at registration, naming both fields."""
-        with pytest.raises(ValueError) as excinfo:
-            register_engine(EngineSpec(name="test-illegal", description="x", **styles))
-        assert all(field in str(excinfo.value) for field in named)
-        assert "test-illegal" not in engine_names()
+    def test_unknown_style_rejected(self, style, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            register_engine(EngineSpec(name="test-unknown-style", description="x", style=style))
+        assert "test-unknown-style" not in engine_names()
 
     def test_user_registered_engine_runs(self, small_er):
-        """A new composition registered through the public API is selectable
+        """A new engine registered through the public API is selectable
         from the normal entry points and stays on the equivalence contract."""
-        name = "test-legacy-pull"
+        name = "test-columnar-alias"
         register_engine(
             EngineSpec(
                 name=name,
-                description="columnar pushes, legacy pull (test-only)",
-                push_style="columnar",
-                pull_style="legacy",
-                proposal_style="batched",
+                description="the columnar drivers under another name (test-only)",
+                style="columnar",
             )
         )
         try:
@@ -171,7 +152,6 @@ MERGE, SIM = "merge_path", "simulated"
 RESOLVED = [
     (None, ("columnar", MERGE, SIM, None, None, None)),
     ("legacy", ("legacy", MERGE, SIM, None, None, None)),
-    ("batched", ("batched", MERGE, SIM, None, None, None)),
     (EngineConfig(), ("columnar", MERGE, SIM, None, None, None)),
     (EngineConfig(engine="legacy"), ("legacy", MERGE, SIM, None, None, None)),
     (EngineConfig(kernel="hash"), ("columnar", "hash", SIM, None, None, None)),
@@ -195,6 +175,7 @@ REJECTED = [
     (EngineConfig(engine="legacy", kernel_tier="columnar"), ValueError, "does not support"),
     (EngineConfig(backend="process", storage="mmap"), ValueError, "not supported on backend"),
     (42, TypeError, "engine selector must be"),
+    (EngineConfig(kernel="mergepath"), ValueError, "did you mean 'merge_path'?"),
 ]
 
 
@@ -213,8 +194,8 @@ class TestResolveExecution:
         ) == expected
 
     def test_registered_spec_is_a_selector(self):
-        spec, config = resolve_execution(resolve_engine("batched"))
-        assert spec.name == config.engine == "batched"
+        spec, config = resolve_execution(resolve_engine("legacy"))
+        assert spec.name == config.engine == "legacy"
 
     def test_duck_typed_spec_is_not_a_selector(self):
         class Impostor:  # a .name attribute must NOT pass as an EngineSpec
@@ -232,6 +213,18 @@ class TestResolveExecution:
         handlers = len(world.registry)
         with pytest.raises(error, match=fragment):
             survey(dodgr, engine=selector)
+        assert len(world.registry) == handlers
+
+    @pytest.mark.parametrize("engine", ["legacy", "columnar"])
+    @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
+    def test_directly_built_request_rejects_unknown_kernel(self, small_er, algorithm, engine):
+        """A request built by hand skips the resolver; the runner's own check
+        still raises before the first handler registers."""
+        world, dodgr = build_dodgr(small_er, 2)
+        handlers = len(world.registry)
+        request = SurveyRequest(dodgr=dodgr, algorithm=algorithm, kernel="mergepath")
+        with pytest.raises(ValueError, match="unknown intersection kernel"):
+            execute_survey(request, engine=engine)
         assert len(world.registry) == handlers
 
     @pytest.mark.parametrize(

@@ -160,7 +160,7 @@ class TestDegenerateWorlds:
 
     def test_all_new_edges_delta_every_incremental_engine(self, world4):
         """Cold start: one all-new delta batch == the full survey."""
-        from repro.core.engine import incremental_engine_names
+        from repro.core.engine import engine_names
         from repro.core.incremental import StreamingSurvey
         from repro.core.callbacks import LocalTriangleCounter
 
@@ -170,7 +170,7 @@ class TestDegenerateWorlds:
         full_reducer = LocalTriangleCounter(full_world)
         full = triangle_survey_push(DODGraph.build(full_graph), full_reducer.callback)
         full_reducer.finalize()
-        for engine in incremental_engine_names():
+        for engine in engine_names():
             world = World(world4.nranks)
             survey = StreamingSurvey(world, LocalTriangleCounter, engine=engine)
             step = survey.ingest(edges)

@@ -176,5 +176,5 @@ class TestTelemetry:
     def test_unknown_kernel_rejected(self, small_er):
         world = World(2)
         dodgr = DODGraph.build(small_er.to_distributed(world))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown intersection kernel 'nope'"):
             triangle_survey_push(dodgr, engine=EngineConfig(engine=ENGINE, kernel="nope"))

@@ -141,11 +141,23 @@ def test_sweep_engine_axis_matches_registry():
 
 def test_selector_surface_stays_collapsed():
     """Mirror of tools/check_engines.py check 6: ``engine=`` is the only
-    execution selector on the survey entry points, and full, incremental
-    and service surveys share the one default the README table states."""
+    execution selector on the survey entry points, full, incremental and
+    service surveys share the one default the README table states, and the
+    registry stays two engines of one style each with no batch kernels."""
+    import dataclasses
+
     import check_engines
+    from repro.core import intersection
+    from repro.core.engine import EngineSpec, engine_names
 
     assert check_engines.check_selector_surface() == []
+    assert engine_names() == ("legacy", "columnar")
+    assert tuple(f.name for f in dataclasses.fields(EngineSpec)) == (
+        "name",
+        "description",
+        "style",
+    )
+    assert not [name for name in vars(intersection) if check_engines._BATCH_WORD.search(name)]
 
 
 def test_reducers_survey_without_a_codec_call():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
-from repro.core.engine import engine_names, incremental_engine_names
+from repro.core.engine import engine_names
 from repro.core.incremental import StreamingSurvey
 from repro.graph import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
@@ -126,8 +126,8 @@ def graphs_with_batches(draw):
 
 def test_incremental_engines_exist():
     """The delta property below must cover more than just the oracle."""
-    assert "legacy" in incremental_engine_names()
-    assert len(incremental_engine_names()) >= 2
+    assert "legacy" in engine_names()
+    assert len(engine_names()) >= 2
 
 
 @given(graphs_with_batches(), st.integers(min_value=1, max_value=6))
@@ -144,7 +144,7 @@ def test_incremental_engines_agree_with_full_recompute(graph_and_batches, nranks
         f"legacy stream on {generated.name}: cumulative panel != full recompute"
     )
     assert oracle_totals["triangles"] == full_report.triangles
-    for name in incremental_engine_names():
+    for name in engine_names():
         if name == "legacy":
             continue
         panel, totals = replay_stream(generated, batches, nranks, name)

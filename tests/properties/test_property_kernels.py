@@ -4,7 +4,7 @@ The kernel-tier layer promises that every tier — ``scalar`` (reference
 loops), ``columnar`` (NumPy pipelines with closed-form comparison replay)
 and ``compiled`` (the scalar row loops in C, built by the system compiler) —
 produces *identical* matches and *identical* aggregate comparison counts
-for every batch/row kernel, on arbitrary inputs.  The scalar tier is the
+for every row kernel, on arbitrary inputs.  The scalar tier is the
 oracle; the suite drives every *registered* tier (so the C kernels wherever
 a compiler built them) over random and adversarial inputs: empty
 adjacencies, empty segments, empty rows, single-element segments, keys
@@ -13,7 +13,7 @@ segment, and non-contiguous / int32 / memmapped input columns.
 
 A final block pins the downgrade semantics: the ``compiled`` tier must
 appear in the row tier table exactly when ``compiled_tier_status()`` says
-it loaded, never in the batch table, and ``resolve_kernel_tier("compiled")``
+it loaded, and ``resolve_kernel_tier("compiled")``
 must fall back along the declared ``compiled -> columnar -> scalar`` chain
 rather than erroring.  ``tests/core/test_kernel_loader.py`` covers the ways
 the build itself can fail.
@@ -27,14 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intersection import (
-    BATCH_KERNEL_TIERS,
     INTERSECTION_KERNELS,
     KERNEL_TIER_FALLBACK,
     KERNEL_TIERS,
     ROW_KERNEL_TIERS,
     RowAdjacency,
     available_kernel_tiers,
-    batch_kernel,
     compiled_tier_status,
     resolve_kernel_tier,
     row_kernel,
@@ -44,11 +42,6 @@ from repro.core.intersection_compiled import COMPILED_ROW_KERNELS
 COMPILED_AVAILABLE = compiled_tier_status().available
 
 KERNEL_NAMES = tuple(INTERSECTION_KERNELS)
-
-
-def canonical_batch(result):
-    """(sorted match triples, comparisons) — tier-independent form."""
-    return (sorted(tuple(map(int, m)) for m in result.matches), int(result.comparisons))
 
 
 def canonical_rows(result):
@@ -74,31 +67,13 @@ def sorted_unique(draw, order_count, max_len, min_len=0):
 
 
 @st.composite
-def batch_cases(draw):
-    """Candidate segments + one shared adjacency, adversarial shapes included.
+def row_cases(draw):
+    """Candidate segments + a multi-row adjacency (empty rows included).
 
     Segment lengths of 0 and 1 arise naturally; keys repeat across segments
-    and overlap the adjacency (the same small order-id universe), which is
-    the duplicate-key regime the composite-key row kernels must not confuse.
+    and overlap the rows (the same small order-id universe), which is the
+    duplicate-key regime the composite-key row kernels must not confuse.
     """
-    order_count = draw(st.integers(min_value=1, max_value=40))
-    n_segments = draw(st.integers(min_value=0, max_value=6))
-    segments = [
-        sorted_unique(draw, order_count, max_len=min(order_count, 8))
-        for _ in range(n_segments)
-    ]
-    offsets = [0]
-    flat = []
-    for seg in segments:
-        flat.extend(seg)
-        offsets.append(len(flat))
-    adjacency = sorted_unique(draw, order_count, max_len=min(order_count, 12))
-    return flat, offsets, adjacency
-
-
-@st.composite
-def row_cases(draw):
-    """Candidate segments + a multi-row adjacency (empty rows included)."""
     order_count = draw(st.integers(min_value=1, max_value=40))
     n_rows = draw(st.integers(min_value=1, max_value=5))
     rows = [
@@ -131,13 +106,6 @@ def row_cases(draw):
     return flat, offsets, seg_rows, adjacency
 
 
-def batch_variants(name):
-    """Every registered batch implementation of ``name``."""
-    return {
-        f"tier:{tier}": kernels[name] for tier, kernels in BATCH_KERNEL_TIERS.items()
-    }
-
-
 def row_variants(name):
     """Every registered row implementation of ``name`` (the C one included
     wherever it built)."""
@@ -154,19 +122,6 @@ def assert_rows_agree(name, flat, offsets, seg_rows, adjacency):
         got = canonical_rows(kernel_fn(flat, offsets, seg_rows, adjacency))
         assert got == oracle, f"{name}/{label} diverged on {flat, offsets, seg_rows}"
     return oracle
-
-
-@settings(max_examples=120, deadline=None)
-@given(case=batch_cases())
-def test_batch_kernels_agree_across_tiers(case):
-    """Same matches, same comparison totals: every tier, every batch kernel."""
-    flat, offsets, adjacency = case
-    for name in KERNEL_NAMES:
-        variants = batch_variants(name)
-        oracle = canonical_batch(variants["tier:scalar"](flat, offsets, adjacency))
-        for label, kernel_fn in variants.items():
-            got = canonical_batch(kernel_fn(flat, offsets, adjacency))
-            assert got == oracle, f"{name}/{label} diverged: {got} != {oracle}"
 
 
 @settings(max_examples=120, deadline=None)
@@ -288,23 +243,6 @@ def test_row_kernels_reject_out_of_range_rows(name):
         assert canonical_rows(kernel_fn([], [0], [], adjacency)) == ([], [], [], 0)
 
 
-@pytest.mark.parametrize("name", KERNEL_NAMES)
-def test_batch_kernels_adversarial_cases(name):
-    cases = [
-        ([], [0], []),
-        ([], [0, 0, 0], [1, 2, 3]),
-        ([5], [0, 1], []),
-        ([1, 2, 3], [0, 1, 2, 3], [2]),
-        ([2, 4, 6], [0, 3], [2, 4, 6]),
-    ]
-    for flat, offsets, adjacency in cases:
-        variants = batch_variants(name)
-        oracle = canonical_batch(variants["tier:scalar"](flat, offsets, adjacency))
-        for label, kernel_fn in variants.items():
-            got = canonical_batch(kernel_fn(flat, offsets, adjacency))
-            assert got == oracle, f"{name}/{label} on {flat, offsets}"
-
-
 # ---------------------------------------------------------------------------
 # Downgrade semantics: with and without a C compiler
 # ---------------------------------------------------------------------------
@@ -324,10 +262,8 @@ def test_compiled_module_import_never_raises():
 
 
 def test_compiled_tier_registration_matches_status():
-    """``compiled`` is a registered row tier exactly when its library loaded;
-    the batch kernels (the ``batched`` oracle engine's) have no compiled form."""
+    """``compiled`` is a registered row tier exactly when its library loaded."""
     assert ("compiled" in ROW_KERNEL_TIERS) == COMPILED_AVAILABLE
-    assert "compiled" not in BATCH_KERNEL_TIERS
     assert available_kernel_tiers() == tuple(
         tier for tier in KERNEL_TIERS if tier in ROW_KERNEL_TIERS
     )
@@ -344,11 +280,8 @@ def test_resolve_compiled_follows_fallback_chain():
     assert resolve_kernel_tier(None) == resolve_kernel_tier("auto") == resolved
     assert resolve_kernel_tier("columnar") == "columnar"
     assert resolve_kernel_tier("scalar") == "scalar"
-    # The accessors hand back callables for every name at every spelling;
-    # the batch accessor walks the chain against its own (compiled-less) table.
+    # The accessor hands back callables for every name at every spelling.
     for name in KERNEL_NAMES:
-        assert batch_kernel(name, "compiled") is BATCH_KERNEL_TIERS["columnar"][name]
-        assert batch_kernel(name, None) is BATCH_KERNEL_TIERS["columnar"][name]
         assert row_kernel(name, "compiled") is ROW_KERNEL_TIERS[resolved][name]
         assert row_kernel(name, "auto") is ROW_KERNEL_TIERS[resolved][name]
     with pytest.raises(ValueError):
@@ -375,13 +308,13 @@ def test_survey_accepts_compiled_tier_everywhere(monkeypatch):
 
     monkeypatch.setitem(ROW_KERNEL_TIERS[best], "merge_path", counting_kernel)
 
-    def run(kernel_tier, engine="columnar"):
+    def run(kernel_tier):
         world = World(4)
         dodgr = DODGraph.build(
             rmat(6, edge_factor=6, seed=9).to_distributed(world), mode="bulk"
         )
         report = triangle_survey_push(
-            dodgr, None, engine=EngineConfig(engine=engine, kernel_tier=kernel_tier)
+            dodgr, None, engine=EngineConfig(engine="columnar", kernel_tier=kernel_tier)
         )
         return (
             report.triangles,
@@ -396,5 +329,3 @@ def test_survey_accepts_compiled_tier_everywhere(monkeypatch):
     assert calls["best"] > before, f"kernel_tier=None did not run the {best} kernels"
     assert best == ("compiled" if COMPILED_AVAILABLE else "columnar")
     assert run("compiled") == default == run("scalar")
-    # The batched oracle engine takes the same spelling on its batch kernels.
-    assert run("compiled", engine="batched")[:2] == default[:2]

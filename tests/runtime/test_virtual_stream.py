@@ -1,4 +1,4 @@
-"""Virtual-stream accounting and batched delivery (batched-engine runtime).
+"""Virtual-stream accounting and batched delivery (the coalesced-call runtime).
 
 ``BufferBank.send_virtual`` must be byte-for-byte indistinguishable — in
 every counter the simulation reports — from ``send`` with a real payload of
@@ -8,6 +8,7 @@ as the legacy messages it replaces.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.runtime.message_buffer import (
@@ -99,8 +100,7 @@ class TestWorldBatchedDelivery:
 
         handle = world.register_handler(handler)
         src = world.rank(0)
-        src.account_rpc(2, 40)
-        src.account_rpc(2, 60)
+        src.account_rpc_bulk(np.array([2, 2]), np.array([40, 60]))
         src.async_call_batched(2, handle, "batch", virtual_rpcs=2, virtual_bytes=100)
         world.barrier()
 
@@ -119,7 +119,7 @@ class TestWorldBatchedDelivery:
         seen = []
         handle = world.register_handler(lambda ctx, x: seen.append(x))
         src = world.rank(1)
-        src.account_rpc(1, 25)
+        src.account_rpc_bulk(np.array([1]), np.array([25]))
         src.async_call_batched(1, handle, 7, virtual_rpcs=1, virtual_bytes=25)
         world.barrier()
         assert seen == [7]
@@ -150,7 +150,7 @@ class TestWorldBatchedDelivery:
 
     def test_barrier_flushes_virtual_only_pending(self):
         world = World(2)
-        world.rank(0).account_rpc(1, 12)
+        world.rank(0).account_rpc_bulk(np.array([1]), np.array([12]))
         world.barrier()
         stats = world.stats.ranks[0].current
         assert stats.wire_messages == 1

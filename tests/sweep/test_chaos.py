@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.engine import engine_names, incremental_engine_names
+from repro.core.engine import engine_names
 from repro.runtime.faults import FaultPlan, sample_fault_plans
 from repro.sweep import (
     ANALYSES,
@@ -51,15 +51,17 @@ class TestRunShape:
 
     def test_axes_are_pure_functions_of_cell_index(self, small_chaos):
         configs, plans, chaos = small_chaos
-        full_axis = engine_names()
-        streaming_axis = incremental_engine_names()
+        axis = engine_names()
         for index, cell in enumerate(chaos.cells):
             assert cell.config_id == configs[index % len(configs)].config_id()
-            analysis = ANALYSES[index % len(ANALYSES)]
-            assert cell.analysis == analysis
-            axis = streaming_axis if analysis == "streaming" else full_axis
-            assert cell.engine == axis[index % len(axis)]
+            assert cell.analysis == ANALYSES[index % len(ANALYSES)]
+            assert cell.engine == axis[(index // len(ANALYSES)) % len(axis)]
             assert cell.plan_name == plans[index].name
+
+    def test_every_analysis_meets_every_engine(self, small_chaos):
+        _, _, chaos = small_chaos
+        pairs = {(cell.analysis, cell.engine) for cell in chaos.cells}
+        assert pairs == {(a, e) for a in ANALYSES for e in engine_names()}
 
     def test_every_cell_has_a_baseline(self, small_chaos):
         _, _, chaos = small_chaos

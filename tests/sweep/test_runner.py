@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.engine import engine_names, incremental_engine_names
+from repro.core.engine import engine_names
 from repro.sweep import (
     ANALYSES,
     ORACLE_ENGINE,
@@ -56,7 +56,7 @@ class TestCoverage:
                 if cell.config_id == config.config_id()
                 and cell.analysis == "streaming"
             }
-            assert engines == set(incremental_engine_names())
+            assert engines == set(engine_names())
 
     def test_parity_holds_across_the_sample(self, small_sweep):
         _configs, result = small_sweep
@@ -118,7 +118,7 @@ class TestRegressionFlagger:
                 _cell(slowdown=0.8),
                 _cell(slowdown=1.05),  # within the 0.1 tolerance
                 _cell(slowdown=1.5),
-                _cell(engine="batched", parity_ok=False, slowdown=0.9,
+                _cell(engine="columnar", parity_ok=False, slowdown=0.9,
                       detail="triangles 1 != legacy 2"),
             ],
             engines=tuple(engine_names()),

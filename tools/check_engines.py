@@ -39,9 +39,12 @@ Six checks, exit status 1 on any failure (each printed to stderr):
    ``kernel_tier``, ``storage``: ``engine=`` is the only selector), full,
    incremental and service surveys all default to
    :data:`repro.core.engine.DEFAULT_ENGINE`, which is the engine README.md's
-   table marks ``**default**``, and :class:`~repro.core.engine.EngineSpec`
-   has no NumPy-fallback field — so the selection surface cannot regrow
-   unnoticed.
+   table marks ``**default**``; the built-in engines are exactly the
+   ``legacy`` oracle and the ``columnar`` production engine,
+   :class:`~repro.core.engine.EngineSpec` has exactly the fields ``name``,
+   ``description`` and ``style``, and :mod:`repro.core.intersection`
+   defines no batch-kernel name (a name with a word ``batch``) — so the
+   selection surface cannot regrow unnoticed.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -296,11 +299,20 @@ def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
 #: Execution keywords the entry points used to re-declare beside ``engine=``.
 LOOSE_KEYWORDS = ("kernel", "batched", "backend", "workers", "kernel_tier", "storage")
 
+#: The registry's built-in engines and the fields of an engine declaration.
+BUILTIN_ENGINES = ("legacy", "columnar")
+ENGINE_SPEC_FIELDS = ("name", "description", "style")
+
+#: A name with a word ``batch`` (``batch_kernel``, ``hash_batch``,
+#: ``BATCH_KERNELS``, ...) — the deleted batch-kernel family.
+_BATCH_WORD = re.compile(r"(?:^|_)batch", re.IGNORECASE)
+
 
 def check_selector_surface() -> List[str]:
     """``engine=`` is the only selector and there is one default (check 6)."""
     from repro.core import (
         incremental_triangle_survey,
+        intersection,
         triangle_survey_push,
         triangle_survey_push_pull,
     )
@@ -346,13 +358,14 @@ def check_selector_surface() -> List[str]:
             errors.append(
                 f"{where} defaults to {name!r}, not DEFAULT_ENGINE {DEFAULT_ENGINE!r}"
             )
-    stale = [
-        f.name
-        for f in dataclasses.fields(EngineSpec)
-        if "numpy" in f.name or f.name == "fallback"
-    ]
-    if stale:
-        errors.append(f"EngineSpec regrew NumPy-fallback field(s) {stale!r}")
+    if engine_names() != BUILTIN_ENGINES:
+        errors.append(f"registered engines {engine_names()!r} != {BUILTIN_ENGINES!r}")
+    fields = tuple(f.name for f in dataclasses.fields(EngineSpec))
+    if fields != ENGINE_SPEC_FIELDS:
+        errors.append(f"EngineSpec fields {fields!r} != {ENGINE_SPEC_FIELDS!r}")
+    batch_names = sorted(name for name in vars(intersection) if _BATCH_WORD.search(name))
+    if batch_names:
+        errors.append(f"repro.core.intersection regrew batch-kernel name(s) {batch_names!r}")
     return errors
 
 
