@@ -495,6 +495,16 @@ class CheckpointedStreamingSurvey:
             replayed_batches=replayed,
         )
 
+    def close(self) -> None:
+        """Release the live DODGr and the replay log's, once each."""
+        retained = [delta.dodgr for delta in self._pending]
+        if self.dodgr is not None and all(dodgr is not self.dodgr for dodgr in retained):
+            retained.append(self.dodgr)
+        for dodgr in retained:
+            dodgr.release()
+        self.dodgr = None
+        self._pending = []
+
     # ------------------------------------------------------------------
     def _survey_batch(self, applied: AppliedDelta) -> Any:
         from ..incremental import incremental_triangle_survey  # import cycle guard

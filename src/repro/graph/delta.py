@@ -5,18 +5,25 @@ transactions arrive over time — yet a classic survey run sees only one
 frozen snapshot.  This module provides the ingestion half of the streaming
 subsystem (the survey half lives in :mod:`repro.core.incremental`):
 
-* :class:`DeltaBuffer` stages one batch of timestamped edge insertions
-  (arbitrary edge/vertex metadata, timestamps by convention in the edge
-  metadata as produced by :func:`~repro.graph.metadata.temporal_edge_meta`);
+* :class:`DeltaBuffer` stages one batch of timestamped edge insertions as
+  endpoint and metadata columns (arbitrary edge/vertex metadata, timestamps
+  by convention in the edge metadata as produced by
+  :func:`~repro.graph.metadata.temporal_edge_meta`);
 * :meth:`DeltaBuffer.apply` merges the staged batch into a live
-  :class:`~repro.graph.distributed_graph.DistributedGraph` and rebuilds the
-  degree-ordered :class:`~repro.graph.dodgr.DODGraph` through the vectorized
-  ``mode="bulk"`` pipeline — the global ``<+`` order ids are remapped in the
-  single :func:`~repro.graph.degree.order_positions` argsort that pipeline
-  already performs, so the rebuilt graph is *bit-identical* to a from-scratch
-  build over the merged edge set;
+  :class:`~repro.graph.distributed_graph.DistributedGraph` as one column
+  write — the sorted-batch-into-sorted-adjacency merge of Makkar, Bader &
+  Green (HiPC 2017), here at the DODGr's input: the batch is deduplicated
+  and checked against the graph's sorted half-edge keys with array
+  operations, and the accepted edges are laid into a new
+  :class:`~repro.graph.columnar.HalfEdgeColumns` image the graph keeps.  It
+  then rebuilds the degree-ordered :class:`~repro.graph.dodgr.DODGraph`
+  from that image through the vectorized ``mode="bulk"`` pipeline — the
+  global ``<+`` order ids are remapped in the single
+  :func:`~repro.graph.degree.order_positions` argsort that pipeline already
+  performs, so the rebuilt graph is *bit-identical* to a from-scratch build
+  over the merged edge set;
 * :class:`AppliedDelta` describes the applied batch to the incremental
-  survey: which undirected pairs are new, and — per rank — a boolean mask
+  survey: the accepted edges as columns and — per rank — a boolean mask
   over the rebuilt CSR's edge positions marking the *new directed edges*.
 
 Merge semantics are **first write wins**: a staged edge whose unordered pair
@@ -26,14 +33,21 @@ already set.  This mirrors ``DistributedEdgeList.simplify("first")`` and is
 what makes incremental surveys exactly replayable: the graph state after
 ``k`` batches equals the graph built from the first-seen edge set, so a full
 recompute at any step is a well-defined parity oracle (see
-``tests/core/test_incremental.py``).
+``tests/core/test_incremental.py``).  The image is exactly what inserting
+the accepted edges one by one (``DistributedGraph.add_edge``, canonical
+endpoint first) and then setting the staged vertex metadata would leave in
+the per-rank stores: new vertices at the end of their rank, new half edges
+at the end of their vertex's run (``tests/properties/test_property_dodgr.py``
+replays that loop as the oracle).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple
 
+from .columnar import HalfEdgeColumns, id_array, id_column, object_column, unique_pair_indices
 from .distributed_graph import DistributedGraph
 from .dodgr import DODGraph
 from .edge_list import canonical_pair, validate_edge_columns
@@ -48,17 +62,21 @@ class AppliedDelta:
     """One applied edge batch, described for the incremental survey engines.
 
     Produced by :meth:`DeltaBuffer.apply`.  ``dodgr`` is the *rebuilt*
-    degree-ordered graph over the merged edge set; ``edges`` holds the
-    accepted records (canonically ordered endpoints, first-write-wins
-    metadata) and ``batch_index`` counts applied batches per buffer.
+    degree-ordered graph over the merged edge set; the accepted edges are
+    kept as columns of DODGr rows (a row index counts the vertices of all
+    ranks, rank-major — the order of ``dodgr.csr(0).row_vertices``,
+    ``dodgr.csr(1).row_vertices``, ...) in canonical endpoint order, and
+    ``batch_index`` counts applied batches per buffer.
     """
 
     #: the DODGr rebuilt over the merged graph (``mode="bulk"``)
     dodgr: DODGraph
-    #: accepted edge records ``(u, v, meta)`` with ``(u, v)`` canonical
-    edges: List[Tuple[Hashable, Hashable, Any]]
-    #: canonical unordered pairs of the accepted edges
-    new_pairs: Set[Tuple[Hashable, Hashable]]
+    #: (A,) DODGr row of each accepted edge's canonically first endpoint
+    src_rows: Any
+    #: (A,) DODGr row of each accepted edge's canonically second endpoint
+    dst_rows: Any
+    #: (A,) object column of the accepted edges' metadata (first write wins)
+    edge_meta: Any
     #: 0-based index of this batch within its :class:`DeltaBuffer`
     batch_index: int
     #: per-rank new-directed-edge masks, built lazily (see :meth:`edge_mask`)
@@ -67,7 +85,30 @@ class AppliedDelta:
 
     def num_edges(self) -> int:
         """Number of accepted (new) undirected edges in this batch."""
-        return len(self.edges)
+        return len(self.src_rows)
+
+    def _row_column(self, name: str) -> Any:
+        """A per-row :class:`~repro.graph.dodgr.CSRAdjacency` column, all ranks."""
+        return _np.concatenate(
+            [getattr(self.dodgr.csr(rank), name) for rank in range(self.dodgr.world.nranks)]
+        )
+
+    @cached_property
+    def edges(self) -> List[Tuple[Hashable, Hashable, Any]]:
+        """Accepted edge records ``(u, v, meta)``, ``(u, v)`` canonical (lazy)."""
+        vertices = self._row_column("row_vertices")
+        return list(
+            zip(
+                vertices[self.src_rows].tolist(),
+                vertices[self.dst_rows].tolist(),
+                self.edge_meta.tolist(),
+            )
+        )
+
+    @cached_property
+    def new_pairs(self) -> Set[Tuple[Hashable, Hashable]]:
+        """Canonical unordered pairs of the accepted edges (lazy)."""
+        return {(u, v) for u, v, _meta in self.edges}
 
     def is_new(self, u: Hashable, v: Hashable) -> bool:
         """True when the undirected edge (u, v) arrived in this batch."""
@@ -79,20 +120,15 @@ class AppliedDelta:
 
         Every DODGr directed edge points from the ``<+``-smaller vertex to
         the larger, so the directed form of an accepted pair is fixed by the
-        rebuilt order ids; the sorted key array lets any rank test "is this
-        directed edge new?" with one vectorized ``isin``/``searchsorted``.
-        Requires NumPy (the scalar engines use :meth:`is_new` instead).
+        rebuilt order ids (``row_order_ids`` of the edge's two rows); the
+        sorted key array lets any rank test "is this directed edge new?"
+        with one vectorized ``isin``/``searchsorted``.
         """
         if self._new_keys is None:
-            order_ids = self.dodgr.order_ids()
-            stride = self.dodgr.order_count()
-            keys = []
-            for u, v, _meta in self.edges:
-                a, b = order_ids[u], order_ids[v]
-                if a > b:
-                    a, b = b, a
-                keys.append(a * stride + b)
-            self._new_keys = _np.asarray(sorted(keys), dtype=_np.int64)
+            order_ids = self._row_column("row_order_ids")
+            a, b = order_ids[self.src_rows], order_ids[self.dst_rows]
+            stride = _np.int64(self.dodgr.order_count())
+            self._new_keys = _np.sort(_np.minimum(a, b) * stride + _np.maximum(a, b))
         return self._new_keys
 
     def edge_mask(self, rank: int) -> Any:
@@ -102,7 +138,7 @@ class AppliedDelta:
         ``dodgr.csr(rank)`` (the flattened ``Adj^m_+`` arrays); a True entry
         marks a directed edge whose undirected pair arrived in this batch.
         Built with one vectorized ``searchsorted`` over the rank's composite
-        edge keys and cached.  Requires NumPy.
+        edge keys and cached.
         """
         mask = self._masks.get(rank)
         if mask is None:
@@ -156,7 +192,10 @@ class DeltaBuffer:
 
     def __init__(self, world) -> None:
         self.world = world
-        self._edges: List[Tuple[Hashable, Hashable, Any]] = []
+        #: the staged batch as three parallel columns
+        self._us: List[Hashable] = []
+        self._vs: List[Hashable] = []
+        self._metas: List[Any] = []
         self._vertex_meta: Dict[Hashable, Any] = {}
         self._applied_batches = 0
 
@@ -164,20 +203,25 @@ class DeltaBuffer:
     # Staging
     # ------------------------------------------------------------------
     def stage_edge(self, u: Hashable, v: Hashable, meta: Any = None) -> None:
-        """Stage one undirected edge insertion (self loops are dropped)."""
-        if u == v:
-            return
-        self._edges.append((u, v, meta))
+        """Stage one undirected edge insertion (:meth:`apply` drops self loops)."""
+        self._us.append(u)
+        self._vs.append(v)
+        self._metas.append(meta)
 
     def stage_edges(
         self, edges: Iterable[Tuple[Hashable, Hashable] | Tuple[Hashable, Hashable, Any]]
     ) -> None:
         """Stage an iterable of ``(u, v)`` or ``(u, v, meta)`` records."""
-        for edge in edges:
-            if len(edge) == 2:
-                self.stage_edge(edge[0], edge[1])
-            else:
-                self.stage_edge(edge[0], edge[1], edge[2])
+        records = edges if isinstance(edges, list) else list(edges)
+        try:
+            us, vs, metas = zip(*records)
+        except ValueError:  # no records, or some without exactly one meta
+            us = [edge[0] for edge in records]
+            vs = [edge[1] for edge in records]
+            metas = [None if len(edge) == 2 else edge[2] for edge in records]
+        self._us.extend(us)
+        self._vs.extend(vs)
+        self._metas.extend(metas)
 
     def stage_columns(
         self, us: Any, vs: Any, edge_metas: Optional[List[Any]] = None, edge_meta: Any = None
@@ -189,9 +233,9 @@ class DeltaBuffer:
         anything is staged.
         """
         validate_edge_columns(us, vs, edge_metas)
-        for i, (u, v) in enumerate(zip(us, vs)):
-            meta = edge_metas[i] if edge_metas is not None else edge_meta
-            self.stage_edge(int(u), int(v), meta)
+        self._us.extend(int(u) for u in us)
+        self._vs.extend(int(v) for v in vs)
+        self._metas.extend(edge_metas if edge_metas is not None else [edge_meta] * len(us))
 
     def stage_vertex_meta(self, vertex: Hashable, meta: Any) -> None:
         """Stage vertex metadata (applied only where none is set yet)."""
@@ -200,7 +244,7 @@ class DeltaBuffer:
     @property
     def pending_edges(self) -> int:
         """Number of staged (not yet applied) edge records."""
-        return len(self._edges)
+        return len(self._us)
 
     @property
     def applied_batches(self) -> int:
@@ -213,15 +257,20 @@ class DeltaBuffer:
     def apply(self, graph: DistributedGraph, name: Optional[str] = None) -> AppliedDelta:
         """Merge the staged batch into ``graph`` and rebuild the DODGr.
 
-        Staged edges whose unordered pair already exists in ``graph`` — or
-        appeared earlier in this batch — are dropped (first write wins), as
-        is staged vertex metadata for vertices that already carry some.  The
-        DODGr is rebuilt from scratch through ``DODGraph.build(graph,
-        mode="bulk")``: the vectorized pipeline re-derives the global ``<+``
-        order ids in its single argsort pass, so the result is bit-identical
-        to a cold build over the merged edge set (degree changes from the
-        new edges re-orient old directed edges exactly as a full rebuild
-        would).
+        Self loops are dropped, and so are staged edges whose unordered pair
+        already exists in ``graph`` — or appeared earlier in this batch
+        (first write wins); staged vertex metadata is set only on vertices
+        that are new or carry ``None``.  The merge is one column write:
+        ``graph.half_edge_columns()`` (the retained image, or the per-rank
+        stores flattened once if something materialised them) is merged
+        with the accepted edges into a new image that ``graph`` adopts
+        (:meth:`~repro.graph.distributed_graph.DistributedGraph.adopt_columns`)
+        — no per-edge Python on int64 ids.  The DODGr is then rebuilt from
+        scratch through ``DODGraph.build(graph, mode="bulk")``: the
+        vectorized pipeline re-derives the global ``<+`` order ids in its
+        single argsort pass, so the result is bit-identical to a cold build
+        over the merged edge set (degree changes from the new edges
+        re-orient old directed edges exactly as a full rebuild would).
 
         Parameters
         ----------
@@ -234,19 +283,11 @@ class DeltaBuffer:
         Returns the :class:`AppliedDelta` describing the accepted edges and
         carrying the rebuilt :class:`~repro.graph.dodgr.DODGraph`.
         """
-        accepted: List[Tuple[Hashable, Hashable, Any]] = []
-        new_pairs: Set[Tuple[Hashable, Hashable]] = set()
-        for u, v, meta in self._edges:
-            pair = canonical_pair(u, v)
-            if pair in new_pairs or graph.has_edge(pair[0], pair[1]):
-                continue
-            new_pairs.add(pair)
-            accepted.append((pair[0], pair[1], meta))
-            graph.add_edge(pair[0], pair[1], meta)
-        for vertex, meta in self._vertex_meta.items():
-            if not graph.has_vertex(vertex) or graph.vertex_meta(vertex) is None:
-                graph.set_vertex_meta(vertex, meta)
-        self._edges = []
+        image, src_rows, dst_rows, edge_meta = _merge_batch(
+            graph, self._us, self._vs, self._metas, self._vertex_meta
+        )
+        graph.adopt_columns(image)
+        self._us, self._vs, self._metas = [], [], []
         self._vertex_meta = {}
         batch_index = self._applied_batches
         self._applied_batches += 1
@@ -254,5 +295,187 @@ class DeltaBuffer:
             graph, mode="bulk", name=name or f"{graph.name}@{batch_index}"
         )
         return AppliedDelta(
-            dodgr=dodgr, edges=accepted, new_pairs=new_pairs, batch_index=batch_index
+            dodgr=dodgr,
+            src_rows=src_rows,
+            dst_rows=dst_rows,
+            edge_meta=edge_meta,
+            batch_index=batch_index,
         )
+
+
+# ---------------------------------------------------------------------------
+# The column merge
+# ---------------------------------------------------------------------------
+
+
+class _BatchIds(NamedTuple):
+    """A batch's vertex references as dense indices of the merged vertex set.
+
+    Existing vertices keep their image index; vertices the batch introduces
+    follow, numbered by first appearance — edge endpoints (canonical endpoint
+    first, edges in staged order) before metadata-only vertices.
+    """
+
+    #: staged records that are not self loops
+    keep: Any
+    #: canonical first / second endpoint of each kept record
+    lo: Any
+    hi: Any
+    #: each staged vertex-metadata key
+    meta_keys: Any
+    #: ids of the vertices the batch introduces, in index order
+    new_vertices: Any
+
+
+def _int_batch_ids(old_vertices: Any, us: Any, vs: Any, keys: Any) -> _BatchIds:
+    """:class:`_BatchIds` for int64 ids: sorts and ``searchsorted``, no Python loop."""
+    keep = _np.flatnonzero(us != vs)
+    lo, hi = _np.minimum(us[keep], vs[keep]), _np.maximum(us[keep], vs[keep])
+    refs = _np.concatenate((_np.column_stack((lo, hi)).reshape(-1), keys))
+    fresh = refs[~_np.isin(refs, old_vertices)]
+    uniq, first = _np.unique(fresh, return_index=True)
+    new_vertices = uniq[_np.argsort(first)]
+    all_ids = _np.concatenate((old_vertices, new_vertices))
+    sorter = _np.argsort(all_ids)
+    dense = sorter[_np.searchsorted(all_ids, refs, sorter=sorter)]
+    ends = 2 * keep.size
+    return _BatchIds(keep, dense[0:ends:2], dense[1:ends:2], dense[ends:], new_vertices)
+
+
+def _object_batch_ids(old_vertices: Any, us: List, vs: List, keys: List) -> _BatchIds:
+    """:class:`_BatchIds` for any other ids, through one ``{id: index}`` dict."""
+    keep = [i for i, (u, v) in enumerate(zip(us, vs)) if not u == v]
+    refs = [end for i in keep for end in canonical_pair(us[i], vs[i])]
+    refs.extend(keys)
+    index_of = dict(zip(old_vertices, range(len(old_vertices))))
+    new_vertices: List[Hashable] = []
+    for ref in refs:
+        if ref not in index_of:
+            index_of[ref] = len(index_of)
+            new_vertices.append(ref)
+    dense = _np.fromiter(map(index_of.__getitem__, refs), dtype=_np.int64, count=len(refs))
+    ends = 2 * len(keep)
+    return _BatchIds(
+        _np.asarray(keep, dtype=_np.int64),
+        dense[0:ends:2],
+        dense[1:ends:2],
+        dense[ends:],
+        new_vertices,
+    )
+
+
+def _merge_batch(
+    graph: DistributedGraph,
+    us: List[Hashable],
+    vs: List[Hashable],
+    metas: List[Any],
+    vertex_meta: Dict[Hashable, Any],
+) -> Tuple[HalfEdgeColumns, Any, Any, Any]:
+    """Merge a staged batch into ``graph``'s half-edge image (the graph is not touched).
+
+    Returns the new image and the accepted edges: the image rows of their
+    canonical endpoints and their metadata column.  The new image is what
+    the per-rank stores would hold after inserting the accepted edges with
+    ``add_edge(lo, hi, meta)`` in staged order and then applying the
+    first-write-wins vertex-metadata rule: new vertices join the end of
+    their rank, new half edges the end of their vertex's run.
+    """
+    old = graph.half_edge_columns()
+    keys = list(vertex_meta)
+    int_ids = [id_array(column) for column in (us, vs, keys)]
+    if old.vertices.dtype == _np.int64 and all(ids is not None for ids in int_ids):
+        batch = _int_batch_ids(old.vertices, *int_ids)
+    else:
+        batch = _object_batch_ids(old.vertices.tolist(), us, vs, keys)
+    num_old = len(old.vertices)
+    num_new = len(batch.new_vertices)
+    total = num_old + num_new
+
+    # First write wins: the first of each distinct pair in the batch, unless
+    # the graph already holds it (one searchsorted over its canonical keys).
+    a, b = _np.minimum(batch.lo, batch.hi), _np.maximum(batch.lo, batch.hi)
+    accepted = _np.sort(unique_pair_indices(a, b))
+    stride = _np.int64(total)
+    old_src = _np.repeat(_np.arange(num_old, dtype=_np.int64), old.degree)
+    canonical = old_src < old.tgt
+    held = _np.sort(old_src[canonical] * stride + old.tgt[canonical])
+    wanted = a[accepted] * stride + b[accepted]
+    if held.size:
+        at = _np.minimum(_np.searchsorted(held, wanted), held.size - 1)
+        accepted = accepted[held[at] != wanted]
+    lo, hi = batch.lo[accepted], batch.hi[accepted]
+    edge_meta = object_column(metas)[batch.keep[accepted]]
+
+    # Vertex metadata: the graph default on vertices the edges introduce,
+    # then the staged values where the vertex is new to the batch's edges
+    # (metadata-only) or its metadata is still None.
+    default_meta = _np.empty(num_new, dtype=object)
+    default_meta.fill(graph.default_vertex_meta)
+    vertex_metas = _np.concatenate((old.vertex_meta, default_meta))
+    # The edges introduce a prefix of the new vertices (a rejected edge's
+    # endpoints were all seen before it); the rest are metadata-only.
+    ends = _np.concatenate((lo, hi))
+    metadata_only = max(num_old, int(ends.max(initial=-1)) + 1)
+    if keys:
+        current = vertex_metas[batch.meta_keys].tolist()
+        unset = _np.fromiter((meta is None for meta in current), dtype=bool, count=len(current))
+        write = unset | (batch.meta_keys >= metadata_only)
+        vertex_metas[batch.meta_keys[write]] = object_column(list(vertex_meta.values()))[write]
+
+    # Rank-major layout: a stable sort by owner keeps every rank's old
+    # vertices first and appends its new ones in first-appearance order.
+    if isinstance(batch.new_vertices, _np.ndarray):
+        new_owner = graph.partitioner.owners_array(batch.new_vertices)
+    else:
+        new_owner = [graph.partitioner.owner(vertex) for vertex in batch.new_vertices]
+    nranks = graph.world.nranks
+    owner = _np.concatenate(
+        (
+            _np.repeat(_np.arange(nranks, dtype=_np.int64), _np.diff(old.rank_offsets)),
+            _np.asarray(new_owner, dtype=_np.int64),
+        )
+    )
+    order = _np.argsort(owner, kind="stable")
+    row_of = _np.empty(total, dtype=_np.int64)
+    row_of[order] = _np.arange(total, dtype=_np.int64)
+
+    # Half edges: every vertex keeps its old run and appends its new half
+    # edges in staged edge order (one per endpoint of each accepted edge).
+    old_degree = _np.concatenate((old.degree, _np.zeros(num_new, dtype=_np.int64)))
+    degree = old_degree + _np.bincount(ends, minlength=total)
+    run_start = _np.concatenate(([0], _np.cumsum(degree[order])))[row_of]
+    old_bounds = _np.concatenate(([0], _np.cumsum(old.degree)))
+    old_pos = run_start[old_src] + _np.arange(old_src.size) - old_bounds[old_src]
+    half_src = _np.column_stack((lo, hi)).reshape(-1)
+    half_tgt = _np.column_stack((hi, lo)).reshape(-1)
+    by_src = _np.argsort(half_src, kind="stable")
+    grouped = half_src[by_src]
+    new_pos = _np.empty(half_src.size, dtype=_np.int64)
+    new_pos[by_src] = (
+        run_start[grouped]
+        + old_degree[grouped]
+        + _np.arange(grouped.size)
+        - _np.searchsorted(grouped, grouped)
+    )
+    num_half = old_src.size + half_src.size
+    tgt = _np.empty(num_half, dtype=_np.int64)
+    tgt[old_pos] = row_of[old.tgt]
+    tgt[new_pos] = row_of[half_tgt]
+    half_meta = _np.empty(num_half, dtype=object)
+    half_meta[old_pos] = old.edge_meta
+    half_meta[new_pos] = _np.repeat(edge_meta, 2)
+
+    if isinstance(batch.new_vertices, _np.ndarray):
+        vertices = _np.concatenate((old.vertices, batch.new_vertices))[order]
+    else:
+        merged_ids = object_column(old.vertices.tolist() + batch.new_vertices)
+        vertices = id_column(merged_ids[order].tolist())
+    image = HalfEdgeColumns(
+        vertices=vertices,
+        vertex_meta=vertex_metas[order],
+        rank_offsets=_np.concatenate(([0], _np.cumsum(_np.bincount(owner, minlength=nranks)))),
+        degree=degree[order],
+        tgt=tgt,
+        edge_meta=half_meta,
+    )
+    return image, row_of[lo], row_of[hi], edge_meta

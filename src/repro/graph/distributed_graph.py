@@ -10,7 +10,9 @@ Construction offers three paths:
 
 * :meth:`DistributedGraph.from_columns` — array-native bulk loading from
   endpoint columns (every generator): the graph is kept as one column image
-  and its per-rank record dicts materialise only on first access;
+  and its per-rank record dicts materialise only on first access
+  (``DeltaBuffer.apply`` keeps a streamed graph the same way, merging each
+  batch into the image through :meth:`DistributedGraph.adopt_columns`);
 * :meth:`DistributedGraph.from_edges` / :meth:`add_edge` — driver-side
   per-edge loading into the record dicts;
 * :meth:`DistributedGraph.ingest_async` — message-driven loading through the
@@ -78,7 +80,12 @@ class DistributedGraph:
 
     @property
     def store_materialised(self) -> bool:
-        """False while a :meth:`from_columns` graph still lives as columns only."""
+        """False while the graph still lives as a column image only.
+
+        That is a :meth:`from_columns` graph, or any graph a
+        ``DeltaBuffer.apply`` merged a batch into, until something reads or
+        mutates its per-rank records.
+        """
         return self._image is None
 
     def owner(self, vertex: Hashable) -> int:
@@ -121,10 +128,11 @@ class DistributedGraph:
     def half_edge_columns(self) -> HalfEdgeColumns:
         """The whole graph as :class:`~repro.graph.columnar.HalfEdgeColumns`.
 
-        The bulk DODGr build's one input.  A :meth:`from_columns` graph
-        answers with its retained image; any other graph flattens its
-        per-rank stores (one pass over the vertices, no per-edge Python
-        beyond the partner -> dense index lookups).
+        The bulk DODGr build's one input.  A graph kept as columns
+        (:attr:`store_materialised` False) answers with its retained image;
+        any other graph flattens its per-rank stores (one pass over the
+        vertices, no per-edge Python beyond the partner -> dense index
+        lookups).
         """
         if self._image is not None:
             return self._image
@@ -150,6 +158,18 @@ class DistributedGraph:
             tgt=dense_indices(vertices, partners),
             edge_meta=object_column(edge_metas),
         )
+
+    def adopt_columns(self, image: HalfEdgeColumns) -> None:
+        """Make ``image`` the whole graph, as :meth:`from_columns` leaves it.
+
+        ``image`` must list the vertices and half edges in store order (see
+        :class:`~repro.graph.columnar.HalfEdgeColumns`).  The per-rank record
+        dicts are cleared; :meth:`local_store` rebuilds them from the image
+        if something asks.  ``DeltaBuffer.apply`` writes every batch this way.
+        """
+        for ctx in self.world.ranks:
+            ctx.local_state[self._slot].clear()
+        self._image = image
 
     def _vertex_record(
         self, store: Dict[Hashable, Dict[str, Any]], vertex: Hashable
@@ -249,8 +269,9 @@ class DistributedGraph:
         :meth:`max_degree`, :meth:`rank_vertex_counts`, ...) read the image;
         the per-rank record dicts are built only if something asks for them
         (:meth:`local_store` — any per-vertex read, any mutation such as
-        :meth:`add_edge` or ``DeltaBuffer.apply``), after which the image is
-        dropped and the records are authoritative (:attr:`store_materialised`).
+        :meth:`add_edge`), after which the image is dropped and the records
+        are authoritative (:attr:`store_materialised`).  ``DeltaBuffer.apply``
+        merges into the image instead and keeps the graph as columns.
         ``edge_meta`` is a value shared by every edge (the generator
         default); ``edge_metas`` supplies one value per input edge.
 

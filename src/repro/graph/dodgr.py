@@ -370,6 +370,8 @@ class DODGraph:
         self._rows_by_order_id = None
         #: CSR storage policy; None means resident (today's default)
         self._storage: Optional[StorageConfig] = None
+        #: owners sharing this graph (:meth:`retain` / :meth:`release`)
+        self._refs = 1
 
     # ------------------------------------------------------------------
     @property
@@ -772,17 +774,30 @@ class DODGraph:
             spill_csr(snapshot, self.order_count(), config)
         return snapshot
 
+    def retain(self) -> "DODGraph":
+        """Add an owner: the graph now survives one more :meth:`release`.
+
+        A graph starts with one owner, its builder.  The survey service
+        retains each epoch's graph from its streaming ledger, so a query
+        pinned to an epoch keeps it alive after the ledger lets it go.
+        """
+        self._refs += 1
+        return self
+
     def release(self) -> None:
-        """Free this graph's runtime footprint; the graph is unusable after.
+        """Drop one owner; the last one frees the graph, unusable after.
 
         Streaming surveys rebuild the DODGr once per batch — without this,
         every superseded rebuild stays pinned for the world's lifetime by
-        its construction handler and per-rank store slots.  Releasing
+        its construction handler and per-rank store slots.  Freeing
         tombstones the handler (id allocation, and therefore every accounted
         message size, is unchanged — see
         :meth:`~repro.runtime.rpc.RpcRegistry.release`) and drops the rank
         stores, the columns and every derived view.
         """
+        self._refs -= 1
+        if self._refs > 0:
+            return
         self.world.registry.release(self._h_offer_edge)
         for ctx in self.world.ranks:
             ctx.local_state.pop(self._slot, None)

@@ -1,21 +1,24 @@
 """The resident survey service: ingest loop + deadline-bounded queries.
 
 :class:`SurveyService` is the serving story over the engine registry
-(ROADMAP item 2): one long-lived owner of a live graph fed by a
-:class:`~repro.graph.delta.DeltaBuffer`, answering survey queries
-(analysis × engine × window) while ingest keeps running.  Its contract is
-the robustness headline of this layer: **every query gets a structured
-answer within its deadline — exact, cached, resumed, or approximate with
-error bounds — never a hang and never an exception.**
+(ROADMAP item 2): one long-lived owner of a live graph — its resident
+streaming ledger's, fed one :class:`~repro.graph.delta.DeltaBuffer` write
+per batch — answering survey queries (analysis × engine × window) while
+ingest keeps running.  Its contract is the robustness headline of this
+layer: **every query gets a structured answer within its deadline —
+exact, cached, resumed, or approximate with error bounds — never a hang
+and never an exception.**
 
 Snapshot isolation
-    Every applied batch is an *epoch*.  The service retains each epoch's
-    immutable :class:`~repro.graph.dodgr.DODGraph` while any in-flight
-    query has it pinned (refcounted; superseded epochs are released the
-    moment their last query completes), so a query admitted at epoch ``e``
-    surveys exactly the graph of epoch ``e`` no matter how many batches
-    land while it waits.  Panels served from the resident ledger are
-    reducer ``snapshot()`` values — frozen at their epoch by construction.
+    Every applied batch is an *epoch*.  The ledger rebuilds an immutable
+    :class:`~repro.graph.dodgr.DODGraph` per batch; the service retains
+    (:meth:`~repro.graph.dodgr.DODGraph.retain`) each epoch's while any
+    in-flight query has it pinned and releases it the moment its last
+    query completes, so a query admitted at epoch ``e`` surveys exactly the
+    graph of epoch ``e`` no matter how many batches land while it waits —
+    the graph outlives the ledger's own release of it.  Panels served from
+    the resident ledger are reducer ``snapshot()`` values — frozen at their
+    epoch by construction.
 
 The degradation ladder
     Each query walks, in order: the panel cache (keyed on analysis ×
@@ -66,8 +69,6 @@ from ..core.engine import (
     resolve_engine,
 )
 from ..core.engine.registry import suggest_name
-from ..graph.delta import DeltaBuffer
-from ..graph.distributed_graph import DistributedGraph
 from ..runtime.faults import FaultPlan, RankCrashError
 from ..runtime.world import World
 from .admission import AdmissionController, CostModel
@@ -316,7 +317,7 @@ class ServicePolicy:
 
 
 class _Epoch:
-    """One retained graph epoch with its query refcount."""
+    """One epoch's DODGr, retained from the ledger, with its query pins."""
 
     __slots__ = ("dodgr", "directed_edges", "pins")
 
@@ -354,8 +355,10 @@ class SurveyService:
         self.name = name
         self.plan = plan
         # The resident ledger: one streaming pass surveys every tracked
-        # analysis; it owns plan installation (world-armed), checkpoints
-        # per policy, and degrades on permanent loss instead of raising.
+        # analysis; it owns the live graph and plan installation
+        # (world-armed), checkpoints per policy, and degrades on permanent
+        # loss instead of raising.  Exact queries survey its per-batch
+        # DODGrs, which the epochs below retain.
         self._ledger = CheckpointedStreamingSurvey(
             world,
             reducer_factory=make_composite_reducer(tuple(self.analyses.values())),
@@ -363,11 +366,6 @@ class SurveyService:
             policy=self.policy.checkpoint,
             graph_name=f"{name}.ledger",
         )
-        # The exact-query substrate: a second resident graph whose rebuilt
-        # DODGr is *retained per epoch* while queries pin it (the ledger
-        # releases superseded graphs, so it cannot serve pinned queries).
-        self.graph = DistributedGraph(world, name=name)
-        self._delta = DeltaBuffer(world)
         self._epochs: Dict[int, _Epoch] = {}
         self._epoch = -1
         #: per-epoch composite panels / cumulative merges from the ledger
@@ -399,28 +397,11 @@ class SurveyService:
         In-flight queries are unaffected: they hold pins on their epochs'
         graphs, and ledger panels for past epochs are already frozen.
         """
-        edges = list(edges)
         step = self._ledger.ingest(edges, vertex_meta)
-        # Mirror the batch into the exact-query substrate.  Ingest is part
-        # of the durable upstream (see checkpoint.py), so it runs with
-        # faults suspended — the fault domain is survey execution.
-        world = self.world
-        with world.faults_suspended():
-            self._delta.stage_edges(edges)
-            if vertex_meta:
-                for vertex, meta in vertex_meta.items():
-                    self._delta.stage_vertex_meta(vertex, meta)
-            applied = self._delta.apply(self.graph)
-        if applied.batch_index != step.batch_index:
-            raise ServiceError(
-                "ledger and exact substrate diverged: batch "
-                f"{step.batch_index} vs {applied.batch_index}"
-            )
-        epoch = applied.batch_index
+        epoch = step.batch_index
         self._epoch = epoch
-        self._epochs[epoch] = _Epoch(
-            applied.dodgr, applied.dodgr.num_directed_edges()
-        )
+        dodgr = self._ledger.dodgr.retain()
+        self._epochs[epoch] = _Epoch(dodgr, dodgr.num_directed_edges())
         self._release_unpinned(keep=epoch)
         if step.degraded:
             self._panel_history[epoch] = None
@@ -432,7 +413,7 @@ class SurveyService:
         self.counters.epochs_ingested += 1
         self.counters.ledger_restarts += step.restarts
         self.counters.ledger_replayed_batches += step.replayed_batches
-        injector = world.fault_injector
+        injector = self.world.fault_injector
         if injector is not None and injector.crashed_ranks:
             if not injector.plan.crash_recoverable:
                 self._lost_ranks.update(injector.crashed_ranks)
@@ -813,11 +794,11 @@ class SurveyService:
         with world.faults_suspended():
             if lost and len(lost) < world.nranks:
                 path.append(f"approximate:survivor(lost={lost})")
-                estimate = survivor_triangle_estimate(self.graph, lost)
+                estimate = survivor_triangle_estimate(self._ledger.graph, lost)
             else:
                 path.append("approximate:sampled")
                 estimate = approximate_triangle_count(
-                    self.graph,
+                    self._ledger.graph,
                     probability=self.policy.approximate_probability,
                     seed=self.policy.approximate_seed,
                     algorithm="push",
@@ -897,7 +878,7 @@ class SurveyService:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Answer nothing further: shed the queue and release epochs."""
+        """Answer nothing further: shed the queue, release epochs and the ledger."""
         while self._queue:
             ticket = self._queue.popleft()
             self._unpin(ticket.epoch)
@@ -918,5 +899,6 @@ class SurveyService:
         for epoch in list(self._epochs):
             self._epochs[epoch].dodgr.release()
             del self._epochs[epoch]
+        self._ledger.close()
         if self.plan is not None:
             self.world.clear_fault_plan()

@@ -160,6 +160,15 @@ def test_selector_surface_stays_collapsed():
     assert not [name for name in vars(intersection) if check_engines._BATCH_WORD.search(name)]
 
 
+def test_write_path_stays_on_the_arrays():
+    """Mirror of tools/check_engines.py check 7: a columnar stream and a
+    service ingest + exact query leave the live graph as columns and build
+    no DODGr object view."""
+    import check_engines
+
+    assert check_engines.check_write_path() == []
+
+
 def test_reducers_survey_without_a_codec_call():
     """Mirror of tools/check_engines.py check 4: every stock reducer honours
     the contract, and a columnar survey plus ``finalize()`` with it makes

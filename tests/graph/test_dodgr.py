@@ -7,11 +7,14 @@ import dataclasses
 import pytest
 
 from repro.core.callbacks import ClosureTimeSurvey
+from repro.core.incremental import StreamingSurvey
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.core.survey import triangle_survey_push
 from repro.graph import DODGraph, DistributedGraph, entry_key, order_key, rmat, temporal_edge_meta
 from repro.graph.properties import dodgr_wedge_count, max_dodgr_out_degree
 from repro.runtime import World
+from repro.runtime.rpc import RpcError
+from repro.service import SurveyService
 
 
 def build_pair(generated, nranks=4):
@@ -223,6 +226,26 @@ class TestProductionPathStaysOnTheArrays:
         assert dodgr.order_ids() == oracle.order_ids()
         assert dodgr.materialised_views() == {"records", "entries", "order_ids"}
 
+    def test_the_write_path_materialises_no_view(self):
+        """A columnar stream and a service ingest + exact query stay on the arrays."""
+        us, vs, metas = self.columns()
+        records = list(zip(us.tolist(), vs.tolist(), metas))
+        cut, step = len(records) // 2, len(records) // 6
+        batches = [records[:cut]] + [
+            records[cut + i * step : cut + (i + 1) * step] for i in range(3)
+        ]
+        stream = StreamingSurvey(World(self.NRANKS), ClosureTimeSurvey, engine="columnar")
+        for batch in batches:
+            stream.ingest(batch)
+        assert stream.dodgr.materialised_views() == frozenset()
+        assert not stream.graph.store_materialised
+        service = SurveyService(World(self.NRANKS), engine="columnar")
+        service.ingest(batches[0])
+        assert service.query("triangle").outcome == "exact"
+        assert service._ledger.dodgr.materialised_views() == frozenset()
+        assert not service._ledger.graph.store_materialised
+        service.close()
+
     def test_mutation_after_from_columns_materialises_the_store(self):
         us, vs, metas = self.columns()
         graph, _ = self.build()
@@ -236,3 +259,16 @@ class TestProductionPathStaysOnTheArrays:
             assert list(got.items()) == list(want.items())
             for vertex in got:
                 assert list(got[vertex]["adj"].items()) == list(want[vertex]["adj"].items())
+
+
+def test_release_frees_the_graph_when_its_last_owner_lets_go():
+    world = World(2)
+    dodgr = DODGraph.build(DistributedGraph.from_edges(world, [(0, 1), (1, 2), (0, 2)]))
+    assert dodgr.retain() is dodgr
+    dodgr.release()
+    assert dodgr.num_directed_edges() == 3
+    assert world.registry.handler(dodgr._h_offer_edge.handler_id) is not None
+    dodgr.release()
+    assert not [slot for rank in world.ranks for slot in rank.local_state if slot.startswith("dodgr:")]
+    with pytest.raises(RpcError, match="released"):
+        world.registry.handler(dodgr._h_offer_edge.handler_id)

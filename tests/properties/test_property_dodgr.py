@@ -21,7 +21,9 @@ from repro.graph import (
     HashPartitioner,
     rmat,
 )
+from repro.graph.columnar import HalfEdgeColumns
 from repro.graph.degree import order_key
+from repro.graph.edge_list import canonical_pair
 from repro.graph.dodgr import CSRAdjacency
 from repro.graph.ooc import StorageConfig, active_segment_paths
 from repro.runtime import World, active_segment_names
@@ -259,6 +261,149 @@ def test_mutation_after_from_columns_matches_from_edges(columns, nranks, data):
     rebuilt = rebuilt or [DODGraph.build(graph) for graph in (image, stores)]
     for rank in range(nranks):
         assert_same_columns(rebuilt[0].csr(rank), rebuilt[1].csr(rank))
+
+
+# ---------------------------------------------------------------------------
+# DeltaBuffer.apply: random batch schedules against the per-edge merge
+# ---------------------------------------------------------------------------
+#
+# apply() merges a batch into the graph's column image with array
+# operations.  The oracle replays the per-edge loop that image must equal —
+# canonical_pair + has_edge / add_edge, then the first-write-wins vertex
+# metadata — on a graph of its own, batch by batch.
+
+
+def replay_per_edge(graph, edges, vertex_meta):
+    """Merge one batch edge by edge; returns the accepted ``(u, v, meta)`` records."""
+    accepted, seen = [], set()
+    for edge in edges:
+        u, v, meta = edge[0], edge[1], None if len(edge) == 2 else edge[2]
+        if u == v:
+            continue
+        pair = canonical_pair(u, v)
+        if pair in seen or graph.has_edge(pair[0], pair[1]):
+            continue
+        seen.add(pair)
+        accepted.append((pair[0], pair[1], meta))
+        graph.add_edge(pair[0], pair[1], meta)
+    for vertex, meta in vertex_meta.items():
+        if not graph.has_vertex(vertex) or graph.vertex_meta(vertex) is None:
+            graph.set_vertex_meta(vertex, meta)
+    return accepted
+
+
+@st.composite
+def batch_schedules(draw):
+    """A base graph and up to four batches over int or string ids.
+
+    Batches repeat pairs within and across batches in both orientations,
+    carry self loops and records without metadata, stage metadata on
+    endpoints, on vertices no edge names yet and on vertices whose metadata
+    is None, and may be empty; a ``has_edge`` read may precede any batch.
+    """
+    ids = draw(st.sampled_from(["int", "str"]))
+    n = draw(st.integers(min_value=1, max_value=10))
+    name = (lambda i: i) if ids == "int" else (lambda i: f"v{i}")
+    vertex = st.integers(min_value=0, max_value=n - 1).map(name)
+    meta = st.one_of(st.none(), st.integers(0, 5), st.tuples(st.floats(0, 9), st.integers(0, 2)))
+    record = st.one_of(st.tuples(vertex, vertex, meta), st.tuples(vertex, vertex))
+    base = draw(st.sampled_from(["empty", "from_edges"] + (["from_columns"] if ids == "int" else [])))
+    base_edges = draw(st.lists(st.tuples(vertex, vertex, meta), max_size=12)) if base != "empty" else []
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        batches.append(
+            (
+                draw(st.lists(record, max_size=12)),
+                draw(
+                    st.dictionaries(
+                        st.integers(0, n + 2).map(name), st.one_of(st.none(), st.integers(0, 5)), max_size=4
+                    )
+                ),
+                draw(st.sampled_from(["stage_edges", "stage_edge"] + (["stage_columns"] if ids == "int" else []))),
+                draw(st.booleans()),  # read has_edge before this batch
+            )
+        )
+    return base, base_edges, batches
+
+
+def load_base(base, base_edges, nranks, partitioner, default_vertex_meta):
+    placement = PARTITIONERS[partitioner](nranks, 16)
+    kwargs = dict(partitioner=placement, default_vertex_meta=default_vertex_meta, name="g")
+    world = World(nranks)
+    if base == "from_columns":
+        us, vs, metas = (list(column) for column in zip(*base_edges)) if base_edges else ([], [], [])
+        return DistributedGraph.from_columns(world, us, vs, edge_metas=metas, **kwargs)
+    if base == "from_edges":
+        return DistributedGraph.from_edges(world, base_edges, **kwargs)
+    return DistributedGraph(world, **kwargs)
+
+
+def stage(buffer, how, edges, vertex_meta):
+    if how == "stage_edges":
+        buffer.stage_edges(iter(edges))
+    elif how == "stage_edge":
+        for edge in edges:
+            buffer.stage_edge(*edge)
+    else:
+        buffer.stage_columns(
+            np.array([e[0] for e in edges], dtype=np.int64),
+            [e[1] for e in edges],
+            edge_metas=[None if len(e) == 2 else e[2] for e in edges],
+        )
+    for vertex, meta in vertex_meta.items():
+        buffer.stage_vertex_meta(vertex, meta)
+
+
+@given(
+    batch_schedules(),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(sorted(PARTITIONERS)),
+    st.sampled_from([None, "unlabelled"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_vertex_meta):
+    base, base_edges, batches = schedule
+    graph = load_base(base, base_edges, nranks, partitioner, default_vertex_meta)
+    oracle = load_base(
+        "empty" if base == "empty" else "from_edges", base_edges, nranks, partitioner, default_vertex_meta
+    )
+    buffer = DeltaBuffer(graph.world)
+    for index, (edges, vertex_meta, how, read_first) in enumerate(batches):
+        if read_first and edges:
+            graph.has_edge(edges[0][0], edges[0][1])
+        stage(buffer, how, edges, vertex_meta)
+        applied = buffer.apply(graph)
+        accepted = replay_per_edge(oracle, edges, vertex_meta)
+        want = DODGraph.build(oracle, name=f"oracle@{index}")
+        assert not graph.store_materialised
+        got_image, want_image = graph.half_edge_columns(), oracle.half_edge_columns()
+        for column in HalfEdgeColumns._fields:
+            got_column, want_column = getattr(got_image, column), getattr(want_image, column)
+            assert got_column.dtype == want_column.dtype, column
+            assert got_column.tolist() == want_column.tolist(), column
+        for rank in range(nranks):
+            assert_same_columns(applied.dodgr.csr(rank), want.csr(rank))
+        # The new-edge description, against the oracle's order_ids and pairs.
+        pairs = {(u, v) for u, v, _ in accepted}
+        order_ids, stride = want.order_ids(), want.order_count()
+        keys = sorted(
+            min(order_ids[u], order_ids[v]) * stride + max(order_ids[u], order_ids[v])
+            for u, v in pairs
+        )
+        assert applied.directed_edge_keys().tolist() == keys
+        for rank in range(nranks):
+            csr = want.csr(rank)
+            sources = np.repeat(csr.row_vertices, np.diff(csr.indptr)).tolist()
+            expected = [
+                canonical_pair(u, v) in pairs for u, v in zip(sources, csr.tgt_vertex.tolist())
+            ]
+            assert applied.edge_mask(rank).tolist() == expected
+        assert applied.dodgr.materialised_views() == frozenset()
+        assert applied.edges == accepted
+        assert applied.new_pairs == pairs
+        assert applied.batch_index == index
+        applied.dodgr.release()
+        want.release()
 
 
 OBJECT_ID_GRAPHS = {

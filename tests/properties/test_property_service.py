@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.traffic import make_service_workload
-from repro.core.engine import SurveyRequest, engine_names, execute_survey
+from repro.core.engine import CheckpointPolicy, SurveyRequest, engine_names, execute_survey
 from repro.graph.delta import DeltaBuffer
 from repro.graph.distributed_graph import DistributedGraph
 from repro.runtime import World
-from repro.service import ANALYSES, SurveyService
+from repro.runtime.faults import FaultPlan
+from repro.service import ANALYSES, ServicePolicy, SurveyService
 
 
 @st.composite
@@ -82,3 +83,34 @@ def test_concurrent_queries_are_bit_identical_at_the_pinned_epoch(workload):
                 f"{context}: pinned-epoch panel differs from direct survey"
             )
         service.close()
+
+
+@given(service_workloads(), st.integers(min_value=1, max_value=20))
+@settings(max_examples=10, deadline=None)
+def test_pinned_epochs_answer_exactly_through_a_crash_replay(workload, crash_after):
+    """Epochs pinned across a recoverable crash and its ledger replay stay exact.
+
+    Every epoch's DODGr is shared by the ledger's replay log and the pinning
+    query.  The crash is armed once epoch 0 is pinned, so it lands in a
+    later batch's ledger survey (which replays the pinned batches) or in a
+    query's exact rung; either way each answer equals the direct survey
+    over its batch prefix.
+    """
+    batches, vertex_meta, nranks = workload
+    policy = ServicePolicy(checkpoint=CheckpointPolicy(checkpoint_interval=2))
+    service = SurveyService(World(nranks), policy=policy)
+    tickets = []
+    for index, batch in enumerate(batches):
+        service.ingest(batch, vertex_meta if index == 0 else None)
+        tickets.append(service.submit(analysis="triangle"))
+        if index == 0:
+            service.world.install_fault_plan(
+                FaultPlan(seed=crash_after, crash_rank=1, crash_after_executions=crash_after)
+            )
+    service.pump()
+    for epoch, ticket in enumerate(tickets):
+        oracle = direct_panels(batches, vertex_meta, nranks, upto_batches=epoch + 1)
+        assert ticket.answer.outcome == "exact", ticket.answer.degradation_path
+        assert ticket.answer.panel == oracle["triangle"], f"epoch {epoch}"
+    service.world.clear_fault_plan()
+    service.close()

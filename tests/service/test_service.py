@@ -11,10 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.traffic import make_service_workload
-from repro.core.engine import SurveyRequest, execute_survey
+from repro.core.engine import CheckpointPolicy, SurveyRequest, execute_survey
 from repro.graph.delta import DeltaBuffer
 from repro.graph.distributed_graph import DistributedGraph
 from repro.runtime.faults import FaultPlan
+from repro.runtime.rpc import RpcError
 from repro.runtime.world import World
 from repro.service import (
     ANALYSES,
@@ -299,3 +300,93 @@ def test_close_sheds_the_queue_and_releases_epochs(workload):
         assert ticket.answer.outcome == "shed"
         assert ticket.answer.degradation_path == ("service:closed",)
     assert service.stats().pinned_epochs == 0
+
+
+# ---------------------------------------------------------------------------
+# One live graph: epochs share the ledger's DODGrs
+# ---------------------------------------------------------------------------
+
+
+def handler_ids(world, suffix):
+    """Ids of every handler registered under a name ending in ``suffix``."""
+    return [hid for name, hid in world.registry._by_name.items() if name.endswith(suffix)]
+
+
+def dodgr_slots(world, rank=0):
+    return [slot for slot in world.rank(rank).local_state if slot.startswith("dodgr:")]
+
+
+def test_the_service_world_holds_one_graph(workload):
+    service = make_service(workload)
+    assert service.query("triangle").outcome == "exact"
+    assert len(handler_ids(service.world, ".add_half_edge")) == 1
+    assert len(handler_ids(service.world, ".set_vertex_meta")) == 1
+    # One DODGr per batch, built once: the ledger's.
+    assert len(handler_ids(service.world, ".offer_edge")) == len(workload[0])
+    service.close()
+
+
+def test_a_pinned_epoch_outlives_the_ledgers_release(workload):
+    """Superseded and checkpointed away by the ledger, epoch 0 still answers."""
+    batches, vertex_meta = workload
+    policy = ServicePolicy(checkpoint=CheckpointPolicy(checkpoint_interval=1))
+    service = SurveyService(World(RANKS), policy=policy)
+    service.ingest(batches[0], vertex_meta)
+    ticket = service.submit(analysis="closure")
+    for batch in batches[1:]:
+        service.ingest(batch)
+    # The ledger keeps only the live graph; the pin keeps epoch 0's.
+    assert service._ledger.pending_replay_batches == 0
+    assert len(dodgr_slots(service.world)) == 2
+    service.pump()
+    answer = ticket.answer
+    assert answer.outcome == "exact" and answer.epoch == 0
+    assert answer.panel == reference_panel(workload, "closure", upto_batches=1)
+    assert len(dodgr_slots(service.world)) == 1
+    service.close()
+
+
+def test_crash_replay_is_bit_identical_while_epochs_are_pinned(workload):
+    """The ledger replays pinned epochs' graphs through a recoverable crash."""
+    batches, vertex_meta = workload
+    policy = ServicePolicy(checkpoint=CheckpointPolicy(checkpoint_interval=len(batches)))
+    clean = SurveyService(World(RANKS), policy=policy)
+    plan = FaultPlan(seed=1, crash_rank=1, crash_after_executions=20, crash_recoverable=True)
+    faulty = SurveyService(World(RANKS), policy=policy, plan=plan)
+    tickets = []
+    for index, batch in enumerate(batches):
+        meta = vertex_meta if index == 0 else None
+        want, got = clean.ingest(batch, meta), faulty.ingest(batch, meta)
+        assert got.snapshot == want.snapshot and got.cumulative == want.cumulative
+        tickets.append(faulty.submit(analysis="triangle"))
+    assert got.restarts == 1 and got.replayed_batches == len(batches) - 1
+    faulty.pump()
+    for epoch, ticket in enumerate(tickets):
+        assert ticket.answer.outcome == "exact" and ticket.answer.epoch == epoch
+        assert ticket.answer.panel == reference_panel(
+            workload, "triangle", upto_batches=epoch + 1
+        )
+    clean.close()
+    faulty.close()
+
+
+def test_close_frees_every_dodgr(workload):
+    """Replay-log graphs and a queued ticket's pinned epoch go with close()."""
+    batches, vertex_meta = workload
+    policy = ServicePolicy(checkpoint=CheckpointPolicy(checkpoint_interval=len(batches) + 1))
+    service = SurveyService(World(RANKS), policy=policy)
+    service.ingest(batches[0], vertex_meta)
+    ticket = service.submit(analysis="triangle")
+    for batch in batches[1:]:
+        service.ingest(batch)
+    assert service._ledger.pending_replay_batches == len(batches)
+    service.close()
+    assert ticket.answer.outcome == "shed"
+    world = service.world
+    for rank in range(RANKS):
+        assert dodgr_slots(world, rank) == []
+    offer_edge = handler_ids(world, ".offer_edge")
+    assert len(offer_edge) == len(batches)
+    for handler_id in offer_edge:
+        with pytest.raises(RpcError, match="released"):
+            world.registry.handler(handler_id)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Six checks, exit status 1 on any failure (each printed to stderr):
+Seven checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -45,6 +45,13 @@ Six checks, exit status 1 on any failure (each printed to stderr):
    ``description`` and ``style``, and :mod:`repro.core.intersection`
    defines no batch-kernel name (a name with a word ``batch``) — so the
    selection surface cannot regrow unnoticed.
+7. **The write path stays on the arrays** — a columnar
+   :class:`~repro.core.incremental.StreamingSurvey` after four batches, and
+   a :class:`~repro.service.SurveyService` after an ingest and one exact
+   query, leave their live graph as a column image
+   (``store_materialised`` False) and their DODGr with no object-shaped
+   view (``materialised_views()`` empty): a ``DeltaBuffer`` that regrows a
+   per-edge dict insert or flatten fails here.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -242,6 +249,45 @@ def check_reducer_contract() -> List[str]:
     return errors
 
 
+def check_write_path() -> List[str]:
+    """Streaming and service ingest build no object-shaped view (check 7)."""
+    from repro.core.callbacks import ClosureTimeSurvey
+    from repro.core.incremental import StreamingSurvey
+    from repro.graph.metadata import temporal_edge_meta
+    from repro.service import SurveyService
+
+    us, vs = erdos_renyi(**SMOKE_GRAPH).edge_columns()
+    records = [
+        (u, v, temporal_edge_meta(float(i), i % 3))
+        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))
+    ]
+    batches = [records[i::4] for i in range(4)]
+    stream = StreamingSurvey(World(SMOKE_RANKS), ClosureTimeSurvey, engine="columnar")
+    for batch in batches:
+        stream.ingest(batch)
+    service = SurveyService(World(SMOKE_RANKS), engine="columnar")
+    service.ingest(batches[0])
+    errors: List[str] = []
+    outcome = service.query("closure").outcome
+    if outcome != "exact":
+        errors.append(f"SurveyService: the write-path probe query answered {outcome!r}")
+    probes = {
+        "StreamingSurvey after 4 batches": (stream.graph, stream.dodgr),
+        "SurveyService after an ingest and an exact query": (
+            service._ledger.graph,
+            service._ledger.dodgr,
+        ),
+    }
+    for where, (graph, dodgr) in probes.items():
+        views = dodgr.materialised_views()
+        if views:
+            errors.append(f"{where}: the DODGr built object view(s) {sorted(views)}")
+        if graph.store_materialised:
+            errors.append(f"{where}: the live graph's per-rank record dicts were built")
+    service.close()
+    return errors
+
+
 def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
     """Kernel-tier/storage docs match their registries; both run clean (check 5)."""
     from repro.core.engine import resolve_engine
@@ -424,6 +470,7 @@ def main() -> int:
     errors.extend(check_reducer_contract())
     errors.extend(check_execution_axes(registered))
     errors.extend(check_selector_surface())
+    errors.extend(check_write_path())
 
     if errors:
         for error in errors:
@@ -441,7 +488,8 @@ def main() -> int:
         f"{len(reducer_names())} reducers honour the "
         "snapshot/merge/callback_batch contract with zero codec calls; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
-        "documented and parity-clean; engine= is the only execution selector"
+        "documented and parity-clean; engine= is the only execution selector; "
+        "the write path builds no object view"
     )
     return 0
 
