@@ -10,8 +10,8 @@ distributed runtime (no MPI required):
 
 * :mod:`repro.runtime` — the YGM-style asynchronous communication substrate
   (buffered fire-and-forget RPC, serialization, cost model).
-* :mod:`repro.containers` — distributed map / counting set / bag / set /
-  array containers.
+* :mod:`repro.containers` — the distributed counting set every survey
+  histogram lives in.
 * :mod:`repro.graph` — decorated temporal graph storage, the degree-ordered
   directed graph (DODGr), generators, and I/O.
 * :mod:`repro.core` — the TriPoll surveys (Push-Only and Push-Pull) and the
@@ -35,13 +35,7 @@ Quickstart::
     print(counter.result(), report.simulated_seconds)
 """
 
-from .containers import (
-    DistributedArray,
-    DistributedBag,
-    DistributedCountingSet,
-    DistributedMap,
-    DistributedSet,
-)
+from .containers import DistributedCountingSet
 from .core import (
     ClosureTimeSurvey,
     DegreeTripleSurvey,
@@ -86,11 +80,7 @@ __all__ = [
     "World",
     "RankContext",
     "CostModel",
-    "DistributedMap",
     "DistributedCountingSet",
-    "DistributedBag",
-    "DistributedSet",
-    "DistributedArray",
     "DistributedGraph",
     "DistributedEdgeList",
     "DODGraph",

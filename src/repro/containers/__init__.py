@@ -1,21 +1,11 @@
-"""YGM-style composable distributed containers.
+"""YGM-style distributed containers.
 
-These mirror the containers Section 4.1.4 of the paper builds on top of the
-fire-and-forget RPC layer: a distributed map (graph storage), a distributed
-counting set (survey histograms), a bag (edge ingestion), a set
-(de-duplication) and a block-distributed array (per-vertex accumulators).
+Of the container family the paper builds on the fire-and-forget RPC layer
+(Section 4.1.4), the survey needs one: the distributed counting set that
+keeps the histograms of every non-trivial survey.  The DODGr keeps its own
+columns (:mod:`repro.graph.dodgr`).
 """
 
 from .counting_set import DistributedCountingSet
-from .darray import DistributedArray
-from .dbag import DistributedBag
-from .dmap import DistributedMap
-from .dset import DistributedSet
 
-__all__ = [
-    "DistributedMap",
-    "DistributedCountingSet",
-    "DistributedBag",
-    "DistributedSet",
-    "DistributedArray",
-]
+__all__ = ["DistributedCountingSet"]

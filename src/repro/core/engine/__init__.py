@@ -62,7 +62,6 @@ from .registry import (
     resolve_engine,
     resolve_execution,
     resolve_incremental_engine,
-    validate_request,
 )
 from .request import (
     DEFAULT_CALLBACK_COMPUTE_UNITS,
@@ -98,7 +97,6 @@ __all__ = [
     "registered_engines",
     "engine_names",
     "backend_names",
-    "validate_request",
     "resolve_batch_callback",
     "execute_program",
     "build_push_program",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .driver import drive_push, make_push_intersect_handler
 from .program import SurveyProgram, execute_program
-from .registry import EngineSpec, validate_request
+from .registry import EngineSpec, check_supported, survey_features
 from .request import SurveyRequest, SurveyResult
 
 __all__ = ["build_push_program", "run_push_survey"]
@@ -26,7 +26,7 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     the process backend, before it forks), so handler ids and the serialized
     size of every message are identical everywhere.
     """
-    validate_request(request, spec)
+    check_supported(survey_features(request, spec))
     dodgr = request.dodgr
     if request.storage is not None:
         dodgr.configure_storage(request.storage)

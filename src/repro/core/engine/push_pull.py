@@ -36,7 +36,7 @@ from .driver import (
 )
 from .program import SurveyProgram, execute_program
 from .pull import drive_pull, make_pull_handler
-from .registry import EngineSpec, validate_request
+from .registry import EngineSpec, check_supported, survey_features
 from .request import (
     DRY_RUN_PHASE,
     PULL_PHASE,
@@ -50,7 +50,7 @@ __all__ = ["build_push_pull_program", "run_push_pull_survey"]
 
 def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgram:
     """Compile the Push-Pull survey to a three-phase :class:`SurveyProgram`."""
-    validate_request(request, spec)
+    check_supported(survey_features(request, spec))
     dodgr = request.dodgr
     if request.storage is not None:
         dodgr.configure_storage(request.storage)

@@ -20,14 +20,18 @@ where the scalar one hands them sets and dicts.
 Every registered engine shares the equivalence contract pinned by the
 golden parity suites: identical triangles, identical reducer panels,
 byte-identical Table 4 communication totals.
+
+Which combinations may run is one table, :data:`UNSUPPORTED`, consulted by
+one checker, :func:`check_supported`, before any handler registers.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Iterable, Set, Tuple
 
+from ...runtime.backend import UnsupportedBackendError
 from .request import EngineConfig
 
 __all__ = [
@@ -42,7 +46,10 @@ __all__ = [
     "registered_engines",
     "engine_names",
     "backend_names",
-    "validate_request",
+    "UNSUPPORTED",
+    "check_supported",
+    "selector_features",
+    "survey_features",
 ]
 
 
@@ -63,16 +70,22 @@ class EngineSpec:
     def kernel_tiers(self) -> Tuple[str, ...]:
         """Kernel tiers this engine's drivers can run.
 
-        The columnar drivers go through the row-kernel tables and support
-        every tier of :data:`repro.core.intersection.KERNEL_TIERS`; the
-        legacy scalar drivers only the scalar one.  A declared but
-        unavailable tier (no C compiler) downgrades along ``compiled ->
-        columnar -> scalar``; an *undeclared* tier is a pre-run error
-        (:func:`validate_request`).
+        Every tier of :data:`repro.core.intersection.KERNEL_TIERS` that no
+        :data:`UNSUPPORTED` row rejects for this style: all of them for the
+        columnar drivers, the scalar one for the legacy drivers.  A declared
+        but unavailable tier (no C compiler) downgrades along ``compiled ->
+        columnar -> scalar``.
         """
         from ..intersection import KERNEL_TIERS
 
-        return KERNEL_TIERS if self.style == "columnar" else ("scalar",)
+        return tuple(
+            tier
+            for tier in KERNEL_TIERS
+            if not any(
+                set(row) <= {f"style={self.style}", f"kernel_tier={tier}"}
+                for row, _ in UNSUPPORTED
+            )
+        )
 
 
 #: Registration-ordered engine table.  Dicts preserve insertion order, which
@@ -151,16 +164,11 @@ def resolve_execution(
     config with ``engine``, ``kernel`` and ``backend`` defaulted; ``workers``,
     ``kernel_tier`` and ``storage`` stay ``None`` when unset (decided at run
     time from the host's cores, the available tiers and the DODGr's storage
-    policy).  Unknown names and illegal combinations
-    (:func:`validate_request`) raise ``ValueError`` here, before a caller has
-    registered a handler.
-
-    ``incremental=True`` resolves for the delta survey, which runs resident
-    on the simulated backend, outside the :class:`SurveyProgram` layer the
-    process backend shards and the out-of-core staging serves: a selector
-    pinning ``backend="process"``, ``workers`` or ``storage="mmap"`` raises
-    :class:`~repro.runtime.backend.UnsupportedBackendError` instead of being
-    silently ignored.
+    policy).  Unknown names raise ``ValueError`` and illegal combinations of
+    the selector's features (:func:`check_supported`)
+    :class:`~repro.runtime.backend.UnsupportedBackendError` here, before a
+    caller has registered a handler.  ``incremental=True`` resolves for the
+    delta survey: it adds the ``incremental`` feature.
     """
     if isinstance(engine, EngineSpec):
         if _REGISTRY.get(engine.name) is not engine:
@@ -187,22 +195,8 @@ def resolve_execution(
         kernel=config.kernel or "merge_path",
         backend=config.backend or "simulated",
     )
-    validate_request(config, spec)
-    if incremental:
-        from ...graph.ooc import resolve_storage
-        from ...runtime.backend import UnsupportedBackendError
-
-        if (
-            config.backend != "simulated"
-            or config.workers is not None
-            or resolve_storage(config.storage) != "resident"
-        ):
-            raise UnsupportedBackendError(
-                f"incremental (delta) surveys run resident on "
-                f"backend='simulated' only; got backend={config.backend!r}, "
-                f"workers={config.workers!r}, storage={config.storage!r}.  Run "
-                f"full surveys on those axes and delta batches on the defaults."
-            )
+    features = selector_features(config, spec)
+    check_supported(features | {"incremental"} if incremental else features)
     return spec, config
 
 
@@ -216,51 +210,103 @@ def resolve_incremental_engine(engine: Any = None) -> EngineSpec:
     return resolve_execution(engine, incremental=True)[0]
 
 
-def validate_request(request: Any, spec: EngineSpec) -> None:
-    """Reject unsupported execution-axis combinations before anything runs.
+_SCALAR_ONLY = "the legacy scalar drivers run only the scalar kernel tier"
+_DELTA = (
+    "incremental (delta) surveys run resident on backend='simulated' only, outside "
+    "the SurveyProgram layer the process backend shards and mmap storage serves"
+)
 
-    Called by :func:`resolve_execution` on the defaulted config and by every
-    engine runner on the ``(request, spec)`` pair it is handed (requests may
-    be built directly); raising here means no handlers were registered, no
-    phases begun, no segment files created.  ``request`` is anything with
-    ``kernel`` / ``backend`` / ``kernel_tier`` / ``storage`` attributes:
+#: Every illegal execution combination, one row each: the features a request
+#: must all have to be rejected, and why.  :func:`check_supported` rejects a
+#: request by the first row it wholly contains; every other combination of
+#: the selector axes, the world's installed machinery and the callback runs.
+#: ``docs/architecture.md`` renders this table and ``tools/check_engines.py``
+#: keeps the two equal.
+UNSUPPORTED: Tuple[Tuple[Tuple[str, ...], str], ...] = (
+    (("style=legacy", "kernel_tier=columnar"), _SCALAR_ONLY),
+    (("style=legacy", "kernel_tier=compiled"), _SCALAR_ONLY),
+    (("backend=process", "fault_plan"), "an installed FaultPlan's fates are defined "
+     "over the simulated transport's delivery sweeps, which process rounds do not replay"),
+    (("backend=process", "deadline"), "an installed deadline is checked in-process "
+     "between rank batches"),
+    (("backend=process", "ranks_per_node>1"), "rank-sharded workers assume one buffer "
+     "stream per (source, dest) rank pair, not node-aggregated buffers"),
+    (("backend=process", "callback_without_worker_state"), "callback state ships home "
+     "from the workers only through worker_rank_state / absorb_rank_state"),
+    (("backend=process", "no_fork"), "handlers and the graph reach the workers "
+     "copy-on-write through the fork start method"),
+    (("backend=process", "no_shared_memory"), "workers exchange messages through "
+     "multiprocessing.shared_memory"),
+    (("incremental", "backend=process"), _DELTA),
+    (("incremental", "workers"), _DELTA),
+    (("incremental", "storage=mmap"), _DELTA),
+)
 
-    * ``kernel`` — must name a known intersection kernel
-      (:data:`repro.core.intersection.INTERSECTION_KERNELS`).
-    * ``backend`` — must name a known backend (:data:`BACKENDS`).
-    * ``kernel_tier`` — must name a known tier
-      (:data:`repro.core.intersection.KERNEL_TIERS`) that the engine
-      *declares* (``spec.kernel_tiers``).  Declared-but-unavailable tiers
-      (no C compiler) are fine: they downgrade along the
-      ``compiled -> columnar -> scalar`` chain at kernel-lookup time.
-    * ``storage`` — must be a known mode (or a
-      :class:`~repro.graph.ooc.StorageConfig`); ``"mmap"`` is rejected on
-      the process backend until segments ship by path to the workers.
+
+def check_supported(features: Iterable[str]) -> None:
+    """Reject a request with ``features`` by the first :data:`UNSUPPORTED`
+    row it wholly contains: the one place an illegal combination raises."""
+    present = set(features)
+    for row, reason in UNSUPPORTED:
+        if present.issuperset(row):
+            raise UnsupportedBackendError(f"{' × '.join(row)} is not supported: {reason}")
+
+
+def selector_features(request: Any, spec: EngineSpec) -> Set[str]:
+    """The execution-axis features of ``request`` run on ``spec``.
+
+    ``request`` is anything with ``kernel`` / ``backend`` / ``workers`` /
+    ``kernel_tier`` / ``storage`` attributes (a defaulted
+    :class:`EngineConfig` or a :class:`SurveyRequest`).  Unknown names are
+    not combinations: they raise ``ValueError`` here, with a did-you-mean
+    suffix.  ``None`` / ``"auto"`` tiers and unset storage add no feature.
     """
     from ...graph.ooc import STORAGES, StorageConfig
     from ..intersection import INTERSECTION_KERNELS, KERNEL_TIERS
 
     _require_known("intersection kernel", request.kernel, tuple(INTERSECTION_KERNELS))
     _require_known("execution backend", request.backend, BACKENDS)
+    features = {f"style={spec.style}", f"backend={request.backend}"}
     tier = request.kernel_tier
     if tier is not None and tier != "auto":
         _require_known("kernel tier", tier, KERNEL_TIERS)
-        if tier not in spec.kernel_tiers:
-            raise ValueError(
-                f"engine {spec.name!r} does not support kernel tier {tier!r}; "
-                f"declared tiers: {spec.kernel_tiers}"
-            )
+        features.add(f"kernel_tier={tier}")
     storage = request.storage
     if isinstance(storage, StorageConfig):
         storage = storage.mode
     if storage is not None:
         _require_known("storage mode", storage, STORAGES)
-    if storage == "mmap" and request.backend == "process":
-        raise ValueError(
-            "storage='mmap' is not supported on backend='process': memmap "
-            "segment files are not yet shipped by path to worker processes; "
-            "run mmap surveys on the simulated backend"
-        )
+        features.add(f"storage={storage}")
+    if request.workers is not None:
+        features.add("workers")
+    return features
+
+
+def survey_features(request: Any, spec: EngineSpec) -> Set[str]:
+    """:func:`selector_features` plus what a :class:`SurveyRequest`'s world,
+    callback and platform bring: an installed fault plan or deadline, node
+    aggregation, a callback without the worker-state protocol, and a missing
+    ``fork`` start method or ``shared_memory``."""
+    import multiprocessing
+
+    from ...runtime.backend.process import worker_state_owner
+    from ...runtime.backend.shm import shared_memory_available
+
+    world = request.dodgr.world
+    features = selector_features(request, spec)
+    if world._injector is not None or world._transport is not None:
+        features.add("fault_plan")
+    if world._deadline is not None:
+        features.add("deadline")
+    if world.ranks_per_node != 1:
+        features.add("ranks_per_node>1")
+    if request.callback is not None and worker_state_owner(request.callback) is None:
+        features.add("callback_without_worker_state")
+    if "fork" not in multiprocessing.get_all_start_methods():
+        features.add("no_fork")
+    if not shared_memory_available():
+        features.add("no_shared_memory")
+    return features
 
 
 # ---------------------------------------------------------------------------

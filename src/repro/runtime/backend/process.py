@@ -35,9 +35,11 @@ every worker via copy-on-write.  From there, three properties carry parity:
 The wire *accounting* is never re-measured: sized/batched carriers ship
 their sender-computed byte counts, so Table 4 totals are replayed unchanged.
 
-What is unsupported (clear errors, never silent divergence): installed
-fault plans and deadlines, ``ranks_per_node > 1``, callbacks without the
-worker-state protocol, and platforms without ``fork``.
+What the backend cannot run — installed fault plans and deadlines,
+``ranks_per_node > 1``, callbacks without the worker-state protocol,
+platforms without ``fork`` or ``shared_memory`` — is a row of the
+unsupported-combination table (:data:`repro.core.engine.registry.UNSUPPORTED`),
+rejected before the program registers a handler; nothing here re-checks it.
 """
 
 from __future__ import annotations
@@ -72,11 +74,11 @@ class ProcessBackendError(RuntimeError):
 
 
 class UnsupportedBackendError(RuntimeError):
-    """The requested feature combination has no process-backend form.
+    """The requested execution combination is illegal.
 
-    Raised *before* any worker forks, so the world is left untouched and the
-    caller can rerun on ``backend="simulated"`` — the oracle supports
-    everything.
+    Raised only by :func:`repro.core.engine.registry.check_supported`, for a
+    row of its unsupported-combination table, before any handler registers,
+    storage is configured or a worker forks — so the world is left untouched.
     """
 
 
@@ -255,8 +257,15 @@ def _worker_main(
     """One worker's whole life: drive owned ranks, barrier, ship state, exit.
 
     Runs in a forked child; exits via ``os._exit`` so inherited atexit
-    machinery (test harnesses, tempfile cleanups) never runs twice.
+    machinery (test harnesses, tempfile cleanups) never runs twice.  Segment
+    files the worker spills itself (an mmap snapshot's send scratch is
+    created on first drive, after the fork) live only in this process's
+    registry, so the worker unlinks them before it exits; the ones it
+    inherited stay the parent's to release.
     """
+    from ...graph import ooc as _ooc  # deferred: graph imports runtime
+
+    inherited_paths = _ooc.active_segment_paths()
     world = program.request.dodgr.world
     fabric = WorkerFabric(
         world, conn, me, worker_of, owned, prefix, shared_ids, shared_objects
@@ -280,6 +289,7 @@ def _worker_main(
             pass
     finally:
         fabric.close()
+        _ooc.unlink_paths(_ooc.active_segment_paths() - inherited_paths)
         try:
             conn.close()
         except Exception:
@@ -292,65 +302,20 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 
 
-def _validated_reducer(callback: Any) -> Any:
-    """The callback's owning reducer, or a clear UnsupportedBackendError.
+def worker_state_owner(callback: Any) -> Any:
+    """The object whose rank state a worker ships home for ``callback``.
 
     Worker-side reducer state must ship home explicitly; the worker-state
     protocol (``worker_rank_state(rank)`` / ``absorb_rank_state(rank,
     state)``) is how a reducer declares what that state is.  Every stock
-    reducer in :mod:`repro.core.callbacks` implements it.
+    reducer in :mod:`repro.core.callbacks` implements it.  ``None`` for no
+    callback or one without the protocol, which the unsupported-combination
+    table rejects before the program is built.
     """
-    if callback is None:
-        return None
     target = getattr(callback, "__self__", callback)
     if hasattr(target, "worker_rank_state") and hasattr(target, "absorb_rank_state"):
         return target
-    raise UnsupportedBackendError(
-        f"backend='process' requires the survey callback to implement the "
-        f"worker-state protocol (worker_rank_state/absorb_rank_state) so its "
-        f"distributed state can be shipped back from the workers; "
-        f"{type(target).__name__!r} does not.  Every reducer in "
-        f"repro.core.callbacks does, or run on backend='simulated'."
-    )
-
-
-def _check_supported(world: Any, request: Any) -> None:
-    if world._injector is not None or world._transport is not None:
-        raise UnsupportedBackendError(
-            "backend='process' does not support an installed FaultPlan: fault "
-            "fates (drops, delays, duplicates, crash-after-k-executions) are "
-            "defined over the simulated transport's delivery sweeps, which "
-            "the process rounds do not reproduce one-for-one.  Clear the "
-            "plan or run fault experiments on backend='simulated'."
-        )
-    if world._deadline is not None:
-        raise UnsupportedBackendError(
-            "backend='process' does not support an installed deadline: "
-            "cooperative cancellation checks run in-process between rank "
-            "batches.  Clear the deadline or run on backend='simulated'."
-        )
-    if world.ranks_per_node != 1:
-        raise UnsupportedBackendError(
-            "backend='process' does not support node-aggregated buffers "
-            "(ranks_per_node > 1): rank-sharded workers assume one buffer "
-            "stream per (source, dest) rank pair.  Run on "
-            "backend='simulated'."
-        )
-    if not _shm.shared_memory_available():  # pragma: no cover - py>=3.8 has it
-        raise UnsupportedBackendError(
-            "backend='process' requires multiprocessing.shared_memory"
-        )
-
-
-def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        raise UnsupportedBackendError(
-            "backend='process' requires the fork start method (POSIX): "
-            "handler closures and the pre-built graph are shared "
-            "copy-on-write, not pickled"
-        )
+    return None
 
 
 def _prewarm_shared(dodgr: Any, nranks: int) -> Tuple[Dict[Any, Any], Dict[int, Any]]:
@@ -482,9 +447,8 @@ def run_program_in_processes(program: Any) -> float:
     request = program.request
     dodgr = request.dodgr
     world = dodgr.world
-    _check_supported(world, request)
-    reducer = _validated_reducer(request.callback)
-    mp_context = _fork_context()
+    reducer = worker_state_owner(request.callback)
+    mp_context = multiprocessing.get_context("fork")
 
     nranks = world.nranks
     nworkers = resolve_worker_count(request.workers, nranks)

@@ -9,16 +9,19 @@ from repro.runtime import World
 
 
 class TestCounting:
-    def test_counts_accumulate_across_ranks(self, world4):
-        counts = DistributedCountingSet(world4, cache_capacity=4)
-        for ctx in world4.ranks:
+    @pytest.mark.parametrize("nranks", [1, 4])
+    def test_counts_accumulate_across_ranks(self, nranks):
+        world = World(nranks)
+        counts = DistributedCountingSet(world, cache_capacity=4)
+        for ctx in world.ranks:
             for item in ["a", "b", "a"]:
                 counts.async_increment(ctx, item)
         counts.flush_all_caches()
-        world4.barrier()
-        assert counts.counts() == {"a": 8, "b": 4}
-        assert counts.total() == 12
-        assert counts.count_of("a") == 8
+        world.barrier()
+        assert counts.counts() == {"a": 2 * nranks, "b": nranks}
+        assert counts.total() == 3 * nranks
+        assert sum(sum(counts.local_counts(r).values()) for r in range(nranks)) == counts.total()
+        assert counts.count_of("a") == 2 * nranks
         assert counts.count_of("missing") == 0
 
     def test_cache_flushes_automatically_when_full(self, world4):
@@ -37,8 +40,10 @@ class TestCounting:
         assert counts.counts() == {}  # still cached
         assert counts.pending_cached() == 5
         counts.flush_all_caches()
+        assert counts.pending_cached() == 0  # in flight, no longer cached
         world4.barrier()
         assert counts.counts() == {"z": 5}
+        assert counts.pending_cached() == 0
 
     def test_increment_amounts_and_zero(self, world4):
         counts = DistributedCountingSet(world4, cache_capacity=4)
@@ -58,24 +63,72 @@ class TestCounting:
         world4.barrier()
         assert counts.counts() == {(3, 7): 4, (3, 9): 4}
 
-    def test_top_k_and_distinct(self, world4):
+    @pytest.mark.parametrize(
+        "k, expected",
+        [
+            (0, []),
+            (2, [("c", 9), ("a", 5)]),
+            (3, [("c", 9), ("a", 5), ("b", 2)]),
+            (10, [("c", 9), ("a", 5), ("b", 2)]),  # beyond distinct_items()
+        ],
+    )
+    def test_top_k_and_distinct(self, world4, k, expected):
         counts = DistributedCountingSet(world4, cache_capacity=4)
         ctx = world4.ranks[0]
         for item, amount in [("a", 5), ("b", 2), ("c", 9)]:
             counts.async_increment(ctx, item, amount)
         counts.flush_all_caches()
         world4.barrier()
-        assert counts.top_k(2) == [("c", 9), ("a", 5)]
+        assert counts.top_k(k) == expected
         assert counts.distinct_items() == 3
 
-    def test_clear(self, world4):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_clear_then_reuse(self, world4, cached):
+        """``clear()`` drops counts and caches alike; the set keeps counting."""
         counts = DistributedCountingSet(world4, cache_capacity=4)
         counts.async_increment(world4.ranks[0], "x", 3)
-        counts.flush_all_caches()
-        world4.barrier()
+        if not cached:
+            counts.flush_all_caches()
+            world4.barrier()
         counts.clear()
         assert counts.counts() == {}
         assert counts.pending_cached() == 0
+        counts.async_increment(world4.ranks[1], "y", 2)
+        counts.flush_all_caches()
+        world4.barrier()
+        assert counts.counts() == {"y": 2}
+
+    @pytest.mark.parametrize("names", [("left", "right"), ("same", "same"), (None, None)])
+    def test_two_sets_in_one_world_do_not_collide(self, world4, names):
+        left = DistributedCountingSet(world4, name=names[0], cache_capacity=2)
+        right = DistributedCountingSet(world4, name=names[1], cache_capacity=2)
+        assert left.name != right.name
+        for ctx in world4.ranks:
+            left.increment_run(ctx, ["k", "l", "k"])
+            right.async_increment(ctx, "k", 10)
+        left.flush_all_caches()
+        right.flush_all_caches()
+        world4.barrier()
+        assert left.counts() == {"k": 8, "l": 4}
+        assert right.counts() == {"k": 40}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda counts, ctx: counts.increment_run(ctx, []),
+            lambda counts, ctx: counts.increment_grouped_run(ctx, [], [], []),
+            lambda counts, ctx: counts.flush_cache(ctx),
+        ],
+        ids=["increment_run", "increment_grouped_run", "flush_cache"],
+    )
+    def test_empty_input_books_no_rpc(self, world4, call):
+        counts = DistributedCountingSet(world4, cache_capacity=1)
+        for ctx in world4.ranks:
+            call(counts, ctx)
+        world4.barrier()
+        total = world4.stats.total()
+        assert (total.rpcs_sent, total.rpcs_executed, total.wire_messages) == (0, 0, 0)
+        assert counts.counts() == {} and counts.pending_cached() == 0
 
     def test_invalid_cache_capacity_rejected(self, world4):
         with pytest.raises(ValueError):

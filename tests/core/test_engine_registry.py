@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from itertools import product
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
 from repro.core.engine import (
+    BACKENDS,
     DEFAULT_ENGINE,
     EngineConfig,
     EngineSpec,
@@ -20,10 +25,17 @@ from repro.core.engine import (
     resolve_incremental_engine,
 )
 from repro.core.engine import registry as registry_module
+from repro.core.engine.registry import (
+    UNSUPPORTED,
+    check_supported,
+    selector_features,
+    survey_features,
+)
 from repro.core.intersection import KERNEL_TIERS
 from repro.graph import DODGraph, community_host_graph
-from repro.graph.ooc import StorageConfig
-from repro.runtime import UnsupportedBackendError, World
+from repro.graph.ooc import STORAGES, StorageConfig, active_segment_paths
+from repro.runtime import FaultPlan, UnsupportedBackendError, World, active_segment_names
+from repro.runtime.backend import shm
 
 
 def build_dodgr(generated, nranks):
@@ -163,6 +175,37 @@ RESOLVED = [
     (EngineConfig(storage=MMAP), ("columnar", MERGE, SIM, None, None, MMAP)),
 ]
 
+class _NeverExpires:
+    def check(self):
+        pass
+
+
+class Recorder:
+    """A callback with the worker-state protocol that records every call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def callback(self, ctx, tri):
+        self.seen.append(tri)
+
+    def worker_rank_state(self, rank):
+        return None
+
+    def absorb_rank_state(self, rank, state):
+        pass
+
+
+#: (world or callback cell, message fragment): what the process backend
+#: rejects beyond the selector — an installed fault plan or deadline, node
+#: aggregation, and a callback without the worker-state protocol.
+WORLD_STATE_REJECTED = [
+    ("fault_plan", "FaultPlan"),
+    ("deadline", "deadline"),
+    ("ranks_per_node", "ranks_per_node"),
+    ("lambda", "worker_rank_state"),
+]
+
 #: (selector, error type, message fragment) — all raised by the resolver,
 #: i.e. before an entry point has registered a handler.
 REJECTED = [
@@ -172,8 +215,12 @@ REJECTED = [
     (EngineConfig(kernel_tier="compild"), ValueError, "did you mean 'compiled'?"),
     (EngineConfig(storage="mmpa"), ValueError, "did you mean 'mmap'?"),
     (EngineConfig(storage=StorageConfig(mode="mmpa")), ValueError, "did you mean 'mmap'?"),
-    (EngineConfig(engine="legacy", kernel_tier="columnar"), ValueError, "does not support"),
-    (EngineConfig(backend="process", storage="mmap"), ValueError, "not supported on backend"),
+    (
+        EngineConfig(engine="legacy", kernel_tier="columnar"),
+        UnsupportedBackendError,
+        "style=legacy × kernel_tier=columnar is not supported",
+    ),
+    (EngineConfig(engine="legacy", kernel_tier="compiled"), UnsupportedBackendError, "scalar"),
     (42, TypeError, "engine selector must be"),
     (EngineConfig(kernel="mergepath"), ValueError, "did you mean 'merge_path'?"),
 ]
@@ -214,6 +261,37 @@ class TestResolveExecution:
         with pytest.raises(error, match=fragment):
             survey(dodgr, engine=selector)
         assert len(world.registry) == handlers
+
+    @pytest.mark.parametrize("storage", [None, "mmap"])
+    @pytest.mark.parametrize("cell, fragment", WORLD_STATE_REJECTED)
+    @pytest.mark.parametrize("survey", [triangle_survey_push, triangle_survey_push_pull])
+    def test_world_state_rejected_before_any_handler_is_registered(
+        self, small_er, tmp_path, survey, cell, fragment, storage
+    ):
+        """The selector is legal; the world or the callback is not.  The
+        runner's check still comes first: no handler, no segment file, no
+        shared-memory segment, no callback run."""
+        world = World(2, ranks_per_node=2 if cell == "ranks_per_node" else 1)
+        dodgr = DODGraph.build(small_er.to_distributed(world), mode="bulk")
+        if cell == "fault_plan":
+            world.install_fault_plan(FaultPlan(name="armed", reliable=True))
+        elif cell == "deadline":
+            world.install_deadline(_NeverExpires())
+        recorder = Recorder()
+        callback = recorder.callback
+        if cell == "lambda":
+            callback = lambda ctx, tri: recorder.seen.append(tri)  # noqa: E731
+        if storage is not None:
+            storage = StorageConfig(mode=storage, chunk_candidates=256, directory=str(tmp_path))
+        config = EngineConfig(backend="process", workers=2, storage=storage)
+        handlers, segments = len(world.registry), active_segment_paths()
+        with pytest.raises(UnsupportedBackendError, match=fragment):
+            survey(dodgr, callback, engine=config)
+        assert len(world.registry) == handlers
+        assert dodgr.storage_config().mode == "resident"
+        assert active_segment_paths() == segments and list(tmp_path.iterdir()) == []
+        assert active_segment_names() == frozenset()
+        assert recorder.seen == []
 
     @pytest.mark.parametrize("engine", ["legacy", "columnar"])
     @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
@@ -349,3 +427,66 @@ class TestColumnarPullPath:
             assert getattr(reports["columnar"], field) == getattr(
                 reports["legacy"], field
             ), field
+
+
+#: Every selector-axis cell: (engine, backend, tier, storage, workers pinned).
+TIERS = KERNEL_TIERS + ("auto", None)
+SELECTOR_CELLS = list(
+    product(("legacy", "columnar"), BACKENDS, TIERS, STORAGES + (None,), (None, 2))
+)
+
+
+def cell_features(engine, backend, tier, storage, workers):
+    request = SurveyRequest(
+        dodgr=None, backend=backend, kernel_tier=tier, storage=storage, workers=workers
+    )
+    return selector_features(request, resolve_engine(engine))
+
+
+class TestUnsupportedTable:
+    def test_every_row_is_reachable_and_rejects(self, monkeypatch):
+        """Every row names only features the feature functions emit, and
+        is the first row to reject a request with exactly its features."""
+        produced = {"incremental"}  # resolve_execution(..., incremental=True)
+        for cell in SELECTOR_CELLS:
+            produced |= cell_features(*cell)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(shm, "shared_memory_available", lambda: False)
+        world = World(2, ranks_per_node=2)
+        world.install_fault_plan(FaultPlan(name="armed", reliable=True))
+        world.install_deadline(_NeverExpires())
+        request = SurveyRequest(dodgr=SimpleNamespace(world=world), callback=lambda c, t: None)
+        produced |= survey_features(request, resolve_engine("columnar"))
+        for row, reason in UNSUPPORTED:
+            assert set(row) <= produced, f"row {row} names a feature nothing emits"
+            with pytest.raises(UnsupportedBackendError) as excinfo:
+                check_supported(row)
+            assert str(excinfo.value) == f"{' × '.join(row)} is not supported: {reason}"
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_the_table_implies_the_legal_matrix(self, incremental):
+        """Stated independently: legacy runs only the scalar tier, and a
+        delta survey runs on the simulated backend, resident, workers unset.
+        Every other selector cell passes the checker."""
+        legal_cells = 0
+        for engine, backend, tier, storage, workers in SELECTOR_CELLS:
+            features = cell_features(engine, backend, tier, storage, workers)
+            legal = (engine == "columnar" or tier in ("scalar", "auto", None)) and not (
+                incremental and (backend == "process" or workers or storage == "mmap")
+            )
+            if incremental:
+                features.add("incremental")
+            if legal:
+                check_supported(features)
+                legal_cells += 1
+            else:
+                with pytest.raises(UnsupportedBackendError):
+                    check_supported(features)
+        assert legal_cells == (16 if incremental else 96)
+
+    def test_a_legal_survey_passes_on_this_platform(self, small_er):
+        world, dodgr = build_dodgr(small_er, 2)
+        request = SurveyRequest(dodgr=dodgr, backend="process", storage="mmap", workers=2)
+        features = survey_features(request, resolve_engine("columnar"))
+        assert features == {"style=columnar", "backend=process", "storage=mmap", "workers"}
+        check_supported(features)

@@ -200,3 +200,34 @@ def test_engine_smoke_tool_passes():
     import check_engines
 
     assert check_engines.main() == 0
+
+
+def test_one_table_says_what_may_run():
+    """Mirror of tools/check_engines.py check 8: ``check_supported`` holds
+    the only ``raise UnsupportedBackendError`` in ``src/repro``, and
+    docs/architecture.md renders its table row for row."""
+    import check_engines
+
+    assert check_engines.check_unsupported_table() == []
+
+
+def test_unsupported_raise_scan_flags_a_stray_raise(tmp_path):
+    """The check 8 scan trips: a raise in another module, or in the
+    registry outside the checker, is reported with its line."""
+    import check_engines
+
+    registry = tmp_path / "core" / "engine" / "registry.py"
+    registry.parent.mkdir(parents=True)
+    source = (REPO_ROOT / "src" / "repro" / "core" / "engine" / "registry.py").read_text(
+        encoding="utf-8"
+    )
+    registry.write_text(source, encoding="utf-8")
+    assert check_engines.stray_unsupported_raises(tmp_path) == []
+    registry.write_text(source + "\n\ndef g():\n    raise UnsupportedBackendError\n", encoding="utf-8")
+    (tmp_path / "stray.py").write_text(
+        "def f():\n    raise backend.UnsupportedBackendError('x')\n", encoding="utf-8"
+    )
+    assert check_engines.stray_unsupported_raises(tmp_path) == [
+        f"core/engine/registry.py:{len(source.splitlines()) + 4}",
+        "stray.py:2",
+    ]

@@ -26,6 +26,7 @@ from repro.core.callbacks import LocalTriangleCounter
 from repro.core.engine import EngineConfig, backend_names, engine_names
 from repro.graph import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
+from repro.graph.ooc import StorageConfig, active_segment_paths
 from repro.runtime import World, active_segment_names
 
 WIRE_FIELDS = (
@@ -51,8 +52,11 @@ def random_generated_graphs(draw):
     return erdos_renyi(n, p, seed=seed)
 
 
-def run_backend(generated, nranks, algorithm, engine, backend):
-    """One fresh-world survey run on ``backend``: (reducer panel, report)."""
+def run_backend(generated, nranks, algorithm, engine, backend, storage=None):
+    """One fresh-world survey run on ``backend``: (reducer panel, report).
+
+    The DODGr is released afterwards, so a ``storage`` spill leaves nothing.
+    """
     world = World(nranks)
     dodgr = DODGraph.build(generated.to_distributed(world), mode="bulk")
     reducer = LocalTriangleCounter(world)
@@ -61,9 +65,10 @@ def run_backend(generated, nranks, algorithm, engine, backend):
     # worker exchange path is the property under test, and auto-resolution
     # would collapse to one worker on single-core CI runners.
     workers = min(2, nranks) if backend == "process" else None
-    config = EngineConfig(engine=engine, backend=backend, workers=workers)
+    config = EngineConfig(engine=engine, backend=backend, workers=workers, storage=storage)
     report = survey(dodgr, reducer.callback, engine=config)
     reducer.finalize()
+    dodgr.release()
     return reducer.snapshot(), report
 
 
@@ -100,17 +105,28 @@ def test_process_backend_matches_simulated_oracle(generated, nranks, algorithm):
     assert active_segment_names() == frozenset()
 
 
+@pytest.mark.parametrize("storage_mode", ["resident", "mmap"])
 @pytest.mark.parametrize("algorithm", ["push", "push_pull"])
 @pytest.mark.parametrize("engine", sorted(engine_names()))
-def test_fixed_graph_full_matrix(algorithm, engine):
+def test_fixed_graph_full_matrix(algorithm, engine, storage_mode, tmp_path):
     """Deterministic full engine × algorithm coverage on one non-trivial
-    graph — runs every time, no example budget involved."""
+    graph — runs every time, no example budget involved.  Under mmap
+    storage the workers read the CSR segments spilled before the fork, and
+    every segment file — the parent's and the ones workers spill after the
+    fork — is gone from the spill directory once the DODGr is released."""
     generated = rmat(6, edge_factor=6, seed=13)
+    storage = None
+    if storage_mode == "mmap":
+        storage = StorageConfig(mode="mmap", chunk_candidates=256, directory=str(tmp_path))
+    segments = active_segment_paths()
     oracle_panel, oracle = run_backend(generated, 5, algorithm, engine, "simulated")
-    panel, report = run_backend(generated, 5, algorithm, engine, "process")
-    context = f"{engine}/{algorithm} on {generated.name}"
+    panel, report = run_backend(generated, 5, algorithm, engine, "process", storage)
+    context = f"{engine}/{algorithm}/storage={storage_mode} on {generated.name}"
     assert panel == oracle_panel, f"{context}: reducer panels differ"
     assert_reports_match(report, oracle, context)
+    assert list(tmp_path.iterdir()) == []
+    assert active_segment_paths() == segments
+    assert active_segment_names() == frozenset()
 
 
 def test_single_rank_single_worker_process_run():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Seven checks, exit status 1 on any failure (each printed to stderr):
+Eight checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -52,6 +52,13 @@ Seven checks, exit status 1 on any failure (each printed to stderr):
    (``store_materialised`` False) and their DODGr with no object-shaped
    view (``materialised_views()`` empty): a ``DeltaBuffer`` that regrows a
    per-edge dict insert or flatten fails here.
+8. **One table says what may run** — an AST scan of ``src/repro`` finds no
+   ``raise UnsupportedBackendError`` outside
+   :func:`repro.core.engine.registry.check_supported`, and the
+   ``| Unsupported combination |`` table in ``docs/architecture.md`` lists
+   exactly the rows of :data:`repro.core.engine.registry.UNSUPPORTED`, in
+   order — so a combination rule cannot grow back anywhere else, and the
+   documented matrix is the enforced one.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -59,6 +66,7 @@ Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -415,6 +423,70 @@ def check_selector_surface() -> List[str]:
     return errors
 
 
+#: Where the one ``raise UnsupportedBackendError`` lives: (file under
+#: ``src/repro``, function).
+CHECKER = ("core/engine/registry.py", "check_supported")
+
+
+def _raises_unsupported(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+    return name == "UnsupportedBackendError"
+
+
+def stray_unsupported_raises(root: Path) -> List[str]:
+    """``path:line`` of every ``raise UnsupportedBackendError`` under ``root``
+    outside the :data:`CHECKER` function."""
+    stray: List[str] = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), relative)
+        allowed = set()
+        if relative == CHECKER[0]:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == CHECKER[1]:
+                    allowed.update(map(id, ast.walk(node)))
+        stray.extend(
+            f"{relative}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _raises_unsupported(node) and id(node) not in allowed
+        )
+    return stray
+
+
+def render_unsupported_table() -> List[str]:
+    """:data:`~repro.core.engine.registry.UNSUPPORTED` as markdown table rows."""
+    from repro.core.engine.registry import UNSUPPORTED
+
+    return [
+        "| " + " × ".join(f"`{feature}`" for feature in row) + f" | {reason} |"
+        for row, reason in UNSUPPORTED
+    ]
+
+
+def check_unsupported_table() -> List[str]:
+    """The one checker raises, and the docs render its table (check 8)."""
+    errors = [
+        f"raise UnsupportedBackendError outside {CHECKER[0]}::{CHECKER[1]}: {where}"
+        for where in stray_unsupported_raises(REPO_ROOT / "src" / "repro")
+    ]
+    lines = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8").splitlines()
+    header = [i for i, line in enumerate(lines) if line.startswith("| Unsupported combination |")]
+    documented = []
+    for line in lines[header[0] + 2 :] if header else []:  # past the | --- | rule
+        if not line.startswith("|"):
+            break
+        documented.append(line)
+    if documented != render_unsupported_table():
+        errors.append(
+            "docs/architecture.md's unsupported-combination table differs from "
+            "UNSUPPORTED; paste tools/check_engines.render_unsupported_table()"
+        )
+    return errors
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -471,6 +543,7 @@ def main() -> int:
     errors.extend(check_execution_axes(registered))
     errors.extend(check_selector_surface())
     errors.extend(check_write_path())
+    errors.extend(check_unsupported_table())
 
     if errors:
         for error in errors:
@@ -489,7 +562,7 @@ def main() -> int:
         "snapshot/merge/callback_batch contract with zero codec calls; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector; "
-        "the write path builds no object view"
+        "the write path builds no object view; one table says what may run"
     )
     return 0
 
