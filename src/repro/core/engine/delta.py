@@ -208,9 +208,10 @@ def drive_columnar_delta(
       (full-check stream);
     * every new edge position also joins, as a *candidate*, each earlier
       old-q wedge of its pivot row (full-check stream);
-    * every new directed pair (q, r) is joined against the rank's inverted
-      target index to find the pivot rows holding both endpoints — the
-      old-old wedges it closes (new-check stream).
+    * every new directed pair (q, r) is joined against the *old* positions
+      of the rank's inverted target index to find the pivot rows holding
+      both endpoints through old edges — the old-old wedges it closes
+      (new-check stream; on a first batch nothing is old, so no join).
 
     The three constructions are disjoint and exhaustive, so the messages
     (and their exact serialized sizes, accounted in legacy send order —
@@ -249,11 +250,14 @@ def drive_columnar_delta(
     )
 
     # --- New-check stream: old-old wedges closed by a new (q, r) pair,
-    # found by joining both endpoints against the inverted target index.
+    # found by joining both endpoints against the inverted target index's
+    # old positions only (a subsequence, so still sorted by target id).
+    old = ~mask[inv_pos]
+    old_ids, old_pos = inv_ids[old], inv_pos[old]
     stride = _np.int64(dodgr.order_count())
     new_keys = delta.directed_edge_keys()
-    pair_q, pos_q = positions_of_ids(inv_ids, inv_pos, new_keys // stride)
-    pair_r, pos_r = positions_of_ids(inv_ids, inv_pos, new_keys % stride)
+    pair_q, pos_q = positions_of_ids(old_ids, old_pos, new_keys // stride)
+    pair_r, pos_r = positions_of_ids(old_ids, old_pos, new_keys % stride)
     # Join on (pair, pivot row): a row holds a target at most once, so the
     # composite keys are unique per side.
     comp_q = pair_q * _np.int64(csr.num_rows) + row_of_edge[pos_q]
@@ -271,10 +275,7 @@ def drive_columnar_delta(
     )
     wedge_b = pos_q[clipped[hit]] if comp_q.size else _np.empty(0, dtype=_np.int64)
     cand_b = pos_r[hit]
-    both_old = ~mask[wedge_b] & ~mask[cand_b]
-    new_qpos, new_counts, new_cand = _sort_wedge_groups(
-        wedge_b[both_old], cand_b[both_old]
-    )
+    new_qpos, new_counts, new_cand = _sort_wedge_groups(wedge_b, cand_b)
 
     streams = []
     for qpos, counts, cand, overhead in (

@@ -194,28 +194,32 @@ def incremental_triangle_survey(
         h_new = world.register_handler(new_handler)
 
     host_start = time.perf_counter()
-    world.begin_phase(phase_name)
-    if style == "columnar":
-        overhead_full = legacy_push_payload_overhead(h_full.handler_id)
-        overhead_new = legacy_push_payload_overhead(h_new.handler_id)
-        for ctx in world.ranks:
-            # Cooperative cancellation checkpoint (see engine/push.py).
-            world.check_deadline()
-            drive_columnar_delta(
-                ctx, dodgr, delta, h_full, h_new, overhead_full, overhead_new
-            )
-    else:
-        new_sources = new_source_vertices(delta)
-        for ctx in world.ranks:
-            world.check_deadline()
-            drive_legacy_delta(ctx, dodgr, delta, h_full, h_new, new_sources)
-    world.barrier()
+    try:
+        world.begin_phase(phase_name)
+        if style == "columnar":
+            overhead_full = legacy_push_payload_overhead(h_full.handler_id)
+            overhead_new = legacy_push_payload_overhead(h_new.handler_id)
+            for ctx in world.ranks:
+                # Cooperative cancellation checkpoint (see engine/push.py).
+                world.check_deadline()
+                drive_columnar_delta(
+                    ctx, dodgr, delta, h_full, h_new, overhead_full, overhead_new
+                )
+        else:
+            new_sources = new_source_vertices(delta)
+            for ctx in world.ranks:
+                world.check_deadline()
+                drive_legacy_delta(ctx, dodgr, delta, h_full, h_new, new_sources)
+        world.barrier()
+    finally:
+        # Per-batch closures capture the rebuilt DODGr and the delta; release
+        # their registry slots on every exit — an expired deadline, a rank
+        # crash a recovery layer retries, a livelock — or a long stream pins
+        # every rebuild forever (ids stay allocated, so later accounted
+        # message sizes are unchanged).
+        world.registry.release(h_full)
+        world.registry.release(h_new)
     host_seconds = time.perf_counter() - host_start
-    # Per-batch closures capture the rebuilt DODGr and the delta; release
-    # their registry slots (ids stay allocated, so later accounted message
-    # sizes are unchanged) or a long stream pins every rebuild forever.
-    world.registry.release(h_full)
-    world.registry.release(h_new)
 
     simulated = world.simulated_time(phases=[phase_name])
     return SurveyReport.from_world_stats(

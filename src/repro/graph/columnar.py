@@ -31,6 +31,13 @@ class HalfEdgeColumns(NamedTuple):
     half edges (one per stored ``adj`` entry, duplicates already resolved)
     grouped by their vertex in that same order, each group in its adjacency
     dict's insertion order.  Vertices are referred to by dense index.
+
+    ``edge_meta_sizes`` optionally carries every half edge's exact
+    serialized metadata size.  Bulk images (``from_columns``, a flattened
+    store) leave it None and the DODGr build sizes the metadata column;
+    ``DeltaBuffer.apply`` fills it, sizing only each batch's new edges and
+    carrying the old ones forward, so a streamed graph's rebuild never
+    re-sizes stored metadata (a value's size depends on the value alone).
     """
 
     #: (V,) vertex ids: int64, or object for ids that are not in-range ints
@@ -45,6 +52,8 @@ class HalfEdgeColumns(NamedTuple):
     tgt: Any
     #: (H,) object column of edge metadata
     edge_meta: Any
+    #: (H,) int64 serialized size of every ``edge_meta`` value, or None
+    edge_meta_sizes: Any = None
 
 
 def id_array(vertices: Sequence[Any]) -> Optional[Any]:

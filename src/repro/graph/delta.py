@@ -15,13 +15,17 @@ subsystem (the survey half lives in :mod:`repro.core.incremental`):
   Green (HiPC 2017), here at the DODGr's input: the batch is deduplicated
   and checked against the graph's sorted half-edge keys with array
   operations, and the accepted edges are laid into a new
-  :class:`~repro.graph.columnar.HalfEdgeColumns` image the graph keeps.  It
-  then rebuilds the degree-ordered :class:`~repro.graph.dodgr.DODGraph`
+  :class:`~repro.graph.columnar.HalfEdgeColumns` image the graph keeps.
+  The image carries every half edge's metadata wire size: only the batch's
+  new edges are sized, the old ones ride forward from the previous image.
+  It then rebuilds the degree-ordered :class:`~repro.graph.dodgr.DODGraph`
   from that image through the vectorized ``mode="bulk"`` pipeline — the
   global ``<+`` order ids are remapped in the single
   :func:`~repro.graph.degree.order_positions` argsort that pipeline already
   performs, so the rebuilt graph is *bit-identical* to a from-scratch build
-  over the merged edge set;
+  over the merged edge set.  What a step still re-derives over the whole
+  graph is that argsort, the orientation, and (on first use) each rank's
+  ``inverted_target_index`` and new-edge mask;
 * :class:`AppliedDelta` describes the applied batch to the incremental
   survey: the accepted edges as columns and — per rank — a boolean mask
   over the rebuilt CSR's edge positions marking the *new directed edges*.
@@ -49,7 +53,7 @@ from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Se
 
 from .columnar import HalfEdgeColumns, id_array, id_column, object_column, unique_pair_indices
 from .distributed_graph import DistributedGraph
-from .dodgr import DODGraph
+from .dodgr import DODGraph, _value_sizes
 from .edge_list import canonical_pair, validate_edge_columns
 
 import numpy as _np
@@ -378,7 +382,9 @@ def _merge_batch(
     the per-rank stores would hold after inserting the accepted edges with
     ``add_edge(lo, hi, meta)`` in staged order and then applying the
     first-write-wins vertex-metadata rule: new vertices join the end of
-    their rank, new half edges the end of their vertex's run.
+    their rank, new half edges the end of their vertex's run.  Its
+    ``edge_meta_sizes`` is the only place the old edges' metadata sizes are
+    computed, and only when the old image has none.
     """
     old = graph.half_edge_columns()
     keys = list(vertex_meta)
@@ -464,6 +470,12 @@ def _merge_batch(
     half_meta = _np.empty(num_half, dtype=object)
     half_meta[old_pos] = old.edge_meta
     half_meta[new_pos] = _np.repeat(edge_meta, 2)
+    # Metadata wire sizes ride the image: old half edges keep theirs (sized
+    # once if the old image came without), only the batch is sized.
+    old_sizes = old.edge_meta_sizes
+    half_sizes = _np.empty(num_half, dtype=_np.int64)
+    half_sizes[old_pos] = _value_sizes(old.edge_meta) if old_sizes is None else old_sizes
+    half_sizes[new_pos] = _np.repeat(_value_sizes(edge_meta), 2)
 
     if isinstance(batch.new_vertices, _np.ndarray):
         vertices = _np.concatenate((old.vertices, batch.new_vertices))[order]
@@ -477,5 +489,6 @@ def _merge_batch(
         degree=degree[order],
         tgt=tgt,
         edge_meta=half_meta,
+        edge_meta_sizes=half_sizes,
     )
     return image, row_of[lo], row_of[hi], edge_meta

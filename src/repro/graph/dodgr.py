@@ -542,7 +542,8 @@ class DODGraph:
         row, tgt = graph.tgt[keep], src[keep]
         # Row-major, each row in the <+ order of its targets (keys are unique).
         sorter = _np.argsort(row * _np.int64(positions.size) + positions[tgt])
-        tgt = tgt[sorter]
+        tgt, picked = tgt[sorter], keep[sorter]
+        sizes = graph.edge_meta_sizes
         self._install_columns(
             graph.vertices,
             graph.vertex_meta,
@@ -552,8 +553,9 @@ class DODGraph:
             out_degree=_np.bincount(row, minlength=positions.size),
             tgt=tgt,
             tgt_degree=graph.degree[tgt],
-            edge_meta=graph.edge_meta[keep[sorter]],
+            edge_meta=graph.edge_meta[picked],
             tgt_meta=graph.vertex_meta[tgt],
+            edge_meta_sizes=None if sizes is None else sizes[picked],
         )
         self._records_live = False
 
@@ -601,17 +603,20 @@ class DODGraph:
         tgt_degree,
         edge_meta,
         tgt_meta,
+        edge_meta_sizes=None,
     ) -> None:
         """Size the global row-major columns and cut them into per-rank CSRs.
 
         The first five columns are per vertex (rank-major, as
         :class:`~repro.graph.columnar.HalfEdgeColumns` lists them) plus
         ``out_degree``; the rest per directed edge, rows end to end, ``tgt``
-        being the target's dense vertex index.  A rank's columns are slices
-        of the global ones, so nothing per-edge is copied.
+        being the target's dense vertex index.  ``edge_meta`` is sized here
+        unless ``edge_meta_sizes`` already holds its values' sizes.  A rank's
+        columns are slices of the global ones, so nothing per-edge is copied.
         """
         vertex_size = _value_sizes(vertices)
-        size_target, size_meta = vertex_size[tgt], _value_sizes(edge_meta)
+        size_target = vertex_size[tgt]
+        size_meta = _value_sizes(edge_meta) if edge_meta_sizes is None else edge_meta_sizes
         # One candidate tuple (r, d(r), meta(p, r)) on the legacy wire: 2
         # framing bytes (tuple tag + arity) plus its fields.
         candidate = 2 + size_target + int_size_array(tgt_degree) + size_meta

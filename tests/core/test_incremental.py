@@ -17,6 +17,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro.core.engine.delta as delta_engine
+import repro.core.incremental as incremental_module
 import repro.graph.metadata as metadata_module
 from repro.core.callbacks import (
     ClosureTimeSurvey,
@@ -24,7 +26,7 @@ from repro.core.callbacks import (
     LocalTriangleCounter,
     TriangleCounter,
 )
-from repro.core.engine import EngineConfig
+from repro.core.engine import CheckpointedStreamingSurvey, EngineConfig
 from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
 from repro.core.survey import triangle_survey_push
 from repro.graph.delta import DeltaBuffer
@@ -32,7 +34,10 @@ from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import erdos_renyi, rmat
 from repro.runtime import UnsupportedBackendError
+from repro.runtime.faults import FaultPlan
+from repro.runtime.rpc import RpcError
 from repro.runtime.world import World
+from repro.service.deadline import Deadline, DeadlineExceeded
 
 NRANKS = 4
 
@@ -308,8 +313,6 @@ def test_kernel_and_tier_are_honoured_on_the_delta_path():
 
 def test_superseded_rebuilds_are_released():
     """A long stream keeps one live DODGr, not one per batch."""
-    from repro.runtime.rpc import RpcError
-
     generated = erdos_renyi(40, 0.15, seed=4)
     edges = timestamped(generated.edges)
     batches = random_schedule(edges, 21, num_batches=4)
@@ -328,6 +331,96 @@ def test_superseded_rebuilds_are_released():
         with pytest.raises(RpcError):
             world.registry.handler(handle.handler_id)
     assert world.registry.handler(handles[-1].handler_id) is not None
+
+
+def record_delta_handlers(monkeypatch, world):
+    """Every delta-survey handler ``world`` registers from now on."""
+    handles = []
+    register = world.register_handler
+
+    def spy(func, name=None):
+        handle = register(func, name)
+        if func.__qualname__.startswith("make_delta_"):
+            handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(world, "register_handler", spy)
+    return handles
+
+
+def assert_released(world, handles):
+    for handle in handles:
+        with pytest.raises(RpcError):
+            world.registry.handler(handle.handler_id)
+
+
+@pytest.mark.parametrize("engine", ["columnar", "legacy"])
+def test_delta_handlers_released_when_the_deadline_expires(monkeypatch, engine):
+    """An aborted delta survey pins neither its DODGr nor its AppliedDelta."""
+    world = World(NRANKS)
+    buffer = DeltaBuffer(world)
+    buffer.stage_edges(timestamped(erdos_renyi(40, 0.15, seed=4).edges))
+    applied = buffer.apply(DistributedGraph(world, name="g"))
+    handles = record_delta_handlers(monkeypatch, world)
+    with pytest.raises(DeadlineExceeded):
+        with world.deadline_scope(Deadline(0.0)):
+            incremental_triangle_survey(applied.dodgr, applied, None, engine=engine)
+    assert len(handles) == 2
+    assert_released(world, handles)
+
+
+def test_delta_handlers_released_after_crash_recovery(monkeypatch):
+    """The crashed attempt's handlers go too, not only the retry's."""
+    edges = timestamped(erdos_renyi(40, 0.25, seed=11).edges)
+    world = World(NRANKS)
+    handles = record_delta_handlers(monkeypatch, world)
+    plan = FaultPlan(
+        name="delta-crash", seed=3, crash_rank=1, crash_phase="delta_push",
+        crash_after_executions=1,
+    )
+    survey = CheckpointedStreamingSurvey(world, TriangleCounter, plan=plan)
+    steps = [survey.ingest(batch) for batch in random_schedule(edges, 7, num_batches=3)]
+    assert sum(step.restarts for step in steps) == 1
+    assert len(handles) == 2 * (len(steps) + 1)
+    assert_released(world, handles)
+
+
+def test_new_check_join_probes_only_old_edges(monkeypatch):
+    """The old-old-new join reads no new edge of the inverted target index:
+    nothing at all on a cold start (every edge is new)."""
+    probes = []
+    rank = [None]
+    drive = incremental_module.drive_columnar_delta
+    lookup = delta_engine.positions_of_ids
+
+    def drive_spy(ctx, *args):
+        rank[0] = ctx.rank
+        return drive(ctx, *args)
+
+    def lookup_spy(inv_ids, inv_pos, ids):
+        owner, positions = lookup(inv_ids, inv_pos, ids)
+        probes.append((rank[0], positions))
+        return owner, positions
+
+    monkeypatch.setattr(incremental_module, "drive_columnar_delta", drive_spy)
+    monkeypatch.setattr(delta_engine, "positions_of_ids", lookup_spy)
+    edges = shuffled(timestamped(rmat(8, edge_factor=6, seed=7).edges), 13)
+    world = World(NRANKS)
+    graph = DistributedGraph(world, name="probe")
+    buffer = DeltaBuffer(world)
+    probed_old = 0
+    for index, batch in enumerate(random_schedule(edges, 17, num_batches=3)):
+        buffer.stage_edges(batch)
+        applied = buffer.apply(graph)
+        probes.clear()
+        incremental_triangle_survey(applied.dodgr, applied, None, engine="columnar")
+        assert len(probes) == 2 * NRANKS
+        if index == 0:
+            assert sum(positions.size for _rank, positions in probes) == 0
+        for probe_rank, positions in probes:
+            assert not applied.edge_mask(probe_rank)[positions].any()
+            probed_old += positions.size
+    assert probed_old > 0
 
 
 def test_merge_snapshot_contract_all_reducers():
