@@ -186,23 +186,27 @@ def run_streaming_closure_time_survey(
         graph_name=graph_name or "streaming_closure",
     )
     steps: List[StreamingClosureTimeStep] = []
-    for batch in batches:
-        step = survey.ingest(batch)
-        closing, opening = _closure_marginals(step.window)
-        steps.append(
-            StreamingClosureTimeStep(
-                batch_index=step.batch_index,
-                new_edges=step.new_edges,
-                report=step.report,
-                window=ClosureTimeResult(
+    try:
+        for batch in batches:
+            step = survey.ingest(batch)
+            closing, opening = _closure_marginals(step.window)
+            steps.append(
+                StreamingClosureTimeStep(
+                    batch_index=step.batch_index,
+                    new_edges=step.new_edges,
                     report=step.report,
-                    joint=step.window,
-                    closing=closing,
-                    opening=opening,
-                ),
-                cumulative=step.cumulative,
+                    window=ClosureTimeResult(
+                        report=step.report,
+                        joint=step.window,
+                        closing=closing,
+                        opening=opening,
+                    ),
+                    cumulative=step.cumulative,
+                )
             )
-        )
+    finally:
+        # Free the stream's live DODGr in the caller's world.
+        survey.close()
     return steps
 
 

@@ -156,17 +156,21 @@ def run_streaming_fqdn_survey(
         graph_name=graph_name or "streaming_fqdn",
     )
     steps: List[StreamingFqdnStep] = []
-    for batch in batches:
-        step = survey.ingest(batch, vertex_meta=vertex_meta)
-        steps.append(
-            StreamingFqdnStep(
-                batch_index=step.batch_index,
-                new_edges=step.new_edges,
-                report=step.report,
-                window=FqdnSurveyResult(report=step.report, triple_counts=step.window),
-                cumulative=step.cumulative,
+    try:
+        for batch in batches:
+            step = survey.ingest(batch, vertex_meta=vertex_meta)
+            steps.append(
+                StreamingFqdnStep(
+                    batch_index=step.batch_index,
+                    new_edges=step.new_edges,
+                    report=step.report,
+                    window=FqdnSurveyResult(report=step.report, triple_counts=step.window),
+                    cumulative=step.cumulative,
+                )
             )
-        )
+    finally:
+        # Free the stream's live DODGr in the caller's world.
+        survey.close()
     return steps
 
 

@@ -20,7 +20,10 @@ survey execution end to end:
   engine byte-identical on Table 4;
 * :mod:`~repro.core.engine.segments` — the shared ragged-array utilities;
 * :mod:`~repro.core.engine.push` / :mod:`~repro.core.engine.push_pull` —
-  the Push-Only and Push-Pull runners, one driver loop each.
+  the Push-Only and Push-Pull runners, compiled to
+  :class:`~repro.core.engine.program.SurveyProgram` phases that one loop
+  (:mod:`~repro.core.engine.program`) runs — the incremental survey's one
+  delta phase included.
 
 ``repro.core.survey``, ``repro.core.push_pull`` and
 ``repro.core.incremental`` are thin entry points over this layer.
@@ -61,7 +64,6 @@ from .registry import (
     registered_engines,
     resolve_engine,
     resolve_execution,
-    resolve_incremental_engine,
 )
 from .request import (
     DEFAULT_CALLBACK_COMPUTE_UNITS,
@@ -93,7 +95,6 @@ __all__ = [
     "register_engine",
     "resolve_execution",
     "resolve_engine",
-    "resolve_incremental_engine",
     "registered_engines",
     "engine_names",
     "backend_names",
@@ -136,9 +137,7 @@ def execute_survey(request: SurveyRequest, engine=None) -> SurveyResult:
 # must stay below its definition.
 from .checkpoint import (  # noqa: E402
     CheckpointPolicy,
-    CheckpointedStreamingSurvey,
     RecoveryLog,
-    ResilientStreamingStep,
     ResilientSurveyResult,
     StaleCheckpointError,
     StreamingCheckpoint,
@@ -147,9 +146,7 @@ from .checkpoint import (  # noqa: E402
 
 __all__ += [
     "CheckpointPolicy",
-    "CheckpointedStreamingSurvey",
     "RecoveryLog",
-    "ResilientStreamingStep",
     "ResilientSurveyResult",
     "StaleCheckpointError",
     "StreamingCheckpoint",

@@ -1,50 +1,38 @@
-"""Delta-survey machinery: the incremental engines' handlers and drivers.
+"""Delta-survey drivers: the two styles' candidate streams of one batch.
 
 :func:`repro.core.incremental.incremental_triangle_survey` surveys exactly
 the triangles containing at least one edge of an applied batch
 (:class:`~repro.graph.delta.AppliedDelta`), via the wedge decomposition
-documented in :mod:`repro.core.incremental`.  This module holds the two
-engine implementations the registry's ``style`` field selects:
+documented in :mod:`repro.core.incremental`, as a one-phase
+:class:`~repro.core.engine.program.SurveyProgram`.  Its two handlers are
+the push survey's own (:func:`~repro.core.engine.driver.make_push_intersect_handler`,
+the new-check one over the batch's new entries); this module holds the
+per-rank drives the registry's ``style`` field selects:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
-  carrying the filtered candidate tuples, intersected per message with the
-  scalar kernels (the parity oracle);
+  carrying the filtered candidate tuples (the parity oracle);
 * ``columnar`` — candidate selection as boolean array masks over the CSR
   edge positions, one coalesced RPC per (source rank, destination rank,
-  stream), row-kernel intersection, lazy
-  :class:`~repro.graph.metadata.TriangleBatch` delivery.  Every replaced
-  legacy message is accounted — in legacy send order, through the real
-  buffer bank — at its exact serialized size.
-
-Both compose the same shared driver core as the full-survey engines
-(:mod:`repro.core.engine.driver`, :mod:`repro.core.engine.segments`).
+  stream) through the push drive's own send tail
+  (:func:`~repro.core.engine.driver.send_wedges`).  Every replaced legacy
+  message is accounted — in legacy send order, through the real buffer
+  bank — at its exact serialized size.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List
 
 from ...graph.delta import AppliedDelta
-from ...graph.dodgr import DODGraph, entry_key
-from ...graph.metadata import TriangleMetadata
+from ...graph.dodgr import DODGraph
 from ...runtime.serialization import uvarint_size_array
-from ..intersection import RowAdjacency
-from .driver import (
-    candidate_key,
-    columnar_push_batch,
-    deliver_batch,
-    row_adjacency,
-)
-from .request import TriangleCallback
+from .driver import legacy_push_payload_overhead, send_wedges
 from .segments import positions_of_ids, ragged_gather
 
 import numpy as _np
 
 __all__ = [
     "new_source_vertices",
-    "make_delta_columnar_handler",
-    "make_delta_legacy_handlers",
     "drive_columnar_delta",
     "drive_legacy_delta",
 ]
@@ -65,113 +53,8 @@ def new_source_vertices(delta: AppliedDelta) -> set:
 
 
 # ---------------------------------------------------------------------------
-# New-entries adjacency views of the destination CSR (columnar engine)
-# ---------------------------------------------------------------------------
-
-#: AppliedDelta -> {rank: (RowAdjacency over new entries, new->orig position map)}
-_NEW_ADJ_CACHE: "weakref.WeakKeyDictionary[AppliedDelta, Dict[int, Tuple[RowAdjacency, Any]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _delta_row_adjacency(delta: AppliedDelta, rank: int) -> Tuple[RowAdjacency, Any]:
-    """Rank ``rank``'s new-entries-only :class:`RowAdjacency` plus position map.
-
-    Shares the destination CSR's row indexing (row ``i`` is the same vertex)
-    but keeps only the new directed edges, so the row kernels can intersect
-    old-old candidate streams against "what changed at q" in one call.  The
-    second element maps filtered edge positions back to positions in the full
-    CSR edge arrays (for metadata lookup).
-    """
-    per_delta = _NEW_ADJ_CACHE.setdefault(delta, {})
-    cached = per_delta.get(rank)
-    if cached is None:
-        dodgr = delta.dodgr
-        csr = dodgr.csr(rank)
-        mask = delta.edge_mask(rank)
-        new_to_orig = _np.flatnonzero(mask)
-        edge_rows = csr.inverted_target_index()[2]
-        new_counts = _np.bincount(edge_rows[mask], minlength=csr.num_rows)
-        new_indptr = _np.concatenate(
-            ([0], _np.cumsum(new_counts))
-        ).astype(_np.int64)
-        adjacency = RowAdjacency(
-            csr.tgt_ids[new_to_orig], new_indptr, dodgr.order_count()
-        )
-        cached = (adjacency, new_to_orig)
-        per_delta[rank] = cached
-    return cached
-
-
-# ---------------------------------------------------------------------------
 # Columnar engine
 # ---------------------------------------------------------------------------
-
-
-class _DeltaStreamResult:
-    """A :class:`~repro.core.intersection.RowBatchResult` view with remapped
-    adjacency positions (filtered new-entry positions -> full CSR positions)."""
-
-    __slots__ = ("seg", "cand_pos", "adj_pos", "comparisons")
-
-    def __init__(self, result, adj_pos) -> None:
-        self.seg = result.seg
-        self.cand_pos = result.cand_pos
-        self.adj_pos = adj_pos
-        self.comparisons = result.comparisons
-
-    def __len__(self) -> int:
-        return len(self.seg)
-
-
-def make_delta_columnar_handler(
-    dodgr: DODGraph,
-    delta: AppliedDelta,
-    row_kernel,
-    callback: Optional[TriangleCallback],
-    batch_callback,
-    per_triangle_compute: int,
-    new_only: bool,
-):
-    """Owner-side handler of one coalesced delta candidate stream.
-
-    One RPC per (source rank, destination rank, stream): ``rows``/
-    ``qpositions`` locate the stream's wedges in the source CSR and
-    ``flat_src_pos``/``offsets`` its (filtered, per-wedge segmented)
-    candidate positions.  ``new_only=False`` intersects against the full
-    destination adjacency, ``new_only=True`` against the delta's new entries
-    only; either way matched triangles flow to the reducer as one
-    :class:`~repro.graph.metadata.TriangleBatch`.
-    """
-
-    def _handler(ctx, src_csr, rows, qpositions, flat_src_pos, offsets) -> None:
-        ctx.add_counter("wedge_checks", len(flat_src_pos))
-        dest_csr = dodgr.csr(ctx)
-        q_rows = dodgr.rows_by_order_id()[src_csr.tgt_ids[qpositions]]
-        candidate_ids = src_csr.tgt_ids[flat_src_pos]
-        if new_only:
-            adjacency, new_to_orig = _delta_row_adjacency(delta, ctx.rank)
-        else:
-            adjacency = row_adjacency(dest_csr, dodgr.order_count())
-        result = row_kernel(candidate_ids, offsets, q_rows, adjacency)
-        ctx.add_compute(int(result.comparisons))
-        matches = len(result)
-        if not matches:
-            return
-        ctx.add_counter("triangles_found", matches)
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * matches)
-        if new_only:
-            result = _DeltaStreamResult(
-                result, new_to_orig[_np.asarray(result.adj_pos, dtype=_np.int64)]
-            )
-        batch = columnar_push_batch(
-            src_csr, dest_csr, rows, qpositions, q_rows, flat_src_pos, result
-        )
-        deliver_batch(ctx, batch, callback, batch_callback)
-
-    return _handler
 
 
 def _sort_wedge_groups(qpos, cand):
@@ -195,8 +78,6 @@ def drive_columnar_delta(
     delta: AppliedDelta,
     h_full,
     h_new,
-    overhead_full: int,
-    overhead_new: int,
 ) -> None:
     """Array-native, delta-proportional driver of one rank's candidate streams.
 
@@ -277,149 +158,44 @@ def drive_columnar_delta(
     cand_b = pos_r[hit]
     new_qpos, new_counts, new_cand = _sort_wedge_groups(wedge_b, cand_b)
 
-    streams = []
-    for qpos, counts, cand, overhead in (
-        (full_qpos, full_counts, full_cand, overhead_full),
-        (new_qpos, new_counts, new_cand, overhead_new),
+    sends = []
+    for handler, qpos, counts, cand in (
+        (h_full, full_qpos, full_counts, full_cand),
+        (h_new, new_qpos, new_counts, new_cand),
     ):
         if qpos.size == 0:
-            streams.append(None)
             continue
         cand_bytes = csr.cand_size_cumsum[cand + 1] - csr.cand_size_cumsum[cand]
         byte_cumsum = _np.concatenate(([0], _np.cumsum(cand_bytes)))
         offsets = _np.concatenate(([0], _np.cumsum(counts)))
+        rows = row_of_edge[qpos]
         sizes = (
-            overhead
-            + csr.row_wire_sizes[row_of_edge[qpos]]
+            legacy_push_payload_overhead(handler.handler_id)
+            + csr.row_wire_sizes[rows]
             + csr.tgt_wire_sizes[qpos]
             + uvarint_size_array(counts)
             + byte_cumsum[offsets[1:]]
             - byte_cumsum[offsets[:-1]]
         )
-        streams.append(
-            {
-                "qpos": qpos,
-                "rows": row_of_edge[qpos],
-                "counts": counts,
-                "offsets": offsets,
-                "cand": cand,
-                "sizes": sizes,
-                "dests": csr.tgt_owner[qpos],
-            }
-        )
-
-    live = [s for s in streams if s is not None]
-    if not live:
+        sends.append((handler, rows, qpos, csr.tgt_owner[qpos], sizes, counts, cand))
+    if not sends:
         return
     # Account every replaced legacy message in legacy send order: ascending
     # wedge position (row-major), the full-check message before the
-    # new-check message of the same wedge.
-    acc_qpos = _np.concatenate([s["qpos"] for s in live])
-    acc_kind = _np.concatenate(
-        [_np.full(s["qpos"].size, i, dtype=_np.int64) for i, s in enumerate(streams) if s]
+    # new-check message of the same wedge — a stable sort of the streams
+    # concatenated full first (a stream holds each wedge once).
+    order = _np.argsort(_np.concatenate([send[2] for send in sends]), kind="stable")
+    ctx.account_rpc_bulk(
+        _np.concatenate([send[3] for send in sends])[order],
+        _np.concatenate([send[4] for send in sends])[order],
     )
-    order = _np.lexsort((acc_kind, acc_qpos))
-    acc_dests = _np.concatenate([s["dests"] for s in live])[order]
-    acc_sizes = _np.concatenate([s["sizes"] for s in live])[order]
-    ctx.account_rpc_bulk(acc_dests, acc_sizes)
-
-    for stream, handler in zip(streams, (h_full, h_new)):
-        if stream is None:
-            continue
-        dests = stream["dests"]
-        dest_order = _np.argsort(dests, kind="stable")
-        dests_sorted = dests[dest_order]
-        unique_dests, group_starts = _np.unique(dests_sorted, return_index=True)
-        bounds = group_starts.tolist() + [dests_sorted.size]
-        # Regroup the candidate sub-stream by destination rank.
-        gather, new_offsets = ragged_gather(
-            stream["offsets"][:-1][dest_order], stream["counts"][dest_order]
-        )
-        pos_sorted = stream["cand"][gather]
-        rows_sorted = stream["rows"][dest_order]
-        qpos_sorted = stream["qpos"][dest_order]
-        sizes_sorted = stream["sizes"][dest_order]
-        for g, dest in enumerate(unique_dests.tolist()):
-            lo, hi = bounds[g], bounds[g + 1]
-            ctx.async_call_batched(
-                dest,
-                handler,
-                csr,
-                rows_sorted[lo:hi],
-                qpos_sorted[lo:hi],
-                pos_sorted[new_offsets[lo] : new_offsets[hi]],
-                new_offsets[lo : hi + 1] - new_offsets[lo],
-                virtual_rpcs=hi - lo,
-                virtual_bytes=int(sizes_sorted[lo:hi].sum()),
-            )
+    for send in sends:
+        send_wedges(ctx, dodgr, csr, *send)
 
 
 # ---------------------------------------------------------------------------
 # Legacy (scalar reference) engine
 # ---------------------------------------------------------------------------
-
-
-def make_delta_legacy_handlers(
-    dodgr: DODGraph,
-    intersect,
-    callback: Optional[TriangleCallback],
-    per_triangle_compute: int,
-    new_adj_by_rank,
-):
-    """Build the scalar reference's (full-check, new-check) handler pair."""
-
-    def _full_intersect_handler(ctx, q, p, meta_p, meta_pq, candidates) -> None:
-        """Check filtered candidates against the full Adj^m_+(q)."""
-        record = dodgr.local_store(ctx).get(q)
-        ctx.add_counter("wedge_checks", len(candidates))
-        if record is None:
-            return
-        adjacency = record["adj"]
-        meta_q = record["meta"]
-        result = intersect(candidates, adjacency, candidate_key, entry_key)
-        ctx.add_compute(result.comparisons)
-        for cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr = candidates[cand_idx]
-            _, _, meta_qr, meta_r = adjacency[adj_idx]
-            ctx.add_counter("triangles_found", 1)
-            if callback is not None:
-                ctx.add_compute(per_triangle_compute)
-                callback(
-                    ctx,
-                    TriangleMetadata(
-                        p=p, q=q, r=r,
-                        meta_p=meta_p, meta_q=meta_q, meta_r=meta_r,
-                        meta_pq=meta_pq, meta_pr=meta_pr, meta_qr=meta_qr,
-                    ),
-                )
-
-    def _new_intersect_handler(ctx, q, p, meta_p, meta_pq, candidates) -> None:
-        """Check old-old candidates against only the new entries of Adj^m_+(q)."""
-        record = dodgr.local_store(ctx).get(q)
-        ctx.add_counter("wedge_checks", len(candidates))
-        if record is None:
-            return
-        filtered = new_adj_by_rank[ctx.rank].get(q, ())
-        meta_q = record["meta"]
-        entries = [entry for entry, _pos in filtered]
-        result = intersect(candidates, entries, candidate_key, entry_key)
-        ctx.add_compute(result.comparisons)
-        for cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr = candidates[cand_idx]
-            _, _, meta_qr, meta_r = entries[adj_idx]
-            ctx.add_counter("triangles_found", 1)
-            if callback is not None:
-                ctx.add_compute(per_triangle_compute)
-                callback(
-                    ctx,
-                    TriangleMetadata(
-                        p=p, q=q, r=r,
-                        meta_p=meta_p, meta_q=meta_q, meta_r=meta_r,
-                        meta_pq=meta_pq, meta_pr=meta_pr, meta_qr=meta_qr,
-                    ),
-                )
-
-    return _full_intersect_handler, _new_intersect_handler
 
 
 def drive_legacy_delta(

@@ -24,7 +24,8 @@ composition material.  Before the engine layer existed this code lived in
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...graph.degree import order_key
 from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
@@ -35,7 +36,12 @@ from ...runtime.serialization import (
     serialized_size,
     uvarint_size_array,
 )
-from ..intersection import INTERSECTION_KERNELS, RowAdjacency, row_kernel as select_row_kernel
+from ..intersection import (
+    INTERSECTION_KERNELS,
+    RowAdjacency,
+    RowBatchResult,
+    row_kernel as select_row_kernel,
+)
 from .request import TriangleCallback
 from .segments import first_appearance_groups, ragged_gather
 
@@ -51,10 +57,12 @@ __all__ = [
     "wedge_stream",
     "make_legacy_intersect_handler",
     "make_columnar_intersect_handler",
+    "new_row_adjacency",
     "make_push_intersect_handler",
     "drive_legacy_push",
     "drive_columnar_push",
     "drive_columnar_dry_run",
+    "send_wedges",
     "drive_push",
 ]
 
@@ -128,13 +136,15 @@ def make_legacy_intersect_handler(
     intersect,
     callback: Optional["TriangleCallback"],
     per_triangle_compute: int,
+    rows_by_rank: Optional[Sequence[Dict[Any, list]]] = None,
 ):
     """Build the owner-side handler of one per-wedge candidate push.
 
     Executed on Rank(q): intersect the pushed candidates with ``Adj^m_+(q)``
-    and run the callback for every match.  Before the engine layer this
-    closure was written out twice — once in the Push-Only driver, once in
-    the Push-Pull push phase.
+    and run the callback for every match.  ``rows_by_rank[rank][q]`` — a
+    subsequence of ``Adj^m_+(q)`` — replaces the row it intersects against
+    (the delta survey's new-check stream, over a batch's new entries);
+    ``None`` intersects the full row.
     """
 
     def _intersect_handler(
@@ -149,7 +159,7 @@ def make_legacy_intersect_handler(
         ctx.add_counter("wedge_checks", len(candidates))
         if record is None:
             return
-        adjacency = record["adj"]
+        adjacency = record["adj"] if rows_by_rank is None else rows_by_rank[ctx.rank].get(q, ())
         meta_q = record["meta"]
         result = intersect(candidates, adjacency, candidate_key, entry_key)
         ctx.add_compute(result.comparisons)
@@ -275,6 +285,7 @@ def make_columnar_intersect_handler(
     callback: Optional["TriangleCallback"],
     batch_callback,
     per_triangle_compute: int,
+    new_entries: Optional[Callable[[int], Tuple[RowAdjacency, Any]]] = None,
 ):
     """Build the owner-side handler of one columnar candidate push.
 
@@ -284,22 +295,32 @@ def make_columnar_intersect_handler(
     are intersected against their respective ``Adj^m_+(q)`` rows in one
     row-kernel call, and the resulting triangles are delivered to the
     reducer as one :class:`~repro.graph.metadata.TriangleBatch`.
+
+    A delta stream ships its (filtered) candidates explicitly, as source
+    edge positions ``flat_src_pos`` segmented per wedge by ``offsets``.
+    ``new_entries(rank)`` — a ``(RowAdjacency, position map)`` pair over a
+    batch's new entries only (:func:`new_row_adjacency`) — replaces the
+    full rows: the delta survey's new-check stream.
     """
 
-    def _columnar_intersect_handler(ctx, src_csr: CSRAdjacency, rows, qpositions) -> None:
-        starts = qpositions + 1
-        ends = src_csr.indptr[rows + 1]
-        seg_lengths = ends - starts
-        total = int(seg_lengths.sum())
-        ctx.add_counter("wedge_checks", total)
+    def _columnar_intersect_handler(
+        ctx, src_csr: CSRAdjacency, rows, qpositions, flat_src_pos=None, offsets=None
+    ) -> None:
+        if flat_src_pos is None:
+            starts = qpositions + 1
+            seg_lengths = src_csr.indptr[rows + 1] - starts
+            offsets = _np.concatenate(([0], _np.cumsum(seg_lengths)))
+            flat_src_pos = _np.arange(int(offsets[-1]), dtype=_np.int64) + _np.repeat(
+                starts - offsets[:-1], seg_lengths
+            )
+        ctx.add_counter("wedge_checks", len(flat_src_pos))
         dest_csr = dodgr.csr(ctx)
         q_rows = dodgr.rows_by_order_id()[src_csr.tgt_ids[qpositions]]
-        offsets = _np.concatenate(([0], _np.cumsum(seg_lengths)))
-        flat_src_pos = _np.arange(total, dtype=_np.int64) + _np.repeat(
-            starts - offsets[:-1], seg_lengths
-        )
         candidate_ids = src_csr.tgt_ids[flat_src_pos]
-        adjacency = row_adjacency(dest_csr, dodgr.order_count())
+        if new_entries is None:
+            adjacency = row_adjacency(dest_csr, dodgr.order_count())
+        else:
+            adjacency, new_to_orig = new_entries(ctx.rank)
         result = row_kernel(candidate_ids, offsets, q_rows, adjacency)
         ctx.add_compute(int(result.comparisons))
         matches = len(result)
@@ -309,12 +330,41 @@ def make_columnar_intersect_handler(
         if callback is None:
             return
         ctx.add_compute(per_triangle_compute * matches)
+        if new_entries is not None:
+            # Filtered new-entry positions back to full CSR edge positions.
+            result = RowBatchResult(
+                result.seg,
+                result.cand_pos,
+                new_to_orig[_np.asarray(result.adj_pos, dtype=_np.int64)],
+                result.comparisons,
+            )
         batch = columnar_push_batch(
             src_csr, dest_csr, rows, qpositions, q_rows, flat_src_pos, result
         )
         deliver_batch(ctx, batch, callback, batch_callback)
 
     return _columnar_intersect_handler
+
+
+def new_row_adjacency(delta, rank: int) -> Tuple[RowAdjacency, Any]:
+    """Rank ``rank``'s new-entries-only :class:`RowAdjacency` plus position map.
+
+    ``delta`` is an :class:`~repro.graph.delta.AppliedDelta`.  The view
+    shares the destination CSR's row indexing (row ``i`` is the same vertex)
+    but keeps only the batch's new directed edges, so the row kernels can
+    intersect old-old candidate streams against "what changed at q" in one
+    call.  The second element maps filtered edge positions back to
+    positions in the full CSR edge arrays (for metadata lookup).
+    """
+    dodgr = delta.dodgr
+    csr = dodgr.csr(rank)
+    mask = delta.edge_mask(rank)
+    new_to_orig = _np.flatnonzero(mask)
+    edge_rows = csr.inverted_target_index()[2]
+    new_counts = _np.bincount(edge_rows[mask], minlength=csr.num_rows)
+    new_indptr = _np.concatenate(([0], _np.cumsum(new_counts))).astype(_np.int64)
+    adjacency = RowAdjacency(csr.tgt_ids[new_to_orig], new_indptr, dodgr.order_count())
+    return adjacency, new_to_orig
 
 
 def wedge_stream(csr: CSRAdjacency):
@@ -398,16 +448,43 @@ def drive_columnar_push(
         if rows.size == 0:
             return
     row_end = indptr[rows + 1]
+    suffix_lengths = row_end - 1 - qpositions
     dests = csr.tgt_owner[qpositions]
     sizes = (
         payload_overhead
         + csr.row_wire_sizes[rows]
         + csr.tgt_wire_sizes[qpositions]
-        + uvarint_size_array(row_end - 1 - qpositions)
+        + uvarint_size_array(suffix_lengths)
         + csr.cand_size_cumsum[row_end]
         - csr.cand_size_cumsum[qpositions + 1]
     )
     ctx.account_rpc_bulk(dests, sizes)
+    send_wedges(ctx, dodgr, csr, handler, rows, qpositions, dests, sizes, suffix_lengths)
+
+
+def send_wedges(
+    ctx,
+    dodgr: DODGraph,
+    csr: CSRAdjacency,
+    handler,
+    rows,
+    qpositions,
+    dests,
+    sizes,
+    counts,
+    candidates=None,
+) -> None:
+    """Ship one rank's accounted wedges: batched RPCs per destination rank.
+
+    Wedge ``w`` sits at ``csr`` edge position ``qpositions[w]`` of row
+    ``rows[w]``, goes to rank ``dests[w]``, carries ``counts[w]``
+    candidates and replaces one legacy message of ``sizes[w]`` bytes (the
+    caller has accounted it already).  ``candidates=None`` ships the suffix
+    form — each wedge's candidates are the rest of its row; otherwise
+    ``candidates`` are the wedges' source edge positions, concatenated in
+    wedge order, and ship beside them with per-payload segment offsets (a
+    delta stream).  Wedges keep their relative order within a destination.
+    """
     order = _np.argsort(dests, kind="stable")
     dests_sorted = dests[order]
     unique_dests, group_starts = _np.unique(dests_sorted, return_index=True)
@@ -415,6 +492,13 @@ def drive_columnar_push(
     rows_sorted = rows[order]
     qpos_sorted = qpositions[order]
     sizes_sorted = sizes[order]
+    counts_sorted = counts[order]
+    if candidates is not None:
+        # Regroup the candidate sub-stream by destination rank.
+        gather, cand_offsets = ragged_gather(
+            (_np.cumsum(counts) - counts)[order], counts_sorted
+        )
+        cand_sorted = candidates[gather]
     # Candidate-stream chunking (out-of-core storage): cap the number of
     # candidates any single batched delivery carries, so the owner-side
     # handler's transient arrays stay within the configured memory budget
@@ -426,7 +510,7 @@ def drive_columnar_push(
     chunk = dodgr.chunk_candidates()
     cand_cumsum = None
     if chunk is not None:
-        cand_cumsum = _np.cumsum((row_end - 1 - qpositions)[order])
+        cand_cumsum = _np.cumsum(counts_sorted)
         # The payload slices below stay enqueued until the barrier delivers
         # them; staging the sorted columns in the snapshot's disk-backed
         # scratch keeps that retained set out of process memory (the
@@ -443,12 +527,15 @@ def drive_columnar_push(
                 stop = int(_np.searchsorted(cand_cumsum, base + chunk, side="right"))
                 stop = max(stop, start + 1)  # an oversize wedge still ships
                 stop = min(stop, hi)
+            columns = (rows_sorted[start:stop], qpos_sorted[start:stop])
+            if candidates is not None:
+                lo_c, hi_c = cand_offsets[start], cand_offsets[stop]
+                columns += (cand_sorted[lo_c:hi_c], cand_offsets[start : stop + 1] - lo_c)
             ctx.async_call_batched(
                 dest,
                 handler,
                 csr,
-                rows_sorted[start:stop],
-                qpos_sorted[start:stop],
+                *columns,
                 virtual_rpcs=stop - start,
                 virtual_bytes=int(sizes_sorted[start:stop].sum()),
             )
@@ -467,6 +554,7 @@ def make_push_intersect_handler(
     callback: Optional["TriangleCallback"],
     per_triangle_compute: int,
     kernel_tier: Optional[str] = None,
+    delta=None,
 ):
     """Build the push-phase intersect handler for an engine's ``style``.
 
@@ -474,7 +562,10 @@ def make_push_intersect_handler(
     (``compiled``/``columnar``/``scalar``; ``None`` = best available) —
     every tier is interchangeable under the equivalence contract, so this
     only changes host speed.  The legacy style has a single (scalar)
-    implementation and ignores the tier.
+    implementation and ignores the tier.  ``delta`` (an
+    :class:`~repro.graph.delta.AppliedDelta`) intersects against that
+    batch's new entries of ``Adj^m_+(q)`` only: the delta survey's
+    new-check handler.
     """
     if style == "columnar":
         return make_columnar_intersect_handler(
@@ -483,9 +574,21 @@ def make_push_intersect_handler(
             callback,
             resolve_batch_callback(callback),
             per_triangle_compute,
+            # Built once per rank, on the rank's first new-check delivery.
+            new_entries=(
+                None if delta is None else lru_cache(maxsize=None)(partial(new_row_adjacency, delta))
+            ),
         )
+    rows_by_rank = None
+    if delta is not None:
+        # Precomputed, so mid-drive buffer flushes (which execute handlers)
+        # never observe a partially built view.
+        rows_by_rank = [
+            {q: [entry for entry, _pos in rows] for q, rows in delta.new_adjacency(rank).items()}
+            for rank in range(dodgr.world.nranks)
+        ]
     return make_legacy_intersect_handler(
-        dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute
+        dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute, rows_by_rank
     )
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "register_engine",
     "resolve_execution",
     "resolve_engine",
-    "resolve_incremental_engine",
     "registered_engines",
     "engine_names",
     "backend_names",
@@ -205,15 +204,11 @@ def resolve_engine(engine: Any = None) -> EngineSpec:
     return resolve_execution(engine)[0]
 
 
-def resolve_incremental_engine(engine: Any = None) -> EngineSpec:
-    """Like :func:`resolve_engine`, for the incremental (delta) survey."""
-    return resolve_execution(engine, incremental=True)[0]
-
-
 _SCALAR_ONLY = "the legacy scalar drivers run only the scalar kernel tier"
 _DELTA = (
-    "incremental (delta) surveys run resident on backend='simulated' only, outside "
-    "the SurveyProgram layer the process backend shards and mmap storage serves"
+    "incremental (delta) surveys run resident on backend='simulated' only: the process "
+    "backend and mmap storage are parity-gated on the full-survey programs, not on the "
+    "delta program's per-batch edge masks and new-entry views"
 )
 
 #: Every illegal execution combination, one row each: the features a request

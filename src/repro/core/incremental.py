@@ -40,8 +40,11 @@ Engines and accounting
 ----------------------
 
 The ``engine=`` selector resolves through the same function as the full
-surveys (:func:`~repro.core.engine.resolve_execution`); an
-engine's ``style`` picks the implementation in
+surveys (:func:`~repro.core.engine.resolve_execution`), and the survey is a
+one-phase :class:`~repro.core.engine.program.SurveyProgram` run by the push
+survey's loop (:func:`~repro.core.engine.program.execute_program`) with the
+push survey's intersect handlers — the new-check one over the batch's new
+entries.  An engine's ``style`` picks the per-rank drive in
 :mod:`repro.core.engine.delta`:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
@@ -84,23 +87,26 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 from ..graph.delta import AppliedDelta, DeltaBuffer
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
+from ..runtime.faults import FaultPlan, RankCrashError, fault_plan_digest
 from .engine import (
     DEFAULT_CALLBACK_COMPUTE_UNITS,
     DELTA_PUSH_PHASE,
     EngineSelector,
+    SurveyProgram,
+    SurveyRequest,
     TriangleCallback,
-    resolve_batch_callback,
+    execute_program,
     resolve_execution,
 )
-from .engine.delta import (
-    drive_columnar_delta,
-    drive_legacy_delta,
-    make_delta_columnar_handler,
-    make_delta_legacy_handlers,
-    new_source_vertices,
+from .engine.checkpoint import (
+    CheckpointPolicy,
+    StaleCheckpointError,
+    StreamingCheckpoint,
+    degraded_estimate,
 )
-from .engine.driver import legacy_push_payload_overhead
-from .intersection import INTERSECTION_KERNELS, row_kernel as select_row_kernel
+from .engine.delta import drive_columnar_delta, drive_legacy_delta, new_source_vertices
+from .engine.driver import make_push_intersect_handler
+from .engine.registry import check_supported, survey_features
 from .results import SurveyReport
 
 __all__ = [
@@ -153,64 +159,57 @@ def incremental_triangle_survey(
     """
     if delta.dodgr is not dodgr:
         raise ValueError("delta was applied against a different DODGraph")
-    world = dodgr.world
     spec, config = resolve_execution(engine, incremental=True)
-    style, kernel, kernel_tier = spec.style, config.kernel, config.kernel_tier
-    per_triangle_compute = callback_compute_units if callback is not None else 0
+    request = SurveyRequest(
+        dodgr=dodgr,
+        callback=callback,
+        algorithm="incremental_push",
+        reset_stats=reset_stats,
+        graph_name=graph_name,
+        phase_name=phase_name,
+        callback_compute_units=callback_compute_units,
+        **config.axes(),
+    )
+    check_supported(survey_features(request, spec) | {"incremental"})
+    world = dodgr.world
     if reset_stats:
         world.reset_stats()
+    # Handler registration order is fixed (full check first, new check
+    # second) in both styles, so handler ids — and every accounted message
+    # size — match.
+    h_full, h_new = (
+        world.register_handler(
+            make_push_intersect_handler(
+                spec.style,
+                dodgr,
+                request.kernel,
+                callback,
+                request.per_triangle_compute(),
+                kernel_tier=request.kernel_tier,
+                delta=new_only,
+            )
+        )
+        for new_only in (None, delta)
+    )
+    if spec.style == "columnar":
 
-    # Handler registration order is fixed (full first, new second) in both
-    # engines, so handler ids — and every accounted message size — match.
-    if style == "columnar":
-        row_kernel = select_row_kernel(kernel, kernel_tier)
-        batch_callback = resolve_batch_callback(callback)
-        h_full = world.register_handler(
-            make_delta_columnar_handler(
-                dodgr, delta, row_kernel, callback, batch_callback,
-                per_triangle_compute, new_only=False,
-            )
-        )
-        h_new = world.register_handler(
-            make_delta_columnar_handler(
-                dodgr, delta, row_kernel, callback, batch_callback,
-                per_triangle_compute, new_only=True,
-            )
-        )
+        def drive(ctx) -> None:
+            drive_columnar_delta(ctx, dodgr, delta, h_full, h_new)
+
     else:
-        # Owner-side new-entry views of the scalar engine, precomputed so
-        # mid-drive buffer flushes (which execute handlers) never observe a
-        # partially built cache.  The columnar engine derives its filtered
-        # RowAdjacency from the edge masks instead.
-        new_adj_by_rank = [delta.new_adjacency(r) for r in range(world.nranks)]
-        full_handler, new_handler = make_delta_legacy_handlers(
-            dodgr,
-            INTERSECTION_KERNELS[kernel],
-            callback,
-            per_triangle_compute,
-            new_adj_by_rank,
-        )
-        h_full = world.register_handler(full_handler)
-        h_new = world.register_handler(new_handler)
+        new_sources = new_source_vertices(delta)
 
-    host_start = time.perf_counter()
+        def drive(ctx) -> None:
+            drive_legacy_delta(ctx, dodgr, delta, h_full, h_new, new_sources)
+
+    program = SurveyProgram(
+        algorithm="incremental_push",
+        request=request,
+        spec=spec,
+        phases=[(phase_name, drive)],
+    )
     try:
-        world.begin_phase(phase_name)
-        if style == "columnar":
-            overhead_full = legacy_push_payload_overhead(h_full.handler_id)
-            overhead_new = legacy_push_payload_overhead(h_new.handler_id)
-            for ctx in world.ranks:
-                # Cooperative cancellation checkpoint (see engine/push.py).
-                world.check_deadline()
-                drive_columnar_delta(
-                    ctx, dodgr, delta, h_full, h_new, overhead_full, overhead_new
-                )
-        else:
-            new_sources = new_source_vertices(delta)
-            for ctx in world.ranks:
-                world.check_deadline()
-                drive_legacy_delta(ctx, dodgr, delta, h_full, h_new, new_sources)
-        world.barrier()
+        return execute_program(program).report
     finally:
         # Per-batch closures capture the rebuilt DODGr and the delta; release
         # their registry slots on every exit — an expired deadline, a rank
@@ -219,17 +218,6 @@ def incremental_triangle_survey(
         # message sizes are unchanged).
         world.registry.release(h_full)
         world.registry.release(h_new)
-    host_seconds = time.perf_counter() - host_start
-
-    simulated = world.simulated_time(phases=[phase_name])
-    return SurveyReport.from_world_stats(
-        algorithm="incremental_push",
-        graph_name=graph_name or dodgr.name,
-        world_stats=world.stats,
-        simulated=simulated,
-        phases=[phase_name],
-        host_seconds=host_seconds,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +232,9 @@ class StreamingStep:
     ``window`` the merge of the panels currently inside the sliding window,
     and ``cumulative`` the merge of every panel since the stream started —
     which equals a full recompute's reducer output at this step for
-    role-order-invariant reducers (see the module docstring).
+    role-order-invariant reducers (see the module docstring).  The report's
+    counters cover *all* work the step did, crashed attempts and replays
+    included: the honest recovery overhead.
     """
 
     __slots__ = (
@@ -256,18 +246,26 @@ class StreamingStep:
         "cumulative",
         "retired",
         "host_seconds",
+        "restarts",
+        "replayed_batches",
+        "degraded",
+        "estimate",
     )
 
     def __init__(
         self,
-        batch_index,
-        new_edges,
-        report,
-        snapshot,
-        window,
-        cumulative,
-        retired,
-        host_seconds=0.0,
+        batch_index: int,
+        new_edges: int,
+        report: Any,
+        snapshot: Any,
+        window: Any,
+        cumulative: Any,
+        retired: Any = None,
+        host_seconds: float = 0.0,
+        restarts: int = 0,
+        replayed_batches: int = 0,
+        degraded: bool = False,
+        estimate: Any = None,
     ) -> None:
         self.batch_index = batch_index
         self.new_edges = new_edges
@@ -279,10 +277,18 @@ class StreamingStep:
         self.retired = retired
         #: wall-clock seconds of the whole step (merge + rebuild + delta survey)
         self.host_seconds = host_seconds
+        #: rank crashes this step recovered from
+        self.restarts = restarts
+        #: checkpointed batches it re-surveyed to recover
+        self.replayed_batches = replayed_batches
+        #: True when a permanent loss turned the step into ``estimate``
+        #: (a survivor triangle estimate; the panels are then None)
+        self.degraded = degraded
+        self.estimate = estimate
 
 
 class StreamingSurvey:
-    """Sliding-window streaming survey driver.
+    """Sliding-window streaming survey driver with checkpoint/restart.
 
     Owns a live :class:`~repro.graph.distributed_graph.DistributedGraph`, a
     :class:`~repro.graph.delta.DeltaBuffer`, and a deque of per-batch reducer
@@ -291,6 +297,22 @@ class StreamingSurvey:
     ``reducer_factory`` (so the batch's panel is isolated), snapshots it, and
     maintains the windowed and cumulative merges through the reducer class's
     ``snapshot``/``merge`` contract (see ``docs/reducers.md``).
+
+    Every batch survey runs under the world's fault plan (``plan`` installs
+    one) with checkpoint/restart semantics:
+
+    * every ``policy.checkpoint_interval`` successful batches, the panel
+      window, cumulative merge and per-rank wire totals are persisted and
+      the replay log is truncated (releasing the retained graph snapshots);
+    * on a recoverable rank crash, panels roll back to the last checkpoint
+      and the retained batches replay with fresh reducers — deterministic,
+      so the recovered panels are bit-identical to the fault-free stream;
+    * on permanent loss the step degrades to a survivor estimate over the
+      merged graph instead of raising.
+
+    Ingest and DODGr rebuilds run with faults suspended: the fault domain is
+    survey execution (see :mod:`repro.core.engine.checkpoint`).  Fault-free,
+    all of this is bookkeeping beside the plain stream.
 
     Parameters
     ----------
@@ -309,6 +331,11 @@ class StreamingSurvey:
         a registered engine name or an
         :class:`~repro.core.engine.EngineConfig` (the one selector threaded
         through every layer).
+    plan / policy:
+        A :class:`~repro.runtime.faults.FaultPlan` to install on ``world``
+        (``None`` leaves the world's own, if any) and the
+        :class:`~repro.core.engine.checkpoint.CheckpointPolicy` (checkpoint
+        interval, restart budget, degradation).
     """
 
     def __init__(
@@ -320,6 +347,8 @@ class StreamingSurvey:
         callback_compute_units: int = DEFAULT_CALLBACK_COMPUTE_UNITS,
         partitioner=None,
         graph_name: Optional[str] = None,
+        plan: Optional[FaultPlan] = None,
+        policy: Optional[CheckpointPolicy] = None,
     ) -> None:
         if window_batches is not None and window_batches < 1:
             raise ValueError("window_batches must be at least 1")
@@ -330,14 +359,25 @@ class StreamingSurvey:
         self.window_batches = window_batches
         self.engine = engine
         self.callback_compute_units = callback_compute_units
+        self.policy = policy or CheckpointPolicy()
         self.graph = DistributedGraph(
             world, partitioner=partitioner, name=graph_name or "streaming"
         )
         self.delta_buffer = DeltaBuffer(world)
         self.dodgr: Optional[DODGraph] = None
+        self.plan = plan
+        if plan is not None:
+            world.install_fault_plan(plan)
         self._panels: Deque[Any] = deque()
         self._merge: Optional[Callable[[Any], Any]] = None
         self._cumulative: Any = None
+        self._checkpoint: Optional[StreamingCheckpoint] = None
+        #: replay log: applied batches since the last checkpoint
+        self._pending: List[AppliedDelta] = []
+        self._wire_totals: Dict[int, Dict[str, int]] = {
+            rank: {"wire_bytes": 0, "wire_messages": 0, "bytes_sent_remote": 0}
+            for rank in range(world.nranks)
+        }
 
     # ------------------------------------------------------------------
     def ingest(
@@ -347,41 +387,65 @@ class StreamingSurvey:
     ) -> StreamingStep:
         """Merge one edge batch, survey its delta triangles, slide the window."""
         host_start = time.perf_counter()
-        self.delta_buffer.stage_edges(edges)
-        if vertex_meta:
-            for vertex, meta in vertex_meta.items():
-                self.delta_buffer.stage_vertex_meta(vertex, meta)
-        applied = self.delta_buffer.apply(self.graph)
+        world = self.world
+        world.reset_stats()
+        with world.faults_suspended():
+            self.delta_buffer.stage_edges(edges)
+            if vertex_meta:
+                for vertex, meta in vertex_meta.items():
+                    self.delta_buffer.stage_vertex_meta(vertex, meta)
+            applied = self.delta_buffer.apply(self.graph)
         superseded = self.dodgr
         self.dodgr = applied.dodgr
-        if superseded is not None:
-            # The rebuilt DODGr replaces the previous one wholesale; release
-            # the old rebuild's handler slot and rank stores so a long
-            # stream's memory stays O(graph), not O(graph x batches).
+        if superseded is not None and all(
+            delta.dodgr is not superseded for delta in self._pending
+        ):
+            # The rebuilt DODGr replaces the previous one wholesale; unless
+            # the replay log still holds it, release the old rebuild's
+            # handler slot and rank stores so a long stream's memory stays
+            # O(graph), not O(graph x batches).
             superseded.release()
-        reducer = self.reducer_factory(self.world)
-        if self._merge is None:
-            self._merge = type(reducer).merge
-        report = incremental_triangle_survey(
-            applied.dodgr,
-            applied,
-            reducer.callback,
-            engine=self.engine,
-            callback_compute_units=self.callback_compute_units,
-            graph_name=f"{self.graph.name}@{applied.batch_index}",
-        )
-        if hasattr(reducer, "finalize"):
-            reducer.finalize()
-        panel = reducer.snapshot()
-        self._panels.append(panel)
-        retired = None
-        if self.window_batches is not None and len(self._panels) > self.window_batches:
-            retired = self._panels.popleft()
-        self._cumulative = (
-            panel
-            if self._cumulative is None
-            else self._merge([self._cumulative, panel])
-        )
+        self._pending.append(applied)
+
+        restarts = 0
+        replayed = 0
+        while True:
+            try:
+                if restarts:
+                    self._restore_checkpoint()
+                    for delta in self._pending[:-1]:
+                        self._absorb(self._survey_batch(delta)[0])
+                        replayed += 1
+                panel, report = self._survey_batch(applied)
+                retired = self._absorb(panel)
+                break
+            except RankCrashError as crash:
+                world.recover_from_crash()
+                restarts += 1
+                injector = world.fault_injector
+                recoverable = injector is not None and injector.plan.crash_recoverable
+                if recoverable and restarts <= self.policy.max_restarts:
+                    continue
+                if self.policy.degrade_on_permanent_loss:
+                    estimate = degraded_estimate(self.graph, crash)
+                    return StreamingStep(
+                        batch_index=applied.batch_index,
+                        new_edges=applied.num_edges(),
+                        report=estimate.report,
+                        snapshot=None,
+                        window=None,
+                        cumulative=None,
+                        host_seconds=time.perf_counter() - host_start,
+                        restarts=restarts,
+                        replayed_batches=replayed,
+                        degraded=True,
+                        estimate=estimate,
+                    )
+                raise
+
+        self._accumulate_wire_totals()
+        if len(self._pending) >= self.policy.checkpoint_interval:
+            self._take_checkpoint(applied.batch_index)
         # With no window bound the window IS the cumulative merge — reuse it
         # instead of re-merging every panel (O(K^2) over a K-batch stream).
         window = (
@@ -398,7 +462,19 @@ class StreamingSurvey:
             cumulative=self._cumulative,
             retired=retired,
             host_seconds=time.perf_counter() - host_start,
+            restarts=restarts,
+            replayed_batches=replayed,
         )
+
+    def close(self) -> None:
+        """Release the live DODGr and the replay log's, once each."""
+        retained = [delta.dodgr for delta in self._pending]
+        if self.dodgr is not None and all(dodgr is not self.dodgr for dodgr in retained):
+            retained.append(self.dodgr)
+        for dodgr in retained:
+            dodgr.release()
+        self.dodgr = None
+        self._pending = []
 
     # ------------------------------------------------------------------
     @property
@@ -408,3 +484,84 @@ class StreamingSurvey:
     def window_panels(self) -> List[Any]:
         """The reducer panels currently inside the window (oldest first)."""
         return list(self._panels)
+
+    @property
+    def last_checkpoint(self) -> Optional[StreamingCheckpoint]:
+        return self._checkpoint
+
+    @property
+    def pending_replay_batches(self) -> int:
+        """Batches that would replay if a rank crashed right now."""
+        return len(self._pending)
+
+    # ------------------------------------------------------------------
+    def _survey_batch(self, applied: AppliedDelta) -> Any:
+        reducer = self.reducer_factory(self.world)
+        if self._merge is None:
+            self._merge = type(reducer).merge
+        report = incremental_triangle_survey(
+            applied.dodgr,
+            applied,
+            reducer.callback,
+            reset_stats=False,
+            graph_name=f"{self.graph.name}@{applied.batch_index}",
+            callback_compute_units=self.callback_compute_units,
+            engine=self.engine,
+        )
+        if hasattr(reducer, "finalize"):
+            reducer.finalize()
+        return reducer.snapshot(), report
+
+    def _absorb(self, panel: Any) -> Any:
+        """Slide ``panel`` into the window and the cumulative merge; returns
+        the panel that left the window (None while it fills up)."""
+        self._panels.append(panel)
+        retired = None
+        if self.window_batches is not None and len(self._panels) > self.window_batches:
+            retired = self._panels.popleft()
+        self._cumulative = (
+            panel
+            if self._cumulative is None
+            else self._merge([self._cumulative, panel])
+        )
+        return retired
+
+    def _armed_plan_digest(self) -> Optional[str]:
+        injector = self.world.fault_injector
+        return fault_plan_digest(injector.plan if injector is not None else None)
+
+    def _restore_checkpoint(self) -> None:
+        """Roll panel state back to the last epoch (or the empty stream)."""
+        if self._checkpoint is None:
+            self._panels = deque()
+            self._cumulative = None
+            return
+        armed = self._armed_plan_digest()
+        if armed != self._checkpoint.plan_digest:
+            # Replaying retained batches under a different fault schedule
+            # would silently break recovery parity; fail loudly instead.
+            raise StaleCheckpointError(self._checkpoint.plan_digest, armed)
+        self._panels = deque(self._checkpoint.panels)
+        self._cumulative = self._checkpoint.cumulative
+
+    def _take_checkpoint(self, epoch: int) -> None:
+        self._checkpoint = StreamingCheckpoint(
+            epoch=epoch,
+            panels=list(self._panels),
+            cumulative=self._cumulative,
+            wire_totals={rank: dict(t) for rank, t in self._wire_totals.items()},
+            plan_digest=self._armed_plan_digest(),
+        )
+        # Truncate the replay log; retained graph snapshots (each batch's
+        # DODGr) are only needed for replay, so all but the live one free.
+        for delta in self._pending[:-1]:
+            delta.dodgr.release()
+        self._pending = []
+
+    def _accumulate_wire_totals(self) -> None:
+        for rank, rank_stats in enumerate(self.world.stats.ranks):
+            totals = self._wire_totals[rank]
+            for phase in rank_stats.phases.values():
+                totals["wire_bytes"] += phase.wire_bytes
+                totals["wire_messages"] += phase.wire_messages
+                totals["bytes_sent_remote"] += phase.bytes_sent_remote

@@ -26,7 +26,7 @@ The degradation ladder
     fresh exact survey on the pinned epoch (with bounded
     exponential-backoff retries through recoverable rank crashes, skipped
     when the cost model predicts a deadline bust) → the resident
-    :class:`~repro.core.engine.checkpoint.CheckpointedStreamingSurvey`
+    :class:`~repro.core.incremental.StreamingSurvey`
     ledger's checkpointed cumulative panels (exact for the stock
     reducers, by replay parity) → a sampled
     :func:`~repro.core.approximate.approximate_triangle_count` or — after
@@ -63,12 +63,12 @@ from ..core.callbacks import (
 )
 from ..core.engine import (
     CheckpointPolicy,
-    CheckpointedStreamingSurvey,
     SurveyRequest,
     execute_survey,
     resolve_engine,
 )
 from ..core.engine.registry import suggest_name
+from ..core.incremental import StreamingSurvey
 from ..runtime.faults import FaultPlan, RankCrashError
 from ..runtime.world import World
 from .admission import AdmissionController, CostModel
@@ -145,7 +145,7 @@ def make_composite_reducer(specs: Tuple[AnalysisSpec, ...]) -> type:
     The resident ledger surveys every tracked analysis in a single pass:
     ``snapshot()`` returns ``{analysis: panel}`` and the classmethod
     ``merge`` merges per analysis, so composite panels satisfy the same
-    snapshot/merge contract :class:`CheckpointedStreamingSurvey` expects.
+    snapshot/merge contract :class:`~repro.core.incremental.StreamingSurvey` expects.
     Both ``callback`` and ``callback_batch`` are defined in one class so
     the driver's batch-callback resolution engages columnar delivery.
     """
@@ -359,7 +359,7 @@ class SurveyService:
         # (world-armed), checkpoints per policy, and degrades on permanent
         # loss instead of raising.  Exact queries survey its per-batch
         # DODGrs, which the epochs below retain.
-        self._ledger = CheckpointedStreamingSurvey(
+        self._ledger = StreamingSurvey(
             world,
             reducer_factory=make_composite_reducer(tuple(self.analyses.values())),
             plan=plan,
@@ -393,7 +393,7 @@ class SurveyService:
         """Apply one edge batch: advance the epoch, survey the ledger.
 
         Returns the ledger's
-        :class:`~repro.core.engine.checkpoint.ResilientStreamingStep`.
+        :class:`~repro.core.incremental.StreamingStep`.
         In-flight queries are unaffected: they hold pins on their epochs'
         graphs, and ledger panels for past epochs are already frozen.
         """

@@ -6,7 +6,7 @@ cell deterministically combines one sampled
 engine and one :func:`~repro.runtime.faults.sample_fault_plans` plan, then
 executes the survey through the recovery layer
 (:func:`~repro.core.engine.run_survey_with_recovery` for full surveys,
-:class:`~repro.core.engine.CheckpointedStreamingSurvey` for streams) and
+:class:`~repro.core.incremental.StreamingSurvey` for streams) and
 gates the outcome against the fault-free legacy baseline of the same
 (config, analysis):
 
@@ -31,11 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.engine import (
-    CheckpointedStreamingSurvey,
-    engine_names,
-    run_survey_with_recovery,
-)
+from ..core.engine import engine_names, run_survey_with_recovery
+from ..core.incremental import StreamingSurvey
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 from ..runtime.faults import FaultPlan
@@ -208,7 +205,6 @@ def _streaming_panel_trace(
 ) -> Tuple[List[Any], List[Any]]:
     """Per-step snapshot and cumulative panels of the clean legacy stream."""
     from ..core.callbacks import LocalTriangleCounter
-    from ..core.incremental import StreamingSurvey
 
     world = World(config.nranks)
     survey = StreamingSurvey(
@@ -343,7 +339,7 @@ def _run_streaming_chaos_cell(
     )
     host_start = time.perf_counter()
     world = World(config.nranks)
-    survey = CheckpointedStreamingSurvey(
+    survey = StreamingSurvey(
         world,
         reducer_factory=LocalTriangleCounter,
         plan=plan,

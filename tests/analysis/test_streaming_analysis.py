@@ -18,6 +18,7 @@ from repro.analysis.fqdn import (
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.generators import fqdn_web_graph, reddit_like_temporal_graph
 from repro.graph.metadata import edge_timestamp
+from repro.runtime.rpc import RpcError
 from repro.runtime.world import World
 
 
@@ -98,3 +99,39 @@ def test_streaming_fqdn_matches_batch_survey():
         anchor = window.domains()[0]
         sliced = anchor_domain_slice(window, anchor)
         assert sliced.anchor == anchor
+
+
+def small_fqdn_batches():
+    generated = fqdn_web_graph(200, seed=18)
+    edges = list(generated.edges)
+    half = len(edges) // 2
+    return [edges[:half], edges[half:]], generated.vertex_meta
+
+
+@pytest.mark.parametrize("runner", ["closure_times", "fqdn"])
+def test_streaming_runners_free_their_last_dodgr(monkeypatch, runner):
+    """A runner's stream lives in the caller's world: once it returns, no
+    rank keeps a ``dodgr:`` store and every DODGr ``offer_edge`` handler —
+    the last rebuild's included — is tombstoned."""
+    world = World(4)
+    handles = []
+    register = world.register_handler
+
+    def spy(func, name=None):
+        handle = register(func, name)
+        if name is not None and name.endswith(".offer_edge"):
+            handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(world, "register_handler", spy)
+    if runner == "closure_times":
+        run_streaming_closure_time_survey(world, reddit_batches())
+    else:
+        batches, vertex_meta = small_fqdn_batches()
+        run_streaming_fqdn_survey(world, batches, vertex_meta=vertex_meta)
+    assert handles
+    for ctx in world.ranks:
+        assert not [key for key in ctx.local_state if key.startswith("dodgr:")]
+    for handle in handles:
+        with pytest.raises(RpcError):
+            world.registry.handler(handle.handler_id)

@@ -6,14 +6,18 @@ The contract under test (``core/engine/checkpoint.py``):
   triangle counts to an undecorated survey, for every registered engine;
 * through a recoverable crash, the recovered panels are bit-identical to
   the fault-free run's (reports honestly accumulate the wasted attempt);
-* streaming recovery replays at most ``checkpoint_interval`` batches and
-  still matches the plain :class:`~repro.core.incremental.StreamingSurvey`
-  step-for-step;
+* streaming recovery in :class:`~repro.core.incremental.StreamingSurvey`
+  replays at most ``checkpoint_interval`` batches and still matches, step
+  for step, a plain stream hand-rolled from public calls outside the class
+  (``DeltaBuffer.apply`` + ``incremental_triangle_survey`` + ``merge``);
 * permanent loss degrades to a survivor estimate with error bounds
   instead of raising.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,13 +27,14 @@ from repro.core.approximate import survivor_triangle_estimate
 from repro.core.callbacks import LocalTriangleCounter, TriangleCounter
 from repro.core.engine import (
     CheckpointPolicy,
-    CheckpointedStreamingSurvey,
     StaleCheckpointError,
     engine_names,
     run_survey_with_recovery,
 )
-from repro.core.incremental import StreamingSurvey
+from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
 from repro.core.survey import triangle_survey_push
+from repro.graph.delta import DeltaBuffer
+from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import erdos_renyi
 from repro.runtime.faults import FaultPlan, RankCrashError, fault_plan_digest
@@ -189,22 +194,45 @@ def edge_batches(seed=5, num_batches=4, count=120):
 
 
 def plain_stream(batches, window_batches=None):
+    """The fault-free oracle, hand-rolled from public calls outside the
+    class under test — the loop ``perf``'s stream trace replays: per batch
+    ``DeltaBuffer.apply``, ``incremental_triangle_survey`` with a fresh
+    reducer, and the window / cumulative ``merge``."""
     world = World(NRANKS)
-    survey = StreamingSurvey(
-        world, TriangleCounter, window_batches=window_batches, graph_name="plain"
-    )
-    return [survey.ingest(batch) for batch in batches]
+    graph = DistributedGraph(world, name="plain")
+    buffer = DeltaBuffer(world)
+    panels = deque()
+    cumulative = None
+    steps = []
+    for batch in batches:
+        buffer.stage_edges(batch)
+        applied = buffer.apply(graph)
+        counter = TriangleCounter(world)
+        report = incremental_triangle_survey(applied.dodgr, applied, counter.callback)
+        panel = counter.snapshot()
+        panels.append(panel)
+        retired = None
+        if window_batches is not None and len(panels) > window_batches:
+            retired = panels.popleft()
+        cumulative = panel if cumulative is None else TriangleCounter.merge([cumulative, panel])
+        window = cumulative if window_batches is None else TriangleCounter.merge(list(panels))
+        steps.append(
+            SimpleNamespace(
+                report=report, snapshot=panel, window=window, cumulative=cumulative, retired=retired
+            )
+        )
+    return steps
 
 
 def checkpointed_stream(batches, plan=None, policy=None, window_batches=None):
     world = World(NRANKS)
-    survey = CheckpointedStreamingSurvey(
+    survey = StreamingSurvey(
         world,
         TriangleCounter,
         plan=plan,
         policy=policy,
         window_batches=window_batches,
-        graph_name="plain",  # same graph name => identical graph_name telemetry
+        graph_name="plain",
     )
     return survey, [survey.ingest(batch) for batch in batches]
 
@@ -227,6 +255,9 @@ class TestStreamingCheckpoint:
         for base, step in zip(plain, steps):
             assert step.snapshot == base.snapshot
             assert step.cumulative == base.cumulative
+            # Fault-free, the stream's bookkeeping adds no traffic.
+            assert step.report.phase_stats == base.report.phase_stats
+            assert step.report.simulated_seconds == base.report.simulated_seconds
             assert step.restarts == 0
             assert step.replayed_batches == 0
             assert not step.degraded
@@ -300,7 +331,7 @@ class TestStreamingCheckpoint:
     def test_checkpoint_truncates_replay_log(self):
         batches = edge_batches()
         world = World(NRANKS)
-        survey = CheckpointedStreamingSurvey(
+        survey = StreamingSurvey(
             world,
             TriangleCounter,
             policy=CheckpointPolicy(checkpoint_interval=2),
@@ -325,7 +356,7 @@ class TestStreamingCheckpoint:
 
     def test_window_batches_validated(self):
         with pytest.raises(ValueError):
-            CheckpointedStreamingSurvey(
+            StreamingSurvey(
                 World(NRANKS), TriangleCounter, window_batches=0
             )
 
@@ -350,7 +381,7 @@ class TestStaleCheckpointGuard:
         batches = edge_batches()
         world = World(NRANKS)
         plan_a = FaultPlan(name="benign", seed=1, drop_rate=0.01)
-        survey = CheckpointedStreamingSurvey(
+        survey = StreamingSurvey(
             world,
             TriangleCounter,
             plan=plan_a,
@@ -372,7 +403,7 @@ class TestStaleCheckpointGuard:
         """The guard keys on plan *contents*: an equal copy passes."""
         batches = edge_batches()
         world = World(NRANKS)
-        survey = CheckpointedStreamingSurvey(
+        survey = StreamingSurvey(
             world,
             TriangleCounter,
             plan=STREAM_CRASH,

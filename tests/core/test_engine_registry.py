@@ -22,7 +22,6 @@ from repro.core.engine import (
     registered_engines,
     resolve_engine,
     resolve_execution,
-    resolve_incremental_engine,
 )
 from repro.core.engine import registry as registry_module
 from repro.core.engine.registry import (
@@ -51,7 +50,7 @@ class TestRegistry:
     def test_resolve_defaults(self):
         assert DEFAULT_ENGINE == "columnar"
         assert resolve_engine(None).name == DEFAULT_ENGINE
-        assert resolve_incremental_engine(None).name == DEFAULT_ENGINE
+        assert resolve_execution(None, incremental=True)[0].name == DEFAULT_ENGINE
         assert resolve_engine("legacy").name == "legacy"
         assert resolve_engine(resolve_engine("legacy")).name == "legacy"
         assert resolve_engine(EngineConfig(engine="columnar")).name == "columnar"
@@ -70,7 +69,7 @@ class TestRegistry:
 
     def test_unknown_incremental_engine_suggests(self):
         with pytest.raises(ValueError) as excinfo:
-            resolve_incremental_engine("legcay")
+            resolve_execution("legcay", incremental=True)
         assert "did you mean 'legacy'?" in str(excinfo.value)
 
     def test_no_suggestion_for_genuinely_foreign_names(self):
@@ -99,9 +98,9 @@ class TestRegistry:
 
     def test_every_engine_has_an_incremental_form(self):
         for name in engine_names():
-            assert resolve_incremental_engine(name).name == name
+            assert resolve_execution(name, incremental=True)[0].name == name
         with pytest.raises(ValueError, match="unknown survey engine"):
-            resolve_incremental_engine("bogus")
+            resolve_execution("bogus", incremental=True)
 
     def test_one_style_per_engine(self):
         assert resolve_engine("legacy").style == "legacy"
@@ -332,7 +331,7 @@ class TestEngineConfig:
     def test_incremental_default_survives_kernel_only_config(self):
         """EngineConfig(kernel=...) with engine unset resolves to the same
         default engine on the incremental path as everywhere else."""
-        assert resolve_incremental_engine(EngineConfig(kernel="hash")).name == DEFAULT_ENGINE
+        assert resolve_execution(EngineConfig(kernel="hash"), incremental=True)[0].name == DEFAULT_ENGINE
 
     def test_analysis_keeps_columnar_default_with_kernel_only_config(
         self, small_er, monkeypatch

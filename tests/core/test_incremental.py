@@ -26,7 +26,7 @@ from repro.core.callbacks import (
     LocalTriangleCounter,
     TriangleCounter,
 )
-from repro.core.engine import CheckpointedStreamingSurvey, EngineConfig
+from repro.core.engine import EngineConfig
 from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
 from repro.core.survey import triangle_survey_push
 from repro.graph.delta import DeltaBuffer
@@ -334,13 +334,14 @@ def test_superseded_rebuilds_are_released():
 
 
 def record_delta_handlers(monkeypatch, world):
-    """Every delta-survey handler ``world`` registers from now on."""
+    """Every delta-survey handler ``world`` registers from now on: the push
+    survey's intersect handlers, full check and new check."""
     handles = []
     register = world.register_handler
 
     def spy(func, name=None):
         handle = register(func, name)
-        if func.__qualname__.startswith("make_delta_"):
+        if func.__qualname__.endswith("intersect_handler"):
             handles.append(handle)
         return handle
 
@@ -378,7 +379,7 @@ def test_delta_handlers_released_after_crash_recovery(monkeypatch):
         name="delta-crash", seed=3, crash_rank=1, crash_phase="delta_push",
         crash_after_executions=1,
     )
-    survey = CheckpointedStreamingSurvey(world, TriangleCounter, plan=plan)
+    survey = StreamingSurvey(world, TriangleCounter, plan=plan)
     steps = [survey.ingest(batch) for batch in random_schedule(edges, 7, num_batches=3)]
     assert sum(step.restarts for step in steps) == 1
     assert len(handles) == 2 * (len(steps) + 1)

@@ -231,3 +231,34 @@ def test_unsupported_raise_scan_flags_a_stray_raise(tmp_path):
         f"core/engine/registry.py:{len(source.splitlines()) + 4}",
         "stray.py:2",
     ]
+
+
+def test_one_loop_runs_every_survey_phase():
+    """Mirror of tools/check_engines.py check 9: no ``begin_phase(`` call in
+    ``src/repro/core`` outside ``program.run_simulated_phases``."""
+    import check_engines
+
+    assert check_engines.check_one_survey_loop() == []
+
+
+def test_survey_loop_scan_flags_a_stray_phase(tmp_path):
+    """The check 9 scan trips: a hand-written phase loop in another module,
+    or in program.py outside the loop, is reported with its line."""
+    import check_engines
+
+    program = tmp_path / "engine" / "program.py"
+    program.parent.mkdir(parents=True)
+    source = (REPO_ROOT / "src" / "repro" / "core" / "engine" / "program.py").read_text(
+        encoding="utf-8"
+    )
+    program.write_text(source, encoding="utf-8")
+    assert check_engines.stray_phase_loops(tmp_path) == []
+    program.write_text(source + "\n\ndef g(world):\n    world.begin_phase('x')\n", encoding="utf-8")
+    (tmp_path / "incremental.py").write_text(
+        "def f(world, phase):\n    world.begin_phase(phase)\n    world.barrier()\n",
+        encoding="utf-8",
+    )
+    assert check_engines.stray_phase_loops(tmp_path) == [
+        f"engine/program.py:{len(source.splitlines()) + 4}",
+        "incremental.py:2",
+    ]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Eight checks, exit status 1 on any failure (each printed to stderr):
+Nine checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -59,6 +59,12 @@ Eight checks, exit status 1 on any failure (each printed to stderr):
    exactly the rows of :data:`repro.core.engine.registry.UNSUPPORTED`, in
    order — so a combination rule cannot grow back anywhere else, and the
    documented matrix is the enforced one.
+9. **One survey loop** — an AST scan of ``src/repro/core`` finds no
+   ``begin_phase(`` call outside
+   :func:`repro.core.engine.program.run_simulated_phases`: every survey —
+   push, push-pull and the incremental delta survey — is a
+   :class:`~repro.core.engine.program.SurveyProgram` that loop runs, so a
+   second hand-written phase loop cannot grow back.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -374,7 +380,7 @@ def check_selector_surface() -> List[str]:
         DEFAULT_ENGINE,
         EngineSpec,
         resolve_engine,
-        resolve_incremental_engine,
+        resolve_execution,
     )
     from repro.service import SurveyService
 
@@ -399,7 +405,9 @@ def check_selector_surface() -> List[str]:
     try:
         defaults = {
             "resolve_engine(None)": resolve_engine(None).name,
-            "resolve_incremental_engine(None)": resolve_incremental_engine(None).name,
+            "resolve_execution(None, incremental=True)": resolve_execution(
+                None, incremental=True
+            )[0].name,
             "SurveyService(world)": service.default_engine,
             "README engine table (**default**)": documented_engine_default(
                 REPO_ROOT / "README.md"
@@ -436,24 +444,30 @@ def _raises_unsupported(node: ast.AST) -> bool:
     return name == "UnsupportedBackendError"
 
 
-def stray_unsupported_raises(root: Path) -> List[str]:
-    """``path:line`` of every ``raise UnsupportedBackendError`` under ``root``
-    outside the :data:`CHECKER` function."""
+def _stray_nodes(root: Path, home: Tuple[str, str], matches) -> List[str]:
+    """``path:line`` of every AST node under ``root`` that ``matches``,
+    outside the function ``home`` = (file relative to ``root``, name)."""
     stray: List[str] = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
         tree = ast.parse(path.read_text(encoding="utf-8"), relative)
         allowed = set()
-        if relative == CHECKER[0]:
+        if relative == home[0]:
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == CHECKER[1]:
+                if isinstance(node, ast.FunctionDef) and node.name == home[1]:
                     allowed.update(map(id, ast.walk(node)))
         stray.extend(
             f"{relative}:{node.lineno}"
             for node in ast.walk(tree)
-            if _raises_unsupported(node) and id(node) not in allowed
+            if matches(node) and id(node) not in allowed
         )
     return stray
+
+
+def stray_unsupported_raises(root: Path) -> List[str]:
+    """``path:line`` of every ``raise UnsupportedBackendError`` under ``root``
+    outside the :data:`CHECKER` function."""
+    return _stray_nodes(root, CHECKER, _raises_unsupported)
 
 
 def render_unsupported_table() -> List[str]:
@@ -485,6 +499,32 @@ def check_unsupported_table() -> List[str]:
             "UNSUPPORTED; paste tools/check_engines.render_unsupported_table()"
         )
     return errors
+
+
+#: Where the one survey loop lives: (file under ``src/repro/core``, function).
+SURVEY_LOOP = ("engine/program.py", "run_simulated_phases")
+
+
+def _begins_phase(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name == "begin_phase"
+
+
+def stray_phase_loops(root: Path) -> List[str]:
+    """``path:line`` of every ``begin_phase(`` call under ``root`` outside
+    the :data:`SURVEY_LOOP` function."""
+    return _stray_nodes(root, SURVEY_LOOP, _begins_phase)
+
+
+def check_one_survey_loop() -> List[str]:
+    """Every core survey phase begins in the one loop (check 9)."""
+    return [
+        f"begin_phase( outside {SURVEY_LOOP[0]}::{SURVEY_LOOP[1]}: core/{where}"
+        for where in stray_phase_loops(REPO_ROOT / "src" / "repro" / "core")
+    ]
 
 
 def main() -> int:
@@ -544,6 +584,7 @@ def main() -> int:
     errors.extend(check_selector_surface())
     errors.extend(check_write_path())
     errors.extend(check_unsupported_table())
+    errors.extend(check_one_survey_loop())
 
     if errors:
         for error in errors:
@@ -562,7 +603,8 @@ def main() -> int:
         "snapshot/merge/callback_batch contract with zero codec calls; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector; "
-        "the write path builds no object view; one table says what may run"
+        "the write path builds no object view; one table says what may run; "
+        "one loop runs every survey phase"
     )
     return 0
 
