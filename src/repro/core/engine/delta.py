@@ -5,9 +5,11 @@ the triangles containing at least one edge of an applied batch
 (:class:`~repro.graph.delta.AppliedDelta`), via the wedge decomposition
 documented in :mod:`repro.core.incremental`, as a one-phase
 :class:`~repro.core.engine.program.SurveyProgram`.  Its two handlers are
-the push survey's own (:func:`~repro.core.engine.driver.make_push_intersect_handler`,
-the new-check one over the batch's new entries); this module holds the
-per-rank drives the registry's ``style`` field selects:
+the push survey's own
+(:func:`~repro.core.engine.driver.make_delta_intersect_handlers`: the
+new-check one over the batch's new entries, the columnar pair staging per
+rank until the phase drains); this module holds the per-rank drives the
+registry's ``style`` field selects:
 
 * ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
   carrying the filtered candidate tuples (the parity oracle);

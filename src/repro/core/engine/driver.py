@@ -7,7 +7,8 @@ table composes:
 * **handler factories** build the owner-side RPC handler that intersects a
   candidate stream against ``Adj^m_+(q)`` and delivers the closing
   triangles to the user callback (scalar) or its ``callback_batch``
-  counterpart (columnar :class:`~repro.graph.metadata.TriangleBatch`);
+  counterpart (columnar :class:`~repro.graph.metadata.TriangleBatch`,
+  through the one intersect-and-deliver path of :class:`CandidateStage`);
 * **drivers** walk one rank's pivots and generate its candidate stream at
   the engine's granularity — one RPC per wedge (legacy) or per (source
   rank, destination rank) pair (columnar) — the columnar one accounting
@@ -15,9 +16,9 @@ table composes:
   (``account_rpc_bulk`` against the real buffer bank), which is what keeps
   Table 4 byte-identical across engines.
 
-The style-keyed facades :func:`make_push_intersect_handler` and
-:func:`drive_push` are what the engine runners call; everything else is the
-composition material.  Before the engine layer existed this code lived in
+The style-keyed facades :func:`make_push_intersect_handler`,
+:func:`make_delta_intersect_handlers` and :func:`drive_push` are what the
+engine runners call; everything else is the composition material.  Before the engine layer existed this code lived in
 ``core/survey.py`` with near-copies of the legacy handler and driver in
 ``core/push_pull.py`` — those copies are gone.
 """
@@ -25,7 +26,7 @@ composition material.  Before the engine layer existed this code lived in
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...graph.degree import order_key
 from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
@@ -39,7 +40,6 @@ from ...runtime.serialization import (
 from ..intersection import (
     INTERSECTION_KERNELS,
     RowAdjacency,
-    RowBatchResult,
     row_kernel as select_row_kernel,
 )
 from .request import TriangleCallback
@@ -56,9 +56,11 @@ __all__ = [
     "columnar_push_batch",
     "wedge_stream",
     "make_legacy_intersect_handler",
+    "CandidateStage",
     "make_columnar_intersect_handler",
     "new_row_adjacency",
     "make_push_intersect_handler",
+    "make_delta_intersect_handlers",
     "drive_legacy_push",
     "drive_columnar_push",
     "drive_columnar_dry_run",
@@ -219,55 +221,44 @@ def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
 
 
 def columnar_push_batch(
-    src_csr: CSRAdjacency,
-    dest_csr: CSRAdjacency,
-    rows,
-    qpositions,
-    q_rows,
-    flat_src_pos,
-    result,
-    local_meta_r: bool = False,
+    dodgr: DODGraph, p_rows, q_rows, pq, pr, qr, local_meta_r: bool = False
 ) -> TriangleBatch:
-    """Wrap one columnar intersect result as a lazy :class:`TriangleBatch`.
+    """Wrap one intersect result as a lazy :class:`TriangleBatch`.
 
-    Only the per-match index arrays are gathered eagerly; each metadata
-    column is gathered from the CSRs' id / metadata columns on first read,
-    each typed value array from their value memos, both through those index
-    arrays.
-    ``local_meta_r`` reads ``meta(r)`` from the candidate (``src_csr``) side:
-    the pull phase, where the shipped ``Adj^m_+(q)`` omits it.
+    Every argument after ``dodgr`` is a per-triangle index array into the
+    DODGr's global columns (:meth:`~repro.graph.dodgr.DODGraph.global_columns`):
+    the rows of ``p`` and ``q`` and the edges ``(p, q)``, ``(p, r)`` and
+    ``(q, r)``.  Only these arrays are gathered eagerly; each metadata
+    column is gathered on first read, each typed value array from the
+    value memos, so a batch spanning several source ranks reads every
+    column with one gather.  ``local_meta_r`` reads ``meta(r)`` beside the
+    ``(p, r)`` edge: the pull phase, where the shipped ``Adj^m_+(q)`` omits
+    it.
     """
-    # Scalar row-kernel results (small-input cutoff) carry plain lists.
-    wedge = _np.asarray(result.seg, dtype=_np.int64)
-    adj_pos = _np.asarray(result.adj_pos, dtype=_np.int64)
-    p_rows = rows[wedge]
-    q_pos = qpositions[wedge]
-    q_rows = q_rows[wedge]
-    src_pos = flat_src_pos[_np.asarray(result.cand_pos, dtype=_np.int64)]
-    r_csr, r_pos = (src_csr, src_pos) if local_meta_r else (dest_csr, adj_pos)
+    columns = dodgr.global_columns()
+    vertices, row_meta, tgt_vertex, edge_meta, tgt_meta = (
+        columns[name] for name in ("row_vertices", "row_meta", "tgt_vertex", "edge_meta", "tgt_meta")
+    )
+    r_at = pr if local_meta_r else qr
     builders = {
-        "p": lambda: src_csr.row_vertices[p_rows].tolist(),
-        "meta_p": lambda: src_csr.row_meta[p_rows].tolist(),
-        "q": lambda: dest_csr.row_vertices[q_rows].tolist(),
-        "meta_q": lambda: dest_csr.row_meta[q_rows].tolist(),
-        "meta_pq": lambda: src_csr.edge_meta[q_pos].tolist(),
-        "r": lambda: src_csr.tgt_vertex[src_pos].tolist(),
-        "meta_pr": lambda: src_csr.edge_meta[src_pos].tolist(),
-        "meta_qr": lambda: dest_csr.edge_meta[adj_pos].tolist(),
-        "meta_r": lambda: r_csr.tgt_meta[r_pos].tolist(),
+        "p": lambda: vertices[p_rows].tolist(),
+        "meta_p": lambda: row_meta[p_rows].tolist(),
+        "q": lambda: vertices[q_rows].tolist(),
+        "meta_q": lambda: row_meta[q_rows].tolist(),
+        "meta_pq": lambda: edge_meta[pq].tolist(),
+        "r": lambda: tgt_vertex[pr].tolist(),
+        "meta_pr": lambda: edge_meta[pr].tolist(),
+        "meta_qr": lambda: edge_meta[qr].tolist(),
+        "meta_r": lambda: tgt_meta[r_at].tolist(),
     }
-    # Where the typed value arrays read each memo: (CSR, field, positions);
-    # where the id arrays read the id columns: (column, positions).
+    # Where the typed value arrays read each memo and the id arrays the ids.
+    values = columns["values"]
     reads = {
-        "ids": (
-            (src_csr.row_vertices, p_rows),
-            (dest_csr.row_vertices, q_rows),
-            (src_csr.tgt_vertex, src_pos),
-        ),
-        "edge": ((src_csr, "edge", q_pos), (src_csr, "edge", src_pos), (dest_csr, "edge", adj_pos)),
-        "vertex": ((src_csr, "row", p_rows), (dest_csr, "row", q_rows), (r_csr, "target", r_pos)),
+        "ids": ((vertices, p_rows), (vertices, q_rows), (tgt_vertex, pr)),
+        "edge": ((values["edge"], pq), (values["edge"], pr), (values["edge"], qr)),
+        "vertex": ((values["row"], p_rows), (values["row"], q_rows), (values["target"], r_at)),
     }
-    return TriangleBatch(len(wedge), builders, reads)
+    return TriangleBatch(len(p_rows), builders, reads)
 
 
 def deliver_batch(ctx, batch, callback, batch_callback) -> None:
@@ -279,71 +270,178 @@ def deliver_batch(ctx, batch, callback, batch_callback) -> None:
             callback(ctx, tri)
 
 
+class _Candidates(NamedTuple):
+    """One received columnar push: wedges of ``src`` and their candidates."""
+
+    #: None (intersect the full rows) or the new-check stream's view maker
+    new_entries: Any
+    src: CSRAdjacency
+    rows: Any
+    qpositions: Any
+    flat_src_pos: Any
+    offsets: Any
+
+
+def _cat(arrays):
+    return arrays[0] if len(arrays) == 1 else _np.concatenate(arrays)
+
+
+class CandidateStage:
+    """The columnar push handlers' one intersect-and-deliver path.
+
+    A handler books its ``wedge_checks`` and hands its message here.  A full
+    survey (``staged=False``) intersects and delivers each message as it
+    arrives.  The delta survey stages them: :meth:`drain` — the phase's
+    ``on_drained`` hook, which :meth:`~repro.runtime.world.World.barrier`
+    calls whenever the inboxes run dry — then makes one row-kernel call per
+    (rank, stream) over the concatenated candidate streams and delivers
+    **one** :class:`TriangleBatch` per rank, holding every message's matches
+    in handled order.  Counters are booked per call, so their per-rank
+    totals are the per-message ones.
+    """
+
+    def __init__(
+        self,
+        dodgr: DODGraph,
+        row_kernel,
+        callback: Optional["TriangleCallback"],
+        batch_callback,
+        per_triangle_compute: int,
+        staged: bool = False,
+    ) -> None:
+        self.dodgr = dodgr
+        self.row_kernel = row_kernel
+        self.callback = callback
+        self.batch_callback = batch_callback
+        self.per_triangle_compute = per_triangle_compute
+        self.staged = staged
+        self.pending: List[List[_Candidates]] = [[] for _ in range(dodgr.world.nranks)]
+
+    def handler(self, new_entries: Optional[Callable[[int], Tuple[RowAdjacency, Any]]] = None):
+        """The owner-side RPC handler of one candidate stream.
+
+        It receives *every* wedge a source rank generated for targets this
+        rank owns — one RPC per (source, destination) pair — as index arrays
+        into the source's :class:`CSRAdjacency`.  A delta stream ships its
+        (filtered) candidates explicitly, as source edge positions
+        ``flat_src_pos`` segmented per wedge by ``offsets``.
+        ``new_entries(rank)`` — a ``(RowAdjacency, position map)`` pair over
+        a batch's new entries only (:func:`new_row_adjacency`) — replaces
+        the full rows: the delta survey's new-check stream.
+        """
+
+        def _columnar_intersect_handler(
+            ctx, src_csr: CSRAdjacency, rows, qpositions, flat_src_pos=None, offsets=None
+        ) -> None:
+            if flat_src_pos is None:
+                starts = qpositions + 1
+                seg_lengths = src_csr.indptr[rows + 1] - starts
+                offsets = _np.concatenate(([0], _np.cumsum(seg_lengths)))
+                flat_src_pos = _np.arange(int(offsets[-1]), dtype=_np.int64) + _np.repeat(
+                    starts - offsets[:-1], seg_lengths
+                )
+            ctx.add_counter("wedge_checks", len(flat_src_pos))
+            message = _Candidates(new_entries, src_csr, rows, qpositions, flat_src_pos, offsets)
+            if self.staged:
+                self.pending[ctx.rank].append(message)
+            else:
+                self.deliver(ctx, [message])
+
+        return _columnar_intersect_handler
+
+    def drain(self) -> bool:
+        """Intersect and deliver every rank's stage; True when any was staged."""
+        delivered = False
+        for ctx in self.dodgr.world.ranks:
+            messages = self.pending[ctx.rank]
+            if messages:
+                self.pending[ctx.rank] = []
+                self.deliver(ctx, messages)
+                delivered = True
+        return delivered
+
+    def clear(self) -> None:
+        """Drop every staged message (an aborted or crashed phase)."""
+        self.pending = [[] for _ in self.pending]
+
+    def deliver(self, ctx, messages: Sequence[_Candidates]) -> None:
+        """One row-kernel call per stream, one batch for all of ``messages``."""
+        dodgr = self.dodgr
+        dest = dodgr.csr(ctx)
+        streams: Dict[Any, List[int]] = {}
+        for index, message in enumerate(messages):
+            streams.setdefault(message.new_entries, []).append(index)
+        matched = []
+        matches = 0
+        for new_entries, members in streams.items():
+            parts = [messages[i] for i in members]
+            if len(parts) == 1:
+                offsets = parts[0].offsets
+            else:
+                counts = [len(part.flat_src_pos) for part in parts]
+                shifts = _np.cumsum([0] + counts[:-1]).tolist()
+                offsets = _np.concatenate(
+                    [part.offsets[:-1] + shift for part, shift in zip(parts, shifts)]
+                    + [[sum(counts)]]
+                )
+            q_rows = _cat([part.src.tgt_ids[part.qpositions] for part in parts])
+            q_rows = dodgr.rows_by_order_id()[q_rows]
+            candidates = _cat([part.src.tgt_ids[part.flat_src_pos] for part in parts])
+            if new_entries is None:
+                adjacency = row_adjacency(dest, dodgr.order_count())
+            else:
+                adjacency, new_to_orig = new_entries(ctx.rank)
+            result = self.row_kernel(candidates, offsets, q_rows, adjacency)
+            ctx.add_compute(int(result.comparisons))
+            matches += len(result)
+            if not len(result) or self.callback is None:
+                continue
+            seg = _np.asarray(result.seg, dtype=_np.int64)
+            adj_pos = _np.asarray(result.adj_pos, dtype=_np.int64)
+            if new_entries is not None:
+                # Filtered new-entry positions back to full CSR edge positions.
+                adj_pos = new_to_orig[adj_pos]
+            # Each match's message, whose source places it in the global columns.
+            part = _np.searchsorted(_np.cumsum([len(p.rows) for p in parts]), seg, side="right")
+            row_base = _np.array([p.src.row_base for p in parts], dtype=_np.int64)[part]
+            edge_base = _np.array([p.src.edge_base for p in parts], dtype=_np.int64)[part]
+            cand_pos = _np.asarray(result.cand_pos, dtype=_np.int64)
+            matched.append(
+                (
+                    _np.asarray(members, dtype=_np.int64)[part],
+                    _cat([p.rows for p in parts])[seg] + row_base,
+                    q_rows[seg] + dest.row_base,
+                    _cat([p.qpositions for p in parts])[seg] + edge_base,
+                    _cat([p.flat_src_pos for p in parts])[cand_pos] + edge_base,
+                    adj_pos + dest.edge_base,
+                )
+            )
+        if not matches:
+            return
+        ctx.add_counter("triangles_found", matches)
+        if self.callback is None:
+            return
+        ctx.add_compute(self.per_triangle_compute * matches)
+        columns = [_cat(column) for column in zip(*matched)]
+        if len(matched) > 1:
+            # Handled order: a stable sort on message sequence across streams.
+            order = _np.argsort(columns[0], kind="stable")
+            columns = [column[order] for column in columns]
+        batch = columnar_push_batch(dodgr, *columns[1:])
+        deliver_batch(ctx, batch, self.callback, self.batch_callback)
+
+
 def make_columnar_intersect_handler(
     dodgr: DODGraph,
     row_kernel,
     callback: Optional["TriangleCallback"],
     batch_callback,
     per_triangle_compute: int,
-    new_entries: Optional[Callable[[int], Tuple[RowAdjacency, Any]]] = None,
 ):
-    """Build the owner-side handler of one columnar candidate push.
-
-    The handler receives *every* wedge a source rank generated for targets
-    this rank owns — one RPC per (source, destination) pair — as two index
-    arrays into the source's :class:`CSRAdjacency`.  All candidate suffixes
-    are intersected against their respective ``Adj^m_+(q)`` rows in one
-    row-kernel call, and the resulting triangles are delivered to the
-    reducer as one :class:`~repro.graph.metadata.TriangleBatch`.
-
-    A delta stream ships its (filtered) candidates explicitly, as source
-    edge positions ``flat_src_pos`` segmented per wedge by ``offsets``.
-    ``new_entries(rank)`` — a ``(RowAdjacency, position map)`` pair over a
-    batch's new entries only (:func:`new_row_adjacency`) — replaces the
-    full rows: the delta survey's new-check stream.
-    """
-
-    def _columnar_intersect_handler(
-        ctx, src_csr: CSRAdjacency, rows, qpositions, flat_src_pos=None, offsets=None
-    ) -> None:
-        if flat_src_pos is None:
-            starts = qpositions + 1
-            seg_lengths = src_csr.indptr[rows + 1] - starts
-            offsets = _np.concatenate(([0], _np.cumsum(seg_lengths)))
-            flat_src_pos = _np.arange(int(offsets[-1]), dtype=_np.int64) + _np.repeat(
-                starts - offsets[:-1], seg_lengths
-            )
-        ctx.add_counter("wedge_checks", len(flat_src_pos))
-        dest_csr = dodgr.csr(ctx)
-        q_rows = dodgr.rows_by_order_id()[src_csr.tgt_ids[qpositions]]
-        candidate_ids = src_csr.tgt_ids[flat_src_pos]
-        if new_entries is None:
-            adjacency = row_adjacency(dest_csr, dodgr.order_count())
-        else:
-            adjacency, new_to_orig = new_entries(ctx.rank)
-        result = row_kernel(candidate_ids, offsets, q_rows, adjacency)
-        ctx.add_compute(int(result.comparisons))
-        matches = len(result)
-        if not matches:
-            return
-        ctx.add_counter("triangles_found", matches)
-        if callback is None:
-            return
-        ctx.add_compute(per_triangle_compute * matches)
-        if new_entries is not None:
-            # Filtered new-entry positions back to full CSR edge positions.
-            result = RowBatchResult(
-                result.seg,
-                result.cand_pos,
-                new_to_orig[_np.asarray(result.adj_pos, dtype=_np.int64)],
-                result.comparisons,
-            )
-        batch = columnar_push_batch(
-            src_csr, dest_csr, rows, qpositions, q_rows, flat_src_pos, result
-        )
-        deliver_batch(ctx, batch, callback, batch_callback)
-
-    return _columnar_intersect_handler
+    """The full survey's columnar push handler: each message delivered as it
+    arrives (:class:`CandidateStage` with ``staged=False``)."""
+    stage = CandidateStage(dodgr, row_kernel, callback, batch_callback, per_triangle_compute)
+    return stage.handler()
 
 
 def new_row_adjacency(delta, rank: int) -> Tuple[RowAdjacency, Any]:
@@ -554,7 +652,6 @@ def make_push_intersect_handler(
     callback: Optional["TriangleCallback"],
     per_triangle_compute: int,
     kernel_tier: Optional[str] = None,
-    delta=None,
 ):
     """Build the push-phase intersect handler for an engine's ``style``.
 
@@ -562,10 +659,7 @@ def make_push_intersect_handler(
     (``compiled``/``columnar``/``scalar``; ``None`` = best available) —
     every tier is interchangeable under the equivalence contract, so this
     only changes host speed.  The legacy style has a single (scalar)
-    implementation and ignores the tier.  ``delta`` (an
-    :class:`~repro.graph.delta.AppliedDelta`) intersects against that
-    batch's new entries of ``Adj^m_+(q)`` only: the delta survey's
-    new-check handler.
+    implementation and ignores the tier.
     """
     if style == "columnar":
         return make_columnar_intersect_handler(
@@ -574,21 +668,55 @@ def make_push_intersect_handler(
             callback,
             resolve_batch_callback(callback),
             per_triangle_compute,
-            # Built once per rank, on the rank's first new-check delivery.
-            new_entries=(
-                None if delta is None else lru_cache(maxsize=None)(partial(new_row_adjacency, delta))
-            ),
         )
-    rows_by_rank = None
-    if delta is not None:
-        # Precomputed, so mid-drive buffer flushes (which execute handlers)
-        # never observe a partially built view.
-        rows_by_rank = [
-            {q: [entry for entry, _pos in rows] for q, rows in delta.new_adjacency(rank).items()}
-            for rank in range(dodgr.world.nranks)
-        ]
     return make_legacy_intersect_handler(
-        dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute, rows_by_rank
+        dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute
+    )
+
+
+def make_delta_intersect_handlers(
+    style: str,
+    dodgr: DODGraph,
+    kernel: str,
+    callback: Optional["TriangleCallback"],
+    per_triangle_compute: int,
+    kernel_tier: Optional[str],
+    delta,
+):
+    """The delta survey's push intersect handlers and the stage they share.
+
+    Returns ``(full check, new check, stage)``: the new-check handler
+    intersects against ``delta``'s (an
+    :class:`~repro.graph.delta.AppliedDelta`) new entries of
+    ``Adj^m_+(q)`` only.  The columnar pair stages into one
+    :class:`CandidateStage`, whose ``drain`` the phase runs when its
+    inboxes run dry; the legacy pair delivers per message (stage None).
+    """
+    if style == "columnar":
+        stage = CandidateStage(
+            dodgr,
+            select_row_kernel(kernel, kernel_tier),
+            callback,
+            resolve_batch_callback(callback),
+            per_triangle_compute,
+            staged=True,
+        )
+        # The new-entries view is built once per rank, on its first use.
+        new_entries = lru_cache(maxsize=None)(partial(new_row_adjacency, delta))
+        return stage.handler(), stage.handler(new_entries), stage
+    # Precomputed, so mid-drive buffer flushes (which execute handlers)
+    # never observe a partially built view.
+    rows_by_rank = [
+        {q: [entry for entry, _pos in rows] for q, rows in delta.new_adjacency(rank).items()}
+        for rank in range(dodgr.world.nranks)
+    ]
+    intersect = INTERSECTION_KERNELS[kernel]
+    return (
+        make_legacy_intersect_handler(dodgr, intersect, callback, per_triangle_compute),
+        make_legacy_intersect_handler(
+            dodgr, intersect, callback, per_triangle_compute, rows_by_rank
+        ),
+        None,
     )
 
 

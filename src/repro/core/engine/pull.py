@@ -137,8 +137,15 @@ def _make_columnar_pull_handler(
         if callback is None:
             return
         ctx.add_compute(per_triangle_compute * matches)
+        wedge = _np.asarray(result.seg, dtype=_np.int64)
+        pr = flat_src_pos[_np.asarray(result.cand_pos, dtype=_np.int64)] + csr.edge_base
         batch = columnar_push_batch(
-            csr, owner_csr, rows, qpositions, seg_q_rows, flat_src_pos, result,
+            dodgr,
+            rows[wedge] + csr.row_base,
+            seg_q_rows[wedge] + owner_csr.row_base,
+            qpositions[wedge] + csr.edge_base,
+            pr,
+            _np.asarray(result.adj_pos, dtype=_np.int64) + owner_csr.edge_base,
             local_meta_r=True,
         )
         deliver_batch(ctx, batch, callback, batch_callback)

@@ -53,10 +53,12 @@ entries.  An engine's ``style`` picks the per-rank drive in
 * ``columnar`` — the fast path: candidate selection as boolean array masks
   over the CSR edge positions (via
   :meth:`~repro.graph.delta.AppliedDelta.edge_mask`), one coalesced RPC per
-  (source rank, destination rank, stream), intersection through
-  :data:`~repro.core.intersection.ROW_KERNELS`, and triangles delivered as
-  lazy :class:`~repro.graph.metadata.TriangleBatch` columns to
-  ``callback_batch`` reducers.  Every replaced legacy message is accounted —
+  (source rank, destination rank, stream), and per rank one
+  :data:`~repro.core.intersection.ROW_KERNELS` call per stream over every
+  message it staged, once the phase's inboxes drain
+  (:class:`~repro.core.engine.driver.CandidateStage`), its triangles
+  delivered as one lazy :class:`~repro.graph.metadata.TriangleBatch` to
+  ``callback_batch`` reducers, in handled order.  Every replaced legacy message is accounted —
   in legacy send order, through the real buffer bank — at its exact
   serialized size, so the two engines report identical communication
   counters (same bound as the full engines when callbacks send RPCs).
@@ -105,7 +107,7 @@ from .engine.checkpoint import (
     degraded_estimate,
 )
 from .engine.delta import drive_columnar_delta, drive_legacy_delta, new_source_vertices
-from .engine.driver import make_push_intersect_handler
+from .engine.driver import make_delta_intersect_handlers
 from .engine.registry import check_supported, survey_features
 from .results import SurveyReport
 
@@ -177,20 +179,17 @@ def incremental_triangle_survey(
     # Handler registration order is fixed (full check first, new check
     # second) in both styles, so handler ids — and every accounted message
     # size — match.
-    h_full, h_new = (
-        world.register_handler(
-            make_push_intersect_handler(
-                spec.style,
-                dodgr,
-                request.kernel,
-                callback,
-                request.per_triangle_compute(),
-                kernel_tier=request.kernel_tier,
-                delta=new_only,
-            )
-        )
-        for new_only in (None, delta)
+    full_check, new_check, stage = make_delta_intersect_handlers(
+        spec.style,
+        dodgr,
+        request.kernel,
+        callback,
+        request.per_triangle_compute(),
+        request.kernel_tier,
+        delta,
     )
+    h_full = world.register_handler(full_check)
+    h_new = world.register_handler(new_check)
     if spec.style == "columnar":
 
         def drive(ctx) -> None:
@@ -207,17 +206,22 @@ def incremental_triangle_survey(
         request=request,
         spec=spec,
         phases=[(phase_name, drive)],
+        # A rank intersects and delivers what it staged when the inboxes run
+        # dry: one row-kernel call per stream, one batch per rank.
+        on_drained=None if stage is None else stage.drain,
     )
     try:
         return execute_program(program).report
     finally:
         # Per-batch closures capture the rebuilt DODGr and the delta; release
-        # their registry slots on every exit — an expired deadline, a rank
-        # crash a recovery layer retries, a livelock — or a long stream pins
-        # every rebuild forever (ids stay allocated, so later accounted
-        # message sizes are unchanged).
+        # their registry slots and anything still staged on every exit — an
+        # expired deadline, a rank crash a recovery layer retries, a
+        # livelock — or a long stream pins every rebuild forever (ids stay
+        # allocated, so later accounted message sizes are unchanged).
         world.registry.release(h_full)
         world.registry.release(h_new)
+        if stage is not None:
+            stage.clear()
 
 
 # ---------------------------------------------------------------------------

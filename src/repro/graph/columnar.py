@@ -15,6 +15,9 @@ import numpy as _np
 
 __all__ = [
     "HalfEdgeColumns",
+    "ValueMemo",
+    "ValueColumn",
+    "VALUE_MEMO_EXTRACTORS",
     "id_array",
     "id_column",
     "object_column",
@@ -38,6 +41,9 @@ class HalfEdgeColumns(NamedTuple):
     ``DeltaBuffer.apply`` fills it, sizing only each batch's new edges and
     carrying the old ones forward, so a streamed graph's rebuild never
     re-sizes stored metadata (a value's size depends on the value alone).
+    ``edge_values`` rides the same way: the :class:`ValueMemo` of extracted
+    edge values indexed by half edge, which a DODGr built from the image
+    reads (and fills) and the next ``DeltaBuffer.apply`` moves forward.
     """
 
     #: (V,) vertex ids: int64, or object for ids that are not in-range ints
@@ -54,6 +60,145 @@ class HalfEdgeColumns(NamedTuple):
     edge_meta: Any
     #: (H,) int64 serialized size of every ``edge_meta`` value, or None
     edge_meta_sizes: Any = None
+    #: :class:`ValueMemo` over the H half edges, or None
+    edge_values: Any = None
+
+
+#: Extractors one :class:`ValueMemo` keeps (oldest dropped first).  Each
+#: costs 9 bytes per position of the column it memoises (0.5 MB for the
+#: rmat-13 closure survey's 55 529 edges); the service's analyses put three
+#: on one snapshot (``edge_timestamp``, its ``_edge_label``, the default
+#: vertex label), so four keeps those plus one caller-supplied extractor, and
+#: a fresh lambda per query recycles one slot.
+VALUE_MEMO_EXTRACTORS = 4
+
+_ABSENT = object()
+
+
+class ValueMemo:
+    """``extract(value)`` over one metadata column as typed arrays, per extractor.
+
+    Filled sparsely: only slots some lookup asked for ever reach
+    ``extract``, once.  An array is float64 when every extracted value is
+    exactly a ``float``, int64 when exactly an ``int`` within ±2**62 (two
+    stamps subtract without overflow; epoch nanoseconds never pass through a
+    float).  Anything else has *no exact array form* and answers None for
+    the rest of the memo's life: other or mixed types (``bool``, ``None``,
+    ``str``), NaN (``sort``/``max`` have no total order to agree on), an
+    unhashable extractor (no memo key), an extractor that raises (the
+    caller's object loop then raises where it always did).  ``extract`` must
+    be a pure function of the value.
+    """
+
+    __slots__ = ("size", "_by_extract")
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        #: extract -> ``[values typed by the first fill, filled mask]``, or
+        #: None once it has no array form
+        self._by_extract: dict = {}
+
+    def extractors(self) -> list:
+        """The memoised extractors, oldest first."""
+        return list(self._by_extract)
+
+    def lookup(self, extract, slots, metas, positions) -> Optional[Any]:
+        """``extract`` at ``slots`` as a typed array, or None.
+
+        ``metas[positions]`` are the values at ``slots``: the column a
+        missing slot is extracted from.
+        """
+        try:
+            entry = self._by_extract.get(extract, _ABSENT)
+        except TypeError:
+            return None
+        if entry is None:
+            return None
+        if entry is _ABSENT:
+            if len(self._by_extract) >= VALUE_MEMO_EXTRACTORS:
+                del self._by_extract[next(iter(self._by_extract))]
+            entry = self._by_extract[extract] = [None, _np.zeros(self.size, dtype=bool)]
+        values, filled = entry
+        have = filled[slots]
+        if not have.all():
+            missing = _np.flatnonzero(~have)
+            fresh_slots, first = _np.unique(slots[missing], return_index=True)
+            fresh = _extract_column(extract, metas[positions[missing[first]]])
+            if fresh is None or (values is not None and values.dtype != fresh.dtype):
+                self._by_extract[extract] = None
+                return None
+            if values is None:
+                values = entry[0] = _np.empty(self.size, dtype=fresh.dtype)
+            values[fresh_slots] = fresh
+            filled[fresh_slots] = True
+        return _np.empty(0) if values is None else values[slots]  # None: nothing asked yet
+
+    def moved(self, destinations, size: int) -> "ValueMemo":
+        """The memo re-indexed into a column of ``size`` slots; this one empties.
+
+        Slot ``i`` lands at ``destinations[i]``; the other slots start
+        unfilled.  Extractors without an array form are not carried, so
+        one odd value cannot turn the array path off for good.
+        """
+        memo = ValueMemo(size)
+        for extract, entry in self._by_extract.items():
+            if entry is None:
+                continue
+            values, filled = entry
+            moved_filled = _np.zeros(size, dtype=bool)
+            moved_filled[destinations] = filled
+            moved_values = None
+            if values is not None:
+                moved_values = _np.empty(size, dtype=values.dtype)
+                moved_values[destinations] = values
+            memo._by_extract[extract] = [moved_values, moved_filled]
+        self._by_extract.clear()
+        return memo
+
+
+def _extract_column(extract, metas) -> Optional[Any]:
+    """Typed array of ``extract`` over the object column ``metas``, or None."""
+    try:
+        column = [extract(meta) for meta in metas.tolist()]
+    except Exception:  # noqa: BLE001 - the object path re-raises it in place
+        return None
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        out = _np.array(column, dtype=_np.float64)
+        return None if _np.isnan(out).any() else out
+    if kinds == {int}:
+        try:
+            out = _np.fromiter(column, dtype=_np.int64, count=len(column))
+        except OverflowError:
+            return None
+        return out if -(2**62) < out.min() and out.max() < 2**62 else None
+    return None
+
+
+class ValueColumn:
+    """One metadata column read through a :class:`ValueMemo`.
+
+    Position ``i`` (plus ``base``) of the column is ``metas[i + base]`` and
+    is memoised at slot ``slots[i + base]`` — or at ``i + base`` itself when
+    ``slots`` is None.  A DODGr's rank CSRs read slices of its global
+    columns this way, and its edge column reaches the half-edge memo its
+    image carries through the build's edge → half edge map.
+    """
+
+    __slots__ = ("memo", "metas", "slots", "base")
+
+    def __init__(self, memo: ValueMemo, metas, slots=None, base: int = 0) -> None:
+        self.memo = memo
+        self.metas = metas
+        self.slots = slots
+        self.base = base
+
+    def values(self, extract, positions) -> Optional[Any]:
+        """``extract`` over the column at ``positions`` as a typed array, or None."""
+        if self.base:
+            positions = positions + self.base
+        slots = positions if self.slots is None else self.slots[positions]
+        return self.memo.lookup(extract, slots, self.metas, positions)
 
 
 def id_array(vertices: Sequence[Any]) -> Optional[Any]:

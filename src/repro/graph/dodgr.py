@@ -47,7 +47,15 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..runtime.serialization import int_size_array, serialized_size, uvarint_size
 from ..runtime.world import RankContext, World
-from .columnar import HalfEdgeColumns, dense_indices, id_column, object_column
+from .columnar import (
+    VALUE_MEMO_EXTRACTORS,
+    HalfEdgeColumns,
+    ValueColumn,
+    ValueMemo,
+    dense_indices,
+    id_column,
+    object_column,
+)
 from .degree import order_key, order_positions
 from .distributed_graph import DistributedGraph
 from .ooc import StorageConfig, release_csr_segments, resolve_storage, spill_csr, unspill_csr
@@ -55,19 +63,10 @@ from .partition import Partitioner
 
 import numpy as _np
 
-__all__ = ["DODGraph", "CSRAdjacency", "AdjEntry", "entry_key"]
+__all__ = ["DODGraph", "CSRAdjacency", "AdjEntry", "entry_key", "VALUE_MEMO_EXTRACTORS"]
 
 #: An Adj^m_+ entry: (target vertex, target degree, edge metadata, target vertex metadata)
 AdjEntry = Tuple[Hashable, int, Any, Any]
-
-
-#: Extractors memoised per CSR by :meth:`CSRAdjacency.extracted_values`
-#: (oldest dropped first).  Each costs 9 bytes per stored position and field
-#: it is read from (0.5 MB for the rmat-13 closure survey's 55 529 edges); the
-#: service's analyses put three on one snapshot (``edge_timestamp``, its
-#: ``_edge_label``, the default vertex label), so four keeps those plus one
-#: caller-supplied extractor, and a fresh lambda per query recycles one slot.
-VALUE_MEMO_EXTRACTORS = 4
 
 
 def entry_key(entry: AdjEntry) -> Tuple[int, int, str]:
@@ -107,10 +106,14 @@ class CSRAdjacency:
     needs first.  :attr:`entries` (the entry tuples) and :attr:`vertex_rows`
     are views for the scalar oracles, zipped together on first access.
 
-    Three derived views are cached on the snapshot and die with it: the row
-    kernels' ``row_adj_cache``, :meth:`inverted_target_index`, and the value
-    memo of :meth:`extracted_values`, which lets a metadata reducer read each
-    stored edge once per snapshot instead of once per triangle.
+    Two derived views are cached on the snapshot and die with it: the row
+    kernels' ``row_adj_cache`` and :meth:`inverted_target_index`.  A rank's
+    columns are slices of its DODGr's global ones: row ``i`` is global row
+    ``row_base + i`` and edge ``e`` global edge ``edge_base + e``.  Its
+    ``value_columns`` read the DODGr's value memos through those slices
+    (:meth:`extracted_values`), so a metadata reducer reads each stored
+    edge once per snapshot — or, for the edge field of a streamed graph,
+    once per stream — instead of once per triangle.
     """
 
     #: the constructor's keyword arguments, one column each
@@ -139,7 +142,9 @@ class CSRAdjacency:
         "_entries",
         "row_adj_cache",
         "_inv_index",
-        "_value_memo",
+        "row_base",
+        "edge_base",
+        "value_columns",
         "storage",
         "segment_paths",
         "send_scratch",
@@ -158,8 +163,12 @@ class CSRAdjacency:
         self.row_adj_cache = None
         #: cache slot of :meth:`inverted_target_index`
         self._inv_index = None
-        #: extractor -> field -> ``(values, filled)`` of :meth:`extracted_values`
-        self._value_memo: Dict[Any, Dict[str, Any]] = {}
+        #: where this rank's rows and edges start in its DODGr's global columns
+        self.row_base = 0
+        self.edge_base = 0
+        #: field -> :class:`~repro.graph.columnar.ValueColumn` of
+        #: :meth:`extracted_values` (set by the owning DODGr)
+        self.value_columns: Optional[Dict[str, ValueColumn]] = None
         #: storage mode of the column arrays ("resident" until spilled) and
         #: the tracked memmap segment files backing them when out-of-core
         self.storage = "resident"
@@ -249,66 +258,15 @@ class CSRAdjacency:
         """``extract(metadata)`` at ``positions`` as a typed array, or None.
 
         ``field`` names the metadata column read: ``"edge"`` (``edge_meta``),
-        ``"target"`` (``tgt_meta``) or ``"row"`` (``row_meta``).
-        Results are memoised per stored position and filled sparsely: only
-        positions some triangle batch asked for ever reach ``extract``, once.
-        The array is float64 when every extracted value is exactly a
-        ``float``, int64 when exactly an ``int`` within ±2**62 (two stamps
-        subtract without overflow; epoch nanoseconds never pass through a
-        float).  Anything else has *no exact array form* and answers None
-        for the rest of the snapshot's life: other or mixed types (``bool``,
-        ``None``, ``str``), NaN (``sort``/``max`` have no total order to
-        agree on), an unhashable extractor (no memo key), an extractor that
-        raises (the caller's object loop then raises where it always did).
-        ``extract`` must be a pure function of the value.
+        ``"target"`` (``tgt_meta``) or ``"row"`` (``row_meta``).  Values come
+        from the DODGr's :class:`~repro.graph.columnar.ValueMemo` of that
+        field, which has the typing contract: float64 / int64 arrays of
+        exactly what ``extract`` returns, or None for no exact array form.
+        The row and target memos live as long as the DODGr; the edge memo is
+        indexed by half edge and rides a streamed graph's rebuilds.
         """
-        try:
-            fields = self._value_memo.get(extract)
-        except TypeError:
-            return None
-        if fields is None:
-            if len(self._value_memo) >= VALUE_MEMO_EXTRACTORS:
-                del self._value_memo[next(iter(self._value_memo))]
-            fields = self._value_memo[extract] = {}
-        if field not in fields:
-            size = self.num_rows if field == "row" else self.num_edges
-            # [values (typed by the first fill), which positions hold one]
-            fields[field] = [None, _np.zeros(size, dtype=bool)]
-        memo = fields[field]
-        if memo is None:
-            return None
-        values, filled = memo
-        have = filled[positions]
-        if not have.all():
-            missing = _np.unique(positions[~have])
-            fresh = self._extract_column(extract, field, missing)
-            if fresh is None or (values is not None and values.dtype != fresh.dtype):
-                fields[field] = None
-                return None
-            if values is None:
-                values = memo[0] = _np.empty(filled.size, dtype=fresh.dtype)
-            values[missing] = fresh
-            filled[missing] = True
-        return values[positions]
-
-    def _extract_column(self, extract, field: str, positions):
-        """Typed array of ``extract`` over the field at ``positions``, or None."""
-        metas = {"row": self.row_meta, "edge": self.edge_meta, "target": self.tgt_meta}[field]
-        try:
-            column = [extract(meta) for meta in metas[positions].tolist()]
-        except Exception:  # noqa: BLE001 - the object path re-raises it in place
-            return None
-        kinds = set(map(type, column))
-        if kinds == {float}:
-            out = _np.array(column, dtype=_np.float64)
-            return None if _np.isnan(out).any() else out
-        if kinds == {int}:
-            try:
-                out = _np.fromiter(column, dtype=_np.int64, count=len(column))
-            except OverflowError:
-                return None
-            return out if -(2**62) < out.min() and out.max() < 2**62 else None
-        return None
+        columns = self.value_columns
+        return None if columns is None else columns[field].values(extract, positions)
 
     # ------------------------------------------------------------------
     def row_of(self, vertex: Hashable) -> Optional[int]:
@@ -368,6 +326,9 @@ class DODGraph:
         #: lazily built derived views (cleared with the columns)
         self._order_ids: Optional[Dict[Hashable, int]] = None
         self._rows_by_order_id = None
+        #: every rank's batch-read columns end to end and the value memos
+        #: over them (:meth:`global_columns`); built and dropped with the CSRs
+        self._global: Optional[Dict[str, Any]] = None
         #: CSR storage policy; None means resident (today's default)
         self._storage: Optional[StorageConfig] = None
         #: owners sharing this graph (:meth:`retain` / :meth:`release`)
@@ -556,6 +517,9 @@ class DODGraph:
             edge_meta=graph.edge_meta[picked],
             tgt_meta=graph.vertex_meta[tgt],
             edge_meta_sizes=None if sizes is None else sizes[picked],
+            # The image's half-edge memo, read through CSR edge -> half edge.
+            edge_values=graph.edge_values,
+            edge_slots=picked,
         )
         self._records_live = False
 
@@ -604,6 +568,8 @@ class DODGraph:
         edge_meta,
         tgt_meta,
         edge_meta_sizes=None,
+        edge_values=None,
+        edge_slots=None,
     ) -> None:
         """Size the global row-major columns and cut them into per-rank CSRs.
 
@@ -613,6 +579,9 @@ class DODGraph:
         being the target's dense vertex index.  ``edge_meta`` is sized here
         unless ``edge_meta_sizes`` already holds its values' sizes.  A rank's
         columns are slices of the global ones, so nothing per-edge is copied.
+        ``edge_values`` is the memo of an image's half edges, read at
+        ``edge_slots`` (each edge's half edge); without one this graph
+        memoises its own edge values.
         """
         vertex_size = _value_sizes(vertices)
         size_target = vertex_size[tgt]
@@ -641,17 +610,38 @@ class DODGraph:
             "tgt_wire_sizes": size_target + size_meta,
             "tgt_vertex_wire": size_target,
         }
+        values = {
+            "row": ValueColumn(ValueMemo(len(vertices)), vertex_meta),
+            "target": ValueColumn(ValueMemo(len(tgt)), tgt_meta),
+            "edge": (
+                ValueColumn(ValueMemo(len(tgt)), edge_meta)
+                if edge_values is None
+                else ValueColumn(edge_values, edge_meta, edge_slots)
+            ),
+        }
+        self._global = {
+            "row_vertices": vertices,
+            "row_meta": vertex_meta,
+            "tgt_vertex": per_edge["tgt_vertex"],
+            "edge_meta": edge_meta,
+            "tgt_meta": tgt_meta,
+            "values": values,
+        }
         for rank in range(nranks):
             row_lo, row_hi = int(rank_offsets[rank]), int(rank_offsets[rank + 1])
             lo, hi = int(indptr[row_lo]), int(indptr[row_hi])
-            self._csr.append(
-                CSRAdjacency(
-                    indptr=indptr[row_lo : row_hi + 1] - lo,
-                    cand_size_cumsum=cand_cumsum[lo : hi + 1] - cand_cumsum[lo],
-                    **{name: column[row_lo:row_hi] for name, column in per_row.items()},
-                    **{name: column[lo:hi] for name, column in per_edge.items()},
-                )
+            csr = CSRAdjacency(
+                indptr=indptr[row_lo : row_hi + 1] - lo,
+                cand_size_cumsum=cand_cumsum[lo : hi + 1] - cand_cumsum[lo],
+                **{name: column[row_lo:row_hi] for name, column in per_row.items()},
+                **{name: column[lo:hi] for name, column in per_edge.items()},
             )
+            csr.row_base, csr.edge_base = row_lo, lo
+            csr.value_columns = {
+                field: ValueColumn(column.memo, column.metas, column.slots, base)
+                for (field, column), base in zip(values.items(), (row_lo, lo, lo))
+            }
+            self._csr.append(csr)
 
     def sort_adjacency(self) -> None:
         """Sort every Adj^m_+ list by the ``<+`` order of the target vertex."""
@@ -672,7 +662,9 @@ class DODGraph:
     def _drop_columns(self) -> None:
         for snapshot in self._csr:
             release_csr_segments(snapshot)
+            snapshot.value_columns = None
         self._csr = []
+        self._global = None
         self._order_ids = None
         self._rows_by_order_id = None
 
@@ -681,6 +673,21 @@ class DODGraph:
         if not self._csr:
             self._flatten_records()
         return self._csr
+
+    def global_columns(self) -> Dict[str, Any]:
+        """Every rank's columns a triangle batch reads, end to end.
+
+        ``row_vertices`` / ``row_meta`` per row and ``tgt_vertex`` /
+        ``edge_meta`` / ``tgt_meta`` per edge, rank-major: a rank CSR's row
+        ``i`` is global row ``csr.row_base + i`` and its edge ``e`` global
+        edge ``csr.edge_base + e``, so a batch spanning several source ranks
+        gathers each column once.  ``values`` maps ``"row"`` / ``"target"`` /
+        ``"edge"`` to the :class:`~repro.graph.columnar.ValueColumn` over the
+        same global positions.  These are the arrays the CSRs slice, so
+        nothing is copied; they are dropped with the columns.
+        """
+        self._snapshots()
+        return self._global
 
     def order_ids(self) -> Dict[Hashable, int]:
         """Dense integer ranks of every vertex in the global ``<+`` order.
@@ -798,7 +805,9 @@ class DODGraph:
         tombstones the handler (id allocation, and therefore every accounted
         message size, is unchanged — see
         :meth:`~repro.runtime.rpc.RpcRegistry.release`) and drops the rank
-        stores, the columns and every derived view.
+        stores, the columns, the global views over them, the value-memo
+        references (a streamed image's edge memo has moved on by then) and
+        every derived view.
         """
         self._refs -= 1
         if self._refs > 0:

@@ -120,9 +120,10 @@ class TriangleBatch:
 
     :meth:`edge_values` and :meth:`vertex_values` answer *typed arrays* of an
     extractor over the batch's edge / vertex metadata, gathered from the
-    CSRs' value memos at the ``reads`` the engine supplies — ``{"edge" |
-    "vertex": three (CSR, field, positions), "ids": three (id column,
-    positions)}`` — or None, and the reducer loops over the object columns.
+    DODGr's value memos at the ``reads`` the engine supplies — ``{"edge" |
+    "vertex": three (:class:`~repro.graph.columnar.ValueColumn`,
+    positions), "ids": three (id column, positions)}`` — or None, and the
+    reducer loops over the object columns.
     :meth:`vertex_ids` answers the ``p``, ``q``, ``r`` columns themselves as
     int64 arrays on the same terms.
     """
@@ -187,8 +188,7 @@ class TriangleBatch:
 
         The arrays share one dtype, float64 or int64, and hold exactly what
         ``[extract(m) for m in batch.meta_pq]`` etc. would
-        (:meth:`~repro.graph.dodgr.CSRAdjacency.extracted_values` has the
-        contract).  None means "loop over the object columns": no exact
+        (:class:`~repro.graph.columnar.ValueMemo` has the contract).  None means "loop over the object columns": no exact
         array form, a batch shorter than :data:`ARRAY_VALUES_MIN_BATCH`, or
         one built without a CSR behind it.
         """
@@ -202,9 +202,9 @@ class TriangleBatch:
         if self._reads is None or self._size < ARRAY_VALUES_MIN_BATCH:
             return None
         columns = []
-        for csr, field, positions in self._reads[kind]:
-            column = csr.extracted_values(extract, field, positions)
-            # Two CSRs may type their memos differently; arithmetic across
+        for source, positions in self._reads[kind]:
+            column = source.values(extract, positions)
+            # Two memos may type their values differently; arithmetic across
             # them would silently promote, so that is "no array form" too.
             if column is None or (columns and column.dtype != columns[0].dtype):
                 return None

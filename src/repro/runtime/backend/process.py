@@ -277,7 +277,7 @@ def _worker_main(
             world.begin_phase(phase_name)
             for r in fabric.owned:
                 drive(world.ranks[r])
-            world.barrier()  # delegates to fabric
+            world.barrier(program.on_drained)  # delegates to fabric
         conn.send(("done", _collect_worker_state(world, reducer, fabric.owned)))
     except _WorkerAbort:
         exit_code = 0

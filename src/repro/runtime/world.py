@@ -701,15 +701,23 @@ class World:
             raise LivelockError(limit, phase, pending, hottest)
 
     # ------------------------------------------------------------------
-    def barrier(self) -> None:
+    def barrier(self, on_drained: Optional[Callable[[], bool]] = None) -> None:
         """Flush all buffers and process messages until global quiescence.
 
         Quiescence under an installed fault plan additionally requires the
         reliable transport to be idle: no delayed copies waiting and no
         unacknowledged sends — the barrier keeps ticking the retry clock
         until at-least-once delivery has landed everything exactly once.
+
+        ``on_drained()`` runs each time the inboxes drain empty, before the
+        buffer flush pass, and the drain repeats while it reports work done:
+        the hook a phase uses to process per rank what its handlers staged
+        (the delta survey's :class:`~repro.core.engine.driver.CandidateStage`).
+        The process backend's barrier has no such pass and refuses one.
         """
         if self._fabric is not None:
+            if on_drained is not None:
+                raise WorldError("the process backend's barrier takes no on_drained hook")
             self._fabric.barrier()
             return
         if self._in_delivery:
@@ -719,6 +727,8 @@ class World:
         try:
             while True:
                 self._drain_inboxes()
+                if on_drained is not None and on_drained():
+                    continue
                 flushed_any = False
                 for ctx in self.ranks:
                     if ctx.buffers.has_pending():

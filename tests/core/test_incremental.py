@@ -13,11 +13,16 @@ Three layers of contract, each pinned here:
 
 from __future__ import annotations
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
 np = pytest.importorskip("numpy")
 
 import repro.core.engine.delta as delta_engine
+import repro.core.engine.driver as driver_module
 import repro.core.incremental as incremental_module
 import repro.graph.metadata as metadata_module
 from repro.core.callbacks import (
@@ -26,6 +31,7 @@ from repro.core.callbacks import (
     LocalTriangleCounter,
     TriangleCounter,
 )
+from repro.containers.counting_set import DistributedCountingSet
 from repro.core.engine import EngineConfig
 from repro.core.incremental import StreamingSurvey, incremental_triangle_survey
 from repro.core.survey import triangle_survey_push
@@ -184,6 +190,108 @@ def test_engine_parity_deterministic_across_runs():
     assert replay() == replay()
 
 
+def counted_reducer(factory, calls):
+    """``factory`` whose reducers count their ``callback_batch`` deliveries
+    into ``calls[-1]``."""
+
+    def make(world):
+        reducer = factory(world)
+        deliver = reducer.callback_batch
+
+        def callback_batch(ctx, batch):
+            calls[-1] += 1
+            deliver(ctx, batch)
+
+        reducer.callback_batch = callback_batch
+        return reducer
+
+    return make
+
+
+STAGED_REDUCERS = {
+    "closure_times": ClosureTimeSurvey,
+    # A four-entry cache flushes the counting set mid-phase, many times.
+    "edge_support_small_cache": lambda world: EdgeSupportCounter(
+        world, cache_capacity=4, name="support"
+    ),
+}
+
+
+@pytest.mark.parametrize("reducer", sorted(STAGED_REDUCERS))
+def test_staged_delivery_is_one_batch_per_rank(monkeypatch, reducer):
+    """A delta step intersects and delivers once per rank, not once per
+    message, and observably changes nothing: per-phase counters, wire
+    bytes, simulated seconds, panels and the counting set's increment
+    stream equal per-message delivery (the stage handing each message to
+    the reducer as it arrives); panels equal the legacy engine's too."""
+    factory = STAGED_REDUCERS[reducer]
+    generated = rmat(8, edge_factor=6, seed=7)
+    edges = shuffled(timestamped(generated.edges), 13)
+    batches = random_schedule(edges, 17, num_batches=4)
+    kernel_calls = []
+    select = driver_module.select_row_kernel
+
+    def counted_kernel(*args):
+        kernel = select(*args)
+
+        def row_kernel(*kernel_args):
+            kernel_calls[-1] += 1
+            return kernel(*kernel_args)
+
+        return row_kernel
+
+    monkeypatch.setattr(driver_module, "select_row_kernel", counted_kernel)
+    evictions = []
+    flush = DistributedCountingSet.flush_cache
+
+    def flush_spy(self, ctx):
+        evictions.append((ctx.rank, list(self._cache(ctx).items())))
+        flush(self, ctx)
+
+    monkeypatch.setattr(DistributedCountingSet, "flush_cache", flush_spy)
+
+    def replay(engine):
+        del evictions[:]
+        calls = []
+        world = World(NRANKS)
+        survey = StreamingSurvey(world, counted_reducer(factory, calls), engine=engine)
+        steps = []
+        for batch in batches:
+            calls.append(0)
+            kernel_calls.append(0)
+            step = survey.ingest(batch)
+            phases = {name: world.stats.phase_total(name) for name in world.phase_order}
+            steps.append(
+                (step.snapshot, step.cumulative, step.report.communication_bytes,
+                 step.report.simulated_seconds, phases)
+            )
+        return steps, calls, list(evictions)
+
+    staged, deliveries, staged_evictions = replay("columnar")
+    assert max(deliveries[1:]) <= NRANKS, deliveries
+    assert max(kernel_calls[-len(batches) + 1 :]) <= 2 * NRANKS, kernel_calls
+    assert sum(step[0] != {} for step in staged) == len(batches)
+
+    handlers = incremental_module.make_delta_intersect_handlers
+
+    def per_message(*args):
+        full_check, new_check, stage = handlers(*args)
+        if stage is not None:
+            stage.staged = False
+        return full_check, new_check, stage
+
+    monkeypatch.setattr(incremental_module, "make_delta_intersect_handlers", per_message)
+    per_message_steps, per_message_deliveries, per_message_evictions = replay("columnar")
+    assert staged == per_message_steps
+    assert staged_evictions == per_message_evictions
+    assert sum(per_message_deliveries[1:]) > sum(deliveries[1:])
+    legacy, _calls, _evictions = replay("legacy")
+    for k, (a, b) in enumerate(zip(legacy, staged)):
+        assert a[:2] == b[:2], f"step {k}"
+        if reducer == "closure_times":  # no mid-phase flush: every counter too
+            assert a == b, f"step {k}"
+
+
 def test_cold_start_equals_full_survey():
     """Batch 0 (everything new) replays the full push survey bit for bit."""
     generated = rmat(8, edge_factor=6, seed=9)
@@ -333,10 +441,53 @@ def test_superseded_rebuilds_are_released():
     assert world.registry.handler(handles[-1].handler_id) is not None
 
 
+def test_release_frees_a_retained_epochs_arrays():
+    """A released DODGr lets its per-edge arrays go — CSR columns, the
+    global views, the edge -> half edge map and the value memos — while its
+    AppliedDelta is still referenced; the half-edge memo moved on with the
+    image instead of staying behind."""
+    edges = timestamped(erdos_renyi(60, 0.15, seed=4).edges)
+    world = World(NRANKS)
+    graph = DistributedGraph(world, name="epochs")
+    buffer = DeltaBuffer(world)
+    applied = []
+    for batch in random_schedule(edges, 5, num_batches=2):
+        buffer.stage_edges(batch)
+        applied.append(buffer.apply(graph))
+        reducer = ClosureTimeSurvey(world)
+        incremental_triangle_survey(applied[-1].dodgr, applied[-1], reducer.callback)
+    old = applied[0]
+    csr = old.dodgr.csr(0)
+    csr.extracted_values(vertex_stamp, "target", np.arange(csr.num_edges))
+    csr.extracted_values(vertex_stamp, "row", np.arange(csr.num_rows))
+    columns = old.dodgr.global_columns()
+    arrays = [csr.tgt_ids, csr.edge_meta, columns["edge_meta"], columns["values"]["edge"].slots]
+    arrays += [
+        array
+        for field in ("row", "target")
+        for entry in columns["values"][field].memo._by_extract.values()
+        for array in entry
+    ]
+    assert columns["values"]["edge"].memo.extractors() == []  # moved to the new image
+    assert len(arrays) == 8
+    refs = [weakref.ref(array) for array in arrays]
+    del csr, columns, arrays
+    old.dodgr.release()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert old.num_edges() > 0
+
+
+def vertex_stamp(meta):
+    return 0.0 if meta is None else float(meta)
+
+
 def record_delta_handlers(monkeypatch, world):
-    """Every delta-survey handler ``world`` registers from now on: the push
-    survey's intersect handlers, full check and new check."""
-    handles = []
+    """Every delta-survey handler ``world`` registers from now on — the push
+    survey's intersect handlers, full check and new check — and every
+    columnar stage they share, with how many messages each held when the
+    survey cleared it."""
+    handles, stages = [], []
     register = world.register_handler
 
     def spy(func, name=None):
@@ -345,45 +496,92 @@ def record_delta_handlers(monkeypatch, world):
             handles.append(handle)
         return handle
 
+    handlers = incremental_module.make_delta_intersect_handlers
+
+    def stage_spy(*args):
+        full_check, new_check, stage = handlers(*args)
+        if stage is not None:
+            record = [stage, None]
+            clear = stage.clear
+
+            def clear_spy():
+                record[1] = sum(map(len, stage.pending))
+                clear()
+
+            stage.clear = clear_spy
+            stages.append(record)
+        return full_check, new_check, stage
+
     monkeypatch.setattr(world, "register_handler", spy)
-    return handles
+    monkeypatch.setattr(incremental_module, "make_delta_intersect_handlers", stage_spy)
+    return handles, stages
 
 
-def assert_released(world, handles):
+def assert_released(world, handles, stages):
     for handle in handles:
         with pytest.raises(RpcError):
             world.registry.handler(handle.handler_id)
+    for stage, _held in stages:
+        assert not any(stage.pending)
+
+
+def ticking_deadline(ticks):
+    """A deadline that expires at its ``ticks``-th check (a fake clock)."""
+    clock = itertools.count()
+    return Deadline(ticks, clock=lambda: next(clock))
 
 
 @pytest.mark.parametrize("engine", ["columnar", "legacy"])
-def test_delta_handlers_released_when_the_deadline_expires(monkeypatch, engine):
-    """An aborted delta survey pins neither its DODGr nor its AppliedDelta."""
+@pytest.mark.parametrize("expiry", ["before_any_drive", "mid_barrier"])
+def test_delta_handlers_released_when_the_deadline_expires(monkeypatch, engine, expiry):
+    """An aborted delta survey pins neither its DODGr nor its AppliedDelta,
+    and leaves nothing staged — also when it expires mid-barrier, with the
+    first sweep's messages staged."""
     world = World(NRANKS)
     buffer = DeltaBuffer(world)
     buffer.stage_edges(timestamped(erdos_renyi(40, 0.15, seed=4).edges))
     applied = buffer.apply(DistributedGraph(world, name="g"))
-    handles = record_delta_handlers(monkeypatch, world)
+    handles, stages = record_delta_handlers(monkeypatch, world)
+    # One check per rank drive, then one per delivery sweep.
+    deadline = Deadline(0.0) if expiry == "before_any_drive" else ticking_deadline(NRANKS + 1)
     with pytest.raises(DeadlineExceeded):
-        with world.deadline_scope(Deadline(0.0)):
-            incremental_triangle_survey(applied.dodgr, applied, None, engine=engine)
+        with world.deadline_scope(deadline):
+            incremental_triangle_survey(
+                applied.dodgr, applied, ClosureTimeSurvey(world).callback, engine=engine
+            )
     assert len(handles) == 2
-    assert_released(world, handles)
+    assert len(stages) == (engine == "columnar")
+    if engine == "columnar" and expiry == "mid_barrier":
+        assert stages[0][1] > 0, "the deadline fired before anything was staged"
+    assert_released(world, handles, stages)
 
 
 def test_delta_handlers_released_after_crash_recovery(monkeypatch):
-    """The crashed attempt's handlers go too, not only the retry's."""
+    """A rank crashing after its k-th delta message, with messages staged,
+    recovers bit-identical panels; the crashed attempt's handlers go too,
+    not only the retry's, and nothing it staged reaches the retry."""
     edges = timestamped(erdos_renyi(40, 0.25, seed=11).edges)
+    batches = random_schedule(edges, 7, num_batches=3)
     world = World(NRANKS)
-    handles = record_delta_handlers(monkeypatch, world)
+    handles, stages = record_delta_handlers(monkeypatch, world)
     plan = FaultPlan(
         name="delta-crash", seed=3, crash_rank=1, crash_phase="delta_push",
-        crash_after_executions=1,
+        crash_after_executions=2,
     )
-    survey = StreamingSurvey(world, TriangleCounter, plan=plan)
-    steps = [survey.ingest(batch) for batch in random_schedule(edges, 7, num_batches=3)]
+    survey = StreamingSurvey(world, ClosureTimeSurvey, plan=plan)
+    steps = [survey.ingest(batch) for batch in batches]
     assert sum(step.restarts for step in steps) == 1
     assert len(handles) == 2 * (len(steps) + 1)
-    assert_released(world, handles)
+    assert_released(world, handles, stages)
+    # The crash hit with messages staged: the crashed attempt's stage was
+    # cleared holding them, and every retry ran on a fresh stage.
+    crashed = [stage for stage, held in stages if held]
+    assert len(crashed) == 1 and len({id(stage) for stage, _ in stages}) == len(stages)
+    fault_free = StreamingSurvey(World(NRANKS), ClosureTimeSurvey)
+    for step, batch in zip(steps, batches):
+        expected = fault_free.ingest(batch)
+        assert step.snapshot == expected.snapshot
+        assert step.cumulative == expected.cumulative
 
 
 def test_new_check_join_probes_only_old_edges(monkeypatch):

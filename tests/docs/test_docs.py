@@ -163,10 +163,28 @@ def test_selector_surface_stays_collapsed():
 def test_write_path_stays_on_the_arrays():
     """Mirror of tools/check_engines.py check 7: a columnar stream and a
     service ingest + exact query leave the live graph as columns and build
-    no DODGr object view."""
+    no DODGr object view, and a stream step delivers once per rank."""
     import check_engines
 
     assert check_engines.check_write_path() == []
+
+
+def test_write_path_check_flags_per_message_delivery(monkeypatch):
+    """The check 7 delivery count trips: a delta survey whose stage hands
+    each message straight to the reducer is reported."""
+    import check_engines
+    import repro.core.incremental as incremental
+
+    handlers = incremental.make_delta_intersect_handlers
+
+    def per_message(*args):
+        full_check, new_check, stage = handlers(*args)
+        stage.staged = False
+        return full_check, new_check, stage
+
+    monkeypatch.setattr(incremental, "make_delta_intersect_handlers", per_message)
+    errors = check_engines.check_write_path()
+    assert len(errors) == 1 and "batch deliveries" in errors[0]
 
 
 def test_reducers_survey_without_a_codec_call():

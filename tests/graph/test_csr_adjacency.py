@@ -280,16 +280,17 @@ class TestExtractedValues:
             assert csr.extracted_values(extract, "edge", positions).tolist() == [
                 1.0 + k
             ] * csr.num_edges
-        assert list(csr._value_memo) == extractors[2:]
+        assert csr.value_columns["edge"].memo.extractors() == extractors[2:]
 
     def test_memo_dies_with_the_snapshot(self, small_er):
         dodgr = build_dodgr(small_er, 2)
         before = dodgr.csr(0)
         before.extracted_values(float, "edge", np.arange(before.num_edges))
-        assert float in before._value_memo
+        assert float in before.value_columns["edge"].memo.extractors()
         dodgr._invalidate_derived()
+        assert before.value_columns is None
         assert dodgr.csr(0) is not before
-        assert dodgr.csr(0)._value_memo == {}
+        assert dodgr.csr(0).value_columns["edge"].memo.extractors() == []
 
 
 class TestInvalidation:

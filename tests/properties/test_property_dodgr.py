@@ -372,6 +372,78 @@ def stage(buffer, how, edges, vertex_meta):
         buffer.stage_vertex_meta(vertex, meta)
 
 
+def numeric(meta):
+    return meta[0] if isinstance(meta, tuple) else meta
+
+
+def none_raises(meta):
+    if meta is None:
+        raise ValueError("no metadata")
+    return 1.0
+
+
+#: Extractors the memo-carry checks read: typed on int / (float, int)
+#: batches, without an array form on None / str / mixed ones (``numeric``)
+#: or raising on None (``none_raises``).
+EXTRACTORS = (numeric, none_raises)
+
+
+def array_form(values):
+    """Whether ``values`` fill one typed memo array (the memo's rule)."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return not any(v != v for v in values)
+    return kinds == {int} and all(-(2**62) < v < 2**62 for v in values)
+
+
+def no_array_form(memo):
+    """The extractors ``memo`` holds without an array form."""
+    if memo is None:
+        return set()
+    return {extract for extract in memo.extractors() if memo._by_extract[extract] is None}
+
+
+def assert_memo_carried(carried, lost, image, applied):
+    """The image's half-edge memo after an apply, then read half full.
+
+    Every filled value is ``extract`` at its half edge; the previous image's
+    memo moved rather than stayed; extractors without an array form
+    (``lost``) did not ride forward, so a batch whose new edges have one
+    reads typed arrays even though an earlier batch had none.
+    """
+    memo = image.edge_values
+    metas = image.edge_meta.tolist()
+    if carried is not None:
+        assert carried.extractors() == []
+    for extract in memo.extractors():
+        assert extract not in lost
+        values, filled = memo._by_extract[extract]
+        for slot in np.flatnonzero(filled).tolist():
+            assert values[slot] == extract(metas[slot])
+            assert type(values[slot].item()) is type(extract(metas[slot]))
+    dodgr = applied.dodgr
+    first_read = True
+    for rank in range(dodgr.world.nranks):
+        csr = dodgr.csr(rank)
+        new = np.flatnonzero(applied.edge_mask(rank))
+        for extract in EXTRACTORS:
+            read = csr.extracted_values(extract, "edge", new)
+            try:
+                expected = [extract(meta) for meta in csr.edge_meta[new].tolist()]
+            except ValueError:
+                assert read is None
+                continue
+            if read is not None:
+                assert read.tolist() == expected
+            # The first fill of a fresh memo types it: no earlier verdict.
+            assert read is not None or not (first_read and extract in lost and array_form(expected))
+        first_read = first_read and not new.size
+    # Half the old edges too, so the next apply carries a partial fill.
+    for rank in range(dodgr.world.nranks):
+        csr = dodgr.csr(rank)
+        csr.extracted_values(numeric, "edge", np.arange(0, csr.num_edges, 2))
+
+
 @given(
     batch_schedules(),
     st.integers(min_value=1, max_value=4),
@@ -390,13 +462,20 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
         if read_first and edges:
             graph.has_edge(edges[0][0], edges[0][1])
         stage(buffer, how, edges, vertex_meta)
+        # A materialised store drops the image and its memo; else it rides.
+        carried = graph.half_edge_columns().edge_values
+        lost = no_array_form(carried)
         applied = buffer.apply(graph)
         accepted = replay_per_edge(oracle, edges, vertex_meta)
         want = DODGraph.build(oracle, name=f"oracle@{index}")
         assert not graph.store_materialised
         got_image, want_image = graph.half_edge_columns(), oracle.half_edge_columns()
+        assert_memo_carried(carried, lost, got_image, applied)
         for column in HalfEdgeColumns._fields:
             got_column, want_column = getattr(got_image, column), getattr(want_image, column)
+            if column == "edge_values":  # the oracle's flattened image carries no memo
+                assert want_column is None and got_column.size == len(got_image.tgt)
+                continue
             if column == "edge_meta_sizes":  # the oracle's flattened image carries none
                 want_column = _value_sizes(want_image.edge_meta)
             assert got_column.dtype == want_column.dtype, column

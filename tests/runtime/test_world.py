@@ -90,6 +90,36 @@ class TestDelivery:
         with pytest.raises(WorldError):
             world4.barrier()
 
+    def test_on_drained_runs_when_the_inboxes_drain_and_repeats_while_it_works(self, world4):
+        """The drain hook runs on empty inboxes, again while it reports work,
+        and what it sends is delivered within the same barrier."""
+        log = []
+        handler = world4.register_handler(lambda ctx, tag: log.append((ctx.rank, tag)))
+        staged = [("a", 2), ("b", 3)]
+
+        def on_drained():
+            assert not any(world4._inboxes)
+            log.append("drained")
+            if not staged:
+                return False
+            tag, dest = staged.pop(0)
+            world4.ranks[0].async_call(dest, handler, tag)
+            return True
+
+        world4.ranks[0].async_call(1, handler, "first")
+        world4.barrier(on_drained)
+        # Sends buffer until the flush pass, which runs once the hook is idle.
+        assert log == ["drained"] * 3 + [(1, "first"), (2, "a"), (3, "b"), "drained"]
+
+    def test_process_fabric_refuses_a_drain_hook(self, world4):
+        class Fabric:
+            def barrier(self):
+                raise AssertionError("the fabric must not run")
+
+        world4._fabric = Fabric()
+        with pytest.raises(WorldError, match="on_drained"):
+            world4.barrier(lambda: False)
+
 
 class TestStatsAndPhases:
     def test_remote_and_local_bytes_are_separated(self, world4):

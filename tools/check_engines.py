@@ -51,7 +51,9 @@ Nine checks, exit status 1 on any failure (each printed to stderr):
    query, leave their live graph as a column image
    (``store_materialised`` False) and their DODGr with no object-shaped
    view (``materialised_views()`` empty): a ``DeltaBuffer`` that regrows a
-   per-edge dict insert or flatten fails here.
+   per-edge dict insert or flatten fails here.  Every stream step after the
+   first makes at most one ``callback_batch`` delivery per rank, so a delta
+   survey that goes back to delivering per message fails here too.
 8. **One table says what may run** — an AST scan of ``src/repro`` finds no
    ``raise UnsupportedBackendError`` outside
    :func:`repro.core.engine.registry.check_supported`, and the
@@ -276,12 +278,25 @@ def check_write_path() -> List[str]:
         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))
     ]
     batches = [records[i::4] for i in range(4)]
-    stream = StreamingSurvey(World(SMOKE_RANKS), ClosureTimeSurvey, engine="columnar")
+    deliveries: List[int] = []
+
+    class CountedClosure(ClosureTimeSurvey):
+        def callback_batch(self, ctx, batch):
+            deliveries[-1] += 1
+            super().callback_batch(ctx, batch)
+
+    stream = StreamingSurvey(World(SMOKE_RANKS), CountedClosure, engine="columnar")
     for batch in batches:
+        deliveries.append(0)
         stream.ingest(batch)
     service = SurveyService(World(SMOKE_RANKS), engine="columnar")
     service.ingest(batches[0])
     errors: List[str] = []
+    if max(deliveries[1:]) > SMOKE_RANKS:
+        errors.append(
+            f"StreamingSurvey: steps after the first made {deliveries[1:]} batch "
+            f"deliveries, expected at most {SMOKE_RANKS} (one per rank)"
+        )
     outcome = service.query("closure").outcome
     if outcome != "exact":
         errors.append(f"SurveyService: the write-path probe query answered {outcome!r}")
