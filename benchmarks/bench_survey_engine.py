@@ -56,7 +56,7 @@ from repro.graph.generators import rmat
 from repro.runtime.world import World
 
 NODES = 16
-#: Engine-layer dispatch (registry + request + style facades) must not cost
+#: Engine-layer dispatch (registry + request + program builder) must not cost
 #: more than this fraction of host time over driving the columnar internals
 #: directly — the "before the refactor" equivalent.
 REFACTOR_REGRESSION_GATE = 0.05
@@ -195,7 +195,7 @@ def run_columnar_direct(dataset):
 
     Registers the columnar intersect handler and runs the columnar drive
     loop by hand, bypassing the engine layer's registry resolution, request
-    construction and style dispatch.  This is exactly the work the
+    construction and program building.  This is exactly the work the
     pre-refactor ``triangle_survey_push(engine="columnar")`` did, so the
     delta against :func:`run_columnar_engine` isolates the refactor's
     dispatch overhead.

@@ -50,7 +50,6 @@ from .core import (
     TriangleCounter,
     engine_names,
     incremental_triangle_survey,
-    register_engine,
     triangle_survey,
     triangle_survey_push,
     triangle_survey_push_pull,
@@ -99,7 +98,6 @@ __all__ = [
     "incremental_triangle_survey",
     "EngineSpec",
     "EngineConfig",
-    "register_engine",
     "engine_names",
     "StreamingSurvey",
     "DeltaBuffer",

@@ -48,8 +48,6 @@ from .engine import (
     SurveyResult,
     engine_names,
     execute_survey,
-    register_engine,
-    registered_engines,
     resolve_engine,
 )
 from .incremental import (
@@ -120,9 +118,7 @@ __all__ = [
     "EngineConfig",
     "SurveyRequest",
     "SurveyResult",
-    "register_engine",
     "resolve_engine",
-    "registered_engines",
     "engine_names",
     "execute_survey",
     "resolve_batch_callback",

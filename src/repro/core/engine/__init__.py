@@ -4,50 +4,39 @@ The paper's survey abstraction is *one* algorithm with interchangeable
 communication strategies (push vs. pull, Table 4).  This package owns
 survey execution end to end:
 
-* :mod:`~repro.core.engine.registry` — the :class:`EngineSpec` table:
-  engines are declared as data (:func:`register_engine`) naming one driver
-  style, and every ``engine=`` selector is interpreted once, by
-  :func:`resolve_execution`;
+* :mod:`~repro.core.engine.registry` — the two :class:`EngineSpec` rows
+  (the ``legacy`` oracle and the ``columnar`` production engine), the one
+  table of unsupported combinations, and :func:`resolve_execution`, where
+  every ``engine=`` selector is interpreted once;
 * :mod:`~repro.core.engine.request` — the :class:`SurveyRequest` /
   :class:`SurveyResult` pair and the caller-facing :class:`EngineConfig`,
   the only execution selector, threaded through ``analysis/*``,
   ``bench/*`` and the CLIs;
 * :mod:`~repro.core.engine.driver` / :mod:`~repro.core.engine.pull` /
-  :mod:`~repro.core.engine.delta` — the shared driver core: candidate
+  :mod:`~repro.core.engine.delta` — the production driver core: candidate
   stream construction over ``CSRAdjacency``/``RowAdjacency``, intersect
   handler setup, :class:`~repro.graph.metadata.TriangleBatch` delivery via
-  :func:`resolve_batch_callback`, and bulk wire accounting that keeps every
-  engine byte-identical on Table 4;
+  :func:`resolve_batch_callback`, and bulk wire accounting that keeps it
+  byte-identical with the oracle on Table 4;
 * :mod:`~repro.core.engine.segments` — the shared ragged-array utilities;
-* :mod:`~repro.core.engine.push` / :mod:`~repro.core.engine.push_pull` —
-  the Push-Only and Push-Pull runners, compiled to
+* :mod:`~repro.core.engine.push` / :mod:`~repro.core.engine.push_pull` /
+  :mod:`~repro.core.engine.delta` — the Push-Only, Push-Pull and
+  incremental (delta) program builders, compiled to
   :class:`~repro.core.engine.program.SurveyProgram` phases that one loop
-  (:mod:`~repro.core.engine.program`) runs — the incremental survey's one
-  delta phase included.
+  (:mod:`~repro.core.engine.program`) runs.
+
+Each module has one path, the production engine's.  The scalar ``legacy``
+engine lives whole in :mod:`repro.oracle`; a builder hands it the program
+when :func:`~repro.core.engine.registry.oracle_builder` — the one
+production import of that package — says so.  ``tools/check_engines.py``
+smoke-checks that both engines stay on the equivalence contract (identical
+reducer panels, byte-identical wire totals) and fences the oracle out of
+production (check 10); the cross-engine property suite
+(``tests/properties/test_property_engines.py``) pins the contract on random
+graphs.
 
 ``repro.core.survey``, ``repro.core.push_pull`` and
 ``repro.core.incremental`` are thin entry points over this layer.
-
-Adding an engine
-----------------
-
-Register a new name for one of the driver styles — no new driver loop::
-
-    from repro.core.engine import EngineSpec, register_engine
-
-    register_engine(EngineSpec(
-        name="my-engine",
-        description="the columnar drivers under another name",
-        style="columnar",
-    ))
-
-``style`` is ``"legacy"`` or ``"columnar"``
-(:data:`~repro.core.engine.registry.STYLES`); any other value is rejected
-at registration.  ``tools/check_engines.py``
-smoke-checks that every registered engine stays on the equivalence contract
-(identical reducer panels, byte-identical wire totals), and the cross-engine
-property suite (``tests/properties/test_property_engines.py``) pins it on
-random graphs.
 """
 
 from __future__ import annotations
@@ -60,8 +49,6 @@ from .registry import (
     EngineSpec,
     backend_names,
     engine_names,
-    register_engine,
-    registered_engines,
     resolve_engine,
     resolve_execution,
 )
@@ -92,10 +79,8 @@ __all__ = [
     "TriangleCallback",
     "BACKENDS",
     "DEFAULT_ENGINE",
-    "register_engine",
     "resolve_execution",
     "resolve_engine",
-    "registered_engines",
     "engine_names",
     "backend_names",
     "resolve_batch_callback",

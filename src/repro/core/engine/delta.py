@@ -1,62 +1,87 @@
-"""Delta-survey drivers: the two styles' candidate streams of one batch.
+"""Delta-survey program: the candidate streams of one applied batch.
 
 :func:`repro.core.incremental.incremental_triangle_survey` surveys exactly
 the triangles containing at least one edge of an applied batch
 (:class:`~repro.graph.delta.AppliedDelta`), via the wedge decomposition
-documented in :mod:`repro.core.incremental`, as a one-phase
-:class:`~repro.core.engine.program.SurveyProgram`.  Its two handlers are
-the push survey's own
-(:func:`~repro.core.engine.driver.make_delta_intersect_handlers`: the
-new-check one over the batch's new entries, the columnar pair staging per
-rank until the phase drains); this module holds the per-rank drives the
-registry's ``style`` field selects:
-
-* ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
-  carrying the filtered candidate tuples (the parity oracle);
-* ``columnar`` — candidate selection as boolean array masks over the CSR
-  edge positions, one coalesced RPC per (source rank, destination rank,
-  stream) through the push drive's own send tail
-  (:func:`~repro.core.engine.driver.send_wedges`).  Every replaced legacy
-  message is accounted — in legacy send order, through the real buffer
-  bank — at its exact serialized size.
+documented in :mod:`repro.core.incremental`, as the one-phase
+:class:`~repro.core.engine.program.SurveyProgram` that
+:func:`build_delta_program` compiles.  Its two handlers are the push
+survey's own (:func:`~repro.core.engine.driver.make_columnar_delta_handlers`:
+the new-check one over the batch's new entries, the pair staging per rank
+until the phase drains).  Its drive, :func:`drive_columnar_delta`, selects
+candidates as boolean array masks over the CSR edge positions and sends one
+coalesced RPC per (source rank, destination rank, stream) through the push
+drive's own send tail (:func:`~repro.core.engine.driver.send_wedges`).
+Every replaced per-wedge message of the scalar oracle
+(:func:`repro.oracle.drive_legacy_delta`) is accounted — in its send order,
+through the real buffer bank — at its exact serialized size.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Tuple
 
 from ...graph.delta import AppliedDelta
 from ...graph.dodgr import DODGraph
 from ...runtime.serialization import uvarint_size_array
-from .driver import legacy_push_payload_overhead, send_wedges
+from .driver import legacy_push_payload_overhead, make_columnar_delta_handlers, send_wedges
+from .program import SurveyProgram
+from .registry import EngineSpec, check_supported, oracle_builder, survey_features
+from .request import SurveyRequest
 from .segments import positions_of_ids, ragged_gather
 
 import numpy as _np
 
-__all__ = [
-    "new_source_vertices",
-    "drive_columnar_delta",
-    "drive_legacy_delta",
-]
+__all__ = ["build_delta_program", "drive_columnar_delta"]
 
 
-def new_source_vertices(delta: AppliedDelta) -> set:
-    """Vertices with at least one new *outgoing* directed edge in the DODGr.
+def build_delta_program(
+    request: SurveyRequest, spec: EngineSpec, delta: AppliedDelta
+) -> Tuple[SurveyProgram, Callable[[], None]]:
+    """Compile the delta survey of ``delta`` to a one-phase program.
 
-    The directed form of a new undirected pair points from the ``<+``-smaller
-    endpoint to the larger, so only the smaller endpoint can own a new entry.
-    Old-old wedges targeting any other vertex cannot close a delta triangle.
+    Returns the program and the function that releases what it holds: its
+    two handlers' registry slots (ids stay allocated, so later accounted
+    message sizes are unchanged) and anything still staged.  Handler
+    registration order is fixed — full check first, new check second — as
+    in the oracle's program, so handler ids and every accounted message
+    size match.
     """
-    order_ids = delta.dodgr.order_ids()
-    sources = set()
-    for u, v, _meta in delta.edges:
-        sources.add(u if order_ids[u] < order_ids[v] else v)
-    return sources
+    check_supported(survey_features(request, spec) | {"incremental"})
+    oracle = oracle_builder(spec, "delta")
+    if oracle is not None:
+        return oracle(request, spec, delta)
+    dodgr = request.dodgr
+    world = dodgr.world
+    full_check, new_check, stage = make_columnar_delta_handlers(
+        dodgr,
+        request.kernel,
+        request.callback,
+        request.per_triangle_compute(),
+        request.kernel_tier,
+        delta,
+    )
+    h_full = world.register_handler(full_check)
+    h_new = world.register_handler(new_check)
 
+    def drive(ctx) -> None:
+        drive_columnar_delta(ctx, dodgr, delta, h_full, h_new)
 
-# ---------------------------------------------------------------------------
-# Columnar engine
-# ---------------------------------------------------------------------------
+    def release() -> None:
+        world.registry.release(h_full)
+        world.registry.release(h_new)
+        stage.clear()
+
+    program = SurveyProgram(
+        algorithm="incremental_push",
+        request=request,
+        spec=spec,
+        phases=[(request.phase_name, drive)],
+        # A rank intersects and delivers what it staged when the inboxes run
+        # dry: one row-kernel call per stream, one batch per rank.
+        on_drained=stage.drain,
+    )
+    return program, release
 
 
 def _sort_wedge_groups(qpos, cand):
@@ -193,54 +218,3 @@ def drive_columnar_delta(
     )
     for send in sends:
         send_wedges(ctx, dodgr, csr, *send)
-
-
-# ---------------------------------------------------------------------------
-# Legacy (scalar reference) engine
-# ---------------------------------------------------------------------------
-
-
-def drive_legacy_delta(
-    ctx,
-    dodgr: DODGraph,
-    delta: AppliedDelta,
-    h_full,
-    h_new,
-    new_sources: set,
-) -> None:
-    """Per-wedge scalar drive of one rank's delta candidate streams."""
-    store = dodgr.local_store(ctx)
-    for p, record in store.items():
-        adjacency = record["adj"]
-        if len(adjacency) < 2:
-            continue
-        meta_p = record["meta"]
-        new_flags = [delta.is_new(p, entry[0]) for entry in adjacency]
-        # suffix_new[i]: any new flag at position >= i (one reverse
-        # pass; keeps quiet high-degree rows O(d), not O(d^2)).
-        suffix_new = [False] * (len(adjacency) + 1)
-        for j in range(len(adjacency) - 1, -1, -1):
-            suffix_new[j] = suffix_new[j + 1] or new_flags[j]
-        for i in range(len(adjacency) - 1):
-            q, _d_q, meta_pq, _meta_q = adjacency[i]
-            q_new = new_flags[i]
-            q_has_new_out = q in new_sources
-            if not q_new and not q_has_new_out and not suffix_new[i + 1]:
-                continue
-            full_c: List[tuple] = []
-            new_c: List[tuple] = []
-            for j in range(i + 1, len(adjacency)):
-                entry = adjacency[j]
-                candidate = (entry[0], entry[1], entry[2])
-                if q_new or new_flags[j]:
-                    full_c.append(candidate)
-                elif q_has_new_out and delta.is_new(q, entry[0]):
-                    new_c.append(candidate)
-            if full_c:
-                ctx.async_call_sized(
-                    dodgr.owner(q), h_full, q, p, meta_p, meta_pq, full_c
-                )
-            if new_c:
-                ctx.async_call_sized(
-                    dodgr.owner(q), h_new, q, p, meta_p, meta_pq, new_c
-                )

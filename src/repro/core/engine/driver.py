@@ -1,26 +1,20 @@
-"""Shared driver core: the push-side machinery every engine composes.
+"""Shared driver core: the push-side machinery of the production engine.
 
 One survey algorithm, interchangeable communication strategies — this
-module holds the strategy implementations the :class:`~repro.core.engine.registry.EngineSpec`
-table composes:
+module holds the columnar strategy every production program composes (the
+scalar ``legacy`` oracle lives apart, in :mod:`repro.oracle`):
 
 * **handler factories** build the owner-side RPC handler that intersects a
   candidate stream against ``Adj^m_+(q)`` and delivers the closing
-  triangles to the user callback (scalar) or its ``callback_batch``
-  counterpart (columnar :class:`~repro.graph.metadata.TriangleBatch`,
-  through the one intersect-and-deliver path of :class:`CandidateStage`);
-* **drivers** walk one rank's pivots and generate its candidate stream at
-  the engine's granularity — one RPC per wedge (legacy) or per (source
-  rank, destination rank) pair (columnar) — the columnar one accounting
-  every *replaced* legacy message at its exact serialized size
+  triangles to the reducer's ``callback_batch`` as one
+  :class:`~repro.graph.metadata.TriangleBatch` (or its scalar ``callback``,
+  one triangle at a time), through the one intersect-and-deliver path of
+  :class:`CandidateStage`;
+* **drivers** walk one rank's pivots and generate its candidate stream as
+  one RPC per (source rank, destination rank) pair, accounting every
+  *replaced* per-wedge message at its exact serialized size
   (``account_rpc_bulk`` against the real buffer bank), which is what keeps
-  Table 4 byte-identical across engines.
-
-The style-keyed facades :func:`make_push_intersect_handler`,
-:func:`make_delta_intersect_handlers` and :func:`drive_push` are what the
-engine runners call; everything else is the composition material.  Before the engine layer existed this code lived in
-``core/survey.py`` with near-copies of the legacy handler and driver in
-``core/push_pull.py`` — those copies are gone.
+  Table 4 byte-identical with the oracle.
 """
 
 from __future__ import annotations
@@ -28,50 +22,35 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ...graph.degree import order_key
-from ...graph.dodgr import CSRAdjacency, DODGraph, entry_key
+from ...graph.dodgr import CSRAdjacency, DODGraph
 from ...graph.ooc import stage_send_columns
-from ...graph.metadata import TriangleBatch, TriangleMetadata
+from ...graph.metadata import TriangleBatch
 from ...runtime.serialization import (
     int_size_array,
     serialized_size,
     uvarint_size_array,
 )
-from ..intersection import (
-    INTERSECTION_KERNELS,
-    RowAdjacency,
-    row_kernel as select_row_kernel,
-)
+from ..intersection import RowAdjacency, row_kernel as select_row_kernel
 from .request import TriangleCallback
 from .segments import first_appearance_groups, ragged_gather
 
 import numpy as _np
 
 __all__ = [
-    "candidate_key",
     "row_adjacency",
     "legacy_push_payload_overhead",
     "resolve_batch_callback",
     "deliver_batch",
     "columnar_push_batch",
     "wedge_stream",
-    "make_legacy_intersect_handler",
     "CandidateStage",
     "make_columnar_intersect_handler",
+    "make_columnar_delta_handlers",
     "new_row_adjacency",
-    "make_push_intersect_handler",
-    "make_delta_intersect_handlers",
-    "drive_legacy_push",
     "drive_columnar_push",
     "drive_columnar_dry_run",
     "send_wedges",
-    "drive_push",
 ]
-
-
-def candidate_key(candidate: tuple) -> tuple:
-    """Sort key of a pushed candidate entry (r, d_r, meta_pr[, meta_r])."""
-    return order_key(candidate[0], candidate[1])
 
 
 def resolve_batch_callback(callback: Optional["TriangleCallback"]):
@@ -126,93 +105,6 @@ def legacy_push_payload_overhead(handler_id: int) -> int:
     list (whose length prefix and entries are accounted per wedge).
     """
     return 5 + serialized_size(handler_id)
-
-
-# ---------------------------------------------------------------------------
-# Legacy engine: one sized RPC per wedge, scalar intersection
-# ---------------------------------------------------------------------------
-
-
-def make_legacy_intersect_handler(
-    dodgr: DODGraph,
-    intersect,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
-    rows_by_rank: Optional[Sequence[Dict[Any, list]]] = None,
-):
-    """Build the owner-side handler of one per-wedge candidate push.
-
-    Executed on Rank(q): intersect the pushed candidates with ``Adj^m_+(q)``
-    and run the callback for every match.  ``rows_by_rank[rank][q]`` — a
-    subsequence of ``Adj^m_+(q)`` — replaces the row it intersects against
-    (the delta survey's new-check stream, over a batch's new entries);
-    ``None`` intersects the full row.
-    """
-
-    def _intersect_handler(
-        ctx,
-        q: Any,
-        p: Any,
-        meta_p: Any,
-        meta_pq: Any,
-        candidates: List[tuple],
-    ) -> None:
-        record = dodgr.local_store(ctx).get(q)
-        ctx.add_counter("wedge_checks", len(candidates))
-        if record is None:
-            return
-        adjacency = record["adj"] if rows_by_rank is None else rows_by_rank[ctx.rank].get(q, ())
-        meta_q = record["meta"]
-        result = intersect(candidates, adjacency, candidate_key, entry_key)
-        ctx.add_compute(result.comparisons)
-        for cand_idx, adj_idx in result.matches:
-            r, _d_r, meta_pr = candidates[cand_idx]
-            _, _, meta_qr, meta_r = adjacency[adj_idx]
-            ctx.add_counter("triangles_found", 1)
-            if callback is not None:
-                ctx.add_compute(per_triangle_compute)
-                callback(
-                    ctx,
-                    TriangleMetadata(
-                        p=p,
-                        q=q,
-                        r=r,
-                        meta_p=meta_p,
-                        meta_q=meta_q,
-                        meta_r=meta_r,
-                        meta_pq=meta_pq,
-                        meta_pr=meta_pr,
-                        meta_qr=meta_qr,
-                    ),
-                )
-
-    return _intersect_handler
-
-
-def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
-    """Walk one rank's pivots, one sized RPC per wedge (the scalar reference).
-
-    ``allowed`` restricts targets (the Push-Pull push phase skips targets
-    that will be pulled); ``None`` pushes to every target.
-    """
-    store = dodgr.local_store(ctx)
-    for p, record in store.items():
-        adjacency = record["adj"]
-        if len(adjacency) < 2:
-            continue
-        meta_p = record["meta"]
-        for i in range(len(adjacency) - 1):
-            q, _d_q, meta_pq, _meta_q = adjacency[i]
-            if allowed is not None and q not in allowed:
-                continue
-            # Candidate entries drop meta(r): Rank(q) already stores
-            # meta(r) in Adj^m_+(q) whenever Δpqr exists (Section 4.3).
-            candidates = [
-                (entry[0], entry[1], entry[2]) for entry in adjacency[i + 1 :]
-            ]
-            # Sized delivery: exact legacy wire accounting, no codec run
-            # for what is (in-process) an accounting-only payload.
-            ctx.async_call_sized(dodgr.owner(q), handler, q, p, meta_p, meta_pq, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +336,35 @@ def make_columnar_intersect_handler(
     return stage.handler()
 
 
+def make_columnar_delta_handlers(
+    dodgr: DODGraph,
+    kernel: str,
+    callback: Optional["TriangleCallback"],
+    per_triangle_compute: int,
+    kernel_tier: Optional[str],
+    delta,
+):
+    """The delta survey's push intersect handlers and the stage they share.
+
+    Returns ``(full check, new check, stage)``: the new-check handler
+    intersects against ``delta``'s (an
+    :class:`~repro.graph.delta.AppliedDelta`) new entries of
+    ``Adj^m_+(q)`` only.  Both stage into one :class:`CandidateStage`,
+    whose ``drain`` the phase runs when its inboxes run dry.
+    """
+    stage = CandidateStage(
+        dodgr,
+        select_row_kernel(kernel, kernel_tier),
+        callback,
+        resolve_batch_callback(callback),
+        per_triangle_compute,
+        staged=True,
+    )
+    # The new-entries view is built once per rank, on its first use.
+    new_entries = lru_cache(maxsize=None)(partial(new_row_adjacency, delta))
+    return stage.handler(), stage.handler(new_entries), stage
+
+
 def new_row_adjacency(delta, rank: int) -> Tuple[RowAdjacency, Any]:
     """Rank ``rank``'s new-entries-only :class:`RowAdjacency` plus position map.
 
@@ -638,103 +559,3 @@ def send_wedges(
                 virtual_bytes=int(sizes_sorted[start:stop].sum()),
             )
             start = stop
-
-
-# ---------------------------------------------------------------------------
-# Style-keyed facades: what the engine runners actually call
-# ---------------------------------------------------------------------------
-
-
-def make_push_intersect_handler(
-    style: str,
-    dodgr: DODGraph,
-    kernel: str,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
-    kernel_tier: Optional[str] = None,
-):
-    """Build the push-phase intersect handler for an engine's ``style``.
-
-    ``kernel_tier`` picks the row kernel implementation tier
-    (``compiled``/``columnar``/``scalar``; ``None`` = best available) —
-    every tier is interchangeable under the equivalence contract, so this
-    only changes host speed.  The legacy style has a single (scalar)
-    implementation and ignores the tier.
-    """
-    if style == "columnar":
-        return make_columnar_intersect_handler(
-            dodgr,
-            select_row_kernel(kernel, kernel_tier),
-            callback,
-            resolve_batch_callback(callback),
-            per_triangle_compute,
-        )
-    return make_legacy_intersect_handler(
-        dodgr, INTERSECTION_KERNELS[kernel], callback, per_triangle_compute
-    )
-
-
-def make_delta_intersect_handlers(
-    style: str,
-    dodgr: DODGraph,
-    kernel: str,
-    callback: Optional["TriangleCallback"],
-    per_triangle_compute: int,
-    kernel_tier: Optional[str],
-    delta,
-):
-    """The delta survey's push intersect handlers and the stage they share.
-
-    Returns ``(full check, new check, stage)``: the new-check handler
-    intersects against ``delta``'s (an
-    :class:`~repro.graph.delta.AppliedDelta`) new entries of
-    ``Adj^m_+(q)`` only.  The columnar pair stages into one
-    :class:`CandidateStage`, whose ``drain`` the phase runs when its
-    inboxes run dry; the legacy pair delivers per message (stage None).
-    """
-    if style == "columnar":
-        stage = CandidateStage(
-            dodgr,
-            select_row_kernel(kernel, kernel_tier),
-            callback,
-            resolve_batch_callback(callback),
-            per_triangle_compute,
-            staged=True,
-        )
-        # The new-entries view is built once per rank, on its first use.
-        new_entries = lru_cache(maxsize=None)(partial(new_row_adjacency, delta))
-        return stage.handler(), stage.handler(new_entries), stage
-    # Precomputed, so mid-drive buffer flushes (which execute handlers)
-    # never observe a partially built view.
-    rows_by_rank = [
-        {q: [entry for entry, _pos in rows] for q, rows in delta.new_adjacency(rank).items()}
-        for rank in range(dodgr.world.nranks)
-    ]
-    intersect = INTERSECTION_KERNELS[kernel]
-    return (
-        make_legacy_intersect_handler(dodgr, intersect, callback, per_triangle_compute),
-        make_legacy_intersect_handler(
-            dodgr, intersect, callback, per_triangle_compute, rows_by_rank
-        ),
-        None,
-    )
-
-
-def drive_push(style: str, ctx, dodgr: DODGraph, handler, allowed=None) -> None:
-    """Run one rank's push drive at the engine's granularity.
-
-    ``allowed`` is the rank's push targets (Push-Pull) or ``None`` for
-    everything (Push-Only): a set of vertices for the legacy style, a
-    boolean mask over dense order-ids for the columnar one.
-    """
-    if style == "columnar":
-        drive_columnar_push(
-            ctx,
-            dodgr,
-            dodgr.csr(ctx),
-            handler,
-            legacy_push_payload_overhead(handler.handler_id),
-            allowed_mask=allowed,
-        )
-    else:
-        drive_legacy_push(ctx, dodgr, handler, allowed=allowed)

@@ -1,19 +1,24 @@
 """Push-Only survey runner: one driver loop, every engine, every backend.
 
 This is Algorithm 1 of the paper expressed over the engine layer: register
-the engine's intersect handler, walk every rank's pivots at the engine's
-granularity (:func:`~repro.core.engine.driver.drive_push`), barrier, report.
-The three near-copies of this loop that used to live in ``core/survey.py``
-collapse to the one program below; the loop itself now lives in
+the intersect handler, walk every rank's pivots
+(:func:`~repro.core.engine.driver.drive_columnar_push`: one coalesced RPC
+per destination rank), barrier, report.  The loop itself lives in
 :mod:`~repro.core.engine.program`, where the simulated and process backends
 share it.
 """
 
 from __future__ import annotations
 
-from .driver import drive_push, make_push_intersect_handler
+from ..intersection import row_kernel
+from .driver import (
+    drive_columnar_push,
+    legacy_push_payload_overhead,
+    make_columnar_intersect_handler,
+    resolve_batch_callback,
+)
 from .program import SurveyProgram, execute_program
-from .registry import EngineSpec, check_supported, survey_features
+from .registry import EngineSpec, check_supported, oracle_builder, survey_features
 from .request import SurveyRequest, SurveyResult
 
 __all__ = ["build_push_program", "run_push_survey"]
@@ -30,23 +35,22 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     dodgr = request.dodgr
     if request.storage is not None:
         dodgr.configure_storage(request.storage)
-    world = dodgr.world
-    handler = world.register_handler(
-        make_push_intersect_handler(
-            spec.style,
+    oracle = oracle_builder(spec, "push")
+    if oracle is not None:
+        return oracle(request, spec)
+    handler = dodgr.world.register_handler(
+        make_columnar_intersect_handler(
             dodgr,
-            request.kernel,
+            row_kernel(request.kernel, request.kernel_tier),
             request.callback,
+            resolve_batch_callback(request.callback),
             request.per_triangle_compute(),
-            kernel_tier=request.kernel_tier,
         )
     )
+    overhead = legacy_push_payload_overhead(handler.handler_id)
 
-    # Driver phase: every rank walks its local pivots and pushes suffixes —
-    # one coalesced RPC per destination rank (columnar), one RPC per wedge
-    # otherwise.
     def drive(ctx) -> None:
-        drive_push(spec.style, ctx, dodgr, handler)
+        drive_columnar_push(ctx, dodgr, dodgr.csr(ctx), handler, overhead)
 
     return SurveyProgram(
         algorithm="push",

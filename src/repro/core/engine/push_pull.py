@@ -1,42 +1,44 @@
 """Push-Pull survey runner: dry run, push and pull phases over the engine layer.
 
-Section 4.4 of the paper as one program, parameterised by an
-:class:`~repro.core.engine.registry.EngineSpec`:
+Section 4.4 of the paper as one program:
 
 1. **Dry run** — every rank counts, per target vertex ``q``, the candidate
    edges it would push; owners compare against ``|Adj+(q)|`` and either
-   record the source on ``q``'s pull list or advise it to push.
-   ``spec.style == "columnar"`` coalesces the proposals into one RPC per
-   (source, dest) rank pair, accounted at exact legacy sizes, and builds,
-   decides and answers them as int64 columns over the CSR, with no Python
-   loop over wedges, targets or pivots.
-2. **Push** — identical to Push-Only at ``spec.style`` granularity,
-   skipping targets that will be pulled.
-3. **Pull** — owners deliver ``Adj^m_+(q)`` at ``spec.style``
-   granularity (see :mod:`repro.core.engine.pull`).
+   record the source on ``q``'s pull list or advise it to push.  The
+   proposals coalesce into one RPC per (source, dest) rank pair, accounted
+   at the oracle's exact per-target sizes, and are built, decided and
+   answered as int64 columns over the CSR, with no Python loop over wedges,
+   targets or pivots.
+2. **Push** — identical to Push-Only, skipping targets that will be pulled.
+3. **Pull** — owners deliver ``Adj^m_+(q)`` (see
+   :mod:`repro.core.engine.pull`).
 
-Handler registration order is identical for every engine so that handler
-ids — and therefore the serialized size of every dry-run message and the
+Handler registration order matches the oracle's
+(:func:`repro.oracle.build_legacy_push_pull_program`) so that handler ids —
+and therefore the serialized size of every dry-run message and the
 accounted size of every push/pull message — match the legacy run.  The
-per-rank driver state (pivot maps, push targets, pull lists) is indexed
-by rank and only ever touched from that rank's drive or handlers, which is
-what lets the process backend shard ranks across workers without locks.
+per-rank driver state (push target masks, pull lists) is indexed by rank
+and only ever touched from that rank's drive or handlers, which is what
+lets the process backend shard ranks across workers without locks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List
 
 import numpy as _np
 
+from ..intersection import row_kernel
 from .driver import (
     drive_columnar_dry_run,
-    drive_push,
-    make_push_intersect_handler,
+    drive_columnar_push,
+    legacy_push_payload_overhead,
+    make_columnar_intersect_handler,
+    resolve_batch_callback,
 )
 from .program import SurveyProgram, execute_program
-from .pull import drive_pull, make_pull_handler
-from .registry import EngineSpec, check_supported, survey_features
+from .pull import drive_columnar_pull, make_columnar_pull_handler
+from .registry import EngineSpec, check_supported, oracle_builder, survey_features
 from .request import (
     DRY_RUN_PHASE,
     PULL_PHASE,
@@ -54,46 +56,31 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     dodgr = request.dodgr
     if request.storage is not None:
         dodgr.configure_storage(request.storage)
+    oracle = oracle_builder(spec, "push_pull")
+    if oracle is not None:
+        return oracle(request, spec)
     world = dodgr.world
     nranks = world.nranks
     callback = request.callback
+    kernel = row_kernel(request.kernel, request.kernel_tier)
+    batch_callback = resolve_batch_callback(callback)
     per_triangle_compute = request.per_triangle_compute()
 
-    columnar = spec.style == "columnar"
-
     # Per-rank driver-side state for this run -------------------------------
-    # pivots_by_target[rank][q] = list of (pivot vertex, index of q in its adj)
-    # (legacy dry run only: the columnar pull handler needs no such map)
-    pivots_by_target: List[Dict[Any, List[Tuple[Any, int]]]] = [dict() for _ in range(nranks)]
-    # push_targets[rank] = targets this rank was told to push to: a vertex
-    # set, or (columnar dry run) a boolean mask over dense <+ order ids
-    push_targets: List[Any] = [
-        _np.zeros(dodgr.order_count(), dtype=bool) if columnar else set()
-        for _ in range(nranks)
-    ]
-    # pull_lists[rank][q] = list of source ranks that should receive Adj^m_+(q);
-    # (columnar dry run) a list of (q rows, requesters) column chunks as they arrive
-    pull_lists: List[Any] = [[] if columnar else {} for _ in range(nranks)]
+    # push_targets[rank] = boolean mask over dense <+ order ids of the
+    # targets this rank pushes to
+    push_targets = [_np.zeros(dodgr.order_count(), dtype=bool) for _ in range(nranks)]
+    # pull_lists[rank] = (q rows, requesters) column chunks as they arrive
+    pull_lists: List[List[Any]] = [[] for _ in range(nranks)]
 
-    # ------------------------------------------------------------------
-    # Dry-run RPC handlers (engine-independent decision logic)
-    # ------------------------------------------------------------------
-    def _propose_handler(ctx, q: Any, source_rank: int, candidate_count: int) -> None:
-        """Owner of q decides: pull (remember source) or advise push."""
-        record = dodgr.local_store(ctx).get(q)
-        out_degree = len(record["adj"]) if record is not None else 0
-        if record is not None and out_degree < candidate_count:
-            pull_lists[ctx.rank].setdefault(q, []).append(source_rank)
-        else:
-            ctx.async_call_sized(source_rank, _advise_push_handler, q)
-
-    def _advise_push_handler(ctx, q: Any) -> None:
-        push_targets[ctx.rank].add(q)
+    def _propose_slot(ctx, *args) -> None:
+        # Registered only so its id sizes every proposal, as the oracle's does.
+        raise RuntimeError("the Push-Pull propose slot only sizes proposals; it never runs")
 
     def _propose_columnar_handler(ctx, source_rank: int, src_csr, qpositions, totals) -> None:
         """One (source, dest) pair's proposals decided in one comparison:
         pulled rows join the pull list as a chunk, the rest are advised in one
-        batched reply accounted as the scalar advise messages it replaces."""
+        batched reply accounted as the per-target advise messages it replaces."""
         indptr = dodgr.csr(ctx).indptr
         q_ids = src_csr.tgt_ids[qpositions]
         q_rows = dodgr.rows_by_order_id()[q_ids]
@@ -114,88 +101,55 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     def _advise_columnar_handler(ctx, q_ids) -> None:
         push_targets[ctx.rank][q_ids] = True
 
-    # Handler registration order is identical in every mode so that handler
-    # ids — and therefore the serialized size of every dry-run message and
-    # the accounted size of every push/pull message — match the legacy run.
-    # The columnar dry run adds one slot, last: its advise handler takes the
-    # scalar one's (whose id sizes every reply), and the scalar propose
-    # handler keeps the first only for the id that sizes every proposal.
-    h_propose = world.register_handler(_propose_handler)
-    h_advise = world.register_handler(
-        _advise_columnar_handler if columnar else _advise_push_handler
-    )
+    # The first four registrations take the oracle's four slots, so every
+    # id a message is accounted with matches the legacy run; the columnar
+    # propose handler comes last, and its id never crosses the accounted wire.
+    h_propose = world.register_handler(_propose_slot)
+    h_advise = world.register_handler(_advise_columnar_handler)
     h_intersect = world.register_handler(
-        make_push_intersect_handler(
-            spec.style, dodgr, request.kernel, callback, per_triangle_compute,
-            kernel_tier=request.kernel_tier,
+        make_columnar_intersect_handler(
+            dodgr, kernel, callback, batch_callback, per_triangle_compute
         )
     )
-    # Occupies the legacy pull handler's registration slot, so the id every
-    # accounted pull message serializes is the legacy one.
     h_pull_deliver = world.register_handler(
-        make_pull_handler(
-            spec.style,
-            dodgr,
-            request.kernel,
-            callback,
-            per_triangle_compute,
-            pivots_by_target,
-            kernel_tier=request.kernel_tier,
-        )
+        make_columnar_pull_handler(dodgr, kernel, callback, batch_callback, per_triangle_compute)
     )
-    if columnar:
-        # Registered last: its id never crosses the accounted wire, so the
-        # earlier ids (and every accounted legacy message size) still match
-        # the legacy run exactly.
-        h_propose_columnar = world.register_handler(_propose_columnar_handler)
+    h_propose_columnar = world.register_handler(_propose_columnar_handler)
+    push_overhead = legacy_push_payload_overhead(h_intersect.handler_id)
 
     # ------------------------------------------------------------------
     # Phase 1: Push vs Pull dry run.
     # ------------------------------------------------------------------
     def drive_dry_run(ctx) -> None:
-        rank = ctx.rank
-        if columnar:
-            drive_columnar_dry_run(
-                ctx, dodgr, h_propose, h_propose_columnar, push_targets[rank]
-            )
-            # Coalesced proposals execute in the barrier's first delivery
-            # sweep — before its flush pass.  Flush now, where the legacy
-            # run's barrier flushes the proposal buffers, so the advise
-            # replies meet empty buffers in both paths and the flush-window
-            # split (wire_messages, envelope bytes) matches — unless a
-            # proposal buffer overflowed mid-drive (the BatchedCall bound).
-            ctx.buffers.flush_all()
-            return
-        store = dodgr.local_store(ctx)
-        candidate_totals: Dict[Any, int] = {}
-        targets = pivots_by_target[rank]
-        for p, record in store.items():
-            adjacency = record["adj"]
-            if len(adjacency) < 2:
-                continue
-            for i in range(len(adjacency) - 1):
-                q = adjacency[i][0]
-                suffix_len = len(adjacency) - 1 - i
-                targets.setdefault(q, []).append((p, i))
-                if dodgr.owner(q) == rank:
-                    # Local targets are always pushed (zero wire cost).
-                    push_targets[rank].add(q)
-                else:
-                    candidate_totals[q] = candidate_totals.get(q, 0) + suffix_len
-        for q, total in candidate_totals.items():
-            ctx.async_call_sized(dodgr.owner(q), h_propose, q, rank, total)
+        drive_columnar_dry_run(
+            ctx, dodgr, h_propose, h_propose_columnar, push_targets[ctx.rank]
+        )
+        # Coalesced proposals execute in the barrier's first delivery
+        # sweep — before its flush pass.  Flush now, where the legacy run's
+        # barrier flushes the proposal buffers, so the advise replies meet
+        # empty buffers in both engines and the flush-window split
+        # (wire_messages, envelope bytes) matches — unless a proposal
+        # buffer overflowed mid-drive (the BatchedCall bound).
+        ctx.buffers.flush_all()
 
     # ------------------------------------------------------------------
     # Phase 2: Push phase (skip targets that will be pulled).
     # ------------------------------------------------------------------
     def drive_push_phase(ctx) -> None:
-        drive_push(spec.style, ctx, dodgr, h_intersect, allowed=push_targets[ctx.rank])
+        drive_columnar_push(
+            ctx,
+            dodgr,
+            dodgr.csr(ctx),
+            h_intersect,
+            push_overhead,
+            allowed_mask=push_targets[ctx.rank],
+        )
 
     # ------------------------------------------------------------------
     # Phase 3: Pull phase (owners broadcast adjacency lists, coalesced).
     # ------------------------------------------------------------------
     def drive_pull_phase(ctx) -> None:
-        drive_pull(spec.style, ctx, dodgr, h_pull_deliver, pull_lists[ctx.rank])
+        drive_columnar_pull(ctx, dodgr, h_pull_deliver, pull_lists[ctx.rank])
 
     return SurveyProgram(
         algorithm="push_pull",

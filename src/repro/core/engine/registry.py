@@ -2,24 +2,20 @@
 
 The paper's survey abstraction is one algorithm with interchangeable
 communication strategies (Table 4); an *engine* here is one such strategy,
-declared as an :class:`EngineSpec` — pure data naming one ``style`` of the
-shared driver core in :mod:`repro.core.engine.driver`,
-:mod:`repro.core.engine.pull` and :mod:`repro.core.engine.delta`:
+declared as an :class:`EngineSpec` — a name and a description:
 
 * ``legacy`` — the scalar reference: one sized RPC per wedge, dry-run
   proposal, pulled row and delta candidate; per-message scalar
-  intersection; per-triangle callback delivery;
-* ``columnar`` — one RPC per (source rank, destination rank) pair in every
-  phase, built as int64 columns over the CSR, row-kernel intersection and
+  intersection; per-triangle callback delivery.  It lives in
+  :mod:`repro.oracle`, which :func:`oracle_builder` imports on first use;
+* ``columnar`` — the production engine: one RPC per (source rank,
+  destination rank) pair in every phase, built as int64 columns over the
+  CSR, row-kernel intersection and
   :class:`~repro.graph.metadata.TriangleBatch` delivery.
 
-A style covers every phase — dry run, push, pull and the incremental
-(delta) survey — because the columnar dry run hands the later phases arrays
-where the scalar one hands them sets and dicts.
-
-Every registered engine shares the equivalence contract pinned by the
-golden parity suites: identical triangles, identical reducer panels,
-byte-identical Table 4 communication totals.
+Both engines share the equivalence contract pinned by the golden parity
+suites: identical triangles, identical reducer panels, byte-identical
+Table 4 communication totals.
 
 Which combinations may run is one table, :data:`UNSUPPORTED`, consulted by
 one checker, :func:`check_supported`, before any handler registers.
@@ -29,20 +25,18 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ...runtime.backend import UnsupportedBackendError
 from .request import EngineConfig
 
 __all__ = [
     "EngineSpec",
-    "STYLES",
     "BACKENDS",
     "DEFAULT_ENGINE",
-    "register_engine",
     "resolve_execution",
     "resolve_engine",
-    "registered_engines",
+    "oracle_builder",
     "engine_names",
     "backend_names",
     "UNSUPPORTED",
@@ -52,66 +46,41 @@ __all__ = [
 ]
 
 
-#: The driver styles an engine can name, oracle first.
-STYLES: Tuple[str, ...] = ("legacy", "columnar")
-
-
 @dataclass(frozen=True)
 class EngineSpec:
     """Declarative description of one survey execution engine."""
 
     name: str
     description: str
-    #: Driver style of every phase: one of :data:`STYLES`.
-    style: str = "legacy"
-
-    @property
-    def kernel_tiers(self) -> Tuple[str, ...]:
-        """Kernel tiers this engine's drivers can run.
-
-        Every tier of :data:`repro.core.intersection.KERNEL_TIERS` that no
-        :data:`UNSUPPORTED` row rejects for this style: all of them for the
-        columnar drivers, the scalar one for the legacy drivers.  A declared
-        but unavailable tier (no C compiler) downgrades along ``compiled ->
-        columnar -> scalar``.
-        """
-        from ..intersection import KERNEL_TIERS
-
-        return tuple(
-            tier
-            for tier in KERNEL_TIERS
-            if not any(
-                set(row) <= {f"style={self.style}", f"kernel_tier={tier}"}
-                for row, _ in UNSUPPORTED
-            )
-        )
 
 
-#: Registration-ordered engine table.  Dicts preserve insertion order, which
-#: the registry exposes as the canonical listing order (docs, CLIs, smokes).
-_REGISTRY: Dict[str, EngineSpec] = {}
-
-
-def register_engine(spec: EngineSpec, replace: bool = False) -> EngineSpec:
-    """Register an execution engine under ``spec.name``.
-
-    Set ``replace=True`` to overwrite an existing registration (used by
-    tests that shadow an engine); otherwise duplicate names are an error.
-    """
-    if not replace and spec.name in _REGISTRY:
-        raise ValueError(f"engine {spec.name!r} is already registered")
-    _require_known("engine style", spec.style, STYLES)
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def registered_engines() -> Tuple[EngineSpec, ...]:
-    """Every registered engine, in registration order."""
-    return tuple(_REGISTRY.values())
+#: The engine table, oracle first: the canonical listing order (docs, CLIs,
+#: smokes).
+_REGISTRY: Dict[str, EngineSpec] = {
+    spec.name: spec
+    for spec in (
+        EngineSpec(
+            name="legacy",
+            description=(
+                "Scalar reference: one sized RPC per wedge, per-message scalar "
+                "intersection, per-triangle callback delivery.  The parity "
+                "oracle every other engine is measured against."
+            ),
+        ),
+        EngineSpec(
+            name="columnar",
+            description=(
+                "Production engine: one RPC per (source rank, destination rank) "
+                "pair, row-kernel intersection, TriangleBatch delivery to batch "
+                "reducers, columnar dry run and pull phase."
+            ),
+        ),
+    )
+}
 
 
 def engine_names() -> Tuple[str, ...]:
-    """Registered engine names, in registration order."""
+    """Registered engine names, oracle first."""
     return tuple(_REGISTRY)
 
 
@@ -172,8 +141,7 @@ def resolve_execution(
     if isinstance(engine, EngineSpec):
         if _REGISTRY.get(engine.name) is not engine:
             raise ValueError(
-                f"engine {engine.name!r} is not the registered spec of that "
-                f"name; register it first"
+                f"engine {engine.name!r} is not the registered spec of that name"
             )
         config = EngineConfig(engine=engine.name)
     elif isinstance(engine, EngineConfig):
@@ -204,6 +172,17 @@ def resolve_engine(engine: Any = None) -> EngineSpec:
     return resolve_execution(engine)[0]
 
 
+def oracle_builder(spec: EngineSpec, program: str) -> Optional[Callable[..., Any]]:
+    """The :mod:`repro.oracle` builder of ``program`` (``"push"``,
+    ``"push_pull"`` or ``"delta"``) when ``spec`` is the ``legacy`` engine,
+    else None: the production builders hand the oracle its programs here."""
+    if spec.name != "legacy":
+        return None
+    from ...oracle import LEGACY_BUILDERS  # the one production import of the oracle
+
+    return LEGACY_BUILDERS[program]
+
+
 _SCALAR_ONLY = "the legacy scalar drivers run only the scalar kernel tier"
 _DELTA = (
     "incremental (delta) surveys run resident on backend='simulated' only: the process "
@@ -218,8 +197,8 @@ _DELTA = (
 #: ``docs/architecture.md`` renders this table and ``tools/check_engines.py``
 #: keeps the two equal.
 UNSUPPORTED: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("style=legacy", "kernel_tier=columnar"), _SCALAR_ONLY),
-    (("style=legacy", "kernel_tier=compiled"), _SCALAR_ONLY),
+    (("engine=legacy", "kernel_tier=columnar"), _SCALAR_ONLY),
+    (("engine=legacy", "kernel_tier=compiled"), _SCALAR_ONLY),
     (("backend=process", "fault_plan"), "an installed FaultPlan's fates are defined "
      "over the simulated transport's delivery sweeps, which process rounds do not replay"),
     (("backend=process", "deadline"), "an installed deadline is checked in-process "
@@ -261,7 +240,7 @@ def selector_features(request: Any, spec: EngineSpec) -> Set[str]:
 
     _require_known("intersection kernel", request.kernel, tuple(INTERSECTION_KERNELS))
     _require_known("execution backend", request.backend, BACKENDS)
-    features = {f"style={spec.style}", f"backend={request.backend}"}
+    features = {f"engine={spec.name}", f"backend={request.backend}"}
     tier = request.kernel_tier
     if tier is not None and tier != "auto":
         _require_known("kernel tier", tier, KERNEL_TIERS)
@@ -302,33 +281,3 @@ def survey_features(request: Any, spec: EngineSpec) -> Set[str]:
     if not shared_memory_available():
         features.add("no_shared_memory")
     return features
-
-
-# ---------------------------------------------------------------------------
-# Built-in engines.  Everything below is data: the drivers they compose live
-# in driver.py / pull.py / delta.py, and a new engine is a new composition.
-# ---------------------------------------------------------------------------
-
-register_engine(
-    EngineSpec(
-        name="legacy",
-        description=(
-            "Scalar reference: one sized RPC per wedge, per-message scalar "
-            "intersection, per-triangle callback delivery.  The parity "
-            "oracle every other engine is measured against."
-        ),
-        style="legacy",
-    )
-)
-
-register_engine(
-    EngineSpec(
-        name="columnar",
-        description=(
-            "PR 3 array engine: one RPC per (source rank, destination rank) "
-            "pair, row-kernel intersection, TriangleBatch delivery to batch "
-            "reducers, columnar dry run and pull phase."
-        ),
-        style="columnar",
-    )
-)

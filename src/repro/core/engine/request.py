@@ -72,9 +72,7 @@ class EngineConfig:
     Parameters
     ----------
     engine:
-        Registered engine name (``"legacy"``, ``"columnar"``, or any name
-        added through
-        :func:`~repro.core.engine.register_engine`); default
+        Engine name, ``"columnar"`` or the ``"legacy"`` oracle; default
         :data:`~repro.core.engine.registry.DEFAULT_ENGINE`.
     kernel:
         Intersection kernel name (``merge_path``, ``binary_search``,

@@ -41,27 +41,26 @@ Engines and accounting
 
 The ``engine=`` selector resolves through the same function as the full
 surveys (:func:`~repro.core.engine.resolve_execution`), and the survey is a
-one-phase :class:`~repro.core.engine.program.SurveyProgram` run by the push
+one-phase :class:`~repro.core.engine.program.SurveyProgram`
+(:func:`~repro.core.engine.delta.build_delta_program`) run by the push
 survey's loop (:func:`~repro.core.engine.program.execute_program`) with the
 push survey's intersect handlers — the new-check one over the batch's new
-entries.  An engine's ``style`` picks the per-rank drive in
-:mod:`repro.core.engine.delta`:
-
-* ``legacy`` — the scalar reference: one sized RPC per (wedge, stream)
-  carrying the filtered candidate tuples, intersected per message with the
-  scalar kernels.  This is the parity oracle.
-* ``columnar`` — the fast path: candidate selection as boolean array masks
-  over the CSR edge positions (via
-  :meth:`~repro.graph.delta.AppliedDelta.edge_mask`), one coalesced RPC per
-  (source rank, destination rank, stream), and per rank one
-  :data:`~repro.core.intersection.ROW_KERNELS` call per stream over every
-  message it staged, once the phase's inboxes drain
-  (:class:`~repro.core.engine.driver.CandidateStage`), its triangles
-  delivered as one lazy :class:`~repro.graph.metadata.TriangleBatch` to
-  ``callback_batch`` reducers, in handled order.  Every replaced legacy message is accounted —
-  in legacy send order, through the real buffer bank — at its exact
-  serialized size, so the two engines report identical communication
-  counters (same bound as the full engines when callbacks send RPCs).
+entries.  The production (``columnar``) program selects candidates as
+boolean array masks over the CSR edge positions (via
+:meth:`~repro.graph.delta.AppliedDelta.edge_mask`), sends one coalesced RPC
+per (source rank, destination rank, stream), and makes per rank one
+:data:`~repro.core.intersection.ROW_KERNELS` call per stream over every
+message it staged, once the phase's inboxes drain
+(:class:`~repro.core.engine.driver.CandidateStage`), its triangles
+delivered as one lazy :class:`~repro.graph.metadata.TriangleBatch` to
+``callback_batch`` reducers, in handled order.  The ``legacy`` oracle
+(:func:`repro.oracle.build_legacy_delta_program`) sends one sized RPC per
+(wedge, stream) carrying the filtered candidate tuples, intersected per
+message with the scalar kernels.  Every replaced oracle message is
+accounted — in the oracle's send order, through the real buffer bank — at
+its exact serialized size, so the two engines report identical
+communication counters (same bound as the full engines when callbacks send
+RPCs).
 
 On the first batch of a stream every edge is new, every candidate lands in
 the full-check stream, and the incremental survey degenerates to exactly the
@@ -94,7 +93,6 @@ from .engine import (
     DEFAULT_CALLBACK_COMPUTE_UNITS,
     DELTA_PUSH_PHASE,
     EngineSelector,
-    SurveyProgram,
     SurveyRequest,
     TriangleCallback,
     execute_program,
@@ -106,9 +104,7 @@ from .engine.checkpoint import (
     StreamingCheckpoint,
     degraded_estimate,
 )
-from .engine.delta import drive_columnar_delta, drive_legacy_delta, new_source_vertices
-from .engine.driver import make_delta_intersect_handlers
-from .engine.registry import check_supported, survey_features
+from .engine.delta import build_delta_program
 from .results import SurveyReport
 
 __all__ = [
@@ -144,11 +140,10 @@ def incremental_triangle_survey(
         the columnar engine.  ``None`` counts delta triangles only.
     engine:
         The execution selector (name or
-        :class:`~repro.core.engine.EngineConfig`); the engine's
-        ``style`` — ``"columnar"`` (the default engine's) or
-        ``"legacy"`` (scalar reference) — picks the implementation.  Both
-        produce identical triangles, reducer deliveries and communication
-        counters — see the module docstring.  A config's ``kernel`` and
+        :class:`~repro.core.engine.EngineConfig`): ``"columnar"`` (the
+        default) or ``"legacy"`` (the scalar oracle).  Both produce
+        identical triangles, reducer deliveries and communication counters —
+        see the module docstring.  A config's ``kernel`` and
         ``kernel_tier`` apply as in the full surveys; the delta drive runs
         resident on the simulated backend only, so a config pinning
         ``backend="process"``, ``workers`` or ``storage="mmap"`` raises
@@ -172,56 +167,17 @@ def incremental_triangle_survey(
         callback_compute_units=callback_compute_units,
         **config.axes(),
     )
-    check_supported(survey_features(request, spec) | {"incremental"})
-    world = dodgr.world
+    program, release = build_delta_program(request, spec, delta)
     if reset_stats:
-        world.reset_stats()
-    # Handler registration order is fixed (full check first, new check
-    # second) in both styles, so handler ids — and every accounted message
-    # size — match.
-    full_check, new_check, stage = make_delta_intersect_handlers(
-        spec.style,
-        dodgr,
-        request.kernel,
-        callback,
-        request.per_triangle_compute(),
-        request.kernel_tier,
-        delta,
-    )
-    h_full = world.register_handler(full_check)
-    h_new = world.register_handler(new_check)
-    if spec.style == "columnar":
-
-        def drive(ctx) -> None:
-            drive_columnar_delta(ctx, dodgr, delta, h_full, h_new)
-
-    else:
-        new_sources = new_source_vertices(delta)
-
-        def drive(ctx) -> None:
-            drive_legacy_delta(ctx, dodgr, delta, h_full, h_new, new_sources)
-
-    program = SurveyProgram(
-        algorithm="incremental_push",
-        request=request,
-        spec=spec,
-        phases=[(phase_name, drive)],
-        # A rank intersects and delivers what it staged when the inboxes run
-        # dry: one row-kernel call per stream, one batch per rank.
-        on_drained=None if stage is None else stage.drain,
-    )
+        dodgr.world.reset_stats()
     try:
         return execute_program(program).report
     finally:
         # Per-batch closures capture the rebuilt DODGr and the delta; release
         # their registry slots and anything still staged on every exit — an
         # expired deadline, a rank crash a recovery layer retries, a
-        # livelock — or a long stream pins every rebuild forever (ids stay
-        # allocated, so later accounted message sizes are unchanged).
-        world.registry.release(h_full)
-        world.registry.release(h_new)
-        if stage is not None:
-            stage.clear()
+        # livelock — or a long stream pins every rebuild forever.
+        release()
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ Locally owned targets are always handled in the push phase — messages to
 yourself never touch the wire, so pulling them cannot help.
 
 This module is a thin entry point over :mod:`repro.core.engine`: the
-``engine=`` keyword — the only execution selector — names a registered
-:class:`~repro.core.engine.EngineSpec` whose ``style`` picks the strategy
-of every phase, and
-:func:`~repro.core.engine.push_pull.run_push_pull_survey` executes the
-request on the shared driver core.  Every engine keeps the Table 3/Table 4
+``engine=`` keyword — the only execution selector — names the engine
+(``columnar`` by default, or the ``legacy`` oracle of :mod:`repro.oracle`),
+and :func:`~repro.core.engine.push_pull.run_push_pull_survey` executes the
+request on that engine's program.  Both engines keep the Table 3/Table 4
 columns byte-identical — each coalesced message is accounted at the exact
 serialized size of the legacy messages it replaces; because dry-run
 handlers reply with advise RPCs, the flush-window *split* of those

@@ -20,11 +20,11 @@ Execution engines
 
 This module is a thin entry point over the unified survey-execution layer
 in :mod:`repro.core.engine`: the ``engine=`` keyword — the only execution
-selector — names a registered :class:`~repro.core.engine.EngineSpec`
-(``columnar`` by default, the ``legacy`` oracle, plus anything
-added through :func:`~repro.core.engine.register_engine`), and
+selector — names one of the two :class:`~repro.core.engine.EngineSpec`
+rows: ``columnar`` by default, or the ``legacy`` oracle (the scalar
+engine of :mod:`repro.oracle`).
 :func:`~repro.core.engine.push.run_push_survey` executes the request on the
-shared driver core.  Every engine shares the equivalence contract: same
+engine's program.  Both engines share the equivalence contract: same
 triangles, same callback invocations, same per-phase counters, and
 byte-identical Table 4 communication accounting (each coalesced message is
 accounted as the exact legacy messages it replaces).  One bound on the

@@ -50,8 +50,7 @@ replays that loop as the oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .columnar import (
     HalfEdgeColumns,
@@ -100,32 +99,11 @@ class AppliedDelta:
         """Number of accepted (new) undirected edges in this batch."""
         return len(self.src_rows)
 
-    def _row_column(self, name: str) -> Any:
+    def row_column(self, name: str) -> Any:
         """A per-row :class:`~repro.graph.dodgr.CSRAdjacency` column, all ranks."""
         return _np.concatenate(
             [getattr(self.dodgr.csr(rank), name) for rank in range(self.dodgr.world.nranks)]
         )
-
-    @cached_property
-    def edges(self) -> List[Tuple[Hashable, Hashable, Any]]:
-        """Accepted edge records ``(u, v, meta)``, ``(u, v)`` canonical (lazy)."""
-        vertices = self._row_column("row_vertices")
-        return list(
-            zip(
-                vertices[self.src_rows].tolist(),
-                vertices[self.dst_rows].tolist(),
-                self.edge_meta.tolist(),
-            )
-        )
-
-    @cached_property
-    def new_pairs(self) -> Set[Tuple[Hashable, Hashable]]:
-        """Canonical unordered pairs of the accepted edges (lazy)."""
-        return {(u, v) for u, v, _meta in self.edges}
-
-    def is_new(self, u: Hashable, v: Hashable) -> bool:
-        """True when the undirected edge (u, v) arrived in this batch."""
-        return canonical_pair(u, v) in self.new_pairs
 
     # ------------------------------------------------------------------
     def directed_edge_keys(self) -> Any:
@@ -138,7 +116,7 @@ class AppliedDelta:
         with one vectorized ``isin``/``searchsorted``.
         """
         if self._new_keys is None:
-            order_ids = self._row_column("row_order_ids")
+            order_ids = self.row_column("row_order_ids")
             a, b = order_ids[self.src_rows], order_ids[self.dst_rows]
             stride = _np.int64(self.dodgr.order_count())
             self._new_keys = _np.sort(_np.minimum(a, b) * stride + _np.maximum(a, b))
@@ -167,26 +145,6 @@ class AppliedDelta:
                 mask = _np.zeros(composite.size, dtype=bool)
             self._masks[rank] = mask
         return mask
-
-    def new_adjacency(self, rank: int) -> Dict[Hashable, List[Tuple[Any, int]]]:
-        """Per-vertex new entries of rank ``rank``'s store (scalar engines).
-
-        Maps each local vertex ``q`` with at least one new directed edge to
-        the list of ``(adjacency entry, position in Adj^m_+(q))`` pairs of
-        its new entries, in adjacency order.  The scalar incremental engine
-        intersects old-old wedges against these filtered lists.
-        """
-        out: Dict[Hashable, List[Tuple[Any, int]]] = {}
-        store = self.dodgr.local_store(rank)
-        for q, record in store.items():
-            filtered = [
-                (entry, i)
-                for i, entry in enumerate(record["adj"])
-                if canonical_pair(q, entry[0]) in self.new_pairs
-            ]
-            if filtered:
-                out[q] = filtered
-        return out
 
 
 class DeltaBuffer:

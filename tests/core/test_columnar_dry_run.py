@@ -20,10 +20,16 @@ import os
 
 import pytest
 
-from repro.core import ClosureTimeSurvey, triangle_survey_push_pull
+from repro.core import (
+    ClosureTimeSurvey,
+    incremental_triangle_survey,
+    triangle_survey,
+    triangle_survey_push_pull,
+)
 from repro.core.callbacks import TriangleCounter
 from repro.core.engine import EngineConfig, run_survey_with_recovery
 from repro.graph import DODGraph, DistributedGraph, community_host_graph
+from repro.graph.delta import DeltaBuffer
 from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.ooc import StorageConfig, active_segment_paths
 from repro.runtime import World, active_segment_names
@@ -192,16 +198,41 @@ def test_small_buffer_without_dry_run_overflow_matches_legacy_exactly():
         assert got[2][name].wire_messages > roomy[2][name].wire_messages, name
 
 
-def test_handler_slots_per_survey_unchanged():
-    """Five registrations per survey, one more than legacy's four: a sixth
-    would push handler ids past 63 (one byte wider) a survey sooner."""
+#: Handler registrations per survey, by (program, engine): what the oracle's
+#: builders must keep registering, in the production builders' order.  The
+#: columnar Push-Pull's fifth slot is its one addition: a sixth would push
+#: handler ids past 63 (one byte wider) a survey sooner.
+HANDLER_SLOTS = {
+    ("push", "legacy"): 1,
+    ("push", "columnar"): 1,
+    ("push_pull", "legacy"): 4,
+    ("push_pull", "columnar"): 5,
+    ("delta", "legacy"): 2,
+    ("delta", "columnar"): 2,
+}
+
+
+@pytest.mark.parametrize("program, engine", sorted(HANDLER_SLOTS))
+def test_handler_slots_per_survey_unchanged(program, engine):
     world = World(4)
-    dodgr = DODGraph.build(
-        DistributedGraph.from_edges(world, GRAPHS["host"]()), mode="bulk"
-    )
+    edges = GRAPHS["host"]()
+    if program == "delta":
+        buffer = DeltaBuffer(world)
+        buffer.stage_edges(edges)
+        applied = buffer.apply(DistributedGraph(world, name="slots"))
+
+        def survey():
+            incremental_triangle_survey(applied.dodgr, applied, engine=engine)
+
+    else:
+        dodgr = DODGraph.build(DistributedGraph.from_edges(world, edges), mode="bulk")
+
+        def survey():
+            triangle_survey(dodgr, None, program, engine=engine)
+
     before = len(world.registry)
-    triangle_survey_push_pull(dodgr, engine="columnar")
-    assert len(world.registry) - before == 5
+    survey()
+    assert len(world.registry) - before == HANDLER_SLOTS[program, engine]
 
 
 def test_no_per_target_python_state_is_built(monkeypatch):

@@ -18,8 +18,6 @@ from repro.core.engine import (
     SurveyRequest,
     engine_names,
     execute_survey,
-    register_engine,
-    registered_engines,
     resolve_engine,
     resolve_execution,
 )
@@ -45,7 +43,6 @@ def build_dodgr(generated, nranks):
 class TestRegistry:
     def test_builtin_engines_registered_in_order(self):
         assert engine_names()[:2] == ("legacy", "columnar")
-        assert [spec.name for spec in registered_engines()[:2]] == list(engine_names()[:2])
 
     def test_resolve_defaults(self):
         assert DEFAULT_ENGINE == "columnar"
@@ -92,52 +89,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="not the registered spec"):
             resolve_engine(foreign)
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_engine(EngineSpec(name="legacy", description="dup"))
-
     def test_every_engine_has_an_incremental_form(self):
         for name in engine_names():
             assert resolve_execution(name, incremental=True)[0].name == name
         with pytest.raises(ValueError, match="unknown survey engine"):
             resolve_execution("bogus", incremental=True)
-
-    def test_one_style_per_engine(self):
-        assert resolve_engine("legacy").style == "legacy"
-        assert resolve_engine("columnar").style == "columnar"
-
-    def test_kernel_tiers_follow_the_style(self):
-        assert resolve_engine("legacy").kernel_tiers == ("scalar",)
-        assert resolve_engine("columnar").kernel_tiers == KERNEL_TIERS
-
-    @pytest.mark.parametrize(
-        "style, fragment",
-        [("batched", "unknown engine style 'batched'"), ("colunmar", "did you mean 'columnar'?")],
-    )
-    def test_unknown_style_rejected(self, style, fragment):
-        with pytest.raises(ValueError, match=fragment):
-            register_engine(EngineSpec(name="test-unknown-style", description="x", style=style))
-        assert "test-unknown-style" not in engine_names()
-
-    def test_user_registered_engine_runs(self, small_er):
-        """A new engine registered through the public API is selectable
-        from the normal entry points and stays on the equivalence contract."""
-        name = "test-columnar-alias"
-        register_engine(
-            EngineSpec(
-                name=name,
-                description="the columnar drivers under another name (test-only)",
-                style="columnar",
-            )
-        )
-        try:
-            _, dodgr = build_dodgr(small_er, 4)
-            oracle = triangle_survey_push_pull(dodgr, engine="legacy")
-            report = triangle_survey_push_pull(dodgr, engine=name)
-            assert report.triangles == oracle.triangles
-            assert report.communication_bytes == oracle.communication_bytes
-        finally:
-            registry_module._REGISTRY.pop(name)
 
 
 class TestSurveyRequest:
@@ -217,7 +173,7 @@ REJECTED = [
     (
         EngineConfig(engine="legacy", kernel_tier="columnar"),
         UnsupportedBackendError,
-        "style=legacy × kernel_tier=columnar is not supported",
+        "engine=legacy × kernel_tier=columnar is not supported",
     ),
     (EngineConfig(engine="legacy", kernel_tier="compiled"), UnsupportedBackendError, "scalar"),
     (42, TypeError, "engine selector must be"),
@@ -487,5 +443,5 @@ class TestUnsupportedTable:
         world, dodgr = build_dodgr(small_er, 2)
         request = SurveyRequest(dodgr=dodgr, backend="process", storage="mmap", workers=2)
         features = survey_features(request, resolve_engine("columnar"))
-        assert features == {"style=columnar", "backend=process", "storage=mmap", "workers"}
+        assert features == {"engine=columnar", "backend=process", "storage=mmap", "workers"}
         check_supported(features)

@@ -23,7 +23,6 @@ np = pytest.importorskip("numpy")
 
 import repro.core.engine.delta as delta_engine
 import repro.core.engine.driver as driver_module
-import repro.core.incremental as incremental_module
 import repro.graph.metadata as metadata_module
 from repro.core.callbacks import (
     ClosureTimeSurvey,
@@ -272,7 +271,7 @@ def test_staged_delivery_is_one_batch_per_rank(monkeypatch, reducer):
     assert max(kernel_calls[-len(batches) + 1 :]) <= 2 * NRANKS, kernel_calls
     assert sum(step[0] != {} for step in staged) == len(batches)
 
-    handlers = incremental_module.make_delta_intersect_handlers
+    handlers = delta_engine.make_columnar_delta_handlers
 
     def per_message(*args):
         full_check, new_check, stage = handlers(*args)
@@ -280,7 +279,7 @@ def test_staged_delivery_is_one_batch_per_rank(monkeypatch, reducer):
             stage.staged = False
         return full_check, new_check, stage
 
-    monkeypatch.setattr(incremental_module, "make_delta_intersect_handlers", per_message)
+    monkeypatch.setattr(delta_engine, "make_columnar_delta_handlers", per_message)
     per_message_steps, per_message_deliveries, per_message_evictions = replay("columnar")
     assert staged == per_message_steps
     assert staged_evictions == per_message_evictions
@@ -496,7 +495,7 @@ def record_delta_handlers(monkeypatch, world):
             handles.append(handle)
         return handle
 
-    handlers = incremental_module.make_delta_intersect_handlers
+    handlers = delta_engine.make_columnar_delta_handlers
 
     def stage_spy(*args):
         full_check, new_check, stage = handlers(*args)
@@ -513,7 +512,7 @@ def record_delta_handlers(monkeypatch, world):
         return full_check, new_check, stage
 
     monkeypatch.setattr(world, "register_handler", spy)
-    monkeypatch.setattr(incremental_module, "make_delta_intersect_handlers", stage_spy)
+    monkeypatch.setattr(delta_engine, "make_columnar_delta_handlers", stage_spy)
     return handles, stages
 
 
@@ -589,7 +588,7 @@ def test_new_check_join_probes_only_old_edges(monkeypatch):
     nothing at all on a cold start (every edge is new)."""
     probes = []
     rank = [None]
-    drive = incremental_module.drive_columnar_delta
+    drive = delta_engine.drive_columnar_delta
     lookup = delta_engine.positions_of_ids
 
     def drive_spy(ctx, *args):
@@ -601,7 +600,7 @@ def test_new_check_join_probes_only_old_edges(monkeypatch):
         probes.append((rank[0], positions))
         return owner, positions
 
-    monkeypatch.setattr(incremental_module, "drive_columnar_delta", drive_spy)
+    monkeypatch.setattr(delta_engine, "drive_columnar_delta", drive_spy)
     monkeypatch.setattr(delta_engine, "positions_of_ids", lookup_spy)
     edges = shuffled(timestamped(rmat(8, edge_factor=6, seed=7).edges), 13)
     world = World(NRANKS)

@@ -143,7 +143,7 @@ def test_selector_surface_stays_collapsed():
     """Mirror of tools/check_engines.py check 6: ``engine=`` is the only
     execution selector on the survey entry points, full, incremental and
     service surveys share the one default the README table states, and the
-    registry stays two engines of one style each with no batch kernels."""
+    registry stays two engines with no batch kernels."""
     import dataclasses
 
     import check_engines
@@ -152,11 +152,7 @@ def test_selector_surface_stays_collapsed():
 
     assert check_engines.check_selector_surface() == []
     assert engine_names() == ("legacy", "columnar")
-    assert tuple(f.name for f in dataclasses.fields(EngineSpec)) == (
-        "name",
-        "description",
-        "style",
-    )
+    assert tuple(f.name for f in dataclasses.fields(EngineSpec)) == ("name", "description")
     assert not [name for name in vars(intersection) if check_engines._BATCH_WORD.search(name)]
 
 
@@ -173,16 +169,16 @@ def test_write_path_check_flags_per_message_delivery(monkeypatch):
     """The check 7 delivery count trips: a delta survey whose stage hands
     each message straight to the reducer is reported."""
     import check_engines
-    import repro.core.incremental as incremental
+    import repro.core.engine.delta as delta_engine
 
-    handlers = incremental.make_delta_intersect_handlers
+    handlers = delta_engine.make_columnar_delta_handlers
 
     def per_message(*args):
         full_check, new_check, stage = handlers(*args)
         stage.staged = False
         return full_check, new_check, stage
 
-    monkeypatch.setattr(incremental, "make_delta_intersect_handlers", per_message)
+    monkeypatch.setattr(delta_engine, "make_columnar_delta_handlers", per_message)
     errors = check_engines.check_write_path()
     assert len(errors) == 1 and "batch deliveries" in errors[0]
 
@@ -279,4 +275,41 @@ def test_survey_loop_scan_flags_a_stray_phase(tmp_path):
     assert check_engines.stray_phase_loops(tmp_path) == [
         f"engine/program.py:{len(source.splitlines()) + 4}",
         "incremental.py:2",
+    ]
+
+
+def test_oracle_stays_out_of_production():
+    """Mirror of tools/check_engines.py check 10: only the registry's one
+    lazy site imports ``repro.oracle``, and the production engine modules
+    neither read the record store nor take a ``style``."""
+    import check_engines
+
+    assert check_engines.check_oracle_fence() == []
+
+
+def test_oracle_fence_flags_a_planted_leak(tmp_path):
+    """The check 10 scan trips: an oracle import outside the gate (in the
+    registry or anywhere else), a record-store read and a ``style``
+    parameter in a production engine module are each reported."""
+    import check_engines
+
+    src = REPO_ROOT / "src" / "repro"
+    engine = tmp_path / "core" / "engine"
+    engine.mkdir(parents=True)
+    (tmp_path / "oracle").mkdir()
+    registry = (src / "core" / "engine" / "registry.py").read_text(encoding="utf-8")
+    (engine / "registry.py").write_text(registry, encoding="utf-8")
+    (tmp_path / "oracle" / "__init__.py").write_text("from . import oracle\n", encoding="utf-8")
+    assert check_engines.oracle_leaks(tmp_path) == []
+    (engine / "registry.py").write_text(registry + "\nfrom ...oracle import X\n", encoding="utf-8")
+    (tmp_path / "stray.py").write_text("import repro.oracle\n", encoding="utf-8")
+    (engine / "push.py").write_text(
+        "def drive(ctx, style):\n    return dodgr.local_store(ctx)\n", encoding="utf-8"
+    )
+    leaks = check_engines.oracle_leaks(tmp_path)
+    assert [leak.rsplit(": ", 1)[1] for leak in leaks] == [
+        f"core/engine/registry.py:{len(registry.splitlines()) + 2}",
+        "stray.py:1",
+        "core/engine/push.py:1",
+        "core/engine/push.py:2",
     ]

@@ -11,6 +11,7 @@ from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import DODGraph
 from repro.graph.edge_list import canonical_pair
 from repro.graph.generators import erdos_renyi
+from repro.oracle import DeltaRecords
 from repro.runtime.world import World
 
 
@@ -30,7 +31,8 @@ def test_stage_and_apply_basic():
     assert applied.batch_index == 0
     assert applied.num_edges() == 3
     assert graph.num_undirected_edges() == 3
-    assert applied.is_new(2, 1) and applied.is_new(3, 2)
+    records = DeltaRecords(applied)
+    assert records.is_new(2, 1) and records.is_new(3, 2)
     assert applied.dodgr.num_directed_edges() == 3
 
 
@@ -57,9 +59,9 @@ def test_first_write_wins_across_batches():
     second = buffer.apply(graph)
     assert second.batch_index == 1
     assert second.num_edges() == 1
-    assert not second.is_new(1, 2)
+    assert not DeltaRecords(second).is_new(1, 2)
     assert graph.edge_meta(1, 2) == "old"
-    assert first.is_new(1, 2)
+    assert DeltaRecords(first).is_new(1, 2)
 
 
 def test_vertex_meta_first_write_wins():
@@ -125,6 +127,7 @@ def test_edge_mask_matches_pair_set():
     buffer.apply(graph)
     buffer.stage_edges(edges[2 * len(edges) // 3 :])
     applied = buffer.apply(graph)
+    records = DeltaRecords(applied)
 
     seen_new = 0
     for rank in range(4):
@@ -136,7 +139,7 @@ def test_edge_mask_matches_pair_set():
             vertex = csr.row_vertices[row]
             for pos in range(lo, hi):
                 expected = (
-                    canonical_pair(vertex, csr.entries[pos][0]) in applied.new_pairs
+                    canonical_pair(vertex, csr.entries[pos][0]) in records.new_pairs
                 )
                 assert bool(mask[pos]) == expected
                 seen_new += bool(mask[pos])
@@ -151,11 +154,12 @@ def test_new_adjacency_lists():
     buffer.apply(graph)
     buffer.stage_edge(1, 3, "z")
     applied = buffer.apply(graph)
+    records = DeltaRecords(applied)
     total = 0
     for rank in range(4):
-        for q, filtered in applied.new_adjacency(rank).items():
+        for q, filtered in records.new_adjacency(rank).items():
             for entry, pos in filtered:
                 assert applied.dodgr.local_store(rank)[q]["adj"][pos] == entry
-                assert applied.is_new(q, entry[0])
+                assert records.is_new(q, entry[0])
                 total += 1
     assert total == 1  # exactly the one new directed edge

@@ -26,6 +26,7 @@ from repro.graph.degree import order_key
 from repro.graph.edge_list import canonical_pair
 from repro.graph.dodgr import CSRAdjacency, _value_sizes
 from repro.graph.ooc import StorageConfig, active_segment_paths
+from repro.oracle import DeltaRecords
 from repro.runtime import World, active_segment_names
 from repro.runtime.backend.shm import shared_memory_available
 
@@ -498,8 +499,9 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
             ]
             assert applied.edge_mask(rank).tolist() == expected
         assert applied.dodgr.materialised_views() == frozenset()
-        assert applied.edges == accepted
-        assert applied.new_pairs == pairs
+        records = DeltaRecords(applied)
+        assert records.edges == accepted
+        assert records.new_pairs == pairs
         assert applied.batch_index == index
         applied.dodgr.release()
         want.release()

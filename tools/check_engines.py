@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Nine checks, exit status 1 on any failure (each printed to stderr):
+Ten checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -30,10 +30,9 @@ Nine checks, exit status 1 on any failure (each printed to stderr):
 5. **Execution-axis parity** — the kernel-tier names in README.md's
    ``| Kernel tier |`` table must equal
    :data:`repro.core.intersection.KERNEL_TIERS`, the storage modes in the
-   ``| Storage |`` table must equal :data:`repro.graph.ooc.STORAGES`, every
-   engine spec's declared ``kernel_tiers`` must be drawn from the tier
-   table, and a survey smoke per tier (and one under ``storage="mmap"``)
-   must match the legacy oracle exactly, leaking no segment files.
+   ``| Storage |`` table must equal :data:`repro.graph.ooc.STORAGES`, and a
+   survey smoke per tier (and one under ``storage="mmap"``) must match the
+   legacy oracle exactly, leaking no segment files.
 6. **One selector, one default** — the survey entry points take no loose
    execution keyword (``kernel``, ``batched``, ``backend``, ``workers``,
    ``kernel_tier``, ``storage``: ``engine=`` is the only selector), full,
@@ -41,8 +40,8 @@ Nine checks, exit status 1 on any failure (each printed to stderr):
    :data:`repro.core.engine.DEFAULT_ENGINE`, which is the engine README.md's
    table marks ``**default**``; the built-in engines are exactly the
    ``legacy`` oracle and the ``columnar`` production engine,
-   :class:`~repro.core.engine.EngineSpec` has exactly the fields ``name``,
-   ``description`` and ``style``, and :mod:`repro.core.intersection`
+   :class:`~repro.core.engine.EngineSpec` has exactly the fields ``name``
+   and ``description``, and :mod:`repro.core.intersection`
    defines no batch-kernel name (a name with a word ``batch``) — so the
    selection surface cannot regrow unnoticed.
 7. **The write path stays on the arrays** — a columnar
@@ -67,6 +66,13 @@ Nine checks, exit status 1 on any failure (each printed to stderr):
    push, push-pull and the incremental delta survey — is a
    :class:`~repro.core.engine.program.SurveyProgram` that loop runs, so a
    second hand-written phase loop cannot grow back.
+10. **The oracle stays out of production** — an AST scan of ``src/repro``
+   finds no import of :mod:`repro.oracle` outside that package and
+   :func:`repro.core.engine.registry.oracle_builder`, the one lazy site;
+   and none of ``src/repro/core/engine/*.py`` or ``core/incremental.py``
+   calls ``local_store(`` or has a ``style`` parameter or a ``.style``
+   read — so the scalar engine cannot leak back into the production
+   modules, and production never loads it.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -317,9 +323,8 @@ def check_write_path() -> List[str]:
     return errors
 
 
-def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
+def check_execution_axes() -> List[str]:
     """Kernel-tier/storage docs match their registries; both run clean (check 5)."""
-    from repro.core.engine import resolve_engine
     from repro.core.intersection import KERNEL_TIERS
     from repro.graph.ooc import STORAGES, active_segment_paths
 
@@ -337,13 +342,6 @@ def check_execution_axes(registered: Tuple[str, ...]) -> List[str]:
             f"README storage table {documented_storage_table!r} != "
             f"STORAGES {STORAGES!r}"
         )
-    for engine in registered:
-        spec = resolve_engine(engine)
-        unknown = [tier for tier in spec.kernel_tiers if tier not in KERNEL_TIERS]
-        if unknown:
-            errors.append(
-                f"engine {engine!r} declares unknown kernel tiers {unknown!r}"
-            )
     if errors:
         return errors
 
@@ -376,7 +374,7 @@ LOOSE_KEYWORDS = ("kernel", "batched", "backend", "workers", "kernel_tier", "sto
 
 #: The registry's built-in engines and the fields of an engine declaration.
 BUILTIN_ENGINES = ("legacy", "columnar")
-ENGINE_SPEC_FIELDS = ("name", "description", "style")
+ENGINE_SPEC_FIELDS = ("name", "description")
 
 #: A name with a word ``batch`` (``batch_kernel``, ``hash_batch``,
 #: ``BATCH_KERNELS``, ...) — the deleted batch-kernel family.
@@ -520,12 +518,16 @@ def check_unsupported_table() -> List[str]:
 SURVEY_LOOP = ("engine/program.py", "run_simulated_phases")
 
 
-def _begins_phase(node: ast.AST) -> bool:
+def _called_name(node: ast.AST) -> Optional[str]:
+    """The function or method name a call node calls, else None."""
     if not isinstance(node, ast.Call):
-        return False
+        return None
     func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-    return name == "begin_phase"
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _begins_phase(node: ast.AST) -> bool:
+    return _called_name(node) == "begin_phase"
 
 
 def stray_phase_loops(root: Path) -> List[str]:
@@ -540,6 +542,60 @@ def check_one_survey_loop() -> List[str]:
         f"begin_phase( outside {SURVEY_LOOP[0]}::{SURVEY_LOOP[1]}: core/{where}"
         for where in stray_phase_loops(REPO_ROOT / "src" / "repro" / "core")
     ]
+
+
+#: The one production site that may import the oracle: (file under
+#: ``src/repro``, function).
+ORACLE_GATE = ("core/engine/registry.py", "oracle_builder")
+#: The production engine modules, which keep one path (globs under ``src/repro``).
+ONE_PATH_MODULES = ("core/engine/*.py", "core/incremental.py")
+
+
+def _imports_oracle(node: ast.AST) -> bool:
+    """An import whose dotted target has an ``oracle`` component: ``repro.oracle``
+    is the only module of that name in the package."""
+    if isinstance(node, ast.Import):
+        targets = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        targets = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    else:
+        return False
+    return any("oracle" in target.split(".") for target in targets)
+
+
+def _scalar_path(node: ast.AST) -> bool:
+    """A ``local_store(`` call, a ``style`` parameter or a ``.style`` read."""
+    return (
+        _called_name(node) == "local_store"
+        or (isinstance(node, ast.arg) and node.arg == "style")
+        or (isinstance(node, ast.Attribute) and node.attr == "style")
+    )
+
+
+def oracle_leaks(root: Path) -> List[str]:
+    """What fences the oracle out of ``root`` (a ``src/repro`` tree): every
+    stray oracle import, then every scalar path in a production engine module."""
+    leaks = [
+        f"import of repro.oracle outside {ORACLE_GATE[0]}::{ORACLE_GATE[1]}: {where}"
+        for where in _stray_nodes(root, ORACLE_GATE, _imports_oracle)
+        if not where.startswith("oracle/")
+    ]
+    for pattern in ONE_PATH_MODULES:
+        for path in sorted(root.glob(pattern)):
+            relative = path.relative_to(root).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"), relative)
+            leaks.extend(
+                f"local_store( call or style parameter/branch in a production module: "
+                f"{relative}:{node.lineno}"
+                for node in ast.walk(tree)
+                if _scalar_path(node)
+            )
+    return leaks
+
+
+def check_oracle_fence() -> List[str]:
+    """Production neither imports the oracle nor regrows its paths (check 10)."""
+    return oracle_leaks(REPO_ROOT / "src" / "repro")
 
 
 def main() -> int:
@@ -595,11 +651,12 @@ def main() -> int:
 
     errors.extend(check_sweep_axis(registered))
     errors.extend(check_reducer_contract())
-    errors.extend(check_execution_axes(registered))
+    errors.extend(check_execution_axes())
     errors.extend(check_selector_surface())
     errors.extend(check_write_path())
     errors.extend(check_unsupported_table())
     errors.extend(check_one_survey_loop())
+    errors.extend(check_oracle_fence())
 
     if errors:
         for error in errors:
@@ -619,7 +676,7 @@ def main() -> int:
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector; "
         "the write path builds no object view; one table says what may run; "
-        "one loop runs every survey phase"
+        "one loop runs every survey phase; the oracle stays out of production"
     )
     return 0
 
