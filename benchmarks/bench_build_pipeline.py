@@ -10,19 +10,22 @@ columnar generator output feeds ``DistributedGraph.from_columns`` (kept as
 one half-edge column image, no per-vertex dicts), and
 ``DODGraph.build(mode="bulk")`` turns that image into every rank's
 ``CSRAdjacency`` columns — one ``order_positions`` argsort for the ``<+``
-order, one comparison to orient, one sort for all adjacency lists — with
-the record store, ``entries`` and ``order_ids()`` left as lazily built views.
+order, one comparison to orient, one sort for all adjacency lists.  The
+DODGr is those columns; the records, entry tuples and order-id dict are the
+oracle's view of them (``repro.oracle.record_view``).
 
 Contract: the bulk builder is **bit-identical** to the reference builder
-(``mode="async"`` — the paper-faithful build that routes every half edge
-through the simulated runtime — + ``from_edges``): same CSR columns, same
-store insertion order, same adjacency tuples in the same order, same dense
-order ids, and therefore byte-identical survey communication accounting.
+(``repro.oracle.routed_build`` — the paper-faithful build that routes every
+half edge through the simulated runtime — over ``from_edges``): the routed
+records equal the bulk DODGr's record view in store insertion order and in
+every adjacency tuple, its dense order ids equal the scalar ``<+`` sort, the
+bulk columns of the ``from_edges`` and ``from_columns`` graphs are equal,
+and therefore survey communication accounting is byte-identical.
 
 Expected shape:
 
-* every parity column (order ids, every ``CSRAdjacency.COLUMNS`` column,
-  survey comm bytes / wire messages / triangles) exactly equal;
+* every parity column (records, order ids, every ``CSRAdjacency.COLUMNS``
+  column, survey comm bytes / wire messages / triangles) exactly equal;
 * host seconds of both builders and both ingest paths reported side by
   side.  The ratio is informational: a gate against an in-repo slow path
   stays green while the fast path regresses, so the build's absolute cost
@@ -36,9 +39,11 @@ import time
 from _artifacts import emit, emit_json
 from repro.bench import format_table
 from repro.core.survey import triangle_survey_push
+from repro.graph.degree import order_key
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.generators import rmat
+from repro.oracle import record_view, routed_build
 from repro.runtime.world import World
 
 #: Weak-scaling construction points: (R-MAT scale, simulated node count).
@@ -51,10 +56,10 @@ def _build_once(dataset, nranks, vectorized, repeats=1):
     """One full construction pipeline on a fresh world; returns timings.
 
     Each stage is repeated ``repeats`` times (ingest on a fresh world per
-    repeat, build as a fresh DODGr over the final graph) and the minimum is
-    reported, keeping the reported ratio out of reach of GC pauses; both
-    engines run the same repeat count so their worlds stay structurally
-    identical for the parity survey.
+    repeat, build over the final graph) and the minimum is reported, keeping
+    the reported ratio out of reach of GC pauses.  The routed lane returns
+    the last routed build's records and a bulk DODGr of its graph for the
+    column and survey parity; the vectorized lane its last bulk DODGr.
     """
     ingest_seconds = None
     for _ in range(repeats):
@@ -70,29 +75,37 @@ def _build_once(dataset, nranks, vectorized, repeats=1):
         elapsed = time.perf_counter() - start
         if ingest_seconds is None or elapsed < ingest_seconds:
             ingest_seconds = elapsed
-    mode = "bulk" if vectorized else "async"
     build_seconds = None
     for _ in range(repeats):
         start = time.perf_counter()
-        dodgr = DODGraph.build(graph, mode=mode)
+        built = DODGraph.build(graph, mode="bulk") if vectorized else routed_build(graph)
         elapsed = time.perf_counter() - start
         if build_seconds is None or elapsed < build_seconds:
             build_seconds = elapsed
-    return world, graph, dodgr, ingest_seconds, build_seconds
+    if vectorized:
+        return world, graph, built, ingest_seconds, build_seconds
+    return world, graph, (built, DODGraph.build(graph)), ingest_seconds, build_seconds
 
 
 def _assert_bit_identical(legacy, vectorized, nranks):
-    """Exact-equality parity: stores, order ids, CSR arrays."""
-    assert legacy.order_ids() == vectorized.order_ids()
-    for rank in range(nranks):
-        store_a = legacy.local_store(rank)
-        store_b = vectorized.local_store(rank)
+    """Exact-equality parity: routed records vs the bulk record view (store
+    order included), order ids vs the scalar ``<+`` sort, CSR arrays."""
+    (routed, from_edges), graph = legacy, vectorized
+    view = record_view(graph)
+    assert len(routed) == len(view.stores) == nranks
+    for store_a, store_b in zip(routed, view.stores):
         assert list(store_a.keys()) == list(store_b.keys())
         for vertex in store_a:
             assert store_a[vertex]["meta"] == store_b[vertex]["meta"]
             assert store_a[vertex]["degree"] == store_b[vertex]["degree"]
             assert store_a[vertex]["adj"] == store_b[vertex]["adj"]
-        csr_a, csr_b = legacy.csr(rank), vectorized.csr(rank)
+    degree = {
+        vertex: record["degree"] for store in routed for vertex, record in store.items()
+    }
+    in_order = sorted(degree, key=lambda v: order_key(v, degree[v]))
+    assert view.order_ids == {vertex: k for k, vertex in enumerate(in_order)}
+    for rank in range(nranks):
+        csr_a, csr_b = from_edges.csr(rank), graph.csr(rank)
         for name in CSRAdjacency.COLUMNS:
             assert getattr(csr_a, name).tolist() == getattr(csr_b, name).tolist(), name
 
@@ -119,14 +132,14 @@ def test_build_pipeline_weak_scaling(benchmark):
         points = []
         for scale, nranks in WEAK_SCALING_POINTS:
             dataset = rmat(scale, edge_factor=EDGE_FACTOR, seed=SEED)
-            _, _, legacy_dodgr, legacy_ingest, legacy_build = _build_once(
+            _, _, legacy, legacy_ingest, legacy_build = _build_once(
                 dataset, nranks, vectorized=False, repeats=3
             )
             _, _, vec_dodgr, vec_ingest, vec_build = _build_once(
                 dataset, nranks, vectorized=True, repeats=3
             )
-            _assert_bit_identical(legacy_dodgr, vec_dodgr, nranks)
-            report = _survey_parity(legacy_dodgr, vec_dodgr)
+            _assert_bit_identical(legacy, vec_dodgr, nranks)
+            report = _survey_parity(legacy[1], vec_dodgr)
             points.append(
                 {
                     "scale": scale,
@@ -154,7 +167,7 @@ def test_build_pipeline_weak_scaling(benchmark):
                 "edges": point["edges"],
                 "triangles": point["triangles"],
                 "comm bytes": point["comm_bytes"],
-                "async build": f"{point['legacy_build_s']:.3f}s",
+                "routed build": f"{point['legacy_build_s']:.3f}s",
                 "vector build": f"{point['vectorized_build_s']:.3f}s",
                 "build speedup": f"{point['build_speedup']:.2f}x",
                 "ingest speedup": f"{point['ingest_speedup']:.2f}x",
@@ -163,7 +176,7 @@ def test_build_pipeline_weak_scaling(benchmark):
         )
     emit(
         format_table(
-            rows, title="Construction pipeline — routed (async) vs vectorized builder"
+            rows, title="Construction pipeline — routed vs vectorized builder"
         )
     )
     emit_json("build_pipeline", {"points": points})
@@ -195,10 +208,10 @@ def test_build_pipeline_adversarial_inputs(benchmark):
         graph_b = DistributedGraph.from_columns(
             world_b, us, vs, edge_metas=metas, name="adv"
         )
-        legacy = DODGraph.build(graph_a, mode="async")
+        routed = routed_build(graph_a)
         vectorized = DODGraph.build(graph_b, mode="bulk")
-        _assert_bit_identical(legacy, vectorized, nranks)
-        return legacy.num_directed_edges()
+        _assert_bit_identical((routed, DODGraph.build(graph_a)), vectorized, nranks)
+        return sum(len(record["adj"]) for store in routed for record in store.values())
 
     directed_edges = benchmark.pedantic(run_once, rounds=1, iterations=1)
     emit_json("build_pipeline_adversarial", {"directed_edges": directed_edges})

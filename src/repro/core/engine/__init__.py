@@ -66,8 +66,8 @@ from .request import (
 )
 from .driver import resolve_batch_callback
 from .program import SurveyProgram, execute_program
-from .push import build_push_program, run_push_survey
-from .push_pull import build_push_pull_program, run_push_pull_survey
+from .push import build_push_program
+from .push_pull import build_push_pull_program
 
 __all__ = [
     "EngineSpec",
@@ -86,9 +86,7 @@ __all__ = [
     "resolve_batch_callback",
     "execute_program",
     "build_push_program",
-    "run_push_survey",
     "build_push_pull_program",
-    "run_push_pull_survey",
     "execute_survey",
     "DEFAULT_CALLBACK_COMPUTE_UNITS",
     "PUSH_PHASE",
@@ -98,24 +96,31 @@ __all__ = [
 ]
 
 
+#: The full-survey program builders, by ``SurveyRequest.algorithm``.
+_PROGRAMS = {"push": build_push_program, "push_pull": build_push_pull_program}
+
+
 def execute_survey(request: SurveyRequest, engine=None) -> SurveyResult:
     """Run ``request`` on the engine it (or ``engine``) selects.
 
-    The request's ``algorithm`` picks the runner (``"push"`` or
+    The request's ``algorithm`` picks the program (``"push"`` or
     ``"push_pull"``); ``engine`` may be anything
     :func:`resolve_execution` accepts (default :data:`DEFAULT_ENGINE`).  A
     name or spec picks the engine for the axes the request already carries;
-    an :class:`EngineConfig`'s set fields replace the request's.
+    an :class:`EngineConfig`'s set fields replace the request's.  Every
+    full survey — ``triangle_survey_push``, ``triangle_survey_push_pull``
+    and :func:`repro.core.triangle_survey` — runs through here.
     """
     spec = resolve_engine(engine)
     if isinstance(engine, EngineConfig):
         pinned = {k: v for k, v in engine.axes().items() if v is not None}
         request = replace(request, **pinned)
-    if request.algorithm == "push":
-        return run_push_survey(request, spec)
-    if request.algorithm == "push_pull":
-        return run_push_pull_survey(request, spec)
-    raise ValueError(f"unknown survey algorithm {request.algorithm!r}")
+    build = _PROGRAMS.get(request.algorithm)
+    if build is None:
+        raise ValueError(f"unknown survey algorithm {request.algorithm!r}")
+    if request.reset_stats:
+        request.dodgr.world.reset_stats()
+    return execute_program(build(request, spec))
 
 
 # Checkpoint/restart wrappers import execute_survey lazily, so this import

@@ -1,4 +1,4 @@
-"""Push-Only survey runner: one driver loop, every engine, every backend.
+"""Push-Only survey program: one driver loop, every engine, every backend.
 
 This is Algorithm 1 of the paper expressed over the engine layer: register
 the intersect handler, walk every rank's pivots
@@ -17,11 +17,11 @@ from .driver import (
     make_columnar_intersect_handler,
     resolve_batch_callback,
 )
-from .program import SurveyProgram, execute_program
+from .program import SurveyProgram
 from .registry import EngineSpec, check_supported, oracle_builder, survey_features
-from .request import SurveyRequest, SurveyResult
+from .request import SurveyRequest
 
-__all__ = ["build_push_program", "run_push_survey"]
+__all__ = ["build_push_program"]
 
 
 def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgram:
@@ -58,10 +58,3 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
         spec=spec,
         phases=[(request.phase_name, drive)],
     )
-
-
-def run_push_survey(request: SurveyRequest, spec: EngineSpec) -> SurveyResult:
-    """Run the Push-Only triangle survey described by ``request`` on ``spec``."""
-    if request.reset_stats:
-        request.dodgr.world.reset_stats()
-    return execute_program(build_push_program(request, spec))

@@ -1,4 +1,4 @@
-"""Push-Pull survey runner: dry run, push and pull phases over the engine layer.
+"""Push-Pull survey program: dry run, push and pull phases over the engine layer.
 
 Section 4.4 of the paper as one program:
 
@@ -36,7 +36,7 @@ from .driver import (
     make_columnar_intersect_handler,
     resolve_batch_callback,
 )
-from .program import SurveyProgram, execute_program
+from .program import SurveyProgram
 from .pull import drive_columnar_pull, make_columnar_pull_handler
 from .registry import EngineSpec, check_supported, oracle_builder, survey_features
 from .request import (
@@ -44,10 +44,9 @@ from .request import (
     PULL_PHASE,
     PUSH_PHASE,
     SurveyRequest,
-    SurveyResult,
 )
 
-__all__ = ["build_push_pull_program", "run_push_pull_survey"]
+__all__ = ["build_push_pull_program"]
 
 
 def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgram:
@@ -161,10 +160,3 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
             (PULL_PHASE, drive_pull_phase),
         ],
     )
-
-
-def run_push_pull_survey(request: SurveyRequest, spec: EngineSpec) -> SurveyResult:
-    """Run the Push-Pull triangle survey described by ``request`` on ``spec``."""
-    if request.reset_stats:
-        request.dodgr.world.reset_stats()
-    return execute_program(build_push_pull_program(request, spec))

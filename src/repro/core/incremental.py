@@ -338,6 +338,7 @@ class StreamingSurvey:
             rank: {"wire_bytes": 0, "wire_messages": 0, "bytes_sent_remote": 0}
             for rank in range(world.nranks)
         }
+        self._closed = False
 
     # ------------------------------------------------------------------
     def ingest(
@@ -346,6 +347,8 @@ class StreamingSurvey:
         vertex_meta: Optional[Dict[Any, Any]] = None,
     ) -> StreamingStep:
         """Merge one edge batch, survey its delta triangles, slide the window."""
+        if self._closed:
+            raise RuntimeError(f"StreamingSurvey {self.graph.name!r} is closed")
         host_start = time.perf_counter()
         world = self.world
         world.reset_stats()
@@ -427,7 +430,9 @@ class StreamingSurvey:
         )
 
     def close(self) -> None:
-        """Release the live DODGr and the replay log's, once each."""
+        """Release the live DODGr and the replay log's, once each; the
+        stream takes no further batch."""
+        self._closed = True
         retained = [delta.dodgr for delta in self._pending]
         if self.dodgr is not None and all(dodgr is not self.dodgr for dodgr in retained):
             retained.append(self.dodgr)

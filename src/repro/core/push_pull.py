@@ -26,7 +26,7 @@ yourself never touch the wire, so pulling them cannot help.
 This module is a thin entry point over :mod:`repro.core.engine`: the
 ``engine=`` keyword — the only execution selector — names the engine
 (``columnar`` by default, or the ``legacy`` oracle of :mod:`repro.oracle`),
-and :func:`~repro.core.engine.push_pull.run_push_pull_survey` executes the
+and :func:`~repro.core.engine.execute_survey` executes the
 request on that engine's program.  Both engines keep the Table 3/Table 4
 columns byte-identical — each coalesced message is accounted at the exact
 serialized size of the legacy messages it replaces; because dry-run
@@ -49,9 +49,9 @@ from .engine import (
     EngineSelector,
     SurveyRequest,
     TriangleCallback,
+    execute_survey,
     resolve_execution,
 )
-from .engine.push_pull import run_push_pull_survey
 from .results import SurveyReport
 from .survey import triangle_survey_push
 
@@ -113,7 +113,7 @@ def triangle_survey_push_pull(
         callback_compute_units=callback_compute_units,
         **config.axes(),
     )
-    return run_push_pull_survey(request, spec).report
+    return execute_survey(request, spec).report
 
 
 def triangle_survey(

@@ -23,7 +23,7 @@ in :mod:`repro.core.engine`: the ``engine=`` keyword — the only execution
 selector — names one of the two :class:`~repro.core.engine.EngineSpec`
 rows: ``columnar`` by default, or the ``legacy`` oracle (the scalar
 engine of :mod:`repro.oracle`).
-:func:`~repro.core.engine.push.run_push_survey` executes the request on the
+:func:`~repro.core.engine.execute_survey` executes the request on the
 engine's program.  Both engines share the equivalence contract: same
 triangles, same callback invocations, same per-phase counters, and
 byte-identical Table 4 communication accounting (each coalesced message is
@@ -47,10 +47,10 @@ from .engine import (
     EngineSelector,
     SurveyRequest,
     TriangleCallback,
+    execute_survey,
     resolve_batch_callback,
     resolve_execution,
 )
-from .engine.push import run_push_survey
 from .results import SurveyReport
 
 __all__ = [
@@ -117,4 +117,4 @@ def triangle_survey_push(
         callback_compute_units=callback_compute_units,
         **config.axes(),
     )
-    return run_push_survey(request, spec).report
+    return execute_survey(request, spec).report

@@ -10,7 +10,7 @@ from .directed import (
     symmetrize_directed_edges,
 )
 from .distributed_graph import DistributedGraph
-from .dodgr import AdjEntry, DODGraph, entry_key
+from .dodgr import DODGraph
 from .edge_list import DistributedEdgeList, canonical_pair, validate_edge_columns
 from .generators import (
     GeneratedGraph,
@@ -60,8 +60,6 @@ from .properties import (
 __all__ = [
     "DistributedGraph",
     "DODGraph",
-    "AdjEntry",
-    "entry_key",
     "DistributedEdgeList",
     "canonical_pair",
     "DeltaBuffer",

@@ -2,9 +2,10 @@
 
 Section 3/4.2: the undirected input graph G is rewritten into the directed
 graph G+ where every undirected edge (u, v) becomes the single directed edge
-u -> v with ``u <+ v`` in the degree ordering.  TriPoll stores G+ in a
-distributed map keyed by vertex; the value for ``u`` is the pair
-``(meta(u), Adj^m_+(u))`` where
+u -> v with ``u <+ v`` in the degree ordering (Pearce, *Triangle counting
+for scale-free graphs at scale in distributed memory*, HPEC 2017).  TriPoll
+stores G+ in a distributed map keyed by vertex; the value for ``u`` is the
+pair ``(meta(u), Adj^m_+(u))`` where
 
     Adj^m_+(u) = { (v, meta(u, v), meta(v)) : v in Adj+(u) }
 
@@ -18,60 +19,32 @@ The target degree ``d(v)`` is kept because the ``<+`` comparison (and hence
 the merge-path intersection order) needs it; this mirrors the "small constant
 amount of additional memory per edge" the paper mentions.
 
-Two representations, one of them authoritative at a time:
-
-* the *columns* — one :class:`CSRAdjacency` per rank, every adjacency list
-  flattened into contiguous arrays (neighbour order-ids, owners,
-  serialized-size prefix sums, metadata columns).  ``DODGraph.build(mode=
-  "bulk")`` produces them for all ranks in one array pass straight from the
-  graph's :class:`~repro.graph.columnar.HalfEdgeColumns`; they are what the
-  production (``columnar``) engine and every size query read, and after a
-  bulk build they *are* the graph;
-* the *records* behind :meth:`DODGraph.local_store` — one dict per rank
-  mapping each vertex to ``{"meta", "degree", "adj": [entries]}``, which the
-  ``legacy`` per-wedge oracle walks.  After a bulk build they are a view,
-  materialised from the columns on first access and to be treated as
-  read-only; ``mode="async"`` — the routed reference build — fills them
-  message by message, they are authoritative, and the columns are flattened
-  from them on first :meth:`DODGraph.csr` call (as after any later mutation:
-  :meth:`DODGraph.sort_adjacency`, an offered edge).
-
-The other object-shaped views — ``CSRAdjacency.entries`` / ``vertex_rows``
-and the :meth:`DODGraph.order_ids` dict — are likewise built on first access;
-:meth:`DODGraph.materialised_views` reports which exist.
+The graph is its columns: one :class:`CSRAdjacency` per rank, every
+adjacency list flattened into contiguous arrays (neighbour order-ids,
+owners, serialized-size prefix sums, metadata columns).
+:meth:`DODGraph.build` produces them for all ranks in one array pass
+straight from the graph's :class:`~repro.graph.columnar.HalfEdgeColumns`,
+and nothing changes them afterwards.  The object-shaped views the scalar
+oracle walks — per-rank ``{"meta", "degree", "adj"}`` records, the entry
+tuples, the vertex-keyed ``<+`` id dict — and the routed reference build
+live in :mod:`repro.oracle`, derived from these columns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..runtime.serialization import int_size_array, serialized_size, uvarint_size
 from ..runtime.world import RankContext, World
-from .columnar import (
-    VALUE_MEMO_EXTRACTORS,
-    HalfEdgeColumns,
-    ValueColumn,
-    ValueMemo,
-    dense_indices,
-    id_column,
-    object_column,
-)
-from .degree import order_key, order_positions
+from .columnar import VALUE_MEMO_EXTRACTORS, HalfEdgeColumns, ValueColumn, ValueMemo
+from .degree import order_positions
 from .distributed_graph import DistributedGraph
 from .ooc import StorageConfig, release_csr_segments, resolve_storage, spill_csr, unspill_csr
 from .partition import Partitioner
 
 import numpy as _np
 
-__all__ = ["DODGraph", "CSRAdjacency", "AdjEntry", "entry_key", "VALUE_MEMO_EXTRACTORS"]
-
-#: An Adj^m_+ entry: (target vertex, target degree, edge metadata, target vertex metadata)
-AdjEntry = Tuple[Hashable, int, Any, Any]
-
-
-def entry_key(entry: AdjEntry) -> Tuple[int, int, str]:
-    """Sort key ordering adjacency entries by the ``<+`` relation of their target."""
-    return order_key(entry[0], entry[1])
+__all__ = ["DODGraph", "CSRAdjacency", "VALUE_MEMO_EXTRACTORS"]
 
 
 class CSRAdjacency:
@@ -103,8 +76,7 @@ class CSRAdjacency:
 
     Integer columns are int64 arrays (``np.memmap`` under ``storage="mmap"``);
     code that indexes them one element at a time should ``.tolist()`` what it
-    needs first.  :attr:`entries` (the entry tuples) and :attr:`vertex_rows`
-    are views for the scalar oracles, zipped together on first access.
+    needs first.
 
     Two derived views are cached on the snapshot and die with it: the row
     kernels' ``row_adj_cache`` and :meth:`inverted_target_index`.  A rank's
@@ -138,8 +110,6 @@ class CSRAdjacency:
     __slots__ = COLUMNS + (
         "num_rows",
         "num_edges",
-        "_vertex_rows",
-        "_entries",
         "row_adj_cache",
         "_inv_index",
         "row_base",
@@ -157,8 +127,6 @@ class CSRAdjacency:
             setattr(self, name, column)
         self.num_rows = len(self.row_vertices)
         self.num_edges = len(self.tgt_ids)
-        self._vertex_rows: Optional[Dict[Hashable, int]] = None
-        self._entries: Optional[List[AdjEntry]] = None
         #: slot for the core engine's cached RowAdjacency view of this CSR
         self.row_adj_cache = None
         #: cache slot of :meth:`inverted_target_index`
@@ -176,27 +144,6 @@ class CSRAdjacency:
         #: reusable disk-backed scratch for the columnar driver's staged
         #: send columns under mmap storage (see ooc.stage_send_columns)
         self.send_scratch = None
-
-    @property
-    def entries(self) -> List[AdjEntry]:
-        """The ``(v, d(v), meta(u, v), meta(v))`` tuples, by edge position (lazy)."""
-        if self._entries is None:
-            self._entries = list(
-                zip(
-                    self.tgt_vertex.tolist(),
-                    self.tgt_degree.tolist(),
-                    self.edge_meta.tolist(),
-                    self.tgt_meta.tolist(),
-                )
-            )
-        return self._entries
-
-    @property
-    def vertex_rows(self) -> Dict[Hashable, int]:
-        """Local vertex -> row index (lazy)."""
-        if self._vertex_rows is None:
-            self._vertex_rows = dict(zip(self.row_vertices.tolist(), range(self.num_rows)))
-        return self._vertex_rows
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -269,10 +216,6 @@ class CSRAdjacency:
         return None if columns is None else columns[field].values(extract, positions)
 
     # ------------------------------------------------------------------
-    def row_of(self, vertex: Hashable) -> Optional[int]:
-        """Row index of a local vertex, or None when the rank does not own it."""
-        return self.vertex_rows.get(vertex)
-
     def row_slice(self, row: int) -> Tuple[int, int]:
         """Edge-array extent ``[lo, hi)`` of one row."""
         return int(self.indptr[row]), int(self.indptr[row + 1])
@@ -298,8 +241,23 @@ def _value_sizes(column: Any) -> Any:
     return sizes
 
 
+def _id_slot(name: str):
+    """The callable behind a DODGr's ``offer_edge`` handler id: never invoked."""
+
+    def offer_edge(ctx: RankContext, *args: Any) -> None:
+        raise RuntimeError(
+            f"{name}.offer_edge only reserves a handler id; the routed build is "
+            "repro.oracle.routed_build"
+        )
+
+    return offer_edge
+
+
 class DODGraph:
-    """The degree-ordered directed graph G+ with metadata-augmented adjacency."""
+    """The degree-ordered directed graph G+ with metadata-augmented adjacency.
+
+    Built by :meth:`build` and read-only afterwards; :meth:`release` frees it.
+    """
 
     def __init__(
         self,
@@ -312,22 +270,16 @@ class DODGraph:
         if name is None:
             name = world.anonymous_name("dodgr")
         self.name = world.unique_name(name)
-        for ctx in world.ranks:
-            ctx.local_state.setdefault(self._slot, {})
+        # One handler id per graph, never invoked: every later handler id —
+        # and so every accounted message size — counts this allocation.
         self._h_offer_edge = world.register_handler(
-            self._handle_offer_edge, f"{self.name}.offer_edge"
+            _id_slot(self.name), f"{self.name}.offer_edge"
         )
-        #: every rank's columns in rank order, all built together (bulk build,
-        #: or flattened from the records on first use); emptied whenever the
-        #: records mutate
+        #: every rank's columns in rank order, all built together
         self._csr: List[CSRAdjacency] = []
-        #: False while a bulk build's records have not been asked for
-        self._records_live = True
-        #: lazily built derived views (cleared with the columns)
-        self._order_ids: Optional[Dict[Hashable, int]] = None
         self._rows_by_order_id = None
         #: every rank's batch-read columns end to end and the value memos
-        #: over them (:meth:`global_columns`); built and dropped with the CSRs
+        #: over them (:meth:`global_columns`)
         self._global: Optional[Dict[str, Any]] = None
         #: CSR storage policy; None means resident (today's default)
         self._storage: Optional[StorageConfig] = None
@@ -335,263 +287,73 @@ class DODGraph:
         self._refs = 1
 
     # ------------------------------------------------------------------
-    @property
-    def _slot(self) -> str:
-        return f"dodgr:{self.name}"
-
     def owner(self, vertex: Hashable) -> int:
         return self.partitioner.owner(vertex)
-
-    def local_store(self, rank_or_ctx: int | RankContext) -> Dict[Hashable, Dict[str, Any]]:
-        """The rank's ``{vertex: {"meta", "degree", "adj"}}`` records.
-
-        After a bulk build the first call materialises every rank's records
-        from the columns (sharing their ``entries`` tuples); treat them as
-        read-only — the columns stay authoritative until the records are
-        mutated through :meth:`sort_adjacency` or an offered edge.
-        """
-        if not self._records_live:
-            self._materialise_records()
-        ctx = (
-            rank_or_ctx
-            if isinstance(rank_or_ctx, RankContext)
-            else self.world.rank(rank_or_ctx)
-        )
-        return ctx.local_state[self._slot]
-
-    def _materialise_records(self) -> None:
-        """Columns -> every rank's record dict (rows in store insertion order)."""
-        self._records_live = True
-        for rank, csr in enumerate(self._csr):
-            store = self.world.rank(rank).local_state[self._slot]
-            entries, indptr = csr.entries, csr.indptr.tolist()
-            rows = zip(csr.row_vertices.tolist(), csr.row_meta.tolist(), csr.row_degree.tolist())
-            for row, (vertex, meta, degree) in enumerate(rows):
-                store[vertex] = {
-                    "meta": meta,
-                    "degree": degree,
-                    "adj": entries[indptr[row] : indptr[row + 1]],
-                }
-
-    def materialised_views(self) -> frozenset:
-        """Which object-shaped views exist right now (read-only introspection).
-
-        A subset of ``{"records", "order_ids", "entries"}``: the
-        :meth:`local_store` dicts, the :meth:`order_ids` dict, and any rank's
-        ``CSRAdjacency.entries`` tuples.  The production engine and the size
-        queries need none of them.
-        """
-        views = set()
-        if self._records_live:
-            views.add("records")
-        if self._order_ids is not None:
-            views.add("order_ids")
-        if any(csr._entries is not None for csr in self._csr):
-            views.add("entries")
-        return frozenset(views)
-
-    def _vertex_record(
-        self, store: Dict[Hashable, Dict[str, Any]], vertex: Hashable
-    ) -> Dict[str, Any]:
-        record = store.get(vertex)
-        if record is None:
-            record = {"meta": None, "degree": 0, "adj": []}
-            store[vertex] = record
-        return record
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _handle_offer_edge(
-        self,
-        ctx: RankContext,
-        v: Hashable,
-        u: Hashable,
-        d_u: int,
-        meta_u: Any,
-        edge_meta: Any,
-    ) -> None:
-        """Executed on the owner of ``v`` for every half edge (u -> v) of G.
-
-        The owner knows d(v) and meta(v) locally; if ``v <+ u`` the directed
-        edge (v, u) belongs to Adj^m_+(v) and all of its metadata is at hand.
-        """
-        store = self.local_store(ctx)
-        record = store.get(v)
-        if record is None:
-            # v had no presence yet (can only happen for isolated metadata
-            # updates); materialise it so degree comparisons stay defined.
-            record = self._vertex_record(store, v)
-        d_v = record["degree"]
-        if order_key(v, d_v) < order_key(u, d_u):
-            record["adj"].append((u, d_u, edge_meta, meta_u))
-            self._invalidate_derived()
-            ctx.add_compute(1)
-
     @classmethod
     def build(
         cls,
         graph: DistributedGraph,
         mode: str = "bulk",
         name: Optional[str] = None,
-        phase_name: Optional[str] = None,
     ) -> "DODGraph":
         """Construct G+ from an undirected :class:`DistributedGraph`.
 
-        Parameters
-        ----------
-        graph:
-            The decorated undirected input graph.
-        mode:
-            ``"bulk"`` (the default) builds every rank's
-            :class:`CSRAdjacency` columns on the driver in one array pass
-            over ``graph.half_edge_columns()``: dense ``<+`` positions from
-            one :func:`~repro.graph.degree.order_positions` argsort,
-            orientation of every half edge as one array comparison, all
-            adjacency lists in final order from one sort, ranks cut by
-            offset, wire sizes computed per column — no per-edge Python, and
-            :meth:`csr` afterwards is a lookup.  The columns are
-            authoritative; :meth:`local_store`, :meth:`order_ids` and
-            ``CSRAdjacency.entries`` materialise from them on first access.
-            ``"async"`` routes every half edge through the simulated runtime
-            exactly as the MPI implementation would, charging the traffic to
-            the construction phase, and fills the record store, which is
-            then authoritative (columns are flattened from it on first use);
-            it is the reference the golden-parity tests hold ``"bulk"`` to.
-            Both produce bit-identical graphs: same columns, same store
-            insertion order, same adjacency tuples in the same
-            ``<+``-sorted order, same :meth:`order_ids`.
+        Every rank's :class:`CSRAdjacency` columns are built on the driver in
+        one array pass over ``graph.half_edge_columns()``: dense ``<+``
+        positions from one :func:`~repro.graph.degree.order_positions`
+        argsort, orientation of every half edge as one array comparison, all
+        adjacency lists in final order from one sort, ranks cut by offset,
+        wire sizes computed per column — no per-edge Python, and :meth:`csr`
+        afterwards is a lookup.  ``mode`` is ``"bulk"``, the only build; the
+        routed build that sends every half edge through the runtime is the
+        oracle's (:func:`repro.oracle.routed_build`), which the parity tests
+        hold this one to.
         """
-        if mode not in ("bulk", "async"):
-            raise ValueError(f"unknown build mode {mode!r}")
+        if mode != "bulk":
+            raise ValueError(
+                f"unknown build mode {mode!r}: DODGraph.build is bulk only; the routed "
+                "build is repro.oracle.routed_build"
+            )
         dodgr = cls(graph.world, graph.partitioner, name=name)
-        world = graph.world
-        if mode == "bulk":
-            dodgr._adopt_half_edges(graph.half_edge_columns())
-            return dodgr
-
-        # Seed local records with each vertex's metadata and full degree so
-        # the <+ comparison can be evaluated locally on the owner.
-        for rank in range(world.nranks):
-            store = dodgr.local_store(rank)
-            for u, record in graph.local_vertices(rank):
-                store[u] = {"meta": record["meta"], "degree": len(record["adj"]), "adj": []}
-        world.begin_phase(phase_name or f"{dodgr.name}.build")
-        for ctx in world.ranks:
-            graph_store = graph.local_store(ctx)
-            for u, record in graph_store.items():
-                d_u = len(record["adj"])
-                meta_u = record["meta"]
-                for v, edge_meta in record["adj"].items():
-                    ctx.async_call_sized(
-                        dodgr.owner(v), dodgr._h_offer_edge, v, u, d_u, meta_u, edge_meta
-                    )
-        world.barrier()
-        dodgr.sort_adjacency()
+        dodgr._adopt_half_edges(graph.half_edge_columns())
         return dodgr
 
     def _adopt_half_edges(self, graph: HalfEdgeColumns) -> None:
-        """Half-edge columns -> every rank's columns (mode ``"bulk"``).
+        """Half-edge columns -> the global row-major columns, cut per rank.
 
         The half edge stored at ``u`` for partner ``v`` becomes the entry for
-        ``u`` in row ``v`` when ``v <+ u`` — the async build's offer of
+        ``u`` in row ``v`` when ``v <+ u`` — the routed build's offer of
         ``(u -> v)`` to the owner of ``v``, metadata taken from ``u``'s side.
+        Rows are vertices, rank-major as the image lists them.  The edge
+        metadata is sized here unless the image carries its sizes; the edge
+        value memo is the image's, read through each edge's half edge
+        (``picked``), so a streamed graph's memo rides its rebuilds.  A
+        rank's columns are slices of the global ones, so nothing per-edge is
+        copied.
         """
-        positions, _ = order_positions(graph.vertices, graph.degree)
-        src = _np.repeat(_np.arange(positions.size, dtype=_np.int64), graph.degree)
+        vertices, vertex_meta, degree = graph.vertices, graph.vertex_meta, graph.degree
+        positions, _ = order_positions(vertices, degree)
+        src = _np.repeat(_np.arange(positions.size, dtype=_np.int64), degree)
         keep = _np.flatnonzero(positions[graph.tgt] < positions[src])
         row, tgt = graph.tgt[keep], src[keep]
         # Row-major, each row in the <+ order of its targets (keys are unique).
         sorter = _np.argsort(row * _np.int64(positions.size) + positions[tgt])
         tgt, picked = tgt[sorter], keep[sorter]
-        sizes = graph.edge_meta_sizes
-        self._install_columns(
-            graph.vertices,
-            graph.vertex_meta,
-            graph.degree,
-            graph.rank_offsets,
-            positions,
-            out_degree=_np.bincount(row, minlength=positions.size),
-            tgt=tgt,
-            tgt_degree=graph.degree[tgt],
-            edge_meta=graph.edge_meta[picked],
-            tgt_meta=graph.vertex_meta[tgt],
-            edge_meta_sizes=None if sizes is None else sizes[picked],
-            # The image's half-edge memo, read through CSR edge -> half edge.
-            edge_values=graph.edge_values,
-            edge_slots=picked,
-        )
-        self._records_live = False
-
-    def _flatten_records(self) -> None:
-        """Record store -> every rank's columns (the store is authoritative)."""
-        vertices: List[Hashable] = []
-        metas: List[Any] = []
-        degrees: List[int] = []
-        out_degree: List[int] = []
-        entries: List[AdjEntry] = []
-        offsets = [0]
-        for ctx in self.world.ranks:
-            for vertex, record in ctx.local_state[self._slot].items():
-                vertices.append(vertex)
-                metas.append(record["meta"])
-                degrees.append(record["degree"])
-                out_degree.append(len(record["adj"]))
-                entries.extend(record["adj"])
-            offsets.append(len(vertices))
-        targets, tgt_degree, edge_meta, tgt_meta = zip(*entries) if entries else ((),) * 4
-        ids = id_column(vertices)
-        degree = _np.asarray(degrees, dtype=_np.int64)
-        self._install_columns(
-            ids,
-            object_column(metas),
-            degree,
-            _np.asarray(offsets, dtype=_np.int64),
-            order_positions(ids, degree)[0],
-            out_degree=_np.asarray(out_degree, dtype=_np.int64),
-            tgt=dense_indices(vertices, targets),
-            tgt_degree=_np.asarray(tgt_degree, dtype=_np.int64),
-            edge_meta=object_column(edge_meta),
-            tgt_meta=object_column(tgt_meta),
-        )
-
-    def _install_columns(
-        self,
-        vertices,
-        vertex_meta,
-        degree,
-        rank_offsets,
-        positions,
-        out_degree,
-        tgt,
-        tgt_degree,
-        edge_meta,
-        tgt_meta,
-        edge_meta_sizes=None,
-        edge_values=None,
-        edge_slots=None,
-    ) -> None:
-        """Size the global row-major columns and cut them into per-rank CSRs.
-
-        The first five columns are per vertex (rank-major, as
-        :class:`~repro.graph.columnar.HalfEdgeColumns` lists them) plus
-        ``out_degree``; the rest per directed edge, rows end to end, ``tgt``
-        being the target's dense vertex index.  ``edge_meta`` is sized here
-        unless ``edge_meta_sizes`` already holds its values' sizes.  A rank's
-        columns are slices of the global ones, so nothing per-edge is copied.
-        ``edge_values`` is the memo of an image's half edges, read at
-        ``edge_slots`` (each edge's half edge); without one this graph
-        memoises its own edge values.
-        """
+        tgt_degree, edge_meta, tgt_meta = degree[tgt], graph.edge_meta[picked], vertex_meta[tgt]
         vertex_size = _value_sizes(vertices)
         size_target = vertex_size[tgt]
-        size_meta = _value_sizes(edge_meta) if edge_meta_sizes is None else edge_meta_sizes
+        sizes = graph.edge_meta_sizes
+        size_meta = _value_sizes(edge_meta) if sizes is None else sizes[picked]
         # One candidate tuple (r, d(r), meta(p, r)) on the legacy wire: 2
         # framing bytes (tuple tag + arity) plus its fields.
         candidate = 2 + size_target + int_size_array(tgt_degree) + size_meta
         cand_cumsum = _np.concatenate(([0], _np.cumsum(candidate)))
-        indptr = _np.concatenate(([0], _np.cumsum(out_degree)))
-        nranks = self.world.nranks
+        indptr = _np.concatenate(([0], _np.cumsum(_np.bincount(row, minlength=positions.size))))
+        nranks, rank_offsets = self.world.nranks, graph.rank_offsets
         owner = _np.repeat(_np.arange(nranks, dtype=_np.int64), _np.diff(rank_offsets))
         per_row = {
             "row_vertices": vertices,
@@ -615,8 +377,8 @@ class DODGraph:
             "target": ValueColumn(ValueMemo(len(tgt)), tgt_meta),
             "edge": (
                 ValueColumn(ValueMemo(len(tgt)), edge_meta)
-                if edge_values is None
-                else ValueColumn(edge_values, edge_meta, edge_slots)
+                if graph.edge_values is None
+                else ValueColumn(graph.edge_values, edge_meta, picked)
             ),
         }
         self._global = {
@@ -643,35 +405,13 @@ class DODGraph:
             }
             self._csr.append(csr)
 
-    def sort_adjacency(self) -> None:
-        """Sort every Adj^m_+ list by the ``<+`` order of the target vertex."""
-        for rank in range(self.world.nranks):
-            for record in self.local_store(rank).values():
-                record["adj"].sort(key=entry_key)
-        self._invalidate_derived()
-
     # ------------------------------------------------------------------
     # Columns and the views derived from them
     # ------------------------------------------------------------------
-    def _invalidate_derived(self) -> None:
-        """The records changed: they are authoritative, the columns are stale."""
-        if not self._records_live:  # a bulk build's records must exist before its columns go
-            self._materialise_records()
-        self._drop_columns()
-
-    def _drop_columns(self) -> None:
-        for snapshot in self._csr:
-            release_csr_segments(snapshot)
-            snapshot.value_columns = None
-        self._csr = []
-        self._global = None
-        self._order_ids = None
-        self._rows_by_order_id = None
-
     def _snapshots(self) -> List[CSRAdjacency]:
-        """Every rank's columns in rank order, flattened from the records if stale."""
-        if not self._csr:
-            self._flatten_records()
+        """Every rank's columns in rank order; a released graph has none."""
+        if self._refs <= 0:
+            raise RuntimeError(f"DODGr {self.name!r} has been released")
         return self._csr
 
     def global_columns(self) -> Dict[str, Any]:
@@ -684,27 +424,10 @@ class DODGraph:
         gathers each column once.  ``values`` maps ``"row"`` / ``"target"`` /
         ``"edge"`` to the :class:`~repro.graph.columnar.ValueColumn` over the
         same global positions.  These are the arrays the CSRs slice, so
-        nothing is copied; they are dropped with the columns.
+        nothing is copied; :meth:`release` drops them.
         """
         self._snapshots()
         return self._global
-
-    def order_ids(self) -> Dict[Hashable, int]:
-        """Dense integer ranks of every vertex in the global ``<+`` order.
-
-        ``id(u) < id(v)`` iff ``u <+ v`` and id equality implies vertex
-        identity, which collapses the composite ``(degree, hash, repr)``
-        comparison into single-int comparisons.  The columns carry the same
-        ids as arrays (``row_order_ids`` / ``tgt_ids``); this vertex-keyed
-        dict is a view for the scalar oracles, built on first access in
-        ascending id order and cached.
-        """
-        if self._order_ids is None:
-            snapshots = self._snapshots()
-            vertices = [v for snapshot in snapshots for v in snapshot.row_vertices.tolist()]
-            order = _np.argsort(_np.concatenate([s.row_order_ids for s in snapshots]))
-            self._order_ids = {vertices[g]: k for k, g in enumerate(order.tolist())}
-        return self._order_ids
 
     def order_count(self) -> int:
         """Number of dense ``<+`` order ids (the columnar composite-key stride)."""
@@ -717,7 +440,7 @@ class DODGraph:
         length :meth:`order_count` maps any target's dense ``<+`` id to its
         row inside the *owning* rank's :class:`CSRAdjacency` — the lookup the
         columnar intersect handler does per wedge without a dict probe.
-        Built lazily from the columns and invalidated with them.
+        Built from the columns on first use.
         """
         if self._rows_by_order_id is None:
             out = _np.empty(self.order_count(), dtype=_np.int64)
@@ -769,15 +492,11 @@ class DODGraph:
         return self.storage_config().resolved_chunk_candidates()
 
     def csr(self, rank_or_ctx: int | RankContext) -> CSRAdjacency:
-        """The rank's :class:`CSRAdjacency` columns.
+        """The rank's :class:`CSRAdjacency` columns (a lookup).
 
-        A lookup after a bulk build; flattened from the records (all ranks
-        at once, then cached) when those are authoritative — after
-        ``mode="async"``, or once the records mutated (new edges offered,
-        adjacency re-sorted).  Under an ``"mmap"`` storage policy
-        (:meth:`configure_storage`) the snapshot's integer per-edge columns
-        are spilled to tracked memmap segment files on the first call;
-        :meth:`release` (and any invalidation) unlinks them.
+        Under an ``"mmap"`` storage policy (:meth:`configure_storage`) the
+        snapshot's integer per-edge columns are spilled to tracked memmap
+        segment files on the first call; :meth:`release` unlinks them.
         """
         rank = rank_or_ctx.rank if isinstance(rank_or_ctx, RankContext) else rank_or_ctx
         snapshot = self._snapshots()[rank]
@@ -793,6 +512,7 @@ class DODGraph:
         retains each epoch's graph from its streaming ledger, so a query
         pinned to an epoch keeps it alive after the ledger lets it go.
         """
+        self._snapshots()
         self._refs += 1
         return self
 
@@ -801,25 +521,29 @@ class DODGraph:
 
         Streaming surveys rebuild the DODGr once per batch — without this,
         every superseded rebuild stays pinned for the world's lifetime by
-        its construction handler and per-rank store slots.  Freeing
-        tombstones the handler (id allocation, and therefore every accounted
-        message size, is unchanged — see
-        :meth:`~repro.runtime.rpc.RpcRegistry.release`) and drops the rank
-        stores, the columns, the global views over them, the value-memo
-        references (a streamed image's edge memo has moved on by then) and
-        every derived view.
+        its handler slot.  Freeing tombstones the handler (id allocation,
+        and therefore every accounted message size, is unchanged — see
+        :meth:`~repro.runtime.rpc.RpcRegistry.release`) and drops the
+        columns, their segment files, the global views over them and the
+        value-memo references (a streamed image's edge memo has moved on by
+        then).  Every later read raises :class:`RuntimeError`; releasing a
+        freed graph again does nothing.
         """
+        if self._refs <= 0:
+            return
         self._refs -= 1
         if self._refs > 0:
             return
         self.world.registry.release(self._h_offer_edge)
-        for ctx in self.world.ranks:
-            ctx.local_state.pop(self._slot, None)
-        self._records_live = True
-        self._drop_columns()
+        for snapshot in self._csr:
+            release_csr_segments(snapshot)
+            snapshot.value_columns = None
+        self._csr = []
+        self._global = None
+        self._rows_by_order_id = None
 
     # ------------------------------------------------------------------
-    # Queries (answered from the columns; none materialises a view)
+    # Size queries (answered from the columns)
     # ------------------------------------------------------------------
     def num_vertices(self) -> int:
         return sum(snapshot.num_rows for snapshot in self._snapshots())
@@ -844,51 +568,3 @@ class DODGraph:
         """
         degrees = self._out_degrees()
         return int((degrees * (degrees - 1) // 2).sum())
-
-    def _row_of(self, vertex: Hashable) -> Tuple[CSRAdjacency, Optional[int]]:
-        snapshot = self._snapshots()[self.owner(vertex)]
-        return snapshot, snapshot.row_of(vertex)
-
-    def out_degree(self, vertex: Hashable) -> int:
-        snapshot, row = self._row_of(vertex)
-        return 0 if row is None else int(snapshot.indptr[row + 1] - snapshot.indptr[row])
-
-    def degree(self, vertex: Hashable) -> int:
-        snapshot, row = self._row_of(vertex)
-        return 0 if row is None else int(snapshot.row_degree[row])
-
-    def vertex_meta(self, vertex: Hashable) -> Any:
-        snapshot, row = self._row_of(vertex)
-        if row is None:
-            raise KeyError(f"vertex {vertex!r} not in DODGr")
-        return snapshot.row_meta[row]
-
-    def adjacency(self, vertex: Hashable) -> List[AdjEntry]:
-        snapshot, row = self._row_of(vertex)
-        if row is None:
-            return []
-        lo, hi = snapshot.row_slice(row)
-        return snapshot.entries[lo:hi]
-
-    def local_vertices(self, rank: int) -> Iterator[Tuple[Hashable, Dict[str, Any]]]:
-        yield from self.local_store(rank).items()
-
-    def vertices(self) -> Iterator[Hashable]:
-        for rank in range(self.world.nranks):
-            yield from self.local_store(rank).keys()
-
-    def directed_edges(self) -> Iterator[Tuple[Hashable, Hashable]]:
-        for rank in range(self.world.nranks):
-            for u, record in self.local_store(rank).items():
-                for entry in record["adj"]:
-                    yield (u, entry[0])
-
-    # ------------------------------------------------------------------
-    def visit(self, ctx: RankContext, vertex: Hashable, func, *args: Any) -> None:
-        """Send an RPC to the owner of ``vertex`` (DODGr.visit of Section 4.2).
-
-        ``func(ctx, vertex, *args)`` executes on the owning rank where the
-        vertex's record (metadata + Adj^m_+) is available via
-        :meth:`local_store`.
-        """
-        ctx.async_call(self.owner(vertex), func, vertex, *args)

@@ -4,9 +4,10 @@ TriPoll's survey is one algorithm with interchangeable communication
 strategies (Table 4).  This package keeps the paper's per-wedge strategy as
 the ``legacy`` engine: one sized RPC per wedge, dry-run proposal, pulled row
 and delta candidate; scalar intersection of each message; per-triangle
-callback delivery over the DODGr's record store
-(:meth:`~repro.graph.dodgr.DODGraph.local_store`).  It is the reference every
-byte-identical wire-accounting check compares the production engine against.
+callback delivery over the DODGr's records (:mod:`repro.oracle.records`: the
+object view of its columns, and the routed build it is held to).  It is the
+reference every byte-identical wire-accounting check compares the production
+engine against.
 
 Production code never imports it: :func:`repro.core.engine.registry.oracle_builder`
 maps ``engine="legacy"`` to :data:`LEGACY_BUILDERS`, importing this package
@@ -31,11 +32,15 @@ from ..core.engine.request import (
 from ..core.intersection import INTERSECTION_KERNELS
 from ..graph.degree import order_key
 from ..graph.delta import AppliedDelta
-from ..graph.dodgr import DODGraph, entry_key
+from ..graph.dodgr import DODGraph
 from ..graph.edge_list import canonical_pair
 from ..graph.metadata import TriangleMetadata
+from .records import entry_key, record_view, routed_build
 
 __all__ = [
+    "entry_key",
+    "record_view",
+    "routed_build",
     "DeltaRecords",
     "make_legacy_intersect_handler",
     "drive_legacy_push",
@@ -74,6 +79,7 @@ def make_legacy_intersect_handler(
     (the delta survey's new-check stream, over a batch's new entries);
     ``None`` intersects the full row.
     """
+    stores = record_view(dodgr).stores
 
     def _intersect_handler(
         ctx,
@@ -83,7 +89,7 @@ def make_legacy_intersect_handler(
         meta_pq: Any,
         candidates: List[tuple],
     ) -> None:
-        record = dodgr.local_store(ctx).get(q)
+        record = stores[ctx.rank].get(q)
         ctx.add_counter("wedge_checks", len(candidates))
         if record is None:
             return
@@ -121,8 +127,7 @@ def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
     ``allowed`` — a vertex set — restricts targets (the Push-Pull push phase
     skips targets that will be pulled); ``None`` pushes to every target.
     """
-    store = dodgr.local_store(ctx)
-    for p, record in store.items():
+    for p, record in record_view(dodgr).stores[ctx.rank].items():
         adjacency = record["adj"]
         if len(adjacency) < 2:
             continue
@@ -158,12 +163,13 @@ def make_legacy_pull_handler(
     ``pivots_by_target[rank][q]`` lists the ``(pivot, index of q in its
     adjacency)`` pairs the rank's dry run recorded as waiting on ``q``.
     """
+    stores = record_view(dodgr).stores
 
     def _pull_deliver_handler(
         ctx, q: Any, meta_q: Any, adjacency_q: List[tuple]
     ) -> None:
         ctx.add_counter("vertices_pulled", 1)
-        store = dodgr.local_store(ctx)
+        store = stores[ctx.rank]
         wanting_pivots = pivots_by_target[ctx.rank].get(q, ())
         for p, q_index in wanting_pivots:
             record = store.get(p)
@@ -200,7 +206,7 @@ def drive_legacy_pull(ctx, dodgr: DODGraph, handler, pull_list) -> None:
     ``pull_list`` maps each locally owned ``q`` to the source ranks that
     should receive ``Adj^m_+(q)``.
     """
-    store = dodgr.local_store(ctx)
+    store = record_view(dodgr).stores[ctx.rank]
     for q, requesters in pull_list.items():
         record = store.get(q)
         if record is None:
@@ -250,7 +256,7 @@ class DeltaRecords:
         can own a new entry.  Old-old wedges targeting any other vertex
         cannot close a delta triangle.
         """
-        order_ids = self.delta.dodgr.order_ids()
+        order_ids = record_view(self.delta.dodgr).order_ids
         return {u if order_ids[u] < order_ids[v] else v for u, v, _meta in self.edges}
 
     def new_adjacency(self, rank: int) -> Dict[Hashable, List[Tuple[Any, int]]]:
@@ -261,7 +267,7 @@ class DeltaRecords:
         its new entries, in adjacency order.
         """
         out: Dict[Hashable, List[Tuple[Any, int]]] = {}
-        for q, record in self.delta.dodgr.local_store(rank).items():
+        for q, record in record_view(self.delta.dodgr).stores[rank].items():
             filtered = [
                 (entry, i) for i, entry in enumerate(record["adj"]) if self.is_new(q, entry[0])
             ]
@@ -279,8 +285,7 @@ def drive_legacy_delta(
     new_sources: set,
 ) -> None:
     """Per-wedge scalar drive of one rank's delta candidate streams."""
-    store = dodgr.local_store(ctx)
-    for p, record in store.items():
+    for p, record in record_view(dodgr).stores[ctx.rank].items():
         adjacency = record["adj"]
         if len(adjacency) < 2:
             continue
@@ -345,7 +350,7 @@ def build_legacy_push_program(request: SurveyRequest, spec) -> SurveyProgram:
 
 
 def build_legacy_push_pull_program(request: SurveyRequest, spec) -> SurveyProgram:
-    """The Push-Pull survey over the record store: four handler registrations
+    """The Push-Pull survey over the records: four handler registrations
     (propose, advise, intersect, pull), the production builder's first four."""
     dodgr = request.dodgr
     world = dodgr.world
@@ -356,10 +361,11 @@ def build_legacy_push_pull_program(request: SurveyRequest, spec) -> SurveyProgra
     push_targets: List[set] = [set() for _ in range(nranks)]
     # pull_lists[rank][q] = source ranks that should receive Adj^m_+(q)
     pull_lists: List[Dict[Any, List[int]]] = [{} for _ in range(nranks)]
+    stores = record_view(dodgr).stores
 
     def _propose_handler(ctx, q: Any, source_rank: int, candidate_count: int) -> None:
         """Owner of q decides: pull (remember source) or advise push."""
-        record = dodgr.local_store(ctx).get(q)
+        record = stores[ctx.rank].get(q)
         out_degree = len(record["adj"]) if record is not None else 0
         if record is not None and out_degree < candidate_count:
             pull_lists[ctx.rank].setdefault(q, []).append(source_rank)
@@ -386,7 +392,7 @@ def build_legacy_push_pull_program(request: SurveyRequest, spec) -> SurveyProgra
         rank = ctx.rank
         candidate_totals: Dict[Any, int] = {}
         targets = pivots_by_target[rank]
-        for p, record in dodgr.local_store(ctx).items():
+        for p, record in stores[rank].items():
             adjacency = record["adj"]
             if len(adjacency) < 2:
                 continue

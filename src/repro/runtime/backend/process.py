@@ -324,9 +324,7 @@ def _prewarm_shared(dodgr: Any, nranks: int) -> Tuple[Dict[Any, Any], Dict[int, 
     CSR segments (and the order-id arrays the columnar drivers read) must
     exist pre-fork so all workers inherit the *same* objects: that makes the
     ``("shared", ("csr", rank))`` encoding resolvable everywhere and keeps
-    workers from redundantly rebuilding caches.  The vertex-keyed
-    ``order_ids()`` dict only the scalar oracles read is left to whichever
-    worker asks for it.
+    workers from redundantly rebuilding caches.
     """
     shared_objects: Dict[Any, Any] = {}
     shared_ids: Dict[int, Any] = {}

@@ -381,6 +381,11 @@ class SurveyService:
         self.counters = ServiceCounters()
         self._queue: Deque[QueryTicket] = deque()
         self._ticket_ids = itertools.count()
+        self._closed = False
+
+    def _require_open(self, operation: str) -> None:
+        if self._closed:
+            raise ServiceError(f"service {self.name!r} is closed; {operation}() needs an open one")
 
     # ------------------------------------------------------------------
     # Ingest
@@ -397,6 +402,7 @@ class SurveyService:
         In-flight queries are unaffected: they hold pins on their epochs'
         graphs, and ledger panels for past epochs are already frozen.
         """
+        self._require_open("ingest")
         step = self._ledger.ingest(edges, vertex_meta)
         epoch = step.batch_index
         self._epoch = epoch
@@ -468,6 +474,7 @@ class SurveyService:
         nothing and sheds nobody — and otherwise come back answered with
         ``outcome="shed"`` and a retry-after hint.
         """
+        self._require_open("submit")
         if query is None:
             if analysis is None:
                 raise ServiceError("submit() needs a query or an analysis")
@@ -878,7 +885,12 @@ class SurveyService:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Answer nothing further: shed the queue, release epochs and the ledger."""
+        """Answer nothing further: shed the queue, release epochs and the ledger.
+
+        Terminal: a later :meth:`ingest`, :meth:`submit` or :meth:`query`
+        raises :class:`ServiceError`.
+        """
+        self._closed = True
         while self._queue:
             ticket = self._queue.popleft()
             self._unpin(ticket.epoch)

@@ -425,19 +425,37 @@ def test_superseded_rebuilds_are_released():
     batches = random_schedule(edges, 21, num_batches=4)
     world = World(NRANKS)
     survey = StreamingSurvey(world, TriangleCounter, graph_name="release")
-    handles = []
+    rebuilds = []
     for batch in batches:
         survey.ingest(batch)
-        handles.append(survey.dodgr._h_offer_edge)
-    # Only the latest rebuild keeps a store slot on each rank...
-    for rank in range(NRANKS):
-        slots = [k for k in world.ranks[rank].local_state if k.startswith("dodgr:")]
-        assert len(slots) == 1
-    # ...and every superseded construction handler is tombstoned (latest not).
-    for handle in handles[:-1]:
+        rebuilds.append(survey.dodgr)
+    # Only the latest rebuild still answers...
+    for dodgr in rebuilds[:-1]:
+        with pytest.raises(RuntimeError, match="released"):
+            dodgr.num_vertices()
+    assert rebuilds[-1].num_vertices() > 0
+    # ...and every superseded handler slot is tombstoned (latest not).
+    for dodgr in rebuilds[:-1]:
         with pytest.raises(RpcError):
-            world.registry.handler(handle.handler_id)
-    assert world.registry.handler(handles[-1].handler_id) is not None
+            world.registry.handler(dodgr._h_offer_edge.handler_id)
+    assert world.registry.handler(rebuilds[-1]._h_offer_edge.handler_id) is not None
+
+
+def test_ingest_after_close_raises():
+    """close() is terminal: the stream neither rebuilds nor answers again."""
+    edges = timestamped(erdos_renyi(30, 0.2, seed=5).edges)
+    batches = random_schedule(edges, 9, num_batches=2)
+    world = World(NRANKS)
+    survey = StreamingSurvey(world, TriangleCounter, graph_name="closed")
+    survey.ingest(batches[0])
+    live = survey.dodgr
+    survey.close()
+    handlers = len(world.registry)
+    with pytest.raises(RuntimeError, match="closed"):
+        survey.ingest(batches[1])
+    assert len(world.registry) == handlers and survey.batches_ingested == 1
+    with pytest.raises(RuntimeError, match="released"):
+        live.num_vertices()
 
 
 def test_release_frees_a_retained_epochs_arrays():

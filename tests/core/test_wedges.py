@@ -11,6 +11,7 @@ from repro.core.wedges import (
     work_rate,
 )
 from repro.graph import DODGraph
+from repro.oracle import record_view
 from repro.runtime import World
 
 
@@ -88,7 +89,7 @@ class TestVectorizedOracleParity:
         expected = []
         for rank in range(8):
             total = 0
-            for _vertex, record in dodgr.local_vertices(rank):
+            for record in record_view(dodgr).stores[rank].values():
                 d_plus = len(record["adj"])
                 total += d_plus * (d_plus - 1) // 2
             expected.append(total)

@@ -158,8 +158,8 @@ def test_selector_surface_stays_collapsed():
 
 def test_write_path_stays_on_the_arrays():
     """Mirror of tools/check_engines.py check 7: a columnar stream and a
-    service ingest + exact query leave the live graph as columns and build
-    no DODGr object view, and a stream step delivers once per rank."""
+    service ingest + exact query leave the live graph as columns, and a
+    stream step delivers once per rank."""
     import check_engines
 
     assert check_engines.check_write_path() == []
@@ -181,6 +181,24 @@ def test_write_path_check_flags_per_message_delivery(monkeypatch):
     monkeypatch.setattr(delta_engine, "make_columnar_delta_handlers", per_message)
     errors = check_engines.check_write_path()
     assert len(errors) == 1 and "batch deliveries" in errors[0]
+
+
+def test_write_path_check_flags_a_materialised_store(monkeypatch):
+    """The check 7 graph probe trips: an apply that builds the live graph's
+    per-rank record dicts is reported, for the stream and the service."""
+    import check_engines
+    from repro.graph.delta import DeltaBuffer
+
+    apply = DeltaBuffer.apply
+
+    def apply_then_read_a_record(self, graph):
+        applied = apply(self, graph)
+        graph.local_store(0)
+        return applied
+
+    monkeypatch.setattr(DeltaBuffer, "apply", apply_then_read_a_record)
+    errors = check_engines.check_write_path()
+    assert len(errors) == 2 and all("record dicts were built" in error for error in errors)
 
 
 def test_reducers_survey_without_a_codec_call():

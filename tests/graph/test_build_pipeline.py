@@ -1,11 +1,15 @@
 """Golden parity: the vectorized builder is bit-identical to the routed one.
 
 ``DODGraph.build(mode="bulk")`` (argsort orientation + lexsort assembly) must
-reproduce ``mode="async"`` — the paper-faithful build that routes every half
-edge through the runtime — and ``DistributedGraph.from_columns`` the per-edge
-``from_edges`` loop, *exactly*: store insertion order, adjacency tuple order,
-dense order ids, CSR arrays — on representative and adversarial inputs, so
-that every downstream communication number stays byte-identical.
+reproduce :func:`repro.oracle.routed_build` — the paper-faithful build that
+routes every half edge through the runtime — and
+``DistributedGraph.from_columns`` the per-edge ``from_edges`` loop,
+*exactly*: the oracle's record view of the bulk DODGr equals the routed
+records in store insertion order, adjacency tuple order and every field;
+dense order ids equal the scalar ``<+`` sort; and the CSR columns of the
+``from_columns`` and ``from_edges`` graphs agree — on representative and
+adversarial inputs, so that every downstream communication number stays
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from repro.bench import load_dataset
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.edge_list import DistributedEdgeList, _keep_first
+from repro.graph.degree import order_key
 from repro.graph.generators import rmat
+from repro.oracle import record_view, routed_build
 from repro.runtime.world import World
 
 NRANKS = 6
@@ -35,26 +41,33 @@ def assert_same_graph(graph_a: DistributedGraph, graph_b: DistributedGraph) -> N
             )
 
 
-def assert_same_dodgr(legacy: DODGraph, vectorized: DODGraph) -> None:
-    assert legacy.order_ids() == vectorized.order_ids()
-    for rank in range(legacy.world.nranks):
-        store_a = legacy.local_store(rank)
-        store_b = vectorized.local_store(rank)
+def assert_same_columns(dodgr_a: DODGraph, dodgr_b: DODGraph) -> None:
+    for rank in range(dodgr_a.world.nranks):
+        csr_a, csr_b = dodgr_a.csr(rank), dodgr_b.csr(rank)
+        for name in CSRAdjacency.COLUMNS:
+            column_a, column_b = getattr(csr_a, name), getattr(csr_b, name)
+            assert column_a.dtype == column_b.dtype, name
+            assert column_a.tolist() == column_b.tolist(), name
+
+
+def assert_same_dodgr(routed, vectorized: DODGraph, graph: DistributedGraph) -> None:
+    """Routed records == the bulk DODGr's record view, store order included;
+    its order ids == the dense rank of the scalar ``<+`` sort."""
+    view = record_view(vectorized)
+    degree = graph.degrees()
+    in_order = sorted(degree, key=lambda v: order_key(v, degree[v]))
+    assert view.order_ids == {vertex: k for k, vertex in enumerate(in_order)}
+    assert len(routed) == len(view.stores) == graph.world.nranks
+    for store_a, store_b in zip(routed, view.stores):
         assert list(store_a.keys()) == list(store_b.keys())
         for vertex in store_a:
             assert store_a[vertex]["meta"] == store_b[vertex]["meta"]
             assert store_a[vertex]["degree"] == store_b[vertex]["degree"]
             assert store_a[vertex]["adj"] == store_b[vertex]["adj"]
-        csr_a, csr_b = legacy.csr(rank), vectorized.csr(rank)
-        for name in CSRAdjacency.COLUMNS:
-            column_a, column_b = getattr(csr_a, name), getattr(csr_b, name)
-            assert column_a.dtype == column_b.dtype, name
-            assert column_a.tolist() == column_b.tolist(), name
-        assert csr_a.entries == csr_b.entries
-        assert csr_a.vertex_rows == csr_b.vertex_rows
 
 
 def build_pair(edges, vertex_meta=None):
+    """(routed records, bulk DODGr, its graph), each on its own world."""
     world_a, world_b = World(NRANKS), World(NRANKS)
     graph_a = DistributedGraph.from_edges(
         world_a, edges, vertex_meta=vertex_meta, name="g"
@@ -62,44 +75,36 @@ def build_pair(edges, vertex_meta=None):
     graph_b = DistributedGraph.from_edges(
         world_b, edges, vertex_meta=vertex_meta, name="g"
     )
-    return (
-        DODGraph.build(graph_a, mode="async"),
-        DODGraph.build(graph_b, mode="bulk"),
-    )
+    return routed_build(graph_a), DODGraph.build(graph_b, mode="bulk"), graph_b
 
 
 class TestBuilderGoldenParity:
     def test_rmat(self):
         dataset = rmat(9, edge_factor=6, seed=4)
-        legacy, vectorized = build_pair(dataset.edges)
-        assert_same_dodgr(legacy, vectorized)
+        assert_same_dodgr(*build_pair(dataset.edges))
 
     def test_reddit_sample(self):
         dataset = load_dataset("reddit-like", scale=0.2)
-        legacy, vectorized = build_pair(dataset.edges, dataset.vertex_meta)
-        assert_same_dodgr(legacy, vectorized)
+        assert_same_dodgr(*build_pair(dataset.edges, dataset.vertex_meta))
 
     def test_adversarial_duplicates_and_self_loops(self):
         edges = [(i % 12, (3 * i + 1) % 12, f"m{i}") for i in range(120)]
         edges += [(4, 4, "loop"), (0, 0, None)]
         edges += [(1, 2, "a"), (2, 1, "b"), (1, 2, "c")]
-        legacy, vectorized = build_pair(edges)
-        assert_same_dodgr(legacy, vectorized)
+        assert_same_dodgr(*build_pair(edges))
 
     def test_string_vertices_take_scalar_hash_lane(self):
         edges = [
             (f"v{i}", f"v{(i * 5 + 2) % 17}", i) for i in range(60)
         ]
-        legacy, vectorized = build_pair(edges)
-        assert_same_dodgr(legacy, vectorized)
+        assert_same_dodgr(*build_pair(edges))
 
     def test_huge_int_ids_beyond_int64(self):
         # Ids >= 2**63 overflow the vectorized hash column; the builder must
         # fall back to scalar hashing, not crash, and still match legacy.
         base = 2**70
         edges = [(base + i, base + ((i * 3 + 1) % 9), i) for i in range(40)]
-        legacy, vectorized = build_pair(edges)
-        assert_same_dodgr(legacy, vectorized)
+        assert_same_dodgr(*build_pair(edges))
 
     def test_unsigned_ids_beyond_int64_from_columns(self):
         # The same ids as a uint64 column: from_columns must not wrap them
@@ -116,16 +121,18 @@ class TestBuilderGoldenParity:
             name="g",
         )
         assert_same_graph(graph_a, graph_b)
-        assert_same_dodgr(
-            DODGraph.build(graph_a, mode="async"), DODGraph.build(graph_b, mode="bulk")
-        )
+        from_edges, from_columns = DODGraph.build(graph_a), DODGraph.build(graph_b)
+        assert_same_columns(from_edges, from_columns)
+        assert_same_dodgr(routed_build(graph_a), from_columns, graph_b)
 
     def test_metadata_slots_preserved(self):
         dataset = load_dataset("reddit-like", scale=0.2)
-        legacy, vectorized = build_pair(dataset.edges, dataset.vertex_meta)
+        routed, vectorized, _ = build_pair(dataset.edges, dataset.vertex_meta)
+        stores = record_view(vectorized).stores
         for vertex, meta in list(dataset.vertex_meta.items())[:50]:
-            assert vectorized.vertex_meta(vertex) == meta
-            assert vectorized.vertex_meta(vertex) == legacy.vertex_meta(vertex)
+            owner = vectorized.owner(vertex)
+            assert stores[owner][vertex]["meta"] == meta
+            assert routed[owner][vertex]["meta"] == meta
 
 
 class TestFromColumnsParity:

@@ -1,13 +1,16 @@
-"""CSRAdjacency: the flat per-rank view must mirror the record store exactly."""
+"""CSRAdjacency: the per-rank columns must mirror the routed records exactly."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.graph.dodgr import VALUE_MEMO_EXTRACTORS, CSRAdjacency, DODGraph, entry_key
-from repro.graph.generators import GeneratedGraph
+from repro.graph.degree import order_key
+from repro.graph.distributed_graph import DistributedGraph
+from repro.graph.dodgr import VALUE_MEMO_EXTRACTORS, CSRAdjacency, DODGraph
+from repro.graph.generators import GeneratedGraph, rmat
 from repro.graph.metadata import edge_timestamp, temporal_edge_meta
+from repro.oracle import entry_key, record_view, routed_build
 from repro.runtime.serialization import dumps, serialized_size
 from repro.runtime.world import World
 
@@ -17,18 +20,29 @@ def build_dodgr(dataset, nranks):
     return DODGraph.build(dataset.to_distributed(world), mode="bulk")
 
 
+def entries(csr):
+    """The ``(v, d(v), meta(u, v), meta(v))`` tuples of ``csr``, by edge position."""
+    return list(
+        zip(
+            csr.tgt_vertex.tolist(),
+            csr.tgt_degree.tolist(),
+            csr.edge_meta.tolist(),
+            csr.tgt_meta.tolist(),
+        )
+    )
+
+
 class TestCSRMirrorsRecords:
     def test_rows_cover_every_local_vertex(self, small_rmat):
         dodgr = build_dodgr(small_rmat, 4)
+        routed = routed_build(small_rmat.to_distributed(World(4)))
         for rank in range(4):
-            store = dodgr.local_store(rank)
-            csr = dodgr.csr(rank)
-            assert csr.num_rows == len(store)
-            assert set(csr.vertex_rows) == set(store)
-            for vertex, record in store.items():
-                row = csr.row_of(vertex)
+            store, csr = routed[rank], dodgr.csr(rank)
+            assert csr.row_vertices.tolist() == list(store)
+            tuples = entries(csr)
+            for row, record in enumerate(store.values()):
                 lo, hi = csr.row_slice(row)
-                assert csr.entries[lo:hi] == record["adj"]
+                assert tuples[lo:hi] == record["adj"]
                 assert csr.row_meta[row] == record["meta"]
                 assert csr.row_degree[row] == record["degree"]
 
@@ -37,22 +51,56 @@ class TestCSRMirrorsRecords:
         total = sum(dodgr.csr(rank).num_edges for rank in range(4))
         assert total == dodgr.num_directed_edges()
 
-    def test_row_of_missing_vertex_is_none(self, small_er):
+    def test_csr_is_a_lookup(self, small_er):
+        """Built once by the build, never rebuilt or invalidated."""
         dodgr = build_dodgr(small_er, 2)
-        assert dodgr.csr(0).row_of("no-such-vertex") is None
+        before = [dodgr.csr(rank) for rank in range(2)]
+        rows = dodgr.rows_by_order_id()
+        dodgr.num_vertices(), dodgr.wedge_count(), dodgr.global_columns()
+        assert [dodgr.csr(rank) for rank in range(2)] == before
+        assert dodgr.rows_by_order_id() is rows
+
+
+def dense_order_ranks(graph):
+    """The scalar oracle of the order ids: each vertex's dense rank in
+    ``sorted(vertices, key=<+)``, from the graph's own degrees."""
+    degree = graph.degrees()
+    in_order = sorted(degree, key=lambda v: order_key(v, degree[v]))
+    return {vertex: k for k, vertex in enumerate(in_order)}
 
 
 class TestOrderIds:
     def test_ids_are_dense_and_order_isomorphic(self, small_rmat):
-        dodgr = build_dodgr(small_rmat, 4)
-        order_ids = dodgr.order_ids()
+        world = World(4)
+        graph = small_rmat.to_distributed(world)
+        order_ids = record_view(DODGraph.build(graph)).order_ids
         assert sorted(order_ids.values()) == list(range(len(order_ids)))
         # Ids must sort exactly like the <+ order key of each vertex.
-        from repro.graph.degree import order_key
-
         by_id = sorted(order_ids, key=order_ids.__getitem__)
-        keys = [order_key(v, dodgr.degree(v)) for v in by_id]
+        keys = [order_key(v, graph.degree(v)) for v in by_id]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ids_equal_the_scalar_oracle_on_rmat(self, seed):
+        graph = rmat(8, edge_factor=8, seed=seed).to_distributed(World(5))
+        dodgr = DODGraph.build(graph)
+        want = dense_order_ranks(graph)
+        assert record_view(dodgr).order_ids == want
+        got = {
+            vertex: order_id
+            for rank in range(5)
+            for vertex, order_id in zip(
+                dodgr.csr(rank).row_vertices.tolist(), dodgr.csr(rank).row_order_ids.tolist()
+            )
+        }
+        assert got == want
+
+    def test_ids_equal_the_scalar_oracle_on_mixed_ids(self):
+        edges = [(f"v{i % 7}", (i % 5, "t"), None) for i in range(30)]
+        edges += [(2**70 + i % 4, f"v{i % 3}", i) for i in range(20)]
+        edges += [(i % 6, 2**70 + i % 5, float(i)) for i in range(25)]
+        graph = DistributedGraph.from_edges(World(5), edges)
+        assert record_view(DODGraph.build(graph)).order_ids == dense_order_ranks(graph)
 
     def test_row_ids_sorted_ascending(self, small_rmat):
         dodgr = build_dodgr(small_rmat, 4)
@@ -63,16 +111,15 @@ class TestOrderIds:
                 assert ids == sorted(ids)
                 # Sorted identically to the record view's entry_key order.
                 lo, hi = csr.row_slice(row)
-                assert [entry_key(e) for e in csr.entries[lo:hi]] == sorted(
-                    entry_key(e) for e in csr.entries[lo:hi]
-                )
+                keys = [entry_key(e) for e in entries(csr)[lo:hi]]
+                assert keys == sorted(keys)
 
     def test_owners_match_partitioner(self, small_er):
         dodgr = build_dodgr(small_er, 4)
         for rank in range(4):
             csr = dodgr.csr(rank)
-            for pos, entry in enumerate(csr.entries):
-                assert csr.tgt_owner[pos] == dodgr.owner(entry[0])
+            for pos, vertex in enumerate(csr.tgt_vertex.tolist()):
+                assert csr.tgt_owner[pos] == dodgr.owner(vertex)
 
 
 class TestWireSizePrecompute:
@@ -82,12 +129,11 @@ class TestWireSizePrecompute:
         checked = 0
         for rank in range(4):
             csr = dodgr.csr(rank)
+            tuples = entries(csr)
             for row in range(min(csr.num_rows, 20)):
                 lo, hi = csr.row_slice(row)
                 for qpos in range(lo, hi - 1):
-                    candidates = [
-                        (e[0], e[1], e[2]) for e in csr.entries[qpos + 1 : hi]
-                    ]
+                    candidates = [(e[0], e[1], e[2]) for e in tuples[qpos + 1 : hi]]
                     # Legacy candidate list minus its 2 framing bytes
                     # (list tag + length prefix), which the survey driver
                     # accounts separately via uvarint_size.
@@ -103,7 +149,7 @@ class TestWireSizePrecompute:
                 vertex = csr.row_vertices[row]
                 expected = len(dumps(vertex)) + len(dumps(csr.row_meta[row]))
                 assert csr.row_wire_sizes[row] == expected
-            for pos, entry in enumerate(csr.entries):
+            for pos, entry in enumerate(entries(csr)):
                 assert csr.tgt_wire_sizes[pos] == len(dumps(entry[0])) + len(
                     dumps(entry[2])
                 )
@@ -150,15 +196,13 @@ class TestVectorSizing:
             for v in range(u + 1, 9)
         ]
         dataset = GeneratedGraph(name=shape, edges=edges)
-        dodgr = build_dodgr(dataset, 2)
-        vector = [dodgr.csr(rank) for rank in range(2)]
-        dodgr._invalidate_derived()
+        vector = build_dodgr(dataset, 2)
         monkeypatch.setattr(
             CSRAdjacency, "_vector_value_sizes", staticmethod(lambda values: None)
         )
+        scalar = build_dodgr(dataset, 2)
         for rank in range(2):
-            got, want = vector[rank], dodgr.csr(rank)
-            assert got is not want
+            got, want = vector.csr(rank), scalar.csr(rank)
             assert got.tgt_wire_sizes.tolist() == want.tgt_wire_sizes.tolist()
             assert got.tgt_vertex_wire.tolist() == want.tgt_vertex_wire.tolist()
             assert got.cand_size_cumsum.tolist() == want.cand_size_cumsum.tolist()
@@ -190,7 +234,7 @@ class TestExtractedValues:
         values = csr.extracted_values(edge_timestamp, "edge", positions)
         assert values.dtype == np.float64
         assert values.tolist() == [
-            edge_timestamp(csr.entries[pos][2]) for pos in positions.tolist()
+            edge_timestamp(csr.edge_meta[pos]) for pos in positions.tolist()
         ]
 
     def test_int_values_are_int64_up_to_2_62(self):
@@ -199,12 +243,11 @@ class TestExtractedValues:
         positions = np.arange(csr.num_edges, dtype=np.int64)
         values = csr.extracted_values(identity, "edge", positions)
         assert values.dtype == np.int64
-        assert values.tolist() == [entry[2] for entry in csr.entries]
+        assert values.tolist() == csr.edge_meta.tolist()
         rows = np.arange(csr.num_rows, dtype=np.int64)
         assert csr.extracted_values(identity, "row", rows).tolist() == csr.row_meta.tolist()
-        assert csr.extracted_values(identity, "target", positions).tolist() == [
-            entry[3] for entry in csr.entries
-        ]
+        targets = csr.extracted_values(identity, "target", positions)
+        assert targets.tolist() == csr.tgt_meta.tolist()
 
     @pytest.mark.parametrize(
         "stamp_of",
@@ -230,7 +273,7 @@ class TestExtractedValues:
 
     def test_a_later_fill_of_another_type_retires_the_memo(self):
         csr = self.one_rank_csr(temporal_clique(lambda u, v: 1.5 if u else 7))
-        is_float = np.array([entry[2].__class__ is float for entry in csr.entries])
+        is_float = np.array([meta.__class__ is float for meta in csr.edge_meta.tolist()])
         floats, ints = np.flatnonzero(is_float), np.flatnonzero(~is_float)
         assert csr.extracted_values(identity, "edge", floats).dtype == np.float64
         assert csr.extracted_values(identity, "edge", ints) is None
@@ -263,12 +306,12 @@ class TestExtractedValues:
 
         touched = np.array([3, 5, 3, 9], dtype=np.int64)
         assert csr.extracted_values(extract, "edge", touched).tolist() == [
-            csr.entries[pos][2] for pos in touched.tolist()
+            csr.edge_meta[pos] for pos in touched.tolist()
         ]
-        assert sorted(seen) == sorted({csr.entries[pos][2] for pos in (3, 5, 9)})
+        assert sorted(seen) == sorted({csr.edge_meta[pos] for pos in (3, 5, 9)})
         del seen[:]
         csr.extracted_values(extract, "edge", np.array([5, 9, 10], dtype=np.int64))
-        assert seen == [csr.entries[10][2]]
+        assert seen == [csr.edge_meta[10]]
 
     def test_memo_keeps_a_handful_of_extractors(self):
         csr = self.one_rank_csr(temporal_clique(lambda u, v: 1.0))
@@ -287,16 +330,6 @@ class TestExtractedValues:
         before = dodgr.csr(0)
         before.extracted_values(float, "edge", np.arange(before.num_edges))
         assert float in before.value_columns["edge"].memo.extractors()
-        dodgr._invalidate_derived()
+        dodgr.release()
         assert before.value_columns is None
-        assert dodgr.csr(0) is not before
-        assert dodgr.csr(0).value_columns["edge"].memo.extractors() == []
-
-
-class TestInvalidation:
-    def test_sort_adjacency_invalidates_cached_snapshots(self, small_er):
-        dodgr = build_dodgr(small_er, 2)
-        before = dodgr.csr(0)
-        assert dodgr.csr(0) is before  # cached
-        dodgr.sort_adjacency()
-        assert dodgr.csr(0) is not before
+        assert build_dodgr(small_er, 2).csr(0).value_columns["edge"].memo.extractors() == []

@@ -11,7 +11,7 @@ from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import DODGraph
 from repro.graph.edge_list import canonical_pair
 from repro.graph.generators import erdos_renyi
-from repro.oracle import DeltaRecords
+from repro.oracle import DeltaRecords, record_view
 from repro.runtime.world import World
 
 
@@ -111,9 +111,9 @@ def test_rebuild_matches_cold_build():
         cold_graph.add_edge(u, v, meta)
     cold = DODGraph.build(cold_graph, mode="bulk")
 
-    assert applied.dodgr.order_ids() == cold.order_ids()
-    for rank in range(4):
-        assert applied.dodgr.local_store(rank) == cold.local_store(rank)
+    got, want = record_view(applied.dodgr), record_view(cold)
+    assert got.order_ids == want.order_ids
+    assert got.stores == want.stores
 
 
 def test_edge_mask_matches_pair_set():
@@ -128,6 +128,7 @@ def test_edge_mask_matches_pair_set():
     buffer.stage_edges(edges[2 * len(edges) // 3 :])
     applied = buffer.apply(graph)
     records = DeltaRecords(applied)
+    view = record_view(applied.dodgr)
 
     seen_new = 0
     for rank in range(4):
@@ -139,7 +140,7 @@ def test_edge_mask_matches_pair_set():
             vertex = csr.row_vertices[row]
             for pos in range(lo, hi):
                 expected = (
-                    canonical_pair(vertex, csr.entries[pos][0]) in records.new_pairs
+                    canonical_pair(vertex, view.entries[rank][pos][0]) in records.new_pairs
                 )
                 assert bool(mask[pos]) == expected
                 seen_new += bool(mask[pos])
@@ -159,7 +160,7 @@ def test_new_adjacency_lists():
     for rank in range(4):
         for q, filtered in records.new_adjacency(rank).items():
             for entry, pos in filtered:
-                assert applied.dodgr.local_store(rank)[q]["adj"][pos] == entry
+                assert record_view(applied.dodgr).stores[rank][q]["adj"][pos] == entry
                 assert records.is_new(q, entry[0])
                 total += 1
     assert total == 1  # exactly the one new directed edge

@@ -10,41 +10,47 @@ from repro.core.callbacks import ClosureTimeSurvey
 from repro.core.incremental import StreamingSurvey
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.core.survey import triangle_survey_push
-from repro.graph import DODGraph, DistributedGraph, entry_key, order_key, rmat, temporal_edge_meta
+from repro.graph import DODGraph, DistributedGraph, order_key, rmat, temporal_edge_meta
 from repro.graph.properties import dodgr_wedge_count, max_dodgr_out_degree
+from repro.oracle import entry_key, record_view, routed_build
+from repro.oracle.records import _VIEWS
 from repro.runtime import World
 from repro.runtime.rpc import RpcError
 from repro.service import SurveyService
 
 
 def build_pair(generated, nranks=4):
-    """Build bulk and async DODGr for the same generated graph."""
-    world_a = World(nranks)
-    bulk = DODGraph.build(generated.to_distributed(world_a), mode="bulk")
-    world_b = World(nranks)
-    asyn = DODGraph.build(generated.to_distributed(world_b), mode="async")
-    return bulk, asyn
+    """The bulk DODGr and the routed records of the same generated graph."""
+    bulk = DODGraph.build(generated.to_distributed(World(nranks)), mode="bulk")
+    routed = routed_build(generated.to_distributed(World(nranks)))
+    return bulk, routed
+
+
+def routed_edges(stores):
+    return [
+        (u, entry[0]) for store in stores for u, record in store.items() for entry in record["adj"]
+    ]
 
 
 class TestInvariants:
     def test_every_undirected_edge_appears_exactly_once(self, world4, small_rmat):
         graph = small_rmat.to_distributed(world4)
         dodgr = DODGraph.build(graph)
-        directed = list(dodgr.directed_edges())
-        assert len(directed) == graph.num_undirected_edges()
+        directed = list(record_view(dodgr).directed_edges())
+        assert len(directed) == graph.num_undirected_edges() == dodgr.num_directed_edges()
         assert len(set(map(frozenset, directed))) == len(directed)
 
     def test_edges_point_from_lower_to_higher_order(self, world4, small_rmat):
         graph = small_rmat.to_distributed(world4)
         dodgr = DODGraph.build(graph)
         degrees = graph.degrees()
-        for u, v in dodgr.directed_edges():
+        for u, v in record_view(dodgr).directed_edges():
             assert order_key(u, degrees[u]) < order_key(v, degrees[v])
 
     def test_adjacency_sorted_by_target_order(self, world4, small_rmat):
         dodgr = DODGraph.build(small_rmat.to_distributed(world4))
-        for rank in range(4):
-            for _vertex, record in dodgr.local_vertices(rank):
+        for store in record_view(dodgr).stores:
+            for record in store.values():
                 keys = [entry_key(entry) for entry in record["adj"]]
                 assert keys == sorted(keys)
 
@@ -56,12 +62,13 @@ class TestInvariants:
         )
         dodgr = DODGraph.build(graph)
         metas = {}
-        for rank in range(4):
-            for u, record in dodgr.local_vertices(rank):
+        for store in record_view(dodgr).stores:
+            for u, record in store.items():
                 for v, d_v, edge_meta, meta_v in record["adj"]:
                     metas[(u, v)] = (edge_meta, meta_v, d_v)
         # Every stored entry carries the correct edge metadata, the target's
         # vertex metadata and the target's degree.
+        assert len(metas) == 3
         for (u, v), (edge_meta, meta_v, d_v) in metas.items():
             assert edge_meta == graph.edge_meta(u, v)
             assert meta_v == graph.vertex_meta(v)
@@ -70,8 +77,9 @@ class TestInvariants:
     def test_vertex_records_keep_full_degree_and_meta(self, world4, small_rmat):
         graph = small_rmat.to_distributed(world4, default_vertex_meta=True)
         dodgr = DODGraph.build(graph)
-        for rank in range(4):
-            for vertex, record in dodgr.local_vertices(rank):
+        for rank, store in enumerate(record_view(dodgr).stores):
+            assert set(store) == {vertex for vertex, _ in graph.local_vertices(rank)}
+            for vertex, record in store.items():
                 assert record["degree"] == graph.degree(vertex)
                 assert record["meta"] is True
 
@@ -79,22 +87,45 @@ class TestInvariants:
         import networkx as nx
 
         dodgr = DODGraph.build(small_er.to_distributed(world4))
-        dg = nx.DiGraph(list(dodgr.directed_edges()))
+        dg = nx.DiGraph(list(record_view(dodgr).directed_edges()))
         assert nx.is_directed_acyclic_graph(dg)
 
 
 class TestConstructionModes:
-    def test_async_equals_bulk(self, small_er):
-        bulk, asyn = build_pair(small_er)
-        assert sorted(bulk.directed_edges()) == sorted(asyn.directed_edges())
-        assert bulk.wedge_count() == asyn.wedge_count()
+    def test_routed_records_equal_the_bulk_view(self, small_er):
+        bulk, routed = build_pair(small_er)
+        stores = record_view(bulk).stores
+        assert [list(store.items()) for store in routed] == [list(s.items()) for s in stores]
+        assert sorted(routed_edges(routed)) == sorted(record_view(bulk).directed_edges())
 
-    def test_async_accounts_traffic(self, small_er):
+    def test_routed_build_accounts_traffic(self, small_er):
         world = World(4)
         graph = small_er.to_distributed(world)
-        dodgr = DODGraph.build(graph, mode="async", phase_name="construct")
+        handlers = len(world.registry)
+        stores = routed_build(graph, phase_name="construct")
         assert world.stats.phase_total("construct").rpcs_sent > 0
-        assert dodgr.num_directed_edges() == graph.num_undirected_edges()
+        assert len(routed_edges(stores)) == graph.num_undirected_edges()
+        # One handler id, like a DODGraph, freed once the build returns.
+        assert len(world.registry) == handlers + 1
+        with pytest.raises(RpcError, match="released"):
+            world.registry.handler(handlers)
+
+    def test_each_build_takes_one_handler_id(self, world4, small_er):
+        graph = small_er.to_distributed(world4)
+        handlers = len(world4.registry)
+        dodgr = DODGraph.build(graph)
+        DODGraph.build(graph, mode="bulk")
+        assert len(world4.registry) == handlers + 2
+        assert dodgr._h_offer_edge.name == f"{dodgr.name}.offer_edge"
+        with pytest.raises(RuntimeError, match="routed_build"):
+            world4.registry.handler(dodgr._h_offer_edge.handler_id)(world4.ranks[0])
+
+    def test_async_mode_points_to_the_routed_build(self, world4, small_er):
+        graph = small_er.to_distributed(world4)
+        handlers = len(world4.registry)
+        with pytest.raises(ValueError, match="routed_build"):
+            DODGraph.build(graph, mode="async")
+        assert len(world4.registry) == handlers
 
     def test_unknown_mode_rejected(self, world4, small_er):
         graph = small_er.to_distributed(world4)
@@ -103,14 +134,17 @@ class TestConstructionModes:
 
 
 class TestQueries:
-    def test_out_degree_and_degree(self, world4):
+    def test_records_keep_degree_and_out_degree(self, world4):
         graph = DistributedGraph.from_edges(world4, [(1, 2), (1, 3), (2, 3), (3, 4)])
         dodgr = DODGraph.build(graph)
+        stores = record_view(dodgr).stores
         for vertex in (1, 2, 3, 4):
-            assert dodgr.degree(vertex) == graph.degree(vertex)
-            assert dodgr.out_degree(vertex) == len(dodgr.adjacency(vertex))
-        assert dodgr.out_degree(99) == 0
-        assert dodgr.adjacency(99) == []
+            record = stores[dodgr.owner(vertex)][vertex]
+            assert record["degree"] == graph.degree(vertex)
+        out_degrees = [len(record["adj"]) for store in stores for record in store.values()]
+        assert sum(out_degrees) == dodgr.num_directed_edges()
+        assert max(out_degrees) == dodgr.max_out_degree()
+        assert all(99 not in store for store in stores)
 
     def test_wedge_count_matches_oracle(self, world8, small_rmat):
         dodgr = DODGraph.build(small_rmat.to_distributed(world8))
@@ -129,26 +163,18 @@ class TestQueries:
     def test_vertex_meta_lookup(self, world4):
         graph = DistributedGraph.from_edges(world4, [(1, 2)], vertex_meta={1: "x", 2: "y"})
         dodgr = DODGraph.build(graph)
-        assert dodgr.vertex_meta(1) == "x"
-        with pytest.raises(KeyError):
-            dodgr.vertex_meta(42)
+        stores = record_view(dodgr).stores
+        assert stores[dodgr.owner(1)][1]["meta"] == "x"
+        assert stores[dodgr.owner(2)][2]["meta"] == "y"
+        assert all(42 not in store for store in stores)
 
     def test_rank_edge_counts_sum(self, world8, small_rmat):
         dodgr = DODGraph.build(small_rmat.to_distributed(world8))
         assert sum(dodgr.rank_edge_counts()) == dodgr.num_directed_edges()
 
-    def test_visit_executes_on_owner(self, world4):
-        graph = DistributedGraph.from_edges(world4, [(1, 2), (2, 3)])
-        dodgr = DODGraph.build(graph)
-        seen = []
-        handler = world4.register_handler(lambda ctx, vertex, tag: seen.append((ctx.rank, vertex, tag)))
-        dodgr.visit(world4.ranks[0], 3, handler, "hello")
-        world4.barrier()
-        assert seen == [(dodgr.owner(3), 3, "hello")]
-
 
 class TestProductionPathStaysOnTheArrays:
-    """A bulk build *is* its columns; object-shaped views exist only if read."""
+    """A DODGr *is* its columns: only the oracle builds a record view of it."""
 
     NRANKS = 4
 
@@ -164,12 +190,12 @@ class TestProductionPathStaysOnTheArrays:
         return graph, DODGraph.build(graph)
 
     def oracle(self):
-        """The same graph loaded edge by edge, routed build, per-wedge engine."""
+        """The same graph loaded edge by edge, for the per-wedge engine."""
         us, vs, metas = self.columns()
         graph = DistributedGraph.from_edges(
             World(self.NRANKS), zip(us.tolist(), vs.tolist(), metas)
         )
-        return graph, DODGraph.build(graph, mode="async")
+        return graph, DODGraph.build(graph)
 
     @staticmethod
     def closure_histogram(dodgr, engine):
@@ -184,14 +210,11 @@ class TestProductionPathStaysOnTheArrays:
         count = triangle_survey_push_pull(dodgr, None, engine="columnar")
         assert count.triangles == triangle_survey_push_pull(oracle, None, engine="legacy").triangles
         assert self.closure_histogram(dodgr, "columnar") == self.closure_histogram(oracle, "legacy")
-        vertex = int(self.columns()[0][0])
         for query in (
             "num_vertices", "num_directed_edges", "max_out_degree", "wedge_count",
             "rank_edge_counts", "order_count",
         ):
             assert getattr(dodgr, query)() == getattr(oracle, query)(), query
-        for query in ("out_degree", "degree", "vertex_meta"):
-            assert getattr(dodgr, query)(vertex) == getattr(oracle, query)(vertex), query
         assert dodgr.rows_by_order_id().tolist() == oracle.rows_by_order_id().tolist()
         for query in (
             "num_vertices", "num_directed_edges", "num_undirected_edges", "max_degree",
@@ -199,8 +222,7 @@ class TestProductionPathStaysOnTheArrays:
         ):
             assert getattr(graph, query)() == getattr(oracle_graph, query)(), query
         assert not graph.store_materialised
-        assert dodgr.materialised_views() == frozenset()
-        assert oracle.materialised_views() == {"records"}
+        assert dodgr not in _VIEWS and oracle in _VIEWS
 
     def test_scalar_callback_reads_the_columns(self):
         _, dodgr = self.build()
@@ -214,17 +236,18 @@ class TestProductionPathStaysOnTheArrays:
         triangle_survey_push(oracle, collect(want), engine="legacy")
         assert sorted(got) == sorted(want) and got
         assert all(type(field) is int for tri in got for field in tri[:3])
-        assert dodgr.materialised_views() == frozenset()
+        assert dodgr not in _VIEWS
 
     def test_oracle_engine_materialises_what_it_reads(self):
         _, oracle = self.oracle()
         want = self.closure_histogram(oracle, "legacy")
         _, dodgr = self.build()
+        assert dodgr not in _VIEWS
         assert self.closure_histogram(dodgr, "legacy") == want
-        # The records share the entry tuples, so both exist; the dict does not.
-        assert dodgr.materialised_views() == {"records", "entries"}
-        assert dodgr.order_ids() == oracle.order_ids()
-        assert dodgr.materialised_views() == {"records", "entries", "order_ids"}
+        view = _VIEWS[dodgr]
+        assert record_view(dodgr) is view  # built once, then cached
+        assert view.order_ids == record_view(oracle).order_ids
+        assert view.stores == record_view(oracle).stores
 
     def test_the_write_path_materialises_no_view(self):
         """A columnar stream and a service ingest + exact query stay on the arrays."""
@@ -237,12 +260,12 @@ class TestProductionPathStaysOnTheArrays:
         stream = StreamingSurvey(World(self.NRANKS), ClosureTimeSurvey, engine="columnar")
         for batch in batches:
             stream.ingest(batch)
-        assert stream.dodgr.materialised_views() == frozenset()
+        assert stream.dodgr not in _VIEWS
         assert not stream.graph.store_materialised
         service = SurveyService(World(self.NRANKS), engine="columnar")
         service.ingest(batches[0])
         assert service.query("triangle").outcome == "exact"
-        assert service._ledger.dodgr.materialised_views() == frozenset()
+        assert service._ledger.dodgr not in _VIEWS
         assert not service._ledger.graph.store_materialised
         service.close()
 
@@ -269,6 +292,34 @@ def test_release_frees_the_graph_when_its_last_owner_lets_go():
     assert dodgr.num_directed_edges() == 3
     assert world.registry.handler(dodgr._h_offer_edge.handler_id) is not None
     dodgr.release()
-    assert not [slot for rank in world.ranks for slot in rank.local_state if slot.startswith("dodgr:")]
     with pytest.raises(RpcError, match="released"):
         world.registry.handler(dodgr._h_offer_edge.handler_id)
+    dodgr.release()  # a freed graph stays freed
+    with pytest.raises(RuntimeError, match="released"):
+        dodgr.num_directed_edges()
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda dodgr: dodgr.csr(0),
+        lambda dodgr: dodgr.global_columns(),
+        lambda dodgr: dodgr.num_vertices(),
+        lambda dodgr: dodgr.num_directed_edges(),
+        lambda dodgr: dodgr.wedge_count(),
+        lambda dodgr: dodgr.max_out_degree(),
+        lambda dodgr: dodgr.retain(),
+        record_view,
+    ],
+    ids=[
+        "csr", "global_columns", "num_vertices", "num_directed_edges", "wedge_count",
+        "max_out_degree", "retain", "record_view",
+    ],
+)
+def test_a_released_graph_refuses_every_read(read):
+    world = World(2)
+    graph = DistributedGraph.from_edges(world, [(0, 1), (1, 2), (0, 2)])
+    dodgr = DODGraph.build(graph, name="gone")
+    dodgr.release()
+    with pytest.raises(RuntimeError, match="DODGr 'gone' has been released"):
+        read(dodgr)

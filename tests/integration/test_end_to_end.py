@@ -56,7 +56,7 @@ class TestFileToSurveyPipeline:
         simple = edge_list.simplify("earliest")
         vertex_meta = read_vertex_file(vertex_path)
         graph = DistributedGraph.from_edge_list(simple, vertex_meta=vertex_meta)
-        dodgr = DODGraph.build(graph, mode="async")
+        dodgr = DODGraph.build(graph, mode="bulk")
 
         counter = TriangleCounter(world)
         report = triangle_survey_push_pull(dodgr, counter.callback)

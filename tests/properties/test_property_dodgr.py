@@ -26,7 +26,8 @@ from repro.graph.degree import order_key
 from repro.graph.edge_list import canonical_pair
 from repro.graph.dodgr import CSRAdjacency, _value_sizes
 from repro.graph.ooc import StorageConfig, active_segment_paths
-from repro.oracle import DeltaRecords
+from repro.oracle import DeltaRecords, record_view, routed_build
+from repro.oracle.records import _VIEWS
 from repro.runtime import World, active_segment_names
 from repro.runtime.backend.shm import shared_memory_available
 
@@ -53,7 +54,7 @@ def test_dodgr_orients_each_edge_exactly_once(edges, nranks):
     graph = DistributedGraph.from_edges(world, edges)
     dodgr = DODGraph.build(graph)
     undirected = {frozenset((u, v)) for u, v in edges}
-    directed = list(dodgr.directed_edges())
+    directed = list(record_view(dodgr).directed_edges())
     assert len(directed) == len(undirected)
     assert {frozenset(e) for e in directed} == undirected
 
@@ -65,19 +66,23 @@ def test_dodgr_respects_degree_order(edges, nranks):
     graph = DistributedGraph.from_edges(world, edges)
     degrees = graph.degrees()
     dodgr = DODGraph.build(graph)
-    for u, v in dodgr.directed_edges():
+    for u, v in record_view(dodgr).directed_edges():
         assert order_key(u, degrees[u]) < order_key(v, degrees[v])
 
 
 @given(simple_edge_sets(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
-def test_async_and_bulk_construction_agree(edges, nranks):
+def test_routed_and_bulk_construction_agree(edges, nranks):
     world_a = World(nranks)
     bulk = DODGraph.build(DistributedGraph.from_edges(world_a, edges), mode="bulk")
     world_b = World(nranks)
-    asyn = DODGraph.build(DistributedGraph.from_edges(world_b, edges), mode="async")
-    assert sorted(bulk.directed_edges()) == sorted(asyn.directed_edges())
-    assert bulk.wedge_count() == asyn.wedge_count()
+    routed = routed_build(DistributedGraph.from_edges(world_b, edges))
+    routed_edges = [
+        (u, entry[0]) for store in routed for u, record in store.items() for entry in record["adj"]
+    ]
+    assert sorted(record_view(bulk).directed_edges()) == sorted(routed_edges)
+    out_degrees = [len(record["adj"]) for store in routed for record in store.values()]
+    assert bulk.wedge_count() == sum(d * (d - 1) // 2 for d in out_degrees)
 
 
 @given(simple_edge_sets())
@@ -96,11 +101,11 @@ def test_wedge_count_invariant_under_partitioning(edges):
 # The equivalence contract over the column seam
 # ---------------------------------------------------------------------------
 #
-# A DODGr's columns have three origins — the from_columns image, the
-# flattened from_edges stores (both through the bulk pipeline) and the
-# flattened records of a routed mode="async" build — and every object-shaped
-# view (graph stores, DODGr records, entries, order_ids) is derived from
-# them lazily.  All of it must agree, value for value and in dict order.
+# A graph loads three ways — the from_columns image and the flattened
+# from_edges stores, both through the bulk DODGr build, and the oracle's
+# routed build of records — and every object-shaped view (graph stores, the
+# oracle's records, entries and order_ids) is derived from the columns.  All
+# of it must agree, value for value and in dict order.
 
 EDGE_META_COLUMNS = {
     "float": st.floats(allow_nan=False),
@@ -150,7 +155,8 @@ def edge_records(us, vs, kwargs):
 
 
 def load_three_ways(n, us, vs, kwargs, nranks, partitioner):
-    """(graph, dodgr) from the image, the flattened stores and the routed build."""
+    """(graph, dodgr) from the image and the flattened stores, and (graph,
+    records) from the routed build."""
 
     def load(world, from_columns):
         placement = PARTITIONERS[partitioner](nranks, n + 4)
@@ -173,7 +179,7 @@ def load_three_ways(n, us, vs, kwargs, nranks, partitioner):
     built = [
         (image, DODGraph.build(image, mode="bulk")),
         (stores, DODGraph.build(stores, mode="bulk")),
-        (routed, DODGraph.build(routed, mode="async")),
+        (routed, routed_build(routed)),
     ]
     # Two graph handlers and one DODGr handler per load, in every lane.
     assert [len(world.registry) for world in worlds] == [3, 3, 3]
@@ -187,14 +193,21 @@ def assert_same_columns(csr_a, csr_b):
         assert column_a.tolist() == column_b.tolist(), name
 
 
-def assert_same_views(dodgr_a, dodgr_b, nranks):
-    """Records, entries, vertex_rows and order_ids, dict insertion order included."""
-    assert list(dodgr_a.order_ids().items()) == list(dodgr_b.order_ids().items())
-    for rank in range(nranks):
-        assert list(dodgr_a.local_store(rank).items()) == list(dodgr_b.local_store(rank).items())
-        csr_a, csr_b = dodgr_a.csr(rank), dodgr_b.csr(rank)
-        assert csr_a.entries == csr_b.entries
-        assert list(csr_a.vertex_rows.items()) == list(csr_b.vertex_rows.items())
+def assert_same_views(dodgr_a, dodgr_b):
+    """Records, entries and order_ids, dict insertion order included."""
+    view_a, view_b = record_view(dodgr_a), record_view(dodgr_b)
+    assert list(view_a.order_ids.items()) == list(view_b.order_ids.items())
+    assert [list(store.items()) for store in view_a.stores] == [
+        list(store.items()) for store in view_b.stores
+    ]
+    assert view_a.entries == view_b.entries
+
+
+def assert_same_records(routed, dodgr):
+    """The routed build's records == the DODGr's record view, in store order."""
+    assert [list(store.items()) for store in routed] == [
+        list(store.items()) for store in record_view(dodgr).stores
+    ]
 
 
 def assert_same_stores(graph_a, graph_b, nranks):
@@ -217,16 +230,16 @@ def test_columns_agree_across_the_three_origins(columns, nranks, partitioner):
     )
     for rank in range(nranks):
         assert_same_columns(from_image.csr(rank), from_stores.csr(rank))
-        assert_same_columns(from_image.csr(rank), routed.csr(rank))
     # Nothing object-shaped was needed to get here.
     assert not image.store_materialised
-    assert from_image.materialised_views() == from_stores.materialised_views() == frozenset()
+    assert from_image not in _VIEWS and from_stores not in _VIEWS
     # <+ ids against the definition, not against another build.
     degrees = stores.degrees()
     in_order = sorted(degrees, key=lambda v: order_key(v, degrees[v]))
-    assert list(from_image.order_ids()) == in_order
-    assert_same_views(from_image, routed, nranks)
-    assert_same_views(from_stores, routed, nranks)
+    assert list(record_view(from_image).order_ids) == in_order
+    assert_same_views(from_image, from_stores)
+    assert_same_records(routed, from_image)
+    assert_same_records(routed, from_stores)
     assert_same_stores(image, stores, nranks)
     assert image.store_materialised
 
@@ -485,7 +498,7 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
             assert_same_columns(applied.dodgr.csr(rank), want.csr(rank))
         # The new-edge description, against the oracle's order_ids and pairs.
         pairs = {(u, v) for u, v, _ in accepted}
-        order_ids, stride = want.order_ids(), want.order_count()
+        order_ids, stride = record_view(want).order_ids, want.order_count()
         keys = sorted(
             min(order_ids[u], order_ids[v]) * stride + max(order_ids[u], order_ids[v])
             for u, v in pairs
@@ -498,7 +511,7 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
                 canonical_pair(u, v) in pairs for u, v in zip(sources, csr.tgt_vertex.tolist())
             ]
             assert applied.edge_mask(rank).tolist() == expected
-        assert applied.dodgr.materialised_views() == frozenset()
+        assert applied.dodgr not in _VIEWS
         records = DeltaRecords(applied)
         assert records.edges == accepted
         assert records.new_pairs == pairs
@@ -519,12 +532,11 @@ def test_object_id_graphs_take_the_same_pipeline(ids):
     edges = OBJECT_ID_GRAPHS[ids]
     nranks = 3
     bulk = DODGraph.build(DistributedGraph.from_edges(World(nranks), edges), mode="bulk")
-    routed = DODGraph.build(DistributedGraph.from_edges(World(nranks), edges), mode="async")
+    routed = routed_build(DistributedGraph.from_edges(World(nranks), edges))
     for rank in range(nranks):
         assert bulk.csr(rank).row_vertices.dtype == object
-        assert_same_columns(bulk.csr(rank), routed.csr(rank))
-    assert bulk.materialised_views() == frozenset()
-    assert_same_views(bulk, routed, nranks)
+    assert bulk not in _VIEWS
+    assert_same_records(routed, bulk)
     if ids == "beyond_int64":  # from_columns: the per-edge lane, same graph
         graph = DistributedGraph.from_columns(
             World(nranks),
@@ -533,8 +545,10 @@ def test_object_id_graphs_take_the_same_pipeline(ids):
             edge_metas=[e[2] for e in edges],
         )
         assert graph.store_materialised
+        from_columns = DODGraph.build(graph)
         for rank in range(nranks):
-            assert_same_columns(DODGraph.build(graph).csr(rank), routed.csr(rank))
+            assert_same_columns(from_columns.csr(rank), bulk.csr(rank))
+        assert_same_records(routed, from_columns)
 
 
 def test_mmap_storage_spills_the_same_seven_segments(tmp_path):
@@ -563,7 +577,7 @@ def test_mmap_storage_spills_the_same_seven_segments(tmp_path):
         5 * max(csr.num_edges, 1) + (csr.num_edges + 1) + (csr.num_rows + 1)
         for csr in resident
     )
-    assert dodgr.materialised_views() == frozenset()
+    assert dodgr not in _VIEWS
     # Back to resident: same objects again, columns read back, files gone.
     dodgr.configure_storage(None)
     assert active_segment_paths() == before and list(tmp_path.iterdir()) == []
@@ -594,4 +608,4 @@ def test_process_backend_shares_the_prebuilt_snapshots(monkeypatch):
     # What the workers inherit over the fork is what the build produced.
     assert all(shared[0][("csr", rank)] is prebuilt[rank] for rank in range(nranks))
     assert active_segment_names() == frozenset()
-    assert dodgr.materialised_views() == frozenset()
+    assert dodgr not in _VIEWS

@@ -312,8 +312,32 @@ def handler_ids(world, suffix):
     return [hid for name, hid in world.registry._by_name.items() if name.endswith(suffix)]
 
 
-def dodgr_slots(world, rank=0):
-    return [slot for slot in world.rank(rank).local_state if slot.startswith("dodgr:")]
+def live_dodgrs(world):
+    """Handler ids of the DODGrs not yet freed (each holds one ``offer_edge`` slot)."""
+    live = []
+    for handler_id in handler_ids(world, ".offer_edge"):
+        try:
+            world.registry.handler(handler_id)
+        except RpcError:
+            continue
+        live.append(handler_id)
+    return live
+
+
+def test_close_is_terminal(workload):
+    """A closed service answers, queues and ingests nothing."""
+    batches, _vertex_meta = workload
+    service = make_service(workload, ingest=1)
+    service.close()
+    for call in (
+        lambda: service.query("triangle"),
+        lambda: service.submit(analysis="triangle"),
+        lambda: service.ingest(batches[1]),
+    ):
+        with pytest.raises(ServiceError, match="closed"):
+            call()
+    assert service.stats().epochs_ingested == 1
+    service.close()  # closing again is a no-op
 
 
 def test_the_service_world_holds_one_graph(workload):
@@ -337,12 +361,12 @@ def test_a_pinned_epoch_outlives_the_ledgers_release(workload):
         service.ingest(batch)
     # The ledger keeps only the live graph; the pin keeps epoch 0's.
     assert service._ledger.pending_replay_batches == 0
-    assert len(dodgr_slots(service.world)) == 2
+    assert len(live_dodgrs(service.world)) == 2
     service.pump()
     answer = ticket.answer
     assert answer.outcome == "exact" and answer.epoch == 0
     assert answer.panel == reference_panel(workload, "closure", upto_batches=1)
-    assert len(dodgr_slots(service.world)) == 1
+    assert len(live_dodgrs(service.world)) == 1
     service.close()
 
 
@@ -383,8 +407,7 @@ def test_close_frees_every_dodgr(workload):
     service.close()
     assert ticket.answer.outcome == "shed"
     world = service.world
-    for rank in range(RANKS):
-        assert dodgr_slots(world, rank) == []
+    assert live_dodgrs(world) == []
     offer_edge = handler_ids(world, ".offer_edge")
     assert len(offer_edge) == len(batches)
     for handler_id in offer_edge:

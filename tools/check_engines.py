@@ -48,11 +48,12 @@ Ten checks, exit status 1 on any failure (each printed to stderr):
    :class:`~repro.core.incremental.StreamingSurvey` after four batches, and
    a :class:`~repro.service.SurveyService` after an ingest and one exact
    query, leave their live graph as a column image
-   (``store_materialised`` False) and their DODGr with no object-shaped
-   view (``materialised_views()`` empty): a ``DeltaBuffer`` that regrows a
-   per-edge dict insert or flatten fails here.  Every stream step after the
-   first makes at most one ``callback_batch`` delivery per rank, so a delta
-   survey that goes back to delivering per message fails here too.
+   (``store_materialised`` False): a ``DeltaBuffer`` that regrows a
+   per-edge dict insert or flatten fails here.  (A DODGr is its columns and
+   has no object view to build; only :mod:`repro.oracle` derives one.)
+   Every stream step after the first makes at most one ``callback_batch``
+   delivery per rank, so a delta survey that goes back to delivering per
+   message fails here too.
 8. **One table says what may run** — an AST scan of ``src/repro`` finds no
    ``raise UnsupportedBackendError`` outside
    :func:`repro.core.engine.registry.check_supported`, and the
@@ -307,16 +308,10 @@ def check_write_path() -> List[str]:
     if outcome != "exact":
         errors.append(f"SurveyService: the write-path probe query answered {outcome!r}")
     probes = {
-        "StreamingSurvey after 4 batches": (stream.graph, stream.dodgr),
-        "SurveyService after an ingest and an exact query": (
-            service._ledger.graph,
-            service._ledger.dodgr,
-        ),
+        "StreamingSurvey after 4 batches": stream.graph,
+        "SurveyService after an ingest and an exact query": service._ledger.graph,
     }
-    for where, (graph, dodgr) in probes.items():
-        views = dodgr.materialised_views()
-        if views:
-            errors.append(f"{where}: the DODGr built object view(s) {sorted(views)}")
+    for where, graph in probes.items():
         if graph.store_materialised:
             errors.append(f"{where}: the live graph's per-rank record dicts were built")
     service.close()
@@ -675,7 +670,7 @@ def main() -> int:
         "snapshot/merge/callback_batch contract with zero codec calls; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector; "
-        "the write path builds no object view; one table says what may run; "
+        "the write path stays on the arrays; one table says what may run; "
         "one loop runs every survey phase; the oracle stays out of production"
     )
     return 0
