@@ -8,9 +8,12 @@ comparison counts):
 * ``scalar``   — the reference per-segment Python loops, always available;
 * ``columnar`` — NumPy array pipelines with a scalar small-input escape
   hatch governed by ``_SCALAR_ROW_CUTOFF`` / ``_SCALAR_ROW_SEGMENT_CUTOFF``;
-* ``compiled`` — the scalar row loops in C, built with the system compiler
-  at import and registered only when that worked (``compiled -> columnar ->
-  scalar`` downgrade otherwise); what ``kernel_tier=None`` selects.
+* ``compiled`` — C row loops: merge path and hash by stamp and probe (each
+  row's keys stamped into an order-id-indexed array, each candidate one
+  load) with closed-form comparison counts, binary search by the scalar
+  walk; built with the system compiler at import and registered only when
+  that worked (``compiled -> columnar -> scalar`` downgrade otherwise); what
+  ``kernel_tier=None`` selects.
 
 Two jobs here:
 

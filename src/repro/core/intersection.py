@@ -483,8 +483,9 @@ ROW_KERNELS = {
 #
 # * ``scalar``   — the reference loop (:func:`_rows_via_scalar`) applied
 #   unconditionally; always available.
-# * ``compiled`` — the scalar row loops in C (:mod:`.intersection_compiled`),
-#   built with the system compiler and loaded through ctypes at import;
+# * ``compiled`` — C row loops (:mod:`.intersection_compiled`): stamp and
+#   probe with closed-form counts for merge/hash, the scalar binary-search
+#   walk; built with the system compiler and loaded through ctypes at import;
 #   registered only when that succeeded.  An unavailable tier follows the
 #   declared fallback chain ``compiled -> columnar -> scalar`` silently.
 #
@@ -550,6 +551,10 @@ def resolve_kernel_tier(tier: Optional[str] = None) -> str:
 
 def row_kernel(name: str, tier: Optional[str] = None):
     """The row-batch kernel ``name`` at (resolved) ``tier``."""
+    if name not in INTERSECTION_KERNELS:
+        raise ValueError(
+            f"unknown intersection kernel {name!r}; known: {tuple(INTERSECTION_KERNELS)}"
+        )
     return ROW_KERNEL_TIERS[resolve_kernel_tier(tier)][name]
 
 

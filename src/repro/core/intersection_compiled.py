@@ -2,9 +2,15 @@
 
 The columnar tier (:mod:`repro.core.intersection`) finds matches with one
 composite-key ``searchsorted`` and *replays* the comparison counts through
-closed forms.  This tier walks the scalar reference loops themselves
-(:data:`C_SOURCE`: merge, binary search, hash), so its matches and
-``comparisons`` totals equal the scalar kernels' by construction.
+closed forms.  This tier finds them by stamp and probe (:data:`C_SOURCE`):
+when the segment row changes, each of the row's keys is stamped into a
+per-call ``mark`` array indexed by order id, and every candidate is then
+one load — no merge walk, no branch per comparison.  ``merge_path`` and
+``hash`` share that body; their ``comparisons`` totals are closed forms
+(the merge walk's ``consumed - matches``, the hash model's row-plus-probe
+count), equal to the scalar kernels' on the sorted, duplicate-free rows and
+segments the engines pass.  ``binary_search`` still walks the scalar loop,
+since its count is the sum of every probe's path.
 
 The source is built once, **at import**, with the system C compiler
 (``cc -O2 -shared -fPIC``) into a user-private cache directory
@@ -46,15 +52,19 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 #: candidate position, global adjacency position)`` per match into the three
 #: ``n_cand``-slot rows of ``out`` (one match per candidate at most), stores the
 #: scalar kernels' exact comparison count and returns the match count — or
-#: BAD_*, before reading out of bounds.
+#: BAD_*, before reading out of bounds (BAD_KEY: a stamped row holds a key
+#: outside ``[0, order_count)``, the ``mark`` array's extent).
 C_SOURCE = r"""
 #include <stdint.h>
 typedef int64_t i64;
-enum { BAD_ROW = -1, BAD_SPAN = -2 };
+typedef uint64_t u64;
+enum { BAD_ROW = -1, BAD_SPAN = -2, BAD_KEY = -3 };
 
 #define ARGS const i64 *cand, const i64 *offs, i64 n_seg, i64 n_cand,          \
     const i64 *rows, const i64 *keys, const i64 *indptr, i64 n_rows,           \
-    i64 n_keys, i64 *out, i64 *comparisons
+    i64 n_keys, i64 order_count, i64 *mark, i64 *out, i64 *comparisons
+#define PASS cand, offs, n_seg, n_cand, rows, keys, indptr, n_rows, n_keys,    \
+    order_count, mark, out, comparisons
 
 #define SEGMENT                                                                \
     i64 i = offs[seg], hi = offs[seg + 1], row = rows[seg];                    \
@@ -65,22 +75,73 @@ enum { BAD_ROW = -1, BAD_SPAN = -2 };
 
 #define EMIT(c, a) (out[m] = seg, out[n_cand + m] = (c), out[2 * n_cand + m] = (a), m++)
 
-i64 merge_path_rows(ARGS) {
-    i64 m = 0, count = 0;
+/* How many of the sorted a[lo:hi] are <= key (branch-free halving). */
+static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
+    const i64 *base = a + lo;
+    i64 n = hi - lo;
+    if (n == 0) return 0;
+    while (n > 1) {
+        i64 half = n / 2;
+        base = base[half - 1] <= key ? base + half : base;
+        n -= half;
+    }
+    return (base - (a + lo)) + (*base <= key);
+}
+
+/* Stamp and probe, the body of merge_path_rows and hash_rows.  mark is the
+   call's own zeroed order_count + 1 slots.  mark[k] holds 1 + the global
+   position of key k in the row being probed (0: absent); slot order_count
+   stays 0 and absorbs every out-of-range candidate, so a probe is one load
+   and the output slot is written unconditionally.  A row is stamped when the
+   segment row changes and un-stamped when it changes again.  Rows
+   and candidates are sorted and duplicate-free, so the matches (segment
+   order, then candidate order) are the merge walk's and the hash probe's.
+   The merge count is the walk's closed form, consumed - matches: the list
+   whose last key is smaller runs out, the other stops at the upper bound of
+   that key, and equal last keys consume both.  The hash count is one table
+   build over the row and one probe per candidate. */
+static i64 stamp_probe(ARGS, int merge_count) {
+    if (order_count < 0) return BAD_KEY;
+    i64 m = 0, count = 0, stamped = -1;
     for (i64 seg = 0; seg < n_seg; seg++) {
         SEGMENT
-        while (i < hi && j < jhi) {
-            i64 ck = cand[i], ak = keys[j];
-            count++;
-            if (ck == ak) { EMIT(i, j); i++; j++; }
-            else if (ck < ak) i++;
-            else j++;
+        if (!merge_count) count += (jhi - j) + (hi - i);
+        if (i == hi || j == jhi) continue;
+        if (row != stamped) {
+            if (stamped >= 0)
+                for (i64 k = indptr[stamped]; k < indptr[stamped + 1]; k++)
+                    mark[keys[k]] = 0;
+            for (i64 k = j; k < jhi; k++) {
+                if ((u64)keys[k] >= (u64)order_count) return BAD_KEY;
+                mark[keys[k]] = k + 1;
+            }
+            stamped = row;
+        }
+        i64 first = m;
+        for (; i < hi; i++) {
+            i64 ck = cand[i];
+            i64 p = mark[(u64)ck < (u64)order_count ? ck : order_count];
+            out[m] = seg, out[n_cand + m] = i, out[2 * n_cand + m] = p - 1;
+            m += p != 0;
+        }
+        if (merge_count) {
+            i64 i0 = offs[seg], clast = cand[hi - 1], alast = keys[jhi - 1];
+            i64 consumed = clast < alast ? (hi - i0) + upper_bound(keys, j, jhi, clast)
+                         : clast > alast ? (jhi - j) + upper_bound(cand, i0, hi, alast)
+                         : (hi - i0) + (jhi - j);
+            count += consumed - (m - first);
         }
     }
     *comparisons = count;
     return m;
 }
 
+i64 merge_path_rows(ARGS) { return stamp_probe(PASS, 1); }
+
+i64 hash_rows(ARGS) { return stamp_probe(PASS, 0); }
+
+/* The scalar binary-search loop itself: its count depends on every probe's
+   path, so it walks. */
 i64 binary_search_rows(ARGS) {
     i64 m = 0, count = 0;
     for (i64 seg = 0; seg < n_seg; seg++) {
@@ -101,26 +162,11 @@ i64 binary_search_rows(ARGS) {
     *comparisons = count;
     return m;
 }
-
-/* Matches by the merge walk (inputs are sorted and duplicate-free, so the
-   matched set and its order equal the hash probe's); the count is the scalar
-   hash model: one table build per segment over its row, one probe per key. */
-i64 hash_rows(ARGS) {
-    i64 m = 0, count = 0;
-    for (i64 seg = 0; seg < n_seg; seg++) {
-        SEGMENT
-        count += (jhi - j) + (hi - i);
-        while (i < hi && j < jhi) {
-            i64 ck = cand[i], ak = keys[j];
-            if (ck == ak) { EMIT(i, j); i++; j++; }
-            else if (ck < ak) i++;
-            else j++;
-        }
-    }
-    *comparisons = count;
-    return m;
-}
 """
+
+
+#: The C side's BAD_KEY return.
+_BAD_KEY = -3
 
 
 @dataclass(frozen=True)
@@ -180,7 +226,7 @@ def _dlopen(library: str) -> ctypes.CDLL:
     for name in INTERSECTION_KERNELS:
         loop = getattr(lib, f"{name}_rows")
         loop.restype = i64
-        loop.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr, i64, i64, ptr, ptr]
+        loop.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
     return lib
 
 
@@ -237,12 +283,18 @@ def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
         if rows.size != n_seg:
             raise ValueError(f"{rows.size} segment rows for {n_seg} segments")
         out = _np.empty((3, cand.size), dtype=_np.int64)
+        # The stamp array is the call's own: ctypes drops the GIL, so two
+        # threads may run kernels on one RowAdjacency at once.
+        mark = _np.zeros(max(adjacency.order_count, 0) + 1, dtype=_np.int64)
         comparisons = ctypes.c_int64(0)
         m = loop(
             cand.ctypes.data, offs.ctypes.data, n_seg, cand.size,
             rows.ctypes.data, keys.ctypes.data, indptr.ctypes.data, n_rows, keys.size,
-            out.ctypes.data, ctypes.byref(comparisons),
+            adjacency.order_count, mark.ctypes.data, out.ctypes.data,
+            ctypes.byref(comparisons),
         )
+        if m == _BAD_KEY:
+            raise ValueError(f"adjacency keys must lie in [0, {adjacency.order_count})")
         if m < 0:
             _check_rows(rows, n_rows)  # BAD_ROW: the IndexError every tier raises
             raise ValueError("offsets / adjacency indptr are not monotone in-range spans")

@@ -4,31 +4,59 @@ The row kernels are contractually *aggregates* of the scalar kernels: per
 segment they must return exactly the matches the scalar kernel would against
 that segment's adjacency row, and their comparison total must equal the sum
 of the scalar counts — otherwise a columnar survey would drift from the
-legacy path's simulated-cost accounting.
+legacy path's simulated-cost accounting.  The hand-written cases run over
+every registered tier: ``columnar`` at its production cutoff and forced down
+its vectorized pipeline, ``scalar``, and ``compiled`` wherever a C compiler
+built it.  The compiled tier's stamp-and-probe body gets cases of its own.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 
 import numpy
 import pytest
 
+from repro.core import intersection
 from repro.core.intersection import (
     INTERSECTION_KERNELS,
+    ROW_KERNEL_TIERS,
     ROW_KERNELS,
     RowAdjacency,
     RowBatchResult,
     _rows_via_scalar,
+    compiled_tier_status,
 )
 
 identity = lambda x: x  # noqa: E731 - key function for plain int keys
 
 ROW_KERNEL_PAIRS = [
-    (name, INTERSECTION_KERNELS[name], ROW_KERNELS[name])
-    for name in ("merge_path", "hash", "binary_search")
+    (name, INTERSECTION_KERNELS[name]) for name in ("merge_path", "hash", "binary_search")
 ]
-KERNEL_IDS = [name for name, _, _ in ROW_KERNEL_PAIRS]
+KERNEL_IDS = [name for name, _ in ROW_KERNEL_PAIRS]
+
+#: Row-kernel variants under test -> tier: the columnar tier at its
+#: production cutoff and forced down its vectorized pipeline (the
+#: small-input fast path reroutes tiny calls through the scalar reference,
+#: which would make the parity cases tautological), then every other
+#: registered tier.
+TIER_VARIANTS = {
+    "production-cutoff": "columnar",
+    "force-vectorized": "columnar",
+    **{tier: tier for tier in ROW_KERNEL_TIERS if tier != "columnar"},
+}
+
+needs_compiled = pytest.mark.skipif(
+    not compiled_tier_status().available, reason="compiled tier not built"
+)
+
+
+@pytest.fixture(params=list(TIER_VARIANTS))
+def tier(request, monkeypatch):
+    if request.param == "force-vectorized":
+        monkeypatch.setattr("repro.core.intersection._SCALAR_ROW_CUTOFF", -1)
+    return TIER_VARIANTS[request.param]
 
 
 def flatten(segments):
@@ -45,13 +73,13 @@ def flatten(segments):
 ROW_KEY_SPACE = 60
 
 
-def build_row_adjacency(rows):
+def build_row_adjacency(rows, order_count=ROW_KEY_SPACE):
     """RowAdjacency over explicit per-row sorted key lists."""
     keys, indptr = flatten(rows)
     return RowAdjacency(
         numpy.asarray(keys, dtype=numpy.int64),
         numpy.asarray(indptr, dtype=numpy.int64),
-        ROW_KEY_SPACE,
+        order_count,
     )
 
 
@@ -71,70 +99,73 @@ def row_scalar_reference(scalar_kernel, segments, seg_rows, rows):
     return matches, comparisons
 
 
-@pytest.mark.parametrize("name,scalar,row_kernel", ROW_KERNEL_PAIRS, ids=KERNEL_IDS)
-class TestRowKernelParity:
-    @pytest.fixture(autouse=True, params=["production-cutoff", "force-vectorized"])
-    def _row_cutoff(self, request, monkeypatch):
-        # The small-input fast path reroutes tiny calls through the scalar
-        # reference, which would make these parity cases tautological; the
-        # second parametrization forces every input down the vectorized
-        # NumPy pipeline so its edge-case handling stays pinned too.
-        if request.param == "force-vectorized":
-            monkeypatch.setattr("repro.core.intersection._SCALAR_ROW_CUTOFF", -1)
+def as_matches(result):
+    """A row result in :func:`row_scalar_reference`'s shape."""
+    matches = zip(result.seg, result.cand_pos, result.adj_pos)
+    return [tuple(map(int, match)) for match in matches], int(result.comparisons)
 
-    def assert_parity(self, scalar, row_kernel, segments, seg_rows, rows):
-        flat, offsets = flatten(segments)
-        adjacency = build_row_adjacency(rows)
-        expected_matches, expected_comparisons = row_scalar_reference(
-            scalar, segments, seg_rows, rows
-        )
-        result = row_kernel(flat, offsets, seg_rows, adjacency)
-        got = list(
-            zip(
-                (int(s) for s in result.seg),
-                (int(c) for c in result.cand_pos),
-                (int(a) for a in result.adj_pos),
-            )
-        )
-        assert got == expected_matches
-        assert int(result.comparisons) == expected_comparisons
+
+def assert_parity(scalar, row_kernel, segments, seg_rows, rows, order_count=ROW_KEY_SPACE):
+    flat, offsets = flatten(segments)
+    result = row_kernel(flat, offsets, seg_rows, build_row_adjacency(rows, order_count))
+    assert as_matches(result) == row_scalar_reference(scalar, segments, seg_rows, rows)
+
+
+@pytest.mark.parametrize("name,scalar", ROW_KERNEL_PAIRS, ids=KERNEL_IDS)
+class TestRowKernelParity:
+    @pytest.fixture
+    def row_kernel(self, name, tier):
+        return ROW_KERNEL_TIERS[tier][name]
 
     def test_basic_multi_row(self, name, scalar, row_kernel):
         rows = [[2, 3, 4, 7, 10], [1, 9], []]
         segments = [[1, 3, 5, 7, 9], [2, 3, 4], [1, 9], [4]]
-        self.assert_parity(scalar, row_kernel, segments, [0, 0, 1, 2], rows)
+        assert_parity(scalar, row_kernel, segments, [0, 0, 1, 2], rows)
 
     def test_same_row_many_segments(self, name, scalar, row_kernel):
         rows = [[5, 9, 11]]
         segments = [[2, 5, 9], [9, 11], [1]]
-        self.assert_parity(scalar, row_kernel, segments, [0, 0, 0], rows)
+        assert_parity(scalar, row_kernel, segments, [0, 0, 0], rows)
 
     def test_empty_rows_and_segments(self, name, scalar, row_kernel):
-        self.assert_parity(scalar, row_kernel, [[], [3]], [0, 1], [[], [3]])
-        self.assert_parity(scalar, row_kernel, [], [], [[1, 2]])
+        assert_parity(scalar, row_kernel, [[], [3]], [0, 1], [[], [3]])
+        assert_parity(scalar, row_kernel, [], [], [[1, 2]])
 
     def test_adversarial_empty_segment(self, name, scalar, row_kernel):
-        self.assert_parity(scalar, row_kernel, [[], [5], []], [0, 0, 0], [[1, 5, 9]])
+        assert_parity(scalar, row_kernel, [[], [5], []], [0, 0, 0], [[1, 5, 9]])
 
     def test_adversarial_empty_adjacency(self, name, scalar, row_kernel):
-        self.assert_parity(scalar, row_kernel, [[1, 2], [3]], [0, 0], [[]])
+        assert_parity(scalar, row_kernel, [[1, 2], [3]], [0, 0], [[]])
 
     def test_adversarial_no_segments(self, name, scalar, row_kernel):
-        self.assert_parity(scalar, row_kernel, [], [], [[1, 2, 3], [4]])
+        assert_parity(scalar, row_kernel, [], [], [[1, 2, 3], [4]])
 
     def test_adversarial_single_entry_both_sides(self, name, scalar, row_kernel):
-        self.assert_parity(scalar, row_kernel, [[7]], [0], [[7]])
-        self.assert_parity(scalar, row_kernel, [[7]], [0], [[8]])
+        assert_parity(scalar, row_kernel, [[7]], [0], [[7]])
+        assert_parity(scalar, row_kernel, [[7]], [0], [[8]])
 
     def test_adversarial_all_matching(self, name, scalar, row_kernel):
         row = list(range(0, 40, 2))
-        self.assert_parity(scalar, row_kernel, [list(row), list(row)], [0, 1], [row, row])
+        assert_parity(scalar, row_kernel, [list(row), list(row)], [0, 1], [row, row])
 
     def test_adversarial_disjoint_extremes(self, name, scalar, row_kernel):
         # Segments entirely below / entirely above their row's range hit the
         # "one side exhausts immediately" paths of the cost formula.
         rows = [[10, 20, 30], [5, 6]]
-        self.assert_parity(scalar, row_kernel, [[1, 2, 3], [50, 51], [40]], [0, 0, 1], rows)
+        assert_parity(scalar, row_kernel, [[1, 2, 3], [50, 51], [40]], [0, 0, 1], rows)
+
+    def test_row_revisited_non_consecutively(self, name, scalar, row_kernel):
+        # Rows A, B, A: B's stamps must be gone and A's back when A returns.
+        rows = [[1, 5, 9, 30], [2, 5, 7, 40]]
+        probe = [1, 2, 5, 7, 9, 30, 40]
+        segments = [probe, probe, probe, [7, 40]]
+        assert_parity(scalar, row_kernel, segments, [0, 1, 0, 0], rows)
+        assert_parity(scalar, row_kernel, [probe, [], probe, probe], [1, 0, 0, 1], rows)
+
+    def test_equal_last_keys(self, name, scalar, row_kernel):
+        rows = [[3, 8, 12], [12]]
+        segments = [[1, 2, 12], [3, 4, 5, 6, 7, 8, 12], [12], [0, 12], [12]]
+        assert_parity(scalar, row_kernel, segments, [0, 0, 0, 1, 1], rows)
 
     def test_random_fuzz(self, name, scalar, row_kernel):
         rng = random.Random(4321)
@@ -147,7 +178,7 @@ class TestRowKernelParity:
             for _ in range(rng.randint(0, 8)):
                 segments.append(sorted(rng.sample(range(60), rng.randint(0, 12))))
                 seg_rows.append(rng.randrange(nrows))
-            self.assert_parity(scalar, row_kernel, segments, seg_rows, rows)
+            assert_parity(scalar, row_kernel, segments, seg_rows, rows)
 
 
 class TestRowResultShape:
@@ -159,27 +190,33 @@ class TestRowResultShape:
         assert list(result.cand_pos) == [1, 2] and list(result.adj_pos) == [0, 1]
 
     @pytest.mark.parametrize("name", KERNEL_IDS)
-    def test_matches_ordered_by_segment_then_candidate(self, name):
+    def test_matches_ordered_by_segment_then_candidate(self, name, tier):
         adjacency = build_row_adjacency([[5, 9], [1, 9]])
-        result = ROW_KERNELS[name]([5, 9, 1, 9, 5, 9], [0, 2, 4, 6], [0, 1, 0], adjacency)
+        kernel = ROW_KERNEL_TIERS[tier][name]
+        result = kernel([5, 9, 1, 9, 5, 9], [0, 2, 4, 6], [0, 1, 0], adjacency)
         assert [int(s) for s in result.seg] == [0, 0, 1, 1, 2, 2]
         assert [int(c) for c in result.cand_pos] == [0, 1, 2, 3, 4, 5]
         assert [int(a) for a in result.adj_pos] == [0, 1, 2, 3, 0, 1]
 
     @pytest.mark.parametrize("name", KERNEL_IDS)
-    def test_bad_offsets_rejected(self, name):
+    def test_bad_offsets_rejected(self, name, tier):
         adjacency = build_row_adjacency([[1]])
+        kernel = ROW_KERNEL_TIERS[tier][name]
         with pytest.raises(ValueError):
-            ROW_KERNELS[name]([1, 2, 3], [0, 2], [0], adjacency)
+            kernel([1, 2, 3], [0, 2], [0], adjacency)
         with pytest.raises(ValueError):
-            ROW_KERNELS[name]([1, 2, 3], [1, 3], [0], adjacency)
+            kernel([1, 2, 3], [1, 3], [0], adjacency)
+
+    def test_unknown_kernel_name_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^unknown intersection kernel 'bogus'; known: \("):
+            intersection.row_kernel("bogus")
 
 
 class TestPythonFallback:
     """The per-segment scalar path must agree with the vectorized path exactly."""
 
-    @pytest.mark.parametrize("name,scalar,row_kernel", ROW_KERNEL_PAIRS, ids=KERNEL_IDS)
-    def test_fallback_matches_vectorized(self, name, scalar, row_kernel, monkeypatch):
+    @pytest.mark.parametrize("name,scalar", ROW_KERNEL_PAIRS, ids=KERNEL_IDS)
+    def test_fallback_matches_vectorized(self, name, scalar, monkeypatch):
         monkeypatch.setattr("repro.core.intersection._SCALAR_ROW_CUTOFF", -1)
         rng = random.Random(77)
         for _ in range(50):
@@ -195,10 +232,91 @@ class TestPythonFallback:
             seg_rows = [rng.randrange(nrows) for _ in segments]
             flat, offsets = flatten(segments)
             adjacency = build_row_adjacency(rows)
-            vectorized = row_kernel(flat, offsets, seg_rows, adjacency)
+            vectorized = ROW_KERNELS[name](flat, offsets, seg_rows, adjacency)
             fallback = _rows_via_scalar(scalar, flat, offsets, seg_rows, adjacency)
             for column in ("seg", "cand_pos", "adj_pos"):
                 assert [int(v) for v in getattr(vectorized, column)] == [
                     int(v) for v in getattr(fallback, column)
                 ], column
             assert int(vectorized.comparisons) == int(fallback.comparisons)
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", ["merge_path", "hash"])
+class TestCompiledStampAndProbe:
+    """The C ``merge_path`` / ``hash`` kernels stamp each row into an
+    order-id-indexed array, probe candidates against it and count
+    comparisons by closed form.  With the parity cases above (rows revisited
+    non-consecutively, equal last keys), each case here breaks a wrong
+    stamp, a shared stamp array or a wrong closed-form branch."""
+
+    def assert_reference(self, name, segments, seg_rows, rows, order_count=ROW_KEY_SPACE):
+        kernel = ROW_KERNEL_TIERS["compiled"][name]
+        assert_parity(INTERSECTION_KERNELS[name], kernel, segments, seg_rows, rows, order_count)
+
+    def test_candidates_above_and_below_every_row_key(self, name):
+        # Keys outside [0, order_count) match nothing, not the row's key 0.
+        rows = [[10, 20, 30], [0, 10, 20, 30]]
+        outside = [-7, -1, 0, 5, 31, ROW_KEY_SPACE - 1, ROW_KEY_SPACE, ROW_KEY_SPACE + 9]
+        segments = [outside, [-1, 20], [30, ROW_KEY_SPACE], outside, [-1, 0, ROW_KEY_SPACE]]
+        self.assert_reference(name, segments, [0, 0, 0, 1, 1], rows)
+
+    def test_large_segment(self, name):
+        rng = numpy.random.default_rng(11)
+        universe = 1 << 18
+        row = numpy.sort(rng.choice(universe, size=100_000, replace=False)).tolist()
+        segment = numpy.sort(rng.choice(universe, size=100_000, replace=False)).tolist()
+        self.assert_reference(name, [segment, segment[:10]], [0, 0], [row], universe)
+
+    def test_two_threads_on_one_adjacency(self, name):
+        """ctypes drops the GIL around the C call: concurrent calls on one
+        RowAdjacency must each own their stamp array.  Every segment moves
+        to another row, so each call spends its time re-stamping."""
+        rng = numpy.random.default_rng(3)
+        universe = 1 << 16
+        rows = [
+            numpy.sort(rng.choice(universe, size=20_000, replace=False)).tolist()
+            for _ in range(4)
+        ]
+        adjacency = build_row_adjacency(rows, universe)
+        seg_rows = [seg % len(rows) for seg in range(40)]
+        calls = []
+        for seed in range(2):
+            draw = numpy.random.default_rng(100 + seed)
+            segments = [
+                numpy.sort(draw.choice(universe, size=500, replace=False)).tolist()
+                for _ in seg_rows
+            ]
+            expected = row_scalar_reference(
+                INTERSECTION_KERNELS[name], segments, seg_rows, rows
+            )
+            calls.append(((*flatten(segments), seg_rows), expected))
+        kernel = ROW_KERNEL_TIERS["compiled"][name]
+        start = threading.Barrier(len(calls))
+        results = [None for _ in calls]
+
+        def run(slot, args):
+            start.wait()
+            results[slot] = [kernel(*args, adjacency) for _ in range(20)]
+
+        threads = [
+            threading.Thread(target=run, args=(slot, args))
+            for slot, (args, _expected) in enumerate(calls)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for (_args, expected), got in zip(calls, results):
+            assert [as_matches(result) for result in got] == [expected] * 20
+
+    def test_adjacency_key_outside_order_count_is_a_value_error(self, name):
+        kernel = ROW_KERNEL_TIERS["compiled"][name]
+        # The bad key sits in the first row, in a later one, below zero; or
+        # no key can be valid at all.
+        cases = [([[1, 3, 8]], 8), ([[1, 3], [1, 9]], 8), ([[-1, 1, 3]], 8), ([[1, 3]], -1)]
+        for rows, order_count in cases:
+            adjacency = build_row_adjacency(rows, order_count)
+            message = rf"adjacency keys must lie in \[0, {order_count}\)"
+            with pytest.raises(ValueError, match=message):
+                kernel([1, 3, 1], [0, 2, 3], [0, len(rows) - 1], adjacency)
