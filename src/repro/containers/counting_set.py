@@ -32,6 +32,7 @@ from ..runtime.world import (
     World,
     stable_hash,
     stable_hash_int_array,
+    stable_key_order,
     stable_tuple_hash_array,
 )
 
@@ -208,9 +209,7 @@ class DistributedCountingSet:
         total = inverse.size
         # previous[i]: where item i's key last occurred before i (-1: nowhere),
         # so "first appearance at or after s" reads ``previous[i] < s``.
-        # (uint16 keys take NumPy's radix sort, as in ``callbacks._grouped_run``.)
-        narrow = inverse.astype(np.uint16) if len(keys) <= 1 << 16 else inverse
-        order = np.argsort(narrow, kind="stable")
+        order = stable_key_order(inverse)
         repeats = np.flatnonzero(np.diff(inverse[order]) == 0)
         previous = np.full(total, -1, dtype=np.int64)
         previous[order[repeats + 1]] = order[repeats]

@@ -28,7 +28,7 @@ from .driver import legacy_push_payload_overhead, make_columnar_delta_handlers, 
 from .program import SurveyProgram
 from .registry import EngineSpec, check_supported, oracle_builder, survey_features
 from .request import SurveyRequest
-from .segments import positions_of_ids, ragged_gather
+from .segments import positions_of_ids, ragged_gather, stable_key_order
 
 import numpy as _np
 
@@ -170,9 +170,9 @@ def drive_columnar_delta(
     # composite keys are unique per side.
     comp_q = pair_q * _np.int64(csr.num_rows) + row_of_edge[pos_q]
     comp_r = pair_r * _np.int64(csr.num_rows) + row_of_edge[pos_r]
-    oq = _np.argsort(comp_q)
+    oq = stable_key_order(comp_q)
     comp_q, pos_q = comp_q[oq], pos_q[oq]
-    orr = _np.argsort(comp_r)
+    orr = stable_key_order(comp_r)
     comp_r, pos_r = comp_r[orr], pos_r[orr]
     at = _np.searchsorted(comp_q, comp_r)
     clipped = _np.minimum(at, max(comp_q.size - 1, 0))
@@ -211,7 +211,7 @@ def drive_columnar_delta(
     # wedge position (row-major), the full-check message before the
     # new-check message of the same wedge — a stable sort of the streams
     # concatenated full first (a stream holds each wedge once).
-    order = _np.argsort(_np.concatenate([send[2] for send in sends]), kind="stable")
+    order = stable_key_order(_np.concatenate([send[2] for send in sends]))
     ctx.account_rpc_bulk(
         _np.concatenate([send[3] for send in sends])[order],
         _np.concatenate([send[4] for send in sends])[order],

@@ -32,7 +32,7 @@ from ...runtime.serialization import (
 )
 from ..intersection import RowAdjacency, row_kernel as select_row_kernel
 from .request import TriangleCallback
-from .segments import first_appearance_groups, ragged_gather
+from .segments import first_appearance_groups, ragged_gather, stable_key_order
 
 import numpy as _np
 
@@ -317,7 +317,7 @@ class CandidateStage:
         columns = [_cat(column) for column in zip(*matched)]
         if len(matched) > 1:
             # Handled order: a stable sort on message sequence across streams.
-            order = _np.argsort(columns[0], kind="stable")
+            order = stable_key_order(columns[0])
             columns = [column[order] for column in columns]
         batch = columnar_push_batch(dodgr, *columns[1:])
         deliver_batch(ctx, batch, self.callback, self.batch_callback)
@@ -504,9 +504,11 @@ def send_wedges(
     wedge order, and ship beside them with per-payload segment offsets (a
     delta stream).  Wedges keep their relative order within a destination.
     """
-    order = _np.argsort(dests, kind="stable")
+    order = stable_key_order(dests)
     dests_sorted = dests[order]
-    unique_dests, group_starts = _np.unique(dests_sorted, return_index=True)
+    heads = _np.ones(dests_sorted.size, dtype=bool)
+    _np.not_equal(dests_sorted[1:], dests_sorted[:-1], out=heads[1:])
+    group_starts = _np.flatnonzero(heads)
     bounds = group_starts.tolist() + [dests_sorted.size]
     rows_sorted = rows[order]
     qpos_sorted = qpositions[order]
@@ -535,7 +537,7 @@ def send_wedges(
         # scratch keeps that retained set out of process memory (the
         # in-memory arrays die when this drive returns).
         rows_sorted, qpos_sorted = stage_send_columns(csr, rows_sorted, qpos_sorted)
-    for g, dest in enumerate(unique_dests.tolist()):
+    for g, dest in enumerate(dests_sorted[group_starts].tolist()):
         lo, hi = bounds[g], bounds[g + 1]
         start = lo
         while start < hi:

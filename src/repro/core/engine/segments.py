@@ -11,9 +11,9 @@ from typing import Tuple
 
 import numpy as _np
 
-from ...runtime.world import first_appearance_groups
+from ...runtime.world import first_appearance_groups, stable_key_order
 
-__all__ = ["ragged_gather", "positions_of_ids", "first_appearance_groups"]
+__all__ = ["ragged_gather", "positions_of_ids", "first_appearance_groups", "stable_key_order"]
 
 
 def ragged_gather(starts, lengths) -> Tuple["_np.ndarray", "_np.ndarray"]:

@@ -52,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
+from ..runtime.world import stable_key_order
 from .columnar import (
     HalfEdgeColumns,
     ValueMemo,
@@ -410,7 +411,7 @@ def _merge_batch(
             _np.asarray(new_owner, dtype=_np.int64),
         )
     )
-    order = _np.argsort(owner, kind="stable")
+    order = stable_key_order(owner)
     row_of = _np.empty(total, dtype=_np.int64)
     row_of[order] = _np.arange(total, dtype=_np.int64)
 
@@ -423,7 +424,7 @@ def _merge_batch(
     old_pos = run_start[old_src] + _np.arange(old_src.size) - old_bounds[old_src]
     half_src = _np.column_stack((lo, hi)).reshape(-1)
     half_tgt = _np.column_stack((hi, lo)).reshape(-1)
-    by_src = _np.argsort(half_src, kind="stable")
+    by_src = stable_key_order(half_src)
     grouped = half_src[by_src]
     new_pos = _np.empty(half_src.size, dtype=_np.int64)
     new_pos[by_src] = (

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Opti
 
 from itertools import repeat
 
-from ..runtime.world import RankContext, World
+from ..runtime.world import RankContext, World, stable_key_order
 from .columnar import HalfEdgeColumns, dense_indices, id_array, id_column, object_column
 from .edge_list import (
     DistributedEdgeList,
@@ -328,13 +328,13 @@ class DistributedGraph:
         # Duplicate half edges, as the adjacency dict resolves them: one
         # entry where the pair first appears, holding the last metadata.
         pair_keys = src * _np.int64(uniq.size) + tgt
-        by_pair = _np.argsort(pair_keys, kind="stable")
+        by_pair = stable_key_order(pair_keys)
         pair_keys = pair_keys[by_pair]
         head = _np.ones(by_pair.size, dtype=bool)
         head[1:] = pair_keys[1:] != pair_keys[:-1]
         first = by_pair[head]
         # Each vertex's half edges in first-appearance (adjacency dict) order.
-        in_store_order = _np.argsort(src[first] * _np.int64(ends.size) + first)
+        in_store_order = stable_key_order(src[first] * _np.int64(ends.size) + first)
         first = first[in_store_order]
         if edge_metas is None:
             half_edge_metas = _np.empty(first.size, dtype=object)

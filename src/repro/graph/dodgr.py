@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..runtime.serialization import int_size_array, serialized_size, uvarint_size
-from ..runtime.world import RankContext, World
+from ..runtime.world import RankContext, World, stable_key_order
 from .columnar import VALUE_MEMO_EXTRACTORS, HalfEdgeColumns, ValueColumn, ValueMemo
 from .degree import order_positions
 from .distributed_graph import DistributedGraph
@@ -197,7 +197,7 @@ class CSRAdjacency:
             row_of_edge = _np.repeat(
                 _np.arange(self.num_rows, dtype=_np.int64), _np.diff(self.indptr)
             )
-            inv_order = _np.argsort(self.tgt_ids, kind="stable")
+            inv_order = stable_key_order(self.tgt_ids)
             self._inv_index = (self.tgt_ids[inv_order], inv_order, row_of_edge)
         return self._inv_index
 
@@ -306,7 +306,8 @@ class DODGraph:
         one array pass over ``graph.half_edge_columns()``: dense ``<+``
         positions from one :func:`~repro.graph.degree.order_positions`
         argsort, orientation of every half edge as one array comparison, all
-        adjacency lists in final order from one sort, ranks cut by offset,
+        adjacency lists in final order from one
+        :func:`~repro.runtime.world.stable_key_order`, ranks cut by offset,
         wire sizes computed per column — no per-edge Python, and :meth:`csr`
         afterwards is a lookup.  ``mode`` is ``"bulk"``, the only build; the
         routed build that sends every half edge through the runtime is the
@@ -341,7 +342,7 @@ class DODGraph:
         keep = _np.flatnonzero(positions[graph.tgt] < positions[src])
         row, tgt = graph.tgt[keep], src[keep]
         # Row-major, each row in the <+ order of its targets (keys are unique).
-        sorter = _np.argsort(row * _np.int64(positions.size) + positions[tgt])
+        sorter = stable_key_order(row * _np.int64(positions.size) + positions[tgt])
         tgt, picked = tgt[sorter], keep[sorter]
         tgt_degree, edge_meta, tgt_meta = degree[tgt], graph.edge_meta[picked], vertex_meta[tgt]
         vertex_size = _value_sizes(vertices)

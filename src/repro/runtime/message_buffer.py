@@ -335,13 +335,17 @@ class BufferBank:
             keys = dests // self.ranks_per_node
         else:
             keys = dests
-        order = np.argsort(keys, kind="stable")
+        from .world import stable_key_order  # world builds on this module
+
+        order = stable_key_order(keys)
         keys_sorted = keys[order]
         sizes_sorted = nbytes[order]
-        unique_keys, group_starts = np.unique(keys_sorted, return_index=True)
+        heads = np.ones(keys_sorted.size, dtype=bool)
+        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=heads[1:])
+        group_starts = np.flatnonzero(heads)
         bounds = group_starts.tolist() + [keys_sorted.size]
         threshold = self.flush_threshold_bytes
-        for g, key in enumerate(unique_keys.tolist()):
+        for g, key in enumerate(keys_sorted[group_starts].tolist()):
             buf = self._buffers.get(key)
             if buf is None:
                 buf = MessageBuffer(self.rank, key, threshold)

@@ -56,6 +56,7 @@ __all__ = [
     "stable_hash_int_array",
     "stable_tuple_hash_array",
     "first_appearance_groups",
+    "stable_key_order",
 ]
 
 #: Default ceiling on delivery sweeps per barrier.  Legitimate workloads
@@ -260,14 +261,17 @@ class RankContext:
     def send_coalesced(
         self, func: Callable[..., Any] | RpcHandle, dests, sizes, leading, columns
     ) -> None:
-        """Account a (non-empty) legacy message stream, ship it one RPC per rank.
+        """Account a legacy message stream, ship it one RPC per rank.
 
         ``dests``/``sizes`` describe the replaced messages in legacy send order
         and are booked in one :meth:`account_rpc_bulk`.  Each destination rank
         — in first-appearance order, as a scalar driver's per-destination
         ``dict`` iterates — gets one :meth:`async_call_batched`: ``leading``
-        plus its slice of every array in ``columns``.
+        plus its slice of every array in ``columns``.  An empty stream sends
+        nothing.
         """
+        if len(dests) == 0:
+            return
         self.account_rpc_bulk(dests, sizes)
         order, starts, ends = first_appearance_groups(dests)
         for lo, hi in zip(starts.tolist(), ends.tolist()):
@@ -866,20 +870,65 @@ def stable_tuple_hash_array(item_hashes: Sequence[Any]) -> Any:
     return (h & _np.uint64(0x7FFFFFFFFFFFFFFF)).astype(_np.int64)
 
 
+#: Keys per 16-bit digit below which timsort beats :func:`stable_key_order`'s
+#: radix passes (each pass costs a few NumPy calls; measured crossover on
+#: random int64 keys, 2-core x86-64, NumPy 2.4: about 500 keys for one pass,
+#: 1 000 for two, 2 000 for four).
+RADIX_KEYS_PER_PASS = 512
+
+
+def stable_key_order(keys: Any) -> Any:
+    """``np.argsort(keys, kind="stable")``, in linear time for integer keys.
+
+    NumPy runs a stable argsort as a radix sort on keys of at most 16 bits
+    (39 µs against 343 µs of timsort for 5 000 int64 codes, the rmat-13
+    closure batch mean) and as an O(n log n) timsort on anything wider.  A
+    wider array of non-negative integers is therefore sorted here by
+    least-significant-digit passes (Knuth, TAOCP Vol. 3, §5.2.5): the
+    stable order of its low 16 bits, then, while the key maximum has digits
+    left, a stable reorder by the next 16 bits (8 for a last digit below
+    2**8).  Each pass is stable, so the result is exactly the comparison
+    sort's permutation.  Negative keys, non-integer dtypes and arrays too
+    short to repay the passes (:data:`RADIX_KEYS_PER_PASS`) take the
+    comparison sort itself.
+    """
+    keys = _np.asarray(keys)
+    kind, width = keys.dtype.kind, 8 * keys.dtype.itemsize
+    if keys.size < RADIX_KEYS_PER_PASS or kind not in "iu" or width <= 16:
+        return _np.argsort(keys, kind="stable")
+    # One reduction for both tests: read as unsigned, a negative key is the
+    # maximum, with its sign bit set.
+    top = int(keys.view(f"u{width // 8}").max())
+    passes = -(-top.bit_length() // 16)
+    if (kind == "i" and top >> (width - 1)) or keys.size < RADIX_KEYS_PER_PASS * passes:
+        return _np.argsort(keys, kind="stable")
+    order = _np.argsort(keys.astype(_np.uint8 if top < 1 << 8 else _np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = _np.uint8 if top >> shift < 1 << 8 else _np.uint16
+        digits = (keys[order] >> shift).astype(digit)
+        order = order[_np.argsort(digits, kind="stable")]
+        shift += 16
+    return order
+
+
 def first_appearance_groups(keys: Any) -> Tuple[Any, Any, Any]:
-    """Group a non-empty int array by value, groups in first-appearance order.
+    """Group an int array by value, groups in first-appearance order.
 
     Returns ``(order, starts, ends)``: group ``g``'s member indices are
     ``order[starts[g]:ends[g]]``, ascending, and groups are sequenced by
     where their key first occurs — the iteration order of the ``dict`` a
     scalar driver fills with ``setdefault(key, []).append(i)``, which keeps
     every coalesced stream (:meth:`RankContext.send_coalesced`, the columnar
-    dry run and pull drive) on the legacy send order.
+    dry run and pull drive) on the legacy send order.  An empty array has
+    no groups.
     """
-    order = _np.argsort(keys, kind="stable")
+    order = stable_key_order(keys)
+    if order.size == 0:
+        return order, order, order
     sorted_keys = keys[order]
     cuts = _np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
     starts = _np.concatenate(([0], cuts))
     ends = _np.concatenate((cuts, [keys.size]))
-    sequence = _np.argsort(order[starts])
+    sequence = stable_key_order(order[starts])
     return order, starts[sequence], ends[sequence]

@@ -331,3 +331,40 @@ def test_oracle_fence_flags_a_planted_leak(tmp_path):
         "core/engine/push.py:1",
         "core/engine/push.py:2",
     ]
+
+
+def test_one_primitive_owns_every_stable_sort():
+    """Mirror of tools/check_engines.py check 11: no ``argsort(...,
+    kind="stable")`` in ``src/repro`` outside ``world.stable_key_order``,
+    the oracle package aside."""
+    import check_engines
+
+    assert check_engines.check_one_stable_sort() == []
+
+
+def test_stable_sort_scan_flags_a_stray_sort(tmp_path):
+    """The check 11 scan trips: a stable argsort in another module, or in
+    world.py outside the primitive, is reported with its line; the oracle
+    package and the default-kind argsort are not."""
+    import check_engines
+
+    world = tmp_path / "runtime" / "world.py"
+    world.parent.mkdir(parents=True)
+    (tmp_path / "oracle").mkdir()
+    source = (REPO_ROOT / "src" / "repro" / "runtime" / "world.py").read_text(encoding="utf-8")
+    world.write_text(source, encoding="utf-8")
+    (tmp_path / "oracle" / "legacy.py").write_text(
+        "order = np.argsort(keys, kind='stable')\n", encoding="utf-8"
+    )
+    assert check_engines.stray_stable_sorts(tmp_path) == []
+    world.write_text(
+        source + "\n\ndef g(keys):\n    return _np.argsort(keys, kind=\"stable\")\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "stray.py").write_text(
+        "a = np.argsort(keys)\nb = np.argsort(keys, kind='stable')\n", encoding="utf-8"
+    )
+    assert check_engines.stray_stable_sorts(tmp_path) == [
+        f"runtime/world.py:{len(source.splitlines()) + 4}",
+        "stray.py:2",
+    ]

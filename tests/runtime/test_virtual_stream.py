@@ -219,6 +219,19 @@ class TestSendVirtualBulk:
             [1, 2, 3, 1, 2, 3], [30, 30, 30, 30, 30, 30], ranks_per_node=2
         )
 
+    @pytest.mark.parametrize("ranks_per_node", [1, 2])
+    def test_destinations_past_one_byte(self, ranks_per_node):
+        # 300 ranks put destination keys past 2**8, and 3 000 messages past
+        # the radix crossover, so the bulk grouping runs the radix passes.
+        rng = np.random.default_rng(300)
+        dests = rng.integers(0, 300, 3000)
+        dests[:5] = [299, 256, 255, 0, 7]
+        sizes = rng.integers(0, 120, dests.size)
+        self.compare_streams(
+            dests.tolist(), sizes.tolist(), threshold=256, rank=7, nranks=300,
+            ranks_per_node=ranks_per_node,
+        )
+
     def test_random_fuzz(self):
         import random
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.runtime import World, WorldError
-from repro.runtime.world import stable_hash
+from repro.runtime.stats import PhaseStats
+from repro.runtime.world import first_appearance_groups, stable_hash
 
 
 class TestBasics:
@@ -183,6 +185,22 @@ class TestStatsAndPhases:
         world4.begin_phase("x")
         world4.ranks[2].add_counter("things", 3)
         assert world4.stats.phase_total("x").app_counters["things"] == 3
+
+
+class TestCoalescedStreams:
+    def test_first_appearance_groups_of_no_keys_is_no_groups(self):
+        order, starts, ends = first_appearance_groups(np.empty(0, dtype=np.int64))
+        assert order.size == starts.size == ends.size == 0
+
+    def test_send_coalesced_of_an_empty_stream_sends_nothing(self, world4):
+        calls = []
+        handler = world4.register_handler(lambda ctx, *args: calls.append(args))
+        world4.begin_phase("x")
+        empty = np.empty(0, dtype=np.int64)
+        world4.ranks[1].send_coalesced(handler, empty, empty, (1,), (empty,))
+        world4.barrier()
+        assert calls == []
+        assert world4.stats.phase_total("x") == PhaseStats()
 
 
 class TestStableHash:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Ten checks, exit status 1 on any failure (each printed to stderr):
+Eleven checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -74,6 +74,12 @@ Ten checks, exit status 1 on any failure (each printed to stderr):
    calls ``local_store(`` or has a ``style`` parameter or a ``.style``
    read — so the scalar engine cannot leak back into the production
    modules, and production never loads it.
+11. **One stable sort** — an AST scan of ``src/repro`` finds no
+   ``argsort(..., kind="stable")`` call outside
+   :func:`repro.runtime.world.stable_key_order` (the :mod:`repro.oracle`
+   package is exempt): every stable integer ordering on the survey and
+   build paths takes that primitive's linear-time radix passes, so an
+   O(n log n) timsort cannot grow back at a call site.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -593,6 +599,38 @@ def check_oracle_fence() -> List[str]:
     return oracle_leaks(REPO_ROOT / "src" / "repro")
 
 
+#: Where the one stable argsort lives: (file under ``src/repro``, function).
+STABLE_SORT = ("runtime/world.py", "stable_key_order")
+
+
+def _stable_argsort(node: ast.AST) -> bool:
+    """An ``argsort(...)`` call with ``kind="stable"``."""
+    return _called_name(node) == "argsort" and any(
+        keyword.arg == "kind"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value == "stable"
+        for keyword in node.keywords
+    )
+
+
+def stray_stable_sorts(root: Path) -> List[str]:
+    """``path:line`` of every stable argsort under ``root`` (a ``src/repro``
+    tree) outside the :data:`STABLE_SORT` function and the oracle package."""
+    return [
+        where
+        for where in _stray_nodes(root, STABLE_SORT, _stable_argsort)
+        if not where.startswith("oracle/")
+    ]
+
+
+def check_one_stable_sort() -> List[str]:
+    """Every stable integer ordering goes through the primitive (check 11)."""
+    return [
+        f'argsort(..., kind="stable") outside {STABLE_SORT[0]}::{STABLE_SORT[1]}: {where}'
+        for where in stray_stable_sorts(REPO_ROOT / "src" / "repro")
+    ]
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -652,6 +690,7 @@ def main() -> int:
     errors.extend(check_unsupported_table())
     errors.extend(check_one_survey_loop())
     errors.extend(check_oracle_fence())
+    errors.extend(check_one_stable_sort())
 
     if errors:
         for error in errors:
@@ -671,7 +710,8 @@ def main() -> int:
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector; "
         "the write path stays on the arrays; one table says what may run; "
-        "one loop runs every survey phase; the oracle stays out of production"
+        "one loop runs every survey phase; the oracle stays out of production; "
+        "one primitive owns every stable sort"
     )
     return 0
 
