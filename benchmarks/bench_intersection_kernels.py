@@ -79,7 +79,8 @@ def best_seconds(fn, repeats=3, iterations=5):
 
 
 def make_row_input(rng, n_segments, seg_len, n_rows, row_len, order_count=1 << 16):
-    """Sorted candidate segments + a multi-row adjacency + a row per segment."""
+    """Sorted candidate segments laid end to end as the spans of one source,
+    a multi-row adjacency and a row per segment."""
     total = n_segments * seg_len
     offsets = (np.arange(n_segments + 1, dtype=np.int64) * seg_len).astype(np.int64)
     candidates = np.concatenate(
@@ -99,7 +100,7 @@ def make_row_input(rng, n_segments, seg_len, n_rows, row_len, order_count=1 << 1
     indptr = (np.arange(n_rows + 1, dtype=np.int64) * row_len).astype(np.int64)
     adjacency = intersection_mod.RowAdjacency(keys, indptr, order_count)
     seg_rows = rng.integers(0, n_rows, size=n_segments).astype(np.int64)
-    return candidates, offsets, seg_rows, adjacency
+    return candidates, offsets[:-1], offsets[1:], seg_rows, adjacency
 
 
 def canonical_rows(result):
@@ -133,13 +134,13 @@ def _with_cutoffs(key_cutoff, segment_cutoff, fn):
         ) = saved
 
 
-def _time_both_routes(shape, cand, offs, seg_rows, adjacency):
+def _time_both_routes(shape, cand, starts, ends, seg_rows, adjacency):
     """One sweep point: both routes of ``merge_path_rows``, parity asserted."""
     row_fn = ROW_KERNELS["merge_path"]
-    n_segments = len(offs) - 1
+    n_segments = len(starts)
 
     def call():
-        return row_fn(cand, offs, seg_rows, adjacency)
+        return row_fn(cand, starts, ends, seg_rows, adjacency)
 
     scalar_result = _with_cutoffs(FORCE_SCALAR, FORCE_SCALAR, call)
     vector_result = _with_cutoffs(-1, -1, call)
@@ -227,8 +228,8 @@ def test_cutoff_sweep(benchmark):
 def capture_row_calls(dataset):
     """Run a columnar push survey recording every row-kernel invocation.
 
-    Returns the captured ``(candidates, offsets, seg_rows, adjacency)``
-    argument tuples — the exact call shapes ``bench_survey_engine``'s
+    Returns the captured ``(source_keys, seg_starts, seg_ends, seg_rows,
+    adjacency)`` argument tuples — the exact call shapes ``bench_survey_engine``'s
     workload feeds the kernel layer — plus the triangle count for parity.
     """
     world = World(NODES)
@@ -238,9 +239,9 @@ def capture_row_calls(dataset):
     base = ROW_KERNELS["merge_path"]
     calls = []
 
-    def recording_kernel(candidates, offsets, seg_rows, adjacency):
-        calls.append((candidates, offsets, seg_rows, adjacency))
-        return base(candidates, offsets, seg_rows, adjacency)
+    def recording_kernel(*args):
+        calls.append(args)
+        return base(*args)
 
     handler = world.register_handler(
         make_columnar_intersect_handler(
@@ -262,11 +263,7 @@ def capture_row_calls(dataset):
 def replay(calls, tier):
     """Replay every captured call through ``tier``'s merge-path row kernel."""
     kernel_fn = row_kernel("merge_path", tier)
-    results = [
-        canonical_rows(kernel_fn(cand, offs, rows, adjacency))
-        for cand, offs, rows, adjacency in calls
-    ]
-    return results
+    return [canonical_rows(kernel_fn(*args)) for args in calls]
 
 
 def test_tier_replay_parity(benchmark):

@@ -48,7 +48,7 @@ from repro.core.engine.driver import (
     make_columnar_intersect_handler,
     resolve_batch_callback,
 )
-from repro.core.intersection import ROW_KERNELS
+from repro.core.intersection import row_kernel
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.core.survey import triangle_survey_push
 from repro.graph.dodgr import DODGraph
@@ -205,7 +205,7 @@ def run_columnar_direct(dataset):
     handler = world.register_handler(
         make_columnar_intersect_handler(
             dodgr,
-            ROW_KERNELS["merge_path"],
+            row_kernel("merge_path"),  # the default tier, as the engine resolves it
             reducer.callback,
             resolve_batch_callback(reducer.callback),
             DEFAULT_CALLBACK_COMPUTE_UNITS,

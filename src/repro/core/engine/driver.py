@@ -163,19 +163,57 @@ def deliver_batch(ctx, batch, callback, batch_callback) -> None:
 
 
 class _Candidates(NamedTuple):
-    """One received columnar push: wedges of ``src`` and their candidates."""
+    """One received columnar push: wedges of ``src`` and their candidates.
+
+    Wedge ``w``'s candidates are the span ``[starts[w], ends[w])`` of
+    ``src.tgt_ids`` itself when ``flat_src_pos`` is None (the suffix form),
+    else of ``src.tgt_ids[flat_src_pos]``, the explicit source edge
+    positions of a delta stream.
+    """
 
     #: None (intersect the full rows) or the new-check stream's view maker
     new_entries: Any
     src: CSRAdjacency
     rows: Any
     qpositions: Any
+    starts: Any
+    ends: Any
     flat_src_pos: Any
-    offsets: Any
 
 
 def _cat(arrays):
     return arrays[0] if len(arrays) == 1 else _np.concatenate(arrays)
+
+
+def _spans(parts: Sequence[_Candidates]):
+    """One row-kernel call's ``(source keys, starts, ends, positions)``.
+
+    A full survey delivers each suffix-form message alone: it hands its
+    source's ``tgt_ids`` over in place, and ``positions`` is None (a
+    match's candidate position is its source edge position).  Staged
+    messages are the delta stream's, which ship explicit positions with
+    per-wedge ``offsets`` (spans end to end): their gathered keys and
+    offsets are concatenated, and ``positions[cand_pos]`` is the source
+    edge position.
+    """
+    if parts[0].flat_src_pos is None:
+        (part,) = parts
+        return part.src.tgt_ids, part.starts, part.ends, None
+    if len(parts) == 1:
+        starts, ends = parts[0].starts, parts[0].ends
+    else:
+        counts = [len(part.flat_src_pos) for part in parts]
+        shifts = _np.cumsum([0] + counts[:-1]).tolist()
+        offsets = _np.concatenate(
+            [part.starts + shift for part, shift in zip(parts, shifts)] + [[sum(counts)]]
+        )
+        starts, ends = offsets[:-1], offsets[1:]
+    return (
+        _cat([part.src.tgt_ids[part.flat_src_pos] for part in parts]),
+        starts,
+        ends,
+        _cat([part.flat_src_pos for part in parts]),
+    )
 
 
 class CandidateStage:
@@ -183,7 +221,8 @@ class CandidateStage:
 
     A handler books its ``wedge_checks`` and hands its message here.  A full
     survey (``staged=False``) intersects and delivers each message as it
-    arrives.  The delta survey stages them: :meth:`drain` — the phase's
+    arrives, its candidate suffixes read in place from the source CSR.  The
+    delta survey stages them: :meth:`drain` — the phase's
     ``on_drained`` hook, which :meth:`~repro.runtime.world.World.barrier`
     calls whenever the inboxes run dry — then makes one row-kernel call per
     (rank, stream) over the concatenated candidate streams and delivers
@@ -226,14 +265,15 @@ class CandidateStage:
             ctx, src_csr: CSRAdjacency, rows, qpositions, flat_src_pos=None, offsets=None
         ) -> None:
             if flat_src_pos is None:
-                starts = qpositions + 1
-                seg_lengths = src_csr.indptr[rows + 1] - starts
-                offsets = _np.concatenate(([0], _np.cumsum(seg_lengths)))
-                flat_src_pos = _np.arange(int(offsets[-1]), dtype=_np.int64) + _np.repeat(
-                    starts - offsets[:-1], seg_lengths
-                )
-            ctx.add_counter("wedge_checks", len(flat_src_pos))
-            message = _Candidates(new_entries, src_csr, rows, qpositions, flat_src_pos, offsets)
+                starts, ends = qpositions + 1, src_csr.indptr[rows + 1]
+                checks = int(ends.sum() - starts.sum())
+            else:
+                starts, ends = offsets[:-1], offsets[1:]
+                checks = len(flat_src_pos)
+            ctx.add_counter("wedge_checks", checks)
+            message = _Candidates(
+                new_entries, src_csr, rows, qpositions, starts, ends, flat_src_pos
+            )
             if self.staged:
                 self.pending[ctx.rank].append(message)
             else:
@@ -267,23 +307,14 @@ class CandidateStage:
         matches = 0
         for new_entries, members in streams.items():
             parts = [messages[i] for i in members]
-            if len(parts) == 1:
-                offsets = parts[0].offsets
-            else:
-                counts = [len(part.flat_src_pos) for part in parts]
-                shifts = _np.cumsum([0] + counts[:-1]).tolist()
-                offsets = _np.concatenate(
-                    [part.offsets[:-1] + shift for part, shift in zip(parts, shifts)]
-                    + [[sum(counts)]]
-                )
+            source_keys, starts, ends, positions = _spans(parts)
             q_rows = _cat([part.src.tgt_ids[part.qpositions] for part in parts])
             q_rows = dodgr.rows_by_order_id()[q_rows]
-            candidates = _cat([part.src.tgt_ids[part.flat_src_pos] for part in parts])
             if new_entries is None:
                 adjacency = row_adjacency(dest, dodgr.order_count())
             else:
                 adjacency, new_to_orig = new_entries(ctx.rank)
-            result = self.row_kernel(candidates, offsets, q_rows, adjacency)
+            result = self.row_kernel(source_keys, starts, ends, q_rows, adjacency)
             ctx.add_compute(int(result.comparisons))
             matches += len(result)
             if not len(result) or self.callback is None:
@@ -297,14 +328,16 @@ class CandidateStage:
             part = _np.searchsorted(_np.cumsum([len(p.rows) for p in parts]), seg, side="right")
             row_base = _np.array([p.src.row_base for p in parts], dtype=_np.int64)[part]
             edge_base = _np.array([p.src.edge_base for p in parts], dtype=_np.int64)[part]
-            cand_pos = _np.asarray(result.cand_pos, dtype=_np.int64)
+            src_pos = _np.asarray(result.cand_pos, dtype=_np.int64)
+            if positions is not None:
+                src_pos = positions[src_pos]
             matched.append(
                 (
                     _np.asarray(members, dtype=_np.int64)[part],
                     _cat([p.rows for p in parts])[seg] + row_base,
                     q_rows[seg] + dest.row_base,
                     _cat([p.qpositions for p in parts])[seg] + edge_base,
-                    _cat([p.flat_src_pos for p in parts])[cand_pos] + edge_base,
+                    src_pos + edge_base,
                     adj_pos + dest.edge_base,
                 )
             )

@@ -48,10 +48,10 @@ def make_columnar_pull_handler(
     ``q_rows`` indexes every adjacency row this owner rank is delivering
     to this requester, in the oracle's send order.  The inverted target
     index yields every local wedge waiting on a pulled ``q`` in the order
-    the oracle's dry run records them.  Each waiting pivot's suffix
-    becomes one segment of a single row-kernel call against the owner's CSR
-    rows, and the closing triangles are handed to the reducer as one
-    :class:`TriangleBatch`.
+    the oracle's dry run records them.  Each waiting pivot's suffix is one
+    span of the local CSR's ``tgt_ids``, read in place by a single
+    row-kernel call against the owner's CSR rows, and the closing triangles
+    are handed to the reducer as one :class:`TriangleBatch`.
     """
 
     def _pull_deliver_columnar_handler(ctx, owner_csr, q_rows) -> None:
@@ -62,18 +62,18 @@ def make_columnar_pull_handler(
             inv_ids, inv_pos, owner_csr.row_order_ids[q_rows]
         )
         rows = row_of_edge[qpositions]
-        ends = csr.indptr[rows + 1]
+        starts, ends = qpositions + 1, csr.indptr[rows + 1]
         # A q that closes its row has no candidate suffix; the scalar dry
         # runs never record such a pivot.
-        waiting = qpositions + 1 < ends
-        rows, qpositions, ends = rows[waiting], qpositions[waiting], ends[waiting]
+        waiting = starts < ends
+        rows, qpositions = rows[waiting], qpositions[waiting]
+        starts, ends = starts[waiting], ends[waiting]
         seg_q_rows = q_rows[which[waiting]]
-        flat_src_pos, offsets = ragged_gather(qpositions + 1, ends - qpositions - 1)
-        ctx.add_counter("wedge_checks", int(flat_src_pos.size))
+        ctx.add_counter("wedge_checks", int(ends.sum() - starts.sum()))
         if rows.size == 0:
             return
         adjacency = row_adjacency(owner_csr, dodgr.order_count())
-        result = row_kernel(csr.tgt_ids[flat_src_pos], offsets, seg_q_rows, adjacency)
+        result = row_kernel(csr.tgt_ids, starts, ends, seg_q_rows, adjacency)
         ctx.add_compute(int(result.comparisons))
         matches = len(result)
         if not matches:
@@ -83,7 +83,7 @@ def make_columnar_pull_handler(
             return
         ctx.add_compute(per_triangle_compute * matches)
         wedge = _np.asarray(result.seg, dtype=_np.int64)
-        pr = flat_src_pos[_np.asarray(result.cand_pos, dtype=_np.int64)] + csr.edge_base
+        pr = _np.asarray(result.cand_pos, dtype=_np.int64) + csr.edge_base
         batch = columnar_push_batch(
             dodgr,
             rows[wedge] + csr.row_base,

@@ -50,7 +50,8 @@ boolean array masks over the CSR edge positions (via
 :meth:`~repro.graph.delta.AppliedDelta.edge_mask`), sends one coalesced RPC
 per (source rank, destination rank, stream), and makes per rank one
 :data:`~repro.core.intersection.ROW_KERNELS` call per stream over every
-message it staged, once the phase's inboxes drain
+message it staged (their gathered candidates end to end, one span per
+wedge), once the phase's inboxes drain
 (:class:`~repro.core.engine.driver.CandidateStage`), its triangles
 delivered as one lazy :class:`~repro.graph.metadata.TriangleBatch` to
 ``callback_batch`` reducers, in handled order.  The ``legacy`` oracle

@@ -18,16 +18,20 @@ Row kernels
 
 The scalar kernels process one wedge check per call.  The columnar engine
 coalesces every candidate suffix one source rank sends one destination rank
-into a single call: the suffixes are concatenated into one flat key array
-with segment offsets (a ragged/CSR layout), each segment names the adjacency
-row it is checked against, and :func:`merge_path_rows` / :func:`hash_rows`
-intersect *all* segments in one vectorized pass.  The row kernels are
-drop-in aggregates of the scalar kernels: per segment they produce exactly
-the matches the scalar kernel would, and their ``comparisons`` total is
-exactly the sum of the scalar kernels' counts, so the simulated-cost
-accounting of a columnar survey is identical to the legacy per-wedge path.
-Below a small-input cutoff they loop the scalar kernels per segment instead
-(the ``scalar`` tier does so unconditionally).
+into a single call, by reference: segment ``s`` is the span
+``source_keys[seg_starts[s]:seg_ends[s]]`` of one source key array (a push
+or pull survey passes the source CSR's ``tgt_ids`` itself, so each wedge's
+suffix is read in place and spans of one row may overlap), each segment
+names the adjacency row it is checked against, and :func:`merge_path_rows` /
+:func:`hash_rows` intersect *all* segments in one pass.  A match reports
+its candidate's position in ``source_keys``.  The row kernels are drop-in
+aggregates of the scalar kernels: per segment they produce exactly the
+matches the scalar kernel would, and their ``comparisons`` total is exactly
+the sum of the scalar kernels' counts, so the simulated-cost accounting of a
+columnar survey is identical to the legacy per-wedge path.  The ``columnar``
+tier copies the spans out (:func:`_expand_spans`) and runs a vectorized
+pipeline over the copy; below a small-input cutoff it loops the scalar
+kernels per segment instead (the ``scalar`` tier does so unconditionally).
 """
 
 from __future__ import annotations
@@ -186,28 +190,40 @@ INTERSECTION_KERNELS = {
 # per-candidate composite keys finds every match against every row at once.
 
 
-def _check_offsets(candidate_keys: Sequence[int], offsets: Sequence[int]) -> None:
-    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(candidate_keys):
+def _check_spans(source_keys, seg_starts, seg_ends, seg_rows, n_rows: int):
+    """Every tier's argument check, run before any key is read.
+
+    Segment ``s`` must be an in-range span, ``0 <= seg_starts[s] <=
+    seg_ends[s] <= len(source_keys)`` (a ``ValueError`` otherwise, as for
+    columns of unequal length), against a row in ``[0, n_rows)`` (an
+    ``IndexError``: NumPy indexing would wrap a negative row onto the wrong
+    one, C would read out of bounds).  Returns the three columns as
+    contiguous int64 arrays.
+    """
+    starts, ends, rows = (
+        _np.ascontiguousarray(column, dtype=_np.int64)
+        for column in (seg_starts, seg_ends, seg_rows)
+    )
+    if not starts.shape == ends.shape == rows.shape == (starts.size,):
         raise ValueError(
-            "offsets must start at 0 and end at len(candidate_keys); got "
-            f"{offsets[0] if len(offsets) else None}..{offsets[-1] if len(offsets) else None} "
-            f"for {len(candidate_keys)} keys"
+            f"one start, end and row per segment; got {starts.size} starts, "
+            f"{ends.size} ends and {rows.size} rows"
         )
-
-
-def _check_rows(seg_rows: Sequence[int], n_rows: int) -> None:
-    """Every tier's row kernels reject a segment row outside the adjacency —
-    NumPy indexing would wrap a negative one onto the wrong row, C would read
-    out of bounds."""
-    rows = _np.asarray(seg_rows)
+    if starts.size and (
+        starts.min() < 0 or (ends - starts).min() < 0 or ends.max() > len(source_keys)
+    ):
+        raise ValueError(
+            f"segment spans must satisfy 0 <= start <= end <= {len(source_keys)}"
+        )
     if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
         raise IndexError(
             f"segment rows must lie in [0, {n_rows}); got "
             f"{int(rows.min())}..{int(rows.max())}"
         )
+    return starts, ends, rows
 
 
-#: At or below this many candidate keys (and at most
+#: At or below this many span keys (and at most
 #: :data:`_SCALAR_ROW_SEGMENT_CUTOFF` segments) the vectorized row kernels
 #: route through :func:`_rows_via_scalar` — the fixed overhead of a dozen
 #: NumPy calls exceeds a short Python merge.
@@ -263,10 +279,11 @@ class RowBatchResult:
 
     ``seg``/``cand_pos``/``adj_pos`` are parallel index arrays (or lists in
     the scalar fallback): match ``i`` is segment ``seg[i]``'s candidate at
-    *flat* position ``cand_pos[i]`` of the concatenated candidate array,
-    matching the adjacency entry at *global* edge position ``adj_pos[i]`` of
-    the :class:`RowAdjacency`.  Ascending segment order, ascending candidate
-    position within a segment — the scalar kernels' order.
+    position ``cand_pos[i]`` of the call's ``source_keys`` (inside the
+    segment's span), matching the adjacency entry at *global* edge position
+    ``adj_pos[i]`` of the :class:`RowAdjacency`.  Ascending segment order,
+    ascending candidate position within a segment — the scalar kernels'
+    order.
     """
 
     __slots__ = ("seg", "cand_pos", "adj_pos", "comparisons")
@@ -283,37 +300,62 @@ class RowBatchResult:
 
 def _rows_via_scalar(
     kernel: Callable[..., IntersectionResult],
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
+    source_keys: Sequence[int],
+    seg_starts: Sequence[int],
+    seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
 ) -> RowBatchResult:
     """Reference row-batch implementation: one scalar call per segment."""
-    _check_offsets(candidate_keys, offsets)
-    _check_rows(seg_rows, len(adjacency.indptr) - 1)
-    cand_list = (
-        candidate_keys.tolist()
-        if hasattr(candidate_keys, "tolist")
-        else list(candidate_keys)
+    starts, ends, rows = _check_spans(
+        source_keys, seg_starts, seg_ends, seg_rows, len(adjacency.indptr) - 1
     )
     keys = adjacency.keys
     seg_out: List[int] = []
     cand_out: List[int] = []
     adj_out: List[int] = []
     comparisons = 0
-    for seg in range(len(offsets) - 1):
-        lo, hi = int(offsets[seg]), int(offsets[seg + 1])
-        adj_lo, adj_hi = adjacency.row_slice(int(seg_rows[seg]))
+    for seg, (lo, hi, row) in enumerate(zip(starts.tolist(), ends.tolist(), rows.tolist())):
+        cand_keys = source_keys[lo:hi]
+        adj_lo, adj_hi = adjacency.row_slice(row)
         adj_keys = keys[adj_lo:adj_hi]
-        if hasattr(adj_keys, "tolist"):
-            adj_keys = adj_keys.tolist()
-        result = kernel(cand_list[lo:hi], adj_keys, _identity, _identity)
+        result = kernel(
+            cand_keys.tolist() if hasattr(cand_keys, "tolist") else cand_keys,
+            adj_keys.tolist() if hasattr(adj_keys, "tolist") else adj_keys,
+            _identity,
+            _identity,
+        )
         comparisons += result.comparisons
         for cand_idx, adj_idx in result.matches:
             seg_out.append(seg)
             cand_out.append(lo + cand_idx)
             adj_out.append(adj_lo + adj_idx)
     return RowBatchResult(seg_out, cand_out, adj_out, comparisons)
+
+
+def _expand_spans(source_keys, starts, ends):
+    """Copy the spans out, concatenated: ``(keys, offsets, positions)``.
+
+    Segment ``s`` occupies ``keys[offsets[s]:offsets[s + 1]]``, read from
+    the source positions at the same slots of ``positions``.  The
+    vectorized columnar pipeline runs over this copy; the compiled tier
+    reads the spans in place.
+    """
+    lengths = ends - starts
+    offsets = _np.concatenate(([0], _np.cumsum(lengths)))
+    positions = _np.arange(offsets[-1], dtype=_np.int64) + _np.repeat(
+        starts - offsets[:-1], lengths
+    )
+    keys = _np.asarray(source_keys)[positions].astype(_np.int64, copy=False)
+    return keys, offsets, positions
+
+
+def _scalar_route(starts, ends) -> bool:
+    """Whether a call is small enough for the columnar tier's scalar loop."""
+    return (
+        starts.size <= _SCALAR_ROW_SEGMENT_CUTOFF
+        and int(ends.sum() - starts.sum()) <= _SCALAR_ROW_CUTOFF
+    )
 
 
 def _row_matches(cand, offs, rows, adjacency: RowAdjacency):
@@ -338,35 +380,30 @@ def _row_matches(cand, offs, rows, adjacency: RowAdjacency):
 
 
 def merge_path_rows(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
+    source_keys: Sequence[int],
+    seg_starts: Sequence[int],
+    seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
 ) -> RowBatchResult:
     """Intersect segment ``s`` against adjacency row ``seg_rows[s]``, merge cost.
 
-    ``candidate_keys`` is the concatenation of per-wedge candidate key
-    arrays; segment ``s`` occupies ``candidate_keys[offsets[s]:offsets[s+1]]``
-    and must be sorted.  Keys must be integers drawn from a total order in
-    which equality implies vertex identity (the dense ``<+`` order ids of
+    Segment ``s`` is the span ``source_keys[seg_starts[s]:seg_ends[s]]``
+    and must be sorted; spans may overlap and come in any order.  Keys must
+    be integers drawn from a total order in which equality implies vertex
+    identity (the dense ``<+`` order ids of
     :class:`~repro.graph.dodgr.CSRAdjacency`).  Matches and the aggregate
     comparison count are exactly what one :func:`merge_path_intersection`
     call per segment (against its row slice) would produce; the count is a
     closed form over searchsorted ranks, not a walk of the merge.
     """
-    if (
-        len(candidate_keys) <= _SCALAR_ROW_CUTOFF
-        and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
-    ):
-        return _rows_via_scalar(
-            merge_path_intersection, candidate_keys, offsets, seg_rows, adjacency
-        )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    rows = _np.asarray(seg_rows, dtype=_np.int64)
-    _check_offsets(cand, offs)
     indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
-    _check_rows(rows, indptr.size - 1)
+    starts, ends, rows = _check_spans(source_keys, seg_starts, seg_ends, seg_rows, indptr.size - 1)
+    if _scalar_route(starts, ends):
+        return _rows_via_scalar(
+            merge_path_intersection, source_keys, starts, ends, rows, adjacency
+        )
+    cand, offs, source_pos = _expand_spans(source_keys, starts, ends)
     keys = _np.asarray(adjacency.keys, dtype=_np.int64)
     stride = _np.int64(adjacency.order_count)
     composite = adjacency.composite()
@@ -420,48 +457,42 @@ def merge_path_rows(
         _np.where(last_key == adj_last, lengths + adj_len, consumed_adj_side),
     )
     per_segment = _np.where(nonempty, consumed - matches_per_seg, 0)
-    return RowBatchResult(seg_hits, hits, pos[hits], int(per_segment.sum()))
+    return RowBatchResult(seg_hits, source_pos[hits], pos[hits], int(per_segment.sum()))
 
 
 def hash_rows(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
+    source_keys: Sequence[int],
+    seg_starts: Sequence[int],
+    seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
 ) -> RowBatchResult:
     """Row-batch counterpart of :func:`hash_intersection`.
 
     The comparison count models one table build per segment over its row:
-    ``sum(row lengths) + len(candidate_keys)``.
+    ``sum(row lengths) + sum(span lengths)``.
     """
-    if (
-        len(candidate_keys) <= _SCALAR_ROW_CUTOFF
-        and len(offsets) - 1 <= _SCALAR_ROW_SEGMENT_CUTOFF
-    ):
-        return _rows_via_scalar(
-            hash_intersection, candidate_keys, offsets, seg_rows, adjacency
-        )
-    cand = _np.asarray(candidate_keys, dtype=_np.int64)
-    offs = _np.asarray(offsets, dtype=_np.int64)
-    rows = _np.asarray(seg_rows, dtype=_np.int64)
-    _check_offsets(cand, offs)
     indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
-    _check_rows(rows, indptr.size - 1)
+    starts, ends, rows = _check_spans(source_keys, seg_starts, seg_ends, seg_rows, indptr.size - 1)
+    if _scalar_route(starts, ends):
+        return _rows_via_scalar(hash_intersection, source_keys, starts, ends, rows, adjacency)
+    cand, offs, source_pos = _expand_spans(source_keys, starts, ends)
     seg_of_cand, pos, hits = _row_matches(cand, offs, rows, adjacency)
     adj_len = indptr[rows + 1] - indptr[rows]
     comparisons = int(adj_len.sum()) + int(cand.size)
-    return RowBatchResult(seg_of_cand[hits], hits, pos[hits], comparisons)
+    return RowBatchResult(seg_of_cand[hits], source_pos[hits], pos[hits], comparisons)
 
 
 def binary_search_rows(
-    candidate_keys: Sequence[int],
-    offsets: Sequence[int],
+    source_keys: Sequence[int],
+    seg_starts: Sequence[int],
+    seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
 ) -> RowBatchResult:
     """Row-batch binary-search intersection (scalar loop, parity-exact)."""
     return _rows_via_scalar(
-        binary_search_intersection, candidate_keys, offsets, seg_rows, adjacency
+        binary_search_intersection, source_keys, seg_starts, seg_ends, seg_rows, adjacency
     )
 
 
@@ -504,8 +535,8 @@ KERNEL_TIER_FALLBACK = {"compiled": "columnar", "columnar": "scalar", "scalar": 
 def _scalar_tier_rows(name: str):
     scalar = INTERSECTION_KERNELS[name]
 
-    def row_kernel_scalar(candidate_keys, offsets, seg_rows, adjacency):
-        return _rows_via_scalar(scalar, candidate_keys, offsets, seg_rows, adjacency)
+    def row_kernel_scalar(source_keys, seg_starts, seg_ends, seg_rows, adjacency):
+        return _rows_via_scalar(scalar, source_keys, seg_starts, seg_ends, seg_rows, adjacency)
 
     row_kernel_scalar.__name__ = f"{name}_rows_scalar"
     return row_kernel_scalar

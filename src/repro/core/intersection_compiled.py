@@ -5,7 +5,10 @@ composite-key ``searchsorted`` and *replays* the comparison counts through
 closed forms.  This tier finds them by stamp and probe (:data:`C_SOURCE`):
 when the segment row changes, each of the row's keys is stamped into a
 per-call ``mark`` array indexed by order id, and every candidate is then
-one load — no merge walk, no branch per comparison.  ``merge_path`` and
+one load — no merge walk, no branch per comparison.  Segments are read in
+place, as spans ``[seg_starts[s], seg_ends[s])`` of the call's source key
+array (a survey's source CSR ``tgt_ids``): nothing is copied out, and a
+match reports its candidate's source position.  ``merge_path`` and
 ``hash`` share that body; their ``comparisons`` totals are closed forms
 (the merge walk's ``consumed - matches``, the hash model's row-plus-probe
 count), equal to the scalar kernels' on the sorted, duplicate-free rows and
@@ -41,39 +44,53 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as _np
 
 from .intersection import INTERSECTION_KERNELS, RowAdjacency, RowBatchResult
-from .intersection import _check_offsets, _check_rows
+from .intersection import _check_spans
 
 __all__ = ["CompiledTierStatus", "compiled_tier_status", "COMPILED_ROW_KERNELS", "C_SOURCE"]
 
 _CFLAGS = ("-O2", "-shared", "-fPIC")
 
-#: Segment ``s`` is ``cand[offs[s]:offs[s+1]]``, its row ``keys[indptr[r]:
-#: indptr[r+1]]`` for ``r = rows[s]``.  Every loop writes one ``(segment, flat
-#: candidate position, global adjacency position)`` per match into the three
-#: ``n_cand``-slot rows of ``out`` (one match per candidate at most), stores the
-#: scalar kernels' exact comparison count and returns the match count — or
-#: BAD_*, before reading out of bounds (BAD_KEY: a stamped row holds a key
-#: outside ``[0, order_count)``, the ``mark`` array's extent).
+#: Segment ``s`` is the span ``src[starts[s]:ends[s]]`` of the source keys
+#: (spans may overlap: a row's wedge suffixes nest), its row ``keys[indptr[r]:
+#: indptr[r+1]]`` for ``r = rows[s]``.  Every loop writes one ``(segment,
+#: source position, global adjacency position)`` per match into the three
+#: ``cap``-slot rows of ``out`` — ``cap`` is the spans' total length, which
+#: can exceed ``n_src``; one match per span key at most — stores the scalar
+#: kernels' exact comparison count and returns the match count — or BAD_*,
+#: before reading out of bounds (BAD_KEY: a stamped row holds a key outside
+#: ``[0, order_count)``, the ``mark`` array's extent).
 C_SOURCE = r"""
 #include <stdint.h>
 typedef int64_t i64;
 typedef uint64_t u64;
 enum { BAD_ROW = -1, BAD_SPAN = -2, BAD_KEY = -3 };
 
-#define ARGS const i64 *cand, const i64 *offs, i64 n_seg, i64 n_cand,          \
-    const i64 *rows, const i64 *keys, const i64 *indptr, i64 n_rows,           \
-    i64 n_keys, i64 order_count, i64 *mark, i64 *out, i64 *comparisons
-#define PASS cand, offs, n_seg, n_cand, rows, keys, indptr, n_rows, n_keys,    \
-    order_count, mark, out, comparisons
+#define ARGS const i64 *src, const i64 *starts, const i64 *ends, i64 n_seg,    \
+    i64 n_src, i64 cap, const i64 *rows, const i64 *keys, const i64 *indptr,   \
+    i64 n_rows, i64 n_keys, i64 order_count, i64 *mark, i64 *out,              \
+    i64 *comparisons
+#define PASS src, starts, ends, n_seg, n_src, cap, rows, keys, indptr, n_rows, \
+    n_keys, order_count, mark, out, comparisons
 
 #define SEGMENT                                                                \
-    i64 i = offs[seg], hi = offs[seg + 1], row = rows[seg];                    \
-    if (row < 0 || row >= n_rows) return BAD_ROW;                              \
-    i64 j = indptr[row], jhi = indptr[row + 1];                                \
-    if (i < 0 || hi < i || hi > n_cand || j < 0 || jhi < j || jhi > n_keys)    \
-        return BAD_SPAN;
+    i64 i = starts[seg], hi = ends[seg], row = rows[seg];                      \
+    i64 j = indptr[row], jhi = indptr[row + 1];
 
-#define EMIT(c, a) (out[m] = seg, out[n_cand + m] = (c), out[2 * n_cand + m] = (a), m++)
+/* Every segment's row, span and row slice in range, checked for all of
+   them before any key is read; spans of non-negative length also keep the
+   matches within out's cap = sum(ends - starts) slots. */
+static i64 check_spans(ARGS) {
+    for (i64 seg = 0; seg < n_seg; seg++) {
+        i64 i = starts[seg], hi = ends[seg], row = rows[seg];
+        if (row < 0 || row >= n_rows) return BAD_ROW;
+        i64 j = indptr[row], jhi = indptr[row + 1];
+        if (i < 0 || hi < i || hi > n_src || j < 0 || jhi < j || jhi > n_keys)
+            return BAD_SPAN;
+    }
+    return 0;
+}
+
+#define EMIT(c, a) (out[m] = seg, out[cap + m] = (c), out[2 * cap + m] = (a), m++)
 
 /* How many of the sorted a[lo:hi] are <= key (branch-free halving). */
 static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
@@ -92,8 +109,9 @@ static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
    call's own zeroed order_count + 1 slots.  mark[k] holds 1 + the global
    position of key k in the row being probed (0: absent); slot order_count
    stays 0 and absorbs every out-of-range candidate, so a probe is one load
-   and the output slot is written unconditionally.  A row is stamped when the
-   segment row changes and un-stamped when it changes again.  Rows
+   and the output slot is written unconditionally (slot m is below cap: m
+   never exceeds the span keys probed before this one).  A row is stamped
+   when the segment row changes and un-stamped when it changes again.  Rows
    and candidates are sorted and duplicate-free, so the matches (segment
    order, then candidate order) are the merge walk's and the hash probe's.
    The merge count is the walk's closed form, consumed - matches: the list
@@ -101,6 +119,8 @@ static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
    that key, and equal last keys consume both.  The hash count is one table
    build over the row and one probe per candidate. */
 static i64 stamp_probe(ARGS, int merge_count) {
+    i64 bad = check_spans(PASS);
+    if (bad) return bad;
     if (order_count < 0) return BAD_KEY;
     i64 m = 0, count = 0, stamped = -1;
     for (i64 seg = 0; seg < n_seg; seg++) {
@@ -119,15 +139,15 @@ static i64 stamp_probe(ARGS, int merge_count) {
         }
         i64 first = m;
         for (; i < hi; i++) {
-            i64 ck = cand[i];
+            i64 ck = src[i];
             i64 p = mark[(u64)ck < (u64)order_count ? ck : order_count];
-            out[m] = seg, out[n_cand + m] = i, out[2 * n_cand + m] = p - 1;
+            out[m] = seg, out[cap + m] = i, out[2 * cap + m] = p - 1;
             m += p != 0;
         }
         if (merge_count) {
-            i64 i0 = offs[seg], clast = cand[hi - 1], alast = keys[jhi - 1];
+            i64 i0 = starts[seg], clast = src[hi - 1], alast = keys[jhi - 1];
             i64 consumed = clast < alast ? (hi - i0) + upper_bound(keys, j, jhi, clast)
-                         : clast > alast ? (jhi - j) + upper_bound(cand, i0, hi, alast)
+                         : clast > alast ? (jhi - j) + upper_bound(src, i0, hi, alast)
                          : (hi - i0) + (jhi - j);
             count += consumed - (m - first);
         }
@@ -143,11 +163,13 @@ i64 hash_rows(ARGS) { return stamp_probe(PASS, 0); }
 /* The scalar binary-search loop itself: its count depends on every probe's
    path, so it walks. */
 i64 binary_search_rows(ARGS) {
+    i64 bad = check_spans(PASS);
+    if (bad) return bad;
     i64 m = 0, count = 0;
     for (i64 seg = 0; seg < n_seg; seg++) {
         SEGMENT
         for (; i < hi; i++) {
-            i64 ck = cand[i], lo = j, top = jhi;
+            i64 ck = src[i], lo = j, top = jhi;
             while (lo < top) {
                 i64 mid = lo + (top - lo) / 2;
                 count++;
@@ -226,7 +248,7 @@ def _dlopen(library: str) -> ctypes.CDLL:
     for name in INTERSECTION_KERNELS:
         loop = getattr(lib, f"{name}_rows")
         loop.restype = i64
-        loop.argtypes = [ptr, ptr, i64, i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
+        loop.argtypes = [ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
     return lib
 
 
@@ -275,20 +297,23 @@ def _as_i64(values) -> "_np.ndarray":
 def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
     loop = getattr(lib, f"{name}_rows")
 
-    def kernel(candidate_keys, offsets, seg_rows, adjacency: RowAdjacency) -> RowBatchResult:
-        cand, offs, rows = _as_i64(candidate_keys), _as_i64(offsets), _as_i64(seg_rows)
-        _check_offsets(cand, offs)
+    def kernel(
+        source_keys, seg_starts, seg_ends, seg_rows, adjacency: RowAdjacency
+    ) -> RowBatchResult:
+        src, starts, ends, rows = map(_as_i64, (source_keys, seg_starts, seg_ends, seg_rows))
         keys, indptr = _as_i64(adjacency.keys), _as_i64(adjacency.indptr)
-        n_seg, n_rows = offs.size - 1, indptr.size - 1
-        if rows.size != n_seg:
-            raise ValueError(f"{rows.size} segment rows for {n_seg} segments")
-        out = _np.empty((3, cand.size), dtype=_np.int64)
+        n_rows = indptr.size - 1
+        if not starts.shape == ends.shape == rows.shape == (starts.size,):
+            _check_spans(src, starts, ends, rows, n_rows)  # raises
+        # Sized by the spans, not the source: a row's suffixes overlap.
+        cap = int(ends.sum() - starts.sum())
+        out = _np.empty((3, max(cap, 0)), dtype=_np.int64)
         # The stamp array is the call's own: ctypes drops the GIL, so two
         # threads may run kernels on one RowAdjacency at once.
         mark = _np.zeros(max(adjacency.order_count, 0) + 1, dtype=_np.int64)
         comparisons = ctypes.c_int64(0)
         m = loop(
-            cand.ctypes.data, offs.ctypes.data, n_seg, cand.size,
+            src.ctypes.data, starts.ctypes.data, ends.ctypes.data, starts.size, src.size, cap,
             rows.ctypes.data, keys.ctypes.data, indptr.ctypes.data, n_rows, keys.size,
             adjacency.order_count, mark.ctypes.data, out.ctypes.data,
             ctypes.byref(comparisons),
@@ -296,8 +321,10 @@ def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
         if m == _BAD_KEY:
             raise ValueError(f"adjacency keys must lie in [0, {adjacency.order_count})")
         if m < 0:
-            _check_rows(rows, n_rows)  # BAD_ROW: the IndexError every tier raises
-            raise ValueError("offsets / adjacency indptr are not monotone in-range spans")
+            # C rejected a span or row before reading any key: raise what
+            # every tier raises, or blame the adjacency when those pass.
+            _check_spans(src, starts, ends, rows, n_rows)
+            raise ValueError("adjacency indptr is not a monotone in-range span per row")
         return RowBatchResult(out[0, :m], out[1, :m], out[2, :m], comparisons.value)
 
     kernel.__name__ = f"{name}_rows_compiled"

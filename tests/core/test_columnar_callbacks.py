@@ -45,6 +45,7 @@ from repro.core.callbacks import (
     log2_bucket_array,
 )
 from repro.core.engine import EngineConfig
+from repro.core.intersection import ROW_KERNEL_TIERS, resolve_kernel_tier
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.core.survey import resolve_batch_callback, triangle_survey_push
 from repro.graph.dodgr import DODGraph
@@ -301,6 +302,30 @@ class TestCacheEvictionPaths:
         reducer.counts.flush_cache = spy
         triangle_survey_push(dodgr, reducer.callback, engine="columnar")
         assert flushes, "cache never filled: raise the fixture size or lower capacity"
+
+
+class TestCandidatesByReference:
+    """Push and pull hand the row kernel their source CSR's ``tgt_ids``
+    itself, each wedge's suffix a span of it; only the delta stream's
+    explicit candidates are gathered."""
+
+    def test_full_surveys_pass_tgt_ids_in_place(self, rmat_graph, monkeypatch):
+        tier = resolve_kernel_tier(None)
+        kernel = ROW_KERNEL_TIERS[tier]["merge_path"]
+        sources = []
+
+        def recording_kernel(source_keys, *args):
+            sources.append(source_keys)
+            return kernel(source_keys, *args)
+
+        monkeypatch.setitem(ROW_KERNEL_TIERS[tier], "merge_path", recording_kernel)
+        world = World(NRANKS)
+        dodgr = DODGraph.build(rmat_graph.to_distributed(world), mode="bulk")
+        reducer = LocalTriangleCounter(world)
+        report = triangle_survey_push_pull(dodgr, reducer.callback, engine="columnar")
+        assert report.triangles and world.stats.phase_total("pull").rpcs_executed
+        tgt_ids = [dodgr.csr(rank).tgt_ids for rank in range(NRANKS)]
+        assert sources and all(any(s is t for t in tgt_ids) for s in sources)
 
 
 class TestBatchResolution:

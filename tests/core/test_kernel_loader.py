@@ -55,7 +55,7 @@ def merge_smoke(lib):
     """The loaded library really intersects: [1, 2] x row [2, 3]."""
     kernel = compiled._row_kernel(lib, "merge_path")
     adjacency = RowAdjacency(np.array([2, 3]), np.array([0, 2]), 8)
-    result = kernel([1, 2], [0, 2], [0], adjacency)
+    result = kernel([1, 2], [0], [2], [0], adjacency)
     return result.cand_pos.tolist(), result.adj_pos.tolist(), result.comparisons
 
 
@@ -187,7 +187,7 @@ def test_concurrent_first_imports_share_one_empty_cache(cache_root):
         "import numpy as np\n"
         "from repro.core.intersection import RowAdjacency\n"
         "adjacency = RowAdjacency(np.array([2, 3]), np.array([0, 2]), 8)\n"
-        "result = row_kernel('merge_path')([1, 2], [0, 2], [0], adjacency)\n"
+        "result = row_kernel('merge_path')([1, 2], [0], [2], [0], adjacency)\n"
         "print(status().available, status().reason, result.adj_pos.tolist())\n"
     )
     racers = [in_subprocess(code) for _ in range(2)]

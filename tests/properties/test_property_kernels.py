@@ -6,10 +6,13 @@ and ``compiled`` (the scalar row loops in C, built by the system compiler) —
 produces *identical* matches and *identical* aggregate comparison counts
 for every row kernel, on arbitrary inputs.  The scalar tier is the
 oracle; the suite drives every *registered* tier (so the C kernels wherever
-a compiler built them) over random and adversarial inputs: empty
-adjacencies, empty segments, empty rows, single-element segments, keys
-duplicated across segments and shared with the adjacency, one 10^5-key
-segment, and non-contiguous / int32 / memmapped input columns.
+a compiler built them) over random and adversarial inputs.  Segments are
+spans of one source key array, drawn as the surveys pass them: inside the
+sorted runs of a CSR-like source, overlapping (nested suffixes included),
+empty and in any order.  The adversarial shapes add empty adjacencies,
+empty rows, single-element segments, keys duplicated across segments and
+shared with the adjacency, one 10^5-key segment, and non-contiguous /
+int32 / memmapped input columns.
 
 A final block pins the downgrade semantics: the ``compiled`` tier must
 appear in the row tier table exactly when ``compiled_tier_status()`` says
@@ -68,11 +71,14 @@ def sorted_unique(draw, order_count, max_len, min_len=0):
 
 @st.composite
 def row_cases(draw):
-    """Candidate segments + a multi-row adjacency (empty rows included).
+    """Spans over one source array + a multi-row adjacency (empty rows included).
 
-    Segment lengths of 0 and 1 arise naturally; keys repeat across segments
-    and overlap the rows (the same small order-id universe), which is the
-    duplicate-key regime the composite-key row kernels must not confuse.
+    The source is a run of sorted rows end to end, like a CSR's ``tgt_ids``;
+    each span lies inside one run, so spans of a run overlap and their
+    total length can pass the source's.  Span lengths of 0 and 1 arise
+    naturally; keys repeat across runs and overlap the rows (the same small
+    order-id universe), which is the duplicate-key regime the composite-key
+    row kernels must not confuse.
     """
     order_count = draw(st.integers(min_value=1, max_value=40))
     n_rows = draw(st.integers(min_value=1, max_value=5))
@@ -85,25 +91,26 @@ def row_cases(draw):
     for row in rows:
         keys.extend(row)
         indptr.append(len(keys))
-    n_segments = draw(st.integers(min_value=0, max_value=6))
-    segments = [
-        sorted_unique(draw, order_count, max_len=min(order_count, 8))
-        for _ in range(n_segments)
-    ]
-    offsets = [0]
-    flat = []
-    for seg in segments:
-        flat.extend(seg)
-        offsets.append(len(flat))
+    source, runs = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        run = sorted_unique(draw, order_count, max_len=min(order_count, 8))
+        runs.append((len(source), len(source) + len(run)))
+        source.extend(run)
+    starts, ends = [], []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        lo, hi = draw(st.sampled_from(runs))
+        start = draw(st.integers(min_value=lo, max_value=hi))
+        starts.append(start)
+        ends.append(draw(st.integers(min_value=start, max_value=hi)))
     seg_rows = [
-        draw(st.integers(min_value=0, max_value=n_rows - 1)) for _ in range(n_segments)
+        draw(st.integers(min_value=0, max_value=n_rows - 1)) for _ in starts
     ]
     adjacency = RowAdjacency(
         np.asarray(keys, dtype=np.int64),
         np.asarray(indptr, dtype=np.int64),
         order_count,
     )
-    return flat, offsets, seg_rows, adjacency
+    return source, starts, ends, seg_rows, adjacency
 
 
 def row_variants(name):
@@ -114,13 +121,14 @@ def row_variants(name):
     }
 
 
-def assert_rows_agree(name, flat, offsets, seg_rows, adjacency):
+def assert_rows_agree(name, source, starts, ends, seg_rows, adjacency):
     """Every registered tier returns the scalar oracle's arrays and count."""
     variants = row_variants(name)
-    oracle = canonical_rows(variants["tier:scalar"](flat, offsets, seg_rows, adjacency))
+    args = (source, starts, ends, seg_rows, adjacency)
+    oracle = canonical_rows(variants["tier:scalar"](*args))
     for label, kernel_fn in variants.items():
-        got = canonical_rows(kernel_fn(flat, offsets, seg_rows, adjacency))
-        assert got == oracle, f"{name}/{label} diverged on {flat, offsets, seg_rows}"
+        got = canonical_rows(kernel_fn(*args))
+        assert got == oracle, f"{name}/{label} diverged on {source, starts, ends, seg_rows}"
     return oracle
 
 
@@ -142,33 +150,37 @@ def _adjacency(rows, order_count=64):
     )
 
 
-#: Hand-written adversarial shapes: (flat candidates, offsets, seg_rows, rows).
+#: Hand-written adversarial shapes: (source keys, starts, ends, seg_rows, rows).
 ADVERSARIAL_ROW_CASES = [
     # everything empty
-    ([], [0], [], [[]]),
-    # empty segments interleaved with singletons
-    ([5], [0, 0, 1, 1], [0, 0, 0], [[5]]),
-    # segment against an empty row
-    ([1, 2, 3], [0, 3], [1], [[1, 2, 3], []]),
-    # single-element segments, duplicate keys across segments
-    ([7, 7, 7], [0, 1, 2, 3], [0, 1, 0], [[7], [3, 7]]),
+    ([], [], [], [], [[]]),
+    # empty spans interleaved with singletons, one at the source's end
+    ([5], [0, 0, 1], [0, 1, 1], [0, 0, 0], [[5]]),
+    # span against an empty row
+    ([1, 2, 3], [0], [3], [1], [[1, 2, 3], []]),
+    # single-element spans, duplicate keys across spans
+    ([7, 7, 7], [0, 1, 2], [1, 2, 3], [0, 1, 0], [[7], [3, 7]]),
+    # one key read by three spans, one against each row
+    ([7], [0, 0, 0], [1, 1, 1], [0, 1, 0], [[7], [3, 7]]),
     # full overlap: candidates == the row
-    ([2, 4, 6], [0, 3], [0], [[2, 4, 6]]),
+    ([2, 4, 6], [0], [3], [0], [[2, 4, 6]]),
     # no overlap, candidate keys below/above the row's range
-    ([0, 1, 60, 63], [0, 2, 4], [0, 0], [[10, 20, 30]]),
-    # equal keys at both ends of segment and row; a one-key tie
-    ([1, 5, 9], [0, 3], [0], [[1, 9]]),
-    ([4], [0, 1], [0], [[4]]),
+    ([0, 1, 60, 63], [0, 2], [2, 4], [0, 0], [[10, 20, 30]]),
+    # equal keys at both ends of span and row; a one-key tie
+    ([1, 5, 9], [0], [3], [0], [[1, 9]]),
+    ([4], [0], [1], [0], [[4]]),
     # candidates exhaust before the row does, and after it
-    ([1, 2], [0, 2], [0], [[1, 2, 3, 4, 50]]),
-    ([1, 2, 60, 61], [0, 4], [0], [[1, 2]]),
+    ([1, 2], [0], [2], [0], [[1, 2, 3, 4, 50]]),
+    ([1, 2, 60, 61], [0], [4], [0], [[1, 2]]),
+    # nested suffixes of one row, starts descending (the push shape)
+    ([3, 5, 9, 12], [3, 2, 1, 0], [4, 4, 4, 4], [0, 1, 0, 1], [[5, 9, 12], [3, 12]]),
 ]
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_row_kernels_adversarial_cases(name):
-    for flat, offsets, seg_rows, rows in ADVERSARIAL_ROW_CASES:
-        assert_rows_agree(name, flat, offsets, seg_rows, _adjacency(rows))
+    for source, starts, ends, seg_rows, rows in ADVERSARIAL_ROW_CASES:
+        assert_rows_agree(name, source, starts, ends, seg_rows, _adjacency(rows))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
@@ -182,7 +194,7 @@ def test_row_kernels_single_large_segment(name):
     flat = np.sort(rng.choice(universe, size=size, replace=False)).astype(np.int64)
     adjacency = RowAdjacency(row, np.array([0, row.size], dtype=np.int64), universe)
     seg, _cand, _adj, comparisons = assert_rows_agree(
-        name, flat, np.array([0, flat.size]), np.array([0]), adjacency
+        name, flat, np.array([0]), np.array([flat.size]), np.array([0]), adjacency
     )
     assert len(seg) > 0 and comparisons >= flat.size
 
@@ -192,11 +204,11 @@ def test_row_kernels_accept_any_column_form(name, tmp_path):
     """Strided views, int32 columns and memmapped columns (``storage="mmap"``
     hands the kernels ``np.memmap`` CSR columns) intersect like plain int64."""
     rows = [[1, 3, 5, 7, 9], [], [2, 3, 4, 40, 41, 42], [0, 63]]
-    flat = [3, 4, 5, 9, 2, 40, 63, 0, 63]
-    offsets = [0, 4, 7, 7, 9]
-    seg_rows = [0, 2, 1, 3]
+    source = [3, 4, 5, 9, 2, 40, 63, 0, 63]
+    starts, ends = [0, 4, 7, 7, 1], [4, 7, 7, 9, 4]
+    seg_rows = [0, 2, 1, 3, 2]
     plain = _adjacency(rows)
-    oracle = assert_rows_agree(name, flat, offsets, seg_rows, plain)
+    oracle = assert_rows_agree(name, source, starts, ends, seg_rows, plain)
 
     def strided(values):
         doubled = np.repeat(np.asarray(values, dtype=np.int64), 2)
@@ -217,7 +229,7 @@ def test_row_kernels_accept_any_column_form(name, tmp_path):
     for form in (strided, int32, memmapped):
         adjacency = RowAdjacency(form(plain.keys), form(plain.indptr), plain.order_count)
         got = assert_rows_agree(
-            name, form(flat), form(offsets), form(seg_rows), adjacency
+            name, form(source), form(starts), form(ends), form(seg_rows), adjacency
         )
         assert got == oracle, f"{name} over {form.__name__} columns"
 
@@ -230,17 +242,20 @@ def test_row_kernels_reject_out_of_range_rows(name):
     tier now raises the same IndexError; no rows at all is simply empty."""
     adjacency = _adjacency([[1, 2, 3], [2, 9]])
     # Above and below the columnar tier's small-input detour.
-    shapes = [([2], [0, 1]), (list(range(10)) * 10, list(range(0, 101, 10)))]
+    shapes = [
+        ([2], [0], [1]),
+        (list(range(10)) * 10, list(range(0, 100, 10)), list(range(10, 101, 10))),
+    ]
     for label, kernel_fn in row_variants(name).items():
-        for flat, offsets in shapes:
-            n_seg = len(offsets) - 1
+        for source, starts, ends in shapes:
+            n_seg = len(starts)
             messages = set()
             for bad in (-1, 2):
                 with pytest.raises(IndexError) as caught:
-                    kernel_fn(flat, offsets, [0] * (n_seg - 1) + [bad], adjacency)
+                    kernel_fn(source, starts, ends, [0] * (n_seg - 1) + [bad], adjacency)
                 messages.add(str(caught.value).split(";")[0])
             assert messages == {"segment rows must lie in [0, 2)"}, label
-        assert canonical_rows(kernel_fn([], [0], [], adjacency)) == ([], [], [], 0)
+        assert canonical_rows(kernel_fn([], [], [], [], adjacency)) == ([], [], [], 0)
 
 
 # ---------------------------------------------------------------------------
