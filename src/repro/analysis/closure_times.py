@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..core.callbacks import ClosureTimeSurvey
+from ..core.callbacks import ClosureTimeSurvey, closure_marginals
 from ..core.engine import EngineSelector
 from ..core.incremental import StreamingSurvey
 from ..core.push_pull import triangle_survey
@@ -111,24 +111,9 @@ def run_closure_time_survey(
         dodgr, survey.callback, algorithm, graph_name=graph_name, engine=engine
     )
     survey.finalize()
-    return ClosureTimeResult(
-        report=report,
-        joint=survey.result(),
-        closing=survey.closing_time_distribution(),
-        opening=survey.opening_time_distribution(),
-    )
-
-
-def _closure_marginals(
-    joint: Dict[Tuple[int, int], int]
-) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """(closing, opening) marginal histograms of a joint closure histogram."""
-    closing: Dict[int, int] = {}
-    opening: Dict[int, int] = {}
-    for (open_bucket, close_bucket), count in joint.items():
-        closing[close_bucket] = closing.get(close_bucket, 0) + count
-        opening[open_bucket] = opening.get(open_bucket, 0) + count
-    return closing, opening
+    joint = survey.result()
+    closing, opening = closure_marginals(joint)
+    return ClosureTimeResult(report=report, joint=joint, closing=closing, opening=opening)
 
 
 @dataclass
@@ -189,7 +174,7 @@ def run_streaming_closure_time_survey(
     try:
         for batch in batches:
             step = survey.ingest(batch)
-            closing, opening = _closure_marginals(step.window)
+            closing, opening = closure_marginals(step.window)
             steps.append(
                 StreamingClosureTimeStep(
                     batch_index=step.batch_index,

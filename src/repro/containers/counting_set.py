@@ -22,7 +22,7 @@ as its own RPC.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,32 +180,44 @@ class DistributedCountingSet:
                 self.flush_cache(ctx)
 
     def increment_grouped_run(
-        self, ctx: RankContext, keys: List[Any], counts: List[int], inverse: Iterable[int]
+        self,
+        ctx: RankContext,
+        keys: List[Any],
+        counts: List[int],
+        inverse: Callable[[], Any],
     ) -> None:
         """:meth:`increment_run` over a run handed over pre-aggregated.
 
-        The run is ``[keys[i] for i in inverse]``; ``keys`` are its distinct
+        The run is ``[keys[i] for i in inverse()]``; ``keys`` are its distinct
         items in first-appearance order and ``counts`` their multiplicities.
         Bit-identical to the item-by-item walk — cache contents and insertion
         order, every flush and what it carries — at one cache update per
         distinct key per flush window.  When the cache has room for every key
         it has not seen, no eviction can fire and each key's count is added
-        once.  Otherwise the run is *split*: it is walked in spans; in each,
-        the items that would grow the cache are the first appearances (within
-        the span) of keys the cache does not hold, so the item at which the
-        cache reaches capacity is known without replaying the run — the span
-        is applied aggregated up to and including that item, the cache is
-        flushed there, and the walk continues behind it.
+        once; ``inverse`` is never called.  Otherwise the run is *split*: it
+        is walked in spans; in each, the items that would grow the cache are
+        the first appearances (within the span) of keys the cache does not
+        hold, so the item at which the cache reaches capacity is known
+        without replaying the run — the span is applied aggregated up to and
+        including that item, the cache is flushed there, and the walk
+        continues behind it.
+
+        Raises TypeError, on every call, when ``inverse`` is not callable
+        (an array, as this method took before the inverse became lazy).
         """
+        if not callable(inverse):
+            raise TypeError(
+                "increment_grouped_run: inverse must be a zero-argument callable "
+                f"returning the run's key indices, not {type(inverse).__name__}"
+            )
         cache = self._cache(ctx)
         get = cache.get
         capacity = self.cache_capacity
-        unseen = sum(key not in cache for key in keys)
-        if len(cache) + unseen < capacity:
+        if len(cache.keys() | keys) < capacity:
             for key, count in zip(keys, counts):
                 cache[key] = get(key, 0) + count
             return
-        inverse = np.asarray(inverse, dtype=np.int64)
+        inverse = np.asarray(inverse(), dtype=np.int64)
         total = inverse.size
         # previous[i]: where item i's key last occurred before i (-1: nowhere),
         # so "first appearance at or after s" reads ``previous[i] < s``.

@@ -37,11 +37,13 @@ parity oracle, and what the legacy engine invokes) and a vectorized
 engine (``triangle_survey(..., engine="columnar")``) prefers.  The batch
 methods are contract-exact aggregates of the scalar ones: they derive their
 keys column-wise (NumPy where it helps) but apply every counting-set
-increment in the scalar invocation order through
+increment with the effect of the scalar invocation order — item by item
+through
 :meth:`~repro.containers.counting_set.DistributedCountingSet.increment_run`,
-so reducer outputs *and* every communication counter (cache evictions
-included) are bit-identical to running the scalar callback per triangle of
-the same batches.
+or pre-aggregated through ``increment_grouped_run`` — so reducer outputs
+*and* every communication counter (cache evictions included) are
+bit-identical to running the scalar callback per triangle of the same
+batches.
 
 :class:`ClosureTimeSurvey`, :class:`MaxEdgeLabelDistribution` and
 :class:`DegreeTripleSurvey` first ask the batch for typed arrays
@@ -49,7 +51,8 @@ the same batches.
 :class:`LocalTriangleCounter` and :class:`EdgeSupportCounter` for the vertex
 ids themselves (``batch.vertex_ids``); they derive their keys as array
 expressions and hand the counting set the run pre-aggregated
-(``increment_grouped_run``, which splits the run wherever the cache fills).
+(``increment_grouped_run``, which splits the run wherever the cache fills;
+:func:`_grouped_run` groups it).
 When the batch answers None they run the object loop, which stays the oracle.
 """
 
@@ -72,6 +75,7 @@ __all__ = [
     "EdgeSupportCounter",
     "MaxEdgeLabelDistribution",
     "ClosureTimeSurvey",
+    "closure_marginals",
     "DegreeTripleSurvey",
     "FqdnTripleSurvey",
     "REDUCER_REGISTRY",
@@ -150,29 +154,87 @@ def log2_bucket(value: float) -> int:
     return exponent - 1 if mantissa == 0.5 else exponent
 
 
+#: Bit pattern of +inf: read as unsigned, every float64 at or above it is
+#: inf, a NaN or negative (sign bit set).
+_INF_BITS = 0x7FF0000000000000
+
+
 def log2_bucket_array(values: Any) -> Any:
-    """Vectorized :func:`log2_bucket` over a float array."""
-    v = _np.asarray(values, dtype=_np.float64)
-    mantissa, exponent = _np.frexp(v)
-    buckets = _np.where(mantissa == 0.5, exponent - 1, exponent)
-    return _np.where(v <= 1.0, 0, buckets).astype(_np.int64)
+    """Vectorized :func:`log2_bucket` over a float array of any shape.
+
+    Reads the exponent from the IEEE-754 bits: a finite ``v > 1`` with
+    biased exponent ``e`` and fraction ``m`` has ``ceil(log2 v) = e - 1023
+    + (m != 0)``, which is ``((bits - 1) >> 52) - 1022`` — subtracting one
+    borrows out of a zero fraction into the exponent.  Below one that is at
+    most zero, so a floor at zero buckets it; inf, NaN and negative values
+    (including ``-0.0``) are zeroed by their unsigned bits, as
+    :func:`log2_bucket` (``frexp`` of inf or NaN has exponent 0) has it.
+    """
+    bits = _np.asarray(values, dtype=_np.float64).view(_np.int64)
+    buckets = (bits - 1) >> 52
+    buckets -= 1022
+    _np.maximum(buckets, 0, out=buckets)
+    buckets[bits.view(_np.uint64) >= _INF_BITS] = 0
+    return buckets
 
 
-def _grouped_run(codes: Any) -> Tuple[Any, List[int], Any]:
+def _grouped_run(codes: Any) -> Tuple[Any, List[int], Callable[[], Any]]:
     """Aggregate a run of per-item codes (a non-empty int or float array).
 
     Returns ``(first, counts, inverse)`` for
     :meth:`DistributedCountingSet.increment_grouped_run`: the index of each
     distinct code's first item, in first-appearance order, how often each
-    occurs, and every item's position in that sequence.
+    occurs, and a zero-argument callable building every item's position in
+    that sequence (the counting set asks for it only when the run splits).
+
+    Int codes in ``[0, len(codes))`` are tallied densely
+    (:func:`_dense_groups`): the tally then has no more slots than the run
+    has items, so the dense pass is linear in the run.  Any other run — a
+    code range wider than the run, negative or float codes — is grouped by
+    :func:`_sorted_groups`.
     """
+    if (
+        codes.dtype.kind == "i"
+        and int(codes.max()) < codes.size
+        and int(codes.min()) >= 0
+    ):
+        return _dense_groups(codes)
+    return _sorted_groups(codes)
+
+
+def _dense_groups(codes: Any) -> Tuple[Any, List[int], Callable[[], Any]]:
+    """:func:`_grouped_run` of non-negative int codes by one ``bincount``,
+    each code's first position by ``minimum.at`` and one sort of the
+    distinct first positions; costs ``O(len(codes) + codes.max())``."""
+    tally = _np.bincount(codes)
+    firsts = _np.full(tally.size, codes.size, dtype=_np.int64)
+    _np.minimum.at(firsts, codes, _np.arange(codes.size))
+    present = _np.flatnonzero(tally)
+    # First positions are distinct, so any sort of them is the stable one.
+    present = present[_np.argsort(firsts[present])]
+
+    def inverse() -> Any:
+        labels = _np.empty(tally.size, dtype=_np.int64)
+        labels[present] = _np.arange(present.size)
+        return labels[codes]
+
+    return firsts[present], tally[present].tolist(), inverse
+
+
+def _sorted_groups(codes: Any) -> Tuple[Any, List[int], Callable[[], Any]]:
+    """:func:`_grouped_run` of any codes by
+    :func:`first_appearance_groups`' stable sort of the whole run."""
     order, starts, ends = first_appearance_groups(codes)
     counts = ends - starts
-    # The sorted items run group by group in key order: label each run with
-    # its group's first-appearance rank and scatter the labels through order.
-    by_key = stable_key_order(starts)
-    inverse = _np.empty(codes.size, dtype=_np.int64)
-    inverse[order] = _np.repeat(by_key, counts[by_key])
+
+    def inverse() -> Any:
+        # The sorted items run group by group in key order: label each run
+        # with its group's first-appearance rank, scattered through order.
+        by_key = stable_key_order(starts)
+        labels = _np.empty(codes.size, dtype=_np.int64)
+        labels[order] = _np.repeat(by_key, counts[by_key])
+        return labels
+
     return order[starts], counts.tolist(), inverse
 
 
@@ -470,10 +532,11 @@ class ClosureTimeSurvey(_SnapshotMerge):
             a, b, c = stamps
             low, high = _np.minimum(a, b), _np.maximum(a, b)
             t1 = _np.minimum(low, c)
-            t2 = _np.maximum(low, _np.minimum(high, c))
-            t3 = _np.maximum(high, c)
-            opens = log2_bucket_array(t2 - t1)
-            closes = log2_bucket_array(t3 - t1)
+            # Both differences side by side, bucketed in one pass.
+            gaps = _np.empty((2, a.size), dtype=a.dtype)
+            _np.subtract(_np.maximum(low, _np.minimum(high, c)), t1, out=gaps[0])
+            _np.subtract(_np.maximum(high, c), t1, out=gaps[1])
+            opens, closes = log2_bucket_array(gaps)
             first, counts, inverse = _grouped_run(_bucket_codes(opens, closes))
             keys = list(zip(opens[first].tolist(), closes[first].tolist()))
             self.counters.increment_grouped_run(ctx, keys, counts, inverse)
@@ -488,13 +551,9 @@ class ClosureTimeSurvey(_SnapshotMerge):
             )
             opens.append(t2 - t1)
             closes.append(t3 - t1)
-        items = list(
-            zip(
-                log2_bucket_array(opens).tolist(),
-                log2_bucket_array(closes).tolist(),
-            )
+        self.counters.increment_run(
+            ctx, list(zip(*log2_bucket_array([opens, closes]).tolist()))
         )
-        self.counters.increment_run(ctx, items)
 
     def finalize(self) -> None:
         self.counters.flush_all_caches()
@@ -506,16 +565,24 @@ class ClosureTimeSurvey(_SnapshotMerge):
 
     def closing_time_distribution(self) -> Dict[int, int]:
         """Marginal distribution of the closing-time bucket (Fig. 6 top)."""
-        out: Dict[int, int] = {}
-        for (_open_bucket, close_bucket), count in self.counters.counts().items():
-            out[close_bucket] = out.get(close_bucket, 0) + count
-        return out
+        return closure_marginals(self.result())[0]
 
     def opening_time_distribution(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for (open_bucket, _close_bucket), count in self.counters.counts().items():
-            out[open_bucket] = out.get(open_bucket, 0) + count
-        return out
+        """Marginal distribution of the opening-time bucket."""
+        return closure_marginals(self.result())[1]
+
+
+def closure_marginals(
+    joint: Dict[Tuple[int, int], int]
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(closing, opening) marginal histograms of a joint closure histogram
+    (a :meth:`ClosureTimeSurvey.result`, or a merge of its panels)."""
+    closing: Dict[int, int] = {}
+    opening: Dict[int, int] = {}
+    for (open_bucket, close_bucket), count in joint.items():
+        closing[close_bucket] = closing.get(close_bucket, 0) + count
+        opening[open_bucket] = opening.get(open_bucket, 0) + count
+    return closing, opening
 
 
 class DegreeTripleSurvey(_SnapshotMerge):

@@ -324,19 +324,30 @@ class CandidateStage:
             if new_entries is not None:
                 # Filtered new-entry positions back to full CSR edge positions.
                 adj_pos = new_to_orig[adj_pos]
-            # Each match's message, whose source places it in the global columns.
-            part = _np.searchsorted(_np.cumsum([len(p.rows) for p in parts]), seg, side="right")
-            row_base = _np.array([p.src.row_base for p in parts], dtype=_np.int64)[part]
-            edge_base = _np.array([p.src.edge_base for p in parts], dtype=_np.int64)[part]
             src_pos = _np.asarray(result.cand_pos, dtype=_np.int64)
             if positions is not None:
                 src_pos = positions[src_pos]
+            if len(parts) == 1:
+                # A lone message (every full-survey delivery): one source,
+                # so its column bases are scalars.
+                (only,) = parts
+                sequence = members[0]
+                rows, qpositions = only.rows[seg], only.qpositions[seg]
+                row_base, edge_base = only.src.row_base, only.src.edge_base
+            else:
+                # Each match's message, whose source places it in the global columns.
+                part = _np.searchsorted(_np.cumsum([len(p.rows) for p in parts]), seg, side="right")
+                sequence = _np.asarray(members, dtype=_np.int64)[part]
+                rows = _cat([p.rows for p in parts])[seg]
+                qpositions = _cat([p.qpositions for p in parts])[seg]
+                row_base = _np.array([p.src.row_base for p in parts], dtype=_np.int64)[part]
+                edge_base = _np.array([p.src.edge_base for p in parts], dtype=_np.int64)[part]
             matched.append(
                 (
-                    _np.asarray(members, dtype=_np.int64)[part],
-                    _cat([p.rows for p in parts])[seg] + row_base,
+                    sequence,
+                    rows + row_base,
                     q_rows[seg] + dest.row_base,
-                    _cat([p.qpositions for p in parts])[seg] + edge_base,
+                    qpositions + edge_base,
                     src_pos + edge_base,
                     adj_pos + dest.edge_base,
                 )
@@ -347,12 +358,14 @@ class CandidateStage:
         if self.callback is None:
             return
         ctx.add_compute(self.per_triangle_compute * matches)
-        columns = [_cat(column) for column in zip(*matched)]
-        if len(matched) > 1:
+        if len(matched) == 1:
+            columns = matched[0][1:]
+        else:
             # Handled order: a stable sort on message sequence across streams.
-            order = stable_key_order(columns[0])
-            columns = [column[order] for column in columns]
-        batch = columnar_push_batch(dodgr, *columns[1:])
+            sequence = _cat([_np.broadcast_to(m[0], len(m[1])) for m in matched])
+            order = stable_key_order(sequence)
+            columns = [_cat(column)[order] for column in list(zip(*matched))[1:]]
+        batch = columnar_push_batch(dodgr, *columns)
         deliver_batch(ctx, batch, self.callback, self.batch_callback)
 
 

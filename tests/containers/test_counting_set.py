@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.containers import DistributedCountingSet
@@ -116,7 +117,7 @@ class TestCounting:
         "call",
         [
             lambda counts, ctx: counts.increment_run(ctx, []),
-            lambda counts, ctx: counts.increment_grouped_run(ctx, [], [], []),
+            lambda counts, ctx: counts.increment_grouped_run(ctx, [], [], lambda: []),
             lambda counts, ctx: counts.flush_cache(ctx),
         ],
         ids=["increment_run", "increment_grouped_run", "flush_cache"],
@@ -129,6 +130,15 @@ class TestCounting:
         total = world4.stats.total()
         assert (total.rpcs_sent, total.rpcs_executed, total.wire_messages) == (0, 0, 0)
         assert counts.counts() == {} and counts.pending_cached() == 0
+
+    def test_an_array_inverse_fails_before_the_cache_fills(self, world4):
+        """An array where the lazy inverse belongs fails on the first call,
+        not on the first split: here the cache has room, no split happens."""
+        counts = DistributedCountingSet(world4, cache_capacity=64)
+        ctx = world4.ranks[0]
+        with pytest.raises(TypeError, match="callable"):
+            counts.increment_grouped_run(ctx, ["k"], [2], np.zeros(2, dtype=np.int64))
+        assert counts.pending_cached() == 0
 
     def test_invalid_cache_capacity_rejected(self, world4):
         with pytest.raises(ValueError):

@@ -28,7 +28,10 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.graph.metadata as metadata_module
 from repro.analysis.degree_triples import decorate_with_degrees
@@ -537,3 +540,47 @@ class TestLog2Bucket:
         assert log2_bucket_array(values).tolist() == [
             log2_bucket(v) for v in values.tolist()
         ]
+
+    @staticmethod
+    def assert_array_is_scalar(values):
+        values = np.asarray(values)
+        assert log2_bucket_array(values).tolist() == [
+            log2_bucket(v) for v in values.tolist()
+        ]
+
+    def test_non_finite_signed_zero_and_subnormals(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        self.assert_array_is_scalar(
+            [math.inf, -math.inf, math.nan, -math.nan, 0.0, -0.0, tiny, -tiny,
+             2.0 ** -1022, np.nextafter(2.0 ** -1022, 0.0), -1.0, -math.ulp(1.0)]
+        )
+
+    def test_powers_of_two_and_one_ulp_either_side(self):
+        powers = [2.0 ** k for k in range(-3, 1024)]
+        neighbours = [
+            np.nextafter(power, direction)
+            for power in powers
+            for direction in (0.0, math.inf)
+        ]
+        self.assert_array_is_scalar(powers + neighbours)
+        assert log2_bucket_array([2.0 ** 1023]).tolist() == [1023]
+        assert log2_bucket_array([np.finfo(np.float64).max]).tolist() == [1024]
+        assert log2_bucket_array([np.nextafter(2.0, 3.0)]).tolist() == [2]
+
+    def test_int64_differences_beyond_2_53(self):
+        values = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 54 + 3, 2 ** 62 + 1, 2 ** 63 - 1]
+        self.assert_array_is_scalar(np.array(values, dtype=np.int64))
+
+    @given(st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float64_bit_pattern(self, patterns):
+        self.assert_array_is_scalar(np.array(patterns, dtype=np.int64).view(np.float64))
+
+    @given(st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_any_int64_difference(self, differences):
+        self.assert_array_is_scalar(np.array(differences, dtype=np.int64))
+
+    def test_a_two_row_array_buckets_each_row(self):
+        gaps = np.array([[0.5, 3.0, 1024.0], [2.0, 1025.0, math.inf]])
+        assert log2_bucket_array(gaps).tolist() == [[0, 2, 10], [1, 11, 0]]

@@ -368,3 +368,27 @@ def test_stable_sort_scan_flags_a_stray_sort(tmp_path):
         f"runtime/world.py:{len(source.splitlines()) + 4}",
         "stray.py:2",
     ]
+
+
+def test_array_path_reducers_stay_on_the_arrays():
+    """Mirror of tools/check_engines.py check 13: on a numeric rmat-8 graph
+    every array-path reducer hands each large batch to
+    ``increment_grouped_run`` without decoding an object column."""
+    import check_engines
+
+    assert check_engines.check_array_paths() == []
+
+
+def test_array_path_check_flags_a_planted_fallback():
+    """The check 13 probe trips: an edge label that answers ``str`` has no
+    array form, so every large batch takes the object loop — correct, and
+    invisible to every parity suite, but reported here."""
+    import check_engines
+    from repro.core.callbacks import MaxEdgeLabelDistribution
+
+    misses = check_engines.array_path_misses(
+        "max-edge-label", lambda world: MaxEdgeLabelDistribution(world, edge_label=str)
+    )
+    assert misses
+    assert any("never reached increment_grouped_run" in miss for miss in misses)
+    assert any("decoded object columns" in miss and "meta_pq" in miss for miss in misses)

@@ -145,7 +145,7 @@ def test_grouped_run_is_the_item_by_item_run(case):
         counting.increment_run(ctx, prefill)
         del sent[:]  # the prefill's own flushes are not under test
         if grouped:
-            counting.increment_grouped_run(ctx, keys, counts, inverse)
+            counting.increment_grouped_run(ctx, keys, counts, lambda: inverse)
         else:
             counting.increment_run(ctx, run)
         flushes_inside_the_run = len(sent)

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Eleven checks, exit status 1 on any failure (each printed to stderr):
+Twelve checks, numbered 1-11 and 13, exit status 1 on any failure (each
+printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -80,6 +81,14 @@ Eleven checks, exit status 1 on any failure (each printed to stderr):
    package is exempt): every stable integer ordering on the survey and
    build paths takes that primitive's linear-time radix passes, so an
    O(n log n) timsort cannot grow back at a call site.
+13. **Array-path reducers stay on the arrays** — on a numeric rmat-8 graph
+   (float edge stamps, int vertex metadata) every stock reducer with an
+   array path (:data:`ARRAY_PATH_REDUCERS`) hands each batch of at least
+   :data:`~repro.graph.metadata.ARRAY_VALUES_MIN_BATCH` triangles to
+   ``increment_grouped_run`` and decodes no
+   :meth:`~repro.graph.metadata.TriangleBatch.column` object column doing
+   so.  The object loop is correct, only slow, so no parity suite can see
+   a reducer silently fall back to it.  (Check 12 is reserved.)
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -631,6 +640,100 @@ def check_one_stable_sort() -> List[str]:
     ]
 
 
+#: Stock reducers with an array path (``edge_values`` / ``vertex_values`` /
+#: ``vertex_ids`` into ``increment_grouped_run``), by registry name.
+ARRAY_PATH_REDUCERS = (
+    "closure-time",
+    "max-edge-label",
+    "degree-triple",
+    "local-triangle",
+    "edge-support",
+)
+
+ARRAY_PATH_GRAPH = dict(scale=8, edge_factor=8, seed=3)
+
+
+def array_path_misses(name: str, make_reducer) -> List[str]:
+    """How a columnar survey with ``make_reducer(world)`` left the array path.
+
+    Runs a push-pull survey plus ``finalize()`` on a numeric rmat-8 graph
+    and returns one message per batch of at least ``ARRAY_VALUES_MIN_BATCH``
+    triangles that did not reach ``increment_grouped_run`` or decoded an
+    object column, and one if no batch was that large.
+    """
+    from repro.containers.counting_set import DistributedCountingSet
+    from repro.graph.generators import rmat
+    from repro.graph.metadata import ARRAY_VALUES_MIN_BATCH, TriangleBatch
+
+    edges = [(u, v, float(i + 1)) for i, (u, v, _) in enumerate(rmat(**ARRAY_PATH_GRAPH).edges)]
+    graph = GeneratedGraph(
+        name="numeric-rmat-8",
+        edges=edges,
+        vertex_meta={v: v for edge in edges for v in edge[:2]},
+    )
+    world = World(SMOKE_RANKS)
+    dodgr = DODGraph.build(graph.to_distributed(world), mode="bulk")
+    reducer = make_reducer(world)
+    seen = {"grouped": 0, "columns": []}
+    grouped_run, column = DistributedCountingSet.increment_grouped_run, TriangleBatch.column
+
+    def counted_grouped_run(self, *args):
+        seen["grouped"] += 1
+        return grouped_run(self, *args)
+
+    def recorded_column(self, column_name):
+        seen["columns"].append(column_name)
+        return column(self, column_name)
+
+    misses: List[str] = []
+    large = [0]
+    batch_callback = reducer.callback_batch
+
+    def watched(ctx, batch):
+        grouped, decoded = seen["grouped"], len(seen["columns"])
+        batch_callback(ctx, batch)
+        if len(batch) < ARRAY_VALUES_MIN_BATCH:
+            return
+        large[0] += 1
+        if seen["grouped"] == grouped:
+            misses.append(
+                f"reducer {name!r}: a {len(batch)}-triangle batch never reached "
+                "increment_grouped_run"
+            )
+        columns = sorted(set(seen["columns"][decoded:]))
+        if columns:
+            misses.append(
+                f"reducer {name!r}: a {len(batch)}-triangle batch decoded "
+                f"object columns {columns}"
+            )
+
+    reducer.callback_batch = watched
+    DistributedCountingSet.increment_grouped_run = counted_grouped_run
+    TriangleBatch.column = recorded_column
+    try:
+        triangle_survey(dodgr, reducer.callback, "push_pull", engine="columnar")
+        reducer.finalize()
+    finally:
+        DistributedCountingSet.increment_grouped_run = grouped_run
+        TriangleBatch.column = column
+        dodgr.release()
+    if not large[0]:
+        misses.append(
+            f"reducer {name!r}: no batch reached {ARRAY_VALUES_MIN_BATCH} triangles"
+        )
+    return misses
+
+
+def check_array_paths() -> List[str]:
+    """Every array-path reducer takes it on a numeric graph (check 13)."""
+    from repro.core.callbacks import get_reducer
+
+    errors: List[str] = []
+    for name in ARRAY_PATH_REDUCERS:
+        errors.extend(array_path_misses(name, get_reducer(name)))
+    return errors
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -691,6 +794,7 @@ def main() -> int:
     errors.extend(check_one_survey_loop())
     errors.extend(check_oracle_fence())
     errors.extend(check_one_stable_sort())
+    errors.extend(check_array_paths())
 
     if errors:
         for error in errors:
@@ -711,7 +815,8 @@ def main() -> int:
         "documented and parity-clean; engine= is the only execution selector; "
         "the write path stays on the arrays; one table says what may run; "
         "one loop runs every survey phase; the oracle stays out of production; "
-        "one primitive owns every stable sort"
+        "one primitive owns every stable sort; "
+        f"{len(ARRAY_PATH_REDUCERS)} array-path reducers stay on the arrays"
     )
     return 0
 
