@@ -28,7 +28,7 @@ from .driver import legacy_push_payload_overhead, make_columnar_delta_handlers, 
 from .program import SurveyProgram
 from .registry import EngineSpec, check_supported, oracle_builder, survey_features
 from .request import SurveyRequest
-from .segments import positions_of_ids, ragged_gather, stable_key_order
+from .segments import kept_offsets, positions_of_ids, ragged_gather, stable_key_order
 
 import numpy as _np
 
@@ -132,7 +132,7 @@ def drive_columnar_delta(
     indptr = csr.indptr
     mask = delta.edge_mask(ctx.rank)
     new_pos = _np.flatnonzero(mask)
-    inv_ids, inv_pos, row_of_edge = csr.inverted_target_index()
+    inv_offsets, inv_pos, row_of_edge = csr.inverted_target_index(dodgr.order_count())
 
     # --- Full-check stream, part 1: q-new wedges carry their whole suffix.
     rows_a = row_of_edge[new_pos]
@@ -159,13 +159,13 @@ def drive_columnar_delta(
 
     # --- New-check stream: old-old wedges closed by a new (q, r) pair,
     # found by joining both endpoints against the inverted target index's
-    # old positions only (a subsequence, so still sorted by target id).
+    # old positions only (a subsequence, so still grouped by target id).
     old = ~mask[inv_pos]
-    old_ids, old_pos = inv_ids[old], inv_pos[old]
+    old_offsets, old_pos = kept_offsets(inv_offsets, old), inv_pos[old]
     stride = _np.int64(dodgr.order_count())
     new_keys = delta.directed_edge_keys()
-    pair_q, pos_q = positions_of_ids(old_ids, old_pos, new_keys // stride)
-    pair_r, pos_r = positions_of_ids(old_ids, old_pos, new_keys % stride)
+    pair_q, pos_q = positions_of_ids(old_offsets, old_pos, new_keys // stride)
+    pair_r, pos_r = positions_of_ids(old_offsets, old_pos, new_keys % stride)
     # Join on (pair, pivot row): a row holds a target at most once, so the
     # composite keys are unique per side.
     comp_q = pair_q * _np.int64(csr.num_rows) + row_of_edge[pos_q]

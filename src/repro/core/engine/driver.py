@@ -314,7 +314,9 @@ class CandidateStage:
                 adjacency = row_adjacency(dest, dodgr.order_count())
             else:
                 adjacency, new_to_orig = new_entries(ctx.rank)
-            result = self.row_kernel(source_keys, starts, ends, q_rows, adjacency)
+            result = self.row_kernel(
+                source_keys, starts, ends, q_rows, adjacency, matches=self.callback is not None
+            )
             ctx.add_compute(int(result.comparisons))
             matches += len(result)
             if not len(result) or self.callback is None:
@@ -425,7 +427,7 @@ def new_row_adjacency(delta, rank: int) -> Tuple[RowAdjacency, Any]:
     csr = dodgr.csr(rank)
     mask = delta.edge_mask(rank)
     new_to_orig = _np.flatnonzero(mask)
-    edge_rows = csr.inverted_target_index()[2]
+    edge_rows = csr.inverted_target_index(dodgr.order_count())[2]
     new_counts = _np.bincount(edge_rows[mask], minlength=csr.num_rows)
     new_indptr = _np.concatenate(([0], _np.cumsum(new_counts))).astype(_np.int64)
     adjacency = RowAdjacency(csr.tgt_ids[new_to_orig], new_indptr, dodgr.order_count())

@@ -57,14 +57,14 @@ def make_columnar_pull_handler(
     def _pull_deliver_columnar_handler(ctx, owner_csr, q_rows) -> None:
         ctx.add_counter("vertices_pulled", len(q_rows))
         csr = dodgr.csr(ctx)
-        inv_ids, inv_pos, row_of_edge = csr.inverted_target_index()
-        which, qpositions = positions_of_ids(
-            inv_ids, inv_pos, owner_csr.row_order_ids[q_rows]
-        )
+        offsets, inv_pos, row_of_edge = csr.inverted_target_index(dodgr.order_count())
+        which, qpositions = positions_of_ids(offsets, inv_pos, owner_csr.row_order_ids[q_rows])
         rows = row_of_edge[qpositions]
         starts, ends = qpositions + 1, csr.indptr[rows + 1]
         # A q that closes its row has no candidate suffix; the scalar dry
-        # runs never record such a pivot.
+        # runs never record such a pivot.  Its empty span must not reach the
+        # kernel: merge and binary search would skip it, but the hash count
+        # books a table build over the row even for no candidates.
         waiting = starts < ends
         rows, qpositions = rows[waiting], qpositions[waiting]
         starts, ends = starts[waiting], ends[waiting]
@@ -73,7 +73,9 @@ def make_columnar_pull_handler(
         if rows.size == 0:
             return
         adjacency = row_adjacency(owner_csr, dodgr.order_count())
-        result = row_kernel(csr.tgt_ids, starts, ends, seg_q_rows, adjacency)
+        result = row_kernel(
+            csr.tgt_ids, starts, ends, seg_q_rows, adjacency, matches=callback is not None
+        )
         ctx.add_compute(int(result.comparisons))
         matches = len(result)
         if not matches:

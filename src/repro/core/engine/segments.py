@@ -13,7 +13,13 @@ import numpy as _np
 
 from ...runtime.world import first_appearance_groups, stable_key_order
 
-__all__ = ["ragged_gather", "positions_of_ids", "first_appearance_groups", "stable_key_order"]
+__all__ = [
+    "ragged_gather",
+    "positions_of_ids",
+    "kept_offsets",
+    "first_appearance_groups",
+    "stable_key_order",
+]
 
 
 def ragged_gather(starts, lengths) -> Tuple["_np.ndarray", "_np.ndarray"]:
@@ -33,18 +39,35 @@ def ragged_gather(starts, lengths) -> Tuple["_np.ndarray", "_np.ndarray"]:
     ), offsets
 
 
-def positions_of_ids(inv_ids, inv_pos, ids):
+def positions_of_ids(offsets, positions, ids):
     """Ragged lookup: for every id, the edge positions whose target is the id.
 
-    ``inv_ids``/``inv_pos`` are the first two columns of
-    :meth:`~repro.graph.dodgr.CSRAdjacency.inverted_target_index`.  Returns
-    ``(owner, positions)`` where ``positions`` concatenates each id's edge
-    positions (ascending) and ``owner[i]`` is the index into ``ids`` that
-    produced ``positions[i]``.
+    ``offsets``/``positions`` are the first two columns of
+    :meth:`~repro.graph.dodgr.CSRAdjacency.inverted_target_index`: id ``t``'s
+    positions are ``positions[offsets[t]:offsets[t + 1]]``, so each id is
+    two loads, not a search.  Returns ``(owner, found)`` where ``found``
+    concatenates each id's edge positions (ascending) and ``owner[i]`` is
+    the index into ``ids`` that produced ``found[i]``.  An id outside
+    ``[0, len(offsets) - 1)`` raises ``ValueError`` (a negative one would
+    otherwise wrap onto the last slots).
     """
-    lo = _np.searchsorted(inv_ids, ids, side="left")
-    hi = _np.searchsorted(inv_ids, ids, side="right")
-    counts = hi - lo
+    ids = _np.asarray(ids, dtype=_np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= offsets.size - 1):
+        raise ValueError(f"target ids must lie in [0, {offsets.size - 1})")
+    lo = offsets[ids]
+    counts = offsets[ids + 1] - lo
     gather, _offsets = ragged_gather(lo, counts)
     owner = _np.repeat(_np.arange(ids.size, dtype=_np.int64), counts)
-    return owner, inv_pos[gather]
+    return owner, positions[gather]
+
+
+def kept_offsets(offsets, keep):
+    """``offsets`` re-read for the subsequence ``positions[keep]``.
+
+    ``keep`` is a boolean mask over the positions an offsets array groups
+    (each group's run contiguous, as :func:`positions_of_ids` reads them);
+    a running count of kept positions at every group boundary delimits the
+    same groups in ``positions[keep]``, so a lookup over the pair reads no
+    dropped position.
+    """
+    return _np.concatenate(([0], _np.cumsum(keep)))[offsets]

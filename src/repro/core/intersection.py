@@ -32,6 +32,10 @@ columnar survey is identical to the legacy per-wedge path.  The ``columnar``
 tier copies the spans out (:func:`_expand_spans`) and runs a vectorized
 pipeline over the copy; below a small-input cutoff it loops the scalar
 kernels per segment instead (the ``scalar`` tier does so unconditionally).
+Every row kernel also takes ``matches=False``, which a survey with no
+callback passes: the result is then count-only — the same ``len()`` and
+``comparisons``, no index arrays.  The compiled tier writes no match at
+all; the columnar and scalar tiers compute the matches and drop them.
 """
 
 from __future__ import annotations
@@ -283,19 +287,31 @@ class RowBatchResult:
     segment's span), matching the adjacency entry at *global* edge position
     ``adj_pos[i]`` of the :class:`RowAdjacency`.  Ascending segment order,
     ascending candidate position within a segment — the scalar kernels'
-    order.
+    order.  A count-only call (``matches=False``) holds no index arrays
+    (all three None): ``len()`` is its match count and ``comparisons`` the
+    same total as the full call's.
     """
 
-    __slots__ = ("seg", "cand_pos", "adj_pos", "comparisons")
+    __slots__ = ("seg", "cand_pos", "adj_pos", "comparisons", "count")
 
-    def __init__(self, seg, cand_pos, adj_pos, comparisons: int) -> None:
+    def __init__(
+        self, seg, cand_pos, adj_pos, comparisons: int, count: Optional[int] = None
+    ) -> None:
         self.seg = seg
         self.cand_pos = cand_pos
         self.adj_pos = adj_pos
         self.comparisons = comparisons
+        self.count = len(seg) if count is None else count
 
     def __len__(self) -> int:
-        return len(self.seg)
+        return self.count
+
+
+def _kept(result: RowBatchResult, matches: bool) -> RowBatchResult:
+    """``result`` itself, or its count-only form when ``matches`` is False."""
+    if matches:
+        return result
+    return RowBatchResult(None, None, None, result.comparisons, len(result))
 
 
 def _rows_via_scalar(
@@ -305,6 +321,7 @@ def _rows_via_scalar(
     seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
+    matches: bool = True,
 ) -> RowBatchResult:
     """Reference row-batch implementation: one scalar call per segment."""
     starts, ends, rows = _check_spans(
@@ -330,7 +347,7 @@ def _rows_via_scalar(
             seg_out.append(seg)
             cand_out.append(lo + cand_idx)
             adj_out.append(adj_lo + adj_idx)
-    return RowBatchResult(seg_out, cand_out, adj_out, comparisons)
+    return _kept(RowBatchResult(seg_out, cand_out, adj_out, comparisons), matches)
 
 
 def _expand_spans(source_keys, starts, ends):
@@ -385,6 +402,7 @@ def merge_path_rows(
     seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
+    matches: bool = True,
 ) -> RowBatchResult:
     """Intersect segment ``s`` against adjacency row ``seg_rows[s]``, merge cost.
 
@@ -395,13 +413,15 @@ def merge_path_rows(
     :class:`~repro.graph.dodgr.CSRAdjacency`).  Matches and the aggregate
     comparison count are exactly what one :func:`merge_path_intersection`
     call per segment (against its row slice) would produce; the count is a
-    closed form over searchsorted ranks, not a walk of the merge.
+    closed form over searchsorted ranks, not a walk of the merge.  With
+    ``matches=False`` the result is count-only (no index arrays; this tier
+    computes them and drops them).
     """
     indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
     starts, ends, rows = _check_spans(source_keys, seg_starts, seg_ends, seg_rows, indptr.size - 1)
     if _scalar_route(starts, ends):
         return _rows_via_scalar(
-            merge_path_intersection, source_keys, starts, ends, rows, adjacency
+            merge_path_intersection, source_keys, starts, ends, rows, adjacency, matches
         )
     cand, offs, source_pos = _expand_spans(source_keys, starts, ends)
     keys = _np.asarray(adjacency.keys, dtype=_np.int64)
@@ -410,7 +430,7 @@ def merge_path_rows(
     if cand.size == 0 or composite.size == 0:
         # A merge against an empty side performs no comparisons.
         empty = _np.empty(0, dtype=_np.int64)
-        return RowBatchResult(empty, empty, empty, 0)
+        return _kept(RowBatchResult(empty, empty, empty, 0), matches)
 
     n_seg = offs.size - 1
     lengths = offs[1:] - offs[:-1]
@@ -457,7 +477,8 @@ def merge_path_rows(
         _np.where(last_key == adj_last, lengths + adj_len, consumed_adj_side),
     )
     per_segment = _np.where(nonempty, consumed - matches_per_seg, 0)
-    return RowBatchResult(seg_hits, source_pos[hits], pos[hits], int(per_segment.sum()))
+    result = RowBatchResult(seg_hits, source_pos[hits], pos[hits], int(per_segment.sum()))
+    return _kept(result, matches)
 
 
 def hash_rows(
@@ -466,6 +487,7 @@ def hash_rows(
     seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
+    matches: bool = True,
 ) -> RowBatchResult:
     """Row-batch counterpart of :func:`hash_intersection`.
 
@@ -475,12 +497,15 @@ def hash_rows(
     indptr = _np.asarray(adjacency.indptr, dtype=_np.int64)
     starts, ends, rows = _check_spans(source_keys, seg_starts, seg_ends, seg_rows, indptr.size - 1)
     if _scalar_route(starts, ends):
-        return _rows_via_scalar(hash_intersection, source_keys, starts, ends, rows, adjacency)
+        return _rows_via_scalar(
+            hash_intersection, source_keys, starts, ends, rows, adjacency, matches
+        )
     cand, offs, source_pos = _expand_spans(source_keys, starts, ends)
     seg_of_cand, pos, hits = _row_matches(cand, offs, rows, adjacency)
     adj_len = indptr[rows + 1] - indptr[rows]
     comparisons = int(adj_len.sum()) + int(cand.size)
-    return RowBatchResult(seg_of_cand[hits], source_pos[hits], pos[hits], comparisons)
+    result = RowBatchResult(seg_of_cand[hits], source_pos[hits], pos[hits], comparisons)
+    return _kept(result, matches)
 
 
 def binary_search_rows(
@@ -489,10 +514,11 @@ def binary_search_rows(
     seg_ends: Sequence[int],
     seg_rows: Sequence[int],
     adjacency: RowAdjacency,
+    matches: bool = True,
 ) -> RowBatchResult:
     """Row-batch binary-search intersection (scalar loop, parity-exact)."""
     return _rows_via_scalar(
-        binary_search_intersection, source_keys, seg_starts, seg_ends, seg_rows, adjacency
+        binary_search_intersection, source_keys, seg_starts, seg_ends, seg_rows, adjacency, matches
     )
 
 
@@ -535,8 +561,10 @@ KERNEL_TIER_FALLBACK = {"compiled": "columnar", "columnar": "scalar", "scalar": 
 def _scalar_tier_rows(name: str):
     scalar = INTERSECTION_KERNELS[name]
 
-    def row_kernel_scalar(source_keys, seg_starts, seg_ends, seg_rows, adjacency):
-        return _rows_via_scalar(scalar, source_keys, seg_starts, seg_ends, seg_rows, adjacency)
+    def row_kernel_scalar(source_keys, seg_starts, seg_ends, seg_rows, adjacency, matches=True):
+        return _rows_via_scalar(
+            scalar, source_keys, seg_starts, seg_ends, seg_rows, adjacency, matches
+        )
 
     row_kernel_scalar.__name__ = f"{name}_rows_scalar"
     return row_kernel_scalar

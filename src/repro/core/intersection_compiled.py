@@ -8,12 +8,15 @@ per-call ``mark`` array indexed by order id, and every candidate is then
 one load — no merge walk, no branch per comparison.  Segments are read in
 place, as spans ``[seg_starts[s], seg_ends[s])`` of the call's source key
 array (a survey's source CSR ``tgt_ids``): nothing is copied out, and a
-match reports its candidate's source position.  ``merge_path`` and
-``hash`` share that body; their ``comparisons`` totals are closed forms
-(the merge walk's ``consumed - matches``, the hash model's row-plus-probe
-count), equal to the scalar kernels' on the sorted, duplicate-free rows and
-segments the engines pass.  ``binary_search`` still walks the scalar loop,
-since its count is the sum of every probe's path.
+match reports its candidate's source position.  A count-only call
+(``matches=False``, a survey with no callback) allocates no output and
+hands C a NULL one: the probe loop is then ``m += mark[...] != 0``, one
+load and an add per candidate, with the same checks and counts.
+``merge_path`` and ``hash`` share that body; their ``comparisons`` totals
+are closed forms (the merge walk's ``consumed - matches``, the hash model's
+row-plus-probe count), equal to the scalar kernels' on the sorted,
+duplicate-free rows and segments the engines pass.  ``binary_search`` still
+walks the scalar loop, since its count is the sum of every probe's path.
 
 The source is built once, **at import**, with the system C compiler
 (``cc -O2 -shared -fPIC``) into a user-private cache directory
@@ -55,10 +58,11 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 #: indptr[r+1]]`` for ``r = rows[s]``.  Every loop writes one ``(segment,
 #: source position, global adjacency position)`` per match into the three
 #: ``cap``-slot rows of ``out`` — ``cap`` is the spans' total length, which
-#: can exceed ``n_src``; one match per span key at most — stores the scalar
-#: kernels' exact comparison count and returns the match count — or BAD_*,
-#: before reading out of bounds (BAD_KEY: a stamped row holds a key outside
-#: ``[0, order_count)``, the ``mark`` array's extent).
+#: can exceed ``n_src``; one match per span key at most — or, when ``out`` is
+#: NULL, writes nothing and only counts; it stores the scalar kernels' exact
+#: comparison count and returns the match count — or BAD_*, before reading
+#: out of bounds (BAD_KEY: a stamped row holds a key outside ``[0,
+#: order_count)``, the ``mark`` array's extent).
 C_SOURCE = r"""
 #include <stdint.h>
 typedef int64_t i64;
@@ -78,7 +82,8 @@ enum { BAD_ROW = -1, BAD_SPAN = -2, BAD_KEY = -3 };
 
 /* Every segment's row, span and row slice in range, checked for all of
    them before any key is read; spans of non-negative length also keep the
-   matches within out's cap = sum(ends - starts) slots. */
+   matches within out's cap = sum(ends - starts) slots.  A NULL out (count
+   only) is checked the same way. */
 static i64 check_spans(ARGS) {
     for (i64 seg = 0; seg < n_seg; seg++) {
         i64 i = starts[seg], hi = ends[seg], row = rows[seg];
@@ -90,7 +95,8 @@ static i64 check_spans(ARGS) {
     return 0;
 }
 
-#define EMIT(c, a) (out[m] = seg, out[cap + m] = (c), out[2 * cap + m] = (a), m++)
+#define EMIT(c, a)                                                             \
+    (out && (out[m] = seg, out[cap + m] = (c), out[2 * cap + m] = (a)), m++)
 
 /* How many of the sorted a[lo:hi] are <= key (branch-free halving). */
 static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
@@ -110,15 +116,19 @@ static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
    position of key k in the row being probed (0: absent); slot order_count
    stays 0 and absorbs every out-of-range candidate, so a probe is one load
    and the output slot is written unconditionally (slot m is below cap: m
-   never exceeds the span keys probed before this one).  A row is stamped
-   when the segment row changes and un-stamped when it changes again.  Rows
-   and candidates are sorted and duplicate-free, so the matches (segment
-   order, then candidate order) are the merge walk's and the hash probe's.
-   The merge count is the walk's closed form, consumed - matches: the list
-   whose last key is smaller runs out, the other stops at the upper bound of
-   that key, and equal last keys consume both.  The hash count is one table
-   build over the row and one probe per candidate. */
-static i64 stamp_probe(ARGS, int merge_count) {
+   never exceeds the span keys probed before this one).  count_only (out is
+   NULL) makes the probe loop write nothing and only count, m += mark[...]
+   != 0; the span checks, the stamp's key check and both counts are the
+   same.  A row is stamped when the segment row changes and un-stamped when
+   it changes again.  Rows and candidates are sorted and duplicate-free, so
+   the matches (segment order, then candidate order) are the merge walk's
+   and the hash probe's.  The merge count is the walk's closed form,
+   consumed - matches: the list whose last key is smaller runs out, the
+   other stops at the upper bound of that key, and equal last keys consume
+   both.  The hash count is one table build over the row and one probe per
+   candidate. */
+static inline __attribute__((always_inline)) i64
+stamp_probe(ARGS, int merge_count, int count_only) {
     i64 bad = check_spans(PASS);
     if (bad) return bad;
     if (order_count < 0) return BAD_KEY;
@@ -138,12 +148,18 @@ static i64 stamp_probe(ARGS, int merge_count) {
             stamped = row;
         }
         i64 first = m;
-        for (; i < hi; i++) {
-            i64 ck = src[i];
-            i64 p = mark[(u64)ck < (u64)order_count ? ck : order_count];
-            out[m] = seg, out[cap + m] = i, out[2 * cap + m] = p - 1;
-            m += p != 0;
-        }
+        if (count_only)
+            for (; i < hi; i++) {
+                i64 ck = src[i];
+                m += mark[(u64)ck < (u64)order_count ? ck : order_count] != 0;
+            }
+        else
+            for (; i < hi; i++) {
+                i64 ck = src[i];
+                i64 p = mark[(u64)ck < (u64)order_count ? ck : order_count];
+                out[m] = seg, out[cap + m] = i, out[2 * cap + m] = p - 1;
+                m += p != 0;
+            }
         if (merge_count) {
             i64 i0 = starts[seg], clast = src[hi - 1], alast = keys[jhi - 1];
             i64 consumed = clast < alast ? (hi - i0) + upper_bound(keys, j, jhi, clast)
@@ -156,9 +172,12 @@ static i64 stamp_probe(ARGS, int merge_count) {
     return m;
 }
 
-i64 merge_path_rows(ARGS) { return stamp_probe(PASS, 1); }
+/* Each entry point inlines one copy of the body per mode (out NULL: count
+   only), so no copy tests out or merge_count per segment: the match-writing
+   copy is the loop it was before the count-only mode existed. */
+i64 merge_path_rows(ARGS) { return out ? stamp_probe(PASS, 1, 0) : stamp_probe(PASS, 1, 1); }
 
-i64 hash_rows(ARGS) { return stamp_probe(PASS, 0); }
+i64 hash_rows(ARGS) { return out ? stamp_probe(PASS, 0, 0) : stamp_probe(PASS, 0, 1); }
 
 /* The scalar binary-search loop itself: its count depends on every probe's
    path, so it walks. */
@@ -298,16 +317,18 @@ def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
     loop = getattr(lib, f"{name}_rows")
 
     def kernel(
-        source_keys, seg_starts, seg_ends, seg_rows, adjacency: RowAdjacency
+        source_keys, seg_starts, seg_ends, seg_rows, adjacency: RowAdjacency, matches=True
     ) -> RowBatchResult:
         src, starts, ends, rows = map(_as_i64, (source_keys, seg_starts, seg_ends, seg_rows))
         keys, indptr = _as_i64(adjacency.keys), _as_i64(adjacency.indptr)
         n_rows = indptr.size - 1
         if not starts.shape == ends.shape == rows.shape == (starts.size,):
             _check_spans(src, starts, ends, rows, n_rows)  # raises
-        # Sized by the spans, not the source: a row's suffixes overlap.
-        cap = int(ends.sum() - starts.sum())
-        out = _np.empty((3, max(cap, 0)), dtype=_np.int64)
+        out, cap = None, 0  # count only: C gets a NULL out
+        if matches:
+            # Sized by the spans, not the source: a row's suffixes overlap.
+            cap = int(ends.sum() - starts.sum())
+            out = _np.empty((3, max(cap, 0)), dtype=_np.int64)
         # The stamp array is the call's own: ctypes drops the GIL, so two
         # threads may run kernels on one RowAdjacency at once.
         mark = _np.zeros(max(adjacency.order_count, 0) + 1, dtype=_np.int64)
@@ -315,7 +336,7 @@ def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
         m = loop(
             src.ctypes.data, starts.ctypes.data, ends.ctypes.data, starts.size, src.size, cap,
             rows.ctypes.data, keys.ctypes.data, indptr.ctypes.data, n_rows, keys.size,
-            adjacency.order_count, mark.ctypes.data, out.ctypes.data,
+            adjacency.order_count, mark.ctypes.data, None if out is None else out.ctypes.data,
             ctypes.byref(comparisons),
         )
         if m == _BAD_KEY:
@@ -325,6 +346,8 @@ def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
             # every tier raises, or blame the adjacency when those pass.
             _check_spans(src, starts, ends, rows, n_rows)
             raise ValueError("adjacency indptr is not a monotone in-range span per row")
+        if out is None:
+            return RowBatchResult(None, None, None, comparisons.value, m)
         return RowBatchResult(out[0, :m], out[1, :m], out[2, :m], comparisons.value)
 
     kernel.__name__ = f"{name}_rows_compiled"

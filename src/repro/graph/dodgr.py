@@ -184,22 +184,28 @@ class CSRAdjacency:
             return sizes
         return None
 
-    def inverted_target_index(self):
-        """The in-adjacency view: edge positions sorted by target id (cached).
+    def inverted_target_index(self, order_count: int):
+        """The in-adjacency view: edge positions grouped by target id (cached).
 
-        ``(sorted target ids, their edge positions, row of every edge)``,
-        probed with :func:`~repro.core.engine.segments.positions_of_ids` to
-        find every local pivot row holding a target (the incremental engine's
-        old-old-new join; the columnar pull handler's waiting wedges).  The
-        sort is stable: one target's positions come back row-major.
+        ``(offsets, positions, row_of_edge)``: ``positions`` lists the edge
+        positions sorted by target id (stably, so one target's positions
+        come back row-major), ``offsets`` — ``order_count + 1`` slots, the
+        owning DODGr's :meth:`~DODGraph.order_count` plus one — delimits
+        target ``t``'s run as ``positions[offsets[t]:offsets[t + 1]]``, and
+        ``row_of_edge`` is the row of every edge.  Probed with
+        :func:`~repro.core.engine.segments.positions_of_ids` to find every
+        local pivot row holding a target by offset (the incremental engine's
+        old-old-new join; the columnar pull handler's waiting wedges).
         """
-        if self._inv_index is None:
+        cached = self._inv_index
+        if cached is None or cached[0].size != order_count + 1:
             row_of_edge = _np.repeat(
                 _np.arange(self.num_rows, dtype=_np.int64), _np.diff(self.indptr)
             )
-            inv_order = stable_key_order(self.tgt_ids)
-            self._inv_index = (self.tgt_ids[inv_order], inv_order, row_of_edge)
-        return self._inv_index
+            counts = _np.bincount(self.tgt_ids, minlength=order_count)
+            offsets = _np.concatenate(([0], _np.cumsum(counts)))
+            cached = self._inv_index = (offsets, stable_key_order(self.tgt_ids), row_of_edge)
+        return cached
 
     def extracted_values(self, extract, field: str, positions):
         """``extract(metadata)`` at ``positions`` as a typed array, or None.

@@ -317,9 +317,11 @@ class TestCandidatesByReference:
         kernel = ROW_KERNEL_TIERS[tier]["merge_path"]
         sources = []
 
-        def recording_kernel(source_keys, *args):
+        def recording_kernel(source_keys, *args, matches):
+            # A reducer survey asks for the match columns.
+            assert matches is True
             sources.append(source_keys)
-            return kernel(source_keys, *args)
+            return kernel(source_keys, *args, matches=matches)
 
         monkeypatch.setitem(ROW_KERNEL_TIERS[tier], "merge_path", recording_kernel)
         world = World(NRANKS)

@@ -233,9 +233,11 @@ def test_staged_delivery_is_one_batch_per_rank(monkeypatch, reducer):
     def counted_kernel(*args):
         kernel = select(*args)
 
-        def row_kernel(*kernel_args):
+        def row_kernel(*kernel_args, matches):
+            # Every staged reducer survey asks for the match columns.
+            assert matches is True
             kernel_calls[-1] += 1
-            return kernel(*kernel_args)
+            return kernel(*kernel_args, matches=matches)
 
         return row_kernel
 

@@ -392,3 +392,34 @@ def test_array_path_check_flags_a_planted_fallback():
     assert misses
     assert any("never reached increment_grouped_run" in miss for miss in misses)
     assert any("decoded object columns" in miss and "meta_pq" in miss for miss in misses)
+
+
+def test_counts_count_in_place():
+    """Mirror of tools/check_engines.py check 14: ``callback=None`` surveys
+    ask every row-kernel call for no match columns; a reducer's asks for
+    them on every call."""
+    import check_engines
+
+    assert check_engines.check_count_only() == []
+
+
+def test_count_only_check_flags_a_planted_regrowth(monkeypatch):
+    """The check 14 probe trips: a pull handler whose kernel always writes
+    the match columns counts the same triangles, only slower — and is
+    reported here, for the Push-Pull count alone."""
+    import check_engines
+    from repro.core.engine import push_pull
+
+    make_handler = push_pull.make_columnar_pull_handler
+
+    def regrown(dodgr, row_kernel, *rest):
+        def always_matches(*args, matches):
+            return row_kernel(*args, matches=True)
+
+        return make_handler(dodgr, always_matches, *rest)
+
+    monkeypatch.setattr(push_pull, "make_columnar_pull_handler", regrown)
+    errors = check_engines.check_count_only()
+    assert len(errors) == 1
+    assert errors[0].startswith("push_pull survey with callback=None: ")
+    assert errors[0].endswith("row-kernel calls had matches=True")

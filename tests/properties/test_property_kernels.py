@@ -122,13 +122,20 @@ def row_variants(name):
 
 
 def assert_rows_agree(name, source, starts, ends, seg_rows, adjacency):
-    """Every registered tier returns the scalar oracle's arrays and count."""
+    """Every registered tier returns the scalar oracle's arrays and count,
+    and counted alone (``matches=False``) the same match count and
+    comparison total with no index arrays."""
     variants = row_variants(name)
     args = (source, starts, ends, seg_rows, adjacency)
     oracle = canonical_rows(variants["tier:scalar"](*args))
     for label, kernel_fn in variants.items():
         got = canonical_rows(kernel_fn(*args))
         assert got == oracle, f"{name}/{label} diverged on {source, starts, ends, seg_rows}"
+        counted = kernel_fn(*args, matches=False)
+        assert (len(counted), counted.comparisons) == (len(oracle[0]), oracle[3]), (
+            f"{name}/{label} count-only diverged on {source, starts, ends, seg_rows}"
+        )
+        assert counted.seg is counted.cand_pos is counted.adj_pos is None
     return oracle
 
 
@@ -258,6 +265,58 @@ def test_row_kernels_reject_out_of_range_rows(name):
         assert canonical_rows(kernel_fn([], [], [], [], adjacency)) == ([], [], [], 0)
 
 
+class KeysUnread:
+    """A source of ``size`` keys that fails the test if any key is read."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, index):
+        raise AssertionError("a key was read before the spans were checked")
+
+
+#: Malformed spans over a 6-key source: (starts, ends, rows, message).
+MALFORMED_SPANS = [
+    ([0, 4, 2], [4, 2, 6], [0, 1, 0], r"^segment spans must satisfy 0 <= start <= end <= 6$"),
+    ([-1], [2], [0], r"^segment spans must satisfy 0 <= start <= end <= 6$"),
+    ([2], [7], [0], r"^segment spans must satisfy 0 <= start <= end <= 6$"),
+    ([0, 2], [2], [0, 1], r"^one start, end and row per segment; got 2 starts, 1 ends"),
+]
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+@pytest.mark.parametrize("matches", [True, False])
+def test_count_only_rejects_what_the_full_call_rejects(name, matches):
+    """Malformed spans raise the same ValueError in both modes, before any
+    key is read (the NumPy tiers are handed a source whose keys fail the
+    test when read; the compiled tier checks every span in C before its
+    first load)."""
+    adjacency = _adjacency([[1, 2, 3], [4, 5, 6]], order_count=8)
+    for label, kernel_fn in row_variants(name).items():
+        source = list(range(1, 7)) if label == "tier:compiled" else KeysUnread(6)
+        for starts, ends, rows, message in MALFORMED_SPANS:
+            with pytest.raises(ValueError, match=message):
+                kernel_fn(source, starts, ends, rows, adjacency, matches=matches)
+
+
+@pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled tier not built here")
+@pytest.mark.parametrize("name", ["merge_path", "hash"])
+@pytest.mark.parametrize("matches", [True, False])
+def test_count_only_rejects_out_of_range_adjacency_keys(name, matches):
+    """The compiled stamp's key check (the stamp-and-probe kernels: binary
+    search stamps nothing) runs in both modes: an adjacency key
+    outside ``[0, order_count)`` is the same ValueError, never a stray
+    store into the stamp array."""
+    kernel_fn = COMPILED_ROW_KERNELS[name]
+    for rows, order_count in (([[1, 3, 8]], 8), ([[1, 3], [1, 9]], 8), ([[-1, 1, 3]], 8)):
+        adjacency = _adjacency(rows, order_count)
+        with pytest.raises(ValueError, match=rf"adjacency keys must lie in \[0, {order_count}\)"):
+            kernel_fn([1, 3, 1], [0, 2], [2, 3], [0, len(rows) - 1], adjacency, matches=matches)
+
+
 # ---------------------------------------------------------------------------
 # Downgrade semantics: with and without a C compiler
 # ---------------------------------------------------------------------------
@@ -317,9 +376,11 @@ def test_survey_accepts_compiled_tier_everywhere(monkeypatch):
     calls = {"best": 0}
     kernel_fn = ROW_KERNEL_TIERS[best]["merge_path"]
 
-    def counting_kernel(*args):
+    def counting_kernel(*args, matches):
+        # The survey below has no callback: it counts, so no match columns.
+        assert matches is False
         calls["best"] += 1
-        return kernel_fn(*args)
+        return kernel_fn(*args, matches=matches)
 
     monkeypatch.setitem(ROW_KERNEL_TIERS[best], "merge_path", counting_kernel)
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Twelve checks, numbered 1-11 and 13, exit status 1 on any failure (each
-printed to stderr):
+Thirteen checks, numbered 1-11, 13 and 14, exit status 1 on any failure
+(each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -89,6 +89,11 @@ printed to stderr):
    :meth:`~repro.graph.metadata.TriangleBatch.column` object column doing
    so.  The object loop is correct, only slow, so no parity suite can see
    a reducer silently fall back to it.  (Check 12 is reserved.)
+14. **A count counts in place** — on an rmat-8 graph, ``callback=None``
+   Push-Only and Push-Pull surveys make every row-kernel call with
+   ``matches=False`` (no match columns written), and a stock reducer's
+   survey makes every call with ``matches=True``.  A count that regrows the
+   columns is only slower, so no parity suite can see it.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -734,6 +739,58 @@ def check_array_paths() -> List[str]:
     return errors
 
 
+COUNT_ONLY_GRAPH = dict(scale=8, edge_factor=8, seed=3)
+
+
+def kernel_match_modes(callback_factory, algorithm: str) -> List[bool]:
+    """The ``matches`` argument of every row-kernel call one survey makes.
+
+    Runs a columnar survey on rmat-8 with ``callback_factory(world)`` (None
+    for a plain count) on the default kernel and tier, recording each call
+    to that row kernel.
+    """
+    from repro.core.intersection import ROW_KERNEL_TIERS, resolve_kernel_tier
+    from repro.graph.generators import rmat
+
+    kernels = ROW_KERNEL_TIERS[resolve_kernel_tier(None)]
+    kernel = kernels["merge_path"]
+    modes: List[bool] = []
+
+    def recorded(*args, matches=True):
+        modes.append(matches)
+        return kernel(*args, matches=matches)
+
+    world = World(SMOKE_RANKS)
+    dodgr = DODGraph.build(rmat(**COUNT_ONLY_GRAPH).to_distributed(world), mode="bulk")
+    callback = None if callback_factory is None else callback_factory(world)
+    kernels["merge_path"] = recorded
+    try:
+        triangle_survey(dodgr, callback, algorithm, engine="columnar")
+    finally:
+        kernels["merge_path"] = kernel
+        dodgr.release()
+    return modes
+
+
+def check_count_only() -> List[str]:
+    """Counts ask the row kernel for no match columns; reducers do (check 14)."""
+    errors: List[str] = []
+    reducer = lambda world: LocalTriangleCounter(world).callback  # noqa: E731
+    for label, factory in (("callback=None", None), ("LocalTriangleCounter", reducer)):
+        wanted = factory is not None
+        for algorithm in ("push", "push_pull"):
+            modes = kernel_match_modes(factory, algorithm)
+            wrong = sum(mode is not wanted for mode in modes)
+            if not modes:
+                errors.append(f"{algorithm} survey with {label}: no row-kernel call")
+            elif wrong:
+                errors.append(
+                    f"{algorithm} survey with {label}: {wrong} of {len(modes)} row-kernel "
+                    f"calls had matches={not wanted}"
+                )
+    return errors
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -795,6 +852,7 @@ def main() -> int:
     errors.extend(check_oracle_fence())
     errors.extend(check_one_stable_sort())
     errors.extend(check_array_paths())
+    errors.extend(check_count_only())
 
     if errors:
         for error in errors:
@@ -816,7 +874,8 @@ def main() -> int:
         "the write path stays on the arrays; one table says what may run; "
         "one loop runs every survey phase; the oracle stays out of production; "
         "one primitive owns every stable sort; "
-        f"{len(ARRAY_PATH_REDUCERS)} array-path reducers stay on the arrays"
+        f"{len(ARRAY_PATH_REDUCERS)} array-path reducers stay on the arrays; "
+        "a count counts in place"
     )
     return 0
 
