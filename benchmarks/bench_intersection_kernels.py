@@ -42,9 +42,9 @@ from repro.core import intersection as intersection_mod
 from repro.core.callbacks import TriangleCounter
 from repro.core.engine import DEFAULT_CALLBACK_COMPUTE_UNITS, resolve_batch_callback
 from repro.core.engine.driver import (
+    CandidateStage,
     drive_columnar_push,
     legacy_push_payload_overhead,
-    make_columnar_intersect_handler,
 )
 from repro.core.intersection import (
     ROW_KERNELS,
@@ -239,18 +239,18 @@ def capture_row_calls(dataset):
     base = ROW_KERNELS["merge_path"]
     calls = []
 
-    def recording_kernel(*args):
+    def recording_kernel(*args, matches=True):
         calls.append(args)
-        return base(*args)
+        return base(*args, matches=matches)
 
     handler = world.register_handler(
-        make_columnar_intersect_handler(
+        CandidateStage(
             dodgr,
             recording_kernel,
             reducer.callback,
             resolve_batch_callback(reducer.callback),
             DEFAULT_CALLBACK_COMPUTE_UNITS,
-        )
+        ).handler()
     )
     overhead = legacy_push_payload_overhead(handler.handler_id)
     world.begin_phase("push")

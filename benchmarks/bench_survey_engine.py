@@ -43,9 +43,9 @@ from repro.bench import format_table, load_dataset
 from repro.core.callbacks import DegreeTripleSurvey, TriangleCounter
 from repro.core.engine import DEFAULT_CALLBACK_COMPUTE_UNITS, engine_names
 from repro.core.engine.driver import (
+    CandidateStage,
     drive_columnar_push,
     legacy_push_payload_overhead,
-    make_columnar_intersect_handler,
     resolve_batch_callback,
 )
 from repro.core.intersection import row_kernel
@@ -203,13 +203,13 @@ def run_columnar_direct(dataset):
     world, dodgr, reducer = _build_columnar_fixture(dataset)
     world.reset_stats()
     handler = world.register_handler(
-        make_columnar_intersect_handler(
+        CandidateStage(
             dodgr,
             row_kernel("merge_path"),  # the default tier, as the engine resolves it
             reducer.callback,
             resolve_batch_callback(reducer.callback),
             DEFAULT_CALLBACK_COMPUTE_UNITS,
-        )
+        ).handler()
     )
     overhead = legacy_push_payload_overhead(handler.handler_id)
     host_start = time.perf_counter()

@@ -77,9 +77,6 @@ def build_delta_program(
         request=request,
         spec=spec,
         phases=[(request.phase_name, drive)],
-        # A rank intersects and delivers what it staged when the inboxes run
-        # dry: one row-kernel call per stream, one batch per rank.
-        on_drained=stage.drain,
     )
     return program, release
 

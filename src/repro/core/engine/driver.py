@@ -4,12 +4,13 @@ One survey algorithm, interchangeable communication strategies — this
 module holds the columnar strategy every production program composes (the
 scalar ``legacy`` oracle lives apart, in :mod:`repro.oracle`):
 
-* **handler factories** build the owner-side RPC handler that intersects a
-  candidate stream against ``Adj^m_+(q)`` and delivers the closing
+* :class:`CandidateStage`, the one intersect-and-deliver path: the push
+  and pull handlers hold each rank's candidate streams there until the
+  barrier's inboxes run dry, then each rank intersects them against
+  ``Adj^m_+(q)`` in one row-kernel call and delivers the closing
   triangles to the reducer's ``callback_batch`` as one
   :class:`~repro.graph.metadata.TriangleBatch` (or its scalar ``callback``,
-  one triangle at a time), through the one intersect-and-deliver path of
-  :class:`CandidateStage`;
+  one triangle at a time) — a large phase in parts of bounded size;
 * **drivers** walk one rank's pivots and generate its candidate stream as
   one RPC per (source rank, destination rank) pair, accounting every
   *replaced* per-wedge message at its exact serialized size
@@ -32,19 +33,17 @@ from ...runtime.serialization import (
 )
 from ..intersection import RowAdjacency, row_kernel as select_row_kernel
 from .request import TriangleCallback
-from .segments import first_appearance_groups, ragged_gather, stable_key_order
+from .segments import positions_of_ids, ragged_gather, stable_key_order
 
 import numpy as _np
 
 __all__ = [
-    "row_adjacency",
     "legacy_push_payload_overhead",
     "resolve_batch_callback",
     "deliver_batch",
     "columnar_push_batch",
     "wedge_stream",
     "CandidateStage",
-    "make_columnar_intersect_handler",
     "make_columnar_delta_handlers",
     "new_row_adjacency",
     "drive_columnar_push",
@@ -85,15 +84,6 @@ def resolve_batch_callback(callback: Optional["TriangleCallback"]):
             if "callback" in klass.__dict__:
                 return None
     return None
-
-
-def row_adjacency(csr: CSRAdjacency, order_count: int) -> RowAdjacency:
-    """The CSR's cached :class:`RowAdjacency` view for the row kernels."""
-    cached = csr.row_adj_cache
-    if cached is None:
-        cached = RowAdjacency(csr.tgt_ids, csr.indptr, order_count)
-        csr.row_adj_cache = cached
-    return cached
 
 
 def legacy_push_payload_overhead(handler_id: int) -> int:
@@ -162,73 +152,61 @@ def deliver_batch(ctx, batch, callback, batch_callback) -> None:
             callback(ctx, tri)
 
 
-class _Candidates(NamedTuple):
-    """One received columnar push: wedges of ``src`` and their candidates.
+class _Message(NamedTuple):
+    """One staged message of ``checks`` candidates: wedge ``w`` pivots at row
+    ``rows[w]`` of ``src`` on edge ``qpositions[w]`` and closes against row
+    ``q_rows[w]`` of ``dest`` (None: ``q``'s own) or of ``new_entries``'
+    ``(RowAdjacency, edge map)``; its candidates are the rest of its ``src``
+    row after ``qpositions[w]`` or a delta stream's
+    ``positions[offsets[w]:offsets[w + 1]]``.  A pull message is ``dest``'s
+    pulled rows ``q_rows`` alone (``rows`` None) until its wedges are found.
+    A message holds only what it was sent, so a stage that holds a phase
+    until the drain keeps no array of its own alive."""
 
-    Wedge ``w``'s candidates are the span ``[starts[w], ends[w])`` of
-    ``src.tgt_ids`` itself when ``flat_src_pos`` is None (the suffix form),
-    else of ``src.tgt_ids[flat_src_pos]``, the explicit source edge
-    positions of a delta stream.
-    """
-
-    #: None (intersect the full rows) or the new-check stream's view maker
-    new_entries: Any
+    checks: int
     src: CSRAdjacency
+    dest: CSRAdjacency
     rows: Any
     qpositions: Any
-    starts: Any
-    ends: Any
-    flat_src_pos: Any
+    q_rows: Any
+    positions: Any = None
+    offsets: Any = None
+    new_entries: Any = None
 
 
 def _cat(arrays):
     return arrays[0] if len(arrays) == 1 else _np.concatenate(arrays)
 
 
-def _spans(parts: Sequence[_Candidates]):
-    """One row-kernel call's ``(source keys, starts, ends, positions)``.
+def _shifted(values, shifts, counts):
+    """``values`` (concatenated per message) plus each message's shift."""
+    if len(set(shifts)) == 1:
+        return values + shifts[0] if shifts[0] else values
+    return values + _np.repeat(_np.asarray(shifts, dtype=_np.int64), counts)
 
-    A full survey delivers each suffix-form message alone: it hands its
-    source's ``tgt_ids`` over in place, and ``positions`` is None (a
-    match's candidate position is its source edge position).  Staged
-    messages are the delta stream's, which ship explicit positions with
-    per-wedge ``offsets`` (spans end to end): their gathered keys and
-    offsets are concatenated, and ``positions[cand_pos]`` is the source
-    edge position.
-    """
-    if parts[0].flat_src_pos is None:
-        (part,) = parts
-        return part.src.tgt_ids, part.starts, part.ends, None
-    if len(parts) == 1:
-        starts, ends = parts[0].starts, parts[0].ends
-    else:
-        counts = [len(part.flat_src_pos) for part in parts]
-        shifts = _np.cumsum([0] + counts[:-1]).tolist()
-        offsets = _np.concatenate(
-            [part.starts + shift for part, shift in zip(parts, shifts)] + [[sum(counts)]]
-        )
-        starts, ends = offsets[:-1], offsets[1:]
-    return (
-        _cat([part.src.tgt_ids[part.flat_src_pos] for part in parts]),
-        starts,
-        ends,
-        _cat([part.flat_src_pos for part in parts]),
-    )
+
+#: A resident stage that feeds a reducer delivers at most this many
+#: candidates at a time (up to ~100 B of transient each: match columns,
+#: batch gathers, reducer arrays).  Smaller parts cost time: 2^16 read +3 %
+#: on a rmat-13, 8-rank closure-time survey, 2^15 +8 %.
+RESIDENT_PART_CANDIDATES = 1 << 16
 
 
 class CandidateStage:
-    """The columnar push handlers' one intersect-and-deliver path.
+    """Every columnar survey's one intersect-and-deliver path.
 
-    A handler books its ``wedge_checks`` and hands its message here.  A full
-    survey (``staged=False``) intersects and delivers each message as it
-    arrives, its candidate suffixes read in place from the source CSR.  The
-    delta survey stages them: :meth:`drain` — the phase's
-    ``on_drained`` hook, which :meth:`~repro.runtime.world.World.barrier`
-    calls whenever the inboxes run dry — then makes one row-kernel call per
-    (rank, stream) over the concatenated candidate streams and delivers
-    **one** :class:`TriangleBatch` per rank, holding every message's matches
-    in handled order.  Counters are booked per call, so their per-rank
-    totals are the per-message ones.
+    A push handler books its ``wedge_checks`` and hands its message to
+    :meth:`stage`; a pull handler hands over the rows it was sent.  When the
+    inboxes run dry the world runs :meth:`drain`
+    (:meth:`~repro.runtime.world.World.on_drained`): each rank finds the
+    wedges waiting on its pulled rows, makes one row-kernel call per
+    :meth:`~repro.graph.dodgr.DODGraph.row_frame` over what it holds — one
+    per phase when resident, one per source when spilled — and delivers
+    **one** :class:`TriangleBatch`, in handled order.  A large phase is
+    delivered in parts of at most ``chunk_candidates()`` candidates when
+    spilled, :data:`RESIDENT_PART_CANDIDATES` when resident (a count is not
+    cut), in calls of at most that many.  Counters are booked per call, so
+    their per-rank totals are the per-message ones.
     """
 
     def __init__(
@@ -238,18 +216,23 @@ class CandidateStage:
         callback: Optional["TriangleCallback"],
         batch_callback,
         per_triangle_compute: int,
-        staged: bool = False,
+        local_meta_r: bool = False,
     ) -> None:
         self.dodgr = dodgr
         self.row_kernel = row_kernel
         self.callback = callback
         self.batch_callback = batch_callback
         self.per_triangle_compute = per_triangle_compute
-        self.staged = staged
-        self.pending: List[List[_Candidates]] = [[] for _ in range(dodgr.world.nranks)]
+        #: the pull phase's batches read meta(r) beside the (p, r) edge
+        self.local_meta_r = local_meta_r
+        self.chunk = dodgr.chunk_candidates() or (
+            None if callback is None else RESIDENT_PART_CANDIDATES
+        )
+        self.pending: List[List[_Message]] = [[] for _ in range(dodgr.world.nranks)]
+        self.scheduled = False
 
     def handler(self, new_entries: Optional[Callable[[int], Tuple[RowAdjacency, Any]]] = None):
-        """The owner-side RPC handler of one candidate stream.
+        """The owner-side push handler of one candidate stream.
 
         It receives *every* wedge a source rank generated for targets this
         rank owns — one RPC per (source, destination) pair — as index arrays
@@ -260,128 +243,220 @@ class CandidateStage:
         a batch's new entries only (:func:`new_row_adjacency`) — replaces
         the full rows: the delta survey's new-check stream.
         """
+        dodgr = self.dodgr
 
         def _columnar_intersect_handler(
             ctx, src_csr: CSRAdjacency, rows, qpositions, flat_src_pos=None, offsets=None
         ) -> None:
             if flat_src_pos is None:
-                starts, ends = qpositions + 1, src_csr.indptr[rows + 1]
-                checks = int(ends.sum() - starts.sum())
+                checks = int(src_csr.indptr[rows + 1].sum() - qpositions.sum()) - len(rows)
             else:
-                starts, ends = offsets[:-1], offsets[1:]
                 checks = len(flat_src_pos)
-            ctx.add_counter("wedge_checks", checks)
-            message = _Candidates(
-                new_entries, src_csr, rows, qpositions, starts, ends, flat_src_pos
-            )
-            if self.staged:
-                self.pending[ctx.rank].append(message)
-            else:
-                self.deliver(ctx, [message])
+            entries = None if new_entries is None else new_entries(ctx.rank)
+            message = (src_csr, dodgr.csr(ctx), rows, qpositions, None)
+            self.stage(ctx, checks, *message, flat_src_pos, offsets, entries)
 
         return _columnar_intersect_handler
 
-    def drain(self) -> bool:
-        """Intersect and deliver every rank's stage; True when any was staged."""
-        delivered = False
+    def stage(self, ctx, checks: int, *fields) -> None:
+        """Book ``wedge_checks``; hold the message (the other
+        :class:`_Message` fields) for the drain."""
+        ctx.add_counter("wedge_checks", checks)
+        message = _Message(checks, *fields)
+        if message.rows is not None and not len(message.rows):
+            return
+        self.pending[ctx.rank].append(message)
+        if not self.scheduled:
+            self.scheduled = True
+            ctx.world.on_drained(self.drain)
+
+    def drain(self) -> None:
+        """Intersect and deliver what every rank holds (the world's drain hook)."""
+        self.scheduled = False
         for ctx in self.dodgr.world.ranks:
-            messages = self.pending[ctx.rank]
-            if messages:
-                self.pending[ctx.rank] = []
-                self.deliver(ctx, messages)
-                delivered = True
-        return delivered
+            if self.pending[ctx.rank]:
+                self.deliver(ctx)
 
     def clear(self) -> None:
-        """Drop every staged message (an aborted or crashed phase)."""
+        """Drop every held message (an aborted or crashed phase)."""
         self.pending = [[] for _ in self.pending]
+        self.scheduled = False
 
-    def deliver(self, ctx, messages: Sequence[_Candidates]) -> None:
-        """One row-kernel call per stream, one batch for all of ``messages``."""
+    def deliver(self, ctx) -> None:
+        """Deliver what the rank holds, one batch per part; a part's messages
+        and framed arrays die before its reducer runs."""
+        messages, self.pending[ctx.rank] = self.pending[ctx.rank], []
+        if messages[0].rows is None:
+            messages = self._pulled(ctx, messages)
+        while messages:
+            size = self._part(messages)
+            matches, columns = self._matched(ctx, messages[:size])
+            del messages[:size]
+            if not matches:
+                continue
+            ctx.add_counter("triangles_found", matches)
+            if self.callback is None:
+                continue
+            ctx.add_compute(self.per_triangle_compute * matches)
+            batch = columnar_push_batch(self.dodgr, *columns, local_meta_r=self.local_meta_r)
+            deliver_batch(ctx, batch, self.callback, self.batch_callback)
+
+    def _part(self, messages: Sequence[_Message]) -> int:
+        """How many leading messages make the next part: all, or at most a
+        chunk of candidates (an oversize message alone)."""
+        if self.chunk is None:
+            return len(messages)
+        size, held = 1, messages[0].checks
+        while size < len(messages) and held + messages[size].checks <= self.chunk:
+            held += messages[size].checks
+            size += 1
+        return size
+
+    def _pulled(self, ctx, messages: Sequence[_Message]) -> List[_Message]:
+        """Pull messages as the local wedges waiting on their rows, in the
+        order the oracle's dry run records them: one inverted-target-index
+        lookup over every owner's rows, one message per owner."""
         dodgr = self.dodgr
-        dest = dodgr.csr(ctx)
-        streams: Dict[Any, List[int]] = {}
-        for index, message in enumerate(messages):
-            streams.setdefault(message.new_entries, []).append(index)
+        csr = messages[0].src
+        offsets, inv_pos, row_of_edge = csr.inverted_target_index(dodgr.order_count())
+        ids = _cat([m.dest.row_order_ids[m.q_rows] for m in messages])
+        which, qpositions = positions_of_ids(offsets, inv_pos, ids)
+        rows = row_of_edge[qpositions]
+        ends = csr.indptr[rows + 1]
+        # A q that closes its row has no candidate suffix; the scalar dry runs
+        # never record such a pivot.  Its empty span must not reach the
+        # kernel: merge and binary search would skip it, but the hash count
+        # books a table build over the row even for no candidates.
+        waiting = qpositions + 1 < ends
+        which, rows, qpositions, ends = (a[waiting] for a in (which, rows, qpositions, ends))
+        bounds = _np.cumsum([0] + [len(m.q_rows) for m in messages])
+        cuts = which.searchsorted(bounds).tolist()
+        found = []
+        for k, m in enumerate(messages):
+            at = slice(cuts[k], cuts[k + 1])
+            checks = int(ends[at].sum() - qpositions[at].sum()) - (cuts[k + 1] - cuts[k])
+            ctx.add_counter("wedge_checks", checks)
+            if cuts[k] < cuts[k + 1]:
+                q_rows = m.q_rows[which[at] - bounds[k]]
+                found.append(_Message(checks, csr, m.dest, rows[at], qpositions[at], q_rows))
+        return found
+
+    def _runs(self, starts, ends) -> List[Tuple[int, int]]:
+        """One frame's kernel calls: all segments, or runs of at most a chunk
+        of candidates (an oversize segment alone)."""
+        if self.chunk is None:
+            return [(0, len(starts))]
+        csum = _np.cumsum(ends - starts)
+        runs, lo = [], 0
+        while lo < len(starts):
+            base = int(csum[lo - 1]) if lo else 0
+            hi = max(int(csum.searchsorted(base + self.chunk, side="right")), lo + 1)
+            runs.append((lo, hi))
+            lo = hi
+        return runs
+
+    def _framed(self, group: Sequence[_Message], srcs, dsts):
+        """One frame's messages (``srcs`` / ``dsts``: their source and
+        destination :meth:`~repro.graph.dodgr.DODGraph.row_frame`) as
+        ``(keys, starts, ends, q_rows, rows, qpositions, positions)`` in frame
+        positions, plus the ``(source row, source edge, destination row,
+        destination edge)`` lift onto the global columns (zeros if resident)."""
+        first = group[0]
+        keys = srcs[0][0]
+        counts = [len(m.rows) for m in group]
+        edge_shifts = [src[3] for src in srcs]
+        qpositions = _shifted(_cat([m.qpositions for m in group]), edge_shifts, counts)
+        rows = _shifted(_cat([m.rows for m in group]), [src[2] for src in srcs], counts)
+        if first.positions is None:
+            starts = qpositions + 1
+            ends = srcs[0][1].indptr[rows + 1]
+            positions = None
+        else:
+            # A delta stream: its explicit candidates' keys, end to end.
+            sizes = [len(m.positions) for m in group]
+            positions = _shifted(_cat([m.positions for m in group]), edge_shifts, sizes)
+            bases = _np.cumsum([0] + sizes[:-1]).tolist()
+            starts = _shifted(_cat([m.offsets[:-1] for m in group]), bases, counts)
+            ends = _np.append(starts[1:], positions.size)
+            keys = keys[positions]
+        if first.q_rows is None:
+            q_local = self.dodgr.rows_by_order_id()[srcs[0][0][qpositions]]
+        else:
+            q_local = _cat([m.q_rows for m in group])
+        q_rows = _shifted(q_local, [dst[2] for dst in dsts], counts)
+        lift = (
+            first.src.row_base - srcs[0][2],
+            first.src.edge_base - edge_shifts[0],
+            first.dest.row_base - dsts[0][2],
+            first.dest.edge_base - dsts[0][3],
+        )
+        return (keys, starts, ends, q_rows, rows, qpositions, positions), lift
+
+    def _matched(self, ctx, messages: Sequence[_Message]):
+        """One kernel call per frame over ``messages``: (matches, columns)."""
+        dodgr = self.dodgr
+        frame_of: Dict[int, Any] = {}
+        groups: Dict[Any, List[Tuple[int, Any, Any]]] = {}
+        for index, m in enumerate(messages):
+            for csr in (m.src, m.dest):
+                if id(csr) not in frame_of:
+                    frame_of[id(csr)] = dodgr.row_frame(csr)
+            src = frame_of[id(m.src)]
+            dst = frame_of[id(m.dest)] if m.new_entries is None else (None, m.new_entries[0], 0, 0)
+            key = (id(src[0]), id(dst[1]), m.positions is None)
+            groups.setdefault(key, []).append((index, src, dst))
         matched = []
         matches = 0
-        for new_entries, members in streams.items():
-            parts = [messages[i] for i in members]
-            source_keys, starts, ends, positions = _spans(parts)
-            q_rows = _cat([part.src.tgt_ids[part.qpositions] for part in parts])
-            q_rows = dodgr.rows_by_order_id()[q_rows]
-            if new_entries is None:
-                adjacency = row_adjacency(dest, dodgr.order_count())
-            else:
-                adjacency, new_to_orig = new_entries(ctx.rank)
-            result = self.row_kernel(
-                source_keys, starts, ends, q_rows, adjacency, matches=self.callback is not None
-            )
-            ctx.add_compute(int(result.comparisons))
-            matches += len(result)
-            if not len(result) or self.callback is None:
-                continue
-            seg = _np.asarray(result.seg, dtype=_np.int64)
-            adj_pos = _np.asarray(result.adj_pos, dtype=_np.int64)
-            if new_entries is not None:
-                # Filtered new-entry positions back to full CSR edge positions.
-                adj_pos = new_to_orig[adj_pos]
-            src_pos = _np.asarray(result.cand_pos, dtype=_np.int64)
-            if positions is not None:
-                src_pos = positions[src_pos]
-            if len(parts) == 1:
-                # A lone message (every full-survey delivery): one source,
-                # so its column bases are scalars.
-                (only,) = parts
-                sequence = members[0]
-                rows, qpositions = only.rows[seg], only.qpositions[seg]
-                row_base, edge_base = only.src.row_base, only.src.edge_base
-            else:
-                # Each match's message, whose source places it in the global columns.
-                part = _np.searchsorted(_np.cumsum([len(p.rows) for p in parts]), seg, side="right")
-                sequence = _np.asarray(members, dtype=_np.int64)[part]
-                rows = _cat([p.rows for p in parts])[seg]
-                qpositions = _cat([p.qpositions for p in parts])[seg]
-                row_base = _np.array([p.src.row_base for p in parts], dtype=_np.int64)[part]
-                edge_base = _np.array([p.src.edge_base for p in parts], dtype=_np.int64)[part]
-            matched.append(
-                (
-                    sequence,
-                    rows + row_base,
-                    q_rows[seg] + dest.row_base,
-                    qpositions + edge_base,
-                    src_pos + edge_base,
-                    adj_pos + dest.edge_base,
-                )
-            )
-        if not matches:
-            return
-        ctx.add_counter("triangles_found", matches)
-        if self.callback is None:
-            return
-        ctx.add_compute(self.per_triangle_compute * matches)
-        if len(matched) == 1:
-            columns = matched[0][1:]
-        else:
-            # Handled order: a stable sort on message sequence across streams.
-            sequence = _cat([_np.broadcast_to(m[0], len(m[1])) for m in matched])
-            order = stable_key_order(sequence)
-            columns = [_cat(column)[order] for column in list(zip(*matched))[1:]]
-        batch = columnar_push_batch(dodgr, *columns)
-        deliver_batch(ctx, batch, self.callback, self.batch_callback)
+        for entries in groups.values():
+            members, srcs, dsts = zip(*entries)
+            group = [messages[i] for i in members]
+            arrays, lift = self._framed(group, srcs, dsts)
+            for lo, hi in self._runs(*arrays[1:3]):
+                found, columns = self._intersect(ctx, arrays, lo, hi, dsts[0][1], group, lift)
+                matches += found
+                if columns is not None:
+                    if len(groups) > 1:
+                        # Each match's message, to restore handled order across frames.
+                        counts = [len(m.rows) for m in group]
+                        message = _np.repeat(_np.asarray(members, dtype=_np.int64), counts)
+                        columns = (message[columns[0]],) + columns[1:]
+                    matched.append(columns)
+        if not matched:
+            return matches, None
+        columns = [_cat(column) for column in list(zip(*matched))[1:]]
+        if len(groups) > 1:
+            # Handled order: a stable sort on message sequence across frames.
+            order = stable_key_order(_cat([m[0] for m in matched]))
+            columns = [column[order] for column in columns]
+        return matches, columns
 
-
-def make_columnar_intersect_handler(
-    dodgr: DODGraph,
-    row_kernel,
-    callback: Optional["TriangleCallback"],
-    batch_callback,
-    per_triangle_compute: int,
-):
-    """The full survey's columnar push handler: each message delivered as it
-    arrives (:class:`CandidateStage` with ``staged=False``)."""
-    stage = CandidateStage(dodgr, row_kernel, callback, batch_callback, per_triangle_compute)
-    return stage.handler()
+    def _intersect(self, ctx, arrays, lo, hi, adjacency, group, lift):
+        """One kernel call over a frame's segments ``[lo, hi)``: its match count
+        and (None in a count) ``(seg, p, q, pq, pr, qr)`` as global positions."""
+        keys, starts, ends, q_rows, rows, qpositions, positions = arrays
+        want = self.callback is not None
+        result = self.row_kernel(
+            keys, starts[lo:hi], ends[lo:hi], q_rows[lo:hi], adjacency, matches=want
+        )
+        ctx.add_compute(int(result.comparisons))
+        if not want or not len(result):
+            return len(result), None
+        seg = _np.asarray(result.seg, dtype=_np.int64) + lo
+        cand = _np.asarray(result.cand_pos, dtype=_np.int64)
+        adj = _np.asarray(result.adj_pos, dtype=_np.int64)
+        if positions is not None:
+            cand = positions[cand]
+        if group[0].new_entries is not None:
+            adj = group[0].new_entries[1][adj]
+        src_row, src_edge, dst_row, dst_edge = lift
+        return len(result), (
+            seg,
+            rows[seg] + src_row,
+            q_rows[seg] + dst_row,
+            qpositions[seg] + src_edge,
+            cand + src_edge,
+            adj + dst_edge,
+        )
 
 
 def make_columnar_delta_handlers(
@@ -397,8 +472,7 @@ def make_columnar_delta_handlers(
     Returns ``(full check, new check, stage)``: the new-check handler
     intersects against ``delta``'s (an
     :class:`~repro.graph.delta.AppliedDelta`) new entries of
-    ``Adj^m_+(q)`` only.  Both stage into one :class:`CandidateStage`,
-    whose ``drain`` the phase runs when its inboxes run dry.
+    ``Adj^m_+(q)`` only.  Both stage into one :class:`CandidateStage`.
     """
     stage = CandidateStage(
         dodgr,
@@ -406,7 +480,6 @@ def make_columnar_delta_handlers(
         callback,
         resolve_batch_callback(callback),
         per_triangle_compute,
-        staged=True,
     )
     # The new-entries view is built once per rank, on its first use.
     new_entries = lru_cache(maxsize=None)(partial(new_row_adjacency, delta))
@@ -438,7 +511,7 @@ def wedge_stream(csr: CSRAdjacency):
     """One rank's wedge stream as ``(rows, qpositions)`` arrays, or ``None``.
 
     Every entry but the last of every row, in legacy iteration order
-    (row-major): the prologue the columnar push drive and dry run share.
+    (row-major): the columnar push drive's prologue.
     """
     indptr = csr.indptr
     wedge_counts = _np.maximum(indptr[1:] - indptr[:-1] - 1, 0)
@@ -460,22 +533,27 @@ def drive_columnar_dry_run(ctx, dodgr, h_propose, h_propose_columnar, push_mask)
     """
     rank = ctx.rank
     csr = dodgr.csr(rank)
-    stream = wedge_stream(csr)
-    if stream is None:
+    indptr = csr.indptr
+    # Every edge but the last of its row pivots a wedge, in row-major order;
+    # its suffix is the rest of the row.
+    suffix = _np.repeat(indptr[1:], _np.diff(indptr)) - 1 - _np.arange(csr.num_edges)
+    wedge = suffix > 0
+    remote = csr.tgt_owner != rank
+    push_mask[csr.tgt_ids[wedge & ~remote]] = True
+    qpositions = _np.flatnonzero(wedge & remote)
+    if not qpositions.size:
         return
-    rows, qpositions = stream
+    # Per target id: its first wedge, then its total (one pass each).
     q_ids = csr.tgt_ids[qpositions]
-    remote = csr.tgt_owner[qpositions] != rank
-    push_mask[q_ids[~remote]] = True
-    if not remote.any():
-        return
-    rows, qpositions, q_ids = rows[remote], qpositions[remote], q_ids[remote]
-    order, starts, ends = first_appearance_groups(q_ids)
-    suffix_sums = _np.concatenate(
-        ([0], _np.cumsum((csr.indptr[rows + 1] - 1 - qpositions)[order]))
-    )
-    totals = suffix_sums[ends] - suffix_sums[starts]
-    first_pos = qpositions[order[starts]]
+    firsts = _np.full(dodgr.order_count(), q_ids.size, dtype=_np.int64)
+    _np.minimum.at(firsts, q_ids, _np.arange(q_ids.size))
+    targets = _np.flatnonzero(firsts < q_ids.size)
+    # First positions are distinct, so any sort of them is the stable one.
+    targets = targets[_np.argsort(firsts[targets])]
+    totals = _np.zeros(firsts.size, dtype=_np.int64)
+    _np.add.at(totals, q_ids, suffix[qpositions])
+    totals = totals[targets]
+    first_pos = qpositions[firsts[targets]]
     sizes = (
         ctx.world.registry.call_size(h_propose, (rank,))
         + csr.tgt_vertex_wire[first_pos]

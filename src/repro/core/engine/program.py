@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from ..results import SurveyReport
 from .registry import EngineSpec
@@ -55,9 +55,6 @@ class SurveyProgram:
     request: SurveyRequest
     spec: EngineSpec
     phases: List[Tuple[str, Callable[[Any], None]]]
-    #: run by every phase's barrier whenever its inboxes drain empty (see
-    #: :meth:`~repro.runtime.world.World.barrier`); True means it did work
-    on_drained: Optional[Callable[[], bool]] = None
 
     @property
     def phase_names(self) -> List[str]:
@@ -81,7 +78,7 @@ def run_simulated_phases(program: SurveyProgram) -> float:
             # deadline aborts between per-rank batches instead of mid-RPC.
             world.check_deadline()
             drive(ctx)
-        world.barrier(program.on_drained)
+        world.barrier()
     return time.perf_counter() - host_start
 
 

@@ -3,7 +3,9 @@
 This is Algorithm 1 of the paper expressed over the engine layer: register
 the intersect handler, walk every rank's pivots
 (:func:`~repro.core.engine.driver.drive_columnar_push`: one coalesced RPC
-per destination rank), barrier, report.  The loop itself lives in
+per destination rank), barrier — where each rank intersects what its
+:class:`~repro.core.engine.driver.CandidateStage` holds and delivers one
+batch — report.  The loop itself lives in
 :mod:`~repro.core.engine.program`, where the simulated and process backends
 share it.
 """
@@ -12,9 +14,9 @@ from __future__ import annotations
 
 from ..intersection import row_kernel
 from .driver import (
+    CandidateStage,
     drive_columnar_push,
     legacy_push_payload_overhead,
-    make_columnar_intersect_handler,
     resolve_batch_callback,
 )
 from .program import SurveyProgram
@@ -38,15 +40,14 @@ def build_push_program(request: SurveyRequest, spec: EngineSpec) -> SurveyProgra
     oracle = oracle_builder(spec, "push")
     if oracle is not None:
         return oracle(request, spec)
-    handler = dodgr.world.register_handler(
-        make_columnar_intersect_handler(
-            dodgr,
-            row_kernel(request.kernel, request.kernel_tier),
-            request.callback,
-            resolve_batch_callback(request.callback),
-            request.per_triangle_compute(),
-        )
+    stage = CandidateStage(
+        dodgr,
+        row_kernel(request.kernel, request.kernel_tier),
+        request.callback,
+        resolve_batch_callback(request.callback),
+        request.per_triangle_compute(),
     )
+    handler = dodgr.world.register_handler(stage.handler())
     overhead = legacy_push_payload_overhead(handler.handler_id)
 
     def drive(ctx) -> None:

@@ -30,10 +30,10 @@ import numpy as _np
 
 from ..intersection import row_kernel
 from .driver import (
+    CandidateStage,
     drive_columnar_dry_run,
     drive_columnar_push,
     legacy_push_payload_overhead,
-    make_columnar_intersect_handler,
     resolve_batch_callback,
 )
 from .program import SurveyProgram
@@ -60,10 +60,13 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
         return oracle(request, spec)
     world = dodgr.world
     nranks = world.nranks
-    callback = request.callback
-    kernel = row_kernel(request.kernel, request.kernel_tier)
-    batch_callback = resolve_batch_callback(callback)
-    per_triangle_compute = request.per_triangle_compute()
+    stage_args = (
+        dodgr,
+        row_kernel(request.kernel, request.kernel_tier),
+        request.callback,
+        resolve_batch_callback(request.callback),
+        request.per_triangle_compute(),
+    )
 
     # Per-rank driver-side state for this run -------------------------------
     # push_targets[rank] = boolean mask over dense <+ order ids of the
@@ -78,8 +81,9 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
 
     def _propose_columnar_handler(ctx, source_rank: int, src_csr, qpositions, totals) -> None:
         """One (source, dest) pair's proposals decided in one comparison:
-        pulled rows join the pull list as a chunk, the rest are advised in one
-        batched reply accounted as the per-target advise messages it replaces."""
+        pulled rows join the pull list as a chunk, the rest are advised to the
+        source in one batched reply, accounted as the per-target advise
+        messages it replaces."""
         indptr = dodgr.csr(ctx).indptr
         q_ids = src_csr.tgt_ids[qpositions]
         q_rows = dodgr.rows_by_order_id()[q_ids]
@@ -93,8 +97,10 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
                 world.registry.call_size(h_advise, ())
                 + src_csr.tgt_vertex_wire[qpositions[advised]]
             )
-            ctx.send_coalesced(
-                h_advise, _np.full_like(sizes, source_rank), sizes, (), (q_ids[advised],)
+            ctx.account_rpc_bulk(_np.full_like(sizes, source_rank), sizes)
+            ctx.async_call_batched(
+                source_rank, h_advise, q_ids[advised],
+                virtual_rpcs=sizes.size, virtual_bytes=int(sizes.sum()),
             )
 
     def _advise_columnar_handler(ctx, q_ids) -> None:
@@ -105,13 +111,9 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
     # propose handler comes last, and its id never crosses the accounted wire.
     h_propose = world.register_handler(_propose_slot)
     h_advise = world.register_handler(_advise_columnar_handler)
-    h_intersect = world.register_handler(
-        make_columnar_intersect_handler(
-            dodgr, kernel, callback, batch_callback, per_triangle_compute
-        )
-    )
+    h_intersect = world.register_handler(CandidateStage(*stage_args).handler())
     h_pull_deliver = world.register_handler(
-        make_columnar_pull_handler(dodgr, kernel, callback, batch_callback, per_triangle_compute)
+        make_columnar_pull_handler(CandidateStage(*stage_args, local_meta_r=True))
     )
     h_propose_columnar = world.register_handler(_propose_columnar_handler)
     push_overhead = legacy_push_payload_overhead(h_intersect.handler_id)

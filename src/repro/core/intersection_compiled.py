@@ -4,13 +4,14 @@ The columnar tier (:mod:`repro.core.intersection`) finds matches with one
 composite-key ``searchsorted`` and *replays* the comparison counts through
 closed forms.  This tier finds them by stamp and probe (:data:`C_SOURCE`):
 when the segment row changes, each of the row's keys is stamped into a
-per-call ``mark`` array indexed by order id, and every candidate is then
-one load — no merge walk, no branch per comparison.  Segments are read in
-place, as spans ``[seg_starts[s], seg_ends[s])`` of the call's source key
-array (a survey's source CSR ``tgt_ids``): nothing is copied out, and a
-match reports its candidate's source position.  A count-only call
+per-call ``mark`` array indexed by order id, from a running tick that the
+next row starts past (so no stamp is ever cleared), and every candidate is
+then one load — no merge walk, no branch per comparison.  Segments are read
+in place, as spans ``[seg_starts[s], seg_ends[s])`` of the call's source key
+array (a snapshot's global ``tgt_ids``): nothing is copied out, and a match
+reports its candidate's source position.  A count-only call
 (``matches=False``, a survey with no callback) allocates no output and
-hands C a NULL one: the probe loop is then ``m += mark[...] != 0``, one
+hands C a NULL one: the probe loop is then ``m += mark[...] > tick``, one
 load and an add per candidate, with the same checks and counts.
 ``merge_path`` and ``hash`` share that body; their ``comparisons`` totals
 are closed forms (the merge walk's ``consumed - matches``, the hash model's
@@ -62,12 +63,13 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 #: NULL, writes nothing and only counts; it stores the scalar kernels' exact
 #: comparison count and returns the match count — or BAD_*, before reading
 #: out of bounds (BAD_KEY: a stamped row holds a key outside ``[0,
-#: order_count)``, the ``mark`` array's extent).
+#: order_count)``, the ``mark`` array's extent; BAD_TICK: the segments' row
+#: lengths sum to 2^62 or more, past what the stamp tick may count).
 C_SOURCE = r"""
 #include <stdint.h>
 typedef int64_t i64;
 typedef uint64_t u64;
-enum { BAD_ROW = -1, BAD_SPAN = -2, BAD_KEY = -3 };
+enum { BAD_ROW = -1, BAD_SPAN = -2, BAD_KEY = -3, BAD_TICK = -4 };
 
 #define ARGS const i64 *src, const i64 *starts, const i64 *ends, i64 n_seg,    \
     i64 n_src, i64 cap, const i64 *rows, const i64 *keys, const i64 *indptr,   \
@@ -83,14 +85,16 @@ enum { BAD_ROW = -1, BAD_SPAN = -2, BAD_KEY = -3 };
 /* Every segment's row, span and row slice in range, checked for all of
    them before any key is read; spans of non-negative length also keep the
    matches within out's cap = sum(ends - starts) slots.  A NULL out (count
-   only) is checked the same way. */
+   only) is checked the same way.  So is the stamp ticks' bound, once. */
 static i64 check_spans(ARGS) {
+    u64 ticks = 0;
     for (i64 seg = 0; seg < n_seg; seg++) {
         i64 i = starts[seg], hi = ends[seg], row = rows[seg];
         if (row < 0 || row >= n_rows) return BAD_ROW;
         i64 j = indptr[row], jhi = indptr[row + 1];
         if (i < 0 || hi < i || hi > n_src || j < 0 || jhi < j || jhi > n_keys)
             return BAD_SPAN;
+        if ((ticks += (u64)(jhi - j)) >= (u64)1 << 62) return BAD_TICK;
     }
     return 0;
 }
@@ -112,53 +116,54 @@ static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
 }
 
 /* Stamp and probe, the body of merge_path_rows and hash_rows.  mark is the
-   call's own zeroed order_count + 1 slots.  mark[k] holds 1 + the global
-   position of key k in the row being probed (0: absent); slot order_count
-   stays 0 and absorbs every out-of-range candidate, so a probe is one load
-   and the output slot is written unconditionally (slot m is below cap: m
-   never exceeds the span keys probed before this one).  count_only (out is
-   NULL) makes the probe loop write nothing and only count, m += mark[...]
-   != 0; the span checks, the stamp's key check and both counts are the
-   same.  A row is stamped when the segment row changes and un-stamped when
-   it changes again.  Rows and candidates are sorted and duplicate-free, so
-   the matches (segment order, then candidate order) are the merge walk's
-   and the hash probe's.  The merge count is the walk's closed form,
-   consumed - matches: the list whose last key is smaller runs out, the
-   other stops at the upper bound of that key, and equal last keys consume
-   both.  The hash count is one table build over the row and one probe per
-   candidate. */
+   call's own zeroed order_count + 1 slots, never cleared: a row is stamped
+   from a running tick, mark[k] = tick + (position of key k in the row) + 1,
+   so key k is in the row being probed iff mark[k] > tick, and the next row
+   starts its tick past every stamp this one wrote.  Slot order_count stays
+   0 and absorbs every out-of-range candidate, so a probe is one load and
+   the output slot is written unconditionally (slot m is below cap: m never
+   exceeds the span keys probed before this one); a match's global
+   adjacency position is mark[k] + off, off = j - tick - 1.  count_only (out
+   is NULL) makes the probe loop write nothing and only count, m +=
+   mark[...] > tick; the span checks, the stamp's key check and both counts
+   are the same.  A row is stamped when the segment row changes.  Rows and
+   candidates are sorted and duplicate-free, so the matches (segment order,
+   then candidate order) are the merge walk's and the hash probe's.  The
+   merge count is the walk's closed form, consumed - matches: the list
+   whose last key is smaller runs out, the other stops at the upper bound
+   of that key, and equal last keys consume both.  The hash count is one
+   table build over the row and one probe per candidate. */
 static inline __attribute__((always_inline)) i64
 stamp_probe(ARGS, int merge_count, int count_only) {
     i64 bad = check_spans(PASS);
     if (bad) return bad;
     if (order_count < 0) return BAD_KEY;
-    i64 m = 0, count = 0, stamped = -1;
+    i64 m = 0, count = 0, stamped = -1, tick = 0, next = 0, off = 0;
     for (i64 seg = 0; seg < n_seg; seg++) {
         SEGMENT
         if (!merge_count) count += (jhi - j) + (hi - i);
         if (i == hi || j == jhi) continue;
         if (row != stamped) {
-            if (stamped >= 0)
-                for (i64 k = indptr[stamped]; k < indptr[stamped + 1]; k++)
-                    mark[keys[k]] = 0;
+            tick = next;
             for (i64 k = j; k < jhi; k++) {
                 if ((u64)keys[k] >= (u64)order_count) return BAD_KEY;
-                mark[keys[k]] = k + 1;
+                mark[keys[k]] = tick + (k - j) + 1;
             }
+            next = tick + (jhi - j), off = j - tick - 1;
             stamped = row;
         }
         i64 first = m;
         if (count_only)
             for (; i < hi; i++) {
                 i64 ck = src[i];
-                m += mark[(u64)ck < (u64)order_count ? ck : order_count] != 0;
+                m += mark[(u64)ck < (u64)order_count ? ck : order_count] > tick;
             }
         else
             for (; i < hi; i++) {
                 i64 ck = src[i];
                 i64 p = mark[(u64)ck < (u64)order_count ? ck : order_count];
-                out[m] = seg, out[cap + m] = i, out[2 * cap + m] = p - 1;
-                m += p != 0;
+                out[m] = seg, out[cap + m] = i, out[2 * cap + m] = p + off;
+                m += p > tick;
             }
         if (merge_count) {
             i64 i0 = starts[seg], clast = src[hi - 1], alast = keys[jhi - 1];
@@ -206,8 +211,8 @@ i64 binary_search_rows(ARGS) {
 """
 
 
-#: The C side's BAD_KEY return.
-_BAD_KEY = -3
+#: The C side's BAD_KEY and BAD_TICK returns.
+_BAD_KEY, _BAD_TICK = -3, -4
 
 
 @dataclass(frozen=True)
@@ -341,6 +346,8 @@ def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
         )
         if m == _BAD_KEY:
             raise ValueError(f"adjacency keys must lie in [0, {adjacency.order_count})")
+        if m == _BAD_TICK:
+            raise ValueError("the segments' row lengths must sum below 2**62")
         if m < 0:
             # C rejected a span or row before reading any key: raise what
             # every tier raises, or blame the adjacency when those pass.

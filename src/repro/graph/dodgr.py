@@ -391,6 +391,8 @@ class DODGraph:
         self._global = {
             "row_vertices": vertices,
             "row_meta": vertex_meta,
+            "indptr": indptr,
+            "tgt_ids": per_edge["tgt_ids"],
             "tgt_vertex": per_edge["tgt_vertex"],
             "edge_meta": edge_meta,
             "tgt_meta": tgt_meta,
@@ -422,19 +424,42 @@ class DODGraph:
         return self._csr
 
     def global_columns(self) -> Dict[str, Any]:
-        """Every rank's columns a triangle batch reads, end to end.
+        """Every rank's columns a triangle batch or a row kernel reads, end to end.
 
-        ``row_vertices`` / ``row_meta`` per row and ``tgt_vertex`` /
-        ``edge_meta`` / ``tgt_meta`` per edge, rank-major: a rank CSR's row
-        ``i`` is global row ``csr.row_base + i`` and its edge ``e`` global
-        edge ``csr.edge_base + e``, so a batch spanning several source ranks
-        gathers each column once.  ``values`` maps ``"row"`` / ``"target"`` /
-        ``"edge"`` to the :class:`~repro.graph.columnar.ValueColumn` over the
-        same global positions.  These are the arrays the CSRs slice, so
-        nothing is copied; :meth:`release` drops them.
+        ``row_vertices`` / ``row_meta`` / ``indptr`` per row and ``tgt_ids``
+        / ``tgt_vertex`` / ``edge_meta`` / ``tgt_meta`` per edge, rank-major:
+        a rank CSR's row ``i`` is global row ``csr.row_base + i`` and its edge
+        ``e`` global edge ``csr.edge_base + e``, so a batch or a kernel call
+        spanning several source ranks reads each column once.  ``values`` maps
+        ``"row"`` / ``"target"`` / ``"edge"`` to the
+        :class:`~repro.graph.columnar.ValueColumn` over the same global
+        positions.  These are the arrays the CSRs slice, so nothing is
+        copied; :meth:`release` drops them, ``"mmap"`` storage ``tgt_ids``.
         """
         self._snapshots()
         return self._global
+
+    def row_frame(self, csr: CSRAdjacency) -> Tuple[Any, Any, int, int]:
+        """``(keys, adjacency, row shift, edge shift)``: where row kernels read ``csr``.
+
+        Resident snapshots share the global ``tgt_ids`` and one cached
+        :class:`~repro.core.intersection.RowAdjacency` over the global
+        columns (shifted by their bases); a spilled one reads its memmaps."""
+        if csr.storage == "mmap":
+            return csr.tgt_ids, csr.row_adj_cache, 0, 0
+        columns = self.global_columns()
+        if "adjacency" not in columns:
+            from ..core.intersection import RowAdjacency  # deferred: core imports graph
+
+            if "tgt_ids" not in columns:  # back from a spill: the ranks' ids end to end
+                keys = columns["tgt_ids"] = _np.concatenate([s.tgt_ids for s in self._csr])
+                for s in self._csr:
+                    s.tgt_ids = keys[s.edge_base : s.edge_base + s.num_edges]
+            columns["adjacency"] = RowAdjacency(
+                columns["tgt_ids"], columns["indptr"], self.order_count()
+            )
+        adjacency = columns["adjacency"]
+        return adjacency.keys, adjacency, csr.row_base, csr.edge_base
 
     def order_count(self) -> int:
         """Number of dense ``<+`` order ids (the columnar composite-key stride)."""
@@ -480,6 +505,9 @@ class DODGraph:
         if config.mode == "resident":
             for snapshot in self._csr:
                 unspill_csr(snapshot)
+        elif self._global is not None:  # the spilled memmaps hold the ids
+            self._global.pop("tgt_ids", None)
+            self._global.pop("adjacency", None)
         return config
 
     def storage_config(self) -> "StorageConfig":

@@ -20,10 +20,10 @@ every worker via copy-on-write.  From there, three properties carry parity:
    is tagged ``(source rank, per-source seq)``; a round executes its messages
    sorted by that key, which is exactly the order the oracle's sequential
    rank-major drives and rank-order flush passes would have appended them.
-   The exchange→execute→flush round structure mirrors the oracle barrier's
-   drain→flush alternation, so drive-time deliveries (threshold flushes,
-   local sends, batched calls) execute a round before flush-pass remnants —
-   the same wave split the oracle produces.
+   The exchange→execute→drain→flush round structure mirrors the oracle
+   barrier's drain→hooks→flush alternation, so drive-time deliveries
+   (threshold flushes, local sends, batched calls) execute a round before
+   flush-pass remnants — the same wave split the oracle produces.
 3. **Follow-on handlers are order-commutative.**  Messages generated *by*
    executions (advise replies, counting-set cache flushes) only ever run
    handlers that mutate commutative rank-local state and send nothing
@@ -114,7 +114,7 @@ class WorkerFabric:
     handler follow-ons) either to this worker's own pending list or to the
     per-destination-worker outbox, tagging each message with its source
     rank's monotone sequence number; :meth:`barrier` runs the exchange→
-    execute→flush rounds against the parent coordinator.
+    execute→drain→flush rounds against the parent coordinator.
     """
 
     def __init__(
@@ -198,6 +198,8 @@ class WorkerFabric:
             execute = self.world._execute_message
             for msg in messages:
                 execute(msg)
+            # DRAIN: what the round's handlers staged, as the oracle does.
+            self.world.run_drain_hooks()
 
             # FLUSH: the oracle barrier's flush pass, in global rank order.
             for r in self.owned:
@@ -277,7 +279,7 @@ def _worker_main(
             world.begin_phase(phase_name)
             for r in fabric.owned:
                 drive(world.ranks[r])
-            world.barrier(program.on_drained)  # delegates to fabric
+            world.barrier()  # delegates to fabric
         conn.send(("done", _collect_worker_state(world, reducer, fabric.owned)))
     except _WorkerAbort:
         exit_code = 0

@@ -331,55 +331,57 @@ class BufferBank:
             dests = dests[remote]
             nbytes = nbytes[remote]
         phase.bytes_sent_remote += int(nbytes.sum())
-        if self.ranks_per_node > 1:
-            keys = dests // self.ranks_per_node
-        else:
-            keys = dests
-        from .world import stable_key_order  # world builds on this module
+        keys = dests // self.ranks_per_node if self.ranks_per_node > 1 else dests
+        if not (keys == keys[0]).all():  # one destination (every advise reply): no sort
+            from .world import stable_key_order  # world builds on this module
 
-        order = stable_key_order(keys)
-        keys_sorted = keys[order]
-        sizes_sorted = nbytes[order]
-        heads = np.ones(keys_sorted.size, dtype=bool)
-        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=heads[1:])
+            order = stable_key_order(keys)
+            keys, nbytes = keys[order], nbytes[order]
+        heads = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=heads[1:])
         group_starts = np.flatnonzero(heads)
-        bounds = group_starts.tolist() + [keys_sorted.size]
+        # One running size over every group (group g's prefix sums less the
+        # sum before it): each flush boundary is one bound searchsorted.
+        csum = np.cumsum(nbytes)
+        find, at = csum.searchsorted, csum.item
+        bounds = group_starts.tolist() + [keys.size]
         threshold = self.flush_threshold_bytes
-        for g, key in enumerate(keys_sorted[group_starts].tolist()):
+        wire_messages = wire_bytes = 0
+        for g, key in enumerate(keys[group_starts].tolist()):
             buf = self._buffers.get(key)
             if buf is None:
                 buf = MessageBuffer(self.rank, key, threshold)
                 self._buffers[key] = buf
-            sizes = sizes_sorted[bounds[g] : bounds[g + 1]]
-            csum = np.cumsum(sizes)
-            total = int(csum[-1])
+            lo, hi = bounds[g], bounds[g + 1]
+            before = at(lo - 1) if lo else 0
+            total = at(hi - 1) - before
             if buf._pending_bytes + total < threshold:
                 buf._pending_bytes += total
                 continue
             # First flush carries whatever the buffer already held (including
             # queued deliverable messages) plus the virtual prefix.
-            first = int(np.searchsorted(csum, threshold - buf._pending_bytes))
-            flushed_to = int(csum[first])
-            flush_size = buf._pending_bytes + flushed_to
+            flushed_to = at(int(find(before + threshold - buf._pending_bytes)))
+            wire_messages += 1
+            wire_bytes += buf._pending_bytes + flushed_to - before + WIRE_ENVELOPE_BYTES
             messages = buf._pending
             buf._pending = []
             buf._pending_bytes = 0
             buf.flush_count += 1
-            phase.wire_messages += 1
-            phase.wire_bytes += flush_size + WIRE_ENVELOPE_BYTES
             if messages:
                 self._deliver(messages)
             # Later flushes are purely virtual: find each next boundary where
             # the running occupancy crosses the threshold again.
             while True:
-                nxt = int(np.searchsorted(csum, flushed_to + threshold))
-                if nxt >= csum.size:
+                nxt = int(find(flushed_to + threshold))
+                if nxt >= hi:
                     break
                 buf.flush_count += 1
-                phase.wire_messages += 1
-                phase.wire_bytes += int(csum[nxt]) - flushed_to + WIRE_ENVELOPE_BYTES
-                flushed_to = int(csum[nxt])
-            buf._pending_bytes = total - flushed_to
+                wire_messages += 1
+                wire_bytes += at(nxt) - flushed_to + WIRE_ENVELOPE_BYTES
+                flushed_to = at(nxt)
+            buf._pending_bytes = before + total - flushed_to
+        phase.wire_messages += wire_messages
+        phase.wire_bytes += wire_bytes
 
     # ------------------------------------------------------------------
     def _flush_buffer(self, buf: MessageBuffer) -> None:

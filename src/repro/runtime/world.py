@@ -365,6 +365,8 @@ class World:
         self._transport: Optional[ReliableTransport] = None
         self._barrier_sweeps = 0
         self._drain_probe: Optional[Dict[str, int]] = None
+        #: hooks :meth:`on_drained` scheduled for the next empty inboxes
+        self._drain_hooks: List[Callable[[], None]] = []
         #: Cooperative cancellation: any object with a ``check()`` method
         #: that raises when its budget is spent (duck-typed so the runtime
         #: layer never imports the service layer).  Dormant by default.
@@ -705,7 +707,21 @@ class World:
             raise LivelockError(limit, phase, pending, hottest)
 
     # ------------------------------------------------------------------
-    def barrier(self, on_drained: Optional[Callable[[], bool]] = None) -> None:
+    def on_drained(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` once, when this barrier's inboxes next drain empty:
+        how a handler processes in bulk what it staged (a survey's
+        :class:`~repro.core.engine.driver.CandidateStage`)."""
+        self._drain_hooks.append(hook)
+
+    def run_drain_hooks(self) -> bool:
+        """Run scheduled :meth:`on_drained` hooks, and any they schedule, until
+        none is due; True when any ran."""
+        ran = bool(self._drain_hooks)
+        while self._drain_hooks:
+            self._drain_hooks.pop(0)()
+        return ran
+
+    def barrier(self) -> None:
         """Flush all buffers and process messages until global quiescence.
 
         Quiescence under an installed fault plan additionally requires the
@@ -713,15 +729,13 @@ class World:
         unacknowledged sends — the barrier keeps ticking the retry clock
         until at-least-once delivery has landed everything exactly once.
 
-        ``on_drained()`` runs each time the inboxes drain empty, before the
-        buffer flush pass, and the drain repeats while it reports work done:
-        the hook a phase uses to process per rank what its handlers staged
-        (the delta survey's :class:`~repro.core.engine.driver.CandidateStage`).
-        The process backend's barrier has no such pass and refuses one.
+        Each time the inboxes drain empty, the hooks handlers scheduled with
+        :meth:`on_drained` run before the buffer flush pass, and what they
+        send is delivered in this barrier; one that raises drops them.  A
+        process-backend worker's fabric runs the same pass for its own
+        ranks, between a round's execution and its flush.
         """
         if self._fabric is not None:
-            if on_drained is not None:
-                raise WorldError("the process backend's barrier takes no on_drained hook")
             self._fabric.barrier()
             return
         if self._in_delivery:
@@ -731,7 +745,7 @@ class World:
         try:
             while True:
                 self._drain_inboxes()
-                if on_drained is not None and on_drained():
+                if self.run_drain_hooks():
                     continue
                 flushed_any = False
                 for ctx in self.ranks:
@@ -747,6 +761,7 @@ class World:
         finally:
             self._in_delivery = False
             self._drain_probe = None
+            self._drain_hooks = []
         self.stats.barriers += 1
 
     # ------------------------------------------------------------------
@@ -920,7 +935,7 @@ def first_appearance_groups(keys: Any) -> Tuple[Any, Any, Any]:
     where their key first occurs — the iteration order of the ``dict`` a
     scalar driver fills with ``setdefault(key, []).append(i)``, which keeps
     every coalesced stream (:meth:`RankContext.send_coalesced`, the columnar
-    dry run and pull drive) on the legacy send order.  An empty array has
+    pull drive) on the legacy send order.  An empty array has
     no groups.
     """
     order = stable_key_order(keys)

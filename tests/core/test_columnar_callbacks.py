@@ -48,8 +48,11 @@ from repro.core.callbacks import (
     log2_bucket_array,
 )
 from repro.core.engine import EngineConfig
+from repro.core.engine import driver
+from repro.core.engine.driver import CandidateStage
 from repro.core.intersection import ROW_KERNEL_TIERS, resolve_kernel_tier
 from repro.core.push_pull import triangle_survey_push_pull
+from repro.core import triangle_survey
 from repro.core.survey import resolve_batch_callback, triangle_survey_push
 from repro.graph.dodgr import DODGraph
 from repro.graph.generators import GeneratedGraph, chung_lu_power_law, rmat
@@ -308,11 +311,14 @@ class TestCacheEvictionPaths:
 
 
 class TestCandidatesByReference:
-    """Push and pull hand the row kernel their source CSR's ``tgt_ids``
-    itself, each wedge's suffix a span of it; only the delta stream's
-    explicit candidates are gathered."""
+    """Push and pull hand the row kernel a frame's key column itself, each
+    wedge's suffix a span of it: the snapshot's global ``tgt_ids`` when
+    resident, a rank's own memmap when spilled, never a copy.  Only the
+    delta stream's explicit candidates are gathered."""
 
-    def test_full_surveys_pass_tgt_ids_in_place(self, rmat_graph, monkeypatch):
+    @staticmethod
+    def recorded_sources(rmat_graph, monkeypatch, storage):
+        """(key arrays of every kernel call, resident global ids, rank ids)."""
         tier = resolve_kernel_tier(None)
         kernel = ROW_KERNEL_TIERS[tier]["merge_path"]
         sources = []
@@ -326,11 +332,100 @@ class TestCandidatesByReference:
         monkeypatch.setitem(ROW_KERNEL_TIERS[tier], "merge_path", recording_kernel)
         world = World(NRANKS)
         dodgr = DODGraph.build(rmat_graph.to_distributed(world), mode="bulk")
+        global_ids = dodgr.global_columns()["tgt_ids"]
         reducer = LocalTriangleCounter(world)
-        report = triangle_survey_push_pull(dodgr, reducer.callback, engine="columnar")
+        report = triangle_survey_push_pull(
+            dodgr, reducer.callback, engine=EngineConfig(storage=storage)
+        )
         assert report.triangles and world.stats.phase_total("pull").rpcs_executed
-        tgt_ids = [dodgr.csr(rank).tgt_ids for rank in range(NRANKS)]
-        assert sources and all(any(s is t for t in tgt_ids) for s in sources)
+        rank_ids = [dodgr.csr(rank).tgt_ids for rank in range(NRANKS)]
+        dodgr.release()
+        return sources, global_ids, rank_ids
+
+    def test_full_surveys_pass_tgt_ids_in_place(self, rmat_graph, monkeypatch):
+        sources, global_ids, rank_ids = self.recorded_sources(rmat_graph, monkeypatch, None)
+        # One call per rank per phase, each over the global column itself.
+        assert 0 < len(sources) <= 2 * NRANKS
+        assert all(s is global_ids for s in sources)
+        assert all(ids.base is global_ids for ids in rank_ids)
+
+    def test_spilled_surveys_pass_each_rank_memmap_in_place(
+        self, rmat_graph, monkeypatch, tmp_path
+    ):
+        storage = StorageConfig(mode="mmap", directory=str(tmp_path))
+        sources, _, rank_ids = self.recorded_sources(rmat_graph, monkeypatch, storage)
+        assert all(isinstance(ids, np.memmap) for ids in rank_ids)
+        assert sources and all(any(s is t for t in rank_ids) for s in sources)
+        assert active_segment_paths() == frozenset()
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    chunk=st.integers(min_value=256, max_value=2048),
+    algorithm=st.sampled_from(["push", "push_pull"]),
+    spilled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=3),
+)
+def test_large_phases_stay_within_the_chunk(tmp_path_factory, chunk, algorithm, spilled, seed):
+    """Under ``storage="mmap"`` (a ``chunk_candidates()`` of ``chunk``) or
+    resident (``RESIDENT_PART_CANDIDATES`` set to ``chunk``), no row-kernel
+    call spans more than ``chunk`` candidates unless one oversize wedge alone
+    does, no delivered part holds more unless one message alone does, and
+    the survey still matches the unbounded resident one."""
+    tier = resolve_kernel_tier(None)
+    kernel = ROW_KERNEL_TIERS[tier]["merge_path"]
+    spans, parts = [], []
+    matched = CandidateStage._matched
+    unbounded = driver.RESIDENT_PART_CANDIDATES
+
+    def recording_kernel(source_keys, starts, ends, *args, matches):
+        lengths = np.asarray(ends) - np.asarray(starts)
+        spans.append((int(lengths.sum()), len(lengths), int(lengths.max(initial=0))))
+        return kernel(source_keys, starts, ends, *args, matches=matches)
+
+    def recording_matched(self, ctx, messages):
+        parts.append((sum(m.checks for m in messages), len(messages)))
+        return matched(self, ctx, messages)
+
+    graph = rmat(scale=9, edge_factor=8, seed=seed)
+
+    def survey(storage, resident_part):
+        world = World(NRANKS)
+        dodgr = DODGraph.build(graph.to_distributed(world), mode="bulk")
+        reducer = LocalTriangleCounter(world)
+        ROW_KERNEL_TIERS[tier]["merge_path"] = recording_kernel
+        CandidateStage._matched = recording_matched
+        driver.RESIDENT_PART_CANDIDATES = resident_part
+        try:
+            report = triangle_survey(
+                dodgr, reducer.callback, algorithm, engine=EngineConfig(storage=storage)
+            )
+        finally:
+            ROW_KERNEL_TIERS[tier]["merge_path"] = kernel
+            CandidateStage._matched = matched
+            driver.RESIDENT_PART_CANDIDATES = unbounded
+            dodgr.release()
+        reducer.finalize()
+        return reducer.snapshot(), report.triangles, report.communication_bytes
+
+    resident = survey(None, unbounded)
+    whole = len(parts)
+    assert whole <= 2 * NRANKS  # one part per rank per phase
+    spans.clear()
+    parts.clear()
+    if spilled:
+        directory = str(tmp_path_factory.mktemp("ooc"))
+        storage = StorageConfig(mode="mmap", chunk_candidates=chunk, directory=directory)
+        assert storage.resolved_chunk_candidates() == chunk
+        assert survey(storage, unbounded) == resident
+    else:
+        assert survey(None, chunk) == resident
+    assert spans and all(
+        total <= chunk or (count == 1 and largest > chunk) for total, count, largest in spans
+    )
+    assert parts and all(total <= chunk or count == 1 for total, count in parts)
+    assert len(parts) > whole  # the phases really were cut
+    assert active_segment_paths() == frozenset()
 
 
 class TestBatchResolution:

@@ -278,7 +278,13 @@ def test_staged_delivery_is_one_batch_per_rank(monkeypatch, reducer):
     def per_message(*args):
         full_check, new_check, stage = handlers(*args)
         if stage is not None:
-            stage.staged = False
+            stage_message = stage.stage
+
+            def deliver_each(*message):
+                stage_message(*message)
+                stage.drain()
+
+            stage.stage = deliver_each
         return full_check, new_check, stage
 
     monkeypatch.setattr(delta_engine, "make_columnar_delta_handlers", per_message)

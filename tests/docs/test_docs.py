@@ -175,7 +175,13 @@ def test_write_path_check_flags_per_message_delivery(monkeypatch):
 
     def per_message(*args):
         full_check, new_check, stage = handlers(*args)
-        stage.staged = False
+        stage_message = stage.stage
+
+        def deliver_each(*message):
+            stage_message(*message)
+            stage.drain()
+
+        stage.stage = deliver_each
         return full_check, new_check, stage
 
     monkeypatch.setattr(delta_engine, "make_columnar_delta_handlers", per_message)
@@ -412,14 +418,47 @@ def test_count_only_check_flags_a_planted_regrowth(monkeypatch):
 
     make_handler = push_pull.make_columnar_pull_handler
 
-    def regrown(dodgr, row_kernel, *rest):
+    def regrown(stage):
+        row_kernel = stage.row_kernel
+
         def always_matches(*args, matches):
             return row_kernel(*args, matches=True)
 
-        return make_handler(dodgr, always_matches, *rest)
+        stage.row_kernel = always_matches
+        return make_handler(stage)
 
     monkeypatch.setattr(push_pull, "make_columnar_pull_handler", regrown)
     errors = check_engines.check_count_only()
     assert len(errors) == 1
     assert errors[0].startswith("push_pull survey with callback=None: ")
     assert errors[0].endswith("row-kernel calls had matches=True")
+
+
+def test_surveys_deliver_once_per_rank_per_phase():
+    """Mirror of tools/check_engines.py check 15: resident Push-Only and
+    Push-Pull closure-time surveys make at most one row-kernel call and one
+    ``callback_batch`` delivery per rank in every phase."""
+    import check_engines
+
+    assert check_engines.check_staged_delivery() == []
+    counts = check_engines.staged_delivery_counts("push_pull")
+    assert {"push", "pull"} <= set(counts)
+
+
+def test_staged_delivery_check_flags_per_message_delivery(monkeypatch):
+    """The check 15 probe trips: a stage that intersects and delivers each
+    message as it arrives finds the same triangles, only slower — and is
+    reported here, for both algorithms."""
+    import check_engines
+    from repro.core.engine.driver import CandidateStage
+
+    stage_message = CandidateStage.stage
+
+    def deliver_each(self, ctx, *message):
+        stage_message(self, ctx, *message)
+        self.drain()
+
+    monkeypatch.setattr(CandidateStage, "stage", deliver_each)
+    errors = check_engines.check_staged_delivery()
+    assert {error.split(" survey")[0] for error in errors} == {"push", "push_pull"}
+    assert all(error.endswith("(one per rank)") for error in errors)

@@ -92,35 +92,57 @@ class TestDelivery:
         with pytest.raises(WorldError):
             world4.barrier()
 
-    def test_on_drained_runs_when_the_inboxes_drain_and_repeats_while_it_works(self, world4):
-        """The drain hook runs on empty inboxes, again while it reports work,
-        and what it sends is delivered within the same barrier."""
+    def test_drain_hooks_run_when_the_inboxes_drain_and_rerun_when_rescheduled(self, world4):
+        """A scheduled hook runs once on empty inboxes, again only when it
+        reschedules itself, and what it sends is delivered within the same
+        barrier."""
         log = []
         handler = world4.register_handler(lambda ctx, tag: log.append((ctx.rank, tag)))
         staged = [("a", 2), ("b", 3)]
 
-        def on_drained():
+        def hook():
             assert not any(world4._inboxes)
             log.append("drained")
-            if not staged:
-                return False
-            tag, dest = staged.pop(0)
-            world4.ranks[0].async_call(dest, handler, tag)
-            return True
+            if staged:
+                tag, dest = staged.pop(0)
+                world4.ranks[0].async_call(dest, handler, tag)
+                world4.on_drained(hook)
 
         world4.ranks[0].async_call(1, handler, "first")
-        world4.barrier(on_drained)
-        # Sends buffer until the flush pass, which runs once the hook is idle.
-        assert log == ["drained"] * 3 + [(1, "first"), (2, "a"), (3, "b"), "drained"]
+        world4.on_drained(hook)
+        world4.barrier()
+        # Sends buffer until the flush pass, which runs once no hook is due.
+        assert log == ["drained"] * 3 + [(1, "first"), (2, "a"), (3, "b")]
+        world4.barrier()
+        assert log.count("drained") == 3
 
-    def test_process_fabric_refuses_a_drain_hook(self, world4):
-        class Fabric:
-            def barrier(self):
-                raise AssertionError("the fabric must not run")
+    def test_a_hook_scheduled_by_a_hook_runs_in_the_same_pass(self, world4):
+        """The process backend's worker runs one drain pass per round, then
+        flushes: a hook a hook schedules must not wait for the next round."""
+        ran = []
 
-        world4._fabric = Fabric()
-        with pytest.raises(WorldError, match="on_drained"):
-            world4.barrier(lambda: False)
+        def first():
+            ran.append("first")
+            world4.on_drained(lambda: ran.append("second"))
+
+        world4.on_drained(first)
+        assert world4.run_drain_hooks() and ran == ["first", "second"]
+        assert not world4.run_drain_hooks()
+
+    def test_a_failed_barrier_drops_its_drain_hooks(self, world4):
+        ran = []
+
+        def fail(ctx):
+            raise RuntimeError("handler failed")
+
+        handler = world4.register_handler(fail)
+        world4.on_drained(lambda: ran.append("stale"))
+        world4.ranks[0].async_call(1, handler)
+        world4.ranks[0].buffers.flush_all()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            world4.barrier()
+        world4.barrier()
+        assert ran == []
 
 
 class TestStatsAndPhases:

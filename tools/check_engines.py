@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Thirteen checks, numbered 1-11, 13 and 14, exit status 1 on any failure
+Fourteen checks, numbered 1-11 and 13-15, exit status 1 on any failure
 (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
@@ -94,6 +94,13 @@ Thirteen checks, numbered 1-11, 13 and 14, exit status 1 on any failure
    ``matches=False`` (no match columns written), and a stock reducer's
    survey makes every call with ``matches=True``.  A count that regrows the
    columns is only slower, so no parity suite can see it.
+15. **A survey intersects and delivers once per rank per phase** — on the
+   smoke graph with resident storage, a Push-Only and a Push-Pull
+   :class:`~repro.core.callbacks.ClosureTimeSurvey` make at most one
+   row-kernel call and one ``callback_batch`` delivery per rank in every
+   phase: the handlers stage their messages and the barrier's drain pass
+   intersects them (check 7's bound, for full surveys).  Delivering per
+   message is only slower, so no parity suite can see it.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -791,6 +798,72 @@ def check_count_only() -> List[str]:
     return errors
 
 
+def staged_delivery_counts(algorithm: str) -> dict:
+    """Row-kernel calls and ``callback_batch`` deliveries per phase.
+
+    Runs one resident columnar ``ClosureTimeSurvey`` on the smoke graph
+    (edge stamps ``temporal_edge_meta``) on the default kernel and tier and
+    returns ``{phase: [kernel calls, deliveries]}`` for every phase that
+    made either.
+    """
+    from repro.core.callbacks import ClosureTimeSurvey
+    from repro.core.intersection import ROW_KERNEL_TIERS, resolve_kernel_tier
+    from repro.graph.metadata import temporal_edge_meta
+
+    generated = erdos_renyi(**SMOKE_GRAPH)
+    graph = GeneratedGraph(
+        name="smoke-temporal",
+        edges=[
+            (u, v, temporal_edge_meta(float(i), i % 3))
+            for i, (u, v, _) in enumerate(generated.edges)
+        ],
+    )
+    world = World(SMOKE_RANKS)
+    dodgr = DODGraph.build(graph.to_distributed(world), mode="bulk")
+    counts: dict = {}
+
+    def tally(slot: int) -> None:
+        counts.setdefault(world.phase_order[-1], [0, 0])[slot] += 1
+
+    class CountedClosure(ClosureTimeSurvey):
+        def callback_batch(self, ctx, batch):
+            tally(1)
+            super().callback_batch(ctx, batch)
+
+    kernels = ROW_KERNEL_TIERS[resolve_kernel_tier(None)]
+    kernel = kernels["merge_path"]
+
+    def recorded(*args, matches=True):
+        tally(0)
+        return kernel(*args, matches=matches)
+
+    reducer = CountedClosure(world)
+    kernels["merge_path"] = recorded
+    try:
+        triangle_survey(dodgr, reducer.callback, algorithm, engine="columnar")
+    finally:
+        kernels["merge_path"] = kernel
+        dodgr.release()
+    return counts
+
+
+def check_staged_delivery() -> List[str]:
+    """A full survey intersects and delivers once per rank per phase (check 15)."""
+    errors: List[str] = []
+    for algorithm in ("push", "push_pull"):
+        counts = staged_delivery_counts(algorithm)
+        if not counts:
+            errors.append(f"{algorithm} survey: no row-kernel call")
+        for phase, (calls, deliveries) in counts.items():
+            if calls > SMOKE_RANKS or deliveries > SMOKE_RANKS:
+                errors.append(
+                    f"{algorithm} survey, phase {phase!r}: {calls} row-kernel calls and "
+                    f"{deliveries} callback_batch deliveries, expected at most "
+                    f"{SMOKE_RANKS} of each (one per rank)"
+                )
+    return errors
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -853,6 +926,7 @@ def main() -> int:
     errors.extend(check_one_stable_sort())
     errors.extend(check_array_paths())
     errors.extend(check_count_only())
+    errors.extend(check_staged_delivery())
 
     if errors:
         for error in errors:
@@ -875,7 +949,7 @@ def main() -> int:
         "one loop runs every survey phase; the oracle stays out of production; "
         "one primitive owns every stable sort; "
         f"{len(ARRAY_PATH_REDUCERS)} array-path reducers stay on the arrays; "
-        "a count counts in place"
+        "a count counts in place; a survey delivers once per rank per phase"
     )
     return 0
 
