@@ -41,8 +41,9 @@ class HalfEdgeColumns(NamedTuple):
     ``DeltaBuffer.apply`` fills it, sizing only each batch's new edges and
     carrying the old ones forward, so a streamed graph's rebuild never
     re-sizes stored metadata (a value's size depends on the value alone).
-    ``edge_values`` rides the same way: the :class:`ValueMemo` of extracted
-    edge values indexed by half edge, which a DODGr built from the image
+    ``edge_values`` and ``vertex_values`` ride the same way: the
+    :class:`ValueMemo` of extracted edge values indexed by half edge and of
+    vertex values indexed by vertex, which a DODGr built from the image
     reads (and fills) and the next ``DeltaBuffer.apply`` moves forward.
     """
 
@@ -62,17 +63,26 @@ class HalfEdgeColumns(NamedTuple):
     edge_meta_sizes: Any = None
     #: :class:`ValueMemo` over the H half edges, or None
     edge_values: Any = None
+    #: :class:`ValueMemo` over the V vertices, or None
+    vertex_values: Any = None
 
 
 #: Extractors one :class:`ValueMemo` keeps (oldest dropped first).  Each
-#: costs 9 bytes per position of the column it memoises (0.5 MB for the
-#: rmat-13 closure survey's 55 529 edges); the service's analyses put three
-#: on one snapshot (``edge_timestamp``, its ``_edge_label``, the default
-#: vertex label), so four keeps those plus one caller-supplied extractor, and
-#: a fresh lambda per query recycles one slot.
+#: costs 8 bytes per slot (0.44 MB for the rmat-13 closure survey's 55 529
+#: edges); the service's analyses put two on a graph's edge memo
+#: (``edge_timestamp``, its ``_edge_label``) and one on its vertex memo (the
+#: default vertex label), so four keeps those plus one caller-supplied
+#: extractor, and a fresh lambda per query recycles one slot.
 VALUE_MEMO_EXTRACTORS = 4
 
 _ABSENT = object()
+#: What an unfilled slot holds, per dtype: values the typing rule never stores
+_HOLES = {_np.dtype(_np.float64): _np.nan, _np.dtype(_np.int64): _np.iinfo(_np.int64).min}
+
+
+def _holes(values) -> Any:
+    """Where ``values`` (one memo's dtype) hold the unfilled-slot marker."""
+    return _np.isnan(values) if values.dtype.kind == "f" else values == _HOLES[values.dtype]
 
 
 class ValueMemo:
@@ -87,14 +97,15 @@ class ValueMemo:
     ``str``), NaN (``sort``/``max`` have no total order to agree on), an
     unhashable extractor (no memo key), an extractor that raises (the
     caller's object loop then raises where it always did).  ``extract`` must
-    be a pure function of the value.
+    be a pure function of the value.  An unfilled slot holds a value the
+    rule refuses (NaN, int64 min), so a read is one gather and one hole test.
     """
 
     __slots__ = ("size", "_by_extract")
 
     def __init__(self, size: int) -> None:
         self.size = size
-        #: extract -> ``[values typed by the first fill, filled mask]``, or
+        #: extract -> values typed by the first fill (holes unfilled), or
         #: None once it has no array form
         self._by_extract: dict = {}
 
@@ -109,29 +120,36 @@ class ValueMemo:
         missing slot is extracted from.
         """
         try:
-            entry = self._by_extract.get(extract, _ABSENT)
+            values = self._by_extract.get(extract, _ABSENT)
         except TypeError:
             return None
-        if entry is None:
+        if values is None:
             return None
-        if entry is _ABSENT:
+        if values is _ABSENT:
+            if not len(slots):
+                return _np.empty(0)  # nothing asked yet
+            out, missing = None, _np.arange(len(slots))
+        else:
+            out = values[slots]
+            missing = _np.flatnonzero(_holes(out))
+            if not missing.size:
+                return out
+        fresh_slots, first = _np.unique(slots[missing], return_index=True)
+        fresh = _extract_column(extract, metas[positions[missing[first]]])
+        if values is _ABSENT:
             if len(self._by_extract) >= VALUE_MEMO_EXTRACTORS:
                 del self._by_extract[next(iter(self._by_extract))]
-            entry = self._by_extract[extract] = [None, _np.zeros(self.size, dtype=bool)]
-        values, filled = entry
-        have = filled[slots]
-        if not have.all():
-            missing = _np.flatnonzero(~have)
-            fresh_slots, first = _np.unique(slots[missing], return_index=True)
-            fresh = _extract_column(extract, metas[positions[missing[first]]])
-            if fresh is None or (values is not None and values.dtype != fresh.dtype):
-                self._by_extract[extract] = None
-                return None
-            if values is None:
-                values = entry[0] = _np.empty(self.size, dtype=fresh.dtype)
-            values[fresh_slots] = fresh
-            filled[fresh_slots] = True
-        return _np.empty(0) if values is None else values[slots]  # None: nothing asked yet
+            values = None if fresh is None else _np.full(self.size, _HOLES[fresh.dtype])
+        elif fresh is None or values.dtype != fresh.dtype:
+            values = None
+        self._by_extract[extract] = values
+        if values is None:
+            return None
+        values[fresh_slots] = fresh
+        if out is None:
+            return values[slots]
+        out[missing] = values[slots[missing]]
+        return out
 
     def moved(self, destinations, size: int) -> "ValueMemo":
         """The memo re-indexed into a column of ``size`` slots; this one empties.
@@ -141,19 +159,18 @@ class ValueMemo:
         one odd value cannot turn the array path off for good.
         """
         memo = ValueMemo(size)
-        for extract, entry in self._by_extract.items():
-            if entry is None:
-                continue
-            values, filled = entry
-            moved_filled = _np.zeros(size, dtype=bool)
-            moved_filled[destinations] = filled
-            moved_values = None
+        for extract, values in self._by_extract.items():
             if values is not None:
-                moved_values = _np.empty(size, dtype=values.dtype)
-                moved_values[destinations] = values
-            memo._by_extract[extract] = [moved_values, moved_filled]
+                moved = memo._by_extract[extract] = _np.full(size, _HOLES[values.dtype])
+                moved[destinations] = values
         self._by_extract.clear()
         return memo
+
+    def forget(self, slots) -> None:
+        """Unfill ``slots``: their values changed, so the next read extracts them."""
+        for values in self._by_extract.values():
+            if values is not None:
+                values[slots] = _HOLES[values.dtype]
 
 
 def _extract_column(extract, metas) -> Optional[Any]:
@@ -181,8 +198,9 @@ class ValueColumn:
     Position ``i`` (plus ``base``) of the column is ``metas[i + base]`` and
     is memoised at slot ``slots[i + base]`` — or at ``i + base`` itself when
     ``slots`` is None.  A DODGr's rank CSRs read slices of its global
-    columns this way, and its edge column reaches the half-edge memo its
-    image carries through the build's edge → half edge map.
+    columns this way; its edge column reaches the half-edge memo its image
+    carries through the build's edge → half edge map, and its target column
+    the vertex memo through edge → target vertex.
     """
 
     __slots__ = ("memo", "metas", "slots", "base")

@@ -16,10 +16,11 @@ subsystem (the survey half lives in :mod:`repro.core.incremental`):
   and checked against the graph's sorted half-edge keys with array
   operations, and the accepted edges are laid into a new
   :class:`~repro.graph.columnar.HalfEdgeColumns` image the graph keeps.
-  The image carries every half edge's metadata wire size and the memo of
-  its extracted values (:class:`~repro.graph.columnar.ValueMemo`): only the
-  batch's new edges are sized or extracted, the old ones ride forward from
-  the previous image.
+  The image carries every half edge's metadata wire size and the memos of
+  its extracted edge and vertex values
+  (:class:`~repro.graph.columnar.ValueMemo`): only the batch's new edges
+  are sized or extracted, and only its new or rewritten vertices; the rest
+  ride forward from the previous image.
   It then rebuilds the degree-ordered :class:`~repro.graph.dodgr.DODGraph`
   from that image through the vectorized ``mode="bulk"`` pipeline — the
   global ``<+`` order ids are remapped in the single
@@ -352,9 +353,9 @@ def _merge_batch(
     first-write-wins vertex-metadata rule: new vertices join the end of
     their rank, new half edges the end of their vertex's run.  Its
     ``edge_meta_sizes`` is the only place the old edges' metadata sizes are
-    computed, and only when the old image has none; its ``edge_values`` is
-    the old image's memo moved to the new positions (a fresh one when the
-    old image had none).
+    computed, and only when the old image has none; its ``edge_values`` and
+    ``vertex_values`` are the old image's memos moved to the new positions
+    (fresh ones when the old image had none).
     """
     old = graph.half_edge_columns()
     keys = list(vertex_meta)
@@ -446,12 +447,13 @@ def _merge_batch(
     half_sizes = _np.empty(num_half, dtype=_np.int64)
     half_sizes[old_pos] = _value_sizes(old.edge_meta) if old_sizes is None else old_sizes
     half_sizes[new_pos] = _np.repeat(_value_sizes(edge_meta), 2)
-    # So do the extracted edge values: the memo moves to the new half-edge
-    # positions (the old image's empties), the batch's half edges unfilled.
-    old_values = old.edge_values
-    half_values = (
-        ValueMemo(num_half) if old_values is None else old_values.moved(old_pos, num_half)
-    )
+    # So do the extracted values: each memo moves to the new positions (the
+    # old image's empties); the batch's half edges and new vertices start
+    # unfilled, and so do old vertices whose metadata the batch wrote.
+    half_values = (old.edge_values or ValueMemo(0)).moved(old_pos, num_half)
+    vertex_values = (old.vertex_values or ValueMemo(0)).moved(row_of[:num_old], total)
+    if keys:
+        vertex_values.forget(row_of[batch.meta_keys[write]])
 
     if isinstance(batch.new_vertices, _np.ndarray):
         vertices = _np.concatenate((old.vertices, batch.new_vertices))[order]
@@ -467,5 +469,6 @@ def _merge_batch(
         edge_meta=half_meta,
         edge_meta_sizes=half_sizes,
         edge_values=half_values,
+        vertex_values=vertex_values,
     )
     return image, row_of[lo], row_of[hi], edge_meta

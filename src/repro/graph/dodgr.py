@@ -83,9 +83,9 @@ class CSRAdjacency:
     columns are slices of its DODGr's global ones: row ``i`` is global row
     ``row_base + i`` and edge ``e`` global edge ``edge_base + e``.  Its
     ``value_columns`` read the DODGr's value memos through those slices
-    (:meth:`extracted_values`), so a metadata reducer reads each stored
-    edge once per snapshot — or, for the edge field of a streamed graph,
-    once per stream — instead of once per triangle.
+    (:meth:`extracted_values`), so a metadata reducer extracts each stored
+    edge and vertex value once per snapshot — once per stream for a
+    streamed graph — instead of once per triangle.
     """
 
     #: the constructor's keyword arguments, one column each
@@ -215,8 +215,9 @@ class CSRAdjacency:
         from the DODGr's :class:`~repro.graph.columnar.ValueMemo` of that
         field, which has the typing contract: float64 / int64 arrays of
         exactly what ``extract`` returns, or None for no exact array form.
-        The row and target memos live as long as the DODGr; the edge memo is
-        indexed by half edge and rides a streamed graph's rebuilds.
+        Row and target read one memo indexed by vertex (a target through
+        its vertex's slot), the edge memo is indexed by half edge, and both
+        ride a streamed graph's rebuilds.
         """
         columns = self.value_columns
         return None if columns is None else columns[field].values(extract, positions)
@@ -336,9 +337,10 @@ class DODGraph:
         ``u`` in row ``v`` when ``v <+ u`` — the routed build's offer of
         ``(u -> v)`` to the owner of ``v``, metadata taken from ``u``'s side.
         Rows are vertices, rank-major as the image lists them.  The edge
-        metadata is sized here unless the image carries its sizes; the edge
-        value memo is the image's, read through each edge's half edge
-        (``picked``), so a streamed graph's memo rides its rebuilds.  A
+        metadata is sized here unless the image carries its sizes; the value
+        memos are the image's, the edge memo read through each edge's half
+        edge (``picked``) and the vertex memo by row and through each edge's
+        target (``tgt``), so a streamed graph's memos ride its rebuilds.  A
         rank's columns are slices of the global ones, so nothing per-edge is
         copied.
         """
@@ -379,9 +381,10 @@ class DODGraph:
             "tgt_wire_sizes": size_target + size_meta,
             "tgt_vertex_wire": size_target,
         }
+        vertex_values = graph.vertex_values or ValueMemo(len(vertices))
         values = {
-            "row": ValueColumn(ValueMemo(len(vertices)), vertex_meta),
-            "target": ValueColumn(ValueMemo(len(tgt)), tgt_meta),
+            "row": ValueColumn(vertex_values, vertex_meta),
+            "target": ValueColumn(vertex_values, tgt_meta, tgt),
             "edge": (
                 ValueColumn(ValueMemo(len(tgt)), edge_meta)
                 if graph.edge_values is None

@@ -202,11 +202,11 @@ class TriangleBatch:
         if self._reads is None or self._size < ARRAY_VALUES_MIN_BATCH:
             return None
         columns = []
+        # A kind's three reads share one memo (row and target the vertex
+        # memo), which types all its values alike: no silent promotion.
         for source, positions in self._reads[kind]:
             column = source.values(extract, positions)
-            # Two memos may type their values differently; arithmetic across
-            # them would silently promote, so that is "no array form" too.
-            if column is None or (columns and column.dtype != columns[0].dtype):
+            if column is None:
                 return None
             columns.append(column)
         return tuple(columns)

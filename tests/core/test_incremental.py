@@ -468,9 +468,10 @@ def test_ingest_after_close_raises():
 
 def test_release_frees_a_retained_epochs_arrays():
     """A released DODGr lets its per-edge arrays go — CSR columns, the
-    global views, the edge -> half edge map and the value memos — while its
-    AppliedDelta is still referenced; the half-edge memo moved on with the
-    image instead of staying behind."""
+    global views, the edge -> half edge and edge -> vertex maps and the
+    value memo it filled after the fact — while its AppliedDelta is still
+    referenced; the half-edge and vertex memos moved on with the image
+    instead of staying behind."""
     edges = timestamped(erdos_renyi(60, 0.15, seed=4).edges)
     world = World(NRANKS)
     graph = DistributedGraph(world, name="epochs")
@@ -483,20 +484,19 @@ def test_release_frees_a_retained_epochs_arrays():
         incremental_triangle_survey(applied[-1].dodgr, applied[-1], reducer.callback)
     old = applied[0]
     csr = old.dodgr.csr(0)
+    columns = old.dodgr.global_columns()
+    values = columns["values"]
+    assert values["row"].memo is values["target"].memo  # one vertex memo
+    for field in ("edge", "row"):
+        assert values[field].memo.extractors() == []  # moved to the new image
     csr.extracted_values(vertex_stamp, "target", np.arange(csr.num_edges))
     csr.extracted_values(vertex_stamp, "row", np.arange(csr.num_rows))
-    columns = old.dodgr.global_columns()
-    arrays = [csr.tgt_ids, csr.edge_meta, columns["edge_meta"], columns["values"]["edge"].slots]
-    arrays += [
-        array
-        for field in ("row", "target")
-        for entry in columns["values"][field].memo._by_extract.values()
-        for array in entry
-    ]
-    assert columns["values"]["edge"].memo.extractors() == []  # moved to the new image
-    assert len(arrays) == 8
+    arrays = [csr.tgt_ids, csr.edge_meta, columns["edge_meta"]]
+    arrays += [values["edge"].slots, values["target"].slots]
+    arrays += list(values["row"].memo._by_extract.values())
+    assert len(arrays) == 6
     refs = [weakref.ref(array) for array in arrays]
-    del csr, columns, arrays
+    del csr, columns, values, arrays
     old.dodgr.release()
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)

@@ -462,3 +462,35 @@ def test_staged_delivery_check_flags_per_message_delivery(monkeypatch):
     errors = check_engines.check_staged_delivery()
     assert {error.split(" survey")[0] for error in errors} == {"push", "push_pull"}
     assert all(error.endswith("(one per rank)") for error in errors)
+
+
+def test_vertex_labels_are_extracted_once_per_stream():
+    """Check 16 mirrored in tier-1: a three-batch labels stream runs its
+    vertex-label extractor at most once per (vertex, metadata) pair."""
+    import check_engines
+
+    assert check_engines.check_vertex_label_extractions() == []
+    calls, pairs = check_engines.vertex_label_extractions()
+    assert 0 < calls <= pairs
+
+
+def test_vertex_label_check_flags_a_per_edge_target_memo(monkeypatch):
+    """The check 16 probe trips: a build that gives the target column its
+    own memo, one slot per edge, reads the same labels — and is reported."""
+    import check_engines
+    from repro.graph.columnar import ValueColumn, ValueMemo
+    from repro.graph.dodgr import DODGraph
+
+    adopt = DODGraph._adopt_half_edges
+
+    def per_edge_target(self, graph):
+        adopt(self, graph)
+        metas = self._global["tgt_meta"]
+        memo = ValueMemo(len(metas))
+        self._global["values"]["target"] = ValueColumn(memo, metas)
+        for csr in self._csr:
+            csr.value_columns["target"] = ValueColumn(memo, metas, None, csr.edge_base)
+
+    monkeypatch.setattr(DODGraph, "_adopt_half_edges", per_edge_target)
+    errors = check_engines.check_vertex_label_extractions()
+    assert len(errors) == 1 and "distinct (vertex, metadata) pairs" in errors[0]

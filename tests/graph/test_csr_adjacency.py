@@ -313,6 +313,39 @@ class TestExtractedValues:
         csr.extracted_values(extract, "edge", np.array([5, 9, 10], dtype=np.int64))
         assert seen == [csr.edge_meta[10]]
 
+    def test_row_and_target_reads_share_one_slot_per_vertex(self):
+        dodgr = build_dodgr(temporal_clique(lambda u, v: 1.0), 2)
+        seen = []
+
+        def extract(meta):
+            seen.append(meta)
+            return meta
+
+        csrs = [dodgr.csr(rank) for rank in range(2)]
+        for csr in csrs:
+            edges = np.arange(csr.num_edges, dtype=np.int64)
+            assert csr.extracted_values(extract, "target", edges).tolist() == csr.tgt_meta.tolist()
+        targets = {meta for csr in csrs for meta in csr.tgt_meta.tolist()}
+        in_edges = sum(csr.num_edges for csr in csrs)
+        # Once per vertex, not once per in-edge.
+        assert sorted(seen) == sorted(targets) and len(seen) < in_edges
+        del seen[:]
+        for csr in csrs:
+            rows = np.arange(csr.num_rows, dtype=np.int64)
+            assert csr.extracted_values(extract, "row", rows).tolist() == csr.row_meta.tolist()
+        # The rows' reads find their targets' slots filled: only the vertex
+        # no edge points at (the first in <+ order) is extracted.
+        assert seen == sorted(set(range(8)) - targets) and len(seen) == 1
+        assert csrs[0].value_columns["row"].memo is csrs[1].value_columns["target"].memo
+
+    def test_an_empty_read_of_an_unfilled_memo_is_an_empty_array(self):
+        csr = self.one_rank_csr(temporal_clique(lambda u, v: 1.0))
+        nothing = np.empty(0, dtype=np.int64)
+        for field in ("edge", "row", "target"):
+            read = csr.extracted_values(identity, field, nothing)
+            assert read is not None and read.size == 0, field
+        assert csr.value_columns["edge"].memo.extractors() == []
+
     def test_memo_keeps_a_handful_of_extractors(self):
         csr = self.one_rank_csr(temporal_clique(lambda u, v: 1.0))
         positions = np.arange(csr.num_edges, dtype=np.int64)

@@ -417,6 +417,53 @@ def no_array_form(memo):
     return {extract for extract in memo.extractors() if memo._by_extract[extract] is None}
 
 
+def holes(values):
+    """Where a memo array is unfilled: NaN (float64) or int64 min (int64)."""
+    return np.isnan(values) if values.dtype.kind == "f" else values == np.iinfo(np.int64).min
+
+
+def assert_filled_slots_hold(memo, metas, lost):
+    """Every filled slot of a memo just moved holds ``extract`` of its value,
+    typed alike; extractors without an array form (``lost``) did not ride."""
+    for extract in memo.extractors():
+        assert extract not in lost
+        values = memo._by_extract[extract]
+        for slot in np.flatnonzero(~holes(values)).tolist():
+            assert values[slot] == extract(metas[slot])
+            assert type(values[slot].item()) is type(extract(metas[slot]))
+
+
+def vertex_stamp(meta):
+    """Typed on every vertex metadata a schedule makes (None, int, str)."""
+    if meta is None:
+        return 0.0
+    return -1.0 if isinstance(meta, str) else float(meta)
+
+
+class CountedStamp:
+    """``vertex_stamp`` recording every metadata value it is called on."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, meta):
+        self.seen.append(meta)
+        return vertex_stamp(meta)
+
+
+def assert_read_equals_extract(read, extract, metas, fresh_and_lost):
+    """A memo read against ``extract`` over the metadata it covers."""
+    try:
+        expected = [extract(meta) for meta in metas.tolist()]
+    except ValueError:
+        assert read is None
+        return
+    if read is not None:
+        assert read.tolist() == expected
+    # The first fill of a fresh memo types it: no earlier verdict.
+    assert read is not None or not (fresh_and_lost and array_form(expected))
+
+
 def assert_memo_carried(carried, lost, image, applied):
     """The image's half-edge memo after an apply, then read half full.
 
@@ -425,16 +472,9 @@ def assert_memo_carried(carried, lost, image, applied):
     (``lost``) did not ride forward, so a batch whose new edges have one
     reads typed arrays even though an earlier batch had none.
     """
-    memo = image.edge_values
-    metas = image.edge_meta.tolist()
     if carried is not None:
         assert carried.extractors() == []
-    for extract in memo.extractors():
-        assert extract not in lost
-        values, filled = memo._by_extract[extract]
-        for slot in np.flatnonzero(filled).tolist():
-            assert values[slot] == extract(metas[slot])
-            assert type(values[slot].item()) is type(extract(metas[slot]))
+    assert_filled_slots_hold(image.edge_values, image.edge_meta.tolist(), lost)
     dodgr = applied.dodgr
     first_read = True
     for rank in range(dodgr.world.nranks):
@@ -442,20 +482,43 @@ def assert_memo_carried(carried, lost, image, applied):
         new = np.flatnonzero(applied.edge_mask(rank))
         for extract in EXTRACTORS:
             read = csr.extracted_values(extract, "edge", new)
-            try:
-                expected = [extract(meta) for meta in csr.edge_meta[new].tolist()]
-            except ValueError:
-                assert read is None
-                continue
-            if read is not None:
-                assert read.tolist() == expected
-            # The first fill of a fresh memo types it: no earlier verdict.
-            assert read is not None or not (first_read and extract in lost and array_form(expected))
+            fresh_and_lost = first_read and extract in lost
+            assert_read_equals_extract(read, extract, csr.edge_meta[new], fresh_and_lost)
         first_read = first_read and not new.size
     # Half the old edges too, so the next apply carries a partial fill.
     for rank in range(dodgr.world.nranks):
         csr = dodgr.csr(rank)
         csr.extracted_values(numeric, "edge", np.arange(0, csr.num_edges, 2))
+
+
+def assert_vertex_memo_carried(carried, lost, image, applied, unfilled, stamp):
+    """The image's vertex memo after an apply, read in full by row and target.
+
+    The previous image's memo moved; row and target reads equal ``extract``
+    of ``row_meta`` / ``tgt_meta`` at every position; and ``stamp``, read in
+    full before the apply, runs once on each vertex of ``unfilled`` — the
+    new vertices and those whose metadata went from None to a staged value
+    (0.0 before, the staged value now) — and on nothing else: a target
+    reads its vertex's slot.
+    """
+    if carried is not None:
+        assert carried.extractors() == []
+    assert_filled_slots_hold(image.vertex_values, image.vertex_meta.tolist(), lost)
+    del stamp.seen[:]
+    dodgr = applied.dodgr
+    first_read = True
+    for rank in range(dodgr.world.nranks):
+        csr = dodgr.csr(rank)
+        rows, edges = np.arange(csr.num_rows), np.arange(csr.num_edges)
+        for extract in EXTRACTORS + (stamp,):
+            truth = vertex_stamp if extract is stamp else extract
+            read = csr.extracted_values(extract, "row", rows)
+            assert_read_equals_extract(read, truth, csr.row_meta, first_read and extract in lost)
+            read = csr.extracted_values(extract, "target", edges)
+            assert_read_equals_extract(read, truth, csr.tgt_meta, False)
+        first_read = first_read and not rows.size
+    metas = dict(zip(image.vertices.tolist(), image.vertex_meta.tolist()))
+    assert sorted(map(repr, stamp.seen)) == sorted(repr(metas[vertex]) for vertex in unfilled)
 
 
 @given(
@@ -472,23 +535,36 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
         "empty" if base == "empty" else "from_edges", base_edges, nranks, partitioner, default_vertex_meta
     )
     buffer = DeltaBuffer(graph.world)
+    stamp = CountedStamp()
     for index, (edges, vertex_meta, how, read_first) in enumerate(batches):
         if read_first and edges:
             graph.has_edge(edges[0][0], edges[0][1])
         stage(buffer, how, edges, vertex_meta)
-        # A materialised store drops the image and its memo; else it rides.
-        carried = graph.half_edge_columns().edge_values
-        lost = no_array_form(carried)
+        # A materialised store drops the image and its memos; else they ride.
+        old_image = graph.half_edge_columns()
+        carried, carried_vertex = old_image.edge_values, old_image.vertex_values
+        lost, lost_vertex = no_array_form(carried), no_array_form(carried_vertex)
+        old_metas = dict(zip(old_image.vertices.tolist(), old_image.vertex_meta.tolist()))
+        stamped = carried_vertex is not None and stamp in carried_vertex.extractors()
         applied = buffer.apply(graph)
         accepted = replay_per_edge(oracle, edges, vertex_meta)
         want = DODGraph.build(oracle, name=f"oracle@{index}")
         assert not graph.store_materialised
         got_image, want_image = graph.half_edge_columns(), oracle.half_edge_columns()
         assert_memo_carried(carried, lost, got_image, applied)
+        unfilled = [
+            vertex
+            for vertex in got_image.vertices.tolist()
+            if not stamped
+            or vertex not in old_metas
+            or (vertex in vertex_meta and old_metas[vertex] is None)
+        ]
+        assert_vertex_memo_carried(carried_vertex, lost_vertex, got_image, applied, unfilled, stamp)
         for column in HalfEdgeColumns._fields:
             got_column, want_column = getattr(got_image, column), getattr(want_image, column)
-            if column == "edge_values":  # the oracle's flattened image carries no memo
-                assert want_column is None and got_column.size == len(got_image.tgt)
+            if column in ("edge_values", "vertex_values"):  # a flattened image carries no memo
+                slots = len(got_image.tgt if column == "edge_values" else got_image.vertices)
+                assert want_column is None and got_column.size == slots
                 continue
             if column == "edge_meta_sizes":  # the oracle's flattened image carries none
                 want_column = _value_sizes(want_image.edge_meta)

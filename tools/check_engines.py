@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Fourteen checks, numbered 1-11 and 13-15, exit status 1 on any failure
+Fifteen checks, numbered 1-11 and 13-16, exit status 1 on any failure
 (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
@@ -101,6 +101,15 @@ Fourteen checks, numbered 1-11 and 13-15, exit status 1 on any failure
    phase: the handlers stage their messages and the barrier's drain pass
    intersects them (check 7's bound, for full surveys).  Delivering per
    message is only slower, so no parity suite can see it.
+16. **A vertex label is extracted once per stream** — a columnar
+   :class:`~repro.core.incremental.StreamingSurvey` of
+   :class:`~repro.core.callbacks.MaxEdgeLabelDistribution` over three
+   batches of the smoke graph, every batch on the array path, runs its
+   vertex-label extractor at most once per distinct ``(vertex, metadata)``
+   pair its graph held: the vertex memo rides the image from batch to
+   batch, and a target reads its vertex's slot.  A memo that dies with
+   each epoch, or one slot per edge, re-extracts what the stream already
+   had — only slower, so no parity suite can see it.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -864,6 +873,71 @@ def check_staged_delivery() -> List[str]:
     return errors
 
 
+def vertex_label_extractions() -> Tuple[int, int]:
+    """Vertex-label extractor calls over one labels stream, and the distinct
+    ``(vertex, metadata)`` pairs its images held.
+
+    Streams the smoke graph in three batches through a columnar
+    :class:`~repro.core.incremental.StreamingSurvey` of
+    :class:`~repro.core.callbacks.MaxEdgeLabelDistribution` with one counted
+    vertex-label extractor.  The first batch labels the even vertices, the
+    second the odd ones (which held None if an edge brought them in), the
+    third none.  ``ARRAY_VALUES_MIN_BATCH`` is 0 for the run, so every batch
+    reads the value memo and the count is the memo's fills.
+    """
+    import repro.graph.metadata as metadata
+    from repro.core.callbacks import MaxEdgeLabelDistribution
+    from repro.core.incremental import StreamingSurvey
+    from repro.graph.metadata import temporal_edge_meta
+
+    us, vs = erdos_renyi(**SMOKE_GRAPH).edge_columns()
+    records = [
+        (u, v, temporal_edge_meta(float(i), i % 3))
+        for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))
+    ]
+    vertices = set(us.tolist()) | set(vs.tolist())
+    labels = [{v: v % 5 for v in vertices if v % 2 == half} for half in (0, 1)] + [None]
+    calls = [0]
+
+    def vertex_label(meta):
+        calls[0] += 1
+        return -1 if meta is None else meta
+
+    def edge_label(meta):
+        return meta[1]
+
+    stream = StreamingSurvey(
+        World(SMOKE_RANKS),
+        lambda world: MaxEdgeLabelDistribution(world, edge_label, vertex_label),
+        engine="columnar",
+    )
+    pairs: set = set()
+    min_batch, metadata.ARRAY_VALUES_MIN_BATCH = metadata.ARRAY_VALUES_MIN_BATCH, 0
+    try:
+        for index, batch_labels in enumerate(labels):
+            stream.ingest(records[index::3], batch_labels)
+            image = stream.graph.half_edge_columns()
+            pairs.update(zip(image.vertices.tolist(), image.vertex_meta.tolist()))
+    finally:
+        metadata.ARRAY_VALUES_MIN_BATCH = min_batch
+        stream.close()
+    return calls[0], len(pairs)
+
+
+def check_vertex_label_extractions() -> List[str]:
+    """A vertex label is extracted once per (vertex, value) per stream (check 16)."""
+    calls, pairs = vertex_label_extractions()
+    where = "3-batch StreamingSurvey of MaxEdgeLabelDistribution"
+    if not calls:
+        return [f"{where}: the vertex-label extractor never ran"]
+    if calls > pairs:
+        return [
+            f"{where}: the vertex-label extractor ran {calls} times for {pairs} "
+            "distinct (vertex, metadata) pairs, expected at most one run per pair"
+        ]
+    return []
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -927,6 +1001,7 @@ def main() -> int:
     errors.extend(check_array_paths())
     errors.extend(check_count_only())
     errors.extend(check_staged_delivery())
+    errors.extend(check_vertex_label_extractions())
 
     if errors:
         for error in errors:
@@ -949,7 +1024,8 @@ def main() -> int:
         "one loop runs every survey phase; the oracle stays out of production; "
         "one primitive owns every stable sort; "
         f"{len(ARRAY_PATH_REDUCERS)} array-path reducers stay on the arrays; "
-        "a count counts in place; a survey delivers once per rank per phase"
+        "a count counts in place; a survey delivers once per rank per phase; "
+        "a vertex label is extracted once per stream"
     )
     return 0
 
