@@ -9,12 +9,10 @@ benchmark run and is what EXPERIMENTS.md refers to.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Any, Dict
 
-__all__ = ["emit", "emit_json", "artifact_path", "json_artifact_path", "reset_artifacts"]
+__all__ = ["emit", "artifact_path", "reset_artifacts"]
 
 
 def artifact_path() -> Path:
@@ -25,40 +23,12 @@ def artifact_path() -> Path:
     return Path(__file__).resolve().parent.parent / "bench_artifacts.txt"
 
 
-def json_artifact_path() -> Path:
-    """Location of the machine-readable artifact file (``.json`` sibling).
-
-    One JSON object per benchmark session, keyed by benchmark name — the
-    file CI uploads so regressions can be diffed without parsing tables.
-    """
-    root = os.environ.get("REPRO_BENCH_ARTIFACTS_JSON")
-    if root:
-        return Path(root)
-    return artifact_path().with_suffix(".json")
-
-
 def reset_artifacts() -> None:
-    """Start a benchmark session's artifact files.
-
-    The text file is truncated: it is a linear session log.  The JSON file
-    is *preserved* (repaired to ``{}`` only when missing or corrupt): its
-    entries are keyed by benchmark name — backend-tagged where a benchmark
-    runs per backend — so multi-session CI jobs (e.g. a simulated run
-    followed by ``--backend process``) merge their keys into one artifact
-    instead of the second session clobbering the first.
-    """
+    """Start a benchmark session's artifact file (truncated: it is a linear
+    session log)."""
     path = artifact_path()
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("")
-    json_path = json_artifact_path()
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        existing = json.loads(json_path.read_text() or "{}")
-        if not isinstance(existing, dict):
-            existing = {}
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = {}
-    json_path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
 
 
 def emit(text: str) -> None:
@@ -68,32 +38,3 @@ def emit(text: str) -> None:
     with open(artifact_path(), "a", encoding="utf-8") as handle:
         handle.write(text)
         handle.write("\n\n")
-
-
-def emit_json(name: str, payload: Dict[str, Any]) -> None:
-    """Record ``payload`` under ``name`` in the JSON artifact file.
-
-    Every payload is stamped with the process's peak resident memory
-    (``peak_rss_bytes``, a ``setdefault`` so benchmarks that measure their
-    own phase-scoped memory keep their value) — the memory context the
-    out-of-core gates introduced, attached uniformly so any benchmark's
-    footprint can be diffed across runs.
-    """
-    try:
-        from repro.bench.reporting import peak_rss_bytes
-
-        rss = peak_rss_bytes()
-        if rss is not None:
-            payload.setdefault("peak_rss_bytes", rss)
-    except ImportError:  # pragma: no cover - bench run without src on path
-        pass
-    path = json_artifact_path()
-    try:
-        existing = json.loads(path.read_text() or "{}")
-        if not isinstance(existing, dict):
-            existing = {}
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = {}
-    existing[name] = payload
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")

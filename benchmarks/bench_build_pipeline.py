@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.bench import format_table
 from repro.core.survey import triangle_survey_push
 from repro.graph.degree import order_key
@@ -179,7 +179,6 @@ def test_build_pipeline_weak_scaling(benchmark):
             rows, title="Construction pipeline — routed vs vectorized builder"
         )
     )
-    emit_json("build_pipeline", {"points": points})
 
     benchmark.extra_info.update(
         {
@@ -214,5 +213,4 @@ def test_build_pipeline_adversarial_inputs(benchmark):
         return sum(len(record["adj"]) for store in routed for record in store.values())
 
     directed_edges = benchmark.pedantic(run_once, rounds=1, iterations=1)
-    emit_json("build_pipeline_adversarial", {"directed_edges": directed_edges})
     assert directed_edges > 0

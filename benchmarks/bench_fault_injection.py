@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import time
 
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.bench import format_table, human_bytes, load_dataset
 from repro.core.callbacks import TriangleCounter
 from repro.core.engine import engine_names, run_survey_with_recovery
@@ -166,16 +166,6 @@ def test_dormant_overhead_gate():
     cleared = median_host(plan=lossy, clear_first=True)
     armed = median_host(plan=lossy)
 
-    emit_json(
-        "fault_injection_overhead",
-        {
-            "never_armed_s": never_armed,
-            "cleared_plan_s": cleared,
-            "armed_lossy_s": armed,
-            "dormant_ratio": cleared / never_armed,
-            "armed_ratio": armed / never_armed,
-        },
-    )
     assert cleared <= never_armed * DORMANT_GATE, (
         f"clearing a plan left overhead behind: {cleared:.4f}s vs "
         f"{never_armed:.4f}s never-armed"

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.bench import format_table, human_bytes, load_dataset, strong_scaling
 from repro.bench.scaling import run_survey_at_scale
 from repro.core.engine import EngineConfig
@@ -151,19 +151,6 @@ def test_fig4_process_backend_host_speedup(survey_backend):
                 f"({GATE_NODES} ranks): {speedup:.2f}x"
             ),
         )
-    )
-    emit_json(
-        "fig4_strong_scaling_backend_process_gate",
-        {
-            "dataset": "rmat-weak",
-            "nodes": GATE_NODES,
-            "workers": GATE_WORKERS,
-            "engine": "legacy",
-            "simulated_host_seconds": simulated_seconds,
-            "process_host_seconds": process_seconds,
-            "speedup": speedup,
-            "required_speedup": GATE_SPEEDUP,
-        },
     )
 
     # Parity first: a fast wrong answer is no speedup at all.

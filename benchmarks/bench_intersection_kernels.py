@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.bench import format_table, load_dataset
 from repro.core import intersection as intersection_mod
 from repro.core.callbacks import TriangleCounter
@@ -205,14 +205,6 @@ def test_cutoff_sweep(benchmark):
             title="Columnar-tier scalar cutoffs — route timing sweep",
         )
     )
-    emit_json(
-        "bench_intersection_cutoffs",
-        {
-            "key_cutoff_default": intersection_mod._SCALAR_ROW_CUTOFF,
-            "segment_cutoff_default": intersection_mod._SCALAR_ROW_SEGMENT_CUTOFF,
-            "sweep": rows,
-        },
-    )
     benchmark.extra_info["points"] = len(rows)
     # The defaults must not be absurd: at the largest swept size the
     # vectorized route has to win.
@@ -270,7 +262,7 @@ def test_tier_replay_parity(benchmark):
     """Every registered tier reproduces the survey's kernel calls exactly;
     per-tier replay seconds are printed, not gated."""
     dataset = load_dataset("rmat-weak")
-    calls, triangles = capture_row_calls(dataset)
+    calls, _triangles = capture_row_calls(dataset)
     assert calls, "columnar survey produced no row-kernel calls"
 
     tiers = available_kernel_tiers()
@@ -292,21 +284,6 @@ def test_tier_replay_parity(benchmark):
         assert results[tier][1] == reference, f"tier {tier} diverged from scalar"
 
     columnar_s = results["columnar"][0]
-    trajectory = {
-        "dataset": dataset.name,
-        "nodes": NODES,
-        "row_kernel_calls": len(calls),
-        "triangles": triangles,
-        "compiled_tier": {"available": status.available, "reason": status.reason},
-        "default_tier": resolve_kernel_tier(None),
-        "tiers": {
-            tier: {
-                "replay_seconds": seconds,
-                "speedup_vs_columnar": columnar_s / seconds,
-            }
-            for tier, (seconds, _results) in results.items()
-        },
-    }
     emit(
         format_table(
             [
@@ -323,7 +300,6 @@ def test_tier_replay_parity(benchmark):
             ),
         )
     )
-    emit_json("bench_intersection_kernels", trajectory)
     benchmark.extra_info.update(
         {"tiers": list(tiers), "compiled_available": status.available}
     )

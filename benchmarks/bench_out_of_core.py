@@ -29,7 +29,7 @@ import os
 
 import pytest
 
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.bench import format_kv, human_bytes
 from repro.bench.reporting import AllocationTracker, memory_snapshot
 from repro.core.survey import triangle_survey_push
@@ -138,7 +138,6 @@ def test_out_of_core_survey_bounded_memory(benchmark):
             title="Out-of-core survey — bounded transient memory",
         )
     )
-    emit_json("bench_out_of_core", trajectory)
     benchmark.extra_info.update(
         {k: v for k, v in trajectory.items() if not k.startswith("snapshot_")}
     )

@@ -26,7 +26,7 @@ sustained throughput above ``QPS_GATE``.
 
 from __future__ import annotations
 
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.bench import bench_scale, format_kv, percentiles
 from repro.bench.traffic import (
     make_query_traffic,
@@ -113,20 +113,6 @@ def test_chaos_traffic_structured_answers():
 
     lat = percentiles(result.latencies_s, ps=(50, 90, 99))
     stats = service.stats()
-    payload = {
-        "ranks": RANKS,
-        "graph_scale": GRAPH_SCALE,
-        "batches": NUM_BATCHES,
-        "queries": trace.num_queries,
-        "repeats": trace.num_repeats,
-        "outcomes": result.outcome_counts(),
-        "latency_s": lat,
-        "queries_per_second": result.queries_per_second,
-        "cache": service.cache.as_dict(),
-        "stats": stats.as_dict(),
-        "health": service.health(),
-    }
-    emit_json("bench_query_traffic", payload)
     emit(
         format_kv(
             {

@@ -21,9 +21,7 @@ Gates:
 
 from __future__ import annotations
 
-import pytest
-
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.core.engine import engine_names
 from repro.sweep import (
     config_digest,
@@ -74,7 +72,6 @@ def test_scenario_sweep_smoke(benchmark):
 
     payload = sweep_payload(result, sample=SMOKE_SAMPLE, seed=SMOKE_SEED)
     payload["config_digest"] = config_digest(configs)
-    emit_json("bench_scenario_sweep", payload)
     emit(
         format_sweep_table(
             result,

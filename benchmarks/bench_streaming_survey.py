@@ -36,9 +36,7 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.bench import format_table, human_bytes, load_dataset
 from repro.bench.streaming import full_recompute_survey, make_streaming_schedule
 from repro.core.callbacks import ClosureTimeSurvey, TriangleCounter
@@ -226,7 +224,6 @@ def test_streaming_delta_vs_recompute(benchmark):
             rows, title="Incremental streaming survey — delta delivery vs full recompute"
         )
     )
-    emit_json("bench_streaming_survey", trajectory)
     benchmark.extra_info.update(
         {"nodes": NODES, "geomean_speedup": geomean, "speedups": speedups}
     )

@@ -23,7 +23,7 @@ CI smoke job independently of — the timing gates):
 
 Two gates: the engine layer's dispatch must not add more than 5% host time
 over driving the columnar internals directly
-(``test_engine_layer_no_regression``, recorded via ``emit_json``); and — the
+(``test_engine_layer_no_regression``); and — the
 one production-vs-production ratio — a ``columnar`` Push-Pull count must cost
 at most 1.5x a ``columnar`` Push-Only count on rmat-14 / 8 ranks
 (``test_pushpull_over_push``, ROADMAP target 1.3).  The columnar engine's
@@ -37,7 +37,7 @@ import time
 
 import pytest
 
-from _artifacts import emit, emit_json
+from _artifacts import emit
 from repro.analysis.degree_triples import decorate_with_degrees
 from repro.bench import format_table, load_dataset
 from repro.core.callbacks import DegreeTripleSurvey, TriangleCounter
@@ -270,7 +270,6 @@ def test_engine_layer_no_regression(benchmark):
         "gate_fraction": REFACTOR_REGRESSION_GATE,
         "triangles": direct_count,
     }
-    emit_json("bench_engine_refactor", trajectory)
     emit(
         format_table(
             [
@@ -328,19 +327,6 @@ def test_pushpull_over_push(benchmark):
 
     best = {name: min(r.host_seconds for r in runs) for name, runs in reports.items()}
     ratio = best["push_pull"] / best["push"]
-    emit_json(
-        "bench_pushpull_over_push",
-        {
-            "graph": "rmat-14 (edge_factor=8, seed=0)",
-            "nodes": world.nranks,
-            "rounds": rounds,
-            "push_host_seconds": best["push"],
-            "push_pull_host_seconds": best["push_pull"],
-            "ratio": ratio,
-            "gate": PUSHPULL_OVER_PUSH_GATE,
-            "triangles": reports["push"][0].triangles,
-        },
-    )
     emit(
         format_table(
             [

@@ -1,56 +1,28 @@
 """End-to-end analyses reproducing the paper's application studies."""
 
 from .closure_times import (
-    ClosureTimeResult,
-    StreamingClosureTimeStep,
     describe_bucket,
     run_closure_time_survey,
     run_streaming_closure_time_survey,
 )
-from .clustering import (
-    ClusteringResult,
-    TrussResult,
-    run_clustering_coefficients,
-    run_truss_support,
-)
-from .communities import community_ordering, detect_communities, domain_cooccurrence_graph
-from .degree_triples import (
-    DegreeTripleResult,
-    decorate_with_degrees,
-    run_degree_triple_survey,
-)
-from .fqdn import (
-    AnchorSlice,
-    FqdnSurveyResult,
-    StreamingFqdnStep,
-    anchor_domain_slice,
-    run_fqdn_survey,
-    run_streaming_fqdn_survey,
-)
-from .truss import TrussDecomposition, truss_decomposition
+from .clustering import run_clustering_coefficients, run_truss_support
+from .communities import community_ordering, domain_cooccurrence_graph
+from .degree_triples import decorate_with_degrees, run_degree_triple_survey
+from .fqdn import anchor_domain_slice, run_fqdn_survey, run_streaming_fqdn_survey
+from .truss import truss_decomposition
 
 __all__ = [
-    "TrussDecomposition",
     "truss_decomposition",
-    "ClosureTimeResult",
     "run_closure_time_survey",
-    "StreamingClosureTimeStep",
     "run_streaming_closure_time_survey",
     "describe_bucket",
-    "DegreeTripleResult",
     "decorate_with_degrees",
     "run_degree_triple_survey",
-    "FqdnSurveyResult",
-    "AnchorSlice",
     "run_fqdn_survey",
-    "StreamingFqdnStep",
     "run_streaming_fqdn_survey",
     "anchor_domain_slice",
     "domain_cooccurrence_graph",
-    "detect_communities",
     "community_ordering",
-    "ClusteringResult",
-    "TrussResult",
     "run_clustering_coefficients",
     "run_truss_support",
 ]

@@ -12,7 +12,7 @@ the histogram into the marginal and joint distributions plotted in Fig. 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.callbacks import ClosureTimeSurvey, closure_marginals
@@ -26,9 +26,7 @@ from ..graph.metadata import edge_timestamp
 from ..runtime.world import World
 
 __all__ = [
-    "ClosureTimeResult",
     "run_closure_time_survey",
-    "StreamingClosureTimeStep",
     "run_streaming_closure_time_survey",
     "describe_bucket",
 ]

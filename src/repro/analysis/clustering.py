@@ -11,7 +11,7 @@ vertex and averaged) and truss support / k-truss membership from the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..core.callbacks import EdgeSupportCounter, LocalTriangleCounter
 from ..core.engine import EngineSelector
@@ -21,8 +21,6 @@ from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 
 __all__ = [
-    "ClusteringResult",
-    "TrussResult",
     "run_clustering_coefficients",
     "run_truss_support",
 ]

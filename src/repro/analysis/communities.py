@@ -10,13 +10,12 @@ helpers needed to turn FQDN-triple counts into a weighted domain graph.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import networkx as nx
 
 __all__ = [
     "domain_cooccurrence_graph",
-    "detect_communities",
     "community_ordering",
 ]
 

@@ -10,7 +10,7 @@ This module decorates a graph with its degrees and runs that survey.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.callbacks import DegreeTripleSurvey
 from ..core.engine import EngineSelector
@@ -20,7 +20,7 @@ from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 from ..graph.partition import Partitioner
 
-__all__ = ["DegreeTripleResult", "decorate_with_degrees", "run_degree_triple_survey"]
+__all__ = ["decorate_with_degrees", "run_degree_triple_survey"]
 
 
 @dataclass

@@ -25,10 +25,7 @@ from ..runtime.world import World
 from .communities import community_ordering, domain_cooccurrence_graph
 
 __all__ = [
-    "FqdnSurveyResult",
-    "AnchorSlice",
     "run_fqdn_survey",
-    "StreamingFqdnStep",
     "run_streaming_fqdn_survey",
     "anchor_domain_slice",
 ]

@@ -18,7 +18,7 @@ paper uses for the FQDN analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..core.callbacks import EdgeSupportCounter
 from ..core.engine import EngineSelector
@@ -27,7 +27,7 @@ from ..core.results import SurveyReport
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 
-__all__ = ["TrussDecomposition", "truss_decomposition"]
+__all__ = ["truss_decomposition"]
 
 Edge = Tuple[Hashable, Hashable]
 

@@ -1,57 +1,33 @@
 """Benchmark harness: stand-in datasets, scaling drivers, reporting."""
 
-from .comparison import DEFAULT_SYSTEMS, ComparisonResult, SystemResult, compare_systems
-from .datasets import DATASETS, StandInDataset, bench_scale, dataset_names, load_dataset
+from .comparison import compare_systems
+from .datasets import DATASETS, bench_scale, load_dataset
 from .reporting import (
     format_histogram,
     format_markdown_table,
     format_kv,
-    format_matrix,
-    format_series,
     format_table,
     human_bytes,
     human_count,
     percentiles,
 )
-from .scaling import (
-    ScalingPoint,
-    ScalingResult,
-    run_survey_at_scale,
-    strong_scaling,
-    weak_scaling_rmat,
-)
-from .streaming import (
-    FullRecompute,
-    StreamingSchedule,
-    full_recompute_survey,
-    make_streaming_schedule,
-)
+from .scaling import run_survey_at_scale, strong_scaling, weak_scaling_rmat
+from .streaming import full_recompute_survey, make_streaming_schedule
 
 __all__ = [
     "DATASETS",
-    "StandInDataset",
     "load_dataset",
-    "dataset_names",
     "bench_scale",
-    "ScalingPoint",
-    "ScalingResult",
     "run_survey_at_scale",
     "strong_scaling",
     "weak_scaling_rmat",
-    "StreamingSchedule",
     "make_streaming_schedule",
-    "FullRecompute",
     "full_recompute_survey",
-    "ComparisonResult",
-    "SystemResult",
     "compare_systems",
-    "DEFAULT_SYSTEMS",
     "format_table",
     "format_markdown_table",
     "format_kv",
-    "format_series",
     "format_histogram",
-    "format_matrix",
     "human_bytes",
     "human_count",
     "percentiles",

@@ -23,7 +23,7 @@ from ..graph.dodgr import DODGraph
 from ..graph.generators import GeneratedGraph
 from ..runtime.world import World
 
-__all__ = ["SystemResult", "ComparisonResult", "compare_systems", "DEFAULT_SYSTEMS"]
+__all__ = ["compare_systems"]
 
 #: Systems included in the comparison, in presentation order.
 DEFAULT_SYSTEMS = ("tripoll_push_pull", "tripoll_push", "pearce", "tom2d", "tric")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..graph.edge_list import canonical_pair
 from ..graph.generators import (
@@ -34,7 +34,7 @@ from ..graph.generators import (
 )
 from ..graph.metadata import edge_timestamp
 
-__all__ = ["StandInDataset", "DATASETS", "load_dataset", "dataset_names", "bench_scale"]
+__all__ = ["DATASETS", "load_dataset", "bench_scale"]
 
 
 def bench_scale() -> float:
@@ -170,10 +170,6 @@ DATASETS: Dict[str, StandInDataset] = {
         build=lambda scale: rmat(12, edge_factor=8, seed=19, name="rmat-weak"),
     ),
 }
-
-
-def dataset_names() -> List[str]:
-    return list(DATASETS.keys())
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,7 @@ __all__ = [
     "format_table",
     "format_markdown_table",
     "format_kv",
-    "format_series",
     "format_histogram",
-    "format_matrix",
     "human_bytes",
     "human_count",
     "percentiles",
@@ -164,18 +162,6 @@ def format_kv(pairs: Mapping[str, Any], title: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def format_series(
-    xs: Sequence[Any],
-    ys: Sequence[Any],
-    x_label: str = "x",
-    y_label: str = "y",
-    title: Optional[str] = None,
-) -> str:
-    """Render a figure series as two aligned columns."""
-    rows = [{x_label: x, y_label: y} for x, y in zip(xs, ys)]
-    return format_table(rows, columns=[x_label, y_label], title=title)
-
-
 def format_histogram(
     histogram: Mapping[Any, int],
     key_label: str = "bucket",
@@ -196,28 +182,6 @@ def format_histogram(
         count = histogram[key]
         bar = "#" * max(1, int(max_bar * count / peak)) if count > 0 else ""
         lines.append(f"{str(key).ljust(key_width)}  {count:>10,d}  {bar}")
-    return "\n".join(lines)
-
-
-def format_matrix(
-    labels: Sequence[str],
-    grid: Sequence[Sequence[int]],
-    title: Optional[str] = None,
-    max_labels: int = 20,
-) -> str:
-    """Render a (possibly truncated) 2D count matrix (Fig. 8 heat map)."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    shown = list(labels[:max_labels])
-    if len(labels) > max_labels:
-        lines.append(f"(showing first {max_labels} of {len(labels)} domains)")
-    width = max((len(label) for label in shown), default=4)
-    header = " " * (width + 1) + " ".join(f"{i:>6d}" for i in range(len(shown)))
-    lines.append(header)
-    for i, label in enumerate(shown):
-        row = grid[i][: len(shown)]
-        lines.append(f"{label.ljust(width)} " + " ".join(f"{value:>6d}" for value in row))
     return "\n".join(lines)
 
 

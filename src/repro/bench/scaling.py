@@ -25,8 +25,6 @@ from ..graph.generators import GeneratedGraph, rmat
 from ..runtime.world import World
 
 __all__ = [
-    "ScalingPoint",
-    "ScalingResult",
     "run_survey_at_scale",
     "strong_scaling",
     "weak_scaling_rmat",

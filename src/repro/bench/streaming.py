@@ -22,7 +22,7 @@ from ..core.survey import triangle_survey_push
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 
-__all__ = ["StreamingSchedule", "make_streaming_schedule", "FullRecompute", "full_recompute_survey"]
+__all__ = ["make_streaming_schedule", "full_recompute_survey"]
 
 
 @dataclass

@@ -25,9 +25,6 @@ from ..service import SurveyAnswer, SurveyQuery, SurveyService
 from .streaming import make_streaming_schedule
 
 __all__ = [
-    "TrafficEvent",
-    "TrafficTrace",
-    "TrafficResult",
     "make_service_workload",
     "make_query_traffic",
     "run_query_traffic",

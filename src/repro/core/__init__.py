@@ -19,14 +19,11 @@ threaded through ``analysis/*``, ``bench/*`` and the benchmark CLIs.
 """
 
 from .approximate import (
-    ApproximateCount,
     SurvivorEstimate,
     approximate_triangle_count,
-    sparsify_graph,
     survivor_triangle_estimate,
 )
 from .callbacks import (
-    REDUCER_REGISTRY,
     ClosureTimeSurvey,
     DegreeTripleSurvey,
     EdgeSupportCounter,
@@ -50,20 +47,8 @@ from .engine import (
     execute_survey,
     resolve_engine,
 )
-from .incremental import (
-    DELTA_PUSH_PHASE,
-    StreamingStep,
-    StreamingSurvey,
-    incremental_triangle_survey,
-)
-from .intersection import (
-    INTERSECTION_KERNELS,
-    ROW_KERNELS,
-    IntersectionResult,
-    binary_search_intersection,
-    hash_intersection,
-    merge_path_intersection,
-)
+from .incremental import DELTA_PUSH_PHASE, StreamingSurvey, incremental_triangle_survey
+from .intersection import INTERSECTION_KERNELS, ROW_KERNELS
 from .push_pull import (
     DRY_RUN_PHASE,
     PULL_PHASE,
@@ -77,7 +62,7 @@ from .survey import (
     resolve_batch_callback,
     triangle_survey_push,
 )
-from .wedges import per_rank_wedge_counts, wedge_count, wedge_count_from_edges, work_rate
+from .wedges import work_rate
 
 __all__ = [
     "triangle_survey",
@@ -85,12 +70,9 @@ __all__ = [
     "triangle_survey_push_pull",
     "incremental_triangle_survey",
     "StreamingSurvey",
-    "StreamingStep",
     "DELTA_PUSH_PHASE",
     "merge_count_dicts",
     "approximate_triangle_count",
-    "sparsify_graph",
-    "ApproximateCount",
     "SurvivorEstimate",
     "survivor_triangle_estimate",
     "SurveyReport",
@@ -104,14 +86,9 @@ __all__ = [
     "FqdnTripleSurvey",
     "log2_bucket",
     "log2_bucket_array",
-    "REDUCER_REGISTRY",
     "reducer_names",
     "registered_reducers",
     "get_reducer",
-    "merge_path_intersection",
-    "binary_search_intersection",
-    "hash_intersection",
-    "IntersectionResult",
     "INTERSECTION_KERNELS",
     "ROW_KERNELS",
     "EngineSpec",
@@ -122,9 +99,6 @@ __all__ = [
     "engine_names",
     "execute_survey",
     "resolve_batch_callback",
-    "wedge_count",
-    "per_rank_wedge_counts",
-    "wedge_count_from_edges",
     "work_rate",
     "DRY_RUN_PHASE",
     "PUSH_PHASE",

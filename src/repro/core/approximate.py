@@ -17,7 +17,7 @@ surveyed triangle representative of ``1/p^3`` real ones in expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -29,10 +29,8 @@ from .results import SurveyReport
 from .survey import TriangleCallback, triangle_survey_push
 
 __all__ = [
-    "ApproximateCount",
     "SurvivorEstimate",
     "approximate_triangle_count",
-    "sparsify_graph",
     "survivor_triangle_estimate",
 ]
 

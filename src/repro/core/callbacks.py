@@ -78,7 +78,6 @@ __all__ = [
     "closure_marginals",
     "DegreeTripleSurvey",
     "FqdnTripleSurvey",
-    "REDUCER_REGISTRY",
     "reducer_names",
     "registered_reducers",
     "get_reducer",

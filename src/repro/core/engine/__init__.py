@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .registry import (
-    BACKENDS,
     DEFAULT_ENGINE,
     EngineSpec,
     backend_names,
@@ -77,7 +76,6 @@ __all__ = [
     "SurveyResult",
     "SurveyProgram",
     "TriangleCallback",
-    "BACKENDS",
     "DEFAULT_ENGINE",
     "resolve_execution",
     "resolve_engine",
@@ -128,7 +126,6 @@ def execute_survey(request: SurveyRequest, engine=None) -> SurveyResult:
 from .checkpoint import (  # noqa: E402
     CheckpointPolicy,
     RecoveryLog,
-    ResilientSurveyResult,
     StaleCheckpointError,
     StreamingCheckpoint,
     run_survey_with_recovery,

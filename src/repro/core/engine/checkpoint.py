@@ -59,7 +59,6 @@ from .request import DEFAULT_CALLBACK_COMPUTE_UNITS, SurveyRequest
 __all__ = [
     "CheckpointPolicy",
     "RecoveryLog",
-    "ResilientSurveyResult",
     "StaleCheckpointError",
     "StreamingCheckpoint",
     "run_survey_with_recovery",

@@ -32,7 +32,7 @@ from .segments import kept_offsets, positions_of_ids, ragged_gather, stable_key_
 
 import numpy as _np
 
-__all__ = ["build_delta_program", "drive_columnar_delta"]
+__all__ = ["build_delta_program"]
 
 
 def build_delta_program(

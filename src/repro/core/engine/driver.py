@@ -40,12 +40,9 @@ import numpy as _np
 __all__ = [
     "legacy_push_payload_overhead",
     "resolve_batch_callback",
-    "deliver_batch",
     "columnar_push_batch",
-    "wedge_stream",
     "CandidateStage",
     "make_columnar_delta_handlers",
-    "new_row_adjacency",
     "drive_columnar_push",
     "drive_columnar_dry_run",
     "send_wedges",

@@ -32,7 +32,6 @@ from .request import EngineConfig
 
 __all__ = [
     "EngineSpec",
-    "BACKENDS",
     "DEFAULT_ENGINE",
     "resolve_execution",
     "resolve_engine",
@@ -41,7 +40,6 @@ __all__ = [
     "backend_names",
     "UNSUPPORTED",
     "check_supported",
-    "selector_features",
     "survey_features",
 ]
 

@@ -112,7 +112,6 @@ __all__ = [
     "incremental_triangle_survey",
     "DELTA_PUSH_PHASE",
     "StreamingSurvey",
-    "StreamingStep",
 ]
 
 
@@ -358,17 +357,18 @@ class StreamingSurvey:
             if vertex_meta:
                 for vertex, meta in vertex_meta.items():
                     self.delta_buffer.stage_vertex_meta(vertex, meta)
-            applied = self.delta_buffer.apply(self.graph)
-        superseded = self.dodgr
-        self.dodgr = applied.dodgr
-        if superseded is not None and all(
-            delta.dodgr is not superseded for delta in self._pending
-        ):
             # The rebuilt DODGr replaces the previous one wholesale; unless
             # the replay log still holds it, release the old rebuild's
-            # handler slot and rank stores so a long stream's memory stays
-            # O(graph), not O(graph x batches).
-            superseded.release()
+            # handler slot, rank stores and value memos so a long stream's
+            # memory stays O(graph), not O(graph x batches) — before the
+            # rebuild, so the two are never resident together.
+            superseded, self.dodgr = self.dodgr, None
+            if superseded is not None and all(
+                delta.dodgr is not superseded for delta in self._pending
+            ):
+                superseded.release()
+            applied = self.delta_buffer.apply(self.graph)
+        self.dodgr = applied.dodgr
         self._pending.append(applied)
 
         restarts = 0

@@ -45,16 +45,9 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as _np
 
 __all__ = [
-    "merge_path_intersection",
-    "binary_search_intersection",
-    "hash_intersection",
-    "IntersectionResult",
     "INTERSECTION_KERNELS",
     "RowAdjacency",
     "RowBatchResult",
-    "merge_path_rows",
-    "hash_rows",
-    "binary_search_rows",
     "ROW_KERNELS",
     "KERNEL_TIERS",
     "KERNEL_TIER_FALLBACK",

@@ -17,7 +17,6 @@ __all__ = [
     "HalfEdgeColumns",
     "ValueMemo",
     "ValueColumn",
-    "VALUE_MEMO_EXTRACTORS",
     "id_array",
     "id_column",
     "object_column",
@@ -152,18 +151,20 @@ class ValueMemo:
         return out
 
     def moved(self, destinations, size: int) -> "ValueMemo":
-        """The memo re-indexed into a column of ``size`` slots; this one empties.
+        """A copy of the memo re-indexed into a column of ``size`` slots.
 
         Slot ``i`` lands at ``destinations[i]``; the other slots start
         unfilled.  Extractors without an array form are not carried, so
-        one odd value cannot turn the array path off for good.
+        one odd value cannot turn the array path off for good.  This memo
+        keeps its arrays: an epoch still surveyed (a pinned service epoch,
+        a retained ``AppliedDelta.dodgr``) reads what it held at the move
+        without extracting it again.
         """
         memo = ValueMemo(size)
         for extract, values in self._by_extract.items():
             if values is not None:
                 moved = memo._by_extract[extract] = _np.full(size, _HOLES[values.dtype])
                 moved[destinations] = values
-        self._by_extract.clear()
         return memo
 
     def forget(self, slots) -> None:

@@ -14,24 +14,19 @@ explicit).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Any, Hashable, Sequence, Tuple
 
 import numpy as _np
 
 from ..runtime.world import stable_hash, stable_hash_int_array
 from .columnar import id_array
 
-__all__ = ["order_key", "precedes", "DegreeOrder", "order_positions"]
+__all__ = ["order_key", "order_positions"]
 
 
 def order_key(vertex: Hashable, degree: int) -> Tuple[int, int, str]:
     """Sort key implementing the ``<+`` comparison for a vertex of known degree."""
     return (degree, stable_hash(vertex), repr(vertex))
-
-
-def precedes(u: Hashable, du: int, v: Hashable, dv: int) -> bool:
-    """True when ``u <+ v`` under the degree ordering."""
-    return order_key(u, du) < order_key(v, dv)
 
 
 def order_positions(
@@ -89,28 +84,3 @@ def order_positions(
     pos = _np.empty(n, dtype=_np.int64)
     pos[order] = _np.arange(n, dtype=_np.int64)
     return pos, order
-
-
-class DegreeOrder:
-    """Convenience wrapper around a degree table implementing ``<+`` queries."""
-
-    def __init__(self, degrees: Mapping[Hashable, int]) -> None:
-        self.degrees: Dict[Hashable, int] = dict(degrees)
-
-    def degree(self, vertex: Hashable) -> int:
-        return self.degrees.get(vertex, 0)
-
-    def key(self, vertex: Hashable) -> Tuple[int, int, str]:
-        return order_key(vertex, self.degree(vertex))
-
-    def precedes(self, u: Hashable, v: Hashable) -> bool:
-        return self.key(u) < self.key(v)
-
-    def sorted_vertices(self, vertices: Iterable[Hashable]) -> list:
-        return sorted(vertices, key=self.key)
-
-    def max_vertex(self, vertices: Iterable[Hashable]) -> Any:
-        return max(vertices, key=self.key)
-
-    def min_vertex(self, vertices: Iterable[Hashable]) -> Any:
-        return min(vertices, key=self.key)

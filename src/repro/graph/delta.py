@@ -447,9 +447,9 @@ def _merge_batch(
     half_sizes = _np.empty(num_half, dtype=_np.int64)
     half_sizes[old_pos] = _value_sizes(old.edge_meta) if old_sizes is None else old_sizes
     half_sizes[new_pos] = _np.repeat(_value_sizes(edge_meta), 2)
-    # So do the extracted values: each memo moves to the new positions (the
-    # old image's empties); the batch's half edges and new vertices start
-    # unfilled, and so do old vertices whose metadata the batch wrote.
+    # So do the extracted values: each memo is copied to the new positions
+    # (the old image keeps its own); the batch's half edges and new vertices
+    # start unfilled, and so do old vertices whose metadata the batch wrote.
     half_values = (old.edge_values or ValueMemo(0)).moved(old_pos, num_half)
     vertex_values = (old.vertex_values or ValueMemo(0)).moved(row_of[:num_old], total)
     if keys:

@@ -36,7 +36,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..runtime.serialization import int_size_array, serialized_size, uvarint_size
 from ..runtime.world import RankContext, World, stable_key_order
-from .columnar import VALUE_MEMO_EXTRACTORS, HalfEdgeColumns, ValueColumn, ValueMemo
+from .columnar import HalfEdgeColumns, ValueColumn, ValueMemo
 from .degree import order_positions
 from .distributed_graph import DistributedGraph
 from .ooc import StorageConfig, release_csr_segments, resolve_storage, spill_csr, unspill_csr
@@ -44,7 +44,7 @@ from .partition import Partitioner
 
 import numpy as _np
 
-__all__ = ["DODGraph", "CSRAdjacency", "VALUE_MEMO_EXTRACTORS"]
+__all__ = ["DODGraph", "CSRAdjacency"]
 
 
 class CSRAdjacency:
@@ -563,9 +563,8 @@ class DODGraph:
         and therefore every accounted message size, is unchanged — see
         :meth:`~repro.runtime.rpc.RpcRegistry.release`) and drops the
         columns, their segment files, the global views over them and the
-        value-memo references (a streamed image's edge memo has moved on by
-        then).  Every later read raises :class:`RuntimeError`; releasing a
-        freed graph again does nothing.
+        value-memo references.  Every later read raises
+        :class:`RuntimeError`; releasing a freed graph again does nothing.
         """
         if self._refs <= 0:
             return

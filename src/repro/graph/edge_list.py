@@ -34,7 +34,6 @@ import numpy as _np
 
 __all__ = [
     "DistributedEdgeList",
-    "EdgeRecord",
     "canonical_pair",
     "validate_edge_columns",
     "int64_id_columns",

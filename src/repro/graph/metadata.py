@@ -13,8 +13,8 @@ module provides:
 * :class:`TriangleMetadata` — the six pieces of metadata (plus the vertex
   ids) handed to a survey callback when a triangle ``Δpqr`` is identified,
   with ``p <+ q <+ r`` in degree order.
-* small typed conveniences for common decorations (temporal edges, labelled
-  vertices) used by the examples and generators.
+* small typed conveniences for the temporal edge decoration the examples
+  and generators use.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ from typing import Any, Tuple
 __all__ = [
     "TriangleMetadata",
     "TriangleBatch",
-    "TRIANGLE_COLUMNS",
     "ARRAY_VALUES_MIN_BATCH",
     "temporal_edge_meta",
-    "labeled_vertex_meta",
     "edge_timestamp",
-    "vertex_label",
 ]
 
 
@@ -259,19 +256,3 @@ def edge_timestamp(edge_meta: Any) -> float:
     if isinstance(edge_meta, dict):
         return float(edge_meta["timestamp"])
     return float(edge_meta)
-
-
-def labeled_vertex_meta(label: Any, **extra: Any) -> Any:
-    """Vertex metadata carrying a discrete label plus optional named fields."""
-    if not extra:
-        return label
-    meta = {"label": label}
-    meta.update(extra)
-    return meta
-
-
-def vertex_label(vertex_meta: Any) -> Any:
-    """Extract the label from metadata produced by :func:`labeled_vertex_meta`."""
-    if isinstance(vertex_meta, dict):
-        return vertex_meta.get("label")
-    return vertex_meta

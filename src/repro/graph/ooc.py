@@ -47,7 +47,6 @@ import numpy as _np
 
 __all__ = [
     "STORAGES",
-    "DEFAULT_BUDGET_BYTES",
     "StorageConfig",
     "resolve_storage",
     "spill_csr",

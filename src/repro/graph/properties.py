@@ -3,9 +3,8 @@
 For every dataset the paper lists ``|V|``, ``|E|`` (symmetrized/directed edge
 count), ``|T|`` (triangle count), ``d_max`` (maximum degree) and ``d+_max``
 (maximum out-degree in the degree-ordered directed graph).  This module
-computes those quantities for any of the representations used in this
-reproduction (raw edge records, :class:`GeneratedGraph`,
-:class:`DistributedGraph`, :class:`DODGraph`), including a fast serial
+computes those quantities from raw edge records or a
+:class:`GeneratedGraph`, including a fast serial
 forward-algorithm triangle counter that doubles as the ground-truth oracle
 for the distributed algorithms' tests.
 """
@@ -15,21 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from ..runtime.world import stable_hash
 from .degree import order_key
-from .distributed_graph import DistributedGraph
-from .dodgr import DODGraph
 from .generators import GeneratedGraph
 
 __all__ = [
-    "GraphSummary",
     "build_adjacency",
     "serial_triangle_count",
     "serial_triangle_list",
-    "max_dodgr_out_degree",
     "dodgr_wedge_count",
     "summarize_edges",
-    "summarize_distributed",
 ]
 
 
@@ -122,14 +115,6 @@ def serial_triangle_list(
     return triangles
 
 
-def max_dodgr_out_degree(
-    edges: Iterable[Tuple[Hashable, Hashable] | Tuple[Hashable, Hashable, Any]],
-) -> int:
-    adjacency = build_adjacency(edges)
-    dodgr = _dodgr_out_neighbours(adjacency)
-    return max((len(nbrs) for nbrs in dodgr.values()), default=0)
-
-
 def dodgr_wedge_count(
     edges: Iterable[Tuple[Hashable, Hashable] | Tuple[Hashable, Hashable, Any]],
 ) -> int:
@@ -173,30 +158,4 @@ def summarize_edges(
         max_degree=max((len(neigh) for neigh in adjacency.values()), default=0),
         max_dodgr_out_degree=max((len(nbrs) for nbrs in dodgr.values()), default=0),
         wedge_count=sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in dodgr.values()),
-    )
-
-
-def summarize_distributed(
-    graph: DistributedGraph,
-    dodgr: Optional[DODGraph] = None,
-    triangle_count: Optional[int] = None,
-    name: Optional[str] = None,
-) -> GraphSummary:
-    """Compute a Table 1 row from distributed structures.
-
-    ``triangle_count`` may be supplied (e.g. from a TriPoll run) to avoid a
-    serial recount; otherwise the serial oracle runs over the exported edges.
-    """
-    if dodgr is None:
-        dodgr = DODGraph.build(graph, mode="bulk")
-    if triangle_count is None:
-        triangle_count = serial_triangle_count(list(graph.edges()))
-    return GraphSummary(
-        name=name or graph.name,
-        num_vertices=graph.num_vertices(),
-        num_directed_edges=graph.num_directed_edges(),
-        num_triangles=triangle_count,
-        max_degree=graph.max_degree(),
-        max_dodgr_out_degree=dodgr.max_out_degree(),
-        wedge_count=dodgr.wedge_count(),
     )

@@ -20,7 +20,7 @@ from ..graph.degree import order_key
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 
-__all__ = ["AdjEntry", "Records", "RecordView", "entry_key", "record_view", "routed_build"]
+__all__ = ["entry_key", "record_view", "routed_build"]
 
 #: An Adj^m_+ entry: (target vertex, target degree, edge metadata, target vertex metadata)
 AdjEntry = Tuple[Hashable, int, Any, Any]

@@ -10,7 +10,7 @@ The public surface mirrors the pieces of the C++ stack the paper describes:
 * :mod:`~repro.runtime.message_buffer` — YGM message aggregation.
 * :mod:`~repro.runtime.network_model` — the latency/bandwidth cost model that
   converts measured counters into simulated wall-clock time.
-* :mod:`~repro.runtime.reductions` — All_Reduce-style collectives.
+* :mod:`~repro.runtime.reductions` — the All_Reduce sum collective.
 * :mod:`~repro.runtime.backend` — execution backends: the process backend
   runs survey programs across forked rank-shard workers over shared memory,
   bit-identical to the simulated oracle.
@@ -20,28 +20,18 @@ from .backend import (
     ProcessBackendError,
     UnsupportedBackendError,
     active_segment_names,
-    resolve_worker_count,
     run_program_in_processes,
 )
 from .faults import (
     FaultInjector,
     FaultPlan,
-    FaultStats,
     RankCrashError,
     fault_plan_digest,
     sample_fault_plans,
 )
-from .message_buffer import DEFAULT_FLUSH_THRESHOLD, BufferBank, MessageBuffer
-from .network_model import CATALYST_LIKE, CostModel, PhaseTime, SimulatedTime, simulate_time
-from .reductions import (
-    all_reduce,
-    all_reduce_max,
-    all_reduce_min,
-    all_reduce_sum,
-    broadcast,
-    gather,
-    reduce_dicts,
-)
+from .message_buffer import DEFAULT_FLUSH_THRESHOLD, BufferBank
+from .network_model import CATALYST_LIKE, CostModel, SimulatedTime, simulate_time
+from .reductions import all_reduce_sum
 from .rpc import RpcError, RpcHandle, RpcRegistry
 from .serialization import (
     SerializationError,
@@ -50,7 +40,7 @@ from .serialization import (
     register_record,
     serialized_size,
 )
-from .stats import DEFAULT_PHASE, PhaseStats, RankStats, WorldStats
+from .stats import PhaseStats, RankStats, WorldStats
 from .world import LivelockError, RankContext, World, WorldError, stable_hash
 
 __all__ = [
@@ -60,7 +50,6 @@ __all__ = [
     "LivelockError",
     "FaultPlan",
     "FaultInjector",
-    "FaultStats",
     "RankCrashError",
     "fault_plan_digest",
     "sample_fault_plans",
@@ -74,27 +63,17 @@ __all__ = [
     "register_record",
     "serialized_size",
     "BufferBank",
-    "MessageBuffer",
     "DEFAULT_FLUSH_THRESHOLD",
     "CostModel",
     "CATALYST_LIKE",
     "SimulatedTime",
-    "PhaseTime",
     "simulate_time",
     "PhaseStats",
     "RankStats",
     "WorldStats",
-    "DEFAULT_PHASE",
-    "all_reduce",
     "all_reduce_sum",
-    "all_reduce_max",
-    "all_reduce_min",
-    "reduce_dicts",
-    "broadcast",
-    "gather",
     "ProcessBackendError",
     "UnsupportedBackendError",
     "active_segment_names",
-    "resolve_worker_count",
     "run_program_in_processes",
 ]

@@ -24,20 +24,16 @@ Modules
 from __future__ import annotations
 
 from .process import (
-    DEFAULT_MAX_WORKERS,
     ProcessBackendError,
     UnsupportedBackendError,
-    resolve_worker_count,
     run_program_in_processes,
 )
 from .shm import active_segment_names, shared_memory_available
 
 __all__ = [
-    "DEFAULT_MAX_WORKERS",
     "ProcessBackendError",
     "UnsupportedBackendError",
     "active_segment_names",
-    "resolve_worker_count",
     "run_program_in_processes",
     "shared_memory_available",
 ]

@@ -58,8 +58,6 @@ from .transport import MessageDecoder, MessageEncoder, SegmentWriter, sort_key
 __all__ = [
     "ProcessBackendError",
     "UnsupportedBackendError",
-    "DEFAULT_MAX_WORKERS",
-    "resolve_worker_count",
     "run_program_in_processes",
 ]
 

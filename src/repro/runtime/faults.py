@@ -46,14 +46,11 @@ from typing import Any, Dict, List, Optional, Tuple
 __all__ = [
     "FaultPlan",
     "FaultInjector",
-    "FaultStats",
     "RankCrashError",
     "ReliableTransport",
     "Envelope",
     "fault_plan_digest",
-    "message_wire_bytes",
     "sample_fault_plans",
-    "PLAN_KINDS",
 ]
 
 

@@ -53,7 +53,6 @@ from .stats import RankStats
 __all__ = [
     "BufferedMessage",
     "SizedMessage",
-    "MessageBuffer",
     "BufferBank",
     "DEFAULT_FLUSH_THRESHOLD",
 ]

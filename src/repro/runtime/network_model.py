@@ -27,11 +27,11 @@ published tables; absolute values are labelled "simulated seconds".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .stats import PhaseStats, WorldStats
 
-__all__ = ["CostModel", "PhaseTime", "SimulatedTime", "CATALYST_LIKE", "simulate_time"]
+__all__ = ["CostModel", "SimulatedTime", "CATALYST_LIKE", "simulate_time"]
 
 
 @dataclass(frozen=True)

@@ -2,37 +2,26 @@
 
 TriPoll's callbacks accumulate *local* state on each rank (a triangle
 counter, a local counting-set cache, per-vertex participation counts); the
-final survey result is obtained with MPI ``All_Reduce``-style collectives.
-These helpers provide the equivalent for the simulated world: they take one
-value per rank, combine them with the requested operation, and account the
-communication a binomial-tree reduction would have cost (``log2(P)`` rounds
-of one message per participating rank), so that the collective shows up in
-the simulated time and communication volume like it would in the real
-system.
+final survey result is obtained with an MPI ``All_Reduce``.  The helper here
+provides the equivalent for the simulated world: it takes one value per
+rank, sums them, and accounts the communication a binomial-tree reduction
+would have cost (``log2(P)`` rounds of one message per participating rank),
+so that the collective shows up in the simulated time and communication
+volume like it would in the real system.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Sequence, TypeVar
+from typing import Any, Sequence
 
 from .serialization import serialized_size
 from .world import World
 
-__all__ = [
-    "all_reduce",
-    "all_reduce_sum",
-    "all_reduce_max",
-    "all_reduce_min",
-    "reduce_dicts",
-    "broadcast",
-    "gather",
-]
-
-T = TypeVar("T")
+__all__ = ["all_reduce_sum"]
 
 
-def _account_collective(world: World, values: Sequence[Any], phase_hint: str | None = None) -> None:
+def _account_collective(world: World, values: Sequence[Any]) -> None:
     """Charge a binomial-tree reduction's traffic to the current phase."""
     if world.nranks <= 1:
         return
@@ -48,12 +37,9 @@ def _account_collective(world: World, values: Sequence[Any], phase_hint: str | N
         stats.bytes_sent_remote += rounds * nbytes
 
 
-def all_reduce(
-    world: World,
-    per_rank_values: Sequence[T],
-    op: Callable[[T, T], T],
-) -> T:
-    """Combine one value per rank with a binary operation; every rank gets the result."""
+def all_reduce_sum(world: World, per_rank_values: Sequence[Any]) -> Any:
+    """Sum-reduce one value per rank (ints, floats, or anything supporting +);
+    every rank gets the result."""
     if len(per_rank_values) != world.nranks:
         raise ValueError(
             f"expected {world.nranks} values (one per rank), got {len(per_rank_values)}"
@@ -61,61 +47,5 @@ def all_reduce(
     _account_collective(world, per_rank_values)
     result = per_rank_values[0]
     for value in per_rank_values[1:]:
-        result = op(result, value)
+        result = result + value
     return result
-
-
-def all_reduce_sum(world: World, per_rank_values: Sequence[Any]) -> Any:
-    """Sum-reduce one value per rank (ints, floats, or anything supporting +)."""
-    return all_reduce(world, per_rank_values, lambda a, b: a + b)
-
-
-def all_reduce_max(world: World, per_rank_values: Sequence[Any]) -> Any:
-    return all_reduce(world, per_rank_values, lambda a, b: a if a >= b else b)
-
-
-def all_reduce_min(world: World, per_rank_values: Sequence[Any]) -> Any:
-    return all_reduce(world, per_rank_values, lambda a, b: a if a <= b else b)
-
-
-def reduce_dicts(world: World, per_rank_dicts: Sequence[Dict[Any, Any]]) -> Dict[Any, Any]:
-    """Merge per-rank counter dictionaries by summing values per key."""
-    if len(per_rank_dicts) != world.nranks:
-        raise ValueError(
-            f"expected {world.nranks} dictionaries (one per rank), got {len(per_rank_dicts)}"
-        )
-    _account_collective(world, per_rank_dicts)
-    merged: Dict[Any, Any] = {}
-    for rank_dict in per_rank_dicts:
-        for key, value in rank_dict.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
-
-
-def broadcast(world: World, value: T, root: int = 0) -> List[T]:
-    """Broadcast a value from ``root`` to every rank (returns the per-rank copies)."""
-    if root < 0 or root >= world.nranks:
-        raise ValueError(f"root rank {root} out of range")
-    if world.nranks > 1:
-        try:
-            nbytes = serialized_size(value)
-        except Exception:  # pragma: no cover
-            nbytes = 64
-        rounds = max(1, int(math.ceil(math.log2(world.nranks))))
-        stats = world.stats.ranks[root].current
-        stats.wire_messages += rounds
-        stats.wire_bytes += rounds * (nbytes + 64)
-        stats.bytes_sent_remote += rounds * nbytes
-    return [value for _ in range(world.nranks)]
-
-
-def gather(world: World, per_rank_values: Sequence[T], root: int = 0) -> List[T]:
-    """Gather one value per rank at ``root`` (returned as a list indexed by rank)."""
-    if len(per_rank_values) != world.nranks:
-        raise ValueError(
-            f"expected {world.nranks} values (one per rank), got {len(per_rank_values)}"
-        )
-    if root < 0 or root >= world.nranks:
-        raise ValueError(f"root rank {root} out of range")
-    _account_collective(world, per_rank_values)
-    return list(per_rank_values)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-__all__ = ["PhaseStats", "RankStats", "WorldStats", "DEFAULT_PHASE"]
+__all__ = ["PhaseStats", "RankStats", "WorldStats"]
 
 DEFAULT_PHASE = "default"
 

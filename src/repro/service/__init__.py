@@ -10,34 +10,28 @@ bounded-error estimates.  See ``docs/service.md`` for the query
 lifecycle and ladder semantics.
 """
 
-from .admission import AdmissionController, AdmissionDecision, CostModel
+from .admission import AdmissionController, CostModel
 from .cache import CacheEntry, PanelCache
 from .deadline import Deadline, DeadlineExceeded
 from .service import (
     ANALYSES,
-    AnalysisSpec,
-    QueryTicket,
     ServiceError,
     ServicePolicy,
     SurveyAnswer,
     SurveyQuery,
     SurveyService,
-    get_analysis,
 )
 from .stats import OUTCOMES, ServiceCounters, ServiceStats
 
 __all__ = [
     "ANALYSES",
-    "AnalysisSpec",
     "AdmissionController",
-    "AdmissionDecision",
     "CacheEntry",
     "CostModel",
     "Deadline",
     "DeadlineExceeded",
     "OUTCOMES",
     "PanelCache",
-    "QueryTicket",
     "ServiceCounters",
     "ServiceError",
     "ServicePolicy",
@@ -45,5 +39,4 @@ __all__ = [
     "SurveyAnswer",
     "SurveyQuery",
     "SurveyService",
-    "get_analysis",
 ]

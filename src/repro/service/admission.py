@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["AdmissionDecision", "AdmissionController", "CostModel"]
+__all__ = ["AdmissionController", "CostModel"]
 
 #: Retry-after floor so a hint is never a busy-loop invitation.
 _MIN_RETRY_AFTER_S = 0.01

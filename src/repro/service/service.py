@@ -78,14 +78,11 @@ from .stats import ServiceCounters, ServiceStats
 
 __all__ = [
     "ANALYSES",
-    "AnalysisSpec",
     "ServiceError",
     "ServicePolicy",
     "SurveyAnswer",
     "SurveyQuery",
-    "QueryTicket",
     "SurveyService",
-    "get_analysis",
 ]
 
 #: pseudo-engine names used in answers/cache keys for non-exact rungs

@@ -23,10 +23,8 @@ from .worlds import (
     Fixed,
     FloatRange,
     IntRange,
-    WORLD_SPECS,
     WorldConfig,
     WorldSpec,
-    build_graph,
     decorated_edges,
     degenerate_world_configs,
     get_world_spec,
@@ -35,12 +33,7 @@ from .worlds import (
     world_spec_names,
 )
 from .sampler import config_digest, sample_configs, sample_space
-from .chaos import (
-    ChaosCell,
-    ChaosParityError,
-    ChaosResult,
-    run_chaos_sweep,
-)
+from .chaos import ChaosParityError, ChaosResult, run_chaos_sweep
 from .runner import (
     ANALYSES,
     DEFAULT_ANALYSES,
@@ -52,11 +45,7 @@ from .runner import (
     sweep_engine_axis,
 )
 from .report import (
-    SWEEP_SCHEMA,
-    chaos_payload,
-    format_chaos_markdown,
     format_chaos_table,
-    format_sweep_markdown,
     format_sweep_table,
     sweep_payload,
     write_chaos_artifacts,
@@ -69,10 +58,8 @@ __all__ = [
     "Fixed",
     "FloatRange",
     "IntRange",
-    "WORLD_SPECS",
     "WorldConfig",
     "WorldSpec",
-    "build_graph",
     "decorated_edges",
     "degenerate_world_configs",
     "get_world_spec",
@@ -84,7 +71,6 @@ __all__ = [
     "sample_configs",
     "sample_space",
     # chaos
-    "ChaosCell",
     "ChaosParityError",
     "ChaosResult",
     "run_chaos_sweep",
@@ -98,11 +84,7 @@ __all__ = [
     "run_sweep",
     "sweep_engine_axis",
     # report
-    "SWEEP_SCHEMA",
-    "chaos_payload",
-    "format_chaos_markdown",
     "format_chaos_table",
-    "format_sweep_markdown",
     "format_sweep_table",
     "sweep_payload",
     "write_chaos_artifacts",

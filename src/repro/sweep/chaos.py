@@ -48,7 +48,6 @@ from .runner import (
 from .worlds import WorldConfig, decorated_edges, streaming_batches
 
 __all__ = [
-    "ChaosCell",
     "ChaosResult",
     "ChaosParityError",
     "run_chaos_sweep",

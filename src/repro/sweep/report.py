@@ -1,8 +1,7 @@
 """Sweep reporting: one tabular artifact (JSON + markdown) per run.
 
-The JSON payload (schema ``repro.sweep/v1``) is what CI uploads next to
-``bench_artifacts.json``; the markdown rendering is the human-readable
-coverage map.  Both carry the same rows — config × engine × analysis —
+The JSON payload (schema ``repro.sweep/v1``) is what CI uploads; the
+markdown rendering is the human-readable coverage map.  Both carry the same rows — config × engine × analysis —
 plus a "slow/fail regions" section listing the cells where a fast engine
 lost to ``legacy`` or parity failed (non-empty exactly when the sweep
 found regressions).
@@ -20,13 +19,9 @@ from .runner import SweepResult
 from .worlds import WorldConfig
 
 __all__ = [
-    "SWEEP_SCHEMA",
     "sweep_payload",
-    "chaos_payload",
     "format_sweep_table",
-    "format_sweep_markdown",
     "format_chaos_table",
-    "format_chaos_markdown",
     "write_sweep_artifacts",
     "write_chaos_artifacts",
 ]

@@ -56,11 +56,9 @@ __all__ = [
     "Fixed",
     "WorldSpec",
     "WorldConfig",
-    "WORLD_SPECS",
     "world_spec_names",
     "get_world_spec",
     "register_world_spec",
-    "build_graph",
     "decorated_edges",
     "streaming_batches",
     "degenerate_world_configs",

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import networkx as nx
 
-from repro.analysis import (
-    community_ordering,
-    detect_communities,
-    domain_cooccurrence_graph,
-)
+from repro.analysis import community_ordering, domain_cooccurrence_graph
+from repro.analysis.communities import detect_communities
 
 
 def two_cluster_counts():

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import DATASETS, bench_scale, dataset_names, load_dataset
+from repro.bench import DATASETS, bench_scale, load_dataset
 from repro.graph import serial_triangle_count
 from repro.graph.metadata import edge_timestamp
 
 
 class TestRegistry:
     def test_expected_datasets_present(self):
-        names = dataset_names()
+        names = list(DATASETS)
         for expected in (
             "livejournal-like",
             "friendster-like",

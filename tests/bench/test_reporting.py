@@ -7,8 +7,6 @@ import pytest
 from repro.bench import (
     format_histogram,
     format_kv,
-    format_matrix,
-    format_series,
     format_table,
     human_bytes,
     human_count,
@@ -57,11 +55,6 @@ class TestOtherFormats:
         assert text.splitlines()[0] == "Run"
         assert any("nodes" in line for line in text.splitlines())
 
-    def test_format_series(self):
-        text = format_series([1, 2, 4], [10.0, 5.0, 2.5], "nodes", "seconds")
-        assert "nodes" in text and "seconds" in text
-        assert len(text.splitlines()) == 5
-
     def test_format_histogram_bars_scale(self):
         text = format_histogram({1: 100, 2: 50, 3: 1}, title="H")
         lines = text.splitlines()
@@ -70,14 +63,6 @@ class TestOtherFormats:
 
     def test_format_histogram_empty(self):
         assert "(empty)" in format_histogram({})
-
-    def test_format_matrix_truncates(self):
-        labels = [f"d{i}.com" for i in range(30)]
-        grid = [[i * j for j in range(30)] for i in range(30)]
-        text = format_matrix(labels, grid, max_labels=5)
-        assert "showing first 5" in text
-        assert "d0.com" in text
-        assert "d29.com" not in text
 
 
 class TestPercentiles:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import approximate_triangle_count, sparsify_graph
+from repro.core import approximate_triangle_count
+from repro.core.approximate import sparsify_graph
 from repro.graph import DODGraph, serial_triangle_count
 from repro.runtime import World
 

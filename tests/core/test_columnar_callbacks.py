@@ -30,7 +30,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.graph.metadata as metadata_module
@@ -371,7 +371,9 @@ def test_large_phases_stay_within_the_chunk(tmp_path_factory, chunk, algorithm, 
     resident (``RESIDENT_PART_CANDIDATES`` set to ``chunk``), no row-kernel
     call spans more than ``chunk`` candidates unless one oversize wedge alone
     does, no delivered part holds more unless one message alone does, and
-    the survey still matches the unbounded resident one."""
+    the survey still matches the unbounded resident one.  A draw whose
+    ``chunk`` no multi-message part of the unbounded survey exceeds cuts
+    nothing, so it is skipped."""
     tier = resolve_kernel_tier(None)
     kernel = ROW_KERNEL_TIERS[tier]["merge_path"]
     spans, parts = [], []
@@ -411,6 +413,7 @@ def test_large_phases_stay_within_the_chunk(tmp_path_factory, chunk, algorithm, 
     resident = survey(None, unbounded)
     whole = len(parts)
     assert whole <= 2 * NRANKS  # one part per rank per phase
+    assume(chunk < max((total for total, count in parts if count > 1), default=0))
     spans.clear()
     parts.clear()
     if spilled:

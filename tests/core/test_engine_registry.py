@@ -11,7 +11,6 @@ import pytest
 from repro.core import triangle_survey_push, triangle_survey_push_pull
 from repro.core.callbacks import LocalTriangleCounter
 from repro.core.engine import (
-    BACKENDS,
     DEFAULT_ENGINE,
     EngineConfig,
     EngineSpec,
@@ -23,6 +22,7 @@ from repro.core.engine import (
 )
 from repro.core.engine import registry as registry_module
 from repro.core.engine.registry import (
+    BACKENDS,
     UNSUPPORTED,
     check_supported,
     selector_features,

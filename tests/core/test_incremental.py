@@ -449,6 +449,27 @@ def test_superseded_rebuilds_are_released():
     assert world.registry.handler(rebuilds[-1]._h_offer_edge.handler_id) is not None
 
 
+def test_the_superseded_rebuild_goes_before_the_next_build(monkeypatch):
+    """ingest releases the previous DODGr before it merges and rebuilds, so
+    the two rebuilds and their value memos are never resident together."""
+    edges = timestamped(erdos_renyi(30, 0.2, seed=5).edges)
+    batches = random_schedule(edges, 9, num_batches=2)
+    survey = StreamingSurvey(World(NRANKS), TriangleCounter, graph_name="order")
+    survey.ingest(batches[0])
+    previous, apply, seen = survey.dodgr, DeltaBuffer.apply, []
+
+    def recording_apply(self, graph, name=None):
+        with pytest.raises(RuntimeError, match="released"):
+            previous.num_vertices()
+        seen.append(survey.dodgr)
+        return apply(self, graph, name)
+
+    monkeypatch.setattr(DeltaBuffer, "apply", recording_apply)
+    survey.ingest(batches[1])
+    assert seen == [None] and survey.dodgr.num_vertices() > 0
+    survey.close()
+
+
 def test_ingest_after_close_raises():
     """close() is terminal: the stream neither rebuilds nor answers again."""
     edges = timestamped(erdos_renyi(30, 0.2, seed=5).edges)
@@ -469,9 +490,9 @@ def test_ingest_after_close_raises():
 def test_release_frees_a_retained_epochs_arrays():
     """A released DODGr lets its per-edge arrays go — CSR columns, the
     global views, the edge -> half edge and edge -> vertex maps and the
-    value memo it filled after the fact — while its AppliedDelta is still
-    referenced; the half-edge and vertex memos moved on with the image
-    instead of staying behind."""
+    value memos, both what they held when the next batch moved past them
+    and what they filled after — while its AppliedDelta is still
+    referenced."""
     edges = timestamped(erdos_renyi(60, 0.15, seed=4).edges)
     world = World(NRANKS)
     graph = DistributedGraph(world, name="epochs")
@@ -482,13 +503,17 @@ def test_release_frees_a_retained_epochs_arrays():
         applied.append(buffer.apply(graph))
         reducer = ClosureTimeSurvey(world)
         incremental_triangle_survey(applied[-1].dodgr, applied[-1], reducer.callback)
+        if len(applied) == 1:  # a vertex memo filled before the next batch
+            first = applied[0].dodgr.csr(0)
+            first.extracted_values(vertex_stamp, "row", np.arange(first.num_rows))
+            del first
     old = applied[0]
     csr = old.dodgr.csr(0)
     columns = old.dodgr.global_columns()
     values = columns["values"]
     assert values["row"].memo is values["target"].memo  # one vertex memo
-    for field in ("edge", "row"):
-        assert values[field].memo.extractors() == []  # moved to the new image
+    assert values["edge"].memo.extractors() == []
+    assert values["row"].memo.extractors() == [vertex_stamp]  # kept across the move
     csr.extracted_values(vertex_stamp, "target", np.arange(csr.num_edges))
     csr.extracted_values(vertex_stamp, "row", np.arange(csr.num_rows))
     arrays = [csr.tgt_ids, csr.edge_meta, columns["edge_meta"]]
@@ -501,6 +526,58 @@ def test_release_frees_a_retained_epochs_arrays():
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
     assert old.num_edges() > 0
+
+
+class CountedLabel:
+    """A vertex label extractor that counts its runs."""
+
+    def __init__(self):
+        self.runs = 0
+
+    def __call__(self, meta):
+        self.runs += 1
+        return -1 if meta is None else meta
+
+
+def read_rows(dodgr, extract):
+    """``extract`` over every row of every rank, with the rows' vertices and
+    metadata."""
+    read, vertices, metas = [], [], []
+    for rank in range(dodgr.world.nranks):
+        csr = dodgr.csr(rank)
+        read += csr.extracted_values(extract, "row", np.arange(csr.num_rows)).tolist()
+        vertices += csr.row_vertices.tolist()
+        metas += csr.row_meta.tolist()
+    return read, dict(zip(vertices, metas))
+
+
+def test_a_retained_epoch_keeps_the_values_it_held():
+    """An older epoch whose image a batch moved past still reads the values
+    its memo held — the old label where the batch rewrote a vertex —
+    without running the extractor again; the later epoch runs it only on
+    the vertices the batch brought or rewrote."""
+    edges = timestamped(erdos_renyi(40, 0.2, seed=3).edges)
+    vertices = sorted({u for u, _v, _m in edges} | {v for _u, v, _m in edges})
+    world = World(NRANKS)
+    graph = DistributedGraph(world, name="epochs")
+    buffer = DeltaBuffer(world)
+    applied = []
+    label = CountedLabel()
+    for half, batch in enumerate(random_schedule(edges, 6, num_batches=2)):
+        buffer.stage_edges(batch)
+        for vertex in vertices[half::2]:
+            buffer.stage_vertex_meta(vertex, 100 + vertex)
+        applied.append(buffer.apply(graph))
+        if not half:
+            read_rows(applied[0].dodgr, label)  # filled before the move
+    label.runs = 0
+    read, old = read_rows(applied[0].dodgr, label)
+    assert read == [-1 if meta is None else meta for meta in old.values()]
+    assert label.runs == 0
+    read, new = read_rows(applied[1].dodgr, label)
+    assert read == [-1 if meta is None else meta for meta in new.values()]
+    fresh = [v for v, meta in new.items() if v not in old or old[v] != meta]
+    assert fresh and label.runs == len(fresh)
 
 
 def vertex_stamp(meta):

@@ -1,39 +1,47 @@
-"""Tests for wedge accounting helpers."""
+"""Tests for wedge accounting: |W+| of a DODGr and the work rate."""
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.core.wedges import (
-    per_rank_wedge_counts,
-    wedge_count,
-    wedge_count_from_edges,
-    work_rate,
-)
-from repro.graph import DODGraph
+from repro.core.wedges import work_rate
+from repro.graph import DistributedGraph, DODGraph
+from repro.graph.properties import dodgr_wedge_count
 from repro.oracle import record_view
 from repro.runtime import World
+
+
+def built_wedge_count(edges, nranks: int = 3) -> int:
+    """|W+| of the DODGr built from ``edges`` over ``nranks`` ranks."""
+    dodgr = DODGraph.build(DistributedGraph.from_edges(World(nranks), edges))
+    return dodgr.wedge_count()
 
 
 class TestWedgeCounts:
     def test_wedge_count_matches_edge_oracle(self, small_rmat):
         world = World(4)
         dodgr = DODGraph.build(small_rmat.to_distributed(world))
-        assert wedge_count(dodgr) == wedge_count_from_edges(small_rmat.edges)
+        assert dodgr.wedge_count() == dodgr_wedge_count(small_rmat.edges)
 
     def test_per_rank_counts_sum_to_total(self, small_rmat):
         world = World(8)
         dodgr = DODGraph.build(small_rmat.to_distributed(world))
-        per_rank = per_rank_wedge_counts(dodgr)
+        per_rank = [
+            sum(len(record["adj"]) * (len(record["adj"]) - 1) // 2 for record in store.values())
+            for store in record_view(dodgr).stores
+        ]
         assert len(per_rank) == 8
-        assert sum(per_rank) == wedge_count(dodgr)
+        assert sum(per_rank) == dodgr.wedge_count()
 
     def test_partitioning_does_not_change_total(self, small_er):
         totals = set()
         for nranks in (1, 3, 8):
             world = World(nranks)
             dodgr = DODGraph.build(small_er.to_distributed(world))
-            totals.add(wedge_count(dodgr))
+            totals.add(dodgr.wedge_count())
         assert len(totals) == 1
 
 
@@ -47,33 +55,21 @@ class TestWorkRate:
 
 
 class TestVectorizedOracleParity:
-    """The bincount drivers must match the scalar walks exactly."""
+    """The DODGr's array count must match the scalar walk exactly."""
 
     def test_edge_oracle_matches_scalar_walk(self, small_rmat, small_er):
-        from repro.graph.properties import dodgr_wedge_count
-
         for dataset in (small_rmat, small_er):
-            assert wedge_count_from_edges(dataset.edges) == dodgr_wedge_count(
-                dataset.edges
-            )
+            assert built_wedge_count(dataset.edges) == dodgr_wedge_count(dataset.edges)
 
     def test_edge_oracle_handles_duplicates_and_loops(self):
-        from repro.graph.properties import dodgr_wedge_count
-
         edges = [(1, 2), (2, 1), (1, 1), (2, 3), (3, 1), (1, 2), (4, 4), (3, 4)]
-        assert wedge_count_from_edges(edges) == dodgr_wedge_count(edges)
+        assert built_wedge_count(edges) == dodgr_wedge_count(edges)
 
     def test_edge_oracle_handles_string_vertices(self):
-        from repro.graph.properties import dodgr_wedge_count
-
         edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "a")]
-        assert wedge_count_from_edges(edges) == dodgr_wedge_count(edges)
+        assert built_wedge_count(edges) == dodgr_wedge_count(edges)
 
     def test_edge_oracle_random_fuzz(self):
-        import random
-
-        from repro.graph.properties import dodgr_wedge_count
-
         rng = random.Random(9)
         for _ in range(30):
             n = rng.randint(2, 25)
@@ -81,16 +77,19 @@ class TestVectorizedOracleParity:
                 (rng.randrange(n), rng.randrange(n))
                 for _ in range(rng.randint(0, 80))
             ]
-            assert wedge_count_from_edges(edges) == dodgr_wedge_count(edges)
+            assert built_wedge_count(edges) == dodgr_wedge_count(edges)
 
     def test_per_rank_counts_match_scalar_walk(self, small_rmat):
         world = World(8)
         dodgr = DODGraph.build(small_rmat.to_distributed(world))
-        expected = []
+        total = 0
         for rank in range(8):
-            total = 0
-            for record in record_view(dodgr).stores[rank].values():
-                d_plus = len(record["adj"])
-                total += d_plus * (d_plus - 1) // 2
-            expected.append(total)
-        assert per_rank_wedge_counts(dodgr) == expected
+            csr = dodgr.csr(rank)
+            d_plus = np.diff(csr.indptr)
+            walked = sum(
+                len(record["adj"]) * (len(record["adj"]) - 1) // 2
+                for record in record_view(dodgr).stores[rank].values()
+            )
+            assert int((d_plus * (d_plus - 1) // 2).sum()) == walked
+            total += walked
+        assert total == dodgr.wedge_count()

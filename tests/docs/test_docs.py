@@ -465,13 +465,16 @@ def test_staged_delivery_check_flags_per_message_delivery(monkeypatch):
 
 
 def test_vertex_labels_are_extracted_once_per_stream():
-    """Check 16 mirrored in tier-1: a three-batch labels stream runs its
+    """Check 16 mirrored in tier-1: a three-batch labels stream, and a
+    service answering exact queries at two pinned epochs, run their
     vertex-label extractor at most once per (vertex, metadata) pair."""
     import check_engines
 
     assert check_engines.check_vertex_label_extractions() == []
-    calls, pairs = check_engines.vertex_label_extractions()
-    assert 0 < calls <= pairs
+    runs, extra = check_engines.vertex_label_extractions()
+    assert runs > 0 and extra == 0
+    runs, extra, outcomes = check_engines.pinned_epoch_extractions()
+    assert runs > 0 and extra == 0 and outcomes == ["exact", "exact"]
 
 
 def test_vertex_label_check_flags_a_per_edge_target_memo(monkeypatch):
@@ -493,4 +496,89 @@ def test_vertex_label_check_flags_a_per_edge_target_memo(monkeypatch):
 
     monkeypatch.setattr(DODGraph, "_adopt_half_edges", per_edge_target)
     errors = check_engines.check_vertex_label_extractions()
-    assert len(errors) == 1 and "distinct (vertex, metadata) pairs" in errors[0]
+    assert [error.split(":")[0] for error in errors] == [
+        "3-batch StreamingSurvey of MaxEdgeLabelDistribution",
+        "SurveyService querying two pinned epochs",
+    ]
+    assert all("pair it had already run on" in error for error in errors)
+
+
+def test_vertex_label_check_flags_a_move_that_empties_the_old_memo(monkeypatch):
+    """The check 16 service probe trips: a move that empties the previous
+    image's memo, so the older pinned epoch re-extracts what the stream had
+    already extracted."""
+    import check_engines
+    from repro.graph.columnar import ValueMemo
+
+    moved = ValueMemo.moved
+
+    def emptying_move(self, *args, **kwargs):
+        memo = moved(self, *args, **kwargs)
+        self._by_extract = {}
+        return memo
+
+    monkeypatch.setattr(ValueMemo, "moved", emptying_move)
+    errors = check_engines.check_vertex_label_extractions()
+    assert len(errors) == 1 and errors[0].startswith("SurveyService querying two pinned epochs")
+
+
+def test_every_export_has_a_caller():
+    """Mirror of tools/check_engines.py check 12: every name in a
+    ``repro.*`` ``__all__`` is used outside tests/ and its module, or sits
+    on the allowlist with a reason; every allowlist entry matches."""
+    import check_engines
+
+    assert check_engines.check_public_surface() == []
+
+
+def test_public_surface_scan_flags_a_planted_export(tmp_path, monkeypatch):
+    """The check 12 scan trips on a planted export that only a test and a
+    package re-export use; a used export, one named in the docs and an
+    allowlisted one are not reported."""
+    import check_engines
+
+    graph = tmp_path / "src" / "repro" / "graph"
+    graph.mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "__init__.py").write_text("", encoding="utf-8")
+    (graph / "__init__.py").write_text(
+        "from .io import write_edge_file\n"
+        "from .shapes import dead_shape, documented_shape, live_shape\n"
+        '__all__ = ["write_edge_file", "dead_shape", "documented_shape", "live_shape"]\n',
+        encoding="utf-8",
+    )
+    (graph / "shapes.py").write_text(
+        '__all__ = ["dead_shape", "documented_shape", "live_shape"]\n\n\n'
+        "def dead_shape():\n    return live_shape()\n\n\n"
+        "def documented_shape():\n    return 1\n\n\n"
+        "def live_shape():\n    return 2\n",
+        encoding="utf-8",
+    )
+    (graph / "io.py").write_text(
+        '__all__ = ["write_edge_file"]\n\n\ndef write_edge_file(path):\n    pass\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from repro.graph import live_shape\n\nprint(live_shape())\n", encoding="utf-8"
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "shapes.md").write_text(
+        "`documented_shape()` returns one.\n", encoding="utf-8"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_shapes.py").write_text(
+        "from repro.graph import dead_shape, write_edge_file\n\n"
+        "def test_it():\n    assert dead_shape() == 2\n    write_edge_file('x')\n",
+        encoding="utf-8",
+    )
+    assert "repro.graph.io.*" in check_engines.PUBLIC_SURFACE_ALLOWLIST
+    assert check_engines.stray_public_names(tmp_path) == ["repro.graph.shapes.dead_shape"]
+    monkeypatch.setattr(check_engines, "REPO_ROOT", tmp_path)
+    errors = check_engines.check_public_surface()
+    assert [error for error in errors if "is exported" in error] == [
+        "repro.graph.shapes.dead_shape is exported but nothing outside tests/ and its "
+        "module uses it: delete it, drop it from __all__, or give "
+        "PUBLIC_SURFACE_ALLOWLIST a reason"
+    ]
+    # Every other entry names a module the planted tree does not have.
+    assert len(errors) == len(check_engines.PUBLIC_SURFACE_ALLOWLIST)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.graph.columnar import VALUE_MEMO_EXTRACTORS
 from repro.graph.degree import order_key
 from repro.graph.distributed_graph import DistributedGraph
-from repro.graph.dodgr import VALUE_MEMO_EXTRACTORS, CSRAdjacency, DODGraph
+from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.generators import GeneratedGraph, rmat
 from repro.graph.metadata import edge_timestamp, temporal_edge_meta
 from repro.oracle import entry_key, record_view, routed_build

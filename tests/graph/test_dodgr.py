@@ -11,7 +11,7 @@ from repro.core.incremental import StreamingSurvey
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.core.survey import triangle_survey_push
 from repro.graph import DODGraph, DistributedGraph, order_key, rmat, temporal_edge_meta
-from repro.graph.properties import dodgr_wedge_count, max_dodgr_out_degree
+from repro.graph.properties import dodgr_wedge_count, summarize_edges
 from repro.oracle import entry_key, record_view, routed_build
 from repro.oracle.records import _VIEWS
 from repro.runtime import World
@@ -152,7 +152,7 @@ class TestQueries:
 
     def test_max_out_degree_matches_oracle(self, world8, small_rmat):
         dodgr = DODGraph.build(small_rmat.to_distributed(world8))
-        assert dodgr.max_out_degree() == max_dodgr_out_degree(small_rmat.edges)
+        assert dodgr.max_out_degree() == summarize_edges(small_rmat).max_dodgr_out_degree
 
     def test_max_out_degree_much_smaller_than_max_degree(self, world4, small_rmat):
         """The reason cyclic partitioning is palatable: G+ tames the hubs."""

@@ -7,9 +7,7 @@ import pytest
 from repro.graph.metadata import (
     TriangleMetadata,
     edge_timestamp,
-    labeled_vertex_meta,
     temporal_edge_meta,
-    vertex_label,
 )
 
 
@@ -56,15 +54,3 @@ class TestTemporalEdgeMeta:
 
     def test_dict_metadata_supported(self):
         assert edge_timestamp({"timestamp": 7.5, "other": 1}) == 7.5
-
-
-class TestLabeledVertexMeta:
-    def test_bare_label(self):
-        meta = labeled_vertex_meta("buyer")
-        assert meta == "buyer"
-        assert vertex_label(meta) == "buyer"
-
-    def test_label_with_extras(self):
-        meta = labeled_vertex_meta("seller", rating=4.5)
-        assert meta == {"label": "seller", "rating": 4.5}
-        assert vertex_label(meta) == "seller"

@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import networkx as nx
-import pytest
 
 from repro.graph import (
-    DODGraph,
     build_adjacency,
     dodgr_wedge_count,
-    erdos_renyi,
-    max_dodgr_out_degree,
     serial_triangle_count,
     serial_triangle_list,
-    summarize_distributed,
     summarize_edges,
 )
 
@@ -40,7 +35,6 @@ class TestSerialOracles:
     def test_empty_and_edgeless_graphs(self):
         assert serial_triangle_count([]) == 0
         assert dodgr_wedge_count([]) == 0
-        assert max_dodgr_out_degree([]) == 0
 
     def test_build_adjacency_symmetric_no_self_loops(self):
         adjacency = build_adjacency([(1, 2), (2, 1), (3, 3)])
@@ -68,23 +62,6 @@ class TestSummaries:
         assert row["|T|"] == serial_triangle_count(small_rmat.edges)
         assert row["d+_max"] <= row["d_max"]
         assert row["|W+|"] == dodgr_wedge_count(small_rmat.edges)
-
-    def test_summarize_distributed_matches_edges(self, world4, small_er):
-        graph = small_er.to_distributed(world4)
-        from_edges = summarize_edges(small_er, name="x")
-        from_dist = summarize_distributed(graph, name="x")
-        assert from_dist.num_vertices == from_edges.num_vertices
-        assert from_dist.num_directed_edges == from_edges.num_directed_edges
-        assert from_dist.num_triangles == from_edges.num_triangles
-        assert from_dist.max_degree == from_edges.max_degree
-        assert from_dist.max_dodgr_out_degree == from_edges.max_dodgr_out_degree
-        assert from_dist.wedge_count == from_edges.wedge_count
-
-    def test_summarize_distributed_accepts_precomputed_values(self, world4, small_er):
-        graph = small_er.to_distributed(world4)
-        dodgr = DODGraph.build(graph)
-        summary = summarize_distributed(graph, dodgr=dodgr, triangle_count=123)
-        assert summary.num_triangles == 123
 
     def test_summary_on_plain_edge_list(self):
         summary = summarize_edges([(1, 2, None), (2, 3, None), (1, 3, None)], name="tri")

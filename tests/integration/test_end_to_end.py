@@ -102,18 +102,13 @@ class TestCrossAlgorithmConsistency:
         assert set(results.values()) == {expected}, results
 
     def test_partitioner_choice_does_not_change_results(self, generated):
-        from repro.graph import BlockPartitioner, CyclicPartitioner, HashPartitioner
+        from repro.graph import CyclicPartitioner, HashPartitioner
 
         expected = serial_triangle_count(generated.edges)
         for partitioner_cls in (HashPartitioner, CyclicPartitioner):
             world = World(5)
             graph = generated.to_distributed(world, partitioner=partitioner_cls(5))
             assert triangle_survey_push_pull(DODGraph.build(graph)).triangles == expected
-        world = World(5)
-        graph = generated.to_distributed(
-            world, partitioner=BlockPartitioner(5, generated.num_vertices() + 10)
-        )
-        assert triangle_survey_push_pull(DODGraph.build(graph)).triangles == expected
 
 
 class TestMetadataHeavyPipeline:

@@ -13,7 +13,6 @@ import repro.runtime.backend.process as process_backend
 from repro.core.engine import EngineConfig
 from repro.core.push_pull import triangle_survey_push_pull
 from repro.graph import (
-    BlockPartitioner,
     CyclicPartitioner,
     DeltaBuffer,
     DODGraph,
@@ -121,7 +120,6 @@ PARTITIONERS = {
     "hash": lambda nranks, n: HashPartitioner(nranks),
     "seeded_hash": lambda nranks, n: HashPartitioner(nranks, seed=42),
     "cyclic": lambda nranks, n: CyclicPartitioner(nranks),
-    "block": lambda nranks, n: BlockPartitioner(nranks, n),
 }
 
 
@@ -410,6 +408,28 @@ def array_form(values):
     return kinds == {int} and all(-(2**62) < v < 2**62 for v in values)
 
 
+def memo_arrays(memo):
+    """Copies of ``memo``'s arrays by extractor (None without an array form)."""
+    if memo is None:
+        return None
+    return {
+        extract: None if values is None else values.copy()
+        for extract, values in memo._by_extract.items()
+    }
+
+
+def assert_memo_kept(memo, arrays):
+    """``memo`` still holds ``arrays`` (:func:`memo_arrays` of it), unchanged."""
+    if memo is None:
+        return
+    assert memo.extractors() == list(arrays)
+    for extract, values in arrays.items():
+        held = memo._by_extract[extract]
+        assert (held is None) == (values is None)
+        if values is not None:
+            np.testing.assert_array_equal(held, values)
+
+
 def no_array_form(memo):
     """The extractors ``memo`` holds without an array form."""
     if memo is None:
@@ -464,16 +484,16 @@ def assert_read_equals_extract(read, extract, metas, fresh_and_lost):
     assert read is not None or not (fresh_and_lost and array_form(expected))
 
 
-def assert_memo_carried(carried, lost, image, applied):
+def assert_memo_carried(carried, kept, lost, image, applied):
     """The image's half-edge memo after an apply, then read half full.
 
     Every filled value is ``extract`` at its half edge; the previous image's
-    memo moved rather than stayed; extractors without an array form
+    memo still holds what it held before the apply (``kept``), so an older
+    epoch reads it without extracting again; extractors without an array form
     (``lost``) did not ride forward, so a batch whose new edges have one
     reads typed arrays even though an earlier batch had none.
     """
-    if carried is not None:
-        assert carried.extractors() == []
+    assert_memo_kept(carried, kept)
     assert_filled_slots_hold(image.edge_values, image.edge_meta.tolist(), lost)
     dodgr = applied.dodgr
     first_read = True
@@ -491,18 +511,18 @@ def assert_memo_carried(carried, lost, image, applied):
         csr.extracted_values(numeric, "edge", np.arange(0, csr.num_edges, 2))
 
 
-def assert_vertex_memo_carried(carried, lost, image, applied, unfilled, stamp):
+def assert_vertex_memo_carried(carried, kept, lost, image, applied, unfilled, stamp):
     """The image's vertex memo after an apply, read in full by row and target.
 
-    The previous image's memo moved; row and target reads equal ``extract``
-    of ``row_meta`` / ``tgt_meta`` at every position; and ``stamp``, read in
-    full before the apply, runs once on each vertex of ``unfilled`` — the
-    new vertices and those whose metadata went from None to a staged value
-    (0.0 before, the staged value now) — and on nothing else: a target
-    reads its vertex's slot.
+    The previous image's memo still holds what it held before the apply
+    (``kept``); row and target reads equal ``extract`` of ``row_meta`` /
+    ``tgt_meta`` at every position; and ``stamp``, read in full before the
+    apply, runs once on each vertex of ``unfilled`` — the new vertices and
+    those whose metadata went from None to a staged value (0.0 before, the
+    staged value now) — and on nothing else: a target reads its vertex's
+    slot.
     """
-    if carried is not None:
-        assert carried.extractors() == []
+    assert_memo_kept(carried, kept)
     assert_filled_slots_hold(image.vertex_values, image.vertex_meta.tolist(), lost)
     del stamp.seen[:]
     dodgr = applied.dodgr
@@ -544,6 +564,7 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
         old_image = graph.half_edge_columns()
         carried, carried_vertex = old_image.edge_values, old_image.vertex_values
         lost, lost_vertex = no_array_form(carried), no_array_form(carried_vertex)
+        kept, kept_vertex = memo_arrays(carried), memo_arrays(carried_vertex)
         old_metas = dict(zip(old_image.vertices.tolist(), old_image.vertex_meta.tolist()))
         stamped = carried_vertex is not None and stamp in carried_vertex.extractors()
         applied = buffer.apply(graph)
@@ -551,7 +572,7 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
         want = DODGraph.build(oracle, name=f"oracle@{index}")
         assert not graph.store_materialised
         got_image, want_image = graph.half_edge_columns(), oracle.half_edge_columns()
-        assert_memo_carried(carried, lost, got_image, applied)
+        assert_memo_carried(carried, kept, lost, got_image, applied)
         unfilled = [
             vertex
             for vertex in got_image.vertices.tolist()
@@ -559,7 +580,9 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
             or vertex not in old_metas
             or (vertex in vertex_meta and old_metas[vertex] is None)
         ]
-        assert_vertex_memo_carried(carried_vertex, lost_vertex, got_image, applied, unfilled, stamp)
+        assert_vertex_memo_carried(
+            carried_vertex, kept_vertex, lost_vertex, got_image, applied, unfilled, stamp
+        )
         for column in HalfEdgeColumns._fields:
             got_column, want_column = getattr(got_image, column), getattr(want_image, column)
             if column in ("edge_values", "vertex_values"):  # a flattened image carries no memo

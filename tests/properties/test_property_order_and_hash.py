@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.degree import order_key, precedes
+from repro.graph.degree import order_key
 from repro.runtime import world
 from repro.runtime.world import first_appearance_groups, stable_hash, stable_key_order
 
@@ -18,6 +18,11 @@ vertex_ids = st.one_of(
     st.text(min_size=1, max_size=12),
 )
 degrees = st.integers(min_value=0, max_value=10**6)
+
+
+def precedes(u, du, v, dv):
+    """``u <+ v``: the order the DODGr build sorts vertices by."""
+    return order_key(u, du) < order_key(v, dv)
 
 
 @given(vertex_ids, degrees, vertex_ids, degrees)

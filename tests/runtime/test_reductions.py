@@ -1,19 +1,10 @@
-"""Unit tests for the collective reduction helpers."""
+"""Unit tests for the collective sum reduction."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.runtime import (
-    World,
-    all_reduce,
-    all_reduce_max,
-    all_reduce_min,
-    all_reduce_sum,
-    broadcast,
-    gather,
-    reduce_dicts,
-)
+from repro.runtime import World, all_reduce_sum
 
 
 class TestAllReduce:
@@ -22,13 +13,6 @@ class TestAllReduce:
 
     def test_sum_of_floats(self, world4):
         assert all_reduce_sum(world4, [0.5, 0.25, 0.125, 0.125]) == pytest.approx(1.0)
-
-    def test_max_and_min(self, world4):
-        assert all_reduce_max(world4, [3, 9, -2, 5]) == 9
-        assert all_reduce_min(world4, [3, 9, -2, 5]) == -2
-
-    def test_custom_op(self, world4):
-        assert all_reduce(world4, [2, 3, 4, 5], lambda a, b: a * b) == 120
 
     def test_wrong_length_rejected(self, world4):
         with pytest.raises(ValueError):
@@ -45,28 +29,3 @@ class TestAllReduce:
         assert all_reduce_sum(world, [5]) == 5
         assert world.stats.total().wire_bytes == 0
 
-
-class TestReduceDicts:
-    def test_merges_by_key(self, world4):
-        dicts = [{"a": 1}, {"a": 2, "b": 1}, {}, {"b": 4, "c": 1}]
-        assert reduce_dicts(world4, dicts) == {"a": 3, "b": 5, "c": 1}
-
-    def test_wrong_length_rejected(self, world4):
-        with pytest.raises(ValueError):
-            reduce_dicts(world4, [{}])
-
-
-class TestBroadcastGather:
-    def test_broadcast_replicates(self, world4):
-        assert broadcast(world4, {"x": 1}) == [{"x": 1}] * 4
-
-    def test_broadcast_invalid_root(self, world4):
-        with pytest.raises(ValueError):
-            broadcast(world4, 1, root=9)
-
-    def test_gather_preserves_rank_order(self, world4):
-        assert gather(world4, [10, 11, 12, 13]) == [10, 11, 12, 13]
-
-    def test_gather_wrong_length_rejected(self, world4):
-        with pytest.raises(ValueError):
-            gather(world4, [1, 2, 3])

@@ -23,8 +23,8 @@ from repro.service import (
     ServicePolicy,
     SurveyQuery,
     SurveyService,
-    get_analysis,
 )
+from repro.service.service import get_analysis
 
 RANKS = 4
 

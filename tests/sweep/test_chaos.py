@@ -10,11 +10,8 @@ from repro.core.engine import engine_names
 from repro.runtime.faults import FaultPlan, sample_fault_plans
 from repro.sweep import (
     ANALYSES,
-    ChaosCell,
     ChaosParityError,
     ChaosResult,
-    chaos_payload,
-    format_chaos_markdown,
     format_chaos_table,
     run_chaos_sweep,
     sample_space,
@@ -22,6 +19,8 @@ from repro.sweep import (
     write_chaos_artifacts,
 )
 from repro.sweep.__main__ import main as sweep_main
+from repro.sweep.chaos import ChaosCell
+from repro.sweep.report import chaos_payload, format_chaos_markdown
 
 SAMPLE = 8
 SEED = 0

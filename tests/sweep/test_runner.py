@@ -14,7 +14,6 @@ from repro.sweep import (
     SweepParityError,
     SweepResult,
     degenerate_world_configs,
-    format_sweep_markdown,
     format_sweep_table,
     run_sweep,
     sample_space,
@@ -23,6 +22,7 @@ from repro.sweep import (
     world_spec_names,
     write_sweep_artifacts,
 )
+from repro.sweep.report import format_sweep_markdown
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from repro.sweep import (
     IntRange,
     WorldConfig,
     WorldSpec,
-    build_graph,
     decorated_edges,
     degenerate_world_configs,
     get_world_spec,
@@ -22,7 +21,7 @@ from repro.sweep import (
     streaming_batches,
     world_spec_names,
 )
-from repro.sweep.worlds import WORLD_SPECS
+from repro.sweep.worlds import WORLD_SPECS, build_graph
 
 
 class TestDistributions:

@@ -1,8 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Fifteen checks, numbered 1-11 and 13-16, exit status 1 on any failure
-(each printed to stderr):
+Sixteen checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -81,6 +80,16 @@ Fifteen checks, numbered 1-11 and 13-16, exit status 1 on any failure
    package is exempt): every stable integer ordering on the survey and
    build paths takes that primitive's linear-time radix passes, so an
    O(n log n) timsort cannot grow back at a call site.
+12. **Every export has a caller** — every name in a ``repro.*`` ``__all__``
+   is used (an identifier in code, a word in markdown) somewhere under
+   ``src``, ``perf``, ``benchmarks``, ``examples``, ``tools``, ``docs`` or
+   the README, outside its defining module and this file; a package
+   ``__init__``'s re-export does not count, and neither does ``tests/``.
+   The scan matches names, not bindings: an attribute or a word of the
+   same name elsewhere counts as a use.  The few names
+   whose only callers are tests sit on :data:`PUBLIC_SURFACE_ALLOWLIST`
+   with a reason each, and an entry that matches no export fails too — so
+   dead public surface cannot grow back.
 13. **Array-path reducers stay on the arrays** — on a numeric rmat-8 graph
    (float edge stamps, int vertex metadata) every stock reducer with an
    array path (:data:`ARRAY_PATH_REDUCERS`) hands each batch of at least
@@ -88,7 +97,7 @@ Fifteen checks, numbered 1-11 and 13-16, exit status 1 on any failure
    ``increment_grouped_run`` and decodes no
    :meth:`~repro.graph.metadata.TriangleBatch.column` object column doing
    so.  The object loop is correct, only slow, so no parity suite can see
-   a reducer silently fall back to it.  (Check 12 is reserved.)
+   a reducer silently fall back to it.
 14. **A count counts in place** — on an rmat-8 graph, ``callback=None``
    Push-Only and Push-Pull surveys make every row-kernel call with
    ``matches=False`` (no match columns written), and a stock reducer's
@@ -105,11 +114,15 @@ Fifteen checks, numbered 1-11 and 13-16, exit status 1 on any failure
    :class:`~repro.core.incremental.StreamingSurvey` of
    :class:`~repro.core.callbacks.MaxEdgeLabelDistribution` over three
    batches of the smoke graph, every batch on the array path, runs its
-   vertex-label extractor at most once per distinct ``(vertex, metadata)``
-   pair its graph held: the vertex memo rides the image from batch to
-   batch, and a target reads its vertex's slot.  A memo that dies with
-   each epoch, or one slot per edge, re-extracts what the stream already
-   had — only slower, so no parity suite can see it.
+   vertex-label extractor at most once per ``(vertex, metadata)`` pair its
+   graph held: the vertex memo rides the image from batch to batch, and a
+   target reads its vertex's slot.  So does a
+   :class:`~repro.service.SurveyService` answering exact queries at two
+   pinned epochs after the second ingest: the move copies the memo, and
+   the older epoch keeps what its ledger step extracted.  A memo that dies
+   with each epoch, empties on the move, or keeps one slot per edge
+   re-extracts what the stream already had — only slower, so no parity
+   suite can see it.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -118,7 +131,9 @@ Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
+import fnmatch
 import inspect
 import re
 import sys
@@ -661,6 +676,163 @@ def check_one_stable_sort() -> List[str]:
     ]
 
 
+#: Where an exported name may find a caller: code under these directories of
+#: the repository (identifiers, not strings or comments) and the markdown
+#: beside it and in the README.  ``tests/`` is not among them, and neither
+#: is this file: a probe of another check is no caller.
+CALLER_DIRS = ("src", "perf", "benchmarks", "examples", "tools", "docs")
+THIS_FILE = Path("tools") / "check_engines.py"
+
+#: Exported names that need no caller outside ``tests/``, as ``fnmatch``
+#: patterns over ``<defining module>.<name>``, each with its reason.
+PUBLIC_SURFACE_ALLOWLIST = {
+    "repro.baselines.networkx_ref.*": "test reference: the networkx oracle",
+    "repro.baselines.serial.*": "test reference: the serial counting oracles",
+    "repro.graph.properties.dodgr_wedge_count": "test reference: |W+| by a serial walk",
+    "repro.graph.properties.serial_triangle_list": "test reference: the serial triangle list",
+    "repro.oracle.*legacy*": "the legacy oracle's builders and drivers, which the tests run",
+    "repro.analysis.truss.truss_decomposition": "paper analysis: the k-truss study",
+    "repro.analysis.degree_triples.run_degree_triple_survey": "paper analysis: degree triples",
+    "repro.graph.io.*": "edge-file readers and writers: the way graphs enter from disk",
+    "repro.graph.partition.CyclicPartitioner": "the second distribution the property tests need",
+    "repro.core.callbacks.reducer_names": "reducer registry lookup, counted in this file's summary",
+    "repro.core.callbacks.registered_reducers": "reducer registry lookup, walked by check 4",
+    "repro.core.callbacks.get_reducer": "reducer registry lookup, walked by check 13",
+    "repro.runtime.serialization.register_record": "the codec's hook for user metadata records",
+    "repro.runtime.serialization.registered_records": "test isolation of the record registry",
+    "repro.runtime.serialization.clear_registry": "test isolation of the record registry",
+    "repro.*Error": "raised through the public API; callers catch it by type",
+}
+
+
+def _module_name(src: Path, path: Path) -> str:
+    parts = list(path.relative_to(src).with_suffix("").parts)
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _exported(tree: ast.Module) -> List[str]:
+    """The string entries of a module's top-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [
+                element.value
+                for element in getattr(node.value, "elts", ())
+                if isinstance(element, ast.Constant) and isinstance(element.value, str)
+            ]
+    return []
+
+
+def _binds(tree: ast.Module, name: str) -> bool:
+    """Whether a module's top level defines ``name`` (not by import)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == name:
+                return True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(
+                isinstance(leaf, ast.Name) and leaf.id == name
+                for target in targets
+                for leaf in ast.walk(target)
+            ):
+                return True
+    return False
+
+
+def _defining_module(modules: dict, module: str, name: str) -> str:
+    """The module that defines ``name``, following ``from ... import`` re-exports."""
+    for _ in range(len(modules)):
+        path, tree = modules[module]
+        if _binds(tree, name):
+            return module
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and any(
+                (alias.asname or alias.name) == name for alias in node.names
+            ):
+                base = package
+                for _ in range(max(node.level - 1, 0)):
+                    base = base.rpartition(".")[0]
+                source = ".".join(filter(None, (base, node.module))) if node.level else node.module
+                if source in modules:
+                    module = source
+                    break
+        else:
+            return module
+    return module
+
+
+def _identifiers(path: Path) -> set:
+    """Names a file uses: identifiers read in Python code (an assignment
+    target is not a use), words in markdown."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".md":
+        return set(re.findall(r"\w+", text))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(text, str(path)))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def public_names(root: Path) -> dict:
+    """``<defining module>.<name>`` of every name in a ``repro.*`` ``__all__``
+    under ``root`` (a repository checkout), mapped to its defining file."""
+    src = root / "src"
+    modules = {
+        _module_name(src, path): (path, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for path in sorted((src / "repro").rglob("*.py"))
+    }
+    names: dict = {}
+    for module, (_path, tree) in modules.items():
+        for name in _exported(tree):
+            home = _defining_module(modules, module, name)
+            names.setdefault(f"{home}.{name}", modules[home][0])
+    return names
+
+
+def stray_public_names(root: Path) -> List[str]:
+    """Every :func:`public_names` entry under ``root`` that no file outside
+    ``tests/``, its defining module and this file uses, and that
+    :data:`PUBLIC_SURFACE_ALLOWLIST` does not excuse.  A package
+    ``__init__``'s re-export is an import and a string, so it is no use.
+    A use is a name, not a binding: ``obj.name`` counts for any ``name``."""
+    callers = {
+        path: _identifiers(path)
+        for directory in CALLER_DIRS
+        for path in sorted((root / directory).rglob("*"))
+        if path.suffix in (".py", ".md") and path.is_file() and path != root / THIS_FILE
+    }
+    if (root / "README.md").is_file():
+        callers[root / "README.md"] = _identifiers(root / "README.md")
+    return [
+        qualified
+        for qualified, home in public_names(root).items()
+        if not any(fnmatch.fnmatchcase(qualified, pattern) for pattern in PUBLIC_SURFACE_ALLOWLIST)
+        and not any(
+            qualified.rpartition(".")[2] in used for path, used in callers.items() if path != home
+        )
+    ]
+
+
+def check_public_surface() -> List[str]:
+    """Every exported name has a caller or a stated reason (check 12)."""
+    errors = [
+        f"{qualified} is exported but nothing outside tests/ and its module uses it: "
+        "delete it, drop it from __all__, or give PUBLIC_SURFACE_ALLOWLIST a reason"
+        for qualified in stray_public_names(REPO_ROOT)
+    ]
+    names = public_names(REPO_ROOT)
+    errors.extend(
+        f"PUBLIC_SURFACE_ALLOWLIST entry {pattern!r} matches no exported name"
+        for pattern in PUBLIC_SURFACE_ALLOWLIST
+        if not fnmatch.filter(names, pattern)
+    )
+    return errors
+
+
 #: Stock reducers with an array path (``edge_values`` / ``vertex_values`` /
 #: ``vertex_ids`` into ``increment_grouped_run``), by registry name.
 ARRAY_PATH_REDUCERS = (
@@ -873,21 +1045,13 @@ def check_staged_delivery() -> List[str]:
     return errors
 
 
-def vertex_label_extractions() -> Tuple[int, int]:
-    """Vertex-label extractor calls over one labels stream, and the distinct
-    ``(vertex, metadata)`` pairs its images held.
-
-    Streams the smoke graph in three batches through a columnar
-    :class:`~repro.core.incremental.StreamingSurvey` of
-    :class:`~repro.core.callbacks.MaxEdgeLabelDistribution` with one counted
-    vertex-label extractor.  The first batch labels the even vertices, the
-    second the odd ones (which held None if an edge brought them in), the
-    third none.  ``ARRAY_VALUES_MIN_BATCH`` is 0 for the run, so every batch
-    reads the value memo and the count is the memo's fills.
-    """
-    import repro.graph.metadata as metadata
-    from repro.core.callbacks import MaxEdgeLabelDistribution
-    from repro.core.incremental import StreamingSurvey
+def _labels_stream():
+    """The smoke graph as three stamped, labelled batches: ``(records,
+    labels)``, batch ``k`` being ``records[k::3]`` with vertex metadata
+    ``labels[k]``.  The first labels the even vertices, the second the odd
+    ones (which held None if an edge brought them in), the third none.
+    Every label names its vertex, so a run of the extractor on it is a run
+    on that ``(vertex, metadata)`` pair."""
     from repro.graph.metadata import temporal_edge_meta
 
     us, vs = erdos_renyi(**SMOKE_GRAPH).edge_columns()
@@ -896,46 +1060,136 @@ def vertex_label_extractions() -> Tuple[int, int]:
         for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist()))
     ]
     vertices = set(us.tolist()) | set(vs.tolist())
-    labels = [{v: v % 5 for v in vertices if v % 2 == half} for half in (0, 1)] + [None]
-    calls = [0]
+    labels = [{v: 100 + v for v in vertices if v % 2 == half} for half in (0, 1)] + [None]
+    return records, labels
+
+
+def _counted_labels_reducer(seen: list):
+    """A :class:`~repro.core.callbacks.MaxEdgeLabelDistribution` factory
+    whose vertex-label extractor appends every value it runs on to ``seen``."""
+    from repro.core.callbacks import MaxEdgeLabelDistribution
 
     def vertex_label(meta):
-        calls[0] += 1
+        seen.append(meta)
         return -1 if meta is None else meta
 
     def edge_label(meta):
         return meta[1]
 
-    stream = StreamingSurvey(
-        World(SMOKE_RANKS),
-        lambda world: MaxEdgeLabelDistribution(world, edge_label, vertex_label),
-        engine="columnar",
-    )
+    return lambda world: MaxEdgeLabelDistribution(world, edge_label, vertex_label)
+
+
+def _triangle_pairs(graph) -> set:
+    """``(vertex, metadata)`` of every vertex in a triangle of ``graph``: the
+    pairs a survey of it reads."""
+    import numpy as np
+
+    from repro.graph.properties import serial_triangle_list
+
+    image = graph.half_edge_columns()
+    src = np.repeat(np.arange(len(image.vertices)), image.degree)
+    triangles = serial_triangle_list(zip(src.tolist(), image.tgt.tolist()))
+    ids, metas = image.vertices.tolist(), image.vertex_meta.tolist()
+    return {(ids[v], metas[v]) for v in set().union(*triangles)}
+
+
+def _extra_runs(seen: list, pairs: set) -> int:
+    """Extractor runs beyond one per ``(vertex, metadata)`` pair: a value
+    run on more often than the surveyed vertices held it."""
+    held = collections.Counter(meta for _vertex, meta in pairs)
+    return sum(max(0, runs - held[meta]) for meta, runs in collections.Counter(seen).items())
+
+
+def vertex_label_extractions() -> Tuple[int, int]:
+    """Vertex-label extractor runs over one labels stream, and how many of
+    them repeat a ``(vertex, metadata)`` pair its images held.
+
+    Streams :func:`_labels_stream` through a columnar
+    :class:`~repro.core.incremental.StreamingSurvey` of a counted
+    :func:`_counted_labels_reducer`.  ``ARRAY_VALUES_MIN_BATCH`` is 0 for
+    the run, so every batch reads the value memo and the runs are the
+    memo's fills.
+    """
+    import repro.graph.metadata as metadata
+    from repro.core.incremental import StreamingSurvey
+
+    records, labels = _labels_stream()
+    seen: list = []
+    stream = StreamingSurvey(World(SMOKE_RANKS), _counted_labels_reducer(seen), engine="columnar")
     pairs: set = set()
     min_batch, metadata.ARRAY_VALUES_MIN_BATCH = metadata.ARRAY_VALUES_MIN_BATCH, 0
     try:
         for index, batch_labels in enumerate(labels):
             stream.ingest(records[index::3], batch_labels)
-            image = stream.graph.half_edge_columns()
-            pairs.update(zip(image.vertices.tolist(), image.vertex_meta.tolist()))
+            pairs |= _triangle_pairs(stream.graph)
     finally:
         metadata.ARRAY_VALUES_MIN_BATCH = min_batch
         stream.close()
-    return calls[0], len(pairs)
+    return len(seen), _extra_runs(seen, pairs)
+
+
+def pinned_epoch_extractions() -> Tuple[int, int, List[str]]:
+    """Vertex-label extractor runs over a service that pins two epochs, how
+    many of them repeat a ``(vertex, metadata)`` pair their images held, and
+    the queries' outcomes.
+
+    A :class:`~repro.service.SurveyService` whose ``labels`` analysis is the
+    counted :func:`_counted_labels_reducer` ingests the first two batches
+    of :func:`_labels_stream`, and one query pins each epoch.  Both run
+    after the second ingest, the older first: epoch 0 is surveyed from an
+    image a batch has already moved past, and epoch 1 after it.
+    ``ARRAY_VALUES_MIN_BATCH`` is 0 for the run.
+    """
+    import repro.graph.metadata as metadata
+    import repro.service.service as service_module
+    from repro.service import SurveyService
+
+    records, labels = _labels_stream()
+    seen: list = []
+    spec = service_module.ANALYSES["labels"]
+    service_module.ANALYSES["labels"] = dataclasses.replace(
+        spec, reducer_factory=_counted_labels_reducer(seen)
+    )
+    min_batch, metadata.ARRAY_VALUES_MIN_BATCH = metadata.ARRAY_VALUES_MIN_BATCH, 0
+    pairs: set = set()
+    try:
+        service = SurveyService(World(SMOKE_RANKS), analyses=("labels",))
+        try:
+            tickets = []
+            for index in range(2):
+                service.ingest(records[index::3], labels[index])
+                pairs |= _triangle_pairs(service._ledger.graph)
+                tickets.append(service.submit(analysis="labels"))
+            service.pump()
+        finally:
+            service.close()
+    finally:
+        metadata.ARRAY_VALUES_MIN_BATCH = min_batch
+        service_module.ANALYSES["labels"] = spec
+    outcomes = [ticket.answer.outcome for ticket in tickets]
+    return len(seen), _extra_runs(seen, pairs), outcomes
 
 
 def check_vertex_label_extractions() -> List[str]:
-    """A vertex label is extracted once per (vertex, value) per stream (check 16)."""
-    calls, pairs = vertex_label_extractions()
-    where = "3-batch StreamingSurvey of MaxEdgeLabelDistribution"
-    if not calls:
-        return [f"{where}: the vertex-label extractor never ran"]
-    if calls > pairs:
-        return [
-            f"{where}: the vertex-label extractor ran {calls} times for {pairs} "
-            "distinct (vertex, metadata) pairs, expected at most one run per pair"
-        ]
-    return []
+    """A vertex label is extracted once per (vertex, value) per stream, and
+    across the epochs a service pins (check 16)."""
+    errors: List[str] = []
+    runs, extra = vertex_label_extractions()
+    service_runs, service_extra, outcomes = pinned_epoch_extractions()
+    if outcomes != ["exact", "exact"]:
+        errors.append(f"two-epoch SurveyService: queries answered {outcomes}, expected exact")
+    for where, runs, extra in (
+        ("3-batch StreamingSurvey of MaxEdgeLabelDistribution", runs, extra),
+        ("SurveyService querying two pinned epochs", service_runs, service_extra),
+    ):
+        if not runs:
+            errors.append(f"{where}: the vertex-label extractor never ran")
+        elif extra:
+            errors.append(
+                f"{where}: the vertex-label extractor ran {runs} times, {extra} of them "
+                "on a (vertex, metadata) pair it had already run on"
+            )
+    return errors
 
 
 def main() -> int:
@@ -998,6 +1252,7 @@ def main() -> int:
     errors.extend(check_one_survey_loop())
     errors.extend(check_oracle_fence())
     errors.extend(check_one_stable_sort())
+    errors.extend(check_public_surface())
     errors.extend(check_array_paths())
     errors.extend(check_count_only())
     errors.extend(check_staged_delivery())
@@ -1023,6 +1278,7 @@ def main() -> int:
         "the write path stays on the arrays; one table says what may run; "
         "one loop runs every survey phase; the oracle stays out of production; "
         "one primitive owns every stable sort; "
+        "every export has a caller or a stated reason; "
         f"{len(ARRAY_PATH_REDUCERS)} array-path reducers stay on the arrays; "
         "a count counts in place; a survey delivers once per rank per phase; "
         "a vertex label is extracted once per stream"
