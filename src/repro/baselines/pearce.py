@@ -24,7 +24,7 @@ Commons graph:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set
 
 from ..graph.degree import order_key
 from ..graph.distributed_graph import DistributedGraph

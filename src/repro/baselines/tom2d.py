@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from ..graph.degree import order_key
 from ..graph.distributed_graph import DistributedGraph

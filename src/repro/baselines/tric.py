@@ -18,7 +18,7 @@ where TriPoll needs seconds, out-of-memory on Twitter).
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..graph.degree import order_key
 from ..graph.distributed_graph import DistributedGraph

@@ -48,7 +48,7 @@ from .engine import (
     resolve_engine,
 )
 from .incremental import DELTA_PUSH_PHASE, StreamingSurvey, incremental_triangle_survey
-from .intersection import INTERSECTION_KERNELS, ROW_KERNELS
+from .intersection import ROW_KERNELS
 from .push_pull import (
     DRY_RUN_PHASE,
     PULL_PHASE,
@@ -89,7 +89,6 @@ __all__ = [
     "reducer_names",
     "registered_reducers",
     "get_reducer",
-    "INTERSECTION_KERNELS",
     "ROW_KERNELS",
     "EngineSpec",
     "EngineConfig",

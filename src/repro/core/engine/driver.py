@@ -322,8 +322,8 @@ class CandidateStage:
         ends = csr.indptr[rows + 1]
         # A q that closes its row has no candidate suffix; the scalar dry runs
         # never record such a pivot.  Its empty span must not reach the
-        # kernel: merge and binary search would skip it, but the hash count
-        # books a table build over the row even for no candidates.
+        # kernel: the hash count books a table build for it (see
+        # intersection.COMPARISON_COUNTS).
         waiting = qpositions + 1 < ends
         which, rows, qpositions, ends = (a[waiting] for a in (which, rows, qpositions, ends))
         bounds = _np.cumsum([0] + [len(m.q_rows) for m in messages])
@@ -438,9 +438,7 @@ class CandidateStage:
         ctx.add_compute(int(result.comparisons))
         if not want or not len(result):
             return len(result), None
-        seg = _np.asarray(result.seg, dtype=_np.int64) + lo
-        cand = _np.asarray(result.cand_pos, dtype=_np.int64)
-        adj = _np.asarray(result.adj_pos, dtype=_np.int64)
+        seg, cand, adj = result.seg + lo, result.cand_pos, result.adj_pos
         if positions is not None:
             cand = positions[cand]
         if group[0].new_entries is not None:

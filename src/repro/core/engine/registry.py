@@ -181,7 +181,7 @@ def oracle_builder(spec: EngineSpec, program: str) -> Optional[Callable[..., Any
     return LEGACY_BUILDERS[program]
 
 
-_SCALAR_ONLY = "the legacy scalar drivers run only the scalar kernel tier"
+_OWN_KERNELS = "the legacy oracle runs its own pairwise kernels, not the row-kernel tiers"
 _DELTA = (
     "incremental (delta) surveys run resident on backend='simulated' only: the process "
     "backend and mmap storage are parity-gated on the full-survey programs, not on the "
@@ -195,8 +195,8 @@ _DELTA = (
 #: ``docs/architecture.md`` renders this table and ``tools/check_engines.py``
 #: keeps the two equal.
 UNSUPPORTED: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (("engine=legacy", "kernel_tier=columnar"), _SCALAR_ONLY),
-    (("engine=legacy", "kernel_tier=compiled"), _SCALAR_ONLY),
+    (("engine=legacy", "kernel_tier=columnar"), _OWN_KERNELS),
+    (("engine=legacy", "kernel_tier=compiled"), _OWN_KERNELS),
     (("backend=process", "fault_plan"), "an installed FaultPlan's fates are defined "
      "over the simulated transport's delivery sweeps, which process rounds do not replay"),
     (("backend=process", "deadline"), "an installed deadline is checked in-process "
@@ -234,9 +234,9 @@ def selector_features(request: Any, spec: EngineSpec) -> Set[str]:
     suffix.  ``None`` / ``"auto"`` tiers and unset storage add no feature.
     """
     from ...graph.ooc import STORAGES, StorageConfig
-    from ..intersection import INTERSECTION_KERNELS, KERNEL_TIERS
+    from ..intersection import COMPARISON_COUNTS, KERNEL_TIERS
 
-    _require_known("intersection kernel", request.kernel, tuple(INTERSECTION_KERNELS))
+    _require_known("intersection kernel", request.kernel, tuple(COMPARISON_COUNTS))
     _require_known("execution backend", request.backend, BACKENDS)
     features = {f"engine={spec.name}", f"backend={request.backend}"}
     tier = request.kernel_tier

@@ -84,11 +84,10 @@ class EngineConfig:
         Worker-process count for the process backend; ``None`` = auto
         (capped at four, the host's core count and the rank count).
     kernel_tier:
-        Intersection kernel tier (``"compiled"``, ``"columnar"``,
-        ``"scalar"`` or ``"auto"``; see
-        :data:`repro.core.intersection.KERNEL_TIERS`).  ``None``/``"auto"``
-        keeps the engine's best available tier; unavailable tiers downgrade
-        along the declared ``compiled -> columnar -> scalar`` chain.
+        Intersection kernel tier (``"compiled"``, ``"columnar"`` or
+        ``"auto"``; see :data:`repro.core.intersection.KERNEL_TIERS`).
+        ``None``/``"auto"`` keeps the engine's best available tier;
+        ``"compiled"`` runs ``"columnar"`` where no C compiler built it.
     storage:
         CSR storage mode (``"resident"`` or ``"mmap"``), or a
         :class:`repro.graph.ooc.StorageConfig` pinning a memory budget and

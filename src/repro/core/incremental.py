@@ -57,7 +57,7 @@ delivered as one lazy :class:`~repro.graph.metadata.TriangleBatch` to
 ``callback_batch`` reducers, in handled order.  The ``legacy`` oracle
 (:func:`repro.oracle.build_legacy_delta_program`) sends one sized RPC per
 (wedge, stream) carrying the filtered candidate tuples, intersected per
-message with the scalar kernels.  Every replaced oracle message is
+message with the pairwise kernels.  Every replaced oracle message is
 accounted — in the oracle's send order, through the real buffer bank — at
 its exact serialized size, so the two engines report identical
 communication counters (same bound as the full engines when callbacks send

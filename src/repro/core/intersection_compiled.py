@@ -1,23 +1,13 @@
-"""Compiled kernel tier: the paper's merge-path row kernels in C.
+"""Compiled kernel tier: the row kernels in C, by stamp and probe.
 
-The columnar tier (:mod:`repro.core.intersection`) finds matches with one
-composite-key ``searchsorted`` and *replays* the comparison counts through
-closed forms.  This tier finds them by stamp and probe (:data:`C_SOURCE`):
-when the segment row changes, each of the row's keys is stamped into a
-per-call ``mark`` array indexed by order id, from a running tick that the
-next row starts past (so no stamp is ever cleared), and every candidate is
-then one load — no merge walk, no branch per comparison.  Segments are read
-in place, as spans ``[seg_starts[s], seg_ends[s])`` of the call's source key
-array (a snapshot's global ``tgt_ids``): nothing is copied out, and a match
-reports its candidate's source position.  A count-only call
-(``matches=False``, a survey with no callback) allocates no output and
-hands C a NULL one: the probe loop is then ``m += mark[...] > tick``, one
-load and an add per candidate, with the same checks and counts.
-``merge_path`` and ``hash`` share that body; their ``comparisons`` totals
-are closed forms (the merge walk's ``consumed - matches``, the hash model's
-row-plus-probe count), equal to the scalar kernels' on the sorted,
-duplicate-free rows and segments the engines pass.  ``binary_search`` still
-walks the scalar loop, since its count is the sum of every probe's path.
+When the segment row changes, the row's keys are stamped into a per-call
+``mark`` array indexed by order id, and every candidate is then one load —
+no merge walk, no branch per comparison (:data:`C_SOURCE`).  Spans are read
+in place, and a count-only call (``matches=False``) hands C a NULL output.
+The three kernels share that body and differ only in how it counts: the
+merge walk and the hash model in closed form, the binary search by walking
+each candidate's halving loop — the counts of the
+:data:`~repro.core.intersection.COMPARISON_COUNTS` table.
 
 The source is built once, **at import**, with the system C compiler
 (``cc -O2 -shared -fPIC``) into a user-private cache directory
@@ -28,8 +18,7 @@ cached file.  No survey, timed region or forked worker ever compiles.
 Import never raises: any failure leaves :data:`COMPILED_ROW_KERNELS` empty,
 :mod:`repro.core.intersection` does not register the tier, and
 ``kernel_tier="compiled"`` downgrades to ``columnar``;
-:func:`compiled_tier_status` says what happened.  Only the row kernels (the
-``columnar`` engine's) have a compiled form.
+:func:`compiled_tier_status` says what happened.
 """
 
 from __future__ import annotations
@@ -47,7 +36,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as _np
 
-from .intersection import INTERSECTION_KERNELS, RowAdjacency, RowBatchResult
+from .intersection import COMPARISON_COUNTS, RowAdjacency, RowBatchResult
 from .intersection import _check_spans
 
 __all__ = ["CompiledTierStatus", "compiled_tier_status", "COMPILED_ROW_KERNELS", "C_SOURCE"]
@@ -60,7 +49,7 @@ _CFLAGS = ("-O2", "-shared", "-fPIC")
 #: source position, global adjacency position)`` per match into the three
 #: ``cap``-slot rows of ``out`` — ``cap`` is the spans' total length, which
 #: can exceed ``n_src``; one match per span key at most — or, when ``out`` is
-#: NULL, writes nothing and only counts; it stores the scalar kernels' exact
+#: NULL, writes nothing and only counts; it stores the pairwise kernels' exact
 #: comparison count and returns the match count — or BAD_*, before reading
 #: out of bounds (BAD_KEY: a stamped row holds a key outside ``[0,
 #: order_count)``, the ``mark`` array's extent; BAD_TICK: the segments' row
@@ -99,9 +88,6 @@ static i64 check_spans(ARGS) {
     return 0;
 }
 
-#define EMIT(c, a)                                                             \
-    (out && (out[m] = seg, out[cap + m] = (c), out[2 * cap + m] = (a)), m++)
-
 /* How many of the sorted a[lo:hi] are <= key (branch-free halving). */
 static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
     const i64 *base = a + lo;
@@ -115,33 +101,46 @@ static i64 upper_bound(const i64 *a, i64 lo, i64 hi, i64 key) {
     return (base - (a + lo)) + (*base <= key);
 }
 
-/* Stamp and probe, the body of merge_path_rows and hash_rows.  mark is the
-   call's own zeroed order_count + 1 slots, never cleared: a row is stamped
-   from a running tick, mark[k] = tick + (position of key k in the row) + 1,
-   so key k is in the row being probed iff mark[k] > tick, and the next row
+/* The comparisons of the pairwise binary search for key in the sorted
+   a[lo:hi]: its halving loop, then the equality test when the search ends
+   inside the row. */
+static i64 search_cost(const i64 *a, i64 lo, i64 hi, i64 key) {
+    i64 count = 0, end = hi;
+    while (lo < hi) {
+        i64 mid = lo + (hi - lo) / 2;
+        count++;
+        if (a[mid] < key) lo = mid + 1; else hi = mid;
+    }
+    return count + (lo < end);
+}
+
+enum { HASH, MERGE, BINARY };
+
+/* Stamp and probe, the body of every entry point.  mark is the call's own
+   zeroed order_count + 1 slots, never cleared: a row is stamped from a
+   running tick, mark[k] = tick + (position of key k in the row) + 1, so
+   key k is in the row being probed iff mark[k] > tick, and the next row
    starts its tick past every stamp this one wrote.  Slot order_count stays
    0 and absorbs every out-of-range candidate, so a probe is one load and
-   the output slot is written unconditionally (slot m is below cap: m never
-   exceeds the span keys probed before this one); a match's global
-   adjacency position is mark[k] + off, off = j - tick - 1.  count_only (out
-   is NULL) makes the probe loop write nothing and only count, m +=
-   mark[...] > tick; the span checks, the stamp's key check and both counts
-   are the same.  A row is stamped when the segment row changes.  Rows and
+   the output slot is written unconditionally (slot m is below cap); a
+   match's global adjacency position is mark[k] + off, off = j - tick - 1.
+   count_only (out is NULL) only counts, m += mark[...] > tick.  Rows and
    candidates are sorted and duplicate-free, so the matches (segment order,
-   then candidate order) are the merge walk's and the hash probe's.  The
-   merge count is the walk's closed form, consumed - matches: the list
-   whose last key is smaller runs out, the other stops at the upper bound
-   of that key, and equal last keys consume both.  The hash count is one
-   table build over the row and one probe per candidate. */
+   then candidate order) are every pairwise kernel's.  mode picks the
+   comparison count: the merge walk's consumed - matches (the list whose
+   last key is smaller runs out, the other stops at the upper bound of that
+   key, and equal last keys consume both); the hash model's table build
+   over the row and one probe per candidate, an empty span included; the
+   binary search's halving walk per candidate. */
 static inline __attribute__((always_inline)) i64
-stamp_probe(ARGS, int merge_count, int count_only) {
+stamp_probe(ARGS, int mode, int count_only) {
     i64 bad = check_spans(PASS);
     if (bad) return bad;
     if (order_count < 0) return BAD_KEY;
     i64 m = 0, count = 0, stamped = -1, tick = 0, next = 0, off = 0;
     for (i64 seg = 0; seg < n_seg; seg++) {
         SEGMENT
-        if (!merge_count) count += (jhi - j) + (hi - i);
+        if (mode == HASH) count += (jhi - j) + (hi - i);
         if (i == hi || j == jhi) continue;
         if (row != stamped) {
             tick = next;
@@ -165,49 +164,27 @@ stamp_probe(ARGS, int merge_count, int count_only) {
                 out[m] = seg, out[cap + m] = i, out[2 * cap + m] = p + off;
                 m += p > tick;
             }
-        if (merge_count) {
-            i64 i0 = starts[seg], clast = src[hi - 1], alast = keys[jhi - 1];
+        i64 i0 = starts[seg];
+        if (mode == MERGE) {
+            i64 clast = src[hi - 1], alast = keys[jhi - 1];
             i64 consumed = clast < alast ? (hi - i0) + upper_bound(keys, j, jhi, clast)
                          : clast > alast ? (jhi - j) + upper_bound(src, i0, hi, alast)
                          : (hi - i0) + (jhi - j);
             count += consumed - (m - first);
-        }
+        } else if (mode == BINARY)
+            for (; i0 < hi; i0++) count += search_cost(keys, j, jhi, src[i0]);
     }
     *comparisons = count;
     return m;
 }
 
 /* Each entry point inlines one copy of the body per mode (out NULL: count
-   only), so no copy tests out or merge_count per segment: the match-writing
-   copy is the loop it was before the count-only mode existed. */
-i64 merge_path_rows(ARGS) { return out ? stamp_probe(PASS, 1, 0) : stamp_probe(PASS, 1, 1); }
+   only), so no copy tests out or mode per segment. */
+i64 merge_path_rows(ARGS) { return out ? stamp_probe(PASS, MERGE, 0) : stamp_probe(PASS, MERGE, 1); }
 
-i64 hash_rows(ARGS) { return out ? stamp_probe(PASS, 0, 0) : stamp_probe(PASS, 0, 1); }
+i64 hash_rows(ARGS) { return out ? stamp_probe(PASS, HASH, 0) : stamp_probe(PASS, HASH, 1); }
 
-/* The scalar binary-search loop itself: its count depends on every probe's
-   path, so it walks. */
-i64 binary_search_rows(ARGS) {
-    i64 bad = check_spans(PASS);
-    if (bad) return bad;
-    i64 m = 0, count = 0;
-    for (i64 seg = 0; seg < n_seg; seg++) {
-        SEGMENT
-        for (; i < hi; i++) {
-            i64 ck = src[i], lo = j, top = jhi;
-            while (lo < top) {
-                i64 mid = lo + (top - lo) / 2;
-                count++;
-                if (keys[mid] < ck) lo = mid + 1; else top = mid;
-            }
-            if (lo < jhi) {
-                count++;
-                if (keys[lo] == ck) EMIT(i, lo);
-            }
-        }
-    }
-    *comparisons = count;
-    return m;
-}
+i64 binary_search_rows(ARGS) { return out ? stamp_probe(PASS, BINARY, 0) : stamp_probe(PASS, BINARY, 1); }
 """
 
 
@@ -269,7 +246,7 @@ def _build(compiler: str, library: str) -> Optional[str]:
 def _dlopen(library: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(library)
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    for name in INTERSECTION_KERNELS:
+    for name in COMPARISON_COUNTS:
         loop = getattr(lib, f"{name}_rows")
         loop.restype = i64
         loop.argtypes = [ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
@@ -357,13 +334,11 @@ def _row_kernel(lib: ctypes.CDLL, name: str) -> Callable[..., RowBatchResult]:
             return RowBatchResult(None, None, None, comparisons.value, m)
         return RowBatchResult(out[0, :m], out[1, :m], out[2, :m], comparisons.value)
 
-    kernel.__name__ = f"{name}_rows_compiled"
-    kernel.__doc__ = f"Compiled-tier :func:`~repro.core.intersection.{name}_rows`."
     return kernel
 
 
-#: Compiled-tier row kernels keyed like INTERSECTION_KERNELS; empty when the
+#: Compiled-tier row kernels keyed like COMPARISON_COUNTS; empty when the
 #: library did not load (see :func:`compiled_tier_status`).
 COMPILED_ROW_KERNELS: Dict[str, Callable[..., RowBatchResult]] = (
-    {name: _row_kernel(_LIB, name) for name in INTERSECTION_KERNELS} if _LIB else {}
+    {name: _row_kernel(_LIB, name) for name in COMPARISON_COUNTS} if _LIB else {}
 )

@@ -11,7 +11,7 @@ telemetry for one run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..runtime.network_model import SimulatedTime
 from ..runtime.stats import PhaseStats, WorldStats

@@ -22,7 +22,7 @@ Construction offers three paths:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from itertools import repeat
 

@@ -31,7 +31,7 @@ Every generator is deterministic given its seed and returns a
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 

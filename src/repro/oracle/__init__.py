@@ -29,12 +29,12 @@ from ..core.engine.request import (
     SurveyRequest,
     TriangleCallback,
 )
-from ..core.intersection import INTERSECTION_KERNELS
 from ..graph.degree import order_key
 from ..graph.delta import AppliedDelta
 from ..graph.dodgr import DODGraph
 from ..graph.edge_list import canonical_pair
 from ..graph.metadata import TriangleMetadata
+from .kernels import INTERSECTION_KERNELS
 from .records import entry_key, record_view, routed_build
 
 __all__ = [

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Dict, Iterable, List, Tuple, Type
+from typing import Any, Dict, Iterable, List, Tuple, Type
 
 import numpy as np
 

@@ -365,6 +365,10 @@ class SurveyService:
         )
         self._epochs: Dict[int, _Epoch] = {}
         self._epoch = -1
+        #: what the last ledger ingest raised (its repr: the exception's
+        #: traceback would keep the failed merge's frames alive), until one
+        #: succeeds
+        self._failed_ingest: Optional[str] = None
         #: per-epoch composite panels / cumulative merges from the ledger
         #: (``None`` marks a degraded ingest step)
         self._panel_history: Dict[int, Optional[Dict[str, Any]]] = {}
@@ -398,14 +402,26 @@ class SurveyService:
         :class:`~repro.core.incremental.StreamingStep`.
         In-flight queries are unaffected: they hold pins on their epochs'
         graphs, and ledger panels for past epochs are already frozen.
+
+        Every epoch no query pins, the live one included, is released
+        first, so the superseded graph is not resident through the merge
+        and the rebuild.  If the ledger's ingest raises, the epoch does not
+        advance and an unpinned live epoch has no graph: a query submitted
+        at it raises :class:`ServiceError` (a ``RuntimeError``) naming the
+        failed ingest, until an ingest succeeds.
         """
         self._require_open("ingest")
-        step = self._ledger.ingest(edges, vertex_meta)
+        self._release_unpinned()
+        try:
+            step = self._ledger.ingest(edges, vertex_meta)
+        except BaseException as error:
+            self._failed_ingest = repr(error)
+            raise
+        self._failed_ingest = None
         epoch = step.batch_index
         self._epoch = epoch
         dodgr = self._ledger.dodgr.retain()
         self._epochs[epoch] = _Epoch(dodgr, dodgr.num_directed_edges())
-        self._release_unpinned(keep=epoch)
         if step.degraded:
             self._panel_history[epoch] = None
             self._cumulative[epoch] = None
@@ -446,10 +462,8 @@ class SurveyService:
             entry.dodgr.release()
             del self._epochs[epoch]
 
-    def _release_unpinned(self, keep: int) -> None:
-        for epoch in [
-            e for e, entry in self._epochs.items() if e != keep and entry.pins <= 0
-        ]:
+    def _release_unpinned(self) -> None:
+        for epoch in [e for e, entry in self._epochs.items() if entry.pins <= 0]:
             self._epochs[epoch].dodgr.release()
             del self._epochs[epoch]
 
@@ -490,6 +504,11 @@ class SurveyService:
         engine_name = self._engine_name(query)
         if self._epoch < 0:
             raise ServiceError("no data ingested yet; ingest a batch first")
+        if self._epoch not in self._epochs:
+            raise ServiceError(
+                f"epoch {self._epoch} has no graph: the ingest after it failed "
+                f"({self._failed_ingest}); ingest a batch to restore service"
+            )
         budget = (
             query.timeout_s
             if query.timeout_s is not None
@@ -865,13 +884,14 @@ class SurveyService:
         *Live* means the resident state is intact enough to produce some
         answer (always true while the object exists — the ladder ends in
         an estimator that cannot be load-shed).  *Ready* means the service
-        is accepting and answering exactly: it has ingested data, has
-        queue headroom, and has not permanently lost ranks.
+        is accepting and answering exactly: its live epoch has a graph (data
+        was ingested and no failed ingest left it without one), it has
+        queue headroom, and it has not permanently lost ranks.
         """
         saturated = len(self._queue) >= self.policy.max_queue_depth
         return {
             "live": True,
-            "ready": self._epoch >= 0 and not saturated and not self._lost_ranks,
+            "ready": self._epoch in self._epochs and not saturated and not self._lost_ranks,
             "epoch": self._epoch,
             "queue_depth": len(self._queue),
             "queue_capacity": self.policy.max_queue_depth,

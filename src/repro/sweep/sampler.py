@@ -19,7 +19,7 @@ change that moves every sweep row):
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Union
 
 from ..graph.generators import generator_rng
 from .worlds import WorldConfig, WorldSpec, get_world_spec

@@ -124,7 +124,7 @@ RESOLVED = [
     (EngineConfig(kernel="hash"), ("columnar", "hash", SIM, None, None, None)),
     (EngineConfig(backend="process"), ("columnar", MERGE, "process", None, None, None)),
     (EngineConfig(workers=3), ("columnar", MERGE, SIM, 3, None, None)),
-    (EngineConfig(kernel_tier="scalar"), ("columnar", MERGE, SIM, None, "scalar", None)),
+    (EngineConfig(kernel_tier="columnar"), ("columnar", MERGE, SIM, None, "columnar", None)),
     (EngineConfig(kernel_tier="auto"), ("columnar", MERGE, SIM, None, "auto", None)),
     (EngineConfig(storage="mmap"), ("columnar", MERGE, SIM, None, None, "mmap")),
     (EngineConfig(storage=MMAP), ("columnar", MERGE, SIM, None, None, MMAP)),
@@ -175,7 +175,9 @@ REJECTED = [
         UnsupportedBackendError,
         "engine=legacy × kernel_tier=columnar is not supported",
     ),
-    (EngineConfig(engine="legacy", kernel_tier="compiled"), UnsupportedBackendError, "scalar"),
+    (EngineConfig(engine="legacy", kernel_tier="compiled"), UnsupportedBackendError, "pairwise"),
+    (EngineConfig(kernel_tier="scalar"), ValueError, "unknown kernel tier 'scalar'"),
+    (EngineConfig(engine="legacy", kernel_tier="scalar"), ValueError, "unknown kernel tier"),
     (42, TypeError, "engine selector must be"),
     (EngineConfig(kernel="mergepath"), ValueError, "did you mean 'merge_path'?"),
 ]
@@ -277,10 +279,10 @@ class TestResolveExecution:
 
     def test_incremental_accepts_kernel_and_tier(self):
         spec, config = resolve_execution(
-            EngineConfig(kernel="hash", kernel_tier="scalar", storage="resident"),
+            EngineConfig(kernel="hash", kernel_tier="columnar", storage="resident"),
             incremental=True,
         )
-        assert (spec.name, config.kernel, config.kernel_tier) == ("columnar", "hash", "scalar")
+        assert (spec.name, config.kernel, config.kernel_tier) == ("columnar", "hash", "columnar")
 
 
 class TestEngineConfig:
@@ -341,10 +343,10 @@ class TestEngineConfig:
         by_name = execute_survey(request, engine="columnar")
         assert by_name.request.kernel == "hash"
         by_config = execute_survey(
-            request, engine=EngineConfig(engine="legacy", kernel_tier="scalar")
+            request, engine=EngineConfig(engine="legacy", kernel_tier="auto")
         )
         assert by_config.engine == "legacy"
-        assert (by_config.request.kernel, by_config.request.kernel_tier) == ("hash", "scalar")
+        assert (by_config.request.kernel, by_config.request.kernel_tier) == ("hash", "auto")
         assert request.kernel_tier is None  # the caller's request is not mutated
 
 
@@ -420,13 +422,13 @@ class TestUnsupportedTable:
 
     @pytest.mark.parametrize("incremental", [False, True])
     def test_the_table_implies_the_legal_matrix(self, incremental):
-        """Stated independently: legacy runs only the scalar tier, and a
+        """Stated independently: legacy runs no row-kernel tier, and a
         delta survey runs on the simulated backend, resident, workers unset.
         Every other selector cell passes the checker."""
         legal_cells = 0
         for engine, backend, tier, storage, workers in SELECTOR_CELLS:
             features = cell_features(engine, backend, tier, storage, workers)
-            legal = (engine == "columnar" or tier in ("scalar", "auto", None)) and not (
+            legal = (engine == "columnar" or tier in ("auto", None)) and not (
                 incremental and (backend == "process" or workers or storage == "mmap")
             )
             if incremental:
@@ -437,7 +439,7 @@ class TestUnsupportedTable:
             else:
                 with pytest.raises(UnsupportedBackendError):
                     check_supported(features)
-        assert legal_cells == (16 if incremental else 96)
+        assert legal_cells == (12 if incremental else 72)
 
     def test_a_legal_survey_passes_on_this_platform(self, small_er):
         world, dodgr = build_dodgr(small_er, 2)

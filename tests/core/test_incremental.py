@@ -411,7 +411,7 @@ def test_kernel_and_tier_are_honoured_on_the_delta_path():
     for selector in (
         "legacy",
         EngineConfig(engine="legacy", kernel="hash"),
-        EngineConfig(kernel="hash", kernel_tier="scalar"),
+        EngineConfig(kernel="hash", kernel_tier="compiled"),
         EngineConfig(kernel="binary_search", kernel_tier="columnar"),
     ):
         survey = StreamingSurvey(World(NRANKS), ClosureTimeSurvey, engine=selector)

@@ -1,10 +1,10 @@
-"""Unit tests for the adjacency-intersection kernels."""
+"""Unit tests for the oracle's pairwise intersection kernels."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.intersection import (
+from repro.oracle.kernels import (
     INTERSECTION_KERNELS,
     binary_search_intersection,
     hash_intersection,

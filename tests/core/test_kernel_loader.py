@@ -258,7 +258,7 @@ def test_without_a_compiler_the_default_is_columnar_and_bit_identical(tmp_path):
     )
     out = json.loads(child.communicate(timeout=300)[0])
     assert child.returncode == 0
-    assert out["tiers"] == ["columnar", "scalar"] and out["default"] == "columnar"
+    assert out["tiers"] == ["columnar"] and out["default"] == "columnar"
     assert list(tmp_path.iterdir()) == []  # no compiler: the cache is never touched
     assert out["count"] == count_push_pull(None)
     assert out["panel"] == closure_panel(None) and out["panel"]
@@ -277,7 +277,7 @@ def test_mmap_and_process_surveys_under_the_compiled_tier(monkeypatch):
     builds = []
     monkeypatch.setattr(compiled, "_build", lambda *a: builds.append(a))
     segments, shm = active_segment_paths(), active_segment_names()
-    oracle = count_push_pull(EngineConfig(kernel_tier="scalar"))
+    oracle = count_push_pull(EngineConfig(engine="legacy"))
     assert count_push_pull(EngineConfig(kernel_tier="compiled", storage="mmap")) == oracle
     assert active_segment_paths() == segments  # leaked_segments == 0
     process = EngineConfig(kernel_tier="compiled", backend="process", workers=2)

@@ -1,18 +1,18 @@
-"""Parity tests: row kernels vs their scalar counterparts.
+"""Parity tests: row kernels vs the oracle's pairwise kernels.
 
-The row kernels are contractually *aggregates* of the scalar kernels: per
-segment they must return exactly the matches the scalar kernel would against
-that segment's adjacency row, and their comparison total must equal the sum
-of the scalar counts — otherwise a columnar survey would drift from the
-legacy path's simulated-cost accounting.  Segments are spans
+The row kernels are contractually *aggregates* of the pairwise kernels of
+:mod:`repro.oracle.kernels`: per segment they must return exactly the
+matches the pairwise kernel would against that segment's adjacency row, and
+their comparison total must equal the sum of the pairwise counts —
+otherwise a columnar survey would drift from the legacy path's
+simulated-cost accounting.  Segments are spans
 ``source[start:end]`` of one source key array, and a match's candidate
 position is absolute in that source: the cases lay segments end to end (the
 delta stream's ``offsets[:-1]`` / ``offsets[1:]`` form) and as the push and
 pull surveys pass them — overlapping suffixes of the rows of a CSR-like
 source, empty, in any order.  The hand-written cases run over every
-registered tier: ``columnar`` at its production cutoff and forced down its
-vectorized pipeline, ``scalar``, and ``compiled`` wherever a C compiler
-built it.  The compiled tier's stamp-and-probe body gets cases of its own.
+registered tier: ``columnar``, and ``compiled`` wherever a C compiler built
+it.  The compiled tier's stamp-and-probe body gets cases of its own.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ import pytest
 
 from repro.core import intersection
 from repro.core.intersection import (
-    INTERSECTION_KERNELS,
     ROW_KERNEL_TIERS,
     ROW_KERNELS,
     RowAdjacency,
     RowBatchResult,
-    _rows_via_scalar,
     compiled_tier_status,
 )
+from repro.oracle.kernels import INTERSECTION_KERNELS
 
 identity = lambda x: x  # noqa: E731 - key function for plain int keys
 
@@ -41,27 +40,14 @@ ROW_KERNEL_PAIRS = [
 ]
 KERNEL_IDS = [name for name, _ in ROW_KERNEL_PAIRS]
 
-#: Row-kernel variants under test -> tier: the columnar tier at its
-#: production cutoff and forced down its vectorized pipeline (the
-#: small-input fast path reroutes tiny calls through the scalar reference,
-#: which would make the parity cases tautological), then every other
-#: registered tier.
-TIER_VARIANTS = {
-    "production-cutoff": "columnar",
-    "force-vectorized": "columnar",
-    **{tier: tier for tier in ROW_KERNEL_TIERS if tier != "columnar"},
-}
-
 needs_compiled = pytest.mark.skipif(
     not compiled_tier_status().available, reason="compiled tier not built"
 )
 
 
-@pytest.fixture(params=list(TIER_VARIANTS))
-def tier(request, monkeypatch):
-    if request.param == "force-vectorized":
-        monkeypatch.setattr("repro.core.intersection._SCALAR_ROW_CUTOFF", -1)
-    return TIER_VARIANTS[request.param]
+@pytest.fixture(params=list(ROW_KERNEL_TIERS))
+def tier(request):
+    return request.param
 
 
 def flatten(segments):
@@ -88,8 +74,8 @@ def build_row_adjacency(rows, order_count=ROW_KEY_SPACE):
     )
 
 
-def row_scalar_reference(scalar_kernel, source, spans, seg_rows, rows):
-    """One scalar call per span ``source[start:end]`` against its own row:
+def row_pairwise_reference(pairwise_kernel, source, spans, seg_rows, rows):
+    """One pairwise call per span ``source[start:end]`` against its own row:
     the row contract, candidate positions absolute in ``source``."""
     matches, comparisons = [], 0
     row_starts = [0]
@@ -97,7 +83,7 @@ def row_scalar_reference(scalar_kernel, source, spans, seg_rows, rows):
         row_starts.append(row_starts[-1] + len(row))
     for seg_index, (start, end) in enumerate(spans):
         row = seg_rows[seg_index]
-        result = scalar_kernel(list(source[start:end]), rows[row], identity, identity)
+        result = pairwise_kernel(list(source[start:end]), rows[row], identity, identity)
         comparisons += result.comparisons
         for i, j in result.matches:
             matches.append((seg_index, start + i, row_starts[row] + j))
@@ -105,17 +91,17 @@ def row_scalar_reference(scalar_kernel, source, spans, seg_rows, rows):
 
 
 def as_matches(result):
-    """A row result in :func:`row_scalar_reference`'s shape."""
+    """A row result in :func:`row_pairwise_reference`'s shape."""
     matches = zip(result.seg, result.cand_pos, result.adj_pos)
     return [tuple(map(int, match)) for match in matches], int(result.comparisons)
 
 
-def assert_parity(scalar, row_kernel, source, spans, seg_rows, rows, order_count=ROW_KEY_SPACE):
+def assert_parity(pairwise, row_kernel, source, spans, seg_rows, rows, order_count=ROW_KEY_SPACE):
     """The row kernel over ``spans`` of ``source`` equals the reference."""
     starts = [start for start, _ in spans]
     ends = [end for _, end in spans]
     result = row_kernel(source, starts, ends, seg_rows, build_row_adjacency(rows, order_count))
-    expected = row_scalar_reference(scalar, source, spans, seg_rows, rows)
+    expected = row_pairwise_reference(pairwise, source, spans, seg_rows, rows)
     assert as_matches(result) == expected
     return expected
 
@@ -127,8 +113,8 @@ def end_to_end(segments):
     return flat, list(zip(offsets[:-1], offsets[1:]))
 
 
-def contiguous_parity(scalar, row_kernel, segments, seg_rows, rows, order_count=ROW_KEY_SPACE):
-    return assert_parity(scalar, row_kernel, *end_to_end(segments), seg_rows, rows, order_count)
+def contiguous_parity(pairwise, row_kernel, segments, seg_rows, rows, order_count=ROW_KEY_SPACE):
+    return assert_parity(pairwise, row_kernel, *end_to_end(segments), seg_rows, rows, order_count)
 
 
 def suffix_spans(source_rows):
@@ -144,63 +130,63 @@ def suffix_spans(source_rows):
     return source, spans
 
 
-@pytest.mark.parametrize("name,scalar", ROW_KERNEL_PAIRS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("name,pairwise", ROW_KERNEL_PAIRS, ids=KERNEL_IDS)
 class TestRowKernelParity:
     @pytest.fixture
     def row_kernel(self, name, tier):
         return ROW_KERNEL_TIERS[tier][name]
 
-    def test_basic_multi_row(self, name, scalar, row_kernel):
+    def test_basic_multi_row(self, name, pairwise, row_kernel):
         rows = [[2, 3, 4, 7, 10], [1, 9], []]
         segments = [[1, 3, 5, 7, 9], [2, 3, 4], [1, 9], [4]]
-        contiguous_parity(scalar, row_kernel, segments, [0, 0, 1, 2], rows)
+        contiguous_parity(pairwise, row_kernel, segments, [0, 0, 1, 2], rows)
 
-    def test_same_row_many_segments(self, name, scalar, row_kernel):
+    def test_same_row_many_segments(self, name, pairwise, row_kernel):
         rows = [[5, 9, 11]]
         segments = [[2, 5, 9], [9, 11], [1]]
-        contiguous_parity(scalar, row_kernel, segments, [0, 0, 0], rows)
+        contiguous_parity(pairwise, row_kernel, segments, [0, 0, 0], rows)
 
-    def test_empty_rows_and_segments(self, name, scalar, row_kernel):
-        contiguous_parity(scalar, row_kernel, [[], [3]], [0, 1], [[], [3]])
-        contiguous_parity(scalar, row_kernel, [], [], [[1, 2]])
+    def test_empty_rows_and_segments(self, name, pairwise, row_kernel):
+        contiguous_parity(pairwise, row_kernel, [[], [3]], [0, 1], [[], [3]])
+        contiguous_parity(pairwise, row_kernel, [], [], [[1, 2]])
 
-    def test_adversarial_empty_segment(self, name, scalar, row_kernel):
-        contiguous_parity(scalar, row_kernel, [[], [5], []], [0, 0, 0], [[1, 5, 9]])
+    def test_adversarial_empty_segment(self, name, pairwise, row_kernel):
+        contiguous_parity(pairwise, row_kernel, [[], [5], []], [0, 0, 0], [[1, 5, 9]])
 
-    def test_adversarial_empty_adjacency(self, name, scalar, row_kernel):
-        contiguous_parity(scalar, row_kernel, [[1, 2], [3]], [0, 0], [[]])
+    def test_adversarial_empty_adjacency(self, name, pairwise, row_kernel):
+        contiguous_parity(pairwise, row_kernel, [[1, 2], [3]], [0, 0], [[]])
 
-    def test_adversarial_no_segments(self, name, scalar, row_kernel):
-        contiguous_parity(scalar, row_kernel, [], [], [[1, 2, 3], [4]])
+    def test_adversarial_no_segments(self, name, pairwise, row_kernel):
+        contiguous_parity(pairwise, row_kernel, [], [], [[1, 2, 3], [4]])
 
-    def test_adversarial_single_entry_both_sides(self, name, scalar, row_kernel):
-        contiguous_parity(scalar, row_kernel, [[7]], [0], [[7]])
-        contiguous_parity(scalar, row_kernel, [[7]], [0], [[8]])
+    def test_adversarial_single_entry_both_sides(self, name, pairwise, row_kernel):
+        contiguous_parity(pairwise, row_kernel, [[7]], [0], [[7]])
+        contiguous_parity(pairwise, row_kernel, [[7]], [0], [[8]])
 
-    def test_adversarial_all_matching(self, name, scalar, row_kernel):
+    def test_adversarial_all_matching(self, name, pairwise, row_kernel):
         row = list(range(0, 40, 2))
-        contiguous_parity(scalar, row_kernel, [list(row), list(row)], [0, 1], [row, row])
+        contiguous_parity(pairwise, row_kernel, [list(row), list(row)], [0, 1], [row, row])
 
-    def test_adversarial_disjoint_extremes(self, name, scalar, row_kernel):
+    def test_adversarial_disjoint_extremes(self, name, pairwise, row_kernel):
         # Segments entirely below / entirely above their row's range hit the
         # "one side exhausts immediately" paths of the cost formula.
         rows = [[10, 20, 30], [5, 6]]
-        contiguous_parity(scalar, row_kernel, [[1, 2, 3], [50, 51], [40]], [0, 0, 1], rows)
+        contiguous_parity(pairwise, row_kernel, [[1, 2, 3], [50, 51], [40]], [0, 0, 1], rows)
 
-    def test_row_revisited_non_consecutively(self, name, scalar, row_kernel):
+    def test_row_revisited_non_consecutively(self, name, pairwise, row_kernel):
         # Rows A, B, A: B's stamps must be gone and A's back when A returns.
         rows = [[1, 5, 9, 30], [2, 5, 7, 40]]
         probe = [1, 2, 5, 7, 9, 30, 40]
         segments = [probe, probe, probe, [7, 40]]
-        contiguous_parity(scalar, row_kernel, segments, [0, 1, 0, 0], rows)
-        contiguous_parity(scalar, row_kernel, [probe, [], probe, probe], [1, 0, 0, 1], rows)
+        contiguous_parity(pairwise, row_kernel, segments, [0, 1, 0, 0], rows)
+        contiguous_parity(pairwise, row_kernel, [probe, [], probe, probe], [1, 0, 0, 1], rows)
 
-    def test_equal_last_keys(self, name, scalar, row_kernel):
+    def test_equal_last_keys(self, name, pairwise, row_kernel):
         rows = [[3, 8, 12], [12]]
         segments = [[1, 2, 12], [3, 4, 5, 6, 7, 8, 12], [12], [0, 12], [12]]
-        contiguous_parity(scalar, row_kernel, segments, [0, 0, 0, 1, 1], rows)
+        contiguous_parity(pairwise, row_kernel, segments, [0, 0, 0, 1, 1], rows)
 
-    def test_random_fuzz(self, name, scalar, row_kernel):
+    def test_random_fuzz(self, name, pairwise, row_kernel):
         rng = random.Random(4321)
         for _ in range(150):
             nrows = rng.randint(1, 6)
@@ -211,45 +197,45 @@ class TestRowKernelParity:
             for _ in range(rng.randint(0, 8)):
                 segments.append(sorted(rng.sample(range(60), rng.randint(0, 12))))
                 seg_rows.append(rng.randrange(nrows))
-            contiguous_parity(scalar, row_kernel, segments, seg_rows, rows)
+            contiguous_parity(pairwise, row_kernel, segments, seg_rows, rows)
 
-    def test_overlapping_suffix_spans(self, name, scalar, row_kernel):
+    def test_overlapping_suffix_spans(self, name, pairwise, row_kernel):
         # Every wedge's suffix of a row, read in place: spans nest and their
         # lengths sum past the source's.
         source, spans = suffix_spans([[1, 4, 9], [2, 3, 5, 7, 11, 13], [6, 8]])
         assert sum(end - start for start, end in spans) > len(source)
         rows = [[3, 5, 9, 13], [4, 7, 8, 11], []]
         seg_rows = [index % len(rows) for index in range(len(spans))]
-        matches, _ = assert_parity(scalar, row_kernel, source, spans, seg_rows, rows)
+        matches, _ = assert_parity(pairwise, row_kernel, source, spans, seg_rows, rows)
         assert matches  # the case exercises hits, not just counts
 
-    def test_one_suffix_against_many_rows(self, name, scalar, row_kernel):
+    def test_one_suffix_against_many_rows(self, name, pairwise, row_kernel):
         source = [0, 2, 4, 6, 8, 10, 12, 14]
         spans = [(1, 8), (1, 8), (3, 8), (1, 8), (7, 8)]
         rows = [[2, 6, 14], [0, 4, 8, 12], [10]]
-        assert_parity(scalar, row_kernel, source, spans, [0, 1, 2, 0, 0], rows)
+        assert_parity(pairwise, row_kernel, source, spans, [0, 1, 2, 0, 0], rows)
 
-    def test_empty_spans(self, name, scalar, row_kernel):
+    def test_empty_spans(self, name, pairwise, row_kernel):
         # start == end at the source's first slot, inside it and past its end.
         source = [1, 3, 5, 7]
         spans = [(0, 0), (1, 3), (2, 2), (4, 4), (0, 4), (3, 3)]
         rows = [[1, 5, 7], [3]]
-        assert_parity(scalar, row_kernel, source, spans, [0, 1, 0, 1, 0, 0], rows)
-        assert_parity(scalar, row_kernel, source, [(2, 2)], [1], rows)
+        assert_parity(pairwise, row_kernel, source, spans, [0, 1, 0, 1, 0, 0], rows)
+        assert_parity(pairwise, row_kernel, source, [(2, 2)], [1], rows)
 
-    def test_spans_ending_at_the_source_last_key(self, name, scalar, row_kernel):
+    def test_spans_ending_at_the_source_last_key(self, name, pairwise, row_kernel):
         source = [2, 9, 1, 4, 6, 12]
         rows = [[1, 6, 12], [4, 12], [12]]
         spans = [(5, 6), (3, 6), (2, 6), (4, 6)]
-        assert_parity(scalar, row_kernel, source, spans, [0, 1, 2, 0], rows)
+        assert_parity(pairwise, row_kernel, source, spans, [0, 1, 2, 0], rows)
 
-    def test_spans_in_non_ascending_start_order(self, name, scalar, row_kernel):
+    def test_spans_in_non_ascending_start_order(self, name, pairwise, row_kernel):
         source, _ = suffix_spans([[1, 5, 9, 30], [2, 5, 7, 40]])
         spans = [(5, 8), (1, 4), (6, 8), (0, 4), (4, 8), (2, 3)]
         rows = [[1, 5, 9, 30], [2, 5, 7, 40]]
-        assert_parity(scalar, row_kernel, source, spans, [0, 1, 1, 0, 0, 1], rows)
+        assert_parity(pairwise, row_kernel, source, spans, [0, 1, 1, 0, 0, 1], rows)
 
-    def test_random_suffix_fuzz(self, name, scalar, row_kernel):
+    def test_random_suffix_fuzz(self, name, pairwise, row_kernel):
         # A random CSR-like source, random spans within its rows (overlapping,
         # empty, in any order) against random rows.
         rng = random.Random(8765)
@@ -270,7 +256,7 @@ class TestRowKernelParity:
                 for _ in range(rng.randint(1, 5))
             ]
             seg_rows = [rng.randrange(len(rows)) for _ in spans]
-            assert_parity(scalar, row_kernel, source, spans, seg_rows, rows)
+            assert_parity(pairwise, row_kernel, source, spans, seg_rows, rows)
 
 
 class TestRowResultShape:
@@ -312,7 +298,7 @@ class TestRowResultShape:
         )
         kernel = ROW_KERNEL_TIERS[tier][name]
         source = [1, 2, 3, 4, 5, 6]
-        long_source = list(range(1, 7)) * 20  # above the scalar cutoff
+        long_source = list(range(1, 7)) * 20
         bad_span = r"^segment spans must satisfy 0 <= start <= end <= "
         bad_columns = r"^one start, end and row per segment; got "
         cases = [
@@ -337,46 +323,15 @@ class TestRowResultShape:
             intersection.row_kernel("bogus")
 
 
-class TestPythonFallback:
-    """The per-segment scalar path must agree with the vectorized path exactly."""
-
-    @pytest.mark.parametrize("name,scalar", ROW_KERNEL_PAIRS, ids=KERNEL_IDS)
-    def test_fallback_matches_vectorized(self, name, scalar, monkeypatch):
-        monkeypatch.setattr("repro.core.intersection._SCALAR_ROW_CUTOFF", -1)
-        rng = random.Random(77)
-        for _ in range(50):
-            nrows = rng.randint(1, 4)
-            rows = [
-                sorted(rng.sample(range(ROW_KEY_SPACE), rng.randint(0, 25)))
-                for _ in range(nrows)
-            ]
-            source, spans = suffix_spans(
-                [
-                    sorted(rng.sample(range(ROW_KEY_SPACE), rng.randint(0, 8)))
-                    for _ in range(rng.randint(1, 3))
-                ]
-            )
-            spans = rng.sample(spans, min(len(spans), rng.randint(0, 6)))
-            starts, ends = [start for start, _ in spans], [end for _, end in spans]
-            seg_rows = [rng.randrange(nrows) for _ in spans]
-            adjacency = build_row_adjacency(rows)
-            vectorized = ROW_KERNELS[name](source, starts, ends, seg_rows, adjacency)
-            fallback = _rows_via_scalar(scalar, source, starts, ends, seg_rows, adjacency)
-            for column in ("seg", "cand_pos", "adj_pos"):
-                assert [int(v) for v in getattr(vectorized, column)] == [
-                    int(v) for v in getattr(fallback, column)
-                ], column
-            assert int(vectorized.comparisons) == int(fallback.comparisons)
-
-
 @needs_compiled
-@pytest.mark.parametrize("name", ["merge_path", "hash"])
+@pytest.mark.parametrize("name", KERNEL_IDS)
 class TestCompiledStampAndProbe:
-    """The C ``merge_path`` / ``hash`` kernels stamp each row into an
-    order-id-indexed array, probe candidates against it and count
-    comparisons by closed form.  With the parity cases above (rows revisited
-    non-consecutively, equal last keys), each case here breaks a wrong
-    stamp, a shared stamp array or a wrong closed-form branch."""
+    """The C kernels stamp each row into an order-id-indexed array, probe
+    candidates against it and count comparisons by their kernel's mode:
+    closed form for merge path and hash, a walk per candidate for binary
+    search.  With the parity cases above (rows revisited non-consecutively,
+    equal last keys), each case here breaks a wrong stamp, a shared stamp
+    array or a wrong count."""
 
     def assert_reference(self, name, segments, seg_rows, rows, order_count=ROW_KEY_SPACE):
         kernel = ROW_KERNEL_TIERS["compiled"][name]
@@ -404,7 +359,9 @@ class TestCompiledStampAndProbe:
         rng = numpy.random.default_rng(11)
         universe = 1 << 18
         row = numpy.sort(rng.choice(universe, size=100_000, replace=False)).tolist()
-        segment = numpy.sort(rng.choice(universe, size=100_000, replace=False)).tolist()
+        # The binary-search reference is a Python loop per probe: 10^3 probes.
+        size = 1_000 if name == "binary_search" else 100_000
+        segment = numpy.sort(rng.choice(universe, size=size, replace=False)).tolist()
         self.assert_reference(name, [segment, segment[:10]], [0, 0], [row], universe)
 
     def test_two_threads_on_one_adjacency(self, name):
@@ -427,7 +384,7 @@ class TestCompiledStampAndProbe:
                 for _ in seg_rows
             ]
             source, spans = end_to_end(segments)
-            expected = row_scalar_reference(
+            expected = row_pairwise_reference(
                 INTERSECTION_KERNELS[name], source, spans, seg_rows, rows
             )
             starts, ends = zip(*spans)

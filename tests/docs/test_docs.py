@@ -376,6 +376,36 @@ def test_stable_sort_scan_flags_a_stray_sort(tmp_path):
     ]
 
 
+def test_every_import_in_src_is_read():
+    """Mirror of tools/check_engines.py check 17: no unused import in
+    ``src/repro``."""
+    import check_engines
+
+    assert check_engines.check_no_unused_imports() == []
+
+
+def test_unused_import_scan_flags_a_planted_stray(tmp_path):
+    """The check 17 scan trips on a planted stray import, with its line;
+    a read name, a string annotation, an ``__all__`` entry, a package
+    ``__init__`` and ``from __future__`` are not reported."""
+    import check_engines
+
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from .mod import unread\n", encoding="utf-8")
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Optional, Tuple\n"
+        "from .other import exported, Callback\n"
+        "__all__ = ['exported']\n\n\n"
+        "def f(x: Optional['Callback']) -> 'np.ndarray':\n"
+        "    return os.path.join(x)\n",
+        encoding="utf-8",
+    )
+    assert check_engines.unused_imports(tmp_path) == ["pkg/mod.py:4 Tuple"]
+
+
 def test_array_path_reducers_stay_on_the_arrays():
     """Mirror of tools/check_engines.py check 13: on a numeric rmat-8 graph
     every array-path reducer hands each large batch to

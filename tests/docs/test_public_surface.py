@@ -1,5 +1,6 @@
 """Check 12 of ``tools/check_engines.py`` in its parts: what it counts as an
-export, where an export is defined, and which files count as its callers.
+export, where an export is defined, which files count as its callers, and
+which attribute reads count as uses.
 
 ``tests/docs/test_docs.py`` runs the whole check on the repository and on
 one planted tree; the tests here pin each rule on a tree of their own.
@@ -114,7 +115,11 @@ def test_an_assignment_target_is_no_use(tmp_path):
 )
 def test_a_use_outside_tests_clears_the_export(tmp_path, caller):
     root = shapes_tree(tmp_path)
-    text = "`stray_shape()`\n" if caller.endswith(".md") else "print(graph.stray_shape)\n"
+    text = (
+        "`stray_shape()`\n"
+        if caller.endswith(".md")
+        else "from repro import graph\nprint(graph.stray_shape)\n"
+    )
     plant(root, {caller: text})
     assert check_engines.stray_public_names(root) == []
 
@@ -126,6 +131,61 @@ def test_a_use_outside_tests_clears_the_export(tmp_path, caller):
 def test_a_use_only_where_callers_are_not_read_leaves_it_stray(tmp_path, caller):
     root = shapes_tree(tmp_path)
     plant(root, {caller: "from repro.graph import stray_shape\nstray_shape()\n"})
+    assert check_engines.stray_public_names(root) == ["repro.graph.shapes.stray_shape"]
+
+
+def test_an_attribute_counts_only_through_a_module_binding(tmp_path):
+    """Two exports: one reached only as the same-named attribute of some
+    other object is flagged, one reached through a module alias is not."""
+    root = plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/graph/__init__.py": "",
+            "src/repro/graph/shapes.py": (
+                '__all__ = ["shadowed_shape", "aliased_shape"]\n\n\n'
+                "def shadowed_shape():\n    return 1\n\n\n"
+                "def aliased_shape():\n    return 2\n"
+            ),
+            "examples/demo.py": (
+                "import repro.graph.shapes as shapes\n\n\n"
+                "class Summary:\n    shadowed_shape = 0\n\n\n"
+                "print(Summary().shadowed_shape, shapes.aliased_shape())\n"
+            ),
+        },
+    )
+    assert check_engines.stray_public_names(root) == ["repro.graph.shapes.shadowed_shape"]
+
+
+@pytest.mark.parametrize(
+    "caller, text",
+    [
+        ("examples/demo.py", "import repro.graph.shapes as shapes\nshapes.stray_shape()\n"),
+        ("examples/demo.py", "from repro.graph import shapes as s\ns.stray_shape()\n"),
+        ("examples/demo.py", "import repro.graph\nrepro.graph.stray_shape()\n"),
+        ("examples/demo.py", "import repro\nrepro.graph.shapes.stray_shape()\n"),
+        ("src/repro/graph/other.py", "from . import shapes\nshapes.stray_shape()\n"),
+        ("src/repro/graph/other.py", "from .. import graph\ngraph.stray_shape()\n"),
+    ],
+)
+def test_an_attribute_of_a_bound_module_is_a_use(tmp_path, caller, text):
+    root = shapes_tree(tmp_path)
+    plant(root, {caller: text})
+    assert check_engines.stray_public_names(root) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "class Other:\n    stray_shape = 1\n\n\nprint(Other().stray_shape)\n",
+        "import repro\nprint(repro.stray_shape)\n",  # repro re-exports nothing
+        "import numpy\nprint(numpy.stray_shape)\n",
+        "from repro.graph.shapes import stray_shape as shape\nprint(shape.stray_shape)\n",
+    ],
+)
+def test_an_attribute_of_anything_else_is_no_use(tmp_path, text):
+    root = shapes_tree(tmp_path)
+    plant(root, {"examples/demo.py": text})
     assert check_engines.stray_public_names(root) == ["repro.graph.shapes.stray_shape"]
 
 
@@ -147,7 +207,7 @@ def test_every_allowlist_entry_states_a_reason():
     [
         ("repro.runtime.message_buffer", "MessageBuffer"),
         ("repro.core.approximate", "sparsify_graph"),
-        ("repro.core.intersection", "IntersectionResult"),
+        ("repro.oracle.kernels", "IntersectionResult"),
     ],
 )
 def test_live_internals_are_importable_but_not_exported(module, name):

@@ -1,25 +1,25 @@
-"""Property-based cross-tier kernel equivalence (out-of-core tentpole).
+"""Property-based cross-tier kernel equivalence.
 
-The kernel-tier layer promises that every tier — ``scalar`` (reference
-loops), ``columnar`` (NumPy pipelines with closed-form comparison replay)
-and ``compiled`` (the scalar row loops in C, built by the system compiler) —
-produces *identical* matches and *identical* aggregate comparison counts
-for every row kernel, on arbitrary inputs.  The scalar tier is the
-oracle; the suite drives every *registered* tier (so the C kernels wherever
-a compiler built them) over random and adversarial inputs.  Segments are
-spans of one source key array, drawn as the surveys pass them: inside the
-sorted runs of a CSR-like source, overlapping (nested suffixes included),
-empty and in any order.  The adversarial shapes add empty adjacencies,
+The kernel-tier layer promises that every tier — ``columnar`` (a NumPy
+composite-key match and the comparison-count table) and ``compiled``
+(stamp and probe in C, built by the system compiler) — produces
+*identical* matches and *identical* aggregate comparison counts for every
+row kernel, on arbitrary inputs.  The oracle is
+:func:`repro.oracle.kernels.reference_rows`, one pairwise kernel call per
+segment; the suite drives every *registered* tier (so the C kernels
+wherever a compiler built them) over random and adversarial inputs.
+Segments are spans of one source key array, drawn as the surveys pass them:
+inside the sorted runs of a CSR-like source, overlapping (nested suffixes
+included), empty and in any order.  The adversarial shapes add empty adjacencies,
 empty rows, single-element segments, keys duplicated across segments and
 shared with the adjacency, one 10^5-key segment, and non-contiguous /
 int32 / memmapped input columns.
 
 A final block pins the downgrade semantics: the ``compiled`` tier must
 appear in the row tier table exactly when ``compiled_tier_status()`` says
-it loaded, and ``resolve_kernel_tier("compiled")``
-must fall back along the declared ``compiled -> columnar -> scalar`` chain
-rather than erroring.  ``tests/core/test_kernel_loader.py`` covers the ways
-the build itself can fail.
+it loaded, and ``resolve_kernel_tier("compiled")`` must run ``columnar``
+rather than erroring where it did not.  ``tests/core/test_kernel_loader.py``
+covers the ways the build itself can fail.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.intersection import (
-    INTERSECTION_KERNELS,
-    KERNEL_TIER_FALLBACK,
+    COMPARISON_COUNTS,
     KERNEL_TIERS,
     ROW_KERNEL_TIERS,
     RowAdjacency,
@@ -41,10 +40,11 @@ from repro.core.intersection import (
     row_kernel,
 )
 from repro.core.intersection_compiled import COMPILED_ROW_KERNELS
+from repro.oracle.kernels import reference_rows
 
 COMPILED_AVAILABLE = compiled_tier_status().available
 
-KERNEL_NAMES = tuple(INTERSECTION_KERNELS)
+KERNEL_NAMES = tuple(COMPARISON_COUNTS)
 
 
 def canonical_rows(result):
@@ -122,12 +122,12 @@ def row_variants(name):
 
 
 def assert_rows_agree(name, source, starts, ends, seg_rows, adjacency):
-    """Every registered tier returns the scalar oracle's arrays and count,
-    and counted alone (``matches=False``) the same match count and
-    comparison total with no index arrays."""
+    """Every registered tier returns the oracle's arrays and count, and
+    counted alone (``matches=False``) the same match count and comparison
+    total with no index arrays."""
     variants = row_variants(name)
     args = (source, starts, ends, seg_rows, adjacency)
-    oracle = canonical_rows(variants["tier:scalar"](*args))
+    oracle = canonical_rows(reference_rows(name, *args))
     for label, kernel_fn in variants.items():
         got = canonical_rows(kernel_fn(*args))
         assert got == oracle, f"{name}/{label} diverged on {source, starts, ends, seg_rows}"
@@ -244,11 +244,10 @@ def test_row_kernels_accept_any_column_form(name, tmp_path):
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_row_kernels_reject_out_of_range_rows(name):
     """Regression: a segment row outside the adjacency was an IndexError past
-    the end, a silent wrap onto the wrong row at -1 (columnar), an empty
-    result at -1 (scalar) — and would be an out-of-bounds read in C.  Every
-    tier now raises the same IndexError; no rows at all is simply empty."""
+    the end, a silent wrap onto the wrong row at -1 (columnar) — and would
+    be an out-of-bounds read in C.  Every tier now raises the same
+    IndexError; no rows at all is simply empty."""
     adjacency = _adjacency([[1, 2, 3], [2, 9]])
-    # Above and below the columnar tier's small-input detour.
     shapes = [
         ([2], [0], [1]),
         (list(range(10)) * 10, list(range(0, 100, 10)), list(range(10, 101, 10))),
@@ -303,13 +302,12 @@ def test_count_only_rejects_what_the_full_call_rejects(name, matches):
 
 
 @pytest.mark.skipif(not COMPILED_AVAILABLE, reason="compiled tier not built here")
-@pytest.mark.parametrize("name", ["merge_path", "hash"])
+@pytest.mark.parametrize("name", KERNEL_NAMES)
 @pytest.mark.parametrize("matches", [True, False])
 def test_count_only_rejects_out_of_range_adjacency_keys(name, matches):
-    """The compiled stamp's key check (the stamp-and-probe kernels: binary
-    search stamps nothing) runs in both modes: an adjacency key
-    outside ``[0, order_count)`` is the same ValueError, never a stray
-    store into the stamp array."""
+    """The compiled stamp's key check runs for every kernel in both modes:
+    an adjacency key outside ``[0, order_count)`` is the same ValueError,
+    never a stray store into the stamp array."""
     kernel_fn = COMPILED_ROW_KERNELS[name]
     for rows, order_count in (([[1, 3, 8]], 8), ([[1, 3], [1, 9]], 8), ([[-1, 1, 3]], 8)):
         adjacency = _adjacency(rows, order_count)
@@ -343,17 +341,16 @@ def test_compiled_tier_registration_matches_status():
     )
 
 
-def test_resolve_compiled_follows_fallback_chain():
-    """Requesting the compiled tier never errors: it downgrades as declared."""
+def test_resolve_compiled_downgrades_to_columnar():
+    """Requesting the compiled tier never errors: it runs ``columnar`` where
+    the library did not load.  ``scalar`` is no tier."""
     resolved = resolve_kernel_tier("compiled")
-    if COMPILED_AVAILABLE:
-        assert resolved == "compiled"
-    else:
-        assert resolved == KERNEL_TIER_FALLBACK["compiled"] == "columnar"
+    assert resolved == ("compiled" if COMPILED_AVAILABLE else "columnar")
     # None / "auto" pick the best tier there is.
     assert resolve_kernel_tier(None) == resolve_kernel_tier("auto") == resolved
     assert resolve_kernel_tier("columnar") == "columnar"
-    assert resolve_kernel_tier("scalar") == "scalar"
+    with pytest.raises(ValueError, match=r"^unknown kernel tier 'scalar'"):
+        resolve_kernel_tier("scalar")
     # The accessor hands back callables for every name at every spelling.
     for name in KERNEL_NAMES:
         assert row_kernel(name, "compiled") is ROW_KERNEL_TIERS[resolved][name]
@@ -384,13 +381,13 @@ def test_survey_accepts_compiled_tier_everywhere(monkeypatch):
 
     monkeypatch.setitem(ROW_KERNEL_TIERS[best], "merge_path", counting_kernel)
 
-    def run(kernel_tier):
+    def run(kernel_tier, engine="columnar"):
         world = World(4)
         dodgr = DODGraph.build(
             rmat(6, edge_factor=6, seed=9).to_distributed(world), mode="bulk"
         )
         report = triangle_survey_push(
-            dodgr, None, engine=EngineConfig(engine="columnar", kernel_tier=kernel_tier)
+            dodgr, None, engine=EngineConfig(engine=engine, kernel_tier=kernel_tier)
         )
         return (
             report.triangles,
@@ -399,9 +396,10 @@ def test_survey_accepts_compiled_tier_everywhere(monkeypatch):
             report.wire_messages,
         )
 
-    assert run("scalar") == run("columnar")
+    legacy = run(None, engine="legacy")
+    assert run("columnar") == legacy
     before = calls["best"]
     default = run(None)
     assert calls["best"] > before, f"kernel_tier=None did not run the {best} kernels"
     assert best == ("compiled" if COMPILED_AVAILABLE else "columnar")
-    assert run("compiled") == default == run("scalar")
+    assert run("compiled") == default == legacy

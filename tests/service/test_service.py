@@ -370,6 +370,82 @@ def test_a_pinned_epoch_outlives_the_ledgers_release(workload):
     service.close()
 
 
+def spy_on_apply(monkeypatch, seen):
+    """Record, as each ``DeltaBuffer.apply`` starts, the owner count of every
+    epoch graph the service holds or held: ``seen`` gets ``{epoch: refs}``."""
+    real = DeltaBuffer.apply
+
+    def apply(buffer, graph, *args, **kwargs):
+        seen.append({epoch: dodgr._refs for epoch, dodgr in held.items()})
+        return real(buffer, graph, *args, **kwargs)
+
+    held = {}
+    monkeypatch.setattr(DeltaBuffer, "apply", apply)
+    return held
+
+
+def test_an_unpinned_live_epoch_is_released_before_the_merge(workload, monkeypatch):
+    """No query pins epoch 0: the service lets its graph go before the
+    ledger merges the next batch, so it is freed while the merge runs."""
+    batches, vertex_meta = workload
+    service = SurveyService(World(RANKS))
+    service.ingest(batches[0], vertex_meta)
+    seen = []
+    held = spy_on_apply(monkeypatch, seen)
+    held[0] = service._epochs[0].dodgr
+    service.ingest(batches[1])
+    assert seen == [{0: 0}]
+    assert len(live_dodgrs(service.world)) == 1
+    service.close()
+
+
+def test_a_pinned_live_epoch_survives_the_merge(workload, monkeypatch):
+    batches, vertex_meta = workload
+    service = SurveyService(World(RANKS))
+    service.ingest(batches[0], vertex_meta)
+    ticket = service.submit(analysis="triangle")
+    seen = []
+    held = spy_on_apply(monkeypatch, seen)
+    held[0] = service._epochs[0].dodgr
+    service.ingest(batches[1])
+    assert seen == [{0: 1}]  # the service's own reference, for the pin
+    service.pump()
+    assert ticket.answer.outcome == "exact" and ticket.answer.epoch == 0
+    assert ticket.answer.panel == reference_panel(workload, "triangle", upto_batches=1)
+    assert len(live_dodgrs(service.world)) == 1
+    service.close()
+
+
+def test_a_failed_ingest_leaves_no_graph_at_the_live_epoch(workload, monkeypatch):
+    """The ledger's ingest raises after the service released the live
+    epoch: a query there raises, naming the failure, and reads no freed
+    graph; the next good ingest serves again."""
+    batches, vertex_meta = workload
+    service = SurveyService(World(RANKS))
+    service.ingest(batches[0], vertex_meta)
+    live = service._epochs[0].dodgr
+    real = DeltaBuffer.apply
+
+    def failing_apply(buffer, graph, *args, **kwargs):
+        raise MemoryError("planted")
+
+    monkeypatch.setattr(DeltaBuffer, "apply", failing_apply)
+    with pytest.raises(MemoryError, match="planted"):
+        service.ingest(batches[1])
+    assert live._refs == 0 and service._epochs == {}
+    for analysis in ("triangle", "closure"):
+        with pytest.raises(RuntimeError, match=r"epoch 0 has no graph: .*MemoryError\('planted'\)"):
+            service.submit(analysis=analysis)
+    assert service.stats().pinned_epochs == 0 and not service.health()["ready"]
+    monkeypatch.setattr(DeltaBuffer, "apply", real)
+    service.ingest(batches[2])
+    assert service.health()["ready"]
+    answer = service.query("triangle")
+    assert answer.outcome == "exact" and answer.epoch == 1
+    assert answer.panel == reference_panel(workload, "triangle", upto_batches=3)
+    service.close()
+
+
 def test_crash_replay_is_bit_identical_while_epochs_are_pinned(workload):
     """The ledger replays pinned epochs' graphs through a recoverable crash."""
     batches, vertex_meta = workload

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Engine registry smoke: docs and registry agree, every engine runs clean.
 
-Sixteen checks, exit status 1 on any failure (each printed to stderr):
+Seventeen checks, exit status 1 on any failure (each printed to stderr):
 
 1. **Listing parity** — the engine names in README.md's engine-selector
    table (the rows of the ``| Engine |`` table) must equal the registry
@@ -85,8 +85,10 @@ Sixteen checks, exit status 1 on any failure (each printed to stderr):
    ``src``, ``perf``, ``benchmarks``, ``examples``, ``tools``, ``docs`` or
    the README, outside its defining module and this file; a package
    ``__init__``'s re-export does not count, and neither does ``tests/``.
-   The scan matches names, not bindings: an attribute or a word of the
-   same name elsewhere counts as a use.  The few names
+   A plain name or a markdown word counts for any export of that name; an
+   attribute read ``obj.name`` counts only when the file binds ``obj`` by
+   import to the defining module or to a package that re-exports the name,
+   so ``other_object.name`` is no use.  The few names
    whose only callers are tests sit on :data:`PUBLIC_SURFACE_ALLOWLIST`
    with a reason each, and an entry that matches no export fails too — so
    dead public surface cannot grow back.
@@ -123,6 +125,12 @@ Sixteen checks, exit status 1 on any failure (each printed to stderr):
    with each epoch, empties on the move, or keeps one slot per edge
    re-extracts what the stream already had — only slower, so no parity
    suite can see it.
+17. **No unused import** — an AST scan of ``src/repro`` finds no import
+   whose bound name its module never reads (a string annotation counts as
+   a read).  Package ``__init__`` files, whose imports are re-exports,
+   names in the module's ``__all__`` and ``from __future__`` imports are
+   exempt.  Neither pyflakes nor ruff is a dependency, so this is the one
+   gate that keeps a dead import from outliving the code that used it.
 
 Used by the docs CI job (``python tools/check_engines.py``) and mirrored in
 ``tests/docs/test_docs.py`` so registry/README drift fails tier-1 first.
@@ -702,6 +710,7 @@ PUBLIC_SURFACE_ALLOWLIST = {
     "repro.runtime.serialization.registered_records": "test isolation of the record registry",
     "repro.runtime.serialization.clear_registry": "test isolation of the record registry",
     "repro.*Error": "raised through the public API; callers catch it by type",
+    "repro.__version__": "the package version, which users read; no code of ours does",
 }
 
 
@@ -741,21 +750,32 @@ def _binds(tree: ast.Module, name: str) -> bool:
     return False
 
 
+def _package(path: Path, module: str) -> str:
+    """The package a module's relative imports start from."""
+    return module if path.name == "__init__.py" else module.rpartition(".")[0]
+
+
+def _import_source(package: str, node: ast.ImportFrom) -> Optional[str]:
+    """The absolute module a ``from ... import`` in ``package`` reads."""
+    if not node.level:
+        return node.module
+    base = package
+    for _ in range(node.level - 1):
+        base = base.rpartition(".")[0]
+    return ".".join(filter(None, (base, node.module)))
+
+
 def _defining_module(modules: dict, module: str, name: str) -> str:
     """The module that defines ``name``, following ``from ... import`` re-exports."""
     for _ in range(len(modules)):
         path, tree = modules[module]
         if _binds(tree, name):
             return module
-        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and any(
                 (alias.asname or alias.name) == name for alias in node.names
             ):
-                base = package
-                for _ in range(max(node.level - 1, 0)):
-                    base = base.rpartition(".")[0]
-                source = ".".join(filter(None, (base, node.module))) if node.level else node.module
+                source = _import_source(_package(path, module), node)
                 if source in modules:
                     module = source
                     break
@@ -764,27 +784,71 @@ def _defining_module(modules: dict, module: str, name: str) -> str:
     return module
 
 
-def _identifiers(path: Path) -> set:
-    """Names a file uses: identifiers read in Python code (an assignment
-    target is not a use), words in markdown."""
+def _module_bindings(tree: ast.Module, package: str, modules: dict) -> dict:
+    """Names a file binds by import to a ``repro`` module, with that module:
+    ``import a.b`` binds ``a``, ``import a.b as x`` and ``from a import b``
+    (``a.b`` a module) bind the alias."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.partition(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            source = _import_source(package, node)
+            for alias in node.names:
+                if f"{source}.{alias.name}" in modules:
+                    bound[alias.asname or alias.name] = f"{source}.{alias.name}"
+    return bound
+
+
+def _dotted(node: ast.AST, bound: dict) -> Optional[str]:
+    """The module an attribute chain's base names, through ``bound``."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, bound)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _uses(path: Path, modules: dict, src: Path) -> Tuple[set, set]:
+    """What a file uses: ``(names, attributes)``.  ``names`` are the
+    identifiers read in Python code (an assignment target is not a use) or
+    the words of markdown; ``attributes`` are the ``(module, name)`` reads
+    ``obj.name`` whose ``obj`` the file binds by import to a module."""
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".md":
-        return set(re.findall(r"\w+", text))
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(text, str(path)))
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+        return set(re.findall(r"\w+", text)), set()
+    tree = ast.parse(text, str(path))
+    package = ""
+    if src in path.parents:
+        package = _package(path, _module_name(src, path))
+    bound = _module_bindings(tree, package, modules)
+    names, attributes = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            module = _dotted(node.value, bound)
+            if module in modules:
+                attributes.add((module, node.attr))
+    return names, attributes
 
 
-def public_names(root: Path) -> dict:
-    """``<defining module>.<name>`` of every name in a ``repro.*`` ``__all__``
-    under ``root`` (a repository checkout), mapped to its defining file."""
+def _modules(root: Path) -> dict:
+    """Every module under ``root``'s ``src/repro``: name -> (path, tree)."""
     src = root / "src"
-    modules = {
+    return {
         _module_name(src, path): (path, ast.parse(path.read_text(encoding="utf-8"), str(path)))
         for path in sorted((src / "repro").rglob("*.py"))
     }
+
+
+def public_names(root: Path, modules: Optional[dict] = None) -> dict:
+    """``<defining module>.<name>`` of every name in a ``repro.*`` ``__all__``
+    under ``root`` (a repository checkout), mapped to its defining file."""
+    modules = _modules(root) if modules is None else modules
     names: dict = {}
     for module, (_path, tree) in modules.items():
         for name in _exported(tree):
@@ -798,22 +862,38 @@ def stray_public_names(root: Path) -> List[str]:
     ``tests/``, its defining module and this file uses, and that
     :data:`PUBLIC_SURFACE_ALLOWLIST` does not excuse.  A package
     ``__init__``'s re-export is an import and a string, so it is no use.
-    A use is a name, not a binding: ``obj.name`` counts for any ``name``."""
-    callers = {
-        path: _identifiers(path)
+    A plain name or a markdown word counts for any export of that name; an
+    attribute read ``obj.name`` counts only when the file binds ``obj`` by
+    import to the defining module or to a package that re-exports it."""
+    modules = _modules(root)
+    src = root / "src"
+    paths = [
+        path
         for directory in CALLER_DIRS
         for path in sorted((root / directory).rglob("*"))
         if path.suffix in (".py", ".md") and path.is_file() and path != root / THIS_FILE
-    }
+    ]
     if (root / "README.md").is_file():
-        callers[root / "README.md"] = _identifiers(root / "README.md")
+        paths.append(root / "README.md")
+    callers = {path: _uses(path, modules, src) for path in paths}
+
+    def used(qualified: str, home: Path) -> bool:
+        module, _, name = qualified.rpartition(".")
+        return any(
+            name in names
+            or any(
+                attr == name and _defining_module(modules, base, name) == module
+                for base, attr in attributes
+            )
+            for path, (names, attributes) in callers.items()
+            if path != home
+        )
+
     return [
         qualified
-        for qualified, home in public_names(root).items()
+        for qualified, home in public_names(root, modules).items()
         if not any(fnmatch.fnmatchcase(qualified, pattern) for pattern in PUBLIC_SURFACE_ALLOWLIST)
-        and not any(
-            qualified.rpartition(".")[2] in used for path, used in callers.items() if path != home
-        )
+        and not used(qualified, home)
     ]
 
 
@@ -1192,6 +1272,65 @@ def check_vertex_label_extractions() -> List[str]:
     return errors
 
 
+def _annotation_names(tree: ast.Module) -> set:
+    """Names read inside string annotations (``-> "np.ndarray"``,
+    ``Optional["Callback"]``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for constant in ast.walk(annotation):
+            if isinstance(constant, ast.Constant) and isinstance(constant.value, str):
+                try:
+                    parsed = ast.parse(constant.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+def unused_imports(root: Path) -> List[str]:
+    """``path:line name`` of every import under ``root`` (a ``src/repro``
+    tree) whose bound name the module never reads.  Package ``__init__``
+    files (their imports are re-exports), names in the module's
+    ``__all__`` and ``from __future__`` imports are exempt."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        relative = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), relative)
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        read |= _annotation_names(tree) | set(_exported(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(
+                f"{relative}:{node.lineno} {name}" for name in bound if name not in read
+            )
+    return found
+
+
+def check_no_unused_imports() -> List[str]:
+    """Every import in ``src/repro`` is read (check 17)."""
+    return [
+        f"unused import: {where}"
+        for where in unused_imports(REPO_ROOT / "src" / "repro")
+    ]
+
+
 def main() -> int:
     errors: List[str] = []
 
@@ -1257,6 +1396,7 @@ def main() -> int:
     errors.extend(check_count_only())
     errors.extend(check_staged_delivery())
     errors.extend(check_vertex_label_extractions())
+    errors.extend(check_no_unused_imports())
 
     if errors:
         for error in errors:
@@ -1281,7 +1421,8 @@ def main() -> int:
         "every export has a caller or a stated reason; "
         f"{len(ARRAY_PATH_REDUCERS)} array-path reducers stay on the arrays; "
         "a count counts in place; a survey delivers once per rank per phase; "
-        "a vertex label is extracted once per stream"
+        "a vertex label is extracted once per stream; "
+        "every import in src/ is read"
     )
     return 0
 
