@@ -16,11 +16,12 @@ oracle's view of them (``repro.oracle.record_view``).
 
 Contract: the bulk builder is **bit-identical** to the reference builder
 (``repro.oracle.routed_build`` — the paper-faithful build that routes every
-half edge through the simulated runtime — over ``from_edges``): the routed
-records equal the bulk DODGr's record view in store insertion order and in
-every adjacency tuple, its dense order ids equal the scalar ``<+`` sort, the
-bulk columns of the ``from_edges`` and ``from_columns`` graphs are equal,
-and therefore survey communication accounting is byte-identical.
+half edge through the simulated runtime — over the oracle's per-edge record
+load, ``repro.oracle.load_records``): the routed records equal the bulk
+DODGr's record view in store insertion order and in every adjacency tuple,
+its dense order ids equal the scalar ``<+`` sort, the bulk columns of the
+record-loaded and ``from_columns`` graphs are equal, and therefore survey
+communication accounting is byte-identical.
 
 Expected shape:
 
@@ -43,7 +44,7 @@ from repro.graph.degree import order_key
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.generators import rmat
-from repro.oracle import record_view, routed_build
+from repro.oracle import load_records, record_view, routed_build
 from repro.runtime.world import World
 
 #: Weak-scaling construction points: (R-MAT scale, simulated node count).
@@ -71,7 +72,7 @@ def _build_once(dataset, nranks, vectorized, repeats=1):
                 world, us, vs, edge_meta=True, name=dataset.name
             )
         else:
-            graph = DistributedGraph.from_edges(world, dataset.edges, name=dataset.name)
+            graph = load_records(world, dataset.edges).graph(name=dataset.name)
         elapsed = time.perf_counter() - start
         if ingest_seconds is None or elapsed < ingest_seconds:
             ingest_seconds = elapsed
@@ -200,7 +201,7 @@ def test_build_pipeline_adversarial_inputs(benchmark):
     def run_once():
         nranks = 8
         world_a, world_b = World(nranks), World(nranks)
-        graph_a = DistributedGraph.from_edges(world_a, edges, name="adv")
+        graph_a = load_records(world_a, edges).graph(name="adv")
         us = [e[0] for e in edges]
         vs = [e[1] for e in edges]
         metas = [e[2] for e in edges]

@@ -18,7 +18,7 @@ from _artifacts import emit
 from repro.analysis import anchor_domain_slice, run_fqdn_survey
 from repro.bench import format_kv, format_table, human_bytes, load_dataset
 from repro.core import triangle_survey_push_pull
-from repro.graph import DODGraph
+from repro.graph import DistributedGraph, DODGraph
 from repro.runtime import World
 
 NODES = 16
@@ -41,9 +41,13 @@ def test_fig8_fqdn_survey_and_anchor_slice(benchmark):
 
     # Plain counting on the same graph, for the metadata-overhead comparison.
     world_plain = World(NODES)
-    plain_graph = dataset.to_distributed(world_plain, default_vertex_meta=True)
-    for vertex in list(plain_graph.vertices()):
-        plain_graph.set_vertex_meta(vertex, True)
+    plain_graph = DistributedGraph.from_edges(
+        world_plain,
+        dataset.edges,
+        vertex_meta=dict.fromkeys(dataset.vertex_meta, True),
+        default_vertex_meta=True,
+        name=dataset.name,
+    )
     plain = triangle_survey_push_pull(DODGraph.build(plain_graph))
 
     slice_ = anchor_domain_slice(result, anchor)

@@ -83,6 +83,18 @@ def counters_of(report):
     )
 
 
+def first_wins(records, seen):
+    """The records whose unordered pair ``seen`` does not hold yet (added to
+    it), self loops dropped: what a first-write-wins merge accepts."""
+    kept = []
+    for u, v, meta in records:
+        pair = frozenset((u, v))
+        if u != v and pair not in seen:
+            seen.add(pair)
+            kept.append((u, v, meta))
+    return kept
+
+
 def test_streaming_replay_parity(benchmark):
     """Replay parity + engine parity on a randomized schedule (scaled stand-in)."""
     dataset = load_dataset("rmat-weak")
@@ -92,14 +104,12 @@ def test_streaming_replay_parity(benchmark):
     def run_all():
         legacy_survey, legacy_steps = replay(edges, schedule, "legacy")
         columnar_survey, columnar_steps = replay(edges, schedule, "columnar")
-        # Full recompute oracle at every step, over an independently grown graph.
-        oracle_world = World(NODES)
-        oracle_graph = DistributedGraph(oracle_world, name="oracle")
-        oracles = []
+        # Full recompute oracle at every step, over the first-wins prefix
+        # loaded from scratch.
+        seen, prefix, oracles = set(), [], []
         for batch in [schedule.base] + schedule.batches:
-            for u, v, meta in batch:
-                if u != v and not oracle_graph.has_edge(u, v):
-                    oracle_graph.add_edge(u, v, meta)
+            prefix.extend(first_wins(batch, seen))
+            oracle_graph = DistributedGraph.from_edges(World(NODES), prefix, name="oracle")
             oracles.append(
                 full_recompute_survey(oracle_graph, lambda w: ClosureTimeSurvey(w))
             )
@@ -138,10 +148,7 @@ def test_streaming_cold_start_golden(benchmark):
             applied.dodgr, applied, counter.callback, engine="columnar"
         )
         full_world = World(NODES)
-        full_graph = DistributedGraph(full_world, name="cold")
-        for u, v, meta in edges:
-            if u != v and not full_graph.has_edge(u, v):
-                full_graph.add_edge(u, v, meta)
+        full_graph = DistributedGraph.from_edges(full_world, first_wins(edges, set()), name="cold")
         full_counter = TriangleCounter(full_world)
         full = triangle_survey_push(
             DODGraph.build(full_graph, mode="bulk"), full_counter.callback, engine="columnar"

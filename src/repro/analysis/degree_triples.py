@@ -16,6 +16,7 @@ from ..core.callbacks import DegreeTripleSurvey
 from ..core.engine import EngineSelector
 from ..core.push_pull import triangle_survey
 from ..core.results import SurveyReport
+from ..graph.columnar import object_column
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 from ..graph.partition import Partitioner
@@ -43,18 +44,11 @@ def decorate_with_degrees(
     Edge metadata is preserved.  The copy keeps the original partitioner
     unless a different one is supplied.
     """
-    world = graph.world
-    out = DistributedGraph(
-        world,
-        partitioner=partitioner or graph.partitioner,
-        name=name or f"{graph.name}.degree_decorated",
+    return graph.derive(
+        name or f"{graph.name}.degree_decorated",
+        vertex_meta=object_column(graph.half_edge_columns().degree.tolist()),
+        partitioner=partitioner,
     )
-    for rank in range(world.nranks):
-        for u, record in graph.local_vertices(rank):
-            out.add_vertex(u, len(record["adj"]))
-    for u, v, meta in graph.edges():
-        out.add_edge(u, v, meta)
-    return out
 
 
 def run_degree_triple_survey(

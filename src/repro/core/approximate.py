@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from ..graph.columnar import object_column
 from ..graph.distributed_graph import DistributedGraph
 from ..graph.dodgr import DODGraph
 from ..runtime.world import World
@@ -94,21 +95,16 @@ def sparsify_graph(
     """
     if not 0.0 < probability <= 1.0:
         raise ValueError("probability must be in (0, 1]")
-    world = graph.world
-    out = DistributedGraph(
-        world,
-        partitioner=graph.partitioner,
-        name=name or f"{graph.name}.sparsified",
-        default_vertex_meta=graph.default_vertex_meta,
+    default = graph.default_vertex_meta
+    metas = graph.half_edge_columns().vertex_meta.tolist()
+    # One draw per edge, in edges() order: m scalar rng.random() calls.
+    draws = np.random.default_rng(seed).random(graph.num_undirected_edges())
+    return graph.derive(
+        name or f"{graph.name}.sparsified",
+        vertex_meta=object_column([default if meta is None else meta for meta in metas]),
+        keep_edges=draws < probability,
+        default_vertex_meta=default,
     )
-    rng = np.random.default_rng(seed)
-    for rank in range(world.nranks):
-        for vertex, record in graph.local_vertices(rank):
-            out.add_vertex(vertex, record["meta"])
-    for u, v, meta in graph.edges():
-        if rng.random() < probability:
-            out.add_edge(u, v, meta)
-    return out
 
 
 def approximate_triangle_count(
@@ -227,23 +223,17 @@ def survivor_triangle_estimate(
         raise ValueError("survivor estimate requires at least one lost rank")
     if len(lost) >= world.nranks:
         raise ValueError("no surviving ranks to estimate from")
-    survivor_world = World(world.nranks - len(lost))
-    survivors = DistributedGraph(
-        survivor_world, name=f"{graph.name}.survivors"
-    )
-    surviving_vertices: set = set()
-    total_vertices = 0
-    for rank in range(world.nranks):
-        for vertex, record in graph.local_vertices(rank):
-            total_vertices += 1
-            if rank not in lost:
-                surviving_vertices.add(vertex)
-                survivors.add_vertex(vertex, record["meta"])
+    counts = np.asarray(graph.rank_vertex_counts())
+    surviving = np.ones(world.nranks, dtype=bool)
+    surviving[list(lost)] = False
+    total_vertices, surviving_vertices = int(counts.sum()), int(counts[surviving].sum())
     if not surviving_vertices:
         raise ValueError("surviving ranks own no vertices")
-    for u, v, meta in graph.edges():
-        if u in surviving_vertices and v in surviving_vertices:
-            survivors.add_edge(u, v, meta)
+    survivors = graph.derive(
+        f"{graph.name}.survivors",
+        keep_vertices=np.repeat(surviving, counts),
+        world=World(world.nranks - len(lost)),
+    )
     dodgr = DODGraph.build(survivors, mode="bulk")
     name = graph_name or f"{graph.name}.survivors"
     if algorithm == "push":
@@ -252,13 +242,13 @@ def survivor_triangle_estimate(
         report = triangle_survey_push_pull(dodgr, None, graph_name=name)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    probability = len(surviving_vertices) / total_vertices
+    probability = surviving_vertices / total_vertices
     return SurvivorEstimate(
         estimate=report.triangles / probability**3,
         surviving_triangles=report.triangles,
         survival_probability=probability,
         lost_ranks=tuple(sorted(lost)),
-        surviving_vertices=len(surviving_vertices),
+        surviving_vertices=surviving_vertices,
         total_vertices=total_vertices,
         report=report,
     )

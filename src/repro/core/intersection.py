@@ -141,17 +141,19 @@ class RowBatchResult:
 # The comparison-count table (docs/kernels.md)
 # ---------------------------------------------------------------------------
 #
-# Every formula reads, per candidate, its ``rank`` in its segment's row (how
-# many row keys are below it), that row's length ``row_len`` and whether it
-# matched (``hit``); per segment, the span offsets ``offs`` into the
-# candidate columns and its row's length ``seg_row_len``.
+# Every formula reads what it needs of: ``ranks()``, which gathers per
+# candidate its ``rank`` in its segment's row (how many row keys are below
+# it) and that row's length ``row_len``; whether each candidate matched
+# (``hit``); and per segment, the span offsets ``offs`` into the candidate
+# columns and its row's length ``seg_row_len``.
 
 
-def _merge_path_count(rank, row_len, hit, offs, seg_row_len) -> int:
+def _merge_path_count(ranks, hit, offs, seg_row_len) -> int:
     """The merge walk's ``consumed - matches``: it consumes every row key at
     or below the span's last candidate (that candidate's rank, plus its
     match) and every candidate at or below the row's last key (rank inside
     the row).  An empty span or row consumes nothing."""
+    rank, row_len = ranks()
     last = offs[1:][offs[1:] > offs[:-1]] - 1
     below_row_end = _np.count_nonzero(rank < row_len)
     return int(below_row_end + rank[last].sum() + _np.count_nonzero(hit[last])) - int(
@@ -159,19 +161,20 @@ def _merge_path_count(rank, row_len, hit, offs, seg_row_len) -> int:
     )
 
 
-def _hash_count(rank, row_len, hit, offs, seg_row_len) -> int:
+def _hash_count(ranks, hit, offs, seg_row_len) -> int:
     """One table build over the row and one probe per candidate, per
     segment; an empty span is charged its build, as the pairwise kernel
-    builds before it probes."""
-    return int(seg_row_len.sum()) + int(rank.size)
+    builds before it probes.  No rank is read."""
+    return int(seg_row_len.sum()) + int(hit.size)
 
 
-def _binary_search_count(rank, row_len, hit, offs, seg_row_len) -> int:
+def _binary_search_count(ranks, hit, offs, seg_row_len) -> int:
     """Every candidate's halving loop in its row, plus the final equality
     test when the search ends inside the row.  The path follows from the
     rank alone (``row[mid] < key`` exactly when ``mid < rank``), so it is
     replayed on the ranks, one NumPy pass per halving step: at most
     ⌈log2(longest row + 1)⌉ passes."""
+    rank, row_len = ranks()
     count = int(_np.count_nonzero(rank < row_len))
     lo = _np.zeros_like(rank)
     hi = row_len
@@ -242,7 +245,7 @@ def _columnar_rows(
     adj_lo = indptr[rows]
     seg_row_len = indptr[rows + 1] - adj_lo
     comparisons = COMPARISON_COUNTS[name](
-        pos - adj_lo[seg_of_cand], seg_row_len[seg_of_cand], hit, offs, seg_row_len
+        lambda: (pos - adj_lo[seg_of_cand], seg_row_len[seg_of_cand]), hit, offs, seg_row_len
     )
     hits = _np.nonzero(hit)[0]
     if not matches:

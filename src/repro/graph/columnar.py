@@ -20,23 +20,25 @@ __all__ = [
     "id_array",
     "id_column",
     "object_column",
-    "dense_indices",
     "unique_pair_indices",
 ]
 
 
 class HalfEdgeColumns(NamedTuple):
-    """An undirected decorated graph as parallel columns.
+    """An undirected decorated graph as parallel columns: a
+    ``DistributedGraph`` is one of these.
 
-    Exactly what walking the per-rank stores reads, in the order it reads
-    it: vertices rank-major, each rank's in its store's insertion order;
-    half edges (one per stored ``adj`` entry, duplicates already resolved)
-    grouped by their vertex in that same order, each group in its adjacency
-    dict's insertion order.  Vertices are referred to by dense index.
+    Store order: vertices rank-major, each rank's in the order the load
+    first touched them; half edges (one per distinct partner, duplicates
+    already resolved) grouped by their vertex in that same order, each group
+    in the order its edges were first inserted — what walking per-rank
+    ``{vertex: {"meta", "adj"}}`` dicts filled the same way reads
+    (``repro.oracle.RecordStore.columns``).  Vertices are referred to by
+    dense index.
 
     ``edge_meta_sizes`` optionally carries every half edge's exact
-    serialized metadata size.  Bulk images (``from_columns``, a flattened
-    store) leave it None and the DODGr build sizes the metadata column;
+    serialized metadata size.  Bulk images (``from_columns``, the oracle's
+    flattened records) leave it None and the DODGr build sizes the metadata column;
     ``DeltaBuffer.apply`` fills it, sizing only each batch's new edges and
     carrying the old ones forward, so a streamed graph's rebuild never
     re-sizes stored metadata (a value's size depends on the value alone).
@@ -241,14 +243,6 @@ def id_column(vertices: Sequence[Any]) -> Any:
     """The id column of ``vertices``: int64 when they allow it, object otherwise."""
     ids = id_array(vertices)
     return ids if ids is not None else object_column(vertices)
-
-
-def dense_indices(vertices: Sequence[Any], references: Sequence[Any]) -> Any:
-    """Position in ``vertices`` of every vertex named in ``references`` (int64)."""
-    index_of = dict(zip(vertices, range(len(vertices))))
-    return _np.fromiter(
-        map(index_of.__getitem__, references), dtype=_np.int64, count=len(references)
-    )
 
 
 def unique_pair_indices(lo: Any, hi: Any) -> Any:

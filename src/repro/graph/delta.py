@@ -41,11 +41,11 @@ what makes incremental surveys exactly replayable: the graph state after
 ``k`` batches equals the graph built from the first-seen edge set, so a full
 recompute at any step is a well-defined parity oracle (see
 ``tests/core/test_incremental.py``).  The image is exactly what inserting
-the accepted edges one by one (``DistributedGraph.add_edge``, canonical
-endpoint first) and then setting the staged vertex metadata would leave in
-the per-rank stores: new vertices at the end of their rank, new half edges
-at the end of their vertex's run (``tests/properties/test_property_dodgr.py``
-replays that loop as the oracle).
+the accepted edges one by one (canonical endpoint first) and then setting
+the staged vertex metadata leaves in the oracle's per-rank record store
+(``repro.oracle.RecordStore``, flattened): new vertices at the end of their
+rank, new half edges at the end of their vertex's run
+(``tests/properties/test_property_dodgr.py`` replays that loop).
 """
 
 from __future__ import annotations
@@ -234,9 +234,8 @@ class DeltaBuffer:
         already exists in ``graph`` — or appeared earlier in this batch
         (first write wins); staged vertex metadata is set only on vertices
         that are new or carry ``None``.  The merge is one column write:
-        ``graph.half_edge_columns()`` (the retained image, or the per-rank
-        stores flattened once if something materialised them) is merged
-        with the accepted edges into a new image that ``graph`` adopts
+        the graph's image (``graph.half_edge_columns()``) is merged with the
+        accepted edges into a new image that ``graph`` adopts
         (:meth:`~repro.graph.distributed_graph.DistributedGraph.adopt_columns`)
         — no per-edge Python on int64 ids.  The DODGr is then rebuilt from
         scratch through ``DODGraph.build(graph, mode="bulk")``: the
@@ -347,9 +346,9 @@ def _merge_batch(
     """Merge a staged batch into ``graph``'s half-edge image (the graph is not touched).
 
     Returns the new image and the accepted edges: the image rows of their
-    canonical endpoints and their metadata column.  The new image is what
-    the per-rank stores would hold after inserting the accepted edges with
-    ``add_edge(lo, hi, meta)`` in staged order and then applying the
+    canonical endpoints and their metadata column.  The new image lists what
+    a per-rank record store would hold after inserting the accepted edges
+    ``(lo, hi, meta)`` in staged order and then applying the
     first-write-wins vertex-metadata rule: new vertices join the end of
     their rank, new half edges the end of their vertex's run.  Its
     ``edge_meta_sizes`` is the only place the old edges' metadata sizes are

@@ -1,33 +1,29 @@
 """Distributed undirected decorated graph (the pre-DODGr representation).
 
 Vertices are partitioned across ranks by a :class:`~repro.graph.partition.Partitioner`;
-each rank stores, for its local vertices, the vertex metadata and the full
+each rank holds, for its local vertices, the vertex metadata and the full
 undirected adjacency with per-edge metadata.  This is the structure the
 degree-ordered directed graph (:mod:`repro.graph.dodgr`) is built from, and
 it also backs the baseline algorithms that do not use degree ordering.
 
-Construction offers three paths:
-
-* :meth:`DistributedGraph.from_columns` — array-native bulk loading from
-  endpoint columns (every generator): the graph is kept as one column image
-  and its per-rank record dicts materialise only on first access
-  (``DeltaBuffer.apply`` keeps a streamed graph the same way, merging each
-  batch into the image through :meth:`DistributedGraph.adopt_columns`);
-* :meth:`DistributedGraph.from_edges` / :meth:`add_edge` — driver-side
-  per-edge loading into the record dicts;
-* :meth:`DistributedGraph.ingest_async` — message-driven loading through the
-  simulated YGM runtime, exercising the same code path a real deployment
-  would use and accounted in the communication statistics.
+The graph *is* one :class:`~repro.graph.columnar.HalfEdgeColumns` image.
+Two constructors make it: :meth:`DistributedGraph.from_columns` (and
+:meth:`DistributedGraph.from_edges`, which unpacks its records into the same
+array path) lays the image out in one pass, and ``DeltaBuffer.apply`` merges
+a batch into it, which the graph adopts (:meth:`DistributedGraph.adopt_columns`).
+Per-vertex reads go through a position index built on first use.  The
+per-edge record store and the message-driven load it is held to live in
+:mod:`repro.oracle.records`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from itertools import chain
+from types import MappingProxyType
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from itertools import repeat
-
-from ..runtime.world import RankContext, World, stable_key_order
-from .columnar import HalfEdgeColumns, dense_indices, id_array, id_column, object_column
+from ..runtime.world import World, stable_key_order
+from .columnar import HalfEdgeColumns, id_array, id_column, object_column
 from .edge_list import (
     DistributedEdgeList,
     canonical_pair,
@@ -39,6 +35,51 @@ from .partition import HashPartitioner, Partitioner
 import numpy as _np
 
 __all__ = ["DistributedGraph"]
+
+
+def _layout(
+    partitioner: Partitioner, vertices: Any, vertex_meta: Any, lo: Any, hi: Any, edge_meta: Any
+) -> HalfEdgeColumns:
+    """The image of touching ``vertices`` in index order, then inserting the
+    distinct undirected edges ``(lo[i], hi[i])`` (indices into ``vertices``) in
+    order: each rank keeps its vertices in touch order, each vertex its half
+    edges in edge order, as a per-rank store filled that way iterates them."""
+    if vertices.dtype == _np.int64:
+        owners = partitioner.owners_array(vertices).astype(_np.int64)
+    else:  # an object column: partitioner.owner on the original ids
+        owners = _np.fromiter(map(partitioner.owner, vertices.tolist()), _np.int64, len(vertices))
+    order = stable_key_order(owners)
+    row = _np.empty(order.size, dtype=_np.int64)
+    row[order] = _np.arange(order.size, dtype=_np.int64)
+    src = row[_np.column_stack((lo, hi)).reshape(-1)]
+    tgt = row[_np.column_stack((hi, lo)).reshape(-1)]
+    by_src = stable_key_order(src)
+    return HalfEdgeColumns(
+        vertices=vertices[order],
+        vertex_meta=vertex_meta[order],
+        rank_offsets=_np.concatenate(
+            ([0], _np.cumsum(_np.bincount(owners, minlength=partitioner.nranks)))
+        ),
+        degree=_np.bincount(src, minlength=order.size),
+        tgt=tgt[by_src],
+        edge_meta=_np.repeat(edge_meta, 2)[by_src],
+    )
+
+
+def _relabel(us: Any, vs: Any, keys: List[Hashable]) -> Tuple[Any, Any, Any, List[Hashable]]:
+    """Dense int64 labels for ids that are not all int64, by one ``{id: index}``
+    dict in first-touch order (endpoints edge by edge, then ``keys``); returns
+    the labelled columns and the id of every label."""
+    index: Dict[Hashable, int] = {}
+
+    def label(vertex: Hashable) -> int:
+        return index.setdefault(vertex, len(index))
+
+    if isinstance(us, _np.ndarray):
+        us, vs = us.tolist(), vs.tolist()
+    ends = _np.fromiter(map(label, chain.from_iterable(zip(us, vs))), _np.int64, 2 * len(us))
+    labels = _np.fromiter(map(label, keys), _np.int64, len(keys))
+    return ends[0::2], ends[1::2], labels, list(index)
 
 
 class DistributedGraph:
@@ -61,155 +102,84 @@ class DistributedGraph:
             name = world.anonymous_name("graph")
         self.name = world.unique_name(name)
         self.default_vertex_meta = default_vertex_meta
-        for ctx in world.ranks:
-            ctx.local_state.setdefault(self._slot, {})
-        self._h_add_half_edge = world.register_handler(
-            self._handle_add_half_edge, f"{self.name}.add_half_edge"
-        )
-        self._h_set_vertex_meta = world.register_handler(
-            self._handle_set_vertex_meta, f"{self.name}.set_vertex_meta"
-        )
-        #: the whole graph as columns while a :meth:`from_columns` load is
-        #: still authoritative; None once the per-rank stores are
-        self._image: Optional[HalfEdgeColumns] = None
+        none, empty = _np.zeros(0, dtype=_np.int64), object_column([])
+        self._image = _layout(self.partitioner, none, empty, none, none, empty)
+        #: ``({vertex: position}, run bounds)`` over the image, built on first read
+        self._index: Optional[Tuple[Dict[Hashable, int], List[int]]] = None
 
     # ------------------------------------------------------------------
-    @property
-    def _slot(self) -> str:
-        return f"graph:{self.name}"
-
-    @property
-    def store_materialised(self) -> bool:
-        """False while the graph still lives as a column image only.
-
-        That is a :meth:`from_columns` graph, or any graph a
-        ``DeltaBuffer.apply`` merged a batch into, until something reads or
-        mutates its per-rank records.
-        """
-        return self._image is None
-
     def owner(self, vertex: Hashable) -> int:
         return self.partitioner.owner(vertex)
 
-    def local_store(self, rank_or_ctx: int | RankContext) -> Dict[Hashable, Dict[str, Any]]:
-        """The rank's ``{vertex: {"meta", "adj"}}`` records — the mutable view.
-
-        Every per-vertex read and every mutation goes through here.  On a
-        :meth:`from_columns` graph the first call builds all ranks' records
-        from the column image and drops the image: from then on the stores
-        are authoritative, exactly as on a :meth:`from_edges` graph.
-        """
-        if self._image is not None:
-            self._materialise_stores()
-        ctx = (
-            rank_or_ctx
-            if isinstance(rank_or_ctx, RankContext)
-            else self.world.rank(rank_or_ctx)
-        )
-        return ctx.local_state[self._slot]
-
-    def _materialise_stores(self) -> None:
-        """Column image -> per-rank record dicts, in ``from_edges`` insertion order."""
-        cols, self._image = self._image, None
-        partners = cols.vertices[cols.tgt].tolist()
-        edge_metas = cols.edge_meta.tolist()
-        bounds = _np.concatenate(([0], _np.cumsum(cols.degree))).tolist()
-        offsets = cols.rank_offsets.tolist()
-        vertices, metas = cols.vertices.tolist(), cols.vertex_meta.tolist()
-        for ctx in self.world.ranks:
-            store = ctx.local_state[self._slot]
-            for g in range(offsets[ctx.rank], offsets[ctx.rank + 1]):
-                lo, hi = bounds[g], bounds[g + 1]
-                store[vertices[g]] = {
-                    "meta": metas[g],
-                    "adj": dict(zip(partners[lo:hi], edge_metas[lo:hi])),
-                }
-
     def half_edge_columns(self) -> HalfEdgeColumns:
-        """The whole graph as :class:`~repro.graph.columnar.HalfEdgeColumns`.
-
-        The bulk DODGr build's one input.  A graph kept as columns
-        (:attr:`store_materialised` False) answers with its retained image;
-        any other graph flattens its per-rank stores (one pass over the
-        vertices, no per-edge Python beyond the partner -> dense index
-        lookups).
-        """
-        if self._image is not None:
-            return self._image
-        vertices: List[Hashable] = []
-        metas: List[Any] = []
-        degrees: List[int] = []
-        partners: List[Hashable] = []
-        edge_metas: List[Any] = []
-        offsets = [0]
-        for ctx in self.world.ranks:
-            for vertex, record in ctx.local_state[self._slot].items():
-                vertices.append(vertex)
-                metas.append(record["meta"])
-                degrees.append(len(record["adj"]))
-                partners.extend(record["adj"])
-                edge_metas.extend(record["adj"].values())
-            offsets.append(len(vertices))
-        return HalfEdgeColumns(
-            vertices=id_column(vertices),
-            vertex_meta=object_column(metas),
-            rank_offsets=_np.asarray(offsets, dtype=_np.int64),
-            degree=_np.asarray(degrees, dtype=_np.int64),
-            tgt=dense_indices(vertices, partners),
-            edge_meta=object_column(edge_metas),
-        )
+        """The whole graph as :class:`~repro.graph.columnar.HalfEdgeColumns`:
+        the bulk DODGr build's one input."""
+        return self._image
 
     def adopt_columns(self, image: HalfEdgeColumns) -> None:
         """Make ``image`` the whole graph, as :meth:`from_columns` leaves it.
 
         ``image`` must list the vertices and half edges in store order (see
-        :class:`~repro.graph.columnar.HalfEdgeColumns`).  The per-rank record
-        dicts are cleared; :meth:`local_store` rebuilds them from the image
-        if something asks.  ``DeltaBuffer.apply`` writes every batch this way.
+        :class:`~repro.graph.columnar.HalfEdgeColumns`).  ``DeltaBuffer.apply``
+        writes every batch this way.
         """
-        for ctx in self.world.ranks:
-            ctx.local_state[self._slot].clear()
         self._image = image
-
-    def _vertex_record(
-        self, store: Dict[Hashable, Dict[str, Any]], vertex: Hashable
-    ) -> Dict[str, Any]:
-        record = store.get(vertex)
-        if record is None:
-            record = {"meta": self.default_vertex_meta, "adj": {}}
-            store[vertex] = record
-        return record
+        self._index = None
 
     # ------------------------------------------------------------------
-    # RPC handlers
+    # Construction
     # ------------------------------------------------------------------
-    def _handle_add_half_edge(
-        self, ctx: RankContext, u: Hashable, v: Hashable, edge_meta: Any
-    ) -> None:
-        record = self._vertex_record(self.local_store(ctx), u)
-        record["adj"][v] = edge_meta
+    def _load(
+        self,
+        us: Any,
+        vs: Any,
+        edge_meta: Any,
+        edge_metas: Optional[Any],
+        vertex_meta: Dict[Hashable, Any],
+    ) -> "DistributedGraph":
+        """Lay out the image ``from_edges(zip(us, vs, metas), vertex_meta)`` loads.
 
-    def _handle_set_vertex_meta(self, ctx: RankContext, vertex: Hashable, meta: Any) -> None:
-        record = self._vertex_record(self.local_store(ctx), vertex)
-        record["meta"] = meta
-
-    # ------------------------------------------------------------------
-    # Driver-side construction
-    # ------------------------------------------------------------------
-    def add_vertex(self, vertex: Hashable, meta: Any = None) -> None:
-        record = self._vertex_record(self.local_store(self.owner(vertex)), vertex)
-        if meta is not None or record["meta"] is None:
-            record["meta"] = meta if meta is not None else self.default_vertex_meta
-
-    def set_vertex_meta(self, vertex: Hashable, meta: Any) -> None:
-        self._vertex_record(self.local_store(self.owner(vertex)), vertex)["meta"] = meta
-
-    def add_edge(self, u: Hashable, v: Hashable, edge_meta: Any = None) -> None:
-        """Insert the undirected edge (u, v); both half edges are stored."""
-        if u == v:
-            return
-        self._vertex_record(self.local_store(self.owner(u)), u)["adj"][v] = edge_meta
-        self._vertex_record(self.local_store(self.owner(v)), v)["adj"][u] = edge_meta
+        Parallel edges keep the pair's first position and its last metadata;
+        self loops are dropped; metadata-only vertices join their rank after
+        every endpoint, in ``vertex_meta`` order.
+        """
+        keys = list(vertex_meta)
+        ids = [id_array(column) for column in (us, vs, keys)]
+        if all(column is not None for column in ids):
+            (us, vs, labels), originals = ids, None
+        else:
+            us, vs, labels, originals = _relabel(us, vs, keys)
+        keep = _np.flatnonzero(us != vs)
+        # The touch stream: both endpoints of every kept edge, then the keys.
+        stream = _np.concatenate((_np.column_stack((us[keep], vs[keep])).reshape(-1), labels))
+        uniq, first_seen, inverse = _np.unique(stream, return_index=True, return_inverse=True)
+        touch = _np.argsort(first_seen)
+        dense = _np.empty(uniq.size, dtype=_np.int64)
+        dense[touch] = _np.arange(uniq.size, dtype=_np.int64)
+        touched, stream = uniq[touch], dense[inverse]
+        lo, hi = stream[0 : 2 * keep.size : 2], stream[1 : 2 * keep.size : 2]
+        # One edge per unordered pair, where it first appears.
+        pairs = _np.minimum(lo, hi) * _np.int64(uniq.size) + _np.maximum(lo, hi)
+        by_pair = stable_key_order(pairs)
+        head = _np.ones(by_pair.size + 1, dtype=bool)
+        head[1:-1] = pairs[by_pair[1:]] != pairs[by_pair[:-1]]
+        firsts = by_pair[head[:-1]]
+        in_order = _np.argsort(firsts)
+        if edge_metas is None:
+            metas = _np.empty(firsts.size, dtype=object)
+            metas.fill(edge_meta)
+        else:  # the pair's last occurrence ends its run
+            metas = object_column(edge_metas)[keep[by_pair[head[1:]][in_order]]]
+        if originals is not None:
+            touched = id_column(object_column(originals)[touched].tolist())
+        vertex_metas = _np.empty(uniq.size, dtype=object)
+        vertex_metas.fill(self.default_vertex_meta)
+        vertex_metas[stream[2 * keep.size :]] = object_column(list(vertex_meta.values()))
+        firsts = firsts[in_order]
+        self.adopt_columns(
+            _layout(self.partitioner, touched, vertex_metas, lo[firsts], hi[firsts], metas)
+        )
+        return self
 
     @classmethod
     def from_edges(
@@ -224,25 +194,23 @@ class DistributedGraph:
         """Bulk-construct a graph from an iterable of edges.
 
         Edges may be ``(u, v)`` or ``(u, v, edge_meta)``.  Parallel edges keep
-        the last metadata seen; self loops are dropped.
+        the last metadata seen; self loops are dropped; each rank keeps its
+        vertices in the order the records first name them.  Any hashable
+        ids: ids that are not all int64 are relabelled densely for the
+        layout, and the graph keeps (and callbacks see) the originals.
         """
-        graph = cls(
-            world,
-            partitioner=partitioner,
-            name=name,
-            default_vertex_meta=default_vertex_meta,
-        )
+        us: List[Hashable] = []
+        vs: List[Hashable] = []
+        metas: List[Any] = []
         for edge in edges:
-            if len(edge) == 2:
-                u, v = edge  # type: ignore[misc]
-                meta = None
-            else:
-                u, v, meta = edge  # type: ignore[misc]
-            graph.add_edge(u, v, meta)
-        if vertex_meta:
-            for vertex, meta in vertex_meta.items():
-                graph.set_vertex_meta(vertex, meta)
-        return graph
+            u, v, meta = edge if len(edge) == 3 else (*edge, None)
+            us.append(u)
+            vs.append(v)
+            metas.append(meta)
+        graph = cls(
+            world, partitioner=partitioner, name=name, default_vertex_meta=default_vertex_meta
+        )
+        return graph._load(us, vs, None, metas, vertex_meta or {})
 
     @classmethod
     def from_columns(
@@ -259,99 +227,27 @@ class DistributedGraph:
     ) -> "DistributedGraph":
         """Bulk-construct from parallel integer endpoint columns.
 
-        Bit-identical to ``from_edges(zip(us, vs, ...))`` — same per-rank
-        store insertion order, same adjacency-dict key order, same
-        duplicate-edge overwrite semantics, same self-loop drops — with no
-        per-edge Python: the columns are validated, deduplicated and laid
-        out rank-major as one :class:`~repro.graph.columnar.HalfEdgeColumns`
-        image, and *that* is the graph.  ``DODGraph.build(mode="bulk")`` and
-        the size queries (:meth:`num_vertices`, :meth:`num_directed_edges`,
-        :meth:`max_degree`, :meth:`rank_vertex_counts`, ...) read the image;
-        the per-rank record dicts are built only if something asks for them
-        (:meth:`local_store` — any per-vertex read, any mutation such as
-        :meth:`add_edge`), after which the image is dropped and the records
-        are authoritative (:attr:`store_materialised`).  ``DeltaBuffer.apply``
-        merges into the image instead and keeps the graph as columns.
-        ``edge_meta`` is a value shared by every edge (the generator
-        default); ``edge_metas`` supplies one value per input edge.
+        The graph ``from_edges(zip(us, vs, ...))`` loads — same vertex and
+        half-edge order, same duplicate-edge overwrite semantics, same
+        self-loop drops — with no per-edge Python: the columns are
+        validated, deduplicated and laid out rank-major as one
+        :class:`~repro.graph.columnar.HalfEdgeColumns` image, and *that* is
+        the graph.  ``edge_meta`` is a value shared by every edge (the
+        generator default); ``edge_metas`` supplies one value per input edge.
 
         Malformed columns — ragged lengths, non-integer dtype, negative
         ids — raise :class:`ValueError` naming the offending column.  Ids
         that do not fit int64 (Python ints or unsigned arrays ``>= 2**63``)
-        are loaded edge by edge through :meth:`from_edges` instead.
+        are relabelled densely, as :meth:`from_edges` relabels any id.
         """
         validate_edge_columns(us, vs, edge_metas)
-        vertex_meta = vertex_meta or {}
         ids = int64_id_columns(us, vs)
-        meta_ids = id_array(list(vertex_meta))
-        if ids is None or meta_ids is None:
-            # Ids that are not int64 (beyond-range ints, odd vertex_meta keys).
-            metas = edge_metas if edge_metas is not None else repeat(edge_meta)
-            return cls.from_edges(
-                world,
-                ((int(u), int(v), meta) for u, v, meta in zip(us, vs, metas)),
-                vertex_meta=vertex_meta,
-                partitioner=partitioner,
-                default_vertex_meta=default_vertex_meta,
-                name=name,
-            )
+        if ids is None:
+            ids = [int(u) for u in us], [int(v) for v in vs]
         graph = cls(
-            world,
-            partitioner=partitioner,
-            name=name,
-            default_vertex_meta=default_vertex_meta,
+            world, partitioner=partitioner, name=name, default_vertex_meta=default_vertex_meta
         )
-        keep = _np.flatnonzero(ids[0] != ids[1])
-        # The half-edge stream of from_edges: edge i contributes (u_i -> v_i)
-        # at position 2i and (v_i -> u_i) at 2i + 1.
-        ends = _np.empty(2 * keep.size, dtype=_np.int64)
-        ends[0::2], ends[1::2] = ids[0][keep], ids[1][keep]
-        uniq, first_seen, inverse = _np.unique(ends, return_index=True, return_inverse=True)
-        # Metadata-only vertices join their rank after every endpoint, in
-        # vertex_meta order (set_vertex_meta runs after the edge loop).
-        known = _np.isin(meta_ids, uniq)
-        meta_slot = _np.empty(meta_ids.size, dtype=_np.int64)
-        meta_slot[known] = _np.searchsorted(uniq, meta_ids[known])
-        meta_slot[~known] = uniq.size + _np.arange(meta_ids.size - int(known.sum()))
-        first_seen = _np.concatenate((first_seen, ends.size + _np.flatnonzero(~known)))
-        uniq = _np.concatenate((uniq, meta_ids[~known]))
-        owners = graph.partitioner.owners_array(uniq).astype(_np.int64)
-        # Rank-major, first appearance within a rank: the store insertion order.
-        rank_major = _np.lexsort((first_seen, owners))
-        dense = _np.empty(uniq.size, dtype=_np.int64)
-        dense[rank_major] = _np.arange(uniq.size, dtype=_np.int64)
-        vertex_metas = _np.empty(uniq.size, dtype=object)
-        vertex_metas.fill(default_vertex_meta)
-        vertex_metas[dense[meta_slot]] = object_column(list(vertex_meta.values()))
-        src = dense[inverse]
-        tgt = src.reshape(-1, 2)[:, ::-1].reshape(-1)
-        # Duplicate half edges, as the adjacency dict resolves them: one
-        # entry where the pair first appears, holding the last metadata.
-        pair_keys = src * _np.int64(uniq.size) + tgt
-        by_pair = stable_key_order(pair_keys)
-        pair_keys = pair_keys[by_pair]
-        head = _np.ones(by_pair.size, dtype=bool)
-        head[1:] = pair_keys[1:] != pair_keys[:-1]
-        first = by_pair[head]
-        # Each vertex's half edges in first-appearance (adjacency dict) order.
-        in_store_order = stable_key_order(src[first] * _np.int64(ends.size) + first)
-        first = first[in_store_order]
-        if edge_metas is None:
-            half_edge_metas = _np.empty(first.size, dtype=object)
-            half_edge_metas.fill(edge_meta)
-        else:
-            # A pair's last occurrence sits just before the next pair's head.
-            last = by_pair[_np.concatenate((head[1:], [True]))[: head.size]][in_store_order]
-            half_edge_metas = object_column(edge_metas)[keep[last >> 1]]
-        graph._image = HalfEdgeColumns(
-            vertices=uniq[rank_major],
-            vertex_meta=vertex_metas,
-            rank_offsets=_np.searchsorted(owners[rank_major], _np.arange(world.nranks + 1)),
-            degree=_np.bincount(src[first], minlength=uniq.size),
-            tgt=tgt[first],
-            edge_meta=half_edge_metas,
-        )
-        return graph
+        return graph._load(*ids, edge_meta, edge_metas, vertex_meta or {})
 
     @classmethod
     def from_edge_list(
@@ -372,71 +268,93 @@ class DistributedGraph:
             name=name,
         )
 
-    # ------------------------------------------------------------------
-    # Message-driven construction (exercises the runtime)
-    # ------------------------------------------------------------------
-    def ingest_async(
+    def derive(
         self,
-        edges_per_rank: List[List[Tuple[Hashable, Hashable, Any]]],
-        vertex_meta_per_rank: Optional[List[Dict[Hashable, Any]]] = None,
-    ) -> None:
-        """Load edges through the asynchronous runtime.
+        name: str,
+        vertex_meta: Any = None,
+        keep_vertices: Any = None,
+        keep_edges: Any = None,
+        world: Optional[World] = None,
+        partitioner: Optional[Partitioner] = None,
+        default_vertex_meta: Any = None,
+    ) -> "DistributedGraph":
+        """A graph that touches this graph's vertices in store order, then
+        inserts its edges in :meth:`edges` order, on ``world`` (default this
+        one's) under ``partitioner`` (default this one's on the same world).
 
-        ``edges_per_rank[r]`` is the list of records initially resident on
-        rank ``r`` (as if read from a partitioned input file); each record is
-        routed to the owners of both endpoints as half-edge insertions.
+        ``vertex_meta`` replaces the vertex metadata column; ``keep_vertices``
+        and ``keep_edges`` (over :meth:`edges`) are boolean masks, and an edge
+        losing an endpoint is dropped.
         """
-        if len(edges_per_rank) != self.world.nranks:
-            raise ValueError("edges_per_rank must have one entry per rank")
-        self.world.begin_phase(f"{self.name}.ingest")
-        for ctx, records in zip(self.world.ranks, edges_per_rank):
-            for u, v, meta in records:
-                if u == v:
-                    continue
-                ctx.async_call_sized(self.owner(u), self._h_add_half_edge, u, v, meta)
-                ctx.async_call_sized(self.owner(v), self._h_add_half_edge, v, u, meta)
-        if vertex_meta_per_rank is not None:
-            if len(vertex_meta_per_rank) != self.world.nranks:
-                raise ValueError("vertex_meta_per_rank must have one entry per rank")
-            for ctx, metas in zip(self.world.ranks, vertex_meta_per_rank):
-                for vertex, meta in metas.items():
-                    ctx.async_call(self.owner(vertex), self._h_set_vertex_meta, vertex, meta)
-        self.world.barrier()
+        cols = self._image
+        lo, hi, canonical = self._canonical()
+        metas = cols.edge_meta[canonical]
+        vertices = cols.vertices
+        vertex_meta = cols.vertex_meta if vertex_meta is None else vertex_meta
+        if keep_edges is not None:
+            lo, hi, metas = lo[keep_edges], hi[keep_edges], metas[keep_edges]
+        if keep_vertices is not None:
+            both = keep_vertices[lo] & keep_vertices[hi]
+            renumber = _np.cumsum(keep_vertices) - 1
+            lo, hi, metas = renumber[lo[both]], renumber[hi[both]], metas[both]
+            vertices, vertex_meta = vertices[keep_vertices], vertex_meta[keep_vertices]
+            vertices = id_column(vertices.tolist()) if vertices.dtype == object else vertices
+        world = world or self.world
+        if partitioner is None and world is self.world:
+            partitioner = self.partitioner
+        out = DistributedGraph(
+            world, partitioner=partitioner, name=name, default_vertex_meta=default_vertex_meta
+        )
+        out.adopt_columns(_layout(out.partitioner, vertices, vertex_meta, lo, hi, metas))
+        return out
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _run(self, vertex: Hashable) -> Tuple[Optional[int], int, int]:
+        """``vertex``'s image position (None when absent) and ``[lo, hi)`` of
+        its half edges, through the position index."""
+        if self._index is None:
+            cols = self._image
+            positions = dict(zip(cols.vertices.tolist(), range(len(cols.vertices))))
+            self._index = positions, _np.concatenate(([0], _np.cumsum(cols.degree))).tolist()
+        positions, bounds = self._index
+        position = positions.get(vertex)
+        return (None, 0, 0) if position is None else (position, *bounds[position : position + 2])
+
+    def _half_edge(self, u: Hashable, v: Hashable) -> Optional[int]:
+        _, lo, hi = self._run(u)
+        hits = _np.flatnonzero(self._image.tgt[lo:hi] == self._run(v)[0])
+        return lo + int(hits[0]) if hits.size else None
+
     def has_vertex(self, vertex: Hashable) -> bool:
-        return vertex in self.local_store(self.owner(vertex))
+        return self._run(vertex)[0] is not None
 
     def vertex_meta(self, vertex: Hashable) -> Any:
-        record = self.local_store(self.owner(vertex)).get(vertex)
-        if record is None:
+        position = self._run(vertex)[0]
+        if position is None:
             raise KeyError(f"vertex {vertex!r} not in graph")
-        return record["meta"]
+        return self._image.vertex_meta[position]
 
     def edge_meta(self, u: Hashable, v: Hashable) -> Any:
-        record = self.local_store(self.owner(u)).get(u)
-        if record is None or v not in record["adj"]:
+        half_edge = self._half_edge(u, v)
+        if half_edge is None:
             raise KeyError(f"edge ({u!r}, {v!r}) not in graph")
-        return record["adj"][v]
+        return self._image.edge_meta[half_edge]
 
     def has_edge(self, u: Hashable, v: Hashable) -> bool:
-        record = self.local_store(self.owner(u)).get(u)
-        return record is not None and v in record["adj"]
+        return self._half_edge(u, v) is not None
 
     def neighbors(self, vertex: Hashable) -> List[Hashable]:
-        record = self.local_store(self.owner(vertex)).get(vertex)
-        if record is None:
-            return []
-        return list(record["adj"].keys())
+        _, lo, hi = self._run(vertex)
+        return self._image.vertices[self._image.tgt[lo:hi]].tolist()
 
     def degree(self, vertex: Hashable) -> int:
-        record = self.local_store(self.owner(vertex)).get(vertex)
-        return len(record["adj"]) if record is not None else 0
+        _, lo, hi = self._run(vertex)
+        return hi - lo
 
     def num_vertices(self) -> int:
-        return sum(self.rank_vertex_counts())
+        return len(self._image.vertices)
 
     def num_undirected_edges(self) -> int:
         """Number of undirected edges (each counted once)."""
@@ -444,45 +362,67 @@ class DistributedGraph:
 
     def num_directed_edges(self) -> int:
         """Number of stored half edges — the paper's symmetrized edge count."""
-        return sum(self.rank_edge_counts())
+        return len(self._image.tgt)
 
     def max_degree(self) -> int:
-        if self._image is not None:
-            return int(self._image.degree.max(initial=0))
-        return max(self.degrees().values(), default=0)
+        return int(self._image.degree.max(initial=0))
 
     def vertices(self) -> Iterator[Hashable]:
-        for rank in range(self.world.nranks):
-            yield from self.local_store(rank).keys()
+        return iter(self._image.vertices.tolist())
 
-    def local_vertices(self, rank: int) -> Iterator[Tuple[Hashable, Dict[str, Any]]]:
-        yield from self.local_store(rank).items()
+    def local_vertices(self, rank: int) -> Iterator[Tuple[Hashable, Mapping[str, Any]]]:
+        """``(vertex, record)`` for ``rank``'s vertices in store order; each
+        record is a read-only ``{"meta", "adj": {partner: edge_meta}}``."""
+        cols = self._image
+        first, last = cols.rank_offsets[rank], cols.rank_offsets[rank + 1]
+        bounds = _np.concatenate(([0], _np.cumsum(cols.degree[first:last]))).tolist()
+        start = int(cols.degree[:first].sum())
+        run = slice(start, start + bounds[-1])
+        partners = cols.vertices[cols.tgt[run]].tolist()
+        edge_metas = cols.edge_meta[run].tolist()
+        records = zip(cols.vertices[first:last].tolist(), cols.vertex_meta[first:last].tolist())
+        for (vertex, meta), lo, hi in zip(records, bounds, bounds[1:]):
+            adj = MappingProxyType(dict(zip(partners[lo:hi], edge_metas[lo:hi])))
+            yield vertex, MappingProxyType({"meta": meta, "adj": adj})
+
+    def _canonical(self) -> Tuple[Any, Any, Any]:
+        """``(lo, hi, half_edge)`` of every undirected edge: the half edge
+        ``lo -> hi`` (vertex positions) with ``lo`` its canonical endpoint,
+        in image order."""
+        cols = self._image
+        src = _np.repeat(_np.arange(len(cols.vertices)), cols.degree)
+        if cols.vertices.dtype == _np.int64:
+            first = cols.vertices[src] < cols.vertices[cols.tgt]
+        else:
+            ids = cols.vertices.tolist()
+            pairs = zip(src.tolist(), cols.tgt.tolist())
+            first = _np.fromiter(
+                (canonical_pair(ids[u], ids[v])[0] == ids[u] for u, v in pairs),
+                dtype=bool,
+                count=len(src),
+            )
+        canonical = _np.flatnonzero(first)
+        return src[canonical], cols.tgt[canonical], canonical
 
     def edges(self) -> Iterator[Tuple[Hashable, Hashable, Any]]:
-        """Iterate undirected edges once each (canonical orientation)."""
-        for rank in range(self.world.nranks):
-            for u, record in self.local_store(rank).items():
-                for v, meta in record["adj"].items():
-                    if canonical_pair(u, v)[0] == u:
-                        yield (u, v, meta)
+        """Iterate undirected edges once each (canonical orientation), in store order."""
+        lo, hi, canonical = self._canonical()
+        vertices = self._image.vertices
+        return zip(
+            vertices[lo].tolist(),
+            vertices[hi].tolist(),
+            self._image.edge_meta[canonical].tolist(),
+        )
 
     def degrees(self) -> Dict[Hashable, int]:
-        return {u: len(record["adj"]) for rank in range(self.world.nranks)
-                for u, record in self.local_store(rank).items()}
+        return dict(zip(self._image.vertices.tolist(), self._image.degree.tolist()))
 
     def rank_vertex_counts(self) -> List[int]:
-        if self._image is not None:
-            return _np.diff(self._image.rank_offsets).tolist()
-        return [len(self.local_store(r)) for r in range(self.world.nranks)]
+        return _np.diff(self._image.rank_offsets).tolist()
 
     def rank_edge_counts(self) -> List[int]:
-        if self._image is not None:
-            edges_before = _np.concatenate(([0], _np.cumsum(self._image.degree)))
-            return _np.diff(edges_before[self._image.rank_offsets]).tolist()
-        return [
-            sum(len(rec["adj"]) for rec in self.local_store(rank).values())
-            for rank in range(self.world.nranks)
-        ]
+        edges_before = _np.concatenate(([0], _np.cumsum(self._image.degree)))
+        return _np.diff(edges_before[self._image.rank_offsets]).tolist()
 
     # ------------------------------------------------------------------
     def to_networkx(self):
@@ -490,9 +430,7 @@ class DistributedGraph:
         import networkx as nx
 
         g = nx.Graph()
-        for rank in range(self.world.nranks):
-            for u, record in self.local_store(rank).items():
-                g.add_node(u, meta=record["meta"])
-                for v, meta in record["adj"].items():
-                    g.add_edge(u, v, meta=meta)
+        metas = ({"meta": meta} for meta in self._image.vertex_meta.tolist())
+        g.add_nodes_from(zip(self._image.vertices.tolist(), metas))
+        g.add_edges_from((u, v, {"meta": meta}) for u, v, meta in self.edges())
         return g

@@ -121,7 +121,8 @@ def read_edges_partitioned(
     """Read an edge file splitting records round-robin across ``nranks`` ranks.
 
     Mirrors a parallel file read where each rank ingests a share of the
-    lines; the result feeds :meth:`DistributedGraph.ingest_async`.
+    lines; the result feeds a message-driven load
+    (``DistributedEdgeList.async_insert``, or ``repro.oracle.routed_load``).
     """
     if nranks <= 0:
         raise ValueError("nranks must be positive")

@@ -5,7 +5,8 @@ strategies (Table 4).  This package keeps the paper's per-wedge strategy as
 the ``legacy`` engine: one sized RPC per wedge, dry-run proposal, pulled row
 and delta candidate; scalar intersection of each message; per-triangle
 callback delivery over the DODGr's records (:mod:`repro.oracle.records`: the
-object view of its columns, and the routed build it is held to).  It is the
+object view of its columns, the routed build it is held to, and the per-edge
+record store every graph image is held to).  It is the
 reference every byte-identical wire-accounting check compares the production
 engine against.
 
@@ -35,9 +36,12 @@ from ..graph.dodgr import DODGraph
 from ..graph.edge_list import canonical_pair
 from ..graph.metadata import TriangleMetadata
 from .kernels import INTERSECTION_KERNELS
-from .records import entry_key, record_view, routed_build
+from .records import RecordStore, entry_key, load_records, record_view, routed_build, routed_load
 
 __all__ = [
+    "RecordStore",
+    "load_records",
+    "routed_load",
     "entry_key",
     "record_view",
     "routed_build",

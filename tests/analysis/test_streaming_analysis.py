@@ -30,13 +30,19 @@ def reddit_batches(num_batches=3):
     return [records[i : i + per] for i in range(0, len(records), per)]
 
 
-def grow_graph(world, batches):
-    graph = DistributedGraph(world, name="oracle")
+def first_wins(batches):
+    """Every batch's records, first write of each unordered pair winning."""
+    seen, kept = set(), []
     for batch in batches:
         for u, v, meta in batch:
-            if u != v and not graph.has_edge(u, v):
-                graph.add_edge(u, v, meta)
-    return graph
+            if u != v and frozenset((u, v)) not in seen:
+                seen.add(frozenset((u, v)))
+                kept.append((u, v, meta))
+    return kept
+
+
+def grow_graph(world, batches, vertex_meta=None):
+    return DistributedGraph.from_edges(world, first_wins(batches), vertex_meta, name="oracle")
 
 
 def test_streaming_closure_times_matches_batch_survey():
@@ -82,10 +88,9 @@ def test_streaming_fqdn_matches_batch_survey():
     )
 
     oracle_world = World(4)
-    oracle_graph = grow_graph(oracle_world, batches)
-    for vertex, meta in generated.vertex_meta.items():
-        if oracle_graph.has_vertex(vertex):
-            oracle_graph.set_vertex_meta(vertex, meta)
+    endpoints = {vertex for u, v, _ in first_wins(batches) for vertex in (u, v)}
+    vertex_meta = {v: meta for v, meta in generated.vertex_meta.items() if v in endpoints}
+    oracle_graph = grow_graph(oracle_world, batches, vertex_meta)
     oracle = run_fqdn_survey(oracle_graph, algorithm="push", engine="columnar")
     assert steps[-1].cumulative == oracle.triple_counts
 

@@ -49,10 +49,8 @@ def test_schedule_rejects_impossible_splits():
 
 def test_full_recompute_survey_matches_oracle():
     world = World(4)
-    graph = DistributedGraph(world, name="g")
     generated = erdos_renyi(50, 0.15, seed=6)
-    for u, v, meta in generated.edges:
-        graph.add_edge(u, v, meta)
+    graph = DistributedGraph.from_edges(world, generated.edges, name="g")
     recompute = full_recompute_survey(graph, TriangleCounter)
     oracle = serial_triangle_count([(u, v) for u, v, _m in generated.edges])
     assert recompute.result == oracle

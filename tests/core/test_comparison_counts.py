@@ -38,8 +38,7 @@ def formula_count(name, span, row):
     rank = np.searchsorted(row, cands)
     hit = np.isin(cands, row)
     return COMPARISON_COUNTS[name](
-        rank,
-        np.full(cands.size, row.size, dtype=np.int64),
+        lambda: (rank, np.full(cands.size, row.size, dtype=np.int64)),
         hit,
         np.array([0, cands.size], dtype=np.int64),
         np.array([row.size], dtype=np.int64),

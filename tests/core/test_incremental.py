@@ -66,10 +66,12 @@ def random_schedule(edges, seed, num_batches):
 
 def full_recompute(edges, reducer_factory, nranks=NRANKS):
     world = World(nranks)
-    graph = DistributedGraph(world, name="oracle")
+    seen, first_seen = set(), []
     for u, v, meta in edges:
-        if u != v and not graph.has_edge(u, v):
-            graph.add_edge(u, v, meta)
+        if u != v and frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            first_seen.append((u, v, meta))
+    graph = DistributedGraph.from_edges(world, first_seen, name="oracle")
     dodgr = DODGraph.build(graph, mode="bulk")
     reducer = reducer_factory(world)
     report = triangle_survey_push(dodgr, reducer.callback, engine="columnar")

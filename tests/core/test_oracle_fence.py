@@ -34,6 +34,21 @@ service = SurveyService(World(4))
 service.ingest(records)
 assert service.query("closure").outcome == "exact"
 service.close()
+
+from repro import DistributedGraph
+from repro.analysis import run_clustering_coefficients, run_degree_triple_survey
+from repro.core import approximate_triangle_count
+
+named = DistributedGraph.from_edges(
+    World(4), [("a", "b", 1), ("b", "c", 2), ("a", "c", 3), ("c", "d", 4)], vertex_meta={"e": "x"}
+)
+assert named.vertex_meta("e") == "x" and named.edge_meta("b", "a") == 1
+assert named.has_edge("c", "d") and named.has_vertex("a") and not named.has_vertex("z")
+assert sorted(named.neighbors("c")) == ["a", "b", "d"] and named.degree("c") == 3
+graph = generated.to_distributed(World(4))
+run_clustering_coefficients(graph)
+run_degree_triple_survey(graph)
+approximate_triangle_count(graph, probability=0.5)
 print("production", "repro.oracle" in sys.modules)
 
 triangle_survey_push_pull(dodgr, engine="legacy")

@@ -58,10 +58,11 @@ class TestCorrectness:
             300, community_size=100, intra_probability=0.3, cross_links_per_vertex=0.5, seed=4
         )
         world = World(4)
-        graph = generated.to_distributed(world)
         # Decorate vertices so metadata correctness is observable.
-        for vertex in list(graph.vertices()):
-            graph.set_vertex_meta(vertex, f"v{vertex}")
+        vertices = generated.to_distributed(World(4)).vertices()
+        graph = DistributedGraph.from_edges(
+            world, generated.edges, vertex_meta={vertex: f"v{vertex}" for vertex in vertices}
+        )
         dodgr = DODGraph.build(graph)
 
         errors = []

@@ -23,9 +23,9 @@ class TestUnusualInputs:
         assert triangle_survey_push_pull(DODGraph.build(graph)).triangles == 1
 
     def test_isolated_vertices_do_not_disturb_counts(self, world4, small_er):
-        graph = small_er.to_distributed(world4)
-        for isolated in range(1000, 1020):
-            graph.add_vertex(isolated, meta="lonely")
+        lonely = dict.fromkeys(range(1000, 1020), "lonely")
+        graph = DistributedGraph.from_edges(world4, small_er.edges, vertex_meta=lonely)
+        assert graph.num_vertices() == small_er.to_distributed(World(4)).num_vertices() + 20
         dodgr = DODGraph.build(graph)
         assert triangle_survey_push(dodgr).triangles == serial_triangle_count(small_er.edges)
 

@@ -189,24 +189,6 @@ def test_write_path_check_flags_per_message_delivery(monkeypatch):
     assert len(errors) == 1 and "batch deliveries" in errors[0]
 
 
-def test_write_path_check_flags_a_materialised_store(monkeypatch):
-    """The check 7 graph probe trips: an apply that builds the live graph's
-    per-rank record dicts is reported, for the stream and the service."""
-    import check_engines
-    from repro.graph.delta import DeltaBuffer
-
-    apply = DeltaBuffer.apply
-
-    def apply_then_read_a_record(self, graph):
-        applied = apply(self, graph)
-        graph.local_store(0)
-        return applied
-
-    monkeypatch.setattr(DeltaBuffer, "apply", apply_then_read_a_record)
-    errors = check_engines.check_write_path()
-    assert len(errors) == 2 and all("record dicts were built" in error for error in errors)
-
-
 def test_reducers_survey_without_a_codec_call():
     """Mirror of tools/check_engines.py check 4: every stock reducer honours
     the contract, and a columnar survey plus ``finalize()`` with it makes
@@ -313,8 +295,9 @@ def test_oracle_stays_out_of_production():
 
 def test_oracle_fence_flags_a_planted_leak(tmp_path):
     """The check 10 scan trips: an oracle import outside the gate (in the
-    registry or anywhere else), a record-store read and a ``style``
-    parameter in a production engine module are each reported."""
+    registry or anywhere else), a record-store read or definition in any
+    module outside the oracle, and a ``style`` parameter in a production
+    engine module are each reported."""
     import check_engines
 
     src = REPO_ROOT / "src" / "repro"
@@ -330,12 +313,23 @@ def test_oracle_fence_flags_a_planted_leak(tmp_path):
     (engine / "push.py").write_text(
         "def drive(ctx, style):\n    return dodgr.local_store(ctx)\n", encoding="utf-8"
     )
+    (tmp_path / "graph").mkdir()
+    (tmp_path / "graph" / "store.py").write_text(
+        "class Graph:\n    def local_store(self, rank):\n        return {}\n\n\n"
+        "def read(graph):\n    return graph.local_store(0)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "oracle" / "records.py").write_text(
+        "def local_store(rank):\n    return local_store(rank)\n", encoding="utf-8"
+    )
     leaks = check_engines.oracle_leaks(tmp_path)
     assert [leak.rsplit(": ", 1)[1] for leak in leaks] == [
         f"core/engine/registry.py:{len(registry.splitlines()) + 2}",
         "stray.py:1",
-        "core/engine/push.py:1",
         "core/engine/push.py:2",
+        "graph/store.py:2",
+        "graph/store.py:7",
+        "core/engine/push.py:1",
     ]
 
 

@@ -3,11 +3,12 @@
 ``DODGraph.build(mode="bulk")`` (argsort orientation + lexsort assembly) must
 reproduce :func:`repro.oracle.routed_build` — the paper-faithful build that
 routes every half edge through the runtime — and
-``DistributedGraph.from_columns`` the per-edge ``from_edges`` loop,
-*exactly*: the oracle's record view of the bulk DODGr equals the routed
-records in store insertion order, adjacency tuple order and every field;
-dense order ids equal the scalar ``<+`` sort; and the CSR columns of the
-``from_columns`` and ``from_edges`` graphs agree — on representative and
+``DistributedGraph.from_columns`` the oracle's per-edge record load
+(:func:`repro.oracle.load_records`), *exactly*: the oracle's record view of
+the bulk DODGr equals the routed records in store insertion order, adjacency
+tuple order and every field; dense order ids equal the scalar ``<+`` sort;
+and the image and CSR columns of the ``from_columns`` and record-loaded
+graphs agree — on representative and
 adversarial inputs, so that every downstream communication number stays
 byte-identical.
 """
@@ -23,22 +24,18 @@ from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.edge_list import DistributedEdgeList, _keep_first
 from repro.graph.degree import order_key
 from repro.graph.generators import rmat
-from repro.oracle import record_view, routed_build
+from repro.oracle import load_records, record_view, routed_build
 from repro.runtime.world import World
 
 NRANKS = 6
 
 
 def assert_same_graph(graph_a: DistributedGraph, graph_b: DistributedGraph) -> None:
-    for rank in range(graph_a.world.nranks):
-        store_a = graph_a.local_store(rank)
-        store_b = graph_b.local_store(rank)
-        assert list(store_a.keys()) == list(store_b.keys())
-        for vertex in store_a:
-            assert store_a[vertex]["meta"] == store_b[vertex]["meta"]
-            assert list(store_a[vertex]["adj"].items()) == list(
-                store_b[vertex]["adj"].items()
-            )
+    image_a, image_b = graph_a.half_edge_columns(), graph_b.half_edge_columns()
+    for field in ("vertices", "vertex_meta", "rank_offsets", "degree", "tgt", "edge_meta"):
+        column_a, column_b = getattr(image_a, field), getattr(image_b, field)
+        assert column_a.dtype == column_b.dtype, field
+        assert column_a.tolist() == column_b.tolist(), field
 
 
 def assert_same_columns(dodgr_a: DODGraph, dodgr_b: DODGraph) -> None:
@@ -69,9 +66,7 @@ def assert_same_dodgr(routed, vectorized: DODGraph, graph: DistributedGraph) -> 
 def build_pair(edges, vertex_meta=None):
     """(routed records, bulk DODGr, its graph), each on its own world."""
     world_a, world_b = World(NRANKS), World(NRANKS)
-    graph_a = DistributedGraph.from_edges(
-        world_a, edges, vertex_meta=vertex_meta, name="g"
-    )
+    graph_a = load_records(world_a, edges, vertex_meta=vertex_meta).graph("g")
     graph_b = DistributedGraph.from_edges(
         world_b, edges, vertex_meta=vertex_meta, name="g"
     )
@@ -112,7 +107,7 @@ class TestBuilderGoldenParity:
         base = 2**63
         edges = [(base + i, base + ((i * 3 + 1) % 9), i) for i in range(40)]
         world_a, world_b = World(NRANKS), World(NRANKS)
-        graph_a = DistributedGraph.from_edges(world_a, edges, name="g")
+        graph_a = load_records(world_a, edges).graph("g")
         graph_b = DistributedGraph.from_columns(
             world_b,
             np.array([e[0] for e in edges], dtype=np.uint64),
@@ -140,7 +135,7 @@ class TestFromColumnsParity:
         dataset = rmat(9, edge_factor=6, seed=8)
         us, vs = dataset.edge_columns()
         world_a, world_b = World(NRANKS), World(NRANKS)
-        graph_a = DistributedGraph.from_edges(world_a, dataset.edges, name="g")
+        graph_a = load_records(world_a, dataset.edges).graph("g")
         graph_b = DistributedGraph.from_columns(
             world_b, us, vs, edge_meta=True, name="g"
         )
@@ -149,7 +144,7 @@ class TestFromColumnsParity:
     def test_per_edge_metas_duplicates_self_loops(self):
         edges = [(1, 2, "a"), (2, 1, "b"), (3, 3, "loop"), (2, 3, "c"), (1, 2, "d")]
         world_a, world_b = World(3), World(3)
-        graph_a = DistributedGraph.from_edges(world_a, edges, name="g")
+        graph_a = load_records(world_a, edges).graph("g")
         graph_b = DistributedGraph.from_columns(
             world_b,
             [e[0] for e in edges],
@@ -159,10 +154,10 @@ class TestFromColumnsParity:
         )
         assert_same_graph(graph_a, graph_b)
 
-    def test_huge_int_ids_take_per_edge_fallback(self):
+    def test_huge_int_ids_are_relabelled(self):
         edges = [(2**70, 1, "a"), (1, 2**70 + 3, "b")]
         world_a, world_b = World(3), World(3)
-        graph_a = DistributedGraph.from_edges(world_a, edges, name="g")
+        graph_a = load_records(world_a, edges).graph("g")
         graph_b = DistributedGraph.from_columns(
             world_b,
             [e[0] for e in edges],
@@ -191,9 +186,7 @@ class TestFromColumnsParity:
     def test_vertex_meta_and_isolated_vertices(self):
         meta = {1: "one", 99: "isolated"}
         world_a, world_b = World(3), World(3)
-        graph_a = DistributedGraph.from_edges(
-            world_a, [(1, 2), (2, 3)], vertex_meta=meta, name="g"
-        )
+        graph_a = load_records(world_a, [(1, 2), (2, 3)], vertex_meta=meta).graph("g")
         graph_b = DistributedGraph.from_columns(
             world_b, [1, 2], [2, 3], vertex_meta=meta, name="g"
         )

@@ -106,9 +106,7 @@ def test_rebuild_matches_cold_build():
     applied = buffer.apply(graph)
 
     cold_world = World(4)
-    cold_graph = DistributedGraph(cold_world, name="g")
-    for u, v, meta in edges:
-        cold_graph.add_edge(u, v, meta)
+    cold_graph = DistributedGraph.from_edges(cold_world, edges, name="g")
     cold = DODGraph.build(cold_graph, mode="bulk")
 
     got, want = record_view(applied.dodgr), record_view(cold)

@@ -221,7 +221,6 @@ class TestProductionPathStaysOnTheArrays:
             "rank_vertex_counts", "rank_edge_counts",
         ):
             assert getattr(graph, query)() == getattr(oracle_graph, query)(), query
-        assert not graph.store_materialised
         assert dodgr not in _VIEWS and oracle in _VIEWS
 
     def test_scalar_callback_reads_the_columns(self):
@@ -261,27 +260,11 @@ class TestProductionPathStaysOnTheArrays:
         for batch in batches:
             stream.ingest(batch)
         assert stream.dodgr not in _VIEWS
-        assert not stream.graph.store_materialised
         service = SurveyService(World(self.NRANKS), engine="columnar")
         service.ingest(batches[0])
         assert service.query("triangle").outcome == "exact"
         assert service._ledger.dodgr not in _VIEWS
-        assert not service._ledger.graph.store_materialised
         service.close()
-
-    def test_mutation_after_from_columns_materialises_the_store(self):
-        us, vs, metas = self.columns()
-        graph, _ = self.build()
-        oracle_graph, _ = self.oracle()
-        assert not graph.store_materialised
-        for mutated in (graph, oracle_graph):
-            mutated.add_edge(int(us[0]), 10**6, "late")
-        assert graph.store_materialised
-        for rank in range(self.NRANKS):
-            got, want = graph.local_store(rank), oracle_graph.local_store(rank)
-            assert list(got.items()) == list(want.items())
-            for vertex in got:
-                assert list(got[vertex]["adj"].items()) == list(want[vertex]["adj"].items())
 
 
 def test_release_frees_the_graph_when_its_last_owner_lets_go():

@@ -25,7 +25,7 @@ from repro.graph.degree import order_key
 from repro.graph.edge_list import canonical_pair
 from repro.graph.dodgr import CSRAdjacency, _value_sizes
 from repro.graph.ooc import StorageConfig, active_segment_paths
-from repro.oracle import DeltaRecords, record_view, routed_build
+from repro.oracle import DeltaRecords, load_records, record_view, routed_build
 from repro.oracle.records import _VIEWS
 from repro.runtime import World, active_segment_names
 from repro.runtime.backend.shm import shared_memory_available
@@ -100,11 +100,12 @@ def test_wedge_count_invariant_under_partitioning(edges):
 # The equivalence contract over the column seam
 # ---------------------------------------------------------------------------
 #
-# A graph loads three ways — the from_columns image and the flattened
-# from_edges stores, both through the bulk DODGr build, and the oracle's
-# routed build of records — and every object-shaped view (graph stores, the
-# oracle's records, entries and order_ids) is derived from the columns.  All
-# of it must agree, value for value and in dict order.
+# A graph loads three ways — the from_columns image and the oracle's
+# flattened per-edge records, both through the bulk DODGr build, and the
+# oracle's routed build of records over from_edges — and every
+# object-shaped view (the oracle's records, entries and order_ids) is
+# derived from the columns.  All of it must agree, value for value and in
+# dict order.
 
 EDGE_META_COLUMNS = {
     "float": st.floats(allow_nan=False),
@@ -153,34 +154,29 @@ def edge_records(us, vs, kwargs):
 
 
 def load_three_ways(n, us, vs, kwargs, nranks, partitioner):
-    """(graph, dodgr) from the image and the flattened stores, and (graph,
-    records) from the routed build."""
-
-    def load(world, from_columns):
-        placement = PARTITIONERS[partitioner](nranks, n + 4)
-        if from_columns:  # one column an array, one a list: both are accepted
-            return DistributedGraph.from_columns(
-                world, np.array(us, dtype=np.int64), vs, partitioner=placement, name="g", **kwargs
-            )
-        return DistributedGraph.from_edges(
-            world,
-            edge_records(us, vs, kwargs),
-            vertex_meta=kwargs["vertex_meta"],
-            default_vertex_meta=kwargs["default_vertex_meta"],
-            partitioner=placement,
-            name="g",
-        )
-
+    """(graph, dodgr) from the ``from_columns`` image and from the oracle's
+    flattened per-edge records, and (graph, records) from the routed build
+    over ``from_edges``."""
+    placement = PARTITIONERS[partitioner](nranks, n + 4)
+    load = dict(
+        vertex_meta=kwargs["vertex_meta"],
+        default_vertex_meta=kwargs["default_vertex_meta"],
+        partitioner=placement,
+    )
     worlds = [World(nranks) for _ in range(3)]
-    image, stores, routed = (load(world, world is worlds[0]) for world in worlds)
-    assert not image.store_materialised
+    # One column an array, one a list: both are accepted.
+    image = DistributedGraph.from_columns(
+        worlds[0], np.array(us, dtype=np.int64), vs, partitioner=placement, name="g", **kwargs
+    )
+    stores = load_records(worlds[1], edge_records(us, vs, kwargs), **load).graph("g")
+    routed = DistributedGraph.from_edges(worlds[2], edge_records(us, vs, kwargs), name="g", **load)
     built = [
         (image, DODGraph.build(image, mode="bulk")),
         (stores, DODGraph.build(stores, mode="bulk")),
         (routed, routed_build(routed)),
     ]
-    # Two graph handlers and one DODGr handler per load, in every lane.
-    assert [len(world.registry) for world in worlds] == [3, 3, 3]
+    # A graph registers no handler; a DODGr (or the routed build) one.
+    assert [len(world.registry) for world in worlds] == [1, 1, 1]
     return built
 
 
@@ -208,12 +204,12 @@ def assert_same_records(routed, dodgr):
     ]
 
 
-def assert_same_stores(graph_a, graph_b, nranks):
-    for rank in range(nranks):
-        store_a, store_b = graph_a.local_store(rank), graph_b.local_store(rank)
-        assert list(store_a.items()) == list(store_b.items())
-        for vertex in store_a:
-            assert list(store_a[vertex]["adj"].items()) == list(store_b[vertex]["adj"].items())
+def assert_same_images(graph_a, graph_b):
+    image_a, image_b = graph_a.half_edge_columns(), graph_b.half_edge_columns()
+    for field in ("vertices", "vertex_meta", "rank_offsets", "degree", "tgt", "edge_meta"):
+        column_a, column_b = getattr(image_a, field), getattr(image_b, field)
+        assert column_a.dtype == column_b.dtype, field
+        assert column_a.tolist() == column_b.tolist(), field
 
 
 @given(
@@ -229,7 +225,6 @@ def test_columns_agree_across_the_three_origins(columns, nranks, partitioner):
     for rank in range(nranks):
         assert_same_columns(from_image.csr(rank), from_stores.csr(rank))
     # Nothing object-shaped was needed to get here.
-    assert not image.store_materialised
     assert from_image not in _VIEWS and from_stores not in _VIEWS
     # <+ ids against the definition, not against another build.
     degrees = stores.degrees()
@@ -238,8 +233,7 @@ def test_columns_agree_across_the_three_origins(columns, nranks, partitioner):
     assert_same_views(from_image, from_stores)
     assert_same_records(routed, from_image)
     assert_same_records(routed, from_stores)
-    assert_same_stores(image, stores, nranks)
-    assert image.store_materialised
+    assert_same_images(image, stores)
 
 
 @given(decorated_columns(), st.integers(min_value=1, max_value=4), st.data())
@@ -247,30 +241,21 @@ def test_columns_agree_across_the_three_origins(columns, nranks, partitioner):
 def test_mutation_after_from_columns_matches_from_edges(columns, nranks, data):
     n, us, vs, kwargs = columns
     image = DistributedGraph.from_columns(World(nranks), us, vs, **kwargs)
-    stores = DistributedGraph.from_edges(
+    stores = load_records(
         World(nranks),
         edge_records(us, vs, kwargs),
         vertex_meta=kwargs["vertex_meta"],
         default_vertex_meta=kwargs["default_vertex_meta"],
-    )
+    ).graph()
     vertex = st.integers(min_value=0, max_value=n + 5)
     late = data.draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 3)), max_size=6))
-    mutation = data.draw(st.sampled_from(["add_edge", "set_vertex_meta", "delta"]))
     rebuilt = []
     for graph in (image, stores):
-        if mutation == "add_edge":
-            for u, v, meta in late:
-                graph.add_edge(u, v, meta)
-        elif mutation == "set_vertex_meta":
-            for u, _, meta in late:
-                graph.set_vertex_meta(u, meta)
-        else:
-            delta = DeltaBuffer(graph.world)
-            delta.stage_edges(late)
-            delta.stage_vertex_meta(n + 9, "staged")
-            rebuilt.append(delta.apply(graph).dodgr)
-    assert_same_stores(image, stores, nranks)
-    rebuilt = rebuilt or [DODGraph.build(graph) for graph in (image, stores)]
+        delta = DeltaBuffer(graph.world)
+        delta.stage_edges(late)
+        delta.stage_vertex_meta(n + 9, "staged")
+        rebuilt.append(delta.apply(graph).dodgr)
+    assert_same_images(image, stores)
     for rank in range(nranks):
         assert_same_columns(rebuilt[0].csr(rank), rebuilt[1].csr(rank))
 
@@ -281,26 +266,31 @@ def test_mutation_after_from_columns_matches_from_edges(columns, nranks, data):
 #
 # apply() merges a batch into the graph's column image with array
 # operations.  The oracle replays the per-edge loop that image must equal —
-# canonical_pair + has_edge / add_edge, then the first-write-wins vertex
-# metadata — on a graph of its own, batch by batch.
+# canonical_pair + an adjacency lookup / add_edge, then the first-write-wins
+# vertex metadata — on the oracle's record store, batch by batch.
 
 
-def replay_per_edge(graph, edges, vertex_meta):
-    """Merge one batch edge by edge; returns the accepted ``(u, v, meta)`` records."""
+def replay_per_edge(store, edges, vertex_meta):
+    """Merge one batch edge by edge into ``store`` (a ``RecordStore``);
+    returns the accepted ``(u, v, meta)`` records."""
+
+    def record(vertex):
+        return store.stores[store.partitioner.owner(vertex)].get(vertex)
+
     accepted, seen = [], set()
     for edge in edges:
         u, v, meta = edge[0], edge[1], None if len(edge) == 2 else edge[2]
         if u == v:
             continue
         pair = canonical_pair(u, v)
-        if pair in seen or graph.has_edge(pair[0], pair[1]):
+        if pair in seen or (record(pair[0]) is not None and pair[1] in record(pair[0])["adj"]):
             continue
         seen.add(pair)
         accepted.append((pair[0], pair[1], meta))
-        graph.add_edge(pair[0], pair[1], meta)
+        store.add_edge(pair[0], pair[1], meta)
     for vertex, meta in vertex_meta.items():
-        if not graph.has_vertex(vertex) or graph.vertex_meta(vertex) is None:
-            graph.set_vertex_meta(vertex, meta)
+        if record(vertex) is None or record(vertex)["meta"] is None:
+            store.set_vertex_meta(vertex, meta)
     return accepted
 
 
@@ -360,6 +350,9 @@ def load_base(base, base_edges, nranks, partitioner, default_vertex_meta):
     placement = PARTITIONERS[partitioner](nranks, 16)
     kwargs = dict(partitioner=placement, default_vertex_meta=default_vertex_meta, name="g")
     world = World(nranks)
+    if base == "records":  # the oracle's per-edge load
+        del kwargs["name"]
+        return load_records(world, base_edges, **kwargs)
     if base == "from_columns":
         us, vs, metas = (list(column) for column in zip(*base_edges)) if base_edges else ([], [], [])
         return DistributedGraph.from_columns(world, us, vs, edge_metas=metas, **kwargs)
@@ -551,16 +544,13 @@ def assert_vertex_memo_carried(carried, kept, lost, image, applied, unfilled, st
 def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_vertex_meta):
     base, base_edges, batches = schedule
     graph = load_base(base, base_edges, nranks, partitioner, default_vertex_meta)
-    oracle = load_base(
-        "empty" if base == "empty" else "from_edges", base_edges, nranks, partitioner, default_vertex_meta
-    )
+    oracle = load_base("records", base_edges, nranks, partitioner, default_vertex_meta)
     buffer = DeltaBuffer(graph.world)
     stamp = CountedStamp()
     for index, (edges, vertex_meta, how, read_first) in enumerate(batches):
         if read_first and edges:
             graph.has_edge(edges[0][0], edges[0][1])
         stage(buffer, how, edges, vertex_meta)
-        # A materialised store drops the image and its memos; else they ride.
         old_image = graph.half_edge_columns()
         carried, carried_vertex = old_image.edge_values, old_image.vertex_values
         lost, lost_vertex = no_array_form(carried), no_array_form(carried_vertex)
@@ -569,9 +559,8 @@ def test_apply_equals_the_per_edge_merge(schedule, nranks, partitioner, default_
         stamped = carried_vertex is not None and stamp in carried_vertex.extractors()
         applied = buffer.apply(graph)
         accepted = replay_per_edge(oracle, edges, vertex_meta)
-        want = DODGraph.build(oracle, name=f"oracle@{index}")
-        assert not graph.store_materialised
-        got_image, want_image = graph.half_edge_columns(), oracle.half_edge_columns()
+        want = DODGraph.build(oracle.graph(), name=f"oracle@{index}")
+        got_image, want_image = graph.half_edge_columns(), oracle.columns()
         assert_memo_carried(carried, kept, lost, got_image, applied)
         unfilled = [
             vertex
@@ -636,14 +625,14 @@ def test_object_id_graphs_take_the_same_pipeline(ids):
         assert bulk.csr(rank).row_vertices.dtype == object
     assert bulk not in _VIEWS
     assert_same_records(routed, bulk)
-    if ids == "beyond_int64":  # from_columns: the per-edge lane, same graph
+    if ids == "beyond_int64":  # from_columns relabels them: same graph
         graph = DistributedGraph.from_columns(
             World(nranks),
             [e[0] for e in edges],
             [e[1] for e in edges],
             edge_metas=[e[2] for e in edges],
         )
-        assert graph.store_materialised
+        assert graph.half_edge_columns().vertices.dtype == object
         from_columns = DODGraph.build(graph)
         for rank in range(nranks):
             assert_same_columns(from_columns.csr(rank), bulk.csr(rank))

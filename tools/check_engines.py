@@ -44,16 +44,13 @@ Seventeen checks, exit status 1 on any failure (each printed to stderr):
    and ``description``, and :mod:`repro.core.intersection`
    defines no batch-kernel name (a name with a word ``batch``) — so the
    selection surface cannot regrow unnoticed.
-7. **The write path stays on the arrays** — a columnar
-   :class:`~repro.core.incremental.StreamingSurvey` after four batches, and
-   a :class:`~repro.service.SurveyService` after an ingest and one exact
-   query, leave their live graph as a column image
-   (``store_materialised`` False): a ``DeltaBuffer`` that regrows a
-   per-edge dict insert or flatten fails here.  (A DODGr is its columns and
-   has no object view to build; only :mod:`repro.oracle` derives one.)
-   Every stream step after the first makes at most one ``callback_batch``
-   delivery per rank, so a delta survey that goes back to delivering per
-   message fails here too.
+7. **The write path delivers once per rank** — every step of a columnar
+   :class:`~repro.core.incremental.StreamingSurvey` after the first makes
+   at most one ``callback_batch`` delivery per rank, so a delta survey that
+   goes back to delivering per message fails here; and a
+   :class:`~repro.service.SurveyService` ingest answers an exact query.
+   (A graph is its column image and a DODGr its columns: neither has a
+   record store to build, which check 10 holds statically.)
 8. **One table says what may run** — an AST scan of ``src/repro`` finds no
    ``raise UnsupportedBackendError`` outside
    :func:`repro.core.engine.registry.check_supported`, and the
@@ -70,10 +67,11 @@ Seventeen checks, exit status 1 on any failure (each printed to stderr):
 10. **The oracle stays out of production** — an AST scan of ``src/repro``
    finds no import of :mod:`repro.oracle` outside that package and
    :func:`repro.core.engine.registry.oracle_builder`, the one lazy site;
-   and none of ``src/repro/core/engine/*.py`` or ``core/incremental.py``
-   calls ``local_store(`` or has a ``style`` parameter or a ``.style``
-   read — so the scalar engine cannot leak back into the production
-   modules, and production never loads it.
+   no ``local_store`` call or definition outside the oracle package; and
+   none of ``src/repro/core/engine/*.py`` or ``core/incremental.py`` has a
+   ``style`` parameter or a ``.style`` read — so neither the record store
+   nor the scalar engine can leak back into production, and production
+   never loads them.
 11. **One stable sort** — an AST scan of ``src/repro`` finds no
    ``argsort(..., kind="stable")`` call outside
    :func:`repro.runtime.world.stable_key_order` (the :mod:`repro.oracle`
@@ -332,7 +330,7 @@ def check_reducer_contract() -> List[str]:
 
 
 def check_write_path() -> List[str]:
-    """Streaming and service ingest build no object-shaped view (check 7)."""
+    """Stream steps deliver once per rank; a service ingest answers (check 7)."""
     from repro.core.callbacks import ClosureTimeSurvey
     from repro.core.incremental import StreamingSurvey
     from repro.graph.metadata import temporal_edge_meta
@@ -366,13 +364,6 @@ def check_write_path() -> List[str]:
     outcome = service.query("closure").outcome
     if outcome != "exact":
         errors.append(f"SurveyService: the write-path probe query answered {outcome!r}")
-    probes = {
-        "StreamingSurvey after 4 batches": stream.graph,
-        "SurveyService after an ingest and an exact query": service._ledger.graph,
-    }
-    for where, graph in probes.items():
-        if graph.store_materialised:
-            errors.append(f"{where}: the live graph's per-rank record dicts were built")
     service.close()
     return errors
 
@@ -617,32 +608,42 @@ def _imports_oracle(node: ast.AST) -> bool:
     return any("oracle" in target.split(".") for target in targets)
 
 
-def _scalar_path(node: ast.AST) -> bool:
-    """A ``local_store(`` call, a ``style`` parameter or a ``.style`` read."""
-    return (
-        _called_name(node) == "local_store"
-        or (isinstance(node, ast.arg) and node.arg == "style")
-        or (isinstance(node, ast.Attribute) and node.attr == "style")
+def _record_store(node: ast.AST) -> bool:
+    """A ``local_store(`` call or a ``local_store`` definition."""
+    return _called_name(node) == "local_store" or (
+        isinstance(node, ast.FunctionDef) and node.name == "local_store"
+    )
+
+
+def _style_path(node: ast.AST) -> bool:
+    """A ``style`` parameter or a ``.style`` read."""
+    return (isinstance(node, ast.arg) and node.arg == "style") or (
+        isinstance(node, ast.Attribute) and node.attr == "style"
     )
 
 
 def oracle_leaks(root: Path) -> List[str]:
     """What fences the oracle out of ``root`` (a ``src/repro`` tree): every
-    stray oracle import, then every scalar path in a production engine module."""
+    stray oracle import, every record-store call or definition outside the
+    oracle package, then every style path in a production engine module."""
     leaks = [
         f"import of repro.oracle outside {ORACLE_GATE[0]}::{ORACLE_GATE[1]}: {where}"
         for where in _stray_nodes(root, ORACLE_GATE, _imports_oracle)
         if not where.startswith("oracle/")
     ]
+    leaks.extend(
+        f"local_store( call or definition outside the oracle: {where}"
+        for where in _stray_nodes(root, ("", ""), _record_store)
+        if not where.startswith("oracle/")
+    )
     for pattern in ONE_PATH_MODULES:
         for path in sorted(root.glob(pattern)):
             relative = path.relative_to(root).as_posix()
             tree = ast.parse(path.read_text(encoding="utf-8"), relative)
             leaks.extend(
-                f"local_store( call or style parameter/branch in a production module: "
-                f"{relative}:{node.lineno}"
+                f"style parameter/branch in a production module: {relative}:{node.lineno}"
                 for node in ast.walk(tree)
-                if _scalar_path(node)
+                if _style_path(node)
             )
     return leaks
 
@@ -1415,7 +1416,7 @@ def main() -> int:
         "snapshot/merge/callback_batch contract with zero codec calls; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector; "
-        "the write path stays on the arrays; one table says what may run; "
+        "a stream step delivers once per rank; one table says what may run; "
         "one loop runs every survey phase; the oracle stays out of production; "
         "one primitive owns every stable sort; "
         "every export has a caller or a stated reason; "
