@@ -9,14 +9,12 @@ variant of ``python -m repro.sweep --sample 30 --seed 0``; the sweep docs
 
 Gates:
 
-* **engine axis** — the sweep's engine axis must equal the live registry
-  (``tools/check_engines.py`` asserts the same from outside pytest), so a
-  newly registered engine can never be silently missing from coverage;
-* **parity** — every non-legacy cell must match the legacy oracle on
-  reducer panel, triangle count, wire bytes, wire messages and wedge
-  checks (:class:`repro.sweep.SweepParityError` otherwise);
-* **coverage** — every sampled config produces a cell for every engine on
-  the full-survey analyses, and for every incremental engine on streaming.
+* **parity** — every non-legacy cell must keep the equivalence contract
+  against the legacy oracle (:func:`repro.sweep.contract_problems`;
+  :class:`repro.sweep.SweepParityError` otherwise);
+* **coverage** — every sampled config produces a cell for every registered
+  engine on every analysis, so a newly registered engine can never be
+  silently missing from coverage.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.sweep import (
     run_sweep,
     sample_space,
     sweep_payload,
-    sweep_engine_axis,
     world_spec_names,
 )
 
@@ -45,14 +42,10 @@ def _smoke_configs():
     return configs
 
 
-def test_sweep_engine_axis_matches_registry():
-    assert sweep_engine_axis() == engine_names()
-
-
 def test_scenario_sweep_smoke(benchmark):
     configs = _smoke_configs()
     result = benchmark.pedantic(
-        lambda: run_sweep(configs, strict_parity=True),
+        lambda: run_sweep(configs),
         rounds=1,
         iterations=1,
     )
@@ -64,11 +57,11 @@ def test_scenario_sweep_smoke(benchmark):
             seen = {
                 cell.engine
                 for cell in result.cells
-                if cell.config_id == config.config_id() and cell.analysis == analysis
+                if cell.config == config and cell.analysis == analysis
             }
             assert seen == engines
 
-    assert not result.parity_failures()
+    result.raise_on_parity_failure()
 
     payload = sweep_payload(result, sample=SMOKE_SAMPLE, seed=SMOKE_SEED)
     payload["config_digest"] = config_digest(configs)
@@ -77,7 +70,7 @@ def test_scenario_sweep_smoke(benchmark):
             result,
             title=(
                 f"Scenario sweep smoke: {len(configs)} configs x "
-                f"{len(result.engines)} engines (seed={SMOKE_SEED})"
+                f"{len(engines)} engines (seed={SMOKE_SEED})"
             ),
         )
     )

@@ -31,9 +31,9 @@ when :func:`~repro.core.engine.registry.oracle_builder` — the one
 production import of that package — says so.  ``tools/check_engines.py``
 smoke-checks that both engines stay on the equivalence contract (identical
 reducer panels, byte-identical wire totals) and fences the oracle out of
-production (check 10); the cross-engine property suite
-(``tests/properties/test_property_engines.py``) pins the contract on random
-graphs.
+production (check 10); the matrix suite
+(``tests/properties/test_property_matrix.py``) pins the contract, stated
+once in :mod:`repro.sweep.contract`, on every legal execution cell.
 
 ``repro.core.survey``, ``repro.core.push_pull`` and
 ``repro.core.incremental`` are thin entry points over this layer.

@@ -178,7 +178,8 @@ def run_survey_with_recovery(
 
     ``graph`` enables the degradation path: on permanent loss the source
     graph is re-surveyed from its surviving partitions
-    (:func:`~repro.core.approximate.survivor_triangle_estimate`).
+    (:func:`~repro.core.approximate.survivor_triangle_estimate`); when no
+    surviving rank owns a vertex, the crash propagates instead.
     """
     from . import execute_survey  # runtime import: this module is part of the package
 
@@ -251,9 +252,14 @@ def degraded_estimate(
     graph: DistributedGraph, crash: RankCrashError, algorithm: str = "push"
 ) -> Any:
     """The survivor triangle estimate once ``crash.rank`` is lost for good:
-    the degradation path of both recovery drivers."""
+    the degradation path of both recovery drivers.  When no other rank owns
+    a vertex (a one-rank world) there is nothing to estimate from, and the
+    crash itself propagates."""
     from ..approximate import survivor_triangle_estimate  # avoid import cycle
 
+    counts = graph.rank_vertex_counts()
+    if sum(counts) == counts[crash.rank % graph.world.nranks]:
+        raise crash
     # The survivor survey runs on a fresh world of the surviving size, so
     # the estimate itself cannot be re-faulted by the installed plan.
     return survivor_triangle_estimate(

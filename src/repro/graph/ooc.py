@@ -207,6 +207,13 @@ def _new_memmap(directory: str, prefix: str, name: str, length: int):
     return mm[:length], path
 
 
+def _flush(segment) -> None:
+    """Write a segment through to its file.  A zero-length slice of a
+    memmap is a plain array (nothing mapped, nothing to write)."""
+    if isinstance(segment, _np.memmap):
+        segment.flush()
+
+
 def _fill_chunked(target, source) -> None:
     """Stream the array ``source`` into ``target`` in bounded chunks."""
     n = len(source)
@@ -249,7 +256,7 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
         source = getattr(csr, name)
         mm, path = _new_memmap(directory, prefix, name, len(source))
         _fill_chunked(mm, source)
-        mm.flush()
+        _flush(mm)
         paths.append(path)
         setattr(csr, name, mm)
     tgt_ids, indptr = csr.tgt_ids, csr.indptr
@@ -268,7 +275,7 @@ def spill_csr(csr, order_count: int, config: StorageConfig) -> List[str]:
             _np.arange(row_lo, row_hi, dtype=_np.int64), lengths
         )
         composite[lo:hi] = edge_rows * stride + tgt_ids[lo:hi]
-    composite.flush()
+    _flush(composite)
     paths.append(comp_path)
 
     adjacency = RowAdjacency(tgt_ids, indptr, order_count)

@@ -5,8 +5,8 @@ rank-order drives, termination-detecting barriers.  This package adds the
 ``"process"`` backend — rank-sharded forked workers exchanging messages over
 ``multiprocessing.shared_memory`` — which must reproduce the oracle's
 reducer panels bit-for-bit and its wire accounting byte-for-byte (the
-cross-backend property suite in
-``tests/properties/test_property_backends.py`` pins that contract).
+``process`` cells of the matrix suite,
+``tests/properties/test_property_matrix.py``, pin that contract).
 
 Modules
 -------

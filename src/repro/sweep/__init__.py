@@ -2,7 +2,7 @@
 
 Following the GraphWorld methodology — declarative generator "worlds",
 deterministic sampled configs, one tabular result artifact — this package
-turns the single-graph parity/perf gates into a coverage map:
+turns the single-graph parity gates into a coverage map:
 
 * :mod:`~repro.sweep.worlds` — :class:`WorldSpec` parameter spaces over the
   existing generators (degree skew, density, clustering, temporal
@@ -10,12 +10,16 @@ turns the single-graph parity/perf gates into a coverage map:
   every engine must survive;
 * :mod:`~repro.sweep.sampler` — seeded, wall-clock-free config sampling
   (:func:`sample_configs` / :func:`sample_space`), with frozen digests;
+* :mod:`~repro.sweep.contract` — the engine equivalence contract, stated
+  once: :func:`run_cell` runs one cell, :func:`contract_problems` checks it
+  against its oracle;
 * :mod:`~repro.sweep.runner` — every registered engine × analysis per
-  config, panel + wire parity asserted against ``legacy``;
-* :mod:`~repro.sweep.report` — the JSON + markdown artifact with its
-  "slow/fail regions" section.
+  config (:func:`run_sweep`), or one cell per sampled fault plan
+  (:func:`run_chaos_sweep`), each checked against ``legacy``;
+* :mod:`~repro.sweep.report` — the JSON + markdown artifact.
 
-CLI: ``python -m repro.sweep --sample 30 --seed 0``.
+CLI: ``python -m repro.sweep --sample 30 --seed 0`` (``--chaos`` for the
+fault-plan axis).
 """
 
 from .worlds import (
@@ -33,24 +37,23 @@ from .worlds import (
     world_spec_names,
 )
 from .sampler import config_digest, sample_configs, sample_space
-from .chaos import ChaosParityError, ChaosResult, run_chaos_sweep
-from .runner import (
+from .contract import (
     ANALYSES,
-    DEFAULT_ANALYSES,
-    ORACLE_ENGINE,
+    REPORT_FIELDS,
+    CellOutcome,
+    CellWorld,
+    cell_world,
+    contract_problems,
+    run_cell,
+)
+from .runner import (
     SweepCell,
     SweepParityError,
     SweepResult,
+    run_chaos_sweep,
     run_sweep,
-    sweep_engine_axis,
 )
-from .report import (
-    format_chaos_table,
-    format_sweep_table,
-    sweep_payload,
-    write_chaos_artifacts,
-    write_sweep_artifacts,
-)
+from .report import format_sweep_table, sweep_payload, write_sweep_artifacts
 
 __all__ = [
     # worlds
@@ -70,23 +73,22 @@ __all__ = [
     "config_digest",
     "sample_configs",
     "sample_space",
-    # chaos
-    "ChaosParityError",
-    "ChaosResult",
-    "run_chaos_sweep",
-    # runner
+    # contract
     "ANALYSES",
-    "DEFAULT_ANALYSES",
-    "ORACLE_ENGINE",
+    "REPORT_FIELDS",
+    "CellOutcome",
+    "CellWorld",
+    "cell_world",
+    "contract_problems",
+    "run_cell",
+    # runner
     "SweepCell",
     "SweepParityError",
     "SweepResult",
+    "run_chaos_sweep",
     "run_sweep",
-    "sweep_engine_axis",
     # report
-    "format_chaos_table",
     "format_sweep_table",
     "sweep_payload",
-    "write_chaos_artifacts",
     "write_sweep_artifacts",
 ]

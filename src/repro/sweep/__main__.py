@@ -1,9 +1,10 @@
 """CLI entry point: ``python -m repro.sweep --sample 30 --seed 0``.
 
 Samples configs across the registered world specs, runs every registered
-engine × analysis on each, asserts per-cell parity against ``legacy``, and
-writes the tabular artifact (JSON, optionally markdown).  Exit status 1
-when any cell broke the engine equivalence contract.
+engine × analysis on each (or, with ``--chaos``, one cell per sampled fault
+plan), checks every cell against its ``legacy`` oracle, and writes the
+tabular artifact (JSON, optionally markdown).  Exit status 1 when any cell
+broke the engine equivalence contract.
 """
 
 from __future__ import annotations
@@ -13,14 +14,9 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..runtime.faults import sample_fault_plans
-from .chaos import ChaosParityError, run_chaos_sweep
-from .report import (
-    format_chaos_table,
-    format_sweep_table,
-    write_chaos_artifacts,
-    write_sweep_artifacts,
-)
-from .runner import ANALYSES, DEFAULT_ANALYSES, SweepParityError, run_sweep
+from .contract import ANALYSES
+from .report import format_sweep_table, write_sweep_artifacts
+from .runner import SweepParityError, run_chaos_sweep, run_sweep
 from .sampler import config_digest, sample_space
 from .worlds import world_spec_names
 
@@ -42,13 +38,9 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         help=f"world specs to sample (default: all of {', '.join(world_spec_names())})",
     )
     parser.add_argument(
-        "--analyses", nargs="+", default=None, metavar="ANALYSIS",
+        "--analyses", nargs="+", default=ANALYSES, metavar="ANALYSIS",
         choices=ANALYSES,
-        help=f"analyses to run (default: {', '.join(DEFAULT_ANALYSES)})",
-    )
-    parser.add_argument(
-        "--engines", nargs="+", default=None, metavar="ENGINE",
-        help="engines to report (default: the full registry; legacy always runs as oracle)",
+        help=f"analyses to run (default: {', '.join(ANALYSES)})",
     )
     parser.add_argument(
         "--out", default="sweep_artifacts.json",
@@ -63,81 +55,36 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         help="skip the markdown artifact entirely",
     )
     parser.add_argument(
-        "--slow-tolerance", type=float, default=0.1,
-        help="host-time slack before a cell is flagged slow (default 0.1)",
-    )
-    parser.add_argument(
-        "--lenient", action="store_true",
-        help="record parity failures in the artifact instead of exiting 1",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-config progress lines"
+        "--quiet", action="store_true", help="suppress per-cell progress lines"
     )
     parser.add_argument(
         "--chaos", action="store_true",
         help="run the chaos axis instead: --sample N fault plans across "
-        "engines × analyses, gated on recovery parity vs the fault-free "
-        "legacy baseline",
+        "engines × analyses, each cell checked against the fault-free "
+        "legacy oracle",
     )
     return parser.parse_args(argv)
-
-
-def _run_chaos(args: argparse.Namespace, specs: List[str]) -> int:
-    """The ``--chaos`` mode: recovery-parity cells under sampled fault plans."""
-    n_configs = max(1, min(4, args.sample))
-    configs = sample_space(specs, n_configs, seed=args.seed)
-    plans = sample_fault_plans(args.sample, seed=args.seed)
-    print(
-        f"chaos: {len(plans)} fault plan(s) over {len(configs)} config(s) "
-        f"(seed={args.seed}, digest={config_digest(configs)})"
-    )
-    progress = None if args.quiet else (lambda line: print(f"  {line}", flush=True))
-    chaos = run_chaos_sweep(configs, plans, strict_parity=False, progress=progress)
-    markdown_path = None
-    if not args.no_markdown:
-        markdown_path = args.markdown or str(args.out).rsplit(".", 1)[0] + ".md"
-    json_path, md_path = write_chaos_artifacts(
-        chaos,
-        json_path=args.out,
-        markdown_path=markdown_path,
-        sample=args.sample,
-        seed=args.seed,
-        specs=specs,
-    )
-    print()
-    print(format_chaos_table(chaos))
-    print()
-    print(f"wrote {json_path}" + (f" and {md_path}" if md_path else ""))
-    failures = chaos.parity_failures()
-    if failures and not args.lenient:
-        print(str(ChaosParityError(failures)), file=sys.stderr)
-        return 1
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     specs: List[str] = list(args.specs) if args.specs else list(world_spec_names())
-    if args.chaos:
-        return _run_chaos(args, specs)
-    configs = sample_space(specs, args.sample, seed=args.seed)
-    print(
-        f"sampled {len(configs)} configs from {len(specs)} spec(s) "
-        f"(seed={args.seed}, digest={config_digest(configs)})"
-    )
     progress = None if args.quiet else (lambda line: print(f"  {line}", flush=True))
-    try:
-        result = run_sweep(
-            configs,
-            analyses=args.analyses or DEFAULT_ANALYSES,
-            engines=args.engines,
-            strict_parity=False,  # report first, decide exit status below
-            slow_tolerance=args.slow_tolerance,
-            progress=progress,
+    if args.chaos:
+        configs = sample_space(specs, max(1, min(4, args.sample)), seed=args.seed)
+        plans = sample_fault_plans(args.sample, seed=args.seed)
+        print(
+            f"chaos: {len(plans)} fault plan(s) over {len(configs)} config(s) "
+            f"(seed={args.seed}, digest={config_digest(configs)})"
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        result = run_chaos_sweep(configs, plans, progress=progress)
+    else:
+        configs = sample_space(specs, args.sample, seed=args.seed)
+        print(
+            f"sampled {len(configs)} configs from {len(specs)} spec(s) "
+            f"(seed={args.seed}, digest={config_digest(configs)})"
+        )
+        result = run_sweep(configs, analyses=args.analyses, progress=progress)
 
     markdown_path = None
     if not args.no_markdown:
@@ -151,12 +98,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         specs=specs,
     )
     print()
-    print(format_sweep_table(result))
+    print(format_sweep_table(result, title="chaos sweep" if args.chaos else "scenario sweep"))
     print()
     print(f"wrote {json_path}" + (f" and {md_path}" if md_path else ""))
 
     failures = result.parity_failures()
-    if failures and not args.lenient:
+    if failures:
         print(str(SweepParityError(failures)), file=sys.stderr)
         return 1
     return 0

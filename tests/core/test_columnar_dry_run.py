@@ -36,6 +36,8 @@ from repro.runtime import World, active_segment_names
 from repro.runtime.faults import sample_fault_plans
 from repro.runtime.message_buffer import WIRE_ENVELOPE_BYTES
 from repro.runtime.stats import PhaseStats
+from repro.sweep import contract_problems
+from repro.sweep.contract import survey_outcome
 
 PHASES = ("dry_run", "push", "pull")
 
@@ -75,36 +77,23 @@ REDUCERS = {"closure_times": ClosureTimeSurvey, "count": TriangleCounter}
 
 
 def run(edges, nranks, engine, reducer="closure_times", world_kwargs=None, **axes):
-    """One fresh-World Push-Pull survey: (panel, report, per-phase totals)."""
+    """One fresh-World Push-Pull survey, as the equivalence contract sees it."""
     world = World(nranks, **(world_kwargs or {}))
     dodgr = DODGraph.build(DistributedGraph.from_edges(world, edges), mode="bulk")
     survey = REDUCERS[reducer](world)
     report = triangle_survey_push_pull(
         dodgr, survey.callback, engine=EngineConfig(engine=engine, **axes)
     )
-    phases = {name: world.stats.phase_total(name) for name in PHASES}
     if hasattr(survey, "finalize"):
         survey.finalize()
-    panel = survey.snapshot()
+    outcome = survey_outcome(report, survey.snapshot(), world)
     dodgr.release()
-    return panel, report, phases
+    assert tuple(outcome.phases) == PHASES
+    return outcome
 
 
 def assert_same_run(got, oracle):
-    panel, report, phases = got
-    oracle_panel, oracle_report, oracle_phases = oracle
-    for name in PHASES:
-        assert phases[name] == oracle_phases[name], f"{name} phase counters differ"
-    assert panel == oracle_panel
-    for field in (
-        "triangles",
-        "vertices_pulled",
-        "wedge_checks",
-        "communication_bytes",
-        "wire_messages",
-        "simulated_seconds",
-    ):
-        assert getattr(report, field) == getattr(oracle_report, field), field
+    assert contract_problems(got, oracle) == []
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 3, 8])
@@ -119,14 +108,15 @@ def test_triangle_counter_panels_match(nranks):
     edges = GRAPHS["host"]()
     got = run(edges, nranks, "columnar", reducer="count")
     assert_same_run(got, run(edges, nranks, "legacy", reducer="count"))
-    assert got[0] == got[1].triangles > 0
+    assert got.panel == got.report["triangles"] > 0
 
 
 def test_all_three_streams_carry_traffic():
     """The parity above is not vacuous: on the host graph the dry run
     proposes and advises, the push phase pushes and the pull phase pulls."""
-    _, report, phases = run(GRAPHS["host"](), 4, "columnar")
-    assert report.vertices_pulled > 0
+    got = run(GRAPHS["host"](), 4, "columnar")
+    phases = got.phases
+    assert got.report["vertices_pulled"] > 0
     assert all(phases[name].rpcs_executed > 0 for name in PHASES)
     # Some remote targets were answered "push" (advise replies flowed), some
     # "pull": both later phases checked wedges.
@@ -157,7 +147,7 @@ def test_flush_boundaries_inside_every_stream(threshold):
     tiny = {"flush_threshold_bytes": threshold}
     got = run(edges, 4, "columnar", world_kwargs=tiny)
     wire_messages, wire_bytes = TINY_BUFFER_DRY_RUN_WIRE[threshold]
-    assert got[2]["dry_run"] == PhaseStats(
+    assert got.phases["dry_run"] == PhaseStats(
         bytes_sent_remote=3668,
         rpcs_sent=323,
         rpcs_executed=323,
@@ -166,11 +156,11 @@ def test_flush_boundaries_inside_every_stream(threshold):
         bytes_received=3668,
     )
 
-    legacy_panel, _, legacy = run(edges, 4, "legacy", world_kwargs=tiny)
-    assert got[0] == legacy_panel
-    assert got[2]["push"] == legacy["push"]
-    assert got[2]["pull"] == legacy["pull"]
-    dry, oracle = got[2]["dry_run"], legacy["dry_run"]
+    legacy = run(edges, 4, "legacy", world_kwargs=tiny)
+    assert got.panel == legacy.panel
+    assert got.phases["push"] == legacy.phases["push"]
+    assert got.phases["pull"] == legacy.phases["pull"]
+    dry, oracle = got.phases["dry_run"], legacy.phases["dry_run"]
     for field in (
         "rpcs_sent", "rpcs_executed", "bytes_sent_remote", "bytes_sent_local",
         "bytes_received", "compute_units", "app_counters",
@@ -183,7 +173,7 @@ def test_flush_boundaries_inside_every_stream(threshold):
 
     roomy = run(edges, 4, "columnar")
     for name in PHASES:
-        assert got[2][name].wire_messages > roomy[2][name].wire_messages, name
+        assert got.phases[name].wire_messages > roomy.phases[name].wire_messages, name
 
 
 def test_small_buffer_without_dry_run_overflow_matches_legacy_exactly():
@@ -195,7 +185,7 @@ def test_small_buffer_without_dry_run_overflow_matches_legacy_exactly():
     assert_same_run(got, run(edges, 4, "legacy", world_kwargs=small))
     roomy = run(edges, 4, "columnar")
     for name in ("push", "pull"):
-        assert got[2][name].wire_messages > roomy[2][name].wire_messages, name
+        assert got.phases[name].wire_messages > roomy.phases[name].wire_messages, name
 
 
 #: Handler registrations per survey, by (program, engine): what the oracle's
@@ -275,11 +265,21 @@ def test_mmap_storage_matches_and_leaks_no_segments(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("engine", ["legacy", "columnar"])
+def test_mmap_storage_surveys_an_empty_graph(engine, tmp_path):
+    """Every spilled column of an empty graph has length zero: a slice of a
+    memmap that is a plain array, with nothing to flush."""
+    storage = StorageConfig(mode="mmap", directory=str(tmp_path))
+    got = run(GRAPHS["empty"](), 2, engine, storage=storage)
+    assert_same_run(got, run(GRAPHS["empty"](), 2, "legacy"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sampled_fault_plans_recover_the_fault_free_panel():
     """Drops, duplicates, delays and recoverable crashes of the coalesced
     proposal / advise / pull messages: the recovered panel is the oracle's."""
     edges = GRAPHS["host"]()
-    oracle_panel, oracle_report, _ = run(edges, 4, "legacy")
+    oracle = run(edges, 4, "legacy")
     plans = [p for p in sample_fault_plans(7, seed=14) if p.crash_recoverable]
     assert len(plans) == 6
     for plan in plans:
@@ -289,7 +289,7 @@ def test_sampled_fault_plans_recover_the_fault_free_panel():
             dodgr, ClosureTimeSurvey, engine="columnar", algorithm="push_pull", plan=plan
         )
         assert not result.degraded, plan.name
-        assert result.panel == oracle_panel, plan.name
+        assert result.panel == oracle.panel, plan.name
     # (A recovered report also counts the crashed attempt's triangles, so the
     # panel — one increment per surveyed triangle — is what is compared.)
-    assert sum(oracle_panel.values()) == oracle_report.triangles
+    assert sum(oracle.panel.values()) == oracle.report["triangles"]

@@ -9,7 +9,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import triangle_survey_push, triangle_survey_push_pull
-from repro.core.callbacks import LocalTriangleCounter
 from repro.core.engine import (
     DEFAULT_ENGINE,
     EngineConfig,
@@ -33,6 +32,7 @@ from repro.graph import DODGraph, community_host_graph
 from repro.graph.ooc import STORAGES, StorageConfig, active_segment_paths
 from repro.runtime import FaultPlan, UnsupportedBackendError, World, active_segment_names
 from repro.runtime.backend import shm
+from repro.sweep import CellWorld, contract_problems, run_cell
 
 
 def build_dodgr(generated, nranks):
@@ -352,8 +352,8 @@ class TestEngineConfig:
 
 class TestColumnarPullPath:
     def test_pull_path_parity_with_real_pulls(self):
-        """columnar on a pull-heavy graph: panels and wire totals match
-        legacy exactly, and the graph actually pulls."""
+        """columnar on a pull-heavy graph keeps the contract against legacy,
+        and the graph actually pulls."""
         generated = community_host_graph(
             300,
             community_size=100,
@@ -361,29 +361,15 @@ class TestColumnarPullPath:
             cross_links_per_vertex=0.5,
             seed=4,
         )
-        panels = {}
-        reports = {}
-        for engine in ("legacy", "columnar"):
-            world = World(4)
-            dodgr = DODGraph.build(generated.to_distributed(world), mode="bulk")
-            reducer = LocalTriangleCounter(world)
-            reports[engine] = triangle_survey_push_pull(
-                dodgr, reducer.callback, engine=engine
-            )
-            reducer.finalize()
-            panels[engine] = reducer.snapshot()
-        assert reports["legacy"].vertices_pulled > 0
-        assert panels["columnar"] == panels["legacy"]
-        for field in (
-            "triangles",
-            "communication_bytes",
-            "wire_messages",
-            "wedge_checks",
-            "vertices_pulled",
-        ):
-            assert getattr(reports["columnar"], field) == getattr(
-                reports["legacy"], field
-            ), field
+        world = CellWorld(
+            name=generated.name,
+            nranks=4,
+            edges=generated.edges,
+            vertex_meta=generated.vertex_meta or {},
+        )
+        oracle = run_cell(world, "triangle", "legacy", "push_pull")
+        assert oracle.report["vertices_pulled"] > 0
+        assert contract_problems(run_cell(world, "triangle", "columnar", "push_pull"), oracle) == []
 
 
 #: Every selector-axis cell: (engine, backend, tier, storage, workers pinned).
@@ -398,6 +384,15 @@ def cell_features(engine, backend, tier, storage, workers):
         dodgr=None, backend=backend, kernel_tier=tier, storage=storage, workers=workers
     )
     return selector_features(request, resolve_engine(engine))
+
+
+def stated_legal(engine, backend, tier, storage, workers, incremental):
+    """The legal matrix, stated independently of the table: legacy runs no
+    row-kernel tier, and a delta survey runs on the simulated backend,
+    resident, workers unset."""
+    return (engine == "columnar" or tier in ("auto", None)) and not (
+        incremental and (backend == "process" or workers or storage == "mmap")
+    )
 
 
 class TestUnsupportedTable:
@@ -422,15 +417,12 @@ class TestUnsupportedTable:
 
     @pytest.mark.parametrize("incremental", [False, True])
     def test_the_table_implies_the_legal_matrix(self, incremental):
-        """Stated independently: legacy runs no row-kernel tier, and a
-        delta survey runs on the simulated backend, resident, workers unset.
-        Every other selector cell passes the checker."""
+        """Every selector cell :func:`stated_legal` allows passes the
+        checker, and every other one is rejected."""
         legal_cells = 0
-        for engine, backend, tier, storage, workers in SELECTOR_CELLS:
-            features = cell_features(engine, backend, tier, storage, workers)
-            legal = (engine == "columnar" or tier in ("auto", None)) and not (
-                incremental and (backend == "process" or workers or storage == "mmap")
-            )
+        for cell in SELECTOR_CELLS:
+            features = cell_features(*cell)
+            legal = stated_legal(*cell, incremental)
             if incremental:
                 features.add("incremental")
             if legal:

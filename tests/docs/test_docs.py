@@ -130,13 +130,14 @@ def test_storage_table_matches_registry():
     )
 
 
-def test_sweep_engine_axis_matches_registry():
-    """Mirror of tools/check_engines.py check 3: the scenario sweep's engine
-    axis is the live registry, so the coverage map can't drop an engine."""
-    from repro.core.engine import engine_names
-    from repro.sweep import sweep_engine_axis
+def test_sweep_covers_the_registry():
+    """Mirror of tools/check_engines.py check 3: a one-config sweep has a
+    parity-clean cell for every registered engine."""
+    import check_engines
 
-    assert sweep_engine_axis() == engine_names()
+    from repro.core.engine import engine_names
+
+    assert check_engines.check_sweep_coverage(engine_names()) == []
 
 
 def test_selector_surface_stays_collapsed():

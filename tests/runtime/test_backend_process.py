@@ -1,7 +1,7 @@
 """Process-backend mechanics: shm lifecycle, failure paths, determinism.
 
-The cross-backend *parity* contract lives in
-``tests/properties/test_property_backends.py``; this module pins the
+The cross-backend *parity* contract lives in the ``process`` cells of
+``tests/properties/test_property_matrix.py``; this module pins the
 backend's operational contract:
 
 * every shared-memory segment a run creates is unlinked on every exit path

@@ -1,4 +1,4 @@
-"""Chaos axis: recovery-parity cells, gates, artifact schema, CLI."""
+"""Chaos axis: recovery-parity cells in the sweep's one loop, artifact, CLI."""
 
 from __future__ import annotations
 
@@ -10,17 +10,16 @@ from repro.core.engine import engine_names
 from repro.runtime.faults import FaultPlan, sample_fault_plans
 from repro.sweep import (
     ANALYSES,
-    ChaosParityError,
-    ChaosResult,
-    format_chaos_table,
+    format_sweep_table,
+    run_cell,
     run_chaos_sweep,
     sample_space,
+    sweep_payload,
     world_spec_names,
-    write_chaos_artifacts,
+    write_sweep_artifacts,
 )
 from repro.sweep.__main__ import main as sweep_main
-from repro.sweep.chaos import ChaosCell
-from repro.sweep.report import chaos_payload, format_chaos_markdown
+from repro.sweep.runner import ORACLE_ENGINE
 
 SAMPLE = 8
 SEED = 0
@@ -30,13 +29,17 @@ SEED = 0
 def small_chaos():
     configs = sample_space(world_spec_names(), 2, seed=SEED)
     plans = sample_fault_plans(SAMPLE, seed=SEED)
-    return configs, plans, run_chaos_sweep(configs, plans, strict_parity=True)
+    return configs, plans, run_chaos_sweep(configs, plans)
 
 
-def _comparable_rows(chaos):
+def chaos_cells(result):
+    return [cell for cell in result.cells if cell.outcome.plan is not None]
+
+
+def _comparable_rows(result):
     """Rows with the wall-clock field stripped (everything else is frozen)."""
     rows = []
-    for row in chaos.rows():
+    for row in result.rows():
         row = dict(row)
         row.pop("host_seconds")
         rows.append(row)
@@ -45,143 +48,126 @@ def _comparable_rows(chaos):
 
 class TestRunShape:
     def test_one_cell_per_plan(self, small_chaos):
-        configs, plans, chaos = small_chaos
-        assert len(chaos.cells) == len(plans)
+        _configs, plans, result = small_chaos
+        assert [cell.outcome.plan for cell in chaos_cells(result)] == plans
 
     def test_axes_are_pure_functions_of_cell_index(self, small_chaos):
-        configs, plans, chaos = small_chaos
+        configs, plans, result = small_chaos
         axis = engine_names()
-        for index, cell in enumerate(chaos.cells):
-            assert cell.config_id == configs[index % len(configs)].config_id()
+        for index, cell in enumerate(chaos_cells(result)):
+            assert cell.config == configs[index % len(configs)]
             assert cell.analysis == ANALYSES[index % len(ANALYSES)]
             assert cell.engine == axis[(index // len(ANALYSES)) % len(axis)]
-            assert cell.plan_name == plans[index].name
+            assert cell.outcome.plan is plans[index]
 
     def test_every_analysis_meets_every_engine(self, small_chaos):
-        _, _, chaos = small_chaos
-        pairs = {(cell.analysis, cell.engine) for cell in chaos.cells}
+        _, _, result = small_chaos
+        pairs = {(cell.analysis, cell.engine) for cell in chaos_cells(result)}
         assert pairs == {(a, e) for a in ANALYSES for e in engine_names()}
 
-    def test_every_cell_has_a_baseline(self, small_chaos):
-        _, _, chaos = small_chaos
-        for cell in chaos.cells:
-            assert (cell.config_id, cell.analysis) in chaos.baselines
+    def test_each_oracle_runs_once_in_the_same_loop(self, small_chaos):
+        _, _, result = small_chaos
+        oracles = [
+            (cell.config, cell.analysis)
+            for cell in result.cells
+            if cell.outcome.plan is None
+        ]
+        assert len(oracles) == len(set(oracles))
+        assert all(
+            cell.engine == ORACLE_ENGINE for cell in result.cells if cell.outcome.plan is None
+        )
+        assert {(cell.config, cell.analysis) for cell in chaos_cells(result)} == set(oracles)
 
     def test_strict_run_is_parity_clean(self, small_chaos):
-        _, _, chaos = small_chaos
-        assert chaos.parity_failures() == []
-        chaos.raise_on_parity_failure()  # must not raise
+        _, _, result = small_chaos
+        assert result.parity_failures() == []
+        result.raise_on_parity_failure()  # must not raise
 
     def test_rerun_is_bit_identical(self, small_chaos):
-        configs, plans, chaos = small_chaos
-        rerun = run_chaos_sweep(configs, plans, strict_parity=True)
-        assert _comparable_rows(rerun) == _comparable_rows(chaos)
+        configs, plans, result = small_chaos
+        rerun = run_chaos_sweep(configs, plans)
+        assert _comparable_rows(rerun) == _comparable_rows(result)
 
     def test_needs_a_config(self):
         with pytest.raises(ValueError):
             run_chaos_sweep([], sample_fault_plans(1, seed=0))
 
 
-def _cell(**overrides):
-    base = dict(
-        config_id="cfg",
-        spec="erdos-renyi",
-        engine="legacy",
-        analysis="triangle",
-        plan_name="drop-0",
-        plan_kind="drop",
-        plan={},
-    )
-    base.update(overrides)
-    return ChaosCell(**base)
+class TestPermanentLossWithoutSurvivors:
+    """``--chaos --sample 16 --seed 2`` pairs ``permanent-13`` with a one-rank
+    world: the crash takes the only rank, so there is nothing to estimate
+    from.  The cell is recorded as degraded with no estimate, the run goes
+    on, and the cell is not a parity failure."""
 
+    @pytest.fixture(scope="class")
+    def lost(self):
+        configs = sample_space(world_spec_names(), 4, seed=2)
+        plans = sample_fault_plans(16, seed=2)
+        return configs[13 % len(configs)], plans[13]
 
-class TestGates:
-    def test_completed_cell_panel_mismatch_flagged(self):
-        from repro.sweep.chaos import _gate_completed
+    def test_the_pinned_cell(self, lost):
+        config, plan = lost
+        assert config.label() == "erdos-renyi#0:15a41fb587d2"
+        assert config.nranks == 1
+        assert plan.name == "permanent-13" and not plan.crash_recoverable
 
-        cell = _cell(triangles=5, baseline_triangles=5)
-        _gate_completed(cell, {"a": 1}, {"a": 2})
-        assert not cell.parity_ok
-        assert "panel differs" in cell.parity_detail
-
-    def test_crash_free_triangle_mismatch_flagged(self):
-        from repro.sweep.chaos import _gate_completed
-
-        cell = _cell(triangles=4, baseline_triangles=5)
-        _gate_completed(cell, {"a": 1}, {"a": 1})
-        assert not cell.parity_ok
-        assert "triangles" in cell.parity_detail
-
-    def test_crashed_cell_triangles_exempt(self):
-        from repro.sweep.chaos import _gate_completed
-
-        cell = _cell(
-            triangles=9, baseline_triangles=5, fault_stats={"crashes": 1}
+    def test_the_chaos_run_records_it(self):
+        configs = sample_space(world_spec_names(), 4, seed=2)
+        result = run_chaos_sweep(configs, sample_fault_plans(16, seed=2))
+        assert result.parity_failures() == []
+        (row,) = [row for row in result.rows() if row["plan"] == "permanent-13"]
+        assert (row["config"], row["analysis"], row["engine"]) == (
+            "15a41fb587d2", "closure", "columnar"
         )
-        _gate_completed(cell, {"a": 1}, {"a": 1})
-        assert cell.parity_ok
+        assert row["degraded"] and row["estimate"] is None
+        assert row["relative_error"] is None
+        assert row["fault_stats"]["crashes"] == 1
+        assert row["parity_ok"]
 
-    def test_degraded_cell_needs_finite_estimate(self):
-        from repro.sweep.chaos import _gate_degraded
-
-        cell = _cell(degraded=True, estimate=None, estimate_stderr=1.0)
-        _gate_degraded(cell)
-        assert not cell.parity_ok
-
-        good = _cell(degraded=True, estimate=10.0, estimate_stderr=2.0)
-        _gate_degraded(good)
-        assert good.parity_ok
-
-    def test_parity_error_names_cells(self):
-        bad = _cell(parity_ok=False, parity_detail="panel differs")
-        err = ChaosParityError([bad])
-        assert bad.label() in str(err)
-        result = ChaosResult(configs=[], plans=[], cells=[bad], baselines={})
-        with pytest.raises(ChaosParityError):
-            result.raise_on_parity_failure()
-
-    def test_extra_comm_bytes(self):
-        cell = _cell(comm_bytes=120, baseline_comm_bytes=100)
-        assert cell.extra_comm_bytes == 20
-        assert cell.as_row()["extra_comm_bytes"] == 20
+    @pytest.mark.parametrize("analysis", ["closure", "streaming"])
+    def test_both_paths_record_no_estimate(self, lost, analysis):
+        config, plan = lost
+        outcome = run_cell(config, analysis, "columnar", plan=plan)
+        assert outcome.degraded and outcome.estimate is None
+        assert outcome.panel is None
+        assert outcome.restarts == outcome.fault_stats["crashes"] == 1
 
 
 class TestArtifacts:
     def test_payload_schema(self, small_chaos):
-        configs, plans, chaos = small_chaos
-        payload = chaos_payload(chaos, sample=SAMPLE, seed=SEED)
-        assert payload["schema"] == "repro.sweep/v1"
+        configs, plans, result = small_chaos
+        payload = sweep_payload(result, sample=SAMPLE, seed=SEED)
+        assert payload["schema"] == "repro.sweep/v2"
         assert payload["mode"] == "chaos"
         assert payload["sample"] == SAMPLE
         assert payload["seed"] == SEED
-        assert len(payload["chaos"]["plans"]) == len(plans)
-        assert len(payload["chaos"]["rows"]) == len(chaos.cells)
-        assert payload["chaos"]["failures"] == []
+        assert len(payload["plans"]) == len(plans)
+        assert len(payload["rows"]) == len(result.cells)
+        assert payload["failures"] == []
         counts = payload["counts"]
-        assert counts["cells"] == len(chaos.cells)
+        assert counts["cells"] == len(result.cells)
         assert counts["parity_failures"] == 0
-        assert counts["restarts"] == sum(c.restarts for c in chaos.cells)
+        assert counts["restarts"] == sum(row["restarts"] for row in payload["rows"])
         json.dumps(payload)  # artifact must be JSON-serializable
 
     def test_plans_round_trip_from_payload(self, small_chaos):
-        _, plans, chaos = small_chaos
-        payload = chaos_payload(chaos)
-        revived = [FaultPlan.from_dict(spec) for spec in payload["chaos"]["plans"]]
+        _, plans, result = small_chaos
+        payload = sweep_payload(result)
+        revived = [FaultPlan.from_dict(spec) for spec in payload["plans"]]
         assert revived == list(plans)
+        kinds = [row["plan_kind"] for row in payload["rows"] if row["plan"]]
+        assert kinds == [plan.name.rsplit("-", 1)[0] for plan in plans]
 
-    def test_tables_render(self, small_chaos):
-        _, _, chaos = small_chaos
-        table = format_chaos_table(chaos)
-        assert "plan_kind" in table
-        assert "recovery-parity failures" in table
-        markdown = format_chaos_markdown(chaos, sample=SAMPLE, seed=SEED)
-        assert "chaos" in markdown.lower()
+    def test_table_renders(self, small_chaos):
+        _, _, result = small_chaos
+        table = format_sweep_table(result, title="chaos sweep")
+        assert "plan" in table and "restarts" in table
+        assert "parity failures" in table
 
     def test_write_artifacts(self, small_chaos, tmp_path):
-        _, _, chaos = small_chaos
-        json_path, md_path = write_chaos_artifacts(
-            chaos,
+        _, _, result = small_chaos
+        write_sweep_artifacts(
+            result,
             json_path=str(tmp_path / "chaos.json"),
             markdown_path=str(tmp_path / "chaos.md"),
             sample=SAMPLE,
@@ -189,23 +175,16 @@ class TestArtifacts:
         )
         payload = json.loads((tmp_path / "chaos.json").read_text())
         assert payload["mode"] == "chaos"
-        assert (tmp_path / "chaos.md").read_text().strip()
+        assert (tmp_path / "chaos.md").read_text().startswith(
+            "# Scenario sweep coverage map (chaos)"
+        )
 
 
 class TestCli:
     def test_chaos_cli_smoke(self, tmp_path, capsys):
         out = tmp_path / "chaos.json"
         code = sweep_main(
-            [
-                "--chaos",
-                "--sample",
-                "2",
-                "--seed",
-                "0",
-                "--out",
-                str(out),
-                "--quiet",
-            ]
+            ["--chaos", "--sample", "2", "--seed", "0", "--out", str(out), "--quiet"]
         )
         assert code == 0
         payload = json.loads(out.read_text())

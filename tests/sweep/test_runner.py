@@ -1,4 +1,4 @@
-"""Sweep runner: coverage, parity plumbing, regression flagging, degenerates."""
+"""Sweep runner: coverage, oracle rows, parity plumbing, degenerates, artifacts."""
 
 from __future__ import annotations
 
@@ -9,69 +9,62 @@ import pytest
 from repro.core.engine import engine_names
 from repro.sweep import (
     ANALYSES,
-    ORACLE_ENGINE,
-    SweepCell,
     SweepParityError,
-    SweepResult,
+    cell_world,
     degenerate_world_configs,
     format_sweep_table,
     run_sweep,
     sample_space,
-    sweep_engine_axis,
     sweep_payload,
     world_spec_names,
     write_sweep_artifacts,
 )
 from repro.sweep.report import format_sweep_markdown
+from repro.sweep.runner import ORACLE_ENGINE
 
 
 @pytest.fixture(scope="module")
 def small_sweep():
     configs = sample_space(world_spec_names(), 4, seed=0)
-    return configs, run_sweep(configs, strict_parity=True)
+    return configs, run_sweep(configs)
+
+
+def broken(result):
+    """``result`` with its first non-oracle cell failing the contract."""
+    cell = next(cell for cell in result.cells if cell.engine != ORACLE_ENGINE)
+    cell.problems = ["wire_messages 3 != oracle 4"]
+    return cell
 
 
 class TestCoverage:
-    def test_engine_axis_is_the_registry(self):
-        assert sweep_engine_axis() == engine_names()
-
-    def test_every_engine_runs_every_full_analysis(self, small_sweep):
+    @pytest.mark.parametrize("analysis", ANALYSES)
+    def test_every_engine_runs_every_analysis(self, small_sweep, analysis):
         configs, result = small_sweep
         for config in configs:
-            for analysis in ("triangle", "closure", "labels"):
-                engines = {
-                    cell.engine
-                    for cell in result.cells
-                    if cell.config_id == config.config_id()
-                    and cell.analysis == analysis
-                }
-                assert engines == set(engine_names())
-
-    def test_streaming_covers_incremental_engines(self, small_sweep):
-        configs, result = small_sweep
-        for config in configs:
-            engines = {
+            engines = [
                 cell.engine
                 for cell in result.cells
-                if cell.config_id == config.config_id()
-                and cell.analysis == "streaming"
-            }
-            assert engines == set(engine_names())
+                if cell.config == config and cell.analysis == analysis
+            ]
+            assert engines == list(engine_names())
+
+    def test_the_oracle_is_a_fault_free_row(self, small_sweep):
+        _configs, result = small_sweep
+        oracles = [cell for cell in result.cells if cell.engine == ORACLE_ENGINE]
+        assert len(oracles) == len(result.cells) // len(engine_names())
+        assert all(cell.outcome.plan is None for cell in result.cells)
 
     def test_parity_holds_across_the_sample(self, small_sweep):
         _configs, result = small_sweep
         assert result.parity_failures() == []
-        for cell in result.cells:
-            if cell.engine != ORACLE_ENGINE:
-                assert cell.slowdown_vs_legacy is not None
+        result.raise_on_parity_failure()
 
-    def test_oracle_runs_even_when_filtered_out(self):
-        configs = sample_space(["erdos-renyi"], 1, seed=0)
-        result = run_sweep(configs, analyses=("triangle",), engines=("columnar",))
-        assert result.engines == ("columnar",)
-        assert {cell.engine for cell in result.cells} == {"columnar"}
-        # parity was still computed against the (unreported) legacy run
-        assert all(cell.slowdown_vs_legacy is not None for cell in result.cells)
+    def test_streams_are_compared_step_by_step(self, small_sweep):
+        configs, result = small_sweep
+        streams = [cell for cell in result.cells if cell.analysis == "streaming"]
+        assert len(streams) == len(configs) * len(engine_names())
+        for cell in streams:
+            assert len(cell.outcome.steps) == len(cell_world(cell.config).batches) > 0
 
 
 class TestValidation:
@@ -87,70 +80,39 @@ class TestValidation:
         for name in ANALYSES:
             assert name in message
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engines"):
-            run_sweep([], engines=("warp-drive",))
-
-    def test_unknown_engine_suggests_closest_name(self):
-        with pytest.raises(ValueError) as excinfo:
-            run_sweep([], engines=("colunmar",))
-        assert "did you mean 'columnar'?" in str(excinfo.value)
-
     def test_analyses_constant_is_complete(self):
         assert set(ANALYSES) == {"triangle", "closure", "labels", "streaming"}
 
 
-def _cell(engine="columnar", analysis="triangle", parity_ok=True,
-          slowdown=None, detail=""):
-    return SweepCell(
-        config_id="cafebabe0000", spec="rmat", generator="rmat", params={},
-        nranks=2, engine=engine, analysis=analysis, parity_ok=parity_ok,
-        parity_detail=detail, slowdown_vs_legacy=slowdown,
-    )
-
-
-class TestRegressionFlagger:
-    def test_slow_and_parity_regions(self):
-        result = SweepResult(
-            configs=[],
-            cells=[
-                _cell(engine="legacy"),
-                _cell(slowdown=0.8),
-                _cell(slowdown=1.05),  # within the 0.1 tolerance
-                _cell(slowdown=1.5),
-                _cell(engine="columnar", parity_ok=False, slowdown=0.9,
-                      detail="triangles 1 != legacy 2"),
-            ],
-            engines=tuple(engine_names()),
-            analyses=("triangle",),
-        )
-        regions = result.regressions()
-        assert len(regions["slow"]) == 1
-        assert regions["slow"][0]["slowdown_vs_legacy"] == 1.5
-        assert len(regions["parity"]) == 1
-        assert "triangles 1 != legacy 2" in regions["parity"][0]["parity_detail"]
-
-    def test_legacy_never_flagged_slow(self):
-        result = SweepResult(
-            configs=[], cells=[_cell(engine="legacy", slowdown=9.0)],
-            engines=("legacy",), analyses=("triangle",),
-        )
-        assert result.slow_cells() == []
-
-    def test_strict_parity_raises(self):
-        bad = _cell(parity_ok=False, detail="wire_messages 3 != legacy 4")
-        result = SweepResult(
-            configs=[], cells=[bad], engines=("columnar",), analyses=("triangle",)
-        )
-        with pytest.raises(SweepParityError, match="wire_messages 3 != legacy 4"):
+class TestParityFailures:
+    def test_raise_names_the_cell_and_problem(self):
+        result = run_sweep(sample_space(["erdos-renyi"], 1, seed=0), analyses=("triangle",))
+        cell = broken(result)
+        assert result.parity_failures() == [cell]
+        with pytest.raises(SweepParityError, match="wire_messages 3 != oracle 4") as excinfo:
             result.raise_on_parity_failure()
+        assert cell.label() in str(excinfo.value)
+
+    def test_failures_section_lists_the_cell(self):
+        result = run_sweep(sample_space(["erdos-renyi"], 1, seed=0), analyses=("triangle",))
+        cell = broken(result)
+        assert f"FAIL {cell.label()}: wire_messages 3 != oracle 4" in format_sweep_table(result)
+        markdown = format_sweep_markdown(result)
+        assert "## Parity failures" in markdown
+        assert "wire_messages 3 != oracle 4" in markdown
+        payload = sweep_payload(result)
+        assert payload["counts"]["parity_failures"] == 1
+        assert payload["failures"] == [
+            {"cell": cell.label(), "detail": "wire_messages 3 != oracle 4"}
+        ]
+        assert [row["parity_ok"] for row in payload["rows"]].count(False) == 1
 
 
 class TestDegenerateWorlds:
     def test_all_degenerates_survey_cleanly(self):
-        result = run_sweep(degenerate_world_configs(), strict_parity=True)
+        result = run_sweep(degenerate_world_configs())
         assert result.parity_failures() == []
-        specs = {cell.spec for cell in result.cells}
+        specs = {cell.config.spec for cell in result.cells}
         assert specs == {
             "degenerate-empty",
             "degenerate-single-vertex",
@@ -163,37 +125,34 @@ class TestDegenerateWorlds:
         configs = [c for c in degenerate_world_configs() if c.spec == "degenerate-empty"]
         result = run_sweep(configs)
         assert [c for c in result.cells if c.analysis == "streaming"] == []
-        assert all(cell.triangles == 0 for cell in result.cells)
+        assert all(row["triangles"] == 0 for row in result.rows())
 
 
 class TestReporting:
     def test_payload_schema(self, small_sweep):
         configs, result = small_sweep
         payload = sweep_payload(result, sample=4, seed=0)
-        assert payload["schema"] == "repro.sweep/v1"
+        assert payload["schema"] == "repro.sweep/v2"
+        assert payload["mode"] == "sweep"
+        assert payload["plans"] == []
         assert payload["counts"]["configs"] == len(configs)
         assert payload["counts"]["cells"] == len(result.cells)
+        assert payload["counts"]["parity_failures"] == 0
         assert payload["engines"] == list(engine_names())
         assert len(payload["rows"]) == len(result.cells)
+        assert all(row["plan"] is None and not row["degraded"] for row in payload["rows"])
         json.dumps(payload)  # must be JSON-serializable as-is
 
-    def test_slow_fail_section_nonempty_when_regressing(self):
-        result = SweepResult(
-            configs=[], cells=[_cell(slowdown=2.0)],
-            engines=("columnar",), analyses=("triangle",),
-        )
-        text = format_sweep_table(result)
-        assert "slow/fail regions" in text
-        assert "SLOW" in text
-        md = format_sweep_markdown(result)
-        assert "Slow/fail regions" in md
-        assert "2.00x legacy host time" in md
+    def test_rows_keep_no_slowdown_ratio(self, small_sweep):
+        _configs, result = small_sweep
+        row = result.rows()[0]
+        assert "slowdown_vs_legacy" not in row
+        assert row["host_seconds"] > 0
 
     def test_clean_sweep_reports_none(self, small_sweep):
         _configs, result = small_sweep
-        if result.slow_cells():
-            pytest.skip("host timing flagged slow cells on this machine")
         assert "(none" in format_sweep_table(result)
+        assert "None — every cell matched its oracle." in format_sweep_markdown(result)
 
     def test_write_artifacts(self, small_sweep, tmp_path):
         _configs, result = small_sweep
@@ -205,9 +164,9 @@ class TestReporting:
             seed=0,
         )
         payload = json.loads(json_path.read_text())
-        assert payload["schema"] == "repro.sweep/v1"
+        assert payload["schema"] == "repro.sweep/v2"
         assert payload["seed"] == 0
-        assert md_path.read_text().startswith("# Scenario sweep coverage map")
+        assert md_path.read_text().startswith("# Scenario sweep coverage map (sweep)")
 
 
 class TestCLI:
@@ -223,3 +182,11 @@ class TestCLI:
         payload = json.loads(out.read_text())
         assert payload["counts"]["configs"] == 2
         assert (tmp_path / "sweep.md").exists()
+
+    @pytest.mark.parametrize("flag", ["--engines", "--slow-tolerance", "--lenient"])
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        from repro.sweep.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["--sample", "1", flag, "x"])
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -10,15 +10,16 @@ Seventeen checks, exit status 1 on any failure (each printed to stderr):
    (:func:`repro.core.engine.backend_names`).  Registering an engine or
    backend without documenting it — or documenting one that does not
    exist — fails CI.
-2. **Execution parity** — every registered engine runs a tiny survey (both
-   algorithms, a graph small enough for CI seconds) and must match the
-   legacy oracle exactly: reducer panel, triangle count, communicated
-   bytes, wire messages.  The same smoke runs once on the process backend,
-   which must match the simulated oracle bit-for-bit.
-3. **Sweep axis parity** — the scenario sweep's default engine axis
-   (:func:`repro.sweep.sweep_engine_axis`) must equal the registry, and a
-   one-config sweep must produce a cell for every engine — so a newly
-   registered engine can never be silently missing from the coverage map.
+2. **Execution parity** — every registered engine runs a tiny survey cell
+   (both algorithms, a graph small enough for CI seconds) through
+   :func:`repro.sweep.run_cell` and must keep the equivalence contract
+   against the legacy oracle (:func:`repro.sweep.contract_problems`:
+   report fields, per-phase counters, reducer panel, no leaked segment).
+   The same smoke runs once on the process backend.
+3. **Sweep coverage** — a one-config sweep must produce a parity-clean cell
+   for every registered engine, and its artifact must name the registry as
+   its engine axis — so a newly registered engine can never be silently
+   missing from the coverage map.
 4. **Reducer contract** — every reducer in
    :data:`repro.core.callbacks.REDUCER_REGISTRY` must expose the
    ``snapshot()`` / ``merge()`` / ``callback_batch`` trio (and the plain
@@ -31,8 +32,8 @@ Seventeen checks, exit status 1 on any failure (each printed to stderr):
    ``| Kernel tier |`` table must equal
    :data:`repro.core.intersection.KERNEL_TIERS`, the storage modes in the
    ``| Storage |`` table must equal :data:`repro.graph.ooc.STORAGES`, and a
-   survey smoke per tier (and one under ``storage="mmap"``) must match the
-   legacy oracle exactly, leaking no segment files.
+   survey cell per tier (and one under ``storage="mmap"``) must keep the
+   contract against the legacy oracle, leaking no segment files.
 6. **One selector, one default** — the survey entry points take no loose
    execution keyword (``kernel``, ``batched``, ``backend``, ``workers``,
    ``kernel_tier``, ``storage``: ``engine=`` is the only selector), full,
@@ -155,6 +156,7 @@ from repro.core.engine import EngineConfig, backend_names, engine_names  # noqa:
 from repro.graph import DODGraph  # noqa: E402
 from repro.graph.generators import GeneratedGraph, erdos_renyi  # noqa: E402
 from repro.runtime import World  # noqa: E402
+from repro.sweep import CellWorld, contract_problems, run_cell  # noqa: E402
 
 #: First cell of each engine-table row: ``| `name` | ...``.
 _ENGINE_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")
@@ -213,41 +215,31 @@ def documented_storages(readme: Path) -> Tuple[str, ...]:
     return _documented_table(readme, "| Storage |")
 
 
-def run_smoke(engine: str, algorithm: str, **axes):
-    """One fresh-world survey: (panel, triangles, comm bytes, wire messages).
-
-    ``axes`` are further :class:`~repro.core.engine.EngineConfig` fields
-    (``backend``, ``workers``, ``kernel_tier``, ``storage``).
-    """
+def smoke_world() -> CellWorld:
+    """The smoke graph as a sweep cell's world."""
     generated = erdos_renyi(**SMOKE_GRAPH)
-    world = World(SMOKE_RANKS)
-    dodgr = DODGraph.build(generated.to_distributed(world), mode="bulk")
-    reducer = LocalTriangleCounter(world)
-    report = triangle_survey(
-        dodgr, reducer.callback, algorithm, engine=EngineConfig(engine=engine, **axes)
+    return CellWorld(
+        name=generated.name,
+        nranks=SMOKE_RANKS,
+        edges=generated.edges,
+        vertex_meta=generated.vertex_meta or {},
     )
-    reducer.finalize()
-    result = (
-        reducer.snapshot(),
-        report.triangles,
-        report.communication_bytes,
-        report.wire_messages,
-    )
-    dodgr.release()
-    return result
 
 
-def check_sweep_axis(registered: Tuple[str, ...]) -> List[str]:
-    """The sweep's engine axis covers the whole registry (check 3)."""
-    from repro.sweep import run_sweep, sample_configs, sweep_engine_axis, sweep_payload
+def smoke_problems(engine: EngineConfig, algorithm: str, oracle) -> List[str]:
+    """How one smoke cell on ``engine`` breaks the contract against ``oracle``."""
+    got = run_cell(smoke_world(), "triangle", engine, algorithm)
+    return [f"{engine}/{algorithm}: {problem}" for problem in contract_problems(got, oracle)]
+
+
+def check_sweep_coverage(registered: Tuple[str, ...]) -> List[str]:
+    """A one-config sweep covers the whole registry, parity-clean (check 3)."""
+    from repro.sweep import run_sweep, sample_configs, sweep_payload
 
     errors: List[str] = []
-    axis = sweep_engine_axis()
-    if axis != registered:
-        errors.append(f"sweep engine axis {axis!r} != registry {registered!r}")
-        return errors
     configs = sample_configs("erdos-renyi", 1, seed=0)
-    result = run_sweep(configs, analyses=("triangle",), strict_parity=True)
+    result = run_sweep(configs, analyses=("triangle",))
+    errors += [f"sweep smoke: {cell.label()}: {cell.problems}" for cell in result.parity_failures()]
     covered = {cell.engine for cell in result.cells}
     if covered != set(registered):
         errors.append(
@@ -371,7 +363,7 @@ def check_write_path() -> List[str]:
 def check_execution_axes() -> List[str]:
     """Kernel-tier/storage docs match their registries; both run clean (check 5)."""
     from repro.core.intersection import KERNEL_TIERS
-    from repro.graph.ooc import STORAGES, active_segment_paths
+    from repro.graph.ooc import STORAGES
 
     errors: List[str] = []
     readme = REPO_ROOT / "README.md"
@@ -391,26 +383,11 @@ def check_execution_axes() -> List[str]:
         return errors
 
     # Every tier spelling (including ones that downgrade here, and unset)
-    # and the mmap storage mode reproduce the legacy oracle; no segment
-    # files survive.
-    oracle = run_smoke("legacy", "push")
+    # and the mmap storage mode keep the contract against the legacy oracle.
+    oracle = run_cell(smoke_world(), "triangle", "legacy")
     for tier in KERNEL_TIERS + (None,):
-        result = run_smoke("columnar", "push", kernel_tier=tier)
-        if result != oracle:
-            errors.append(
-                f"columnar/kernel_tier={tier!r}: parity smoke failed "
-                f"({result[1:]} vs legacy {oracle[1:]})"
-            )
-    before = active_segment_paths()
-    result = run_smoke("columnar", "push", storage="mmap")
-    if result != oracle:
-        errors.append(
-            f"columnar/storage='mmap': parity smoke failed "
-            f"({result[1:]} vs legacy {oracle[1:]})"
-        )
-    leaked = active_segment_paths() - before
-    if leaked:
-        errors.append(f"storage='mmap' smoke leaked segment files: {sorted(leaked)}")
+        errors += smoke_problems(EngineConfig(engine="columnar", kernel_tier=tier), "push", oracle)
+    errors += smoke_problems(EngineConfig(engine="columnar", storage="mmap"), "push", oracle)
     return errors
 
 
@@ -1360,30 +1337,16 @@ def main() -> int:
         )
 
     for algorithm in ("push", "push_pull"):
-        oracle = run_smoke("legacy", algorithm)
-        for engine in registered:
-            if engine == "legacy":
-                continue
-            result = run_smoke(engine, algorithm)
-            if result != oracle:
-                errors.append(
-                    f"{engine}/{algorithm}: parity smoke failed "
-                    f"(panel/triangles/bytes/messages {result[1:]} vs "
-                    f"legacy {oracle[1:]})"
-                )
-        # The backend axis replays the same contract: one process-backend
-        # smoke per algorithm, bit-identical to the simulated oracle.
-        process_result = run_smoke(
-            "columnar", algorithm, backend="process", workers=2
+        oracle = run_cell(smoke_world(), "triangle", "legacy", algorithm)
+        for engine in registered[1:]:
+            errors += smoke_problems(EngineConfig(engine=engine), algorithm, oracle)
+        # The backend axis keeps the same contract: one process-backend
+        # smoke per algorithm against the simulated oracle.
+        errors += smoke_problems(
+            EngineConfig(engine="columnar", backend="process", workers=2), algorithm, oracle
         )
-        if process_result != oracle:
-            errors.append(
-                f"columnar/{algorithm}: process-backend smoke diverged "
-                f"(panel/triangles/bytes/messages {process_result[1:]} vs "
-                f"simulated {oracle[1:]})"
-            )
 
-    errors.extend(check_sweep_axis(registered))
+    errors.extend(check_sweep_coverage(registered))
     errors.extend(check_reducer_contract())
     errors.extend(check_execution_axes())
     errors.extend(check_selector_surface())
