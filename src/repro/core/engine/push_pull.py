@@ -130,7 +130,7 @@ def build_push_pull_program(request: SurveyRequest, spec: EngineSpec) -> SurveyP
         # barrier flushes the proposal buffers, so the advise replies meet
         # empty buffers in both engines and the flush-window split
         # (wire_messages, envelope bytes) matches — unless a proposal
-        # buffer overflowed mid-drive (the BatchedCall bound).
+        # buffer overflowed mid-drive (the async_call_batched bound).
         ctx.buffers.flush_all()
 
     # ------------------------------------------------------------------

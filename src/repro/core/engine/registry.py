@@ -4,7 +4,7 @@ The paper's survey abstraction is one algorithm with interchangeable
 communication strategies (Table 4); an *engine* here is one such strategy,
 declared as an :class:`EngineSpec` — a name and a description:
 
-* ``legacy`` — the scalar reference: one sized RPC per wedge, dry-run
+* ``legacy`` — the scalar reference: one RPC per wedge, dry-run
   proposal, pulled row and delta candidate; per-message scalar
   intersection; per-triangle callback delivery.  It lives in
   :mod:`repro.oracle`, which :func:`oracle_builder` imports on first use;
@@ -60,7 +60,7 @@ _REGISTRY: Dict[str, EngineSpec] = {
         EngineSpec(
             name="legacy",
             description=(
-                "Scalar reference: one sized RPC per wedge, per-message scalar "
+                "Scalar reference: one RPC per wedge, per-message scalar "
                 "intersection, per-triangle callback delivery.  The parity "
                 "oracle every other engine is measured against."
             ),

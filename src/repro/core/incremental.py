@@ -55,7 +55,7 @@ wedge), once the phase's inboxes drain
 (:class:`~repro.core.engine.driver.CandidateStage`), its triangles
 delivered as one lazy :class:`~repro.graph.metadata.TriangleBatch` to
 ``callback_batch`` reducers, in handled order.  The ``legacy`` oracle
-(:func:`repro.oracle.build_legacy_delta_program`) sends one sized RPC per
+(:func:`repro.oracle.build_legacy_delta_program`) sends one RPC per
 (wedge, stream) carrying the filtered candidate tuples, intersected per
 message with the pairwise kernels.  Every replaced oracle message is
 accounted — in the oracle's send order, through the real buffer bank — at

@@ -32,8 +32,8 @@ columns byte-identical — each coalesced message is accounted at the exact
 serialized size of the legacy messages it replaces; because dry-run
 handlers reply with advise RPCs, the flush-window *split* of those
 follow-on messages carries the same bound as RPC-sending callbacks (see
-:class:`~repro.runtime.world.BatchedCall`) — identical in practice unless a
-rank's proposal stream overflows a buffer mid-drive.
+:meth:`~repro.runtime.world.RankContext.async_call_batched`) — identical
+in practice unless a rank's proposal stream overflows a buffer mid-drive.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ accounted as the exact legacy messages it replaces).  One bound on the
 contract: if the *callback itself* sends RPCs mid-survey, all totals (RPC
 counts, payload bytes, compute) still match, but those follow-on messages
 can land in different flush windows, shifting ``wire_messages`` and the
-per-flush envelope bytes; see :class:`~repro.runtime.world.BatchedCall` for
-why, and ``tests/core/test_coalesced_survey.py`` for the exact invariants
+per-flush envelope bytes; see
+:meth:`~repro.runtime.world.RankContext.async_call_batched` for why, and ``tests/core/test_coalesced_survey.py`` for the exact invariants
 pinned in each regime.
 """
 

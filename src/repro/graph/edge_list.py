@@ -17,17 +17,9 @@ implements the cleanup steps:
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from ..runtime.world import (
-    RankContext,
-    World,
-    stable_hash,
-    stable_hash_int_array,
-    stable_tuple_hash_array,
-)
-from .columnar import unique_pair_indices
+from ..runtime.world import RankContext, World, stable_hash
 from .metadata import edge_timestamp
 
 import numpy as _np
@@ -201,7 +193,7 @@ class DistributedEdgeList:
     ) -> None:
         """Route a record to the rank owning its canonical pair (fire-and-forget)."""
         dest = stable_hash((self.name, canonical_pair(u, v))) % self.world.nranks
-        ctx.async_call_sized(dest, self._h_insert, u, v, meta)
+        ctx.async_call(dest, self._h_insert, u, v, meta)
 
     def insert(self, u: Hashable, v: Hashable, meta: Any = None) -> None:
         """Driver-side bulk insert, round-robin across ranks."""
@@ -214,55 +206,6 @@ class DistributedEdgeList:
                 self.insert(record[0], record[1], None)
             else:
                 self.insert(record[0], record[1], record[2])
-
-    def extend_columns(
-        self,
-        us: Any,
-        vs: Any,
-        metas: Optional[Iterable[Any]] = None,
-        meta: Any = None,
-    ) -> None:
-        """Bulk driver-side insert of parallel endpoint columns.
-
-        Placement is identical to calling :meth:`insert` once per record
-        (round-robin continuing from the current cursor), but the per-rank
-        stores are extended with strided slices instead of one dict/modulo
-        round per record.  ``metas`` supplies per-record metadata; ``meta``
-        is a shared value applied to every record (the common generator
-        case).
-        """
-        us_list = us.tolist() if hasattr(us, "tolist") else list(us)
-        vs_list = vs.tolist() if hasattr(vs, "tolist") else list(vs)
-        if len(us_list) != len(vs_list):
-            raise ValueError("endpoint columns must have equal length")
-        count = len(us_list)
-        if count == 0:
-            return
-        metas_list = None
-        if metas is not None:
-            metas_list = metas.tolist() if hasattr(metas, "tolist") else list(metas)
-            if len(metas_list) != count:
-                raise ValueError("metadata column must match endpoint columns")
-        nranks = self.world.nranks
-        start = self._next_rank
-        for rank in range(nranks):
-            offset = (rank - start) % nranks
-            if offset >= count:
-                continue
-            store = self.local_edges(rank)
-            if metas_list is None:
-                store.extend(
-                    zip(us_list[offset::nranks], vs_list[offset::nranks], repeat(meta))
-                )
-            else:
-                store.extend(
-                    zip(
-                        us_list[offset::nranks],
-                        vs_list[offset::nranks],
-                        metas_list[offset::nranks],
-                    )
-                )
-        self._next_rank = (start + count) % nranks
 
     # ------------------------------------------------------------------
     def num_records(self) -> int:
@@ -311,15 +254,6 @@ class DistributedEdgeList:
                     f"unknown reduction {reduction!r}; expected one of {sorted(_REDUCTIONS)}"
                 ) from exc
 
-        # Keep-first dedup over integer endpoints needs no reducer calls at
-        # all — the surviving record per pair is simply its first occurrence
-        # — so it runs as one columnar np.unique pass.  Other reductions and
-        # non-integer ids take the dict path below.
-        if reduction == "first":
-            fast = self._simplify_vectorized(drop_self_loops)
-            if fast is not None:
-                return fast
-
         # Shuffle records to the owner of their canonical pair so parallel
         # edges meet on one rank, then reduce locally.  Done driver-side for
         # speed; the async ingestion path exercises the same owner function.
@@ -344,76 +278,6 @@ class DistributedEdgeList:
             store = out.local_edges(rank)
             for (u, v), meta in bucket.items():
                 store.append((u, v, meta))
-        return out
-
-    def _pair_dests(self, lo: Any, hi: Any) -> Any:
-        """Vectorized ``stable_hash((self.name, (lo, hi))) % nranks``.
-
-        Two nested :func:`~repro.runtime.world.stable_tuple_hash_array`
-        folds replay the scalar tuple combiner exactly — the derived list
-        must place every record on the same rank as the dict path, which the
-        edge-list parity tests pin.
-        """
-        pair_hash = stable_tuple_hash_array(
-            [stable_hash_int_array(lo), stable_hash_int_array(hi)]
-        )
-        outer = stable_tuple_hash_array([stable_hash(self.name), pair_hash])
-        return outer % self.world.nranks
-
-    def _simplify_vectorized(
-        self, drop_self_loops: bool
-    ) -> Optional["DistributedEdgeList"]:
-        """Columnar keep-first simplify; None when the records don't qualify.
-
-        Produces exactly the dict path's output: canonical pairs routed to
-        the same owner ranks, one record per pair carrying its first
-        occurrence's metadata, per-rank record order equal to first-touch
-        (dict insertion) order.
-        """
-        us_list: List[int] = []
-        vs_list: List[int] = []
-        metas: List[Any] = []
-        for rank in range(self.world.nranks):
-            for u, v, meta in self.local_edges(rank):
-                if type(u) is not int or type(v) is not int:
-                    return None
-                us_list.append(u)
-                vs_list.append(v)
-                metas.append(meta)
-        # Convert before constructing the output list: a bail-out after
-        # construction would leak an orphaned handler registration, shifting
-        # every later handler id (and with it the accounted wire bytes).
-        try:
-            us = _np.array(us_list, dtype=_np.int64)
-            vs = _np.array(vs_list, dtype=_np.int64)
-        except OverflowError:  # ids beyond int64: dict fallback
-            return None
-        out = DistributedEdgeList(self.world)
-        if not us_list:
-            return out
-        meta_index = _np.arange(len(us_list), dtype=_np.int64)
-        if drop_self_loops:
-            keep = us != vs
-            us, vs, meta_index = us[keep], vs[keep], meta_index[keep]
-            if not len(us):
-                return out
-        lo = _np.minimum(us, vs)
-        hi = _np.maximum(us, vs)
-        first = unique_pair_indices(lo, hi)
-        dests = self._pair_dests(lo[first], hi[first])
-        # Emit rank-major, first-occurrence order within each rank — the
-        # iteration order of the dict path's per-rank buckets.
-        emit = _np.lexsort((first, dests))
-        lo_list = lo.tolist()
-        hi_list = hi.tolist()
-        meta_list = meta_index.tolist()
-        first_list = first.tolist()
-        dest_list = dests.tolist()
-        for k in emit.tolist():
-            f = first_list[k]
-            out.local_edges(dest_list[k]).append(
-                (lo_list[f], hi_list[f], metas[meta_list[f]])
-            )
         return out
 
     def num_undirected_edges(self) -> int:

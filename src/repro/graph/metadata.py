@@ -6,8 +6,9 @@ The paper's input model (Section 3): every vertex ``v`` carries
 labels, floating-point ratings, timestamps, free-form strings — and TriPoll
 deliberately does not interpret them; only user callbacks do.
 
-In this reproduction a metadata value is *any value the runtime codec can
-serialize* (scalars, strings, tuples, dicts, registered dataclasses).  This
+In this reproduction a metadata value is *any value the wire format can
+serialize* (scalars, strings, tuples, dicts, registered dataclasses; see
+:mod:`repro.runtime.serialization`).  This
 module provides:
 
 * :class:`TriangleMetadata` — the six pieces of metadata (plus the vertex

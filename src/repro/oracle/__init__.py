@@ -2,7 +2,7 @@
 
 TriPoll's survey is one algorithm with interchangeable communication
 strategies (Table 4).  This package keeps the paper's per-wedge strategy as
-the ``legacy`` engine: one sized RPC per wedge, dry-run proposal, pulled row
+the ``legacy`` engine: one RPC per wedge, dry-run proposal, pulled row
 and delta candidate; scalar intersection of each message; per-triangle
 callback delivery over the DODGr's records (:mod:`repro.oracle.records`: the
 object view of its columns, the routed build it is held to, and the per-edge
@@ -64,7 +64,7 @@ def candidate_key(candidate: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Push: one sized RPC per wedge, scalar intersection
+# Push: one RPC per wedge, scalar intersection
 # ---------------------------------------------------------------------------
 
 
@@ -126,7 +126,7 @@ def make_legacy_intersect_handler(
 
 
 def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
-    """Walk one rank's pivots, one sized RPC per wedge.
+    """Walk one rank's pivots, one RPC per wedge.
 
     ``allowed`` — a vertex set — restricts targets (the Push-Pull push phase
     skips targets that will be pulled); ``None`` pushes to every target.
@@ -145,13 +145,11 @@ def drive_legacy_push(ctx, dodgr: DODGraph, handler, allowed=None) -> None:
             candidates = [
                 (entry[0], entry[1], entry[2]) for entry in adjacency[i + 1 :]
             ]
-            # Sized delivery: exact legacy wire accounting, no codec run
-            # for what is (in-process) an accounting-only payload.
-            ctx.async_call_sized(dodgr.owner(q), handler, q, p, meta_p, meta_pq, candidates)
+            ctx.async_call(dodgr.owner(q), handler, q, p, meta_p, meta_pq, candidates)
 
 
 # ---------------------------------------------------------------------------
-# Pull: one sized RPC per (q, requester), one scalar merge per waiting pivot
+# Pull: one RPC per (q, requester), one scalar merge per waiting pivot
 # ---------------------------------------------------------------------------
 
 
@@ -205,7 +203,7 @@ def make_legacy_pull_handler(
 
 
 def drive_legacy_pull(ctx, dodgr: DODGraph, handler, pull_list) -> None:
-    """Run one owner rank's pull deliveries, one sized RPC per (q, requester).
+    """Run one owner rank's pull deliveries, one RPC per (q, requester).
 
     ``pull_list`` maps each locally owned ``q`` to the source ranks that
     should receive ``Adj^m_+(q)``.
@@ -220,11 +218,11 @@ def drive_legacy_pull(ctx, dodgr: DODGraph, handler, pull_list) -> None:
         # meta(r) locally for every r in its pivots' adjacency lists.
         payload = [(entry[0], entry[1], entry[2]) for entry in record["adj"]]
         for source_rank in requesters:
-            ctx.async_call_sized(source_rank, handler, q, meta_q, payload)
+            ctx.async_call(source_rank, handler, q, meta_q, payload)
 
 
 # ---------------------------------------------------------------------------
-# Delta: one sized RPC per (wedge, stream) over the batch's object views
+# Delta: one RPC per (wedge, stream) over the batch's object views
 # ---------------------------------------------------------------------------
 
 
@@ -316,11 +314,11 @@ def drive_legacy_delta(
                 elif q_has_new_out and records.is_new(q, entry[0]):
                     new_c.append(candidate)
             if full_c:
-                ctx.async_call_sized(
+                ctx.async_call(
                     dodgr.owner(q), h_full, q, p, meta_p, meta_pq, full_c
                 )
             if new_c:
-                ctx.async_call_sized(
+                ctx.async_call(
                     dodgr.owner(q), h_new, q, p, meta_p, meta_pq, new_c
                 )
 
@@ -374,7 +372,7 @@ def build_legacy_push_pull_program(request: SurveyRequest, spec) -> SurveyProgra
         if record is not None and out_degree < candidate_count:
             pull_lists[ctx.rank].setdefault(q, []).append(source_rank)
         else:
-            ctx.async_call_sized(source_rank, _advise_push_handler, q)
+            ctx.async_call(source_rank, _advise_push_handler, q)
 
     def _advise_push_handler(ctx, q: Any) -> None:
         push_targets[ctx.rank].add(q)
@@ -410,7 +408,7 @@ def build_legacy_push_pull_program(request: SurveyRequest, spec) -> SurveyProgra
                 else:
                     candidate_totals[q] = candidate_totals.get(q, 0) + suffix_len
         for q, total in candidate_totals.items():
-            ctx.async_call_sized(dodgr.owner(q), h_propose, q, rank, total)
+            ctx.async_call(dodgr.owner(q), h_propose, q, rank, total)
 
     def drive_push_phase(ctx) -> None:
         drive_legacy_push(ctx, dodgr, h_intersect, allowed=push_targets[ctx.rank])

@@ -137,8 +137,8 @@ def routed_load(
     for ctx, records in zip(world.ranks, edges_per_rank):
         for u, v, meta in records:
             if u != v:
-                ctx.async_call_sized(graph.owner(u), add, u, v, meta)
-                ctx.async_call_sized(graph.owner(v), add, v, u, meta)
+                ctx.async_call(graph.owner(u), add, u, v, meta)
+                ctx.async_call(graph.owner(v), add, v, u, meta)
     for ctx, metas in zip(world.ranks, vertex_meta_per_rank or ()):
         for vertex, meta in metas.items():
             ctx.async_call(graph.owner(vertex), set_meta, vertex, meta)
@@ -258,7 +258,7 @@ def routed_build(graph: DistributedGraph, phase_name: Optional[str] = None) -> L
     partners = image.vertices[image.tgt].tolist()
     for g, v, edge_meta in zip(sources, partners, image.edge_meta.tolist()):
         ctx = world.ranks[rank_of[g]]
-        ctx.async_call_sized(
+        ctx.async_call(
             graph.owner(v), handle, v, vertices[g], degrees[g], metas[g], edge_meta
         )
     world.barrier()

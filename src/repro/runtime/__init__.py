@@ -5,8 +5,9 @@ The public surface mirrors the pieces of the C++ stack the paper describes:
 * :class:`~repro.runtime.world.World` / :class:`~repro.runtime.world.RankContext`
   — the MPI world and the per-rank YGM communicator (buffered,
   fire-and-forget async RPC with termination-detecting barriers).
-* :mod:`~repro.runtime.serialization` — the cereal-style codec whose byte
-  counts define simulated communication volume.
+* :mod:`~repro.runtime.serialization` — the exact serialized sizes of the
+  cereal-style wire format, which define simulated communication volume
+  (the encoder and decoder they are pinned to are :mod:`repro.oracle.codec`).
 * :mod:`~repro.runtime.message_buffer` — YGM message aggregation.
 * :mod:`~repro.runtime.network_model` — the latency/bandwidth cost model that
   converts measured counters into simulated wall-clock time.
@@ -33,13 +34,7 @@ from .message_buffer import DEFAULT_FLUSH_THRESHOLD, BufferBank
 from .network_model import CATALYST_LIKE, CostModel, SimulatedTime, simulate_time
 from .reductions import all_reduce_sum
 from .rpc import RpcError, RpcHandle, RpcRegistry
-from .serialization import (
-    SerializationError,
-    dumps,
-    loads,
-    register_record,
-    serialized_size,
-)
+from .serialization import SerializationError, register_record, serialized_size
 from .stats import PhaseStats, RankStats, WorldStats
 from .world import LivelockError, RankContext, World, WorldError, stable_hash
 
@@ -58,8 +53,6 @@ __all__ = [
     "RpcHandle",
     "RpcError",
     "SerializationError",
-    "dumps",
-    "loads",
     "register_record",
     "serialized_size",
     "BufferBank",

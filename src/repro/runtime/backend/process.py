@@ -28,12 +28,14 @@ every worker via copy-on-write.  From there, three properties carry parity:
    executions (advise replies, counting-set cache flushes) only ever run
    handlers that mutate commutative rank-local state and send nothing
    further, so deferring them one round cannot change any counter or panel.
-   This bounds the contract exactly where :class:`~repro.runtime.world.BatchedCall`
-   already bounds it: a user handler that sends RPCs whose handlers send
-   *further* RPCs keeps identical totals but may shift flush windows.
+   This bounds the contract exactly where
+   :meth:`~repro.runtime.world.RankContext.async_call_batched` already
+   bounds it: a user handler that sends RPCs whose handlers send *further*
+   RPCs keeps identical totals but may shift flush windows.
 
-The wire *accounting* is never re-measured: sized/batched carriers ship
-their sender-computed byte counts, so Table 4 totals are replayed unchanged.
+The wire *accounting* is never re-measured: every message ships its
+sender-computed RPC and byte counts, so Table 4 totals are replayed
+unchanged.
 
 What the backend cannot run — installed fault plans and deadlines,
 ``ranks_per_node > 1``, callbacks without the worker-state protocol,
@@ -140,23 +142,17 @@ class WorkerFabric:
         self._seqs = [0] * world.nranks
         self._round_counter = 0
 
-    # -- enqueue hooks (called from World._enqueue_messages/_enqueue_batched)
+    # -- the enqueue hook (called from World._enqueue_messages)
     def enqueue_messages(self, messages: Iterable[Any]) -> None:
         for msg in messages:
-            self._route(msg)
-
-    def enqueue_batched(self, call: Any) -> None:
-        self._route(call)
-
-    def _route(self, msg: Any) -> None:
-        seq = self._seqs[msg.source]
-        self._seqs[msg.source] = seq + 1
-        msg.seq = seq
-        dest_worker = self.worker_of[msg.dest]
-        if dest_worker == self.me:
-            self.pending.append(msg)
-        else:
-            self.outbox.setdefault(dest_worker, []).append(msg)
+            seq = self._seqs[msg.source]
+            self._seqs[msg.source] = seq + 1
+            msg.seq = seq
+            dest_worker = self.worker_of[msg.dest]
+            if dest_worker == self.me:
+                self.pending.append(msg)
+            else:
+                self.outbox.setdefault(dest_worker, []).append(msg)
 
     # -- the superstep barrier ---------------------------------------------
     def _buffers_pending(self) -> bool:
@@ -187,7 +183,7 @@ class WorkerFabric:
                 return
 
             # EXECUTE: this round's messages in oracle inbox order.  New
-            # sends route back through _route and run next round.
+            # sends route back through enqueue_messages and run next round.
             messages = self.pending
             self.pending = []
             for blob in incoming_blobs:

@@ -2,29 +2,27 @@
 
 Messages that stay on their owning worker are never encoded — they keep
 Python object identity, exactly like the simulated world's by-reference
-delivery.  Cross-worker messages encode to small tagged tuples:
+delivery.  A cross-worker :class:`~repro.runtime.message_buffer.Message`
+encodes to one plain tuple ``(source, dest, seq, handler_id, name, args,
+rpcs, nbytes)``: the handler travels as its registry id + name (handler
+registration happens before the backend forks, so ids resolve to the same
+handler everywhere) and each argument is encoded by
+:meth:`MessageEncoder.encode_value`:
 
-* ``("buf", ...)`` — a :class:`~repro.runtime.message_buffer.BufferedMessage`:
-  the payload already is codec bytes, shipped verbatim;
-* ``("sized", ...)`` / ``("batched", ...)`` — by-reference carriers: the
-  handler travels as its registry id + name (handler registration happens
-  before the backend forks, so ids resolve to the same handler everywhere)
-  and each argument is encoded by :meth:`MessageEncoder.encode_value`:
+* ``("shared", key)`` — a pre-fork shared object (CSR adjacency segments):
+  never shipped at all; the receiver resolves the key against its own
+  fork-inherited copy.
+* ``("i64", segment, offset, length)`` — a contiguous int64 column
+  (candidate rows, q-positions, pull row ids — the ``TriangleBatch``
+  feedstock).  All columns of one worker's round are packed into a single
+  ``multiprocessing.shared_memory`` segment; the receiver builds a
+  zero-copy ``np.ndarray`` view over the mapped buffer.  Receivers treat
+  the views as frozen, the contract every message's arguments carry.
+* ``("py", value)`` — everything else, pickled with the enclosing blob.
 
-  - ``("shared", key)`` — a pre-fork shared object (CSR adjacency segments):
-    never shipped at all; the receiver resolves the key against its own
-    fork-inherited copy.
-  - ``("i64", segment, offset, length)`` — a contiguous int64 column
-    (candidate rows, q-positions, pull row ids — the ``TriangleBatch``
-    feedstock).  All columns of one worker's round are packed into a single
-    ``multiprocessing.shared_memory`` segment; the receiver builds a
-    zero-copy ``np.ndarray`` view over the mapped buffer.  Receivers treat
-    the views as frozen, the same contract sized messages already carry.
-  - ``("py", value)`` — everything else, pickled with the enclosing blob.
-
-None of this touches the wire *accounting*: ``nbytes`` / ``virtual_bytes``
-were computed by the sender's buffer bank from the serialization codec, and
-travel as plain ints — Table 4 totals are replayed, not re-measured.
+None of this touches the wire *accounting*: ``rpcs`` / ``nbytes`` were
+computed by the sender from the serialized sizes, and travel as plain ints —
+Table 4 totals are replayed, not re-measured.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..message_buffer import BufferedMessage, SizedMessage
+from ..message_buffer import Message
 from ..rpc import RpcHandle
-from ..world import BatchedCall
 from . import shm as _shm
 
 import numpy as _np
@@ -109,35 +106,19 @@ class MessageEncoder:
             return ("i64",) + self._writer.add(value)
         return ("py", value)
 
-    def encode_message(self, msg: Any) -> Tuple[Any, ...]:
-        if isinstance(msg, SizedMessage):
-            return (
-                "sized",
-                msg.source,
-                msg.dest,
-                msg.seq,
-                msg.handle.handler_id,
-                msg.handle.name,
-                tuple(self.encode_value(v) for v in msg.args),
-                msg.nbytes,
-            )
-        if isinstance(msg, BatchedCall):
-            return (
-                "batched",
-                msg.source,
-                msg.dest,
-                msg.seq,
-                msg.handle.handler_id,
-                msg.handle.name,
-                tuple(self.encode_value(v) for v in msg.args),
-                msg.virtual_rpcs,
-                msg.virtual_bytes,
-            )
-        if isinstance(msg, BufferedMessage):
-            return ("buf", msg.source, msg.dest, msg.seq, msg.payload)
-        raise TypeError(f"cannot ship message of type {type(msg).__name__}")
+    def encode_message(self, msg: Message) -> Tuple[Any, ...]:
+        return (
+            msg.source,
+            msg.dest,
+            msg.seq,
+            msg.handle.handler_id,
+            msg.handle.name,
+            tuple(self.encode_value(v) for v in msg.args),
+            msg.rpcs,
+            msg.nbytes,
+        )
 
-    def encode_blob(self, messages: Iterable[Any]) -> bytes:
+    def encode_blob(self, messages: Iterable[Message]) -> bytes:
         """One pre-pickled bundle per destination worker.
 
         The parent routes these opaquely — it never unpickles message
@@ -178,28 +159,14 @@ class MessageDecoder:
             )
         raise TypeError(f"unknown encoded value tag {tag!r}")
 
-    def decode_message(self, entry: Tuple[Any, ...]) -> Any:
-        tag = entry[0]
-        if tag == "sized":
-            _, source, dest, seq, handler_id, name, args, nbytes = entry
-            handle = RpcHandle(self._registry, handler_id, name)
-            return SizedMessage(
-                source, dest, handle,
-                tuple(self.decode_value(v) for v in args), nbytes, seq,
-            )
-        if tag == "batched":
-            _, source, dest, seq, handler_id, name, args, v_rpcs, v_bytes = entry
-            handle = RpcHandle(self._registry, handler_id, name)
-            return BatchedCall(
-                source, dest, handle,
-                tuple(self.decode_value(v) for v in args), v_rpcs, v_bytes, seq,
-            )
-        if tag == "buf":
-            _, source, dest, seq, payload = entry
-            return BufferedMessage(source, dest, payload, seq)
-        raise TypeError(f"unknown encoded message tag {tag!r}")
+    def decode_message(self, entry: Tuple[Any, ...]) -> Message:
+        source, dest, seq, handler_id, name, args, rpcs, nbytes = entry
+        handle = RpcHandle(self._registry, handler_id, name)
+        return Message(
+            source, dest, handle, tuple(self.decode_value(v) for v in args), rpcs, nbytes, seq
+        )
 
-    def decode_blob(self, blob: bytes) -> List[Any]:
+    def decode_blob(self, blob: bytes) -> List[Message]:
         return [self.decode_message(entry) for entry in pickle.loads(blob)]
 
     def close(self) -> None:

@@ -84,7 +84,7 @@ class RankCrashError(RuntimeError):
         self.executions = executions
         super().__init__(
             f"rank {rank} crashed in phase {phase!r} after executing "
-            f"{executions} messages"
+            f"{executions} RPCs"
         )
 
 
@@ -119,8 +119,10 @@ class FaultPlan:
     #: changes nothing observable on a fault-free run.
     reliable: bool = False
     #: Crash spec: rank (taken modulo the world size at install time), the
-    #: phase it must die in (None = any phase), and how many messages it
-    #: executes in that phase before dying.
+    #: phase it must die in (None = any phase), and how many RPCs it executes
+    #: in that phase before dying — its ``rpcs_executed`` count, so a
+    #: coalesced call counts every RPC it carries and the threshold means
+    #: the same on every engine.
     crash_rank: Optional[int] = None
     crash_phase: Optional[str] = None
     crash_after_executions: int = 8
@@ -220,33 +222,19 @@ class FaultStats:
 
 @dataclass
 class Envelope:
-    """Transport bookkeeping for one logical remote message."""
+    """Transport bookkeeping for one logical remote message.
+
+    Retransmissions book ``message.nbytes`` through the same size-only
+    accounting as first sends.
+    """
 
     message: Any
-    nbytes: int
     #: Retransmission attempts so far (0 = only the original send).
     attempts: int = 0
     #: Faults already injected on this message (bounded by the plan).
     faults: int = 0
     #: Transport tick at which the next retransmit fires if unacked.
     next_retry: int = 0
-
-
-def message_wire_bytes(message: Any) -> int:
-    """Accounted payload size of any runtime message type.
-
-    ``BufferedMessage`` carries real serialized bytes, ``SizedMessage`` its
-    exact computed size, ``BatchedCall`` the virtual bytes of the legacy
-    stream it stands in for.  Retransmission accounting reuses these so
-    retry traffic flows through the same size-only model as first sends.
-    """
-    payload = getattr(message, "payload", None)
-    if payload is not None:
-        return len(payload)
-    nbytes = getattr(message, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    return int(getattr(message, "virtual_bytes", 0))
 
 
 class FaultInjector:
@@ -320,13 +308,17 @@ class FaultInjector:
         return self._rng.randint(1, self.plan.max_delay_ticks)
 
     # ------------------------------------------------------------------
-    def note_execution(self, rank: int, phase: str) -> None:
-        """Count one executed message on ``rank``; fire the crash if due."""
+    def note_execution(self, rank: int, phase: str, count: int) -> None:
+        """Count ``count`` executed RPCs on ``rank``; fire the crash if due.
+
+        A message carrying ``count`` RPCs crosses the threshold as a whole:
+        the rank dies after executing it, having run every RPC it carried.
+        """
         if self._crash_fired or self._crash_rank is None or rank != self._crash_rank:
             return
         if self.plan.crash_phase is not None and phase != self.plan.crash_phase:
             return
-        self._crash_executions += 1
+        self._crash_executions += count
         if self._crash_executions >= self.plan.crash_after_executions:
             self._crash_fired = True
             self.stats.crashes += 1
@@ -381,11 +373,7 @@ class ReliableTransport:
         seq = self._next_seq.get(stream, 0)
         self._next_seq[stream] = seq + 1
         message.seq = seq
-        envelope = Envelope(
-            message=message,
-            nbytes=message_wire_bytes(message),
-            next_retry=self.clock + self.timeout_ticks,
-        )
+        envelope = Envelope(message=message, next_retry=self.clock + self.timeout_ticks)
         self._unacked[(message.source, message.dest, seq)] = envelope
         return envelope
 

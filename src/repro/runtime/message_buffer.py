@@ -10,7 +10,8 @@ buffer exceeds a threshold or a flush is forced (e.g. at a barrier).
 This module reproduces that layer for the simulated runtime:
 
 * each rank owns one :class:`MessageBuffer` per destination rank,
-* appending a serialized RPC payload accounts its exact byte size,
+* appending an RPC accounts its exact serialized byte size (no payload is
+  built: see :class:`Message`),
 * when the buffer crosses ``flush_threshold_bytes`` it is flushed, which is
   accounted as a *single* wire message of the aggregate size (plus a small
   per-message envelope, mirroring MPI header overhead),
@@ -51,8 +52,7 @@ import numpy as np
 from .stats import RankStats
 
 __all__ = [
-    "BufferedMessage",
-    "SizedMessage",
+    "Message",
     "BufferBank",
     "DEFAULT_FLUSH_THRESHOLD",
 ]
@@ -68,47 +68,39 @@ WIRE_ENVELOPE_BYTES = 64
 
 
 @dataclass
-class BufferedMessage:
-    """A single buffered RPC payload awaiting delivery."""
+class Message:
+    """One buffered RPC carrier: a handler, its arguments and their wire size.
 
-    source: int
-    dest: int
-    payload: bytes
-    #: At-least-once sequence id, assigned by the reliable transport when a
-    #: fault plan with delivery faults is installed; None otherwise.
-    seq: Optional[int] = None
-
-
-@dataclass
-class SizedMessage:
-    """A buffered RPC delivered by reference, accounted by exact size.
-
-    The simulated cluster lives in one process, so the codec run of
-    :meth:`~repro.runtime.world.RankContext.async_call` exists only to make
-    byte accounting exact.  A sized message carries the resolved handler and
-    the argument tuple directly plus ``nbytes`` — the exact
-    ``len(encode_call(handle, args))`` computed by
-    :meth:`~repro.runtime.rpc.RpcRegistry.call_size` — and behaves
-    identically to a payload of that size everywhere bytes are observed
-    (buffer occupancy, flush boundaries, every Table 4 counter).  Callers
-    must treat the arguments as frozen after sending: they are shared, not
-    copied.
+    ``rpcs`` is the number of logical RPCs the message carries — 1 for
+    :meth:`~repro.runtime.world.RankContext.async_call`, ``n`` for a
+    coalesced :meth:`~repro.runtime.world.RankContext.async_call_batched` —
+    and ``nbytes`` their exact serialized payload size
+    (:meth:`~repro.runtime.rpc.RpcRegistry.call_size` for one call, the sum
+    of the replaced stream for a batch).  The simulated cluster lives in
+    one process, so the arguments travel by reference and no payload is
+    built; a message behaves identically to a payload of ``nbytes`` bytes
+    everywhere bytes are observed (buffer occupancy, flush boundaries,
+    every Table 4 counter).  Senders must treat the arguments as frozen
+    after sending: they are shared, not copied.
     """
 
     source: int
     dest: int
     handle: Any
     args: Tuple[Any, ...]
+    rpcs: int
     nbytes: int
-    #: At-least-once sequence id (see :class:`BufferedMessage`).
+    #: At-least-once sequence id, assigned by the reliable transport when a
+    #: fault plan with delivery faults is installed (and by a process-backend
+    #: worker's fabric); None otherwise.
     seq: Optional[int] = None
 
 
 class MessageBuffer:
-    """Accumulates serialized payloads destined for one remote rank (or node).
+    """Accumulates messages destined for one remote rank (or node).
 
     ``dest`` is the buffer's grouping key: a rank id under per-rank buffering,
-    a node id under node-level aggregation.  Each queued payload remembers its
+    a node id under node-level aggregation.  Each queued message carries its
     actual destination rank so delivery is unaffected by the grouping.
     """
 
@@ -116,7 +108,7 @@ class MessageBuffer:
         self.source = source
         self.dest = dest
         self.flush_threshold_bytes = flush_threshold_bytes
-        self._pending: List[BufferedMessage] = []
+        self._pending: List[Message] = []
         self._pending_bytes = 0
         self.flush_count = 0
 
@@ -127,22 +119,11 @@ class MessageBuffer:
     def pending_bytes(self) -> int:
         return self._pending_bytes
 
-    def append(self, payload: bytes, dest: Optional[int] = None) -> bool:
-        """Queue a payload; return True if the buffer is now above threshold.
+    def append(self, message: Message) -> bool:
+        """Queue a message; return True if the buffer is now above threshold.
 
-        ``dest`` is the actual destination rank; it defaults to the buffer's
-        grouping key (the common case of per-rank buffering).
-        """
-        actual_dest = self.dest if dest is None else dest
-        self._pending.append(BufferedMessage(self.source, actual_dest, payload))
-        self._pending_bytes += len(payload)
-        return self._pending_bytes >= self.flush_threshold_bytes
-
-    def append_sized(self, message: SizedMessage) -> bool:
-        """Queue a by-reference message accounted at its exact serialized size.
-
-        Occupancy and threshold behaviour are identical to :meth:`append`
-        with a payload of ``message.nbytes`` bytes.
+        Occupancy grows by the message's exact serialized size,
+        ``message.nbytes``.
         """
         self._pending.append(message)
         self._pending_bytes += message.nbytes
@@ -161,7 +142,7 @@ class MessageBuffer:
         self._pending_bytes += nbytes
         return self._pending_bytes >= self.flush_threshold_bytes
 
-    def drain(self) -> Tuple[List[BufferedMessage], int]:
+    def drain(self) -> Tuple[List[Message], int]:
         """Remove and return all pending messages and their total byte size.
 
         The byte total includes virtual occupancy from :meth:`append_virtual`;
@@ -208,7 +189,7 @@ class BufferBank:
         rank: int,
         nranks: int,
         stats: RankStats,
-        deliver: Callable[[List[BufferedMessage]], None],
+        deliver: Callable[[List[Message]], None],
         flush_threshold_bytes: int = DEFAULT_FLUSH_THRESHOLD,
         ranks_per_node: int = 1,
     ) -> None:
@@ -239,44 +220,26 @@ class BufferBank:
             self._buffers[key] = buf
         return buf
 
-    def send(self, dest: int, payload: bytes) -> None:
-        """Queue one serialized RPC payload for ``dest``.
+    def send(self, message: Message) -> None:
+        """Queue one RPC carrier for ``message.dest``.
 
-        Local destinations are delivered immediately (no wire cost); remote
-        destinations are buffered and flushed on threshold.
-        """
-        if dest < 0 or dest >= self.nranks:
-            raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")
-        phase = self.stats.current
-        phase.rpcs_sent += 1
-        if dest == self.rank:
-            phase.bytes_sent_local += len(payload)
-            self._deliver([BufferedMessage(self.rank, dest, payload)])
-            return
-        phase.bytes_sent_remote += len(payload)
-        buf = self.buffer_for(dest)
-        if buf.append(payload, dest=dest):
-            self._flush_buffer(buf)
-
-    def send_sized(self, message: SizedMessage) -> None:
-        """Queue one by-reference RPC accounted exactly like :meth:`send`.
-
-        Every send-side counter and buffering decision matches a payload of
-        ``message.nbytes`` bytes; only the codec run is skipped.  Local
-        destinations are delivered immediately, mirroring :meth:`send`.
+        Send-side counters book ``message.rpcs`` RPCs of ``message.nbytes``
+        payload bytes.  Local destinations are delivered immediately (no
+        wire cost); remote destinations are buffered and flushed on
+        threshold.
         """
         dest = message.dest
         if dest < 0 or dest >= self.nranks:
             raise ValueError(f"destination rank {dest} out of range [0, {self.nranks})")
         phase = self.stats.current
-        phase.rpcs_sent += 1
+        phase.rpcs_sent += message.rpcs
         if dest == self.rank:
             phase.bytes_sent_local += message.nbytes
             self._deliver([message])
             return
         phase.bytes_sent_remote += message.nbytes
         buf = self.buffer_for(dest)
-        if buf.append_sized(message):
+        if buf.append(message):
             self._flush_buffer(buf)
 
     def send_virtual(self, dest: int, nbytes: int) -> None:

@@ -8,9 +8,9 @@ adjusting for ASLR).  In this simulated runtime every rank lives in one
 Python process, so the equivalent of "same binary everywhere" is a shared
 :class:`RpcRegistry` mapping small integer handler ids to Python callables.
 
-Only the handler *id* and the serialized arguments travel across the
-simulated wire, so the byte accounting matches the C++ system: a fixed-size
-function reference plus variable-length arguments.
+Only the handler *id* and the serialized arguments count on the simulated
+wire (:meth:`RpcRegistry.call_size`), so the byte accounting matches the C++
+system: a small function reference plus variable-length arguments.
 
 Handlers receive the destination rank's context object as their first
 argument, mirroring YGM's convention of lambdas receiving a pointer to the
@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .serialization import dumps, loads, serialized_size
+from .serialization import serialized_size
 
 __all__ = ["RpcRegistry", "RpcHandle", "RpcError"]
 
 
 class RpcError(Exception):
-    """Raised for unknown handlers or malformed RPC payloads."""
+    """Raised for unknown, released or foreign handlers."""
 
 
 class RpcHandle:
@@ -137,31 +137,14 @@ class RpcRegistry:
         return f"handler#{handler_id}"
 
     # ------------------------------------------------------------------
-    def encode_call(self, handle: RpcHandle, args: Tuple[Any, ...]) -> bytes:
-        """Serialize an RPC invocation into a wire payload."""
-        return dumps((handle.handler_id, list(args)))
-
     def call_size(self, handle: RpcHandle, args: Tuple[Any, ...]) -> int:
-        """Exact byte size of :meth:`encode_call` without building the payload.
+        """Exact wire size of one call: ``(handler_id, list(args))`` serialized.
 
-        ``len(encode_call(handle, args)) == call_size(handle, args)`` for
-        every encodable argument tuple; unsupported values raise
-        :class:`~repro.runtime.serialization.SerializationError` exactly as
-        encoding would.  This is what lets the sized in-process delivery path
-        (:meth:`repro.runtime.world.RankContext.async_call_sized`) account
-        byte-identical communication volume while skipping the codec.
+        Equal to ``len(dumps((handle.handler_id, list(args))))`` of the
+        reference codec :mod:`repro.oracle.codec` for every encodable
+        argument tuple, without building the payload; unsupported values
+        raise :class:`~repro.runtime.serialization.SerializationError` as
+        encoding would.  :meth:`repro.runtime.world.RankContext.async_call`
+        accounts every per-message RPC at this size.
         """
         return serialized_size((handle.handler_id, list(args)))
-
-    def decode_call(self, payload: bytes) -> Tuple[Callable[..., Any], List[Any]]:
-        """Decode a wire payload into (handler, argument list)."""
-        try:
-            decoded = loads(payload)
-        except Exception as exc:  # noqa: BLE001 - surface as RpcError
-            raise RpcError(f"malformed RPC payload: {exc}") from exc
-        if not isinstance(decoded, tuple) or len(decoded) != 2:
-            raise RpcError("malformed RPC payload: expected (handler_id, args)")
-        handler_id, args = decoded
-        if not isinstance(handler_id, int) or not isinstance(args, list):
-            raise RpcError("malformed RPC payload: bad handler id or args")
-        return self.handler(handler_id), args

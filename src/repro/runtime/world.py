@@ -12,9 +12,9 @@ This module provides the equivalent substrate for a single Python process:
   "same binary on every rank" assumption), per-rank inboxes and per-rank
   outgoing buffer banks.
 * :class:`RankContext` is the per-rank communicator handed to algorithms.
-  Its :meth:`RankContext.async_call` mirrors ``ygm::comm::async``: serialize
-  the arguments, buffer them for the destination rank, and return
-  immediately (fire-and-forget).
+  Its :meth:`RankContext.async_call` mirrors ``ygm::comm::async``: size
+  the call's serialized arguments, buffer it for the destination rank, and
+  return immediately (fire-and-forget).
 * :meth:`World.barrier` flushes all buffers and processes messages (which may
   generate further messages) until global quiescence, exactly like YGM's
   termination-detecting barrier.
@@ -28,17 +28,10 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .faults import Envelope, FaultInjector, FaultPlan, ReliableTransport
-from .message_buffer import (
-    DEFAULT_FLUSH_THRESHOLD,
-    WIRE_ENVELOPE_BYTES,
-    BufferBank,
-    BufferedMessage,
-    SizedMessage,
-)
+from .message_buffer import DEFAULT_FLUSH_THRESHOLD, WIRE_ENVELOPE_BYTES, BufferBank, Message
 from .network_model import CATALYST_LIKE, CostModel, SimulatedTime, simulate_time
 from .rpc import RpcHandle, RpcRegistry
 from .stats import WorldStats
@@ -50,7 +43,6 @@ __all__ = [
     "RankContext",
     "WorldError",
     "LivelockError",
-    "BatchedCall",
     "DEFAULT_MAX_DRAIN_SWEEPS",
     "stable_hash",
     "stable_hash_int_array",
@@ -109,45 +101,6 @@ class LivelockError(WorldError):
         )
 
 
-@dataclass
-class BatchedCall:
-    """One coalesced RPC standing in for ``virtual_rpcs`` legacy messages.
-
-    The coalesced-call layer the columnar engine and the distributed
-    counting set ship through: the sender accounts the wire behaviour of the
-    replaced messages with :meth:`RankContext.account_rpc_bulk`; this
-    carrier holds the receive-side accounting: executing it counts as
-    ``virtual_rpcs`` executed RPCs and ``virtual_bytes`` received payload
-    bytes (for remote sources).  Arguments are delivered by reference — the
-    senders build them fresh per call and never mutate them afterwards, so
-    skipping the codec is safe and is precisely where the host-time win over
-    the per-message path comes from.
-
-    One timing caveat bounds the equivalence contract: a coalesced call
-    executes in the barrier's first delivery sweep, whereas the legacy
-    messages it replaces may execute across several sweeps (whenever their
-    buffer happens to flush).  Handlers that send *further* RPCs therefore
-    append them to the outgoing buffers at different fill states than in a
-    legacy run: every per-rank total (RPC counts, payload bytes sent and
-    received, compute) still matches exactly, but the assignment of those
-    follow-on messages to flush windows — ``wire_messages`` and the
-    per-flush envelope component of ``wire_bytes`` — can shift, just as
-    YGM's node-level aggregation shifts it.  Surveys whose callbacks do
-    only local work (the common counting case) are byte-identical in every
-    counter.
-    """
-
-    source: int
-    dest: int
-    handle: RpcHandle
-    args: Tuple[Any, ...]
-    virtual_rpcs: int
-    virtual_bytes: int
-    #: At-least-once sequence id, assigned by the reliable transport when a
-    #: fault plan with delivery faults is installed; None otherwise.
-    seq: Optional[int] = None
-
-
 class RankContext:
     """The per-rank view of the simulated world (a YGM communicator).
 
@@ -184,39 +137,20 @@ class RankContext:
     def async_call(self, dest: int, func: Callable[..., Any] | RpcHandle, *args: Any) -> None:
         """Fire-and-forget RPC: run ``func(dest_ctx, *args)`` on rank ``dest``.
 
-        The arguments are serialized immediately (so mutating them afterwards
-        has no effect on the receiver, matching MPI semantics) and buffered;
-        the call returns without waiting for execution.
-        """
-        handle = self.world.registry.resolve(func)
-        payload = self.world.registry.encode_call(handle, args)
-        self.buffers.send(dest, payload)
-
-    def local_call(self, func: Callable[..., Any] | RpcHandle, *args: Any) -> None:
-        """Convenience wrapper for an async call targeting this rank."""
-        self.async_call(self.rank, func, *args)
-
-    def async_call_sized(
-        self, dest: int, func: Callable[..., Any] | RpcHandle, *args: Any
-    ) -> None:
-        """Fire-and-forget RPC accounted at its exact wire size, no codec run.
-
-        Byte-identical to :meth:`async_call` in every observable counter —
-        the message is buffered, flushed, counted and received as if its
-        serialized payload (whose exact size
-        :meth:`~repro.runtime.rpc.RpcRegistry.call_size` computes) had been
-        materialized — but the arguments travel by reference inside the
-        single simulating process.  Two contract differences from the codec
-        path: the caller must not mutate ``args`` after sending, and the
-        receiver sees the caller's objects rather than decoded copies (so
-        numpy scalars are not canonicalised to Python scalars).  The survey
-        drivers and bulk ingest paths, which build their argument tuples
-        fresh per call and treat them as read-only on receipt, use this to
-        stop paying ``dumps`` for accounting-only bytes.
+        The call is buffered for ``dest`` and accounted at its exact wire
+        size — :meth:`~repro.runtime.rpc.RpcRegistry.call_size`, which is
+        ``len(dumps((handler_id, list(args))))`` of the reference codec
+        :mod:`repro.oracle.codec` — so it is flushed, counted and received
+        as if that payload had been built.  The arguments travel by
+        reference inside the single simulating process: the caller must not
+        mutate them after sending, and the receiver sees the caller's
+        objects (numpy scalars stay numpy scalars).  Unserializable
+        arguments raise :class:`~repro.runtime.serialization.SerializationError`
+        at send time.
         """
         handle = self.world.registry.resolve(func)
         nbytes = self.world.registry.call_size(handle, args)
-        self.buffers.send_sized(SizedMessage(self.rank, dest, handle, args, nbytes))
+        self.buffers.send(Message(self.rank, dest, handle, args, 1, nbytes))
 
     # ------------------------------------------------------------------
     # Coalesced calls (the columnar engine and the counting set)
@@ -245,17 +179,32 @@ class RankContext:
         """Fire one batched RPC standing in for ``virtual_rpcs`` legacy calls.
 
         The call executes ``func(dest_ctx, *args)`` once on ``dest`` at the
-        next barrier, with arguments passed by reference (no codec); on
-        execution it is accounted as ``virtual_rpcs`` executed RPCs carrying
-        ``virtual_bytes`` of received payload.  The caller must have already
-        accounted the send side of every replaced message via
-        :meth:`account_rpc_bulk`, and must not mutate ``args`` after the call.
+        next barrier, with arguments passed by reference; on execution it is
+        accounted as ``virtual_rpcs`` executed RPCs carrying
+        ``virtual_bytes`` of received payload (for remote sources).  The
+        caller must have already accounted the send side of every replaced
+        message via :meth:`account_rpc_bulk`, and must not mutate ``args``
+        after the call.
+
+        One timing caveat bounds the equivalence contract: a batched call
+        bypasses the send buffers and executes in the barrier's first
+        delivery sweep, whereas the legacy messages it replaces may execute
+        across several sweeps (whenever their buffer happens to flush).
+        Handlers that send *further* RPCs therefore append them to the
+        outgoing buffers at different fill states than in a legacy run:
+        every per-rank total (RPC counts, payload bytes sent and received,
+        compute) still matches exactly, but the assignment of those
+        follow-on messages to flush windows — ``wire_messages`` and the
+        per-flush envelope component of ``wire_bytes`` — can shift, just as
+        YGM's node-level aggregation shifts it.  Surveys whose callbacks do
+        only local work (the common counting case) are byte-identical in
+        every counter.
         """
         if dest < 0 or dest >= self.world.nranks:
             raise WorldError(f"destination rank {dest} out of range [0, {self.world.nranks})")
         handle = self.world.registry.resolve(func)
-        self.world._enqueue_batched(
-            BatchedCall(self.rank, dest, handle, args, virtual_rpcs, virtual_bytes)
+        self.world._enqueue_messages(
+            [Message(self.rank, dest, handle, args, virtual_rpcs, virtual_bytes)]
         )
 
     def send_coalesced(
@@ -351,7 +300,7 @@ class World:
         self.max_drain_sweeps = max_drain_sweeps
         self.stats = WorldStats(nranks)
         self.registry = RpcRegistry()
-        self._inboxes: List[Deque[BufferedMessage | BatchedCall]] = [
+        self._inboxes: List[Deque[Message]] = [
             deque() for _ in range(nranks)
         ]
         self.ranks: List[RankContext] = [RankContext(self, r) for r in range(nranks)]
@@ -372,7 +321,7 @@ class World:
         #: layer never imports the service layer).  Dormant by default.
         self._deadline: Optional[Any] = None
         #: Execution-backend message fabric (duck-typed: ``enqueue_messages``,
-        #: ``enqueue_batched``, ``barrier``).  A process-backend worker
+        #: ``barrier``).  A process-backend worker
         #: installs one after forking so every enqueue — drive-time sends,
         #: threshold flushes, batched calls — routes through it instead of
         #: the in-process inboxes.  None in the simulated world and in the
@@ -549,7 +498,7 @@ class World:
             self._injector.mark_restarted()
 
     # ------------------------------------------------------------------
-    def _enqueue_messages(self, messages: Iterable[BufferedMessage]) -> None:
+    def _enqueue_messages(self, messages: Iterable[Message]) -> None:
         if self._fabric is not None:
             self._fabric.enqueue_messages(messages)
             return
@@ -560,16 +509,7 @@ class World:
         for msg in messages:
             self._inboxes[msg.dest].append(msg)
 
-    def _enqueue_batched(self, call: BatchedCall) -> None:
-        if self._fabric is not None:
-            self._fabric.enqueue_batched(call)
-            return
-        if self._transport is not None:
-            self._route_with_faults(call)
-            return
-        self._inboxes[call.dest].append(call)
-
-    def _route_with_faults(self, msg: Any) -> None:
+    def _route_with_faults(self, msg: Message) -> None:
         """Transport path: register, then let the injector pick a fate.
 
         Local (same-rank) messages never touch the wire and are delivered
@@ -607,9 +547,9 @@ class World:
         self._injector.stats.retries += 1
         phase = self.ranks[msg.source].stats.current
         phase.rpcs_sent += 1
-        phase.bytes_sent_remote += envelope.nbytes
+        phase.bytes_sent_remote += msg.nbytes
         phase.wire_messages += 1
-        phase.wire_bytes += envelope.nbytes + WIRE_ENVELOPE_BYTES
+        phase.wire_bytes += msg.nbytes + WIRE_ENVELOPE_BYTES
         self._apply_fate(envelope)
 
     def _fault_tick(self) -> None:
@@ -623,7 +563,7 @@ class World:
             self._retransmit(envelope)
 
     # ------------------------------------------------------------------
-    def _execute_message(self, msg: BufferedMessage | SizedMessage | BatchedCall) -> None:
+    def _execute_message(self, msg: Message) -> None:
         injector = self._injector
         if (
             self._transport is not None
@@ -638,31 +578,20 @@ class World:
             return
         ctx = self.ranks[msg.dest]
         phase = ctx.stats.current
-        if isinstance(msg, BatchedCall):
-            phase.rpcs_executed += msg.virtual_rpcs
-            if msg.source != msg.dest:
-                phase.bytes_received += msg.virtual_bytes
-            handler = self.registry.handler(msg.handle.handler_id)
-            args = msg.args
-        elif isinstance(msg, SizedMessage):
-            phase.rpcs_executed += 1
-            if msg.source != msg.dest:
-                phase.bytes_received += msg.nbytes
-            handler = self.registry.handler(msg.handle.handler_id)
-            args = msg.args
-        else:
-            phase.rpcs_executed += 1
-            if msg.source != msg.dest:
-                phase.bytes_received += len(msg.payload)
-            handler, args = self.registry.decode_call(msg.payload)
+        phase.rpcs_executed += msg.rpcs
+        if msg.source != msg.dest:
+            phase.bytes_received += msg.nbytes
+        handler = self.registry.handler(msg.handle.handler_id)
         if self._drain_probe is not None:
             name = getattr(handler, "__qualname__", None) or repr(handler)
             self._drain_probe[name] = self._drain_probe.get(name, 0) + 1
-        handler(ctx, *args)
+        handler(ctx, *msg.args)
         if injector is not None:
-            # The crash triggers *after* the rank executed its k-th message
-            # in the configured phase (the rank dies having done the work).
-            injector.note_execution(msg.dest, ctx.stats.current_phase_name)
+            # The crash triggers *after* the rank executed the RPC that took
+            # its count in the configured phase to the threshold (the rank
+            # dies having done the work); a batched message counts every
+            # RPC it carries.
+            injector.note_execution(msg.dest, ctx.stats.current_phase_name, msg.rpcs)
 
     def _drain_inboxes(self) -> bool:
         """Deliver every queued message (handlers may queue more). Returns

@@ -171,11 +171,12 @@ class TestRpcSendingCallbacks:
 
     Coalescing changes *when* handlers run inside the barrier, so messages a
     callback sends can land in different flush windows than in a legacy run.
-    The contract (documented on ``BatchedCall``) is: every total — triangles,
-    callback invocations and their side effects, RPC counts, payload bytes
-    sent/received, compute units — still matches exactly; only the split of
-    those payload bytes into wire messages (and therefore the per-flush
-    envelope component of ``wire_bytes``) may differ.
+    The contract (documented on ``RankContext.async_call_batched``) is:
+    every total — triangles, callback invocations and their side effects,
+    RPC counts, payload bytes sent/received, compute units — still matches
+    exactly; only the split of those payload bytes into wire messages (and
+    therefore the per-flush envelope component of ``wire_bytes``) may
+    differ.
     """
 
     def run_with_forwarding_callback(self, dataset, engine):

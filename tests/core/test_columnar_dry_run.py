@@ -138,7 +138,7 @@ def test_flush_boundaries_inside_every_stream(threshold):
 
     Against ``legacy`` the push and pull phases replay in every counter; the
     dry run matches in every total, and in its flush-window split up to the
-    documented ``BatchedCall`` bound: once a proposal buffer overflows
+    ``async_call_batched`` bound: once a proposal buffer overflows
     mid-drive, legacy answers the early proposals into buffers that still
     hold unflushed ones, which no coalesced dry run replays.  The coalesced
     split itself is pinned as literals.

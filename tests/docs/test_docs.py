@@ -190,11 +190,11 @@ def test_write_path_check_flags_per_message_delivery(monkeypatch):
     assert len(errors) == 1 and "batch deliveries" in errors[0]
 
 
-def test_reducers_survey_without_a_codec_call():
+def test_reducers_survey_without_a_per_message_send():
     """Mirror of tools/check_engines.py check 4: every stock reducer honours
     the contract, and a columnar survey plus ``finalize()`` with it makes
-    zero ``encode_call`` / ``decode_call`` invocations — so a reducer that
-    regrows a per-key RPC fails tier-1 before the docs CI job."""
+    zero per-message ``async_call`` sends — so a reducer that regrows a
+    per-key RPC fails tier-1 before the docs CI job."""
     import check_engines
     from repro.core.callbacks import LocalTriangleCounter
 
@@ -212,7 +212,26 @@ def test_reducers_survey_without_a_codec_call():
                     ctx.async_call(0, sink, item, amount)
             super().finalize()
 
-    assert check_engines.survey_codec_calls(PerKeyRpc) > 0
+    assert check_engines.survey_per_message_sends(PerKeyRpc) > 0
+
+
+def test_reducer_check_flags_a_per_key_send_in_callback_batch():
+    """Check 4's planted stray on the delivery path: a reducer whose
+    ``callback_batch`` sends one ``async_call`` per counted vertex makes
+    one send per key, and the check names it."""
+    import check_engines
+    from repro.core.callbacks import LocalTriangleCounter
+
+    class PerKeySend(LocalTriangleCounter):
+        def callback_batch(self, ctx, batch):
+            def sink(ctx, vertex):
+                pass
+
+            for vertex in set(batch.p) | set(batch.q) | set(batch.r):
+                ctx.async_call(self.world.owner_of(vertex), sink, vertex)
+            super().callback_batch(ctx, batch)
+
+    assert check_engines.survey_per_message_sends(PerKeySend) > 0
 
 
 def test_engine_smoke_tool_passes():

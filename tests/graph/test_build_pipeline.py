@@ -21,7 +21,7 @@ import pytest
 from repro.bench import load_dataset
 from repro.graph.distributed_graph import DistributedGraph
 from repro.graph.dodgr import CSRAdjacency, DODGraph
-from repro.graph.edge_list import DistributedEdgeList, _keep_first
+from repro.graph.edge_list import DistributedEdgeList
 from repro.graph.degree import order_key
 from repro.graph.generators import rmat
 from repro.oracle import load_records, record_view, routed_build
@@ -194,49 +194,7 @@ class TestFromColumnsParity:
         assert graph_b.vertex_meta(99) == "isolated"
 
 
-class TestSimplifyVectorizedParity:
-    @pytest.mark.parametrize("drop_self_loops", [True, False])
-    def test_keep_first_matches_dict_path(self, drop_self_loops):
-        records = [(i % 30, (7 * i + 1) % 30, i) for i in range(500)]
-        records += [(9, 9, "loop"), (5, 11, "x"), (11, 5, "y")]
-
-        def fill(world):
-            edge_list = DistributedEdgeList(world, name="el")
-            edge_list.extend(records)
-            return edge_list
-
-        world_a, world_b = World(5), World(5)
-        # A callable reducer forces the legacy dict path even for keep-first.
-        legacy = fill(world_a).simplify(_keep_first, drop_self_loops=drop_self_loops)
-        fast = fill(world_b).simplify("first", drop_self_loops=drop_self_loops)
-        for rank in range(5):
-            assert legacy.local_edges(rank) == fast.local_edges(rank)
-
-    def test_huge_int_ids_fall_back_without_leaking_handlers(self):
-        records = [(2**70 + 1, 2, "a"), (2, 2**70 + 1, "b"), (3, 4, "c")]
-
-        def simplified_on(world):
-            edge_list = DistributedEdgeList(world, name="el")
-            edge_list.extend(records)
-            return edge_list.simplify("first")
-
-        world_fast, world_dict = World(4), World(4)
-        fast = simplified_on(world_fast)
-        legacy = simplified_on(world_dict)
-        for rank in range(4):
-            assert fast.local_edges(rank) == legacy.local_edges(rank)
-        # The bailed-out vectorized attempt must not register an extra
-        # handler: ids are serialized into every later message, so a leak
-        # would shift all downstream wire accounting.
-        assert len(world_fast.registry) == len(world_dict.registry)
-
-    def test_non_integer_ids_fall_back(self):
-        world = World(4)
-        edge_list = DistributedEdgeList(world, name="el")
-        edge_list.extend([("a", "b", 1), ("b", "a", 2), ("a", "c", 3)])
-        simplified = edge_list.simplify("first")
-        assert simplified.num_records() == 2
-
+class TestSimplify:
     def test_earliest_reduction_unchanged(self):
         world = World(4)
         edge_list = DistributedEdgeList(world, name="el")
@@ -244,29 +202,3 @@ class TestSimplifyVectorizedParity:
         simplified = edge_list.simplify("earliest")
         records = list(simplified.records())
         assert records == [(1, 2, 3.0)]
-
-
-class TestExtendColumns:
-    def test_matches_repeated_insert(self):
-        records = [(i, i + 1, f"m{i}") for i in range(57)]
-        world_a, world_b = World(4), World(4)
-        list_a = DistributedEdgeList(world_a, name="el")
-        list_b = DistributedEdgeList(world_b, name="el")
-        list_a.insert(100, 200, "prefix")
-        list_b.insert(100, 200, "prefix")
-        for u, v, m in records:
-            list_a.insert(u, v, m)
-        list_b.extend_columns(
-            [r[0] for r in records],
-            [r[1] for r in records],
-            metas=[r[2] for r in records],
-        )
-        for rank in range(4):
-            assert list_a.local_edges(rank) == list_b.local_edges(rank)
-        assert list_a._next_rank == list_b._next_rank
-
-    def test_uniform_meta_column(self):
-        world = World(3)
-        edge_list = DistributedEdgeList(world, name="el")
-        edge_list.extend_columns([1, 2, 3], [4, 5, 6], meta=True)
-        assert sorted(edge_list.records()) == [(1, 4, True), (2, 5, True), (3, 6, True)]

@@ -12,7 +12,8 @@ from repro.graph.dodgr import CSRAdjacency, DODGraph
 from repro.graph.generators import GeneratedGraph, rmat
 from repro.graph.metadata import edge_timestamp, temporal_edge_meta
 from repro.oracle import entry_key, record_view, routed_build
-from repro.runtime.serialization import dumps, serialized_size
+from repro.oracle.codec import dumps
+from repro.runtime.serialization import serialized_size
 from repro.runtime.world import World
 
 

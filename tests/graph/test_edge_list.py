@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph import DistributedEdgeList, canonical_pair
 from repro.graph.metadata import temporal_edge_meta
+from repro.runtime.world import stable_hash
 
 
 class TestCanonicalPair:
@@ -71,6 +72,24 @@ class TestSimplify:
         el.insert(2, 1, "second")
         simple = el.simplify("first")
         assert [meta for _, _, meta in simple.records()] == ["first"]
+
+    def test_keep_first_routes_each_pair_to_its_owner(self, world4):
+        """One record per pair, its first occurrence (rank order), on the
+        rank ``async_insert`` routes the pair to."""
+        el = DistributedEdgeList(world4, name="el")
+        records = [(i % 13, (5 * i + 1) % 13, i) for i in range(120)] + [(11, 5, "x")]
+        el.extend(records)
+        first = {}
+        for u, v, meta in el.records():
+            if u != v:
+                first.setdefault(canonical_pair(u, v), meta)
+        simple = el.simplify("first")
+        assert sorted((canonical_pair(u, v), m) for u, v, m in simple.records()) == sorted(
+            first.items()
+        )
+        for rank in range(world4.nranks):
+            for u, v, _ in simple.local_edges(rank):
+                assert stable_hash(("el", canonical_pair(u, v))) % world4.nranks == rank
 
     def test_earliest_timestamp_reduction(self, world4):
         """The Reddit pipeline keeps the chronologically-first comment."""

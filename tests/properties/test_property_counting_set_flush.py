@@ -13,8 +13,9 @@ What must be identical: every per-rank, per-phase ``World.stats`` counter
 *insertion order* of an owner's count dict, and only where the scalar flush
 would have crossed a buffer threshold mid-flush: its early keys then reach
 the owner ahead of another rank's, whereas a batched call always executes
-in the barrier's first sweep.  That is the documented ``BatchedCall``
-caveat; no total, panel or counter depends on it.
+in the barrier's first sweep.  That is the caveat documented on
+``RankContext.async_call_batched``; no total, panel or counter depends on
+it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ PHASES = ("load", "drain")
 
 
 class ScalarCountingSet(DistributedCountingSet):
-    """The per-key wire: one codec round trip per cached key (the oracle).
+    """The per-key wire: one ``async_call`` per cached key (the oracle).
 
     The scalar handler takes the batched one's registration, so handler ids
     — and with them every accounted size — are those of the real class.

@@ -1,4 +1,4 @@
-"""Property-based tests for the serialization codec.
+"""Property-based tests for the wire sizes and the reference codec.
 
 ``serialized_size`` is a true size-only path (no ``dumps`` under the hood),
 so its exact agreement with ``len(dumps(v))`` — including registered
@@ -13,12 +13,8 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.serialization import (
-    dumps,
-    loads,
-    register_record,
-    serialized_size,
-)
+from repro.oracle.codec import dumps, loads
+from repro.runtime.serialization import register_record, serialized_size
 
 
 @dataclasses.dataclass(frozen=True)

@@ -31,7 +31,10 @@ from repro.runtime import (
     World,
     active_segment_names,
 )
+from repro.runtime.backend import shm
 from repro.runtime.backend.process import resolve_worker_count
+from repro.runtime.backend.transport import MessageDecoder, MessageEncoder, SegmentWriter
+from repro.runtime.message_buffer import Message
 
 NRANKS = 4
 WORKERS = 2
@@ -70,6 +73,35 @@ def run_process_survey():
     report = triangle_survey_push(dodgr, reducer.callback, engine=PROCESS)
     reducer.finalize()
     return reducer.snapshot(), report
+
+
+@pytest.mark.skipif(not shm.shared_memory_available(), reason="needs shared memory")
+def test_a_message_round_trips_through_the_transport():
+    """One tuple shape carries every message: an int64 column rides the
+    round's segment, a Python argument the pickle, and the handler, RPC
+    count, size and sequence id come back as sent."""
+    import numpy as np
+
+    world = World(NRANKS)
+    handle = world.register_handler(lambda ctx, column, meta: None, "sink")
+    column = np.arange(5, dtype=np.int64) * 3
+    sent = Message(1, 2, handle, (column, {"label": (4, "x")}), 5, 77, seq=9)
+    writer = SegmentWriter(f"repro-pb{os.getpid()}-transport-test")
+    blob = MessageEncoder({}, writer).encode_blob([sent])
+    segment = writer.finish()
+    decoder = MessageDecoder(world.registry, {})
+    try:
+        (got,) = decoder.decode_blob(blob)
+        assert (got.source, got.dest, got.seq, got.rpcs, got.nbytes) == (1, 2, 9, 5, 77)
+        assert got.handle == handle
+        assert got.args[0].tolist() == column.tolist()
+        assert got.args[0].dtype == np.int64
+        assert got.args[1] == {"label": (4, "x")}
+    finally:
+        decoder.close()
+        segment.close()
+        shm.unlink_segments([segment.name])
+    assert_no_segments()
 
 
 def test_segments_unlinked_after_normal_exit():

@@ -31,7 +31,8 @@ from repro.runtime import (
     World,
     sample_fault_plans,
 )
-from repro.runtime.faults import Envelope, ReliableTransport, message_wire_bytes
+from repro.runtime.faults import Envelope, ReliableTransport
+from repro.runtime.message_buffer import WIRE_ENVELOPE_BYTES
 from repro.runtime.world import DEFAULT_MAX_DRAIN_SWEEPS, WorldError
 
 NRANKS = 4
@@ -131,7 +132,7 @@ class TestInjector:
         def fates():
             injector = FaultInjector(plan, NRANKS)
             return [
-                injector.delivery_fate(Envelope(message=None, nbytes=1))
+                injector.delivery_fate(Envelope(message=None))
                 for _ in range(200)
             ]
 
@@ -142,7 +143,7 @@ class TestInjector:
     def test_fault_budget_forces_delivery(self):
         plan = FaultPlan(seed=0, drop_rate=1.0, max_faults_per_message=2)
         injector = FaultInjector(plan, NRANKS)
-        envelope = Envelope(message=None, nbytes=1)
+        envelope = Envelope(message=None)
         assert injector.delivery_fate(envelope) == "drop"
         assert injector.delivery_fate(envelope) == "drop"
         assert injector.delivery_fate(envelope) == "deliver"
@@ -150,18 +151,30 @@ class TestInjector:
     def test_crash_trigger_counts_only_matching_phase(self):
         plan = FaultPlan(crash_rank=1, crash_phase="push", crash_after_executions=2)
         injector = FaultInjector(plan, NRANKS)
-        injector.note_execution(1, "build")  # wrong phase: ignored
-        injector.note_execution(0, "push")  # wrong rank: ignored
-        injector.note_execution(1, "push")
+        injector.note_execution(1, "build", 1)  # wrong phase: ignored
+        injector.note_execution(0, "push", 1)  # wrong rank: ignored
+        injector.note_execution(1, "push", 1)
         with pytest.raises(RankCrashError) as info:
-            injector.note_execution(1, "push")
+            injector.note_execution(1, "push", 1)
         assert info.value.rank == 1
         assert info.value.phase == "push"
         assert injector.stats.crashes == 1
         # one-shot: no re-fire after restart
         injector.mark_restarted()
         assert not injector.crashed_ranks
-        injector.note_execution(1, "push")
+        injector.note_execution(1, "push", 1)
+
+    def test_a_message_counts_every_rpc_it_carries(self):
+        """The threshold is an RPC count: a coalesced message of several
+        RPCs advances it by all of them and crosses it whole."""
+        plan = FaultPlan(crash_rank=1, crash_phase="push", crash_after_executions=5)
+        injector = FaultInjector(plan, NRANKS)
+        injector.note_execution(1, "push", 3)
+        assert injector.crash_pending
+        with pytest.raises(RankCrashError) as info:
+            injector.note_execution(1, "push", 3)
+        assert info.value.executions == 6
+        assert "after executing 6 RPCs" in str(info.value)
 
     def test_crash_rank_resolved_modulo_world(self):
         plan = FaultPlan(crash_rank=7)
@@ -210,18 +223,27 @@ class TestTransport:
         assert transport.register(_Msg(0, 1)).message.seq == 2
         assert transport.mark_delivered(0, 1, 0) is False
 
-    def test_message_wire_bytes_duck_typing(self):
-        assert message_wire_bytes(_Msg(0, 1, nbytes=17)) == 17
-
-        class _Payload:
-            payload = b"abcd"
-
-        assert message_wire_bytes(_Payload()) == 4
-
-        class _Virtual:
-            virtual_bytes = 99
-
-        assert message_wire_bytes(_Virtual()) == 99
+    def test_retransmit_books_the_message_size(self):
+        """A retransmission is one more RPC of the message's ``nbytes``,
+        flushed alone: the envelope reads the size off the message."""
+        world = World(2)
+        world.install_fault_plan(
+            FaultPlan(name="drop-once", drop_rate=1.0, max_faults_per_message=1)
+        )
+        seen = []
+        handle = world.register_handler(lambda ctx, values: seen.append(values))
+        world.begin_phase("p")
+        world.ranks[0].async_call(1, handle, [1, 2, 3])
+        nbytes = world.registry.call_size(handle, ([1, 2, 3],))
+        world.barrier()
+        assert seen == [[1, 2, 3]]
+        sender = world.stats.ranks[0].phases["p"]
+        assert sender.rpcs_sent == 2
+        assert sender.bytes_sent_remote == 2 * nbytes
+        assert sender.wire_messages == 2
+        assert sender.wire_bytes == 2 * (nbytes + WIRE_ENVELOPE_BYTES)
+        assert world.fault_injector.stats.retries == 1
+        assert world.stats.ranks[1].phases["p"].bytes_received == nbytes
 
 
 # ---------------------------------------------------------------------------

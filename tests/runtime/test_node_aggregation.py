@@ -7,7 +7,7 @@ import pytest
 from repro.core import triangle_survey_push
 from repro.graph import DODGraph
 from repro.runtime import World, WorldError
-from repro.runtime.message_buffer import BufferBank
+from repro.runtime.message_buffer import BufferBank, Message
 from repro.runtime.stats import RankStats
 
 
@@ -27,24 +27,24 @@ class TestBufferBankGrouping:
 
     def test_per_rank_buffering_by_default(self):
         bank, _, _ = self._bank(ranks_per_node=1)
-        bank.send(2, b"a")
-        bank.send(3, b"b")
+        bank.send(Message(0, 2, None, (), 1, 1))
+        bank.send(Message(0, 3, None, (), 1, 1))
         assert bank.pending_messages() == 2
         assert len(bank._buffers) == 2
 
     def test_same_node_destinations_share_a_buffer(self):
         bank, stats, _ = self._bank(ranks_per_node=4)
-        bank.send(1, b"a")  # node 0
-        bank.send(2, b"b")  # node 0
-        bank.send(5, b"c")  # node 1
+        bank.send(Message(0, 1, None, (), 1, 1))  # node 0
+        bank.send(Message(0, 2, None, (), 1, 1))  # node 0
+        bank.send(Message(0, 5, None, (), 1, 1))  # node 1
         assert len(bank._buffers) == 2
         bank.flush_all()
         assert stats.current.wire_messages == 2
 
     def test_delivery_targets_actual_ranks(self):
         bank, _, delivered = self._bank(ranks_per_node=4)
-        bank.send(1, b"a")
-        bank.send(2, b"b")
+        bank.send(Message(0, 1, None, (), 1, 1))
+        bank.send(Message(0, 2, None, (), 1, 1))
         bank.flush_all()
         assert sorted(msg.dest for msg in delivered) == [1, 2]
 

@@ -58,29 +58,24 @@ class TestRegistration:
             registry_b.resolve(handle)
 
 
-class TestEncodingDecoding:
-    def test_roundtrip(self):
-        registry = RpcRegistry()
-        handle = registry.register(_handler_b)
-        payload = registry.encode_call(handle, (3, 4))
-        func, args = registry.decode_call(payload)
-        assert func is _handler_b
-        assert args == [3, 4]
-
+class TestHandlersAndSizes:
     def test_unknown_handler_id_rejected(self):
         registry = RpcRegistry()
         with pytest.raises(RpcError):
             registry.handler(99)
 
-    def test_malformed_payload_rejected(self):
+    def test_released_handler_rejected_and_its_id_never_reused(self):
         registry = RpcRegistry()
+        handle = registry.register(_handler_a)
+        registry.release(handle)
+        registry.release(handle)  # idempotent
         with pytest.raises(RpcError):
-            registry.decode_call(b"\xff\xff")
+            registry.handler(handle.handler_id)
+        assert registry.register(_handler_b).handler_id == handle.handler_id + 1
 
-    def test_payload_contains_only_id_and_args(self):
-        # The function reference must be a small fixed-size id, not the name
-        # or code: the wire cost of an RPC is dominated by its arguments.
+    def test_call_size_counts_only_id_and_args(self):
+        # The function reference is a small fixed-size id, not the name or
+        # code: the wire cost of an RPC is dominated by its arguments.
         registry = RpcRegistry()
         handle = registry.register(_handler_a, name="a_rather_long_handler_name" * 4)
-        small = registry.encode_call(handle, (1,))
-        assert len(small) < 16
+        assert registry.call_size(handle, (1,)) < 16

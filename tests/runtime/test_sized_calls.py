@@ -1,10 +1,11 @@
-"""Sized (payload-free) RPC delivery: byte-identical to the codec path.
+"""Per-message RPCs accounted by size: ``async_call`` builds no payload.
 
-``async_call_sized`` skips ``dumps``/``loads`` but must replay every
-observable accounting quantity of ``async_call`` exactly — per-phase RPC and
-byte counters, buffer occupancy, flush boundaries, wire messages — because
-the legacy survey drivers now ride it and Table 4 must not move.  Also
-covers ``RpcRegistry.call_size`` and the vectorized ``stable_hash``.
+``RankContext.async_call`` books every call at
+``RpcRegistry.call_size`` — the exact ``len(dumps(...))`` of the reference
+codec in :mod:`repro.oracle.codec` — and passes its arguments by reference.
+Every counter must add up to those sizes, since the legacy survey drivers
+ride this path and Table 4 must not move.  Also covers the vectorized
+``stable_hash``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import random
 
 import pytest
 
+from repro.oracle.codec import dumps
+from repro.runtime.message_buffer import WIRE_ENVELOPE_BYTES
 from repro.runtime.serialization import SerializationError
 from repro.runtime.world import (
     World,
@@ -27,17 +30,37 @@ except ImportError:  # pragma: no cover
     np = None
 
 
-def _run_workload(world: World, sized: bool) -> list:
-    """A small RPC storm with remote and local traffic plus handler replies."""
+def _run_workload(world: World) -> tuple:
+    """A small RPC storm with remote and local traffic plus handler replies.
+
+    Returns what the handlers received and, per rank, the calls it sent and
+    ran, and the ``call_size`` total of its local and remote sends and of
+    the remote calls it ran.
+    """
     received = []
+    sent = [0] * world.nranks
+    ran = [0] * world.nranks
+    local = [0] * world.nranks
+    remote = [0] * world.nranks
+    incoming = [0] * world.nranks
+
+    def send(ctx, dest, handle, *args):
+        sent[ctx.rank] += 1
+        ran[dest] += 1
+        nbytes = world.registry.call_size(handle, args)
+        if dest == ctx.rank:
+            local[ctx.rank] += nbytes
+        else:
+            remote[ctx.rank] += nbytes
+            incoming[dest] += nbytes
+        ctx.async_call(dest, handle, *args)
 
     def _reply_handler(ctx, token):
         received.append((ctx.rank, token))
 
     def _main_handler(ctx, token, payload):
         received.append((ctx.rank, token, tuple(payload)))
-        send = ctx.async_call_sized if sized else ctx.async_call
-        send((ctx.rank + 1) % ctx.nranks, h_reply, token)
+        send(ctx, (ctx.rank + 1) % ctx.nranks, h_reply, token)
 
     h_reply = world.register_handler(_reply_handler, "reply")
     h_main = world.register_handler(_main_handler, "main")
@@ -45,50 +68,37 @@ def _run_workload(world: World, sized: bool) -> list:
     world.begin_phase("storm")
     rng = random.Random(13)
     for ctx in world.ranks:
-        send = ctx.async_call_sized if sized else ctx.async_call
         for i in range(120):
             dest = rng.randrange(world.nranks)
             payload = [rng.randrange(10**6) for _ in range(rng.randrange(8))]
-            send(dest, h_main, f"{ctx.rank}:{i}", payload)
+            send(ctx, dest, h_main, f"{ctx.rank}:{i}", payload)
     world.barrier()
     received.sort()
-    return received
+    return received, (sent, ran, local, remote, incoming)
 
 
-def _stats_snapshot(world: World):
-    rows = []
-    for rank_stats in world.stats.ranks:
-        phase = rank_stats.phases["storm"]
-        rows.append(
-            (
-                phase.rpcs_sent,
-                phase.rpcs_executed,
-                phase.bytes_sent_local,
-                phase.bytes_sent_remote,
-                phase.bytes_received,
-                phase.wire_messages,
-                phase.wire_bytes,
-            )
-        )
-    return rows
-
-
-class TestSizedCallParity:
+class TestSizedCalls:
     @pytest.mark.parametrize("flush_threshold", [256, 4096])
-    def test_every_counter_matches_codec_path(self, flush_threshold):
-        world_codec = World(5, flush_threshold_bytes=flush_threshold)
-        world_sized = World(5, flush_threshold_bytes=flush_threshold)
-        received_codec = _run_workload(world_codec, sized=False)
-        received_sized = _run_workload(world_sized, sized=True)
-        assert received_codec == received_sized
-        assert _stats_snapshot(world_codec) == _stats_snapshot(world_sized)
+    def test_counters_book_the_call_size_of_every_send(self, flush_threshold):
+        world = World(5, flush_threshold_bytes=flush_threshold)
+        received, (sent, ran, local, remote, incoming) = _run_workload(world)
+        assert len(received) == sum(sent) == 2 * 5 * 120  # every call and reply ran
+        for rank, rank_stats in enumerate(world.stats.ranks):
+            phase = rank_stats.phases["storm"]
+            assert phase.rpcs_sent == sent[rank]
+            assert phase.rpcs_executed == ran[rank]
+            assert phase.bytes_sent_local == local[rank]
+            assert phase.bytes_sent_remote == remote[rank]
+            assert phase.bytes_received == incoming[rank]
+            # Every remote byte reaches the wire once, in some flush.
+            assert phase.wire_bytes == remote[rank] + WIRE_ENVELOPE_BYTES * phase.wire_messages
 
     def test_local_shortcut_delivers_immediately_at_barrier_semantics(self):
         world = World(3)
         seen = []
         handler = world.register_handler(lambda ctx, x: seen.append((ctx.rank, x)))
         world.begin_phase("p")
-        world.ranks[1].async_call_sized(1, handler, "local")
+        world.ranks[1].async_call(1, handler, "local")
         world.barrier()
         assert seen == [(1, "local")]
         phase = world.stats.ranks[1].phases["p"]
@@ -96,11 +106,11 @@ class TestSizedCallParity:
         assert phase.bytes_sent_remote == 0
         assert phase.bytes_received == 0
 
-    def test_unserializable_args_raise_like_codec(self):
+    def test_unserializable_args_raise_at_send_time(self):
         world = World(2)
         handler = world.register_handler(lambda ctx, x: None)
         with pytest.raises(SerializationError):
-            world.ranks[0].async_call_sized(1, handler, object())
+            world.ranks[0].async_call(1, handler, object())
 
     def test_call_size_matches_encode_call(self):
         world = World(2)
@@ -114,7 +124,7 @@ class TestSizedCallParity:
         ]
         for args in cases:
             assert world.registry.call_size(handler, args) == len(
-                world.registry.encode_call(handler, args)
+                dumps((handler.handler_id, list(args)))
             )
 
 

@@ -1,8 +1,8 @@
 """Virtual-stream accounting and batched delivery (the coalesced-call runtime).
 
 ``BufferBank.send_virtual`` must be byte-for-byte indistinguishable — in
-every counter the simulation reports — from ``send`` with a real payload of
-the same size, and ``RankContext.async_call_batched`` must account execution
+every counter the simulation reports — from ``send`` of a message of the
+same size, and ``RankContext.async_call_batched`` must account execution
 as the legacy messages it replaces.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from repro.runtime.message_buffer import (
     WIRE_ENVELOPE_BYTES,
     BufferBank,
+    Message,
     MessageBuffer,
 )
 from repro.runtime.stats import RankStats
@@ -48,7 +49,7 @@ class TestSendVirtualEquivalence:
         real_bank, real_stats, _ = make_bank()
         virt_bank, virt_stats, _ = make_bank()
         for size in sizes:
-            real_bank.send(2, b"x" * size)
+            real_bank.send(Message(0, 2, None, (), 1, size))
             virt_bank.send_virtual(2, size)
         real_bank.flush_all()
         virt_bank.flush_all()
@@ -133,7 +134,7 @@ class TestWorldBatchedDelivery:
         world = World(2)
         received = []
         handle = world.register_handler(lambda ctx, obj: received.append(obj))
-        marker = object()  # not serializable: proves the codec is bypassed
+        marker = object()  # not serializable: proves no size is taken
         world.rank(0).async_call_batched(
             1, handle, marker, virtual_rpcs=1, virtual_bytes=0
         )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import World, WorldError
+from repro.runtime.message_buffer import Message
 from repro.runtime.stats import PhaseStats
 from repro.runtime.world import first_appearance_groups, stable_hash
 
@@ -38,14 +39,15 @@ class TestDelivery:
         world4.barrier()
         assert executed == [(2, "hello")]
 
-    def test_arguments_are_serialized_at_send_time(self, world4):
+    def test_arguments_pass_by_reference(self, world4):
+        """The simulated wire builds no payload: the receiver runs on the
+        sender's objects, which is why senders must not mutate them."""
         received = []
         handler = world4.register_handler(lambda ctx, values: received.append(values))
         payload = [1, 2, 3]
         world4.ranks[0].async_call(1, handler, payload)
-        payload.append(99)  # mutation after the call must not be visible
         world4.barrier()
-        assert received == [[1, 2, 3]]
+        assert received[0] is payload
 
     def test_chained_handlers_complete_within_one_barrier(self, world4):
         """Handlers may fire further RPCs; the barrier runs to quiescence."""
@@ -165,6 +167,21 @@ class TestStatsAndPhases:
         world4.ranks[0].async_call(1, handler, "remote")
         world4.barrier()
         assert world4.stats.total().bytes_received > 0
+
+    def test_execution_books_every_rpc_and_byte_a_message_carries(self):
+        """One path books a 1-RPC ``async_call`` carrier and an n-RPC
+        coalesced one: ``rpcs`` executed, ``nbytes`` received when remote."""
+        for rpcs in (1, 7):
+            for source in (0, 1):
+                world = World(2)
+                seen = []
+                handle = world.register_handler(lambda ctx, x: seen.append((ctx.rank, x)))
+                world.begin_phase("p")
+                world._execute_message(Message(source, 1, handle, ("x",), rpcs, 40))
+                phase = world.stats.ranks[1].phases["p"]
+                assert seen == [(1, "x")]
+                assert phase.rpcs_executed == rpcs
+                assert phase.bytes_received == (40 if source != 1 else 0)
 
     def test_phase_attribution(self, world4):
         handler = world4.register_handler(lambda ctx: None)

@@ -452,7 +452,9 @@ def test_crash_replay_is_bit_identical_while_epochs_are_pinned(workload):
     batches, vertex_meta = workload
     policy = ServicePolicy(checkpoint=CheckpointPolicy(checkpoint_interval=len(batches)))
     clean = SurveyService(World(RANKS), policy=policy)
-    plan = FaultPlan(seed=1, crash_rank=1, crash_after_executions=20, crash_recoverable=True)
+    # Rank 1 executes 64-69 RPCs over the first two ingests and 70-78 by
+    # the end of the third: a threshold of 74 crashes the last one.
+    plan = FaultPlan(seed=1, crash_rank=1, crash_after_executions=74, crash_recoverable=True)
     faulty = SurveyService(World(RANKS), policy=policy, plan=plan)
     tickets = []
     for index, batch in enumerate(batches):

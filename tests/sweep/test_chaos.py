@@ -10,6 +10,7 @@ from repro.core.engine import engine_names
 from repro.runtime.faults import FaultPlan, sample_fault_plans
 from repro.sweep import (
     ANALYSES,
+    contract_problems,
     format_sweep_table,
     run_cell,
     run_chaos_sweep,
@@ -91,6 +92,35 @@ class TestRunShape:
     def test_needs_a_config(self):
         with pytest.raises(ValueError):
             run_chaos_sweep([], sample_fault_plans(1, seed=0))
+
+
+class TestCrashesFireOnEveryEngine:
+    """A crash plan counts executed RPCs — the ``rpcs_executed`` the
+    contract holds equal across engines — so one threshold fires on the
+    per-message oracle and on the coalesced production engine alike."""
+
+    PLAN = FaultPlan(name="crash", seed=3, crash_rank=1, crash_after_executions=8)
+
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_one_crash_plan_fires_and_recovers(self, engine):
+        config = sample_space(world_spec_names(), 4, seed=SEED)[0]
+        assert config.nranks > 1
+        oracle = run_cell(config, "closure", ORACLE_ENGINE)
+        outcome = run_cell(config, "closure", engine, plan=self.PLAN)
+        assert outcome.fault_stats["crashes"] == outcome.restarts == 1
+        assert not outcome.degraded
+        assert outcome.panel == oracle.panel
+        assert contract_problems(outcome, oracle) == []
+
+    def test_the_ci_chaos_sweep_runs_a_degraded_cell(self):
+        """``--chaos --sample 8 --seed 0`` (the CI smoke) degrades a cell."""
+        configs = sample_space(world_spec_names(), 4, seed=SEED)
+        result = run_chaos_sweep(configs, sample_fault_plans(SAMPLE, seed=SEED))
+        assert result.parity_failures() == []
+        payload = sweep_payload(result, sample=SAMPLE, seed=SEED)
+        assert payload["counts"]["degraded"] >= 1
+        degraded = [row for row in result.rows() if row["degraded"]]
+        assert all(row["plan"].startswith("permanent") for row in degraded)
 
 
 class TestPermanentLossWithoutSurvivors:

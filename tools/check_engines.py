@@ -26,8 +26,10 @@ Seventeen checks, exit status 1 on any failure (each printed to stderr):
    ``callback``), so streaming windows, checkpoint/restart recovery and the
    columnar engines work with every registered reducer; and a columnar
    survey plus ``finalize()`` with it on a small decorated graph must make
-   **zero** ``RpcRegistry.encode_call`` / ``decode_call`` invocations (a
-   count, not a timing): a reducer that regrows a per-key RPC fails here.
+   **zero** per-message sends (``RankContext.async_call`` invocations; a
+   count, not a timing): every stock reducer ships through coalesced
+   ``async_call_batched`` calls, so one that regrows a per-key RPC fails
+   here.
 5. **Execution-axis parity** — the kernel-tier names in README.md's
    ``| Kernel tier |`` table must equal
    :data:`repro.core.intersection.KERNEL_TIERS`, the storage modes in the
@@ -255,9 +257,9 @@ def check_sweep_coverage(registered: Tuple[str, ...]) -> List[str]:
     return errors
 
 
-def survey_codec_calls(reducer_cls) -> int:
-    """``encode_call`` + ``decode_call`` invocations of one columnar survey
-    plus ``finalize()`` with ``reducer_cls`` on a small decorated graph.
+def survey_per_message_sends(reducer_cls) -> int:
+    """``RankContext.async_call`` invocations of one columnar survey plus
+    ``finalize()`` with ``reducer_cls`` on a small decorated graph.
 
     The decoration suits every stock reducer: float edge stamps, small-int
     vertex labels (a degree, a label, and distinct enough for FQDN triples).
@@ -268,25 +270,25 @@ def survey_codec_calls(reducer_cls) -> int:
     graph = GeneratedGraph(name="decorated-smoke", edges=edges, vertex_meta=vertex_meta)
     dodgr = DODGraph.build(graph.to_distributed(world), mode="bulk")
     reducer = reducer_cls(world)
-    calls = [0]
-    for name in ("encode_call", "decode_call"):
+    sends = [0]
+    for ctx in world.ranks:
 
-        def counted(*args, _codec=getattr(world.registry, name)):
-            calls[0] += 1
-            return _codec(*args)
+        def counted(*args, _send=ctx.async_call):
+            sends[0] += 1
+            return _send(*args)
 
-        setattr(world.registry, name, counted)
+        ctx.async_call = counted
     report = triangle_survey(dodgr, reducer.callback, "push_pull", engine="columnar")
     assert report.triangles, "the smoke graph must deliver triangles to the reducer"
     if hasattr(reducer, "finalize"):
         reducer.finalize()
     dodgr.release()
-    return calls[0]
+    return sends[0]
 
 
 def check_reducer_contract() -> List[str]:
     """Every registered reducer exposes the streaming/columnar trio and
-    surveys without a codec call (check 4)."""
+    surveys without a per-message send (check 4)."""
     from repro.core.callbacks import registered_reducers
 
     errors: List[str] = []
@@ -312,11 +314,11 @@ def check_reducer_contract() -> List[str]:
                 f"reducer {name!r}: merge() returned {type(merged).__name__}, "
                 f"expected {type(snap).__name__}"
             )
-        codec_calls = survey_codec_calls(reducer_cls)
-        if codec_calls:
+        sends = survey_per_message_sends(reducer_cls)
+        if sends:
             errors.append(
                 f"reducer {name!r}: a columnar survey + finalize() made "
-                f"{codec_calls} encode_call/decode_call invocations, expected 0"
+                f"{sends} per-message async_call sends, expected 0"
             )
     return errors
 
@@ -684,7 +686,7 @@ PUBLIC_SURFACE_ALLOWLIST = {
     "repro.core.callbacks.reducer_names": "reducer registry lookup, counted in this file's summary",
     "repro.core.callbacks.registered_reducers": "reducer registry lookup, walked by check 4",
     "repro.core.callbacks.get_reducer": "reducer registry lookup, walked by check 13",
-    "repro.runtime.serialization.register_record": "the codec's hook for user metadata records",
+    "repro.runtime.serialization.register_record": "the wire format's hook for user metadata records",
     "repro.runtime.serialization.registered_records": "test isolation of the record registry",
     "repro.runtime.serialization.clear_registry": "test isolation of the record registry",
     "repro.*Error": "raised through the public API; callers catch it by type",
@@ -1376,7 +1378,7 @@ def main() -> int:
         f"{len(backends)} backends documented and parity-clean "
         f"({', '.join(backends)}); "
         f"{len(reducer_names())} reducers honour the "
-        "snapshot/merge/callback_batch contract with zero codec calls; "
+        "snapshot/merge/callback_batch contract with zero per-message sends; "
         f"{len(KERNEL_TIERS)} kernel tiers and {len(STORAGES)} storage modes "
         "documented and parity-clean; engine= is the only execution selector; "
         "a stream step delivers once per rank; one table says what may run; "
