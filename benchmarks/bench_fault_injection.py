@@ -19,15 +19,21 @@ CI smoke job independently of — the timing gate):
 * **crash-recovery parity** — a mid-survey rank crash restarted through
   ``run_survey_with_recovery`` reproduces the fault-free panel exactly.
 
-Two timing gates, both deliberately lenient (absolute thresholds on this
-scale are CI noise): clearing a plan must restore the never-armed fast path
-(median within ``DORMANT_GATE``), and an armed lossy plan may cost at most
-``ARMED_GATE``x the dormant run end to end.
+Dormant cost is checked exactly, not timed: a survey on a world whose plan
+was armed and cleared makes no call into the fault module
+(``runtime/faults.py``), counted with ``sys.setprofile``, while the same
+count sees the armed plan's calls.  The never-armed and cleared host-time
+medians are printed and ungated (two medians on a shared host differ by
+more than the hooks cost).  One timing gate remains, deliberately lenient:
+an armed lossy plan may cost at most ``ARMED_GATE``x the dormant run end to
+end.
 """
 
 from __future__ import annotations
 
+import sys
 import time
+from collections import Counter
 
 from _artifacts import emit
 from repro.bench import format_table, human_bytes, load_dataset
@@ -35,14 +41,12 @@ from repro.core.callbacks import TriangleCounter
 from repro.core.engine import engine_names, run_survey_with_recovery
 from repro.core.survey import triangle_survey_push
 from repro.graph.dodgr import DODGraph
+from repro.runtime import faults
 from repro.runtime.faults import FaultPlan, sample_fault_plans
 from repro.runtime.world import World
 
 NODES = 8
 REPEATS = 5
-#: Cleared-plan runs vs never-armed runs: same dormant fast path, so the
-#: medians must agree to well within timing noise.
-DORMANT_GATE = 1.10
 #: Armed lossy plans pay for retries, dedup bookkeeping and extra sweeps;
 #: the gate only guards against pathological blowup.
 ARMED_GATE = 5.0
@@ -153,10 +157,35 @@ def test_crash_recovery_parity():
     assert result.panel == base_panel
 
 
+def fault_module_calls(dataset, plan, clear_first=False):
+    """Calls into ``runtime/faults.py`` made by one survey, by function name."""
+    world, dodgr, reducer = build_survey_world(dataset, plan)
+    if clear_first:
+        world.clear_fault_plan()
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == faults.__file__:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        triangle_survey_push(dodgr, reducer.callback, engine="legacy")
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def test_dormant_overhead_gate():
-    """Cleared == never-armed (tight-ish); armed lossy bounded (lenient)."""
+    """Cleared makes no fault-module call (exact); armed lossy bounded (lenient)."""
     dataset = load_dataset("rmat-weak")
     lossy = FaultPlan(name="mixed", seed=3, drop_rate=0.1, duplicate_rate=0.05)
+
+    assert fault_module_calls(dataset, lossy, clear_first=True) == Counter(), (
+        "clearing a plan left the fault hooks on the delivery path"
+    )
+    armed_calls = fault_module_calls(dataset, lossy)
+    assert armed_calls["delivery_fate"] > 0, "the count must see an armed plan's hooks"
 
     def median_host(**kwargs):
         times = sorted(run_once(dataset, **kwargs)[0] for _ in range(REPEATS))
@@ -165,10 +194,15 @@ def test_dormant_overhead_gate():
     never_armed = median_host()
     cleared = median_host(plan=lossy, clear_first=True)
     armed = median_host(plan=lossy)
-
-    assert cleared <= never_armed * DORMANT_GATE, (
-        f"clearing a plan left overhead behind: {cleared:.4f}s vs "
-        f"{never_armed:.4f}s never-armed"
+    emit(
+        format_table(
+            [
+                {"run": "never armed", "host median (s)": f"{never_armed:.4f}"},
+                {"run": "cleared", "host median (s)": f"{cleared:.4f}"},
+                {"run": "armed lossy", "host median (s)": f"{armed:.4f}"},
+            ],
+            title="fault injection — dormant and armed survey host time (cleared ungated)",
+        )
     )
     assert armed <= never_armed * ARMED_GATE, (
         f"armed lossy plan cost {armed:.4f}s vs {never_armed:.4f}s dormant"

@@ -37,9 +37,11 @@ class HalfEdgeColumns(NamedTuple):
     dense index.
 
     ``edge_meta_sizes`` optionally carries every half edge's exact
-    serialized metadata size.  Bulk images (``from_columns``, the oracle's
-    flattened records) leave it None and the DODGr build sizes the metadata column;
-    ``DeltaBuffer.apply`` fills it, sizing only each batch's new edges and
+    serialized metadata size.  A load with one value shared by every edge
+    (``from_columns`` without ``edge_metas``) sizes that value once and fills
+    it; other bulk images (per-edge metadata, derived graphs, the oracle's
+    flattened records) leave it None and the DODGr build sizes the metadata
+    column; ``DeltaBuffer.apply`` fills it, sizing only each batch's new edges and
     carrying the old ones forward, so a streamed graph's rebuild never
     re-sizes stored metadata (a value's size depends on the value alone).
     ``edge_values`` and ``vertex_values`` ride the same way: the

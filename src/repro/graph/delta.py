@@ -62,7 +62,7 @@ from .columnar import (
     object_column,
     unique_pair_indices,
 )
-from .distributed_graph import DistributedGraph
+from .distributed_graph import DistributedGraph, first_touch_labels
 from .dodgr import DODGraph, _value_sizes
 from .edge_list import canonical_pair, validate_edge_columns
 
@@ -300,18 +300,18 @@ class _BatchIds(NamedTuple):
 
 
 def _int_batch_ids(old_vertices: Any, us: Any, vs: Any, keys: Any) -> _BatchIds:
-    """:class:`_BatchIds` for int64 ids: sorts and ``searchsorted``, no Python loop."""
+    """:class:`_BatchIds` for int64 ids: one first-touch labelling of the old
+    vertices (distinct, so they keep their index) followed by the batch's
+    references, no Python loop."""
     keep = _np.flatnonzero(us != vs)
     lo, hi = _np.minimum(us[keep], vs[keep]), _np.maximum(us[keep], vs[keep])
-    refs = _np.concatenate((_np.column_stack((lo, hi)).reshape(-1), keys))
-    fresh = refs[~_np.isin(refs, old_vertices)]
-    uniq, first = _np.unique(fresh, return_index=True)
-    new_vertices = uniq[_np.argsort(first)]
-    all_ids = _np.concatenate((old_vertices, new_vertices))
-    sorter = _np.argsort(all_ids)
-    dense = sorter[_np.searchsorted(all_ids, refs, sorter=sorter)]
+    refs = _np.concatenate((old_vertices, _np.column_stack((lo, hi)).reshape(-1), keys))
+    touched, labels = first_touch_labels(refs)
+    dense = labels[old_vertices.size :]
     ends = 2 * keep.size
-    return _BatchIds(keep, dense[0:ends:2], dense[1:ends:2], dense[ends:], new_vertices)
+    return _BatchIds(
+        keep, dense[0:ends:2], dense[1:ends:2], dense[ends:], touched[old_vertices.size :]
+    )
 
 
 def _object_batch_ids(old_vertices: Any, us: List, vs: List, keys: List) -> _BatchIds:

@@ -22,6 +22,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from ..runtime.serialization import serialized_size
 from ..runtime.world import World, stable_key_order
 from .columnar import HalfEdgeColumns, id_array, id_column, object_column
 from .edge_list import (
@@ -35,6 +36,42 @@ from .partition import HashPartitioner, Partitioner
 import numpy as _np
 
 __all__ = ["DistributedGraph"]
+
+
+#: :func:`first_touch_labels` reads labels from an id-indexed table while the
+#: largest id is below this many times the stream length, and scatters them
+#: back through the sort order otherwise.
+_TABLE_IDS_PER_ENTRY = 4
+
+
+def first_touch_labels(stream: Any) -> Tuple[Any, Any]:
+    """The distinct ids of an int64 ``stream`` in first-touch order, and the
+    index among them of every entry: ``np.unique``'s ids and ``inverse``,
+    renumbered by where each id first occurs.
+
+    One stable radix order of the stream (:func:`stable_key_order`) puts
+    each id's positions in one run, its first position at the run's head;
+    marking those positions in a stream-length mask, the mask's ``cumsum``
+    numbers the ids in touch order.  Every entry's label is read from an
+    id-indexed table when the ids are non-negative and the largest is below
+    a small multiple of the stream length, and scattered back through the
+    sort order otherwise.
+    """
+    order = stable_key_order(stream)
+    ordered = stream[order]
+    head = _np.ones(stream.size, dtype=bool)
+    _np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    firsts = order[head]
+    first = _np.zeros(stream.size, dtype=bool)
+    first[firsts] = True
+    touched = stream[first]
+    if stream.size and ordered[0] >= 0 and ordered[-1] < _TABLE_IDS_PER_ENTRY * stream.size:
+        table = _np.empty(ordered[-1] + 1, dtype=_np.int64)
+        table[touched] = _np.arange(touched.size, dtype=_np.int64)
+        return touched, table[stream]
+    labels = _np.empty(stream.size, dtype=_np.int64)
+    labels[order] = (_np.cumsum(first) - 1)[firsts][_np.cumsum(head) - 1]
+    return touched, labels
 
 
 def _layout(
@@ -62,7 +99,7 @@ def _layout(
         ),
         degree=_np.bincount(src, minlength=order.size),
         tgt=tgt[by_src],
-        edge_meta=_np.repeat(edge_meta, 2)[by_src],
+        edge_meta=edge_meta[by_src >> 1],  # half edges 2i, 2i + 1 are edge i's
     )
 
 
@@ -141,7 +178,9 @@ class DistributedGraph:
 
         Parallel edges keep the pair's first position and its last metadata;
         self loops are dropped; metadata-only vertices join their rank after
-        every endpoint, in ``vertex_meta`` order.
+        every endpoint, in ``vertex_meta`` order.  A shared ``edge_meta``
+        (``edge_metas`` None) is sized once, into the image's
+        ``edge_meta_sizes``.
         """
         keys = list(vertex_meta)
         ids = [id_array(column) for column in (us, vs, keys)]
@@ -152,33 +191,35 @@ class DistributedGraph:
         keep = _np.flatnonzero(us != vs)
         # The touch stream: both endpoints of every kept edge, then the keys.
         stream = _np.concatenate((_np.column_stack((us[keep], vs[keep])).reshape(-1), labels))
-        uniq, first_seen, inverse = _np.unique(stream, return_index=True, return_inverse=True)
-        touch = _np.argsort(first_seen)
-        dense = _np.empty(uniq.size, dtype=_np.int64)
-        dense[touch] = _np.arange(uniq.size, dtype=_np.int64)
-        touched, stream = uniq[touch], dense[inverse]
+        touched, stream = first_touch_labels(stream)
         lo, hi = stream[0 : 2 * keep.size : 2], stream[1 : 2 * keep.size : 2]
         # One edge per unordered pair, where it first appears.
-        pairs = _np.minimum(lo, hi) * _np.int64(uniq.size) + _np.maximum(lo, hi)
+        pairs = _np.minimum(lo, hi) * _np.int64(touched.size) + _np.maximum(lo, hi)
         by_pair = stable_key_order(pairs)
         head = _np.ones(by_pair.size + 1, dtype=bool)
         head[1:-1] = pairs[by_pair[1:]] != pairs[by_pair[:-1]]
         firsts = by_pair[head[:-1]]
-        in_order = _np.argsort(firsts)
-        if edge_metas is None:
+        # The first positions in edge order: a mask, not a sort.
+        distinct = _np.zeros(keep.size, dtype=bool)
+        distinct[firsts] = True
+        if edge_metas is None:  # one value, sized once
             metas = _np.empty(firsts.size, dtype=object)
             metas.fill(edge_meta)
+            size = serialized_size(edge_meta)
         else:  # the pair's last occurrence ends its run
-            metas = object_column(edge_metas)[keep[by_pair[head[1:]][in_order]]]
+            last = _np.empty(keep.size, dtype=_np.int64)
+            last[firsts] = by_pair[head[1:]]
+            metas, size = object_column(edge_metas)[keep[last[distinct]]], None
         if originals is not None:
             touched = id_column(object_column(originals)[touched].tolist())
-        vertex_metas = _np.empty(uniq.size, dtype=object)
+        vertex_metas = _np.empty(touched.size, dtype=object)
         vertex_metas.fill(self.default_vertex_meta)
         vertex_metas[stream[2 * keep.size :]] = object_column(list(vertex_meta.values()))
-        firsts = firsts[in_order]
-        self.adopt_columns(
-            _layout(self.partitioner, touched, vertex_metas, lo[firsts], hi[firsts], metas)
-        )
+        edges = _np.flatnonzero(distinct)
+        image = _layout(self.partitioner, touched, vertex_metas, lo[edges], hi[edges], metas)
+        if size is not None:
+            image = image._replace(edge_meta_sizes=_np.full(image.tgt.size, size, _np.int64))
+        self.adopt_columns(image)
         return self
 
     @classmethod

@@ -16,6 +16,7 @@ from repro.graph import (
     DODGraph,
     HashPartitioner,
 )
+from repro.graph.dodgr import _value_sizes
 from repro.graph.edge_list import canonical_pair
 from repro.graph.generators import erdos_renyi
 from repro.oracle import RecordStore, load_records, routed_load
@@ -168,10 +169,19 @@ class TestRoutedLoad:
 
 
 def flattened(columns):
+    """The image's columns as ``{field: (dtype, values)}``.
+
+    A shared-value load carries its edge metadata sizes and the oracle's
+    flattened records carry none, so the sizes are checked here against a
+    cold sizing of the metadata and left out of the comparison.
+    """
+    if columns.edge_meta_sizes is not None:
+        assert columns.edge_meta_sizes.dtype == np.int64
+        assert columns.edge_meta_sizes.tolist() == _value_sizes(columns.edge_meta).tolist()
     return {
         field: (str(value.dtype), value.tolist())
         for field, value in columns._asdict().items()
-        if value is not None
+        if value is not None and field != "edge_meta_sizes"
     }
 
 
